@@ -305,6 +305,7 @@ def _fanout_topology(n_sources: int, updates: int, seed: int, algorithm: str = "
 def cmd_runtime(args: argparse.Namespace) -> int:
     from repro.consistency import check_trace
     from repro.core.registry import ALGORITHMS, create_algorithm
+    from repro.errors import SimulationError
     from repro.experiments.report import render_table
     from repro.multisource.consistency import cut_report
     from repro.relational.engine import evaluate_view
@@ -494,6 +495,11 @@ def cmd_runtime(args: argparse.Namespace) -> int:
             batch_k=args.batch_k,
             wire_codec=args.wire_codec,
         )
+    except SimulationError as error:
+        # The harness validates every flag combination in one place
+        # (e.g. --shards with --batch-k > 1); report it like a usage error.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
         if temp_wal is not None:
             temp_wal.cleanup()

@@ -30,6 +30,7 @@ from repro.messaging.messages import (
     QueryAnswer,
     QueryRequest,
     RefreshRequest,
+    ShardEnvelope,
     UpdateBatch,
     UpdateNotification,
 )
@@ -218,6 +219,13 @@ def _encode_message(message: Message) -> Dict[str, object]:
                 _encode_message(n) for n in message.notifications
             ],
         }
+    if isinstance(message, ShardEnvelope):
+        # Wire-only (shard -> router leg): never reaches a WAL recv record.
+        return {
+            "$": "msg.envelope",
+            "destination": message.destination,
+            "request": _encode_message(message.request),
+        }
     raise CodecError(f"cannot encode message {message!r}")
 
 
@@ -306,6 +314,9 @@ _DECODERS: Dict[str, Callable[[Dict[str, Any]], object]] = {
             cast(UpdateNotification, decode_value(n))
             for n in d["notifications"]
         )
+    ),
+    "msg.envelope": lambda d: ShardEnvelope(
+        d["destination"], cast(QueryRequest, decode_value(d["request"]))
     ),
 }
 

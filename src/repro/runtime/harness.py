@@ -1,12 +1,19 @@
 """``run_concurrent``: drive N sources × M clients to quiescence.
 
-The harness wires sources, one warehouse, and view-reading clients onto a
+The harness wires sources, the warehouse, and view-reading clients onto a
 shared transport, runs them as asyncio tasks, and records a global
 :class:`~repro.simulation.trace.Trace` exactly like the synchronous
 drivers do — one source snapshot per executed update, one view snapshot
 per warehouse event — so :func:`repro.consistency.checker.check_trace`
 classifies concurrent executions against the Section 3.1 hierarchy with
 no changes.
+
+The warehouse side is a list of :class:`WarehouseUnit`: one unit talking
+to the sources directly, or with ``shards=N`` one per populated shard plus
+a :class:`~repro.sharding.router.ShardRouter` task in between (Section 7:
+"ECA is simply applied to each view separately").  Transport, recorder,
+crash restart, supervision, quiescence and result assembly are the same
+code in both modes.
 
 Everything runs on one event loop with no wall-clock waits, so a run is
 deterministic: the same sources, workloads, seed, and fault plan replay
@@ -23,9 +30,24 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from repro.durability.crash import CrashPolicy
+if TYPE_CHECKING:  # pragma: no cover - repro.sharding builds on this module
+    from repro.sharding.harness import ShardedWarehouse
+    from repro.sharding.router import ShardRouter
+
+from repro.durability.crash import CrashPolicy, CrashRun
 from repro.durability.recovery import recover
 from repro.durability.wal import WriteAheadLog
 from repro.errors import SimulationError, WarehouseCrashed
@@ -260,6 +282,42 @@ class RuntimeResult:
         )
 
 
+@dataclass
+class WarehouseUnit:
+    """One warehouse of the topology: an algorithm plus its private wiring.
+
+    Everything that differs between the single unsharded warehouse and a
+    shard lives here, so the harness treats both alike.  The unsharded
+    unit keeps every default: the ``"{name}->wh"`` inboxes, requests sent
+    straight to the owning source, the run's own ``obs`` and the
+    ``warehouse`` metrics row.  A shard
+    (:func:`repro.sharding.harness.shard_units`) overrides them with the
+    router's per-``(origin, shard)`` channels, its request channel, a
+    shard-labelled obs view and metrics row, and ``wal_dir/shard-<i>``.
+    """
+
+    algorithm: object
+    inboxes: List[str]
+    shard: Optional[int] = None
+    #: How trace details and errors name this unit.
+    title: str = "warehouse"
+    wal_dir: Optional[str] = None
+    obs: Optional[object] = None
+    #: One row for the unit's whole life: every incarnation bumps it.
+    metrics: ActorMetrics = field(
+        default_factory=lambda: ActorMetrics("warehouse", "warehouse")
+    )
+    channel_origins: Optional[Dict[str, Optional[str]]] = None
+    channel_labels: Optional[Dict[str, str]] = None
+    request_channel: Optional[str] = None
+    #: Set on the one unit the run's crash policy applies to.
+    crash_run: Optional[CrashRun] = None
+    #: The current incarnation's log and the stable handle over its actor;
+    #: the harness sets both and closes ``wal`` on every exit path.
+    wal: Optional[WriteAheadLog] = field(default=None, init=False)
+    handle: Optional[WarehouseHandle] = field(default=None, init=False)
+
+
 def _normalize_sources(sources: SourcesArg) -> Dict[str, Source]:
     if isinstance(sources, Source):
         return {"source": sources}
@@ -370,10 +428,16 @@ def run_concurrent(
     shards:
         Partition the warehouse into this many shards behind a
         :class:`~repro.sharding.router.ShardRouter`; ``None`` (the
-        default) runs the single warehouse actor below.  A sharded run
-        takes per-shard WAL directories under ``wal_dir`` and applies
-        ``crash`` to ``crash_shard`` only — see
-        :func:`repro.sharding.harness.run_sharded`.
+        default) runs one warehouse actor talking to the sources
+        directly.  ``algorithm`` must then be a
+        :class:`~repro.warehouse.catalog.WarehouseCatalog` or a
+        single-view algorithm (wrapped into a one-view catalog); its
+        member views are placed on shards by ``partitioner``, each shard
+        logs to ``wal_dir/shard-<i>``, and ``crash`` fires on
+        ``crash_shard`` only while the others keep serving.  The result
+        carries the merged tagged view, a ``router`` and one ``shard<i>``
+        metrics row per shard, and the plan in ``shard_info``.  ``obs``
+        must be ``Observability(sharded=True)``.
     partitioner:
         Sharded runs only: ``"hash"``, ``"range"``, or a
         :class:`~repro.sharding.partition.Partitioner` instance.
@@ -387,7 +451,13 @@ def run_concurrent(
         A :class:`repro.serving.ServingCache` fronting the warehouse for
         read traffic.  The warehouse actor streams each event's dirtied
         view keys into it (precise invalidation); a ``read_workload``
-        is served through it by a reader actor.
+        is served through it by a reader actor.  In a sharded run the
+        one cache sits client-side of the router, shared by every shard
+        actor's invalidation stream and read through the merged facade —
+        a shard crash-and-recover swaps incarnations under it without
+        losing invalidations (the dead incarnation pushed them before
+        dying, and replayed events drain their dirty sets unsent,
+        exactly once each).
     read_workload:
         ``(view, key)`` addresses for a :class:`ReadClientActor` —
         usually :func:`repro.workloads.random_gen.zipf_read_workload`
@@ -411,53 +481,45 @@ def run_concurrent(
         framed (optionally compressed) serialization of each message
         instead of the abstract sizer estimate.
     """
+    named_sources = _normalize_sources(sources)
+    owners = relation_owners(named_sources)
+    workloads = _normalize_workloads(workload, named_sources, owners)
+    source_names = sorted(named_sources)
+    client_names = [f"client-{i}" for i in range(clients)]
+    plan = None
+    if shards is not None:
+        # Imported here: repro.sharding builds on this module.
+        from repro.sharding.harness import ShardedWarehouse, shard_info, shard_units
+        from repro.sharding.plan import plan_shards
+        from repro.sharding.router import ShardRouter
+
+        plan = plan_shards(algorithm, shards, partitioner, owners)
+
+    # Every axis composes or is rejected here, before anything is opened.
     if batch_k < 1:
         raise SimulationError(f"batch_k must be >= 1, got {batch_k}")
-    if shards is not None:
+    if crash is not None and wal_dir is None:
+        raise SimulationError("crash injection requires wal_dir= (recovery source)")
+    if plan is None:
+        if crash_shard != 0:
+            raise SimulationError(f"crash_shard={crash_shard} requires shards=")
+    else:
         if batch_k > 1:
             raise SimulationError(
                 "batch_k > 1 is not supported with sharding yet: the "
                 "router splits update runs across shards, so per-shard "
                 "coalescing would not match the global action log"
             )
-        if wire_codec not in (None, "none"):
+        if crash is not None and crash_shard not in plan.shard_ids:
             raise SimulationError(
-                "wire_codec is not supported with sharding yet: the "
-                "router's envelope channels bypass the codec accounting"
+                f"crash_shard={crash_shard} is not a populated shard "
+                f"(populated: {list(plan.shard_ids)})"
             )
-        from repro.sharding.harness import run_sharded
-
-        return run_sharded(
-            sources,
-            algorithm,
-            workload,
-            shards=shards,
-            partitioner=partitioner,
-            clients=clients,
-            client_reads=client_reads,
-            faults=faults,
-            seed=seed,
-            max_burst=max_burst,
-            sizer=sizer,
-            wal_dir=wal_dir,
-            wal_fsync=wal_fsync,
-            snapshot_every=snapshot_every,
-            crash=crash,
-            crash_shard=crash_shard,
-            obs=obs,
-            record_trace=record_trace,
-            cache=cache,
-            read_workload=read_workload,
-            verify_reads=verify_reads,
-        )
-    named_sources = _normalize_sources(sources)
-    owners = relation_owners(named_sources)
-    workloads = _normalize_workloads(workload, named_sources, owners)
-    total_updates = sum(len(w) for w in workloads.values())
-    algorithm.bind_owners(owners)
-
-    if crash is not None and wal_dir is None:
-        raise SimulationError("crash injection requires wal_dir= (recovery source)")
+        if obs is not None and not getattr(obs, "sharded", False):
+            raise SimulationError(
+                "a sharded run needs Observability(sharded=True) so per-shard "
+                "series carry the shard label instead of colliding"
+            )
 
     codec = create_codec(wire_codec) if wire_codec is not None else None
     inner = InMemoryTransport(sizer=sizer, codec=codec)
@@ -467,39 +529,44 @@ def run_concurrent(
     recorder = _TraceRecorder(named_sources, transport, record_trace=record_trace)
     if obs is not None:
         obs.attach_clock(transport.now)
-
-    wal = (
-        WriteAheadLog(wal_dir, fsync=wal_fsync, snapshot_every=snapshot_every, obs=obs)
-        if wal_dir is not None
-        else None
-    )
     crash_run = crash.start() if crash is not None else None
 
-    inboxes = [warehouse_inbox(name) for name in sorted(named_sources)] + [
-        warehouse_inbox(f"client-{i}") for i in range(clients)
-    ]
+    router = None
+    if plan is None:
+        units = [
+            WarehouseUnit(
+                algorithm,
+                [warehouse_inbox(name) for name in source_names + client_names],
+                wal_dir=wal_dir,
+                obs=obs,
+                crash_run=crash_run,
+            )
+        ]
+    else:
+        units = shard_units(
+            plan, source_names, client_names, wal_dir, obs, crash_run, crash_shard
+        )
+        router = ShardRouter(
+            transport,
+            plan.interest,
+            plan.shard_ids,
+            source_names=source_names,
+            client_names=client_names,
+            shard_obs=None if obs is None else {unit.shard: unit.obs for unit in units},
+        )
+
     if cache is not None:
         cache.bind_obs(obs)
         if obs is not None:
-            cache.attach_lag(obs.staleness_lag)
-    warehouse = WarehouseActor(
-        algorithm,
-        transport,
-        inboxes=inboxes,
-        owners=owners,
-        recorder=recorder,
-        wal=wal,
-        crash_run=crash_run,
-        obs=obs,
-        cache=cache,
-        batch_k=batch_k,
-    )
-    handle = WarehouseHandle(warehouse)
-    recorder.record_initial(handle)
-    if wal is not None:
-        # Genesis snapshot: recovery is possible even before the first
-        # automatic snapshot cadence fires.
-        wal.snapshot(algorithm)
+            # The cache is client-side of the router, so its backend-lag
+            # annotation is the worst lag across shards (a stale answer
+            # may involve any of them).
+            views = [unit.obs for unit in units]
+            cache.attach_lag(
+                obs.staleness_lag
+                if router is None
+                else lambda: max(view.staleness_lag() for view in views)
+            )
 
     source_actors = [
         SourceActor(
@@ -512,151 +579,200 @@ def run_concurrent(
             max_burst=max_burst,
             obs=obs,
         )
-        for index, name in enumerate(sorted(named_sources))
+        for index, name in enumerate(source_names)
     ]
-    client_actors = [
-        ClientActor(
-            f"client-{i}",
-            transport,
-            handle,
-            recorder,
-            reads=client_reads,
-            seed=seed + 101 + i,
-            obs=obs,
-        )
-        for i in range(clients)
-    ]
-    reader_actors: List[ReadClientActor] = []
-    reader = None
-    if read_workload is not None:
-        # Reads go through the handle so they survive crash-and-recover
-        # incarnation swaps, like every other reader in the system.
-        reader = reader_for(algorithm, state_fn=handle.view_state)
-        reader_actors.append(
-            ReadClientActor(
-                "reader-0",
-                cache,
-                reader,
-                read_workload,
-                verify=verify_reads,
-                metrics=ActorMetrics("reader-0", "reader"),
+
+    def _incarnate(
+        unit: WarehouseUnit, algorithm: object, **carried: object
+    ) -> WarehouseActor:
+        """Build ``unit``'s next incarnation over ``algorithm``.
+
+        With a WAL the incarnation opens its own handle and snapshots at
+        once.  At genesis that makes recovery possible before the first
+        snapshot cadence fires; after a crash it folds the replayed
+        suffix, so a second crash recovers from here, not from before
+        the first one.
+        """
+        algorithm.bind_owners(owners)
+        unit.algorithm = algorithm
+        if unit.wal_dir is not None:
+            unit.wal = WriteAheadLog(
+                unit.wal_dir, fsync=wal_fsync, snapshot_every=snapshot_every, obs=unit.obs
             )
+            unit.wal.snapshot(algorithm)
+        return WarehouseActor(
+            algorithm,
+            transport,
+            inboxes=unit.inboxes,
+            owners=owners,
+            recorder=recorder,
+            wal=unit.wal,
+            crash_run=unit.crash_run,
+            metrics=unit.metrics,
+            obs=unit.obs,
+            channel_origins=unit.channel_origins,
+            channel_labels=unit.channel_labels,
+            request_channel=unit.request_channel,
+            cache=cache,
+            batch_k=batch_k,
+            **carried,
         )
 
     crashes: List[Dict[str, object]] = []
-    wal_totals = {"records": 0, "snapshots": 0}
-    wal_box = {"wal": wal}
+    wal_totals = {"records": 0, "snapshots": 0, "last_lsn": 0}
 
-    def _restart(fault: WarehouseCrashed) -> None:
-        """Replace the dead warehouse with one rebuilt from the WAL."""
-        old = handle.actor
+    def _retire_wal(unit: WarehouseUnit) -> None:
+        """Fold the unit's WAL handle into the totals, flush it, free its lock."""
+        wal, unit.wal = unit.wal, None
+        if wal is not None:
+            wal_totals["records"] += wal.appended
+            wal_totals["snapshots"] += wal.snapshots_taken
+            wal_totals["last_lsn"] = max(wal_totals["last_lsn"], wal.last_lsn)
+            wal.close()
+
+    def _restart(unit: WarehouseUnit, fault: WarehouseCrashed) -> None:
+        """Replace a dead unit with one rebuilt from its own WAL.
+
+        Runs synchronously inside the unit's supervisor: no message is
+        lost (they wait in the transport) and every other actor — other
+        shards included — keeps running.
+        """
         recorder.record_crash(
-            f"warehouse crashed at event {fault.event_index} "
+            f"{unit.title} crashed at event {fault.event_index} "
             f"(mode={fault.mode}, drop_sends={fault.drop_sends})"
         )
-        dead_wal = wal_box["wal"]
-        wal_totals["records"] += dead_wal.appended
-        wal_totals["snapshots"] += dead_wal.snapshots_taken
-        dead_wal.close()
-        if obs is not None:
-            obs.crash(fault.event_index, fault.mode, fault.drop_sends)
-        recovered = recover(wal_dir, obs=obs)
-        recovered.algorithm.bind_owners(owners)
-        new_wal = WriteAheadLog(
-            wal_dir, fsync=wal_fsync, snapshot_every=snapshot_every, obs=obs
-        )
-        # Fold the replayed suffix into a fresh snapshot so a second crash
-        # recovers from here, not from before the first one.
-        new_wal.snapshot(recovered.algorithm)
-        wal_box["wal"] = new_wal
-        old.metrics.bump("crashes")
-        handle.actor = WarehouseActor(
+        _retire_wal(unit)
+        if unit.obs is not None:
+            unit.obs.crash(fault.event_index, fault.mode, fault.drop_sends)
+        # Invalidate BEFORE the new incarnation re-issues: any answer still
+        # addressed to a pre-crash global id must die at the router, never
+        # be translated into the new id space.
+        invalidated = 0 if router is None else router.invalidate_shard(unit.shard)
+        recovered = recover(unit.wal_dir, obs=unit.obs)
+        unit.metrics.bump("crashes")
+        unit.handle.actor = _incarnate(
+            unit,
             recovered.algorithm,
-            transport,
-            inboxes=inboxes,
-            owners=owners,
-            recorder=recorder,
-            wal=new_wal,
-            crash_run=crash_run,
             reissue=recovered.reissue,
-            metrics=old.metrics,
             event_index=fault.event_index,
-            obs=obs,
-            cache=cache,
-            batch_k=batch_k,
         )
-        crashes.append(
-            {
-                "event_index": fault.event_index,
-                "mode": fault.mode,
-                "drop_sends": fault.drop_sends,
-                "snapshot_lsn": recovered.snapshot_lsn,
-                "replayed": recovered.replayed,
-                "reissued": len(recovered.reissue),
-                "virtual_time": transport.now(),
-            }
-        )
-        recorder.record_recovery(
+        info: Dict[str, object] = {
+            "event_index": fault.event_index,
+            "mode": fault.mode,
+            "drop_sends": fault.drop_sends,
+            "snapshot_lsn": recovered.snapshot_lsn,
+            "replayed": recovered.replayed,
+            "reissued": len(recovered.reissue),
+        }
+        detail = (
             f"recovered from snapshot lsn {recovered.snapshot_lsn} + "
             f"{recovered.replayed} replayed record(s), "
             f"{len(recovered.reissue)} re-issued query(ies)"
         )
+        if router is not None:
+            info = {"shard": unit.shard, **info, "routes_invalidated": invalidated}
+            detail = f"{unit.title} {detail}, {invalidated} router route(s) invalidated"
+        info["virtual_time"] = transport.now()
+        crashes.append(info)
+        recorder.record_recovery(detail)
 
-    started = time.perf_counter()
-    asyncio.run(
-        _drive(
-            transport,
-            handle,
-            source_actors,
-            client_actors,
-            restart=_restart if crash_run is not None else None,
-            reader_actors=reader_actors,
+    try:
+        for unit in units:
+            unit.handle = WarehouseHandle(_incarnate(unit, unit.algorithm))
+        # Clients, the recorder and readers hold a handle, so they survive
+        # incarnation swaps; one unit's facade is its own handle (no merge).
+        warehouse = (
+            units[0].handle
+            if plan is None
+            else ShardedWarehouse({unit.shard: unit.handle for unit in units})
         )
-    )
-    wall_seconds = time.perf_counter() - started
+        recorder.record_initial(warehouse)
+        client_actors = [
+            ClientActor(
+                name,
+                transport,
+                warehouse,
+                recorder,
+                reads=client_reads,
+                seed=seed + 101 + i,
+                obs=obs,
+            )
+            for i, name in enumerate(client_names)
+        ]
+        reader_actors: List[ReadClientActor] = []
+        reader = None
+        if read_workload is not None:
+            # Key layouts come from the member views: the caller's
+            # algorithm, or — every shard's catalog tags rows with the
+            # view name — the merged facade standing in as one catalog.
+            reader = reader_for(
+                algorithm if plan is None else warehouse,
+                state_fn=warehouse.view_state,
+            )
+            reader_actors.append(
+                ReadClientActor(
+                    "reader-0",
+                    cache,
+                    reader,
+                    read_workload,
+                    verify=verify_reads,
+                    metrics=ActorMetrics("reader-0", "reader"),
+                )
+            )
+        started = time.perf_counter()
+        asyncio.run(
+            _drive(
+                transport,
+                warehouse,
+                units,
+                source_actors,
+                router,
+                client_actors + reader_actors,
+                _restart,
+            )
+        )
+        wall_seconds = time.perf_counter() - started
+    finally:
+        # Flush and unlock on every exit path: a failed run that kept its
+        # ``wal.lock`` would make the directory unopenable in this process.
+        for unit in units:
+            _retire_wal(unit)
 
-    wal_stats = None
-    final_wal = wal_box["wal"]
-    if final_wal is not None:
-        wal_totals["records"] += final_wal.appended
-        wal_totals["snapshots"] += final_wal.snapshots_taken
-        wal_stats = {
-            "records": wal_totals["records"],
-            "snapshots": wal_totals["snapshots"],
-            "last_lsn": final_wal.last_lsn,
-        }
-        final_wal.close()
-
-    if not handle.is_quiescent():
+    laggards = [unit.title for unit in units if not unit.handle.is_quiescent()]
+    if laggards:
         raise SimulationError(
-            f"algorithm {getattr(algorithm, 'name', algorithm)!r} failed to "
-            f"quiesce after the workload drained"
+            f"{', '.join(laggards)} failed to quiesce after the workload drained"
+        )
+    if router is not None and router.pending_routes:
+        raise SimulationError(
+            f"router still holds {router.pending_routes} live route(s) at "
+            f"quiescence — a query answer was lost"
         )
 
     metrics = {actor.metrics.name: actor.metrics for actor in source_actors}
-    metrics["warehouse"] = handle.metrics
-    for client in client_actors:
+    if router is not None:
+        metrics["router"] = router.metrics
+    for unit in units:
+        metrics[unit.metrics.name] = unit.metrics
+    for client in client_actors + reader_actors:
         metrics[client.name] = client.metrics
-    for reader_actor in reader_actors:
-        metrics[reader_actor.name] = reader_actor.metrics
-
-    serving = serving_report(cache, reader)
 
     result = RuntimeResult(
         trace=recorder.trace,
         metrics=metrics,
         channel_stats=transport.stats(),
-        updates=total_updates,
+        updates=sum(len(updates) for updates in workloads.values()),
         quiesce_latency=max(0.0, transport.now() - recorder.last_update_at),
         virtual_duration=transport.now(),
         wall_seconds=wall_seconds,
         observations={c.name: c.observations for c in client_actors},
-        final_view=handle.view_state(),
+        final_view=warehouse.view_state(),
         crashes=crashes,
-        wal_stats=wal_stats,
+        wal_stats=wal_totals if wal_dir is not None else None,
         action_log=recorder.action_log,
         per_source_states=recorder.per_source_states,
-        serving=serving,
+        shard_info=shard_info(plan, partitioner, units) if plan is not None else None,
+        serving=serving_report(cache, reader),
         read_results={r.name: r.results for r in reader_actors},
         read_mismatches=[m for r in reader_actors for m in r.mismatches],
     )
@@ -667,42 +783,47 @@ def run_concurrent(
 
 async def _drive(
     transport: AsyncTransport,
-    warehouse: WarehouseHandle,
+    warehouse: "WarehouseHandle | ShardedWarehouse",
+    units: Sequence[WarehouseUnit],
     source_actors: Sequence[SourceActor],
-    client_actors: Sequence[ClientActor],
-    restart: Optional[object] = None,
-    reader_actors: Sequence[ReadClientActor] = (),
+    router: Optional["ShardRouter"],
+    client_actors: Sequence["ClientActor | ReadClientActor"],
+    restart: Callable[[WarehouseUnit, WarehouseCrashed], None],
 ) -> None:
+    # Task-creation order is part of the schedule: sources, the router
+    # when there is one, the units, then clients and readers.
     tasks = [asyncio.ensure_future(actor.run()) for actor in source_actors]
+    if router is not None:
+        tasks.append(asyncio.ensure_future(router.run()))
 
-    async def _supervise_warehouse() -> None:
-        # Each iteration is one warehouse incarnation.  A crash rebuilds
-        # the actor (synchronously — no messages are lost, they wait in
-        # the transport) and re-enters its run loop; a clean return means
-        # the transport closed.
+    async def _supervise(unit: WarehouseUnit) -> None:
+        # Each iteration is one incarnation of this unit.  A crash (only
+        # the unit holding the crash run can raise one) rebuilds the
+        # actor and re-enters its run loop; a clean return means the
+        # transport closed.
         while True:
             try:
-                await warehouse.actor.run()
+                await unit.handle.actor.run()
                 return
             except WarehouseCrashed as fault:
-                if restart is None:
-                    raise
-                restart(fault)
+                restart(unit, fault)
 
-    warehouse_task = asyncio.ensure_future(_supervise_warehouse())
+    tasks += [asyncio.ensure_future(_supervise(unit)) for unit in units]
     client_tasks = [asyncio.ensure_future(actor.run()) for actor in client_actors]
-    client_tasks += [asyncio.ensure_future(actor.run()) for actor in reader_actors]
 
     try:
         # Clients perform a bounded number of reads; wait them out first.
         if client_tasks:
             await asyncio.gather(*client_tasks)
-        # Then poll for global quiescence: workloads drained, channels
-        # empty, algorithm holding no deferred work.  Every poll iteration
-        # yields, letting all ready actors take a step.
+        # Then poll for global quiescence: workloads drained, every
+        # channel (router and shard legs included) empty, every unit
+        # holding no deferred work.  The router is stateless between
+        # messages apart from its route table, which empties exactly
+        # when the units' unanswered-query sets do.  Every poll
+        # iteration yields, letting all ready actors take a step.
         for _ in range(_MAX_POLLS):
             await asyncio.sleep(0)
-            if warehouse_task.done() or any(task.done() for task in tasks):
+            if any(task.done() for task in tasks):
                 break  # an actor died early; surface its exception below
             if (
                 all(actor.workload_done for actor in source_actors)
@@ -717,9 +838,7 @@ async def _drive(
             )
     finally:
         transport.close()
-        outcome = await asyncio.gather(
-            *tasks, warehouse_task, *client_tasks, return_exceptions=True
-        )
+        outcome = await asyncio.gather(*tasks, *client_tasks, return_exceptions=True)
         for result in outcome:
             if isinstance(result, Exception) and not isinstance(
                 result, asyncio.CancelledError

@@ -8,11 +8,13 @@ One warehouse catalog, split across N shard actors behind a router:
   catalogs plus the relation -> interested-shards map;
 - :mod:`repro.sharding.router` — the :class:`ShardRouter` actor fanning
   updates, translating query ids, and absorbing stale post-crash answers;
-- :mod:`repro.sharding.harness` — :func:`run_sharded`, reached through
-  ``run_concurrent(..., shards=N)``.
+- :mod:`repro.sharding.harness` — how a shard is wired into the one
+  harness: ``run_concurrent(..., shards=N)`` runs one warehouse unit per
+  shard (:func:`~repro.sharding.harness.shard_units`) plus the router
+  task, read through the merged :class:`ShardedWarehouse`.
 """
 
-from repro.sharding.harness import ShardedWarehouse, run_sharded
+from repro.sharding.harness import ShardedWarehouse
 from repro.sharding.partition import (
     ExplicitPartitioner,
     HashPartitioner,
@@ -40,6 +42,5 @@ __all__ = [
     "make_partitioner",
     "plan_shards",
     "router_request_channel",
-    "run_sharded",
     "shard_channel",
 ]

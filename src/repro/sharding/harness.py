@@ -1,4 +1,4 @@
-"""``run_sharded``: the partitioned warehouse behind a shard router.
+"""Shard wiring for ``run_concurrent(shards=N)``: units and the merged view.
 
 The sharded topology keeps sources and clients byte-for-byte identical to
 the unsharded runtime — they talk to ``"{name}->wh"`` / ``"wh->{name}"``
@@ -7,11 +7,12 @@ channels exactly as before.  Between them and the data sits:
 - one :class:`~repro.sharding.router.ShardRouter` owning the external
   warehouse inboxes, fanning updates by the plan's interest map and
   translating global query ids to per-shard local ids;
-- one :class:`~repro.runtime.actors.WarehouseActor` **per populated
-  shard**, each running its own per-shard
+- one :class:`~repro.runtime.harness.WarehouseUnit` **per populated
+  shard** (:func:`shard_units`), each running its own per-shard
   :class:`~repro.warehouse.catalog.WarehouseCatalog`, with its own WAL
   directory (``wal_dir/shard-<i>``), its own unanswered-query set, and
-  its own crash/recovery lifecycle;
+  its own crash/recovery lifecycle — driven by the same supervisor,
+  restart and quiescence loop as the single unsharded warehouse;
 - a :class:`ShardedWarehouse` facade merging the per-shard tagged views
   into one global view for clients, the trace recorder, and the
   consistency checkers.
@@ -25,7 +26,7 @@ view is the tagged union of independently-correct member views.
 
 Crashes are per-shard: ``crash`` applies only to ``crash_shard``, whose
 supervisor rebuilds the actor from its own WAL while every other shard,
-the router, sources, and clients keep running.  The restart closure
+the router, sources, and clients keep running.  The harness's restart
 calls :meth:`ShardRouter.invalidate_shard` *before* the recovered
 incarnation re-issues, so answers addressed to dead global ids die at
 the router rather than leak into the new id space.
@@ -33,47 +34,18 @@ the router rather than leak into the new id space.
 
 from __future__ import annotations
 
-import asyncio
 import os
-import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.durability.crash import CrashPolicy
-from repro.durability.recovery import recover
-from repro.durability.wal import WriteAheadLog
-from repro.errors import SimulationError, WarehouseCrashed
-from repro.kernel.dispatch import relation_owners
+from repro.durability.crash import CrashRun
+
+# Re-export only: bench/layers.py patches this module-level name.
+from repro.durability.recovery import recover  # noqa: F401
 from repro.relational.bag import SignedBag
-from repro.runtime.actors import (
-    ActorMetrics,
-    ClientActor,
-    SourceActor,
-    WarehouseActor,
-    WarehouseHandle,
-)
-from repro.runtime.harness import (
-    _MAX_POLLS,
-    _normalize_sources,
-    _normalize_workloads,
-    _TraceRecorder,
-    RuntimeResult,
-    SourcesArg,
-    WorkloadArg,
-)
-from repro.runtime.transport import (
-    AsyncTransport,
-    FaultPlan,
-    FaultyTransport,
-    InMemoryTransport,
-)
-from repro.serving import ReadClientActor, ServingCache, WarehouseReader, serving_report
-from repro.sharding.partition import Partitioner
-from repro.sharding.plan import ShardPlan, plan_shards
-from repro.sharding.router import (
-    ShardRouter,
-    router_request_channel,
-    shard_channel,
-)
+from repro.runtime.actors import ActorMetrics, WarehouseHandle
+from repro.runtime.harness import WarehouseUnit
+from repro.sharding.plan import ShardPlan
+from repro.sharding.router import router_request_channel, shard_channel
 
 
 class ShardedWarehouse:
@@ -101,102 +73,38 @@ class ShardedWarehouse:
     def is_quiescent(self) -> bool:
         return all(handle.is_quiescent() for handle in self.handles.values())
 
+    @property
+    def algorithms(self) -> Dict[str, object]:
+        """Every member view's algorithm, wherever it lives.
 
-def _shard_wal_dir(wal_dir: str, shard: int) -> str:
-    """Per-shard WAL directory (each shard recovers independently)."""
-    return os.path.join(wal_dir, f"shard-{shard}")
+        Lets :func:`repro.serving.reader_for` take the facade for one
+        tagged catalog: one reader covers every view.
+        """
+        members: Dict[str, object] = {}
+        for shard in sorted(self.handles):
+            members.update(self.handles[shard].actor.algorithm.algorithms)
+        return members
 
 
-def run_sharded(
-    sources: SourcesArg,
-    algorithm: object,
-    workload: WorkloadArg,
-    *,
-    shards: int,
-    partitioner: object = "hash",
-    clients: int = 0,
-    client_reads: int = 4,
-    faults: Optional[FaultPlan] = None,
-    seed: int = 0,
-    max_burst: int = 2,
-    sizer: Optional[object] = None,
-    wal_dir: Optional[str] = None,
-    wal_fsync: bool = False,
-    snapshot_every: Optional[int] = 8,
-    crash: Optional[CrashPolicy] = None,
-    crash_shard: int = 0,
-    obs: Optional[object] = None,
-    record_trace: bool = True,
-    cache: Optional[ServingCache] = None,
-    read_workload: Optional[Sequence[object]] = None,
-    verify_reads: bool = False,
-) -> RuntimeResult:
-    """Run a partitioned warehouse to quiescence; returns the merged result.
+def shard_units(
+    plan: ShardPlan,
+    source_names: Sequence[str],
+    client_names: Sequence[str],
+    wal_dir: Optional[str],
+    obs: Optional[object],
+    crash_run: Optional[CrashRun],
+    crash_shard: int,
+) -> List[WarehouseUnit]:
+    """One :class:`~repro.runtime.harness.WarehouseUnit` per populated shard.
 
-    Same contract as :func:`repro.runtime.harness.run_concurrent` (which
-    delegates here when ``shards`` is set) with the sharded extras:
-
-    - ``algorithm`` must be a :class:`~repro.warehouse.catalog.WarehouseCatalog`
-      or a single-view algorithm (wrapped into a one-view catalog); its
-      member views are placed on shards by ``partitioner``.
-    - ``wal_dir`` becomes the *parent* of one WAL directory per shard.
-    - ``crash`` fires only on ``crash_shard``; the other shards keep
-      serving while it recovers from its own WAL.
-    - the result's ``final_view``/``trace`` carry the merged tagged view,
-      ``metrics`` gains ``router`` and one ``shard<i>`` row per shard,
-      and ``shard_info`` records the plan.
-    - ``cache`` sits client-side of the router: one
-      :class:`~repro.serving.ServingCache` shared by every shard actor's
-      invalidation stream, read through the merged facade — a shard
-      crash-and-recover swaps incarnations under it without losing
-      invalidations (the dead incarnation pushed them before dying, and
-      replayed events drain their dirty sets unsent, exactly once each).
+    Inboxes are the router's per-(origin, shard) channels; origins/labels
+    translate them back to the unsharded vocabulary (WAL records and
+    action-log labels stay comparable); outgoing queries detour through
+    the router for id multiplexing.  Each shard recovers independently,
+    so each gets its own WAL directory, and only ``crash_shard`` carries
+    the crash run.
     """
-    named_sources = _normalize_sources(sources)
-    owners = relation_owners(named_sources)
-    workloads = _normalize_workloads(workload, named_sources, owners)
-    total_updates = sum(len(w) for w in workloads.values())
-
-    plan: ShardPlan = plan_shards(algorithm, shards, partitioner, owners)
-    for catalog in plan.algorithms.values():
-        catalog.bind_owners(owners)
-
-    if crash is not None:
-        if wal_dir is None:
-            raise SimulationError("crash injection requires wal_dir= (recovery source)")
-        if crash_shard not in plan.shard_ids:
-            raise SimulationError(
-                f"crash_shard={crash_shard} is not a populated shard "
-                f"(populated: {list(plan.shard_ids)})"
-            )
-
-    inner = InMemoryTransport(sizer=sizer)
-    transport: AsyncTransport = (
-        FaultyTransport(inner, plan=faults, seed=seed + 0x5EED) if faults else inner
-    )
-    recorder = _TraceRecorder(named_sources, transport, record_trace=record_trace)
-
-    shard_obs: Dict[int, object] = {}
-    if obs is not None:
-        if not getattr(obs, "sharded", False):
-            raise SimulationError(
-                "a sharded run needs Observability(sharded=True) so per-shard "
-                "series carry the shard label instead of colliding"
-            )
-        obs.attach_clock(transport.now)
-        shard_obs = {shard: obs.shard_view(shard) for shard in plan.shard_ids}
-
-    source_names = sorted(named_sources)
-    client_names = [f"client-{i}" for i in range(clients)]
-    crash_run = crash.start() if crash is not None else None
-
-    # Per-shard wiring: inboxes are the router's per-(origin, shard)
-    # channels; origins/labels translate them back to the unsharded
-    # vocabulary (WAL records and action-log labels stay comparable);
-    # outgoing queries detour through the router for id multiplexing.
-    shard_inboxes: Dict[int, List[str]] = {}
-    shard_origins: Dict[int, Dict[str, Optional[str]]] = {}
-    shard_labels: Dict[int, Dict[str, str]] = {}
+    units: List[WarehouseUnit] = []
     for shard in plan.shard_ids:
         inboxes: List[str] = []
         origins: Dict[str, Optional[str]] = {}
@@ -211,351 +119,33 @@ def run_sharded(
             inboxes.append(channel)
             origins[channel] = None
             labels[channel] = name
-        shard_inboxes[shard] = inboxes
-        shard_origins[shard] = origins
-        shard_labels[shard] = labels
-
-    wal_box: Dict[int, Optional[WriteAheadLog]] = {}
-    for shard in plan.shard_ids:
-        if wal_dir is None:
-            wal_box[shard] = None
-        else:
-            wal_box[shard] = WriteAheadLog(
-                _shard_wal_dir(wal_dir, shard),
-                fsync=wal_fsync,
-                snapshot_every=snapshot_every,
-                obs=shard_obs.get(shard),
-            )
-
-    if cache is not None:
-        cache.bind_obs(obs)
-        if shard_obs:
-            # The cache is client-side of the router, so its backend-lag
-            # annotation is the worst lag across shards (a stale answer
-            # may involve any of them).
-            views = tuple(shard_obs.values())
-            cache.attach_lag(lambda: max(view.staleness_lag() for view in views))
-
-    handles: Dict[int, WarehouseHandle] = {}
-    for shard in plan.shard_ids:
-        actor = WarehouseActor(
-            plan.algorithms[shard],
-            transport,
-            inboxes=shard_inboxes[shard],
-            owners=owners,
-            recorder=recorder,
-            wal=wal_box[shard],
-            crash_run=crash_run if shard == crash_shard else None,
-            metrics=ActorMetrics(f"shard{shard}", "shard", shard=str(shard)),
-            obs=shard_obs.get(shard),
-            channel_origins=shard_origins[shard],
-            channel_labels=shard_labels[shard],
-            request_channel=router_request_channel(shard),
-            cache=cache,
-        )
-        handles[shard] = WarehouseHandle(actor)
-        if wal_box[shard] is not None:
-            # Genesis snapshot per shard: recovery is possible before the
-            # first automatic snapshot cadence fires.
-            wal_box[shard].snapshot(plan.algorithms[shard])
-
-    merged = ShardedWarehouse(handles)
-    recorder.record_initial(merged)
-
-    router = ShardRouter(
-        transport,
-        plan.interest,
-        plan.shard_ids,
-        source_names=source_names,
-        client_names=client_names,
-        shard_obs=shard_obs or None,
-    )
-
-    source_actors = [
-        SourceActor(
-            name,
-            named_sources[name],
-            transport,
-            workloads[name],
-            recorder,
-            seed=seed + 1 + index,
-            max_burst=max_burst,
-            obs=obs,
-        )
-        for index, name in enumerate(source_names)
-    ]
-    client_actors = [
-        ClientActor(
-            name,
-            transport,
-            merged,
-            recorder,
-            reads=client_reads,
-            seed=seed + 101 + i,
-            obs=obs,
-        )
-        for i, name in enumerate(client_names)
-    ]
-    reader_actors: List[ReadClientActor] = []
-    reader: Optional[WarehouseReader] = None
-    if read_workload is not None:
-        # Every shard's catalog tags rows with the member view name, so
-        # the merged facade serves a tagged union: one reader over it
-        # covers every view, wherever it lives.
-        key_positions: Dict[str, object] = {}
-        for catalog in plan.algorithms.values():
-            for view_name, member in catalog.algorithms.items():
-                key_positions[view_name] = member.view.serving_key_positions()
-        reader = WarehouseReader(merged.view_state, key_positions, tagged=True)
-        reader_actors.append(
-            ReadClientActor(
-                "reader-0",
-                cache,
-                reader,
-                read_workload,
-                verify=verify_reads,
-                metrics=ActorMetrics("reader-0", "reader"),
-            )
-        )
-
-    crashes: List[Dict[str, object]] = []
-    wal_totals = {"records": 0, "snapshots": 0}
-
-    def _make_restart(shard: int) -> Callable[[WarehouseCrashed], None]:
-        shard_dir = _shard_wal_dir(wal_dir, shard)
-
-        def _restart(fault: WarehouseCrashed) -> None:
-            """Rebuild one dead shard from its own WAL; others keep running."""
-            handle = handles[shard]
-            old = handle.actor
-            recorder.record_crash(
-                f"shard {shard} crashed at event {fault.event_index} "
-                f"(mode={fault.mode}, drop_sends={fault.drop_sends})"
-            )
-            dead_wal = wal_box[shard]
-            wal_totals["records"] += dead_wal.appended
-            wal_totals["snapshots"] += dead_wal.snapshots_taken
-            dead_wal.close()
-            view = shard_obs.get(shard)
-            if view is not None:
-                view.crash(fault.event_index, fault.mode, fault.drop_sends)
-            # Invalidate BEFORE the new incarnation re-issues: any answer
-            # still addressed to a pre-crash global id must die at the
-            # router, never be translated into the new id space.
-            invalidated = router.invalidate_shard(shard)
-            recovered = recover(shard_dir, obs=view)
-            recovered.algorithm.bind_owners(owners)
-            new_wal = WriteAheadLog(
-                shard_dir,
-                fsync=wal_fsync,
-                snapshot_every=snapshot_every,
-                obs=view,
-            )
-            # Fold the replayed suffix into a fresh snapshot so a second
-            # crash recovers from here, not from before the first one.
-            new_wal.snapshot(recovered.algorithm)
-            wal_box[shard] = new_wal
-            old.metrics.bump("crashes")
-            handle.actor = WarehouseActor(
-                recovered.algorithm,
-                transport,
-                inboxes=shard_inboxes[shard],
-                owners=owners,
-                recorder=recorder,
-                wal=new_wal,
-                crash_run=crash_run if shard == crash_shard else None,
-                reissue=recovered.reissue,
-                metrics=old.metrics,
-                event_index=fault.event_index,
-                obs=view,
-                channel_origins=shard_origins[shard],
-                channel_labels=shard_labels[shard],
+        log_dir = None if wal_dir is None else os.path.join(wal_dir, f"shard-{shard}")
+        units.append(
+            WarehouseUnit(
+                plan.algorithms[shard],
+                inboxes,
+                shard=shard,
+                title=f"shard {shard}",
+                wal_dir=log_dir,
+                obs=None if obs is None else obs.shard_view(shard),
+                metrics=ActorMetrics(f"shard{shard}", "shard", shard=str(shard)),
+                channel_origins=origins,
+                channel_labels=labels,
                 request_channel=router_request_channel(shard),
-                cache=cache,
+                crash_run=crash_run if shard == crash_shard else None,
             )
-            plan.algorithms[shard] = recovered.algorithm
-            crashes.append(
-                {
-                    "shard": shard,
-                    "event_index": fault.event_index,
-                    "mode": fault.mode,
-                    "drop_sends": fault.drop_sends,
-                    "snapshot_lsn": recovered.snapshot_lsn,
-                    "replayed": recovered.replayed,
-                    "reissued": len(recovered.reissue),
-                    "routes_invalidated": invalidated,
-                    "virtual_time": transport.now(),
-                }
-            )
-            recorder.record_recovery(
-                f"shard {shard} recovered from snapshot lsn "
-                f"{recovered.snapshot_lsn} + {recovered.replayed} replayed "
-                f"record(s), {len(recovered.reissue)} re-issued query(ies), "
-                f"{invalidated} router route(s) invalidated"
-            )
-
-        return _restart
-
-    restarts: Dict[int, Callable[[WarehouseCrashed], None]] = {}
-    if crash_run is not None:
-        restarts[crash_shard] = _make_restart(crash_shard)
-
-    started = time.perf_counter()
-    asyncio.run(
-        _drive_sharded(
-            transport,
-            router,
-            merged,
-            handles,
-            source_actors,
-            client_actors,
-            restarts,
-            reader_actors=reader_actors,
         )
-    )
-    wall_seconds = time.perf_counter() - started
-
-    wal_stats = None
-    if wal_dir is not None:
-        last_lsn = 0
-        for shard in plan.shard_ids:
-            final_wal = wal_box[shard]
-            wal_totals["records"] += final_wal.appended
-            wal_totals["snapshots"] += final_wal.snapshots_taken
-            last_lsn = max(last_lsn, final_wal.last_lsn)
-            final_wal.close()
-        wal_stats = {
-            "records": wal_totals["records"],
-            "snapshots": wal_totals["snapshots"],
-            "last_lsn": last_lsn,
-        }
-
-    if not merged.is_quiescent():
-        laggards = sorted(
-            shard for shard, handle in handles.items() if not handle.is_quiescent()
-        )
-        raise SimulationError(
-            f"shard(s) {laggards} failed to quiesce after the workload drained"
-        )
-    if router.pending_routes:
-        raise SimulationError(
-            f"router still holds {router.pending_routes} live route(s) at "
-            f"quiescence — a query answer was lost"
-        )
-
-    metrics = {actor.metrics.name: actor.metrics for actor in source_actors}
-    metrics["router"] = router.metrics
-    for shard in plan.shard_ids:
-        metrics[f"shard{shard}"] = handles[shard].metrics
-    for client in client_actors:
-        metrics[client.name] = client.metrics
-    for reader_actor in reader_actors:
-        metrics[reader_actor.name] = reader_actor.metrics
-
-    serving = serving_report(cache, reader)
-
-    partitioner_kind = (
-        partitioner.kind if isinstance(partitioner, Partitioner) else str(partitioner)
-    )
-    result = RuntimeResult(
-        trace=recorder.trace,
-        metrics=metrics,
-        channel_stats=transport.stats(),
-        updates=total_updates,
-        quiesce_latency=max(0.0, transport.now() - recorder.last_update_at),
-        virtual_duration=transport.now(),
-        wall_seconds=wall_seconds,
-        observations={c.name: c.observations for c in client_actors},
-        final_view=merged.view_state(),
-        crashes=crashes,
-        wal_stats=wal_stats,
-        action_log=recorder.action_log,
-        per_source_states=recorder.per_source_states,
-        shard_info={
-            "shards": plan.shards,
-            "partitioner": partitioner_kind,
-            "assignment": dict(plan.assignment),
-            "shard_ids": plan.shard_ids,
-            "algorithms": dict(plan.algorithms),
-        },
-        serving=serving,
-        read_results={r.name: r.results for r in reader_actors},
-        read_mismatches=[m for r in reader_actors for m in r.mismatches],
-    )
-    if obs is not None:
-        obs.finalize(result)
-    return result
+    return units
 
 
-async def _drive_sharded(
-    transport: AsyncTransport,
-    router: ShardRouter,
-    merged: ShardedWarehouse,
-    handles: Dict[int, WarehouseHandle],
-    source_actors: Sequence[SourceActor],
-    client_actors: Sequence[ClientActor],
-    restarts: Dict[int, Callable[[WarehouseCrashed], None]],
-    reader_actors: Sequence[ReadClientActor] = (),
-) -> None:
-    source_tasks = [asyncio.ensure_future(actor.run()) for actor in source_actors]
-    router_task = asyncio.ensure_future(router.run())
-
-    async def _supervise(shard: int) -> None:
-        # One iteration per incarnation of this shard, mirroring the
-        # unsharded supervisor — but scoped to a single shard, so the
-        # rest of the fleet never stops serving.
-        while True:
-            try:
-                await handles[shard].actor.run()
-                return
-            except WarehouseCrashed as fault:
-                restart = restarts.get(shard)
-                if restart is None:
-                    raise
-                restart(fault)
-
-    shard_tasks = [asyncio.ensure_future(_supervise(shard)) for shard in sorted(handles)]
-    client_tasks = [asyncio.ensure_future(actor.run()) for actor in client_actors]
-    client_tasks += [asyncio.ensure_future(actor.run()) for actor in reader_actors]
-
-    try:
-        if client_tasks:
-            await asyncio.gather(*client_tasks)
-        # Global quiescence: every workload drained, every channel (source,
-        # router, and shard legs alike) empty, every shard holding no
-        # deferred work.  The router is stateless between messages apart
-        # from its route table, which empties exactly when the shards'
-        # unanswered-query sets do.
-        for _ in range(_MAX_POLLS):
-            await asyncio.sleep(0)
-            if (
-                router_task.done()
-                or any(task.done() for task in shard_tasks)
-                or any(task.done() for task in source_tasks)
-            ):
-                break  # an actor died early; surface its exception below
-            if (
-                all(actor.workload_done for actor in source_actors)
-                and transport.total_pending() == 0
-                and merged.is_quiescent()
-            ):
-                break
-        else:
-            raise SimulationError(
-                f"sharded runtime did not quiesce within {_MAX_POLLS} polls "
-                f"(pending={transport.total_pending()})"
-            )
-    finally:
-        transport.close()
-        outcome = await asyncio.gather(
-            *source_tasks,
-            router_task,
-            *shard_tasks,
-            *client_tasks,
-            return_exceptions=True,
-        )
-        for result in outcome:
-            if isinstance(result, Exception) and not isinstance(
-                result, asyncio.CancelledError
-            ):
-                raise result
+def shard_info(
+    plan: ShardPlan, partitioner: object, units: Sequence[WarehouseUnit]
+) -> Dict[str, object]:
+    """``RuntimeResult.shard_info``: the plan plus each shard's final algorithm."""
+    return {
+        "shards": plan.shards,
+        "partitioner": getattr(partitioner, "kind", partitioner),
+        "assignment": dict(plan.assignment),
+        "shard_ids": plan.shard_ids,
+        "algorithms": {unit.shard: unit.algorithm for unit in units},
+    }

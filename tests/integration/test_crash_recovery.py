@@ -13,6 +13,7 @@ import pytest
 
 from repro.consistency import check_trace
 from repro.core.eca import ECA
+from repro.durability import WriteAheadLog
 from repro.errors import SimulationError
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
@@ -184,6 +185,39 @@ class TestWiderTopologies:
                 seed=0,
                 crash=CrashPolicy(),
             )
+
+    def test_crash_shard_without_shards_is_refused(self, tmp_path):
+        scenario, source, warehouse = build_eca("example-2")
+        with pytest.raises(SimulationError, match="crash_shard=1 requires shards="):
+            run_concurrent(
+                source,
+                warehouse,
+                scenario.updates,
+                seed=0,
+                wal_dir=str(tmp_path),
+                crash=CrashPolicy(),
+                crash_shard=1,
+            )
+
+    def test_failed_run_releases_its_wal_lock(self, tmp_path, monkeypatch):
+        """An actor exception must not leave ``wal.lock`` behind.
+
+        The lock names this live pid, so a leaked one makes the directory
+        unopenable for the rest of the process (``WalLocked``).
+        """
+
+        def explode(self, source, answer):
+            raise RuntimeError("algorithm blew up mid-run")
+
+        monkeypatch.setattr(ECA, "on_answer", explode)
+        scenario, source, warehouse = build_eca("example-2")
+        with pytest.raises(RuntimeError, match="blew up"):
+            run_concurrent(
+                source, warehouse, scenario.updates, seed=0, wal_dir=str(tmp_path)
+            )
+        reopened = WriteAheadLog(str(tmp_path))
+        assert reopened.last_lsn > 0, "the failed run's records were flushed"
+        reopened.close()
 
     def test_fault_counters_surface_in_metrics_table(self, tmp_path):
         from repro.runtime import FaultPlan

@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.eca import ECA
 from repro.durability.crash import CrashPolicy
-from repro.errors import SimulationError, WalLocked
+from repro.errors import SimulationError, TransportClosed, WalLocked
 from repro.kernel import replay_concurrent
 from repro.multisource.consistency import check_cut_consistency, cut_report
 from repro.obs import Observability
@@ -96,6 +96,48 @@ class TestShardedMatchesUnsharded:
         assert info["shards"] == shards and info["partitioner"] == partitioner
         assert sorted(info["assignment"]) == [f"V{i}" for i in range(4)]
         assert unsharded.shard_info is None
+
+    @pytest.mark.parametrize("n_views", [3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_shard_is_the_unsharded_run(self, seed, n_views):
+        """The one-unit case *is* the unsharded case, router hop aside."""
+        sources, catalog, workloads = build(n_views, updates=5, seed=seed)
+        twin_sources, twin_catalog, _ = build(n_views, updates=5, seed=seed)
+        one = run_concurrent(
+            sources, catalog, workloads, clients=0, seed=seed, shards=1
+        )
+        plain = run_concurrent(
+            twin_sources, twin_catalog, workloads, clients=0, seed=seed
+        )
+        assert one.final_view == plain.final_view
+        assert one.per_source_states == plain.per_source_states
+        (shard_catalog,) = one.shard_info["algorithms"].values()
+        for name in twin_catalog.algorithms:
+            assert dedup(shard_catalog.view_history(name)) == dedup(
+                twin_catalog.view_history(name)
+            )
+
+    def test_wire_codec_counts_framed_bytes_on_every_leg(self):
+        sources, catalog, workloads = build(4, seed=7)
+        baseline_sources, baseline_catalog, _ = build(4, seed=7)
+        sharded = run_concurrent(
+            sources, catalog, workloads, clients=0, seed=7, shards=2,
+            wire_codec="frame",
+        )
+        unsharded = run_concurrent(
+            baseline_sources, baseline_catalog, workloads, clients=0, seed=7
+        )
+        assert sharded.final_view == unsharded.final_view
+        carried = {
+            name: stats
+            for name, stats in sharded.channel_stats.items()
+            if stats.sent
+        }
+        # Source legs, router -> shard legs, and shard -> router envelopes.
+        assert any(name.endswith("->wh") for name in carried)
+        assert any("=>shard" in name for name in carried)
+        assert any(name.endswith("=>rt") for name in carried)
+        assert all(stats.sent_bytes > 0 for stats in carried.values()), carried
 
     def test_explicit_partitioner_instance_is_honored(self):
         sources, catalog, workloads = build(3, seed=2)
@@ -255,6 +297,26 @@ class TestShardWalExclusivity:
             wal_dir=str(tmp_path),
         )
         assert result.wal_stats is not None
+
+    def test_failed_sharded_run_releases_every_shard_lock(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.durability import WriteAheadLog
+
+        def explode(self, source, answer):
+            raise RuntimeError("algorithm blew up mid-run")
+
+        monkeypatch.setattr(ECA, "on_answer", explode)
+        sources, catalog, workloads = build(2, seed=0)
+        # The router can be mid-forward when the harness shuts the transport
+        # down, and its TransportClosed is gathered before the shard's error.
+        with pytest.raises((RuntimeError, TransportClosed)):
+            run_concurrent(
+                sources, catalog, workloads, clients=0, shards=2,
+                wal_dir=str(tmp_path),
+            )
+        for shard in ("shard-0", "shard-1"):
+            WriteAheadLog(os.path.join(str(tmp_path), shard)).close()
 
 
 class TestShardedObservability:

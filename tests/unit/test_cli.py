@@ -209,6 +209,20 @@ class TestShardedRuntimeCli:
         ]) == 2
         assert "cannot be partitioned" in capsys.readouterr().err
 
+    def test_rejected_combination_is_a_one_line_error(self, capsys):
+        assert main(["runtime", "--shards", "2", "--batch-k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: batch_k > 1 is not supported")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_wire_codec_composes_with_shards(self, capsys):
+        assert main([
+            "runtime", "--shards", "2", "--wire-codec", "frame",
+            "--require-consistent",
+        ]) == 0
+        assert "sharding:           2 shard(s)" in capsys.readouterr().out
+
     def test_sharded_prometheus_series_carry_the_shard_label(
         self, tmp_path, capsys
     ):

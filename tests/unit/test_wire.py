@@ -22,6 +22,7 @@ from repro.messaging.messages import (
     QueryAnswer,
     QueryRequest,
     RefreshRequest,
+    ShardEnvelope,
     UpdateBatch,
     UpdateNotification,
 )
@@ -48,6 +49,7 @@ def sample_messages():
                 UpdateNotification(insert("r", (3, 4)), 2),
             )
         ),
+        ShardEnvelope("source", QueryRequest(2, view.as_query())),
     ]
 
 
