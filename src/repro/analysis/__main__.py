@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.analysis src tests benchmarks --format json
     python -m repro.analysis src/repro/runtime/actors.py
-    python -m repro.analysis src --changed --jobs 4
+    python -m repro.analysis src --changed
     python -m repro.analysis src --sarif lint.sarif
     python -m repro.analysis --list-rules
 
@@ -58,13 +58,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse and run file rules with N worker processes (default: 1)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=DEFAULT_CACHE_DIR,
         metavar="DIR",
@@ -81,15 +74,7 @@ def run_lint(args: argparse.Namespace) -> int:
     """Execute one lint invocation from parsed shared flags."""
     if args.list_rules:
         for rule in all_rules():
-            kinds = []
-            if rule.project_rule:
-                kinds.append("project")
-            if rule.effect_rule:
-                kinds.append("effect")
-            if not rule.project_rule and rule.check.__qualname__ != "Rule.check":
-                kinds.append("file")
-            label = "+".join(kinds) or "file"
-            print(f"{rule.rule_id}  [{label:>12}]  {rule.title}")
+            print(f"{rule.rule_id}  {rule.title}")
         return 0
     if args.format == "sarif":
         from repro.analysis.report import render_sarif
@@ -102,7 +87,6 @@ def run_lint(args: argparse.Namespace) -> int:
     report, status = lint_paths(
         args.paths or ["src"],
         reporter,
-        jobs=max(1, args.jobs),
         changed=args.changed,
         cache_dir=args.cache_dir,
         sarif_path=args.sarif,

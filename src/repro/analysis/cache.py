@@ -3,21 +3,23 @@
 ``repro lint --changed`` re-analyzes only *dirty* files — files whose
 content hash changed (or that are new) plus every file that can reach a
 dirty file through the call graph (its transitive reverse
-dependencies).  Dependents must re-run because their *interprocedural*
-findings depend on effects inferred across the edge: making a helper
+dependencies).  Dependents must re-run because their findings depend
+on effects inferred across the edge: making a helper
 impure must surface a finding in its unchanged caller, and cleaning the
 helper must retract it.
 
 The cache is one JSON document:
 
-- per file: content hash, file-rule findings, effect-rule findings;
+- per file: content hash and findings;
 - the file-level dependency edges extracted from the last call graph;
-- the project-rule findings (cheap, recomputed on any partial run).
+- the findings of ``recompute_every_run`` rules (RPR006: cheap, and
+  recomputed on any partial run).
 
 A fully warm run — every hash matches — returns the cached findings
 without parsing a single file, which is where the ≥5× cold/warm speedup
-the tests assert comes from.  Anything suspicious (missing file, schema
-drift, different rule selection) degrades to a full cold run; the cache
+the tests assert comes from.  Anything suspicious (missing file, a cache
+written under another :data:`CACHE_VERSION`, different rule selection)
+degrades to a full cold run; the cache
 is an optimization, never a source of truth.
 """
 
@@ -33,13 +35,12 @@ from repro.analysis.engine import (
     all_rules,
     collect_files,
     execute_analysis,
-    merge_findings,
 )
 from repro.analysis.findings import Finding
 
 DEFAULT_CACHE_DIR = ".repro-lint-cache"
 CACHE_FILE = "cache.json"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 Stats = Dict[str, object]
 
@@ -98,9 +99,8 @@ def _write_cache(cache_dir: str, payload: Dict[str, object]) -> None:
 def _payload(
     rules_signature: List[str],
     hashes: Dict[str, str],
-    file_findings: Dict[str, List[Finding]],
-    effect_findings: Dict[str, List[Finding]],
-    project_findings: Sequence[Finding],
+    by_path: Dict[str, List[Finding]],
+    uncached: Sequence[Finding],
     deps: Dict[str, List[str]],
 ) -> Dict[str, object]:
     return {
@@ -109,12 +109,11 @@ def _payload(
         "files": {
             display: {
                 "hash": hashes[display],
-                "file": _dump_findings(file_findings.get(display, [])),
-                "effects": _dump_findings(effect_findings.get(display, [])),
+                "findings": _dump_findings(by_path.get(display, [])),
             }
             for display in hashes
         },
-        "project": _dump_findings(project_findings),
+        "uncached": _dump_findings(uncached),
         "deps": deps,
     }
 
@@ -123,11 +122,10 @@ def store_result(
     result: AnalysisResult,
     *,
     cache_dir: str = DEFAULT_CACHE_DIR,
-    select: Optional[Sequence[str]] = None,
 ) -> None:
     """Persist a *full* (unlimited) analysis result as the new cache."""
     hashes: Dict[str, str] = {}
-    for display in result.file_findings:
+    for display in result.by_path:
         try:
             hashes[display] = _hash_file(Path(display))
         except OSError:
@@ -135,11 +133,10 @@ def store_result(
     _write_cache(
         cache_dir,
         _payload(
-            _rule_signature(select),
+            _rule_signature(None),
             hashes,
-            result.file_findings,
-            result.effect_findings,
-            result.project_findings,
+            result.by_path,
+            result.uncached,
             result.file_deps,
         ),
     )
@@ -169,7 +166,6 @@ def incremental_analysis(
     *,
     cache_dir: str = DEFAULT_CACHE_DIR,
     select: Optional[FrozenSet[str]] = None,
-    jobs: int = 1,
 ) -> Tuple[List[Finding], Stats]:
     """The ``--changed`` pipeline: reuse, re-analyze, re-cache.
 
@@ -179,75 +175,43 @@ def incremental_analysis(
     entries = collect_files(paths)
     hashes = {display: _hash_file(path) for path, display in entries}
     signature = _rule_signature(sorted(select) if select else None)
-    cached = load_cache(cache_dir)
+    cached = load_cache(cache_dir) or {}
     cached_files: Dict[str, Dict[str, object]] = {}
-    if cached is not None and cached.get("rules") == signature:
-        raw_files = cached.get("files")
-        if isinstance(raw_files, dict):
-            cached_files = raw_files
+    raw_files, raw_deps = cached.get("files"), cached.get("deps")
+    if cached.get("rules") == signature and isinstance(raw_files, dict):
+        cached_files = raw_files
 
-    if cached_files and set(cached_files) == set(hashes) and all(
-        cached_files[display].get("hash") == digest
+    changed = {
+        display
         for display, digest in hashes.items()
-    ):
-        findings = merge_findings(
-            {d: _load_findings(entry.get("file")) for d, entry in cached_files.items()},
-            {d: _load_findings(entry.get("effects")) for d, entry in cached_files.items()},
-            _load_findings(cached.get("project") if cached else []),
-        )
-        stats: Stats = {
-            "full_hit": True,
-            "reanalyzed": [],
-            "reused": sorted(hashes),
-        }
-        return findings, stats
+        if display not in cached_files
+        or cached_files[display].get("hash") != digest
+    }
+    removed = set(cached_files) - set(hashes)
+    deps = raw_deps if isinstance(raw_deps, dict) else {}
+    dirty = _reverse_closure(changed | removed, deps) & set(hashes)
+    full_hit = bool(cached_files) and not changed and not removed
 
-    if not cached_files:
-        dirty = set(hashes)
+    by_path = {
+        display: _load_findings(cached_files[display].get("findings"))
+        for display in hashes
+        if display not in dirty
+    }
+    if full_hit:
+        uncached = _load_findings(cached.get("uncached"))
     else:
-        changed = {
-            display
-            for display, digest in hashes.items()
-            if display not in cached_files
-            or cached_files[display].get("hash") != digest
-        }
-        removed = set(cached_files) - set(hashes)
-        raw_deps = cached.get("deps") if cached else {}
-        deps = raw_deps if isinstance(raw_deps, dict) else {}
-        dirty = _reverse_closure(changed | removed, deps) & set(hashes)
-
-    result = execute_analysis(
-        paths, select=select, jobs=jobs, limit=dirty
-    )
-
-    file_findings: Dict[str, List[Finding]] = {}
-    effect_findings: Dict[str, List[Finding]] = {}
-    for display in hashes:
-        if display in dirty or display not in cached_files:
-            file_findings[display] = result.file_findings.get(display, [])
-            effect_findings[display] = result.effect_findings.get(display, [])
-        else:
-            entry = cached_files[display]
-            file_findings[display] = _load_findings(entry.get("file"))
-            effect_findings[display] = _load_findings(entry.get("effects"))
-
-    _write_cache(
-        cache_dir,
-        _payload(
-            signature,
-            hashes,
-            file_findings,
-            effect_findings,
-            result.project_findings,
-            result.file_deps,
-        ),
-    )
-    findings = merge_findings(
-        file_findings, effect_findings, result.project_findings
-    )
-    stats = {
-        "full_hit": False,
+        result = execute_analysis(paths, select=select, limit=dirty)
+        by_path.update(
+            {display: result.by_path.get(display, []) for display in dirty}
+        )
+        uncached = result.uncached
+        _write_cache(
+            cache_dir,
+            _payload(signature, hashes, by_path, uncached, result.file_deps),
+        )
+    stats: Stats = {
+        "full_hit": full_hit,
         "reanalyzed": sorted(dirty),
         "reused": sorted(set(hashes) - dirty),
     }
-    return findings, stats
+    return AnalysisResult(by_path, uncached).findings(), stats

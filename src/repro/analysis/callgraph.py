@@ -37,8 +37,9 @@ class CallSite:
     """One call expression inside one analyzed function."""
 
     node: ast.Call
-    #: Dotted callee text (``self._retire``, ``time.time``), or None for
-    #: calls on arbitrary expressions (``x[0]()``, ``f()()``).
+    #: Dotted callee text (``self._retire``, ``time.time``; ``<expr>.leaf``
+    #: for a method of an arbitrary expression), or None for calls on
+    #: non-attribute expressions (``x[0]()``, ``f()()``).
     raw: Optional[str]
     #: Qualname of the resolved project function, or None (⊤).
     target: Optional[str]
@@ -52,22 +53,17 @@ class CallSite:
         return self.node.col_offset
 
     @property
-    def leaf(self) -> Optional[str]:
-        return self.raw.split(".")[-1] if self.raw else None
-
-    @property
     def self_receiver(self) -> bool:
         """Whether the callee chain is rooted at ``self``."""
         return receiver_root(self.node.func) == "self"
 
 
 class CallGraph:
-    """caller qualname → call sites, plus forward/reverse edge sets."""
+    """caller qualname → call sites, plus the forward edge sets."""
 
     def __init__(self) -> None:
         self.calls: Dict[str, List[CallSite]] = {}
         self.edges: Dict[str, Set[str]] = {}
-        self.reverse: Dict[str, Set[str]] = {}
 
     @classmethod
     def build(cls, project: Project) -> "CallGraph":
@@ -76,12 +72,9 @@ class CallGraph:
             module = project.modules.get(function.module)
             sites = _collect_sites(project, module, function)
             graph.calls[function.qualname] = sites
-            targets = {s.target for s in sites if s.target is not None}
-            graph.edges[function.qualname] = targets
-            for target in targets:
-                graph.reverse.setdefault(target, set()).add(
-                    function.qualname
-                )
+            graph.edges[function.qualname] = {
+                s.target for s in sites if s.target is not None
+            }
         return graph
 
     def sites(self, qualname: str) -> List[CallSite]:
@@ -126,6 +119,10 @@ def _resolve_call(
     node: ast.Call,
 ) -> CallSite:
     raw = dotted_name(node.func)
+    if raw is None and isinstance(node.func, ast.Attribute):
+        # ``self.channels[i].send(...)``: no dotted receiver, but the
+        # leaf name still carries its seeded effects.
+        raw = f"<expr>.{node.func.attr}"
     if raw is None:
         return CallSite(node=node, raw=None, target=None)
     parts = raw.split(".")
@@ -163,7 +160,7 @@ def _resolve_parts(
     if isinstance(resolved, FunctionInfo):
         return resolved.qualname
     if isinstance(resolved, ClassInfo):
-        return _qualname(project.constructor_of(resolved))
+        return _qualname(project.method_on(resolved, "__init__"))
     return None
 
 

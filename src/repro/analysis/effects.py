@@ -1,14 +1,16 @@
-"""Interprocedural effect inference over the call graph.
+"""Whole-program effect inference over the call graph.
 
 Each project function gets a set of *effects* — the lattice is the
 powerset of :data:`EFFECTS` ordered by inclusion, with ``pure`` as the
 empty set and join = union.  Leaf facts come from two places:
 
-- **seed tables**: the banned-name tables the per-file rules already
-  trusted (``time.time`` reads the clock, ``random.*`` is randomness,
-  ``.send()`` is channel I/O, ``dispatch_event``/``on_update`` mutate
-  algorithm state, ``*wal*.append`` appends to the WAL).  Seeds apply at
-  *call sites by name*, so they fire whether or not the callee resolves;
+- **seed tables**: the banned-name tables (``time.time`` reads the
+  clock, ``random.*`` is randomness, ``.send()`` is channel I/O,
+  ``dispatch_event``/``on_update`` mutate algorithm state,
+  ``*wal*.append`` appends to the WAL).  They are defined here and
+  nowhere else — the rules consult them through :func:`seed_effects`.
+  Seeds apply at *call sites by name*, so they fire whether or not the
+  callee resolves;
 - **intrinsics**: syntax inside the function body itself (``raise``
   statements, assignments and container mutators rooted at ``self``).
 
@@ -35,7 +37,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.analysis.callgraph import CallGraph, CallSite
 from repro.analysis.engine import FileContext
@@ -76,7 +88,7 @@ EFFECTS: Tuple[str, ...] = (
 PURE: FrozenSet[str] = frozenset()
 
 # --------------------------------------------------------------------- #
-# Seed facts (the per-file rules' banned-name tables, centralized)
+# Seed facts (the one copy of every banned-name table)
 # --------------------------------------------------------------------- #
 
 _QUALIFIED_SEEDS: Dict[str, str] = {
@@ -171,43 +183,57 @@ def seed_effects(raw: Optional[str]) -> FrozenSet[str]:
     return frozenset(found)
 
 
-def intrinsic_effects(node: FunctionNode) -> Dict[str, int]:
-    """Effect → first line, from the function's own syntax."""
-    found: Dict[str, int] = {}
+def purity_delta(raw: Optional[str]) -> FrozenSet[str]:
+    """What the purity rules (RPR007/RPR010) ban on top of the seeds:
+    *any* ``time.*`` call is a clock (``perf_counter`` included) and
+    *any* ``random.*`` call is randomness — a seeded RNG's output still
+    depends on call order."""
+    head = (raw or "").split(".")[0]
+    return frozenset(
+        {"time": {CLOCK}, "random": {RANDOMNESS}}.get(head, ())
+    )
 
-    def note(effect: str, line: int) -> None:
-        found.setdefault(effect, line)
 
-    for child in ast.walk(node):
-        if isinstance(child, ast.Raise):
-            note(RAISES, child.lineno)
-        elif isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                child.targets
-                if isinstance(child, ast.Assign)
-                else [child.target]
-            )
-            for target in targets:
-                if isinstance(
-                    target, (ast.Attribute, ast.Subscript)
-                ) and receiver_root(target) == "self":
-                    note(MUTATES_SELF, child.lineno)
-        elif isinstance(child, ast.Delete):
-            for target in child.targets:
-                if isinstance(
-                    target, (ast.Attribute, ast.Subscript)
-                ) and receiver_root(target) == "self":
-                    note(MUTATES_SELF, child.lineno)
-        elif isinstance(child, ast.Call):
-            callee = dotted_name(child.func)
+def self_mutations(nodes: Iterable[ast.AST]) -> Iterator[Tuple[ast.AST, str]]:
+    """``(node, what it does)`` for every node among ``nodes`` that
+    mutates state rooted at ``self``: an assignment or ``del`` through a
+    ``self`` chain, or a container mutator called on one."""
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call):
+            callee = dotted_name(node.func)
             if (
                 callee is not None
                 and "." in callee
                 and callee.split(".")[-1] in _SELF_MUTATOR_LEAVES
-                and receiver_root(child.func) == "self"
+                and receiver_root(node.func) == "self"
                 and callee != "self.append"
             ):
-                note(MUTATES_SELF, child.lineno)
+                yield node, f"mutates via {callee}()"
+            continue
+        else:
+            continue
+        if any(
+            isinstance(target, (ast.Attribute, ast.Subscript))
+            and receiver_root(target) == "self"
+            for target in targets
+        ):
+            verb = "deletes" if isinstance(node, ast.Delete) else "assigns"
+            yield node, f"{verb} self state"
+
+
+def intrinsic_effects(node: FunctionNode) -> Dict[str, int]:
+    """Effect → first line, from the function's own syntax."""
+    found: Dict[str, int] = {}
+    nodes = list(ast.walk(node))
+    for child in nodes:
+        if isinstance(child, ast.Raise):
+            found.setdefault(RAISES, child.lineno)
+    for child, _what in self_mutations(nodes):
+        found.setdefault(MUTATES_SELF, child.lineno)
     return found
 
 
@@ -244,11 +270,10 @@ def base_effects(
             )
         for site in graph.sites(qualname):
             for effect in seed_effects(site.raw):
-                if effect not in found:
-                    witnesses.setdefault(
-                        (qualname, effect),
-                        Witness("seed", site.raw or "<call>", site.line),
-                    )
+                witnesses.setdefault(
+                    (qualname, effect),
+                    Witness("seed", site.raw or "<call>", site.line),
+                )
                 found.add(effect)
         effects[qualname] = frozenset(found)
     return effects, witnesses
@@ -278,10 +303,8 @@ def infer_effects(
     project: Project, graph: CallGraph
 ) -> Tuple[EffectMap, WitnessMap]:
     """Iterate :func:`relax` to the least fixed point, with witnesses."""
-    effects_mut: Dict[str, Set[str]] = {}
     base, witnesses = base_effects(project, graph)
-    for qualname, found in base.items():
-        effects_mut[qualname] = set(found)
+    effects_mut = {qualname: set(found) for qualname, found in base.items()}
     changed = True
     while changed:
         changed = False
@@ -328,12 +351,18 @@ class ProjectAnalysis:
 
     def call_effects(self, site: CallSite) -> FrozenSet[str]:
         """Seeded-by-name plus inferred-from-target effects of one call."""
-        inferred = (
-            flow_through(site, self.effects_of(site.target))
-            if site.target is not None
-            else PURE
+        return seed_effects(site.raw) | flow_through(
+            site, self.effects_of(site.target)
         )
-        return seed_effects(site.raw) | inferred
+
+    def explain(self, site: CallSite, effect: str) -> str:
+        """Why ``site`` carries ``effect``: the seeded name itself for a
+        direct violation (``time.time (line 14)``), else the witness
+        chain through its target (``_delay -> _jitter -> time.time
+        (line 11)``)."""
+        if site.target is not None and effect in self.effects_of(site.target):
+            return f"{site.raw} -> {self.describe(site.target, effect)}"
+        return f"{site.raw} (line {site.line})"
 
     def functions_in(self, context: FileContext) -> Iterator[FunctionInfo]:
         for function in self.project.functions.values():
@@ -356,10 +385,7 @@ class ProjectAnalysis:
                 steps.append(short)
                 current = witness.detail
                 continue
-            if witness.kind == "seed":
-                steps.append(f"{witness.detail} (line {witness.line})")
-            else:
-                steps.append(f"{witness.detail} (line {witness.line})")
+            steps.append(f"{witness.detail} (line {witness.line})")
             break
         return " -> ".join(steps) if steps else effect
 

@@ -1,20 +1,15 @@
-"""The analysis driver: collect files, parse once, run every rule.
+"""The analysis driver: parse once, build one model, run every rule.
 
-Three rule shapes exist:
-
-- **file rules** implement :meth:`Rule.check` and run once per analyzed
-  file, over its parsed AST (:class:`FileContext`);
-- **project rules** implement :meth:`Rule.check_project` and run once
-  per invocation, over the whole file set — used by import-and-inspect
-  rules like RPR006 that reason about the live registry rather than one
-  file's syntax;
-- **effect rules** set :attr:`Rule.effect_rule` and implement
-  :meth:`Rule.check_effects` over the whole-program
-  :class:`~repro.analysis.effects.ProjectAnalysis` (symbol table, call
-  graph, inferred effects) — the interprocedural passes of RPR004/007/
-  010 and all of RPR011/012 live here.  A rule may be both a file rule
-  and an effect rule: the file pass catches direct violations, the
-  effect pass catches transitive ones.
+There is one rule shape and one pass.  :func:`execute_analysis` parses
+every collected file into a :class:`FileContext`, builds the
+whole-program :class:`~repro.analysis.effects.ProjectAnalysis` (symbol
+table, call graph, inferred effects) over all of them once, hands that
+model to every rule's :meth:`Rule.check`, drops pragma-suppressed
+findings, and buckets the rest by path.  Syntactic rules walk the ASTs
+in ``analysis.contexts``; effect rules walk the call sites, where
+``analysis.call_effects(site)`` joins the by-name seed with the inferred
+effects of the target, so one loop reports a direct violation and one
+laundered through helpers alike.
 
 Scoping: each rule declares :meth:`Rule.applies_to` over the file's
 normalized (posix, repo-relative) path.  Files under a ``fixtures/``
@@ -25,14 +20,12 @@ one fixture file per rule can prove the rule fires).
 
 The same file reached twice in one invocation (named explicitly *and*
 found by a directory walk, or named via two spellings) is analyzed once:
-:func:`collect_files` dedupes on the resolved filesystem path, and the
-final merge additionally dedupes findings on ``(path, line, col, rule)``.
+:func:`collect_files` dedupes on the resolved filesystem path.
 """
 
 from __future__ import annotations
 
 import ast
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
@@ -71,8 +64,6 @@ class FileContext:
         self.tree = tree
         self.lines = source.splitlines()
         self.pragmas = collect_pragmas(source)
-        #: Path split into posix parts, for scope predicates.
-        self.parts: Tuple[str, ...] = PurePosixPath(path).parts
 
     @classmethod
     def load(cls, path: Path, display: str) -> "FileContext":
@@ -101,48 +92,32 @@ class FileContext:
 class Rule:
     """Base class for every registered rule.
 
-    Subclasses set :attr:`rule_id` (stable ``RPR###`` identifier),
+    Subclasses set :attr:`rule_id` (stable ``RPR###`` identifier) and
     :attr:`title` (one-line summary for ``--list-rules``), and override
-    :meth:`check` (file rule), :meth:`check_project` (project rule), or
-    :meth:`check_effects` (effect rule, with :attr:`effect_rule` True).
+    :meth:`check`.
     """
 
     rule_id: str = ""
     title: str = ""
     severity: str = ERROR
-    #: Project rules run once per invocation instead of once per file.
-    project_rule: bool = False
-    #: Effect rules additionally run over the whole-program analysis.
-    effect_rule: bool = False
+    #: Findings that depend on more than the analyzed sources (RPR006
+    #: imports the live registry) are never reused from the cache.
+    recompute_every_run: bool = False
 
     def applies_to(self, path: str) -> bool:
-        """Whether this (file) rule runs over ``path``."""
+        """Whether this rule covers the file at ``path``."""
         return True
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        """Yield findings for one file (file rules override this)."""
-        return iter(())
-
-    def check_project(
-        self, contexts: Sequence[FileContext]
-    ) -> Iterator[Finding]:
-        """Yield findings for the whole run (project rules override)."""
-        return iter(())
-
-    def check_effects(
-        self, analysis: "ProjectAnalysis"
-    ) -> Iterator[Finding]:
-        """Yield interprocedural findings (effect rules override)."""
-        return iter(())
-
-    def effect_contexts(
-        self, analysis: "ProjectAnalysis"
-    ) -> Iterator[FileContext]:
-        """The contexts this effect rule covers, honoring the fixture
-        override exactly like the file-rule dispatch does."""
+    def contexts(self, analysis: "ProjectAnalysis") -> Iterator[FileContext]:
+        """The analyzed files this rule covers; an explicitly named
+        fixture is covered by every rule regardless of scope."""
         for context in analysis.contexts:
             if is_fixture(context.path) or self.applies_to(context.path):
                 yield context
+
+    def check(self, analysis: "ProjectAnalysis") -> Iterator[Finding]:
+        """Yield this rule's findings over the whole-program model."""
+        return iter(())
 
 
 #: rule id -> rule instance, in registration order.
@@ -243,114 +218,21 @@ def collect_files(paths: Sequence[str]) -> List[Tuple[Path, str]]:
 
 @dataclass
 class AnalysisResult:
-    """Bucketed output of one :func:`execute_analysis` invocation.
+    """Output of one :func:`execute_analysis` invocation, already
+    pragma-suppressed and bucketed so the incremental cache can reuse
+    the buckets of unchanged files."""
 
-    Findings are kept per origin so the incremental cache can reuse the
-    per-file buckets of unchanged files while recomputing the rest.
-    All buckets are already pragma-suppressed.
-    """
-
-    contexts: List[FileContext] = field(default_factory=list)
-    #: display path → file-rule findings (parse errors included).
-    file_findings: Dict[str, List[Finding]] = field(default_factory=dict)
-    #: display path → effect-rule (interprocedural) findings.
-    effect_findings: Dict[str, List[Finding]] = field(default_factory=dict)
-    #: project-rule findings (global, recomputed every run).
-    project_findings: List[Finding] = field(default_factory=list)
+    #: display path → findings, with an entry for every analyzed file.
+    by_path: Dict[str, List[Finding]] = field(default_factory=dict)
+    #: findings of ``recompute_every_run`` rules (never cached per file).
+    uncached: List[Finding] = field(default_factory=list)
     #: display path → display paths its functions call into.
     file_deps: Dict[str, List[str]] = field(default_factory=dict)
 
     def findings(self) -> List[Finding]:
-        return merge_findings(
-            self.file_findings, self.effect_findings, self.project_findings
-        )
-
-
-def merge_findings(
-    file_findings: Dict[str, List[Finding]],
-    effect_findings: Dict[str, List[Finding]],
-    project_findings: Sequence[Finding],
-) -> List[Finding]:
-    """Merge the buckets, deduping on ``(path, line, col, rule)``.
-
-    Dedup is *across* passes: file-rule findings win ties (their
-    messages cite the direct violation; an effect finding at the same
-    site is the same fact seen transitively).  Within one pass, several
-    findings may legitimately share a position with distinct messages
-    (RPR006 reports every contract breach of a registry entry at the
-    class line), so only exact message duplicates collapse there.
-    """
-    merged: List[Finding] = []
-    seen: Set[Tuple[str, int, int, str]] = set()
-    groups: List[List[Finding]] = [
-        [f for bucket in file_findings.values() for f in bucket],
-        [f for bucket in effect_findings.values() for f in bucket],
-        list(project_findings),
-    ]
-    for group in groups:
-        kept: List[Finding] = []
-        local: Set[Tuple[str, int, int, str, str]] = set()
-        for finding in group:
-            key = (finding.path, finding.line, finding.col, finding.rule_id)
-            if key in seen:
-                continue
-            full = key + (finding.message,)
-            if full in local:
-                continue
-            local.add(full)
-            kept.append(finding)
-        seen.update(
-            (f.path, f.line, f.col, f.rule_id) for f in kept
-        )
-        merged.extend(kept)
-    return sorted(merged)
-
-
-def _load_context(
-    path: Path, display: str
-) -> Tuple[Optional[FileContext], Optional[Finding]]:
-    try:
-        return FileContext.load(path, display), None
-    except SyntaxError as exc:
-        return None, Finding(
-            path=display,
-            line=exc.lineno or 1,
-            col=(exc.offset or 0) + 1,
-            rule_id=PARSE_ERROR,
-            message=f"cannot parse file: {exc.msg}",
-        )
-
-
-def _check_file(
-    context: FileContext, rules: Sequence[Rule]
-) -> List[Finding]:
-    fixture = is_fixture(context.path)
-    found: List[Finding] = []
-    for rule in rules:
-        if not fixture and not rule.applies_to(context.path):
-            continue
-        found.extend(rule.check(context))
-    return found
-
-
-def _worker_analyze(
-    payload: Tuple[str, str, Optional[Tuple[str, ...]]]
-) -> Tuple[str, List[Finding]]:
-    """Multiprocessing worker: parse one file, run the file rules.
-
-    Returns only the findings — never the :class:`FileContext`.  ASTs
-    are expensive to pickle across the process boundary, and the parent
-    re-parses every file anyway for the whole-program pass.
-    """
-    raw_path, display, select = payload
-    context, parse_finding = _load_context(Path(raw_path), display)
-    if context is None:
-        return display, [parse_finding] if parse_finding else []
-    rules = [rule for rule in all_rules() if not rule.project_rule]
-    if select is not None:
-        chosen = set(select)
-        rules = [rule for rule in rules if rule.rule_id in chosen]
-    return display, _check_file(context, rules)
+        """Every bucket's findings in report order."""
+        merged = [f for bucket in self.by_path.values() for f in bucket]
+        return sorted(merged + self.uncached)
 
 
 def execute_analysis(
@@ -358,110 +240,55 @@ def execute_analysis(
     rules: Optional[Sequence[Rule]] = None,
     select: Optional[FrozenSet[str]] = None,
     *,
-    jobs: int = 1,
-    interprocedural: bool = True,
     limit: Optional[Set[str]] = None,
 ) -> AnalysisResult:
     """Run the full pipeline, returning bucketed findings.
 
-    ``limit`` restricts which display paths get file-rule and
-    effect-rule findings recorded (the incremental cache supplies the
-    rest) — every file is still parsed, because the whole-program
-    passes need the complete symbol table either way.
+    ``limit`` restricts which display paths get findings recorded (the
+    incremental cache supplies the rest) — every file is still parsed
+    and modelled, because effects propagate across files either way.
     """
+    from repro.analysis.effects import ProjectAnalysis
+
     active = list(rules) if rules is not None else all_rules()
     if select is not None:
         active = [rule for rule in active if rule.rule_id in select]
-    file_rules = [rule for rule in active if not rule.project_rule]
-    project_rules = [rule for rule in active if rule.project_rule]
-    effect_rules = (
-        [rule for rule in active if rule.effect_rule]
-        if interprocedural
-        else []
-    )
 
     result = AnalysisResult()
-    entries = collect_files(paths)
-    select_key = tuple(sorted(select)) if select is not None else None
-
-    # Custom rule instances cannot be rebuilt inside a worker process,
-    # so --jobs only parallelizes registry-driven runs.
-    if jobs > 1 and rules is None:
-        payloads = [
-            (str(path), display, select_key)
-            for path, display in entries
-            if limit is None or display in limit
-        ]
-        with multiprocessing.Pool(processes=jobs) as pool:
-            pending = pool.map_async(_worker_analyze, payloads)
-            # Parse in the parent while the workers run the file rules:
-            # the whole-program pass needs every AST in-process anyway,
-            # and the ASTs are exactly what is too expensive to pickle
-            # back from the pool.
-            for path, display in entries:
-                context, parse_finding = _load_context(path, display)
-                if context is None:
-                    if (
-                        limit is None or display in limit
-                    ) and parse_finding is not None:
-                        result.file_findings[display] = [parse_finding]
-                    continue
-                result.contexts.append(context)
-            for display, found in pending.get():
-                result.file_findings[display] = found
-    else:
-        for path, display in entries:
-            context, parse_finding = _load_context(path, display)
-            in_limit = limit is None or display in limit
-            if context is None:
-                if in_limit and parse_finding is not None:
-                    result.file_findings[display] = [parse_finding]
-                continue
-            result.contexts.append(context)
-            if in_limit:
-                result.file_findings[display] = _check_file(
-                    context, file_rules
+    contexts: Dict[str, FileContext] = {}
+    for path, display in collect_files(paths):
+        bucket: List[Finding] = []
+        try:
+            contexts[display] = FileContext.load(path, display)
+        except SyntaxError as exc:
+            bucket.append(
+                Finding(
+                    path=display,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 0) + 1,
+                    rule_id=PARSE_ERROR,
+                    message=f"cannot parse file: {exc.msg}",
                 )
+            )
+        if limit is None or display in limit:
+            result.by_path[display] = bucket
 
-    contexts_by_path = {context.path: context for context in result.contexts}
-
-    def suppress(findings: Sequence[Finding]) -> List[Finding]:
-        kept = []
-        for finding in findings:
-            context = contexts_by_path.get(finding.path)
+    analysis = ProjectAnalysis(list(contexts.values()))
+    for rule in active:
+        for finding in rule.check(analysis):
+            context = contexts.get(finding.path)
             if context is not None and suppressed(
                 context.pragmas, finding.line, finding.rule_id
             ):
                 continue
-            kept.append(finding)
-        return kept
-
-    for display in list(result.file_findings):
-        result.file_findings[display] = suppress(
-            result.file_findings[display]
-        )
-
-    if effect_rules:
-        from repro.analysis.effects import ProjectAnalysis
-
-        analysis = ProjectAnalysis(result.contexts)
-        for rule in effect_rules:
-            for finding in suppress(list(rule.check_effects(analysis))):
-                if limit is not None and finding.path not in limit:
-                    continue
-                result.effect_findings.setdefault(finding.path, []).append(
-                    finding
-                )
-        result.file_deps = {
-            display: sorted(deps)
-            for display, deps in analysis.file_dependencies().items()
-        }
-
-    for rule in project_rules:
-        result.project_findings.extend(
-            suppress(list(rule.check_project(result.contexts)))
-        )
-
+            if rule.recompute_every_run:
+                result.uncached.append(finding)
+            elif limit is None or finding.path in limit:
+                result.by_path.setdefault(finding.path, []).append(finding)
+    result.file_deps = {
+        display: sorted(deps)
+        for display, deps in analysis.file_dependencies().items()
+    }
     return result
 
 
@@ -469,33 +296,20 @@ def run_analysis(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
     select: Optional[FrozenSet[str]] = None,
-    *,
-    jobs: int = 1,
-    interprocedural: bool = True,
 ) -> List[Finding]:
     """Analyze every Python file under ``paths`` with every rule.
 
     ``rules`` overrides the registry (used by the self-tests);
-    ``select`` keeps only the named rule ids; ``jobs`` fans the per-file
-    pass out over processes; ``interprocedural=False`` skips the
-    whole-program effect passes (per-file rules only, the pre-PR-10
-    behavior).  Findings come back sorted, deduplicated, and
-    pragma-suppressed.
+    ``select`` keeps only the named rule ids.  Findings come back
+    sorted and pragma-suppressed.
     """
-    return execute_analysis(
-        paths,
-        rules,
-        select,
-        jobs=jobs,
-        interprocedural=interprocedural,
-    ).findings()
+    return execute_analysis(paths, rules, select).findings()
 
 
 def lint_paths(
     paths: Sequence[str],
     reporter: Callable[[Sequence[Finding]], str],
     *,
-    jobs: int = 1,
     changed: bool = False,
     cache_dir: Optional[str] = None,
     sarif_path: Optional[str] = None,
@@ -517,11 +331,9 @@ def lint_paths(
 
     directory = cache_dir or DEFAULT_CACHE_DIR
     if changed:
-        findings, _stats = incremental_analysis(
-            paths, cache_dir=directory, jobs=jobs
-        )
+        findings, _stats = incremental_analysis(paths, cache_dir=directory)
     else:
-        result = execute_analysis(paths, jobs=jobs)
+        result = execute_analysis(paths)
         store_result(result, cache_dir=directory)
         findings = result.findings()
     text = reporter(findings)

@@ -1,7 +1,6 @@
 """Project-wide symbol table: every module, class, function, and import.
 
-The per-file rules in :mod:`repro.analysis.rules` see one AST at a time,
-which is exactly why they miss transitive violations — a planner calling
+One AST at a time cannot see transitive violations — a planner calling
 a helper that calls ``time.time()`` looks pure from inside the planner's
 file.  :class:`Project` is the first layer of the whole-program engine:
 one pass over every analyzed :class:`~repro.analysis.engine.FileContext`
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.engine import FileContext, repro_module
 
@@ -129,10 +128,8 @@ class Project:
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
-        self.by_path: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        self._node_index: Dict[int, FunctionInfo] = {}
 
     @classmethod
     def build(cls, contexts: Sequence[FileContext]) -> "Project":
@@ -146,10 +143,6 @@ class Project:
     # ----------------------------------------------------------------- #
     # Lookups
     # ----------------------------------------------------------------- #
-
-    def function_at(self, node: ast.AST) -> Optional[FunctionInfo]:
-        """The FunctionInfo registered for this exact def node, if any."""
-        return self._node_index.get(id(node))
 
     def class_of(self, function: FunctionInfo) -> Optional[ClassInfo]:
         if function.class_name is None:
@@ -233,10 +226,6 @@ class Project:
             return None
         return None
 
-    def constructor_of(self, klass: ClassInfo) -> Optional[FunctionInfo]:
-        """``__init__`` for a class construction call, bases included."""
-        return self.method_on(klass, "__init__")
-
     # ----------------------------------------------------------------- #
     # Building
     # ----------------------------------------------------------------- #
@@ -250,7 +239,6 @@ class Project:
             name = context.path[: -len(".py")].strip("/").replace("/", ".")
         info = ModuleInfo(name=name, path=context.path)
         self.modules[name] = info
-        self.by_path[context.path] = info
         self._collect_imports(info, context.tree)
         for stmt in context.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -311,7 +299,6 @@ class Project:
         if class_name is None:
             info.functions[node.name] = function
         self.functions[function.qualname] = function
-        self._node_index[id(node)] = function
         return function
 
     def _add_class(self, info: ModuleInfo, node: ast.ClassDef) -> None:
@@ -335,46 +322,40 @@ class Project:
         info.classes[node.name] = klass
         self.classes[klass.qualname] = klass
 
+    def constructions(
+        self, module: Optional[ModuleInfo], node: FunctionNode
+    ) -> Iterator[Tuple[ast.expr, str]]:
+        """``(target, class qualname)`` for every ``target =
+        ClassName(...)`` assignment inside ``node``."""
+        for stmt in ast.walk(node):
+            if not isinstance(stmt, ast.Assign) or not isinstance(
+                stmt.value, ast.Call
+            ):
+                continue
+            callee = dotted_name(stmt.value.func)
+            resolved = self.resolve_name(module, callee) if callee else None
+            if isinstance(resolved, ClassInfo):
+                for target in stmt.targets:
+                    yield target, resolved.qualname
+
     def _infer_attr_types(self, klass: ClassInfo) -> None:
         module = self.modules.get(klass.module)
         for method in klass.methods.values():
-            for node in ast.walk(method.node):
-                if not isinstance(node, ast.Assign):
-                    continue
-                if not isinstance(node.value, ast.Call):
-                    continue
-                callee = dotted_name(node.value.func)
-                if callee is None:
-                    continue
-                resolved = self.resolve_name(module, callee)
-                if not isinstance(resolved, ClassInfo):
-                    continue
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        klass.attr_types[target.attr] = resolved.qualname
+            for target, qualname in self.constructions(module, method.node):
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ):
+                    klass.attr_types[target.attr] = qualname
 
 
 def local_instance_types(
     project: Project, module: Optional[ModuleInfo], node: FunctionNode
 ) -> Dict[str, str]:
     """``v`` → class qualname for ``v = ClassName(...)`` bindings."""
-    types: Dict[str, str] = {}
-    for stmt in ast.walk(node):
-        if not isinstance(stmt, ast.Assign) or not isinstance(
-            stmt.value, ast.Call
-        ):
-            continue
-        callee = dotted_name(stmt.value.func)
-        if callee is None:
-            continue
-        resolved = project.resolve_name(module, callee)
-        if not isinstance(resolved, ClassInfo):
-            continue
-        for target in stmt.targets:
-            if isinstance(target, ast.Name):
-                types[target.id] = resolved.qualname
-    return types
+    return {
+        target.id: qualname
+        for target, qualname in project.constructions(module, node)
+        if isinstance(target, ast.Name)
+    }

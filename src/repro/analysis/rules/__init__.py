@@ -15,11 +15,13 @@ RPR011       await-atomicity: no yield between mutation and WAL append
 RPR012       exception-safety: handlers validate before mutating state
 ===========  ==========================================================
 
-RPR004, RPR007, and RPR010 are *effect rules* as well as file rules:
-besides their syntactic pass they consult the whole-program effect
-inference (:mod:`repro.analysis.effects`) and flag transitive
-violations the per-file pass cannot see.  RPR011 and RPR012 are pure
-effect rules.  Rationale and per-rule examples live in
+Every rule has the same shape: one ``check(analysis)`` over the
+whole-program model (:class:`~repro.analysis.effects.ProjectAnalysis`).
+The syntactic rules (RPR001/002/003/005/008/009) walk the ASTs in
+``analysis.contexts``; RPR004, RPR007, RPR010, RPR011 and RPR012 walk
+the call sites and their inferred effects; RPR006 inspects the live
+registry.  The banned-name tables live once, in
+:mod:`repro.analysis.effects`.  Rationale and per-rule examples live in
 ``docs/ANALYSIS.md``.
 """
 

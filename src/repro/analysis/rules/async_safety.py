@@ -21,6 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis.effects import ProjectAnalysis
 from repro.analysis.engine import FileContext, Rule, register
 from repro.analysis.findings import Finding
 from repro.analysis.rules.common import call_name, in_repro_package, iter_calls
@@ -45,10 +46,11 @@ class AsyncSafetyRule(Rule):
     def applies_to(self, path: str) -> bool:
         return in_repro_package(path)
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.AsyncFunctionDef):
-                yield from self._check_coroutine(context, node)
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        for context in self.contexts(analysis):
+            for node in ast.walk(context.tree):
+                if isinstance(node, ast.AsyncFunctionDef):
+                    yield from self._check_coroutine(context, node)
 
     def _check_coroutine(
         self, context: FileContext, func: ast.AsyncFunctionDef

@@ -30,21 +30,15 @@ precedes the mutation, so no window exists.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
+from repro.analysis.effects import STATE, WAL, ProjectAnalysis
 from repro.analysis.engine import Rule, register
 from repro.analysis.findings import Finding
-from repro.analysis.rules.common import module_of, walk_body
-
-if TYPE_CHECKING:
-    from repro.analysis.effects import ProjectAnalysis
+from repro.analysis.rules.common import in_packages, pos, walk_body
 
 #: The actor layers: everything that owns a WAL handle.
 _ACTOR_PACKAGES = ("runtime", "sharding")
-
-
-def _pos(node: ast.AST) -> Tuple[int, int]:
-    return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
 
 
 def _end_pos(node: ast.AST) -> Tuple[int, int]:
@@ -58,7 +52,7 @@ def _awaits_in(node: ast.AST) -> List[ast.Await]:
     found = [
         child for child in walk_body(node) if isinstance(child, ast.Await)
     ]
-    found.sort(key=_pos)
+    found.sort(key=pos)
     return found
 
 
@@ -66,16 +60,12 @@ def _awaits_in(node: ast.AST) -> List[ast.Await]:
 class AwaitAtomicityRule(Rule):
     rule_id = "RPR011"
     title = "actors never await between a state mutation and its WAL append"
-    effect_rule = True
 
     def applies_to(self, path: str) -> bool:
-        module = module_of(path)
-        return len(module) >= 2 and module[1] in _ACTOR_PACKAGES
+        return in_packages(path, _ACTOR_PACKAGES)
 
-    def check_effects(self, analysis: "ProjectAnalysis") -> Iterator[Finding]:
-        from repro.analysis.effects import STATE, WAL
-
-        for context in self.effect_contexts(analysis):
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        for context in self.contexts(analysis):
             for function in analysis.functions_in(context):
                 if not function.is_async or function.class_name is None:
                     continue
@@ -99,18 +89,18 @@ class AwaitAtomicityRule(Rule):
                     following = [
                         append
                         for append in appends
-                        if _pos(append.node) > start
+                        if pos(append.node) > start
                     ]
                     if not following:
                         continue
-                    stop = min(_pos(append.node) for append in following)
+                    stop = min(pos(append.node) for append in following)
                     append_line = min(
                         append.line
                         for append in following
-                        if _pos(append.node) == stop
+                        if pos(append.node) == stop
                     )
                     for awaited in awaits:
-                        where = _pos(awaited)
+                        where = pos(awaited)
                         if not (start < where < stop):
                             continue
                         if id(awaited) in flagged:

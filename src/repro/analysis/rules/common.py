@@ -3,20 +3,15 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
-from repro.analysis.engine import repro_module
+from repro.analysis.effects import ProjectAnalysis, purity_delta
+from repro.analysis.engine import FileContext, Rule, repro_module
+from repro.analysis.findings import Finding
+from repro.analysis.project import FunctionInfo, dotted_name
 
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, None for anything else."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = dotted_name(node.value)
-        if base is not None:
-            return f"{base}.{node.attr}"
-    return None
+#: Packages holding algorithm implementations (RPR004, RPR012).
+ALGORITHM_PACKAGES = ("core", "multisource", "warehouse")
 
 
 def call_name(node: ast.Call) -> Optional[str]:
@@ -28,16 +23,6 @@ def iter_calls(tree: ast.AST) -> Iterator[ast.Call]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             yield node
-
-
-def iter_functions(
-    tree: ast.AST,
-) -> Iterator[Tuple[ast.AST, "ast.FunctionDef | ast.AsyncFunctionDef"]]:
-    """Every (parent, function) pair in the tree, classes included."""
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield parent, child
 
 
 def walk_body(node: ast.AST) -> Iterator[ast.AST]:
@@ -73,3 +58,47 @@ def is_cli_module(path: str) -> bool:
     """The CLI surface: ``repro/cli.py`` and any ``__main__.py``."""
     module = module_of(path)
     return bool(module) and module[-1] in ("cli", "__main__")
+
+
+def in_packages(path: str, packages: Tuple[str, ...]) -> bool:
+    """Whether the file sits in one of the ``repro.<package>`` layers."""
+    module = module_of(path)
+    return len(module) >= 2 and module[1] in packages
+
+
+def named_like(node: ast.ClassDef, suffix: str) -> bool:
+    """Whether the class's name, or a base class's, ends with ``suffix``."""
+    names = [node.name] + [dotted_name(base) or "" for base in node.bases]
+    return any(name.split(".")[-1].endswith(suffix) for name in names)
+
+
+def pos(node: ast.AST) -> Tuple[int, int]:
+    """``(line, col)`` sort key for ordering nodes lexically."""
+    return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
+
+
+def impure_calls(
+    rule: Rule,
+    analysis: ProjectAnalysis,
+    context: FileContext,
+    function: FunctionInfo,
+    reasons: Dict[str, str],
+    advice: str,
+) -> Iterator[Finding]:
+    """The purity rules' loop (RPR007/RPR010): one finding per call in
+    ``function`` whose effects hit ``reasons`` — seeded by the callee's
+    name (plus :func:`~repro.analysis.effects.purity_delta`) or inferred
+    through its resolved target, so a direct violation and one laundered
+    through helpers are the same case."""
+    for site in analysis.sites_of(function):
+        hit = reasons.keys() & (
+            analysis.call_effects(site) | purity_delta(site.raw)
+        )
+        if hit:
+            effect = min(hit)
+            yield context.finding(
+                site.node,
+                rule.rule_id,
+                f"{function.display} reaches {reasons[effect]} through "
+                f"{analysis.explain(site, effect)}; {advice}",
+            )

@@ -24,6 +24,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis.effects import (
+    CLOCK,
+    RANDOMNESS,
+    ProjectAnalysis,
+    seed_effects,
+)
 from repro.analysis.engine import FileContext, Rule, register
 from repro.analysis.findings import Finding
 from repro.analysis.rules.common import (
@@ -33,16 +39,12 @@ from repro.analysis.rules.common import (
     iter_calls,
 )
 
-_BANNED_CALLS = {
-    "time.time": "wall-clock time breaks virtual-time replay",
-    "time.time_ns": "wall-clock time breaks virtual-time replay",
-    "time.monotonic": "wall-clock time breaks virtual-time replay",
-    "time.monotonic_ns": "wall-clock time breaks virtual-time replay",
-    "os.urandom": "OS entropy is unseedable",
-    "random.SystemRandom": "OS entropy is unseedable",
+_WHY = {
+    CLOCK: "reads the wall clock; deterministic code takes timestamps "
+    "from the virtual clock or its caller",
+    RANDOMNESS: "draws unseedable or shared unseeded randomness; derive "
+    "a private random.Random(seed) from the run seed instead",
 }
-
-_DATETIME_ATTRS = ("now", "utcnow", "today")
 
 
 @register
@@ -53,42 +55,23 @@ class DeterminismRule(Rule):
     def applies_to(self, path: str) -> bool:
         return in_repro_package(path) and not is_cli_module(path)
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        yield from self._check_imports(context)
-        for call in iter_calls(context.tree):
-            name = call_name(call)
-            if name is None:
-                continue
-            reason = _BANNED_CALLS.get(name)
-            if reason is not None:
-                yield context.finding(
-                    call,
-                    self.rule_id,
-                    f"{name}() is nondeterministic ({reason}); virtual-time "
-                    f"runs, replay_concurrent, and WAL recovery all require "
-                    f"seeded determinism",
-                )
-                continue
-            parts = name.split(".")
-            if (
-                len(parts) >= 2
-                and parts[-1] in _DATETIME_ATTRS
-                and parts[-2] in ("datetime", "date")
-            ):
-                yield context.finding(
-                    call,
-                    self.rule_id,
-                    f"{name}() reads the wall clock; deterministic code "
-                    f"must take timestamps from the virtual clock or its "
-                    f"caller",
-                )
-            elif parts[0] == "random" and len(parts) == 2 and parts[1] != "Random":
-                yield context.finding(
-                    call,
-                    self.rule_id,
-                    f"module-level {name}() uses the shared unseeded RNG; "
-                    f"derive a private random.Random(seed) instead",
-                )
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        for context in self.contexts(analysis):
+            yield from self._check_imports(context)
+            for call in iter_calls(context.tree):
+                name = call_name(call)
+                # The banned names are the clock/randomness seeds; builtin
+                # hash() is seeded for the purity rules only (RPR007/010).
+                if name is None or name == "hash":
+                    continue
+                for effect in sorted(_WHY.keys() & seed_effects(name)):
+                    yield context.finding(
+                        call,
+                        self.rule_id,
+                        f"{name}() {_WHY[effect]} — virtual-time runs, "
+                        f"replay_concurrent, and WAL recovery all require "
+                        f"seeded determinism",
+                    )
 
     def _check_imports(self, context: FileContext) -> Iterator[Finding]:
         for node in ast.walk(context.tree):

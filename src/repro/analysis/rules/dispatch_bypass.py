@@ -14,83 +14,42 @@ Scope: the algorithm-implementation layers ``repro.core``,
 transports, and the messaging package itself are the channel owners and
 stay out of scope.)
 
-Two passes.  The *file pass* flags direct violations syntactically.
-The *effect pass* consults the whole-program effect inference
-(:mod:`repro.analysis.effects`): a call to a resolved project function
-whose inferred effects include ``channel-send`` is the same bypass one
-hop removed — an algorithm laundering its I/O through a helper was
-invisible to the per-file rule.
+One loop over every call site in scope: ``analysis.call_effects(site)``
+joins the by-name seed (``FifoChannel`` construction, ``.send()`` /
+``.receive()``) with the inferred effects of the resolved target, so a
+direct bypass and one laundered through a helper are reported alike —
+the message names the seeded call or the witness chain down to it.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from repro.analysis.engine import FileContext, Rule, register
+from repro.analysis.effects import CHANNEL, ProjectAnalysis
+from repro.analysis.engine import Rule, register
 from repro.analysis.findings import Finding
-from repro.analysis.rules.common import call_name, iter_calls, module_of
-
-if TYPE_CHECKING:
-    from repro.analysis.effects import ProjectAnalysis
-
-#: Packages holding algorithm implementations (no channel I/O allowed).
-_ALGORITHM_PACKAGES = ("core", "multisource", "warehouse")
-
-_CHANNEL_METHODS = ("send", "receive", "recv", "receive_nowait")
+from repro.analysis.rules.common import ALGORITHM_PACKAGES, in_packages
 
 
 @register
 class DispatchBypassRule(Rule):
     rule_id = "RPR004"
     title = "algorithm modules route all I/O through repro.kernel.dispatch"
-    effect_rule = True
 
     def applies_to(self, path: str) -> bool:
-        module = module_of(path)
-        return len(module) >= 2 and module[1] in _ALGORITHM_PACKAGES
+        return in_packages(path, ALGORITHM_PACKAGES)
 
-    def check_effects(self, analysis: "ProjectAnalysis") -> Iterator[Finding]:
-        from repro.analysis.effects import CHANNEL
-
-        for context in self.effect_contexts(analysis):
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        for context in self.contexts(analysis):
             for function in analysis.functions_in(context):
                 for site in analysis.sites_of(function):
-                    if site.target is None:
+                    if CHANNEL not in analysis.call_effects(site):
                         continue
-                    if CHANNEL not in analysis.effects_of(site.target):
-                        continue
-                    chain = analysis.describe(site.target, CHANNEL)
                     yield context.finding(
                         site.node,
                         self.rule_id,
-                        f"{function.display} calls {site.raw}(), which "
-                        f"transitively performs channel I/O "
-                        f"({chain}); algorithms return routed pairs and "
+                        f"{function.display} performs channel I/O through "
+                        f"{analysis.explain(site, CHANNEL)}; algorithms "
+                        f"return routed (destination, request) pairs and "
                         f"let repro.kernel.dispatch ship them",
                     )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for call in iter_calls(context.tree):
-            name = call_name(call)
-            if name is None:
-                continue
-            leaf = name.split(".")[-1]
-            if leaf == "FifoChannel":
-                yield context.finding(
-                    call,
-                    self.rule_id,
-                    "algorithm code must not construct channels; the "
-                    "execution kernels own all FifoChannel pairs",
-                )
-            elif (
-                isinstance(call.func, ast.Attribute)
-                and call.func.attr in _CHANNEL_METHODS
-            ):
-                yield context.finding(
-                    call,
-                    self.rule_id,
-                    f".{call.func.attr}() is channel I/O; algorithms return "
-                    f"routed (destination, request) pairs and let "
-                    f"repro.kernel.dispatch ship them",
-                )

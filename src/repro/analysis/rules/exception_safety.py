@@ -16,7 +16,7 @@ Mechanics: within one handler body (nested defs excluded), find the
 first *mutation* — an assignment/``del`` targeting a ``self`` chain, a
 container mutator (``.pop()``, ``.update()``, …) on a ``self`` chain,
 or a ``self.method()`` call whose inferred effects include state or
-self mutation (the interprocedural part: ``self._retire(...)`` counts
+self mutation (the whole-program part: ``self._retire(...)`` counts
 even though the pops live two files away).  Every ``raise`` statement
 lexically after it is flagged — *except* raises inside ``except``
 handlers, which are the legitimate translate-and-reraise idiom
@@ -27,48 +27,27 @@ failed did not mutate anything.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import Iterator, List
 
+from repro.analysis.effects import (
+    MUTATES_SELF,
+    STATE,
+    ProjectAnalysis,
+    self_mutations,
+)
 from repro.analysis.engine import FileContext, Rule, register
 from repro.analysis.findings import Finding
-from repro.analysis.rules.common import dotted_name, module_of, walk_body
-
-if TYPE_CHECKING:
-    from repro.analysis.effects import ProjectAnalysis
-    from repro.analysis.project import FunctionInfo
-
-_ALGORITHM_PACKAGES = ("core", "multisource", "warehouse")
+from repro.analysis.project import FunctionInfo, dotted_name
+from repro.analysis.rules.common import (
+    ALGORITHM_PACKAGES,
+    in_packages,
+    pos,
+    walk_body,
+)
 
 _HANDLER_NAMES = frozenset(
     {"on_update", "on_update_batch", "on_answer", "on_refresh"}
 )
-
-#: Container mutators that count as mutation when rooted at ``self``.
-_MUTATOR_LEAVES = frozenset(
-    {
-        "append",
-        "add",
-        "clear",
-        "discard",
-        "extend",
-        "insert",
-        "pop",
-        "popitem",
-        "remove",
-        "setdefault",
-        "update",
-    }
-)
-
-
-def _pos(node: ast.AST) -> Tuple[int, int]:
-    return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
-
-
-def _self_rooted(node: ast.AST) -> bool:
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return isinstance(node, ast.Name) and node.id == "self"
 
 
 def _is_handler(name: str) -> bool:
@@ -102,7 +81,7 @@ def _raises_outside_handlers(
                     visit(nested)
 
     visit(body)
-    found.sort(key=_pos)
+    found.sort(key=pos)
     return found
 
 
@@ -119,14 +98,12 @@ def _raised_name(node: ast.Raise) -> str:
 class ExceptionSafetyRule(Rule):
     rule_id = "RPR012"
     title = "protocol handlers validate before mutating algorithm state"
-    effect_rule = True
 
     def applies_to(self, path: str) -> bool:
-        module = module_of(path)
-        return len(module) >= 2 and module[1] in _ALGORITHM_PACKAGES
+        return in_packages(path, ALGORITHM_PACKAGES)
 
-    def check_effects(self, analysis: "ProjectAnalysis") -> Iterator[Finding]:
-        for context in self.effect_contexts(analysis):
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        for context in self.contexts(analysis):
             for function in analysis.functions_in(context):
                 if function.class_name is None:
                     continue
@@ -136,57 +113,25 @@ class ExceptionSafetyRule(Rule):
 
     def _check_handler(
         self,
-        analysis: "ProjectAnalysis",
+        analysis: ProjectAnalysis,
         context: FileContext,
-        function: "FunctionInfo",
+        function: FunctionInfo,
     ) -> Iterator[Finding]:
-        from repro.analysis.effects import MUTATES_SELF, STATE
-
-        mutation: Optional[Tuple[Tuple[int, int], int, str]] = None
-
-        def note(node: ast.AST, what: str) -> None:
-            nonlocal mutation
-            candidate = (_pos(node), node.lineno, what)
-            if mutation is None or candidate[0] < mutation[0]:
-                mutation = candidate
-
-        for node in walk_body(function.node):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if isinstance(
-                        target, (ast.Attribute, ast.Subscript)
-                    ) and _self_rooted(target):
-                        note(node, "assigns self state")
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if isinstance(
-                        target, (ast.Attribute, ast.Subscript)
-                    ) and _self_rooted(target):
-                        note(node, "deletes self state")
-            elif isinstance(node, ast.Call):
-                callee = dotted_name(node.func)
-                if callee is None or not _self_rooted(node.func):
-                    continue
-                leaf = callee.split(".")[-1]
-                if "." in callee and leaf in _MUTATOR_LEAVES:
-                    note(node, f"mutates via {callee}()")
+        mutations = [
+            (pos(node), what)
+            for node, what in self_mutations(walk_body(function.node))
+        ]
         for site in analysis.sites_of(function):
             if not site.self_receiver or site.target is None:
                 continue
-            effects = analysis.call_effects(site)
-            if STATE in effects or MUTATES_SELF in effects:
-                note(site.node, f"mutates via {site.raw}()")
-
-        if mutation is None:
+            if analysis.call_effects(site) & {STATE, MUTATES_SELF}:
+                mutations.append((pos(site.node), f"mutates via {site.raw}()"))
+        if not mutations:
             return
-        mutated_at, mutation_line, what = mutation
+        mutated_at, what = min(mutations)
+        mutation_line = mutated_at[0]
         for raised in _raises_outside_handlers(function.node.body):
-            if _pos(raised) <= mutated_at:
+            if pos(raised) <= mutated_at:
                 continue
             yield context.finding(
                 raised,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Tuple
 
+from repro.analysis.effects import ProjectAnalysis
 from repro.analysis.engine import FileContext, Rule, register
 from repro.analysis.findings import Finding
 from repro.analysis.rules.common import call_name, module_of
@@ -64,7 +65,11 @@ class HotPathRule(Rule):
     def applies_to(self, path: str) -> bool:
         return module_of(path) in _HOT_PATH_MODULES
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        for context in self.contexts(analysis):
+            yield from self._check_tree(context)
+
+    def _check_tree(self, context: FileContext) -> Iterator[Finding]:
         seen = set()
         for kind, region in _loop_bodies(context.tree):
             for node in ast.walk(region):

@@ -28,7 +28,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Sequence, Set
 
-from repro.analysis.engine import FileContext, Rule, register
+from repro.analysis.effects import ProjectAnalysis
+from repro.analysis.engine import Rule, register
 from repro.analysis.findings import Finding
 from repro.analysis.rules.common import dotted_name, in_repro_package, module_of
 
@@ -102,11 +103,12 @@ class ObsGuardRule(Rule):
             return False
         return not (len(module) >= 2 and module[1] == "obs")
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        self._context = context
-        self._findings: List[Finding] = []
-        self._block(context.tree.body, set())
-        yield from self._findings
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        for context in self.contexts(analysis):
+            self._context = context
+            self._findings: List[Finding] = []
+            self._block(context.tree.body, set())
+            yield from self._findings
 
     # ------------------------------------------------------------------ #
     # Statement-level dominance walk

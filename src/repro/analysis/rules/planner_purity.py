@@ -29,153 +29,59 @@ owns mutable route state (``plan`` installs routes, ``retire`` pops
 them); what must be pure is the mapping from queries to groups, not the
 bookkeeping around it.
 
-The file pass above catches direct violations.  The *effect pass*
-consults the whole-program inference: a planner method (or signature
-function) calling a resolved helper whose inferred effects include a
-clock, randomness, or channel I/O is the violation the per-file rule
-provably could not see — the seeded transitive fixture and its golden
-test pin exactly that diff.
+One loop over every call site in scope: a banned name called directly
+and a resolved helper whose inferred effects include a clock,
+randomness, or channel I/O are the same finding — the transitive
+fixture's message carries the witness chain down to the seeded name.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator
 
-from repro.analysis.engine import FileContext, Rule, register
+from repro.analysis.effects import CHANNEL, CLOCK, RANDOMNESS, ProjectAnalysis
+from repro.analysis.engine import Rule, register
 from repro.analysis.findings import Finding
 from repro.analysis.rules.common import (
-    call_name,
-    dotted_name,
+    impure_calls,
     in_repro_package,
     module_of,
+    named_like,
 )
 
-if TYPE_CHECKING:
-    from repro.analysis.effects import ProjectAnalysis
-
-_DATETIME_ATTRS = ("now", "utcnow", "today")
-
-_CHANNEL_METHODS = ("send", "receive", "recv", "receive_nowait")
-
-
-def _is_planner(node: ast.ClassDef) -> bool:
-    if node.name.endswith("Planner"):
-        return True
-    for base in node.bases:
-        name = dotted_name(base)
-        if name is not None and name.split(".")[-1].endswith("Planner"):
-            return True
-    return False
-
-
-def _impurity(name: str) -> Optional[str]:
-    """Why a called name breaks deterministic planning, or None."""
-    parts = name.split(".")
-    if name == "hash":
-        return (
-            "builtin hash() is salted per process, so the same query "
-            "groups differently on every run; signatures are structural "
-            "tuples compared by value"
-        )
-    if parts[0] == "time":
-        return "a clock makes grouping a function of when it runs, not of the query"
-    if len(parts) >= 2 and parts[-1] in _DATETIME_ATTRS and parts[-2] in (
-        "datetime",
-        "date",
-    ):
-        return "a clock makes grouping a function of when it runs, not of the query"
-    if parts[0] == "random" or name == "os.urandom":
-        return (
-            "randomness (even seeded — its output depends on call order) "
-            "makes shared-query grouping diverge between a run and its replay"
-        )
-    return None
+_REASONS = {
+    CLOCK: "a clock",
+    RANDOMNESS: "randomness (even seeded: its output depends on call "
+    "order) or process-salted hash()",
+    CHANNEL: "channel I/O (the kernels' job, never planning code's)",
+}
 
 
 @register
 class PlannerPurityRule(Rule):
     rule_id = "RPR010"
     title = "CompensationPlanner and signature code plan deterministically"
-    effect_rule = True
 
     def applies_to(self, path: str) -> bool:
         return in_repro_package(path)
 
-    def check_effects(self, analysis: "ProjectAnalysis") -> Iterator[Finding]:
-        from repro.analysis.effects import CHANNEL, CLOCK, RANDOMNESS
-
-        reasons = {
-            CLOCK: "reaches a clock",
-            RANDOMNESS: "reaches randomness (or process-salted hash())",
-            CHANNEL: "reaches channel I/O",
-        }
-        for context in self.effect_contexts(analysis):
-            module = module_of(context.path)
-            signature_module = bool(module) and module[-1] == "signature"
-            for function in analysis.functions_in(context):
-                if not signature_module:
-                    klass = analysis.project.class_of(function)
-                    if klass is None or not _is_planner(klass.node):
-                        continue
-                for site in analysis.sites_of(function):
-                    if site.target is None:
-                        continue
-                    hit = analysis.call_effects(site) & set(reasons)
-                    for effect in sorted(hit):
-                        chain = analysis.describe(site.target, effect)
-                        yield context.finding(
-                            site.node,
-                            self.rule_id,
-                            f"{function.display} calls {site.raw}(), which "
-                            f"transitively {reasons[effect]} ({chain}); "
-                            f"planning must be a pure function of the "
-                            f"query so WAL replay regroups identically",
-                        )
-                        break
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        module = module_of(context.path)
-        if module and module[-1] == "signature":
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        for context in self.contexts(analysis):
             # Signature modules are checked whole: every function is part
             # of the canonical-form computation.
-            tree: ast.AST = context.tree
-            yield from self._check_body(context, tree, module[-1])
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.ClassDef) and _is_planner(node):
-                yield from self._check_body(context, node, node.name)
-
-    def _check_body(
-        self, context: FileContext, scope: ast.AST, where: str
-    ) -> Iterator[Finding]:
-        for node in ast.walk(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            name = call_name(node)
-            if name is not None:
-                reason = _impurity(name)
-                if reason is not None:
-                    yield context.finding(
-                        node,
-                        self.rule_id,
-                        f"{where} calls {name}(): {reason}",
-                    )
+            signature_module = module_of(context.path)[-1:] == ("signature",)
+            for function in analysis.functions_in(context):
+                klass = analysis.project.class_of(function)
+                if not signature_module and (
+                    klass is None or not named_like(klass.node, "Planner")
+                ):
                     continue
-                if name.split(".")[-1] == "FifoChannel":
-                    yield context.finding(
-                        node,
-                        self.rule_id,
-                        f"{where} constructs a channel: the planner returns "
-                        f"routed pairs and repro.kernel.dispatch ships them",
-                    )
-                    continue
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _CHANNEL_METHODS
-            ):
-                yield context.finding(
-                    node,
-                    self.rule_id,
-                    f"{where} calls .{node.func.attr}(): channel I/O belongs "
-                    f"to the kernels, never to planning code",
+                yield from impure_calls(
+                    self,
+                    analysis,
+                    context,
+                    function,
+                    _REASONS,
+                    "planning must be a pure function of the query so WAL "
+                    "replay regroups identically",
                 )

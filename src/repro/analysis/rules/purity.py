@@ -19,158 +19,99 @@ Checked inside any class whose name (or base class) ends with
 - no builtin ``hash()``: Python salts string hashing per process, so the
   same catalog scatters differently on every run (use a content hash
   such as ``zlib.crc32`` over a canonical encoding);
-- no assignments to ``self`` attributes (a ``shard_of`` that mutates its
+- no mutation of ``self`` state — assignments, ``del`` or container
+  mutators through a ``self`` chain (a ``shard_of`` that mutates its
   partitioner is a function of history, not of the key);
 - no ``global`` / ``nonlocal`` declarations (captured mutable state).
 
-The file pass above catches direct violations.  The *effect pass*
-consults the whole-program inference: a ``shard_of`` that calls a
-resolved helper whose inferred effects include a clock, randomness
-(builtin ``hash()`` included — it is process-salted), or mutation of
-the partitioner's own state is exactly as impure, one hop removed.
+The call checks run over the whole-program model: a ``shard_of`` that
+calls a banned name, or a resolved helper whose inferred effects include
+a clock, randomness, or mutation of the partitioner's own state, is one
+finding either way (the message carries the witness chain).  The
+``self``-mutation and ``global`` checks are plain syntax of the method
+body (the same ``self_mutations`` walk that seeds the inferred effect).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, Optional
+from itertools import chain
+from typing import Iterator
 
+from repro.analysis.effects import (
+    CLOCK,
+    MUTATES_SELF,
+    RANDOMNESS,
+    ProjectAnalysis,
+    self_mutations,
+)
 from repro.analysis.engine import FileContext, Rule, register
 from repro.analysis.findings import Finding
-from repro.analysis.rules.common import call_name, dotted_name, in_repro_package
-
-if TYPE_CHECKING:
-    from repro.analysis.effects import ProjectAnalysis
+from repro.analysis.project import FunctionInfo
+from repro.analysis.rules.common import (
+    impure_calls,
+    in_repro_package,
+    named_like,
+)
 
 _METHOD = "shard_of"
 
-_DATETIME_ATTRS = ("now", "utcnow", "today")
-
-
-def _is_partitioner(node: ast.ClassDef) -> bool:
-    if node.name.endswith("Partitioner"):
-        return True
-    for base in node.bases:
-        name = dotted_name(base)
-        if name is not None and name.split(".")[-1].endswith("Partitioner"):
-            return True
-    return False
-
-
-def _impurity(name: str) -> Optional[str]:
-    """Why a called name is impure, or None when it is fine."""
-    parts = name.split(".")
-    if name == "hash":
-        return "builtin hash() is salted per process, so the same key lands on different shards across runs"
-    if parts[0] == "time":
-        return "a clock makes placement a function of when it is asked, not of the key"
-    if len(parts) >= 2 and parts[-1] in _DATETIME_ATTRS and parts[-2] in (
-        "datetime",
-        "date",
-    ):
-        return "a clock makes placement a function of when it is asked, not of the key"
-    if parts[0] == "random" or name == "os.urandom":
-        return (
-            "randomness (even seeded — its output depends on call order) "
-            "makes placement unstable across re-planning"
-        )
-    return None
+_REASONS = {
+    CLOCK: "a clock",
+    RANDOMNESS: "randomness (even seeded: its output depends on call "
+    "order) or process-salted hash()",
+    MUTATES_SELF: "mutation of the partitioner's own state",
+}
 
 
 @register
 class PartitionerPurityRule(Rule):
     rule_id = "RPR007"
     title = "Partitioner.shard_of is a deterministic pure function of the key"
-    effect_rule = True
 
     def applies_to(self, path: str) -> bool:
         return in_repro_package(path)
 
-    def check_effects(self, analysis: "ProjectAnalysis") -> Iterator[Finding]:
-        from repro.analysis.effects import CLOCK, MUTATES_SELF, RANDOMNESS
-
-        reasons = {
-            CLOCK: "reaches a clock",
-            RANDOMNESS: "reaches randomness (or process-salted hash())",
-            MUTATES_SELF: "mutates the partitioner's own state",
-        }
-        for context in self.effect_contexts(analysis):
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        for context in self.contexts(analysis):
             for function in analysis.functions_in(context):
-                if function.name != _METHOD or function.class_name is None:
-                    continue
                 klass = analysis.project.class_of(function)
-                if klass is None or not _is_partitioner(klass.node):
+                if (
+                    function.name != _METHOD
+                    or klass is None
+                    or not named_like(klass.node, "Partitioner")
+                ):
                     continue
-                for site in analysis.sites_of(function):
-                    if site.target is None:
-                        continue
-                    hit = analysis.call_effects(site) & set(reasons)
-                    for effect in sorted(hit):
-                        chain = analysis.describe(site.target, effect)
-                        yield context.finding(
-                            site.node,
-                            self.rule_id,
-                            f"{function.display} calls {site.raw}(), which "
-                            f"transitively {reasons[effect]} ({chain}); "
-                            f"recovery re-plans from the same catalog and "
-                            f"must reproduce the identical assignment",
-                        )
-                        break
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.ClassDef) and _is_partitioner(node):
-                yield from self._check_class(context, node)
-
-    def _check_class(
-        self, context: FileContext, klass: ast.ClassDef
-    ) -> Iterator[Finding]:
-        for child in klass.body:
-            if (
-                isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and child.name == _METHOD
-            ):
-                yield from self._check_shard_of(context, klass, child)
-
-    def _check_shard_of(
-        self,
-        context: FileContext,
-        klass: ast.ClassDef,
-        func: "ast.FunctionDef | ast.AsyncFunctionDef",
-    ) -> Iterator[Finding]:
-        where = f"{klass.name}.{func.name}"
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                name = call_name(node)
-                if name is None:
-                    continue
-                reason = _impurity(name)
-                if reason is not None:
-                    yield context.finding(
-                        node,
-                        self.rule_id,
-                        f"{where} calls {name}(): {reason}; recovery "
-                        f"re-plans from the same catalog and must reproduce "
-                        f"the identical assignment",
-                    )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
+                calls = impure_calls(
+                    self,
+                    analysis,
+                    context,
+                    function,
+                    _REASONS,
+                    "recovery re-plans from the same catalog and must "
+                    "reproduce the identical assignment",
                 )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        yield context.finding(
-                            node,
-                            self.rule_id,
-                            f"{where} assigns self.{target.attr}: a "
-                            f"partitioner that mutates its own state places "
-                            f"keys by history, not by value",
-                        )
-            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                # ``self.index.add(key)`` on a project class is both an
+                # impure call and a container mutator: report it once.
+                seen = set()
+                for finding in chain(calls, self._check_state(context, function)):
+                    if (finding.line, finding.col) not in seen:
+                        seen.add((finding.line, finding.col))
+                        yield finding
+
+    def _check_state(
+        self, context: FileContext, function: FunctionInfo
+    ) -> Iterator[Finding]:
+        where = function.display
+        for node, what in self_mutations(ast.walk(function.node)):
+            yield context.finding(
+                node,
+                self.rule_id,
+                f"{where} {what}: a partitioner that mutates its own state "
+                f"places keys by history, not by value",
+            )
+        for node in ast.walk(function.node):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
                 kind = "global" if isinstance(node, ast.Global) else "nonlocal"
                 yield context.finding(
                     node,

@@ -8,8 +8,9 @@ whose hooks take required arguments (or are missing, or shadowed by
 non-callables) only fails on the first crash-recovery or instrumented
 run that touches it — long after the refactor that broke it merged.
 
-This is an import-and-inspect *project rule*: it imports the live
-registry once per invocation and verifies, for every entry, that
+This is an import-and-inspect rule: it imports the live registry once
+per invocation (so its findings are ``recompute_every_run``, never
+served from the per-file cache) and verifies, for every entry, that
 
 - the class's ``name`` matches its registry key (recovery looks it up
   by the persisted name);
@@ -27,8 +28,9 @@ file is part of the analyzed set.
 from __future__ import annotations
 
 import inspect
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional
 
+from repro.analysis.effects import ProjectAnalysis
 from repro.analysis.engine import FileContext, Rule, register
 from repro.analysis.findings import Finding
 from repro.analysis.rules.common import module_of
@@ -60,11 +62,10 @@ def _required_params(func: object) -> Optional[int]:
 class RegistryCompletenessRule(Rule):
     rule_id = "RPR006"
     title = "every registry entry implements the codec-v3 hook surface"
-    project_rule = True
+    recompute_every_run = True
 
-    def check_project(
-        self, contexts: Sequence[FileContext]
-    ) -> Iterator[Finding]:
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        contexts = analysis.contexts
         registry_context = next(
             (
                 context

@@ -20,6 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional
 
+from repro.analysis.effects import ProjectAnalysis
 from repro.analysis.engine import FileContext, Rule, register
 from repro.analysis.findings import Finding
 from repro.analysis.rules.common import call_name, dotted_name
@@ -69,10 +70,11 @@ class RoutedProtocolRule(Rule):
     rule_id = "RPR001"
     title = "on_* overrides must return routed (destination, request) pairs"
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.ClassDef) and _is_algorithm_class(node):
-                yield from self._check_class(context, node)
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        for context in self.contexts(analysis):
+            for node in ast.walk(context.tree):
+                if isinstance(node, ast.ClassDef) and _is_algorithm_class(node):
+                    yield from self._check_class(context, node)
 
     def _check_class(
         self, context: FileContext, node: ast.ClassDef

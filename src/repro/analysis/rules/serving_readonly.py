@@ -18,6 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Tuple
 
+from repro.analysis.effects import ProjectAnalysis
 from repro.analysis.engine import FileContext, Rule, register
 from repro.analysis.findings import Finding
 from repro.analysis.rules.common import dotted_name, iter_calls, module_of
@@ -62,7 +63,11 @@ class ServingReadOnlyRule(Rule):
         module = module_of(path)
         return len(module) >= 2 and module[1] == "serving"
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        for context in self.contexts(analysis):
+            yield from self._check_tree(context)
+
+    def _check_tree(self, context: FileContext) -> Iterator[Finding]:
         for call in iter_calls(context.tree):
             if not isinstance(call.func, ast.Attribute):
                 continue

@@ -173,18 +173,24 @@ class WriteAheadLog:
         self._since_snapshot = 0
         self.appended = 0  # records written by this handle (for metrics)
         self.snapshots_taken = 0
-        if os.path.exists(self._path):
-            records, torn = read_records(directory)
-            if records:
-                self._lsn = _lsn_of(records[-1])
-            if torn:
-                # Drop the torn tail now: appending after a partial line
-                # would weld the new record onto the damaged bytes.
-                self._rewrite(records)
-        lsns = _snapshot_lsns(directory)
-        if lsns:
-            self._lsn = max(self._lsn, lsns[-1])
-        self._file = open(self._path, "a", encoding="utf-8")
+        try:
+            if os.path.exists(self._path):
+                records, torn = read_records(directory)
+                if records:
+                    self._lsn = _lsn_of(records[-1])
+                if torn:
+                    # Drop the torn tail now: appending after a partial line
+                    # would weld the new record onto the damaged bytes.
+                    self._rewrite(records)
+            lsns = _snapshot_lsns(directory)
+            if lsns:
+                self._lsn = max(self._lsn, lsns[-1])
+            self._file = open(self._path, "a", encoding="utf-8")
+        except BaseException:
+            # No handle exists to close(): a corrupt log must not leave
+            # the directory locked against the next open in this process.
+            self._release_lock()
+            raise
 
     # ------------------------------------------------------------------ #
     # Locking

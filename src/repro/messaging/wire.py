@@ -53,10 +53,10 @@ def _dump_message(message: Message) -> bytes:
     return canonical_json(encode_value(message)).encode("utf-8")
 
 
-def _load_message(payload: bytes) -> Message:
+def _load_message(data: object) -> Message:
     from repro.durability.codec import decode_value
 
-    value = decode_value(json.loads(payload.decode("utf-8")))
+    value = decode_value(data)
     if not isinstance(value, Message):
         raise ProtocolError(f"wire frame decoded to non-message {value!r}")
     return value
@@ -106,9 +106,16 @@ class WireCodec:
                 f"wire frame length mismatch: header says {length}, "
                 f"got {len(payload)}"
             )
-        if self._decompress is not None:
-            payload = self._decompress(payload)
-        return _load_message(payload)
+        try:
+            if self._decompress is not None:
+                payload = self._decompress(payload)
+            data = json.loads(payload.decode("utf-8"))
+        except Exception as exc:  # zlib.error, ZstdError, bad UTF-8/JSON
+            raise ProtocolError(
+                f"codec {self.name!r} received a frame with a damaged "
+                f"payload: {exc}"
+            ) from exc
+        return _load_message(data)
 
     def size(self, message: Message) -> int:
         """Framed size in bytes — what ``sent_bytes`` accumulates."""

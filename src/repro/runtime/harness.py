@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - repro.sharding builds on this module
 from repro.durability.crash import CrashPolicy, CrashRun
 from repro.durability.recovery import recover
 from repro.durability.wal import WriteAheadLog
-from repro.errors import SimulationError, WarehouseCrashed
+from repro.errors import SimulationError, TransportClosed, WarehouseCrashed
 from repro.kernel.dispatch import relation_owners
 from repro.messaging.messages import QueryRequest
 from repro.messaging.wire import create_codec
@@ -839,8 +839,14 @@ async def _drive(
     finally:
         transport.close()
         outcome = await asyncio.gather(*tasks, *client_tasks, return_exceptions=True)
-        for result in outcome:
-            if isinstance(result, Exception) and not isinstance(
-                result, asyncio.CancelledError
-            ):
-                raise result
+        errors = [
+            result
+            for result in outcome
+            if isinstance(result, Exception)
+            and not isinstance(result, asyncio.CancelledError)
+        ]
+        # A TransportClosed is a consequence of the close() above; when an
+        # actor raised something else, that is the root cause to surface.
+        errors.sort(key=lambda error: isinstance(error, TransportClosed))
+        if errors:
+            raise errors[0]

@@ -17,7 +17,7 @@ def _bucket(key, width):
 
 class JitterPartitioner:
     def shard_of(self, key):
-        # RPR007 (interprocedural only): shard_of -> _bucket -> _salt
+        # RPR007 (through the call graph): shard_of -> _bucket -> _salt
         return _bucket(key, 4)
 
 

@@ -1,7 +1,7 @@
 """Fixture: RPR010 transitive planner impurity (deliberately broken).
 
 The planner itself calls only a local helper; the wall clock sits two
-hops down the call chain, where the per-file pass cannot see it.
+hops down the call chain, where no single-file check can see it.
 """
 
 import time
@@ -17,7 +17,7 @@ def _delay(base):
 
 class BackoffPlanner:
     def plan(self, members):
-        # RPR010 (interprocedural only): plan -> _delay -> _jitter -> clock
+        # RPR010 (through the call graph): plan -> _delay -> _jitter -> clock
         return sorted(members)[: int(_delay(1.0))]
 
 

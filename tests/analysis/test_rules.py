@@ -287,8 +287,9 @@ def test_repository_lints_clean(tree):
 
 
 class TestInterproceduralRewires:
-    """RPR004/RPR007/RPR010 now consult the whole-program effect pass
-    and catch violations the per-file syntactic pass provably misses."""
+    """RPR004/RPR007/RPR010 walk call sites over the whole-program model:
+    one loop reports a direct violation (citing the seeded name) and one
+    laundered through helpers (citing the witness chain) alike."""
 
     def test_planner_clock_two_hops_down(self):
         findings = findings_for("warehouse/rpr010_transitive.py")
@@ -309,21 +310,124 @@ class TestInterproceduralRewires:
     def test_dispatch_bypass_laundered_through_a_helper(self):
         findings = findings_for("core/rpr004_transitive.py")
         assert golden(findings) == [
-            (10, "RPR004"),  # the helper's direct send (file pass)
+            (10, "RPR004"),  # the helper's direct send (seeded name)
             (10, "RPR008"),  # same site, serving-readonly's syntactic net
-            (19, "RPR004"),  # on_update -> _ship -> send (effect pass)
+            (19, "RPR004"),  # on_update -> _ship -> send (witness chain)
         ]
 
-    def test_per_file_pass_provably_misses_the_transitive_planner(self):
-        """The acceptance-criteria diff: the same fixture, the same rule,
-        zero findings without the whole-program pass and the transitive
-        hit with it."""
-        path = os.path.join(FIXTURES, "warehouse", "rpr010_transitive.py")
-        select = frozenset({"RPR010"})
-        flat = run_analysis([path], select=select, interprocedural=False)
-        deep = run_analysis([path], select=select, interprocedural=True)
-        assert golden(flat) == []
-        assert golden(deep) == [(21, "RPR010")]
+    def test_direct_and_transitive_messages_cite_their_witness(self):
+        """The same rule, the same loop: a direct hit names the seeded
+        call, a transitive one the chain down to it."""
+        (direct,) = [
+            f
+            for f in findings_for("warehouse/rpr010_planner.py")
+            if (f.line, f.rule_id) == (14, "RPR010")
+        ]
+        assert "through time.time (line 14)" in direct.message
+        assert "->" not in direct.message
+        (deep,) = [
+            f
+            for f in findings_for("warehouse/rpr010_transitive.py")
+            if f.rule_id == "RPR010"
+        ]
+        assert (
+            "through _delay -> _jitter -> time.time (line 11)" in deep.message
+        )
+        (laundered,) = [
+            f
+            for f in findings_for("core/rpr004_transitive.py")
+            if (f.line, f.rule_id) == (19, "RPR004")
+        ]
+        assert "_ship -> channel.send (line 10)" in laundered.message
+
+    def test_channel_method_on_an_undotted_receiver_is_still_seeded(
+        self, tmp_path
+    ):
+        """``self.channels[i].send()`` has no dotted callee name; the
+        leaf still carries the channel seed."""
+        path = tmp_path / "repro" / "core" / "indexed.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            "class Fanout:\n"
+            "    def push(self, i, message):\n"
+            "        self.channels[i].send(message)\n"
+        )
+        findings = run_analysis([str(tmp_path)], select=frozenset({"RPR004"}))
+        assert golden(findings) == [(3, "RPR004")]
+
+
+class TestSinglePass:
+    """Every rule runs once over one model: nothing to dedupe, and the
+    banned-name tables exist in exactly one module."""
+
+    def test_every_fixture_position_is_reported_exactly_once(self):
+        from collections import Counter
+
+        from repro.analysis.engine import execute_analysis
+
+        fixtures = sorted(
+            os.path.join(root, name)
+            for root, _dirs, names in os.walk(FIXTURES)
+            for name in names
+            if name.endswith(".py")
+        )
+        result = execute_analysis(fixtures)
+        raw = [f for bucket in result.by_path.values() for f in bucket]
+        keys = [(f.path, f.line, f.col, f.rule_id) for f in raw]
+        assert len(keys) == len(set(keys)) == 53
+        assert result.uncached == []  # RPR006: no registry in the set
+        assert result.findings() == sorted(raw)
+        assert Counter(f.rule_id for f in raw) == {
+            "RPR002": 10,
+            "RPR008": 8,
+            "RPR004": 7,
+            "RPR007": 6,
+            "RPR010": 6,
+            "RPR001": 4,
+            "RPR003": 3,
+            "RPR009": 3,
+            "RPR005": 2,
+            "RPR011": 2,
+            "RPR012": 2,
+        }
+
+    def test_name_tables_are_defined_once_in_effects(self):
+        import importlib
+        import pkgutil
+
+        import repro.analysis.effects as effects
+        import repro.analysis.rules as rules_package
+
+        markers = (
+            {"now", "utcnow", "today"},  # the datetime attributes
+            {"send", "receive", "recv", "receive_nowait"},  # channel methods
+            {"time.time", "time.monotonic"},  # the clock names
+            {"popitem", "setdefault"},  # the container mutators
+        )
+
+        def tables(module):
+            for name, value in vars(module).items():
+                if isinstance(value, (tuple, list, set, frozenset, dict)):
+                    try:
+                        yield name, set(value)
+                    except TypeError:
+                        continue
+
+        for info in pkgutil.iter_modules(rules_package.__path__):
+            module = importlib.import_module(
+                f"{rules_package.__name__}.{info.name}"
+            )
+            for name, members in tables(module):
+                if vars(effects).get(name) is vars(module)[name]:
+                    continue  # imported from effects, not a copy
+                for marker in markers:
+                    assert not marker <= members, (
+                        f"{module.__name__}.{name} re-declares a name "
+                        f"table that belongs in repro.analysis.effects"
+                    )
+        owned = [members for _name, members in tables(effects)]
+        for marker in markers:
+            assert sum(marker <= members for members in owned) == 1
 
 
 class TestAwaitAtomicityRule:

@@ -308,15 +308,48 @@ class TestShardWalExclusivity:
 
         monkeypatch.setattr(ECA, "on_answer", explode)
         sources, catalog, workloads = build(2, seed=0)
-        # The router can be mid-forward when the harness shuts the transport
-        # down, and its TransportClosed is gathered before the shard's error.
-        with pytest.raises((RuntimeError, TransportClosed)):
+        with pytest.raises(RuntimeError, match="blew up mid-run"):
             run_concurrent(
                 sources, catalog, workloads, clients=0, shards=2,
                 wal_dir=str(tmp_path),
             )
         for shard in ("shard-0", "shard-1"):
             WriteAheadLog(os.path.join(str(tmp_path), shard)).close()
+
+
+class TestShardFailureSurfacesItsRootCause:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_raising_shard_is_not_masked_by_the_routers_shutdown(
+        self, seed, monkeypatch
+    ):
+        """The harness closes the transport once an actor dies; the
+        router's TransportClosed is that shutdown's echo and is gathered
+        first (sources → router → units), but the shard's own error is
+        the one the caller must see."""
+
+        class ShardFault(RuntimeError):
+            pass
+
+        handle = ECA.on_update
+
+        def explode(self, source, notification):
+            if self.view.name == "V1":
+                raise ShardFault("V1's shard blew up")
+            return handle(self, source, notification)
+
+        monkeypatch.setattr(ECA, "on_update", explode)
+        sources, catalog, workloads = build(2, seed=seed)
+        with pytest.raises(ShardFault):
+            run_concurrent(sources, catalog, workloads, clients=0, shards=2)
+
+    def test_a_bare_transport_closed_still_surfaces(self, monkeypatch):
+        def closed(self, source, notification):
+            raise TransportClosed("only consequence available")
+
+        monkeypatch.setattr(ECA, "on_update", closed)
+        sources, catalog, workloads = build(2, seed=0)
+        with pytest.raises(TransportClosed):
+            run_concurrent(sources, catalog, workloads, clients=0, shards=2)
 
 
 class TestShardedObservability:

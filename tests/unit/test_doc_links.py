@@ -101,7 +101,6 @@ class TestLintFlags:
             "--list-rules",
             "--sarif",
             "--changed",
-            "--jobs",
             "--cache-dir",
         }
 

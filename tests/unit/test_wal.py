@@ -236,6 +236,23 @@ class TestLocking:
         wal.append(RECV, {})
         wal.close()
 
+    def test_corrupt_log_does_not_leave_the_lock_behind(self, tmp_path):
+        """A constructor that fails after taking the lock releases it:
+        the second open reports the corruption again, not WalLocked."""
+        wal = WriteAheadLog(str(tmp_path))
+        for n in range(3):
+            wal.append(RECV, {"n": n})
+        wal.close()
+        path = os.path.join(str(tmp_path), WAL_FILENAME)
+        data = bytearray(open(path, "rb").read())
+        data[len(data) // 2] ^= 0x01  # flip one byte mid-log
+        with open(path, "wb") as handle:
+            handle.write(bytes(data))
+        for _ in range(2):
+            with pytest.raises(WalCorruption):
+                WriteAheadLog(str(tmp_path))
+            assert not os.path.exists(self.lock_path(tmp_path))
+
     def test_wal_locked_is_a_durability_error(self):
         from repro.errors import DurabilityError
 

@@ -15,10 +15,11 @@ import pytest
 
 from repro.core.eca import ECA
 from repro.durability.codec import decode_value, encode_value
-from repro.errors import ProtocolError, SimulationError
+from repro.errors import ProtocolError, ReproError, SimulationError
 from repro.kernel.sync import REFRESH, SyncKernel
 from repro.messaging.channel import FifoChannel
 from repro.messaging.messages import (
+    Message,
     QueryAnswer,
     QueryRequest,
     RefreshRequest,
@@ -34,6 +35,16 @@ from repro.source.memory import MemorySource
 from repro.source.updates import insert
 
 SCHEMA = RelationSchema("r", ("A", "B"))
+HEADER_SIZE = 5  # 4-byte big-endian length + 1 tag byte
+
+
+def installed_codecs():
+    names = ["frame", "zlib"]
+    try:
+        import zstandard  # noqa: F401
+    except ImportError:
+        return names
+    return names + ["zstd"]
 
 
 def sample_messages():
@@ -88,6 +99,46 @@ class TestWireCodecs:
         encoded = codec.encode(RefreshRequest(1))
         with pytest.raises(ProtocolError, match="length mismatch"):
             codec.decode(encoded + b"extra")
+
+    @pytest.mark.parametrize("name", installed_codecs())
+    def test_every_payload_bit_flip_is_a_typed_error_or_a_message(self, name):
+        """A valid header over a damaged payload never escapes as
+        ``UnicodeDecodeError`` / ``zlib.error``: it raises a ReproError
+        naming the codec, or (a flip that kept the JSON well-formed)
+        still decodes to some Message."""
+        codec = create_codec(name)
+        frame = codec.encode(QueryAnswer(7, SignedBag.from_rows([(1,), (2,)])))
+        typed = 0
+        for index in range(HEADER_SIZE, len(frame)):
+            for bit in range(8):
+                damaged = bytearray(frame)
+                damaged[index] ^= 1 << bit
+                try:
+                    assert isinstance(codec.decode(bytes(damaged)), Message)
+                except ReproError as exc:
+                    typed += 1
+                    if isinstance(exc, ProtocolError):
+                        assert repr(name) in str(exc)
+        assert typed  # most flips must be caught, not absorbed
+
+    @pytest.mark.parametrize("name", installed_codecs())
+    def test_truncated_payload_with_a_consistent_header_is_typed(self, name):
+        codec = create_codec(name)
+        frame = codec.encode(QueryAnswer(7, SignedBag.from_rows([(1,), (2,)])))
+        tag = frame[HEADER_SIZE - 1 : HEADER_SIZE]
+        for keep in range(len(frame) - HEADER_SIZE):
+            payload = frame[HEADER_SIZE : HEADER_SIZE + keep]
+            header = len(payload).to_bytes(4, "big") + tag
+            with pytest.raises(ProtocolError, match=f"codec {name!r}"):
+                codec.decode(header + payload)
+
+    def test_undecodable_bytes_name_the_codec(self):
+        frame = create_codec("frame")
+        with pytest.raises(ProtocolError, match="'frame'.*damaged payload"):
+            frame.decode(b"\x00\x00\x00\x02\x00\xff\xfe")
+        zlib_codec = create_codec("zlib")
+        with pytest.raises(ProtocolError, match="'zlib'.*damaged payload"):
+            zlib_codec.decode(b"\x00\x00\x00\x02\x01\xff\xfe")
 
     def test_registry_names(self):
         assert WIRE_CODECS == sorted(WIRE_CODECS)
