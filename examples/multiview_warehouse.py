@@ -27,6 +27,7 @@ from repro import (
     View,
     WarehouseCatalog,
     check_trace,
+    project_view,
 )
 from repro.relational.conditions import Attr, Comparison, Const
 from repro.relational.engine import evaluate_view
@@ -102,7 +103,7 @@ def main() -> None:
     )
     trace = Simulation(source, catalog, list(workload)).run(RandomSchedule(11))
     for name, algorithm in catalog.algorithms.items():
-        solo = catalog.per_view_trace(name, trace)
+        solo = project_view(trace, name)
         level = check_trace(algorithm.view, solo).level()
         print(f"  {name:<10} {algorithm.name:<8} -> {level}")
         assert check_trace(algorithm.view, solo).strongly_consistent

@@ -102,6 +102,7 @@ from repro.simulation import (
     Simulation,
     Trace,
     WorstCaseSchedule,
+    project_view,
     run_simulation,
 )
 from repro.source import (
@@ -186,6 +187,7 @@ __all__ = [
     "create_algorithm",
     "delete",
     "insert",
+    "project_view",
     "run_concurrent",
     "run_simulation",
     "staleness_profile",

@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.analysis src tests benchmarks --format json
     python -m repro.analysis src/repro/runtime/actors.py
-    python -m repro.analysis src --changed
     python -m repro.analysis src --sarif lint.sarif
     python -m repro.analysis --list-rules
 
@@ -21,7 +20,6 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import all_rules, lint_paths, render_json, render_text
-from repro.analysis.cache import DEFAULT_CACHE_DIR
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -50,20 +48,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="also write a SARIF 2.1.0 report to PATH (for code scanning)",
     )
     parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "incremental mode: re-analyze only files whose content hash "
-            "changed, plus their call-graph-reachable dependents"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"incremental-analysis cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -87,8 +71,6 @@ def run_lint(args: argparse.Namespace) -> int:
     report, status = lint_paths(
         args.paths or ["src"],
         reporter,
-        changed=args.changed,
-        cache_dir=args.cache_dir,
         sarif_path=args.sarif,
     )
     print(report)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.analysis.project import (
     ClassInfo,
@@ -59,11 +59,10 @@ class CallSite:
 
 
 class CallGraph:
-    """caller qualname → call sites, plus the forward edge sets."""
+    """caller qualname → call sites."""
 
     def __init__(self) -> None:
         self.calls: Dict[str, List[CallSite]] = {}
-        self.edges: Dict[str, Set[str]] = {}
 
     @classmethod
     def build(cls, project: Project) -> "CallGraph":
@@ -72,27 +71,10 @@ class CallGraph:
             module = project.modules.get(function.module)
             sites = _collect_sites(project, module, function)
             graph.calls[function.qualname] = sites
-            graph.edges[function.qualname] = {
-                s.target for s in sites if s.target is not None
-            }
         return graph
 
     def sites(self, qualname: str) -> List[CallSite]:
         return self.calls.get(qualname, [])
-
-    def file_dependencies(self, project: Project) -> Dict[str, Set[str]]:
-        """display path → set of display paths its functions call into."""
-        deps: Dict[str, Set[str]] = {}
-        for caller, targets in self.edges.items():
-            caller_info = project.functions.get(caller)
-            if caller_info is None:
-                continue
-            bucket = deps.setdefault(caller_info.path, set())
-            for target in targets:
-                target_info = project.functions.get(target)
-                if target_info is not None and target_info.path != caller_info.path:
-                    bucket.add(target_info.path)
-        return deps
 
 
 def _collect_sites(

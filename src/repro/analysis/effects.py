@@ -389,9 +389,6 @@ class ProjectAnalysis:
             break
         return " -> ".join(steps) if steps else effect
 
-    def file_dependencies(self) -> Dict[str, Set[str]]:
-        return self.graph.file_dependencies(self.project)
-
 
 def _short(qualname: str) -> str:
     """Trailing ``Class.method`` / ``function`` segment for messages."""

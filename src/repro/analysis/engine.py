@@ -1,11 +1,11 @@
 """The analysis driver: parse once, build one model, run every rule.
 
-There is one rule shape and one pass.  :func:`execute_analysis` parses
+There is one rule shape and one pass.  :func:`run_analysis` parses
 every collected file into a :class:`FileContext`, builds the
 whole-program :class:`~repro.analysis.effects.ProjectAnalysis` (symbol
 table, call graph, inferred effects) over all of them once, hands that
 model to every rule's :meth:`Rule.check`, drops pragma-suppressed
-findings, and buckets the rest by path.  Syntactic rules walk the ASTs
+findings, and sorts the rest.  Syntactic rules walk the ASTs
 in ``analysis.contexts``; effect rules walk the call sites, where
 ``analysis.call_effects(site)`` joins the by-name seed with the inferred
 effects of the target, so one loop reports a direct violation and one
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import (
     TYPE_CHECKING,
@@ -100,9 +99,6 @@ class Rule:
     rule_id: str = ""
     title: str = ""
     severity: str = ERROR
-    #: Findings that depend on more than the analyzed sources (RPR006
-    #: imports the live registry) are never reused from the cache.
-    recompute_every_run: bool = False
 
     def applies_to(self, path: str) -> bool:
         """Whether this rule covers the file at ``path``."""
@@ -216,82 +212,6 @@ def collect_files(paths: Sequence[str]) -> List[Tuple[Path, str]]:
 # --------------------------------------------------------------------- #
 
 
-@dataclass
-class AnalysisResult:
-    """Output of one :func:`execute_analysis` invocation, already
-    pragma-suppressed and bucketed so the incremental cache can reuse
-    the buckets of unchanged files."""
-
-    #: display path → findings, with an entry for every analyzed file.
-    by_path: Dict[str, List[Finding]] = field(default_factory=dict)
-    #: findings of ``recompute_every_run`` rules (never cached per file).
-    uncached: List[Finding] = field(default_factory=list)
-    #: display path → display paths its functions call into.
-    file_deps: Dict[str, List[str]] = field(default_factory=dict)
-
-    def findings(self) -> List[Finding]:
-        """Every bucket's findings in report order."""
-        merged = [f for bucket in self.by_path.values() for f in bucket]
-        return sorted(merged + self.uncached)
-
-
-def execute_analysis(
-    paths: Sequence[str],
-    rules: Optional[Sequence[Rule]] = None,
-    select: Optional[FrozenSet[str]] = None,
-    *,
-    limit: Optional[Set[str]] = None,
-) -> AnalysisResult:
-    """Run the full pipeline, returning bucketed findings.
-
-    ``limit`` restricts which display paths get findings recorded (the
-    incremental cache supplies the rest) — every file is still parsed
-    and modelled, because effects propagate across files either way.
-    """
-    from repro.analysis.effects import ProjectAnalysis
-
-    active = list(rules) if rules is not None else all_rules()
-    if select is not None:
-        active = [rule for rule in active if rule.rule_id in select]
-
-    result = AnalysisResult()
-    contexts: Dict[str, FileContext] = {}
-    for path, display in collect_files(paths):
-        bucket: List[Finding] = []
-        try:
-            contexts[display] = FileContext.load(path, display)
-        except SyntaxError as exc:
-            bucket.append(
-                Finding(
-                    path=display,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 0) + 1,
-                    rule_id=PARSE_ERROR,
-                    message=f"cannot parse file: {exc.msg}",
-                )
-            )
-        if limit is None or display in limit:
-            result.by_path[display] = bucket
-
-    analysis = ProjectAnalysis(list(contexts.values()))
-    for rule in active:
-        for finding in rule.check(analysis):
-            context = contexts.get(finding.path)
-            if context is not None and suppressed(
-                context.pragmas, finding.line, finding.rule_id
-            ):
-                continue
-            if rule.recompute_every_run:
-                result.uncached.append(finding)
-            elif limit is None or finding.path in limit:
-                result.by_path.setdefault(finding.path, []).append(finding)
-    result.file_deps = {
-        display: sorted(deps)
-        for display, deps in analysis.file_dependencies().items()
-    }
-    return result
-
-
 def run_analysis(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
@@ -301,41 +221,55 @@ def run_analysis(
 
     ``rules`` overrides the registry (used by the self-tests);
     ``select`` keeps only the named rule ids.  Findings come back
-    sorted and pragma-suppressed.
+    sorted and pragma-suppressed; nothing dedupes them.
     """
-    return execute_analysis(paths, rules, select).findings()
+    from repro.analysis.effects import ProjectAnalysis
+
+    active = list(rules) if rules is not None else all_rules()
+    if select is not None:
+        active = [rule for rule in active if rule.rule_id in select]
+
+    findings: List[Finding] = []
+    contexts: Dict[str, FileContext] = {}
+    for path, display in collect_files(paths):
+        try:
+            contexts[display] = FileContext.load(path, display)
+        except SyntaxError as exc:
+            findings.append(
+                Finding(
+                    path=display,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 0) + 1,
+                    rule_id=PARSE_ERROR,
+                    message=f"cannot parse file: {exc.msg}",
+                )
+            )
+
+    analysis = ProjectAnalysis(list(contexts.values()))
+    for rule in active:
+        for finding in rule.check(analysis):
+            context = contexts.get(finding.path)
+            if context is not None and suppressed(
+                context.pragmas, finding.line, finding.rule_id
+            ):
+                continue
+            findings.append(finding)
+    return sorted(findings)
 
 
 def lint_paths(
     paths: Sequence[str],
     reporter: Callable[[Sequence[Finding]], str],
     *,
-    changed: bool = False,
-    cache_dir: Optional[str] = None,
     sarif_path: Optional[str] = None,
 ) -> Tuple[str, int]:
     """Run the full analysis and render it: ``(report text, exit code)``.
 
     Exit code 1 when any error-severity finding survives suppression,
-    0 otherwise — warnings never fail the build.  ``changed=True``
-    consults the content-hash cache under ``cache_dir`` and re-analyzes
-    only dirty files plus their call-graph dependents; a full run
-    (re)populates the same cache so the next ``--changed`` run is warm.
-    ``sarif_path`` additionally writes a SARIF 2.1.0 log there.
+    0 otherwise — warnings never fail the build.  ``sarif_path``
+    additionally writes a SARIF 2.1.0 log there.
     """
-    from repro.analysis.cache import (
-        DEFAULT_CACHE_DIR,
-        incremental_analysis,
-        store_result,
-    )
-
-    directory = cache_dir or DEFAULT_CACHE_DIR
-    if changed:
-        findings, _stats = incremental_analysis(paths, cache_dir=directory)
-    else:
-        result = execute_analysis(paths)
-        store_result(result, cache_dir=directory)
-        findings = result.findings()
+    findings = run_analysis(paths)
     text = reporter(findings)
     if sarif_path is not None:
         from repro.analysis.report import render_sarif

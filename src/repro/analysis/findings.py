@@ -45,20 +45,6 @@ class Finding:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, raw: object) -> "Finding":
-        """Inverse of :meth:`as_dict` (used by the finding cache)."""
-        if not isinstance(raw, dict):
-            raise ValueError(f"expected a finding dict, got {type(raw)!r}")
-        return cls(
-            path=str(raw["path"]),
-            line=int(raw["line"]),
-            col=int(raw["col"]),
-            rule_id=str(raw["rule"]),
-            message=str(raw["message"]),
-            severity=str(raw["severity"]),
-        )
-
     def render(self) -> str:
         """The one-line text form: ``path:line:col: RPR001 error: ...``."""
         return (

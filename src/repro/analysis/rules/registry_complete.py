@@ -9,8 +9,7 @@ non-callables) only fails on the first crash-recovery or instrumented
 run that touches it — long after the refactor that broke it merged.
 
 This is an import-and-inspect rule: it imports the live registry once
-per invocation (so its findings are ``recompute_every_run``, never
-served from the per-file cache) and verifies, for every entry, that
+per invocation and verifies, for every entry, that
 
 - the class's ``name`` matches its registry key (recovery looks it up
   by the persisted name);
@@ -62,7 +61,6 @@ def _required_params(func: object) -> Optional[int]:
 class RegistryCompletenessRule(Rule):
     rule_id = "RPR006"
     title = "every registry entry implements the codec-v3 hook surface"
-    recompute_every_run = True
 
     def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
         contexts = analysis.contexts

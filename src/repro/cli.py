@@ -129,64 +129,13 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    from collections import defaultdict
-
-    from repro.consistency import check_trace
-    from repro.core.registry import ALGORITHMS, create_algorithm
-    from repro.core.stored_copies import StoredCopies
     from repro.experiments.report import render_table
-    from repro.relational.engine import evaluate_view
-    from repro.relational.schema import RelationSchema
-    from repro.relational.views import View
-    from repro.simulation.driver import Simulation
-    from repro.simulation.schedules import (
-        BestCaseSchedule,
-        RandomSchedule,
-        WorstCaseSchedule,
-    )
-    from repro.source.memory import MemorySource
-    from repro.workloads.random_gen import random_workload
+    from repro.experiments.tables import audit_rows
 
-    schemas = [
-        RelationSchema("r1", ("W", "X"), key=("W",)),
-        RelationSchema("r2", ("X", "Y"), key=("Y",)),
-    ]
-    initial = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
-    view = View.natural_join("V", schemas, ["W", "Y"])
-    names = [
-        n
-        for n in sorted(ALGORITHMS)
-        if n not in ("recompute", "deferred-eca")
-        and not getattr(ALGORITHMS[n], "multi_source", False)
-    ]
-    levels = defaultdict(set)
-    for seed in range(args.workloads):
-        workload = random_workload(
-            schemas, args.updates, seed=seed, initial=initial, respect_keys=True
-        )
-        schedules = [BestCaseSchedule(), WorstCaseSchedule(), RandomSchedule(seed)]
-        for schedule in schedules:
-            for name in names:
-                source = MemorySource(schemas, initial)
-                initial_view = evaluate_view(view, source.snapshot())
-                if name == "stored-copies":
-                    algo = StoredCopies(view, initial_view, source.snapshot())
-                elif name == "batch-eca":
-                    size = max(1, args.updates // 3)
-                    while args.updates % size:
-                        size -= 1
-                    algo = create_algorithm(name, view, initial_view, batch_size=size)
-                else:
-                    algo = create_algorithm(name, view, initial_view)
-                trace = Simulation(source, algo, list(workload)).run(schedule)
-                levels[name].add(check_trace(view, trace).level())
-    rows = [
-        {"algorithm": name, "observed levels": ", ".join(sorted(levels[name]))}
-        for name in names
-    ]
     print(
         render_table(
-            f"Correctness audit ({args.workloads} workloads x 3 schedules)", rows
+            f"Correctness audit ({args.workloads} workloads x 3 schedules)",
+            audit_rows(args.workloads, args.updates),
         )
     )
     return 0
@@ -694,21 +643,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_crossovers(args: argparse.Namespace) -> int:
-    from repro.costmodel import analytic
+    from repro.experiments.tables import crossover_rows
 
-    params = _params(args)
-    pairs = [
-        ("bytes  ECA best  vs recompute-once", analytic.bytes_eca_best, analytic.bytes_rv_best),
-        ("bytes  ECA worst vs recompute-once", analytic.bytes_eca_worst, analytic.bytes_rv_best),
-        ("IO s1  ECA best  vs recompute-once", analytic.io1_eca_best, analytic.io1_rv_best),
-        ("IO s2  ECA best  vs recompute-once", analytic.io2_eca_best, analytic.io2_rv_best),
-        ("IO s2  ECA worst vs recompute-once", analytic.io2_eca_worst, analytic.io2_rv_best),
-    ]
-    for label, eca_curve, rv_curve in pairs:
-        k = analytic.crossover_k(
-            lambda p, kk: eca_curve(p, kk), lambda p, kk: rv_curve(p), params
-        )
-        print(f"{label}: k = {k}")
+    for row in crossover_rows(_params(args)):
+        print(f"{row['comparison']}: k = {row['crossover k']}")
     return 0
 
 

@@ -10,7 +10,8 @@ Layout of a WAL directory:
 - ``snapshot-<lsn>.json`` — a full algorithm snapshot taken after the
   record with that LSN, same CRC scheme, written atomically (temp file +
   rename) so a crash mid-snapshot can never leave a half-written file
-  under the final name.
+  under the final name.  Exactly one is kept: a snapshot empties the log,
+  so an older one has no records left to replay onto it.
 - ``wal.lock`` — exclusive-ownership marker holding the writer's pid.
   Opening a directory another live process has open raises
   :class:`~repro.errors.WalLocked`; stale locks (owner dead) are stolen.
@@ -137,8 +138,6 @@ class WriteAheadLog:
     snapshot_every:
         Take a compacting snapshot every N appended records (via
         :meth:`maybe_snapshot`); ``None`` disables automatic snapshots.
-    keep_snapshots:
-        Retain this many most-recent snapshots when pruning.
     obs:
         Optional :class:`repro.obs.instrument.Observability`; appends
         bump ``repro_wal_append_total{type=...}`` and snapshots emit a
@@ -150,17 +149,13 @@ class WriteAheadLog:
         directory: str,
         fsync: bool = False,
         snapshot_every: Optional[int] = None,
-        keep_snapshots: int = 2,
         obs: Optional[Observability] = None,
     ) -> None:
         if snapshot_every is not None and snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
-        if keep_snapshots < 1:
-            raise ValueError(f"keep_snapshots must be >= 1, got {keep_snapshots}")
         self.directory = directory
         self.fsync = fsync
         self.snapshot_every = snapshot_every
-        self.keep_snapshots = keep_snapshots
         self.obs = obs
         # Parent directories included: sharded runs hand each shard a
         # nested ``wal_dir/shard-<i>`` that does not exist yet.
@@ -271,10 +266,10 @@ class WriteAheadLog:
     def snapshot(self, algorithm: WarehouseAlgorithm) -> int:
         """Snapshot the algorithm as of the current LSN, then compact.
 
-        The snapshot captures everything (view contents + pending state),
-        so every WAL record with ``lsn <= snapshot lsn`` becomes dead
-        weight: the log is rewritten without them and snapshots older
-        than ``keep_snapshots`` are pruned.
+        The snapshot captures everything (view contents + pending state)
+        as of the newest record, so once it is renamed into place the
+        previous snapshot and every WAL record are dead weight: the old
+        file is removed and the log truncated.
         """
         lsn = self._lsn
         body = _seal({"lsn": lsn, "algo": encode_algorithm(algorithm)})
@@ -286,8 +281,10 @@ class WriteAheadLog:
             if self.fsync:
                 os.fsync(handle.fileno())
         os.replace(temp, final)
-        self._compact(lsn)
-        self._prune_snapshots()
+        for old in _snapshot_lsns(self.directory):
+            if old != lsn:
+                os.remove(os.path.join(self.directory, _snapshot_name(old)))
+        self._compact()
         self._since_snapshot = 0
         self.snapshots_taken += 1
         if self.obs is not None:
@@ -302,11 +299,10 @@ class WriteAheadLog:
             return None
         return self.snapshot(algorithm)
 
-    def _compact(self, snapshot_lsn: int) -> None:
-        records, _ = read_records(self.directory)
-        live = [r for r in records if _lsn_of(r) > snapshot_lsn]
+    def _compact(self) -> None:
+        """Truncate the log: the snapshot just taken covers every record."""
         self._file.close()
-        self._rewrite(live)
+        self._rewrite([])
         self._file = open(self._path, "a", encoding="utf-8")
 
     def _rewrite(self, records: List[Dict[str, object]]) -> None:
@@ -328,11 +324,6 @@ class WriteAheadLog:
             if self.fsync:
                 os.fsync(handle.fileno())
         os.replace(temp, self._path)
-
-    def _prune_snapshots(self) -> None:
-        lsns = _snapshot_lsns(self.directory)
-        for lsn in lsns[: -self.keep_snapshots]:
-            os.remove(os.path.join(self.directory, _snapshot_name(lsn)))
 
     def close(self) -> None:
         if not self._file.closed:
@@ -384,23 +375,23 @@ def read_records(directory: str) -> Tuple[List[Dict[str, object]], int]:
 
 
 def read_latest_snapshot(directory: str) -> Tuple[int, Dict[str, object]]:
-    """The newest valid snapshot as ``(lsn, algorithm payload)``.
+    """The newest snapshot as ``(lsn, algorithm payload)``.
 
-    Falls back to older snapshots when the newest fails its CRC; raises
-    :class:`RecoveryError` when none exists at all and
-    :class:`WalCorruption` when snapshots exist but all are invalid.
+    Raises :class:`RecoveryError` when none exists and
+    :class:`WalCorruption`, naming the file, when it fails validation.
+    There is no older snapshot to fall back to: the log records that
+    would bring one forward were truncated when the newest was taken.
     """
     lsns = _snapshot_lsns(directory)
     if not lsns:
         raise RecoveryError(f"no snapshot found in {directory!r}")
-    for lsn in reversed(lsns):
-        path = os.path.join(directory, _snapshot_name(lsn))
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                body = _unseal(handle.read().strip())
-        except OSError:
-            body = None
-        if body is None or body.get("lsn") != lsn:
-            continue
-        return lsn, cast(Dict[str, object], body["algo"])
-    raise WalCorruption(f"every snapshot in {directory!r} failed validation")
+    lsn = lsns[-1]
+    path = os.path.join(directory, _snapshot_name(lsn))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            body = _unseal(handle.read().strip())
+    except OSError:
+        body = None
+    if body is None or body.get("lsn") != lsn:
+        raise WalCorruption(f"snapshot {path!r} failed validation")
+    return lsn, cast(Dict[str, object], body["algo"])

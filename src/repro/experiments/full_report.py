@@ -11,46 +11,24 @@ run against the committed record with one command::
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import List, Optional
 
 from repro.consistency import check_trace
-from repro.costmodel import analytic
 from repro.costmodel.parameters import PaperParameters
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.measured import measure_bytes_series, measure_io_series
 from repro.experiments.report import render_series, render_table
 from repro.experiments.runner import run_scenario
-from repro.experiments.tables import messages_table, parameter_table
+from repro.experiments.tables import (
+    audit_rows,
+    crossover_rows,
+    messages_table,
+    parameter_table,
+)
 
 
 def _heading(title: str) -> str:
     return "\n".join(["", "=" * 72, title, "=" * 72, ""])
-
-
-def _crossover_rows(params: PaperParameters) -> List[dict]:
-    pairs = [
-        ("bytes: ECA best vs recompute-once", analytic.bytes_eca_best),
-        ("bytes: ECA worst vs recompute-once", analytic.bytes_eca_worst),
-        ("IO s1: ECA best vs recompute-once", analytic.io1_eca_best),
-        ("IO s2: ECA best vs recompute-once", analytic.io2_eca_best),
-        ("IO s2: ECA worst vs recompute-once", analytic.io2_eca_worst),
-    ]
-    reference = {
-        "bytes: ECA best vs recompute-once": analytic.bytes_rv_best,
-        "bytes: ECA worst vs recompute-once": analytic.bytes_rv_best,
-        "IO s1: ECA best vs recompute-once": analytic.io1_rv_best,
-        "IO s2: ECA best vs recompute-once": analytic.io2_rv_best,
-        "IO s2: ECA worst vs recompute-once": analytic.io2_rv_best,
-    }
-    rows = []
-    for label, curve in pairs:
-        rv = reference[label]
-        k = analytic.crossover_k(
-            lambda p, kk: curve(p, kk), lambda p, kk: rv(p), params
-        )
-        rows.append({"comparison": label, "crossover k": k})
-    return rows
 
 
 def _examples_rows() -> List[dict]:
@@ -71,49 +49,6 @@ def _examples_rows() -> List[dict]:
             }
         )
     return rows
-
-
-def _audit_rows(workloads: int = 6, updates: int = 9) -> List[dict]:
-    from repro.core.registry import create_algorithm
-    from repro.core.stored_copies import StoredCopies
-    from repro.relational.engine import evaluate_view
-    from repro.relational.schema import RelationSchema
-    from repro.relational.views import View
-    from repro.simulation.driver import Simulation
-    from repro.simulation.schedules import (
-        BestCaseSchedule,
-        RandomSchedule,
-        WorstCaseSchedule,
-    )
-    from repro.source.memory import MemorySource
-    from repro.workloads.random_gen import random_workload
-
-    schemas = [
-        RelationSchema("r1", ("W", "X"), key=("W",)),
-        RelationSchema("r2", ("X", "Y"), key=("Y",)),
-    ]
-    initial = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
-    view = View.natural_join("V", schemas, ["W", "Y"])
-    names = ["basic", "eca", "eca-key", "eca-local", "lca", "stored-copies"]
-    levels = defaultdict(set)
-    for seed in range(workloads):
-        workload = random_workload(
-            schemas, updates, seed=seed, initial=initial, respect_keys=True
-        )
-        for schedule in (BestCaseSchedule(), WorstCaseSchedule(), RandomSchedule(seed)):
-            for name in names:
-                source = MemorySource(schemas, initial)
-                initial_view = evaluate_view(view, source.snapshot())
-                if name == "stored-copies":
-                    algo = StoredCopies(view, initial_view, source.snapshot())
-                else:
-                    algo = create_algorithm(name, view, initial_view)
-                trace = Simulation(source, algo, list(workload)).run(schedule)
-                levels[name].add(check_trace(view, trace).level())
-    return [
-        {"algorithm": name, "observed levels": ", ".join(sorted(levels[name]))}
-        for name in names
-    ]
 
 
 def generate_report(
@@ -144,13 +79,13 @@ def generate_report(
         chunks.append(render_series("", series, x_key=x_key))
 
     chunks.append(_heading("Headline crossovers"))
-    chunks.append(render_table("", _crossover_rows(params)))
+    chunks.append(render_table("", crossover_rows(params)))
 
     chunks.append(_heading("E8 — the paper's worked examples"))
     chunks.append(render_table("", _examples_rows()))
 
     chunks.append(_heading("E9 — correctness audit"))
-    chunks.append(render_table("", _audit_rows()))
+    chunks.append(render_table("", audit_rows()))
 
     chunks.append(_heading("E13 — multi-source frontier"))
     chunks.append(render_table("", _multisource_rows()))

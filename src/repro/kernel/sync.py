@@ -59,9 +59,8 @@ from repro.messaging.messages import (
     UpdateBatch,
     UpdateNotification,
 )
-from repro.relational.bag import SignedBag
 from repro.relational.expressions import Query
-from repro.simulation.trace import C_REF, S_QU, S_UP, Trace
+from repro.simulation.trace import HistoryRecorder, Trace
 from repro.source.base import Source
 from repro.source.updates import Update
 
@@ -197,23 +196,13 @@ class SyncKernel:
             for name in self.sources
         }
         self._client_serials: Dict[str, int] = {}
-        self.trace = Trace()
-        self._serial = 0
         self._refresh_serial = 0
+        self._history = HistoryRecorder(self.sources, qualified=qualified)
+        self.trace = self._history.trace
         #: Per-source state histories: name -> [state after i updates at
         #: that source].  Used by the cut-consistency checker.
-        self.per_source_states: Dict[str, List[Dict[str, SignedBag]]] = {
-            name: [source.snapshot()] for name, source in self.sources.items()
-        }
-        # ss_0 and ws_0: the initial states.
-        self.trace.record_source_state(self._snapshot())
-        self.trace.record_view_state(algorithm.view_state())
-
-    def _snapshot(self) -> Dict[str, SignedBag]:
-        combined: Dict[str, SignedBag] = {}
-        for source in self.sources.values():
-            combined.update(source.snapshot())
-        return combined
+        self.per_source_states = self._history.per_source_states
+        self._history.begin(algorithm.view_state)
 
     def _client_channel(self, name: str) -> FifoChannel:
         if name in self.sources:
@@ -285,12 +274,10 @@ class SyncKernel:
             self._refresh_serial += 1
             logger.debug("client refresh #%d requested", self._refresh_serial)
             if self._sole is not None:
-                self.trace.record_event(C_REF, f"refresh #{self._refresh_serial}")
+                self._history.refresh(self._refresh_serial)
                 self.inbound[self._sole].send(RefreshRequest(self._refresh_serial))
             else:
-                self.trace.record_event(
-                    C_REF, f"{CLIENT} refresh #{self._refresh_serial}"
-                )
+                self._history.refresh(self._refresh_serial, CLIENT)
                 self._client_channel(CLIENT).send(
                     RefreshRequest(self._refresh_serial)
                 )
@@ -300,14 +287,8 @@ class SyncKernel:
             raise SimulationError(f"no source owns relation {update.relation!r}")
         self.sources[owner].apply_update(update)
         logger.debug("source %s executed %r", owner, update)
-        self._serial += 1
-        if self._qualified:
-            self.trace.record_event(S_UP, f"U{self._serial}@{owner} = {update!r}")
-        else:
-            self.trace.record_event(S_UP, f"U{self._serial} = {update!r}")
-        self.trace.record_source_state(self._snapshot())
-        self.per_source_states[owner].append(self.sources[owner].snapshot())
-        self.inbound[owner].send(UpdateNotification(update, self._serial))
+        serial = self._history.update(owner, update)
+        self.inbound[owner].send(UpdateNotification(update, serial))
 
     def _do_answer(self, name: str) -> None:
         """``S_qu``: the source receives the oldest query, evaluates it on
@@ -324,15 +305,7 @@ class SyncKernel:
         )
         if self.recorder is not None:
             self.recorder.record_evaluation(message.query, self.sources[name])
-        if self._qualified:
-            self.trace.record_event(
-                S_QU,
-                f"{name}: Q{message.query_id} -> {answer.total_count()} tuple(s)",
-            )
-        else:
-            self.trace.record_event(
-                S_QU, f"Q{message.query_id} -> {answer.total_count()} tuple(s)"
-            )
+        self._history.query(name, message.query_id, answer)
         reply = QueryAnswer(message.query_id, answer)
         if self.recorder is not None:
             self.recorder.record_answer(reply)
@@ -374,7 +347,6 @@ class SyncKernel:
         )
         if self.cache is not None and dirtied:
             self.cache.invalidate(dirtied)
-        self.trace.record_event(kind, detail)
         for destination, request in routed:
             if self.recorder is not None:
                 self.recorder.record_request(request)
@@ -382,13 +354,13 @@ class SyncKernel:
                 destination, request, self.owners, sole=self._sole
             )
             self.outbound[target].send(request)
-        self.trace.record_view_state(self.algorithm.view_state())
+        self._history.event(kind, detail, self.algorithm.view_state)
 
     def _do_refresh(self, client: str) -> None:
         """``C_ref``: a named client enqueues a refresh request."""
         serial = self._client_serials.get(client, 0) + 1
         self._client_serials[client] = serial
-        self.trace.record_event(C_REF, f"{client} refresh #{serial}")
+        self._history.refresh(serial, client)
         self._client_channel(client).send(RefreshRequest(serial))
 
     # ------------------------------------------------------------------ #

@@ -183,31 +183,6 @@ class Term:
     def negate(self) -> "Term":
         return Term(self.operands, self.projection, self.condition, -self.coefficient)
 
-    def substitute(self, relation: str, signed_tuple: SignedTuple) -> Optional["Term"]:
-        """``T<U>`` for a relation occurring exactly once: bind its operand.
-
-        Returns ``None`` (the empty term) when the operand is already
-        bound, per Section 4.2.  Raises when the term does not involve
-        ``relation`` at all, or when the relation occurs several times
-        (self-join) — use :meth:`substitute_update` for the general case.
-        """
-        matches = [
-            i for i, op in enumerate(self.operands) if op.source_relation == relation
-        ]
-        if not matches:
-            raise ExpressionError(f"term does not involve relation {relation!r}")
-        if len(matches) > 1:
-            raise ExpressionError(
-                f"relation {relation!r} occurs {len(matches)} times in this "
-                f"term; use substitute_update for multi-occurrence views"
-            )
-        index = matches[0]
-        if self.operands[index].is_bound:
-            return None
-        new_operands = list(self.operands)
-        new_operands[index] = BoundOperand(self.operands[index].schema, signed_tuple)
-        return Term(new_operands, self.projection, self.condition, self.coefficient)
-
     def substitute_update(
         self, relation: str, signed_tuple: SignedTuple
     ) -> List["Term"]:
@@ -224,7 +199,8 @@ class Term:
 
         because the old extent of each occurrence is ``new - delta`` and
         the product expands multilinearly.  For one occurrence this is
-        exactly :meth:`substitute`, and the identity preserves Lemma B.2,
+        the single term with that operand bound (Section 4.2), and the
+        identity preserves Lemma B.2,
         so every compensation-based algorithm works unchanged on
         self-join views.  Returns ``[]`` when the term has occurrences of
         ``relation`` but all are already bound (the generalized vanishing
@@ -348,15 +324,6 @@ class Query:
                 continue
             substituted.extend(term.substitute_update(relation, signed_tuple))
         return Query(substituted)
-
-    def substitute_all(
-        self, updates: Sequence[Tuple[str, SignedTuple]]
-    ) -> "Query":
-        """``Q<U1,...,Uk>`` — sequential substitution (Section 4.2)."""
-        query: Query = self
-        for relation, signed_tuple in updates:
-            query = query.substitute(relation, signed_tuple)
-        return query
 
     # ------------------------------------------------------------------ #
     # Partitioning (used by algorithms and by the cost model)

@@ -71,7 +71,7 @@ from repro.runtime.transport import (
     InMemoryTransport,
 )
 from repro.serving import ReadClientActor, ReadMismatch, ServingCache, reader_for, serving_report
-from repro.simulation.trace import C_REF, S_QU, S_UP, W_CRASH, W_REC, Trace
+from repro.simulation.trace import W_CRASH, W_REC, HistoryRecorder, Trace
 from repro.source.base import Source
 from repro.source.updates import Update
 
@@ -87,7 +87,10 @@ class _TraceRecorder:
 
     Actors call these hooks between awaits, so each hook runs atomically
     with the event it records; the trace's event order *is* the execution
-    order.
+    order.  The history itself (serials, detail strings, snapshots) is the
+    shared :class:`~repro.simulation.trace.HistoryRecorder`; this class
+    adds what only the runtime has: the action log, the virtual time of
+    the last update, and the request count.
     """
 
     def __init__(
@@ -96,13 +99,11 @@ class _TraceRecorder:
         transport: AsyncTransport,
         record_trace: bool = True,
     ) -> None:
-        self._sources = dict(sources)
+        #: With ``record_trace=False`` (benchmarks) the history skips the
+        #: O(rows) trace/snapshot work per event; serials, the action log,
+        #: and timing still accrue.
+        self.history = HistoryRecorder(sources, record_trace=record_trace)
         self._transport = transport
-        #: When False (benchmarks), skip the O(rows) trace/snapshot work
-        #: per event; serials, the action log, and timing still accrue.
-        self.record_trace = record_trace
-        self.trace = Trace()
-        self.serial = 0
         self.last_update_at = 0.0
         self.requests = 0
         self._warehouse: Optional["WarehouseActor | WarehouseHandle"] = None
@@ -112,72 +113,43 @@ class _TraceRecorder:
         #: ``recover`` markers).  A concurrent run's log replays on the
         #: synchronous kernel — see :mod:`repro.kernel.conformance`.
         self.action_log: List[str] = []
-        #: name -> [state after i updates at that source], for the
-        #: cut-consistency checker.
-        self.per_source_states: Dict[str, List[Dict[str, SignedBag]]] = {
-            name: [source.snapshot()] for name, source in self._sources.items()
-        }
-
-    def snapshot(self) -> Dict[str, SignedBag]:
-        combined: Dict[str, SignedBag] = {}
-        for source in self._sources.values():
-            combined.update(source.snapshot())
-        return combined
 
     def record_initial(self, warehouse: "WarehouseActor | WarehouseHandle") -> None:
-        if self.record_trace:
-            self.trace.record_source_state(self.snapshot())
-            self.trace.record_view_state(warehouse.view_state())
+        self.history.begin(warehouse.view_state)
         self._warehouse = warehouse
 
     def record_update(self, source_name: str, update: Update) -> int:
-        self.serial += 1
-        if self.record_trace:
-            self.trace.record_event(S_UP, f"U{self.serial}@{source_name} = {update!r}")
-            self.trace.record_source_state(self.snapshot())
-            self.per_source_states[source_name].append(
-                self._sources[source_name].snapshot()
-            )
+        serial = self.history.update(source_name, update)
         self.action_log.append(f"update:{source_name}")
         self.last_update_at = self._transport.now()
-        return self.serial
+        return serial
 
     def record_query(self, source_name: str, query_id: int, answer: SignedBag) -> None:
-        if self.record_trace:
-            self.trace.record_event(
-                S_QU,
-                f"{source_name}: Q{query_id} -> {answer.total_count()} tuple(s)",
-            )
+        self.history.query(source_name, query_id, answer)
         self.action_log.append(f"answer:{source_name}")
 
     def record_request(self, request: QueryRequest) -> None:
         self.requests += 1
 
     def record_refresh(self, client_name: str, serial: int) -> None:
-        if self.record_trace:
-            self.trace.record_event(C_REF, f"{client_name} refresh #{serial}")
+        self.history.refresh(serial, client_name)
         self.action_log.append(f"refresh:{client_name}")
 
     def record_warehouse_event(self, kind: str, detail: str, origin: str) -> None:
-        if self.record_trace:
-            self.trace.record_event(kind, detail)
-            self.trace.record_view_state(self._warehouse.view_state())
+        self.history.event(kind, detail, self._warehouse.view_state)
         self.action_log.append(f"warehouse:{origin}")
 
     def record_crash(self, detail: str) -> None:
         # No view snapshot: the crashed process exposed nothing new, and
         # the in-memory view it held is gone.
-        if self.record_trace:
-            self.trace.record_event(W_CRASH, detail)
+        self.history.event(W_CRASH, detail)
         self.action_log.append("crash")
 
     def record_recovery(self, detail: str) -> None:
         # Snapshot the *recovered* view so the checker classifies what
         # readers can now observe (a duplicate of the pre-crash state when
         # recovery is exact — harmless to the checker's dedup).
-        if self.record_trace:
-            self.trace.record_event(W_REC, detail)
-            self.trace.record_view_state(self._warehouse.view_state())
+        self.history.event(W_REC, detail, self._warehouse.view_state)
         self.action_log.append("recover")
 
 
@@ -758,7 +730,7 @@ def run_concurrent(
         metrics[client.name] = client.metrics
 
     result = RuntimeResult(
-        trace=recorder.trace,
+        trace=recorder.history.trace,
         metrics=metrics,
         channel_stats=transport.stats(),
         updates=sum(len(updates) for updates in workloads.values()),
@@ -770,7 +742,7 @@ def run_concurrent(
         crashes=crashes,
         wal_stats=wal_totals if wal_dir is not None else None,
         action_log=recorder.action_log,
-        per_source_states=recorder.per_source_states,
+        per_source_states=recorder.history.per_source_states,
         shard_info=shard_info(plan, partitioner, units) if plan is not None else None,
         serving=serving_report(cache, reader),
         read_results={r.name: r.results for r in reader_actors},

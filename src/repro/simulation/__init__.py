@@ -25,17 +25,19 @@ from repro.simulation.schedules import (
     ScriptedSchedule,
     WorstCaseSchedule,
 )
-from repro.simulation.trace import EventRecord, Trace
+from repro.simulation.trace import EventRecord, HistoryRecorder, Trace, project_view
 
 __all__ = [
     "BestCaseSchedule",
     "REFRESH",
     "EventRecord",
+    "HistoryRecorder",
     "RandomSchedule",
     "Schedule",
     "ScriptedSchedule",
     "Simulation",
     "Trace",
     "WorstCaseSchedule",
+    "project_view",
     "run_simulation",
 ]

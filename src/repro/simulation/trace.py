@@ -5,13 +5,21 @@ every ``S_up`` (the paper's ``ss_0 .. ss_p``), and the warehouse view state
 after every warehouse event (``ws_0 .. ws_q``).  The consistency checker
 replays ``V[ss_i]`` over these snapshots to classify a run against the
 correctness hierarchy of Section 3.1.
+
+:class:`HistoryRecorder` is the one writer of a trace: the synchronous
+kernel and the asyncio harness both record through it, so serials, detail
+strings and snapshot cadence cannot drift between frontends.
+:func:`project_view` reads one member view's own trace back out of a
+catalog's tagged one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.relational.bag import SignedBag
+from repro.source.base import Source
+from repro.source.updates import Update
 
 # Event kinds, named after the paper's event types.  C_ref/W_ref extend
 # the model with warehouse-client refresh requests (deferred timing);
@@ -99,3 +107,111 @@ class Trace:
             f"Trace(events={len(self.events)}, source_states="
             f"{len(self.source_states)}, view_states={len(self.view_states)})"
         )
+
+
+class HistoryRecorder:
+    """Records one run's history: the single writer of a :class:`Trace`.
+
+    Owns the global update serials, the ``S_up`` / ``S_qu`` / ``C_ref``
+    detail formats, the combined source snapshot ``ss_i`` after every
+    update, the per-source histories the cut-consistency checker reads,
+    and the ``ws_j`` append after every warehouse event.
+
+    ``qualified`` selects source-qualified details (every frontend but
+    the single-source ``Simulation`` facade).  ``record_trace=False``
+    keeps the serials but skips events and every O(rows) snapshot.
+    """
+
+    def __init__(
+        self,
+        sources: Mapping[str, Source],
+        qualified: bool = True,
+        record_trace: bool = True,
+    ) -> None:
+        self._sources = dict(sources)
+        self._qualified = qualified
+        self.record_trace = record_trace
+        self.trace = Trace()
+        self.serial = 0
+        #: name -> [state after i updates at that source], for the
+        #: cut-consistency checker.
+        self.per_source_states: Dict[str, List[Dict[str, SignedBag]]] = {
+            name: [source.snapshot()] for name, source in self._sources.items()
+        }
+
+    def _snapshot(self) -> Dict[str, SignedBag]:
+        combined: Dict[str, SignedBag] = {}
+        for source in self._sources.values():
+            combined.update(source.snapshot())
+        return combined
+
+    def begin(self, view_state: Callable[[], SignedBag]) -> None:
+        """``ss_0`` and ``ws_0``: the initial states."""
+        if self.record_trace:
+            self.trace.record_source_state(self._snapshot())
+            self.trace.record_view_state(view_state())
+
+    def update(self, source_name: str, update: Update) -> int:
+        """``S_up``: ``source_name`` just executed ``update``; its serial."""
+        self.serial += 1
+        if self.record_trace:
+            origin = f"@{source_name}" if self._qualified else ""
+            self.trace.record_event(S_UP, f"U{self.serial}{origin} = {update!r}")
+            self.trace.record_source_state(self._snapshot())
+            self.per_source_states[source_name].append(
+                self._sources[source_name].snapshot()
+            )
+        return self.serial
+
+    def query(self, source_name: str, query_id: int, answer: SignedBag) -> None:
+        """``S_qu``: ``source_name`` evaluated query ``query_id``."""
+        if self.record_trace:
+            prefix = f"{source_name}: " if self._qualified else ""
+            self.trace.record_event(
+                S_QU, f"{prefix}Q{query_id} -> {answer.total_count()} tuple(s)"
+            )
+
+    def refresh(self, serial: int, client: Optional[str] = None) -> None:
+        """``C_ref``: a client (anonymous in legacy one-source runs) asked."""
+        if self.record_trace:
+            prefix = f"{client} " if client is not None else ""
+            self.trace.record_event(C_REF, f"{prefix}refresh #{serial}")
+
+    def event(
+        self,
+        kind: str,
+        detail: str,
+        view_state: Optional[Callable[[], SignedBag]] = None,
+    ) -> None:
+        """A warehouse-side event; ``view_state`` appends the next ``ws_j``.
+
+        A callable rather than a bag, so a disabled recorder never pays
+        for the copy.  ``W_crash`` passes none: the crashed process
+        exposed nothing new.
+        """
+        if self.record_trace:
+            self.trace.record_event(kind, detail)
+            if view_state is not None:
+                self.trace.record_view_state(view_state())
+
+
+def project_view(trace: Trace, view_name: str) -> Trace:
+    """One member view's own trace, read out of a catalog's tagged one.
+
+    A :class:`~repro.warehouse.catalog.WarehouseCatalog` (or the merged
+    facade of a sharded run) exposes ``(view_name, *row)`` rows; the
+    projection keeps the events and source states and, per ``ws_j``, the
+    rows tagged ``view_name`` with the tag stripped.
+    ``check_trace(member.view, project_view(trace, name))`` classifies
+    that view on its own timeline — the per-view guarantee of Section 7.
+    """
+    solo = Trace()
+    solo.events = list(trace.events)
+    solo.source_states = list(trace.source_states)
+    solo.view_states = [
+        SignedBag(
+            {row[1:]: count for row, count in state.items() if row[0] == view_name}
+        )
+        for state in trace.view_states
+    ]
+    return solo

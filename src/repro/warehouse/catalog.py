@@ -32,8 +32,9 @@ query is still in flight), so the tagged union can mix ``V1[ss_2]`` with
 ``V2[ss_0]``, a state no single source moment produced.  This is the
 *mutual consistency* problem the authors formalized in their Strobe
 follow-up; Section 7's "ECA is simply applied to each view separately"
-buys per-view consistency only.  Use :meth:`per_view_trace` to check each
-view on its own timeline.
+buys per-view consistency only.  Use
+:func:`repro.simulation.trace.project_view` to check each view on its own
+timeline; the catalog itself keeps no history.
 """
 
 from __future__ import annotations
@@ -70,21 +71,11 @@ class WarehouseCatalog:
         self.algorithms: "Dict[str, WarehouseAlgorithm]" = dict(algorithms)
         self.owners: Dict[str, str] = {}
         self._planner = CompensationPlanner(share=share_compensation)
-        #: Per-view state history, one snapshot per warehouse event (the
-        #: initial state first) — feeds :meth:`per_view_trace`.
-        self._history: Dict[str, List[SignedBag]] = {
-            name: [algorithm.view_state()]
-            for name, algorithm in self.algorithms.items()
-        }
 
     @property
     def share_compensation(self) -> bool:
         """Whether same-event duplicate compensating queries are shared."""
         return self._planner.share
-
-    def _record(self) -> None:
-        for name, algorithm in self.algorithms.items():
-            self._history[name].append(algorithm.view_state())
 
     # ------------------------------------------------------------------ #
     # Routed protocol events
@@ -103,9 +94,7 @@ class WarehouseCatalog:
         for view_name, algorithm in self.algorithms.items():
             for destination, request in algorithm.on_update(source, notification):
                 members.append((view_name, destination, request))
-        out = self._planner.plan(members)
-        self._record()
-        return out
+        return self._planner.plan(members)
 
     def on_update_batch(self, source: Optional[str], batch: "UpdateBatch") -> "Routed":
         """Fan a kernel-coalesced run out to every member as one event.
@@ -119,9 +108,7 @@ class WarehouseCatalog:
         for view_name, algorithm in self.algorithms.items():
             for destination, request in algorithm.on_update_batch(source, batch):
                 members.append((view_name, destination, request))
-        out = self._planner.plan(members)
-        self._record()
-        return out
+        return self._planner.plan(members)
 
     def on_answer(self, source: Optional[str], answer: QueryAnswer) -> "Routed":
         """Fan one (possibly shared) answer to every subscribing view.
@@ -141,18 +128,14 @@ class WarehouseCatalog:
                 source, QueryAnswer(local_id, answer.answer)
             ):
                 members.append((view_name, destination, request))
-        out = self._planner.plan(members)
-        self._record()
-        return out
+        return self._planner.plan(members)
 
     def on_refresh(self) -> "Routed":
         members: List[MemberRequest] = []
         for view_name, algorithm in self.algorithms.items():
             for destination, request in algorithm.on_refresh():
                 members.append((view_name, destination, request))
-        out = self._planner.plan(members)
-        self._record()
-        return out
+        return self._planner.plan(members)
 
     # ------------------------------------------------------------------ #
     # State — the catalog poses as one big tagged view
@@ -193,30 +176,6 @@ class WarehouseCatalog:
                 out.add((view_name, key))
         return out
 
-    def view_history(self, view_name: str) -> List[SignedBag]:
-        """One member view's state after every catalog event, oldest first.
-
-        The per-view timeline the sharded consistency proofs compare: a
-        member view's history on a 2-shard run must classify exactly like
-        the same view's history on the unsharded catalog.
-        """
-        return list(self._history[view_name])
-
-    def per_view_trace(self, view_name: str, trace: Any) -> Any:
-        """A trace whose view states are one member view's own history.
-
-        ``check_trace(catalog.algorithms[name].view,
-        catalog.per_view_trace(name, trace))`` classifies that view on its
-        own timeline — the per-view guarantee Section 7 promises.
-        """
-        from repro.simulation.trace import Trace
-
-        solo = Trace()
-        solo.events = list(trace.events)
-        solo.source_states = list(trace.source_states)
-        solo.view_states = list(self._history[view_name])
-        return solo
-
     @property
     def uqs(self) -> Dict[int, object]:
         """Pending global query ids (driver quiescence check)."""
@@ -238,12 +197,6 @@ class WarehouseCatalog:
 
     def restore_pending_state(self, state: Dict[str, Any]) -> None:
         self._planner.restore(state)
-        # Per-view history restarts at the recovered state; per_view_trace
-        # over a crash-spanning run is out of scope for recovery.
-        self._history = {
-            name: [algorithm.view_state()]
-            for name, algorithm in self.algorithms.items()
-        }
 
     def pending_requests(self) -> "Routed":
         """Re-issue one request per pending global id after a crash.

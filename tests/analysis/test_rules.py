@@ -363,20 +363,15 @@ class TestSinglePass:
     def test_every_fixture_position_is_reported_exactly_once(self):
         from collections import Counter
 
-        from repro.analysis.engine import execute_analysis
-
         fixtures = sorted(
             os.path.join(root, name)
             for root, _dirs, names in os.walk(FIXTURES)
             for name in names
             if name.endswith(".py")
         )
-        result = execute_analysis(fixtures)
-        raw = [f for bucket in result.by_path.values() for f in bucket]
+        raw = run_analysis(fixtures)
         keys = [(f.path, f.line, f.col, f.rule_id) for f in raw]
         assert len(keys) == len(set(keys)) == 53
-        assert result.uncached == []  # RPR006: no registry in the set
-        assert result.findings() == sorted(raw)
         assert Counter(f.rule_id for f in raw) == {
             "RPR002": 10,
             "RPR008": 8,

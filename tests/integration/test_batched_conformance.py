@@ -269,20 +269,16 @@ class TestCatalogBatched:
         byte-level no-op — same action log, same trace, and every member
         view walking the identical state sequence."""
         runs = {}
-        catalogs = {}
         for share in (False, True):
             sources, catalog = catalog_setup(share)
             runs[share] = run_concurrent(
                 sources, catalog, CATALOG_WORKLOADS, seed=seed,
                 max_burst=4, batch_k=k,
             )
-            catalogs[share] = catalog
         assert runs[False].action_log == runs[True].action_log
+        # Rows are tagged with their view, so equal tagged states are
+        # equal per-view state sequences.
         assert runs[False].trace.view_states == runs[True].trace.view_states
-        for name in catalogs[False].algorithms:
-            assert catalogs[False].view_history(name) == catalogs[
-                True
-            ].view_history(name), name
 
     @pytest.mark.parametrize("share", [False, True])
     def test_catalog_batch_coalescing_is_logged(self, share):

@@ -90,14 +90,6 @@ class TestSubstitutionExpansion:
         ).evaluate(after)
         assert evaluate_view(view, before) + delta == evaluate_view(view, after)
 
-    def test_single_occurrence_substitute_still_rejects_self_join(self):
-        from repro.errors import ExpressionError
-
-        view = colleagues_view()
-        term = view.as_query().terms[0]
-        with pytest.raises(ExpressionError):
-            term.substitute("emp", insert("emp", (4, 10)).signed_tuple())
-
     def test_fully_bound_occurrences_vanish(self):
         view = colleagues_view()
         term = view.as_query().terms[0]

@@ -32,6 +32,7 @@ from repro.relational.schema import RelationSchema
 from repro.relational.views import View
 from repro.runtime import run_concurrent
 from repro.sharding import ExplicitPartitioner
+from repro.simulation.trace import project_view
 from repro.warehouse.catalog import WarehouseCatalog
 from repro.workloads.random_gen import random_workload
 
@@ -111,10 +112,9 @@ class TestShardedMatchesUnsharded:
         )
         assert one.final_view == plain.final_view
         assert one.per_source_states == plain.per_source_states
-        (shard_catalog,) = one.shard_info["algorithms"].values()
         for name in twin_catalog.algorithms:
-            assert dedup(shard_catalog.view_history(name)) == dedup(
-                twin_catalog.view_history(name)
+            assert dedup(project_view(one.trace, name).view_states) == dedup(
+                project_view(plain.trace, name).view_states
             )
 
     def test_wire_codec_counts_framed_bytes_on_every_leg(self):
@@ -185,11 +185,9 @@ class TestShardedConformance:
         # Per-view proof: each member walks the identical state sequence
         # on its shard as it does on the unsharded kernel (query ids and
         # cross-shard interleaving may differ; per-view timelines do not).
-        shard_catalogs = result.shard_info["algorithms"]
-        assignment = result.shard_info["assignment"]
-        for name, shard in assignment.items():
-            sharded_history = shard_catalogs[shard].view_history(name)
-            baseline_history = twin_catalog.view_history(name)
+        for name in twin_catalog.algorithms:
+            sharded_history = project_view(result.trace, name).view_states
+            baseline_history = project_view(kernel.trace, name).view_states
             assert dedup(sharded_history) == dedup(baseline_history)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -236,7 +234,7 @@ class TestCrossShardCutConsistency:
             assert check_cut_consistency(
                 member.view,
                 {prefix: result.per_source_states[prefix]},
-                shard_catalogs[shard].view_history(name),
+                project_view(result.trace, name).view_states,
             ), f"{name} on shard {shard} left its source-state prefix path"
 
 

@@ -33,6 +33,7 @@ from repro.simulation.schedules import (
     EagerSourceSchedule,
     WorstCaseSchedule,
 )
+from repro.simulation.trace import project_view
 from repro.source.memory import MemorySource
 from repro.source.updates import insert
 from repro.warehouse.catalog import WarehouseCatalog
@@ -92,12 +93,12 @@ class TestSyncKernelByteIdentity:
         histories = {}
         for share in (False, True):
             sources, catalog = fanin_setup(n_views, share=share)
-            Simulation(sources["source"], catalog, list(WORKLOAD)).run(
+            trace = Simulation(sources["source"], catalog, list(WORKLOAD)).run(
                 SCHEDULES[schedule]()
             )
             assert catalog.is_quiescent()
             histories[share] = {
-                name: dedup(catalog.view_history(name))
+                name: dedup(project_view(trace, name).view_states)
                 for name in catalog.algorithms
             }
         assert histories[False].keys() == histories[True].keys()
@@ -136,7 +137,7 @@ class TestRuntimeConformance:
             # Every member is strongly consistent on its own timeline,
             # sharing or not.
             for name, algorithm in catalog.algorithms.items():
-                solo = catalog.per_view_trace(name, result.trace)
+                solo = project_view(result.trace, name)
                 report = check_trace(algorithm.view, solo)
                 assert report.strongly_consistent, (share, name, report.detail)
         assert finals[False] == finals[True]
@@ -295,12 +296,11 @@ class TestSharded:
             twin_sources, twin, {"source": list(WORKLOAD)}, seed=2
         )
         assert sharded.final_view == unsharded.final_view
-        # Per-view timelines agree between each shard's catalog and the
-        # unsharded twin.
-        shard_catalogs = sharded.shard_info["algorithms"]
-        for name, shard in sharded.shard_info["assignment"].items():
-            assert dedup(shard_catalogs[shard].view_history(name)) == dedup(
-                twin.view_history(name)
+        # Per-view timelines agree between the merged sharded trace and
+        # the unsharded twin's.
+        for name in twin.algorithms:
+            assert dedup(project_view(sharded.trace, name).view_states) == dedup(
+                project_view(unsharded.trace, name).view_states
             ), name
 
     def test_sharing_is_scoped_per_shard(self):

@@ -14,6 +14,7 @@ from repro.relational.schema import RelationSchema
 from repro.relational.views import View
 from repro.simulation.driver import REFRESH, Simulation
 from repro.simulation.schedules import BestCaseSchedule, RandomSchedule
+from repro.simulation.trace import project_view
 from repro.source.memory import MemorySource
 from repro.warehouse.catalog import WarehouseCatalog
 from repro.workloads.random_gen import random_workload
@@ -72,7 +73,7 @@ class TestCatalog:
         trace = Simulation(source, catalog, workload).run(RandomSchedule(seed))
         assert catalog.is_quiescent()
         for name, algorithm in catalog.algorithms.items():
-            solo = catalog.per_view_trace(name, trace)
+            solo = project_view(trace, name)
             report = check_trace(algorithm.view, solo)
             assert report.strongly_consistent, (seed, name, report.detail)
 
@@ -132,16 +133,16 @@ class TestCatalog:
         trace = Simulation(source, catalog, workload).run(BestCaseSchedule())
         # Each view is correct on its own timeline...
         for name, algorithm in catalog.algorithms.items():
-            solo = catalog.per_view_trace(name, trace)
+            solo = project_view(trace, name)
             assert check_trace(algorithm.view, solo).strongly_consistent, name
         # ...and the deferred view lags more than the immediate one.
         ledger_lag = staleness_profile(
             catalog.algorithms["ledger"].view,
-            catalog.per_view_trace("ledger", trace),
+            project_view(trace, "ledger"),
         ).mean_lag
         audit_lag = staleness_profile(
             catalog.algorithms["audit"].view,
-            catalog.per_view_trace("audit", trace),
+            project_view(trace, "audit"),
         ).mean_lag
         assert audit_lag > ledger_lag
 

@@ -100,8 +100,6 @@ class TestLintFlags:
             "--format",
             "--list-rules",
             "--sarif",
-            "--changed",
-            "--cache-dir",
         }
 
     def test_references_extracted_from_spans_and_fences(self):

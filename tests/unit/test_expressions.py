@@ -35,6 +35,12 @@ def join_term(r1, r2, projection=("W",), coefficient=1):
     )
 
 
+def bind(term, relation, signed_tuple):
+    """``T<U>`` for a relation occurring once: the single substituted term."""
+    (bound,) = term.substitute_update(relation, signed_tuple)
+    return bound
+
+
 class TestOperands:
     def test_relation_operand(self, r1):
         op = RelationOperand(r1)
@@ -99,26 +105,26 @@ class TestTermConstruction:
 class TestSubstitution:
     def test_substitute_binds_relation(self, r1, r2):
         term = join_term(r1, r2)
-        bound = term.substitute("r2", SignedTuple((2, 3)))
+        bound = bind(term, "r2", SignedTuple((2, 3)))
         assert bound.free_relations() == ("r1",)
         assert bound.bound_operands()[0].tuple == SignedTuple((2, 3))
 
     def test_substitute_already_bound_vanishes(self, r1, r2):
-        term = join_term(r1, r2).substitute("r2", SignedTuple((2, 3)))
-        assert term.substitute("r2", SignedTuple((9, 9))) is None
+        term = bind(join_term(r1, r2), "r2", SignedTuple((2, 3)))
+        assert term.substitute_update("r2", SignedTuple((9, 9))) == []
 
     def test_substitute_uninvolved_relation_raises(self, r1, r2):
         with pytest.raises(ExpressionError):
-            join_term(r1, r2).substitute("zzz", SignedTuple((1,)))
+            join_term(r1, r2).substitute_update("zzz", SignedTuple((1,)))
 
     def test_substitution_preserves_coefficient(self, r1, r2):
         term = join_term(r1, r2, coefficient=-1)
-        assert term.substitute("r1", SignedTuple((1, 2))).coefficient == -1
+        assert bind(term, "r1", SignedTuple((1, 2))).coefficient == -1
 
     def test_query_substitute_all_same_relation_vanishes(self, r1, r2):
         query = Query([join_term(r1, r2)])
-        result = query.substitute_all(
-            [("r1", SignedTuple((1, 2))), ("r1", SignedTuple((3, 4)))]
+        result = query.substitute("r1", SignedTuple((1, 2))).substitute(
+            "r1", SignedTuple((3, 4))
         )
         assert result.is_empty()
 
@@ -142,14 +148,14 @@ class TestEvaluation:
 
     def test_bound_tuple_sign_propagates(self, r1, r2):
         # Q1 = pi_W(-[1,2] |x| r2): the paper's signed-query example.
-        term = join_term(r1, r2).substitute("r1", SignedTuple((1, 2), MINUS))
+        term = bind(join_term(r1, r2), "r1", SignedTuple((1, 2), MINUS))
         state = {"r2": SignedBag.from_rows([(2, 3)])}
         assert term.evaluate(state) == SignedBag.singleton((1,), MINUS)
 
     def test_two_minus_signs_cancel(self, r1, r2):
         term = join_term(r1, r2)
-        term = term.substitute("r1", SignedTuple((1, 2), MINUS))
-        term = term.substitute("r2", SignedTuple((2, 3), MINUS))
+        term = bind(term, "r1", SignedTuple((1, 2), MINUS))
+        term = bind(term, "r2", SignedTuple((2, 3), MINUS))
         assert term.is_fully_bound()
         assert term.evaluate({}) == SignedBag.singleton((1,), PLUS)
 
@@ -199,8 +205,8 @@ class TestQueryAlgebra:
 
     def test_partitioning(self, r1, r2):
         full = join_term(r1, r2)
-        bound = full.substitute("r1", SignedTuple((1, 2))).substitute(
-            "r2", SignedTuple((2, 3))
+        bound = bind(
+            bind(full, "r1", SignedTuple((1, 2))), "r2", SignedTuple((2, 3))
         )
         q = Query([full, bound])
         assert q.source_terms().term_count() == 1

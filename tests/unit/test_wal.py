@@ -144,29 +144,19 @@ class TestSnapshots:
         wal.close()
 
     def test_old_snapshots_pruned(self, tmp_path):
-        _, algorithm = fresh_eca()
-        wal = WriteAheadLog(str(tmp_path), keep_snapshots=2)
-        for _ in range(4):
-            wal.append(EVENT, {})
-            wal.snapshot(algorithm)
-        names = [n for n in os.listdir(str(tmp_path)) if n.startswith(SNAPSHOT_PREFIX)]
-        assert len(names) == 2
-        wal.close()
-
-    def test_corrupt_newest_snapshot_falls_back(self, tmp_path):
+        """Exactly one snapshot survives: a snapshot truncates the log, so
+        nothing could bring an older one forward."""
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
-        wal.append(EVENT, {})
-        wal.snapshot(algorithm)
-        wal.append(EVENT, {})
-        second = wal.snapshot(algorithm)
+        for _ in range(4):
+            wal.append(EVENT, {})
+            lsn = wal.snapshot(algorithm)
+            names = [
+                n for n in os.listdir(str(tmp_path)) if n.startswith(SNAPSHOT_PREFIX)
+            ]
+            assert names == [_snapshot_name(lsn)]
+            assert os.path.getsize(wal_path(tmp_path)) == 0
         wal.close()
-        with open(
-            os.path.join(str(tmp_path), _snapshot_name(second)), "w", encoding="utf-8"
-        ) as handle:
-            handle.write("garbage")
-        lsn, _ = read_latest_snapshot(str(tmp_path))
-        assert lsn == 1
 
     def test_no_snapshot_raises_recovery_error(self, tmp_path):
         with pytest.raises(RecoveryError):
@@ -174,7 +164,7 @@ class TestSnapshots:
 
     def test_all_snapshots_invalid_raises_corruption(self, tmp_path):
         _, algorithm = fresh_eca()
-        wal = WriteAheadLog(str(tmp_path), keep_snapshots=1)
+        wal = WriteAheadLog(str(tmp_path))
         wal.append(EVENT, {})
         lsn = wal.snapshot(algorithm)
         wal.close()
@@ -182,14 +172,14 @@ class TestSnapshots:
             os.path.join(str(tmp_path), _snapshot_name(lsn)), "w", encoding="utf-8"
         ) as handle:
             handle.write("garbage")
-        with pytest.raises(WalCorruption):
+        with pytest.raises(WalCorruption, match=_snapshot_name(lsn)):
             read_latest_snapshot(str(tmp_path))
 
     def test_parameter_validation(self, tmp_path):
         with pytest.raises(ValueError):
             WriteAheadLog(str(tmp_path), snapshot_every=0)
-        with pytest.raises(ValueError):
-            WriteAheadLog(str(tmp_path), keep_snapshots=0)
+        with pytest.raises(TypeError):
+            WriteAheadLog(str(tmp_path), keep_snapshots=1)
 
 
 class TestLocking:
@@ -293,3 +283,44 @@ class TestRecoverFromWal:
         assert [req for _, req in result.reissue] == [
             req for _, req in algorithm.pending_requests()
         ]
+
+    def test_corrupt_newest_snapshot_is_an_error_not_a_stale_view(self, tmp_path):
+        """Regression: a snapshot compacts the log away, so recovering from
+        an *older* snapshot replays only the suffix after the newer one —
+        a view silently missing everything in between.  A newest snapshot
+        that fails its CRC must raise, naming the file."""
+        from repro.durability import encode_value
+
+        source, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path))
+        wal.snapshot(algorithm)  # genesis, lsn 0
+        serial = 0
+
+        def receive(row):
+            nonlocal serial
+            serial += 1
+            update = insert("r1", row)
+            source.apply_update(update)
+            notification = UpdateNotification(update, serial)
+            wal.append(
+                RECV,
+                {
+                    "channel": "source->wh",
+                    "origin": "source",
+                    "message": encode_value(notification),
+                },
+            )
+            algorithm.handle_update(notification)
+
+        receive((7, 2))
+        newest = wal.snapshot(algorithm)  # holds U1; the log is now empty
+        receive((8, 3))
+        wal.close()
+
+        path = os.path.join(str(tmp_path), _snapshot_name(newest))
+        body = bytearray(open(path, "rb").read())
+        body[len(body) // 2] ^= 0x01
+        open(path, "wb").write(bytes(body))
+
+        with pytest.raises(WalCorruption, match=_snapshot_name(newest)):
+            recover(str(tmp_path))
