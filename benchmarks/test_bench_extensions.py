@@ -71,10 +71,10 @@ def test_bench_batching_message_economics(benchmark):
 def test_bench_multisource_failure_rate(benchmark):
     """Quantify how often the naive multi-source transplant breaks, and
     that both SC and the Strobe-style algorithm never do."""
+    from repro.kernel import SyncKernel
     from repro.multisource import (
         FragmentingIncremental,
-        MultiSourceSimulation,
-        MultiSourceStoredCopies,
+            MultiSourceStoredCopies,
         StrobeStyle,
         check_cut_consistency,
         check_cut_convergence,
@@ -108,7 +108,7 @@ def test_bench_multisource_failure_rate(benchmark):
                     algo = StrobeStyle(view, owners, initial_view)
                 else:
                     algo = MultiSourceStoredCopies(view, owners, initial_view, merged)
-                sim = MultiSourceSimulation({"A": a, "B": b}, algo, list(workload))
+                sim = SyncKernel({"A": a, "B": b}, algo, list(workload))
                 trace = sim.run(RandomSchedule(seed * 3 + 1))
                 counts[kind] += check_cut_convergence(
                     view, sim.per_source_states, trace.final_view_state

@@ -19,9 +19,9 @@ Run:  python examples/multisource_frontier.py
 """
 
 from repro import MemorySource, RandomSchedule, RelationSchema, View, check_trace
+from repro.kernel import SyncKernel
 from repro.multisource import (
     FragmentingIncremental,
-    MultiSourceSimulation,
     MultiSourceStoredCopies,
     StrobeStyle,
     check_cut_consistency,
@@ -67,7 +67,7 @@ def main() -> None:
         )
         for kind in ("naive", "sc", "strobe"):
             view, sources, algorithm = build(kind)
-            sim = MultiSourceSimulation(sources, algorithm, list(workload))
+            sim = SyncKernel(sources, algorithm, list(workload))
             trace = sim.run(RandomSchedule(seed * 3 + 1))
             entry = stats[kind]
             entry["converged"] += check_cut_convergence(

@@ -88,7 +88,6 @@ from repro.relational import (
 )
 from repro.runtime import (
     FaultPlan,
-    FaultyTransport,
     InMemoryTransport,
     RuntimeResult,
     run_concurrent,
@@ -137,7 +136,6 @@ __all__ = [
     "ECALocal",
     "ExpressionError",
     "FaultPlan",
-    "FaultyTransport",
     "InMemoryTransport",
     "IndexCatalog",
     "LCA",

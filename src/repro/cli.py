@@ -265,6 +265,9 @@ def cmd_runtime(args: argparse.Namespace) -> int:
     from repro.warehouse.catalog import WarehouseCatalog
     from repro.workloads.random_gen import random_workload
 
+    if args.sources < 1:
+        print(f"error: --sources must be >= 1, got {args.sources}", file=sys.stderr)
+        return 2
     multi = getattr(ALGORITHMS[args.algorithm], "multi_source", False)
     if multi and args.share_compensation == "on":
         print(
@@ -350,79 +353,83 @@ def cmd_runtime(args: argparse.Namespace) -> int:
             warehouse = WarehouseCatalog(algorithms, share_compensation=share)
             checkable = warehouse
 
-    faults = None
-    if args.faults:
-        faults = FaultPlan(
-            latency=args.latency,
-            jitter=args.jitter,
-            drop_rate=args.drop_rate,
-        )
-
-    cache = None
-    read_workload = None
-    if args.cache or args.read_workload:
-        from repro.serving import ServingCache, reader_for
-        from repro.workloads.random_gen import zipf_read_workload
-
-        if args.cache:
-            cache = ServingCache(
-                capacity=args.cache_capacity,
-                staleness_bound=args.staleness_bound,
-                policy=args.cache_policy,
-            )
-        if args.read_workload:
-            kind, _, rest = args.read_workload.partition(":")
-            theta = None
-            if kind == "zipf":
-                try:
-                    theta = float(rest) if rest else 1.0
-                except ValueError:
-                    theta = None
-            if theta is None or theta < 0:
-                print(
-                    f"unknown read workload {args.read_workload!r} "
-                    "(expected zipf:THETA with THETA >= 0, e.g. zipf:1.2)",
-                    file=sys.stderr,
-                )
-                return 2
-            # Key universe: serving keys of the initial view contents.
-            # Updates add and remove keys, so some reads will miss — that
-            # is representative of a real read mix, not a bug.
-            keys = reader_for(warehouse).current_keys()
-            count = max(1, args.updates * args.sources * 2)
-            read_workload = zipf_read_workload(
-                keys, count, theta=theta, seed=args.seed
-            )
-
-    obs = None
-    if args.trace_out or args.metrics_out or args.prom_out:
-        from repro.obs import Observability
-
-        obs = Observability(
-            trace=bool(args.trace_out), sharded=bool(args.shards)
-        )
-
-    crash = None
-    wal_dir = args.wal_dir
+    # Every configuration error — a constructor rejecting a flag value
+    # (CrashPolicy, FaultPlan, ServingCache, WriteAheadLog) or the harness
+    # rejecting a combination (e.g. --shards with --batch-k > 1) — is
+    # reported like a usage error.
     temp_wal = None
-    if args.crash:
-        from repro.durability.crash import CrashPolicy
-
-        crash = CrashPolicy(
-            mode=args.crash_mode,
-            at=args.crash_at,
-            skip=args.crash_skip,
-            max_crashes=args.max_crashes,
-            drop_sends=args.drop_sends,
-            seed=args.seed,
-        )
-        if wal_dir is None:
-            # Crash recovery needs a WAL; default to a throwaway one.
-            import tempfile
-
-            temp_wal = tempfile.TemporaryDirectory(prefix="repro-wal-")
-            wal_dir = temp_wal.name
     try:
+        faults = None
+        if args.faults:
+            faults = FaultPlan(
+                latency=args.latency,
+                jitter=args.jitter,
+                drop_rate=args.drop_rate,
+            )
+
+        cache = None
+        read_workload = None
+        if args.cache or args.read_workload:
+            from repro.serving import ServingCache, reader_for
+            from repro.workloads.random_gen import zipf_read_workload
+
+            if args.cache:
+                cache = ServingCache(
+                    capacity=args.cache_capacity,
+                    staleness_bound=args.staleness_bound,
+                    policy=args.cache_policy,
+                )
+            if args.read_workload:
+                kind, _, rest = args.read_workload.partition(":")
+                theta = None
+                if kind == "zipf":
+                    try:
+                        theta = float(rest) if rest else 1.0
+                    except ValueError:
+                        theta = None
+                if theta is None or theta < 0:
+                    print(
+                        f"unknown read workload {args.read_workload!r} "
+                        "(expected zipf:THETA with THETA >= 0, e.g. zipf:1.2)",
+                        file=sys.stderr,
+                    )
+                    return 2
+                # Key universe: serving keys of the initial view contents.
+                # Updates add and remove keys, so some reads will miss — that
+                # is representative of a real read mix, not a bug.
+                keys = reader_for(warehouse).current_keys()
+                count = max(1, args.updates * args.sources * 2)
+                read_workload = zipf_read_workload(
+                    keys, count, theta=theta, seed=args.seed
+                )
+
+        obs = None
+        if args.trace_out or args.metrics_out or args.prom_out:
+            from repro.obs import Observability
+
+            obs = Observability(
+                trace=bool(args.trace_out), sharded=bool(args.shards)
+            )
+
+        crash = None
+        wal_dir = args.wal_dir
+        if args.crash:
+            from repro.durability.crash import CrashPolicy
+
+            crash = CrashPolicy(
+                mode=args.crash_mode,
+                at=args.crash_at,
+                skip=args.crash_skip,
+                max_crashes=args.max_crashes,
+                drop_sends=args.drop_sends,
+                seed=args.seed,
+            )
+            if wal_dir is None:
+                # Crash recovery needs a WAL; default to a throwaway one.
+                import tempfile
+
+                temp_wal = tempfile.TemporaryDirectory(prefix="repro-wal-")
+                wal_dir = temp_wal.name
         result = run_concurrent(
             sources,
             warehouse,
@@ -444,9 +451,7 @@ def cmd_runtime(args: argparse.Namespace) -> int:
             batch_k=args.batch_k,
             wire_codec=args.wire_codec,
         )
-    except SimulationError as error:
-        # The harness validates every flag combination in one place
-        # (e.g. --shards with --batch-k > 1); report it like a usage error.
+    except (SimulationError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     finally:

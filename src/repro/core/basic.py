@@ -29,9 +29,9 @@ class BasicAlgorithm(WarehouseAlgorithm):
 
     def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
         self._retire(answer)
-        # Non-strict: anomalies can legitimately drive multiplicities
+        # Clamp: anomalies can legitimately drive multiplicities
         # negative (e.g. a deletion answered twice); the paper's broken
         # baseline would do the same, and we want to observe the wrong
         # final state rather than crash.
-        self.mv.apply_delta(answer.answer, strict=False)
+        self.mv.apply_delta(answer.answer, on_negative="clamp")
         return []

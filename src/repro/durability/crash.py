@@ -1,6 +1,6 @@
 """Deterministic process-fault injection: when to kill the warehouse.
 
-PR 1's ``FaultyTransport`` perturbs *messages*; a :class:`CrashPolicy`
+A transport ``FaultPlan`` perturbs *messages*; a :class:`CrashPolicy`
 perturbs the *process*.  The harness consults the policy after every
 atomic warehouse event (message received → logged → dispatched → requests
 routed) and, when it fires, raises

@@ -108,10 +108,10 @@ def generate_report(
 
 
 def _multisource_rows(runs: int = 15) -> List[dict]:
+    from repro.kernel import SyncKernel
     from repro.multisource import (
         FragmentingIncremental,
-        MultiSourceSimulation,
-        MultiSourceStoredCopies,
+            MultiSourceStoredCopies,
         StrobeStyle,
         check_cut_consistency,
         check_cut_convergence,
@@ -147,7 +147,7 @@ def _multisource_rows(runs: int = 15) -> List[dict]:
                 algo = StrobeStyle(view_def, owners, initial_view)
             else:
                 algo = MultiSourceStoredCopies(view_def, owners, initial_view, merged)
-            sim = MultiSourceSimulation({"A": a, "B": b}, algo, list(workload))
+            sim = SyncKernel({"A": a, "B": b}, algo, list(workload))
             trace = sim.run(RandomSchedule(seed * 3 + 1))
             totals[kind]["converged"] += check_cut_convergence(
                 view_def, sim.per_source_states, trace.final_view_state

@@ -1,10 +1,10 @@
 """The shared execution kernel behind every driver.
 
 One message pump, three frontends: the synchronous :class:`SyncKernel`
-(driven by schedules — :class:`repro.simulation.driver.Simulation` and
-:class:`repro.multisource.driver.MultiSourceSimulation` are thin facades
-over it), the asyncio actors of :mod:`repro.runtime`, and WAL replay in
-:mod:`repro.durability.recovery`.  All of them deliver messages through
+(driven by schedules — :class:`repro.simulation.driver.Simulation` is a
+thin one-source facade over it), the asyncio actors of
+:mod:`repro.runtime`, and WAL replay in :mod:`repro.durability.recovery`.
+All of them deliver messages through
 :func:`repro.kernel.dispatch.dispatch_event`, so an algorithm sees the
 identical atomic-event protocol no matter which kernel runs it.
 """

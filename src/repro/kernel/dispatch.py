@@ -101,15 +101,11 @@ def dispatch_event(
     algorithm: WarehouseAlgorithm,
     origin: Optional[str],
     message: Message,
-    qualified: bool = True,
 ) -> DispatchResult:
     """Process one atomic warehouse event through the routed protocol.
 
     ``origin`` is the source the message arrived from (``None`` for
-    client channels — legal only for refresh requests).  ``qualified``
-    selects the source-qualified detail format shared by the multi-source
-    and concurrent kernels; the single-source :class:`Simulation` facade
-    keeps its historical unqualified strings.
+    client channels — legal only for refresh requests).
     """
     kind = event_kind(message)
     if isinstance(message, UpdateNotification):
@@ -118,10 +114,7 @@ def dispatch_event(
         routed = validate_routed(
             algorithm, "on_update", list(algorithm.on_update(origin, message))
         )
-        if qualified:
-            detail = f"U{message.serial} from {origin}, {len(routed)} query(ies)"
-        else:
-            detail = f"U{message.serial} processed, {len(routed)} query(ies) sent"
+        detail = f"U{message.serial} from {origin}, {len(routed)} query(ies)"
     elif isinstance(message, UpdateBatch):
         if origin is None:
             raise ProtocolError("update batch arrived on a client channel")
@@ -131,26 +124,14 @@ def dispatch_event(
             list(algorithm.on_update_batch(origin, message)),
         )
         span = f"U{message.first_serial}..U{message.serial} (k={len(message)})"
-        if qualified:
-            detail = f"{span} from {origin}, {len(routed)} query(ies)"
-        else:
-            detail = f"{span} processed, {len(routed)} query(ies) sent"
+        detail = f"{span} from {origin}, {len(routed)} query(ies)"
     elif isinstance(message, QueryAnswer):
         if origin is None:
             raise ProtocolError("query answer arrived on a client channel")
         routed = validate_routed(
             algorithm, "on_answer", list(algorithm.on_answer(origin, message))
         )
-        if qualified:
-            detail = (
-                f"A(Q{message.query_id}) from {origin}, "
-                f"{len(routed)} follow-up(s)"
-            )
-        else:
-            detail = (
-                f"A for Q{message.query_id} applied, "
-                f"{len(routed)} follow-up query(ies)"
-            )
+        detail = f"A(Q{message.query_id}) from {origin}, {len(routed)} follow-up(s)"
     elif isinstance(message, RefreshRequest):
         routed = validate_routed(
             algorithm, "on_refresh", list(algorithm.on_refresh())

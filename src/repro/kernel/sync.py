@@ -4,9 +4,8 @@
 workload, evaluates source queries, and feeds warehouse messages through
 :func:`repro.kernel.dispatch.dispatch_event` — the same atomic events,
 trace records, and routing the asyncio runtime performs.  The historical
-:class:`repro.simulation.driver.Simulation` (one source, legacy action
-names) and :class:`repro.multisource.driver.MultiSourceSimulation`
-facades subclass it; schedules drive either through :meth:`run`.
+:class:`repro.simulation.driver.Simulation` facade (one source, legacy
+action names) subclasses it; schedules drive either through :meth:`run`.
 
 Actions (all strings, chooseable by a schedule):
 
@@ -139,10 +138,6 @@ class SyncKernel:
         Optional cost recorder (``record_request`` / ``record_answer`` /
         ``record_evaluation``); when it can size messages it doubles as
         the channel sizer so the B metric shows up in ``sent_bytes``.
-    qualified:
-        Whether trace details carry source qualifiers.  The concurrent
-        runtime always qualifies; the single-source ``Simulation`` facade
-        keeps its historical unqualified strings.
     cache:
         Optional :class:`repro.serving.ServingCache`.  When set, every
         warehouse event streams its dirtied view keys into the cache, so
@@ -162,7 +157,6 @@ class SyncKernel:
         algorithm: WarehouseAlgorithm,
         workload: Sequence[WorkloadItem],
         recorder: Optional[Recorder] = None,
-        qualified: bool = True,
         cache: Optional["ServingCacheLike"] = None,
         batch_k: int = 1,
     ) -> None:
@@ -175,7 +169,6 @@ class SyncKernel:
             raise SimulationError(f"batch_k must be >= 1, got {batch_k}")
         self.algorithm = algorithm
         self.recorder = recorder
-        self._qualified = qualified
         self.cache = cache
         self.batch_k = batch_k
         self._updates: Deque[WorkloadItem] = deque(workload)
@@ -197,7 +190,7 @@ class SyncKernel:
         }
         self._client_serials: Dict[str, int] = {}
         self._refresh_serial = 0
-        self._history = HistoryRecorder(self.sources, qualified=qualified)
+        self._history = HistoryRecorder(self.sources)
         self.trace = self._history.trace
         #: Per-source state histories: name -> [state after i updates at
         #: that source].  Used by the cut-consistency checker.
@@ -342,9 +335,7 @@ class SyncKernel:
                 f"{name!r} but the channel head is {message!r}"
             )
         origin = name if name in self.sources else None
-        kind, detail, routed, dirtied = dispatch_event(
-            self.algorithm, origin, message, qualified=self._qualified
-        )
+        kind, detail, routed, dirtied = dispatch_event(self.algorithm, origin, message)
         if self.cache is not None and dirtied:
             self.cache.invalidate(dirtied)
         for destination, request in routed:

@@ -9,7 +9,8 @@ example :meth:`repro.costmodel.counters.CostRecorder.message_size`) and
 Alternatively pass a :class:`repro.messaging.wire.WireCodec` and
 ``sent_bytes`` accumulates *real framed bytes* — the length-prefixed
 (optionally compressed) serialization each send would put on a socket.
-When both are given, the codec wins.
+When both are given, the codec wins (:func:`charged_bytes`, the rule the
+asyncio transport shares).
 """
 
 from __future__ import annotations
@@ -27,6 +28,21 @@ if TYPE_CHECKING:
 Sizer = Callable[[Message], int]
 
 
+def charged_bytes(
+    message: Message, sizer: Optional[Sizer], codec: Optional["WireCodec"]
+) -> int:
+    """What one send adds to ``sent_bytes``.
+
+    Real framed bytes with a codec (it wins over a sizer), the sizer's
+    estimate otherwise, 0 with neither.
+    """
+    if codec is not None:
+        return codec.size(message)
+    if sizer is not None:
+        return sizer(message)
+    return 0
+
+
 class FifoChannel:
     """A reliable, ordered, unidirectional message queue."""
 
@@ -42,17 +58,13 @@ class FifoChannel:
         self._codec = codec
         self.sent_count = 0
         self.delivered_count = 0
-        #: Total bytes sent: real framed bytes with a codec, sized bytes
-        #: with a sizer, 0 with neither.
+        #: Total bytes sent (see :func:`charged_bytes`).
         self.sent_bytes = 0
 
     def send(self, message: Message) -> None:
         self._queue.append(message)
         self.sent_count += 1
-        if self._codec is not None:
-            self.sent_bytes += self._codec.size(message)
-        elif self._sizer is not None:
-            self.sent_bytes += self._sizer(message)
+        self.sent_bytes += charged_bytes(message, self._sizer, self._codec)
 
     def receive(self) -> Message:
         """Deliver the oldest undelivered message.

@@ -14,9 +14,10 @@ algorithms of their 1996 follow-up):
 
 - :mod:`repro.multisource.fragment` — fragments a term query by relation
   ownership and reassembles fragment answers at the warehouse;
-- :mod:`repro.multisource.driver` — a simulation with one FIFO channel
-  pair per source (per-source ordering only — there is no global order
-  across sources, which is exactly what breaks ECA's deduction);
+- the driver is the shared :class:`repro.kernel.sync.SyncKernel`: one
+  FIFO channel pair per source (per-source ordering only — there is no
+  global order across sources, which is exactly what breaks ECA's
+  deduction);
 - :mod:`repro.multisource.algorithms` —
   :class:`FragmentingIncremental`, the single-source incremental
   algorithm transplanted with fragmentation (demonstrably anomalous even
@@ -43,7 +44,6 @@ from repro.multisource.consistency import (
     check_cut_convergence,
     cut_report,
 )
-from repro.multisource.driver import MultiSourceSimulation
 from repro.multisource.fragment import FragmentPlan, fragment_query
 from repro.multisource.strobe import StrobeStyle
 from repro.multisource.sweep import SweepStyle
@@ -51,7 +51,6 @@ from repro.multisource.sweep import SweepStyle
 __all__ = [
     "FragmentPlan",
     "FragmentingIncremental",
-    "MultiSourceSimulation",
     "MultiSourceStoredCopies",
     "StrobeStyle",
     "SweepStyle",

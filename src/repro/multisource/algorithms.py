@@ -73,7 +73,7 @@ class FragmentingIncremental(WarehouseAlgorithm):
         routed: Routed = []
         for plan in fragment_query(query, self.owners):
             if plan.is_local():
-                self.mv.apply_delta(plan.reassemble({}), strict=False)
+                self.mv.apply_delta(plan.reassemble({}), on_negative="clamp")
                 continue
             if plan.spans_sources():
                 self.spanning_queries += 1
@@ -109,7 +109,7 @@ class FragmentingIncremental(WarehouseAlgorithm):
             # single-source baseline, so anomalies are observable rather
             # than fatal).
             self.mv.apply_delta(
-                pending.plan.reassemble(pending.answers), strict=False
+                pending.plan.reassemble(pending.answers), on_negative="clamp"
             )
         return []
 

@@ -1,4 +1,4 @@
-"""Concurrent warehouse runtime: actors over async transports.
+"""Concurrent warehouse runtime: actors over one async transport.
 
 The synchronous drivers (:mod:`repro.simulation`,
 :mod:`repro.multisource`) replay hand-scheduled interleavings; this
@@ -23,30 +23,22 @@ from repro.runtime.actors import (
     ClientActor,
     SourceActor,
     WarehouseActor,
-    WarehouseHandle,
+    WarehouseUnit,
 )
 from repro.runtime.harness import RuntimeResult, run_concurrent
-from repro.runtime.transport import (
-    AsyncTransport,
-    ChannelStats,
-    FaultPlan,
-    FaultyTransport,
-    InMemoryTransport,
-)
+from repro.runtime.transport import ChannelStats, FaultPlan, InMemoryTransport
 
 __all__ = [
     "ActorMetrics",
-    "AsyncTransport",
     "ChannelStats",
     "ClientActor",
     "CrashPolicy",
     "FaultPlan",
-    "FaultyTransport",
     "InMemoryTransport",
     "Observability",
     "RuntimeResult",
     "SourceActor",
     "WarehouseActor",
-    "WarehouseHandle",
+    "WarehouseUnit",
     "run_concurrent",
 ]

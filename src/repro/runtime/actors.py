@@ -8,10 +8,11 @@ below fix the topology).  Actors reuse the existing components unchanged:
   answers warehouse queries — the decoupling-in-time that creates the
   paper's anomalies now arises from genuine concurrency instead of a
   hand-written schedule.
-- :class:`WarehouseActor` wraps any routed
-  :class:`~repro.core.protocol.WarehouseAlgorithm` — every registry
+- :class:`WarehouseUnit` is one warehouse — any routed
+  :class:`~repro.core.protocol.WarehouseAlgorithm` (every registry
   family, single- or multi-source, including multi-view
-  :class:`~repro.warehouse.catalog.WarehouseCatalog` — and feeds each
+  :class:`~repro.warehouse.catalog.WarehouseCatalog`) plus its wiring —
+  and :class:`WarehouseActor` its current incarnation, feeding each
   incoming message through :func:`repro.kernel.dispatch.dispatch_event`,
   the same atomic-event entry point the synchronous kernel and WAL
   replay use.  Owner-routed requests (``destination=None``) go to the
@@ -30,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import random
 from collections import deque
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports errors)
@@ -56,7 +58,7 @@ from repro.messaging.messages import (
     UpdateNotification,
 )
 from repro.relational.bag import SignedBag
-from repro.runtime.transport import AsyncTransport
+from repro.runtime.transport import InMemoryTransport
 from repro.source.base import Source
 from repro.source.updates import Update
 
@@ -69,12 +71,6 @@ def source_inbox(name: str) -> str:
 def warehouse_inbox(name: str) -> str:
     """Channel carrying source/client -> warehouse traffic."""
     return f"{name}->wh"
-
-
-def channel_label(channel: str) -> str:
-    """The source/client name behind a warehouse inbox channel."""
-    suffix = "->wh"
-    return channel[: -len(suffix)] if channel.endswith(suffix) else channel
 
 
 class ActorMetrics:
@@ -153,7 +149,7 @@ class SourceActor:
         self,
         name: str,
         source: Source,
-        transport: AsyncTransport,
+        transport: InMemoryTransport,
         workload: Sequence[Update],
         recorder: "object",
         seed: int = 0,
@@ -222,107 +218,138 @@ class SourceActor:
         await self.transport.send(self.outbox, QueryAnswer(request.query_id, answer))
 
 
-class WarehouseActor:
-    """Runs the maintenance algorithm over all incoming channels.
+@dataclass
+class WarehouseUnit:
+    """One warehouse of the topology: an algorithm plus its private wiring.
 
-    ``inboxes`` lists every channel feeding the warehouse (one per source,
-    one per client); message interleaving across them is decided by the
-    transport's delivery times.  Outgoing query requests are routed to
-    the destination the algorithm names, or — for owner-routed
-    ``destination=None`` pairs — to the source owning the relations the
-    query reads.
+    Everything that differs between the single unsharded warehouse and a
+    shard lives here, so the harness and :class:`WarehouseActor` treat
+    both alike.  The unsharded unit keeps every default: requests sent
+    straight to the owning source, the run's own ``obs`` and the
+    ``warehouse`` metrics row.  A shard
+    (:func:`repro.sharding.harness.shard_units`) listens on the router's
+    per-``(origin, shard)`` channels and overrides the rest with its
+    request channel, a shard-labelled obs view and metrics row, and
+    ``wal_dir/shard-<i>``.
+
+    The unit is also what clients, readers and the trace recorder hold:
+    when a crash policy kills the warehouse the harness rebuilds a fresh
+    :attr:`actor` from the WAL and repoints :attr:`algorithm` at the
+    recovered state — readers never notice the swap.
+    """
+
+    algorithm: object
+    #: Inbox channel -> the source or client behind it, in ``recv_any``
+    #: order.  The name is the action-log label (``warehouse:<name>``, so
+    #: merged shard logs keep the unsharded vocabulary the conformance
+    #: replayer understands) and, when it is a source, the origin of the
+    #: channel's notifications and answers.
+    inboxes: Dict[str, str]
+    shard: Optional[int] = None
+    #: How trace details and errors name this unit.
+    title: str = "warehouse"
+    wal_dir: Optional[str] = None
+    obs: Optional["Observability"] = None
+    #: One row for the unit's whole life: every incarnation bumps it.
+    metrics: ActorMetrics = field(
+        default_factory=lambda: ActorMetrics("warehouse", "warehouse")
+    )
+    #: When set, outgoing requests are wrapped in a ShardEnvelope and
+    #: sent here (the router) instead of directly to the source.
+    request_channel: Optional[str] = None
+    #: Set on the one unit the run's crash policy applies to.
+    crash_run: Optional[CrashRun] = None
+    #: The current incarnation's log and actor; the harness sets both and
+    #: closes ``wal`` on every exit path.
+    wal: Optional[WriteAheadLog] = field(default=None, init=False)
+    actor: Optional["WarehouseActor"] = field(default=None, init=False)
+
+    def view_state(self) -> SignedBag:
+        return self.algorithm.view_state()
+
+    def is_quiescent(self) -> bool:
+        return self.algorithm.is_quiescent()
+
+
+class WarehouseActor:
+    """One incarnation of a :class:`WarehouseUnit`: its event loop.
+
+    Runs the unit's maintenance algorithm over all of the unit's inboxes
+    (one per source, one per client); message interleaving across them is
+    decided by the transport's delivery times.  Outgoing query requests
+    are routed to the destination the algorithm names, or — for
+    owner-routed ``destination=None`` pairs — to the source owning the
+    relations the query reads.
 
     Durability (all optional, see ``repro.durability``):
 
-    - ``wal`` — every received message is appended as a ``"recv"`` record
-      *before* dispatch, routed requests and processed events as
+    - ``unit.wal`` — every received message is appended as a ``"recv"``
+      record *before* dispatch, routed requests and processed events as
       informational ``"send"``/``"event"`` records after, and the log is
       offered a compacting snapshot at each event boundary.  With a WAL
       attached the actor also drops answers whose query id is no longer
       pending: after recovery, a re-issued query can race a pre-crash
       answer still in flight, and the duplicate must die *before* it is
       logged so replay stays strict.
-    - ``crash_run`` — consulted once per atomic event (after the WAL and
-      dispatch, so the log never lags memory); when it fires the actor
+    - ``unit.crash_run`` — consulted once per atomic event (after the WAL
+      and dispatch, so the log never lags memory); when it fires the actor
       raises :class:`~repro.errors.WarehouseCrashed`, abandoning its
       state.  ``drop_sends`` crashes suppress the event's outgoing
       requests first.
-    - ``reissue`` / ``metrics`` / ``event_index`` — carried across
-      incarnations by the harness: queries recovery found still pending
-      (sent before the inbox loop starts), the previous incarnation's
-      counters, and the global event count the crash policy keys on.
+    - ``reissue`` / ``event_index`` — carried across incarnations by the
+      harness: queries recovery found still pending (sent before the
+      inbox loop starts) and the global event count the crash policy
+      keys on.
+
+    ``cache`` is the serving cache receiving this warehouse's precise
+    invalidations (``repro.serving.ServingCache`` or None; in sharded
+    runs every shard actor shares the one client-side cache).
+    ``batch_k`` is the maximum run of already-delivered consecutive
+    update notifications to coalesce into one atomic UpdateBatch event
+    (1 = never batch, the legacy per-update protocol).
     """
 
     def __init__(
         self,
-        algorithm: object,
-        transport: AsyncTransport,
-        inboxes: Sequence[str],
+        unit: WarehouseUnit,
+        transport: InMemoryTransport,
         owners: Dict[str, str],
         recorder: "object",
         *,
-        wal: Optional[WriteAheadLog] = None,
-        crash_run: Optional[CrashRun] = None,
-        reissue: Optional[Sequence[Tuple[Optional[str], QueryRequest]]] = None,
-        metrics: Optional[ActorMetrics] = None,
-        event_index: int = 0,
-        obs: Optional["Observability"] = None,
-        channel_origins: Optional[Dict[str, Optional[str]]] = None,
-        channel_labels: Optional[Dict[str, str]] = None,
-        request_channel: Optional[str] = None,
         cache: "object" = None,
         batch_k: int = 1,
+        reissue: Optional[Sequence[Tuple[Optional[str], QueryRequest]]] = None,
+        event_index: int = 0,
     ) -> None:
-        self.algorithm = algorithm
+        self.unit = unit
         self.transport = transport
-        self.inboxes = tuple(inboxes)
         self.owners = dict(owners)
         self.recorder = recorder
-        self.wal = wal
-        self.crash_run = crash_run
+        self.cache = cache
+        self.batch_k = max(1, batch_k)
         self.event_index = event_index
-        self.metrics = metrics or ActorMetrics("warehouse", "warehouse")
         self._reissue = list(reissue or [])
-        self._obs = obs
+        self._sources = frozenset(self.owners.values())
         #: Set for the duration of one _dispatch: the event span and the
         #: UQS snapshot outgoing queries compensate against.
         self._obs_span = None
         self._obs_compensates: Sequence[int] = ()
-        #: source name an UpdateNotification/QueryAnswer arrived from,
-        #: recovered from the channel name.  A sharded run overrides this:
-        #: a shard's inboxes are per-``(origin, shard)`` router channels,
-        #: not the ``"{name}->wh"`` topology the default assumes.
-        self._channel_source = (
-            dict(channel_origins)
-            if channel_origins is not None
-            else {warehouse_inbox(name): name for name in set(owners.values())}
-        )
-        #: Channel-name overrides for the recorder's action-log labels, so
-        #: merged shard logs keep the unsharded ``warehouse:<origin>``
-        #: vocabulary the conformance replayer understands.
-        self._channel_labels = dict(channel_labels or {})
-        #: When set, outgoing requests are wrapped in a ShardEnvelope and
-        #: sent here (the router) instead of directly to the source.
-        self._request_channel = request_channel
-        #: Serving cache receiving this warehouse's precise invalidations
-        #: (``repro.serving.ServingCache`` or None).  In sharded runs every
-        #: shard actor shares the one client-side cache.
-        self.cache = cache
-        #: Maximum run of already-delivered consecutive update
-        #: notifications to coalesce into one atomic UpdateBatch event
-        #: (1 = never batch, the legacy per-update protocol).
-        self.batch_k = max(1, batch_k)
 
     async def run(self) -> None:
+        unit = self.unit
+        inboxes = tuple(unit.inboxes)
         for destination, request in self._reissue:
             await self._send_request(destination, request, reissued=True)
         self._reissue = []
         while True:
             try:
-                channel, message = await self.transport.recv_any(self.inboxes)
+                channel, message = await self.transport.recv_any(inboxes)
             except TransportClosed:
                 return
-            self.metrics.received += 1
+            unit.metrics.received += 1
+            # Who is behind the channel; only a source is an origin.
+            sender = unit.inboxes[channel]
+            origin = sender if sender in self._sources else None
             if self.batch_k > 1 and isinstance(message, UpdateNotification):
                 members = [message]
                 # Coalesce the run of notifications already sitting in this
@@ -333,35 +360,38 @@ class WarehouseActor:
                     self.transport.peek_nowait(channel), UpdateNotification
                 ):
                     members.append(self.transport.receive_nowait(channel))
-                    self.metrics.received += 1
+                    unit.metrics.received += 1
                 if len(members) > 1:
                     message = UpdateBatch(tuple(members))
-                    self.metrics.bump("batched_updates", len(members))
-            if self.wal is not None:
-                if is_duplicate_answer(self.algorithm, message):
-                    self.metrics.bump("duplicate_answers_dropped")
+                    unit.metrics.bump("batched_updates", len(members))
+            if unit.wal is not None:
+                if is_duplicate_answer(unit.algorithm, message):
+                    unit.metrics.bump("duplicate_answers_dropped")
                     await asyncio.sleep(0)
                     continue
-                self.wal.append(
+                unit.wal.append(
                     RECV,
                     {
                         "channel": channel,
-                        "origin": self._channel_source.get(channel),
+                        "origin": origin,
                         "message": encode_value(message),
                     },
                 )
-            await self._dispatch(channel, message)
+            await self._dispatch(sender, origin, message)
             # One atomic event per scheduling slice: yield so sources and
             # clients interleave between warehouse events, as in the paper.
             await asyncio.sleep(0)
 
-    async def _dispatch(self, channel: str, message: Message) -> None:
-        origin = self._channel_source.get(channel)
-        obs = self._obs
+    async def _dispatch(
+        self, sender: str, origin: Optional[str], message: Message
+    ) -> None:
+        unit = self.unit
+        algorithm = unit.algorithm
+        obs = unit.obs
         pending_before: Sequence[int] = ()
         if obs is not None:
             begin_kind = event_kind(message)
-            pending_before = tuple(self.algorithm.pending_query_ids())
+            pending_before = tuple(algorithm.pending_query_ids())
             self._obs_span = obs.wh_event_begin(begin_kind, message, origin)
             # An answer event retires its own query id before any follow-up
             # query is built, so it is not compensated against (Section 5.2).
@@ -370,7 +400,7 @@ class WarehouseActor:
                 for qid in pending_before
                 if not (begin_kind == "W_ans" and qid == message.query_id)
             )
-        kind, detail, routed, dirtied = dispatch_event(self.algorithm, origin, message)
+        kind, detail, routed, dirtied = dispatch_event(algorithm, origin, message)
         # Invalidations stream out before the crash decision below: a real
         # deployment's cache tier outlives the warehouse process, and the
         # pre-crash incarnation already applied this event to its state.
@@ -380,56 +410,57 @@ class WarehouseActor:
             self.cache.invalidate(dirtied)
         self.event_index += 1
         fired = False
-        if self.crash_run is not None:
-            pending = len(self.algorithm.pending_query_ids())
-            fired = self.crash_run.decide(self.event_index, kind, pending)
-        drop_sends = fired and self.crash_run.policy.drop_sends
-        if self.wal is not None:
+        if unit.crash_run is not None:
+            pending = len(algorithm.pending_query_ids())
+            fired = unit.crash_run.decide(self.event_index, kind, pending)
+        drop_sends = fired and unit.crash_run.policy.drop_sends
+        if unit.wal is not None:
             # Durability before visibility (RPR011): the event record must
             # land in the log before the routed sends below await — a yield
             # there lets other coroutines observe algorithm state the log
             # does not hold yet.  Safe to reorder: recovery replays only
             # RECV records; EVENT entries are informational.
-            self.wal.append(
+            unit.wal.append(
                 EVENT, {"index": self.event_index, "kind": kind, "detail": detail}
             )
-            self.wal.maybe_snapshot(self.algorithm)
+            unit.wal.maybe_snapshot(algorithm)
         if not drop_sends:
             for destination, request in routed:
                 await self._send_request(destination, request)
-        label = self._channel_labels.get(channel) or channel_label(channel)
+        label = sender
         if isinstance(message, UpdateBatch):
             # ``warehouse:<origin>@<k>`` in the action log, so conformance
             # replay reproduces this exact coalescing decision.
             label = f"{label}@{len(message)}"
         self.recorder.record_warehouse_event(kind, detail, label)
         if obs is not None:
-            obs.wh_event_end(self._obs_span, kind, message, self.algorithm, pending_before)
+            obs.wh_event_end(self._obs_span, kind, message, algorithm, pending_before)
             self._obs_span = None
             self._obs_compensates = ()
         if fired:
-            raise WarehouseCrashed(self.event_index, self.crash_run.policy.mode, drop_sends)
+            raise WarehouseCrashed(self.event_index, unit.crash_run.policy.mode, drop_sends)
 
     async def _send_request(
         self, destination: Optional[str], request: QueryRequest, reissued: bool = False
     ) -> None:
         """Route one outgoing query (``destination=None`` → owner lookup)."""
+        unit = self.unit
         if destination is None:
             destination = query_owner(request.query, self.owners)
-        self.metrics.sent += 1
+        unit.metrics.sent += 1
         if reissued:
-            self.metrics.bump("reissued_queries")
+            unit.metrics.bump("reissued_queries")
         self.recorder.record_request(request)
-        if self._obs is not None:
-            self._obs.wh_query_sent(
+        if unit.obs is not None:
+            unit.obs.wh_query_sent(
                 self._obs_span,
                 request.query_id,
                 destination,
                 self._obs_compensates,
                 reissued,
             )
-        if self.wal is not None:
-            self.wal.append(
+        if unit.wal is not None:
+            unit.wal.append(
                 SEND,
                 {
                     "destination": destination,
@@ -437,50 +468,15 @@ class WarehouseActor:
                     "reissued": reissued,
                 },
             )
-        if self._request_channel is not None:
+        if unit.request_channel is not None:
             # Sharded topology: the shard resolves the owner itself (so the
             # WAL's send records stay meaningful), then hands the request to
             # the router for global-id multiplexing.
             await self.transport.send(
-                self._request_channel, ShardEnvelope(destination, request)
+                unit.request_channel, ShardEnvelope(destination, request)
             )
         else:
             await self.transport.send(source_inbox(destination), request)
-
-    # ------------------------------------------------------------------ #
-    # State
-    # ------------------------------------------------------------------ #
-
-    def view_state(self) -> SignedBag:
-        return self.algorithm.view_state()
-
-    def is_quiescent(self) -> bool:
-        return self.algorithm.is_quiescent()
-
-
-class WarehouseHandle:
-    """Stable facade over the current warehouse incarnation.
-
-    Clients and the trace recorder hold this handle instead of the actor;
-    when a crash policy kills the warehouse the harness rebuilds a fresh
-    actor from the WAL and repoints :attr:`actor` — readers never notice
-    the swap.
-    """
-
-    __slots__ = ("actor",)
-
-    def __init__(self, actor: WarehouseActor) -> None:
-        self.actor = actor
-
-    def view_state(self) -> SignedBag:
-        return self.actor.view_state()
-
-    def is_quiescent(self) -> bool:
-        return self.actor.is_quiescent()
-
-    @property
-    def metrics(self) -> ActorMetrics:
-        return self.actor.metrics
 
 
 class ClientActor:
@@ -495,8 +491,8 @@ class ClientActor:
     def __init__(
         self,
         name: str,
-        transport: AsyncTransport,
-        warehouse: "WarehouseActor | WarehouseHandle",
+        transport: InMemoryTransport,
+        warehouse: WarehouseUnit,
         recorder: "object",
         reads: int = 4,
         seed: int = 0,

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -47,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - repro.sharding builds on this module
     from repro.sharding.harness import ShardedWarehouse
     from repro.sharding.router import ShardRouter
 
-from repro.durability.crash import CrashPolicy, CrashRun
+from repro.durability.crash import CrashPolicy
 from repro.durability.recovery import recover
 from repro.durability.wal import WriteAheadLog
 from repro.errors import SimulationError, TransportClosed, WarehouseCrashed
@@ -60,16 +59,10 @@ from repro.runtime.actors import (
     ClientActor,
     SourceActor,
     WarehouseActor,
-    WarehouseHandle,
+    WarehouseUnit,
     warehouse_inbox,
 )
-from repro.runtime.transport import (
-    AsyncTransport,
-    ChannelStats,
-    FaultPlan,
-    FaultyTransport,
-    InMemoryTransport,
-)
+from repro.runtime.transport import ChannelStats, FaultPlan, InMemoryTransport
 from repro.serving import ReadClientActor, ReadMismatch, ServingCache, reader_for, serving_report
 from repro.simulation.trace import W_CRASH, W_REC, HistoryRecorder, Trace
 from repro.source.base import Source
@@ -96,7 +89,7 @@ class _TraceRecorder:
     def __init__(
         self,
         sources: Mapping[str, Source],
-        transport: AsyncTransport,
+        transport: InMemoryTransport,
         record_trace: bool = True,
     ) -> None:
         #: With ``record_trace=False`` (benchmarks) the history skips the
@@ -106,7 +99,7 @@ class _TraceRecorder:
         self._transport = transport
         self.last_update_at = 0.0
         self.requests = 0
-        self._warehouse: Optional["WarehouseActor | WarehouseHandle"] = None
+        self._warehouse: Optional["WarehouseUnit | ShardedWarehouse"] = None
         #: The global order of recordable actions, as kernel action strings
         #: (``update:<source>`` / ``answer:<source>`` /
         #: ``warehouse:<origin>`` / ``refresh:<client>`` plus ``crash`` /
@@ -114,7 +107,7 @@ class _TraceRecorder:
         #: synchronous kernel — see :mod:`repro.kernel.conformance`.
         self.action_log: List[str] = []
 
-    def record_initial(self, warehouse: "WarehouseActor | WarehouseHandle") -> None:
+    def record_initial(self, warehouse: "WarehouseUnit | ShardedWarehouse") -> None:
         self.history.begin(warehouse.view_state)
         self._warehouse = warehouse
 
@@ -222,8 +215,8 @@ class RuntimeResult:
         """Uniform-column rows (renderable with ``render_table``).
 
         Includes one ``ch:<name>`` row per transport channel, surfacing
-        the fault counters (drops, retries, reorders) the
-        :class:`FaultyTransport` accumulated alongside the actor counters.
+        the fault counters (drops, retries, reorders) a
+        :class:`FaultPlan` produced alongside the actor counters.
         """
         dicts = {name: self.metrics[name].as_dict() for name in self.metrics}
         for name, stats in self.channel_stats.items():
@@ -252,42 +245,6 @@ class RuntimeResult:
             f"RuntimeResult(updates={self.updates}, events="
             f"{len(self.trace.events)}, quiesce_latency={self.quiesce_latency:g})"
         )
-
-
-@dataclass
-class WarehouseUnit:
-    """One warehouse of the topology: an algorithm plus its private wiring.
-
-    Everything that differs between the single unsharded warehouse and a
-    shard lives here, so the harness treats both alike.  The unsharded
-    unit keeps every default: the ``"{name}->wh"`` inboxes, requests sent
-    straight to the owning source, the run's own ``obs`` and the
-    ``warehouse`` metrics row.  A shard
-    (:func:`repro.sharding.harness.shard_units`) overrides them with the
-    router's per-``(origin, shard)`` channels, its request channel, a
-    shard-labelled obs view and metrics row, and ``wal_dir/shard-<i>``.
-    """
-
-    algorithm: object
-    inboxes: List[str]
-    shard: Optional[int] = None
-    #: How trace details and errors name this unit.
-    title: str = "warehouse"
-    wal_dir: Optional[str] = None
-    obs: Optional[object] = None
-    #: One row for the unit's whole life: every incarnation bumps it.
-    metrics: ActorMetrics = field(
-        default_factory=lambda: ActorMetrics("warehouse", "warehouse")
-    )
-    channel_origins: Optional[Dict[str, Optional[str]]] = None
-    channel_labels: Optional[Dict[str, str]] = None
-    request_channel: Optional[str] = None
-    #: Set on the one unit the run's crash policy applies to.
-    crash_run: Optional[CrashRun] = None
-    #: The current incarnation's log and the stable handle over its actor;
-    #: the harness sets both and closes ``wal`` on every exit path.
-    wal: Optional[WriteAheadLog] = field(default=None, init=False)
-    handle: Optional[WarehouseHandle] = field(default=None, init=False)
 
 
 def _normalize_sources(sources: SourcesArg) -> Dict[str, Source]:
@@ -366,8 +323,8 @@ def run_concurrent(
     clients:
         Number of concurrent view-reading clients.
     faults:
-        A :class:`FaultPlan` to run over the fault-injecting transport;
-        ``None`` uses the reliable zero-latency transport.
+        A :class:`FaultPlan` deciding each send's delivery time (latency,
+        jitter, drop/retry); ``None`` delivers every message at once.
     seed:
         Master seed: actor pacing and transport faults derive their
         private RNGs from it, so one seed pins the whole execution.
@@ -494,9 +451,8 @@ def run_concurrent(
             )
 
     codec = create_codec(wire_codec) if wire_codec is not None else None
-    inner = InMemoryTransport(sizer=sizer, codec=codec)
-    transport: AsyncTransport = (
-        FaultyTransport(inner, plan=faults, seed=seed + 0x5EED) if faults else inner
+    transport = InMemoryTransport(
+        sizer=sizer, codec=codec, plan=faults, seed=seed + 0x5EED
     )
     recorder = _TraceRecorder(named_sources, transport, record_trace=record_trace)
     if obs is not None:
@@ -508,7 +464,7 @@ def run_concurrent(
         units = [
             WarehouseUnit(
                 algorithm,
-                [warehouse_inbox(name) for name in source_names + client_names],
+                {warehouse_inbox(name): name for name in source_names + client_names},
                 wal_dir=wal_dir,
                 obs=obs,
                 crash_run=crash_run,
@@ -554,10 +510,8 @@ def run_concurrent(
         for index, name in enumerate(source_names)
     ]
 
-    def _incarnate(
-        unit: WarehouseUnit, algorithm: object, **carried: object
-    ) -> WarehouseActor:
-        """Build ``unit``'s next incarnation over ``algorithm``.
+    def _incarnate(unit: WarehouseUnit, algorithm: object, **carried: object) -> None:
+        """Start ``unit``'s next incarnation over ``algorithm``.
 
         With a WAL the incarnation opens its own handle and snapshots at
         once.  At genesis that makes recovery possible before the first
@@ -572,22 +526,8 @@ def run_concurrent(
                 unit.wal_dir, fsync=wal_fsync, snapshot_every=snapshot_every, obs=unit.obs
             )
             unit.wal.snapshot(algorithm)
-        return WarehouseActor(
-            algorithm,
-            transport,
-            inboxes=unit.inboxes,
-            owners=owners,
-            recorder=recorder,
-            wal=unit.wal,
-            crash_run=unit.crash_run,
-            metrics=unit.metrics,
-            obs=unit.obs,
-            channel_origins=unit.channel_origins,
-            channel_labels=unit.channel_labels,
-            request_channel=unit.request_channel,
-            cache=cache,
-            batch_k=batch_k,
-            **carried,
+        unit.actor = WarehouseActor(
+            unit, transport, owners, recorder, cache=cache, batch_k=batch_k, **carried
         )
 
     crashes: List[Dict[str, object]] = []
@@ -622,7 +562,7 @@ def run_concurrent(
         invalidated = 0 if router is None else router.invalidate_shard(unit.shard)
         recovered = recover(unit.wal_dir, obs=unit.obs)
         unit.metrics.bump("crashes")
-        unit.handle.actor = _incarnate(
+        _incarnate(
             unit,
             recovered.algorithm,
             reissue=recovered.reissue,
@@ -650,14 +590,10 @@ def run_concurrent(
 
     try:
         for unit in units:
-            unit.handle = WarehouseHandle(_incarnate(unit, unit.algorithm))
-        # Clients, the recorder and readers hold a handle, so they survive
-        # incarnation swaps; one unit's facade is its own handle (no merge).
-        warehouse = (
-            units[0].handle
-            if plan is None
-            else ShardedWarehouse({unit.shard: unit.handle for unit in units})
-        )
+            _incarnate(unit, unit.algorithm)
+        # Clients, the recorder and readers hold the unit, so they survive
+        # incarnation swaps; one unit is its own facade (no merge).
+        warehouse = units[0] if plan is None else ShardedWarehouse(units)
         recorder.record_initial(warehouse)
         client_actors = [
             ClientActor(
@@ -710,7 +646,7 @@ def run_concurrent(
         for unit in units:
             _retire_wal(unit)
 
-    laggards = [unit.title for unit in units if not unit.handle.is_quiescent()]
+    laggards = [unit.title for unit in units if not unit.is_quiescent()]
     if laggards:
         raise SimulationError(
             f"{', '.join(laggards)} failed to quiesce after the workload drained"
@@ -754,8 +690,8 @@ def run_concurrent(
 
 
 async def _drive(
-    transport: AsyncTransport,
-    warehouse: "WarehouseHandle | ShardedWarehouse",
+    transport: InMemoryTransport,
+    warehouse: "WarehouseUnit | ShardedWarehouse",
     units: Sequence[WarehouseUnit],
     source_actors: Sequence[SourceActor],
     router: Optional["ShardRouter"],
@@ -775,7 +711,7 @@ async def _drive(
         # transport closed.
         while True:
             try:
-                await unit.handle.actor.run()
+                await unit.actor.run()
                 return
             except WarehouseCrashed as fault:
                 restart(unit, fault)

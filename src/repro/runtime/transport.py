@@ -1,22 +1,20 @@
-"""Async transports for the concurrent runtime.
+"""The async transport of the concurrent runtime.
 
 The runtime's actors exchange the ordinary :mod:`repro.messaging`
-messages over named, unidirectional channels owned by a transport.
-Two transports are provided:
+messages over named, unidirectional channels owned by one
+:class:`InMemoryTransport`.  Delivery is reliable and per-channel FIFO —
+the paper's messaging assumptions (Section 2) — and a receiver selecting
+over several channels sees them merged in (delivery time, send order).
 
-- :class:`InMemoryTransport` — reliable and instantaneous.  Every message
-  is deliverable the moment it is sent, per-channel FIFO is exact, and a
-  receiver selecting over several channels sees them merged in global
-  send order.  This reproduces the paper's messaging assumptions
-  (Section 2) in a concurrent setting.
-
-- :class:`FaultyTransport` — a wrapper that injects faults described by a
-  :class:`FaultPlan`: base latency, seeded jitter, and drop-with-retry
-  (each attempt may be lost; the sender retries after a timeout with
-  exponential backoff until the message gets through).  Faults reorder
-  deliveries *across* channels; within a channel FIFO is preserved by
-  default (the paper's assumption — disable ``fifo_per_channel`` to
-  demonstrate what breaks without it).
+*When* a message is delivered is the transport's one policy, decided at
+send time.  Without a :class:`FaultPlan` that is "now": every message is
+deliverable the moment it is sent.  With one, each send draws base
+latency, seeded jitter and drop-with-retry (each attempt may be lost; the
+sender retries after a timeout with exponential backoff until the
+message gets through) from the transport's private RNG.  Faults reorder
+deliveries *across* channels; within a channel FIFO is preserved by
+default (disable ``fifo_per_channel`` to demonstrate what breaks
+without it).
 
 Time is **virtual**: the transport carries a logical clock that advances
 to each message's delivery time as it is received.  Nothing ever waits on
@@ -30,12 +28,11 @@ from __future__ import annotations
 import asyncio
 import itertools
 import random
-from abc import ABC, abstractmethod
 from collections import deque
 from typing import Deque, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ChannelEmpty, ProtocolError, TransportClosed
-from repro.messaging.channel import Sizer
+from repro.messaging.channel import Sizer, charged_bytes
 from repro.messaging.messages import Message
 from repro.messaging.wire import WireCodec
 
@@ -89,7 +86,7 @@ class ChannelStats:
 
 
 class FaultPlan:
-    """Knobs for :class:`FaultyTransport` (all delays in virtual time).
+    """Delivery-time policy of :class:`InMemoryTransport` (delays in virtual time).
 
     Parameters
     ----------
@@ -159,84 +156,44 @@ class FaultPlan:
 _Entry = Tuple[float, int, Message]
 
 
-class AsyncTransport(ABC):
+
+
+class InMemoryTransport:
     """Named unidirectional channels with awaitable receives (Section 2's message model).
 
     Channels are created on first use.  Each channel is expected to have a
     single consumer (the runtime wires one inbox per actor); multiple
-    producers are fine.  Implementations must deliver per-channel FIFO —
-    the assumption every Section 5 correctness proof leans on — and keep
-    :meth:`now` on virtual time so runs replay deterministically.
-    """
+    producers are fine.  Delivery is per-channel FIFO — the assumption
+    every Section 5 correctness proof leans on — and :meth:`now` is
+    virtual time, so runs replay deterministically: waiters are woken in
+    FIFO order and ties between channels break on the global send
+    sequence number.
 
-    @abstractmethod
-    async def send(self, channel: str, message: Message) -> None:
-        """Queue ``message`` for delivery on ``channel``."""
-
-    @abstractmethod
-    def receive_nowait(self, channel: str) -> Message:
-        """Deliver the next message, or raise :class:`ChannelEmpty`."""
-
-    @abstractmethod
-    def peek_nowait(self, channel: str) -> Optional[Message]:
-        """The next message *iff* it is deliverable now, else ``None``.
-
-        "Now" is the current virtual clock: a message still in flight
-        under a fault plan's latency is invisible, so update batching
-        coalesces only notifications that have actually arrived.
-        """
-
-    @abstractmethod
-    async def recv_any(self, channels: Sequence[str]) -> Tuple[str, Message]:
-        """Wait for the earliest deliverable message on any of ``channels``.
-
-        "Earliest" means smallest (delivery time, send sequence), so a
-        receiver with several inboxes sees exactly the interleaving the
-        transport's latencies induce.  Raises :class:`TransportClosed`
-        once the transport is closed and the channels are drained.
-        """
-
-    async def recv(self, channel: str) -> Message:
-        """Wait for the next message on one channel."""
-        _, message = await self.recv_any((channel,))
-        return message
-
-    @abstractmethod
-    def pending(self, channel: str) -> int:
-        """Messages queued (sent, not yet received) on ``channel``."""
-
-    @abstractmethod
-    def now(self) -> float:
-        """Current virtual time."""
-
-    @abstractmethod
-    def stats(self) -> Dict[str, ChannelStats]:
-        """Per-channel accounting, keyed by channel name."""
-
-    @abstractmethod
-    def close(self) -> None:
-        """Shut down: pending and future receives raise TransportClosed."""
-
-
-class InMemoryTransport(AsyncTransport):
-    """Reliable, zero-latency transport (the paper's network).
-
-    Deterministic: waiters are woken in FIFO order and ties between
-    channels break on the global send sequence number.
+    ``plan=None`` is the paper's network: reliable and instantaneous.
+    With a :class:`FaultPlan`, :meth:`send` — the only place faults exist
+    — draws latency, jitter and drop/retry outcomes from a private RNG
+    seeded with ``seed``.  Same seed + same send sequence ⇒ same delivery
+    schedule.  Reliable delivery is preserved either way: a dropped
+    message is retried until delivered, so faults stretch time without
+    ever losing messages.
     """
 
     def __init__(
         self,
         sizer: Optional[Sizer] = None,
         codec: Optional[WireCodec] = None,
+        plan: Optional[FaultPlan] = None,
+        seed: int = 0,
     ) -> None:
         self._queues: Dict[str, Deque[_Entry]] = {}
         self._stats: Dict[str, ChannelStats] = {}
         self._waiters: Deque[Tuple[Tuple[str, ...], "asyncio.Future[None]"]] = deque()
         self._sizer = sizer
-        #: Wire codec: when set, ``sent_bytes`` counts real framed bytes
-        #: (the codec wins over the sizer).
         self._codec = codec
+        self.plan = plan
+        self._rng = random.Random(seed)
+        #: Last scheduled delivery time per channel (the FIFO clamp).
+        self._last_delivery: Dict[str, float] = {}
         self._seq = itertools.count()
         self._clock = 0.0
         self._closed = False
@@ -246,13 +203,32 @@ class InMemoryTransport(AsyncTransport):
     # ------------------------------------------------------------------ #
 
     async def send(self, channel: str, message: Message) -> None:
-        self._enqueue(channel, message, self._clock)
-
-    def _enqueue(self, channel: str, message: Message, deliver_at: float) -> None:
+        """Queue ``message`` for delivery on ``channel``."""
         if self._closed:
             raise TransportClosed(f"send on closed transport (channel {channel!r})")
         queue = self._queues.setdefault(channel, deque())
         stats = self._stats.setdefault(channel, ChannelStats(channel))
+        deliver_at = self._clock
+        plan = self.plan
+        if plan is not None:
+            delay = plan.latency
+            if plan.jitter:
+                delay += self._rng.uniform(0.0, plan.jitter)
+            # Each attempt may be dropped; the sender retries after a
+            # timeout that backs off exponentially.  max_retries bounds the
+            # loop so the schedule (and the run) always terminates.
+            drops = 0
+            timeout = plan.retry_timeout
+            while drops < plan.max_retries and self._rng.random() < plan.drop_rate:
+                delay += timeout
+                timeout *= plan.backoff
+                drops += 1
+            stats.dropped += drops
+            stats.retries += drops
+            deliver_at += delay
+            if plan.fifo_per_channel:
+                deliver_at = max(deliver_at, self._last_delivery.get(channel, 0.0))
+            self._last_delivery[channel] = deliver_at
         entry = (deliver_at, next(self._seq), message)
         # Keep each queue sorted by (deliver_at, seq).  Reliable and
         # FIFO-clamped sends arrive with non-decreasing times, so this is
@@ -264,10 +240,7 @@ class InMemoryTransport(AsyncTransport):
             stats.reordered += 1
         queue.insert(position, entry)
         stats.sent += 1
-        if self._codec is not None:
-            stats.sent_bytes += self._codec.size(message)
-        elif self._sizer is not None:
-            stats.sent_bytes += self._sizer(message)
+        stats.sent_bytes += charged_bytes(message, self._sizer, self._codec)
         stats.max_pending = max(stats.max_pending, len(queue))
         self._wake(channel)
 
@@ -286,12 +259,18 @@ class InMemoryTransport(AsyncTransport):
         return queue[0] if queue else None
 
     def receive_nowait(self, channel: str) -> Message:
-        head = self._head(channel)
-        if head is None:
+        """Deliver the next message, or raise :class:`ChannelEmpty`."""
+        if self._head(channel) is None:
             raise ChannelEmpty(f"receive on empty channel {channel!r}")
         return self._pop(channel)
 
     def peek_nowait(self, channel: str) -> Optional[Message]:
+        """The next message *iff* it is deliverable now, else ``None``.
+
+        "Now" is the current virtual clock: a message still in flight
+        under a fault plan's latency is invisible, so update batching
+        coalesces only notifications that have actually arrived.
+        """
         head = self._head(channel)
         if head is None or head[0] > self._clock:
             return None
@@ -304,6 +283,13 @@ class InMemoryTransport(AsyncTransport):
         return message
 
     async def recv_any(self, channels: Sequence[str]) -> Tuple[str, Message]:
+        """Wait for the earliest deliverable message on any of ``channels``.
+
+        "Earliest" means smallest (delivery time, send sequence), so a
+        receiver with several inboxes sees exactly the interleaving the
+        transport's latencies induce.  Raises :class:`TransportClosed`
+        once the transport is closed and the channels are drained.
+        """
         wanted = tuple(channels)
         if not wanted:
             raise ProtocolError("recv_any needs at least one channel")
@@ -332,24 +318,34 @@ class InMemoryTransport(AsyncTransport):
             finally:
                 self._waiters.remove((wanted, future))
 
+    async def recv(self, channel: str) -> Message:
+        """Wait for the next message on one channel."""
+        _, message = await self.recv_any((channel,))
+        return message
+
     # ------------------------------------------------------------------ #
     # Introspection and lifecycle
     # ------------------------------------------------------------------ #
 
     def pending(self, channel: str) -> int:
+        """Messages queued (sent, not yet received) on ``channel``."""
         queue = self._queues.get(channel)
         return len(queue) if queue else 0
 
     def total_pending(self) -> int:
+        """Messages queued on every channel together (the quiescence test)."""
         return sum(len(queue) for queue in self._queues.values())
 
     def now(self) -> float:
+        """Current virtual time."""
         return self._clock
 
     def stats(self) -> Dict[str, ChannelStats]:
+        """Per-channel accounting, keyed by channel name."""
         return dict(self._stats)
 
     def close(self) -> None:
+        """Shut down: pending and future receives raise TransportClosed."""
         self._closed = True
         for _, future in self._waiters:
             if not future.done():
@@ -359,90 +355,6 @@ class InMemoryTransport(AsyncTransport):
 
     def __repr__(self) -> str:
         return (
-            f"{type(self).__name__}(channels={len(self._queues)}, "
-            f"pending={self.total_pending()}, t={self._clock:g})"
+            f"InMemoryTransport(channels={len(self._queues)}, "
+            f"pending={self.total_pending()}, t={self._clock:g}, plan={self.plan!r})"
         )
-
-
-class FaultyTransport(AsyncTransport):
-    """Fault-injecting wrapper around an :class:`InMemoryTransport`.
-
-    All queueing, waiting, and clock machinery is delegated to the inner
-    transport; this wrapper only decides *when* each send is delivered,
-    drawing latency, jitter, and drop/retry outcomes from a private seeded
-    RNG.  Same seed + same send sequence ⇒ same delivery schedule.  The
-    paper's reliable-delivery assumption (Section 2) is preserved: a
-    dropped message is retried until delivered, so faults stretch time
-    without ever losing messages.
-    """
-
-    def __init__(
-        self,
-        inner: Optional[InMemoryTransport] = None,
-        plan: Optional[FaultPlan] = None,
-        seed: int = 0,
-    ) -> None:
-        self.inner = inner if inner is not None else InMemoryTransport()
-        self.plan = plan if plan is not None else FaultPlan()
-        self._rng = random.Random(seed)
-        #: Last scheduled delivery time per channel (the FIFO clamp).
-        self._last_delivery: Dict[str, float] = {}
-
-    # ------------------------------------------------------------------ #
-    # Sending: the only place faults exist
-    # ------------------------------------------------------------------ #
-
-    async def send(self, channel: str, message: Message) -> None:
-        plan = self.plan
-        delay = plan.latency
-        if plan.jitter:
-            delay += self._rng.uniform(0.0, plan.jitter)
-        # Each attempt may be dropped; the sender retries after a timeout
-        # that backs off exponentially.  max_retries bounds the loop so
-        # the schedule (and the run) always terminates.
-        drops = 0
-        timeout = plan.retry_timeout
-        while drops < plan.max_retries and self._rng.random() < plan.drop_rate:
-            delay += timeout
-            timeout *= plan.backoff
-            drops += 1
-        deliver_at = self.inner.now() + delay
-        if plan.fifo_per_channel:
-            deliver_at = max(deliver_at, self._last_delivery.get(channel, 0.0))
-        self._last_delivery[channel] = deliver_at
-        self.inner._enqueue(channel, message, deliver_at)
-        if drops:
-            stats = self.inner.stats()[channel]
-            stats.dropped += drops
-            stats.retries += drops
-
-    # ------------------------------------------------------------------ #
-    # Everything else delegates
-    # ------------------------------------------------------------------ #
-
-    def receive_nowait(self, channel: str) -> Message:
-        return self.inner.receive_nowait(channel)
-
-    def peek_nowait(self, channel: str) -> Optional[Message]:
-        return self.inner.peek_nowait(channel)
-
-    async def recv_any(self, channels: Sequence[str]) -> Tuple[str, Message]:
-        return await self.inner.recv_any(channels)
-
-    def pending(self, channel: str) -> int:
-        return self.inner.pending(channel)
-
-    def total_pending(self) -> int:
-        return self.inner.total_pending()
-
-    def now(self) -> float:
-        return self.inner.now()
-
-    def stats(self) -> Dict[str, ChannelStats]:
-        return self.inner.stats()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def __repr__(self) -> str:
-        return f"FaultyTransport({self.plan!r}, inner={self.inner!r})"

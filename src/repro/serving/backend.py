@@ -3,7 +3,7 @@
 :class:`WarehouseReader` is the *loader* side of the cache-aside design:
 on a miss, it pulls the addressed slice of the materialized view out of
 whatever warehouse frontend the run uses — the sync kernel's algorithm,
-the asyncio :class:`~repro.runtime.actors.WarehouseHandle`, or the
+the asyncio :class:`~repro.runtime.actors.WarehouseUnit`, or the
 sharded merged facade — by filtering a ``view_state()`` snapshot down to
 the rows whose serving key matches.  It counts every backend read, which
 is the number the serving benchmark proves the cache reduces.
@@ -29,7 +29,7 @@ class WarehouseReader:
     state_fn:
         Zero-argument callable returning the frontend's current view
         contents as a :class:`SignedBag` (``algorithm.view_state`` /
-        ``handle.view_state``).
+        ``unit.view_state``).
     key_positions:
         ``view name -> serving-key output positions`` (``None`` value =
         whole-row keys).
@@ -102,9 +102,9 @@ def reader_for(
     """Build a reader over an algorithm or catalog (or a stand-in facade).
 
     ``state_fn`` overrides where snapshots come from — the asyncio harness
-    passes the :class:`WarehouseHandle` (crash-proof) or the sharded
-    merged facade while still deriving key layouts from the real
-    algorithm/catalog.
+    passes the :class:`~repro.runtime.actors.WarehouseUnit` (crash-proof)
+    or the sharded merged facade while still deriving key layouts from
+    the real algorithm/catalog.
     """
     algorithms = getattr(algorithm, "algorithms", None)
     if algorithms is not None:  # a WarehouseCatalog: tagged, multi-view

@@ -7,7 +7,7 @@ channels exactly as before.  Between them and the data sits:
 - one :class:`~repro.sharding.router.ShardRouter` owning the external
   warehouse inboxes, fanning updates by the plan's interest map and
   translating global query ids to per-shard local ids;
-- one :class:`~repro.runtime.harness.WarehouseUnit` **per populated
+- one :class:`~repro.runtime.actors.WarehouseUnit` **per populated
   shard** (:func:`shard_units`), each running its own per-shard
   :class:`~repro.warehouse.catalog.WarehouseCatalog`, with its own WAL
   directory (``wal_dir/shard-<i>``), its own unanswered-query set, and
@@ -42,36 +42,36 @@ from repro.durability.crash import CrashRun
 # Re-export only: bench/layers.py patches this module-level name.
 from repro.durability.recovery import recover  # noqa: F401
 from repro.relational.bag import SignedBag
-from repro.runtime.actors import ActorMetrics, WarehouseHandle
-from repro.runtime.harness import WarehouseUnit
+from repro.runtime.actors import ActorMetrics, WarehouseUnit
 from repro.sharding.plan import ShardPlan
 from repro.sharding.router import router_request_channel, shard_channel
 
 
 class ShardedWarehouse:
-    """Merged facade over every shard's current incarnation.
+    """Merged facade over every shard's unit.
 
-    Plays the :class:`~repro.runtime.actors.WarehouseHandle` part for
-    clients and the trace recorder: ``view_state()`` is the tagged union
-    of the per-shard catalogs (each already tags rows with the member
-    view's name, so the union is exactly what one unsharded catalog over
-    the same views would expose), and quiescence means *every* shard is
-    quiescent.
+    Plays one unsharded :class:`~repro.runtime.actors.WarehouseUnit`'s
+    part for clients and the trace recorder: ``view_state()`` is the
+    tagged union of the per-shard catalogs (each already tags rows with
+    the member view's name, so the union is exactly what one unsharded
+    catalog over the same views would expose), and quiescence means
+    *every* shard is quiescent.
     """
 
-    __slots__ = ("handles",)
+    __slots__ = ("units",)
 
-    def __init__(self, handles: Dict[int, WarehouseHandle]) -> None:
-        self.handles = dict(handles)
+    def __init__(self, units: Sequence[WarehouseUnit]) -> None:
+        #: Ascending by shard id (the order :func:`shard_units` builds).
+        self.units = tuple(units)
 
     def view_state(self) -> SignedBag:
         merged = SignedBag()
-        for shard in sorted(self.handles):
-            merged.add_bag(self.handles[shard].view_state())
+        for unit in self.units:
+            merged.add_bag(unit.view_state())
         return merged
 
     def is_quiescent(self) -> bool:
-        return all(handle.is_quiescent() for handle in self.handles.values())
+        return all(unit.is_quiescent() for unit in self.units)
 
     @property
     def algorithms(self) -> Dict[str, object]:
@@ -81,8 +81,8 @@ class ShardedWarehouse:
         tagged catalog: one reader covers every view.
         """
         members: Dict[str, object] = {}
-        for shard in sorted(self.handles):
-            members.update(self.handles[shard].actor.algorithm.algorithms)
+        for unit in self.units:
+            members.update(unit.algorithm.algorithms)
         return members
 
 
@@ -95,47 +95,32 @@ def shard_units(
     crash_run: Optional[CrashRun],
     crash_shard: int,
 ) -> List[WarehouseUnit]:
-    """One :class:`~repro.runtime.harness.WarehouseUnit` per populated shard.
+    """One :class:`~repro.runtime.actors.WarehouseUnit` per populated shard.
 
-    Inboxes are the router's per-(origin, shard) channels; origins/labels
-    translate them back to the unsharded vocabulary (WAL records and
-    action-log labels stay comparable); outgoing queries detour through
-    the router for id multiplexing.  Each shard recovers independently,
-    so each gets its own WAL directory, and only ``crash_shard`` carries
-    the crash run.
+    Inboxes are the router's per-(origin, shard) channels, each mapped
+    back to the source or client it carries (WAL records and action-log
+    labels stay comparable with an unsharded run); outgoing queries
+    detour through the router for id multiplexing.  Each shard recovers
+    independently, so each gets its own WAL directory, and only
+    ``crash_shard`` carries the crash run.
     """
-    units: List[WarehouseUnit] = []
-    for shard in plan.shard_ids:
-        inboxes: List[str] = []
-        origins: Dict[str, Optional[str]] = {}
-        labels: Dict[str, str] = {}
-        for name in source_names:
-            channel = shard_channel(name, shard)
-            inboxes.append(channel)
-            origins[channel] = name
-            labels[channel] = name
-        for name in client_names:
-            channel = shard_channel(name, shard)
-            inboxes.append(channel)
-            origins[channel] = None
-            labels[channel] = name
-        log_dir = None if wal_dir is None else os.path.join(wal_dir, f"shard-{shard}")
-        units.append(
-            WarehouseUnit(
-                plan.algorithms[shard],
-                inboxes,
-                shard=shard,
-                title=f"shard {shard}",
-                wal_dir=log_dir,
-                obs=None if obs is None else obs.shard_view(shard),
-                metrics=ActorMetrics(f"shard{shard}", "shard", shard=str(shard)),
-                channel_origins=origins,
-                channel_labels=labels,
-                request_channel=router_request_channel(shard),
-                crash_run=crash_run if shard == crash_shard else None,
-            )
+    return [
+        WarehouseUnit(
+            plan.algorithms[shard],
+            {
+                shard_channel(name, shard): name
+                for name in (*source_names, *client_names)
+            },
+            shard=shard,
+            title=f"shard {shard}",
+            wal_dir=None if wal_dir is None else os.path.join(wal_dir, f"shard-{shard}"),
+            obs=None if obs is None else obs.shard_view(shard),
+            metrics=ActorMetrics(f"shard{shard}", "shard", shard=str(shard)),
+            request_channel=router_request_channel(shard),
+            crash_run=crash_run if shard == crash_shard else None,
         )
-    return units
+        for shard in plan.shard_ids
+    ]
 
 
 def shard_info(

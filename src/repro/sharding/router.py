@@ -47,9 +47,9 @@ from repro.messaging.messages import (
     ShardEnvelope,
     UpdateNotification,
 )
-from repro.runtime.actors import ActorMetrics, channel_label, warehouse_inbox
+from repro.runtime.actors import ActorMetrics, warehouse_inbox
 from repro.runtime.actors import source_inbox as _source_inbox
-from repro.runtime.transport import AsyncTransport
+from repro.runtime.transport import InMemoryTransport
 
 
 def shard_channel(origin: str, shard: int) -> str:
@@ -88,7 +88,7 @@ class ShardRouter:
 
     def __init__(
         self,
-        transport: AsyncTransport,
+        transport: InMemoryTransport,
         interest: Mapping[str, Tuple[int, ...]],
         shard_ids: Sequence[int],
         source_names: Sequence[str],
@@ -111,9 +111,10 @@ class ShardRouter:
         #: global query id -> (shard, that shard's local query id).
         self._routes: Dict[int, Tuple[int, int]] = {}
         self._next_query_id = 1
-        self._external = [warehouse_inbox(name) for name in source_names] + [
-            warehouse_inbox(name) for name in client_names
-        ]
+        #: external inbox -> the source or client behind it.
+        self._external = {
+            warehouse_inbox(name): name for name in (*source_names, *client_names)
+        }
         self._from_shards = {
             router_request_channel(shard): shard for shard in self.shard_ids
         }
@@ -134,7 +135,7 @@ class ShardRouter:
             if shard is not None:
                 await self._route_envelope(shard, message)
             else:
-                await self._route_inbound(channel_label(channel), message)
+                await self._route_inbound(self._external[channel], message)
             # One routing decision per scheduling slice, like every other
             # actor, so shards interleave between router steps.
             await asyncio.sleep(0)

@@ -3,13 +3,12 @@
 Historically this module owned its own message pump; it is now a thin
 compatibility layer over :class:`repro.kernel.sync.SyncKernel` (one
 source named ``"source"``), keeping the legacy action names (``update`` /
-``answer`` / ``warehouse``), the sole-channel attributes
-(:attr:`Simulation.to_warehouse` / :attr:`Simulation.to_source`), and the
-historical unqualified trace detail strings.  All policy lives in the
-algorithm (what to send, how to update the view) and the schedule (when
-things happen); the kernel enforces the paper's structural assumptions:
-events are atomic, and messages on each channel are delivered and
-processed in order.
+``answer`` / ``warehouse``) and the sole-channel attributes
+(:attr:`Simulation.to_warehouse` / :attr:`Simulation.to_source`).  All
+policy lives in the algorithm (what to send, how to update the view) and
+the schedule (when things happen); the kernel enforces the paper's
+structural assumptions: events are atomic, and messages on each channel
+are delivered and processed in order.
 """
 
 from __future__ import annotations
@@ -59,9 +58,7 @@ class Simulation(SyncKernel):
         workload: Sequence[Update],
         recorder: Optional[object] = None,
     ) -> None:
-        super().__init__(
-            {_SOLE: source}, algorithm, workload, recorder=recorder, qualified=False
-        )
+        super().__init__({_SOLE: source}, algorithm, workload, recorder=recorder)
         self.source = source
 
     # Sole-channel views over the kernel's per-source channel maps.

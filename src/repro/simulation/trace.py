@@ -117,19 +117,16 @@ class HistoryRecorder:
     update, the per-source histories the cut-consistency checker reads,
     and the ``ws_j`` append after every warehouse event.
 
-    ``qualified`` selects source-qualified details (every frontend but
-    the single-source ``Simulation`` facade).  ``record_trace=False``
-    keeps the serials but skips events and every O(rows) snapshot.
+    ``record_trace=False`` keeps the serials but skips events and every
+    O(rows) snapshot.
     """
 
     def __init__(
         self,
         sources: Mapping[str, Source],
-        qualified: bool = True,
         record_trace: bool = True,
     ) -> None:
         self._sources = dict(sources)
-        self._qualified = qualified
         self.record_trace = record_trace
         self.trace = Trace()
         self.serial = 0
@@ -155,8 +152,9 @@ class HistoryRecorder:
         """``S_up``: ``source_name`` just executed ``update``; its serial."""
         self.serial += 1
         if self.record_trace:
-            origin = f"@{source_name}" if self._qualified else ""
-            self.trace.record_event(S_UP, f"U{self.serial}{origin} = {update!r}")
+            self.trace.record_event(
+                S_UP, f"U{self.serial}@{source_name} = {update!r}"
+            )
             self.trace.record_source_state(self._snapshot())
             self.per_source_states[source_name].append(
                 self._sources[source_name].snapshot()
@@ -166,9 +164,8 @@ class HistoryRecorder:
     def query(self, source_name: str, query_id: int, answer: SignedBag) -> None:
         """``S_qu``: ``source_name`` evaluated query ``query_id``."""
         if self.record_trace:
-            prefix = f"{source_name}: " if self._qualified else ""
             self.trace.record_event(
-                S_QU, f"{prefix}Q{query_id} -> {answer.total_count()} tuple(s)"
+                S_QU, f"{source_name}: Q{query_id} -> {answer.total_count()} tuple(s)"
             )
 
     def refresh(self, serial: int, client: Optional[str] = None) -> None:

@@ -85,26 +85,22 @@ class MaterializedView:
     # Writes
     # ------------------------------------------------------------------ #
 
-    def apply_delta(
-        self, delta: SignedBag, strict: bool = True, on_negative: str = None
-    ) -> None:
+    def apply_delta(self, delta: SignedBag, on_negative: str = "raise") -> None:
         """``MV <- MV + delta``.
 
         ``on_negative`` controls what happens when the result would hold a
         tuple with negative multiplicity:
 
-        - ``"raise"`` (default, also ``strict=True``): raise
+        - ``"raise"`` (default): raise
           :class:`ViewStateError` — in a correct algorithm the net effect
           applied to the view never deletes tuples that are not there.
-        - ``"clamp"`` (also ``strict=False``): drop negative entries; this
+        - ``"clamp"``: drop negative entries; this
           is what a naive system that "fails to delete a missing tuple"
           would do, and lets the anomalous baseline run to completion.
         - ``"allow"``: keep signed counts.  Used by the unbuffered ECA
           variant (Section 5.2's convergent-but-not-consistent strawman),
           whose intermediate states are by design invalid.
         """
-        if on_negative is None:
-            on_negative = "raise" if strict else "clamp"
         if on_negative not in ("raise", "clamp", "allow"):
             raise ValueError(f"unknown on_negative policy {on_negative!r}")
         updated = self._contents + delta

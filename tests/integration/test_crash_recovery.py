@@ -122,6 +122,38 @@ class TestDeterminism:
         assert len(points) > 1
 
 
+class TestReadersSurviveTheSwap:
+    def test_client_holding_the_unit_reads_the_recovered_incarnation(self, tmp_path):
+        schemas = [RelationSchema("r1", ("W", "X")), RelationSchema("r2", ("X", "Y"))]
+        initial = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
+        view = View.natural_join("V", schemas, ["W", "Y"])
+        source = MemorySource(schemas, initial)
+        warehouse = ECA(view, evaluate_view(view, source.snapshot()))
+        result = run_concurrent(
+            source,
+            warehouse,
+            random_workload(schemas, 12, seed=1, initial=initial),
+            clients=1,
+            client_reads=30,
+            max_burst=1,
+            seed=1,
+            wal_dir=str(tmp_path),
+            crash=CrashPolicy(mode="mid-uqs", skip=0, seed=1),
+        )
+        assert len(result.crashes) == 1
+        # The incarnation the run started with died mid-UQS: its view
+        # froze at the crash point and never reached the final state.
+        assert warehouse.view_state() != result.final_view
+        observed = [state for _, state in result.observations["client-0"]]
+        assert all(state in result.trace.view_states for state in observed)
+        # The client read through the one object it was handed at start-up
+        # and kept up with the recovered incarnation all the way.
+        assert observed[-1] == result.final_view
+        assert result.final_view == evaluate_view(
+            view, result.trace.final_source_state
+        )
+
+
 class TestWiderTopologies:
     def test_catalog_over_two_sources_recovers(self, tmp_path):
         a = [RelationSchema("a1", ("W", "X")), RelationSchema("a2", ("X", "Y"))]

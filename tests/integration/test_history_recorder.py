@@ -7,7 +7,7 @@ and the catalog keeps no history of its own.
   the catalog used to keep, classifies each view on its own timeline
   (verdicts pinned), and keeps doing so across a mid-UQS crash;
 - a concurrent run and its replay on the synchronous kernel describe the
-  same history, qualified or not.
+  same history.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.relational.views import View
 from repro.runtime import CrashPolicy, run_concurrent
 from repro.simulation.driver import Simulation
 from repro.simulation.schedules import BestCaseSchedule, RandomSchedule
-from repro.simulation.trace import C_REF, S_QU, S_UP, project_view
+from repro.simulation.trace import C_REF, project_view
 from repro.source.memory import MemorySource
 from repro.warehouse.catalog import WarehouseCatalog
 from repro.workloads.random_gen import random_workload
@@ -232,8 +232,7 @@ class TestProjection:
 class TestSharedRecorder:
     """Both frontends write the trace through one ``HistoryRecorder``."""
 
-    @pytest.mark.parametrize("qualified", [True, False])
-    def test_sync_replay_describes_the_concurrent_run(self, qualified):
+    def test_sync_replay_describes_the_concurrent_run(self):
         workload = random_workload(
             SCHEMAS, 8, seed=5, initial=INITIAL, respect_keys=True
         )
@@ -243,25 +242,12 @@ class TestSharedRecorder:
             seed=5, max_burst=3,
         )
         twin_source, twin = fanin(2)
-        kernel = SyncKernel(
-            {"src": twin_source}, twin, list(workload), qualified=qualified
-        )
+        kernel = SyncKernel({"src": twin_source}, twin, list(workload))
         for entry in result.action_log:
             kernel.step("update" if entry.startswith("update:") else entry)
         assert kernel.is_done()
         assert kernel.trace.view_states == result.trace.view_states
         assert kernel.trace.source_states == result.trace.source_states
         assert kernel.per_source_states == result.per_source_states
-        if qualified:
-            assert kernel.trace.describe() == result.trace.describe()
-            return
-        # Unqualified: the same history with the legacy source-less
-        # ``S_up`` / ``S_qu`` strings of the single-source facade.
-        recorded = {S_UP, S_QU, C_REF}
-        ours = [e for e in kernel.trace.events if e.kind in recorded]
-        theirs = [e for e in result.trace.events if e.kind in recorded]
-        assert [(e.seq, e.kind) for e in ours] == [(e.seq, e.kind) for e in theirs]
-        for mine, other in zip(ours, theirs):
-            legacy = other.detail.replace("@src = ", " = ").replace("src: Q", "Q")
-            assert mine.detail == legacy
-        assert any(e.kind == C_REF for e in ours)
+        assert kernel.trace.describe() == result.trace.describe()
+        assert any(e.kind == C_REF for e in kernel.trace.events)

@@ -10,10 +10,9 @@ import pytest
 
 from repro.consistency import check_trace
 from repro.core.registry import create_algorithm
-from repro.kernel import REFRESH
+from repro.kernel import REFRESH, SyncKernel
 from repro.multisource import (
     FragmentingIncremental,
-    MultiSourceSimulation,
     MultiSourceStoredCopies,
     check_cut_consistency,
     check_cut_convergence,
@@ -137,7 +136,7 @@ class TestNaiveTransplantIsAnomalous:
         for seed in range(runs):
             workload = random_workload([R1, R2, R3], 8, seed=seed, initial=INITIAL)
             view, sources, algorithm = build("naive")
-            sim = MultiSourceSimulation(sources, algorithm, workload)
+            sim = SyncKernel(sources, algorithm, workload)
             sim.run(RandomSchedule(seed * 3 + 1))
             if not check_cut_convergence(
                 view, sim.per_source_states, sim.trace.final_view_state
@@ -151,7 +150,7 @@ class TestNaiveTransplantIsAnomalous:
     def test_spanning_queries_are_the_culprit(self):
         view, sources, algorithm = build("naive")
         workload = random_workload([R1, R2, R3], 8, seed=2, initial=INITIAL)
-        MultiSourceSimulation(sources, algorithm, workload).run(RandomSchedule(5))
+        SyncKernel(sources, algorithm, workload).run(RandomSchedule(5))
         assert algorithm.spanning_queries > 0
 
 
@@ -160,7 +159,7 @@ class TestStoredCopiesAcrossSources:
     def test_cut_consistent_and_convergent(self, seed):
         workload = random_workload([R1, R2, R3], 8, seed=seed, initial=INITIAL)
         view, sources, algorithm = build("sc")
-        sim = MultiSourceSimulation(sources, algorithm, workload)
+        sim = SyncKernel(sources, algorithm, workload)
         trace = sim.run(RandomSchedule(seed * 7 + 3))
         assert check_cut_consistency(view, sim.per_source_states, trace.view_states)
         assert check_cut_convergence(
@@ -174,7 +173,7 @@ class TestStoredCopiesAcrossSources:
         updates = random_workload([R1, R2, R3], 6, seed=3, initial=INITIAL)
         workload = list(updates[:3]) + [REFRESH] + list(updates[3:]) + [REFRESH]
         view, sources, algorithm = build("sc")
-        sim = MultiSourceSimulation(sources, algorithm, workload)
+        sim = SyncKernel(sources, algorithm, workload)
         trace = sim.run(RandomSchedule(11))
         refreshes = [event for event in trace.events if event.kind == C_REF]
         assert [event.detail for event in refreshes] == [
@@ -206,7 +205,7 @@ class TestStoredCopiesAcrossSources:
         updates = random_workload(
             [R1, R2], 5, seed=7, initial={"r1": INITIAL["r1"], "r2": INITIAL["r2"]}
         )
-        sim = MultiSourceSimulation(
+        sim = SyncKernel(
             {"A": a, "B": b}, algorithm, list(updates) + [REFRESH]
         )
         trace = sim.run(DrainSourcesFirst())
@@ -237,7 +236,7 @@ class TestStoredCopiesAcrossSources:
         for seed in range(30):
             workload = random_workload([R1, R2, R3], 8, seed=seed, initial=INITIAL)
             view, sources, algorithm = build("sc")
-            sim = MultiSourceSimulation(sources, algorithm, workload)
+            sim = SyncKernel(sources, algorithm, workload)
             trace = sim.run(RandomSchedule(seed + 100))
             assert check_cut_consistency(
                 view, sim.per_source_states, trace.view_states

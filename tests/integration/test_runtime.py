@@ -156,6 +156,24 @@ class TestMultiSource:
         )
         return {"alpha": sa, "beta": sb}, catalog, workload
 
+    def test_zero_fault_plan_is_the_reliable_transport(self):
+        # Delivery delay is a policy of the one transport: a plan that
+        # delays nothing is the plan-less run, message for message.
+        runs = []
+        for faults in (None, FaultPlan(latency=0, jitter=0, drop_rate=0)):
+            sources, catalog, workload = self.two_source_catalog()
+            runs.append(
+                run_concurrent(
+                    sources, catalog, workload, clients=2, seed=6, faults=faults
+                )
+            )
+        reliable, planned = runs
+        assert planned.action_log == reliable.action_log
+        assert planned.final_view == reliable.final_view
+        assert {
+            name: stats.as_dict() for name, stats in planned.channel_stats.items()
+        } == {name: stats.as_dict() for name, stats in reliable.channel_stats.items()}
+
     def test_catalog_over_two_sources_converges(self):
         sources, catalog, workload = self.two_source_catalog()
         result = run_concurrent(sources, catalog, workload, clients=2, seed=6)

@@ -9,9 +9,9 @@ naive transplant fails about half the time.
 import pytest
 
 from repro.errors import ProtocolError, SchemaError
+from repro.kernel import SyncKernel
 from repro.multisource import (
     FragmentingIncremental,
-    MultiSourceSimulation,
     check_cut_consistency,
     check_cut_convergence,
 )
@@ -69,7 +69,7 @@ class TestCorrectness:
             [R1, R2, R3], 10, seed=seed, initial=INITIAL, respect_keys=True
         )
         view, sources, algorithm = build()
-        sim = MultiSourceSimulation(sources, algorithm, workload)
+        sim = SyncKernel(sources, algorithm, workload)
         trace = sim.run(RandomSchedule(seed * 13 + 5))
         assert check_cut_consistency(
             view, sim.per_source_states, trace.view_states
@@ -86,7 +86,7 @@ class TestCorrectness:
                 [R1, R2, R3], 10, seed=seed, initial=INITIAL, respect_keys=True
             )
             view, sources, strobe = build()
-            sim = MultiSourceSimulation(sources, strobe, list(workload))
+            sim = SyncKernel(sources, strobe, list(workload))
             sim.run(RandomSchedule(seed * 3 + 1))
             if not check_cut_convergence(
                 view, sim.per_source_states, sim.trace.final_view_state
@@ -98,7 +98,7 @@ class TestCorrectness:
             b = MemorySource([R2, R3], {"r2": INITIAL["r2"], "r3": INITIAL["r3"]})
             merged = {**a.snapshot(), **b.snapshot()}
             naive = FragmentingIncremental(view2, OWNERS, evaluate_view(view2, merged))
-            sim2 = MultiSourceSimulation({"A": a, "B": b}, naive, list(workload))
+            sim2 = SyncKernel({"A": a, "B": b}, naive, list(workload))
             sim2.run(RandomSchedule(seed * 3 + 1))
             if not check_cut_convergence(
                 view2, sim2.per_source_states, sim2.trace.final_view_state
@@ -115,7 +115,7 @@ class TestCorrectness:
             insert("r2", (3, 6)),       # joins r1 (4,3) and r3 (6,9)
             delete("r1", (4, 3)),       # removes the left part mid-flight
         ]
-        sim = MultiSourceSimulation(sources, algorithm, workload)
+        sim = SyncKernel(sources, algorithm, workload)
         # Adversarial order: both updates land, then fragments answered.
         for action in [
             "update", "warehouse:B",     # insert processed, fragments out
@@ -140,7 +140,7 @@ class TestCorrectness:
                 [R1, R2, R3], 8, seed=seed, initial=INITIAL, respect_keys=True
             )
             view, sources, algorithm = build()
-            sim = MultiSourceSimulation(sources, algorithm, workload)
+            sim = SyncKernel(sources, algorithm, workload)
             trace = sim.run(RandomSchedule(seed))
             assert check_cut_consistency(
                 view, sim.per_source_states, trace.view_states

@@ -8,12 +8,9 @@ convergent on every interleaving.
 import pytest
 
 from repro.errors import ProtocolError, SchemaError
+from repro.kernel import SyncKernel
 from repro.messaging.messages import QueryAnswer
-from repro.multisource import (
-    MultiSourceSimulation,
-    check_cut_consistency,
-    check_cut_convergence,
-)
+from repro.multisource import check_cut_consistency, check_cut_convergence
 from repro.multisource.sweep import SweepStyle
 from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
@@ -66,7 +63,7 @@ class TestCorrectness:
     def test_cut_consistent_and_convergent(self, seed):
         workload = random_workload([R1, R2, R3], 10, seed=seed, initial=INITIAL)
         view, sources, algorithm = build()
-        sim = MultiSourceSimulation(sources, algorithm, workload)
+        sim = SyncKernel(sources, algorithm, workload)
         trace = sim.run(RandomSchedule(seed * 17 + 3))
         assert check_cut_consistency(view, sim.per_source_states, trace.view_states)
         assert check_cut_convergence(
@@ -82,7 +79,7 @@ class TestCorrectness:
             insert("r2", (2, 5)),   # second copy of the same row
             insert("r1", (1, 2)),   # second copy -> view multiplicities 2x
         ]
-        sim = MultiSourceSimulation(sources, algorithm, workload)
+        sim = SyncKernel(sources, algorithm, workload)
         sim.run(RandomSchedule(3))
         merged = {}
         for source in sources.values():
@@ -100,7 +97,7 @@ class TestCorrectness:
             insert("r1", (7, 2)),   # sweep hops to r2@B then r3@C
             delete("r2", (2, 5)),   # interferes with the r2 hop
         ]
-        sim = MultiSourceSimulation(sources, algorithm, workload)
+        sim = SyncKernel(sources, algorithm, workload)
         for action in [
             "update", "warehouse:A",   # U1 processed, hop to B in flight
             "update", "warehouse:B",   # delete received & queued
@@ -124,7 +121,7 @@ class TestCorrectness:
         view, sources, algorithm = build()
         # Both updates join existing data, so no hop short-circuits.
         workload = [insert("r1", (7, 2)), insert("r2", (2, 5))]
-        sim = MultiSourceSimulation(sources, algorithm, workload)
+        sim = SyncKernel(sources, algorithm, workload)
         sim.run(RandomSchedule(1))
         queries = len(sim.trace.events_of_kind("S_qu"))
         assert queries == 4  # 2 updates x 2 hops
@@ -134,7 +131,7 @@ class TestCorrectness:
         view, sources, algorithm = build()
         # (9,9) joins nothing: the r2 hop returns empty, so no r3 hop.
         workload = [insert("r1", (9, 99))]
-        sim = MultiSourceSimulation(sources, algorithm, workload)
+        sim = SyncKernel(sources, algorithm, workload)
         sim.run(RandomSchedule(1))
         assert len(sim.trace.events_of_kind("S_qu")) == 1
         assert algorithm.view_state() == evaluate_view(

@@ -8,11 +8,8 @@ both algorithms must be cut-consistent and convergent on every run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.multisource import (
-    MultiSourceSimulation,
-    check_cut_consistency,
-    check_cut_convergence,
-)
+from repro.kernel import SyncKernel
+from repro.multisource import check_cut_consistency, check_cut_convergence
 from repro.multisource.strobe import StrobeStyle
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
@@ -47,7 +44,7 @@ def test_strobe_cut_consistent_and_convergent(workload_seed, schedule_seed, k):
         [R1, R2, R3], k, seed=workload_seed, initial=INITIAL, respect_keys=True
     )
     view, sources, algorithm = build()
-    sim = MultiSourceSimulation(sources, algorithm, workload)
+    sim = SyncKernel(sources, algorithm, workload)
     trace = sim.run(RandomSchedule(schedule_seed))
     assert check_cut_consistency(view, sim.per_source_states, trace.view_states)
     assert check_cut_convergence(view, sim.per_source_states, trace.final_view_state)
@@ -89,7 +86,7 @@ def test_sweep_cut_consistent_and_convergent(workload_seed, schedule_seed, k):
         KEYLESS, k, seed=workload_seed, initial=KEYLESS_INITIAL
     )
     view, sources, algorithm = build_sweep()
-    sim = MultiSourceSimulation(sources, algorithm, workload)
+    sim = SyncKernel(sources, algorithm, workload)
     trace = sim.run(RandomSchedule(schedule_seed))
     assert check_cut_consistency(view, sim.per_source_states, trace.view_states)
     assert check_cut_convergence(view, sim.per_source_states, trace.final_view_state)
@@ -104,7 +101,7 @@ def test_strobe_final_state_equals_oracle(workload_seed, schedule_seed):
         [R1, R2, R3], 8, seed=workload_seed, initial=INITIAL, respect_keys=True
     )
     view, sources, algorithm = build()
-    sim = MultiSourceSimulation(sources, algorithm, workload)
+    sim = SyncKernel(sources, algorithm, workload)
     sim.run(RandomSchedule(schedule_seed))
     merged = {}
     for source in sources.values():

@@ -235,6 +235,31 @@ class TestShardedRuntimeCli:
         assert 'shard="0"' in prom_path.read_text()
 
 
+class TestRuntimeConfigurationErrors:
+    """A bad flag value is one ``error:`` line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--crash", "--crash-mode", "event"], 'mode="event" requires at='),
+            (["--crash", "--max-crashes", "0"], "max_crashes must be >= 1"),
+            (["--faults", "--drop-rate", "1.5"], "drop_rate must be in [0, 1)"),
+            (["--cache", "--cache-capacity", "0"], "cache capacity must be >= 1"),
+            (["--wal-dir", "WAL", "--snapshot-every", "0"], "snapshot_every must be >= 1"),
+            (["--sources", "0"], "--sources must be >= 1"),
+        ],
+        ids=["crash-at", "max-crashes", "drop-rate", "cache-capacity",
+             "snapshot-every", "sources"],
+    )
+    def test_bad_value_is_a_one_line_error(self, flags, message, tmp_path, capsys):
+        flags = [str(tmp_path / "wal") if flag == "WAL" else flag for flag in flags]
+        assert main(["runtime", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestServingCli:
     def test_cache_run_prints_the_serving_report(self, capsys):
         assert main([

@@ -105,7 +105,8 @@ class TestDriverErrorPaths:
 
 class TestMultiSourceErrorPaths:
     def test_duplicate_relation_ownership_rejected(self):
-        from repro.multisource import FragmentingIncremental, MultiSourceSimulation
+        from repro.kernel import SyncKernel
+        from repro.multisource import FragmentingIncremental
 
         r1 = RelationSchema("r1", ("W", "X"))
         view = View("V", [r1], ["W"])
@@ -113,16 +114,17 @@ class TestMultiSourceErrorPaths:
         b = MemorySource([RelationSchema("r1", ("W", "X"))])
         algo = FragmentingIncremental(view, {"r1": "A"})
         with pytest.raises(SimulationError):
-            MultiSourceSimulation({"A": a, "B": b}, algo, [])
+            SyncKernel({"A": a, "B": b}, algo, [])
 
     def test_update_to_unowned_relation_rejected(self):
-        from repro.multisource import FragmentingIncremental, MultiSourceSimulation
+        from repro.kernel import SyncKernel
+        from repro.multisource import FragmentingIncremental
 
         r1 = RelationSchema("r1", ("W", "X"))
         view = View("V", [r1], ["W"])
         a = MemorySource([r1])
         algo = FragmentingIncremental(view, {"r1": "A"})
-        sim = MultiSourceSimulation({"A": a}, algo, [insert("zzz", (1,))])
+        sim = SyncKernel({"A": a}, algo, [insert("zzz", (1,))])
         with pytest.raises(SimulationError):
             sim.step("update")
 

@@ -65,7 +65,7 @@ class TestApplyDelta:
 
     def test_non_strict_clamps(self, view_w):
         mv = MaterializedView(view_w, SignedBag({(1,): 1}))
-        mv.apply_delta(SignedBag({(1,): -3, (2,): 1}), strict=False)
+        mv.apply_delta(SignedBag({(1,): -3, (2,): 1}), on_negative="clamp")
         assert mv.multiplicity((1,)) == 0
         assert mv.multiplicity((2,)) == 1
 
