@@ -123,8 +123,7 @@ class BatchECA(WarehouseAlgorithm):
         return self._dispatch(query)
 
     def _dispatch(self, query: Query) -> List[QueryRequest]:
-        local = query.fully_bound_terms()
-        remote = query.source_terms()
+        local, remote = query.partition()
         if not local.is_empty():
             self.collect.add_bag(local.evaluate({}))
         if remote.is_empty():

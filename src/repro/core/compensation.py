@@ -14,7 +14,7 @@ Three consumers:
 - DeferredECA is BatchECA with a read-triggered flush.
 
 Terms that end up fully bound vanish naturally on evaluation; callers
-split them off with :meth:`Query.fully_bound_terms` for local evaluation.
+split them off with :meth:`Query.partition` for local evaluation.
 """
 
 from __future__ import annotations

@@ -98,8 +98,7 @@ class ECA(WarehouseAlgorithm):
 
     def _dispatch(self, query: Query) -> List[QueryRequest]:
         """Evaluate fully-bound terms locally; ship the rest to the source."""
-        local = query.fully_bound_terms()
-        remote = query.source_terms()
+        local, remote = query.partition()
         if not local.is_empty():
             self._absorb(local.evaluate({}))
         if remote.is_empty():

@@ -112,8 +112,7 @@ class LCA(WarehouseAlgorithm):
         return requests
 
     def _dispatch(self, query: Query) -> List[QueryRequest]:
-        local = query.fully_bound_terms()
-        remote = query.source_terms()
+        local, remote = query.partition()
         if not local.is_empty():
             self._delta.add_bag(local.evaluate({}))
         if remote.is_empty():

@@ -22,7 +22,7 @@ guessing at their layout.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, cast
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple, cast
 
 from repro.errors import CodecError
 from repro.messaging.messages import (
@@ -261,6 +261,35 @@ def _decode_pairs(pairs: List[Any]) -> SignedBag:
     )
 
 
+def _decode_query(data: Dict[str, Any]) -> Query:
+    """A query's terms, one :class:`TermShape` per distinct layout.
+
+    A pending ECA query is dozens of terms over the same operand schemas,
+    projection and condition; building each through ``Term(...)`` would
+    give every one its own shape, and ``Q<U>`` over the decoded query
+    would lose the sharing a locally built query has.  The first term of
+    a layout is built (and validated) in full; the rest take its shape.
+    """
+    first_of: Dict[Tuple[object, ...], Term] = {}
+    terms: List[Term] = []
+    for item in data["terms"]:
+        if item["$"] != "term":
+            raise CodecError(f"a query holds terms, got tag {item['$']!r}")
+        operands = [decode_value(op) for op in item["operands"]]
+        projection = tuple(item["projection"])
+        condition = decode_value(item["condition"])
+        layout = (tuple(op.schema for op in operands), projection, condition)
+        first = first_of.get(layout)
+        if first is None:
+            first = first_of[layout] = Term(
+                operands, projection, condition, item["coefficient"]
+            )
+            terms.append(first)
+        else:
+            terms.append(first.with_operands(operands, item["coefficient"]))
+    return Query(terms)
+
+
 _DECODERS: Dict[str, Callable[[Dict[str, Any]], object]] = {
     "tuple": lambda d: tuple(decode_value(v) for v in d["items"]),
     "dict": lambda d: {decode_value(k): decode_value(v) for k, v in d["items"]},
@@ -293,7 +322,7 @@ _DECODERS: Dict[str, Callable[[Dict[str, Any]], object]] = {
         decode_value(d["condition"]),
         d["coefficient"],
     ),
-    "query": lambda d: Query([decode_value(t) for t in d["terms"]]),
+    "query": _decode_query,
     "view": lambda d: View(
         d["name"],
         [decode_value(s) for s in d["relations"]],

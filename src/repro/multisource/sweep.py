@@ -174,8 +174,10 @@ class SweepStyle(WarehouseAlgorithm):
         sweep.in_flight = (query_id, operand_index)
         return [(destination, QueryRequest(query_id, hop_query))]
 
-    def _hop_operands_and_condition(self, sweep: _Sweep, operand_index: int):
-        """Shared layout for hop queries and their local corrections."""
+    def _hop_layout(self, sweep: _Sweep, operand_index: int) -> Tuple[List[int], Term]:
+        """Shared layout for hop queries and their local corrections: the
+        operand indices a hop covers, and the hop's term over the bare
+        relations — every binding row's term is that one re-operanded."""
         term = sweep.term
         included = sorted(sweep.covered + [operand_index])
         schemas = [term.operands[i].schema for i in included]
@@ -193,29 +195,41 @@ class SweepStyle(WarehouseAlgorithm):
             for schema in schemas
             for attribute in schema.attributes
         ]
-        return included, conjunction(decidable), projection
+        template = Term(
+            [RelationOperand(schema) for schema in schemas],
+            projection,
+            conjunction(decidable),
+        )
+        return included, template
+
+    def _row_operands(
+        self, sweep: _Sweep, included: List[int], operand_index: int, row, hop_operand
+    ) -> List[object]:
+        """``hop_operand`` at the hop's slot, ``row``'s bindings elsewhere."""
+        operands = []
+        offset = 0
+        for index in included:
+            if index == operand_index:
+                operands.append(hop_operand)
+            else:
+                schema = sweep.term.operands[index].schema
+                values = row[offset : offset + schema.arity]
+                operands.append(BoundOperand(schema, SignedTuple(values)))
+                offset += schema.arity
+        return operands
 
     def _build_hop(self, sweep: _Sweep, operand_index: int) -> Tuple[Query, str]:
-        term = sweep.term
-        relation = term.operands[operand_index].schema
+        relation = sweep.term.operands[operand_index].schema
         destination = self.owners[relation.base]
-        included, condition, projection = self._hop_operands_and_condition(
-            sweep, operand_index
-        )
+        included, template = self._hop_layout(sweep, operand_index)
+        hop_operand = RelationOperand(relation)
         terms: List[Term] = []
         for row, count in sweep.bindings.items():
             sign = 1 if count > 0 else -1
-            operands = []
-            offset = 0
-            for index in included:
-                schema = term.operands[index].schema
-                if index == operand_index:
-                    operands.append(RelationOperand(schema))
-                else:
-                    values = row[offset : offset + schema.arity]
-                    operands.append(BoundOperand(schema, SignedTuple(values)))
-                    offset += schema.arity
-            hop_term = Term(operands, projection, condition, sign)
+            hop_term = template.with_operands(
+                self._row_operands(sweep, included, operand_index, row, hop_operand),
+                sign,
+            )
             terms.extend([hop_term] * abs(count))
         return Query(terms), destination
 
@@ -229,32 +243,21 @@ class SweepStyle(WarehouseAlgorithm):
         Updates not yet received cannot have been seen.  The correction is
         fully bound and evaluated at the warehouse.
         """
-        term = sweep.term
-        relation = term.operands[operand_index].schema
+        relation = sweep.term.operands[operand_index].schema
         interfering = [u for u in self._queue if u.relation == relation.base]
         if not interfering:
             return SignedBag()
-        included, condition, projection = self._hop_operands_and_condition(
-            sweep, operand_index
-        )
+        included, template = self._hop_layout(sweep, operand_index)
         correction = SignedBag()
         for update in interfering:
             signed = update.signed_tuple()
+            hop_operand = BoundOperand(relation, SignedTuple(signed.values))
             for row, count in sweep.bindings.items():
                 sign = -1 if count > 0 else 1  # negated binding sign
-                operands = []
-                offset = 0
-                for index in included:
-                    schema = term.operands[index].schema
-                    if index == operand_index:
-                        operands.append(
-                            BoundOperand(schema, SignedTuple(signed.values))
-                        )
-                    else:
-                        values = row[offset : offset + schema.arity]
-                        operands.append(BoundOperand(schema, SignedTuple(values)))
-                        offset += schema.arity
-                bound_term = Term(operands, projection, condition, sign)
+                bound_term = template.with_operands(
+                    self._row_operands(sweep, included, operand_index, row, hop_operand),
+                    sign,
+                )
                 result = bound_term.evaluate({})
                 for _ in range(abs(count)):
                     # The update's own sign scales the interference.

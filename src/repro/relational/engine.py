@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.errors import ExpressionError
 from repro.relational.bag import SignedBag
-from repro.relational.batch_ops import batch_join, compile_mask
+from repro.relational.batch_ops import MaskFn, batch_join, compile_mask
 from repro.relational.columns import ColumnBatch
 from repro.relational.conditions import (
     Attr,
@@ -41,21 +41,22 @@ from repro.relational.conditions import (
     Condition,
     flatten_conjuncts,
 )
-from repro.relational.expressions import Query, Term
+from repro.relational.expressions import Query, Term, TermShape
 
 Row = Tuple[object, ...]
 State = Mapping[str, SignedBag]
 
 #: One join step of a term plan: the conjuncts to filter by once the step's
-#: operand is joined in, and the (prefix position, local position) key pairs.
-_Step = Tuple[List[Condition], List[Tuple[int, int]]]
+#: operand is joined in, the (prefix position, local position) key pairs,
+#: and the filters compiled to columnar masks.
+_Step = Tuple[List[Condition], List[Tuple[int, int]], List[MaskFn]]
 
 
-def _max_position(conjunct: Condition, term: Term) -> int:
+def _max_position(conjunct: Condition, resolve: Callable[[str], int]) -> int:
     """Largest product-row position the conjunct reads (-1 if none)."""
     highest = -1
     for name in conjunct.attributes():
-        highest = max(highest, term.product.resolve(name))
+        highest = max(highest, resolve(name))
     return highest
 
 
@@ -74,24 +75,30 @@ def _operand_batch(operand, state: State) -> ColumnBatch:
     return ColumnBatch.from_bag(bag, operand.schema.arity)
 
 
-def _term_plan(term: Term) -> Tuple[List[_Step], List[int]]:
+def _term_plan(shape: TermShape) -> List[_Step]:
     """Assign conjuncts to join steps and classify hash-join keys.
 
     Step ``i`` covers product positions ``[0, widths[i])``; each conjunct
     lands at the earliest step where it is decidable.  An attribute
     equality with one side in the joined prefix and one in the new
     operand becomes a hash-join key; everything else is a filter.
-    """
-    offsets: List[int] = []
-    offset = 0
-    for operand in term.operands:
-        offsets.append(offset)
-        offset += operand.schema.arity
-    widths = offsets[1:] + [offset]
 
-    steps: List[_Step] = [([], []) for _ in term.operands]
-    for conjunct in flatten_conjuncts(term.condition):
-        highest = _max_position(conjunct, term)
+    Which operands are bound changes the extents joined, not where a
+    conjunct is decidable, so the plan is built once per shape and kept in
+    ``shape.plan``.
+    """
+    if shape.plan is not None:
+        return shape.plan  # type: ignore[return-value]
+    resolve = shape.product.resolve
+    widths: List[int] = []
+    offset = 0
+    for schema in shape.schemas:
+        offset += schema.arity
+        widths.append(offset)
+
+    steps: List[_Step] = [([], [], []) for _ in shape.schemas]
+    for conjunct in flatten_conjuncts(shape.condition):
+        highest = _max_position(conjunct, resolve)
         step = 0
         while widths[step] <= highest:
             step += 1
@@ -103,8 +110,8 @@ def _term_plan(term: Term) -> Tuple[List[_Step], List[int]]:
             and isinstance(conjunct.right, Attr)
         )
         if is_bridge_equality:
-            left = term.product.resolve(conjunct.left.name)
-            right = term.product.resolve(conjunct.right.name)
+            left = resolve(conjunct.left.name)
+            right = resolve(conjunct.right.name)
             prefix_width = widths[step - 1]
             sides = sorted((left, right))
             if sides[0] < prefix_width <= sides[1]:
@@ -113,35 +120,32 @@ def _term_plan(term: Term) -> Tuple[List[_Step], List[int]]:
                 steps[step][1].append((sides[0], sides[1] - prefix_width))
                 continue
         steps[step][0].append(conjunct)
-    return steps, widths
+        mask = compile_mask(conjunct, resolve)
+        if mask is not None:
+            steps[step][2].append(mask)
+    shape.plan = steps
+    return steps
 
 
 def evaluate_term(term: Term, state: State) -> SignedBag:
     """Evaluate one term with columnar hash joins; equals ``term.evaluate``."""
-    steps, _ = _term_plan(term)
-    resolve = term.product.resolve
+    steps = _term_plan(term.shape)
 
     joined = _operand_batch(term.operands[0], state)
-    filters, _ = steps[0]
-    for conjunct in filters:
-        mask = compile_mask(conjunct, resolve)
-        if mask is not None:
-            joined = joined.compress(mask(joined.columns, len(joined.counts)))
+    for mask in steps[0][2]:
+        joined = joined.compress(mask(joined.columns, len(joined.counts)))
 
     for step in range(1, len(term.operands)):
         if joined.is_empty():
             # The batch is narrower than the full product here, so the
             # projection below could not resolve — but it is empty anyway.
             return SignedBag()
-        filters, keys = steps[step]
+        _, keys, masks = steps[step]
         joined = batch_join(joined, _operand_batch(term.operands[step], state), keys)
-        for conjunct in filters:
-            mask = compile_mask(conjunct, resolve)
-            if mask is not None:
-                joined = joined.compress(mask(joined.columns, len(joined.counts)))
+        for mask in masks:
+            joined = joined.compress(mask(joined.columns, len(joined.counts)))
 
-    positions = [resolve(name) for name in term.projection]
-    return joined.gather_columns(positions).to_bag(term.coefficient)
+    return joined.gather_columns(term.shape.positions).to_bag(term.coefficient)
 
 
 def evaluate_term_scalar(term: Term, state: State) -> SignedBag:
@@ -165,9 +169,9 @@ def evaluate_term_scalar(term: Term, state: State) -> SignedBag:
                 ) from None
             extents.append(list(bag.items()))
 
-    steps, _ = _term_plan(term)
+    steps = _term_plan(term.shape)
     predicates: List[List[Callable[[Row], bool]]] = [
-        [c.bind(term.product) for c in filters] for filters, _ in steps
+        [c.bind(term.product) for c in filters] for filters, _, _ in steps
     ]
 
     # Step 0: the first operand's extent, filtered.
@@ -179,7 +183,7 @@ def evaluate_term_scalar(term: Term, state: State) -> SignedBag:
     # Steps 1..n-1: hash join (or filtered cartesian) with each operand.
     for step in range(1, len(term.operands)):
         extent = extents[step]
-        _, keys = steps[step]
+        keys = steps[step][1]
         filters = predicates[step]
         fresh: List[Tuple[Row, int]] = []
         if keys:
@@ -205,10 +209,10 @@ def evaluate_term_scalar(term: Term, state: State) -> SignedBag:
         if not joined:
             break
 
-    positions = tuple(term.product.resolve(name) for name in term.projection)
+    project = term.shape.project
     result = SignedBag()
     for row, count in joined:
-        result.add(tuple(row[i] for i in positions), count * term.coefficient)
+        result.add(project(row), count * term.coefficient)
     return result
 
 

@@ -15,7 +15,8 @@ is the empty query (the paper's ``Ti<U> = {}`` rule), which is why
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExpressionError
 from repro.relational.bag import SignedBag
@@ -45,9 +46,7 @@ class RelationOperand:
         """The stored relation this occurrence reads from."""
         return self.schema.base
 
-    @property
-    def is_bound(self) -> bool:
-        return False
+    is_bound = False
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RelationOperand) and self.schema == other.schema
@@ -77,9 +76,7 @@ class BoundOperand:
     def source_relation(self) -> str:
         return self.schema.base
 
-    @property
-    def is_bound(self) -> bool:
-        return True
+    is_bound = True
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -98,18 +95,104 @@ class BoundOperand:
 Operand = object  # RelationOperand | BoundOperand
 
 
-class Term:
-    """One ``pi_proj(sigma_cond(~r1 x ... x ~rn))`` with a +/-1 coefficient."""
+class TermShape:
+    """What substitution and negation leave alone, built and checked once.
+
+    The operand schemas, the product's name resolution, the projection
+    with its resolved positions and the validated condition depend only on
+    *which relations* a term ranges over, never on which of them are bound
+    to a tuple or on the sign.  Every term reached from one ``Term(...)``
+    by :meth:`Term.negate`, :meth:`Term.substitute_update` or
+    :meth:`Term.with_operands` holds the same shape object, so ``Q<U>``
+    over a k-term pending query builds k operand tuples and nothing else.
+
+    ``plan`` and ``condition_signature`` are memo slots owned by
+    :mod:`repro.relational.engine` and :mod:`repro.relational.signature`:
+    both are functions of the shape alone and are filled on first use.
+    """
 
     __slots__ = (
-        "operands",
-        "projection",
-        "condition",
-        "coefficient",
+        "schemas",
         "product",
-        "_proj_positions",
+        "projection",
+        "positions",
+        "project",
+        "condition",
+        "source_relation_names",
+        "occurrences",
         "_predicate",
+        "plan",
+        "condition_signature",
     )
+
+    def __init__(
+        self,
+        schemas: Sequence[RelationSchema],
+        projection: Sequence[str],
+        condition: Optional[Condition],
+    ) -> None:
+        self.schemas: Tuple[RelationSchema, ...] = tuple(schemas)
+        self.product = ProductSchema(self.schemas)
+        self.projection: Tuple[str, ...] = tuple(projection)
+        if not self.projection:
+            raise ExpressionError("a term needs a non-empty projection")
+        self.condition: Condition = condition if condition is not None else TrueCondition()
+        # Resolve names eagerly so malformed terms fail at construction
+        # time; the condition's row predicate is bound lazily because most
+        # terms are evaluated (if at all) through the columnar engine,
+        # which compiles masks itself and never calls the predicate.
+        self.positions: Tuple[int, ...] = tuple(
+            self.product.resolve(name) for name in self.projection
+        )
+        for name in self.condition.attributes():
+            self.product.resolve(name)
+        #: Product row -> projected row (always a tuple).
+        self.project: Callable[[Row], Row] = (
+            itemgetter(*self.positions)
+            if len(self.positions) > 1
+            else _single_column(self.positions[0])
+        )
+        self.source_relation_names: Tuple[str, ...] = tuple(
+            schema.base for schema in self.schemas
+        )
+        occurrences: Dict[str, List[int]] = {}
+        for index, base in enumerate(self.source_relation_names):
+            occurrences.setdefault(base, []).append(index)
+        #: Stored relation -> indices of the operands that read it.
+        self.occurrences: Dict[str, Tuple[int, ...]] = {
+            base: tuple(indices) for base, indices in occurrences.items()
+        }
+        self._predicate: Optional[Callable[[Row], bool]] = None
+        self.plan: Optional[object] = None
+        self.condition_signature: Optional[Tuple[object, ...]] = None
+
+    def predicate(self) -> Callable[[Row], bool]:
+        """The condition bound to the product, compiled on first use."""
+        predicate = self._predicate
+        if predicate is None:
+            predicate = self._predicate = self.condition.bind(self.product)
+        return predicate
+
+
+def _single_column(position: int) -> Callable[[Row], Row]:
+    return lambda row: (row[position],)
+
+
+def _check_coefficient(coefficient: int) -> None:
+    if coefficient not in (1, -1):
+        raise ExpressionError(f"term coefficient must be +1 or -1, got {coefficient!r}")
+
+
+class Term:
+    """One ``pi_proj(sigma_cond(~r1 x ... x ~rn))`` with a +/-1 coefficient.
+
+    A term is its operands, its coefficient and a :class:`TermShape`.
+    This constructor is the only place a shape is built (and therefore
+    the only place projection and condition names are validated); terms
+    derived from this one share it by reference.
+    """
+
+    __slots__ = ("operands", "coefficient", "shape")
 
     def __init__(
         self,
@@ -120,30 +203,54 @@ class Term:
     ) -> None:
         if not operands:
             raise ExpressionError("a term needs at least one operand")
-        if coefficient not in (1, -1):
-            raise ExpressionError(f"term coefficient must be +1 or -1, got {coefficient!r}")
+        _check_coefficient(coefficient)
         self.operands: Tuple[Operand, ...] = tuple(operands)
-        self.product = ProductSchema([op.schema for op in self.operands])
-        self.projection: Tuple[str, ...] = tuple(projection)
-        if not self.projection:
-            raise ExpressionError("a term needs a non-empty projection")
-        self.condition: Condition = condition if condition is not None else TrueCondition()
         self.coefficient = coefficient
-        # Resolve names eagerly so malformed terms fail at construction
-        # time; the condition's row predicate is bound lazily because
-        # compensation machinery builds thousands of terms that are
-        # evaluated (if at all) through the columnar engine, which
-        # compiles masks itself and never calls the predicate.
-        self._proj_positions: Tuple[int, ...] = tuple(
-            self.product.resolve(name) for name in self.projection
+        self.shape = TermShape(
+            [op.schema for op in self.operands], projection, condition
         )
-        for name in self.condition.attributes():
-            self.product.resolve(name)
-        self._predicate: Optional[Callable[[Row], bool]] = None
+
+    def _derive(self, operands: Tuple[Operand, ...], coefficient: int) -> "Term":
+        """A term of this term's shape.  Callers guarantee that operand
+        ``i`` ranges over ``shape.schemas[i]``; that is what makes the
+        shape's validation hold for the new term without repeating it."""
+        term = Term.__new__(Term)
+        term.operands = operands
+        term.coefficient = coefficient
+        term.shape = self.shape
+        return term
+
+    def with_operands(self, operands: Sequence[Operand], coefficient: int) -> "Term":
+        """This term's projection and condition over other operands of the
+        same schemas — for callers that build many terms of one layout
+        (one per binding row, one per decoded term)."""
+        new = tuple(operands)
+        schemas = self.shape.schemas
+        if len(new) != len(schemas) or any(
+            op.schema is not schema and op.schema != schema
+            for op, schema in zip(new, schemas)
+        ):
+            raise ExpressionError(
+                f"operands {new!r} do not range over {self.shape.product!r}"
+            )
+        _check_coefficient(coefficient)
+        return self._derive(new, coefficient)
 
     # ------------------------------------------------------------------ #
     # Structure
     # ------------------------------------------------------------------ #
+
+    @property
+    def projection(self) -> Tuple[str, ...]:
+        return self.shape.projection
+
+    @property
+    def condition(self) -> Condition:
+        return self.shape.condition
+
+    @property
+    def product(self) -> ProductSchema:
+        return self.shape.product
 
     @property
     def relation_names(self) -> Tuple[str, ...]:
@@ -153,7 +260,7 @@ class Term:
     @property
     def source_relation_names(self) -> Tuple[str, ...]:
         """Stored relations read, in operand order (duplicates possible)."""
-        return tuple(op.source_relation for op in self.operands)
+        return self.shape.source_relation_names
 
     def free_relations(self) -> Tuple[str, ...]:
         """Names of operands still bound to full base relations."""
@@ -164,7 +271,10 @@ class Term:
 
     def is_fully_bound(self) -> bool:
         """True when no base relation remains — evaluable without the source."""
-        return all(op.is_bound for op in self.operands)
+        for op in self.operands:
+            if not op.is_bound:
+                return False
+        return True
 
     def operand_for(self, relation: str) -> Operand:
         for op in self.operands:
@@ -181,7 +291,7 @@ class Term:
     # ------------------------------------------------------------------ #
 
     def negate(self) -> "Term":
-        return Term(self.operands, self.projection, self.condition, -self.coefficient)
+        return self._derive(self.operands, -self.coefficient)
 
     def substitute_update(
         self, relation: str, signed_tuple: SignedTuple
@@ -206,29 +316,38 @@ class Term:
         ``relation`` but all are already bound (the generalized vanishing
         rule), and raises when it has none.
         """
-        occurrences = [
-            i for i, op in enumerate(self.operands) if op.source_relation == relation
-        ]
-        if not occurrences:
-            raise ExpressionError(f"term does not involve relation {relation!r}")
-        free = [i for i in occurrences if not self.operands[i].is_bound]
+        try:
+            occurrences = self.shape.occurrences[relation]
+        except KeyError:
+            raise ExpressionError(
+                f"term does not involve relation {relation!r}"
+            ) from None
+        return self._substitute(occurrences, signed_tuple, {})
+
+    def _substitute(
+        self,
+        occurrences: Tuple[int, ...],
+        signed_tuple: SignedTuple,
+        bound: Dict[RelationSchema, BoundOperand],
+    ) -> List["Term"]:
+        """:meth:`substitute_update` at the given operand indices, taking
+        the update's bound operand per schema from ``bound`` (and adding
+        it there on first need), so that one ``Q<U>`` validates the tuple
+        once per schema rather than once per term."""
+        operands = self.operands
+        free = [i for i in occurrences if not operands[i].is_bound]
         out: List[Term] = []
         for size in range(1, len(free) + 1):
-            flip = 1 if size % 2 == 1 else -1
+            flip = self.coefficient if size % 2 == 1 else -self.coefficient
             for subset in itertools.combinations(free, size):
-                new_operands = list(self.operands)
+                new_operands = list(operands)
                 for index in subset:
-                    new_operands[index] = BoundOperand(
-                        self.operands[index].schema, signed_tuple
-                    )
-                out.append(
-                    Term(
-                        new_operands,
-                        self.projection,
-                        self.condition,
-                        self.coefficient * flip,
-                    )
-                )
+                    schema = operands[index].schema
+                    operand = bound.get(schema)
+                    if operand is None:
+                        operand = bound[schema] = BoundOperand(schema, signed_tuple)
+                    new_operands[index] = operand
+                out.append(self._derive(tuple(new_operands), flip))
         return out
 
     # ------------------------------------------------------------------ #
@@ -242,6 +361,20 @@ class Term:
         sign (and multiplicity), selection and projection pass signs
         through, and the term's coefficient multiplies the result.
         """
+        shape = self.shape
+        predicate = shape.predicate()
+        result = SignedBag()
+        if self.is_fully_bound():
+            # Appendix D's local evaluation: one candidate row, no source.
+            row = tuple(
+                itertools.chain.from_iterable(op.tuple.values for op in self.operands)
+            )
+            if predicate(row):
+                count = self.coefficient
+                for op in self.operands:
+                    count *= op.tuple.sign
+                result.add(shape.project(row), count)
+            return result
         extents: List[List[Tuple[Row, int]]] = []
         for op in self.operands:
             if op.is_bound:
@@ -254,34 +387,31 @@ class Term:
                         f"state has no relation {op.source_relation!r}"
                     ) from None
                 extents.append(list(bag.items()))
-        result = SignedBag()
-        predicate = self._predicate
-        if predicate is None:
-            predicate = self.condition.bind(self.product)
-            self._predicate = predicate
-        positions = self._proj_positions
+        project = shape.project
         for combo in itertools.product(*extents):
-            row: Row = tuple(itertools.chain.from_iterable(part for part, _ in combo))
+            row = tuple(itertools.chain.from_iterable(part for part, _ in combo))
             if not predicate(row):
                 continue
             count = self.coefficient
             for _, factor in combo:
                 count *= factor
-            result.add(tuple(row[i] for i in positions), count)
+            result.add(project(row), count)
         return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Term):
             return NotImplemented
-        return (
-            self.operands == other.operands
-            and self.projection == other.projection
-            and self.condition == other.condition
-            and self.coefficient == other.coefficient
+        if self.coefficient != other.coefficient or self.operands != other.operands:
+            return False
+        mine, theirs = self.shape, other.shape
+        return mine is theirs or (
+            mine.projection == theirs.projection
+            and mine.condition == theirs.condition
         )
 
     def __hash__(self) -> int:
-        return hash((self.operands, self.projection, self.condition, self.coefficient))
+        shape = self.shape
+        return hash((self.operands, shape.projection, shape.condition, self.coefficient))
 
     def __repr__(self) -> str:
         sign = "" if self.coefficient > 0 else "-"
@@ -319,10 +449,11 @@ class Query:
         by inclusion-exclusion (see :meth:`Term.substitute_update`).
         """
         substituted: List[Term] = []
+        bound: Dict[RelationSchema, BoundOperand] = {}
         for term in self.terms:
-            if relation not in term.source_relation_names:
-                continue
-            substituted.extend(term.substitute_update(relation, signed_tuple))
+            occurrences = term.shape.occurrences.get(relation)
+            if occurrences:
+                substituted.extend(term._substitute(occurrences, signed_tuple, bound))
         return Query(substituted)
 
     # ------------------------------------------------------------------ #
@@ -332,13 +463,22 @@ class Query:
     def is_empty(self) -> bool:
         return not self.terms
 
+    def partition(self) -> Tuple["Query", "Query"]:
+        """``(fully bound, source)`` terms, each in query order: what the
+        warehouse evaluates itself and what it must ship (Appendix D)."""
+        local: List[Term] = []
+        remote: List[Term] = []
+        for term in self.terms:
+            (local if term.is_fully_bound() else remote).append(term)
+        return Query(local), Query(remote)
+
     def fully_bound_terms(self) -> "Query":
         """Terms needing no source access (evaluable at the warehouse)."""
-        return Query(t for t in self.terms if t.is_fully_bound())
+        return self.partition()[0]
 
     def source_terms(self) -> "Query":
         """Terms that reference at least one base relation."""
-        return Query(t for t in self.terms if not t.is_fully_bound())
+        return self.partition()[1]
 
     def term_count(self) -> int:
         return len(self.terms)

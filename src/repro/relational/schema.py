@@ -38,7 +38,7 @@ class RelationSchema:
         Section 4's "multiple occurrences of the same relation").
     """
 
-    __slots__ = ("name", "attributes", "key", "base", "_positions")
+    __slots__ = ("name", "attributes", "key", "base", "_positions", "_hash")
 
     def __init__(
         self,
@@ -77,6 +77,9 @@ class RelationSchema:
             self.key = key_t
         else:
             self.key = None
+        # Immutable after construction, and hashed on every operand
+        # comparison and schema-keyed lookup of the substitution path.
+        self._hash = hash((self.name, self.attributes, self.key, self.base))
 
     @property
     def arity(self) -> int:
@@ -109,8 +112,8 @@ class RelationSchema:
         return attribute in self._positions
 
     def validate_row(self, row: Sequence[Value]) -> Row:
-        """Check arity and return the row as a tuple."""
-        row_t = tuple(row)
+        """Check arity and return the row as a tuple (itself, if it is one)."""
+        row_t = row if type(row) is tuple else tuple(row)
         if len(row_t) != self.arity:
             raise SchemaError(
                 f"row {row_t!r} has arity {len(row_t)}, "
@@ -140,7 +143,7 @@ class RelationSchema:
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, self.attributes, self.key, self.base))
+        return self._hash
 
     def __repr__(self) -> str:
         cols = ", ".join(self.attributes)

@@ -113,12 +113,22 @@ def condition_signature(
 
 
 def term_signature(term: Term) -> Signature:
-    """Canonical form of one term, invariant under operand renaming."""
+    """Canonical form of one term, invariant under operand renaming.
+
+    Projection positions and the condition's signature belong to the
+    term's shape, so they are computed once for all the terms derived
+    from one view term; only the operands and the sign are per term.
+    """
+    shape = term.shape
+    if shape.condition_signature is None:
+        shape.condition_signature = condition_signature(
+            shape.condition, shape.product
+        )
     return (
         "term",
         tuple(_operand_signature(op) for op in term.operands),
-        tuple(term.product.resolve(name) for name in term.projection),
-        condition_signature(term.condition, term.product),
+        shape.positions,
+        shape.condition_signature,
         term.coefficient,
     )
 

@@ -104,6 +104,27 @@ class TestValueRoundTrips:
         for message in messages:
             assert roundtrip(message) == message
 
+    def test_decoded_query_shares_one_shape_per_layout(self):
+        view = make_view()
+        query = view.as_query()
+        for n in range(4):
+            query = query - query.substitute("r1", insert("r1", (n, 2)).signed_tuple())
+        other = View("O", SCHEMAS, ["r1.X"]).substitute(
+            "r2", insert("r2", (2, 5)).signed_tuple()
+        )
+        mixed = query + other
+        again = roundtrip(mixed)
+        assert again == mixed and dumps(again) == dumps(mixed)
+        shapes = {id(term.shape) for term in again.terms}
+        assert len(mixed.terms) > 2 and len(shapes) == 2
+        assert again.terms[-1].shape is not again.terms[0].shape
+
+    def test_query_of_non_terms_refused(self):
+        with pytest.raises(CodecError):
+            decode_value({"$": "query", "terms": [{"$": "true"}]})
+        with pytest.raises(CodecError):
+            decode_value({"$": "query", "terms": [3]})
+
     def test_unencodable_value_raises(self):
         with pytest.raises(CodecError):
             dumps(object())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExpressionError
+from repro.errors import ExpressionError, SchemaError
 from repro.relational.bag import SignedBag
 from repro.relational.conditions import Attr, Comparison
 from repro.relational.expressions import (
@@ -12,7 +12,7 @@ from repro.relational.expressions import (
     Term,
     empty_query,
 )
-from repro.relational.schema import RelationSchema
+from repro.relational.schema import ProductSchema, RelationSchema
 from repro.relational.tuples import MINUS, PLUS, SignedTuple
 
 
@@ -54,8 +54,6 @@ class TestOperands:
         assert op.tuple.values == (2, 3)
 
     def test_bound_operand_validates_arity(self, r2):
-        from repro.errors import SchemaError
-
         with pytest.raises(SchemaError):
             BoundOperand(r2, SignedTuple((1,)))
 
@@ -83,10 +81,20 @@ class TestTermConstruction:
             Term([RelationOperand(r1)], ("W",), coefficient=2)
 
     def test_rejects_unknown_projection(self, r1):
-        from repro.errors import SchemaError
-
         with pytest.raises(SchemaError):
             Term([RelationOperand(r1)], ("Nope",))
+
+    @pytest.mark.parametrize(
+        "projection, condition",
+        [
+            (("X",), None),  # ambiguous: r1.X and r2.X
+            (("W",), Comparison(Attr("Nope"), "=", Attr("W"))),
+            (("W",), Comparison(Attr("X"), "=", Attr("Y"))),  # ambiguous X
+        ],
+    )
+    def test_rejects_unresolvable_names_eagerly(self, r1, r2, projection, condition):
+        with pytest.raises(SchemaError):
+            Term([RelationOperand(r1), RelationOperand(r2)], projection, condition)
 
     def test_structure_accessors(self, r1, r2):
         term = join_term(r1, r2)
@@ -120,6 +128,10 @@ class TestSubstitution:
     def test_substitution_preserves_coefficient(self, r1, r2):
         term = join_term(r1, r2, coefficient=-1)
         assert bind(term, "r1", SignedTuple((1, 2))).coefficient == -1
+
+    def test_query_substitute_rejects_wrong_arity_tuple(self, r1, r2):
+        with pytest.raises(SchemaError):
+            Query([join_term(r1, r2)]).substitute("r1", SignedTuple((1, 2, 3)))
 
     def test_query_substitute_all_same_relation_vanishes(self, r1, r2):
         query = Query([join_term(r1, r2)])
@@ -211,6 +223,7 @@ class TestQueryAlgebra:
         q = Query([full, bound])
         assert q.source_terms().term_count() == 1
         assert q.fully_bound_terms().term_count() == 1
+        assert q.partition() == (Query([bound]), Query([full]))
 
     def test_query_minus_cancels_on_evaluation(self, r1, r2):
         state = {
@@ -226,3 +239,67 @@ class TestQueryAlgebra:
         assert a != empty_query()
         assert "pi" in repr(a)
         assert "empty" in repr(empty_query())
+
+
+class TestSharedShape:
+    """Derived terms share the shape their ``Term(...)`` ancestor built."""
+
+    def test_negation_and_substitution_keep_the_shape(self, r1, r2):
+        term = join_term(r1, r2)
+        query = Query([term])
+        delta = query.substitute("r1", SignedTuple((1, 2)))
+        derived = [
+            term.negate(),
+            bind(term, "r2", SignedTuple((2, 3))),
+            *(query - delta).terms,
+            *(-delta).terms,
+        ]
+        assert all(t.shape is term.shape for t in derived)
+        assert derived[0] == join_term(r1, r2, coefficient=-1)
+        assert hash(derived[0]) == hash(join_term(r1, r2, coefficient=-1))
+
+    def test_thousand_substitutions_build_one_product_schema(
+        self, r1, r2, monkeypatch
+    ):
+        built = []
+        original = ProductSchema.__init__
+
+        def counting(self, schemas):
+            built.append(self)
+            original(self, schemas)
+
+        monkeypatch.setattr(ProductSchema, "__init__", counting)
+        query = Query([join_term(r1, r2)])
+        for n in range(1000):
+            delta = query.substitute("r1", SignedTuple((n, 2)))
+            assert (query - delta).term_count() == 2
+        assert len(built) == 1
+
+    def test_one_substitution_binds_one_operand_per_schema(self, r1, r2):
+        query = Query([join_term(r1, r2), join_term(r1, r2, coefficient=-1)])
+        delta = query.substitute("r1", SignedTuple((1, 2)))
+        assert delta.terms[0].operands[0] is delta.terms[1].operands[0]
+
+        a, b = r1.aliased("a"), r1.aliased("b")
+        pair = Term([RelationOperand(a), RelationOperand(b)], ("a.W", "b.W"))
+        both = pair.substitute_update("r1", SignedTuple((1, 2)))[-1]
+        assert [op.schema for op in both.operands] == [a, b]
+
+    def test_with_operands_shares_the_shape(self, r1, r2):
+        term = join_term(r1, r2)
+        operands = [
+            BoundOperand(RelationSchema("r1", ("W", "X")), SignedTuple((1, 2))),
+            RelationOperand(r2),
+        ]
+        derived = term.with_operands(operands, -1)
+        assert derived.shape is term.shape
+        assert derived == Term(operands, term.projection, term.condition, -1)
+
+    def test_with_operands_rejects_other_schemas(self, r1, r2):
+        term = join_term(r1, r2)
+        with pytest.raises(ExpressionError):
+            term.with_operands([RelationOperand(r2), RelationOperand(r1)], 1)
+        with pytest.raises(ExpressionError):
+            term.with_operands([RelationOperand(r1)], 1)
+        with pytest.raises(ExpressionError):
+            term.with_operands(term.operands, 0)

@@ -50,6 +50,8 @@ class TestRelationSchema:
     def test_validate_row(self):
         schema = RelationSchema("r", ("A", "B"))
         assert schema.validate_row([1, 2]) == (1, 2)
+        row = (1, 2)
+        assert schema.validate_row(row) is row
         with pytest.raises(SchemaError):
             schema.validate_row((1,))
         with pytest.raises(SchemaError):
