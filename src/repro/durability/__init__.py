@@ -19,6 +19,7 @@ from repro.durability.codec import (
     dumps,
     dumps_algorithm,
     encode_algorithm,
+    encode_text,
     encode_value,
     loads,
     loads_algorithm,
@@ -49,6 +50,7 @@ __all__ = [
     "dumps",
     "dumps_algorithm",
     "encode_algorithm",
+    "encode_text",
     "encode_value",
     "loads",
     "loads_algorithm",

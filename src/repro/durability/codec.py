@@ -17,12 +17,28 @@ on this.
 The envelope produced by :func:`dumps` carries :data:`CODEC_VERSION`;
 :func:`loads` refuses payloads from a different version rather than
 guessing at their layout.
+
+:func:`encode_value` *defines* the format; :func:`encode_text` is what
+writes it.  Both yield the same bytes, but the text path keeps the
+rendering of the two values that are large and outlive many writes — a
+pending :class:`Query` and a view's contents — with the value, so a
+snapshot taken while 65 queries wait re-renders none of them.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple, cast
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Tuple,
+    cast,
+)
 
 from repro.errors import CodecError
 from repro.messaging.messages import (
@@ -68,9 +84,12 @@ CODEC_VERSION = 3
 _PRIMITIVES = (str, int, float, bool, type(None))
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def canonical_json(payload: object) -> str:
     """Serialize already-encoded JSON data to its canonical byte form."""
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    return _ENCODER.encode(payload)
 
 
 # --------------------------------------------------------------------- #
@@ -230,6 +249,121 @@ def _encode_message(message: Message) -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------- #
+# Canonical text
+# --------------------------------------------------------------------- #
+
+
+def splice(fields: Mapping[str, str]) -> str:
+    """The canonical text of a JSON object, given the canonical text of
+    each of its values: what :func:`canonical_json` makes of the parsed
+    values, without parsing or dumping any of them."""
+    return "{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}"
+
+
+def _tagged(tag: str, **fields: str) -> str:
+    return splice({"$": f'"{tag}"', **fields})
+
+
+def _array(items: Iterable[str]) -> str:
+    return f"[{','.join(items)}]"
+
+
+def encode_text(value: object) -> str:
+    """``canonical_json(encode_value(value))``, byte for byte.
+
+    A :class:`Query` is immutable and a view's contents change only
+    through :class:`MaterializedView`'s three writers, so their text is
+    rendered once and kept with the object (``Query.encoded``,
+    ``MaterializedView.encoded_contents``).  The containers and messages
+    that can hold one are spliced around that text; every other value is
+    a leaf and goes through :func:`encode_value` and the C encoder as
+    before.
+    """
+    if isinstance(value, Query):
+        return _query_text(value)
+    if isinstance(value, dict):
+        items = (_array((encode_text(k), encode_text(v))) for k, v in value.items())
+        return _tagged("dict", items=_array(items))
+    if isinstance(value, list):
+        return _array(map(encode_text, value))
+    if isinstance(value, tuple):
+        return _tagged("tuple", items=_array(map(encode_text, value)))
+    if isinstance(value, MaterializedView):
+        return _tagged(
+            "mv", contents=_contents_text(value), view=encode_text(value.view)
+        )
+    if isinstance(value, QueryRequest):
+        return _tagged(
+            "msg.query",
+            id=canonical_json(value.query_id),
+            query=_query_text(value.query),
+        )
+    if isinstance(value, ShardEnvelope):
+        return _tagged(
+            "msg.envelope",
+            destination=canonical_json(value.destination),
+            request=encode_text(value.request),
+        )
+    return canonical_json(encode_value(value))
+
+
+def _query_text(query: Query) -> str:
+    text = query.encoded
+    if text is None:
+        text = query.encoded = _tagged(
+            "query", terms=_array(map(_term_text, query.terms))
+        )
+    return text
+
+
+#: Stands where a term's own text goes in its shape's template.  It
+#: cannot occur in canonical JSON, which escapes control characters.
+_HOLE = "\0"
+
+
+def _term_text(term: Term) -> str:
+    """A term is its shape's text — every operand's schema, the condition
+    and the projection, rendered once per :class:`TermShape` — around
+    what is the term's own: the bound tuples and the coefficient."""
+    shape = term.shape
+    template = shape.encoded
+    if template is None:
+        schemas = [encode_text(schema) for schema in shape.schemas]
+        template = shape.encoded = (
+            _tagged(
+                "term",
+                coefficient=_HOLE,
+                condition=encode_text(shape.condition),
+                operands=_array([_HOLE]),
+                projection=encode_text(list(shape.projection)),
+            ).split(_HOLE),
+            [_tagged("rel", schema=schema) for schema in schemas],
+            [
+                _tagged("bound", schema=schema, tuple=_HOLE).split(_HOLE)
+                for schema in schemas
+            ],
+        )
+    (head, middle, tail), free, bound = template
+    operands = ",".join(
+        f"{bound[i][0]}{canonical_json(encode_value(operand.tuple))}{bound[i][1]}"
+        if operand.is_bound
+        else free[i]
+        for i, operand in enumerate(term.operands)
+    )
+    return f"{head}{canonical_json(term.coefficient)}{middle}{operands}{tail}"
+
+
+def _contents_text(mv: MaterializedView) -> str:
+    """The ``[[row, multiplicity], ...]`` list both the ``mv`` form and an
+    algorithm snapshot's ``bag`` hold."""
+    text = mv.encoded_contents
+    if text is None:
+        pairs = [[encode_value(row), count] for row, count in mv.contents_pairs()]
+        text = mv.encoded_contents = canonical_json(pairs)
+    return text
+
+
+# --------------------------------------------------------------------- #
 # Decoding
 # --------------------------------------------------------------------- #
 
@@ -355,6 +489,10 @@ _DECODERS: Dict[str, Callable[[Dict[str, Any]], object]] = {
 # --------------------------------------------------------------------- #
 
 
+def _envelope(data: str) -> str:
+    return splice({"v": canonical_json(CODEC_VERSION), "data": data})
+
+
 def dumps(value: object, validate: bool = False) -> str:
     """Encode to a canonical, versioned JSON string.
 
@@ -362,7 +500,7 @@ def dumps(value: object, validate: bool = False) -> str:
     :class:`CodecError` unless the bytes match — catching any value that
     would not survive persistence *before* it is written.
     """
-    text = canonical_json({"v": CODEC_VERSION, "data": encode_value(value)})
+    text = _envelope(encode_text(value))
     if validate and dumps(loads(text)) != text:
         raise CodecError(f"round-trip validation failed for {value!r}")
     return text
@@ -389,39 +527,41 @@ def loads(text: str) -> object:
 # --------------------------------------------------------------------- #
 
 
-def encode_algorithm(algorithm: WarehouseAlgorithm) -> Dict[str, object]:
-    """Encode a live warehouse algorithm (any protocol family) to tagged
-    JSON data: the view definition(s), the materialized contents, the
+def encode_algorithm(algorithm: WarehouseAlgorithm) -> str:
+    """Canonical text of a live warehouse algorithm (any protocol
+    family): the view definition(s), the materialized contents, the
     constructor options, and the full pending protocol state.
 
     Dispatch is on the algorithm's ``codec_tag`` class attribute — the
     routed protocol made every registry family (single- or multi-source)
     share the generic ``algo`` envelope, with owners and other
-    constructor options carried by ``durable_config()``.
+    constructor options carried by ``durable_config()``.  The payload
+    :func:`decode_algorithm` takes is ``json.loads`` of this text.
     """
     if getattr(algorithm, "codec_tag", "algo") == "algo.catalog":
         catalog = cast("WarehouseCatalog", algorithm)
-        return {
-            "$": "algo.catalog",
-            "share": catalog.share_compensation,
-            "members": [
-                [name, encode_algorithm(member)]
-                for name, member in catalog.algorithms.items()
-            ],
-            "pending": encode_value(catalog.pending_state()),
-        }
-    return {
-        "$": "algo",
-        "name": algorithm.name,
-        "view": encode_value(algorithm.view),
-        "mv": encode_value(algorithm.mv.as_bag()),
-        "config": encode_value(algorithm.durable_config()),
-        "pending": encode_value(algorithm.pending_state()),
-    }
+        members = (
+            _array((canonical_json(name), encode_algorithm(member)))
+            for name, member in catalog.algorithms.items()
+        )
+        return _tagged(
+            "algo.catalog",
+            share=canonical_json(catalog.share_compensation),
+            members=_array(members),
+            pending=encode_text(catalog.pending_state()),
+        )
+    return _tagged(
+        "algo",
+        name=canonical_json(algorithm.name),
+        view=encode_text(algorithm.view),
+        mv=_tagged("bag", pairs=_contents_text(algorithm.mv)),
+        config=encode_text(algorithm.durable_config()),
+        pending=encode_text(algorithm.pending_state()),
+    )
 
 
 def decode_algorithm(data: Dict[str, Any]) -> WarehouseAlgorithm:
-    """Rebuild a live algorithm from :func:`encode_algorithm` output."""
+    """Rebuild a live algorithm from a parsed :func:`encode_algorithm` payload."""
     from repro.core.registry import create_algorithm
     from repro.warehouse.catalog import WarehouseCatalog
 
@@ -462,7 +602,7 @@ def dumps_algorithm(algorithm: WarehouseAlgorithm, validate: bool = True) -> str
     re-encode to the same bytes, which covers view contents, pending
     queries, and every algorithm-specific buffer.
     """
-    text = canonical_json({"v": CODEC_VERSION, "data": encode_algorithm(algorithm)})
+    text = _envelope(encode_algorithm(algorithm))
     if validate:
         twin = loads_algorithm(text)
         if dumps_algorithm(twin, validate=False) != text:

@@ -5,8 +5,12 @@ Layout of a WAL directory:
 - ``wal.jsonl`` — one record per line, in LSN order.  Each line is the
   canonical JSON of ``{"lsn", "type", "data", "crc"}``, where ``crc`` is
   the CRC-32 of the canonical JSON of the record *without* the crc field.
-  Because the codec's canonical form is deterministic, re-encoding on
-  read reproduces the exact bytes the CRC was computed over.
+  The writer renders every field once and takes the CRC over the very
+  text it then writes, ``crc`` spliced in at its sorted position; the
+  reader cuts the field back out of the bytes it read and checks those,
+  so the checksum vouches for the file, not for a re-encoding of what
+  was parsed from it.  A line that parses but is not laid out this way
+  (reformatted, reordered, padded) is as invalid as one whose CRC fails.
 - ``snapshot-<lsn>.json`` — a full algorithm snapshot taken after the
   record with that LSN, same CRC scheme, written atomically (temp file +
   rename) so a crash mid-snapshot can never leave a half-written file
@@ -37,10 +41,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, cast
 
-from repro.durability.codec import canonical_json, encode_algorithm
+from repro.durability.codec import canonical_json, encode_algorithm, splice
 from repro.errors import RecoveryError, WalCorruption, WalLocked
 
 if TYPE_CHECKING:
@@ -51,6 +56,7 @@ WAL_FILENAME = "wal.jsonl"
 LOCK_FILENAME = "wal.lock"
 SNAPSHOT_PREFIX = "snapshot-"
 SNAPSHOT_SUFFIX = ".json"
+TEMP_SUFFIX = ".tmp"
 
 #: Record types (the warehouse's event vocabulary).
 RECV = "recv"
@@ -58,29 +64,52 @@ SEND = "send"
 EVENT = "event"
 
 
-def _crc(payload: Dict[str, object]) -> int:
-    return zlib.crc32(canonical_json(payload).encode("utf-8"))
+def _seal(fields: Dict[str, str]) -> str:
+    """The canonical line/file body of a record whose fields are already
+    canonical text, with the CRC of that text spliced in as ``crc``."""
+    crc = zlib.crc32(splice(fields).encode("utf-8"))
+    return splice({**fields, "crc": str(crc)})
 
 
-def _seal(payload: Dict[str, object]) -> str:
-    """Attach the CRC and render the canonical line/file body."""
-    sealed = dict(payload)
-    sealed["crc"] = _crc(payload)
-    return canonical_json(sealed)
+#: Where ``crc`` sorts among a sealed payload's keys: first in a log
+#: record (``crc`` < ``data``), second to last in a snapshot
+#: (``algo`` < ``crc`` < ``lsn``).
+_CRC_AT_HEAD = re.compile(r'\{"crc":([0-9]+),')
+_CRC_AT_TAIL = re.compile(r',"crc":([0-9]+)(,"lsn":[0-9]+\})')
 
 
 def _unseal(text: str) -> Optional[Dict[str, object]]:
-    """Parse and CRC-check one sealed payload; None when invalid."""
+    """CRC-check one sealed payload as read, then parse it; None when
+    invalid."""
+    found = _CRC_AT_HEAD.match(text)
+    if found is not None:
+        unsigned = "{" + text[found.end() :]
+    else:
+        cut = text.rfind(',"crc":')
+        found = _CRC_AT_TAIL.fullmatch(text, cut) if cut >= 0 else None
+        if found is None:
+            return None
+        unsigned = text[:cut] + found.group(2)
+    if zlib.crc32(unsigned.encode("utf-8")) != int(found.group(1)):
+        return None
     try:
         record = json.loads(text)
     except json.JSONDecodeError:
         return None
-    if not isinstance(record, dict) or "crc" not in record:
+    if not isinstance(record, dict):
         return None
-    crc = record.pop("crc")
-    if _crc(record) != crc:
-        return None
+    del record["crc"]
     return record
+
+
+def _record_line(lsn: object, record_type: object, data: object) -> str:
+    return _seal(
+        {
+            "lsn": canonical_json(lsn),
+            "type": canonical_json(record_type),
+            "data": canonical_json(data),
+        }
+    )
 
 
 def _lsn_of(record: Dict[str, object]) -> int:
@@ -131,8 +160,9 @@ class WriteAheadLog:
         Reopening a directory with an existing log resumes its LSN
         sequence (this is how the recovered warehouse continues logging).
     fsync:
-        ``True`` forces ``os.fsync`` after every append — real crash
-        safety at real cost (the WAL-overhead benchmark quantifies it).
+        ``True`` forces ``os.fsync`` after every append, and of the
+        directory after every rename — real crash safety at real cost
+        (the WAL-overhead benchmark quantifies it).
         The default flushes to the OS only, which is what the in-process
         crash injection needs.
     snapshot_every:
@@ -169,6 +199,12 @@ class WriteAheadLog:
         self.appended = 0  # records written by this handle (for metrics)
         self.snapshots_taken = 0
         try:
+            # A crash between writing a temp file and renaming it leaves
+            # the temp behind; nothing reads it, so nothing else would
+            # ever delete it.
+            for name in os.listdir(directory):
+                if name.endswith(TEMP_SUFFIX):
+                    os.remove(os.path.join(directory, name))
             if os.path.exists(self._path):
                 records, torn = read_records(directory)
                 if records:
@@ -244,7 +280,7 @@ class WriteAheadLog:
     def append(self, record_type: str, data: object) -> int:
         """Append one record (``data`` is already-encoded tagged JSON)."""
         self._lsn += 1
-        line = _seal({"lsn": self._lsn, "type": record_type, "data": data})
+        line = _record_line(self._lsn, record_type, data)
         self._file.write(line + "\n")
         self._file.flush()
         if self.fsync:
@@ -272,15 +308,10 @@ class WriteAheadLog:
         file is removed and the log truncated.
         """
         lsn = self._lsn
-        body = _seal({"lsn": lsn, "algo": encode_algorithm(algorithm)})
-        final = os.path.join(self.directory, _snapshot_name(lsn))
-        temp = final + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(body + "\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        os.replace(temp, final)
+        body = _seal(
+            {"lsn": canonical_json(lsn), "algo": encode_algorithm(algorithm)}
+        )
+        self._install(os.path.join(self.directory, _snapshot_name(lsn)), body + "\n")
         for old in _snapshot_lsns(self.directory):
             if old != lsn:
                 os.remove(os.path.join(self.directory, _snapshot_name(old)))
@@ -307,23 +338,31 @@ class WriteAheadLog:
 
     def _rewrite(self, records: List[Dict[str, object]]) -> None:
         """Atomically replace ``wal.jsonl`` with exactly these records."""
-        temp = self._path + ".tmp"
+        lines = [
+            _record_line(record["lsn"], record["type"], record["data"]) + "\n"
+            for record in records
+        ]
+        self._install(self._path, "".join(lines))
+
+    def _install(self, final: str, text: str) -> None:
+        """Make ``final`` hold exactly ``text``, atomically (temp file +
+        rename).  Under ``fsync`` the directory is flushed too, so the
+        rename is on disk before whatever the caller does next on the
+        strength of it (removing the older snapshot, truncating the log).
+        """
+        temp = final + TEMP_SUFFIX
         with open(temp, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(
-                    _seal(
-                        {
-                            "lsn": record["lsn"],
-                            "type": record["type"],
-                            "data": record["data"],
-                        }
-                    )
-                    + "\n"
-                )
+            handle.write(text)
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
-        os.replace(temp, self._path)
+        os.replace(temp, final)
+        if self.fsync:
+            fd = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     def close(self) -> None:
         if not self._file.closed:

@@ -48,9 +48,9 @@ _TAG_ZSTD = 2
 def _dump_message(message: Message) -> bytes:
     # Imported lazily: repro.durability.codec imports messaging.messages,
     # so a module-level import here would be circular.
-    from repro.durability.codec import canonical_json, encode_value
+    from repro.durability.codec import encode_text
 
-    return canonical_json(encode_value(message)).encode("utf-8")
+    return encode_text(message).encode("utf-8")
 
 
 def _load_message(data: object) -> Message:

@@ -106,9 +106,10 @@ class TermShape:
     :meth:`Term.with_operands` holds the same shape object, so ``Q<U>``
     over a k-term pending query builds k operand tuples and nothing else.
 
-    ``plan`` and ``condition_signature`` are memo slots owned by
-    :mod:`repro.relational.engine` and :mod:`repro.relational.signature`:
-    both are functions of the shape alone and are filled on first use.
+    ``plan``, ``condition_signature`` and ``encoded`` are memo slots
+    owned by :mod:`repro.relational.engine`,
+    :mod:`repro.relational.signature` and :mod:`repro.durability.codec`:
+    all three are functions of the shape alone and are filled on first use.
     """
 
     __slots__ = (
@@ -123,6 +124,7 @@ class TermShape:
         "_predicate",
         "plan",
         "condition_signature",
+        "encoded",
     )
 
     def __init__(
@@ -165,6 +167,7 @@ class TermShape:
         self._predicate: Optional[Callable[[Row], bool]] = None
         self.plan: Optional[object] = None
         self.condition_signature: Optional[Tuple[object, ...]] = None
+        self.encoded: Optional[Tuple[object, ...]] = None
 
     def predicate(self) -> Callable[[Row], bool]:
         """The condition bound to the product, compiled on first use."""
@@ -421,12 +424,18 @@ class Term:
 
 
 class Query:
-    """A sum of terms, the unit shipped from warehouse to source."""
+    """A sum of terms, the unit shipped from warehouse to source.
 
-    __slots__ = ("terms",)
+    Immutable once built, which is what lets ``encoded`` — a memo slot
+    owned by :mod:`repro.durability.codec`, filled the first time the
+    query is put on the wire or in a snapshot — stand for it ever after.
+    """
+
+    __slots__ = ("terms", "encoded")
 
     def __init__(self, terms: Iterable[Term] = ()) -> None:
         self.terms: Tuple[Term, ...] = tuple(terms)
+        self.encoded: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Algebra

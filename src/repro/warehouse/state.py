@@ -39,6 +39,11 @@ class MaterializedView:
         #: The serving tier turns these into precise cache invalidations;
         #: the initial contents are not dirty (caches start empty).
         self._dirty: Set[Row] = set()
+        #: Canonical text of the contents: a memo slot owned by
+        #: :mod:`repro.durability.codec`, filled when a snapshot renders
+        #: them and dropped by every write below, so that a view which
+        #: did not change between two snapshots is not rendered twice.
+        self.encoded_contents: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -116,6 +121,7 @@ class MaterializedView:
                     clamped.add(row, count)
             updated = clamped
         self._contents = updated
+        self.encoded_contents = None
         for row, _ in delta.items():
             self._dirty.add(row)
 
@@ -130,6 +136,7 @@ class MaterializedView:
         for row, _ in (contents - self._contents).items():
             self._dirty.add(row)
         self._contents = contents.copy()
+        self.encoded_contents = None
 
     def key_delete(self, relation: str, values: Sequence[object]) -> int:
         """The ``key-delete(MV, r, t)`` operation of Section 5.4.
@@ -138,6 +145,7 @@ class MaterializedView:
         ``relation``'s key equal the key of ``values``.  Returns the number
         of tuple occurrences removed.
         """
+        self.encoded_contents = None
         return key_delete(
             self._contents, self.view, relation, values, dirtied=self._dirty
         )

@@ -5,32 +5,46 @@ encodings, and every encoding decodes back to an equal live object — for
 plain values, messages, and whole algorithms mid-protocol.
 """
 
+import json
+import os
+
 import pytest
 
 from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.core.stored_copies import StoredCopies
 from repro.durability import (
     CODEC_VERSION,
+    EVENT,
+    WriteAheadLog,
+    codec,
+    decode_algorithm,
     decode_value,
     dumps,
     dumps_algorithm,
+    encode_text,
     encode_value,
     loads,
     loads_algorithm,
+    read_latest_snapshot,
 )
+from repro.durability.wal import _snapshot_name
 from repro.errors import CodecError
 from repro.messaging.messages import (
     QueryAnswer,
     QueryRequest,
     RefreshRequest,
+    ShardEnvelope,
     UpdateNotification,
 )
+from repro.messaging.wire import create_codec
 from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
+from repro.relational.expressions import Query
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
 from repro.source.memory import MemorySource
-from repro.source.updates import insert
+from repro.source.updates import delete, insert
+from repro.warehouse.state import MaterializedView
 
 SCHEMAS = [
     RelationSchema("r1", ("W", "X"), key=("W",)),
@@ -194,6 +208,126 @@ class TestAlgorithmRoundTrips:
                     '"name":"eca"', '"name":"nope"'
                 )
             )
+
+
+def reference_text(value):
+    """The definition: the tagged form through the stock JSON encoder."""
+    return json.dumps(encode_value(value), separators=(",", ":"), sort_keys=True)
+
+
+def compensating_query():
+    """Three terms of one shape: unbound, one operand bound, negated."""
+    view = make_view()
+    query = view.as_query()
+    bound = query.substitute("r1", insert("r1", (7, 2)).signed_tuple())
+    return query + bound - bound.substitute("r2", insert("r2", (2, 8)).signed_tuple())
+
+
+class TestEncodeOnce:
+    """``encode_text`` is ``canonical_json(encode_value(x))`` that keeps
+    what it rendered: a query's text with the query, a view's contents
+    with the view.  Same bytes; the work is what these tests count."""
+
+    def count_calls(self, monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_text_path_equals_the_definition(self):
+        query = compensating_query()
+        _, request = algorithm_mid_protocol("eca").pending_requests()[0]
+        mv = MaterializedView(make_view(), SignedBag.from_rows([(1, 5), (1, 5), (2, 6)]))
+        values = [
+            None, True, 1, -1, 2.5, "t\u00e9xt\"", (), [], {},
+            (1, [2, (3,)], {"k": (4,)}),
+            {1: query, "nested": [query, (query, {2: query})], (1, 2): None},
+            query, compensating_query().terms[1], make_view(), mv, [mv, {"mv": mv}],
+            SignedBag.from_rows([(1, 2)]), insert("r1", (9, 9)).signed_tuple(),
+            UpdateNotification(insert("r1", (9, 9)), 4),
+            request, QueryRequest(7, query), ShardEnvelope("s", QueryRequest(7, query)),
+            QueryAnswer(7, SignedBag.from_rows([(9, 5)])), RefreshRequest(2),
+        ]
+        for value in values:
+            expected = reference_text(value)
+            assert encode_text(value) == expected  # cold
+            assert encode_text(value) == expected  # from the memo
+        assert encode_text(Query()) == reference_text(Query())
+        with pytest.raises(CodecError):
+            encode_text({"k": [object()]})
+
+    def test_equal_queries_built_apart_render_alike(self):
+        # The twin shares no shape and no memo with the original.
+        query = compensating_query()
+        twin = loads(dumps(query))
+        assert twin.terms[0].shape is not query.terms[0].shape
+        assert encode_text(twin) == encode_text(query) == reference_text(query)
+
+    def test_pending_query_is_rendered_once_across_twenty_snapshots(
+        self, tmp_path, monkeypatch
+    ):
+        algorithm = algorithm_mid_protocol("eca")
+        (query,) = algorithm.uqs.values()
+        rendered = self.count_calls(monkeypatch, codec, "_term_text")
+        wal = WriteAheadLog(str(tmp_path))
+        for n in range(20):
+            wal.append(EVENT, {"n": n})
+            wal.snapshot(algorithm)
+        wal.close()
+        assert [term for (term,) in rendered] == list(query.terms)
+        _, payload = read_latest_snapshot(str(tmp_path))
+        assert dumps_algorithm(decode_algorithm(payload)) == dumps_algorithm(algorithm)
+
+    def test_wire_frame_and_snapshot_share_one_rendering(self, tmp_path, monkeypatch):
+        algorithm = algorithm_mid_protocol("eca")
+        _, request = algorithm.pending_requests()[0]
+        rendered = self.count_calls(monkeypatch, codec, "_term_text")
+        frame = create_codec("frame").encode(request)
+        assert len(rendered) == len(request.query.terms)
+        assert request.query.encoded.encode("utf-8") in frame
+        wal = WriteAheadLog(str(tmp_path))
+        lsn = wal.snapshot(algorithm)
+        wal.close()
+        assert len(rendered) == len(request.query.terms)
+        with open(os.path.join(str(tmp_path), _snapshot_name(lsn))) as handle:
+            assert request.query.encoded in handle.read()
+
+    def test_view_contents_are_rendered_once_per_version(self, monkeypatch):
+        algorithm = algorithm_mid_protocol("eca")
+        sorted_out = self.count_calls(monkeypatch, MaterializedView, "contents_pairs")
+        first = dumps_algorithm(algorithm, validate=False)
+        assert dumps_algorithm(algorithm, validate=False) == first
+        assert len(sorted_out) == 1
+        algorithm.mv.apply_delta(SignedBag.from_rows([(40, 41)]))
+        second = dumps_algorithm(algorithm, validate=False)
+        assert len(sorted_out) == 2
+        assert second != first and loads_algorithm(second).view_state() == (
+            algorithm.view_state()
+        )
+        assert second == dumps_algorithm(loads_algorithm(second), validate=False)
+
+    @pytest.mark.parametrize("name", ["eca-local", "eca-key"])
+    def test_key_delete_and_replace_reach_the_next_snapshot(self, name):
+        """The two writers besides ``apply_delta``: ECA-Local key-deletes
+        from the installed view, ECA-Key installs COLLECT by ``replace``."""
+        source = MemorySource(SCHEMAS, INITIAL)
+        view = make_view()
+        algorithm = create_algorithm(name, view, evaluate_view(view, source.snapshot()))
+        before = dumps_algorithm(algorithm)
+        assert algorithm.mv.encoded_contents is not None
+        update = delete("r1", (1, 2))
+        source.apply_update(update)
+        assert algorithm.on_update("source", UpdateNotification(update, 1)) == []
+        after = dumps_algorithm(algorithm)
+        assert after != before
+        assert loads_algorithm(after).view_state() == evaluate_view(
+            view, source.snapshot()
+        )
 
 
 class TestBagPairs:

@@ -1,5 +1,6 @@
 """Unit tests for the write-ahead log (``repro.durability.wal``)."""
 
+import json
 import os
 
 import pytest
@@ -98,6 +99,49 @@ class TestCorruption:
         assert torn == 1  # the flipped record fails its CRC
         assert [r["data"]["n"] for r in records] == [1]
 
+    def test_reformatted_record_is_rejected(self, tmp_path):
+        """The CRC is over the bytes on disk, not over a re-encoding of
+        what they parse to: the same JSON value laid out differently —
+        padded, or with ``crc`` moved — is not a record this log wrote."""
+        self.write_two(tmp_path)
+        first, second = open(wal_path(tmp_path), encoding="utf-8").read().splitlines()
+        crc, rest = second[1:].split(",", 1)
+        variants = [
+            second.replace(",", ", "),
+            second.replace('"n":2', '"n": 2'),
+            " " + second[:-1] + " }",
+            "{" + rest[:-1] + "," + crc + "}",
+        ]
+        for variant in variants:
+            assert json.loads(variant) == json.loads(second)
+            with open(wal_path(tmp_path), "w", encoding="utf-8") as handle:
+                handle.write(first + "\n" + variant + "\n")
+            records, torn = read_records(str(tmp_path))
+            assert torn == 1, variant
+            assert [r["lsn"] for r in records] == [1]
+            # ... and ahead of a valid record it is damage, not a torn tail.
+            with open(wal_path(tmp_path), "w", encoding="utf-8") as handle:
+                handle.write(variant.replace('"lsn":2', '"lsn":0') + "\n")
+                handle.write(first + "\n")
+            with pytest.raises(WalCorruption):
+                read_records(str(tmp_path))
+
+    def test_reformatted_snapshot_is_rejected(self, tmp_path):
+        _, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append(EVENT, {})
+        lsn = wal.snapshot(algorithm)
+        wal.close()
+        path = os.path.join(str(tmp_path), _snapshot_name(lsn))
+        body = open(path, encoding="utf-8").read()
+        assert read_latest_snapshot(str(tmp_path))[0] == lsn
+        padded = body.replace(',"lsn":', ', "lsn":')
+        assert json.loads(padded) == json.loads(body)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(padded)
+        with pytest.raises(WalCorruption, match=_snapshot_name(lsn)):
+            read_latest_snapshot(str(tmp_path))
+
     def test_non_advancing_lsn_raises(self, tmp_path):
         self.write_two(tmp_path)
         lines = open(wal_path(tmp_path), encoding="utf-8").readlines()
@@ -180,6 +224,114 @@ class TestSnapshots:
             WriteAheadLog(str(tmp_path), snapshot_every=0)
         with pytest.raises(TypeError):
             WriteAheadLog(str(tmp_path), keep_snapshots=1)
+
+
+class TestAtomicInstall:
+    """Temp file + rename: what a crash between the two leaves behind,
+    and what ``fsync=True`` orders on disk."""
+
+    def test_orphaned_temp_files_are_removed_on_open(self, tmp_path):
+        source, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append(EVENT, {"n": 1})
+        lsn = wal.snapshot(algorithm)
+        wal.append(EVENT, {"n": 2})
+        wal.close()
+        # A crash mid-snapshot and one mid-rewrite: half a body each.
+        orphans = [_snapshot_name(lsn + 1) + ".tmp", WAL_FILENAME + ".tmp"]
+        for name in orphans:
+            with open(os.path.join(str(tmp_path), name), "w") as handle:
+                handle.write('{"algo":{"$":"al')
+        before = recover(str(tmp_path))
+        wal = WriteAheadLog(str(tmp_path))
+        assert not [n for n in os.listdir(str(tmp_path)) if n.endswith(".tmp")]
+        assert wal.last_lsn == 2
+        wal.close()
+        after = recover(str(tmp_path))
+        assert (after.snapshot_lsn, after.last_lsn) == (lsn, 2)
+        assert after.algorithm.view_state() == before.algorithm.view_state()
+
+    def test_a_locked_directory_keeps_its_temp_files(self, tmp_path):
+        """The sweep runs under the lock: the temp file of a live
+        writer's snapshot in progress is not an orphan."""
+        wal = WriteAheadLog(str(tmp_path))
+        temp = os.path.join(str(tmp_path), _snapshot_name(1) + ".tmp")
+        open(temp, "w").close()
+        with pytest.raises(WalLocked):
+            WriteAheadLog(str(tmp_path))
+        assert os.path.exists(temp)
+        wal.close()
+
+    def trace_calls(self, monkeypatch):
+        """Record ``fsync``/``replace``/``remove``, naming what each
+        descriptor was opened on."""
+        calls = []
+        opened = {}
+        real_open, real_fsync = os.open, os.fsync
+        real_replace, real_remove = os.replace, os.remove
+
+        def traced_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            opened[fd] = os.path.basename(str(path))
+            return fd
+
+        def traced_fsync(fd):
+            calls.append(("fsync", opened.get(fd, "file")))
+            return real_fsync(fd)
+
+        def traced_replace(src, dst):
+            calls.append(("replace", os.path.basename(dst)))
+            return real_replace(src, dst)
+
+        def traced_remove(path):
+            calls.append(("remove", os.path.basename(path)))
+            return real_remove(path)
+
+        monkeypatch.setattr(os, "open", traced_open)
+        monkeypatch.setattr(os, "fsync", traced_fsync)
+        monkeypatch.setattr(os, "replace", traced_replace)
+        monkeypatch.setattr(os, "remove", traced_remove)
+        return calls
+
+    def test_fsync_orders_the_rename_before_what_depends_on_it(
+        self, tmp_path, monkeypatch
+    ):
+        _, algorithm = fresh_eca()
+        directory = os.path.join(str(tmp_path), "wal")
+        wal = WriteAheadLog(directory, fsync=True)
+        wal.append(EVENT, {})
+        first = wal.snapshot(algorithm)
+        wal.append(EVENT, {})
+        calls = self.trace_calls(monkeypatch)
+        second = wal.snapshot(algorithm)
+        monkeypatch.undo()
+        wal.close()
+        assert calls == [
+            ("fsync", "file"),  # the snapshot's temp file
+            ("replace", _snapshot_name(second)),
+            ("fsync", "wal"),  # the directory: the rename is on disk ...
+            ("remove", _snapshot_name(first)),  # ... before the old one goes
+            ("fsync", "file"),  # the emptied log's temp file
+            ("replace", WAL_FILENAME),
+            ("fsync", "wal"),
+        ]
+
+    def test_without_fsync_no_new_system_call(self, tmp_path, monkeypatch):
+        _, algorithm = fresh_eca()
+        directory = os.path.join(str(tmp_path), "wal")
+        wal = WriteAheadLog(directory)
+        wal.append(EVENT, {})
+        first = wal.snapshot(algorithm)
+        wal.append(EVENT, {})
+        calls = self.trace_calls(monkeypatch)
+        second = wal.snapshot(algorithm)
+        monkeypatch.undo()
+        wal.close()
+        assert calls == [
+            ("replace", _snapshot_name(second)),
+            ("remove", _snapshot_name(first)),
+            ("replace", WAL_FILENAME),
+        ]
 
 
 class TestLocking:

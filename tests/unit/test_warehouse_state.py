@@ -92,6 +92,54 @@ class TestReplace:
             mv.replace(SignedBag({(1,): -1}))
 
 
+class TestEncodedContents:
+    """``encoded_contents`` is the durability codec's rendering of the
+    contents, kept with the view so that an unchanged view is rendered
+    once.  It stands for ``_contents``: every write must drop it."""
+
+    STALE = "[rendered before the write]"
+
+    def rendered(self, view, bag):
+        mv = MaterializedView(view, bag)
+        assert mv.encoded_contents is None
+        mv.encoded_contents = self.STALE
+        return mv
+
+    @pytest.mark.parametrize("policy", ["raise", "clamp", "allow"])
+    def test_apply_delta_drops_it(self, view_w, policy):
+        mv = self.rendered(view_w, SignedBag({(1,): 1}))
+        mv.apply_delta(SignedBag({(2,): 1}), on_negative=policy)
+        assert mv.encoded_contents is None
+
+    @pytest.mark.parametrize("policy", ["clamp", "allow"])
+    def test_apply_delta_through_a_negative_drops_it(self, view_w, policy):
+        mv = self.rendered(view_w, SignedBag({(1,): 1}))
+        mv.apply_delta(SignedBag({(1,): -2}), on_negative=policy)
+        assert mv.encoded_contents is None
+
+    def test_raising_apply_delta_keeps_it_with_the_contents(self, view_w):
+        mv = self.rendered(view_w, SignedBag({(1,): 1}))
+        with pytest.raises(ViewStateError):
+            mv.apply_delta(SignedBag({(1,): -2}))
+        with pytest.raises(ValueError):
+            mv.apply_delta(SignedBag({(2,): 1}), on_negative="no-such-policy")
+        assert mv.as_bag() == SignedBag({(1,): 1})
+        assert mv.encoded_contents == self.STALE
+
+    def test_replace_drops_it(self, view_w):
+        mv = self.rendered(view_w, SignedBag({(1,): 1}))
+        with pytest.raises(ViewStateError):
+            mv.replace(SignedBag({(1,): -1}))
+        assert mv.encoded_contents == self.STALE
+        mv.replace(SignedBag({(2,): 1}))
+        assert mv.encoded_contents is None
+
+    def test_key_delete_drops_it(self, keyed_view):
+        mv = self.rendered(keyed_view, SignedBag.from_rows([(1, 3), (2, 3)]))
+        assert mv.key_delete("r1", (1, 99)) == 1
+        assert mv.encoded_contents is None
+
+
 class TestKeyDelete:
     def test_deletes_matching_key_tuples(self, keyed_view):
         mv = MaterializedView(

@@ -11,6 +11,9 @@ Three surfaces under test:
   batching decisions.
 """
 
+import json
+import zlib
+
 import pytest
 
 from repro.core.eca import ECA
@@ -70,6 +73,35 @@ class TestWireCodecs:
         codec = create_codec(name)
         for message in sample_messages():
             assert codec.decode(codec.encode(message)) == message
+
+    @pytest.mark.parametrize("name", ["frame", "zlib"])
+    def test_payload_is_the_canonical_json_of_the_tagged_form(self, name):
+        """What is framed is ``encode_value`` dumped with sorted keys and
+        no whitespace — however the codec came by that text, and whether
+        or not the message's query was rendered before."""
+        r1, r2 = RelationSchema("r1", ("W", "X")), RelationSchema("r2", ("X", "Y"))
+        view = View.natural_join("v", [r1, r2], projection=("W", "Y"))
+        query = view.as_query()
+        compensating = view.substitute("r1", insert("r1", (1, 2)).signed_tuple())
+        compensating = compensating - query.substitute(
+            "r2", insert("r2", (2, 3)).signed_tuple()
+        )
+        messages = sample_messages() + [
+            QueryRequest(8, compensating),
+            ShardEnvelope("source", QueryRequest(9, compensating)),
+        ]
+        codec = create_codec(name)
+        for message in messages:
+            expected = json.dumps(
+                encode_value(message), separators=(",", ":"), sort_keys=True
+            ).encode("utf-8")
+            for _ in range(2):  # the second encode meets the memo
+                frame = codec.encode(message)
+                payload = frame[HEADER_SIZE:]
+                if name == "zlib":
+                    payload = zlib.decompress(payload)
+                assert payload == expected
+                assert codec.decode(frame) == message
 
     def test_size_is_the_framed_length(self):
         codec = create_codec("frame")

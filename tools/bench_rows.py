@@ -3,9 +3,12 @@
 
 ``bench/compare.py`` judges two ``bench/run.py --traced`` records;
 this prints the same pair as the prose table the handbook keeps — per
-workload the end-to-end rate and, from the traced pass, every layer
-holding at least 5 % of the traced self time on either side — so the
-table is regenerated from committed ``BENCH_<n>.json`` files, not typed.
+workload the end-to-end rate, the second-group end-to-end metrics the
+workload defines (so a durability row shows ``recovery_ms`` beside the
+rate it could have been traded for) and, from the traced pass, every
+layer holding at least 5 % of the traced self time on either side — so
+the table is regenerated from committed ``BENCH_<n>.json`` files, not
+typed.
 
 Usage::
 
@@ -21,6 +24,16 @@ from typing import Dict, List, Sequence
 SUFFIX = ".self_s"
 #: Layers below this share of the traced self time on both sides are left out.
 MIN_SHARE = 0.05
+#: End-to-end rows, in order, for the metrics a workload's record holds:
+#: the rate, then the second-group metrics (``bench/metrics.py``
+#: ``SECONDARY``) that are its counter-metrics.
+END_TO_END = (
+    "updates_per_s",
+    "recovery_ms",
+    "wal_bytes_per_update",
+    "bytes_per_update",
+    "reads_per_s",
+)
 
 
 def layer_seconds(entry: Dict[str, object]) -> Dict[str, float]:
@@ -36,12 +49,19 @@ def layer_seconds(entry: Dict[str, object]) -> Dict[str, float]:
 def rows(a: Dict[str, object], b: Dict[str, object], workload: str) -> List[str]:
     before = a["workloads"][workload]  # type: ignore[index]
     after = b["workloads"][workload]  # type: ignore[index]
-    rate_a = before["end_to_end"]["updates_per_s"]["value"]
-    rate_b = after["end_to_end"]["updates_per_s"]["value"]
-    out = [
-        f"| `{workload}` | `updates_per_s` | {rate_a:.1f} /s | {rate_b:.1f} /s "
-        f"| ×{rate_b / rate_a:.2f} |"
-    ]
+    out: List[str] = []
+    for name in END_TO_END:
+        cell_a = before["end_to_end"].get(name)
+        cell_b = after["end_to_end"].get(name)
+        if cell_a is None or cell_b is None:
+            continue
+        label = "" if out else f" `{workload}`"
+        unit = cell_a["unit"].lstrip("1")  # "1/s" reads as "/s"
+        out.append(
+            f"|{label} | `{name}` | {cell_a['value']:.1f} {unit} "
+            f"| {cell_b['value']:.1f} {unit} "
+            f"| ×{cell_b['value'] / cell_a['value']:.2f} |"
+        )
     layers_a, layers_b = layer_seconds(before), layer_seconds(after)
     total_a, total_b = sum(layers_a.values()), sum(layers_b.values())
     for name in sorted(layers_a, key=lambda n: -layers_a[n]):
