@@ -28,7 +28,6 @@ from repro.core.batch import BatchECA, DeferredECA
 from repro.core.compensation import (
     backdate,
     batch_delta_query,
-    pending_compensation,
     staged_compensation,
 )
 from repro.core.eca import ECA
@@ -55,6 +54,5 @@ __all__ = [
     "backdate",
     "batch_delta_query",
     "create_algorithm",
-    "pending_compensation",
     "staged_compensation",
 ]

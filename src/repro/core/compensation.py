@@ -60,19 +60,6 @@ def batch_delta_query(view: View, updates: Sequence[Update]) -> Query:
     return total
 
 
-def pending_compensation(query: Query, updates: Sequence[Update]) -> Query:
-    """Offset the effect of ``updates`` on an in-flight query.
-
-    The pending query will be evaluated after all of ``updates`` (FIFO
-    deduction), but its answer is *meant* to read as of before them; the
-    correction to ship alongside is ``D(Q, updates) - Q``.
-    """
-    relevant = [u for u in updates if _touches(query, u)]
-    if not relevant:
-        return Query()
-    return backdate(query, relevant) - query
-
-
 def staged_compensation(
     query: Query, batch: Sequence[Update], seen_count: int
 ) -> Query:
@@ -87,8 +74,10 @@ def staged_compensation(
     Each contaminating update's substituted query is backdated against the
     **entire rest of the batch** — including updates the query never saw —
     because the correction's own evaluation happens post-batch.  With
-    ``seen_count == len(batch)`` this is exactly
-    :func:`pending_compensation`'s ``D(Q, batch) - Q``.
+    ``seen_count == len(batch)`` the sum equals ``D(Q, batch) - Q``, the
+    offset for a query that will be evaluated after the whole batch —
+    without the ``+Q``/``-Q`` pair that difference carries when written
+    out (queries never cancel terms, so the pair would be shipped).
     """
     total = Query()
     for index in range(min(seen_count, len(batch))):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.core.compensation import batch_delta_query, pending_compensation
+from repro.core.compensation import batch_delta_query, staged_compensation
 from repro.core.protocol import WarehouseAlgorithm
 from repro.messaging.messages import (
     QueryAnswer,
@@ -84,7 +84,10 @@ class ECA(WarehouseAlgorithm):
         (Lemma B.2 backdating, so each member's incremental query reads as
         of its own source state), and every in-flight query gets one
         compensation ``D(Q_j, batch) - Q_j`` covering all k members at
-        once — k round trips become one.
+        once — k round trips become one.  The compensation is built in
+        its staged form, which never writes ``Q_j`` down: queries do not
+        cancel terms, so a literal ``+Q_j - Q_j`` would ship twice and be
+        compensated again by the next batch, doubling every time.
         """
         updates = [
             n.update for n in batch.notifications if self.relevant(n)
@@ -93,7 +96,7 @@ class ECA(WarehouseAlgorithm):
             return []
         query = batch_delta_query(self.view, updates)
         for pending in self.uqs_queries():
-            query = query + pending_compensation(pending, updates)
+            query = query + staged_compensation(pending, updates, len(updates))
         return self._dispatch(query)
 
     def _dispatch(self, query: Query) -> List[QueryRequest]:

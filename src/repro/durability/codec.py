@@ -46,7 +46,6 @@ from repro.messaging.messages import (
     QueryAnswer,
     QueryRequest,
     RefreshRequest,
-    ShardEnvelope,
     UpdateBatch,
     UpdateNotification,
 )
@@ -238,13 +237,6 @@ def _encode_message(message: Message) -> Dict[str, object]:
                 _encode_message(n) for n in message.notifications
             ],
         }
-    if isinstance(message, ShardEnvelope):
-        # Wire-only (shard -> router leg): never reaches a WAL recv record.
-        return {
-            "$": "msg.envelope",
-            "destination": message.destination,
-            "request": _encode_message(message.request),
-        }
     raise CodecError(f"cannot encode message {message!r}")
 
 
@@ -297,12 +289,6 @@ def encode_text(value: object) -> str:
             "msg.query",
             id=canonical_json(value.query_id),
             query=_query_text(value.query),
-        )
-    if isinstance(value, ShardEnvelope):
-        return _tagged(
-            "msg.envelope",
-            destination=canonical_json(value.destination),
-            request=encode_text(value.request),
         )
     return canonical_json(encode_value(value))
 
@@ -477,9 +463,6 @@ _DECODERS: Dict[str, Callable[[Dict[str, Any]], object]] = {
             cast(UpdateNotification, decode_value(n))
             for n in d["notifications"]
         )
-    ),
-    "msg.envelope": lambda d: ShardEnvelope(
-        d["destination"], cast(QueryRequest, decode_value(d["request"]))
     ),
 }
 

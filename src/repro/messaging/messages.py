@@ -119,28 +119,6 @@ class QueryAnswer(Message):
         return f"QueryAnswer(Q{self.query_id}, {self.answer!r})"
 
 
-class ShardEnvelope(Message):
-    """Shard -> router: "forward this query request to ``destination``".
-
-    In a sharded run the per-shard warehouse actors never talk to the
-    sources directly: each outgoing :class:`QueryRequest` (carrying the
-    shard's *local* query id) is wrapped in an envelope and handed to the
-    router, which multiplexes it onto the global query-id space before
-    shipping it — mirroring how a
-    :class:`~repro.warehouse.catalog.WarehouseCatalog` remaps its member
-    views' ids, one level up.
-    """
-
-    __slots__ = ("destination", "request")
-
-    def __init__(self, destination: str, request: QueryRequest) -> None:
-        self.destination = destination
-        self.request = request
-
-    def __repr__(self) -> str:
-        return f"ShardEnvelope(->{self.destination}, {self.request!r})"
-
-
 class RefreshRequest(Message):
     """Warehouse client -> warehouse: "bring the view up to date".
 

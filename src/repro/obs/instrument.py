@@ -96,8 +96,10 @@ class Observability:
         #: Label *values* every warehouse-side inc/set passes along —
         #: empty on the root, ``{"shard": "<i>"}`` on a shard view.
         self._shard_labels: Dict[str, str] = {}
-        #: Tracer-key namespace separating shard-local query ids.
-        self._trace_ns: Tuple[object, ...] = ()
+        #: The warehouse unit's ``id_slice``: query and answer spans are
+        #: bound under the id the source saw, so the links across the
+        #: source hop resolve from a shard view as they do from the root.
+        self._id_slice: Tuple[int, int] = (0, 1)
         self._events = registry.counter(
             "repro_warehouse_events_total",
             "atomic warehouse events",
@@ -179,7 +181,7 @@ class Observability:
         self._staleness = LiveStaleness()
         self._last_crash_span: Optional[Span] = None
 
-    def shard_view(self, shard: int) -> "Observability":
+    def shard_view(self, shard: int, shards: int = 1) -> "Observability":
         """A per-shard facade over the same tracer and registry.
 
         The copy shares every instrument but stamps ``shard=<i>`` on all
@@ -187,12 +189,16 @@ class Observability:
         per-shard lag between routed and processed updates — meaningful
         even though each shard sees only a sparse subset of the global
         serial order, because :class:`LiveStaleness` is max-serial based).
+        ``shards`` is the plan's shard count: with ``shard`` it is the
+        unit's slice of the query-id space.
         """
         if not self.sharded:
             raise ValueError("shard_view() requires Observability(sharded=True)")
+        if not 0 <= shard < shards:
+            raise ValueError(f"shard {shard} is outside range({shards})")
         view = copy.copy(self)
         view._shard_labels = {"shard": str(shard)}
-        view._trace_ns = (f"shard{shard}",)
+        view._id_slice = (shard, shards)
         view._staleness = LiveStaleness()
         view._last_crash_span = None
         return view
@@ -247,6 +253,12 @@ class Observability:
     # Warehouse hooks
     # ------------------------------------------------------------------ #
 
+    def _key(self, tag: str, query_id: int) -> Tuple[str, int]:
+        """Tracer key of the unit's (local) ``query_id``, by its wire id
+        (:meth:`repro.runtime.actors.WarehouseUnit.wire_id`)."""
+        offset, stride = self._id_slice
+        return (tag, query_id * stride + offset)
+
     def update_routed(self, serial: int) -> None:
         """The router forwarded update ``serial`` to this shard.
 
@@ -293,7 +305,7 @@ class Observability:
             cause = self.tracer.lookup(("U", serial))
             attrs["serial"] = serial
         elif kind == "W_ans" and query_id is not None:
-            cause = self.tracer.lookup(("A",) + self._trace_ns + (query_id,))
+            cause = self.tracer.lookup(self._key("A", query_id))
             attrs["query_id"] = query_id
         elif kind == "W_ref" and serial is not None:
             attrs["refresh_serial"] = serial
@@ -327,7 +339,7 @@ class Observability:
             # not just transitively via its parent event span.
             links.extend((CAUSES, sid) for sid in span.linked(CAUSES))
         links.extend(
-            (COMPENSATES, self.tracer.lookup(("Q",) + self._trace_ns + (qid,)))
+            (COMPENSATES, self.tracer.lookup(self._key("Q", qid)))
             for qid in compensates
         )
         child = self.tracer.instant(
@@ -341,7 +353,7 @@ class Observability:
             reissued=reissued,
             **self._shard_labels,
         )
-        self.tracer.bind(("Q",) + self._trace_ns + (query_id,), child)
+        self.tracer.bind(self._key("Q", query_id), child)
 
     def wh_event_end(
         self,
@@ -379,7 +391,7 @@ class Observability:
                 "install",
                 parent=span,
                 links=tuple(
-                    (INSTALLS, self.tracer.lookup(("A",) + self._trace_ns + (qid,)))
+                    (INSTALLS, self.tracer.lookup(self._key("A", qid)))
                     for qid in pending_before
                 ),
                 drained=len(pending_before),

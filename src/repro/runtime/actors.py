@@ -53,7 +53,6 @@ from repro.messaging.messages import (
     QueryAnswer,
     QueryRequest,
     RefreshRequest,
-    ShardEnvelope,
     UpdateBatch,
     UpdateNotification,
 )
@@ -224,13 +223,13 @@ class WarehouseUnit:
 
     Everything that differs between the single unsharded warehouse and a
     shard lives here, so the harness and :class:`WarehouseActor` treat
-    both alike.  The unsharded unit keeps every default: requests sent
-    straight to the owning source, the run's own ``obs`` and the
-    ``warehouse`` metrics row.  A shard
-    (:func:`repro.sharding.harness.shard_units`) listens on the router's
-    per-``(origin, shard)`` channels and overrides the rest with its
-    request channel, a shard-labelled obs view and metrics row, and
-    ``wal_dir/shard-<i>``.
+    both alike.  The unsharded unit keeps every default: the whole
+    query-id space, the run's own ``obs`` and the ``warehouse`` metrics
+    row.  A shard (:func:`repro.sharding.harness.shard_units`) listens on
+    the router's per-``(origin, shard)`` channels and overrides the rest
+    with its slice of the id space, a shard-labelled obs view and metrics
+    row, and ``wal_dir/shard-<i>``.  Either way requests go straight to
+    the owning source.
 
     The unit is also what clients, readers and the trace recorder hold:
     when a crash policy kills the warehouse the harness rebuilds a fresh
@@ -254,9 +253,11 @@ class WarehouseUnit:
     metrics: ActorMetrics = field(
         default_factory=lambda: ActorMetrics("warehouse", "warehouse")
     )
-    #: When set, outgoing requests are wrapped in a ShardEnvelope and
-    #: sent here (the router) instead of directly to the source.
-    request_channel: Optional[str] = None
+    #: ``(offset, stride)``: this unit's slice of the query-id space the
+    #: sources see (:meth:`wire_id`).  A shard owns ``(shard,
+    #: plan.shards)``, so the router finds an answer's owner with one
+    #: ``divmod``; the default is the identity.
+    id_slice: Tuple[int, int] = (0, 1)
     #: Set on the one unit the run's crash policy applies to.
     crash_run: Optional[CrashRun] = None
     #: The current incarnation's log and actor; the harness sets both and
@@ -269,6 +270,16 @@ class WarehouseUnit:
 
     def is_quiescent(self) -> bool:
         return self.algorithm.is_quiescent()
+
+    def wire_id(self, query_id: int) -> int:
+        """The id a source sees for the algorithm's (local) ``query_id``.
+
+        Units with distinct offsets under one stride never collide, and
+        ``divmod(wire_id, stride)`` gives back ``(query_id, offset)``.
+        The algorithm, the WAL and recovery only ever hold local ids.
+        """
+        offset, stride = self.id_slice
+        return query_id * stride + offset
 
 
 class WarehouseActor:
@@ -468,15 +479,10 @@ class WarehouseActor:
                     "reissued": reissued,
                 },
             )
-        if unit.request_channel is not None:
-            # Sharded topology: the shard resolves the owner itself (so the
-            # WAL's send records stay meaningful), then hands the request to
-            # the router for global-id multiplexing.
-            await self.transport.send(
-                unit.request_channel, ShardEnvelope(destination, request)
-            )
-        else:
-            await self.transport.send(source_inbox(destination), request)
+        await self.transport.send(
+            source_inbox(destination),
+            QueryRequest(unit.wire_id(request.query_id), request.query),
+        )
 
 
 class ClientActor:

@@ -8,10 +8,11 @@ per warehouse event — so :func:`repro.consistency.checker.check_trace`
 classifies concurrent executions against the Section 3.1 hierarchy with
 no changes.
 
-The warehouse side is a list of :class:`WarehouseUnit`: one unit talking
-to the sources directly, or with ``shards=N`` one per populated shard plus
-a :class:`~repro.sharding.router.ShardRouter` task in between (Section 7:
-"ECA is simply applied to each view separately").  Transport, recorder,
+The warehouse side is a list of :class:`WarehouseUnit`: one unit, or with
+``shards=N`` one per populated shard plus a
+:class:`~repro.sharding.router.ShardRouter` task fanning what sources and
+clients send out to them (Section 7: "ECA is simply applied to each view
+separately").  Every unit queries the sources directly.  Transport, recorder,
 crash restart, supervision, quiescence and result assembly are the same
 code in both modes.
 
@@ -356,9 +357,11 @@ def run_concurrent(
         check per hook site.
     shards:
         Partition the warehouse into this many shards behind a
-        :class:`~repro.sharding.router.ShardRouter`; ``None`` (the
-        default) runs one warehouse actor talking to the sources
-        directly.  ``algorithm`` must then be a
+        :class:`~repro.sharding.router.ShardRouter`, which fans updates,
+        answers and refreshes to them (each shard numbers its queries
+        ``local id * shards + shard`` and sends them to the sources
+        itself); ``None`` (the default) runs one warehouse actor on the
+        sources' channels.  ``algorithm`` must then be a
         :class:`~repro.warehouse.catalog.WarehouseCatalog` or a
         single-view algorithm (wrapped into a one-view catalog); its
         member views are placed on shards by ``partitioner``, each shard
@@ -476,8 +479,7 @@ def run_concurrent(
         )
         router = ShardRouter(
             transport,
-            plan.interest,
-            plan.shard_ids,
+            plan,
             source_names=source_names,
             client_names=client_names,
             shard_obs=None if obs is None else {unit.shard: unit.obs for unit in units},
@@ -556,10 +558,6 @@ def run_concurrent(
         _retire_wal(unit)
         if unit.obs is not None:
             unit.obs.crash(fault.event_index, fault.mode, fault.drop_sends)
-        # Invalidate BEFORE the new incarnation re-issues: any answer still
-        # addressed to a pre-crash global id must die at the router, never
-        # be translated into the new id space.
-        invalidated = 0 if router is None else router.invalidate_shard(unit.shard)
         recovered = recover(unit.wal_dir, obs=unit.obs)
         unit.metrics.bump("crashes")
         _incarnate(
@@ -582,8 +580,8 @@ def run_concurrent(
             f"{len(recovered.reissue)} re-issued query(ies)"
         )
         if router is not None:
-            info = {"shard": unit.shard, **info, "routes_invalidated": invalidated}
-            detail = f"{unit.title} {detail}, {invalidated} router route(s) invalidated"
+            info = {"shard": unit.shard, **info}
+            detail = f"{unit.title} {detail}"
         info["virtual_time"] = transport.now()
         crashes.append(info)
         recorder.record_recovery(detail)
@@ -650,11 +648,6 @@ def run_concurrent(
     if laggards:
         raise SimulationError(
             f"{', '.join(laggards)} failed to quiesce after the workload drained"
-        )
-    if router is not None and router.pending_routes:
-        raise SimulationError(
-            f"router still holds {router.pending_routes} live route(s) at "
-            f"quiescence — a query answer was lost"
         )
 
     metrics = {actor.metrics.name: actor.metrics for actor in source_actors}
@@ -724,10 +717,9 @@ async def _drive(
         if client_tasks:
             await asyncio.gather(*client_tasks)
         # Then poll for global quiescence: workloads drained, every
-        # channel (router and shard legs included) empty, every unit
-        # holding no deferred work.  The router is stateless between
-        # messages apart from its route table, which empties exactly
-        # when the units' unanswered-query sets do.  Every poll
+        # channel (router -> shard legs included) empty, every unit
+        # holding no deferred work.  The router keeps nothing between
+        # messages, so it has no state to wait for.  Every poll
         # iteration yields, letting all ready actors take a step.
         for _ in range(_MAX_POLLS):
             await asyncio.sleep(0)

@@ -7,7 +7,7 @@ One warehouse catalog, split across N shard actors behind a router:
 - :mod:`repro.sharding.plan` — the frozen per-run placement: per-shard
   catalogs plus the relation -> interested-shards map;
 - :mod:`repro.sharding.router` — the :class:`ShardRouter` actor fanning
-  updates, translating query ids, and absorbing stale post-crash answers;
+  updates and handing each answer to the shard whose id slice it is in;
 - :mod:`repro.sharding.harness` — how a shard is wired into the one
   harness: ``run_concurrent(..., shards=N)`` runs one warehouse unit per
   shard (:func:`~repro.sharding.harness.shard_units`) plus the router
@@ -24,11 +24,7 @@ from repro.sharding.partition import (
     make_partitioner,
 )
 from repro.sharding.plan import ShardPlan, plan_shards
-from repro.sharding.router import (
-    ShardRouter,
-    router_request_channel,
-    shard_channel,
-)
+from repro.sharding.router import ShardRouter, shard_channel
 
 __all__ = [
     "ExplicitPartitioner",
@@ -41,6 +37,5 @@ __all__ = [
     "ViewKey",
     "make_partitioner",
     "plan_shards",
-    "router_request_channel",
     "shard_channel",
 ]

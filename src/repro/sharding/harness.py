@@ -6,7 +6,8 @@ channels exactly as before.  Between them and the data sits:
 
 - one :class:`~repro.sharding.router.ShardRouter` owning the external
   warehouse inboxes, fanning updates by the plan's interest map and
-  translating global query ids to per-shard local ids;
+  handing each answer to the shard whose slice of the query-id space
+  its id falls in;
 - one :class:`~repro.runtime.actors.WarehouseUnit` **per populated
   shard** (:func:`shard_units`), each running its own per-shard
   :class:`~repro.warehouse.catalog.WarehouseCatalog`, with its own WAL
@@ -26,10 +27,10 @@ view is the tagged union of independently-correct member views.
 
 Crashes are per-shard: ``crash`` applies only to ``crash_shard``, whose
 supervisor rebuilds the actor from its own WAL while every other shard,
-the router, sources, and clients keep running.  The harness's restart
-calls :meth:`ShardRouter.invalidate_shard` *before* the recovered
-incarnation re-issues, so answers addressed to dead global ids die at
-the router rather than leak into the new id space.
+the router, sources, and clients keep running.  The recovered
+incarnation re-issues its pending queries under the ids they already
+had, so recovery is the unsharded protocol: the first answer to an id is
+consumed, a later one is dropped as a duplicate.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.durability.recovery import recover  # noqa: F401
 from repro.relational.bag import SignedBag
 from repro.runtime.actors import ActorMetrics, WarehouseUnit
 from repro.sharding.plan import ShardPlan
-from repro.sharding.router import router_request_channel, shard_channel
+from repro.sharding.router import shard_channel
 
 
 class ShardedWarehouse:
@@ -99,10 +100,11 @@ def shard_units(
 
     Inboxes are the router's per-(origin, shard) channels, each mapped
     back to the source or client it carries (WAL records and action-log
-    labels stay comparable with an unsharded run); outgoing queries
-    detour through the router for id multiplexing.  Each shard recovers
-    independently, so each gets its own WAL directory, and only
-    ``crash_shard`` carries the crash run.
+    labels stay comparable with an unsharded run); outgoing queries are
+    numbered ``local id * plan.shards + shard``, which is all the router
+    needs to bring the answer back.  Each shard recovers independently,
+    so each gets its own WAL directory, and only ``crash_shard`` carries
+    the crash run.
     """
     return [
         WarehouseUnit(
@@ -114,9 +116,9 @@ def shard_units(
             shard=shard,
             title=f"shard {shard}",
             wal_dir=None if wal_dir is None else os.path.join(wal_dir, f"shard-{shard}"),
-            obs=None if obs is None else obs.shard_view(shard),
+            obs=None if obs is None else obs.shard_view(shard, plan.shards),
             metrics=ActorMetrics(f"shard{shard}", "shard", shard=str(shard)),
-            request_channel=router_request_channel(shard),
+            id_slice=(shard, plan.shards),
             crash_run=crash_run if shard == crash_shard else None,
         )
         for shard in plan.shard_ids

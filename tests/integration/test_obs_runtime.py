@@ -11,9 +11,13 @@ from __future__ import annotations
 from repro.core.eca import ECA
 from repro.durability.crash import CrashPolicy
 from repro.relational.engine import evaluate_view
+from repro.relational.schema import RelationSchema
+from repro.relational.views import View
 from repro.runtime import FaultPlan, Observability, run_concurrent
 from repro.source.memory import MemorySource
+from repro.warehouse.catalog import WarehouseCatalog
 from repro.workloads.paper_examples import PAPER_EXAMPLES
+from repro.workloads.random_gen import random_workload
 
 
 def example2_run(obs, seed=7, **kwargs):
@@ -190,3 +194,62 @@ class TestDurabilityObservability:
             e.kind for e in observed.trace.events
         ]
         assert bare.final_view == observed.final_view
+
+
+def sharded_run(obs, seed=5):
+    """Two sources with one join view each, placed one view per shard."""
+    sources, algorithms, workloads = {}, {}, {}
+    for index in range(2):
+        prefix = f"s{index}"
+        schemas = [
+            RelationSchema(f"{prefix}r1", ("W", "X"), key=("W",)),
+            RelationSchema(f"{prefix}r2", ("X", "Y"), key=("Y",)),
+        ]
+        initial = {f"{prefix}r1": [(1, 2), (2, 3)], f"{prefix}r2": [(2, 5), (3, 6)]}
+        sources[prefix] = MemorySource(schemas, initial)
+        view = View.natural_join(f"V{index}", schemas, ["W", "Y"])
+        algorithms[view.name] = ECA(
+            view, evaluate_view(view, sources[prefix].snapshot())
+        )
+        workloads[prefix] = random_workload(
+            schemas, 4, seed=seed + index, initial=initial, respect_keys=True
+        )
+    return run_concurrent(
+        sources, WarehouseCatalog(algorithms), workloads,
+        clients=0, seed=seed, shards=2, obs=obs,
+    )
+
+
+class TestShardedCausalTrace:
+    def test_links_resolve_across_the_source_hop(self):
+        """Regression: shards bound their query spans under shard-local
+        ids while sources looked them up by the id on the wire, so every
+        ``source.answer``, ``wh.answer`` and ``wh.install`` span of a
+        sharded run had no links at all."""
+        obs = Observability(sharded=True)
+        result = sharded_run(obs)
+        assert sorted(result.shard_info["assignment"].values()) == [0, 1]
+        spans = spans_by_id(obs)
+        answers = [s for s in spans.values() if s.name == "source.answer"]
+        assert answers
+        for answer in answers:
+            (target,) = answer.linked("causes")
+            query = spans[target]
+            assert query.name == "wh.query"
+            # The query span keeps the shard's own id and its shard label;
+            # the source saw that id's place in the shard's slice.
+            assert (
+                query.attrs["query_id"] * 2 + int(query.attrs["shard"])
+                == answer.attrs["query_id"]
+            )
+        absorbed = [s for s in spans.values() if s.name == "wh.answer"]
+        assert len(absorbed) == len(answers)
+        for event in absorbed:
+            (target,) = event.linked("causes")
+            assert spans[target].name == "source.answer"
+        installs = [s for s in spans.values() if s.name == "wh.install"]
+        assert installs
+        for install in installs:
+            targets = install.linked("installs")
+            assert len(targets) == install.attrs["drained"]
+            assert all(spans[target].name == "source.answer" for target in targets)

@@ -17,22 +17,26 @@ The cross-shard consistency proofs for ``repro.sharding``:
 
 from __future__ import annotations
 
+import asyncio
 import os
 
 import pytest
 
 from repro.core.eca import ECA
 from repro.durability.crash import CrashPolicy
-from repro.errors import SimulationError, TransportClosed, WalLocked
+from repro.errors import ProtocolError, SimulationError, TransportClosed, WalLocked
 from repro.kernel import replay_concurrent
+from repro.kernel.dispatch import relation_owners
+from repro.messaging.messages import QueryAnswer
 from repro.multisource.consistency import check_cut_consistency, cut_report
 from repro.obs import Observability
+from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
-from repro.runtime import run_concurrent
-from repro.sharding import ExplicitPartitioner
-from repro.simulation.trace import project_view
+from repro.runtime import FaultPlan, InMemoryTransport, run_concurrent
+from repro.sharding import ExplicitPartitioner, ShardRouter, plan_shards, shard_channel
+from repro.simulation.trace import S_QU, W_CRASH, project_view
 from repro.warehouse.catalog import WarehouseCatalog
 from repro.workloads.random_gen import random_workload
 
@@ -133,10 +137,13 @@ class TestShardedMatchesUnsharded:
             for name, stats in sharded.channel_stats.items()
             if stats.sent
         }
-        # Source legs, router -> shard legs, and shard -> router envelopes.
-        assert any(name.endswith("->wh") for name in carried)
-        assert any("=>shard" in name for name in carried)
-        assert any(name.endswith("=>rt") for name in carried)
+        # Exactly the source legs and the router -> shard legs: a shard's
+        # queries go out on the unsharded runtime's own "wh->s<i>" channel.
+        expected = set()
+        for name, shard in sharded.shard_info["assignment"].items():
+            source = name.replace("V", "s")
+            expected |= {f"{source}->wh", f"wh->{source}", f"{source}=>shard{shard}"}
+        assert set(carried) == expected
         assert all(stats.sent_bytes > 0 for stats in carried.values()), carried
 
     def test_explicit_partitioner_instance_is_honored(self):
@@ -264,6 +271,49 @@ class TestShardCrashRecovery:
         other = 1 - crash_shard
         assert table[f"shard{other}"]["crashes"] == 0
 
+    @pytest.mark.parametrize("faults", [False, True])
+    @pytest.mark.parametrize("drop_sends", [False, True])
+    def test_a_late_pre_crash_answer_is_consumed_once(
+        self, tmp_path, drop_sends, faults
+    ):
+        """Recovery is the unsharded protocol: a recovered shard re-issues
+        under the ids its queries already had, so an answer a source sent
+        before the crash still finds its query; the answer to the
+        re-issued copy is the duplicate, and the shard drops it."""
+        sources, catalog, workloads = build(4, seed=5)
+        result = run_concurrent(
+            sources, catalog, workloads, clients=0, seed=5, shards=2,
+            wal_dir=str(tmp_path), crash_shard=1,
+            crash=CrashPolicy(mode="event", at=4, drop_sends=drop_sends),
+            faults=FaultPlan(latency=1.0, jitter=2.0, drop_rate=0.15)
+            if faults
+            else None,
+        )
+        (crash,) = result.crashes
+        (crashed_at,) = (e.seq for e in result.trace.events_of_kind(W_CRASH))
+        answered = {}
+        for event in result.trace.events_of_kind(S_QU):
+            answered.setdefault(event.detail.split(" ->")[0], []).append(event.seq)
+        twice = [seqs for seqs in answered.values() if len(seqs) > 1]
+        # The scenario: some source had already answered, before the crash,
+        # a query the recovered shard found pending — that answer was still
+        # queued on "s<k>->wh" or the router's leg when the shard restarted.
+        assert any(seqs[0] < crashed_at for seqs in twice)
+        assert all(len(seqs) == 2 for seqs in twice)
+        shard = {row["actor"]: row for row in result.metrics_table()}["shard1"]
+        assert shard["duplicate_answers_dropped"] == len(twice)
+        # With drop_sends the crashing event's own query first left the
+        # shard as a re-issue, so it was answered only once.
+        assert shard["reissued_queries"] == crash["reissued"] == len(twice) + drop_sends
+        assert result.final_view == evaluate_view(
+            catalog, result.trace.final_source_state
+        )
+        twin_sources, twin_catalog, _ = build(4, seed=5)
+        unsharded = run_concurrent(
+            twin_sources, twin_catalog, workloads, clients=0, seed=5
+        )
+        assert result.final_view == unsharded.final_view
+
     def test_crash_requires_a_wal_and_a_populated_shard(self, tmp_path):
         sources, catalog, workloads = build(2, seed=1)
         crash = CrashPolicy(mode="mid-uqs", max_crashes=1, seed=1)
@@ -276,6 +326,43 @@ class TestShardCrashRecovery:
                 sources, catalog, workloads, clients=0, shards=2, crash=crash,
                 wal_dir=str(tmp_path), crash_shard=9,
             )
+
+
+class TestRouterOwnsNoQueryState:
+    def test_an_answer_for_an_unpopulated_shard_is_a_protocol_error(self):
+        sources, catalog, _ = build(2)
+        plan = plan_shards(
+            catalog, 3,
+            ExplicitPartitioner({("V0",): 0, ("V1",): 2}, shards=3),
+            relation_owners(sources),
+        )
+        assert plan.shard_ids == (0, 2)
+        transport = InMemoryTransport()
+        router = ShardRouter(transport, plan, source_names=sorted(sources))
+
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(router).items()
+                if hasattr(value, "__len__")
+            }
+
+        before = sizes()
+
+        async def drive():
+            # 8 = local id 2 in shard 2's slice; 7 = local id 2 in shard 1's.
+            await transport.send("s1->wh", QueryAnswer(8, SignedBag()))
+            await transport.send("s1->wh", QueryAnswer(7, SignedBag()))
+            await router.run()
+
+        with pytest.raises(ProtocolError, match=r"query id 7 .*shard 1\b"):
+            asyncio.run(drive())
+        assert transport.receive_nowait(shard_channel("s1", 2)) == QueryAnswer(
+            2, SignedBag()
+        )
+        assert router.metrics.events["answers_routed"] == 1
+        # Routing an answer left nothing behind: no container grew.
+        assert sizes() == before
 
 
 class TestShardWalExclusivity:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.basic import BasicAlgorithm
 from repro.core.eca import ECA
-from repro.messaging.messages import QueryAnswer, UpdateNotification
+from repro.messaging.messages import QueryAnswer, UpdateBatch, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.source.updates import delete, insert
 
@@ -121,4 +121,37 @@ class TestECACompensation:
         with pytest.raises(ViewStateError):
             algo.handle_answer(
                 QueryAnswer(request.query_id, SignedBag({(9,): -1}))
+            )
+
+
+class TestECABatchCompensation:
+    def test_a_batch_ships_no_more_terms_than_its_members_one_by_one(self, view_w3):
+        """Regression: ``D(Q, batch) - Q`` written out keeps ``+Q`` and
+        ``-Q`` (queries never cancel terms), so every in-flight query was
+        shipped twice per batch and the next batch compensated the copies
+        too — 3, 12, 45, 153 terms on this input instead of 3, 6, 9, 11."""
+        batches = [
+            [insert("r1", (4, 2)), insert("r3", (5, 3))],
+            [insert("r2", (2, 5)), insert("r1", (6, 2))],
+            [insert("r3", (5, 7)), insert("r2", (2, 8))],
+            [insert("r1", (9, 2)), insert("r3", (8, 1))],
+        ]
+        batched, one_by_one = ECA(view_w3), ECA(view_w3)
+        serial = 0
+        for updates in batches:
+            members = []
+            for update in updates:
+                serial += 1
+                members.append(notify(update, serial))
+            (request,) = batched.handle_update_batch(UpdateBatch(tuple(members)))
+            signs = {}
+            for term in request.query.terms:
+                signs.setdefault(term.operands, set()).add(term.coefficient)
+            assert all(len(seen) == 1 for seen in signs.values()), (
+                f"{request!r} carries a +T/-T pair over the same operands"
+            )
+            assert request.query.term_count() <= sum(
+                sent.query.term_count()
+                for member in members
+                for sent in one_by_one.handle_update(member)
             )

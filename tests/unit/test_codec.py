@@ -33,7 +33,6 @@ from repro.messaging.messages import (
     QueryAnswer,
     QueryRequest,
     RefreshRequest,
-    ShardEnvelope,
     UpdateNotification,
 )
 from repro.messaging.wire import create_codec
@@ -250,7 +249,7 @@ class TestEncodeOnce:
             query, compensating_query().terms[1], make_view(), mv, [mv, {"mv": mv}],
             SignedBag.from_rows([(1, 2)]), insert("r1", (9, 9)).signed_tuple(),
             UpdateNotification(insert("r1", (9, 9)), 4),
-            request, QueryRequest(7, query), ShardEnvelope("s", QueryRequest(7, query)),
+            request, QueryRequest(7, query),
             QueryAnswer(7, SignedBag.from_rows([(9, 5)])), RefreshRequest(2),
         ]
         for value in values:

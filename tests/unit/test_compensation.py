@@ -5,7 +5,6 @@ import pytest
 from repro.core.compensation import (
     backdate,
     batch_delta_query,
-    pending_compensation,
     staged_compensation,
 )
 from repro.relational.bag import SignedBag
@@ -103,7 +102,7 @@ class TestPendingCompensation:
             - SignedBag.singleton((4, 2)),
             "r2": state["r2"],
         }
-        correction = pending_compensation(pending, batch)
+        correction = staged_compensation(pending, batch, len(batch))
         assert (
             pending.evaluate(post) + correction.evaluate(post)
             == pending.evaluate(state)
@@ -111,7 +110,7 @@ class TestPendingCompensation:
 
     def test_untouched_query_needs_no_compensation(self, view_w):
         pending = view_w.as_query()
-        assert pending_compensation(pending, [insert("zzz", (1,))]).is_empty()
+        assert staged_compensation(pending, [insert("zzz", (1,))], 1).is_empty()
 
 
 class TestStagedCompensation:
@@ -119,7 +118,7 @@ class TestStagedCompensation:
         pending = view_w.substitute("r2", insert("r2", (2, 3)).signed_tuple())
         batch = [insert("r1", (7, 2)), delete("r1", (4, 2))]
         staged = staged_compensation(pending, batch, len(batch))
-        full = pending_compensation(pending, batch)
+        full = backdate(pending, batch) - pending
         assert staged.evaluate(state) == full.evaluate(state)
 
     def test_partial_stage_corrects_prefix_only(self, view_w, state):

@@ -26,7 +26,6 @@ from repro.messaging.messages import (
     QueryAnswer,
     QueryRequest,
     RefreshRequest,
-    ShardEnvelope,
     UpdateBatch,
     UpdateNotification,
 )
@@ -63,7 +62,6 @@ def sample_messages():
                 UpdateNotification(insert("r", (3, 4)), 2),
             )
         ),
-        ShardEnvelope("source", QueryRequest(2, view.as_query())),
     ]
 
 
@@ -86,10 +84,7 @@ class TestWireCodecs:
         compensating = compensating - query.substitute(
             "r2", insert("r2", (2, 3)).signed_tuple()
         )
-        messages = sample_messages() + [
-            QueryRequest(8, compensating),
-            ShardEnvelope("source", QueryRequest(9, compensating)),
-        ]
+        messages = sample_messages() + [QueryRequest(8, compensating)]
         codec = create_codec(name)
         for message in messages:
             expected = json.dumps(
