@@ -795,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shards",
         type=int,
-        help="partition the warehouse over N shards behind a router actor",
+        help="partition the warehouse over N shards, each reached directly",
     )
     p.add_argument(
         "--partitioner",

@@ -6,7 +6,9 @@ will be 'batched,' this extension should result in a very useful
 performance enhancement."  And Section 2 notes the algorithms apply to
 deferred and periodic maintenance timing "with little or no modification".
 
-Both live here, as one algorithm with two flush triggers:
+Both live here, as one algorithm with two flush triggers — ECA with a
+buffer in front; a flush ships its query through the routine a
+kernel-coalesced batch uses (:meth:`~repro.core.eca.ECA._ship_batch`):
 
 - :class:`BatchECA` buffers incoming update notifications and, every
   ``batch_size`` updates, ships a *single* compensated query for the whole
@@ -42,16 +44,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.core.compensation import batch_delta_query, staged_compensation
+from repro.core.eca import ECA
 from repro.core.protocol import WarehouseAlgorithm
-from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
+from repro.messaging.messages import QueryRequest, UpdateBatch, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.relational.expressions import Query
 from repro.relational.views import View
 from repro.source.updates import Update
 
 
-class BatchECA(WarehouseAlgorithm):
+class BatchECA(ECA):
     """ECA with warehouse-side update batching.
 
     Parameters
@@ -76,7 +78,6 @@ class BatchECA(WarehouseAlgorithm):
             raise ValueError(f"batch_size must be >= 1 or None, got {batch_size}")
         super().__init__(view, initial)
         self.batch_size = batch_size
-        self.collect = SignedBag()
         self._buffer: List[Update] = []
         #: query id -> full query expression, kept past retirement while
         #: un-flushed contamination refers to it.
@@ -99,6 +100,11 @@ class BatchECA(WarehouseAlgorithm):
             return self.flush()
         return []
 
+    def handle_update_batch(self, batch: UpdateBatch) -> List[QueryRequest]:
+        # A kernel-coalesced run enters the buffer member by member: the
+        # flush triggers, not the kernel, decide what ships together.
+        return WarehouseAlgorithm.handle_update_batch(self, batch)
+
     # ------------------------------------------------------------------ #
     # Flush
     # ------------------------------------------------------------------ #
@@ -107,57 +113,34 @@ class BatchECA(WarehouseAlgorithm):
         """Ship one compensated query covering every buffered update."""
         if not self._buffer:
             return []
-        batch = self._buffer
-        self._buffer = []
-        query = batch_delta_query(self.view, batch)
-        for query_id, count in self._seen.items():
-            if count:
-                query = query + staged_compensation(
-                    self._sent[query_id], batch, count
-                )
+        batch, self._buffer = self._buffer, []
+        contaminated = [
+            (self._sent[query_id], count)
+            for query_id, count in self._seen.items()
+            if count
+        ]
         self._seen.clear()
         # Expressions for already-answered queries are no longer needed.
         for query_id in list(self._sent):
             if query_id not in self.uqs:
                 del self._sent[query_id]
-        return self._dispatch(query)
+        return self._ship_batch(batch, contaminated)
 
     def _dispatch(self, query: Query) -> List[QueryRequest]:
-        local, remote = query.partition()
-        if not local.is_empty():
-            self.collect.add_bag(local.evaluate({}))
-        if remote.is_empty():
-            self._maybe_install()
-            return []
-        request = self._make_request(remote)
-        self._sent[request.query_id] = remote
-        return [request]
-
-    # ------------------------------------------------------------------ #
-    # W_ans / refresh
-    # ------------------------------------------------------------------ #
-
-    def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
-        self._retire(answer)
-        self.collect.add_bag(answer.answer)
-        self._maybe_install()
-        return []
+        requests = super()._dispatch(query)
+        for request in requests:
+            self._sent[request.query_id] = request.query
+        return requests
 
     def handle_refresh(self) -> List[QueryRequest]:
         return self.flush()
 
     def _maybe_install(self) -> None:
-        if self.uqs:
-            return
-        if any(count for count in self._seen.values()):
-            # Some already-received answer saw buffered updates whose
-            # compensation has not shipped yet; installing now would
-            # expose an invalid state.
-            return
-        if self.collect.is_empty():
-            return
-        self.mv.apply_delta(self.collect)
-        self.collect = SignedBag()
+        # While some already-received answer saw buffered updates whose
+        # compensation has not shipped yet, installing would expose an
+        # invalid state.
+        if not any(self._seen.values()):
+            super()._maybe_install()
 
     # ------------------------------------------------------------------ #
     # State
@@ -167,11 +150,10 @@ class BatchECA(WarehouseAlgorithm):
         return len(self._buffer)
 
     def is_quiescent(self) -> bool:
-        return not self.uqs and not self._buffer and self.collect.is_empty()
+        return super().is_quiescent() and not self._buffer
 
     def gauges(self) -> Dict[str, int]:
         out = super().gauges()
-        out["collect_tuples"] = self.collect.total_count()
         out["buffered_updates"] = len(self._buffer)
         return out
 
@@ -181,7 +163,6 @@ class BatchECA(WarehouseAlgorithm):
 
     def pending_state(self) -> Dict[str, Any]:
         state = super().pending_state()
-        state["collect"] = self.collect.copy()
         state["buffer"] = list(self._buffer)
         state["sent"] = dict(self._sent)
         state["seen"] = dict(self._seen)
@@ -189,12 +170,12 @@ class BatchECA(WarehouseAlgorithm):
 
     def restore_pending_state(self, state: Dict[str, Any]) -> None:
         super().restore_pending_state(state)
-        self.collect = state["collect"].copy()
         self._buffer = list(state["buffer"])
         self._sent = dict(state["sent"])
         self._seen = dict(state["seen"])
 
     def durable_config(self) -> Dict[str, Any]:
+        # buffer_answers is pinned by the constructor, not a ctor parameter.
         return {"batch_size": self.batch_size}
 
 

@@ -21,7 +21,7 @@ into ``COLLECT``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.compensation import batch_delta_query, staged_compensation
 from repro.core.protocol import WarehouseAlgorithm
@@ -34,6 +34,7 @@ from repro.messaging.messages import (
 from repro.relational.bag import SignedBag
 from repro.relational.expressions import Query
 from repro.relational.views import View
+from repro.source.updates import Update
 
 
 class ECA(WarehouseAlgorithm):
@@ -94,9 +95,23 @@ class ECA(WarehouseAlgorithm):
         ]
         if not updates:
             return []
-        query = batch_delta_query(self.view, updates)
-        for pending in self.uqs_queries():
-            query = query + staged_compensation(pending, updates, len(updates))
+        return self._ship_batch(
+            updates, [(pending, len(updates)) for pending in self.uqs_queries()]
+        )
+
+    def _ship_batch(
+        self, batch: Sequence[Update], contaminated: Iterable[Tuple[Query, int]]
+    ) -> List[QueryRequest]:
+        """One compensated query for ``batch``, whoever assembled it.
+
+        ``contaminated`` pairs each query whose answer sees a prefix of
+        the batch with that prefix's length: all of it for every pending
+        query when a kernel coalesced the batch;
+        :class:`~repro.core.batch.BatchECA` counts arrivals itself.
+        """
+        query = batch_delta_query(self.view, batch)
+        for pending, seen in contaminated:
+            query = query + staged_compensation(pending, batch, seen)
         return self._dispatch(query)
 
     def _dispatch(self, query: Query) -> List[QueryRequest]:

@@ -14,7 +14,7 @@ it reads.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.core.protocol import WarehouseAlgorithm
 from repro.errors import ProtocolError
@@ -53,6 +53,24 @@ def event_kind(message: Message) -> str:
     if isinstance(message, RefreshRequest):
         return W_REF
     raise ProtocolError(f"warehouse received unknown message: {message!r}")
+
+
+def coalesce_updates(
+    first: UpdateNotification,
+    limit: int,
+    peek: Callable[[], Optional[Message]],
+    receive: Callable[[], Message],
+) -> List[UpdateNotification]:
+    """``first`` plus the run of notifications queued right behind it.
+
+    At most ``limit`` members from the head of the one inbox ``peek`` /
+    ``receive`` read, never waiting for more — that would trade the
+    paper's immediacy for batching.  For kernels whose limit exceeds 1.
+    """
+    members = [first]
+    while len(members) < limit and isinstance(peek(), UpdateNotification):
+        members.append(receive())
+    return members
 
 
 def validate_routed(

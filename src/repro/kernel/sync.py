@@ -46,6 +46,7 @@ from typing import (
 from repro.core.protocol import WarehouseAlgorithm
 from repro.errors import SimulationError
 from repro.kernel.dispatch import (
+    coalesce_updates,
     dispatch_event,
     relation_owners,
     resolve_destination,
@@ -317,11 +318,7 @@ class SyncKernel:
         message = channel.receive()
         limit = exactly if exactly is not None else self.batch_k
         if limit > 1 and isinstance(message, UpdateNotification):
-            members = [message]
-            while len(members) < limit and isinstance(
-                channel.peek(), UpdateNotification
-            ):
-                members.append(channel.receive())
+            members = coalesce_updates(message, limit, channel.peek, channel.receive)
             if exactly is not None and len(members) != exactly:
                 raise SimulationError(
                     f"replay asked to batch {exactly} notifications from "

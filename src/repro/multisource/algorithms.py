@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.core.protocol import Routed, WarehouseAlgorithm
-from repro.errors import ProtocolError, UpdateError
+from repro.core.stored_copies import StoredCopies
+from repro.errors import ProtocolError
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 from repro.multisource.fragment import FragmentPlan, fragment_query
 from repro.relational.bag import SignedBag
@@ -187,8 +188,13 @@ class FragmentingIncremental(WarehouseAlgorithm):
         return sorted(self._pending)
 
 
-class MultiSourceStoredCopies(WarehouseAlgorithm):
-    """SC over multiple sources: correct because it never asks anything."""
+class MultiSourceStoredCopies(StoredCopies):
+    """SC over multiple sources: correct because it never asks anything.
+
+    :class:`~repro.core.stored_copies.StoredCopies` ignores where a
+    notification came from, so this adds only the ``owners`` map every
+    multi-source registry entry is rebuilt with.
+    """
 
     name = "multi-stored-copies"
     multi_source = True
@@ -200,57 +206,14 @@ class MultiSourceStoredCopies(WarehouseAlgorithm):
         initial: Optional[SignedBag] = None,
         initial_copies: Optional[Dict[str, SignedBag]] = None,
     ) -> None:
-        super().__init__(view, initial)
+        super().__init__(view, initial, initial_copies)
         if owners:
             self.owners = dict(owners)
-        self.copies: Dict[str, SignedBag] = {
-            name: SignedBag() for name in view.relation_names
-        }
-        if initial_copies:
-            for relation, bag in initial_copies.items():
-                if relation in self.copies:
-                    self.copies[relation] = bag.copy()
-
-    def on_update(self, source: Optional[str], notification: UpdateNotification) -> Routed:
-        update = notification.update
-        if not self.view.involves(update.relation):
-            return []
-        copy = self.copies[update.relation]
-        if update.is_insert:
-            copy.add(update.values, 1)
-        else:
-            if copy.multiplicity(update.values) <= 0:
-                raise UpdateError(
-                    f"copy of {update.relation!r} missing {update.values!r}"
-                )
-            copy.add(update.values, -1)
-        delta = self.view.substitute(update.relation, update.signed_tuple())
-        self.mv.apply_delta(delta.evaluate(self.copies))
-        return []
-
-    def on_answer(self, source: Optional[str], answer: QueryAnswer) -> Routed:
-        raise ProtocolError("stored-copies never sends queries")
-
-    def is_quiescent(self) -> bool:
-        return True
 
     def gauges(self) -> Dict[str, int]:
-        return {"uqs": 0, "copied_tuples": sum(
-            len(bag) for bag in self.copies.values()
-        )}
-
-    # ------------------------------------------------------------------ #
-    # Durability hooks
-    # ------------------------------------------------------------------ #
+        out = super().gauges()
+        out["copied_tuples"] = sum(len(bag) for bag in self.copies.values())
+        return out
 
     def durable_config(self) -> Dict[str, Any]:
         return {"owners": dict(self.owners)}
-
-    def pending_state(self) -> Dict[str, Any]:
-        state = super().pending_state()
-        state["copies"] = {name: bag.copy() for name, bag in self.copies.items()}
-        return state
-
-    def restore_pending_state(self, state: Dict[str, Any]) -> None:
-        super().restore_pending_state({k: state[k] for k in ("next_query_id", "uqs")})
-        self.copies = {name: bag.copy() for name, bag in state["copies"].items()}

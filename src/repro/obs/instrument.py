@@ -260,7 +260,7 @@ class Observability:
         return (tag, query_id * stride + offset)
 
     def update_routed(self, serial: int) -> None:
-        """The router forwarded update ``serial`` to this shard.
+        """A source's notification of update ``serial`` was routed to this shard.
 
         Shard views only: marks the update *executed* on the shard's own
         staleness basis, so the per-shard lag gauge measures routed but
@@ -299,9 +299,9 @@ class Observability:
         serial = getattr(message, "serial", None)
         query_id = getattr(message, "query_id", None)
         if kind == "W_up" and serial is not None:
-            # Update serials are global: the router forwards notifications
-            # unchanged, so the causal edge to the source span resolves
-            # from any shard.
+            # Update serials are global and a notification reaches every
+            # interested shard unchanged, so the causal edge to the source
+            # span resolves from any shard.
             cause = self.tracer.lookup(("U", serial))
             attrs["serial"] = serial
         elif kind == "W_ans" and query_id is not None:

@@ -32,6 +32,7 @@ import asyncio
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports errors)
@@ -42,6 +43,7 @@ from repro.durability.crash import CrashRun
 from repro.durability.wal import EVENT, RECV, SEND, WriteAheadLog
 from repro.errors import ChannelEmpty, TransportClosed, WarehouseCrashed
 from repro.kernel.dispatch import (
+    coalesce_updates,
     dispatch_event,
     event_kind,
     is_duplicate_answer,
@@ -226,7 +228,7 @@ class WarehouseUnit:
     both alike.  The unsharded unit keeps every default: the whole
     query-id space, the run's own ``obs`` and the ``warehouse`` metrics
     row.  A shard (:func:`repro.sharding.harness.shard_units`) listens on
-    the router's per-``(origin, shard)`` channels and overrides the rest
+    its own per-``(origin, shard)`` channels and overrides the rest
     with its slice of the id space, a shard-labelled obs view and metrics
     row, and ``wal_dir/shard-<i>``.  Either way requests go straight to
     the owning source.
@@ -255,7 +257,7 @@ class WarehouseUnit:
     )
     #: ``(offset, stride)``: this unit's slice of the query-id space the
     #: sources see (:meth:`wire_id`).  A shard owns ``(shard,
-    #: plan.shards)``, so the router finds an answer's owner with one
+    #: plan.shards)``, so ``plan.route`` finds an answer's owner with one
     #: ``divmod``; the default is the identity.
     id_slice: Tuple[int, int] = (0, 1)
     #: Set on the one unit the run's crash policy applies to.
@@ -362,16 +364,13 @@ class WarehouseActor:
             sender = unit.inboxes[channel]
             origin = sender if sender in self._sources else None
             if self.batch_k > 1 and isinstance(message, UpdateNotification):
-                members = [message]
-                # Coalesce the run of notifications already sitting in this
-                # inbox — never waiting for more (that would trade the
-                # paper's immediacy for batching; peek_nowait only shows
-                # messages whose virtual delivery time has arrived).
-                while len(members) < self.batch_k and isinstance(
-                    self.transport.peek_nowait(channel), UpdateNotification
-                ):
-                    members.append(self.transport.receive_nowait(channel))
-                    unit.metrics.received += 1
+                members = coalesce_updates(
+                    message,
+                    self.batch_k,
+                    partial(self.transport.peek_nowait, channel),
+                    partial(self.transport.receive_nowait, channel),
+                )
+                unit.metrics.received += len(members) - 1
                 if len(members) > 1:
                     message = UpdateBatch(tuple(members))
                     unit.metrics.bump("batched_updates", len(members))

@@ -9,12 +9,11 @@ classifies concurrent executions against the Section 3.1 hierarchy with
 no changes.
 
 The warehouse side is a list of :class:`WarehouseUnit`: one unit, or with
-``shards=N`` one per populated shard plus a
-:class:`~repro.sharding.router.ShardRouter` task fanning what sources and
-clients send out to them (Section 7: "ECA is simply applied to each view
-separately").  Every unit queries the sources directly.  Transport, recorder,
-crash restart, supervision, quiescence and result assembly are the same
-code in both modes.
+``shards=N`` one per populated shard, each receiving directly what
+``ShardPlan.route`` sends it (Section 7: "ECA is simply applied to each
+view separately").  Every unit queries the sources directly.  Transport,
+recorder, crash restart, supervision, quiescence and result assembly are
+the same code in both modes.
 
 Everything runs on one event loop with no wall-clock waits, so a run is
 deterministic: the same sources, workloads, seed, and fault plan replay
@@ -45,7 +44,6 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - repro.sharding builds on this module
     from repro.sharding.harness import ShardedWarehouse
-    from repro.sharding.router import ShardRouter
 
 from repro.durability.crash import CrashPolicy
 from repro.durability.recovery import recover
@@ -356,20 +354,20 @@ def run_concurrent(
         ``obs.finalize``.  ``None`` (the default) costs one ``is None``
         check per hook site.
     shards:
-        Partition the warehouse into this many shards behind a
-        :class:`~repro.sharding.router.ShardRouter`, which fans updates,
-        answers and refreshes to them (each shard numbers its queries
-        ``local id * shards + shard`` and sends them to the sources
-        itself); ``None`` (the default) runs one warehouse actor on the
-        sources' channels.  ``algorithm`` must then be a
+        Partition the warehouse into this many shards.  Updates, answers
+        and refreshes go straight to the shards
+        :meth:`~repro.sharding.plan.ShardPlan.route` names (each shard
+        numbers its queries ``local id * shards + shard`` and sends them
+        to the sources itself); ``None`` (the default) runs one warehouse
+        actor on the sources' channels.  ``algorithm`` must then be a
         :class:`~repro.warehouse.catalog.WarehouseCatalog` or a
         single-view algorithm (wrapped into a one-view catalog); its
         member views are placed on shards by ``partitioner``, each shard
         logs to ``wal_dir/shard-<i>``, and ``crash`` fires on
         ``crash_shard`` only while the others keep serving.  The result
-        carries the merged tagged view, a ``router`` and one ``shard<i>``
-        metrics row per shard, and the plan in ``shard_info``.  ``obs``
-        must be ``Observability(sharded=True)``.
+        carries the merged tagged view, one ``shard<i>`` metrics row per
+        shard, and the plan in ``shard_info``.  ``obs`` must be
+        ``Observability(sharded=True)`` then, and only then.
     partitioner:
         Sharded runs only: ``"hash"``, ``"range"``, or a
         :class:`~repro.sharding.partition.Partitioner` instance.
@@ -384,7 +382,7 @@ def run_concurrent(
         read traffic.  The warehouse actor streams each event's dirtied
         view keys into it (precise invalidation); a ``read_workload``
         is served through it by a reader actor.  In a sharded run the
-        one cache sits client-side of the router, shared by every shard
+        one cache sits in front of all the shards, shared by every shard
         actor's invalidation stream and read through the merged facade —
         a shard crash-and-recover swaps incarnations under it without
         losing invalidations (the dead incarnation pushed them before
@@ -421,9 +419,13 @@ def run_concurrent(
     plan = None
     if shards is not None:
         # Imported here: repro.sharding builds on this module.
-        from repro.sharding.harness import ShardedWarehouse, shard_info, shard_units
+        from repro.sharding.harness import (
+            ShardedWarehouse,
+            alias_shards,
+            shard_info,
+            shard_units,
+        )
         from repro.sharding.plan import plan_shards
-        from repro.sharding.router import ShardRouter
 
         plan = plan_shards(algorithm, shards, partitioner, owners)
 
@@ -438,8 +440,8 @@ def run_concurrent(
     else:
         if batch_k > 1:
             raise SimulationError(
-                "batch_k > 1 is not supported with sharding yet: the "
-                "router splits update runs across shards, so per-shard "
+                "batch_k > 1 is not supported with sharding yet: a "
+                "source's update run splits across shards, so per-shard "
                 "coalescing would not match the global action log"
             )
         if crash is not None and crash_shard not in plan.shard_ids:
@@ -447,11 +449,13 @@ def run_concurrent(
                 f"crash_shard={crash_shard} is not a populated shard "
                 f"(populated: {list(plan.shard_ids)})"
             )
-        if obs is not None and not getattr(obs, "sharded", False):
-            raise SimulationError(
-                "a sharded run needs Observability(sharded=True) so per-shard "
-                "series carry the shard label instead of colliding"
-            )
+    if obs is not None and getattr(obs, "sharded", False) != (plan is not None):
+        raise SimulationError(
+            f"shards={shards} needs Observability(sharded={plan is not None}): "
+            f"warehouse series carry the shard label exactly when the run is "
+            f"sharded (without it shards collide, with it an unsharded "
+            f"warehouse cannot report)"
+        )
 
     codec = create_codec(wire_codec) if wire_codec is not None else None
     transport = InMemoryTransport(
@@ -462,41 +466,28 @@ def run_concurrent(
         obs.attach_clock(transport.now)
     crash_run = crash.start() if crash is not None else None
 
-    router = None
+    senders = source_names + client_names
     if plan is None:
         units = [
             WarehouseUnit(
                 algorithm,
-                {warehouse_inbox(name): name for name in source_names + client_names},
+                {warehouse_inbox(name): name for name in senders},
                 wal_dir=wal_dir,
                 obs=obs,
                 crash_run=crash_run,
             )
         ]
     else:
-        units = shard_units(
-            plan, source_names, client_names, wal_dir, obs, crash_run, crash_shard
-        )
-        router = ShardRouter(
-            transport,
-            plan,
-            source_names=source_names,
-            client_names=client_names,
-            shard_obs=None if obs is None else {unit.shard: unit.obs for unit in units},
-        )
+        units = shard_units(plan, senders, wal_dir, obs, crash_run, crash_shard)
+        alias_shards(transport, plan, units, senders)
 
     if cache is not None:
         cache.bind_obs(obs)
         if obs is not None:
-            # The cache is client-side of the router, so its backend-lag
-            # annotation is the worst lag across shards (a stale answer
-            # may involve any of them).
+            # One cache fronts every unit, so it annotates with the worst
+            # lag across them (a stale answer may involve any shard).
             views = [unit.obs for unit in units]
-            cache.attach_lag(
-                obs.staleness_lag
-                if router is None
-                else lambda: max(view.staleness_lag() for view in views)
-            )
+            cache.attach_lag(lambda: max(view.staleness_lag() for view in views))
 
     source_actors = [
         SourceActor(
@@ -579,7 +570,7 @@ def run_concurrent(
             f"{recovered.replayed} replayed record(s), "
             f"{len(recovered.reissue)} re-issued query(ies)"
         )
-        if router is not None:
+        if plan is not None:
             info = {"shard": unit.shard, **info}
             detail = f"{unit.title} {detail}"
         info["virtual_time"] = transport.now()
@@ -632,7 +623,6 @@ def run_concurrent(
                 warehouse,
                 units,
                 source_actors,
-                router,
                 client_actors + reader_actors,
                 _restart,
             )
@@ -651,8 +641,6 @@ def run_concurrent(
         )
 
     metrics = {actor.metrics.name: actor.metrics for actor in source_actors}
-    if router is not None:
-        metrics["router"] = router.metrics
     for unit in units:
         metrics[unit.metrics.name] = unit.metrics
     for client in client_actors + reader_actors:
@@ -687,15 +675,11 @@ async def _drive(
     warehouse: "WarehouseUnit | ShardedWarehouse",
     units: Sequence[WarehouseUnit],
     source_actors: Sequence[SourceActor],
-    router: Optional["ShardRouter"],
     client_actors: Sequence["ClientActor | ReadClientActor"],
     restart: Callable[[WarehouseUnit, WarehouseCrashed], None],
 ) -> None:
-    # Task-creation order is part of the schedule: sources, the router
-    # when there is one, the units, then clients and readers.
+    # Task-creation order is part of the schedule: sources, units, clients, readers.
     tasks = [asyncio.ensure_future(actor.run()) for actor in source_actors]
-    if router is not None:
-        tasks.append(asyncio.ensure_future(router.run()))
 
     async def _supervise(unit: WarehouseUnit) -> None:
         # Each iteration is one incarnation of this unit.  A crash (only
@@ -717,9 +701,7 @@ async def _drive(
         if client_tasks:
             await asyncio.gather(*client_tasks)
         # Then poll for global quiescence: workloads drained, every
-        # channel (router -> shard legs included) empty, every unit
-        # holding no deferred work.  The router keeps nothing between
-        # messages, so it has no state to wait for.  Every poll
+        # channel empty, every unit holding no deferred work.  Every poll
         # iteration yields, letting all ready actors take a step.
         for _ in range(_MAX_POLLS):
             await asyncio.sleep(0)

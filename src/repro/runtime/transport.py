@@ -29,7 +29,7 @@ import asyncio
 import itertools
 import random
 from collections import deque
-from typing import Deque, Dict, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ChannelEmpty, ProtocolError, TransportClosed
 from repro.messaging.channel import Sizer, charged_bytes
@@ -155,7 +155,8 @@ class FaultPlan:
 #: One queued delivery: (deliver_at, global send sequence, message).
 _Entry = Tuple[float, int, Message]
 
-
+#: An aliased name's meaning: the ``(channel, message)`` legs a send becomes.
+Route = Callable[[Message], Sequence[Tuple[str, Message]]]
 
 
 class InMemoryTransport:
@@ -176,6 +177,9 @@ class InMemoryTransport:
     schedule.  Reliable delivery is preserved either way: a dropped
     message is retried until delivered, so faults stretch time without
     ever losing messages.
+
+    A channel name can be an :meth:`alias` — how a sharded run lets
+    unchanged sources and clients reach their shards directly.
     """
 
     def __init__(
@@ -187,6 +191,7 @@ class InMemoryTransport:
     ) -> None:
         self._queues: Dict[str, Deque[_Entry]] = {}
         self._stats: Dict[str, ChannelStats] = {}
+        self._aliases: Dict[str, Route] = {}
         self._waiters: Deque[Tuple[Tuple[str, ...], "asyncio.Future[None]"]] = deque()
         self._sizer = sizer
         self._codec = codec
@@ -202,10 +207,27 @@ class InMemoryTransport:
     # Sending
     # ------------------------------------------------------------------ #
 
+    def alias(self, channel: str, route: Route) -> None:
+        """Make ``channel`` a name for wherever ``route`` sends each message.
+
+        A :meth:`send` on it sends every ``(target, message)`` pair
+        ``route(message)`` returns on ``target`` — charged, fault-delayed
+        and FIFO-clamped there — and nothing under ``channel`` itself.
+        """
+        self._aliases[channel] = route
+
     async def send(self, channel: str, message: Message) -> None:
         """Queue ``message`` for delivery on ``channel``."""
         if self._closed:
             raise TransportClosed(f"send on closed transport (channel {channel!r})")
+        route = self._aliases.get(channel)
+        if route is None:
+            self._enqueue(channel, message)
+        else:
+            for target, routed in route(message):
+                self._enqueue(target, routed)
+
+    def _enqueue(self, channel: str, message: Message) -> None:
         queue = self._queues.setdefault(channel, deque())
         stats = self._stats.setdefault(channel, ChannelStats(channel))
         deliver_at = self._clock

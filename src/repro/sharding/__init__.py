@@ -1,17 +1,19 @@
 """``repro.sharding`` — the partitioned warehouse.
 
-One warehouse catalog, split across N shard actors behind a router:
+One warehouse catalog, split across N shard actors that sources and
+clients reach directly:
 
 - :mod:`repro.sharding.partition` — deterministic placement of view keys
   (hash / range / explicit), statically checked for purity by RPR007;
 - :mod:`repro.sharding.plan` — the frozen per-run placement: per-shard
-  catalogs plus the relation -> interested-shards map;
-- :mod:`repro.sharding.router` — the :class:`ShardRouter` actor fanning
-  updates and handing each answer to the shard whose id slice it is in;
+  catalogs, the relation -> interested-shards map, and
+  :meth:`ShardPlan.route`, the function sending an update to the
+  interested shards and each answer to the shard whose id slice it is in;
 - :mod:`repro.sharding.harness` — how a shard is wired into the one
   harness: ``run_concurrent(..., shards=N)`` runs one warehouse unit per
-  shard (:func:`~repro.sharding.harness.shard_units`) plus the router
-  task, read through the merged :class:`ShardedWarehouse`.
+  shard (:func:`~repro.sharding.harness.shard_units`) with the senders'
+  channels aliased to that function, read through the merged
+  :class:`ShardedWarehouse`.
 """
 
 from repro.sharding.harness import ShardedWarehouse
@@ -23,8 +25,7 @@ from repro.sharding.partition import (
     ViewKey,
     make_partitioner,
 )
-from repro.sharding.plan import ShardPlan, plan_shards
-from repro.sharding.router import ShardRouter, shard_channel
+from repro.sharding.plan import ShardPlan, plan_shards, shard_channel
 
 __all__ = [
     "ExplicitPartitioner",
@@ -32,7 +33,6 @@ __all__ = [
     "Partitioner",
     "RangePartitioner",
     "ShardPlan",
-    "ShardRouter",
     "ShardedWarehouse",
     "ViewKey",
     "make_partitioner",

@@ -1,13 +1,14 @@
-"""Shard wiring for ``run_concurrent(shards=N)``: units and the merged view.
+"""Shard wiring for ``run_concurrent(shards=N)``: units, aliases, merged view.
 
 The sharded topology keeps sources and clients byte-for-byte identical to
-the unsharded runtime — they talk to ``"{name}->wh"`` / ``"wh->{name}"``
-channels exactly as before.  Between them and the data sits:
+the unsharded runtime — they send on ``"{name}->wh"`` and receive on
+``"wh->{name}"`` exactly as before.  Behind those names are:
 
-- one :class:`~repro.sharding.router.ShardRouter` owning the external
-  warehouse inboxes, fanning updates by the plan's interest map and
-  handing each answer to the shard whose slice of the query-id space
-  its id falls in;
+- :func:`alias_shards`: each ``"{name}->wh"`` is a transport alias for
+  :meth:`ShardPlan.route <repro.sharding.plan.ShardPlan.route>`, so an
+  update, answer or refresh lands straight on the
+  ``"{name}=>shard<i>"`` inbox of each shard it concerns, with no actor
+  in between;
 - one :class:`~repro.runtime.actors.WarehouseUnit` **per populated
   shard** (:func:`shard_units`), each running its own per-shard
   :class:`~repro.warehouse.catalog.WarehouseCatalog`, with its own WAL
@@ -27,25 +28,27 @@ view is the tagged union of independently-correct member views.
 
 Crashes are per-shard: ``crash`` applies only to ``crash_shard``, whose
 supervisor rebuilds the actor from its own WAL while every other shard,
-the router, sources, and clients keep running.  The recovered
-incarnation re-issues its pending queries under the ids they already
-had, so recovery is the unsharded protocol: the first answer to an id is
-consumed, a later one is dropped as a duplicate.
+sources, and clients keep running.  The recovered incarnation re-issues
+its pending queries under the ids they already had, so recovery is the
+unsharded protocol: the first answer to an id is consumed, a later one
+is dropped as a duplicate.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.durability.crash import CrashRun
 
 # Re-export only: bench/layers.py patches this module-level name.
 from repro.durability.recovery import recover  # noqa: F401
 from repro.relational.bag import SignedBag
-from repro.runtime.actors import ActorMetrics, WarehouseUnit
-from repro.sharding.plan import ShardPlan
-from repro.sharding.router import shard_channel
+from repro.messaging.messages import Message, UpdateNotification
+from repro.runtime.actors import ActorMetrics, WarehouseUnit, warehouse_inbox
+from repro.runtime.transport import InMemoryTransport
+from repro.sharding.plan import ShardPlan, shard_channel
 
 
 class ShardedWarehouse:
@@ -89,8 +92,7 @@ class ShardedWarehouse:
 
 def shard_units(
     plan: ShardPlan,
-    source_names: Sequence[str],
-    client_names: Sequence[str],
+    senders: Sequence[str],
     wal_dir: Optional[str],
     obs: Optional[object],
     crash_run: Optional[CrashRun],
@@ -98,21 +100,18 @@ def shard_units(
 ) -> List[WarehouseUnit]:
     """One :class:`~repro.runtime.actors.WarehouseUnit` per populated shard.
 
-    Inboxes are the router's per-(origin, shard) channels, each mapped
-    back to the source or client it carries (WAL records and action-log
-    labels stay comparable with an unsharded run); outgoing queries are
-    numbered ``local id * plan.shards + shard``, which is all the router
-    needs to bring the answer back.  Each shard recovers independently,
+    Inboxes are the per-(origin, shard) channels, each mapped back to
+    the source or client it carries (WAL records and action-log labels
+    stay comparable with an unsharded run); outgoing queries are numbered
+    ``local id * plan.shards + shard``, which is all ``plan.route`` needs
+    to bring the answer back.  Each shard recovers independently,
     so each gets its own WAL directory, and only ``crash_shard`` carries
     the crash run.
     """
     return [
         WarehouseUnit(
             plan.algorithms[shard],
-            {
-                shard_channel(name, shard): name
-                for name in (*source_names, *client_names)
-            },
+            {shard_channel(name, shard): name for name in senders},
             shard=shard,
             title=f"shard {shard}",
             wal_dir=None if wal_dir is None else os.path.join(wal_dir, f"shard-{shard}"),
@@ -123,6 +122,36 @@ def shard_units(
         )
         for shard in plan.shard_ids
     ]
+
+
+def alias_shards(
+    transport: InMemoryTransport,
+    plan: ShardPlan,
+    units: Sequence[WarehouseUnit],
+    senders: Sequence[str],
+) -> None:
+    """Alias each ``"{name}->wh"`` to ``plan.route`` for that source or client.
+
+    With observability on, routing an update to a shard also marks it
+    *executed* on that shard's staleness tracker (its staleness basis).
+    """
+    trackers = {
+        channel: unit.obs
+        for unit in units
+        if unit.obs is not None
+        for channel in unit.inboxes
+    }
+
+    def tracked(origin: str, message: Message) -> List[Tuple[str, Message]]:
+        legs = plan.route(origin, message)
+        if isinstance(message, UpdateNotification):
+            for channel, _ in legs:
+                trackers[channel].update_routed(message.serial)
+        return legs
+
+    route = tracked if trackers else plan.route
+    for name in senders:
+        transport.alias(warehouse_inbox(name), partial(route, name))
 
 
 def shard_info(

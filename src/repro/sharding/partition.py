@@ -2,7 +2,7 @@
 
 A partitioner maps a *view key* — the tuple identifying one member view
 of the warehouse, ``(view_name,)`` today — to the shard that owns it.
-The router consults the resulting assignment once, at plan time; after
+The planner consults the resulting assignment once, at plan time; after
 that every update and answer is routed by the plan, never by re-hashing,
 so a partitioner only has to be a **deterministic pure function of the
 key**.  That property is load-bearing: recovery re-plans from the same

@@ -8,11 +8,15 @@ first (so every shard presents the same tagged-union ``view_state``
 shape and the merged global view is always ``(view_name, *row)`` rows).
 
 Alongside the assignment the plan precomputes the **interest map** —
-``relation -> shards whose views read it`` — which is everything the
-router needs to fan an update notification out: a shard with no view
-over the updated relation would process the notification as a no-op
-event, and skipping it keeps per-shard work proportional to per-shard
-data, which is the entire point of partitioning.
+``relation -> shards whose views read it`` — which is everything needed
+to fan an update notification out: a shard with no view over the updated
+relation would process the notification as a no-op event, and skipping
+it keeps per-shard work proportional to per-shard data, which is the
+entire point of partitioning.
+
+Routing (:meth:`ShardPlan.route`) is a function of the frozen plan and
+the message, so no actor sits between a sender and the shards:
+``run_concurrent(shards=N)`` applies it where the message is sent.
 """
 
 from __future__ import annotations
@@ -20,9 +24,25 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Tuple
 
 from repro.core.protocol import WarehouseAlgorithm
-from repro.errors import SimulationError
+from repro.errors import ProtocolError, SimulationError
+from repro.messaging.messages import (
+    Message,
+    QueryAnswer,
+    RefreshRequest,
+    UpdateNotification,
+)
 from repro.sharding.partition import Partitioner, ViewKey, make_partitioner
 from repro.warehouse.catalog import WarehouseCatalog
+
+
+def shard_channel(origin: str, shard: int) -> str:
+    """Channel carrying ``origin``'s traffic to one shard.
+
+    One channel per (origin, shard) pair keeps per-source FIFO (what
+    every Section 5 correctness argument leans on) while letting shards
+    drain the same source's stream independently.
+    """
+    return f"{origin}=>shard{shard}"
 
 
 class ShardPlan:
@@ -58,6 +78,39 @@ class ShardPlan:
     def shard_ids(self) -> Tuple[int, ...]:
         """Populated shards, ascending."""
         return tuple(sorted(self.algorithms))
+
+    def route(self, origin: str, message: Message) -> List[Tuple[str, Message]]:
+        """``origin``'s ``message`` as ``(shard channel, message)`` legs, ascending.
+
+        An update notification goes to every shard whose views involve
+        the relation (possibly none); a refresh to every populated shard.
+        An answer carries the id its source saw, ``local id * shards +
+        shard`` (:meth:`~repro.runtime.actors.WarehouseUnit.wire_id`):
+        one ``divmod`` names the owning shard, and the leg carries the
+        local id.  Queries are not routed — a shard sends them straight
+        to the owning source.  Nothing is kept between calls, so a
+        crashed shard needs nothing restored here: it re-issues under
+        the same ids and drops the later of two answers as a duplicate.
+        """
+        if isinstance(message, UpdateNotification):
+            shards = self.interest.get(message.update.relation, ())
+        elif isinstance(message, QueryAnswer):
+            local_id, shard = divmod(message.query_id, self.shards)
+            if shard not in self.algorithms:
+                # No unit numbers its queries from this slice, so no shard
+                # asked: the id was damaged or invented on the way.
+                raise ProtocolError(
+                    f"answer to query id {message.query_id} from {origin!r} "
+                    f"belongs to shard {shard}, which is not populated "
+                    f"(populated: {list(self.shard_ids)})"
+                )
+            shards = (shard,)
+            message = QueryAnswer(local_id, message.answer)
+        elif isinstance(message, RefreshRequest):
+            shards = self.shard_ids
+        else:
+            raise ProtocolError(f"cannot route {message!r} from {origin!r}")
+        return [(shard_channel(origin, shard), message) for shard in shards]
 
     def __repr__(self) -> str:
         return (
@@ -95,8 +148,8 @@ def plan_shards(
     ``partitioner`` is a :class:`~repro.sharding.partition.Partitioner`
     or a spec name (``"hash"`` / ``"range"``) resolved against the view
     keys.  ``owners`` (relation -> source) bounds the interest map: every
-    owned relation gets an entry, so the router can distinguish "no shard
-    cares" (an explicit empty tuple) from a typo'd relation name.
+    owned relation gets an entry, so "no shard cares" is an explicit
+    empty tuple rather than a missing key.
     """
     if shards < 1:
         raise SimulationError(f"a sharded run needs >= 1 shard, got {shards}")

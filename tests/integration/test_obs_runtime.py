@@ -8,8 +8,13 @@ metrics must reconcile exactly with ``RuntimeResult.metrics_table()``.
 
 from __future__ import annotations
 
+import os
+
+import pytest
+
 from repro.core.eca import ECA
 from repro.durability.crash import CrashPolicy
+from repro.errors import SimulationError
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
@@ -253,3 +258,14 @@ class TestShardedCausalTrace:
             targets = install.linked("installs")
             assert len(targets) == install.attrs["drained"]
             assert all(spans[target].name == "source.answer" for target in targets)
+
+
+class TestObsMustMatchTheTopology:
+    def test_a_sharded_obs_on_an_unsharded_run_is_rejected_up_front(self, tmp_path):
+        """Regression: only the other mismatch was checked, so this one
+        opened the transport and the WAL, let the sources start, and died
+        inside the warehouse's first event on a metric-label error."""
+        with pytest.raises(SimulationError, match=r"Observability\(sharded=False\)"):
+            example2_run(Observability(sharded=True), wal_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+

@@ -17,7 +17,6 @@ The cross-shard consistency proofs for ``repro.sharding``:
 
 from __future__ import annotations
 
-import asyncio
 import os
 
 import pytest
@@ -34,8 +33,8 @@ from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
-from repro.runtime import FaultPlan, InMemoryTransport, run_concurrent
-from repro.sharding import ExplicitPartitioner, ShardRouter, plan_shards, shard_channel
+from repro.runtime import FaultPlan, run_concurrent
+from repro.sharding import ExplicitPartitioner, plan_shards, shard_channel
 from repro.simulation.trace import S_QU, W_CRASH, project_view
 from repro.warehouse.catalog import WarehouseCatalog
 from repro.workloads.random_gen import random_workload
@@ -105,7 +104,7 @@ class TestShardedMatchesUnsharded:
     @pytest.mark.parametrize("n_views", [3, 4])
     @pytest.mark.parametrize("seed", range(3))
     def test_one_shard_is_the_unsharded_run(self, seed, n_views):
-        """The one-unit case *is* the unsharded case, router hop aside."""
+        """The one-unit case *is* the unsharded case."""
         sources, catalog, workloads = build(n_views, updates=5, seed=seed)
         twin_sources, twin_catalog, _ = build(n_views, updates=5, seed=seed)
         one = run_concurrent(
@@ -137,13 +136,16 @@ class TestShardedMatchesUnsharded:
             for name, stats in sharded.channel_stats.items()
             if stats.sent
         }
-        # Exactly the source legs and the router -> shard legs: a shard's
-        # queries go out on the unsharded runtime's own "wh->s<i>" channel.
+        # Exactly one leg each way per (source, shard) pair: what a source
+        # sends lands on the shard's own inbox, and a shard's queries go
+        # out on the unsharded runtime's own "wh->s<i>" channel.
         expected = set()
         for name, shard in sharded.shard_info["assignment"].items():
             source = name.replace("V", "s")
-            expected |= {f"{source}->wh", f"wh->{source}", f"{source}=>shard{shard}"}
+            expected |= {f"wh->{source}", f"{source}=>shard{shard}"}
         assert set(carried) == expected
+        # The name the sources send under is an alias, not a channel.
+        assert not any(name.endswith("->wh") for name in sharded.channel_stats)
         assert all(stats.sent_bytes > 0 for stats in carried.values()), carried
 
     def test_explicit_partitioner_instance_is_honored(self):
@@ -164,7 +166,13 @@ class TestShardedMatchesUnsharded:
             sources, catalog, workloads, clients=0, seed=3, shards=2
         )
         table = {row["actor"]: row for row in result.metrics_table()}
-        assert table["router"]["updates_routed"] == result.updates
+        # Nothing stands between a source and its shards: no actor row,
+        # and what the sources sent is exactly what the shards received.
+        assert "router" not in table and "router" not in result.metrics
+        assert sum(table[name]["sent"] for name in sources) == sum(
+            table[f"shard{shard}"]["received"]
+            for shard in result.shard_info["shard_ids"]
+        )
         for shard in result.shard_info["shard_ids"]:
             row = table[f"shard{shard}"]
             assert row["shard"] == str(shard)
@@ -297,7 +305,7 @@ class TestShardCrashRecovery:
         twice = [seqs for seqs in answered.values() if len(seqs) > 1]
         # The scenario: some source had already answered, before the crash,
         # a query the recovered shard found pending — that answer was still
-        # queued on "s<k>->wh" or the router's leg when the shard restarted.
+        # queued on the shard's "s<k>=>shard1" inbox when it restarted.
         assert any(seqs[0] < crashed_at for seqs in twice)
         assert all(len(seqs) == 2 for seqs in twice)
         shard = {row["actor"]: row for row in result.metrics_table()}["shard1"]
@@ -337,30 +345,21 @@ class TestRouterOwnsNoQueryState:
             relation_owners(sources),
         )
         assert plan.shard_ids == (0, 2)
-        transport = InMemoryTransport()
-        router = ShardRouter(transport, plan, source_names=sorted(sources))
 
         def sizes():
             return {
-                name: len(value)
-                for name, value in vars(router).items()
-                if hasattr(value, "__len__")
+                name: len(getattr(plan, name))
+                for name in plan.__slots__
+                if hasattr(getattr(plan, name), "__len__")
             }
 
         before = sizes()
-
-        async def drive():
-            # 8 = local id 2 in shard 2's slice; 7 = local id 2 in shard 1's.
-            await transport.send("s1->wh", QueryAnswer(8, SignedBag()))
-            await transport.send("s1->wh", QueryAnswer(7, SignedBag()))
-            await router.run()
-
+        # 8 = local id 2 in shard 2's slice; 7 = local id 2 in shard 1's.
+        assert plan.route("s1", QueryAnswer(8, SignedBag())) == [
+            (shard_channel("s1", 2), QueryAnswer(2, SignedBag()))
+        ]
         with pytest.raises(ProtocolError, match=r"query id 7 .*shard 1\b"):
-            asyncio.run(drive())
-        assert transport.receive_nowait(shard_channel("s1", 2)) == QueryAnswer(
-            2, SignedBag()
-        )
-        assert router.metrics.events["answers_routed"] == 1
+            plan.route("s1", QueryAnswer(7, SignedBag()))
         # Routing an answer left nothing behind: no container grew.
         assert sizes() == before
 
@@ -404,13 +403,13 @@ class TestShardWalExclusivity:
 
 class TestShardFailureSurfacesItsRootCause:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_a_raising_shard_is_not_masked_by_the_routers_shutdown(
+    def test_a_raising_shard_is_not_masked_by_the_shutdown_it_causes(
         self, seed, monkeypatch
     ):
-        """The harness closes the transport once an actor dies; the
-        router's TransportClosed is that shutdown's echo and is gathered
-        first (sources → router → units), but the shard's own error is
-        the one the caller must see."""
+        """The harness closes the transport once an actor dies; a
+        source's TransportClosed is that shutdown's echo and is gathered
+        first (sources → units), but the shard's own error is the one
+        the caller must see."""
 
         class ShardFault(RuntimeError):
             pass

@@ -315,11 +315,11 @@ class TestSharded:
         )
         assert total_saved > 0
 
-    def test_a_relevant_update_costs_one_plus_four_messages_per_shard(self):
-        """M on the sharded fan-in (Section 6.1's first cost axis): the
-        notification, then per interested shard its forwarded copy, one
-        shared query straight to the source, the answer, and the answer's
-        forwarded copy.  No leg exists only to renumber a query."""
+    def test_a_relevant_update_costs_three_messages_per_interested_shard(self):
+        """M on the sharded fan-in (Section 6.1's first cost axis): per
+        interested shard the notification, one shared query straight to
+        the source, and the answer.  No leg exists only to forward a
+        message or to renumber a query."""
         sources, catalog = fanin_setup(4, share=True)
         result = run_concurrent(
             sources, catalog, {"source": list(WORKLOAD)}, seed=3, shards=2
@@ -327,4 +327,4 @@ class TestSharded:
         interested = len(result.shard_info["shard_ids"])
         assert interested == 2
         messages = sum(stats.sent for stats in result.channel_stats.values())
-        assert messages == len(WORKLOAD) * (1 + 4 * interested)
+        assert messages == len(WORKLOAD) * 3 * interested

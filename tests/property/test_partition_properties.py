@@ -1,6 +1,6 @@
 """Property tests: partitioners are total, stable, pure functions of the key.
 
-These are the properties the router and recovery lean on (see
+These are the properties routing and recovery lean on (see
 ``repro.sharding.partition``): every key lands on exactly one shard in
 range, the same key lands on the same shard in every process and every
 instance, and range layouts respect key order.  Hypothesis drives the

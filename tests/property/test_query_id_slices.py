@@ -1,8 +1,8 @@
 """Property tests: shards own disjoint slices of one query-id space.
 
 A shard numbers the queries it sends ``local id * shards + shard``
-(:meth:`repro.runtime.actors.WarehouseUnit.wire_id`) and the router finds
-an answer's owner with ``divmod(id, shards)``.  That pair has to be a
+(:meth:`repro.runtime.actors.WarehouseUnit.wire_id`) and the plan's route
+finds an answer's owner with ``divmod(id, shards)``.  That pair has to be a
 bijection between ``(shard, local id)`` and the ids sources see, for every
 shard count — it is all that stands between an answer and the wrong view.
 """

@@ -182,7 +182,8 @@ class TestShardedRuntimeCli:
         assert "sharding:           2 shard(s), hash partitioner" in out
         assert "V0->s" in out and "V1->s" in out
         assert "strongly consistent" in out
-        assert "router" in out and "shard" in out
+        assert "shard0" in out and "shard1" in out
+        assert "router" not in out and "->wh" not in out
 
     def test_range_partitioner_and_crash_shard(self, capsys):
         assert main([

@@ -210,3 +210,63 @@ class TestFaultyTransport:
             FaultPlan(latency=-1)
         with pytest.raises(ValueError):
             FaultPlan(max_retries=-2)
+
+
+class TestAliasedChannels:
+    """``alias``: a name that stands for the channels a route returns."""
+
+    @staticmethod
+    def fan_out(message):
+        # Odd serials go to both targets, even ones to "x" only, 0 nowhere.
+        if message.serial == 0:
+            return []
+        targets = ("x", "y") if message.serial % 2 else ("x",)
+        return [(target, message) for target in targets]
+
+    def test_faults_fifo_and_charges_apply_per_target(self):
+        async def scenario():
+            t = InMemoryTransport(
+                sizer=lambda m: 10,
+                plan=FaultPlan(latency=1.0, jitter=25.0, drop_rate=0.3),
+                seed=11,
+            )
+            t.alias("in", self.fan_out)
+            for serial in range(1, 13):
+                await t.send("in", note(serial))
+            out = {"x": [], "y": []}
+            for _ in range(18):
+                channel, message = await t.recv_any(("x", "y"))
+                out[channel].append(message.serial)
+            return t, out
+
+        t, out = run(scenario())
+        # Jitter reorders across the targets, never within one.
+        assert out == {"x": list(range(1, 13)), "y": list(range(1, 13, 2))}
+        stats = t.stats()
+        # Every send is charged once, on the channel that carried it; the
+        # alias carried nothing, so it has no row at all.
+        assert set(stats) == {"x", "y"}
+        assert (stats["x"].sent, stats["x"].sent_bytes) == (12, 120)
+        assert (stats["y"].sent, stats["y"].sent_bytes) == (6, 60)
+        assert stats["x"].dropped + stats["y"].dropped > 0
+        assert t.pending("in") == 0 and t.total_pending() == 0
+
+    def test_a_route_returning_nothing_queues_nothing(self):
+        async def scenario():
+            t = InMemoryTransport()
+            t.alias("in", self.fan_out)
+            await t.send("in", note(0))
+            return t
+
+        t = run(scenario())
+        assert t.total_pending() == 0 and t.stats() == {}
+
+    def test_an_unaliased_channel_is_untouched(self):
+        async def scenario():
+            t = InMemoryTransport()
+            t.alias("in", self.fan_out)
+            await t.send("other", note(1))
+            return (await t.recv("other")).serial, set(t.stats())
+
+        assert run(scenario()) == (1, {"other"})
+
