@@ -236,8 +236,11 @@ def _fanout_topology(n_sources: int, updates: int, seed: int, algorithm: str = "
         source = MemorySource(schemas, initial)
         sources[prefix] = source
         view = View.natural_join(f"V{index}", schemas, ["W", "Y"])
+        state = source.snapshot()
+        # Stored copies start from the source's data, like the view does.
+        options = {"initial_copies": state} if algorithm == "stored-copies" else {}
         algorithms[f"V{index}"] = create_algorithm(
-            algorithm, view, evaluate_view(view, source.snapshot())
+            algorithm, view, evaluate_view(view, state), **options
         )
         workload.extend(
             random_workload(
@@ -254,8 +257,9 @@ def _fanout_topology(n_sources: int, updates: int, seed: int, algorithm: str = "
 def cmd_runtime(args: argparse.Namespace) -> int:
     from repro.consistency import check_trace
     from repro.core.registry import ALGORITHMS, create_algorithm
-    from repro.errors import SimulationError
+    from repro.errors import ProtocolError, SimulationError
     from repro.experiments.report import render_table
+    from repro.messaging.wire import create_codec
     from repro.multisource.consistency import cut_report
     from repro.relational.engine import evaluate_view
     from repro.relational.schema import RelationSchema
@@ -267,6 +271,11 @@ def cmd_runtime(args: argparse.Namespace) -> int:
 
     if args.sources < 1:
         print(f"error: --sources must be >= 1, got {args.sources}", file=sys.stderr)
+        return 2
+    try:
+        create_codec(args.wire_codec)
+    except ProtocolError as error:  # 'zstd' without the optional package
+        print(f"error: {error}", file=sys.stderr)
         return 2
     multi = getattr(ALGORITHMS[args.algorithm], "multi_source", False)
     if multi and args.share_compensation == "on":
@@ -355,7 +364,7 @@ def cmd_runtime(args: argparse.Namespace) -> int:
 
     # Every configuration error — a constructor rejecting a flag value
     # (CrashPolicy, FaultPlan, ServingCache, WriteAheadLog) or the harness
-    # rejecting a combination (e.g. --shards with --batch-k > 1) — is
+    # rejecting a combination (e.g. --crash-shard without --shards) — is
     # reported like a usage error.
     temp_wal = None
     try:

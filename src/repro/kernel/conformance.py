@@ -1,14 +1,16 @@
 """Cross-kernel conformance: replay a concurrent run synchronously.
 
-``run_concurrent`` records every recordable action — source updates,
-source answers, atomic warehouse events (tagged with the channel they
-consumed), client refreshes — as a global ``action_log`` of kernel
-action strings.  :func:`replay_concurrent` feeds that log to a fresh
-:class:`~repro.kernel.sync.SyncKernel` over twin sources and a twin
-algorithm.  Because both kernels dispatch through
-:func:`repro.kernel.dispatch.dispatch_event` and share the per-source
-FIFO discipline, the replay must reproduce the concurrent run's trace
-event-for-event — the conformance suite asserts exactly that.
+The run's :class:`~repro.simulation.trace.HistoryRecorder` logs every
+recorded step — source updates, source answers, atomic warehouse events
+(tagged with the channel they consumed), client refreshes — as a global
+``action_log`` of kernel action strings.  :func:`replay_concurrent`
+feeds that log to a fresh :class:`~repro.kernel.sync.SyncKernel` over
+twin sources and a twin algorithm.  Because both kernels dispatch
+through :func:`repro.kernel.dispatch.dispatch_event`, share the
+per-source FIFO discipline and record through the same writer, the
+replay must reproduce the concurrent run's trace event-for-event and
+log the very actions it was fed — the conformance suite asserts exactly
+that.
 
 Crash/recovery runs are refused: a crash abandons in-memory state the
 synchronous kernel has no action for, so those executions are compared
@@ -36,6 +38,10 @@ def replay_concurrent(
     workloads: Mapping[str, Sequence[Update]],
 ) -> SyncKernel:
     """Replay a concurrent run's action log on the synchronous kernel.
+
+    Returns the kernel after the last step; its ``trace``,
+    ``per_source_states`` and ``action_log`` are the replay's own record
+    (``kernel.action_log == action_log``: it took exactly the logged steps).
 
     Parameters
     ----------

@@ -73,6 +73,17 @@ def coalesce_updates(
     return members
 
 
+def warehouse_action(sender: str, message: Message) -> str:
+    """The kernel action string of the event that consumed ``message``.
+
+    ``warehouse:<sender>``, or ``warehouse:<sender>@<k>`` for a coalesced
+    batch so conformance replay reproduces that exact coalescing decision.
+    """
+    if isinstance(message, UpdateBatch):
+        return f"warehouse:{sender}@{len(message)}"
+    return f"warehouse:{sender}"
+
+
 def validate_routed(
     algorithm: WarehouseAlgorithm,
     method: str,

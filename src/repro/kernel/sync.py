@@ -24,6 +24,13 @@ Actions (all strings, chooseable by a schedule):
   batching decisions from its action log);
 - ``"refresh:<client>"``   — client ``<client>`` enqueues a refresh
   request on its own warehouse channel (used by conformance replay).
+
+Every step is recorded through one
+:class:`~repro.simulation.trace.HistoryRecorder` — the writer the asyncio
+runtime uses too — which yields :attr:`SyncKernel.trace`,
+:attr:`SyncKernel.per_source_states` and :attr:`SyncKernel.action_log`
+(the steps taken, in the source-qualified form above: an ``"update"``
+is logged as ``update:<source>``, a coalescing step with its ``@<n>``).
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from repro.kernel.dispatch import (
     dispatch_event,
     relation_owners,
     resolve_destination,
+    warehouse_action,
 )
 from repro.messaging.channel import FifoChannel
 from repro.messaging.messages import (
@@ -191,12 +199,13 @@ class SyncKernel:
         }
         self._client_serials: Dict[str, int] = {}
         self._refresh_serial = 0
-        self._history = HistoryRecorder(self.sources)
+        self._history = HistoryRecorder(self.sources, algorithm.view_state)
         self.trace = self._history.trace
         #: Per-source state histories: name -> [state after i updates at
         #: that source].  Used by the cut-consistency checker.
         self.per_source_states = self._history.per_source_states
-        self._history.begin(algorithm.view_state)
+        #: Every step taken so far, in ``RuntimeResult.action_log``'s form.
+        self.action_log = self._history.action_log
 
     def _client_channel(self, name: str) -> FifoChannel:
         if name in self.sources:
@@ -342,7 +351,7 @@ class SyncKernel:
                 destination, request, self.owners, sole=self._sole
             )
             self.outbound[target].send(request)
-        self._history.event(kind, detail, self.algorithm.view_state)
+        self._history.event(kind, detail, warehouse_action(name, message))
 
     def _do_refresh(self, client: str) -> None:
         """``C_ref``: a named client enqueues a refresh request."""

@@ -21,7 +21,7 @@ below fix the topology).  Actors reuse the existing components unchanged:
   view, recording what state it observed at what virtual time.
 
 Actors never share mutable state except through the transport and the
-harness's recording hooks; within one event-loop step each message is
+run's history recorder; within one event-loop step each message is
 processed atomically (no awaits inside an algorithm call), matching the
 paper's atomic-event assumption.
 """
@@ -49,6 +49,7 @@ from repro.kernel.dispatch import (
     is_duplicate_answer,
     query_owner,
     receive_query_request,
+    warehouse_action,
 )
 from repro.messaging.messages import (
     Message,
@@ -60,6 +61,7 @@ from repro.messaging.messages import (
 )
 from repro.relational.bag import SignedBag
 from repro.runtime.transport import InMemoryTransport
+from repro.simulation.trace import HistoryRecorder
 from repro.source.base import Source
 from repro.source.updates import Update
 
@@ -138,8 +140,8 @@ class SourceActor:
     workload:
         The updates this source will execute, in order.
     recorder:
-        The harness's trace recorder (assigns global serials and snapshots
-        the combined source state — see ``harness._TraceRecorder``).
+        The run's one history recorder (assigns global serials, folds the
+        source states, logs the action).
     seed, max_burst:
         A per-actor RNG decides how many updates to apply before yielding
         (1..max_burst); different seeds explore different interleavings of
@@ -152,7 +154,7 @@ class SourceActor:
         source: Source,
         transport: InMemoryTransport,
         workload: Sequence[Update],
-        recorder: "object",
+        recorder: HistoryRecorder,
         seed: int = 0,
         max_burst: int = 2,
         obs: Optional["Observability"] = None,
@@ -170,6 +172,8 @@ class SourceActor:
         self.metrics.declare("updates_applied", "queries_answered")
         self._obs = obs
         self.workload_done = len(self._workload) == 0
+        #: Virtual time of this source's latest update (quiesce latency).
+        self.last_update_at = 0.0
 
     async def run(self) -> None:
         while self._workload:
@@ -200,7 +204,8 @@ class SourceActor:
     async def _apply_next(self) -> None:
         update = self._workload.popleft()
         self.source.apply_update(update)
-        serial = self.recorder.record_update(self.name, update)
+        serial = self.recorder.update(self.name, update)
+        self.last_update_at = self.transport.now()
         self.metrics.bump("updates_applied")
         self.metrics.sent += 1
         if self._obs is not None:
@@ -211,7 +216,7 @@ class SourceActor:
         request = receive_query_request(self.name, message)
         self.metrics.received += 1
         answer = self.source.evaluate(request.query)
-        self.recorder.record_query(self.name, request.query_id, answer)
+        self.recorder.query(self.name, request.query_id, answer)
         self.metrics.bump("queries_answered")
         self.metrics.sent += 1
         if self._obs is not None:
@@ -327,7 +332,7 @@ class WarehouseActor:
         unit: WarehouseUnit,
         transport: InMemoryTransport,
         owners: Dict[str, str],
-        recorder: "object",
+        recorder: HistoryRecorder,
         *,
         cache: "object" = None,
         batch_k: int = 1,
@@ -437,12 +442,7 @@ class WarehouseActor:
         if not drop_sends:
             for destination, request in routed:
                 await self._send_request(destination, request)
-        label = sender
-        if isinstance(message, UpdateBatch):
-            # ``warehouse:<origin>@<k>`` in the action log, so conformance
-            # replay reproduces this exact coalescing decision.
-            label = f"{label}@{len(message)}"
-        self.recorder.record_warehouse_event(kind, detail, label)
+        self.recorder.event(kind, detail, warehouse_action(sender, message))
         if obs is not None:
             obs.wh_event_end(self._obs_span, kind, message, algorithm, pending_before)
             self._obs_span = None
@@ -460,7 +460,6 @@ class WarehouseActor:
         unit.metrics.sent += 1
         if reissued:
             unit.metrics.bump("reissued_queries")
-        self.recorder.record_request(request)
         if unit.obs is not None:
             unit.obs.wh_query_sent(
                 self._obs_span,
@@ -498,7 +497,7 @@ class ClientActor:
         name: str,
         transport: InMemoryTransport,
         warehouse: WarehouseUnit,
-        recorder: "object",
+        recorder: HistoryRecorder,
         reads: int = 4,
         seed: int = 0,
         max_think: int = 4,
@@ -524,7 +523,7 @@ class ClientActor:
             except TransportClosed:
                 return
             self.metrics.sent += 1
-            self.recorder.record_refresh(self.name, serial)
+            self.recorder.refresh(serial, self.name)
             if self._obs is not None:
                 self._obs.client_refresh(self.name, serial)
             # Think, then read whatever the warehouse currently exposes.

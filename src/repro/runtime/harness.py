@@ -2,11 +2,12 @@
 
 The harness wires sources, the warehouse, and view-reading clients onto a
 shared transport, runs them as asyncio tasks, and records a global
-:class:`~repro.simulation.trace.Trace` exactly like the synchronous
-drivers do — one source snapshot per executed update, one view snapshot
-per warehouse event — so :func:`repro.consistency.checker.check_trace`
-classifies concurrent executions against the Section 3.1 hierarchy with
-no changes.
+:class:`~repro.simulation.trace.Trace` through the same
+:class:`~repro.simulation.trace.HistoryRecorder` the synchronous drivers
+use — one source state per executed update, one view snapshot per
+warehouse event, one action-log entry per step — so
+:func:`repro.consistency.checker.check_trace` classifies concurrent
+executions against the Section 3.1 hierarchy with no changes.
 
 The warehouse side is a list of :class:`WarehouseUnit`: one unit, or with
 ``shards=N`` one per populated shard, each receiving directly what
@@ -23,7 +24,8 @@ throughput metric and never feeds back into scheduling.
 Termination: the harness waits for every client to finish and every
 source workload to drain, then polls (at scheduling points) until all
 channels are empty and the algorithm is quiescent, and finally closes the
-transport, unwinding the actor tasks.
+transport, unwinding the actor tasks.  A drained, idle run whose
+algorithm still holds work can never quiesce and fails at once.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import asyncio
 import time
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -42,15 +43,11 @@ from typing import (
     Union,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - repro.sharding builds on this module
-    from repro.sharding.harness import ShardedWarehouse
-
 from repro.durability.crash import CrashPolicy
 from repro.durability.recovery import recover
 from repro.durability.wal import WriteAheadLog
 from repro.errors import SimulationError, TransportClosed, WarehouseCrashed
 from repro.kernel.dispatch import relation_owners
-from repro.messaging.messages import QueryRequest
 from repro.messaging.wire import create_codec
 from repro.relational.bag import SignedBag
 from repro.runtime.actors import (
@@ -72,77 +69,6 @@ WorkloadArg = Union[Sequence[Update], Mapping[str, Sequence[Update]]]
 
 #: Safety valve for the quiescence poll loop.
 _MAX_POLLS = 1_000_000
-
-
-class _TraceRecorder:
-    """The harness's single-writer view of the global history.
-
-    Actors call these hooks between awaits, so each hook runs atomically
-    with the event it records; the trace's event order *is* the execution
-    order.  The history itself (serials, detail strings, snapshots) is the
-    shared :class:`~repro.simulation.trace.HistoryRecorder`; this class
-    adds what only the runtime has: the action log, the virtual time of
-    the last update, and the request count.
-    """
-
-    def __init__(
-        self,
-        sources: Mapping[str, Source],
-        transport: InMemoryTransport,
-        record_trace: bool = True,
-    ) -> None:
-        #: With ``record_trace=False`` (benchmarks) the history skips the
-        #: O(rows) trace/snapshot work per event; serials, the action log,
-        #: and timing still accrue.
-        self.history = HistoryRecorder(sources, record_trace=record_trace)
-        self._transport = transport
-        self.last_update_at = 0.0
-        self.requests = 0
-        self._warehouse: Optional["WarehouseUnit | ShardedWarehouse"] = None
-        #: The global order of recordable actions, as kernel action strings
-        #: (``update:<source>`` / ``answer:<source>`` /
-        #: ``warehouse:<origin>`` / ``refresh:<client>`` plus ``crash`` /
-        #: ``recover`` markers).  A concurrent run's log replays on the
-        #: synchronous kernel — see :mod:`repro.kernel.conformance`.
-        self.action_log: List[str] = []
-
-    def record_initial(self, warehouse: "WarehouseUnit | ShardedWarehouse") -> None:
-        self.history.begin(warehouse.view_state)
-        self._warehouse = warehouse
-
-    def record_update(self, source_name: str, update: Update) -> int:
-        serial = self.history.update(source_name, update)
-        self.action_log.append(f"update:{source_name}")
-        self.last_update_at = self._transport.now()
-        return serial
-
-    def record_query(self, source_name: str, query_id: int, answer: SignedBag) -> None:
-        self.history.query(source_name, query_id, answer)
-        self.action_log.append(f"answer:{source_name}")
-
-    def record_request(self, request: QueryRequest) -> None:
-        self.requests += 1
-
-    def record_refresh(self, client_name: str, serial: int) -> None:
-        self.history.refresh(serial, client_name)
-        self.action_log.append(f"refresh:{client_name}")
-
-    def record_warehouse_event(self, kind: str, detail: str, origin: str) -> None:
-        self.history.event(kind, detail, self._warehouse.view_state)
-        self.action_log.append(f"warehouse:{origin}")
-
-    def record_crash(self, detail: str) -> None:
-        # No view snapshot: the crashed process exposed nothing new, and
-        # the in-memory view it held is gone.
-        self.history.event(W_CRASH, detail)
-        self.action_log.append("crash")
-
-    def record_recovery(self, detail: str) -> None:
-        # Snapshot the *recovered* view so the checker classifies what
-        # readers can now observe (a duplicate of the pre-crash state when
-        # recovery is exact — harmless to the checker's dedup).
-        self.history.event(W_REC, detail, self._warehouse.view_state)
-        self.action_log.append("recover")
 
 
 class RuntimeResult:
@@ -403,7 +329,8 @@ def run_concurrent(
         :class:`~repro.messaging.messages.UpdateBatch` event, answered by
         a single compensating query ``Q<U1,...,Uk>``.  The default 1
         never batches — byte-for-byte the legacy per-update protocol.
-        Not yet supported together with ``shards``.
+        With ``shards`` each shard coalesces from its own per-``(origin,
+        shard)`` channels.
     wire_codec:
         Name of a :mod:`repro.messaging.wire` codec (``"none"``,
         ``"frame"``, ``"zlib"``, ``"zstd"``).  When set (and not
@@ -437,18 +364,11 @@ def run_concurrent(
     if plan is None:
         if crash_shard != 0:
             raise SimulationError(f"crash_shard={crash_shard} requires shards=")
-    else:
-        if batch_k > 1:
-            raise SimulationError(
-                "batch_k > 1 is not supported with sharding yet: a "
-                "source's update run splits across shards, so per-shard "
-                "coalescing would not match the global action log"
-            )
-        if crash is not None and crash_shard not in plan.shard_ids:
-            raise SimulationError(
-                f"crash_shard={crash_shard} is not a populated shard "
-                f"(populated: {list(plan.shard_ids)})"
-            )
+    elif crash is not None and crash_shard not in plan.shard_ids:
+        raise SimulationError(
+            f"crash_shard={crash_shard} is not a populated shard "
+            f"(populated: {list(plan.shard_ids)})"
+        )
     if obs is not None and getattr(obs, "sharded", False) != (plan is not None):
         raise SimulationError(
             f"shards={shards} needs Observability(sharded={plan is not None}): "
@@ -461,7 +381,6 @@ def run_concurrent(
     transport = InMemoryTransport(
         sizer=sizer, codec=codec, plan=faults, seed=seed + 0x5EED
     )
-    recorder = _TraceRecorder(named_sources, transport, record_trace=record_trace)
     if obs is not None:
         obs.attach_clock(transport.now)
     crash_run = crash.start() if crash is not None else None
@@ -480,6 +399,10 @@ def run_concurrent(
     else:
         units = shard_units(plan, senders, wal_dir, obs, crash_run, crash_shard)
         alias_shards(transport, plan, units, senders)
+    # Clients, the recorder and readers hold the unit, so they survive
+    # incarnation swaps; one unit is its own facade (no merge).
+    warehouse = units[0] if plan is None else ShardedWarehouse(units)
+    recorder = HistoryRecorder(named_sources, warehouse.view_state, record_trace)
 
     if cache is not None:
         cache.bind_obs(obs)
@@ -542,9 +465,11 @@ def run_concurrent(
         lost (they wait in the transport) and every other actor — other
         shards included — keeps running.
         """
-        recorder.record_crash(
+        recorder.event(
+            W_CRASH,
             f"{unit.title} crashed at event {fault.event_index} "
-            f"(mode={fault.mode}, drop_sends={fault.drop_sends})"
+            f"(mode={fault.mode}, drop_sends={fault.drop_sends})",
+            "crash",
         )
         _retire_wal(unit)
         if unit.obs is not None:
@@ -575,15 +500,11 @@ def run_concurrent(
             detail = f"{unit.title} {detail}"
         info["virtual_time"] = transport.now()
         crashes.append(info)
-        recorder.record_recovery(detail)
+        recorder.event(W_REC, detail, "recover")
 
     try:
         for unit in units:
             _incarnate(unit, unit.algorithm)
-        # Clients, the recorder and readers hold the unit, so they survive
-        # incarnation swaps; one unit is its own facade (no merge).
-        warehouse = units[0] if plan is None else ShardedWarehouse(units)
-        recorder.record_initial(warehouse)
         client_actors = [
             ClientActor(
                 name,
@@ -620,7 +541,6 @@ def run_concurrent(
         asyncio.run(
             _drive(
                 transport,
-                warehouse,
                 units,
                 source_actors,
                 client_actors + reader_actors,
@@ -634,12 +554,7 @@ def run_concurrent(
         for unit in units:
             _retire_wal(unit)
 
-    laggards = [unit.title for unit in units if not unit.is_quiescent()]
-    if laggards:
-        raise SimulationError(
-            f"{', '.join(laggards)} failed to quiesce after the workload drained"
-        )
-
+    last_update_at = max(actor.last_update_at for actor in source_actors)
     metrics = {actor.metrics.name: actor.metrics for actor in source_actors}
     for unit in units:
         metrics[unit.metrics.name] = unit.metrics
@@ -647,11 +562,11 @@ def run_concurrent(
         metrics[client.name] = client.metrics
 
     result = RuntimeResult(
-        trace=recorder.history.trace,
+        trace=recorder.trace,
         metrics=metrics,
         channel_stats=transport.stats(),
         updates=sum(len(updates) for updates in workloads.values()),
-        quiesce_latency=max(0.0, transport.now() - recorder.last_update_at),
+        quiesce_latency=max(0.0, transport.now() - last_update_at),
         virtual_duration=transport.now(),
         wall_seconds=wall_seconds,
         observations={c.name: c.observations for c in client_actors},
@@ -659,7 +574,7 @@ def run_concurrent(
         crashes=crashes,
         wal_stats=wal_totals if wal_dir is not None else None,
         action_log=recorder.action_log,
-        per_source_states=recorder.history.per_source_states,
+        per_source_states=recorder.per_source_states,
         shard_info=shard_info(plan, partitioner, units) if plan is not None else None,
         serving=serving_report(cache, reader),
         read_results={r.name: r.results for r in reader_actors},
@@ -670,9 +585,20 @@ def run_concurrent(
     return result
 
 
+def _held_work(algorithm: object) -> Dict[str, object]:
+    """Gauges of what is not quiescent: the algorithm, or a catalog's members."""
+    members = getattr(algorithm, "algorithms", None)
+    if members is None:
+        return algorithm.gauges()
+    return {
+        name: member.gauges()
+        for name, member in members.items()
+        if not member.is_quiescent()
+    }
+
+
 async def _drive(
     transport: InMemoryTransport,
-    warehouse: "WarehouseUnit | ShardedWarehouse",
     units: Sequence[WarehouseUnit],
     source_actors: Sequence[SourceActor],
     client_actors: Sequence["ClientActor | ReadClientActor"],
@@ -710,9 +636,21 @@ async def _drive(
             if (
                 all(actor.workload_done for actor in source_actors)
                 and transport.total_pending() == 0
-                and warehouse.is_quiescent()
             ):
-                break
+                stalled = [unit for unit in units if not unit.is_quiescent()]
+                if not stalled:
+                    break
+                # Every actor is idle and no message is in flight, so
+                # nothing can ever arrive to finish the work still held.
+                held = "; ".join(
+                    f"{unit.title} {_held_work(unit.algorithm)}" for unit in stalled
+                )
+                raise SimulationError(
+                    f"runtime cannot quiesce: workloads drained, clients finished "
+                    f"and no message pending, yet work remains at {held} — "
+                    f"deferred families (batch-eca, deferred-eca) flush only on a "
+                    f"client refresh that follows the last update"
+                )
         else:
             raise SimulationError(
                 f"runtime did not quiesce within {_MAX_POLLS} polls "

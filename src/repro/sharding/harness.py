@@ -58,8 +58,7 @@ class ShardedWarehouse:
     part for clients and the trace recorder: ``view_state()`` is the
     tagged union of the per-shard catalogs (each already tags rows with
     the member view's name, so the union is exactly what one unsharded
-    catalog over the same views would expose), and quiescence means
-    *every* shard is quiescent.
+    catalog over the same views would expose).
     """
 
     __slots__ = ("units",)
@@ -73,9 +72,6 @@ class ShardedWarehouse:
         for unit in self.units:
             merged.add_bag(unit.view_state())
         return merged
-
-    def is_quiescent(self) -> bool:
-        return all(unit.is_quiescent() for unit in self.units)
 
     @property
     def algorithms(self) -> Dict[str, object]:

@@ -3,12 +3,13 @@
 A :class:`Trace` records the sequence of events, the source state after
 every ``S_up`` (the paper's ``ss_0 .. ss_p``), and the warehouse view state
 after every warehouse event (``ws_0 .. ws_q``).  The consistency checker
-replays ``V[ss_i]`` over these snapshots to classify a run against the
+replays ``V[ss_i]`` over these states to classify a run against the
 correctness hierarchy of Section 3.1.
 
-:class:`HistoryRecorder` is the one writer of a trace: the synchronous
-kernel and the asyncio harness both record through it, so serials, detail
-strings and snapshot cadence cannot drift between frontends.
+:class:`HistoryRecorder` is the one writer of a trace and of the run's
+action log: the synchronous kernel, the asyncio actors and the harness's
+crash restart all record through it, so serials, detail strings, action
+strings and state cadence cannot drift between frontends.
 :func:`project_view` reads one member view's own trace back out of a
 catalog's tagged one.
 """
@@ -112,84 +113,105 @@ class Trace:
 class HistoryRecorder:
     """Records one run's history: the single writer of a :class:`Trace`.
 
-    Owns the global update serials, the ``S_up`` / ``S_qu`` / ``C_ref``
-    detail formats, the combined source snapshot ``ss_i`` after every
-    update, the per-source histories the cut-consistency checker reads,
-    and the ``ws_j`` append after every warehouse event.
+    Stores what Section 3.1 defines: ``ss_0`` — the one
+    ``Source.snapshot()`` per source, taken here and never again — and
+    the ordered events.  Every later ``ss_i`` is *folded*: ``ss_{i-1}``
+    with the ``S_up`` event's update applied to a copy of the one
+    relation it touches.  Consecutive states share every other relation,
+    and the combined sequence (``trace.source_states``) and the updating
+    source's own (``per_source_states``, what the cut-consistency checker
+    reads) share the one new bag — recorded states are read-only.
 
-    ``record_trace=False`` keeps the serials but skips events and every
-    O(rows) snapshot.
+    Also owns the global update serials, the ``S_up`` / ``S_qu`` /
+    ``C_ref`` detail formats, the ``ws_j`` append after every warehouse
+    event, and the action log: each call appends the kernel action string
+    (:mod:`repro.kernel.sync`) of the step it records, so the synchronous
+    kernel and the asyncio runtime log the same run identically and a log
+    replays on the former (:mod:`repro.kernel.conformance`).
+
+    ``view_state`` reads the warehouse's current view (``ws_j``); it is
+    only called while ``record_trace`` holds.  ``record_trace=False``
+    keeps the serials and the action log but skips events and every
+    O(rows) copy after ``ss_0``.
     """
 
     def __init__(
         self,
         sources: Mapping[str, Source],
+        view_state: Callable[[], SignedBag],
         record_trace: bool = True,
     ) -> None:
-        self._sources = dict(sources)
+        self._view_state = view_state
         self.record_trace = record_trace
         self.trace = Trace()
         self.serial = 0
+        #: The global order of recorded steps, as kernel action strings:
+        #: ``update:<source>`` / ``answer:<source>`` /
+        #: ``warehouse:<sender>[@k]`` / ``refresh:<client>`` plus the
+        #: ``crash`` / ``recover`` markers.
+        self.action_log: List[str] = []
         #: name -> [state after i updates at that source], for the
         #: cut-consistency checker.
         self.per_source_states: Dict[str, List[Dict[str, SignedBag]]] = {
-            name: [source.snapshot()] for name, source in self._sources.items()
+            name: [source.snapshot()] for name, source in sources.items()
         }
-
-    def _snapshot(self) -> Dict[str, SignedBag]:
-        combined: Dict[str, SignedBag] = {}
-        for source in self._sources.values():
-            combined.update(source.snapshot())
-        return combined
-
-    def begin(self, view_state: Callable[[], SignedBag]) -> None:
-        """``ss_0`` and ``ws_0``: the initial states."""
-        if self.record_trace:
-            self.trace.record_source_state(self._snapshot())
+        if record_trace:
+            combined: Dict[str, SignedBag] = {}
+            for states in self.per_source_states.values():
+                combined.update(states[0])
+            self.trace.record_source_state(combined)
             self.trace.record_view_state(view_state())
 
     def update(self, source_name: str, update: Update) -> int:
         """``S_up``: ``source_name`` just executed ``update``; its serial."""
         self.serial += 1
+        self.action_log.append(f"update:{source_name}")
         if self.record_trace:
             self.trace.record_event(
                 S_UP, f"U{self.serial}@{source_name} = {update!r}"
             )
-            self.trace.record_source_state(self._snapshot())
-            self.per_source_states[source_name].append(
-                self._sources[source_name].snapshot()
-            )
+            combined = self.trace.final_source_state
+            relation = combined[update.relation].copy()
+            relation.add(update.values, update.sign)
+            self.trace.record_source_state({**combined, update.relation: relation})
+            own = self.per_source_states[source_name]
+            own.append({**own[-1], update.relation: relation})
         return self.serial
 
     def query(self, source_name: str, query_id: int, answer: SignedBag) -> None:
         """``S_qu``: ``source_name`` evaluated query ``query_id``."""
+        self.action_log.append(f"answer:{source_name}")
         if self.record_trace:
             self.trace.record_event(
                 S_QU, f"{source_name}: Q{query_id} -> {answer.total_count()} tuple(s)"
             )
 
     def refresh(self, serial: int, client: Optional[str] = None) -> None:
-        """``C_ref``: a client (anonymous in legacy one-source runs) asked."""
+        """``C_ref``: a client asked.
+
+        Anonymous in legacy one-source runs, whose ``REFRESH`` workload
+        marker no ``refresh:<client>`` action reproduces: those log a
+        bare ``refresh``.
+        """
+        self.action_log.append("refresh" if client is None else f"refresh:{client}")
         if self.record_trace:
             prefix = f"{client} " if client is not None else ""
             self.trace.record_event(C_REF, f"{prefix}refresh #{serial}")
 
-    def event(
-        self,
-        kind: str,
-        detail: str,
-        view_state: Optional[Callable[[], SignedBag]] = None,
-    ) -> None:
-        """A warehouse-side event; ``view_state`` appends the next ``ws_j``.
+    def event(self, kind: str, detail: str, action: str) -> None:
+        """A warehouse-side event, logged as ``action``; appends the next ``ws_j``.
 
-        A callable rather than a bag, so a disabled recorder never pays
-        for the copy.  ``W_crash`` passes none: the crashed process
-        exposed nothing new.
+        Except after ``W_crash``: the crashed process exposed nothing
+        new, and the in-memory view it held is gone.  ``W_rec`` snapshots
+        the *recovered* view so the checker classifies what readers can
+        now observe (a duplicate of the pre-crash state when recovery is
+        exact — harmless to the checker's dedup).
         """
+        self.action_log.append(action)
         if self.record_trace:
             self.trace.record_event(kind, detail)
-            if view_state is not None:
-                self.trace.record_view_state(view_state())
+            if kind != W_CRASH:
+                self.trace.record_view_state(self._view_state())
 
 
 def project_view(trace: Trace, view_name: str) -> Trace:

@@ -54,6 +54,8 @@ def assert_conforms(result, kernel):
     assert result.trace.view_states == kernel.trace.view_states
     assert result.per_source_states == kernel.per_source_states
     assert result.final_view == kernel.algorithm.view_state()
+    # One writer logs both kernels' actions: the replay logs what it replayed.
+    assert result.action_log == kernel.action_log
 
 
 def build_single(name, view, snapshot, initial_view, updates):

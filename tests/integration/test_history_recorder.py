@@ -7,7 +7,9 @@ and the catalog keeps no history of its own.
   the catalog used to keep, classifies each view on its own timeline
   (verdicts pinned), and keeps doing so across a mid-UQS crash;
 - a concurrent run and its replay on the synchronous kernel describe the
-  same history.
+  same history, action log included;
+- the recorder snapshots each source once (``ss_0``) however long the
+  run: later source states are folded from the update log.
 """
 
 from __future__ import annotations
@@ -138,6 +140,11 @@ class TestCatalogKeepsNoHistory:
         assert catalog.pending_query_ids() == []
         # Only ``RuntimeResult.final_view`` reads the views, once.
         assert set(calls.values()) == {1}
+        # Untraced, the run still logs every action it took.
+        traced_source, traced_catalog = fanin()
+        traced = run_concurrent(traced_source, traced_catalog, list(WORKLOAD), seed=1)
+        assert result.action_log == traced.action_log
+        assert len(traced.trace.events) == len(traced.action_log)
 
 
 #: seed -> level of ``big`` on the ``test_warehouse_catalog`` scenario (12
@@ -229,6 +236,63 @@ class TestProjection:
             assert solo.final_view_state == evaluate_view(view, correct)
 
 
+class CountingSource(MemorySource):
+    """Counts the deep copies ``snapshot()`` hands out."""
+
+    snapshots = 0
+
+    def snapshot(self):
+        self.snapshots += 1
+        return super().snapshot()
+
+
+class TestSourcesAreSnapshottedOnce:
+    """``ss_0`` is the only copy taken from a source; every later state
+    is folded from the update log.  (The recorder used to take ``2N``
+    snapshots up front and ``N + 1`` more per update.)"""
+
+    @staticmethod
+    def two_sources():
+        sources, algorithms, workload = {}, {}, []
+        for index, prefix in enumerate("ab"):
+            schemas = [
+                RelationSchema(f"{prefix}r1", ("W", "X"), key=("W",)),
+                RelationSchema(f"{prefix}r2", ("X", "Y"), key=("Y",)),
+            ]
+            initial = {f"{prefix}r1": INITIAL["r1"], f"{prefix}r2": INITIAL["r2"]}
+            source = CountingSource(schemas, initial)
+            view = View.natural_join(f"V{prefix}", schemas, ["W", "Y"])
+            algorithms[view.name] = ECA(view, evaluate_view(view, source.snapshot()))
+            source.snapshots = 0
+            sources[prefix] = source
+            workload += random_workload(
+                schemas, 10, seed=index, initial=initial, respect_keys=True
+            )
+        return sources, WarehouseCatalog(algorithms), workload
+
+    def test_sync_kernel(self):
+        sources, catalog, workload = self.two_sources()
+        kernel = SyncKernel(sources, catalog, workload)
+        trace = kernel.run(RandomSchedule(2))
+        assert trace.update_count() == 20 == len(trace.source_states) - 1
+        assert {name: s.snapshots for name, s in sources.items()} == {"a": 1, "b": 1}
+        assert trace.final_source_state == {
+            **sources["a"].snapshot(), **sources["b"].snapshot()
+        }
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    def test_runtime(self, record_trace):
+        sources, catalog, workload = self.two_sources()
+        result = run_concurrent(
+            sources, catalog, workload, clients=1, seed=2, record_trace=record_trace
+        )
+        assert result.updates == 20
+        assert {name: s.snapshots for name, s in sources.items()} == {"a": 1, "b": 1}
+        if record_trace:
+            assert result.per_source_states["a"][-1] == sources["a"].snapshot()
+            assert result.per_source_states["b"][-1] == sources["b"].snapshot()
+
+
 class TestSharedRecorder:
     """Both frontends write the trace through one ``HistoryRecorder``."""
 
@@ -250,4 +314,5 @@ class TestSharedRecorder:
         assert kernel.trace.source_states == result.trace.source_states
         assert kernel.per_source_states == result.per_source_states
         assert kernel.trace.describe() == result.trace.describe()
+        assert kernel.action_log == result.action_log
         assert any(e.kind == C_REF for e in kernel.trace.events)

@@ -11,6 +11,9 @@ The cross-shard consistency proofs for ``repro.sharding``:
   consistent cuts (sources here are per-view disjoint, so the tagged
   union is exactly cut-consistent), and each member view is strongly
   consistent on its own shard's timeline.
+- **Batching** — ``batch_k > 1`` coalesces per ``(origin, shard)``
+  channel; the merged view equals recompute and the unsharded batched
+  run's, also when the batching shard crashes.
 - **Recovery** — one shard crashes and replays its own WAL while the
   others keep serving; the merged final view is unchanged.
 """
@@ -181,6 +184,62 @@ class TestShardedMatchesUnsharded:
         fresh_sources, fresh_catalog, _ = build(2, seed=3)
         baseline = run_concurrent(fresh_sources, fresh_catalog, workloads, clients=0)
         assert all("shard" not in row for row in baseline.metrics_table())
+
+
+class TestShardedBatching:
+    """``batch_k`` composes with ``shards``: each shard coalesces from its
+    own per-``(origin, shard)`` FIFO channels (this was rejected)."""
+
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_batched_shards_match_recompute_and_the_unsharded_batched_run(
+        self, seed
+    ):
+        sources, catalog, workloads = build(3, updates=12, seed=seed)
+        twin_sources, twin_catalog, _ = build(3, updates=12, seed=seed)
+        faults = FaultPlan(latency=1.0, jitter=3.0, drop_rate=0.2)
+        sharded = run_concurrent(
+            sources, catalog, workloads, clients=1, seed=seed, shards=3,
+            batch_k=4, faults=faults,
+        )
+        unsharded = run_concurrent(
+            twin_sources, twin_catalog, workloads, clients=1, seed=seed,
+            batch_k=4, faults=faults,
+        )
+        assert sharded.final_view == unsharded.final_view
+        assert sharded.final_view == evaluate_view(
+            catalog, sharded.trace.final_source_state
+        )
+        shard_rows = [
+            row for row in sharded.metrics_table() if row["role"] == "shard"
+        ]
+        assert any(row["batched_updates"] > 0 for row in shard_rows)
+        assert any("@" in action for action in sharded.action_log)
+        report = cut_report(
+            catalog,
+            sharded.per_source_states,
+            sharded.trace.view_states,
+            sharded.final_view,
+        )
+        assert report.strongly_consistent, report.detail
+
+    def test_a_batching_shard_crashes_and_recovers(self, tmp_path):
+        sources, catalog, workloads = build(2, updates=8, seed=5)
+        twin_sources, twin_catalog, _ = build(2, updates=8, seed=5)
+        result = run_concurrent(
+            sources, catalog, workloads, clients=2, seed=5, shards=2,
+            batch_k=3, wal_dir=str(tmp_path), crash_shard=1,
+            crash=CrashPolicy(mode="mid-uqs", max_crashes=1, seed=5),
+        )
+        unsharded = run_concurrent(
+            twin_sources, twin_catalog, workloads, clients=2, seed=5, batch_k=3
+        )
+        assert [info["shard"] for info in result.crashes] == [1]
+        assert result.final_view == unsharded.final_view
+        assert result.final_view == evaluate_view(
+            catalog, result.trace.final_source_state
+        )
+        table = {row["actor"]: row for row in result.metrics_table()}
+        assert table["shard1"]["batched_updates"] > 0
 
 
 class TestShardedConformance:

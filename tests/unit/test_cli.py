@@ -1,8 +1,12 @@
 """Unit tests for the command-line interface."""
 
+import importlib.util
+import time
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.registry import ALGORITHMS
 
 
 class TestParser:
@@ -211,9 +215,9 @@ class TestShardedRuntimeCli:
         assert "cannot be partitioned" in capsys.readouterr().err
 
     def test_rejected_combination_is_a_one_line_error(self, capsys):
-        assert main(["runtime", "--shards", "2", "--batch-k", "2"]) == 2
+        assert main(["runtime", "--crash-shard", "1"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: batch_k > 1 is not supported")
+        assert captured.err.startswith("error: crash_shard=1 requires shards=")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -259,6 +263,48 @@ class TestRuntimeConfigurationErrors:
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.skipif(
+        importlib.util.find_spec("zstandard") is not None,
+        reason="zstandard is installed: the codec is available",
+    )
+    def test_unavailable_wire_codec_is_a_one_line_error(self, capsys):
+        assert main(["runtime", "--wire-codec", "zstd"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: wire codec 'zstd' needs")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+class TestEveryAlgorithmRuns:
+    """``repro runtime`` drives every registry algorithm to a verdict."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_runtime_reaches_a_verdict(self, algorithm, seed, capsys):
+        # stored-copies used to start with empty copies and die on its
+        # first delete with an UpdateError traceback.
+        code = main([
+            "runtime", "--algorithm", algorithm, "--sources", "2",
+            "--updates", "8", "--clients", "1", "--seed", str(seed),
+        ])
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        assert "consistency:" in captured.out
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("algorithm", ["batch-eca", "deferred-eca"])
+    def test_a_run_that_cannot_quiesce_fails_at_once(self, algorithm, capsys):
+        """Seed 1's last refresh lands before its last update, so the
+        deferred families keep it buffered: that used to spin the whole
+        poll budget (~5 s) and report only ``pending=0``."""
+        started = time.perf_counter()
+        assert main(["runtime", "--algorithm", algorithm, "--seed", "1"]) == 2
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: runtime cannot quiesce")
+        assert "'buffered_updates': 1" in err
+        assert "flush only on a client refresh" in err
+        assert err.count("\n") == 1
 
 
 class TestServingCli:
