@@ -20,7 +20,7 @@ the recorded view states.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
@@ -75,6 +75,21 @@ def _dedupe_consecutive(states: Sequence[SignedBag]) -> List[SignedBag]:
     return out
 
 
+def _changed(states: Sequence[SignedBag]) -> List[Tuple[int, SignedBag]]:
+    """``(j, ws_j)`` for every state that is not the very object before it.
+
+    A recorder appends the same object while the view does not change
+    (``MaterializedView`` is copy-on-write); such a ``ws_j`` has the
+    verdict of ``ws_{j-1}`` at every level, so each object is hashed and
+    compared once.
+    """
+    return [
+        (index, state)
+        for index, state in enumerate(states)
+        if index == 0 or state is not states[index - 1]
+    ]
+
+
 def _is_subsequence(needle: Sequence[SignedBag], haystack: Sequence[SignedBag]) -> bool:
     """Greedy order-preserving containment check."""
     position = 0
@@ -120,9 +135,10 @@ def check_trace(view: View, trace: Trace) -> ConsistencyReport:
             f"final view {views[-1]!r} != V[final source] {oracle[-1]!r}"
         )
 
+    changed = _changed(views)
     oracle_set = {state for state in oracle}
     weak = True
-    for index, view_state in enumerate(views):
+    for index, view_state in changed:
         if view_state not in oracle_set:
             weak = False
             details.append(
@@ -130,6 +146,7 @@ def check_trace(view: View, trace: Trace) -> ConsistencyReport:
             )
             break
 
+    views = [state for _, state in changed]
     consistent = weak and _order_preserving_match(views, oracle)
     if weak and not consistent:
         details.append("view states match source states but out of order")

@@ -247,8 +247,13 @@ class WarehouseAlgorithm:
     # ------------------------------------------------------------------ #
 
     def view_state(self) -> SignedBag:
-        """Current materialized view contents."""
-        return self.mv.as_bag()
+        """Current materialized view contents, as a read-only snapshot.
+
+        Shared, not copied (:meth:`MaterializedView.view_state`): it
+        keeps showing this moment's contents, and the caller must not
+        edit it — ``self.mv.as_bag()`` is the copy to edit.
+        """
+        return self.mv.view_state()
 
     def dirty_keys(self) -> Set[Tuple[str, Tuple[object, ...]]]:
         """Serving-cache keys dirtied since the last call (and reset).

@@ -76,7 +76,13 @@ def check_cut_consistency(
     }
 
     frontier: List[Cut] = [tuple(0 for _ in names)]
+    previous_observed = None
     for observed in view_states:
+        if observed is previous_observed:
+            # The same object again (an event that changed no view):
+            # matching it twice leaves the frontier where it is.
+            continue
+        previous_observed = observed
         matches = [
             cut
             for cut in all_cuts

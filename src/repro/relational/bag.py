@@ -289,6 +289,9 @@ class SignedBag:
         return self.total_count()
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            # Recorded histories share unchanged states by reference.
+            return True
         if not isinstance(other, SignedBag):
             return NotImplemented
         return self._counts == other._counts

@@ -273,6 +273,7 @@ class WarehouseUnit:
     actor: Optional["WarehouseActor"] = field(default=None, init=False)
 
     def view_state(self) -> SignedBag:
+        """The current incarnation's view, as a read-only snapshot."""
         return self.algorithm.view_state()
 
     def is_quiescent(self) -> bool:

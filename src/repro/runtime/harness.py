@@ -520,13 +520,9 @@ def run_concurrent(
         reader_actors: List[ReadClientActor] = []
         reader = None
         if read_workload is not None:
-            # Key layouts come from the member views: the caller's
-            # algorithm, or — every shard's catalog tags rows with the
-            # view name — the merged facade standing in as one catalog.
-            reader = reader_for(
-                algorithm if plan is None else warehouse,
-                state_fn=warehouse.view_state,
-            )
+            # Over the unit or the facade, never the caller's algorithm:
+            # a crash re-points the unit at the recovered incarnation.
+            reader = reader_for(warehouse)
             reader_actors.append(
                 ReadClientActor(
                     "reader-0",

@@ -349,11 +349,6 @@ class InMemoryTransport:
     # Introspection and lifecycle
     # ------------------------------------------------------------------ #
 
-    def pending(self, channel: str) -> int:
-        """Messages queued (sent, not yet received) on ``channel``."""
-        queue = self._queues.get(channel)
-        return len(queue) if queue else 0
-
     def total_pending(self) -> int:
         """Messages queued on every channel together (the quiescence test)."""
         return sum(len(queue) for queue in self._queues.values())

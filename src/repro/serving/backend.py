@@ -1,21 +1,23 @@
 """The serving tier's read path into the warehouse.
 
 :class:`WarehouseReader` is the *loader* side of the cache-aside design:
-on a miss, it pulls the addressed slice of the materialized view out of
-whatever warehouse frontend the run uses — the sync kernel's algorithm,
-the asyncio :class:`~repro.runtime.actors.WarehouseUnit`, or the
-sharded merged facade — by filtering a ``view_state()`` snapshot down to
-the rows whose serving key matches.  It counts every backend read, which
-is the number the serving benchmark proves the cache reduces.
+on a miss, it looks the addressed serving key up in the one member
+view's own index (:meth:`MaterializedView.rows_for_key
+<repro.warehouse.state.MaterializedView.rows_for_key>`), whatever
+warehouse frontend the run uses — the sync kernel's algorithm or
+catalog, the asyncio :class:`~repro.runtime.actors.WarehouseUnit`, or
+the sharded merged facade.  It counts every backend read, which is the
+number the serving benchmark proves the cache reduces.
 
-Strictly read-only: ``view_state()`` hands back a copy, and the reader
-only ever filters it into a fresh bag (RPR008 enforces this for the
-whole package).
+Strictly read-only: the index lookup builds a fresh bag, and the one
+``view_state()`` snapshot read here — :meth:`WarehouseReader.scan`, the
+reference the verify oracle compares served values with — is only
+filtered into a fresh bag (RPR008 enforces this for the whole package).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Mapping, Tuple
 
 from repro.relational.bag import SignedBag
 from repro.serving.keys import Key, ViewKey, row_key
@@ -24,52 +26,59 @@ from repro.serving.keys import Key, ViewKey, row_key
 class WarehouseReader:
     """Reads one warehouse frontend, addressed by ``(view, serving key)``.
 
-    Parameters
-    ----------
-    state_fn:
-        Zero-argument callable returning the frontend's current view
-        contents as a :class:`SignedBag` (``algorithm.view_state`` /
-        ``unit.view_state``).
-    key_positions:
-        ``view name -> serving-key output positions`` (``None`` value =
-        whole-row keys).
-    tagged:
-        Whether ``state_fn`` returns catalog-style tagged rows
-        (``(view_name, *row)``) — multi-view and sharded frontends do.
+    ``frontend`` is an algorithm, a
+    :class:`~repro.warehouse.catalog.WarehouseCatalog`, a
+    :class:`~repro.runtime.actors.WarehouseUnit` or the sharded facade.
+    The member view behind an address is resolved through it on *every*
+    read — a unit's ``algorithm`` is its current incarnation's, the
+    facade's ``algorithms`` come from its units' — so after a crash the
+    recovered warehouse is read, never the dead one.
     """
 
-    def __init__(
-        self,
-        state_fn: Callable[[], SignedBag],
-        key_positions: Dict[str, Optional[Tuple[int, ...]]],
-        tagged: bool = False,
-    ) -> None:
-        self._state_fn = state_fn
-        self._key_positions = dict(key_positions)
-        self._tagged = tagged
+    def __init__(self, frontend: object) -> None:
+        self._frontend = frontend
         #: Backend view reads performed (the cost the cache amortizes).
         self.reads = 0
 
+    def _members(self) -> Tuple[Mapping[str, object], bool]:
+        """``(view name -> member algorithm, rows are tagged)``, right now."""
+        warehouse = getattr(self._frontend, "algorithm", self._frontend)
+        members = getattr(warehouse, "algorithms", None)
+        if members is None:
+            return {warehouse.view.name: warehouse}, False
+        return members, True
+
     @property
     def view_names(self) -> List[str]:
-        return sorted(self._key_positions)
+        return sorted(self._members()[0])
 
     def read(self, view_name: str, key: Key) -> SignedBag:
         """All current rows of ``view_name`` whose serving key is ``key``."""
-        if view_name not in self._key_positions:
+        member = self._members()[0].get(view_name)
+        if member is None:
             raise KeyError(f"reader serves no view named {view_name!r}")
         self.reads += 1
-        positions = self._key_positions[view_name]
+        return member.mv.rows_for_key(key)
+
+    def scan(self, view_name: str, key: Key) -> SignedBag:
+        """What :meth:`read` must return, computed the slow way.
+
+        Filters the frontend's whole ``view_state()`` on the serving key
+        and never touches a member's index, so it can vouch for
+        :meth:`read`: the verify oracle of
+        :class:`~repro.serving.client.ReadClientActor`.  Not a backend
+        read (``reads`` is untouched).
+        """
+        members, tagged = self._members()
+        positions = members[view_name].view.serving_key_positions()
         out = SignedBag()
-        for row, count in self._state_fn().items():
-            if self._tagged:
+        for row, count in self._frontend.view_state().items():
+            if tagged:
                 if row[0] != view_name:
                     continue
-                bare = row[1:]
-            else:
-                bare = row
-            if row_key(bare, positions) == key:
-                out.add(bare, count)
+                row = row[1:]
+            if row_key(row, positions) == key:
+                out.add(row, count)
         return out
 
     def loader(self, view_name: str, key: Key) -> Callable[[], SignedBag]:
@@ -82,41 +91,14 @@ class WarehouseReader:
         The deterministic key universe read-workload generators sample
         from (sorted on the repr so heterogeneous key values compare).
         """
-        found = set()
-        for row, _ in self._state_fn().items():
-            if self._tagged:
-                view_name = row[0]
-                bare = row[1:]
-                if view_name not in self._key_positions:
-                    continue
-            else:
-                view_name = next(iter(self._key_positions))
-                bare = row
-            found.add((view_name, row_key(bare, self._key_positions[view_name])))
+        found = [
+            (view_name, key)
+            for view_name, member in self._members()[0].items()
+            for key in member.mv.serving_keys()
+        ]
         return sorted(found, key=repr)
 
 
-def reader_for(
-    algorithm: object, state_fn: Optional[Callable[[], SignedBag]] = None
-) -> WarehouseReader:
-    """Build a reader over an algorithm or catalog (or a stand-in facade).
-
-    ``state_fn`` overrides where snapshots come from — the asyncio harness
-    passes the :class:`~repro.runtime.actors.WarehouseUnit` (crash-proof)
-    or the sharded merged facade while still deriving key layouts from
-    the real algorithm/catalog.
-    """
-    algorithms = getattr(algorithm, "algorithms", None)
-    if algorithms is not None:  # a WarehouseCatalog: tagged, multi-view
-        key_positions: Dict[str, Optional[Tuple[int, ...]]] = {
-            name: member.view.serving_key_positions()
-            for name, member in algorithms.items()
-        }
-        tagged = True
-    else:
-        view = algorithm.view
-        key_positions = {view.name: view.serving_key_positions()}
-        tagged = False
-    if state_fn is None:
-        state_fn = algorithm.view_state
-    return WarehouseReader(state_fn, key_positions, tagged=tagged)
+def reader_for(frontend: object) -> WarehouseReader:
+    """A reader over an algorithm, a catalog, a unit or the sharded facade."""
+    return WarehouseReader(frontend)

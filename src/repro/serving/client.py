@@ -12,9 +12,12 @@ cache-aside read per item.  Two properties matter more than realism:
   comparable across staleness bounds and the bound-0 equivalence
   property meaningful.
 - **Verifiability.**  With ``verify=True`` every served answer is
-  compared, atomically (no await in between), against a direct backend
-  read at the same point in the event sequence; mismatches are recorded,
-  and at staleness bound 0 there must be none.
+  compared, atomically (no await in between), against
+  :meth:`WarehouseReader.scan <repro.serving.backend.WarehouseReader.scan>`
+  — the frontend's whole ``view_state()`` filtered on the key, which
+  shares nothing with the index the served value came through — at the
+  same point in the event sequence; mismatches are recorded, and at
+  staleness bound 0 there must be none.
 """
 
 from __future__ import annotations
@@ -80,9 +83,10 @@ class ReadClientActor:
                 )
                 if self._verify:
                     # Atomic with the serve: no await separates the cached
-                    # answer from the oracle read, so both observe the same
-                    # warehouse state.
-                    expected = self.reader.read(view_name, key)
+                    # answer from the oracle scan, so both observe the same
+                    # warehouse state.  The scan, not ``read``: an index
+                    # that missed a write must not vouch for itself.
+                    expected = self.reader.scan(view_name, key)
                     if result.value != expected:
                         self.mismatches.append(
                             ReadMismatch(self.name, index, result, expected)

@@ -61,17 +61,27 @@ class ShardedWarehouse:
     catalog over the same views would expose).
     """
 
-    __slots__ = ("units",)
+    __slots__ = ("units", "_parts", "_merged")
 
     def __init__(self, units: Sequence[WarehouseUnit]) -> None:
         #: Ascending by shard id (the order :func:`shard_units` builds).
         self.units = tuple(units)
+        #: The units' unions the merged view was last built from; a
+        #: shard's catalog hands out the same object until it changes.
+        self._parts: Tuple[SignedBag, ...] = ()
+        self._merged = SignedBag()
 
     def view_state(self) -> SignedBag:
-        merged = SignedBag()
-        for unit in self.units:
-            merged.add_bag(unit.view_state())
-        return merged
+        """The merged view, read-only; the same object while no shard moved."""
+        parts = tuple(unit.view_state() for unit in self.units)
+        if not self._parts or any(
+            new is not old for new, old in zip(parts, self._parts)
+        ):
+            merged = SignedBag()
+            for part in parts:
+                merged.add_bag(part)
+            self._parts, self._merged = parts, merged
+        return self._merged
 
     @property
     def algorithms(self) -> Dict[str, object]:

@@ -59,7 +59,9 @@ class Trace:
         #: i-th update (``ss_0`` is the initial state).
         self.source_states: List[Dict[str, SignedBag]] = []
         #: ``view_states[j]`` is the materialized view after the j-th
-        #: warehouse event (``view_states[0]`` is the initial view).
+        #: warehouse event (``view_states[0]`` is the initial view);
+        #: read-only, and the same object as ``view_states[j-1]`` when
+        #: the event changed no view.
         self.view_states: List[SignedBag] = []
         self._seq = 0
 
@@ -130,9 +132,16 @@ class HistoryRecorder:
     replays on the former (:mod:`repro.kernel.conformance`).
 
     ``view_state`` reads the warehouse's current view (``ws_j``); it is
-    only called while ``record_trace`` holds.  ``record_trace=False``
-    keeps the serials and the action log but skips events and every
-    O(rows) copy after ``ss_0``.
+    only called while ``record_trace`` holds, and what it returns is
+    appended as it is.  Views are copy-on-write
+    (:class:`~repro.warehouse.state.MaterializedView`), so the snapshot
+    stays what the warehouse held at that event, and a warehouse that
+    did not change hands out the same object again: consecutive
+    ``view_states`` share an unchanged state the way ``source_states``
+    share an untouched relation — a view's history is ``ws_0`` plus one
+    bag per event that wrote a view.  ``record_trace=False`` keeps the
+    serials and the action log but skips events and every O(rows) copy
+    after ``ss_0``.
     """
 
     def __init__(
@@ -227,10 +236,13 @@ def project_view(trace: Trace, view_name: str) -> Trace:
     solo = Trace()
     solo.events = list(trace.events)
     solo.source_states = list(trace.source_states)
-    solo.view_states = [
-        SignedBag(
-            {row[1:]: count for row, count in state.items() if row[0] == view_name}
-        )
-        for state in trace.view_states
-    ]
+    previous = None
+    for state in trace.view_states:
+        # A ``ws_j`` that *is* ``ws_{j-1}`` projects to the same object.
+        if state is not previous:
+            previous = state
+            projected = SignedBag(
+                {row[1:]: count for row, count in state.items() if row[0] == view_name}
+            )
+        solo.view_states.append(projected)
     return solo

@@ -34,7 +34,8 @@ query is still in flight), so the tagged union can mix ``V1[ss_2]`` with
 follow-up; Section 7's "ECA is simply applied to each view separately"
 buys per-view consistency only.  Use
 :func:`repro.simulation.trace.project_view` to check each view on its own
-timeline; the catalog itself keeps no history.
+timeline; the catalog itself keeps no history — only each member's
+current tagged rows and their union, bounded by its members.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ class WarehouseCatalog:
         self.algorithms: "Dict[str, WarehouseAlgorithm]" = dict(algorithms)
         self.owners: Dict[str, str] = {}
         self._planner = CompensationPlanner(share=share_compensation)
+        #: view name -> (the member's ``mv.version``, its rows tagged at
+        #: that version); :meth:`view_state` re-tags a member only when
+        #: its version moved.
+        self._tagged: Dict[str, Tuple[int, SignedBag]] = {}
+        #: The union of ``_tagged``, rebuilt only after a re-tag.
+        self._union: Optional[SignedBag] = None
 
     @property
     def share_compensation(self) -> bool:
@@ -142,11 +149,28 @@ class WarehouseCatalog:
     # ------------------------------------------------------------------ #
 
     def view_state(self) -> SignedBag:
-        combined = SignedBag()
+        """The tagged union of the members' contents, as a read-only snapshot.
+
+        Only a member whose ``mv.version`` moved since the last call is
+        read and re-tagged, and the union is rebuilt only then: while no
+        member changes, every call returns the *same object*, which is
+        how consecutive ``ws_j`` of a trace come to share it.
+        """
+        union = self._union
         for view_name, algorithm in self.algorithms.items():
-            for row, count in algorithm.view_state().items():
-                combined.add((view_name,) + row, count)
-        return combined
+            version = algorithm.mv.version
+            held = self._tagged.get(view_name)
+            if held is None or held[0] != version:
+                tagged = SignedBag()
+                for row, count in algorithm.view_state().items():
+                    tagged.add((view_name,) + row, count)
+                self._tagged[view_name] = (version, tagged)
+                union = None
+        if union is None:
+            union = self._union = SignedBag()
+            for _, tagged in self._tagged.values():
+                union.add_bag(tagged)
+        return union
 
     def evaluate_oracle(self, state: Mapping[str, SignedBag]) -> SignedBag:
         """Tagged union of every view evaluated over a raw source state."""

@@ -111,24 +111,30 @@ def count_view_copies(catalog):
 WORKLOAD = random_workload(SCHEMAS, 24, seed=3, initial=INITIAL, respect_keys=True)
 
 
+#: Everything the catalog holds, however many events ran: the member
+#: table, and (once a view was read) each member's current tagged rows.
+BOUNDED = {"algorithms": 4, "_tagged": 4}
+
+
 class TestCatalogKeepsNoHistory:
     def test_sync_kernel_catalog_state_does_not_grow_with_events(self):
         source, catalog = fanin()
-        before = container_sizes(catalog)
         calls = count_view_copies(catalog)
         kernel = SyncKernel({"source": source}, catalog, list(WORKLOAD))
         trace = kernel.run(RandomSchedule(3))
         assert len(trace.events) >= 200
         assert catalog.is_quiescent()
-        assert container_sizes(catalog) == before == {"algorithms": 4}
+        assert container_sizes(catalog) == BOUNDED
         assert catalog.pending_query_ids() == []
-        # The one copy per warehouse event is the recorder's ws_j (plus
-        # ws_0); the catalog takes none of its own.
-        assert set(calls.values()) == {len(trace.view_states)}
+        # The recorder asks for a ws_j after every warehouse event; the
+        # catalog reads a member once for ws_0 and then only when its
+        # version moved, never once per event.
+        for name, member in catalog.algorithms.items():
+            assert 1 <= calls[name] <= member.mv.version + 1, name
+            assert calls[name] < len(trace.view_states) // 2, name
 
     def test_untraced_runtime_copies_no_view(self):
         source, catalog = fanin()
-        before = container_sizes(catalog)
         calls = count_view_copies(catalog)
         result = run_concurrent(
             source, catalog, list(WORKLOAD), seed=1, record_trace=False
@@ -136,7 +142,7 @@ class TestCatalogKeepsNoHistory:
         assert len(result.action_log) >= 200
         assert result.trace.events == []
         assert result.trace.view_states == [] and result.trace.source_states == []
-        assert container_sizes(catalog) == before == {"algorithms": 4}
+        assert container_sizes(catalog) == BOUNDED
         assert catalog.pending_query_ids() == []
         # Only ``RuntimeResult.final_view`` reads the views, once.
         assert set(calls.values()) == {1}

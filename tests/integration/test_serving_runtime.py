@@ -6,6 +6,8 @@ Covers the tentpole's acceptance surface end to end:
   the same point in the event sequence — on the plain runtime, under
   transport faults, and on a sharded run with a crashed-and-recovered
   shard (recovery replay must not double-invalidate);
+- reads across a crash of the one unsharded warehouse come from the
+  recovered incarnation, never the dead one;
 - stale serving within a nonzero bound, annotated with lag;
 - the ``repro_cache_*`` metric series appearing only when a cache is
   bound, with cache-disabled runs exporting byte-identical metrics to a
@@ -18,13 +20,15 @@ import json
 
 import pytest
 
+import repro.runtime.harness as harness
 from repro.core.eca import ECA
 from repro.durability.crash import CrashPolicy
+from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
 from repro.runtime import FaultPlan, Observability, run_concurrent
-from repro.serving import ServingCache, reader_for
+from repro.serving import ServingCache, reader_for, row_key
 from repro.source.memory import MemorySource
 from repro.warehouse.catalog import WarehouseCatalog
 from repro.workloads.random_gen import random_workload, zipf_read_workload
@@ -144,6 +148,66 @@ class TestServingOverRuntime:
         assert all(
             r.status == "direct" for r in result.read_results["reader-0"]
         )
+
+
+class LoggingCache(ServingCache):
+    """Logs reads and invalidating events in the order the run made them."""
+
+    def __init__(self, log, **kwargs):
+        super().__init__(**kwargs)
+        self.log = log
+
+    def read(self, view_name, key, loader):
+        self.log.append("read")
+        return super().read(view_name, key, loader)
+
+    def invalidate(self, keys):
+        self.log.append("write")
+        return super().invalidate(keys)
+
+
+class TestServingAcrossACrash:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_unsharded_reads_follow_the_recovered_warehouse(
+        self, tmp_path, monkeypatch, seed
+    ):
+        # The crash kills the warehouse before its first view write, so
+        # every write lands on the recovered incarnation: a reader still
+        # bound to the algorithm the run started with serves ws_0 forever.
+        sources, catalog, workloads = build(2, updates=10, seed=seed)
+        reads = read_mix(catalog, count=120, seed=seed)
+        log = []
+        recover = harness.recover
+
+        def logged_recover(*args, **kwargs):
+            log.append("recover")
+            return recover(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "recover", logged_recover)
+        result = run_concurrent(
+            sources, catalog, workloads, clients=0, seed=seed,
+            wal_dir=str(tmp_path),
+            crash=CrashPolicy(mode="mid-uqs", max_crashes=1, seed=seed),
+            cache=LoggingCache(log, capacity=16, staleness_bound=0),
+            read_workload=reads, verify_reads=True,
+        )
+        assert result.crashes, "crash policy must fire on this workload"
+        assert result.read_mismatches == []
+        after = log[log.index("recover"):]
+        assert "write" in after and after[-1] == "read"
+        last = {}
+        for served in result.read_results["reader-0"]:
+            last[(served.view_name, served.key)] = served.value
+        assert len(last) > 1
+        for (view_name, key), value in last.items():
+            positions = catalog.algorithms[view_name].view.serving_key_positions()
+            assert value == SignedBag(
+                {
+                    row[1:]: count
+                    for row, count in result.final_view.items()
+                    if row[0] == view_name and row_key(row[1:], positions) == key
+                }
+            ), (view_name, key)
 
 
 class TestServingSharded:

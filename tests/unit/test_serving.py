@@ -5,6 +5,8 @@ The invalidation-side contracts (dirty-row tracking in
 are tested here too — the serving tier's correctness rests on them.
 """
 
+import asyncio
+
 import pytest
 
 from repro.core.eca import ECA
@@ -15,11 +17,12 @@ from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.unions import UnionView
 from repro.relational.views import View
+from repro.runtime.actors import WarehouseUnit
 from repro.serving import (
     FIFOPolicy,
     LRUPolicy,
+    ReadClientActor,
     ServingCache,
-    WarehouseReader,
     reader_for,
     row_key,
 )
@@ -276,14 +279,68 @@ class TestWarehouseReader:
         loader = reader.loader("V0", (2,))
         assert set(loader().rows()) == {(2, 6)}
 
-    def test_state_fn_override(self):
-        algorithm = make_eca()
-        fixed = SignedBag({(9, 9): 1})
-        reader = reader_for(algorithm, state_fn=lambda: fixed)
-        assert set(reader.read("V0", (9,)).rows()) == {(9, 9)}
+    def test_reads_follow_the_units_current_incarnation(self):
+        # A crash re-points ``unit.algorithm`` at the recovered
+        # incarnation; a reader built before it must read that one.
+        unit = WarehouseUnit(make_eca(), {})
+        reader = reader_for(unit)
+        assert set(reader.read("V0", (1,)).rows()) == {(1, 5)}
+        _, _, view = make_view()
+        unit.algorithm = ECA(view, SignedBag({(1, 9): 1}))
+        assert set(reader.read("V0", (1,)).rows()) == {(1, 9)}
+        assert set(reader.scan("V0", (1,)).rows()) == {(1, 9)}
+        assert reader.current_keys() == [("V0", (1,))]
 
     def test_whole_row_keys_without_serving_positions(self):
-        state = SignedBag({(1, 2): 1, (3, 4): 1})
-        reader = WarehouseReader(lambda: state, {"V": None})
+        schemas = [RelationSchema("r1", ("W", "X")), RelationSchema("r2", ("X", "Y"))]
+        view = View.natural_join("V", schemas, ["W", "Y"])
+        assert view.serving_key_positions() is None
+        reader = reader_for(ECA(view, SignedBag({(1, 2): 1, (3, 4): 1})))
         assert set(reader.read("V", (1, 2)).rows()) == {(1, 2)}
+        assert reader.read("V", (1, 4)).is_empty()
         assert reader.current_keys() == [("V", (1, 2)), ("V", (3, 4))]
+
+    def test_scan_is_the_read_computed_without_the_index(self):
+        catalog = WarehouseCatalog({"Va": make_eca("a"), "Vb": make_eca("b")})
+        reader = reader_for(catalog)
+        for view_name, key in reader.current_keys() + [("Va", (7,))]:
+            assert reader.scan(view_name, key) == reader.read(view_name, key)
+        assert reader.reads == 5  # scans are not backend reads
+        solo = reader_for(make_eca())
+        assert solo.scan("V0", (2,)) == solo.read("V0", (2,)) == SignedBag({(2, 6): 1})
+
+
+class TestVerifyOracle:
+    """``verify=True`` compares a served value with a scan of the
+    frontend's ``view_state()``, never with the index it was read through."""
+
+    def serve(self, algorithm, address):
+        client = ReadClientActor(
+            "reader-0",
+            ServingCache(staleness_bound=0),
+            reader_for(algorithm),
+            [address],
+            verify=True,
+        )
+        asyncio.run(client.run())
+        return client
+
+    def test_a_stale_member_index_is_a_read_mismatch(self, monkeypatch):
+        algorithm = make_eca()
+        before = algorithm.mv.rows_for_key((1,))
+        algorithm.mv.apply_delta(SignedBag({(1, 7): 1}))
+        # An index that missed the write: the lookup still answers with
+        # what it held before.  Comparing the served value with another
+        # ``reader.read`` would agree on the same wrong rows.
+        monkeypatch.setattr(algorithm.mv, "rows_for_key", lambda key: before)
+        client = self.serve(algorithm, ("V0", (1,)))
+        [mismatch] = client.mismatches
+        assert mismatch.result.value == SignedBag({(1, 5): 1})
+        assert mismatch.expected == SignedBag({(1, 5): 1, (1, 7): 1})
+
+    def test_a_current_index_is_not(self):
+        algorithm = make_eca()
+        algorithm.mv.apply_delta(SignedBag({(1, 7): 1}))
+        client = self.serve(algorithm, ("V0", (1,)))
+        assert client.mismatches == []
+        assert client.results[0].value == SignedBag({(1, 5): 1, (1, 7): 1})
