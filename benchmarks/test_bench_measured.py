@@ -31,7 +31,12 @@ from repro.experiments.measured import (
     run_example6_once,
 )
 from repro.experiments.report import render_series
-from repro.relational.engine import evaluate_query, evaluate_query_scalar
+from repro.relational.engine import (
+    evaluate_query,
+    evaluate_query_scalar,
+    term_classes,
+)
+from repro.relational.expressions import Query
 from repro.simulation.schedules import BestCaseSchedule, WorstCaseSchedule
 from repro.source.memory import MemorySource
 from repro.workloads.example6 import build_example6
@@ -121,6 +126,12 @@ def test_bench_measured_compensation_visible_in_query_complexity(benchmark, para
     assert best.messages == worst.messages == 18  # M = 2k regardless
 
 
+#: Updates in the divergence gate's storm: enough that tuples of different
+#: terms of one class share join values, so a grouped pass that let them
+#: meet would answer differently from the per-term oracle.
+STORM_K = 24
+
+
 def test_bench_batched_engine_matches_scalar_oracle(benchmark, params):
     """The CI `bench-smoke` divergence gate (docs/PERFORMANCE.md).
 
@@ -129,10 +140,20 @@ def test_bench_batched_engine_matches_scalar_oracle(benchmark, params):
     workload's own data — Example 6 states before and after each
     update, plus every substituted delta query — `evaluate_query` and
     `evaluate_query_scalar` must agree bag-for-bag.
+
+    Those are single-term queries, which never reach the grouped pass, so
+    the sweep goes on to a storm over the final state: no answer arrives,
+    every `Q_i = V<U_i> - sum_j Q_j<U_i>` is built against all earlier
+    pending queries and checked whole, and split the way the warehouse
+    splits it (fully bound part on an empty state, the rest at the
+    source).  All seven bound masks of three relations must occur, and
+    each mask with two or more bound operands as a class of several terms.
     """
 
     def divergence_sweep():
         checked = 0
+        masks = set()
+        grouped = set()
         for seed in (0, 4):
             setup = build_example6(params, 6, seed)
             source = MemorySource(setup.schemas, setup.initial)
@@ -153,10 +174,34 @@ def test_bench_batched_engine_matches_scalar_oracle(benchmark, params):
                 view_query, final
             )
             checked += 1
-        return checked
+            pending = []
+            for update in build_example6(params, STORM_K, seed).workload:
+                signed = update.signed_tuple()
+                terms = list(setup.view.substitute(update.relation, signed).terms)
+                for earlier in pending:
+                    terms.extend(
+                        earlier.substitute(update.relation, signed, -1).terms
+                    )
+                query = Query(terms)
+                local, remote = query.partition()
+                for part, state in ((query, final), (local, {}), (remote, final)):
+                    assert evaluate_query(part, state) == evaluate_query_scalar(
+                        part, final
+                    )
+                    checked += 1
+                for (_, mask), members in term_classes(query.terms).items():
+                    masks.add(mask)
+                    if len(members) > 1:
+                        grouped.add(mask)
+                pending.append(remote)
+        return checked, masks, grouped
 
-    checked = benchmark.pedantic(divergence_sweep, rounds=1, iterations=1)
-    assert checked == 2 * (6 * 2 + 1)
+    checked, masks, grouped = benchmark.pedantic(
+        divergence_sweep, rounds=1, iterations=1
+    )
+    assert checked == 2 * (6 * 2 + 1 + STORM_K * 3)
+    assert len(masks) == 7
+    assert grouped == {mask for mask in masks if sum(mask) >= 2}
 
 
 def test_bench_measured_sqlite_source_agrees(benchmark, params):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.relational.expressions import Query
+from repro.relational.expressions import Query, Term
 from repro.relational.views import View
 from repro.source.updates import Update
 
@@ -29,7 +29,9 @@ from repro.source.updates import Update
 def backdate(query: Query, updates: Sequence[Update]) -> Query:
     """The query reading as of *before* ``updates`` (in source order).
 
-    ``D(Q, []) = Q`` and ``D(Q, [U, rest...]) = D(Q, rest) - D(Q<U>, rest)``.
+    ``D(Q, []) = Q`` and ``D(Q, [U, rest...]) = D(Q, rest) - D(Q<U>, rest)``;
+    ``D`` is linear, so the subtrahend is ``D(-Q<U>, rest)`` and each term
+    is made once, with its final sign.
     The recursion collapses quickly in practice: substituting a second
     update on the same relation annihilates a term, and a view over n
     relations vanishes entirely after n substitutions.
@@ -37,8 +39,8 @@ def backdate(query: Query, updates: Sequence[Update]) -> Query:
     if query.is_empty() or not updates:
         return query
     head, rest = updates[0], updates[1:]
-    substituted = query.substitute(head.relation, head.signed_tuple())
-    return backdate(query, rest) - backdate(substituted, rest)
+    compensation = query.substitute(head.relation, head.signed_tuple(), -1)
+    return backdate(query, rest) + backdate(compensation, rest)
 
 
 def batch_delta_query(view: View, updates: Sequence[Update]) -> Query:
@@ -53,11 +55,11 @@ def batch_delta_query(view: View, updates: Sequence[Update]) -> Query:
     (they cannot affect the view *or* the backdating of updates that do).
     """
     relevant: List[Update] = [u for u in updates if view.involves(u.relation)]
-    total = Query()
+    terms: List[Term] = []
     for index, update in enumerate(relevant):
         base = view.substitute(update.relation, update.signed_tuple())
-        total = total + backdate(base, relevant[index + 1 :])
-    return total
+        terms.extend(backdate(base, relevant[index + 1 :]).terms)
+    return Query(terms)
 
 
 def staged_compensation(
@@ -79,15 +81,15 @@ def staged_compensation(
     without the ``+Q``/``-Q`` pair that difference carries when written
     out (queries never cancel terms, so the pair would be shipped).
     """
-    total = Query()
+    terms: List[Term] = []
     for index in range(min(seen_count, len(batch))):
         update = batch[index]
         if not _touches(query, update):
             continue
-        substituted = query.substitute(update.relation, update.signed_tuple())
-        remaining = [u for u in batch[index + 1 :] if _touches(substituted, u)]
-        total = total - backdate(substituted, remaining)
-    return total
+        compensation = query.substitute(update.relation, update.signed_tuple(), -1)
+        remaining = [u for u in batch[index + 1 :] if _touches(compensation, u)]
+        terms.extend(backdate(compensation, remaining).terms)
+    return Query(terms)
 
 
 def _touches(query: Query, update: Update) -> bool:

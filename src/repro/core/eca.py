@@ -32,6 +32,7 @@ from repro.messaging.messages import (
     UpdateNotification,
 )
 from repro.relational.bag import SignedBag
+from repro.relational.engine import evaluate_query
 from repro.relational.expressions import Query
 from repro.relational.views import View
 from repro.source.updates import Update
@@ -73,10 +74,10 @@ class ECA(WarehouseAlgorithm):
             return []
         update = notification.update
         signed = update.signed_tuple()
-        query = self.view.substitute(update.relation, signed)
+        terms = list(self.view.substitute(update.relation, signed).terms)
         for pending in self.uqs_queries():
-            query = query - pending.substitute(update.relation, signed)
-        return self._dispatch(query)
+            terms.extend(pending.substitute(update.relation, signed, -1).terms)
+        return self._dispatch(Query(terms))
 
     def handle_update_batch(self, batch: UpdateBatch) -> List[QueryRequest]:
         """The k-update generalization: one ``Q<U1,...,Uk>`` per batch.
@@ -109,16 +110,16 @@ class ECA(WarehouseAlgorithm):
         query when a kernel coalesced the batch;
         :class:`~repro.core.batch.BatchECA` counts arrivals itself.
         """
-        query = batch_delta_query(self.view, batch)
+        terms = list(batch_delta_query(self.view, batch).terms)
         for pending, seen in contaminated:
-            query = query + staged_compensation(pending, batch, seen)
-        return self._dispatch(query)
+            terms.extend(staged_compensation(pending, batch, seen).terms)
+        return self._dispatch(Query(terms))
 
     def _dispatch(self, query: Query) -> List[QueryRequest]:
         """Evaluate fully-bound terms locally; ship the rest to the source."""
         local, remote = query.partition()
         if not local.is_empty():
-            self._absorb(local.evaluate({}))
+            self._absorb(evaluate_query(local, {}))
         if remote.is_empty():
             # Nothing to ask the source; a flush may be due right now.
             self._maybe_install()

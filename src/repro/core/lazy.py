@@ -44,6 +44,7 @@ from repro.core.compensation import backdate
 from repro.core.protocol import WarehouseAlgorithm
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 from repro.relational.bag import SignedBag
+from repro.relational.engine import evaluate_query
 from repro.relational.expressions import Query
 from repro.relational.views import View
 from repro.source.updates import Update
@@ -77,7 +78,7 @@ class LCA(WarehouseAlgorithm):
         # belong to the update currently being processed).
         signed = update.signed_tuple()
         for pending_query in self.uqs_queries():
-            compensation = -pending_query.substitute(update.relation, signed)
+            compensation = pending_query.substitute(update.relation, signed, -1)
             requests.extend(self._dispatch(compensation))
         self._pending.append((len(self._seen), update))
         self._seen.append(update)
@@ -114,7 +115,7 @@ class LCA(WarehouseAlgorithm):
     def _dispatch(self, query: Query) -> List[QueryRequest]:
         local, remote = query.partition()
         if not local.is_empty():
-            self._delta.add_bag(local.evaluate({}))
+            self._delta.add_bag(evaluate_query(local, {}))
         if remote.is_empty():
             return []
         return [self._make_request(remote)]

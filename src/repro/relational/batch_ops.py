@@ -16,7 +16,9 @@ Python-level loop per tuple:
   semantics are restored by ``ColumnBatch.to_bag``);
 - :func:`batch_join` hash-joins two batches on positional key pairs,
   multiplying signed counts, and falls back to the cartesian product
-  when no keys are given;
+  when no keys are given; it is :func:`join_indices` (which rows meet)
+  followed by :func:`join_rows` (gather them), and callers that carry a
+  vector beside the batch use the two halves directly;
 - :func:`batch_union` concatenates batches (bag ``+``);
 - :func:`batch_negate` flips every signed count (bag unary ``-``).
 
@@ -134,22 +136,20 @@ def batch_project(batch: ColumnBatch, positions: Sequence[int]) -> ColumnBatch:
     return batch.gather_columns(positions)
 
 
-def batch_join(
+def join_indices(
     left: ColumnBatch,
     right: ColumnBatch,
     keys: Sequence[Tuple[int, int]] = (),
-) -> ColumnBatch:
-    """Signed hash join of two batches on positional key pairs.
+) -> Tuple[List[int], List[int]]:
+    """Row-index pairs ``(left_indices, right_indices)`` of a join.
 
-    ``keys`` holds ``(left_position, right_position)`` equality pairs;
-    with no keys the result is the full signed cartesian product.  Output
-    columns are the left columns followed by the right columns; output
-    counts multiply (Section 4.1 sign propagation).
+    Pair ``n`` says row ``left_indices[n]`` of ``left`` meets row
+    ``right_indices[n]`` of ``right``: equal on every ``(left_position,
+    right_position)`` of ``keys`` (one hash table over ``right``, probed
+    in ``left`` order), or every pairing when ``keys`` is empty.  This is
+    the only hash-join body; :func:`batch_join` assembles its pairs, and
+    the engine's grouped pass also runs its row-id vector through them.
     """
-    left_counts = left.counts
-    right_counts = right.counts
-    if not left_counts or not right_counts:
-        return ColumnBatch.empty(left.width + right.width)
     if keys:
         if len(keys) == 1:
             left_key = left.columns[keys[0][0]]
@@ -171,12 +171,23 @@ def batch_join(
             if matched:
                 extend_left(repeat(index, len(matched)))
                 extend_right(matched)
-    else:
-        n_left = len(left_counts)
-        n_right = len(right_counts)
-        right_range = list(range(n_right))
-        left_indices = [i for i in range(n_left) for _ in right_range]
-        right_indices = right_range * n_left
+        return left_indices, right_indices
+    n_left = len(left.counts)
+    right_range = list(range(len(right.counts)))
+    return (
+        [i for i in range(n_left) for _ in right_range],
+        right_range * n_left,
+    )
+
+
+def join_rows(
+    left: ColumnBatch,
+    right: ColumnBatch,
+    left_indices: Sequence[int],
+    right_indices: Sequence[int],
+) -> ColumnBatch:
+    """The joined batch of parallel row-index pairs: left columns then
+    right columns, counts multiplied (Section 4.1 sign propagation)."""
     columns = [
         list(map(column.__getitem__, left_indices)) for column in left.columns
     ]
@@ -186,11 +197,28 @@ def batch_join(
     counts = list(
         map(
             mul,
-            map(left_counts.__getitem__, left_indices),
-            map(right_counts.__getitem__, right_indices),
+            map(left.counts.__getitem__, left_indices),
+            map(right.counts.__getitem__, right_indices),
         )
     )
     return ColumnBatch(columns, counts)
+
+
+def batch_join(
+    left: ColumnBatch,
+    right: ColumnBatch,
+    keys: Sequence[Tuple[int, int]] = (),
+) -> ColumnBatch:
+    """Signed hash join of two batches on positional key pairs.
+
+    ``keys`` holds ``(left_position, right_position)`` equality pairs;
+    with no keys the result is the full signed cartesian product.  Output
+    columns are the left columns followed by the right columns; output
+    counts multiply (Section 4.1 sign propagation).
+    """
+    if not left.counts or not right.counts:
+        return ColumnBatch.empty(left.width + right.width)
+    return join_rows(left, right, *join_indices(left, right, keys))
 
 
 def batch_union(*batches: ColumnBatch) -> ColumnBatch:

@@ -35,7 +35,10 @@ _COMPARATORS: Dict[str, Callable[[object, object], bool]] = {
     ">=": operator.ge,
 }
 
-_SQL_OPS = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+#: ``=`` / ``!=`` render null-safe (``IS`` / ``IS NOT``): the in-memory
+#: evaluators compare with Python's ``==``, under which ``None == None``
+#: holds, while SQL's ``NULL = NULL`` is unknown and would drop the row.
+_SQL_OPS = {"=": "IS", "!=": "IS NOT", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
 class Operand:

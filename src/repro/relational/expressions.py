@@ -325,23 +325,24 @@ class Term:
             raise ExpressionError(
                 f"term does not involve relation {relation!r}"
             ) from None
-        return self._substitute(occurrences, signed_tuple, {})
+        return self._substitute(occurrences, signed_tuple, {}, 1)
 
     def _substitute(
         self,
         occurrences: Tuple[int, ...],
         signed_tuple: SignedTuple,
         bound: Dict[RelationSchema, BoundOperand],
+        coefficient: int,
     ) -> List["Term"]:
-        """:meth:`substitute_update` at the given operand indices, taking
-        the update's bound operand per schema from ``bound`` (and adding
-        it there on first need), so that one ``Q<U>`` validates the tuple
+        """``coefficient * T<U>`` at the given operand indices, taking the
+        update's bound operand per schema from ``bound`` (and adding it
+        there on first need), so that one ``Q<U>`` validates the tuple
         once per schema rather than once per term."""
         operands = self.operands
         free = [i for i in occurrences if not operands[i].is_bound]
         out: List[Term] = []
         for size in range(1, len(free) + 1):
-            flip = self.coefficient if size % 2 == 1 else -self.coefficient
+            flip = self.coefficient * (coefficient if size % 2 == 1 else -coefficient)
             for subset in itertools.combinations(free, size):
                 new_operands = list(operands)
                 for index in subset:
@@ -450,19 +451,53 @@ class Query:
     def __neg__(self) -> "Query":
         return Query(tuple(t.negate() for t in self.terms))
 
-    def substitute(self, relation: str, signed_tuple: SignedTuple) -> "Query":
-        """``Q<U> = sum_i T_i<U>``, dropping vanished terms.
+    def substitute(
+        self, relation: str, signed_tuple: SignedTuple, coefficient: int = 1
+    ) -> "Query":
+        """``coefficient * Q<U>`` with ``Q<U> = sum_i T_i<U>``, dropping
+        vanished terms.
 
         Terms that do not involve ``relation`` at all contribute nothing
         (their value is unaffected by the update); self-join terms expand
         by inclusion-exclusion (see :meth:`Term.substitute_update`).
+
+        ``coefficient=-1`` is the compensation ``-Q<U>`` of Section 5.2
+        made in one pass: each term is built with its final coefficient,
+        in the order ``Query() - Q<U>`` would list it, so a caller can
+        extend one term list over the whole UQS.  A term in which
+        ``relation`` occurs once — every term of a view over distinct
+        relations — is skipped before any call when that occurrence is
+        already bound, and otherwise made by splicing the update's operand
+        into the operand tuple.
         """
+        _check_coefficient(coefficient)
         substituted: List[Term] = []
         bound: Dict[RelationSchema, BoundOperand] = {}
         for term in self.terms:
             occurrences = term.shape.occurrences.get(relation)
-            if occurrences:
-                substituted.extend(term._substitute(occurrences, signed_tuple, bound))
+            if not occurrences:
+                continue
+            if len(occurrences) > 1:
+                substituted.extend(
+                    term._substitute(occurrences, signed_tuple, bound, coefficient)
+                )
+                continue
+            index = occurrences[0]
+            operands = term.operands
+            replaced = operands[index]
+            if replaced.is_bound:
+                continue
+            operand = bound.get(replaced.schema)
+            if operand is None:
+                operand = bound[replaced.schema] = BoundOperand(
+                    replaced.schema, signed_tuple
+                )
+            substituted.append(
+                term._derive(
+                    operands[:index] + (operand,) + operands[index + 1 :],
+                    term.coefficient * coefficient,
+                )
+            )
         return Query(substituted)
 
     # ------------------------------------------------------------------ #

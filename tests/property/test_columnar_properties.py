@@ -19,10 +19,12 @@ the pre-batching runtime produced (asserted structurally: no UpdateBatch
 ever appears, no ``@k`` action suffix, sizer-based byte counts).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.eca import ECA
+from repro.errors import UpdateError
 from repro.kernel.conformance import replay_concurrent
 from repro.relational.bag import SignedBag
 from repro.relational.batch_ops import (
@@ -35,11 +37,14 @@ from repro.relational.batch_ops import (
 from repro.relational.columns import ColumnBatch
 from repro.relational.conditions import Attr, Comparison, Const
 from repro.relational.engine import evaluate_query, evaluate_query_scalar
+from repro.relational.expressions import BoundOperand, Query
 from repro.relational.schema import RelationSchema
+from repro.relational.tuples import SignedTuple
+from repro.relational.unions import UnionView
 from repro.relational.views import View
 from repro.runtime.harness import run_concurrent
 from repro.source.memory import MemorySource
-from repro.source.updates import insert
+from repro.source.updates import delete, insert
 
 rows2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
 counts = st.integers(-2, 2).filter(bool)
@@ -184,6 +189,149 @@ def test_batched_engine_agrees_with_scalar_oracle(state, with_condition):
     bags = {name: SignedBag.from_rows(rows) for name, rows in state.items()}
     query = view.as_query()
     assert evaluate_query(query, bags) == evaluate_query_scalar(query, bags)
+
+
+# --------------------------------------------------------------------- #
+# Grouped evaluation: one plan run per (shape, bound mask) class
+# --------------------------------------------------------------------- #
+
+R1, R2, R3 = SCHEMAS
+_A, _B = R2.aliased("a"), R2.aliased("b")
+_UNION = UnionView(
+    "U",
+    [
+        View.natural_join("U1", [R1, R2], ["W", "Y"]),
+        (-1, View.natural_join("U2", [R2, R3], ["X", "Z"])),
+    ],
+)
+
+#: One term per shape; every drawn term derives from one of these, so
+#: terms of one base share its shape object and fall into its classes.
+BASE_TERMS = [
+    view.as_query().terms[0]
+    for view in (
+        # Three operands, a key per step, a filter decidable only at the end.
+        View.natural_join(
+            "chain", SCHEMAS, ["W", "Z"], Comparison(Attr("W"), ">=", Attr("Z"))
+        ),
+        # A filter on the first operand alone (step-0 mask).
+        View.natural_join(
+            "filtered", [R1, R2], ["W", "Y"], Comparison(Attr("W"), ">", Const(0))
+        ),
+        # No equality between the operands: products, then a mask.
+        View("product", [R1, R3], ["W", "Z"], Comparison(Attr("W"), "<", Attr("Z"))),
+        # A self-join through aliases: both operands read stored r2.
+        View("self", [_A, _B], ["a.X", "b.Y"], Comparison(Attr("a.Y"), "=", Attr("b.X"))),
+        # Two equalities bridging the same step (a two-column key).
+        View(
+            "twokeys",
+            [_A, _B],
+            ["a.X"],
+            Comparison(Attr("a.X"), "=", Attr("b.X"))
+            & Comparison(Attr("a.Y"), "=", Attr("b.Y")),
+        ),
+    )
+] + list(_UNION.as_query().terms)
+
+signed_rows = st.tuples(rows2, st.sampled_from([1, -1]))
+coefficients = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def term_classes_drawn(draw):
+    """One base term, one bound mask, one to four terms over them."""
+    base = draw(st.sampled_from(BASE_TERMS))
+    mask = draw(st.lists(st.booleans(), min_size=len(base.operands), max_size=len(base.operands)))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        operands = tuple(
+            BoundOperand(operand.schema, SignedTuple(*draw(signed_rows)))
+            if bound
+            else operand
+            for operand, bound in zip(base.operands, mask)
+        )
+        # ``with_operands`` admits +/-1 only; the engine folds whatever
+        # coefficient a term carries, so reach past it for +/-2 and +/-3.
+        term = base._derive(operands, draw(coefficients))
+        terms.extend([term] * draw(st.integers(1, 2)))
+    return terms
+
+
+@st.composite
+def grouped_queries(draw):
+    terms = [t for group in draw(st.lists(term_classes_drawn(), min_size=1, max_size=4)) for t in group]
+    return Query(draw(st.permutations(terms)))
+
+
+signed_states = st.fixed_dictionaries(
+    {"r1": signed_relation, "r2": signed_relation, "r3": signed_relation}
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_states, grouped_queries())
+def test_grouped_evaluation_equals_the_sum_of_its_terms(pairs, query):
+    """``evaluate_query`` == sum of ``Term.evaluate`` == the scalar plan,
+    whatever the mix of shapes, bound masks, signs and coefficients —
+    including classes whose bound operands are not adjacent, whose first
+    operand is free, and fully bound ones."""
+    state = {name: to_bag(rows) for name, rows in pairs.items()}
+    expected = SignedBag()
+    for term in query.terms:
+        expected.add_bag(term.evaluate(state))
+    assert evaluate_query(query, state) == expected
+    assert evaluate_query_scalar(query, state) == expected
+
+
+# --------------------------------------------------------------------- #
+# The source's kept batches: dropped when, and only when, the relation moves
+# --------------------------------------------------------------------- #
+
+relation_names = st.sampled_from(["r1", "r2", "r3"])
+source_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), relation_names, rows2),
+        # A delete names its victim by rank among the relation's current
+        # rows, so that it usually hits; on an empty relation it misses.
+        st.tuples(st.just("delete"), relation_names, st.integers(0, 5)),
+        st.tuples(st.just("load"), relation_names, st.lists(rows2, max_size=3)),
+        st.tuples(st.just("evaluate"), grouped_queries(), st.none()),
+    ),
+    min_size=2,
+    max_size=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(states, source_operations)
+def test_memory_source_answers_from_its_current_relations(initial, operations):
+    """However updates, loads and evaluations interleave, an answer is
+    ``evaluate_query`` over a fresh snapshot — a batch that outlived its
+    relation would answer from the past — and evaluating changes nothing
+    a snapshot shows (a batch an operator edited in place would)."""
+    source = MemorySource(SCHEMAS, initial)
+    for kind, target, argument in operations:
+        # Reading every relation back after every step makes each of them
+        # hold a batch when the next step arrives.
+        for schema in SCHEMAS:
+            whole = View(schema.name, [schema], schema.attributes).as_query()
+            assert source.evaluate(whole) == source.relation(schema.name)
+        if kind == "evaluate":
+            before = source.snapshot()
+            assert source.evaluate(target) == evaluate_query(target, before)
+            assert source.snapshot() == before
+            assert source.evaluate(target) == target.evaluate(before)
+        elif kind == "load":
+            source.load(target, argument)
+        elif kind == "insert":
+            source.apply_update(insert(target, argument))
+        else:
+            present = sorted(source.relation(target).rows())
+            if present:
+                source.apply_update(delete(target, present[argument % len(present)]))
+            else:
+                with pytest.raises(UpdateError):
+                    source.apply_update(delete(target, (0, 0)))
 
 
 # --------------------------------------------------------------------- #

@@ -122,8 +122,14 @@ class TestSqlRendering:
         assert params == [10]
 
     def test_not_equal_renders_sql_style(self):
+        # Null-safe, like Python's ``!=``: ``NULL <> 1`` would be unknown.
         sql, _ = self._render(Comparison(Attr("A"), "!=", Attr("B")))
-        assert "<>" in sql
+        assert sql == '("A" IS NOT "B")'
+
+    def test_equal_renders_null_safe(self):
+        sql, params = self._render(Comparison(Attr("A"), "=", Const(None)))
+        assert sql == '("A" IS ?)'
+        assert params == [None]
 
     def test_boolean_composition(self):
         cond = And(

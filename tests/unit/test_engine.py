@@ -152,3 +152,82 @@ class TestQueryAndView:
             "r3": SignedBag.from_rows([(5, 0)]),
         }
         assert evaluate_view(chain_view(schemas), state).is_empty()
+
+
+class TestGroupedClasses:
+    """``evaluate_query`` runs each (shape, bound mask) class as one plan."""
+
+    def _bind(self, view, **rows):
+        query = view.as_query()
+        for relation, row in rows.items():
+            query = query.substitute(relation, SignedTuple(row))
+        return query.terms[0]
+
+    def test_non_adjacent_bound_operands_stay_with_their_term(self, schemas):
+        # r1 and r3 bound, r2 free.  Term A binds (1,2) and (5,0), term B
+        # binds (4,9) and (6,8); pairing A's r1 tuple with B's r3 tuple
+        # ((1,2) |x| (2,6) |x| (6,8)) would add a [1,8] no term produces.
+        view = chain_view(schemas)
+        state = {"r2": SignedBag.from_rows([(2, 5), (2, 6), (9, 6)])}
+        query = Query(
+            [
+                self._bind(view, r1=(1, 2), r3=(5, 0)),
+                self._bind(view, r1=(4, 9), r3=(6, 8)),
+            ]
+        )
+        assert evaluate_query(query, state) == SignedBag.from_rows([(1, 0), (4, 8)])
+        assert evaluate_query(query, state) == query.evaluate(state)
+
+    def test_first_operand_free_then_bound(self, schemas, state):
+        view = chain_view(schemas)
+        query = Query(
+            [
+                self._bind(view, r2=(2, 5)),
+                self._bind(view, r2=(9, 6)).negate(),
+                self._bind(view, r2=(3, 3)),
+            ]
+        )
+        assert evaluate_query(query, state) == query.evaluate(state)
+        assert evaluate_query(query, state) == SignedBag(
+            {(1, 0): 1, (4, 0): 1, (7, 8): -1}
+        )
+
+    def test_fully_bound_class_needs_no_state(self, schemas):
+        view = chain_view(schemas)
+        query = Query(
+            [
+                self._bind(view, r1=(1, 2), r2=(2, 5), r3=(5, 0)),
+                self._bind(view, r1=(1, 2), r2=(2, 5), r3=(6, 0)),
+                self._bind(view, r1=(3, 2), r2=(2, 5), r3=(5, 7)).negate(),
+            ]
+        )
+        assert evaluate_query(query, {}) == SignedBag({(1, 0): 1, (3, 7): -1})
+
+    def test_a_class_is_one_join_per_step(self, schemas, state, monkeypatch):
+        from repro.relational import engine
+
+        calls = []
+        real = engine.join_indices
+
+        def counting(left, right, keys=()):
+            calls.append(len(left.counts))
+            return real(left, right, keys)
+
+        monkeypatch.setattr(engine, "join_indices", counting)
+        view = chain_view(schemas)
+        query = Query([self._bind(view, r1=(w, 2)) for w in range(5)])
+        assert evaluate_query(query, state) == query.evaluate(state)
+        # Five terms, two free operands: two joins, the first over a
+        # five-row batch — not ten joins over one-row batches.
+        assert len(calls) == 2 and calls[0] == 5
+
+    def test_source_batches_are_filled_and_reused(self, schemas, state):
+        view = chain_view(schemas)
+        query = Query([self._bind(view, r1=(w, 2)) for w in range(3)])
+        batches = {}
+        first = evaluate_query(query, state, batches)
+        assert sorted(batches) == ["r2", "r3"]
+        kept = dict(batches)
+        assert evaluate_query(query, state, batches) == first
+        assert all(batches[name] is kept[name] for name in kept)
+        assert batches["r2"].to_bag() == state["r2"]

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import SchemaError, UpdateError
 from repro.relational.bag import SignedBag
+from repro.relational.expressions import Query
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import MINUS, SignedTuple
 from repro.relational.views import View
@@ -119,6 +120,97 @@ class TestEvaluation:
         from repro.relational.expressions import empty_query
 
         assert source.evaluate(empty_query()).is_empty()
+
+
+class TestNoneValues:
+    """``None`` equals ``None`` at both sources (SQL's ``NULL = NULL`` does
+    not: the SQLite source renders ``=`` as ``IS``)."""
+
+    @pytest.fixture
+    def loaded(self, source):
+        source.load("r1", [(1, None), (2, 5)])
+        source.load("r2", [(None, 7), (5, 8)])
+        return source
+
+    @pytest.fixture
+    def wide(self, schemas):
+        return View.natural_join("V", schemas, ["W", "Y"])
+
+    def test_none_joins_none(self, loaded, wide):
+        assert loaded.evaluate(wide.as_query()) == SignedBag.from_rows(
+            [(1, 7), (2, 8)]
+        )
+
+    def test_bound_none_joins_stored_none(self, loaded, wide):
+        query = wide.substitute("r1", SignedTuple((3, None)))
+        assert loaded.evaluate(query) == SignedBag.from_rows([(3, 7)])
+
+    def test_none_is_not_equal_to_a_value(self, loaded, schemas):
+        from repro.relational.conditions import Attr, Comparison
+
+        view = View(
+            "D", schemas, ["W", "Y"], Comparison(Attr("r1.X"), "!=", Attr("r2.X"))
+        )
+        assert loaded.evaluate(view.as_query()) == SignedBag.from_rows(
+            [(1, 8), (2, 7)]
+        )
+
+    def test_delete_row_holding_none(self, loaded):
+        loaded.apply_update(delete("r1", (1, None)))
+        assert loaded.cardinality("r1") == 1
+        assert loaded.snapshot()["r1"] == SignedBag.from_rows([(2, 5)])
+
+
+class TestClassesOfTerms:
+    """A multi-term query evaluates per class of like terms at both
+    sources; the answer is the sum of its terms."""
+
+    def test_many_terms_binding_one_operand(self, source, view):
+        source.load("r1", [(1, 2), (4, 2), (5, 3)])
+        source.load("r2", [(2, 3), (3, 9)])
+        terms = []
+        for x, sign in [(2, 1), (3, 1), (2, MINUS), (7, 1)]:
+            terms.extend(view.substitute("r2", SignedTuple((x, 0), sign)).terms)
+        terms.append(terms[0].negate())
+        query = Query(terms)
+        assert source.evaluate(query) == query.evaluate(source.snapshot())
+        assert source.evaluate(query) == SignedBag({(5,): 1, (1,): -1, (4,): -1})
+
+    def test_class_larger_than_one_statement_holds(self, schemas, view):
+        # 2 values + 1 weight per term: 400 terms need two statements.
+        rows = [(w, w % 7) for w in range(400)]
+        query = Query(
+            [
+                term
+                for row in rows
+                for term in view.substitute("r1", SignedTuple(row)).terms
+            ]
+        )
+        with SQLiteSource(schemas, {"r2": [(x, 0) for x in range(5)]}) as src:
+            answer = src.evaluate(query)
+        assert answer == SignedBag.from_rows([(w,) for w, x in rows if x < 5])
+
+
+class TestBatchCache:
+    """``MemorySource`` keeps a relation's columnar transpose until
+    ``apply_update`` touches that relation."""
+
+    def test_update_drops_only_the_touched_relation(self, schemas, view):
+        src = MemorySource(schemas, {"r1": [(1, 2)], "r2": [(2, 3)]})
+        query = view.as_query()
+        assert src.evaluate(query) == SignedBag.from_rows([(1,)])
+        kept = src._batches["r2"]
+        src.apply_update(insert("r1", (4, 2)))
+        assert "r1" not in src._batches and src._batches["r2"] is kept
+        assert src.evaluate(query) == SignedBag.from_rows([(1,), (4,)])
+        src.apply_update(delete("r2", (2, 3)))
+        assert src.evaluate(query).is_empty()
+
+    def test_load_after_evaluation_is_seen(self, schemas, view):
+        src = MemorySource(schemas, {"r1": [(1, 2)]})
+        assert src.evaluate(view.as_query()).is_empty()
+        src.load("r2", [(2, 3), (2, 4)])
+        assert src.evaluate(view.as_query()) == SignedBag({(1,): 2})
 
 
 class TestCatalog:
