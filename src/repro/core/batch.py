@@ -126,8 +126,10 @@ class BatchECA(ECA):
                 del self._sent[query_id]
         return self._ship_batch(batch, contaminated)
 
-    def _dispatch(self, query: Query) -> List[QueryRequest]:
-        requests = super()._dispatch(query)
+    def _dispatch(
+        self, query: Query, local_delta: Optional[SignedBag], remote: Query
+    ) -> List[QueryRequest]:
+        requests = super()._dispatch(query, local_delta, remote)
         for request in requests:
             self._sent[request.query_id] = request.query
         return requests

@@ -15,15 +15,73 @@ Three consumers:
 
 Terms that end up fully bound vanish naturally on evaluation; callers
 split them off with :meth:`Query.partition` for local evaluation.
+
+:class:`CompensationMemo` is where ECA does that split: the compensated
+query of one event is a pure function of the view definition, the
+update(s) and the pending queries, so structurally equal views that meet
+the same inputs build it once (``docs/MULTIVIEW.md`` §2).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+from repro.relational.bag import SignedBag
+from repro.relational.engine import evaluate_query
 from repro.relational.expressions import Query, Term
 from repro.relational.views import View
 from repro.source.updates import Update
+
+#: One event's compensated query as ECA consumes it: the whole query, the
+#: value of its fully bound terms (``None`` when it has none) and the
+#: terms to ship.  All three are shared between the views of a class and
+#: never edited.
+Compensated = Tuple[Query, Optional[SignedBag], Query]
+
+
+class CompensationMemo:
+    """The last compensated query built, keyed by what it was built from.
+
+    One entry: the views of a class meet an event one after another, so
+    the first builds and the rest find what it built.  The key is compared
+    by value — the update(s), then the pending queries in UQS order —
+    and Python's identity short-cut makes that a pointer walk when the
+    views hold the same ``Query`` objects, which they do from the first
+    hit on.  Views whose pending queries differ miss and build for
+    themselves; that is all the protocol a class needs.
+    """
+
+    __slots__ = ("_updates", "_pending", "_built")
+
+    def __init__(self) -> None:
+        # No update and no batch equals None, so the first lookup misses.
+        self._updates: object = None
+        self._pending: object = None
+        self._built: Compensated = (Query(), None, Query())
+
+    def compensated(
+        self,
+        build: Callable[[View, Any, Any], Query],
+        view: View,
+        updates: object,
+        pending: object,
+    ) -> Compensated:
+        """``build(view, updates, pending)`` split for dispatch — the held
+        one when ``updates`` and ``pending`` equal what it was built from.
+
+        ``view`` is not compared: the memo belongs to views of one
+        definition.  An update never equals a batch and a pending query
+        never equals a ``(query, seen)`` pair, so the two builders' keys
+        cannot meet.
+        """
+        if updates == self._updates and pending == self._pending:
+            return self._built
+        query = build(view, updates, pending)
+        local, remote = query.partition()
+        delta = None if local.is_empty() else evaluate_query(local, {})
+        self._updates, self._pending = updates, pending
+        self._built = built = (query, delta, remote)
+        return built
 
 
 def backdate(query: Query, updates: Sequence[Update]) -> Query:

@@ -21,9 +21,13 @@ into ``COLLECT``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.compensation import batch_delta_query, staged_compensation
+from repro.core.compensation import (
+    CompensationMemo,
+    batch_delta_query,
+    staged_compensation,
+)
 from repro.core.protocol import WarehouseAlgorithm
 from repro.messaging.messages import (
     QueryAnswer,
@@ -32,7 +36,6 @@ from repro.messaging.messages import (
     UpdateNotification,
 )
 from repro.relational.bag import SignedBag
-from repro.relational.engine import evaluate_query
 from repro.relational.expressions import Query
 from repro.relational.views import View
 from repro.source.updates import Update
@@ -40,6 +43,15 @@ from repro.source.updates import Update
 
 class ECA(WarehouseAlgorithm):
     """The Eager Compensating Algorithm — strongly consistent.
+
+    The compensated query of an event is a pure function of (view
+    definition, update(s), pending queries in UQS order); it is built in
+    one place, through :attr:`memo`, which builds only when those inputs
+    differ from the ones it last built from.  Alone, that is every
+    event.  In a :class:`~repro.warehouse.catalog.WarehouseCatalog` the
+    ECAs of one type over equally defined views share a memo, so one of
+    them builds and the rest hold the same ``Query`` object in their own
+    UQS under their own ids.
 
     Parameters
     ----------
@@ -64,6 +76,10 @@ class ECA(WarehouseAlgorithm):
         super().__init__(view, initial)
         self.collect = SignedBag()
         self.buffer_answers = buffer_answers
+        #: Where the compensated query of an event is built.  A catalog
+        #: gives structurally equal views one between them
+        #: (:func:`share_memos`); what it hands out is never edited.
+        self.memo = CompensationMemo()
 
     # ------------------------------------------------------------------ #
     # W_up
@@ -72,12 +88,14 @@ class ECA(WarehouseAlgorithm):
     def handle_update(self, notification: UpdateNotification) -> List[QueryRequest]:
         if not self.relevant(notification):
             return []
-        update = notification.update
-        signed = update.signed_tuple()
-        terms = list(self.view.substitute(update.relation, signed).terms)
-        for pending in self.uqs_queries():
-            terms.extend(pending.substitute(update.relation, signed, -1).terms)
-        return self._dispatch(Query(terms))
+        return self._dispatch(
+            *self.memo.compensated(
+                _compensate_update,
+                self.view,
+                notification.update,
+                self.uqs_queries(),
+            )
+        )
 
     def handle_update_batch(self, batch: UpdateBatch) -> List[QueryRequest]:
         """The k-update generalization: one ``Q<U1,...,Uk>`` per batch.
@@ -101,7 +119,7 @@ class ECA(WarehouseAlgorithm):
         )
 
     def _ship_batch(
-        self, batch: Sequence[Update], contaminated: Iterable[Tuple[Query, int]]
+        self, batch: List[Update], contaminated: List[Tuple[Query, int]]
     ) -> List[QueryRequest]:
         """One compensated query for ``batch``, whoever assembled it.
 
@@ -110,16 +128,22 @@ class ECA(WarehouseAlgorithm):
         query when a kernel coalesced the batch;
         :class:`~repro.core.batch.BatchECA` counts arrivals itself.
         """
-        terms = list(batch_delta_query(self.view, batch).terms)
-        for pending, seen in contaminated:
-            terms.extend(staged_compensation(pending, batch, seen).terms)
-        return self._dispatch(Query(terms))
+        return self._dispatch(
+            *self.memo.compensated(
+                _compensate_batch, self.view, batch, contaminated
+            )
+        )
 
-    def _dispatch(self, query: Query) -> List[QueryRequest]:
-        """Evaluate fully-bound terms locally; ship the rest to the source."""
-        local, remote = query.partition()
-        if not local.is_empty():
-            self._absorb(evaluate_query(local, {}))
+    def _dispatch(
+        self, query: Query, local_delta: Optional[SignedBag], remote: Query
+    ) -> List[QueryRequest]:
+        """Take one built query in: its fully bound terms' value (found
+        locally, Appendix D) into COLLECT; the rest goes to the source.
+
+        ``query`` is everything that was built, for subclasses that keep
+        or observe it; the two parts are all this class needs."""
+        if local_delta is not None:
+            self._absorb(local_delta)
         if remote.is_empty():
             # Nothing to ask the source; a flush may be due right now.
             self._maybe_install()
@@ -182,3 +206,40 @@ class ECA(WarehouseAlgorithm):
 
     def durable_config(self) -> Dict[str, Any]:
         return {"buffer_answers": self.buffer_answers}
+
+
+def _compensate_update(view: View, update: Update, pending: List[Query]) -> Query:
+    """``V<U> - sum_j Q_j<U>``: V<U>'s terms, then each pending query's
+    compensation in UQS order."""
+    signed = update.signed_tuple()
+    terms = list(view.substitute(update.relation, signed).terms)
+    for query in pending:
+        terms.extend(query.substitute(update.relation, signed, -1).terms)
+    return Query(terms)
+
+
+def _compensate_batch(
+    view: View, batch: List[Update], contaminated: List[Tuple[Query, int]]
+) -> Query:
+    """The batch's delta, then each contaminated query's staged correction."""
+    terms = list(batch_delta_query(view, batch).terms)
+    for query, seen in contaminated:
+        terms.extend(staged_compensation(query, batch, seen).terms)
+    return Query(terms)
+
+
+def share_memos(algorithms: Iterable[WarehouseAlgorithm]) -> None:
+    """Give the ECAs of each class among ``algorithms`` one memo.
+
+    A class is the algorithms of one ``type`` whose views have equal
+    definitions (``view.definition()`` — everything but the name).  Other
+    families are left alone; a later call re-scopes every class.
+    """
+    memos: Dict[object, CompensationMemo] = {}
+    for algorithm in algorithms:
+        if isinstance(algorithm, ECA):
+            key = (type(algorithm), algorithm.view.definition())
+            memo = memos.get(key)
+            if memo is None:
+                memo = memos[key] = CompensationMemo()
+            algorithm.memo = memo

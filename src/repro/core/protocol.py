@@ -181,8 +181,13 @@ class WarehouseAlgorithm:
             ) from None
 
     def uqs_queries(self) -> List[Query]:
-        """Pending queries in send order (ids are monotonically increasing)."""
-        return [self.uqs[qid] for qid in sorted(self.uqs)]
+        """Pending queries in send order.
+
+        ``uqs`` is kept in that order: :meth:`_make_request` issues ids
+        ascending, ``dict`` keeps insertion order, :meth:`_retire` only
+        pops and :meth:`restore_pending_state` sorts once.
+        """
+        return list(self.uqs.values())
 
     # ------------------------------------------------------------------ #
     # Durability hooks (used by repro.durability)
@@ -206,7 +211,8 @@ class WarehouseAlgorithm:
     def restore_pending_state(self, state: Dict[str, Any]) -> None:
         """Inverse of :meth:`pending_state` on a freshly built instance."""
         self._next_query_id = cast(int, state["next_query_id"])
-        self.uqs = dict(cast(Dict[int, Query], state["uqs"]))
+        uqs = cast(Dict[int, Query], state["uqs"])
+        self.uqs = {query_id: uqs[query_id] for query_id in sorted(uqs)}
 
     def durable_config(self) -> Dict[str, Any]:
         """Constructor options needed to rebuild this instance by name.
@@ -225,11 +231,12 @@ class WarehouseAlgorithm:
         state, which is exactly what a late first answer would have seen,
         so re-asking preserves the algorithms' FIFO-based reasoning.
         """
-        return [(None, QueryRequest(qid, self.uqs[qid])) for qid in sorted(self.uqs)]
+        return [(None, QueryRequest(qid, query)) for qid, query in self.uqs.items()]
 
     def pending_query_ids(self) -> List[int]:
-        """Ids of queries awaiting answers (for duplicate-answer dedup)."""
-        return sorted(self.uqs)
+        """Ids of queries awaiting answers, in send order (for
+        duplicate-answer dedup)."""
+        return list(self.uqs)
 
     def gauges(self) -> Dict[str, int]:
         """Live in-flight sizes for the observability layer.

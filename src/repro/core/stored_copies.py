@@ -18,6 +18,7 @@ from repro.core.protocol import WarehouseAlgorithm
 from repro.errors import UpdateError
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 from repro.relational.bag import SignedBag
+from repro.relational.engine import evaluate_query
 from repro.relational.views import View
 
 
@@ -70,7 +71,7 @@ class StoredCopies(WarehouseAlgorithm):
         # updated relation's operand is bound to the update's signed tuple,
         # so the evaluation never consults the modified relation itself.
         delta_query = self.view.substitute(update.relation, update.signed_tuple())
-        self.mv.apply_delta(delta_query.evaluate(self.copies))
+        self.mv.apply_delta(evaluate_query(delta_query, self.copies))
         return []
 
     def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:

@@ -52,6 +52,7 @@ from repro.errors import ProtocolError, SchemaError
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.relational.conditions import conjunction, flatten_conjuncts
+from repro.relational.engine import evaluate_query
 from repro.relational.expressions import BoundOperand, Query, RelationOperand, Term
 from repro.relational.schema import ProductSchema
 from repro.relational.tuples import SignedTuple
@@ -248,23 +249,18 @@ class SweepStyle(WarehouseAlgorithm):
         if not interfering:
             return SignedBag()
         included, template = self._hop_layout(sweep, operand_index)
-        correction = SignedBag()
+        terms: List[Term] = []
         for update in interfering:
-            signed = update.signed_tuple()
-            hop_operand = BoundOperand(relation, SignedTuple(signed.values))
+            # Bound with the update's own sign, which scales the interference.
+            hop_operand = BoundOperand(relation, update.signed_tuple())
             for row, count in sweep.bindings.items():
                 sign = -1 if count > 0 else 1  # negated binding sign
                 bound_term = template.with_operands(
                     self._row_operands(sweep, included, operand_index, row, hop_operand),
                     sign,
                 )
-                result = bound_term.evaluate({})
-                for _ in range(abs(count)):
-                    # The update's own sign scales the interference.
-                    correction.add_bag(
-                        result if signed.sign > 0 else -result
-                    )
-        return correction
+                terms.extend([bound_term] * abs(count))
+        return evaluate_query(Query(terms), {})
 
     def _finish(self, sweep: _Sweep) -> None:
         """Apply the final projection/condition and install the delta."""

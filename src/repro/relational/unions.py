@@ -30,7 +30,7 @@ Semantics notes:
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence, Tuple, Union
+from typing import FrozenSet, List, Mapping, Sequence, Tuple, Union
 
 from repro.errors import ExpressionError, SchemaError
 from repro.relational.bag import SignedBag
@@ -74,6 +74,9 @@ class UnionView:
                 f"union branches must share one output arity, got {sorted(arities)}"
             )
         self.arity = arities.pop()
+        self._reactive: FrozenSet[str] = frozenset().union(
+            *(view.reactive_relations() for _, view in self.branches)
+        )
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -89,8 +92,16 @@ class UnionView:
                     seen.append(schema.base)
         return tuple(seen)
 
+    def reactive_relations(self) -> FrozenSet[str]:
+        """Every relation name some branch reacts to (:meth:`View.reactive_relations`)."""
+        return self._reactive
+
+    def definition(self) -> Tuple[object, ...]:
+        """The signed branches' definitions (:meth:`View.definition`)."""
+        return tuple((sign, view.definition()) for sign, view in self.branches)
+
     def involves(self, relation: str) -> bool:
-        return any(view.involves(relation) for _, view in self.branches)
+        return relation in self._reactive
 
     def output_columns(self) -> Tuple[str, ...]:
         return self.branches[0][1].output_columns()

@@ -13,7 +13,7 @@ product-plus-equality-condition form.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExpressionError, SchemaError
 from repro.relational.bag import SignedBag
@@ -62,6 +62,9 @@ class View:
         self._schema_by_name: Dict[str, RelationSchema] = {
             s.name: s for s in self.relations
         }
+        self._reactive: FrozenSet[str] = frozenset(
+            name for s in self.relations for name in (s.name, s.base)
+        )
         # Validates projection and condition references eagerly.
         self._term = Term(
             [RelationOperand(s) for s in self.relations],
@@ -125,15 +128,26 @@ class View:
                 f"view {self.name!r} is not defined over relation {relation!r}"
             ) from None
 
-    def involves(self, relation: str) -> bool:
-        """Whether an update to stored relation ``relation`` affects V.
+    def reactive_relations(self) -> FrozenSet[str]:
+        """Every relation name an update may carry that V reacts to.
 
-        Matches by *base* relation, so a self-join view over
-        ``emp.aliased("manager")`` reacts to updates on ``emp``.
+        Each schema's occurrence name and its *base*, so a self-join view
+        over ``emp.aliased("manager")`` reacts to updates on ``emp``.  The
+        catalog and the shard plan build their interest maps from this.
         """
-        if relation in self._schema_by_name:
-            return True
-        return any(schema.base == relation for schema in self.relations)
+        return self._reactive
+
+    def definition(self) -> Tuple[object, ...]:
+        """Everything that defines V except its name (hashable).
+
+        Two views with equal definitions derive the same ``V<U>`` from the
+        same update, which is what lets a catalog build it once for both.
+        """
+        return (self.relations, self.projection, self.condition)
+
+    def involves(self, relation: str) -> bool:
+        """Whether an update to stored relation ``relation`` affects V."""
+        return relation in self._reactive
 
     def output_columns(self) -> Tuple[str, ...]:
         """Display names of the view's columns, in projection order."""
@@ -274,15 +288,10 @@ class View:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, View):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.relations == other.relations
-            and self.projection == other.projection
-            and self.condition == other.condition
-        )
+        return self.name == other.name and self.definition() == other.definition()
 
     def __hash__(self) -> int:
-        return hash((self.name, self.relations, self.projection, self.condition))
+        return hash((self.name,) + self.definition())
 
     def __repr__(self) -> str:
         rels = " x ".join(self.relation_names)

@@ -178,14 +178,13 @@ def plan_shards(
         for shard, views in per_shard.items()
     }
     # Invert view -> relations rather than probing every (relation, view)
-    # pair with ``involves``: a view reacts to each of its schemas' alias
-    # and base names (see View.involves), so one pass over the members
-    # covers the whole map in O(views x relations-per-view).
+    # pair with ``involves``: one pass over the members covers the whole
+    # map in O(views x relations-per-view), by the rule each shard's
+    # catalog applies among its own members.
     reactive: Dict[str, set] = {}
     for name, member in members.items():
-        for schema in member.view.relations:
-            reactive.setdefault(schema.name, set()).add(assignment[name])
-            reactive.setdefault(schema.base, set()).add(assignment[name])
+        for relation in member.view.reactive_relations():
+            reactive.setdefault(relation, set()).add(assignment[name])
     interest: Dict[str, Tuple[int, ...]] = {
         relation: tuple(sorted(reactive.get(relation, ())))
         for relation in owners

@@ -4,9 +4,13 @@ Section 7: "in a warehouse consisting of multiple views where each view
 is over data from a single source, ECA is simply applied to each view
 separately."  :class:`WarehouseCatalog` is that sentence as a component:
 it implements the same event protocol as a single algorithm, fans every
-notification out to the per-view algorithms (each of which may be a
-different member of the family — ECA here, ECA-Key there, a deferred view
-in the corner), and routes answers back.
+notification out to the per-view algorithms whose views read the updated
+relation (each of which may be a different member of the family — ECA
+here, ECA-Key there, a deferred view in the corner), and routes answers
+back.  "Separately" describes the result, not the work: the ECA members
+of a *class* — one algorithm type, one view definition under different
+names — build each compensating query once between them
+(:func:`repro.core.eca.share_memos`; ``docs/MULTIVIEW.md`` §2).
 
 Between the members and the wire sits a
 :class:`~repro.warehouse.planner.CompensationPlanner`: with
@@ -56,7 +60,16 @@ if TYPE_CHECKING:  # avoid a package-level import cycle with repro.core
 
 
 class WarehouseCatalog:
-    """Several views maintained side by side behind one protocol."""
+    """Several views maintained side by side behind one protocol.
+
+    Construction scopes every class of structurally equal ECA members
+    to this catalog (one :class:`~repro.core.compensation.CompensationMemo`
+    per class; a catalog built later over the same members re-scopes
+    them, which is how per-shard catalogs come to share nothing) and
+    inverts ``view.reactive_relations()`` into the ``relation ->
+    members`` map that :meth:`on_update` and :meth:`on_update_batch`
+    deliver by.  Only the view definitions are hashed here.
+    """
 
     name = "catalog"
     multi_source = False
@@ -69,9 +82,26 @@ class WarehouseCatalog:
     ) -> None:
         if not algorithms:
             raise ProtocolError("a warehouse catalog needs at least one view")
+        from repro.core.eca import share_memos
+
         self.algorithms: "Dict[str, WarehouseAlgorithm]" = dict(algorithms)
         self.owners: Dict[str, str] = {}
         self._planner = CompensationPlanner(share=share_compensation)
+        share_memos(self.algorithms.values())
+        #: relation -> the members whose views react to it, each with its
+        #: catalog position, in catalog order: the only members an update
+        #: on the relation is delivered to.
+        self._interested: "Dict[str, List[Tuple[int, str, WarehouseAlgorithm]]]" = {}
+        for position, (view_name, algorithm) in enumerate(self.algorithms.items()):
+            for relation in algorithm.view.reactive_relations():
+                self._interested.setdefault(relation, []).append(
+                    (position, view_name, algorithm)
+                )
+        #: Members an event was delivered to since the last
+        #: :meth:`dirty_keys` — the only ones whose views can have moved.
+        #: Everyone after a refresh and at first (so after a restore too:
+        #: recovery decodes the members, then builds the catalog).
+        self._touched: "Dict[str, WarehouseAlgorithm]" = dict(self.algorithms)
         #: view name -> (the member's ``mv.version``, its rows tagged at
         #: that version); :meth:`view_state` re-tags a member only when
         #: its version moved.
@@ -98,21 +128,36 @@ class WarehouseCatalog:
         self, source: Optional[str], notification: UpdateNotification
     ) -> "Routed":
         members: List[MemberRequest] = []
-        for view_name, algorithm in self.algorithms.items():
+        touched = self._touched
+        for _, view_name, algorithm in self._interested.get(
+            notification.update.relation, ()
+        ):
+            touched[view_name] = algorithm
             for destination, request in algorithm.on_update(source, notification):
                 members.append((view_name, destination, request))
         return self._planner.plan(members)
 
     def on_update_batch(self, source: Optional[str], batch: "UpdateBatch") -> "Routed":
-        """Fan a kernel-coalesced run out to every member as one event.
+        """Fan a kernel-coalesced run out as one event, to every member
+        that reacts to some relation in it.
 
-        Each member sees the same atomic ``UpdateBatch``, so views whose
+        Each of them sees the same atomic ``UpdateBatch``, so views whose
         algorithm family answers a run with a single compensating query
         keep that behavior inside the catalog; the catalog itself only
         plans the resulting query ids, exactly as :meth:`on_update`.
         """
+        interested = {
+            position: (view_name, algorithm)
+            for notification in batch.notifications
+            for position, view_name, algorithm in self._interested.get(
+                notification.update.relation, ()
+            )
+        }
         members: List[MemberRequest] = []
-        for view_name, algorithm in self.algorithms.items():
+        touched = self._touched
+        for position in sorted(interested):
+            view_name, algorithm = interested[position]
+            touched[view_name] = algorithm
             for destination, request in algorithm.on_update_batch(source, batch):
                 members.append((view_name, destination, request))
         return self._planner.plan(members)
@@ -130,7 +175,7 @@ class WarehouseCatalog:
         subscribers = self._planner.retire(answer.query_id)
         members: List[MemberRequest] = []
         for view_name, local_id in subscribers:
-            algorithm = self.algorithms[view_name]
+            algorithm = self._touched[view_name] = self.algorithms[view_name]
             for destination, request in algorithm.on_answer(
                 source, QueryAnswer(local_id, answer.answer)
             ):
@@ -138,6 +183,7 @@ class WarehouseCatalog:
         return self._planner.plan(members)
 
     def on_refresh(self) -> "Routed":
+        self._touched = dict(self.algorithms)
         members: List[MemberRequest] = []
         for view_name, algorithm in self.algorithms.items():
             for destination, request in algorithm.on_refresh():
@@ -195,7 +241,8 @@ class WarehouseCatalog:
         stream stays precise under sharing.
         """
         out: Set[Tuple[str, Tuple[object, ...]]] = set()
-        for view_name, algorithm in self.algorithms.items():
+        touched, self._touched = self._touched, {}
+        for view_name, algorithm in touched.items():
             for _, key in algorithm.dirty_keys():
                 out.add((view_name, key))
         return out

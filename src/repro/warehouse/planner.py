@@ -83,12 +83,23 @@ class CompensationPlanner:
         request carries the first subscriber's query object; signature
         equality guarantees every subscriber's query evaluates to the
         same bag on any source state.
+
+        The views of a class ship one ``Query`` object between them
+        (:class:`~repro.core.compensation.CompensationMemo`), so a
+        signature is computed once per distinct object of the call —
+        kept by identity for this call only, while ``members`` holds
+        every object alive.
         """
         out: List[Tuple[Optional[str], QueryRequest]] = []
         groups: Dict[Tuple[object, ...], int] = {}
+        signatures: Dict[int, Tuple[object, ...]] = {}
         for view_name, destination, request in members:
             if self.share:
-                key = (destination, query_signature(request.query))
+                query = request.query
+                signature = signatures.get(id(query))
+                if signature is None:
+                    signature = signatures[id(query)] = query_signature(query)
+                key = (destination, signature)
                 shared_id = groups.get(key)
                 if shared_id is not None:
                     self._routes[shared_id] += ((view_name, request.query_id),)

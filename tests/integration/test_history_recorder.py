@@ -112,8 +112,10 @@ WORKLOAD = random_workload(SCHEMAS, 24, seed=3, initial=INITIAL, respect_keys=Tr
 
 
 #: Everything the catalog holds, however many events ran: the member
-#: table, and (once a view was read) each member's current tagged rows.
-BOUNDED = {"algorithms": 4, "_tagged": 4}
+#: table, (once a view was read) each member's current tagged rows, one
+#: interest entry per relation, and the members the last event reached —
+#: none once its dirty keys were drained.
+BOUNDED = {"algorithms": 4, "_tagged": 4, "_interested": 2, "_touched": 0}
 
 
 class TestCatalogKeepsNoHistory:

@@ -516,3 +516,71 @@ class TestShardedObservability:
     def test_shard_view_requires_the_sharded_flag(self):
         with pytest.raises(ValueError):
             Observability().shard_view(0)
+
+
+class TestUnionMemberIsPlaceable:
+    """``plan_shards`` reads a member's relations through
+    ``reactive_relations()``, which a ``UnionView`` has; it used to read
+    ``view.relations``, which it has not."""
+
+    SCHEMAS = [
+        RelationSchema("r1", ("W", "X"), key=("W",)),
+        RelationSchema("r2", ("X", "Y"), key=("Y",)),
+        RelationSchema("r3", ("X", "Y"), key=("Y",)),
+    ]
+    INITIAL = {
+        "r1": [(1, 2), (2, 3)],
+        "r2": [(2, 5), (3, 6)],
+        "r3": [(2, 7)],
+    }
+
+    def build(self):
+        from repro.relational.unions import UnionView
+        from repro.source.memory import MemorySource
+
+        r1, r2, r3 = self.SCHEMAS
+        v1 = View.natural_join("A", [r1, r2], ["W", "Y"])
+        v2 = View.natural_join("B", [r1, r3], ["W", "Y"])
+        union = UnionView("U", [v1, v2])
+        source = MemorySource(self.SCHEMAS, self.INITIAL)
+        state = source.snapshot()
+        catalog = WarehouseCatalog(
+            {
+                "A": ECA(v1, evaluate_view(v1, state)),
+                "U": ECA(union, evaluate_view(union, state)),
+            }
+        )
+        return source, catalog
+
+    def test_the_interest_map_covers_every_branch(self):
+        source, catalog = self.build()
+        owners = relation_owners({"source": source})
+        plan = plan_shards(catalog, 2, "hash", owners)
+        for relation in ("r1", "r2", "r3"):
+            expected = sorted(
+                {
+                    plan.assignment[name]
+                    for name, member in catalog.algorithms.items()
+                    if member.view.involves(relation)
+                }
+            )
+            assert list(plan.interest[relation]) == expected, relation
+        assert plan.interest["r3"] == (plan.assignment["U"],)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_sharded_run_over_it_is_strongly_consistent_per_view(self, seed):
+        from repro.consistency import check_trace
+
+        source, catalog = self.build()
+        workload = random_workload(
+            self.SCHEMAS, 10, seed=seed, initial=self.INITIAL, respect_keys=True
+        )
+        result = run_concurrent(
+            {"source": source}, catalog, {"source": workload},
+            clients=0, seed=seed, shards=2,
+        )
+        final = source.snapshot()
+        for name, member in catalog.algorithms.items():
+            assert member.view_state() == evaluate_view(member.view, final), name
+            report = check_trace(member.view, project_view(result.trace, name))
+            assert report.strongly_consistent, (name, report.detail)

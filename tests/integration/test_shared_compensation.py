@@ -31,6 +31,7 @@ from repro.simulation.driver import Simulation
 from repro.simulation.schedules import (
     BestCaseSchedule,
     EagerSourceSchedule,
+    RandomSchedule,
     WorstCaseSchedule,
 )
 from repro.simulation.trace import project_view
@@ -182,6 +183,60 @@ class TestRuntimeConformance:
             assert catalog.state_of(name) == evaluate_view(
                 algorithm.view, final
             ), name
+
+
+class TestOneConstructionPerClass:
+    def test_a_class_builds_once_per_event_not_once_per_member(self, monkeypatch):
+        """Sixteen structurally equal views are one class: over a seeded
+        run ``Q<U>`` is substituted as often as for one view, not sixteen
+        times as often.  (Round trips alone would not show it: the
+        planner collapses sixteen built queries to one just the same.)"""
+        from repro.relational.expressions import Query
+
+        calls = []
+        substitute = Query.substitute
+
+        def counting(self, relation, signed_tuple, coefficient=1):
+            calls.append(relation)
+            return substitute(self, relation, signed_tuple, coefficient)
+
+        monkeypatch.setattr(Query, "substitute", counting)
+        counts = {}
+        for n_views in (1, 16):
+            del calls[:]
+            sources, catalog = fanin_setup(n_views, share=True)
+            kernel = Simulation(sources["source"], catalog, list(WORKLOAD))
+            kernel.run(RandomSchedule(11))
+            counts[n_views] = len(calls)
+            assert catalog.shared_query_stats() == (
+                len(WORKLOAD),
+                (n_views - 1) * len(WORKLOAD),
+            )
+            final = sources["source"].snapshot()
+            for name, algorithm in catalog.algorithms.items():
+                assert catalog.state_of(name) == evaluate_view(
+                    algorithm.view, final
+                ), name
+        # One V<U> per event at least, and some compensation on top.
+        assert counts[1] > len(WORKLOAD)
+        assert counts[16] == counts[1]
+
+    def test_a_class_is_scoped_to_the_catalog_built_last(self):
+        """``plan_shards`` builds its per-shard catalogs after the one it
+        splits: every class is re-scoped to its shard, none spans two."""
+        from repro.kernel.dispatch import relation_owners
+        from repro.sharding import plan_shards
+
+        sources, catalog = fanin_setup(6, share=True)
+        members = list(catalog.algorithms.values())
+        assert len({id(member.memo) for member in members}) == 1
+        plan = plan_shards(catalog, 2, "hash", relation_owners(sources))
+        assert sorted(plan.algorithms) == [0, 1]
+        memo_of_shard = {}
+        for name, member in catalog.algorithms.items():
+            shard = plan.assignment[name]
+            assert memo_of_shard.setdefault(shard, member.memo) is member.memo
+        assert memo_of_shard[0] is not memo_of_shard[1]
 
 
 class TestDisjointViewsUnaffected:

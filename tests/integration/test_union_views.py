@@ -13,7 +13,7 @@ from repro.core.registry import create_algorithm
 from repro.core.stored_copies import StoredCopies
 from repro.errors import ExpressionError, SchemaError
 from repro.relational.bag import SignedBag
-from repro.relational.conditions import Const
+from repro.relational.conditions import Attr, Comparison, Const
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.unions import UnionView
@@ -231,3 +231,80 @@ class TestMaintenance:
             if not check_trace(view, trace).convergent:
                 broken += 1
         assert broken > 0
+
+
+class TestCatalogDeliversByInvolves:
+    """A catalog hands an update to a member exactly when the member's
+    view involves the relation — union branches and aliased self-join
+    occurrences included."""
+
+    EMP = RelationSchema("emp", ("id", "boss"))
+
+    def members(self):
+        from repro.core.eca import ECA
+
+        reports = View(
+            "reports",
+            [self.EMP.aliased("worker"), self.EMP.aliased("manager")],
+            ["worker.id", "manager.id"],
+            Comparison(Attr("worker.boss"), "=", Attr("manager.id")),
+        )
+        ordered = View.natural_join("ordered", [ORDERS, CATALOG], ["orders.item", "qty"])
+        pairs = UnionView("pairs", [ordered, reports])
+        return {
+            "movements": ECA(union_view()),
+            "pairs": ECA(pairs),
+            "reports": ECA(reports),
+            "ordered": ECA(ordered),
+        }
+
+    def test_only_involved_members_see_an_update(self):
+        from repro.messaging.messages import UpdateBatch, UpdateNotification
+        from repro.warehouse.catalog import WarehouseCatalog
+
+        algorithms = self.members()
+        seen = {name: [] for name in algorithms}
+        for name, algorithm in algorithms.items():
+            original = algorithm.on_update
+
+            def recording(source, notification, name=name, original=original):
+                seen[name].append(notification.update.relation)
+                return original(source, notification)
+
+            algorithm.on_update = recording
+        catalog = WarehouseCatalog(algorithms)
+        rows = {"orders": (7, 1), "rets": (7, 1), "cat": (7, 9), "emp": (1, 2),
+                "manager": (1, 2), "nobody": (0,)}
+        for serial, (relation, row) in enumerate(rows.items(), start=1):
+            for log in seen.values():
+                del log[:]
+            catalog.on_update("source", UpdateNotification(insert(relation, row), serial))
+            for name, algorithm in algorithms.items():
+                assert (seen[name] == [relation]) == algorithm.view.involves(
+                    relation
+                ), (name, relation)
+        # The self-join view hears about its base relation though every
+        # occurrence is aliased, and so does the union over it.
+        assert algorithms["reports"].view.involves("emp")
+        assert algorithms["pairs"].view.involves("emp")
+        assert not algorithms["movements"].view.involves("emp")
+
+        # A batch goes, once, to every member some update in it involves.
+        batch = UpdateBatch(
+            [
+                UpdateNotification(insert("rets", (8, 1)), 10),
+                UpdateNotification(insert("emp", (3, 1)), 11),
+            ]
+        )
+        delivered = []
+        for name, algorithm in algorithms.items():
+            original = algorithm.on_update_batch
+
+            def recording_batch(source, batch, name=name, original=original):
+                delivered.append(name)
+                return original(source, batch)
+
+            algorithm.on_update_batch = recording_batch
+        catalog.on_update_batch("source", batch)
+        assert delivered == ["movements", "pairs", "reports"]
+

@@ -219,9 +219,9 @@ class _RecordingECA(ECA):
         super().__init__(view)
         self.built = []
 
-    def _dispatch(self, query):
+    def _dispatch(self, query, local_delta, remote):
         self.built.append(query)
-        return super()._dispatch(query)
+        return super()._dispatch(query, local_delta, remote)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.compensation import (
+    CompensationMemo,
     backdate,
     batch_delta_query,
     staged_compensation,
@@ -143,3 +144,72 @@ class TestStagedCompensation:
     def test_zero_seen_is_empty(self, view_w):
         pending = view_w.as_query()
         assert staged_compensation(pending, [insert("r1", (1, 2))], 0).is_empty()
+
+
+class TestCompensationMemo:
+    """One entry, keyed by value on (update(s), pending queries)."""
+
+    @staticmethod
+    def build(view, update, pending):
+        signed = update.signed_tuple()
+        terms = list(view.substitute(update.relation, signed).terms)
+        for query in pending:
+            terms.extend(query.substitute(update.relation, signed, -1).terms)
+        return Query(terms)
+
+    def test_a_build_is_split_for_dispatch(self, view_w):
+        memo = CompensationMemo()
+        pending = [view_w.substitute("r2", insert("r2", (2, 3)).signed_tuple())]
+        update = insert("r1", (1, 2))
+        query, delta, remote = memo.compensated(self.build, view_w, update, pending)
+        assert query == self.build(view_w, update, pending)
+        local, source = query.partition()
+        assert remote == source and not remote.is_empty()
+        assert delta == local.evaluate({}) == SignedBag.from_pairs([((1,), -1)])
+        # Nothing fully bound: no local delta at all.
+        assert memo.compensated(self.build, view_w, update, [])[1] is None
+
+    def test_equal_inputs_hit_by_value_and_return_the_same_objects(self, view_w):
+        memo = CompensationMemo()
+        tuple_ = insert("r2", (2, 3)).signed_tuple()
+        built = memo.compensated(
+            self.build, view_w, insert("r1", (1, 2)), [view_w.substitute("r2", tuple_)]
+        )
+        # A distinct update and a distinct pending query, equal by value.
+        again = memo.compensated(
+            self.build, view_w, insert("r1", (1, 2)), [view_w.substitute("r2", tuple_)]
+        )
+        assert again is built and again[0] is built[0] and again[2] is built[2]
+
+    def test_any_difference_in_the_inputs_misses(self, view_w):
+        memo = CompensationMemo()
+        update = insert("r1", (1, 2))
+        one = view_w.substitute("r2", insert("r2", (2, 3)).signed_tuple())
+        two = view_w.substitute("r2", insert("r2", (2, 4)).signed_tuple())
+        built = memo.compensated(self.build, view_w, update, [one, two])
+        for other_update, pending in [
+            (insert("r1", (1, 3)), [one, two]),   # another update
+            (delete("r1", (1, 2)), [one, two]),   # its inverse
+            (update, [one]),                      # a shorter UQS
+            (update, [two, one]),                 # another order
+            (update, []),
+        ]:
+            missed = memo.compensated(self.build, view_w, other_update, pending)
+            assert missed is not built
+            assert missed[0] == self.build(view_w, other_update, pending)
+            # One entry: the original inputs now miss too.
+            rebuilt = memo.compensated(self.build, view_w, update, [one, two])
+            assert rebuilt is not built and rebuilt[0] == built[0]
+            built = rebuilt
+
+    def test_an_update_never_meets_a_one_update_batch(self, view_w):
+        memo = CompensationMemo()
+        update = insert("r1", (1, 2))
+        single = memo.compensated(self.build, view_w, update, [])
+        batch = memo.compensated(
+            lambda view, updates, contaminated: batch_delta_query(view, updates),
+            view_w,
+            [update],
+            [],
+        )
+        assert batch is not single

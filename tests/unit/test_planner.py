@@ -75,6 +75,55 @@ class TestSharedMode:
         assert [req.query_id for _, req in first + second] == [1, 2]
         assert planner.saved == 0
 
+    def test_one_signature_per_distinct_object_per_plan_call(self, monkeypatch):
+        """The views of a class ship one ``Query`` object: its signature
+        is computed once per ``plan`` call, never kept for the next, and
+        the grouping and the ids are what a signature per member gave."""
+        from repro.warehouse import planner as planner_module
+
+        signed = []
+
+        def counting(query):
+            signed.append(query)
+            return query_signature(query)
+
+        query_signature = planner_module.query_signature
+        monkeypatch.setattr(planner_module, "query_signature", counting)
+        shared, equal, other = (
+            join_query(),
+            join_query(aliases=("a", "b")),
+            Query([Term([RelationOperand(R1)], ("W",))]),
+        )
+        members = [
+            member("V0", 1, shared),
+            member("V1", 1, shared),
+            member("V2", 1, equal),
+            member("V3", 1, other),
+            member("V4", 1, shared, destination="beta"),
+            member("V5", 1, other),
+        ]
+        planner = CompensationPlanner(share=True)
+        out = planner.plan(members)
+        assert [id(q) for q in signed] == [id(shared), id(equal), id(other)]
+        assert [(dest, req.query_id, req.query) for dest, req in out] == [
+            ("src", 1, shared),
+            ("src", 2, other),
+            ("beta", 3, shared),
+        ]
+        assert out[0][1].query is shared
+        assert planner.subscribers(1) == (("V0", 1), ("V1", 1), ("V2", 1))
+        assert planner.subscribers(2) == (("V3", 1), ("V5", 1))
+        assert planner.subscribers(3) == (("V4", 1),)
+        assert (planner.issued, planner.saved) == (3, 3)
+        # The next call signs the same object again: nothing is kept.
+        del signed[:]
+        planner.plan([member("V0", 2, shared), member("V1", 2, shared)])
+        assert [id(q) for q in signed] == [id(shared)]
+        # Independent mode never signs.
+        del signed[:]
+        CompensationPlanner(share=False).plan(members)
+        assert signed == []
+
     def test_retire_pops_the_route(self):
         planner = CompensationPlanner(share=True)
         planner.plan(

@@ -6,6 +6,7 @@ from repro.core.protocol import WarehouseAlgorithm
 from repro.errors import ProtocolError
 from repro.messaging.messages import QueryAnswer, UpdateNotification
 from repro.relational.bag import SignedBag
+from repro.relational.tuples import SignedTuple
 from repro.source.updates import insert
 
 
@@ -42,6 +43,30 @@ class TestProtocol:
         probe.handle_update(UpdateNotification(insert("r1", (1, 2)), 1))
         probe.handle_update(UpdateNotification(insert("r1", (2, 2)), 2))
         assert len(probe.uqs_queries()) == 2
+
+    def test_restore_from_an_out_of_order_mapping_yields_send_order(self, view_w):
+        """``uqs`` is kept in send order, so reading it never sorts; a
+        restore is the one place an unordered mapping can come in."""
+        queries = {
+            query_id: view_w.substitute("r1", SignedTuple((query_id, 2)))
+            for query_id in (1, 2, 3, 5)
+        }
+        probe = Probe(view_w)
+        probe.restore_pending_state(
+            {"next_query_id": 6, "uqs": {q: queries[q] for q in (3, 1, 5, 2)}}
+        )
+        assert probe.uqs_queries() == [queries[q] for q in (1, 2, 3, 5)]
+        assert probe.pending_query_ids() == [1, 2, 3, 5]
+        assert [
+            (request.query_id, request.query)
+            for _, request in probe.pending_requests()
+        ] == [(q, queries[q]) for q in (1, 2, 3, 5)]
+        # Retiring from the middle and sending again keeps the order.
+        probe.handle_answer(QueryAnswer(2, SignedBag()))
+        sent = probe.handle_update(UpdateNotification(insert("r1", (9, 2)), 1))[0]
+        assert sent.query_id == 6
+        assert probe.pending_query_ids() == [1, 3, 5, 6]
+        assert probe.uqs_queries() == [queries[1], queries[3], queries[5], sent.query]
 
     def test_answer_for_unknown_query_raises(self, view_w):
         probe = Probe(view_w)

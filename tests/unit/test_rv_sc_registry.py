@@ -8,7 +8,10 @@ from repro.core.stored_copies import StoredCopies
 from repro.errors import UpdateError
 from repro.messaging.messages import QueryAnswer, UpdateNotification
 from repro.relational.bag import SignedBag
+from repro.relational.engine import evaluate_view
+from repro.source.memory import MemorySource
 from repro.source.updates import delete, insert
+from repro.workloads.random_gen import random_workload
 
 
 def notify(update, serial=1):
@@ -73,6 +76,27 @@ class TestStoredCopies:
         algo.handle_update(notify(delete("r2", (2, 3))))
         assert algo.view_state().is_empty()
         assert algo.copies["r2"].is_empty()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_delta_equals_the_reference_evaluator(self, view_wy, seed):
+        """``V<U>`` over the copies runs through the columnar engine; the
+        cross-product ``Query.evaluate`` is its oracle."""
+        initial = {"r1": [(1, 2), (1, 2), (4, 2)], "r2": [(2, 5), (2, 5), (3, 6)]}
+        source = MemorySource(list(view_wy.relations), initial)
+        algo = StoredCopies(
+            view_wy, evaluate_view(view_wy, source.snapshot()), source.snapshot()
+        )
+        workload = random_workload(
+            list(view_wy.relations), 20, seed=seed, initial=initial,
+            delete_ratio=0.4, domain=4,
+        )
+        for serial, update in enumerate(workload, start=1):
+            before = algo.mv.as_bag()
+            algo.handle_update(notify(update, serial))
+            delta = view_wy.substitute(update.relation, update.signed_tuple())
+            assert algo.view_state() == before + delta.evaluate(algo.copies)
+            source.apply_update(update)
+        assert algo.view_state() == evaluate_view(view_wy, source.snapshot())
 
     def test_delete_of_missing_copy_tuple_raises(self, view_w):
         algo = StoredCopies(view_w)
