@@ -23,6 +23,13 @@ writes it.  Both yield the same bytes, but the text path keeps the
 rendering of the two values that are large and outlive many writes — a
 pending :class:`Query` and a view's contents — with the value, so a
 snapshot taken while 65 queries wait re-renders none of them.
+
+A ``query`` is the one form that is not a tree of its parts: the terms
+of a compensating query differ in what they bind, not in what they range
+over, so the form holds a table of the query's distinct *shapes*
+(operand schemas, projection, condition — each written once) and, per
+term, a row ``[shape index, coefficient, bindings]``.  A bare
+:class:`Term` outside a query keeps the self-contained ``term`` form.
 """
 
 from __future__ import annotations
@@ -36,7 +43,10 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    Sequence,
     Tuple,
+    Type,
+    TypeVar,
     cast,
 )
 
@@ -61,7 +71,13 @@ from repro.relational.conditions import (
     Or,
     TrueCondition,
 )
-from repro.relational.expressions import BoundOperand, Query, RelationOperand, Term
+from repro.relational.expressions import (
+    BoundOperand,
+    Query,
+    RelationOperand,
+    Term,
+    TermShape,
+)
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import SignedTuple
 from repro.relational.views import View
@@ -77,11 +93,21 @@ if TYPE_CHECKING:
 #: the generic ``algo`` form (owners travel in ``config``).  v3: the
 #: ``algo.catalog`` envelope carries the shared-compensation planner —
 #: a ``share`` flag plus routes whose values are subscriber *lists*
-#: (one shared query may fan out to several member views).
-CODEC_VERSION = 3
+#: (one shared query may fan out to several member views).  v4: the
+#: ``query`` form names each distinct shape once, in a ``shapes`` table,
+#: and a term is a row of shape index, coefficient and bindings; WAL
+#: snapshots carry the version (``"v"``) so a directory from another
+#: version is refused before anything in it is decoded.
+CODEC_VERSION = 4
 
 _PRIMITIVES = (str, int, float, bool, type(None))
+#: The types JSON holds as they are, for the exact test ``type(v) in``:
+#: a row of nothing else is tagged, and read back, without a call per
+#: value.  Not ``isinstance`` — an ``int`` subclass is not known to
+#: render as an ``int`` and keeps the general path.
+_PLAIN = frozenset(_PRIMITIVES)
 
+_T = TypeVar("_T")
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
@@ -160,7 +186,7 @@ def encode_value(value: object) -> object:
             "coefficient": value.coefficient,
         }
     if isinstance(value, Query):
-        return {"$": "query", "terms": [encode_value(t) for t in value.terms]}
+        return _encode_query(value)
     if isinstance(value, View):
         return {
             "$": "view",
@@ -180,6 +206,44 @@ def encode_value(value: object) -> object:
     if isinstance(value, Message):
         return _encode_message(value)
     raise CodecError(f"cannot encode value of type {type(value).__name__}: {value!r}")
+
+
+def _encode_shape(shape: TermShape) -> Dict[str, object]:
+    """What the terms of one layout share.  Untagged: a table entry is
+    only ever read through the ``query`` that holds it."""
+    return {
+        "schemas": [encode_value(schema) for schema in shape.schemas],
+        "projection": list(shape.projection),
+        "condition": _encode_condition(shape.condition),
+    }
+
+
+def _encode_bindings(term: Term) -> List[object]:
+    """Per operand, the signed tuple it is bound to, or null."""
+    return [
+        encode_value(operand.tuple) if operand.is_bound else None
+        for operand in term.operands
+    ]
+
+
+def _encode_query(query: Query) -> Dict[str, object]:
+    """A table of the query's distinct shapes, in first-use order, and
+    per term ``[shape index, coefficient, bindings]``.
+
+    Shapes are told apart by *value* (their canonical text), never by
+    object: a query and its decoded twin share shape objects differently
+    and must still encode to the same bytes.
+    """
+    index_of: Dict[str, int] = {}
+    shapes: List[object] = []
+    rows: List[object] = []
+    for term in query.terms:
+        entry = _encode_shape(term.shape)
+        index = index_of.setdefault(canonical_json(entry), len(shapes))
+        if index == len(shapes):
+            shapes.append(entry)
+        rows.append([index, term.coefficient, _encode_bindings(term)])
+    return {"$": "query", "shapes": shapes, "terms": rows}
 
 
 def _encode_condition(condition: Condition) -> Dict[str, object]:
@@ -284,6 +348,8 @@ def encode_text(value: object) -> str:
         return _tagged(
             "mv", contents=_contents_text(value), view=encode_text(value.view)
         )
+    if isinstance(value, SignedBag):
+        return _tagged("bag", pairs=_pairs_text(value.to_pairs()))
     if isinstance(value, QueryRequest):
         return _tagged(
             "msg.query",
@@ -296,56 +362,59 @@ def encode_text(value: object) -> str:
 def _query_text(query: Query) -> str:
     text = query.encoded
     if text is None:
+        # Insertion-ordered: the keys are the shapes table as it is written.
+        index_of: Dict[str, int] = {}
+        rows = []
+        for term in query.terms:
+            index = index_of.setdefault(_shape_text(term.shape), len(index_of))
+            rows.append(
+                f"[{index},{canonical_json(term.coefficient)},{_bindings_text(term)}]"
+            )
         text = query.encoded = _tagged(
-            "query", terms=_array(map(_term_text, query.terms))
+            "query", shapes=_array(index_of), terms=_array(rows)
         )
     return text
 
 
-#: Stands where a term's own text goes in its shape's template.  It
-#: cannot occur in canonical JSON, which escapes control characters.
-_HOLE = "\0"
+def _shape_text(shape: TermShape) -> str:
+    """A shape's table entry — every operand's schema, the condition and
+    the projection — rendered once per :class:`TermShape` and written
+    once per query, however many terms and queries are of that shape."""
+    text = shape.encoded
+    if text is None:
+        text = shape.encoded = canonical_json(_encode_shape(shape))
+    return text
 
 
-def _term_text(term: Term) -> str:
-    """A term is its shape's text — every operand's schema, the condition
-    and the projection, rendered once per :class:`TermShape` — around
-    what is the term's own: the bound tuples and the coefficient."""
-    shape = term.shape
-    template = shape.encoded
-    if template is None:
-        schemas = [encode_text(schema) for schema in shape.schemas]
-        template = shape.encoded = (
-            _tagged(
-                "term",
-                coefficient=_HOLE,
-                condition=encode_text(shape.condition),
-                operands=_array([_HOLE]),
-                projection=encode_text(list(shape.projection)),
-            ).split(_HOLE),
-            [_tagged("rel", schema=schema) for schema in schemas],
+def _bindings_text(term: Term) -> str:
+    """What is a term's own beside its coefficient: its bound tuples."""
+    return canonical_json(_encode_bindings(term))
+
+
+def _pairs_text(pairs: Iterable[Tuple[object, int]]) -> str:
+    """The ``[[row, multiplicity], ...]`` list of the ``mv`` and ``bag``
+    forms.  A row that is a tuple of JSON's own scalars — every row of a
+    relation — is tagged here, without a call per value; any other row
+    goes through :func:`encode_value`."""
+    return canonical_json(
+        [
             [
-                _tagged("bound", schema=schema, tuple=_HOLE).split(_HOLE)
-                for schema in schemas
-            ],
-        )
-    (head, middle, tail), free, bound = template
-    operands = ",".join(
-        f"{bound[i][0]}{canonical_json(encode_value(operand.tuple))}{bound[i][1]}"
-        if operand.is_bound
-        else free[i]
-        for i, operand in enumerate(term.operands)
+                {"$": "tuple", "items": list(row)}
+                if type(row) is tuple and _PLAIN.issuperset(map(type, row))
+                else encode_value(row),
+                count,
+            ]
+            for row, count in pairs
+        ]
     )
-    return f"{head}{canonical_json(term.coefficient)}{middle}{operands}{tail}"
 
 
 def _contents_text(mv: MaterializedView) -> str:
-    """The ``[[row, multiplicity], ...]`` list both the ``mv`` form and an
-    algorithm snapshot's ``bag`` hold."""
+    """A view's contents as the ``mv`` form and an algorithm snapshot's
+    ``bag`` hold them, rendered once per version of the contents."""
     text = mv.encoded_contents
     if text is None:
-        pairs = [[encode_value(row), count] for row, count in mv.contents_pairs()]
-        text = mv.encoded_contents = canonical_json(pairs)
+        text = mv.encoded_contents = _pairs_text(mv.contents_pairs())
     return text
 
 
@@ -376,37 +445,91 @@ def decode_value(data: object) -> object:
 
 
 def _decode_pairs(pairs: List[Any]) -> SignedBag:
-    return SignedBag.from_pairs(
-        [(decode_value(row), count) for row, count in pairs]
-    )
+    """:func:`_pairs_text` read back: a ``tuple`` of scalars as parsed
+    is the row; anything else goes through :func:`decode_value`."""
+    decoded: List[Tuple[Any, Any]] = []
+    for row, count in pairs:
+        if type(row) is dict and row.get("$") == "tuple":
+            items = row.get("items")
+            if type(items) is list and _PLAIN.issuperset(map(type, items)):
+                decoded.append((tuple(items), count))
+                continue
+        decoded.append((decode_value(row), count))
+    return SignedBag.from_pairs(decoded)
+
+
+def _decode_as(data: object, kind: Type[_T]) -> _T:
+    value = decode_value(data)
+    if not isinstance(value, kind):
+        raise CodecError(f"expected a {kind.__name__}, decoded {value!r}")
+    return value
+
+
+def _decode_operands(
+    schemas: Sequence[RelationSchema], bindings: List[Any]
+) -> List[object]:
+    if len(bindings) != len(schemas):
+        raise CodecError(
+            f"{len(bindings)} binding(s) for a shape of {len(schemas)} operand(s)"
+        )
+    return [
+        RelationOperand(schema)
+        if bound is None
+        else BoundOperand(schema, _decode_as(bound, SignedTuple))
+        for schema, bound in zip(schemas, bindings)
+    ]
 
 
 def _decode_query(data: Dict[str, Any]) -> Query:
-    """A query's terms, one :class:`TermShape` per distinct layout.
+    """A query's terms, one :class:`TermShape` per table entry.
 
     A pending ECA query is dozens of terms over the same operand schemas,
     projection and condition; building each through ``Term(...)`` would
     give every one its own shape, and ``Q<U>`` over the decoded query
     would lose the sharing a locally built query has.  The first term of
-    a layout is built (and validated) in full; the rest take its shape.
+    an entry is built (and validated) in full; the rest take its shape.
+
+    Only the table :func:`_query_text` would write is accepted — every
+    entry used, first uses in table order, no two entries alike — so
+    that what decodes re-encodes to the bytes it was read from.
     """
-    first_of: Dict[Tuple[object, ...], Term] = {}
+    entries = data["shapes"]
+    if len(entries) > 1 and len(set(map(canonical_json, entries))) != len(entries):
+        raise CodecError("a query's shapes table repeats an entry")
+    firsts: List[Term] = []  # per entry reached so far, its first term
     terms: List[Term] = []
-    for item in data["terms"]:
-        if item["$"] != "term":
-            raise CodecError(f"a query holds terms, got tag {item['$']!r}")
-        operands = [decode_value(op) for op in item["operands"]]
-        projection = tuple(item["projection"])
-        condition = decode_value(item["condition"])
-        layout = (tuple(op.schema for op in operands), projection, condition)
-        first = first_of.get(layout)
-        if first is None:
-            first = first_of[layout] = Term(
-                operands, projection, condition, item["coefficient"]
+    for index, coefficient, bindings in data["terms"]:
+        if type(index) is not int or not 0 <= index < len(entries):
+            raise CodecError(
+                f"shape index {index!r} names no entry of a "
+                f"{len(entries)}-entry shapes table"
             )
-            terms.append(first)
+        if index > len(firsts):
+            raise CodecError(
+                f"shape {index} is used before shape {len(firsts)}: the "
+                f"shapes table is not in first-use order"
+            )
+        if index == len(firsts):
+            entry = entries[index]
+            schemas = [_decode_as(s, RelationSchema) for s in entry["schemas"]]
+            term = Term(
+                _decode_operands(schemas, bindings),
+                entry["projection"],
+                _decode_as(entry["condition"], Condition),
+                coefficient,
+            )
+            firsts.append(term)
         else:
-            terms.append(first.with_operands(operands, item["coefficient"]))
+            first = firsts[index]
+            term = first.with_operands(
+                _decode_operands(first.shape.schemas, bindings), coefficient
+            )
+        terms.append(term)
+    if len(firsts) != len(entries):
+        raise CodecError(
+            f"a query's shapes table has {len(entries)} entries, "
+            f"its terms use {len(firsts)}"
+        )
     return Query(terms)
 
 

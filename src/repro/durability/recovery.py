@@ -27,8 +27,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, cast
 
 from repro.durability.codec import decode_algorithm, decode_value
-from repro.durability.wal import RECV, _lsn_of, read_latest_snapshot, read_records
-from repro.errors import ProtocolError, RecoveryError
+from repro.durability.wal import (
+    RECV,
+    _lsn_of,
+    _snapshot_path,
+    read_latest_snapshot,
+    read_records,
+)
+from repro.errors import CodecError, ProtocolError, RecoveryError
 from repro.kernel.dispatch import dispatch_event, event_kind
 from repro.messaging.messages import Message, QueryRequest
 
@@ -101,7 +107,13 @@ def recover(
     ``repro_recovery_replayed_total`` counters.
     """
     snapshot_lsn, payload = read_latest_snapshot(directory)
-    algorithm = decode_algorithm(payload)
+    try:
+        algorithm = decode_algorithm(payload)
+    except CodecError as exc:
+        raise RecoveryError(
+            f"snapshot {_snapshot_path(directory, snapshot_lsn)!r} passed its "
+            f"CRC but does not decode: {exc}"
+        ) from exc
     records, torn = read_records(directory)
     replayed = 0
     last_lsn = snapshot_lsn
@@ -113,7 +125,7 @@ def recover(
         try:
             origin = cast(Optional[str], data["origin"])
             message = cast(Message, decode_value(data["message"]))
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, CodecError) as exc:
             raise RecoveryError(
                 f"malformed recv record at LSN {record['lsn']}: {exc}"
             ) from exc

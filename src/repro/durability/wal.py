@@ -15,7 +15,10 @@ Layout of a WAL directory:
   record with that LSN, same CRC scheme, written atomically (temp file +
   rename) so a crash mid-snapshot can never leave a half-written file
   under the final name.  Exactly one is kept: a snapshot empties the log,
-  so an older one has no records left to replay onto it.
+  so an older one has no records left to replay onto it.  Its ``v`` is
+  the codec version that wrote it — and, a directory always holding a
+  snapshot older than its records, the version of every record behind
+  it; recovery refuses another version's before decoding anything.
 - ``wal.lock`` — exclusive-ownership marker holding the writer's pid.
   Opening a directory another live process has open raises
   :class:`~repro.errors.WalLocked`; stale locks (owner dead) are stolen.
@@ -45,7 +48,12 @@ import re
 import zlib
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, cast
 
-from repro.durability.codec import canonical_json, encode_algorithm, splice
+from repro.durability.codec import (
+    CODEC_VERSION,
+    canonical_json,
+    encode_algorithm,
+    splice,
+)
 from repro.errors import RecoveryError, WalCorruption, WalLocked
 
 if TYPE_CHECKING:
@@ -72,10 +80,10 @@ def _seal(fields: Dict[str, str]) -> str:
 
 
 #: Where ``crc`` sorts among a sealed payload's keys: first in a log
-#: record (``crc`` < ``data``), second to last in a snapshot
-#: (``algo`` < ``crc`` < ``lsn``).
+#: record (``crc`` < ``data``), before the short tail of a snapshot
+#: (``algo`` < ``crc`` < ``lsn`` < ``v``; no ``v`` before codec v4).
 _CRC_AT_HEAD = re.compile(r'\{"crc":([0-9]+),')
-_CRC_AT_TAIL = re.compile(r',"crc":([0-9]+)(,"lsn":[0-9]+\})')
+_CRC_AT_TAIL = re.compile(r',"crc":([0-9]+)(,"lsn":[0-9]+(?:,"v":[0-9]+)?\})')
 
 
 def _unseal(text: str) -> Optional[Dict[str, object]]:
@@ -135,6 +143,10 @@ def _pid_alive(pid: int) -> bool:
 
 def _snapshot_name(lsn: int) -> str:
     return f"{SNAPSHOT_PREFIX}{lsn:010d}{SNAPSHOT_SUFFIX}"
+
+
+def _snapshot_path(directory: str, lsn: int) -> str:
+    return os.path.join(directory, _snapshot_name(lsn))
 
 
 def _snapshot_lsns(directory: str) -> List[int]:
@@ -309,12 +321,16 @@ class WriteAheadLog:
         """
         lsn = self._lsn
         body = _seal(
-            {"lsn": canonical_json(lsn), "algo": encode_algorithm(algorithm)}
+            {
+                "lsn": canonical_json(lsn),
+                "algo": encode_algorithm(algorithm),
+                "v": canonical_json(CODEC_VERSION),
+            }
         )
-        self._install(os.path.join(self.directory, _snapshot_name(lsn)), body + "\n")
+        self._install(_snapshot_path(self.directory, lsn), body + "\n")
         for old in _snapshot_lsns(self.directory):
             if old != lsn:
-                os.remove(os.path.join(self.directory, _snapshot_name(old)))
+                os.remove(_snapshot_path(self.directory, old))
         self._compact()
         self._since_snapshot = 0
         self.snapshots_taken += 1
@@ -416,8 +432,10 @@ def read_records(directory: str) -> Tuple[List[Dict[str, object]], int]:
 def read_latest_snapshot(directory: str) -> Tuple[int, Dict[str, object]]:
     """The newest snapshot as ``(lsn, algorithm payload)``.
 
-    Raises :class:`RecoveryError` when none exists and
-    :class:`WalCorruption`, naming the file, when it fails validation.
+    Raises :class:`RecoveryError` when none exists,
+    :class:`WalCorruption`, naming the file, when it fails validation,
+    and :class:`RecoveryError` again when it is intact but written by
+    another codec version (or by one that did not say).
     There is no older snapshot to fall back to: the log records that
     would bring one forward were truncated when the newest was taken.
     """
@@ -425,7 +443,7 @@ def read_latest_snapshot(directory: str) -> Tuple[int, Dict[str, object]]:
     if not lsns:
         raise RecoveryError(f"no snapshot found in {directory!r}")
     lsn = lsns[-1]
-    path = os.path.join(directory, _snapshot_name(lsn))
+    path = _snapshot_path(directory, lsn)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             body = _unseal(handle.read().strip())
@@ -433,4 +451,11 @@ def read_latest_snapshot(directory: str) -> Tuple[int, Dict[str, object]]:
         body = None
     if body is None or body.get("lsn") != lsn:
         raise WalCorruption(f"snapshot {path!r} failed validation")
+    if body.get("v") != CODEC_VERSION:
+        # Snapshots are stamped since v4: an unstamped one is older.
+        written = f"v{body['v']}" if "v" in body else "a version before v4"
+        raise RecoveryError(
+            f"snapshot {path!r} was written by codec {written}; this tree "
+            f"reads only v{CODEC_VERSION} — regenerate the directory"
+        )
     return lsn, cast(Dict[str, object], body["algo"])

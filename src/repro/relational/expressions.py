@@ -110,6 +110,9 @@ class TermShape:
     owned by :mod:`repro.relational.engine`,
     :mod:`repro.relational.signature` and :mod:`repro.durability.codec`:
     all three are functions of the shape alone and are filled on first use.
+    ``encoded`` is the shape's entry in an encoded query's shapes table —
+    one string, which is also what tells two shapes apart there, so
+    equal shapes held as different objects still make one entry.
     """
 
     __slots__ = (
@@ -167,7 +170,7 @@ class TermShape:
         self._predicate: Optional[Callable[[Row], bool]] = None
         self.plan: Optional[object] = None
         self.condition_signature: Optional[Tuple[object, ...]] = None
-        self.encoded: Optional[Tuple[object, ...]] = None
+        self.encoded: Optional[str] = None
 
     def predicate(self) -> Callable[[Row], bool]:
         """The condition bound to the product, compiled on first use."""

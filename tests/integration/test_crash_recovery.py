@@ -9,12 +9,24 @@ must reproduce the identical crash point and trace.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.consistency import check_trace
 from repro.core.eca import ECA
-from repro.durability import WriteAheadLog
-from repro.errors import SimulationError
+from repro.durability import (
+    CODEC_VERSION,
+    WriteAheadLog,
+    canonical_json,
+    decode_value,
+    encode_value,
+    read_latest_snapshot,
+    recover,
+)
+from repro.durability.wal import _seal, _snapshot_name
+from repro.errors import RecoveryError, SimulationError
+from repro.messaging.messages import UpdateNotification
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
@@ -269,3 +281,65 @@ class TestWiderTopologies:
         assert any(r["dropped"] > 0 for r in channel_rows)
         for row in channel_rows:
             assert {"dropped", "retries", "reordered"} <= set(row)
+
+
+class TestOtherCodecVersions:
+    """Regression: only ``dumps`` envelopes carried the codec version, so
+    a WAL directory written before codec v4 was not refused — it died
+    inside the query decoder (``malformed 'query' payload: 'shapes'``)."""
+
+    def v3_directory(self, tmp_path, stamp):
+        """A directory as the v3 tree left it mid-UQS: the pending query
+        in the v3 form (a list of self-contained ``term`` objects), the
+        snapshot sealed with ``stamp`` as its ``v``, or with none."""
+        scenario, _, warehouse = build_eca("example-2")
+        warehouse.on_update("source", UpdateNotification(scenario.updates[0], 1))
+        wal = WriteAheadLog(str(tmp_path))
+        lsn = wal.snapshot(warehouse)
+        wal.close()
+        _, payload = read_latest_snapshot(str(tmp_path))
+
+        def to_v3(node):
+            if isinstance(node, list):
+                return [to_v3(item) for item in node]
+            if not isinstance(node, dict):
+                return node
+            if node.get("$") == "query":
+                terms = decode_value(node).terms
+                return {"$": "query", "terms": [encode_value(term) for term in terms]}
+            return {key: to_v3(value) for key, value in node.items()}
+
+        downgraded = to_v3(payload)
+        assert downgraded != payload, "the snapshot holds a pending query"
+        fields = {"lsn": canonical_json(lsn), "algo": canonical_json(downgraded)}
+        if stamp is not None:
+            fields["v"] = canonical_json(stamp)
+        path = os.path.join(str(tmp_path), _snapshot_name(lsn))
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_seal(fields) + "\n")
+        return path
+
+    def contents(self, tmp_path):
+        return {
+            name: open(os.path.join(str(tmp_path), name), "rb").read()
+            for name in sorted(os.listdir(str(tmp_path)))
+        }
+
+    @pytest.mark.parametrize("stamp, written", [(3, "v3"), (None, "before v4")])
+    def test_another_versions_directory_is_refused_by_version(
+        self, tmp_path, stamp, written
+    ):
+        path = self.v3_directory(tmp_path, stamp)
+        before = self.contents(tmp_path)
+        with pytest.raises(RecoveryError) as caught:
+            recover(str(tmp_path))
+        message = str(caught.value)
+        assert os.path.basename(path) in message
+        assert written in message and f"v{CODEC_VERSION}" in message
+        assert "\n" not in message and "malformed" not in message
+        assert self.contents(tmp_path) == before
+
+    def test_this_versions_stamp_is_what_lets_a_directory_in(self, tmp_path):
+        self.v3_directory(tmp_path, CODEC_VERSION)  # the right stamp, v3 payload
+        with pytest.raises(RecoveryError, match="malformed 'query' payload"):
+            recover(str(tmp_path))

@@ -194,7 +194,11 @@ def reference_dumps_algorithm(algorithm):
 def reference_snapshot(lsn, algorithm):
     """A snapshot file sealed by double dump: once for the CRC, once for
     the body."""
-    payload = {"lsn": lsn, "algo": reference_encode_algorithm(algorithm)}
+    payload = {
+        "lsn": lsn,
+        "algo": reference_encode_algorithm(algorithm),
+        "v": CODEC_VERSION,
+    }
     crc = zlib.crc32(reference_json(payload).encode("utf-8"))
     return reference_json({**payload, "crc": crc}) + "\n"
 

@@ -138,6 +138,91 @@ class TestValueRoundTrips:
         with pytest.raises(CodecError):
             decode_value({"$": "query", "terms": [3]})
 
+    def shaped(self):
+        """A two-shape query as parsed JSON, plus its canonical text."""
+        query = compensating_query() + View("O", SCHEMAS, ["r1.X"]).as_query()
+        text = encode_text(query)
+        return json.loads(text), text
+
+    def test_query_form_is_a_shape_table_and_rows(self):
+        data, text = self.shaped()
+        assert sorted(data) == ["$", "shapes", "terms"]
+        assert [sorted(entry) for entry in data["shapes"]] == [
+            ["condition", "projection", "schemas"]
+        ] * 2
+        assert [row[:2] for row in data["terms"]] == [[0, 1], [0, 1], [0, -1], [1, 1]]
+        assert [[b is not None for b in row[2]] for row in data["terms"]] == [
+            [False, False], [True, False], [True, True], [False, False],
+        ]
+        assert encode_text(decode_value(data)) == text
+
+    @pytest.mark.parametrize("index", ["0", 0.0, None, True, False, -1, 2, [0]])
+    def test_shape_index_must_be_an_int_naming_an_entry(self, index):
+        data, _ = self.shaped()
+        data["terms"][1][0] = index
+        with pytest.raises(CodecError, match="shape index"):
+            decode_value(data)
+
+    @pytest.mark.parametrize("bindings", [[], [None], [None, None, None]])
+    def test_binding_list_must_match_the_shapes_arity(self, bindings):
+        # Zipped short, a one-binding row would build a one-operand term.
+        for row in (0, 1):  # the first term of an entry, and a later one
+            data, _ = self.shaped()
+            data["terms"][row][2] = bindings
+            with pytest.raises(CodecError, match="binding"):
+                decode_value(data)
+
+    def test_binding_must_be_a_signed_tuple(self):
+        data, _ = self.shaped()
+        data["terms"][1][2][0] = {"$": "tuple", "items": [7, 2]}
+        with pytest.raises(CodecError, match="SignedTuple"):
+            decode_value(data)
+
+    def test_only_the_canonical_shapes_table_is_accepted(self):
+        """An unused, repeated or out-of-order entry decodes to a query
+        that would re-encode to other bytes than it was read from."""
+        data, _ = self.shaped()
+        data["terms"].pop()  # entry 1 is now unused
+        with pytest.raises(CodecError, match="2 entries"):
+            decode_value(data)
+
+        data, _ = self.shaped()
+        data["shapes"][1] = data["shapes"][0]
+        with pytest.raises(CodecError, match="repeats"):
+            decode_value(data)
+
+        data, _ = self.shaped()
+        data["shapes"].reverse()
+        for row in data["terms"]:
+            row[0] = 1 - row[0]
+        with pytest.raises(CodecError, match="first-use order"):
+            decode_value(data)
+
+    def test_a_further_term_of_a_known_shape_costs_its_bindings(self):
+        """The size pin.  v3 wrote the shape around every term's bound
+        tuple: 618 B for the appended term below, 62 B now."""
+        schemas = SCHEMAS + [RelationSchema("r3", ("Y", "Z"), key=("Z",))]
+        query = View.natural_join("V", schemas, ["W", "Z"]).as_query()
+        query = query + query.substitute("r1", insert("r1", (7, 2)).signed_tuple())
+        extra = View.natural_join("V", schemas, ["W", "Z"]).substitute(
+            "r2", insert("r2", (123456, 2)).signed_tuple()
+        )
+        assert extra.terms[0].shape is not query.terms[0].shape
+        grown = query + extra
+        assert len(json.loads(encode_text(grown))["shapes"]) == 1
+        assert 0 < len(encode_text(grown)) - len(encode_text(query)) < 160
+        # No form that repeats the shape per term could meet that.
+        assert len(query.terms[0].shape.encoded) > 2 * 160
+
+    def test_bare_term_keeps_the_term_form(self):
+        term = compensating_query().terms[1]
+        data = json.loads(encode_text(term))
+        assert data["$"] == "term" and [op["$"] for op in data["operands"]] == [
+            "bound",
+            "rel",
+        ]
+        assert decode_value(data) == term
+
     def test_unencodable_value_raises(self):
         with pytest.raises(CodecError):
             dumps(object())
@@ -272,7 +357,7 @@ class TestEncodeOnce:
     ):
         algorithm = algorithm_mid_protocol("eca")
         (query,) = algorithm.uqs.values()
-        rendered = self.count_calls(monkeypatch, codec, "_term_text")
+        rendered = self.count_calls(monkeypatch, codec, "_bindings_text")
         wal = WriteAheadLog(str(tmp_path))
         for n in range(20):
             wal.append(EVENT, {"n": n})
@@ -285,7 +370,7 @@ class TestEncodeOnce:
     def test_wire_frame_and_snapshot_share_one_rendering(self, tmp_path, monkeypatch):
         algorithm = algorithm_mid_protocol("eca")
         _, request = algorithm.pending_requests()[0]
-        rendered = self.count_calls(monkeypatch, codec, "_term_text")
+        rendered = self.count_calls(monkeypatch, codec, "_bindings_text")
         frame = create_codec("frame").encode(request)
         assert len(rendered) == len(request.query.terms)
         assert request.query.encoded.encode("utf-8") in frame
@@ -295,6 +380,18 @@ class TestEncodeOnce:
         assert len(rendered) == len(request.query.terms)
         with open(os.path.join(str(tmp_path), _snapshot_name(lsn))) as handle:
             assert request.query.encoded in handle.read()
+
+    def test_shape_is_rendered_once_per_shape_not_once_per_query(self, monkeypatch):
+        rendered = self.count_calls(monkeypatch, codec, "_encode_shape")
+        query = compensating_query()
+        later = query - query.substitute("r2", insert("r2", (2, 9)).signed_tuple())
+        assert {id(term.shape) for term in (query + later).terms} == {
+            id(query.terms[0].shape)
+        }
+        texts = [encode_text(q) for q in (query, later, query + later)]
+        assert [shape for (shape,) in rendered] == [query.terms[0].shape]
+        entry = query.terms[0].shape.encoded
+        assert all(text.count(entry) == 1 for text in texts)
 
     def test_view_contents_are_rendered_once_per_version(self, monkeypatch):
         algorithm = algorithm_mid_protocol("eca")

@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 
 import pytest
 
 from repro.durability import (
+    CODEC_VERSION,
     EVENT,
     RECV,
     WriteAheadLog,
@@ -19,7 +21,7 @@ from repro.durability.wal import (
     WAL_FILENAME,
     _snapshot_name,
 )
-from repro.errors import RecoveryError, WalCorruption, WalLocked
+from repro.errors import CodecError, RecoveryError, WalCorruption, WalLocked
 from repro.messaging.messages import UpdateNotification
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
@@ -41,6 +43,31 @@ def fresh_eca():
 
 def wal_path(directory):
     return os.path.join(str(directory), WAL_FILENAME)
+
+
+#: The file the tree before codec v4 wrote at LSN 1 for the catalog of
+#: ``test_a_snapshot_holding_no_query_differs_from_v3_only_by_the_stamp``.
+V3_CATALOG_SNAPSHOT = (
+    '{"algo":{"$":"algo.catalog","members":[["V",{"$":"algo","config":{"$":"dict",'
+    '"items":[["buffer_answers",true]]},"mv":{"$":"bag","pairs":[[{"$":"tuple",'
+    '"items":[1,5]},1],[{"$":"tuple","items":[2,6]},1]]},"name":"eca","pending":'
+    '{"$":"dict","items":[["next_query_id",1],["uqs",{"$":"dict","items":[]}],'
+    '["collect",{"$":"bag","pairs":[]}]]},"view":{"$":"view","condition":{"$":"cmp",'
+    '"left":{"$":"attr","name":"r1.X"},"op":"=","right":{"$":"attr","name":"r2.X"}},'
+    '"name":"V","projection":["W","Y"],"relations":[{"$":"schema","attributes":'
+    '["W","X"],"base":"r1","key":null,"name":"r1"},{"$":"schema","attributes":'
+    '["X","Y"],"base":"r2","key":null,"name":"r2"}]}}],["P",{"$":"algo","config":'
+    '{"$":"dict","items":[["buffer_answers",true]]},"mv":{"$":"bag","pairs":'
+    '[[{"$":"tuple","items":[5]},1],[{"$":"tuple","items":[6]},1]]},"name":"eca",'
+    '"pending":{"$":"dict","items":[["next_query_id",1],["uqs",{"$":"dict","items":'
+    '[]}],["collect",{"$":"bag","pairs":[]}]]},"view":{"$":"view","condition":'
+    '{"$":"cmp","left":{"$":"attr","name":"r1.X"},"op":"=","right":{"$":"attr",'
+    '"name":"r2.X"}},"name":"P","projection":["Y"],"relations":[{"$":"schema",'
+    '"attributes":["W","X"],"base":"r1","key":null,"name":"r1"},{"$":"schema",'
+    '"attributes":["X","Y"],"base":"r2","key":null,"name":"r2"}]}}]],"pending":'
+    '{"$":"dict","items":[["next_query_id",1],["routes",{"$":"dict","items":[]}]]},'
+    '"share":true},"crc":2532083287,"lsn":1}\n'
+)
 
 
 class TestAppendAndRead:
@@ -201,6 +228,32 @@ class TestSnapshots:
             assert names == [_snapshot_name(lsn)]
             assert os.path.getsize(wal_path(tmp_path)) == 0
         wal.close()
+
+    def test_a_snapshot_holding_no_query_differs_from_v3_only_by_the_stamp(
+        self, tmp_path
+    ):
+        """Codec v4 changed the ``query`` form and nothing else: ``algo``,
+        ``algo.catalog``, ``view``, ``bag``, the pending dicts are
+        byte for byte what they were."""
+        from repro.core.eca import ECA
+        from repro.warehouse.catalog import WarehouseCatalog
+
+        source = MemorySource(SCHEMAS, INITIAL)
+        members = {}
+        for name, projection in (("V", ["W", "Y"]), ("P", ["Y"])):
+            view = View.natural_join(name, SCHEMAS, projection)
+            members[name] = ECA(view, evaluate_view(view, source.snapshot()))
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append(EVENT, {})
+        lsn = wal.snapshot(WarehouseCatalog(members, share_compensation=True))
+        wal.close()
+        with open(os.path.join(str(tmp_path), _snapshot_name(lsn))) as handle:
+            text = handle.read()
+        assert text.endswith(f',"lsn":1,"v":{CODEC_VERSION}}}\n')
+        crc = re.compile(',"crc":[0-9]+')  # covers the stamp, so it moved too
+        assert crc.sub("", text).replace(f',"v":{CODEC_VERSION}}}', "}") == crc.sub(
+            "", V3_CATALOG_SNAPSHOT
+        )
 
     def test_no_snapshot_raises_recovery_error(self, tmp_path):
         with pytest.raises(RecoveryError):
@@ -476,3 +529,51 @@ class TestRecoverFromWal:
 
         with pytest.raises(WalCorruption, match=_snapshot_name(newest)):
             recover(str(tmp_path))
+
+    def test_a_record_that_does_not_decode_is_reported_with_its_lsn(self, tmp_path):
+        """Regression: ``decode_value`` raises ``CodecError``, which the
+        handler for ``TypeError`` / ``KeyError`` let through unaddressed."""
+        from repro.durability import encode_value
+
+        _, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path))
+        wal.snapshot(algorithm)
+        good = encode_value(UpdateNotification(insert("r1", (7, 2)), 1))
+        bad = {"$": "msg.update", "update": {"$": "nope"}, "serial": 2}
+        for message in (good, bad):  # sealed by the log itself: the CRCs hold
+            wal.append(
+                RECV, {"channel": "source->wh", "origin": "source", "message": message}
+            )
+        wal.close()
+        with pytest.raises(RecoveryError, match="recv record at LSN 2") as caught:
+            recover(str(tmp_path))
+        assert isinstance(caught.value.__cause__, CodecError)
+        assert "nope" in str(caught.value)
+
+    def test_a_snapshot_that_does_not_decode_is_reported_with_its_file(self, tmp_path):
+        from repro.durability.codec import canonical_json
+        from repro.durability.wal import _seal
+
+        _, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append(EVENT, {})
+        lsn = wal.snapshot(algorithm)
+        wal.close()
+        path = os.path.join(str(tmp_path), _snapshot_name(lsn))
+        _, payload = read_latest_snapshot(str(tmp_path))
+        payload["view"] = {"$": "nope"}
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(
+                _seal(
+                    {
+                        "lsn": canonical_json(lsn),
+                        "algo": canonical_json(payload),
+                        "v": canonical_json(CODEC_VERSION),
+                    }
+                )
+            )
+        assert read_latest_snapshot(str(tmp_path))[0] == lsn  # the CRC holds
+        with pytest.raises(RecoveryError, match=_snapshot_name(lsn)) as caught:
+            recover(str(tmp_path))
+        assert isinstance(caught.value.__cause__, CodecError)
+        assert "nope" in str(caught.value)
