@@ -180,21 +180,21 @@ def test_bench_throughput_vs_topology(benchmark):
 def test_bench_sharded_scaling(benchmark):
     """Update throughput as the warehouse is partitioned over N shards.
 
-    The workload is deliberately catalog-heavy: 8 sources each own 32
-    keyed join views (256 members), and every update is a keyed delete
-    that ECA-Key handles locally with no compensating query.  Per-event
-    bookkeeping in a catalog snapshots every member view — O(views on
-    the shard) — and the unsharded warehouse pays it for all 256 views
-    on every event, while relation-level routing sends each event to
-    exactly one shard.  Sharding therefore divides the dominant cost;
-    what remains fixed is the keyed-delete scan, transport hops, and
-    event-loop overhead.
+    The workload is catalog-heavy: 8 sources each own 32 keyed join
+    views (256 members), and every update is a keyed delete that ECA-Key
+    handles locally with no compensating query.  A catalog delivers an
+    update only to the members whose views read its relation and copies
+    no member view per event, so an event costs about the same on any
+    shard count: the table shows throughput roughly flat in N, the
+    routing and event-loop overhead of more shards included.
 
     Measurement: CPU seconds (``time.process_time``), best of 3
     interleaved cycles per shard count, with the collector paused during
-    the timed region — wall clock and GC placement are far noisier than
-    the effect under test.  Every shard count must converge to the same
-    merged view; 4 shards must at least double 1-shard throughput.
+    the timed region.  The table is reported, not asserted on (a
+    wall-clock ratio is the machine's as much as the program's).  What
+    holds on any machine is asserted: every shard count converges to the
+    same merged view, and relation-level routing hands each update to
+    exactly one shard.
     """
     import gc
     import time
@@ -264,6 +264,11 @@ def test_bench_sharded_scaling(benchmark):
                     best[shards] = cpu
                 n_updates = result.updates
                 finals.append(result.final_view)
+                received = [
+                    result.metrics["shard%d" % shard].received
+                    for shard in result.shard_info["shard_ids"]
+                ]
+                assert sum(received) == n_updates == len(updates), received
         assert all(final == finals[0] for final in finals[1:])
         return [
             {
@@ -275,10 +280,6 @@ def test_bench_sharded_scaling(benchmark):
         ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    by_shards = {row["shards"]: row["updates/cpu-s"] for row in rows}
-    assert by_shards[4] >= 2 * by_shards[1], (
-        "4-shard throughput %d < 2x 1-shard %d" % (by_shards[4], by_shards[1])
-    )
     emit(
         render_table(
             "Sharded warehouse throughput (%d views)" % len(names), rows

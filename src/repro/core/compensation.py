@@ -13,8 +13,12 @@ Three consumers:
   batch, and compensates pending queries against the whole batch;
 - DeferredECA is BatchECA with a read-triggered flush.
 
-Terms that end up fully bound vanish naturally on evaluation; callers
-split them off with :meth:`Query.partition` for local evaluation.
+A built query is split three ways before anything is shipped (Appendix
+D, generalised): terms whose bound tuples already fail a conjunct that
+reads bound operands only are dropped — they are empty on every source
+state, and substitution only binds more operands, so everything derived
+from them is empty too; of the rest, fully bound terms are evaluated at
+the warehouse and the others are shipped.  :func:`split` does it.
 
 :class:`CompensationMemo` is where ECA does that split: the compensated
 query of one event is a pure function of the view definition, the
@@ -24,11 +28,21 @@ the same inputs build it once (``docs/MULTIVIEW.md`` §2).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from itertools import chain
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.relational.bag import SignedBag
+from repro.relational.conditions import (
+    _COMPARATORS,
+    Attr,
+    Comparison,
+    Condition,
+    Const,
+    flatten_conjuncts,
+)
 from repro.relational.engine import evaluate_query
-from repro.relational.expressions import Query, Term
+from repro.relational.expressions import Query, Term, TermShape
 from repro.relational.views import View
 from repro.source.updates import Update
 
@@ -37,6 +51,12 @@ from repro.source.updates import Update
 #: terms to ship.  All three are shared between the views of a class and
 #: never edited.
 Compensated = Tuple[Query, Optional[SignedBag], Query]
+
+#: A conjunct compiled against one bound mask: a term's operands -> its
+#: truth value on their bound tuples.
+Check = Callable[[Tuple[Any, ...]], object]
+
+_is_bound = attrgetter("is_bound")
 
 
 class CompensationMemo:
@@ -77,11 +97,123 @@ class CompensationMemo:
         if updates == self._updates and pending == self._pending:
             return self._built
         query = build(view, updates, pending)
-        local, remote = query.partition()
+        local, remote = self.split(query)
         delta = None if local.is_empty() else evaluate_query(local, {})
         self._updates, self._pending = updates, pending
         self._built = built = (query, delta, remote)
         return built
+
+    @staticmethod
+    def split(query: Query) -> Tuple[Query, Query]:
+        """How a built query is split (:func:`split`); a method so that a
+        test can hold the memo against another split."""
+        return split(query)
+
+
+def split(query: Query) -> Tuple[Query, Query]:
+    """``query.partition()`` without the terms their bound tuples falsify.
+
+    One pass in query order: a term is dropped when one of its shape's
+    :func:`bound_checks` for its bound mask is definitely false; of the
+    rest, fully bound terms go to the first query (evaluated at the
+    warehouse) and the others to the second (shipped).  A comparison that
+    raises ``TypeError`` decides nothing: the term is kept, so the error
+    surfaces where the term is evaluated, as it would without the check.
+    """
+    local: List[Term] = []
+    remote: List[Term] = []
+    for term in query.terms:
+        operands = term.operands
+        bound = tuple(map(_is_bound, operands))
+        shape = term.shape
+        checks = shape.bound_checks.get(bound)
+        if checks is None:
+            checks = shape.bound_checks[bound] = bound_checks(shape, bound)
+        if checks and _falsified(checks, operands):
+            continue
+        (remote if False in bound else local).append(term)
+    return Query(local), Query(remote)
+
+
+def _falsified(checks: Tuple[Check, ...], operands: Tuple[Any, ...]) -> bool:
+    for check in checks:
+        try:
+            if not check(operands):
+                return True
+        except TypeError:
+            # Unorderable (``None > 3``, ``"a" < 1``): undecided.  Keep
+            # the term and leave the error to its evaluation.
+            return False
+    return False
+
+
+def bound_checks(shape: TermShape, bound: Tuple[bool, ...]) -> Tuple[Check, ...]:
+    """The conjuncts of ``shape.condition`` that read bound operands only
+    under ``bound``, compiled, in the order the engine filters by them.
+
+    Step order (a conjunct is decided once the highest operand it reads
+    is joined in), then condition order — so a term dropped for a false
+    check is one whose evaluation would have filtered its rows out before
+    any later conjunct saw them.  For the same reason the list stops at
+    the first conjunct that reads a free operand and could raise
+    (anything but ``=`` / ``!=``): the source would meet that error before
+    the checks after it, and dropping the term would hide it.
+    """
+    resolve = shape.product.resolve
+    # Product position -> (operand index, column in the operand's tuple).
+    located = [
+        (index, column)
+        for index, schema in enumerate(shape.schemas)
+        for column in range(schema.arity)
+    ]
+    placed: List[Tuple[int, Set[int], Condition]] = []
+    for conjunct in flatten_conjuncts(shape.condition):
+        reads = {located[resolve(name)][0] for name in conjunct.attributes()}
+        placed.append((max(reads, default=0), reads, conjunct))
+    checks: List[Check] = []
+    for _, reads, conjunct in sorted(placed, key=itemgetter(0)):
+        if all(bound[index] for index in reads):
+            checks.append(_compile(conjunct, shape, located))
+        elif not (isinstance(conjunct, Comparison) and conjunct.op in ("=", "!=")):
+            break
+    return tuple(checks)
+
+
+def _compile(
+    conjunct: Condition, shape: TermShape, located: List[Tuple[int, int]]
+) -> Check:
+    """One check: a comparison of an attribute reads its operands' tuples
+    in place; any other conjunct (``Or``, ``Not``, two constants) is the
+    condition's own row predicate over the product, the free operands'
+    columns left blank (it reads none of them)."""
+    resolve = shape.product.resolve
+    if isinstance(conjunct, Comparison):
+        compare = _COMPARATORS[conjunct.op]
+        left, right = conjunct.left, conjunct.right
+        if isinstance(left, Attr) and isinstance(right, Attr):
+            i, a = located[resolve(left.name)]
+            j, b = located[resolve(right.name)]
+            return lambda operands: compare(
+                operands[i].tuple.values[a], operands[j].tuple.values[b]
+            )
+        if isinstance(left, Attr) and isinstance(right, Const):
+            i, a = located[resolve(left.name)]
+            value = right.value
+            return lambda operands: compare(operands[i].tuple.values[a], value)
+        if isinstance(left, Const) and isinstance(right, Attr):
+            j, b = located[resolve(right.name)]
+            value = left.value
+            return lambda operands: compare(value, operands[j].tuple.values[b])
+    predicate = conjunct.bind(shape.product)
+    blanks = [(None,) * schema.arity for schema in shape.schemas]
+    return lambda operands: predicate(
+        tuple(
+            chain.from_iterable(
+                op.tuple.values if op.is_bound else blank
+                for op, blank in zip(operands, blanks)
+            )
+        )
+    )
 
 
 def backdate(query: Query, updates: Sequence[Update]) -> Query:

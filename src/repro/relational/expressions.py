@@ -113,6 +113,9 @@ class TermShape:
     ``encoded`` is the shape's entry in an encoded query's shapes table —
     one string, which is also what tells two shapes apart there, so
     equal shapes held as different objects still make one entry.
+    ``bound_checks``, owned by :mod:`repro.core.compensation`, maps a
+    bound-operand mask to the conjuncts that read bound operands only,
+    compiled; it is filled one mask at a time.
     """
 
     __slots__ = (
@@ -128,6 +131,7 @@ class TermShape:
         "plan",
         "condition_signature",
         "encoded",
+        "bound_checks",
     )
 
     def __init__(
@@ -171,6 +175,7 @@ class TermShape:
         self.plan: Optional[object] = None
         self.condition_signature: Optional[Tuple[object, ...]] = None
         self.encoded: Optional[str] = None
+        self.bound_checks: Dict[Tuple[bool, ...], Tuple[Callable[..., object], ...]] = {}
 
     def predicate(self) -> Callable[[Row], bool]:
         """The condition bound to the product, compiled on first use."""

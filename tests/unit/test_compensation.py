@@ -8,8 +8,14 @@ from repro.core.compensation import (
     batch_delta_query,
     staged_compensation,
 )
+from repro.core.eca import ECA
+from repro.messaging.messages import QueryAnswer, UpdateNotification
 from repro.relational.bag import SignedBag
+from repro.relational.conditions import And, Attr, Comparison, Const
+from repro.relational.engine import evaluate_query, evaluate_view
 from repro.relational.expressions import Query
+from repro.relational.views import View
+from repro.source.memory import MemorySource
 from repro.source.updates import delete, insert
 
 
@@ -201,6 +207,120 @@ class TestCompensationMemo:
             rebuilt = memo.compensated(self.build, view_w, update, [one, two])
             assert rebuilt is not built and rebuilt[0] == built[0]
             built = rebuilt
+
+    def test_falsified_terms_are_built_but_neither_shipped_nor_evaluated(
+        self, view_w, view_w3
+    ):
+        """The first element stays ``build(...)``'s query; the split drops
+        a term whose bound tuples fail ``r1.X = r2.X`` on both sides of
+        Appendix D's line."""
+        memo = CompensationMemo()
+        first, second = insert("r1", (1, 2)), insert("r2", (5, 3))  # X: 2 vs 5
+        pending = [view_w.substitute("r1", first.signed_tuple())]
+        query, delta, remote = memo.compensated(self.build, view_w, second, pending)
+        assert query == self.build(view_w, second, pending)
+        # Its one fully bound term is dropped, so nothing is evaluated
+        # (an evaluated empty part would be an empty bag, not None).
+        assert query.partition()[0].term_count() == 1
+        assert delta is None
+        assert remote == view_w.substitute("r2", second.signed_tuple())
+        # Remote: with r3 still free, the r1 x r2 term would be shipped.
+        eca = ECA(view_w3)
+        eca.handle_update(UpdateNotification(first, 1))
+        [request] = eca.handle_update(UpdateNotification(second, 2))
+        shipped_by_partition = eca.memo.compensated(
+            self.build, view_w3, second, eca.uqs_queries()[:1]
+        )[0].partition()[1]
+        assert shipped_by_partition.term_count() == 2
+        assert request.query.terms == shipped_by_partition.terms[:1]
+        assert all(
+            shipped_by_partition.terms[1] not in query.terms
+            for query in eca.uqs.values()
+        )
+
+    def test_a_check_that_raises_keeps_the_term(self, three_rel_schemas):
+        """``None > 1`` decides nothing: the term is split as
+        ``partition()`` splits it, and its evaluation raises as before —
+        unless an earlier conjunct in the engine's order already failed,
+        in which case neither the check nor the engine reaches ``>``."""
+        view = View.natural_join(
+            "V", three_rel_schemas, ["W"], Comparison(Attr("W"), ">", Attr("Z"))
+        )
+        none_w = insert("r1", (None, 2))
+        pending = [view.substitute("r1", none_w.signed_tuple())]
+        update = insert("r3", (3, 1))
+        query, delta, remote = CompensationMemo().compensated(
+            self.build, view, update, pending
+        )
+        assert delta is None
+        assert remote == query.partition()[1] and remote.term_count() == 2
+        state = {
+            "r1": SignedBag(),
+            "r2": SignedBag.from_rows([(2, 3)]),
+            "r3": SignedBag(),
+        }
+        for shipped in (remote, query.partition()[1]):
+            with pytest.raises(TypeError):
+                evaluate_query(shipped, state)
+        # Fully bound: the warehouse's own evaluation raises, as before.
+        pending = [remote]
+        with pytest.raises(TypeError):
+            evaluate_query(
+                self.build(view, insert("r2", (2, 3)), pending).partition()[0], {}
+            )
+        with pytest.raises(TypeError):
+            CompensationMemo().compensated(
+                self.build, view, insert("r2", (2, 3)), pending
+            )
+        # r1.X = r2.X fails first: dropped, and the engine never compared.
+        built = self.build(view, insert("r2", (7, 3)), pending)
+        assert evaluate_query(built.partition()[0], {}).is_empty()
+        query, delta, remote = CompensationMemo().compensated(
+            self.build, view, insert("r2", (7, 3)), pending
+        )
+        assert delta is None and remote == built.partition()[1]
+
+    def test_a_free_operand_that_could_raise_first_stops_the_checks(
+        self, two_rel_schemas
+    ):
+        """``r1.W > r2.Y`` is decided before ``r2.X = 7`` at the source; a
+        term whose bound r2 fails the latter is still shipped, so a
+        ``None`` in r1 raises there as it always did."""
+        condition = And(
+            Comparison(Attr("r1.W"), ">", Attr("r2.Y")),
+            Comparison(Attr("r2.X"), "=", Const(7)),
+        )
+        view = View("V", two_rel_schemas, ["W"], condition)
+        query, delta, remote = CompensationMemo().compensated(
+            self.build, view, insert("r2", (5, 3)), []
+        )
+        assert remote == query and remote.term_count() == 1
+        with pytest.raises(TypeError):
+            evaluate_query(remote, {"r1": SignedBag.from_rows([(None, 0)])})
+
+    def test_an_irrelevant_update_ships_nothing_and_the_view_installs(
+        self, two_rel_schemas
+    ):
+        view = View.natural_join(
+            "V", two_rel_schemas, ["W"], Comparison(Attr("r1.W"), ">", Const(5))
+        )
+        source = MemorySource(two_rel_schemas, {"r1": [(7, 2)], "r2": []})
+        eca = ECA(view, evaluate_view(view, source.snapshot()))
+        relevant, irrelevant = insert("r2", (2, 3)), insert("r1", (3, 2))
+        source.apply_update(relevant)
+        [request] = eca.handle_update(UpdateNotification(relevant, 1))
+        source.apply_update(irrelevant)
+        assert eca.handle_update(UpdateNotification(irrelevant, 2)) == []
+        assert list(eca.uqs) == [request.query_id]
+        # Split as partition() splits, V<U> would have been shipped.
+        built = self.build(view, irrelevant, [request.query])
+        assert built.partition()[1].term_count() == 1
+        eca.handle_answer(
+            QueryAnswer(request.query_id, source.evaluate(request.query))
+        )
+        assert eca.is_quiescent()
+        assert eca.view_state() == evaluate_view(view, source.snapshot())
+        assert eca.view_state() == SignedBag.from_rows([(7,)])
 
     def test_an_update_never_meets_a_one_update_batch(self, view_w):
         memo = CompensationMemo()
