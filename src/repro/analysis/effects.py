@@ -6,9 +6,9 @@ empty set and join = union.  Leaf facts come from two places:
 
 - **seed tables**: the banned-name tables (``time.time`` reads the
   clock, ``random.*`` is randomness, ``.send()`` is channel I/O,
-  ``dispatch_event``/``on_update`` mutate algorithm state,
-  ``*wal*.append`` appends to the WAL).  They are defined here and
-  nowhere else — the rules consult them through :func:`seed_effects`.
+  ``dispatch_event``/``on_update`` mutate algorithm state).  They are
+  defined here and nowhere else — the rules consult them through
+  :func:`seed_effects`.
   Seeds apply at *call sites by name*, so they fire whether or not the
   callee resolves;
 - **intrinsics**: syntax inside the function body itself (``raise``
@@ -68,7 +68,6 @@ RANDOMNESS = "randomness"
 IO = "io"
 CHANNEL = "channel-send"
 STATE = "state-mutation"
-WAL = "wal-append"
 #: Auxiliary, receiver-relative refinement of state mutation: the
 #: function assigns/mutates attributes of its own ``self``.
 MUTATES_SELF = "self-mutation"
@@ -80,7 +79,6 @@ EFFECTS: Tuple[str, ...] = (
     IO,
     CHANNEL,
     STATE,
-    WAL,
     MUTATES_SELF,
     RAISES,
 )
@@ -174,12 +172,6 @@ def seed_effects(raw: Optional[str]) -> FrozenSet[str]:
         found.add(CHANNEL)
     if leaf in PROTOCOL_MUTATORS:
         found.add(STATE)
-    if (
-        leaf == "append"
-        and len(parts) >= 2
-        and any("wal" in part.lower() for part in parts[:-1])
-    ):
-        found.add(WAL)
     return frozenset(found)
 
 

@@ -11,14 +11,13 @@ RPR007       partitioner-purity: ``shard_of`` is pure in the key
 RPR008       serving-readonly: the serving tier never writes state
 RPR009       hot-path: no per-tuple wrappers in relational operator loops
 RPR010       planner-purity: shared-compensation planning is deterministic
-RPR011       await-atomicity: no yield between mutation and WAL append
 RPR012       exception-safety: handlers validate before mutating state
 ===========  ==========================================================
 
 Every rule has the same shape: one ``check(analysis)`` over the
 whole-program model (:class:`~repro.analysis.effects.ProjectAnalysis`).
 The syntactic rules (RPR001/002/003/005/008/009) walk the ASTs in
-``analysis.contexts``; RPR004, RPR007, RPR010, RPR011 and RPR012 walk
+``analysis.contexts``; RPR004, RPR007, RPR010 and RPR012 walk
 the call sites and their inferred effects; RPR006 inspects the live
 registry.  The banned-name tables live once, in
 :mod:`repro.analysis.effects`.  Rationale and per-rule examples live in
@@ -27,7 +26,6 @@ registry.  The banned-name tables live once, in
 
 from repro.analysis.rules import (  # noqa: F401  (import = register)
     async_safety,
-    await_atomicity,
     determinism,
     dispatch_bypass,
     exception_safety,

@@ -29,8 +29,8 @@ def walk_body(node: ast.AST) -> Iterator[ast.AST]:
     """Walk a function body without descending into nested defs.
 
     A ``raise`` or mutation inside a nested ``def``/``lambda``/class
-    body does not execute inline, so the ordering-sensitive rules
-    (RPR011/RPR012) must not attribute it to the enclosing method.
+    body does not execute inline, so the ordering-sensitive rule
+    (RPR012) must not attribute it to the enclosing method.
     """
     stack = list(ast.iter_child_nodes(node))
     while stack:

@@ -3,7 +3,7 @@
 The paper's warehouse carries critical in-flight state — the unanswered
 query set and COLLECT buffer that make ECA strongly consistent (Sections
 5.2, Appendix B) — all of it, until this package, in process memory.
-``repro.durability`` persists every warehouse-side event to an
+``repro.durability`` logs every message the warehouse receives to an
 append-only CRC-checked log with periodic compacting snapshots, and
 rebuilds a live algorithm (view contents *and* pending protocol state)
 by snapshot + replay.  :class:`CrashPolicy` plugs into the concurrent
@@ -27,9 +27,7 @@ from repro.durability.codec import (
 from repro.durability.crash import CrashPolicy, CrashRun
 from repro.durability.recovery import RecoveryResult, recover
 from repro.durability.wal import (
-    EVENT,
     RECV,
-    SEND,
     WriteAheadLog,
     read_latest_snapshot,
     read_records,
@@ -39,10 +37,8 @@ __all__ = [
     "CODEC_VERSION",
     "CrashPolicy",
     "CrashRun",
-    "EVENT",
     "RECV",
     "RecoveryResult",
-    "SEND",
     "WriteAheadLog",
     "canonical_json",
     "decode_algorithm",

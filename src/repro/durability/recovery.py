@@ -10,7 +10,9 @@ replication:
    each logged message back through the same ``on_update`` /
    ``on_answer`` / ``on_refresh`` entry points — and *discarding* the
    requests those calls return, because the pre-crash warehouse already
-   sent them (or crashed before sending, in which case step 3 covers it);
+   sent them (or crashed before sending, in which case step 3 covers it).
+   A record of another type is skipped: the warehouse writes none, but
+   older directories hold ``"send"`` / ``"event"`` records;
 3. collect :meth:`pending_requests` — one request per query still in the
    UQS — for the harness to re-issue.  Sources answer re-asked queries
    against their *current* state; per-channel FIFO makes that exactly

@@ -23,21 +23,22 @@ Layout of a WAL directory:
   Opening a directory another live process has open raises
   :class:`~repro.errors.WalLocked`; stale locks (owner dead) are stolen.
 
-Record types the warehouse writes (see ``runtime/actors.py``):
-
-- ``"recv"`` — a message the warehouse received, with its channel and
-  origin.  **The only replayed type**: algorithms are deterministic state
-  machines, so replaying received messages in order reconstructs the
-  exact pre-crash state (state-machine replication).
-- ``"send"`` / ``"event"`` — informational records of routed requests and
-  processed events; recovery skips them but they make the log a complete
-  audit trail of warehouse activity.
+The warehouse writes one record type (see ``runtime/actors.py``):
+``"recv"``, a message it received, with its channel and origin, one per
+atomic event.  Algorithms are deterministic state machines, so replaying
+received messages in order reconstructs the exact pre-crash state
+(state-machine replication); the log holds exactly what that replay
+needs, and ``snapshot_every`` therefore bounds it.  Recovery skips a
+record of any other type, so a directory whose log also carries the
+``"send"`` / ``"event"`` records older writers appended still recovers.
 
 Durability/recovery contract: a record is logged *before* the message is
 dispatched to the algorithm, and crash injection only fires at event
 boundaries after both, so the log never lags the in-memory state.  A torn
 final line (crash mid-append) fails its CRC and is truncated on read;
-corruption anywhere *else* raises :class:`WalCorruption`.
+corruption anywhere *else* — including a line that passes its CRC but
+lacks a field or carries a non-integer LSN — raises
+:class:`WalCorruption`.
 """
 
 from __future__ import annotations
@@ -66,10 +67,8 @@ SNAPSHOT_PREFIX = "snapshot-"
 SNAPSHOT_SUFFIX = ".json"
 TEMP_SUFFIX = ".tmp"
 
-#: Record types (the warehouse's event vocabulary).
+#: The record type the warehouse appends, and the one recovery replays.
 RECV = "recv"
-SEND = "send"
-EVENT = "event"
 
 
 def _seal(fields: Dict[str, str]) -> str:
@@ -121,8 +120,19 @@ def _record_line(lsn: object, record_type: object, data: object) -> str:
 
 
 def _lsn_of(record: Dict[str, object]) -> int:
-    """The record's LSN (every sealed record carries an int ``lsn``)."""
+    """The record's LSN (:func:`read_records` lets none through without
+    an int ``lsn``)."""
     return cast(int, record["lsn"])
+
+
+def _malformed(record: Dict[str, object]) -> Optional[str]:
+    """Why a record that passed its CRC is still no log record, or None."""
+    missing = [field for field in ("data", "lsn", "type") if field not in record]
+    if missing:
+        return f"lacks {', '.join(missing)}"
+    if type(record["lsn"]) is not int:
+        return f"has a non-integer LSN {record['lsn']!r}"
+    return None
 
 
 def _pid_alive(pid: int) -> bool:
@@ -180,6 +190,8 @@ class WriteAheadLog:
     snapshot_every:
         Take a compacting snapshot every N appended records (via
         :meth:`maybe_snapshot`); ``None`` disables automatic snapshots.
+        Every record the warehouse appends is a replayed ``recv``, so N
+        bounds the replay a recovery performs.
     obs:
         Optional :class:`repro.obs.instrument.Observability`; appends
         bump ``repro_wal_append_total{type=...}`` and snapshots emit a
@@ -399,7 +411,8 @@ def read_records(directory: str) -> Tuple[List[Dict[str, object]], int]:
     crash hit mid-append) and is silently dropped — the count of dropped
     lines is returned for reporting.  An invalid line *followed by* a
     valid one cannot be explained by a torn write and raises
-    :class:`WalCorruption`, as does any LSN that fails to increase.
+    :class:`WalCorruption`, as does a valid line missing a field or
+    carrying a non-integer LSN, and any LSN that fails to increase.
     """
     path = os.path.join(directory, WAL_FILENAME)
     if not os.path.exists(path):
@@ -419,6 +432,11 @@ def read_records(directory: str) -> Tuple[List[Dict[str, object]], int]:
                 raise WalCorruption(
                     f"{path}:{line_number}: valid record after {torn} "
                     f"corrupt line(s) — log is damaged beyond a torn tail"
+                )
+            problem = _malformed(record)
+            if problem is not None:
+                raise WalCorruption(
+                    f"{path}:{line_number}: record passes its CRC but {problem}"
                 )
             if records and _lsn_of(record) <= _lsn_of(records[-1]):
                 raise WalCorruption(
@@ -451,6 +469,8 @@ def read_latest_snapshot(directory: str) -> Tuple[int, Dict[str, object]]:
         body = None
     if body is None or body.get("lsn") != lsn:
         raise WalCorruption(f"snapshot {path!r} failed validation")
+    if "algo" not in body:
+        raise WalCorruption(f"snapshot {path!r} passes its CRC but lacks algo")
     if body.get("v") != CODEC_VERSION:
         # Snapshots are stamped since v4: an unstamped one is older.
         written = f"v{body['v']}" if "v" in body else "a version before v4"

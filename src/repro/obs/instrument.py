@@ -6,7 +6,7 @@ metrics :class:`Registry` and exposes *named hooks* — ``source_update``,
 code never manipulates spans or instruments directly.  Every hook site
 is guarded by ``if obs is not None`` in the caller, which is the entire
 cost of the feature when disabled (the overhead benchmark
-``benchmarks/test_bench_obs.py`` holds that to noise).
+``benchmarks/test_bench_obs.py`` reports it).
 
 Span vocabulary produced by the runtime instrumentation:
 

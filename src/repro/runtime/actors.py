@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports errors)
 
 from repro.durability.codec import encode_value
 from repro.durability.crash import CrashRun
-from repro.durability.wal import EVENT, RECV, SEND, WriteAheadLog
+from repro.durability.wal import RECV, WriteAheadLog
 from repro.errors import ChannelEmpty, TransportClosed, WarehouseCrashed
 from repro.kernel.dispatch import (
     coalesce_updates,
@@ -303,8 +303,7 @@ class WarehouseActor:
     Durability (all optional, see ``repro.durability``):
 
     - ``unit.wal`` — every received message is appended as a ``"recv"``
-      record *before* dispatch, routed requests and processed events as
-      informational ``"send"``/``"event"`` records after, and the log is
+      record *before* dispatch, the event's one append, and the log is
       offered a compacting snapshot at each event boundary.  With a WAL
       attached the actor also drops answers whose query id is no longer
       pending: after recovery, a re-issued query can race a pre-crash
@@ -431,14 +430,6 @@ class WarehouseActor:
             fired = unit.crash_run.decide(self.event_index, kind, pending)
         drop_sends = fired and unit.crash_run.policy.drop_sends
         if unit.wal is not None:
-            # Durability before visibility (RPR011): the event record must
-            # land in the log before the routed sends below await — a yield
-            # there lets other coroutines observe algorithm state the log
-            # does not hold yet.  Safe to reorder: recovery replays only
-            # RECV records; EVENT entries are informational.
-            unit.wal.append(
-                EVENT, {"index": self.event_index, "kind": kind, "detail": detail}
-            )
             unit.wal.maybe_snapshot(algorithm)
         if not drop_sends:
             for destination, request in routed:
@@ -468,15 +459,6 @@ class WarehouseActor:
                 destination,
                 self._obs_compensates,
                 reissued,
-            )
-        if unit.wal is not None:
-            unit.wal.append(
-                SEND,
-                {
-                    "destination": destination,
-                    "query_id": request.query_id,
-                    "reissued": reissued,
-                },
             )
         await self.transport.send(
             source_inbox(destination),

@@ -77,7 +77,6 @@ class TestEngine:
         assert ids == sorted(ids)
         assert ids == [f"RPR00{n}" for n in range(1, 10)] + [
             "RPR010",
-            "RPR011",
             "RPR012",
         ]
 

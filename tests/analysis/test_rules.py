@@ -371,7 +371,7 @@ class TestSinglePass:
         )
         raw = run_analysis(fixtures)
         keys = [(f.path, f.line, f.col, f.rule_id) for f in raw]
-        assert len(keys) == len(set(keys)) == 53
+        assert len(keys) == len(set(keys)) == 51
         assert Counter(f.rule_id for f in raw) == {
             "RPR002": 10,
             "RPR008": 8,
@@ -382,7 +382,6 @@ class TestSinglePass:
             "RPR003": 3,
             "RPR009": 3,
             "RPR005": 2,
-            "RPR011": 2,
             "RPR012": 2,
         }
 
@@ -423,28 +422,6 @@ class TestSinglePass:
         owned = [members for _name, members in tables(effects)]
         for marker in markers:
             assert sum(marker <= members for members in owned) == 1
-
-
-class TestAwaitAtomicityRule:
-    def test_fixture_produces_exactly_the_expected_findings(self):
-        findings = findings_for("runtime/rpr011_await.py")
-        assert golden(findings) == [
-            (9, "RPR011"),  # await between direct mutation and append
-            (23, "RPR011"),  # mutation hidden inside self._apply()
-        ]
-
-    def test_messages_cite_both_endpoints_of_the_window(self):
-        findings = findings_for("runtime/rpr011_await.py")
-        messages = {f.line: f.message for f in findings}
-        assert "state mutation at line 8" in messages[9]
-        assert "WAL append at line 10" in messages[9]
-        assert "self._apply" in messages[23]
-
-    def test_append_before_await_and_unlogged_actors_are_legal(self):
-        findings = findings_for("runtime/rpr011_await.py")
-        flagged = {f.line for f in findings}
-        assert not flagged & set(range(13, 19))  # AtomicActor
-        assert not flagged & set(range(33, 38))  # UnloggedActor
 
 
 class TestExceptionSafetyRule:

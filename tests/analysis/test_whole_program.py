@@ -50,7 +50,7 @@ class TestSarifReport:
         assert driver["name"] == "repro-lint"
         rule_ids = [rule["id"] for rule in driver["rules"]]
         assert "RPR000" in rule_ids  # the synthetic parse-error entry
-        assert {"RPR011", "RPR012"} <= set(rule_ids)
+        assert {"RPR010", "RPR012"} <= set(rule_ids)
         for result in run["results"]:
             assert rule_ids[result["ruleIndex"]] == result["ruleId"]
             location = result["locations"][0]["physicalLocation"]

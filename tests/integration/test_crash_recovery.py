@@ -17,16 +17,20 @@ from repro.consistency import check_trace
 from repro.core.eca import ECA
 from repro.durability import (
     CODEC_VERSION,
+    RECV,
     WriteAheadLog,
     canonical_json,
     decode_value,
+    dumps_algorithm,
     encode_value,
     read_latest_snapshot,
+    read_records,
     recover,
 )
-from repro.durability.wal import _seal, _snapshot_name
+from repro.durability.wal import WAL_FILENAME, _seal, _snapshot_name
 from repro.errors import RecoveryError, SimulationError
-from repro.messaging.messages import UpdateNotification
+from repro.kernel.dispatch import dispatch_event
+from repro.messaging.messages import QueryAnswer, UpdateNotification
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
@@ -281,6 +285,119 @@ class TestWiderTopologies:
         assert any(r["dropped"] > 0 for r in channel_rows)
         for row in channel_rows:
             assert {"dropped", "retries", "reordered"} <= set(row)
+
+
+class TestTheLogHoldsWhatRecoveryReplays:
+    """The warehouse appends one ``recv`` record per atomic event and
+    nothing else, so a replay is shorter than ``snapshot_every``; a directory
+    whose log also holds the ``send`` / ``event`` records older writers
+    appended still recovers, with those records skipped."""
+
+    def test_a_directory_with_send_and_event_records_recovers_the_same(
+        self, tmp_path
+    ):
+        scenario, source, live = build_eca("example-2")
+        directories = {
+            "older": str(tmp_path / "older"),
+            "recv-only": str(tmp_path / "recv-only"),
+        }
+        wals = {name: WriteAheadLog(path) for name, path in directories.items()}
+        for wal in wals.values():
+            wal.snapshot(live)
+
+        requests = []
+
+        def receive(message):
+            record = {"channel": "source->wh", "origin": "source"}
+            record["message"] = encode_value(message)
+            for wal in wals.values():
+                wal.append(RECV, record)
+            kind, detail, routed, _ = dispatch_event(live, "source", message)
+            older = wals["older"]
+            for destination, request in routed:
+                older.append(
+                    "send",
+                    {
+                        "destination": destination or "source",
+                        "query_id": request.query_id,
+                        "reissued": False,
+                    },
+                )
+            older.append("event", {"index": len(requests), "kind": kind, "detail": detail})
+            requests.extend(request for _, request in routed)
+
+        # U1 and U2 ship Q1 and Q2; A1, evaluated after U2, lands in
+        # COLLECT while Q2 is still pending.
+        for serial, update in enumerate(scenario.updates, start=1):
+            source.apply_update(update)
+            receive(UpdateNotification(update, serial))
+        first = requests[0]
+        receive(QueryAnswer(first.query_id, source.evaluate(first.query)))
+        for wal in wals.values():
+            wal.close()
+        assert live.pending_query_ids() and live.pending_state()["collect"]
+        types = [r["type"] for r in read_records(directories["older"])[0]]
+        assert {"send", "event"} <= set(types)
+
+        for path in directories.values():
+            recovered = recover(path)
+            assert recovered.replayed == 3
+            algorithm = recovered.algorithm
+            assert algorithm.view_state() == live.view_state()
+            assert algorithm.pending_state()["collect"] == live.pending_state()["collect"]
+            assert algorithm.pending_query_ids() == live.pending_query_ids()
+            assert dumps_algorithm(algorithm) == dumps_algorithm(live)
+            assert [
+                (destination, request.query_id, request.query)
+                for destination, request in recovered.reissue
+            ] == [
+                (destination, request.query_id, request.query)
+                for destination, request in live.pending_requests()
+            ]
+
+    @pytest.mark.parametrize("batch_k", [1, 4])
+    @pytest.mark.parametrize(
+        "mode, at", [("mid-uqs", None), ("after-answer", None), ("event", 5)]
+    )
+    def test_every_record_is_a_recv_and_every_replay_is_bounded(
+        self, tmp_path, mode, at, batch_k
+    ):
+        snapshot_every = 3
+        schemas = [RelationSchema("r1", ("W", "X")), RelationSchema("r2", ("X", "Y"))]
+        initial = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
+        view = View.natural_join("V", schemas, ["W", "Y"])
+        crashed = 0
+        for seed in range(3):
+            directory = str(tmp_path / str(seed))
+            source = MemorySource(schemas, initial)
+            result = run_concurrent(
+                source,
+                ECA(view, evaluate_view(view, source.snapshot())),
+                random_workload(schemas, 12, seed=seed, initial=initial),
+                clients=1,
+                seed=seed,
+                batch_k=batch_k,
+                wal_dir=directory,
+                snapshot_every=snapshot_every,
+                crash=CrashPolicy(mode=mode, at=at, max_crashes=2, seed=seed),
+            )
+            crashed += len(result.crashes)
+            records, torn = read_records(directory)
+            assert torn == 0
+            assert all(record["type"] == RECV for record in records)
+            with open(os.path.join(directory, WAL_FILENAME), encoding="utf-8") as log:
+                assert all('"type":"recv"' in line for line in log)
+            # One append per atomic warehouse event.
+            events = [
+                event.kind
+                for event in result.trace.events
+                if event.kind.startswith("W_") and event.kind not in (W_CRASH, W_REC)
+            ]
+            assert result.wal_stats["records"] == len(events)
+            replays = [crash["replayed"] for crash in result.crashes]
+            replays.append(recover(directory).replayed)
+            assert max(replays) < snapshot_every
+        assert crashed > 0
 
 
 class TestOtherCodecVersions:

@@ -14,7 +14,6 @@ from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.core.stored_copies import StoredCopies
 from repro.durability import (
     CODEC_VERSION,
-    EVENT,
     WriteAheadLog,
     codec,
     decode_algorithm,
@@ -360,7 +359,7 @@ class TestEncodeOnce:
         rendered = self.count_calls(monkeypatch, codec, "_bindings_text")
         wal = WriteAheadLog(str(tmp_path))
         for n in range(20):
-            wal.append(EVENT, {"n": n})
+            wal.append("event", {"n": n})
             wal.snapshot(algorithm)
         wal.close()
         assert [term for (term,) in rendered] == list(query.terms)

@@ -8,17 +8,18 @@ import pytest
 
 from repro.durability import (
     CODEC_VERSION,
-    EVENT,
     RECV,
     WriteAheadLog,
     read_latest_snapshot,
     read_records,
     recover,
 )
+from repro.durability.codec import canonical_json
 from repro.durability.wal import (
     LOCK_FILENAME,
     SNAPSHOT_PREFIX,
     WAL_FILENAME,
+    _seal,
     _snapshot_name,
 )
 from repro.errors import CodecError, RecoveryError, WalCorruption, WalLocked
@@ -74,11 +75,11 @@ class TestAppendAndRead:
     def test_lsns_advance_and_records_read_back(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
         assert wal.append(RECV, {"n": 1}) == 1
-        assert wal.append(EVENT, {"n": 2}) == 2
+        assert wal.append("event", {"n": 2}) == 2
         wal.close()
         records, torn = read_records(str(tmp_path))
         assert torn == 0
-        assert [(r["lsn"], r["type"]) for r in records] == [(1, RECV), (2, EVENT)]
+        assert [(r["lsn"], r["type"]) for r in records] == [(1, RECV), (2, "event")]
         assert records[0]["data"] == {"n": 1}
 
     def test_reopen_resumes_lsn_sequence(self, tmp_path):
@@ -156,7 +157,7 @@ class TestCorruption:
     def test_reformatted_snapshot_is_rejected(self, tmp_path):
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
-        wal.append(EVENT, {})
+        wal.append("event", {})
         lsn = wal.snapshot(algorithm)
         wal.close()
         path = os.path.join(str(tmp_path), _snapshot_name(lsn))
@@ -189,12 +190,63 @@ class TestCorruption:
         assert [r["lsn"] for r in records] == [1, 2, 3]
 
 
+class TestMalformedFields:
+    """Regression: a line that passes its CRC but lacks a field, or
+    carries a string LSN, escaped every reader as a ``KeyError`` or
+    ``TypeError``.  Each is a :class:`WalCorruption` naming the file, and
+    the line for a log record."""
+
+    def seal_second_line(self, tmp_path, fields):
+        """A genesis snapshot, one good record, then ``fields`` sealed as
+        line 2 (its CRC holds); the ``path:line`` the error must name."""
+        _, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path))
+        wal.snapshot(algorithm)
+        wal.append("event", {})
+        wal.close()
+        sealed = _seal({key: canonical_json(value) for key, value in fields.items()})
+        with open(wal_path(tmp_path), "a", encoding="utf-8") as handle:
+            handle.write(sealed + "\n")
+        return f"{wal_path(tmp_path)}:2"
+
+    def assert_every_reader_refuses(self, tmp_path, where):
+        for read in (read_records, recover, WriteAheadLog):
+            with pytest.raises(WalCorruption, match=re.escape(where)):
+                read(str(tmp_path))
+        assert not os.path.exists(os.path.join(str(tmp_path), LOCK_FILENAME))
+
+    def test_a_record_without_an_lsn(self, tmp_path):
+        where = self.seal_second_line(tmp_path, {"type": RECV, "data": {}})
+        self.assert_every_reader_refuses(tmp_path, where)
+
+    def test_a_record_with_a_string_lsn(self, tmp_path):
+        where = self.seal_second_line(tmp_path, {"lsn": "2", "type": RECV, "data": {}})
+        self.assert_every_reader_refuses(tmp_path, where)
+
+    def test_a_record_without_a_type(self, tmp_path):
+        where = self.seal_second_line(tmp_path, {"lsn": 2, "data": {}})
+        self.assert_every_reader_refuses(tmp_path, where)
+
+    def test_a_snapshot_without_algo(self, tmp_path):
+        _, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path))
+        lsn = wal.snapshot(algorithm)
+        wal.close()
+        path = os.path.join(str(tmp_path), _snapshot_name(lsn))
+        fields = {"lsn": canonical_json(lsn), "v": canonical_json(CODEC_VERSION)}
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_seal(fields) + "\n")
+        for read in (read_latest_snapshot, recover):
+            with pytest.raises(WalCorruption, match=re.escape(path)):
+                read(str(tmp_path))
+
+
 class TestSnapshots:
     def test_snapshot_compacts_log_and_is_readable(self, tmp_path):
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
         for n in range(5):
-            wal.append(EVENT, {"n": n})
+            wal.append("event", {"n": n})
         lsn = wal.snapshot(algorithm)
         assert lsn == 5
         # Compaction removed records covered by the snapshot.
@@ -207,9 +259,9 @@ class TestSnapshots:
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path), snapshot_every=3)
         for _ in range(2):
-            wal.append(EVENT, {})
+            wal.append("event", {})
             assert wal.maybe_snapshot(algorithm) is None
-        wal.append(EVENT, {})
+        wal.append("event", {})
         assert wal.maybe_snapshot(algorithm) == 3
         assert wal.snapshots_taken == 1
         wal.close()
@@ -220,7 +272,7 @@ class TestSnapshots:
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
         for _ in range(4):
-            wal.append(EVENT, {})
+            wal.append("event", {})
             lsn = wal.snapshot(algorithm)
             names = [
                 n for n in os.listdir(str(tmp_path)) if n.startswith(SNAPSHOT_PREFIX)
@@ -244,7 +296,7 @@ class TestSnapshots:
             view = View.natural_join(name, SCHEMAS, projection)
             members[name] = ECA(view, evaluate_view(view, source.snapshot()))
         wal = WriteAheadLog(str(tmp_path))
-        wal.append(EVENT, {})
+        wal.append("event", {})
         lsn = wal.snapshot(WarehouseCatalog(members, share_compensation=True))
         wal.close()
         with open(os.path.join(str(tmp_path), _snapshot_name(lsn))) as handle:
@@ -262,7 +314,7 @@ class TestSnapshots:
     def test_all_snapshots_invalid_raises_corruption(self, tmp_path):
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
-        wal.append(EVENT, {})
+        wal.append("event", {})
         lsn = wal.snapshot(algorithm)
         wal.close()
         with open(
@@ -286,9 +338,9 @@ class TestAtomicInstall:
     def test_orphaned_temp_files_are_removed_on_open(self, tmp_path):
         source, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
-        wal.append(EVENT, {"n": 1})
+        wal.append("event", {"n": 1})
         lsn = wal.snapshot(algorithm)
-        wal.append(EVENT, {"n": 2})
+        wal.append("event", {"n": 2})
         wal.close()
         # A crash mid-snapshot and one mid-rewrite: half a body each.
         orphans = [_snapshot_name(lsn + 1) + ".tmp", WAL_FILENAME + ".tmp"]
@@ -352,9 +404,9 @@ class TestAtomicInstall:
         _, algorithm = fresh_eca()
         directory = os.path.join(str(tmp_path), "wal")
         wal = WriteAheadLog(directory, fsync=True)
-        wal.append(EVENT, {})
+        wal.append("event", {})
         first = wal.snapshot(algorithm)
-        wal.append(EVENT, {})
+        wal.append("event", {})
         calls = self.trace_calls(monkeypatch)
         second = wal.snapshot(algorithm)
         monkeypatch.undo()
@@ -373,9 +425,9 @@ class TestAtomicInstall:
         _, algorithm = fresh_eca()
         directory = os.path.join(str(tmp_path), "wal")
         wal = WriteAheadLog(directory)
-        wal.append(EVENT, {})
+        wal.append("event", {})
         first = wal.snapshot(algorithm)
-        wal.append(EVENT, {})
+        wal.append("event", {})
         calls = self.trace_calls(monkeypatch)
         second = wal.snapshot(algorithm)
         monkeypatch.undo()
@@ -556,7 +608,7 @@ class TestRecoverFromWal:
 
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
-        wal.append(EVENT, {})
+        wal.append("event", {})
         lsn = wal.snapshot(algorithm)
         wal.close()
         path = os.path.join(str(tmp_path), _snapshot_name(lsn))
