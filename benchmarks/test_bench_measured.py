@@ -148,6 +148,10 @@ def test_bench_batched_engine_matches_scalar_oracle(benchmark, params):
     splits it (fully bound part on an empty state, the rest at the
     source).  All seven bound masks of three relations must occur, and
     each mask with two or more bound operands as a class of several terms.
+
+    Every query is also evaluated through the *live* ``MemorySource``,
+    whose kept batches and bucket maps the preceding updates maintained
+    in place: it must equal the scalar oracle on the current state too.
     """
 
     def divergence_sweep():
@@ -164,15 +168,15 @@ def test_bench_batched_engine_matches_scalar_oracle(benchmark, params):
                     update.relation, update.signed_tuple()
                 )
                 for query in (view_query, delta):
-                    assert evaluate_query(query, state) == evaluate_query_scalar(
-                        query, state
-                    )
+                    expected = evaluate_query_scalar(query, state)
+                    assert evaluate_query(query, state) == expected
+                    assert source.evaluate(query) == expected
                     checked += 1
                 source.apply_update(update)
             final = source.snapshot()
-            assert evaluate_query(view_query, final) == evaluate_query_scalar(
-                view_query, final
-            )
+            expected = evaluate_query_scalar(view_query, final)
+            assert evaluate_query(view_query, final) == expected
+            assert source.evaluate(view_query) == expected
             checked += 1
             pending = []
             for update in build_example6(params, STORM_K, seed).workload:
@@ -185,9 +189,9 @@ def test_bench_batched_engine_matches_scalar_oracle(benchmark, params):
                 query = Query(terms)
                 local, remote = query.partition()
                 for part, state in ((query, final), (local, {}), (remote, final)):
-                    assert evaluate_query(part, state) == evaluate_query_scalar(
-                        part, final
-                    )
+                    expected = evaluate_query_scalar(part, final)
+                    assert evaluate_query(part, state) == expected
+                    assert source.evaluate(part) == expected
                     checked += 1
                 for (_, mask), members in term_classes(query.terms).items():
                     masks.add(mask)

@@ -29,19 +29,12 @@ the same inputs build it once (``docs/MULTIVIEW.md`` §2).
 from __future__ import annotations
 
 from itertools import chain
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.relational.bag import SignedBag
-from repro.relational.conditions import (
-    _COMPARATORS,
-    Attr,
-    Comparison,
-    Condition,
-    Const,
-    flatten_conjuncts,
-)
-from repro.relational.engine import evaluate_query
+from repro.relational.conditions import _COMPARATORS, Attr, Comparison, Condition, Const
+from repro.relational.engine import evaluate_query, join_plan
 from repro.relational.expressions import Query, Term, TermShape
 from repro.relational.views import View
 from repro.source.updates import Update
@@ -149,34 +142,28 @@ def _falsified(checks: Tuple[Check, ...], operands: Tuple[Any, ...]) -> bool:
 
 def bound_checks(shape: TermShape, bound: Tuple[bool, ...]) -> Tuple[Check, ...]:
     """The conjuncts of ``shape.condition`` that read bound operands only
-    under ``bound``, compiled, in the order the engine filters by them.
+    under ``bound``, compiled, in the order the engine decides them.
 
-    Step order (a conjunct is decided once the highest operand it reads
-    is joined in), then condition order — so a term dropped for a false
-    check is one whose evaluation would have filtered its rows out before
-    any later conjunct saw them.  For the same reason the list stops at
-    the first conjunct that reads a free operand and could raise
-    (anything but ``=`` / ``!=``): the source would meet that error before
-    the checks after it, and dropping the term would hide it.
+    The engine's plan for ``bound`` joins the bound operands first, so
+    these are exactly the conjuncts of its first ``plan.bound`` steps,
+    listed step by step, then in condition order — all decided before any
+    free extent is read.  A term dropped for a false check is therefore
+    one whose evaluation empties at that check, on bound tuples alone,
+    and returns the empty bag before any comparison that could raise
+    meets a row the checks did not.
     """
-    resolve = shape.product.resolve
     # Product position -> (operand index, column in the operand's tuple).
     located = [
         (index, column)
         for index, schema in enumerate(shape.schemas)
         for column in range(schema.arity)
     ]
-    placed: List[Tuple[int, Set[int], Condition]] = []
-    for conjunct in flatten_conjuncts(shape.condition):
-        reads = {located[resolve(name)][0] for name in conjunct.attributes()}
-        placed.append((max(reads, default=0), reads, conjunct))
-    checks: List[Check] = []
-    for _, reads, conjunct in sorted(placed, key=itemgetter(0)):
-        if all(bound[index] for index in reads):
-            checks.append(_compile(conjunct, shape, located))
-        elif not (isinstance(conjunct, Comparison) and conjunct.op in ("=", "!=")):
-            break
-    return tuple(checks)
+    plan = join_plan(shape, bound)
+    return tuple(
+        _compile(conjunct, shape, located)
+        for step in plan.steps[: plan.bound]
+        for conjunct in step.conjuncts
+    )
 
 
 def _compile(

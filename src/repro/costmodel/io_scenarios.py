@@ -11,7 +11,11 @@ probes; the optimizer may instead scan a relation outright when that is
 cheaper (the paper's ``min(J, I)`` terms).  The greedy expansion below
 reproduces every per-term count derived in Appendix D.3.1 — e.g.
 ``IO(Q1) = 1 + min(J, I)``, ``IO(Q2) = 2``, ``IO(Q3) = 2 min(J, I)``, and
-cost 1 for the two-bound compensating terms.
+cost 1 for the two-bound compensating terms.  The in-memory source runs
+the same expansion: its engine joins a term's bound operands first and
+probes each free relation through a kept hash index on the join key, in
+the order :meth:`Scenario1Estimator.expansion` charges for Example 6
+(``tests/unit/test_io_scenarios.py``).
 
 **Scenario 2** (no indexes, three buffer blocks, nested loops): costs
 depend only on how many relations remain free — ``I`` for one,
@@ -113,13 +117,26 @@ class Scenario1Estimator:
         return max(1, math.ceil(source.cardinality(relation) / self.params.K))
 
     def estimate_term(self, term: Term, source: Source) -> int:
+        return sum(cost for _, cost, _ in self.expansion(term, source))
+
+    def expansion(self, term: Term, source: Source) -> List[Tuple[int, int, int]]:
+        """The free operands in the order the term is expanded from its
+        bound ones, each as ``(operand index, I/O charged, tuples it
+        yields)`` — the last is ``result_count``, ``m * J`` for a probe
+        from ``m`` resolved tuples.  A term with no bound operand reads
+        every relation once, in operand order."""
         free = [i for i, op in enumerate(term.operands) if not op.is_bound]
-        if not free:
-            return 0
         bound = [i for i, op in enumerate(term.operands) if op.is_bound]
         if not bound:
             # Full recomputation: read every relation once.
-            return sum(self._blocks(source, term.operands[i].source_relation) for i in free)
+            return [
+                (
+                    i,
+                    self._blocks(source, term.operands[i].source_relation),
+                    source.cardinality(term.operands[i].source_relation),
+                )
+                for i in free
+            ]
 
         edges = _join_edges(term)
         J, K = self.params.J, self.params.K
@@ -127,7 +144,7 @@ class Scenario1Estimator:
 
         resolved: Dict[int, int] = {i: 1 for i in bound}  # operand -> tuple count
         remaining: Set[int] = set(free)
-        total = 0
+        steps: List[Tuple[int, int, int]] = []
         while remaining:
             best: Optional[Tuple[int, int, int]] = None  # (cost, operand, count)
             for target in sorted(remaining):
@@ -170,15 +187,14 @@ class Scenario1Estimator:
                 # Disconnected free relations: scan each.
                 for target in sorted(remaining):
                     relation = term.operands[target].source_relation
-                    total += self._blocks(source, relation)
                     resolved[target] = source.cardinality(relation)
-                remaining.clear()
+                    steps.append((target, self._blocks(source, relation), resolved[target]))
                 break
             cost, target, count = best
-            total += cost
+            steps.append((target, cost, count))
             resolved[target] = max(1, count)
             remaining.discard(target)
-        return total
+        return steps
 
     def estimate_query(self, query: Query, source: Source) -> int:
         return sum(self.estimate_term(t, source) for t in query.source_terms().terms)

@@ -18,7 +18,8 @@ Python-level loop per tuple:
   multiplying signed counts, and falls back to the cartesian product
   when no keys are given; it is :func:`join_indices` (which rows meet)
   followed by :func:`join_rows` (gather them), and callers that carry a
-  vector beside the batch use the two halves directly;
+  vector beside the batch use the two halves directly — those that keep
+  the right side's :func:`bucket_map` hand it to :func:`join_indices`;
 - :func:`batch_union` concatenates batches (bag ``+``);
 - :func:`batch_negate` flips every signed count (bag unary ``-``).
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import and_, mul, not_, or_
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExpressionError
 from repro.relational.columns import ColumnBatch
@@ -136,31 +137,50 @@ def batch_project(batch: ColumnBatch, positions: Sequence[int]) -> ColumnBatch:
     return batch.gather_columns(positions)
 
 
+def bucket_map(batch: ColumnBatch, positions: Sequence[int]) -> Dict[object, List[int]]:
+    """``key -> [row index]`` over ``batch``, rows in batch order.
+
+    The key of a row is its value at ``positions[0]`` when there is one
+    position, else the tuple of its values at ``positions`` — the form
+    :func:`join_indices` probes with, and the form a caller that keeps a
+    bucket map up to date must add a new row under.
+    """
+    columns = batch.columns
+    if len(positions) == 1:
+        keys: Iterable[object] = columns[positions[0]]
+    else:
+        keys = zip(*(columns[p] for p in positions))
+    buckets: Dict[object, List[int]] = {}
+    setdefault = buckets.setdefault
+    for index, key in enumerate(keys):
+        setdefault(key, []).append(index)
+    return buckets
+
+
 def join_indices(
     left: ColumnBatch,
     right: ColumnBatch,
     keys: Sequence[Tuple[int, int]] = (),
+    buckets: Optional[Dict[object, List[int]]] = None,
 ) -> Tuple[List[int], List[int]]:
     """Row-index pairs ``(left_indices, right_indices)`` of a join.
 
     Pair ``n`` says row ``left_indices[n]`` of ``left`` meets row
     ``right_indices[n]`` of ``right``: equal on every ``(left_position,
     right_position)`` of ``keys`` (one hash table over ``right``, probed
-    in ``left`` order), or every pairing when ``keys`` is empty.  This is
-    the only hash-join body; :func:`batch_join` assembles its pairs, and
-    the engine's grouped pass also runs its row-id vector through them.
+    in ``left`` order), or every pairing when ``keys`` is empty.  A caller
+    that keeps ``right``'s :func:`bucket_map` on the keys' right positions
+    passes it as ``buckets``, and the join only probes.  This is the only
+    hash-join body; :func:`batch_join` assembles its pairs, and the
+    engine's grouped pass also runs its row-id vector through them.
     """
     if keys:
         if len(keys) == 1:
-            left_key = left.columns[keys[0][0]]
-            right_key = right.columns[keys[0][1]]
+            left_key: Iterable[object] = left.columns[keys[0][0]]
         else:
-            left_key = list(zip(*(left.columns[i] for i, _ in keys)))
-            right_key = list(zip(*(right.columns[j] for _, j in keys)))
-        buckets: dict = {}
-        setdefault = buckets.setdefault
-        for index, key in enumerate(right_key):
-            setdefault(key, []).append(index)
+            left_key = zip(*(left.columns[i] for i, _ in keys))
+        if buckets is None:
+            buckets = bucket_map(right, [j for _, j in keys])
         get = buckets.get
         left_indices: List[int] = []
         right_indices: List[int] = []

@@ -106,16 +106,17 @@ class TermShape:
     :meth:`Term.with_operands` holds the same shape object, so ``Q<U>``
     over a k-term pending query builds k operand tuples and nothing else.
 
-    ``plan``, ``condition_signature`` and ``encoded`` are memo slots
-    owned by :mod:`repro.relational.engine`,
+    ``condition_signature`` and ``encoded`` are memo slots owned by
     :mod:`repro.relational.signature` and :mod:`repro.durability.codec`:
-    all three are functions of the shape alone and are filled on first use.
+    both are functions of the shape alone and are filled on first use.
     ``encoded`` is the shape's entry in an encoded query's shapes table —
     one string, which is also what tells two shapes apart there, so
     equal shapes held as different objects still make one entry.
-    ``bound_checks``, owned by :mod:`repro.core.compensation`, maps a
-    bound-operand mask to the conjuncts that read bound operands only,
-    compiled; it is filled one mask at a time.
+    Two more map a bound-operand mask to what is built for it, one mask
+    at a time: ``plans``, owned by :mod:`repro.relational.engine`, to the
+    join plan, and ``bound_checks``, owned by
+    :mod:`repro.core.compensation`, to the conjuncts that read bound
+    operands only, compiled.
     """
 
     __slots__ = (
@@ -128,7 +129,7 @@ class TermShape:
         "source_relation_names",
         "occurrences",
         "_predicate",
-        "plan",
+        "plans",
         "condition_signature",
         "encoded",
         "bound_checks",
@@ -172,7 +173,7 @@ class TermShape:
             base: tuple(indices) for base, indices in occurrences.items()
         }
         self._predicate: Optional[Callable[[Row], bool]] = None
-        self.plan: Optional[object] = None
+        self.plans: Dict[Tuple[bool, ...], object] = {}
         self.condition_signature: Optional[Tuple[object, ...]] = None
         self.encoded: Optional[str] = None
         self.bound_checks: Dict[Tuple[bool, ...], Tuple[Callable[..., object], ...]] = {}

@@ -33,6 +33,7 @@ from repro.relational.batch_ops import (
     batch_project,
     batch_select,
     batch_union,
+    bucket_map,
 )
 from repro.relational.columns import ColumnBatch
 from repro.relational.conditions import Attr, Comparison, Const
@@ -284,31 +285,77 @@ def test_grouped_evaluation_equals_the_sum_of_its_terms(pairs, query):
 
 
 # --------------------------------------------------------------------- #
-# The source's kept batches: dropped when, and only when, the relation moves
+# The source's kept batches and bucket maps: maintained in place, always
+# the relation they stand for
 # --------------------------------------------------------------------- #
 
 relation_names = st.sampled_from(["r1", "r2", "r3"])
+#: ``1``, ``1.0`` and ``True`` are one key to a bag and to a bucket map.
+spelled_rows = st.tuples(*[st.sampled_from([0, 1, 1.0, True, 2, 3])] * 2)
+
+
+@st.composite
+def reordered_queries(draw):
+    """Chain terms whose bound operand sits in the middle or last, so the
+    plan joins it first and probes both free relations from it."""
+    base = BASE_TERMS[0]
+    mask = draw(st.sampled_from([(False, True, False), (False, False, True)]))
+    terms = [
+        base._derive(
+            tuple(
+                BoundOperand(operand.schema, SignedTuple(*draw(signed_rows)))
+                if bound
+                else operand
+                for operand, bound in zip(base.operands, mask)
+            ),
+            draw(st.sampled_from([1, -1])),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return Query(terms)
+
+
 source_operations = st.lists(
     st.one_of(
-        st.tuples(st.just("insert"), relation_names, rows2),
+        st.tuples(st.just("insert"), relation_names, spelled_rows),
         # A delete names its victim by rank among the relation's current
         # rows, so that it usually hits; on an empty relation it misses.
         st.tuples(st.just("delete"), relation_names, st.integers(0, 5)),
-        st.tuples(st.just("load"), relation_names, st.lists(rows2, max_size=3)),
+        # Every copy of a victim deleted, then the row inserted again,
+        # perhaps spelled differently (1.0 for 1).
+        st.tuples(st.just("reinsert"), relation_names, st.tuples(st.integers(0, 5), st.booleans())),
+        st.tuples(st.just("load"), relation_names, st.lists(spelled_rows, max_size=3)),
         st.tuples(st.just("evaluate"), grouped_queries(), st.none()),
+        st.tuples(st.just("evaluate"), reordered_queries(), st.none()),
     ),
     min_size=2,
     max_size=12,
 )
 
 
+def respelled(row):
+    return tuple(float(value) if value is True or value == 1 else value for value in row)
+
+
+def assert_kept_state(source):
+    """Each kept batch is, as a bag, its relation — spelled alike, so
+    ``repr`` and not only ``==`` — and each bucket map lists exactly the
+    positions of the batch that hold its key."""
+    for name, batch in source._batches.items():
+        assert repr(batch.to_bag()) == repr(source.relation(name)), name
+        for probe, buckets in source._indexes.get(name, {}).items():
+            assert buckets == bucket_map(batch, probe), (name, probe)
+    assert set(source._indexes) <= set(source._batches)
+
+
 @settings(max_examples=80, deadline=None)
 @given(states, source_operations)
 def test_memory_source_answers_from_its_current_relations(initial, operations):
     """However updates, loads and evaluations interleave, an answer is
-    ``evaluate_query`` over a fresh snapshot — a batch that outlived its
-    relation would answer from the past — and evaluating changes nothing
-    a snapshot shows (a batch an operator edited in place would)."""
+    ``evaluate_query`` over a fresh snapshot — a batch or bucket map that
+    fell behind its relation would answer from the past — and evaluating
+    changes nothing a snapshot shows (a batch an operator edited in place
+    would)."""
     source = MemorySource(SCHEMAS, initial)
     for kind, target, argument in operations:
         # Reading every relation back after every step makes each of them
@@ -327,11 +374,19 @@ def test_memory_source_answers_from_its_current_relations(initial, operations):
             source.apply_update(insert(target, argument))
         else:
             present = sorted(source.relation(target).rows())
-            if present:
-                source.apply_update(delete(target, present[argument % len(present)]))
-            else:
+            if not present:
                 with pytest.raises(UpdateError):
                     source.apply_update(delete(target, (0, 0)))
+            elif kind == "delete":
+                source.apply_update(delete(target, present[argument % len(present)]))
+            else:
+                rank, respell = argument
+                victim = present[rank % len(present)]
+                for _ in range(source.relation(target).multiplicity(victim)):
+                    source.apply_update(delete(target, victim))
+                assert_kept_state(source)
+                source.apply_update(insert(target, respelled(victim) if respell else victim))
+        assert_kept_state(source)
 
 
 # --------------------------------------------------------------------- #

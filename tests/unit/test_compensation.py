@@ -280,23 +280,30 @@ class TestCompensationMemo:
         )
         assert delta is None and remote == built.partition()[1]
 
-    def test_a_free_operand_that_could_raise_first_stops_the_checks(
+    def test_a_falsified_term_never_reads_a_free_operand(
         self, two_rel_schemas
     ):
-        """``r1.W > r2.Y`` is decided before ``r2.X = 7`` at the source; a
-        term whose bound r2 fails the latter is still shipped, so a
-        ``None`` in r1 raises there as it always did."""
-        condition = And(
-            Comparison(Attr("r1.W"), ">", Attr("r2.Y")),
-            Comparison(Attr("r2.X"), "=", Const(7)),
-        )
-        view = View("V", two_rel_schemas, ["W"], condition)
-        query, delta, remote = CompensationMemo().compensated(
-            self.build, view, insert("r2", (5, 3)), []
-        )
-        assert remote == query and remote.term_count() == 1
+        """The engine joins bound r2 first and decides ``r2.X = 7`` there,
+        before ``r1.W > r2.Y`` or any row of r1: a term whose bound r2
+        fails it evaluates to the empty bag without raising, even over a
+        ``None`` in r1 — and the split drops it, whatever the conjunct
+        order, so nothing is shipped."""
+        r1_first = Comparison(Attr("r1.W"), ">", Attr("r2.Y"))
+        r2_only = Comparison(Attr("r2.X"), "=", Const(7))
+        state = {"r1": SignedBag.from_rows([(None, 0)])}
+        for condition in (And(r1_first, r2_only), And(r2_only, r1_first)):
+            view = View("V", two_rel_schemas, ["W"], condition)
+            built = self.build(view, insert("r2", (5, 3)), [])
+            assert evaluate_query(built, state).is_empty()
+            source = MemorySource(two_rel_schemas, {"r1": [(None, 0)]})
+            assert source.evaluate(built).is_empty()
+            query, delta, remote = CompensationMemo().compensated(
+                self.build, view, insert("r2", (5, 3)), []
+            )
+            assert query == built and delta is None and remote.is_empty()
+        # A bound r2 that passes leaves r1 to the source, which raises.
         with pytest.raises(TypeError):
-            evaluate_query(remote, {"r1": SignedBag.from_rows([(None, 0)])})
+            evaluate_query(self.build(view, insert("r2", (7, 3)), []), state)
 
     def test_an_irrelevant_update_ships_nothing_and_the_view_installs(
         self, two_rel_schemas

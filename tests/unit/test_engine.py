@@ -3,9 +3,12 @@
 import pytest
 
 from repro.errors import ExpressionError
+from repro.relational import engine
 from repro.relational.bag import SignedBag
+from repro.relational.batch_ops import bucket_map
+from repro.relational.columns import ColumnBatch
 from repro.relational.conditions import Attr, Comparison, Const, Not, Or
-from repro.relational.engine import evaluate_query, evaluate_term, evaluate_view
+from repro.relational.engine import evaluate_query, evaluate_term, evaluate_view, join_plan
 from repro.relational.expressions import Query, RelationOperand, Term
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import MINUS, SignedTuple
@@ -204,30 +207,121 @@ class TestGroupedClasses:
         assert evaluate_query(query, {}) == SignedBag({(1, 0): 1, (3, 7): -1})
 
     def test_a_class_is_one_join_per_step(self, schemas, state, monkeypatch):
-        from repro.relational import engine
-
         calls = []
         real = engine.join_indices
 
-        def counting(left, right, keys=()):
-            calls.append(len(left.counts))
-            return real(left, right, keys)
+        def counting(left, right, keys=(), buckets=None):
+            calls.append((len(left.counts), buckets is not None))
+            return real(left, right, keys, buckets)
 
         monkeypatch.setattr(engine, "join_indices", counting)
         view = chain_view(schemas)
-        query = Query([self._bind(view, r1=(w, 2)) for w in range(5)])
-        assert evaluate_query(query, state) == query.evaluate(state)
-        # Five terms, two free operands: two joins, the first over a
-        # five-row batch — not ten joins over one-row batches.
-        assert len(calls) == 2 and calls[0] == 5
+        for bound, row in (("r1", lambda w: (w, 2)), ("r3", lambda w: (5 + w % 2, w))):
+            calls.clear()
+            query = Query([self._bind(view, **{bound: row(w)}) for w in range(5)])
+            assert evaluate_query(query, state) == query.evaluate(state)
+            # Five terms, two free operands: two probes of a bucket map,
+            # the first from the five bound rows — not ten joins over
+            # one-row batches, and never r1 joined whole with r2.
+            assert len(calls) == 2 and calls[0] == (5, True) and calls[1][1]
 
     def test_source_batches_are_filled_and_reused(self, schemas, state):
+        """And so are the bucket maps probed on them."""
         view = chain_view(schemas)
         query = Query([self._bind(view, r1=(w, 2)) for w in range(3)])
-        batches = {}
-        first = evaluate_query(query, state, batches)
+        batches, indexes = {}, {}
+        first = evaluate_query(query, state, batches, indexes)
         assert sorted(batches) == ["r2", "r3"]
+        # r2 probed on X (its position 0) from r1, r3 on Y from r2.
+        assert {name: sorted(kept) for name, kept in indexes.items()} == {
+            "r2": [(0,)],
+            "r3": [(0,)],
+        }
         kept = dict(batches)
-        assert evaluate_query(query, state, batches) == first
+        buckets = indexes["r2"][(0,)]
+        assert evaluate_query(query, state, batches, indexes) == first
         assert all(batches[name] is kept[name] for name in kept)
+        assert indexes["r2"][(0,)] is buckets
         assert batches["r2"].to_bag() == state["r2"]
+        assert buckets == bucket_map(batches["r2"], (0,)) == {2: [0, 1], 9: [2]}
+
+
+class TestJoinPlan:
+    """One planner: bound operands first, then the free operands an
+    equality connects to what is joined, product order otherwise."""
+
+    @pytest.mark.parametrize(
+        "bound, order",
+        [
+            ((False, False, False), [0, 1, 2]),
+            ((True, False, False), [0, 1, 2]),
+            ((False, True, False), [1, 0, 2]),
+            ((False, False, True), [2, 1, 0]),
+            ((True, False, True), [0, 2, 1]),
+            ((False, True, True), [1, 2, 0]),
+            ((True, True, True), [0, 1, 2]),
+        ],
+    )
+    def test_bound_operands_first_then_connected_ones(self, schemas, bound, order):
+        plan = join_plan(chain_view(schemas).as_query().terms[0].shape, bound)
+        assert [step.operand for step in plan.steps] == order
+        assert plan.bound == sum(bound)
+        # Every conjunct lands at the step of the last operand it reads.
+        placed = [len(step.conjuncts) for step in plan.steps]
+        assert sum(placed) == 2 and placed[0] == 0
+
+    def test_a_free_operand_joins_where_an_equality_connects_it(self, schemas):
+        r1, r2, r3 = schemas
+        # r1 and r3 share no attribute: from bound r1 the plan probes r2
+        # before r3; with nothing bound it keeps product order.
+        view = View.natural_join("V", [r1, r3, r2], ["W", "Z"])
+        shape = view.as_query().terms[0].shape
+        plan = join_plan(shape, (True, False, False))
+        assert [step.operand for step in plan.steps] == [0, 2, 1]
+        assert all(step.keys for step in plan.steps[1:])
+        assert [step.operand for step in join_plan(shape, (False,) * 3).steps] == [0, 1, 2]
+        state = {
+            "r1": SignedBag.from_rows([(1, 2), (4, 9)]),
+            "r2": SignedBag.from_rows([(2, 5), (9, 6)]),
+            "r3": SignedBag.from_rows([(5, 0), (6, 8)]),
+        }
+        for query in (view.as_query(), view.substitute("r1", SignedTuple((4, 9)))):
+            assert evaluate_query(query, state) == query.evaluate(state)
+        assert evaluate_view(view, state) == SignedBag.from_rows([(1, 0), (4, 8)])
+
+    def test_no_equality_keeps_product_order(self, schemas):
+        term = Term([RelationOperand(schemas[0]), RelationOperand(schemas[2])], ("W", "Z"))
+        plan = join_plan(term.shape, (False, True))
+        assert [step.operand for step in plan.steps] == [1, 0]
+        assert not plan.steps[1].keys
+
+    def test_one_plan_per_shape_and_mask(self, schemas):
+        shape = chain_view(schemas).as_query().terms[0].shape
+        plan = join_plan(shape, (False, True, False))
+        assert join_plan(shape, (False, True, False)) is plan
+        assert shape.plans == {(False, True, False): plan}
+        assert not hasattr(shape, "plan")
+
+    def test_a_deleted_row_reaches_no_filter(self, schemas):
+        # A kept batch holding a row at count 0 (deleted) whose W would
+        # make ``W > 0`` (read whole) or ``W > Z`` (probed) raise: the
+        # engine must not compare it.
+        view = View.natural_join(
+            "V",
+            schemas,
+            ["W", "Z"],
+            Comparison(Attr("W"), ">", Const(0)) & Comparison(Attr("W"), ">", Attr("Z")),
+        )
+        state = {
+            "r1": SignedBag.from_rows([(7, 2)]),
+            "r2": SignedBag.from_rows([(2, 5)]),
+            "r3": SignedBag.from_rows([(5, 0)]),
+        }
+        batches = {
+            "r1": ColumnBatch([[7, None], [2, 2]], [1, 0]),
+            "r2": ColumnBatch.from_bag(state["r2"], 2),
+            "r3": ColumnBatch.from_bag(state["r3"], 2),
+        }
+        expected = SignedBag.from_rows([(7, 0)])
+        for query in (view.as_query(), view.substitute("r3", SignedTuple((5, 0)))):
+            assert evaluate_query(query, state, dict(batches)) == expected

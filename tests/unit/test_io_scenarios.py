@@ -13,9 +13,12 @@ from repro.costmodel.io_scenarios import (
     example6_catalog,
 )
 from repro.costmodel.parameters import PaperParameters
+from repro.relational import engine
+from repro.relational.engine import join_plan
+from repro.relational.expressions import Query
 from repro.relational.tuples import SignedTuple
 from repro.source.memory import MemorySource
-from repro.workloads.example6 import example6_schemas, example6_view
+from repro.workloads.example6 import build_example6, example6_schemas, example6_view
 
 
 @pytest.fixture
@@ -117,6 +120,90 @@ class TestScenario1PerQuery:
             src.load(schema.name, [(i, i) for i in range(10)])
         estimator = Scenario1Estimator(params)
         assert estimator.estimate_query(view.as_query(), src) == 3  # ceil(10/20)=1 each
+
+
+def fanning_out(rows, key, other):
+    """A value of column ``key`` whose rows carry pairwise distinct values
+    of column ``other`` — a probe from it fans out without overlap, as
+    Scenario 1's ``m * J`` assumes."""
+    for value in sorted({row[key] for row in rows}):
+        found = [row[other] for row in rows if row[key] == value]
+        if len(set(found)) == len(found):
+            return value
+    raise AssertionError("no value fans out")
+
+
+class TestScenario1Executed:
+    """Appendix D.3.1's terms of Example 6, run at a live ``MemorySource``
+    over ``build_example6`` data: the engine expands each from its bound
+    tuples in the order ``Scenario1Estimator`` charges, probing a kept
+    hash index at every free step, and each probe fetches the
+    ``result_count`` tuples the estimator charges for — J per resolved
+    tuple."""
+
+    @pytest.fixture
+    def data(self, params):
+        return build_example6(params, k=0).initial
+
+    def terms(self, data):
+        """(name, term) for V<r1>, V<r2>, V<r3> and the three two-bound
+        compensating terms, on tuples whose join values occur in the data."""
+        view = example6_view()
+        x1 = fanning_out(data["r2"], 0, 1)  # r2 rows of X = x1: distinct Y
+        y3 = fanning_out(data["r2"], 1, 0)  # r2 rows of Y = y3: distinct X
+        x, y = data["r2"][0]
+        t1, t2, t3 = SignedTuple((10**6, x)), SignedTuple((x, y)), SignedTuple((y, -1))
+
+        def bind(**tuples):
+            query = view.as_query()
+            for relation, bound in tuples.items():
+                query = query.substitute(relation, bound)
+            [term] = query.terms
+            return term
+
+        return [
+            ("Q1", bind(r1=SignedTuple((0, x1)))),
+            ("Q2", bind(r2=t2)),
+            ("Q3", bind(r3=SignedTuple((y3, 0)))),
+            ("Q1<U2>", bind(r1=t1, r2=t2)),
+            ("Q1<U3>", bind(r1=t1, r3=t3)),
+            ("Q2<U3>", bind(r2=t2, r3=t3)),
+        ]
+
+    def test_each_term_is_expanded_as_scenario1_charges(self, params, data, monkeypatch):
+        estimator = Scenario1Estimator(params)
+        fetched = []
+        real = engine.join_indices
+
+        def probing(left, right, keys=(), buckets=None):
+            assert buckets is not None, "a free relation was joined, not probed"
+            pairs = real(left, right, keys, buckets)
+            # Tuples of the free relation the probes read, once each.
+            fetched.append(sum(right.counts[i] for i in set(pairs[1])))
+            return pairs
+
+        monkeypatch.setattr(engine, "join_indices", probing)
+        source = MemorySource(example6_schemas(), data)
+        for name, term in self.terms(data):
+            mask = tuple(op.is_bound for op in term.operands)
+            steps = estimator.expansion(term, source)
+            plan = join_plan(term.shape, mask)
+            order = [index for index, bound in enumerate(mask) if bound]
+            assert [step.operand for step in plan.steps] == order + [
+                index for index, _, _ in steps
+            ], name
+            fetched.clear()
+            assert source.evaluate(Query([term])) == term.evaluate(source.snapshot())
+            if name == "Q1<U3>":
+                # Both of r2's neighbours are bound, so the engine probes
+                # r2.X and r2.Y at once: of the J tuples Scenario 1 reads
+                # through r2.X it returns those whose Y is t3's.
+                assert [count for _, _, count in steps] == [params.J]
+                x, y = data["r2"][0]
+                assert fetched == [data["r2"].count((x, y))]
+            else:
+                assert fetched == [count for _, _, count in steps], name
+                assert fetched[0] == params.J, name
 
 
 class TestScenario2PerQuery:

@@ -192,19 +192,52 @@ class TestClassesOfTerms:
 
 
 class TestBatchCache:
-    """``MemorySource`` keeps a relation's columnar transpose until
-    ``apply_update`` touches that relation."""
+    """``MemorySource`` keeps each relation's columnar transpose, and the
+    bucket maps the engine probed on it, and ``apply_update`` maintains
+    both in place."""
 
-    def test_update_drops_only_the_touched_relation(self, schemas, view):
-        src = MemorySource(schemas, {"r1": [(1, 2)], "r2": [(2, 3)]})
-        query = view.as_query()
-        assert src.evaluate(query) == SignedBag.from_rows([(1,)])
-        kept = src._batches["r2"]
+    def test_update_maintains_the_touched_relation_in_place(self, schemas, view):
+        src = MemorySource(schemas, {"r1": [(1, 2)], "r2": [(2, 3), (2, 4)]})
+        # r2 bound: r1 is probed on X (its position 1).
+        probe = view.substitute("r2", SignedTuple((2, 5)))
+        assert src.evaluate(probe) == SignedBag.from_rows([(1,)])
+        assert src.evaluate(view.as_query()) == SignedBag({(1,): 2})
+        kept = dict(src._batches)
+        buckets = src._indexes["r1"][(1,)]
         src.apply_update(insert("r1", (4, 2)))
-        assert "r1" not in src._batches and src._batches["r2"] is kept
-        assert src.evaluate(query) == SignedBag.from_rows([(1,), (4,)])
+        src.apply_update(insert("r1", (1, 2)))
+        assert src._batches == kept and src._indexes["r1"][(1,)] is buckets
+        assert kept["r1"].counts == [2, 1] and buckets == {2: [0, 1]}
+        assert src.evaluate(probe) == SignedBag({(1,): 2, (4,): 1})
+        src.apply_update(delete("r1", (4, 2)))
+        assert kept["r1"].counts == [2, 0] and buckets == {2: [0, 1]}
+        assert src.evaluate(probe) == SignedBag({(1,): 2})
+        # Deleted down to nothing, more dead rows than live: dropped, and
+        # rebuilt from the relation by the next probe.
         src.apply_update(delete("r2", (2, 3)))
-        assert src.evaluate(query).is_empty()
+        src.apply_update(delete("r2", (2, 4)))
+        assert "r2" not in src._batches and "r2" not in src._indexes
+        assert src.evaluate(view.as_query()).is_empty()
+        assert src._batches["r1"] is kept["r1"]
+        # The rebuilt batch is maintained from scratch.
+        src.apply_update(insert("r2", (2, 4)))
+        src.apply_update(insert("r2", (2, 3)))
+        assert src._batches["r2"].to_bag() == src.relation("r2")
+        assert src.evaluate(view.as_query()) == SignedBag({(1,): 4})
+
+    def test_a_delete_stream_keeps_the_batch_bounded(self, schemas, view):
+        src = MemorySource(schemas, {"r1": [(1, 2), (2, 2), (3, 5)], "r2": [(2, 3)]})
+        probe = view.substitute("r2", SignedTuple((2, 9)))
+        expected = SignedBag.from_rows([(1,), (2,)])
+        for w in range(10, 10_010):
+            src.apply_update(insert("r1", (w, 2)))
+            assert src.evaluate(probe) == expected + SignedBag.from_rows([(w,)])
+            src.apply_update(delete("r1", (w, 2)))
+            assert src.evaluate(probe) == expected
+            batch = src._batches["r1"]
+            live = sum(1 for count in batch.counts if count)
+            assert live == 3 and len(batch) <= 2 * live + 1
+            assert sum(map(len, src._indexes["r1"][(1,)].values())) == len(batch)
 
     def test_load_after_evaluation_is_seen(self, schemas, view):
         src = MemorySource(schemas, {"r1": [(1, 2)]})
