@@ -1,14 +1,14 @@
 """Static invariant checking for the repro codebase.
 
-PR 4 collapsed every maintenance algorithm onto one routed protocol and
-one execution kernel; what keeps that kernel correct is now a handful of
-*conventions* — routed ``(destination, QueryRequest)`` returns, seeded
-RNGs only, ``obs is not None`` guards, no blocking calls inside actor
-coroutines, all I/O through :mod:`repro.kernel.dispatch`.  The paper's
-central observation is that decoupled components violate invariants
-silently (Section 2, Examples 2-3); this package is the machine-checked
-version of our conventions, so refactors cannot silently re-introduce
-anomaly-shaped bugs.
+Most of the kernel's contracts are checked where the code runs:
+:func:`repro.kernel.dispatch.dispatch_event` validates every routed
+return, and the conformance, recovery and registry suites replay every
+algorithm.  This package keeps only the invariants no run would catch
+— seeded RNGs only, no blocking calls inside actor coroutines, no
+per-tuple allocation in the relational hot path, handlers that validate
+before they mutate.  The paper's central observation is that decoupled
+components violate invariants silently (Section 2, Examples 2-3); these
+are the ones that stay silent under every test.
 
 Entry points
 ------------

@@ -8,7 +8,8 @@ Usage::
     python -m repro.analysis --list-rules
 
 Exit status: 0 when no error-severity finding survives pragma
-suppression, 1 otherwise.  ``repro lint`` is the same engine behind the
+suppression, 1 otherwise, and 2 (one ``error:`` line) when a named path
+does not exist.  ``repro lint`` is the same engine behind the
 main CLI — both build their flags with :func:`add_lint_arguments`, so
 the two entry points cannot drift apart (see ``docs/ANALYSIS.md``).
 """
@@ -68,11 +69,15 @@ def run_lint(args: argparse.Namespace) -> int:
         reporter = render_json
     else:
         reporter = render_text
-    report, status = lint_paths(
-        args.paths or ["src"],
-        reporter,
-        sarif_path=args.sarif,
-    )
+    try:
+        report, status = lint_paths(
+            args.paths or ["src"],
+            reporter,
+            sarif_path=args.sarif,
+        )
+    except FileNotFoundError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(report)
     return status
 

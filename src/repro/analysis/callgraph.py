@@ -102,8 +102,8 @@ def _resolve_call(
 ) -> CallSite:
     raw = dotted_name(node.func)
     if raw is None and isinstance(node.func, ast.Attribute):
-        # ``self.channels[i].send(...)``: no dotted receiver, but the
-        # leaf name still carries its seeded effects.
+        # ``self.views[i].apply_delta(...)``: no dotted receiver, but
+        # the leaf name still carries its seeded effects.
         raw = f"<expr>.{node.func.attr}"
     if raw is None:
         return CallSite(node=node, raw=None, target=None)

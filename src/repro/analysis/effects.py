@@ -1,18 +1,18 @@
 """Whole-program effect inference over the call graph.
 
 Each project function gets a set of *effects* — the lattice is the
-powerset of :data:`EFFECTS` ordered by inclusion, with ``pure`` as the
-empty set and join = union.  Leaf facts come from two places:
+powerset of {reads-clock, randomness, state-mutation, self-mutation}
+ordered by inclusion, with ``pure`` as the empty set and join = union.
+Leaf facts come from two places:
 
 - **seed tables**: the banned-name tables (``time.time`` reads the
-  clock, ``random.*`` is randomness, ``.send()`` is channel I/O,
-  ``dispatch_event``/``on_update`` mutate algorithm state).  They are
-  defined here and nowhere else — the rules consult them through
-  :func:`seed_effects`.
+  clock, ``random.*`` is randomness, ``dispatch_event``/``on_update``
+  mutate algorithm state).  They are defined here and nowhere else —
+  the rules consult them through :func:`seed_effects`.
   Seeds apply at *call sites by name*, so they fire whether or not the
   callee resolves;
-- **intrinsics**: syntax inside the function body itself (``raise``
-  statements, assignments and container mutators rooted at ``self``).
+- **intrinsics**: syntax inside the function body itself (assignments
+  and container mutators rooted at ``self``).
 
 Propagation is a textbook monotone fixed point: one :func:`relax` step
 joins every function's effects with its resolved callees' effects, and
@@ -24,19 +24,14 @@ Two deliberate refinements:
 - unresolved (⊤) call sites contribute *no* inferred effects — the seed
   tables are the compensating pessimism (see ``callgraph.py``);
 - :data:`MUTATES_SELF` only flows across ``self.``-rooted call sites:
-  "mutates its receiver" is receiver-relative, so ``shard_of`` calling
-  ``self._bump()`` inherits the taint while calling ``other.bump()``
-  does not (that mutates *other*, not the partitioner).
-
-Every inferred effect carries a :class:`Witness` so rule messages can
-show the chain (``plan → _delay → _jitter → time.time()``) instead of a
-bare verdict.
+  "mutates its receiver" is receiver-relative, so a handler calling
+  ``self._retire()`` inherits the taint while calling ``other.retire()``
+  does not (that mutates *other*, not the handler's algorithm).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
@@ -65,23 +60,10 @@ from repro.analysis.project import (
 
 CLOCK = "reads-clock"
 RANDOMNESS = "randomness"
-IO = "io"
-CHANNEL = "channel-send"
 STATE = "state-mutation"
 #: Auxiliary, receiver-relative refinement of state mutation: the
 #: function assigns/mutates attributes of its own ``self``.
 MUTATES_SELF = "self-mutation"
-RAISES = "raises"
-
-EFFECTS: Tuple[str, ...] = (
-    CLOCK,
-    RANDOMNESS,
-    IO,
-    CHANNEL,
-    STATE,
-    MUTATES_SELF,
-    RAISES,
-)
 
 PURE: FrozenSet[str] = frozenset()
 
@@ -96,21 +78,9 @@ _QUALIFIED_SEEDS: Dict[str, str] = {
     "time.monotonic_ns": CLOCK,
     "os.urandom": RANDOMNESS,
     "random.SystemRandom": RANDOMNESS,
-    # builtin hash() is process-salted: a purity hazard of the same
-    # shape as randomness (RPR007/RPR010's rationale).
-    "hash": RANDOMNESS,
-    "open": IO,
-    "io.open": IO,
-    "os.system": IO,
-    "time.sleep": IO,
-    "input": IO,
-    "print": IO,
 }
 
 _DATETIME_ATTRS = ("now", "utcnow", "today")
-
-#: Leaf names whose *call* performs channel I/O (cf. RPR004).
-_CHANNEL_LEAVES = frozenset({"send", "receive", "recv", "receive_nowait"})
 
 #: The routed-protocol mutators: calling one of these advances the
 #: algorithm/view state machine (cf. repro.kernel.dispatch).
@@ -164,26 +134,9 @@ def seed_effects(raw: Optional[str]) -> FrozenSet[str]:
         found.add(CLOCK)
     if parts[0] == "random" and len(parts) == 2 and leaf != "Random":
         found.add(RANDOMNESS)
-    if parts[0] == "subprocess":
-        found.add(IO)
-    if leaf == "FifoChannel":
-        found.add(CHANNEL)
-    if len(parts) >= 2 and leaf in _CHANNEL_LEAVES:
-        found.add(CHANNEL)
     if leaf in PROTOCOL_MUTATORS:
         found.add(STATE)
     return frozenset(found)
-
-
-def purity_delta(raw: Optional[str]) -> FrozenSet[str]:
-    """What the purity rules (RPR007/RPR010) ban on top of the seeds:
-    *any* ``time.*`` call is a clock (``perf_counter`` included) and
-    *any* ``random.*`` call is randomness — a seeded RNG's output still
-    depends on call order."""
-    head = (raw or "").split(".")[0]
-    return frozenset(
-        {"time": {CLOCK}, "random": {RANDOMNESS}}.get(head, ())
-    )
 
 
 def self_mutations(nodes: Iterable[ast.AST]) -> Iterator[Tuple[ast.AST, str]]:
@@ -217,16 +170,11 @@ def self_mutations(nodes: Iterable[ast.AST]) -> Iterator[Tuple[ast.AST, str]]:
             yield node, f"{verb} self state"
 
 
-def intrinsic_effects(node: FunctionNode) -> Dict[str, int]:
-    """Effect → first line, from the function's own syntax."""
-    found: Dict[str, int] = {}
-    nodes = list(ast.walk(node))
-    for child in nodes:
-        if isinstance(child, ast.Raise):
-            found.setdefault(RAISES, child.lineno)
-    for child, _what in self_mutations(nodes):
-        found.setdefault(MUTATES_SELF, child.lineno)
-    return found
+def intrinsic_effects(node: FunctionNode) -> FrozenSet[str]:
+    """Effects the function's own syntax proves: mutating ``self``."""
+    if next(self_mutations(ast.walk(node)), None) is None:
+        return PURE
+    return frozenset({MUTATES_SELF})
 
 
 # --------------------------------------------------------------------- #
@@ -234,41 +182,18 @@ def intrinsic_effects(node: FunctionNode) -> Dict[str, int]:
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class Witness:
-    """Why a function carries an effect: one step of the explanation."""
-
-    kind: str  # "seed" | "intrinsic" | "call"
-    detail: str  # seeded name / syntax note / callee qualname
-    line: int
-
-
 EffectMap = Dict[str, FrozenSet[str]]
-WitnessMap = Dict[Tuple[str, str], Witness]
 
 
-def base_effects(
-    project: Project, graph: CallGraph
-) -> Tuple[EffectMap, WitnessMap]:
+def base_effects(project: Project, graph: CallGraph) -> EffectMap:
     """Leaf facts only: intrinsics plus per-call-site seeds."""
     effects: EffectMap = {}
-    witnesses: WitnessMap = {}
     for qualname, function in project.functions.items():
-        found: Set[str] = set()
-        for effect, line in intrinsic_effects(function.node).items():
-            found.add(effect)
-            witnesses.setdefault(
-                (qualname, effect), Witness("intrinsic", "own body", line)
-            )
+        found = set(intrinsic_effects(function.node))
         for site in graph.sites(qualname):
-            for effect in seed_effects(site.raw):
-                witnesses.setdefault(
-                    (qualname, effect),
-                    Witness("seed", site.raw or "<call>", site.line),
-                )
-                found.add(effect)
+            found |= seed_effects(site.raw)
         effects[qualname] = frozenset(found)
-    return effects, witnesses
+    return effects
 
 
 def flow_through(site: CallSite, callee_effects: FrozenSet[str]) -> FrozenSet[str]:
@@ -291,35 +216,14 @@ def relax(graph: CallGraph, effects: EffectMap) -> EffectMap:
     return out
 
 
-def infer_effects(
-    project: Project, graph: CallGraph
-) -> Tuple[EffectMap, WitnessMap]:
-    """Iterate :func:`relax` to the least fixed point, with witnesses."""
-    base, witnesses = base_effects(project, graph)
-    effects_mut = {qualname: set(found) for qualname, found in base.items()}
-    changed = True
-    while changed:
-        changed = False
-        for qualname in effects_mut:
-            current = effects_mut[qualname]
-            for site in graph.sites(qualname):
-                if site.target is None:
-                    continue
-                incoming = flow_through(
-                    site,
-                    frozenset(effects_mut.get(site.target, PURE)),
-                )
-                for effect in incoming - current:
-                    witnesses.setdefault(
-                        (qualname, effect),
-                        Witness("call", site.target, site.line),
-                    )
-                    current.add(effect)
-                    changed = True
-    return (
-        {qualname: frozenset(found) for qualname, found in effects_mut.items()},
-        witnesses,
-    )
+def infer_effects(project: Project, graph: CallGraph) -> EffectMap:
+    """Iterate :func:`relax` to the least fixed point."""
+    effects = base_effects(project, graph)
+    while True:
+        relaxed = relax(graph, effects)
+        if relaxed == effects:
+            return effects
+        effects = relaxed
 
 
 # --------------------------------------------------------------------- #
@@ -334,27 +238,14 @@ class ProjectAnalysis:
         self.contexts: List[FileContext] = list(contexts)
         self.project = Project.build(self.contexts)
         self.graph = CallGraph.build(self.project)
-        self.effects, self.witnesses = infer_effects(self.project, self.graph)
-
-    def effects_of(self, qualname: Optional[str]) -> FrozenSet[str]:
-        if qualname is None:
-            return PURE
-        return self.effects.get(qualname, PURE)
+        self.effects = infer_effects(self.project, self.graph)
 
     def call_effects(self, site: CallSite) -> FrozenSet[str]:
         """Seeded-by-name plus inferred-from-target effects of one call."""
-        return seed_effects(site.raw) | flow_through(
-            site, self.effects_of(site.target)
-        )
-
-    def explain(self, site: CallSite, effect: str) -> str:
-        """Why ``site`` carries ``effect``: the seeded name itself for a
-        direct violation (``time.time (line 14)``), else the witness
-        chain through its target (``_delay -> _jitter -> time.time
-        (line 11)``)."""
-        if site.target is not None and effect in self.effects_of(site.target):
-            return f"{site.raw} -> {self.describe(site.target, effect)}"
-        return f"{site.raw} (line {site.line})"
+        inferred = PURE
+        if site.target is not None:
+            inferred = self.effects.get(site.target, PURE)
+        return seed_effects(site.raw) | flow_through(site, inferred)
 
     def functions_in(self, context: FileContext) -> Iterator[FunctionInfo]:
         for function in self.project.functions.values():
@@ -363,28 +254,3 @@ class ProjectAnalysis:
 
     def sites_of(self, function: FunctionInfo) -> List[CallSite]:
         return self.graph.sites(function.qualname)
-
-    def describe(self, qualname: str, effect: str) -> str:
-        """The witness chain, e.g. ``_delay → _jitter → time.time (line 6)``."""
-        steps: List[str] = []
-        current = qualname
-        for _ in range(len(self.effects) + 1):
-            witness = self.witnesses.get((current, effect))
-            if witness is None:
-                break
-            if witness.kind == "call":
-                short = _short(witness.detail)
-                steps.append(short)
-                current = witness.detail
-                continue
-            steps.append(f"{witness.detail} (line {witness.line})")
-            break
-        return " -> ".join(steps) if steps else effect
-
-
-def _short(qualname: str) -> str:
-    """Trailing ``Class.method`` / ``function`` segment for messages."""
-    parts = qualname.split(".")
-    if len(parts) >= 2 and parts[-2][:1].isupper():
-        return ".".join(parts[-2:])
-    return parts[-1]

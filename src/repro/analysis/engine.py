@@ -171,10 +171,14 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Tuple[Path, str]]:
     Directories are walked recursively, skipping :data:`SKIPPED_DIRS`;
     explicitly named files are always yielded, fixtures included.  May
     yield the same file twice when the inputs overlap — use
-    :func:`collect_files` for the deduplicated list.
+    :func:`collect_files` for the deduplicated list.  A path that does
+    not exist raises :class:`FileNotFoundError`: a mistyped input must
+    not read as a clean tree.
     """
     for raw in paths:
         path = Path(raw)
+        if not path.exists():
+            raise FileNotFoundError(f"no such file or directory: {raw}")
         if path.is_file():
             yield path, raw.replace("\\", "/")
             continue

@@ -46,7 +46,7 @@ class Finding:
         }
 
     def render(self) -> str:
-        """The one-line text form: ``path:line:col: RPR001 error: ...``."""
+        """The one-line text form: ``path:line:col: RPR002 error: ...``."""
         return (
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.rule_id} {self.severity}: {self.message}"

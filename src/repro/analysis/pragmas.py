@@ -3,9 +3,9 @@
 A finding is suppressed when the physical line it points at carries a
 pragma comment naming its rule::
 
-    routed.append(QueryRequest(qid, q))  # repro: ignore[RPR001]
+    jitter = random.random()  # repro: ignore[RPR002]
 
-Several rules may be listed (``# repro: ignore[RPR001, RPR005]``), and a
+Several rules may be listed (``# repro: ignore[RPR002, RPR003]``), and a
 bare ``# repro: ignore`` suppresses every rule on that line.  Pragmas are
 parsed with :mod:`tokenize` so a pragma-shaped substring inside a string
 literal never counts.

@@ -82,10 +82,6 @@ class FunctionInfo:
     class_name: Optional[str] = None
 
     @property
-    def is_async(self) -> bool:
-        return isinstance(self.node, ast.AsyncFunctionDef)
-
-    @property
     def display(self) -> str:
         """``Class.method`` or plain ``function`` for messages."""
         if self.class_name:

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
-from repro.analysis.effects import ProjectAnalysis, purity_delta
-from repro.analysis.engine import FileContext, Rule, repro_module
-from repro.analysis.findings import Finding
-from repro.analysis.project import FunctionInfo, dotted_name
+from repro.analysis.engine import repro_module
+from repro.analysis.project import dotted_name
 
-#: Packages holding algorithm implementations (RPR004, RPR012).
+#: Packages holding algorithm implementations (RPR012).
 ALGORITHM_PACKAGES = ("core", "multisource", "warehouse")
 
 
@@ -66,39 +64,7 @@ def in_packages(path: str, packages: Tuple[str, ...]) -> bool:
     return len(module) >= 2 and module[1] in packages
 
 
-def named_like(node: ast.ClassDef, suffix: str) -> bool:
-    """Whether the class's name, or a base class's, ends with ``suffix``."""
-    names = [node.name] + [dotted_name(base) or "" for base in node.bases]
-    return any(name.split(".")[-1].endswith(suffix) for name in names)
-
-
 def pos(node: ast.AST) -> Tuple[int, int]:
     """``(line, col)`` sort key for ordering nodes lexically."""
     return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
 
-
-def impure_calls(
-    rule: Rule,
-    analysis: ProjectAnalysis,
-    context: FileContext,
-    function: FunctionInfo,
-    reasons: Dict[str, str],
-    advice: str,
-) -> Iterator[Finding]:
-    """The purity rules' loop (RPR007/RPR010): one finding per call in
-    ``function`` whose effects hit ``reasons`` — seeded by the callee's
-    name (plus :func:`~repro.analysis.effects.purity_delta`) or inferred
-    through its resolved target, so a direct violation and one laundered
-    through helpers are the same case."""
-    for site in analysis.sites_of(function):
-        hit = reasons.keys() & (
-            analysis.call_effects(site) | purity_delta(site.raw)
-        )
-        if hit:
-            effect = min(hit)
-            yield context.finding(
-                site.node,
-                rule.rule_id,
-                f"{function.display} reaches {reasons[effect]} through "
-                f"{analysis.explain(site, effect)}; {advice}",
-            )

@@ -60,9 +60,7 @@ class DeterminismRule(Rule):
             yield from self._check_imports(context)
             for call in iter_calls(context.tree):
                 name = call_name(call)
-                # The banned names are the clock/randomness seeds; builtin
-                # hash() is seeded for the purity rules only (RPR007/010).
-                if name is None or name == "hash":
+                if name is None:
                     continue
                 for effect in sorted(_WHY.keys() & seed_effects(name)):
                     yield context.finding(

@@ -594,35 +594,45 @@ def cmd_freshness(args: argparse.Namespace) -> int:
     """Run a cached read-serving workload and report per-view freshness as JSON."""
     import json
 
+    from repro.errors import SimulationError
     from repro.runtime import run_concurrent
     from repro.serving import ServingCache, reader_for
     from repro.warehouse.catalog import WarehouseCatalog
     from repro.workloads.random_gen import zipf_read_workload
 
+    if args.sources < 1:
+        print(f"error: --sources must be >= 1, got {args.sources}", file=sys.stderr)
+        return 2
     sources, algorithms, workload = _fanout_topology(
         args.sources, args.updates, args.seed
     )
     share = args.share_compensation == "on"
     warehouse = WarehouseCatalog(algorithms, share_compensation=share)
-    cache = ServingCache(
-        capacity=args.cache_capacity, staleness_bound=args.staleness_bound
-    )
-    keys = reader_for(warehouse).current_keys()
-    reads = zipf_read_workload(
-        keys,
-        max(1, args.reads * args.sources),
-        theta=args.theta,
-        seed=args.seed,
-    )
-    result = run_concurrent(
-        sources,
-        warehouse,
-        workload,
-        clients=0,
-        seed=args.seed,
-        cache=cache,
-        read_workload=reads,
-    )
+    # A flag value the cache, the read mix or the harness rejects is
+    # reported like a usage error, as in ``repro runtime``.
+    try:
+        cache = ServingCache(
+            capacity=args.cache_capacity, staleness_bound=args.staleness_bound
+        )
+        keys = reader_for(warehouse).current_keys()
+        reads = zipf_read_workload(
+            keys,
+            max(1, args.reads * args.sources),
+            theta=args.theta,
+            seed=args.seed,
+        )
+        result = run_concurrent(
+            sources,
+            warehouse,
+            workload,
+            clients=0,
+            seed=args.seed,
+            cache=cache,
+            read_workload=reads,
+        )
+    except (SimulationError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     serving = dict(result.serving or {})
     issued, saved = warehouse.shared_query_stats()
     report = {
@@ -643,7 +653,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     try:
         spans = read_trace_jsonl(args.path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read {args.path!r}: {exc}", file=sys.stderr)
         return 2
     if args.kind:

@@ -50,14 +50,32 @@ def write_trace_jsonl(spans: Union[Tracer, Sequence[SpanLike]], path: str) -> in
     return len(rows)
 
 
+#: What :func:`render_timeline` reads from every span.
+_REQUIRED_SPAN_KEYS = ("span_id", "name", "start")
+
+
 def read_trace_jsonl(path: str) -> List[Dict[str, object]]:
-    """Load a trace file back into span dicts (blank lines skipped)."""
+    """Load a trace file back into span dicts (blank lines skipped).
+
+    Raises :class:`ValueError` naming the line for one that is not a
+    JSON object or lacks a key every span has.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {number} is not JSON ({exc.msg})") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"line {number} is not a JSON object")
+            missing = [key for key in _REQUIRED_SPAN_KEYS if key not in row]
+            if missing:
+                raise ValueError(f"line {number} has no {', '.join(missing)}")
+            rows.append(row)
     return rows
 
 

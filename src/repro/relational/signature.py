@@ -26,7 +26,7 @@ test in ``tests/unit/test_signature.py`` pins):
 Signatures are plain nested tuples of hashable primitives — usable as
 dict keys directly.  They deliberately avoid builtin ``hash()`` (salted
 per process) and any clock or randomness: a signature computed twice, in
-any process, is byte-identical (see lint rule RPR010).
+any process, is byte-identical.
 
 The converse does **not** hold and is not needed: structurally different
 queries may be semantically equal (``σ_true`` vs a tautological

@@ -7,7 +7,8 @@ a configured number of maintenance events stale, annotated with their
 lag.  See ``docs/SERVING.md`` for the full design.
 
 The package is read-only by construction — it never mutates warehouse
-state and never sends on a channel; lint rule RPR008 enforces this.
+state and never sends on a channel; the bound-0 equivalence tests fail
+on any write from it.
 """
 
 from repro.serving.backend import WarehouseReader, reader_for

@@ -12,7 +12,7 @@ number the serving benchmark proves the cache reduces.
 Strictly read-only: the index lookup builds a fresh bag, and the one
 ``view_state()`` snapshot read here — :meth:`WarehouseReader.scan`, the
 reference the verify oracle compares served values with — is only
-filtered into a fresh bag (RPR008 enforces this for the whole package).
+filtered into a fresh bag.
 """
 
 from __future__ import annotations

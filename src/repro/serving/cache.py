@@ -17,8 +17,7 @@ classic cache-aside design with two twists from the literature:
   any invalidation forces a reload, so a cached read always equals the
   uncached read at the same point in the event sequence.
 
-The cache never writes warehouse state and never touches a channel; the
-RPR008 lint rule holds the whole serving layer to that.
+The cache never writes warehouse state and never touches a channel.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ One warehouse catalog, split across N shard actors that sources and
 clients reach directly:
 
 - :mod:`repro.sharding.partition` — deterministic placement of view keys
-  (hash / range / explicit), statically checked for purity by RPR007;
+  (hash / range / explicit), each a pure function of the key;
 - :mod:`repro.sharding.plan` — the frozen per-run placement: per-shard
   catalogs, the relation -> interested-shards map, and
   :meth:`ShardPlan.route`, the function sending an update to the

@@ -8,9 +8,9 @@ so a partitioner only has to be a **deterministic pure function of the
 key**.  That property is load-bearing: recovery re-plans from the same
 catalog and must land every view on the same shard, and the conformance
 suite replays merged shard logs against a single-shard baseline that
-assumes stable ownership.  RPR007 (``repro.analysis``) enforces purity
-statically — no wall clock, no randomness, no builtin ``hash()`` (salted
-per process), no mutable captured state.
+assumes stable ownership.  A partitioner therefore reads no wall clock,
+no randomness, no builtin ``hash()`` (salted per process) and no mutable
+captured state.
 
 Three families:
 
@@ -68,7 +68,7 @@ class HashPartitioner(Partitioner):
 
     CRC-32 rather than ``hash()``: Python salts string hashing per
     process, which would scatter the same catalog differently on every
-    run — exactly the instability RPR007 exists to catch.
+    run — and recovery would re-plan views onto the wrong shards.
     """
 
     kind = "hash"

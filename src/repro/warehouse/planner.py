@@ -23,8 +23,8 @@ what keeps every view's UQS semantics byte-for-byte intact (see
 ``docs/MULTIVIEW.md`` for the worked example and the caveats).
 
 The planner is **pure** bookkeeping: it never touches a channel, clock,
-or randomness (lint rule RPR010), so recovery can rebuild it from its
-durable route table and re-plan deterministically.
+or randomness, so recovery can rebuild it from its durable route table
+and re-plan deterministically.
 """
 
 from __future__ import annotations

@@ -29,18 +29,18 @@ class TestPragmas:
     def test_rule_scoped_pragma(self):
         pragmas = collect_pragmas("x = 1  # repro: ignore[RPR002]\n")
         assert suppressed(pragmas, 1, "RPR002")
-        assert not suppressed(pragmas, 1, "RPR005")
+        assert not suppressed(pragmas, 1, "RPR003")
         assert not suppressed(pragmas, 2, "RPR002")
 
     def test_bare_pragma_suppresses_all_rules(self):
         pragmas = collect_pragmas("x = 1  # repro: ignore\n")
-        assert suppressed(pragmas, 1, "RPR001")
-        assert suppressed(pragmas, 1, "RPR006")
+        assert suppressed(pragmas, 1, "RPR002")
+        assert suppressed(pragmas, 1, "RPR012")
 
     def test_multiple_rules_in_one_pragma(self):
-        pragmas = collect_pragmas("x = 1  # repro: ignore[RPR001, RPR004]\n")
-        assert suppressed(pragmas, 1, "RPR001")
-        assert suppressed(pragmas, 1, "RPR004")
+        pragmas = collect_pragmas("x = 1  # repro: ignore[RPR003, RPR009]\n")
+        assert suppressed(pragmas, 1, "RPR003")
+        assert suppressed(pragmas, 1, "RPR009")
         assert not suppressed(pragmas, 1, "RPR002")
 
     def test_pragma_inside_string_literal_is_ignored(self):
@@ -74,11 +74,7 @@ class TestEngine:
 
     def test_rule_catalog_is_complete_and_ordered(self):
         ids = [rule.rule_id for rule in all_rules()]
-        assert ids == sorted(ids)
-        assert ids == [f"RPR00{n}" for n in range(1, 10)] + [
-            "RPR010",
-            "RPR012",
-        ]
+        assert ids == ["RPR002", "RPR003", "RPR009", "RPR012"]
 
     def test_repro_module_resolution(self):
         assert repro_module("src/repro/runtime/actors.py") == (
@@ -141,7 +137,7 @@ class TestEntryPoints:
                 sys.executable,
                 "-m",
                 "repro.analysis",
-                os.path.join(FIXTURES, "core", "rpr004_bypass.py"),
+                os.path.join(FIXTURES, "core", "rpr012_exception.py"),
                 "--format",
                 fmt,
             ],
@@ -151,19 +147,33 @@ class TestEntryPoints:
             env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
         )
         assert result.returncode == 1
-        assert "RPR004" in result.stdout
+        assert "RPR012" in result.stdout
 
     def test_cli_lint_subcommand(self, capsys):
         from repro.cli import main
 
         status = main(
-            ["lint", os.path.join(FIXTURES, "runtime", "rpr005_obs.py")]
+            ["lint", os.path.join(FIXTURES, "runtime", "rpr003_async.py")]
         )
         out = capsys.readouterr().out
         assert status == 1
-        assert "RPR005" in out
+        assert "RPR003" in out
 
-    def test_list_rules(self):
+    def test_list_rules(self, capsys):
         from repro.analysis.__main__ import main
 
         assert main(["--list-rules"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == ["RPR002", "RPR003", "RPR009", "RPR012"]
+
+    @pytest.mark.parametrize("argv", [["srcc"], ["src", "/nonexistent"]])
+    def test_missing_path_is_a_one_line_error(self, argv, capsys):
+        """A mistyped path used to lint as ``no findings``, exit 0."""
+        from repro.analysis.__main__ import main
+        from repro.cli import main as cli_main
+
+        for entry in (main, lambda args: cli_main(["lint", *args])):
+            assert entry(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: no such file or directory: {argv[-1]}\n"
+            assert captured.out == ""

@@ -50,7 +50,7 @@ class TestSarifReport:
         assert driver["name"] == "repro-lint"
         rule_ids = [rule["id"] for rule in driver["rules"]]
         assert "RPR000" in rule_ids  # the synthetic parse-error entry
-        assert {"RPR010", "RPR012"} <= set(rule_ids)
+        assert rule_ids == ["RPR000", "RPR002", "RPR003", "RPR009", "RPR012"]
         for result in run["results"]:
             assert rule_ids[result["ruleIndex"]] == result["ruleId"]
             location = result["locations"][0]["physicalLocation"]
@@ -70,29 +70,31 @@ class TestOnePass:
         tree = _write_tree(
             tmp_path,
             {
-                "repro/warehouse/planner_mod.py": (
-                    "from repro.warehouse.helper import scale\n"
+                "repro/warehouse/late.py": (
+                    "from repro.warehouse.base import Stamped\n"
                     "\n"
                     "\n"
-                    "class LatePlanner:\n"
-                    "    def plan(self, members):\n"
-                    "        return members[: scale(1)]\n"
+                    "class LateAlgorithm(Stamped):\n"
+                    "    def on_answer(self, answer):\n"
+                    "        self._stamp(answer)\n"
+                    "        raise ValueError(answer)\n"
                 ),
-                "repro/warehouse/helper.py": (
+                "repro/warehouse/base.py": (
                     "import time\n"
                     "\n"
                     "\n"
-                    "def scale(value):\n"
-                    "    return value * int(time.time())\n"
+                    "class Stamped:\n"
+                    "    def _stamp(self, answer):\n"
+                    "        self.stamps = (answer, time.time())\n"
                 ),
             },
         )
         findings = run_analysis([tree])
         assert [(f.rule_id, os.path.basename(f.path)) for f in findings] == [
-            ("RPR002", "helper.py"),
-            ("RPR010", "planner_mod.py"),
+            ("RPR002", "base.py"),
+            ("RPR012", "late.py"),
         ]
-        assert "scale -> time.time (line 5)" in findings[1].message
+        assert "mutates via self._stamp() at line 6" in findings[1].message
         # Selecting one rule still sees the whole program.
-        only = run_analysis([tree], select=frozenset({"RPR010"}))
-        assert [f.rule_id for f in only] == ["RPR010"]
+        only = run_analysis([tree], select=frozenset({"RPR012"}))
+        assert [f.rule_id for f in only] == ["RPR012"]

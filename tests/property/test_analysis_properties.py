@@ -85,7 +85,7 @@ def test_every_local_call_yields_a_resolved_edge(module):
 def test_inference_is_idempotent_at_the_fixpoint(module):
     funcs, calls, clocked = module
     project, graph = _build(funcs, calls, clocked)
-    effects, _ = infer_effects(project, graph)
+    effects = infer_effects(project, graph)
     again = relax(graph, effects)
     assert {k: set(v) for k, v in again.items()} == {
         k: set(v) for k, v in effects.items()
@@ -97,7 +97,7 @@ def test_inference_is_idempotent_at_the_fixpoint(module):
 def test_relax_is_monotone(module):
     funcs, calls, clocked = module
     project, graph = _build(funcs, calls, clocked)
-    fixpoint, _ = infer_effects(project, graph)
+    fixpoint = infer_effects(project, graph)
     empty = {k: frozenset() for k in fixpoint}
     lower = relax(graph, empty)
     upper = relax(graph, fixpoint)
@@ -110,7 +110,7 @@ def test_relax_is_monotone(module):
 def test_clock_effect_equals_reachability_ground_truth(module):
     funcs, calls, clocked = module
     project, graph = _build(funcs, calls, clocked)
-    effects, _ = infer_effects(project, graph)
+    effects = infer_effects(project, graph)
     by_name = _qualnames(project)
 
     def reaches_clock(start):

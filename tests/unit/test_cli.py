@@ -175,6 +175,25 @@ class TestObservabilityCli:
         assert main(["trace", "/nonexistent/trace.jsonl"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ('{"span_id": 1, "name": "a", "start": 0}\nnot json\n',
+             "line 2 is not JSON"),
+            ('{"name": "a", "start": 0}\n', "line 1 has no span_id"),
+        ],
+        ids=["not-json", "no-span-id"],
+    )
+    def test_trace_malformed_file_fails_cleanly(
+        self, content, reason, tmp_path, capsys
+    ):
+        trace_path = tmp_path / "trace.jsonl"
+        trace_path.write_text(content)
+        assert main(["trace", str(trace_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot read ") and reason in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
 
 class TestShardedRuntimeCli:
     def test_sharded_run_reports_placement_and_cut_verdict(self, capsys):
@@ -259,6 +278,23 @@ class TestRuntimeConfigurationErrors:
     def test_bad_value_is_a_one_line_error(self, flags, message, tmp_path, capsys):
         flags = [str(tmp_path / "wal") if flag == "WAL" else flag for flag in flags]
         assert main(["runtime", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sources", "0"], "--sources must be >= 1"),
+            (["--cache-capacity", "0"], "cache capacity must be >= 1"),
+            (["--staleness-bound", "-1"], "staleness bound must be >= 0"),
+            (["--theta", "-1"], "zipf theta must be >= 0"),
+        ],
+        ids=["sources", "cache-capacity", "staleness-bound", "theta"],
+    )
+    def test_bad_freshness_value_is_a_one_line_error(self, flags, message, capsys):
+        assert main(["freshness", "--updates", "2", "--reads", "2", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -262,7 +262,13 @@ def algorithm_mid_protocol(name):
 class TestAlgorithmRoundTrips:
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_registry_algorithms_roundtrip_byte_identical(self, name):
+        cls = ALGORITHMS[name]
+        # Recovery rebuilds by the persisted name; kernels branch on
+        # multi_source; the metrics poller calls gauges() bare.
+        assert cls.name == name
+        assert isinstance(cls.multi_source, bool)
         algorithm = algorithm_mid_protocol(name)
+        assert isinstance(algorithm.gauges(), dict)
         text = dumps_algorithm(algorithm)
         twin = loads_algorithm(text)
         assert dumps_algorithm(twin) == text
