@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.relational.engine import evaluate_view
-from repro.simulation.trace import C_REF, S_UP, Trace
+from repro.simulation.trace import S_UP, W_CRASH, Trace
 
 
 class LiveStaleness:
@@ -127,12 +127,11 @@ def staleness_profile(view, trace: Trace) -> StalenessReport:
     for event in trace.events:
         if event.kind == S_UP:
             source_index += 1
-        elif event.kind != C_REF:
-            # Every warehouse event (W_up / W_ans / W_ref) advances the
-            # recorded view sequence; S_qu and C_ref do not.
-            if event.kind.startswith("W_"):
-                view_index += 1
-        current_view = trace.view_states[min(view_index, len(trace.view_states) - 1)]
+        elif event.kind.startswith("W_") and event.kind != W_CRASH:
+            # Every warehouse event but W_crash (W_up / W_ans / W_ref /
+            # W_rec) recorded the next view state; S_qu and C_ref do not.
+            view_index += 1
+        current_view = trace.view_states[view_index]
         best: Optional[int] = None
         for j in range(source_index, -1, -1):
             if oracle[j] == current_view:

@@ -34,7 +34,7 @@ from repro.messaging.messages import (
 from repro.relational.bag import SignedBag
 from repro.relational.expressions import Query
 from repro.relational.views import View
-from repro.warehouse.state import MaterializedView
+from repro.warehouse.state import Changes, MaterializedView
 
 #: What every routed event handler returns: ``(destination, request)``
 #: pairs.  ``destination is None`` = route by relation owner.
@@ -261,6 +261,14 @@ class WarehouseAlgorithm:
         edit it — ``self.mv.as_bag()`` is the copy to edit.
         """
         return self.mv.view_state()
+
+    def view_changes(self) -> Optional[Changes]:
+        """What the view gained since the last call: the recorder's ``ws_j``.
+
+        :meth:`MaterializedView.take_changes`: ``None`` the first time,
+        meaning "record :meth:`view_state` whole".
+        """
+        return self.mv.take_changes()
 
     def dirty_keys(self) -> Set[Tuple[str, Tuple[object, ...]]]:
         """Serving-cache keys dirtied since the last call (and reset).

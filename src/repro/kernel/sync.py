@@ -199,7 +199,7 @@ class SyncKernel:
         }
         self._client_serials: Dict[str, int] = {}
         self._refresh_serial = 0
-        self._history = HistoryRecorder(self.sources, algorithm.view_state)
+        self._history = HistoryRecorder(self.sources, algorithm)
         self.trace = self._history.trace
         #: Per-source state histories: name -> [state after i updates at
         #: that source].  Used by the cut-consistency checker.

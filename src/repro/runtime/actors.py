@@ -64,6 +64,7 @@ from repro.runtime.transport import InMemoryTransport
 from repro.simulation.trace import HistoryRecorder
 from repro.source.base import Source
 from repro.source.updates import Update
+from repro.warehouse.state import Changes
 
 
 def source_inbox(name: str) -> str:
@@ -275,6 +276,10 @@ class WarehouseUnit:
     def view_state(self) -> SignedBag:
         """The current incarnation's view, as a read-only snapshot."""
         return self.algorithm.view_state()
+
+    def view_changes(self) -> Optional[Changes]:
+        """The current incarnation's changes; ``None`` first after a recovery."""
+        return self.algorithm.view_changes()
 
     def is_quiescent(self) -> bool:
         return self.algorithm.is_quiescent()

@@ -88,7 +88,7 @@ class RuntimeResult:
         crashes: Optional[List[Dict[str, object]]] = None,
         wal_stats: Optional[Dict[str, int]] = None,
         action_log: Optional[List[str]] = None,
-        per_source_states: Optional[Dict[str, List[Dict[str, SignedBag]]]] = None,
+        per_source_states: Optional[Mapping[str, List[Dict[str, SignedBag]]]] = None,
         shard_info: Optional[Dict[str, object]] = None,
         serving: Optional[Dict[str, object]] = None,
         read_results: Optional[Dict[str, List[object]]] = None,
@@ -116,8 +116,7 @@ class RuntimeResult:
         #: Global action order, in kernel action-string form — replayable
         #: on the synchronous kernel (:mod:`repro.kernel.conformance`).
         self.action_log = list(action_log or [])
-        #: Per-source state histories for the cut-consistency checker.
-        self.per_source_states = dict(per_source_states or {})
+        self._per_source_states = per_source_states or {}
         #: Sharded runs only (``None`` otherwise): shard count, partitioner
         #: kind, view assignment, and the final per-shard algorithms — see
         #: :mod:`repro.sharding.harness`.
@@ -129,6 +128,16 @@ class RuntimeResult:
         self.read_results = dict(read_results or {})
         #: Verify-mode divergences (must be empty at staleness bound 0).
         self.read_mismatches = list(read_mismatches or [])
+
+    @property
+    def per_source_states(self) -> Dict[str, List[Dict[str, SignedBag]]]:
+        """Per-source state histories for the cut-consistency checker.
+
+        The recorder's, folded on first read (read-only).
+        """
+        if not isinstance(self._per_source_states, dict):
+            self._per_source_states = dict(self._per_source_states)
+        return self._per_source_states
 
     def throughput(self) -> float:
         """Updates fully processed per wall-clock second."""
@@ -300,9 +309,10 @@ def run_concurrent(
     crash_shard:
         Sharded runs only: the shard ``crash`` applies to.
     record_trace:
-        When ``False``, skip per-event trace/state snapshots (an O(rows)
-        cost per event) — action log, serials, and metrics still accrue.
-        For benchmarks; consistency checkers need the full trace.
+        When ``False``, record no events and keep no view journal (a
+        recorded event costs what it changed) — action log, serials, and
+        metrics still accrue.  For benchmarks; consistency checkers need
+        the full trace.
     cache:
         A :class:`repro.serving.ServingCache` fronting the warehouse for
         read traffic.  The warehouse actor streams each event's dirtied
@@ -402,7 +412,7 @@ def run_concurrent(
     # Clients, the recorder and readers hold the unit, so they survive
     # incarnation swaps; one unit is its own facade (no merge).
     warehouse = units[0] if plan is None else ShardedWarehouse(units)
-    recorder = HistoryRecorder(named_sources, warehouse.view_state, record_trace)
+    recorder = HistoryRecorder(named_sources, warehouse, record_trace)
 
     if cache is not None:
         cache.bind_obs(obs)

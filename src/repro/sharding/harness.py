@@ -49,6 +49,7 @@ from repro.messaging.messages import Message, UpdateNotification
 from repro.runtime.actors import ActorMetrics, WarehouseUnit, warehouse_inbox
 from repro.runtime.transport import InMemoryTransport
 from repro.sharding.plan import ShardPlan, shard_channel
+from repro.warehouse.state import Changes
 
 
 class ShardedWarehouse:
@@ -82,6 +83,13 @@ class ShardedWarehouse:
                 merged.add_bag(part)
             self._parts, self._merged = parts, merged
         return self._merged
+
+    def view_changes(self) -> Optional[Changes]:
+        """Every unit's changes, in shard order; ``None`` if any unit's is."""
+        parts = [unit.view_changes() for unit in self.units]
+        if any(part is None for part in parts):
+            return None
+        return [pair for part in parts for pair in part]
 
     @property
     def algorithms(self) -> Dict[str, object]:

@@ -54,6 +54,7 @@ from repro.messaging.messages import (
 )
 from repro.relational.bag import SignedBag
 from repro.warehouse.planner import CompensationPlanner, MemberRequest
+from repro.warehouse.state import Changes
 
 if TYPE_CHECKING:  # avoid a package-level import cycle with repro.core
     from repro.core.protocol import Routed, WarehouseAlgorithm
@@ -217,6 +218,22 @@ class WarehouseCatalog:
             for _, tagged in self._tagged.values():
                 union.add_bag(tagged)
         return union
+
+    def view_changes(self) -> Optional[Changes]:
+        """The members' changes since the last call, tagged as in :meth:`view_state`.
+
+        ``None`` when some member has no journal yet; every member is
+        drained (or has its journal opened) either way.
+        """
+        tagged: Changes = []
+        whole = False
+        for view_name, algorithm in self.algorithms.items():
+            changes = algorithm.view_changes()
+            if changes is None:
+                whole = True
+            elif not whole:
+                tagged.extend(((view_name,) + row, delta) for row, delta in changes)
+        return None if whole else tagged
 
     def evaluate_oracle(self, state: Mapping[str, SignedBag]) -> SignedBag:
         """Tagged union of every view evaluated over a raw source state."""

@@ -14,6 +14,8 @@ from repro.relational.bag import SignedBag
 from repro.relational.views import View
 
 Row = Tuple[object, ...]
+#: ``(row, signed count)`` pairs, in the order a view applied them.
+Changes = List[Tuple[Row, int]]
 
 
 class MaterializedView:
@@ -25,8 +27,9 @@ class MaterializedView:
     looked at is written in place, and a view nobody wrote is never
     copied.  Every write goes through :meth:`_write`, the one place that
     knows the contents changed: it drops :attr:`encoded_contents`, bumps
-    :attr:`version`, records the dirty rows and keeps the serving-key
-    index (:meth:`rows_for_key`) current.
+    :attr:`version`, records the dirty rows, keeps the serving-key
+    index (:meth:`rows_for_key`) current and, once a history recorder
+    asked for them (:meth:`take_changes`), journals the pairs it applied.
 
     Parameters
     ----------
@@ -70,6 +73,10 @@ class MaterializedView:
         #: after it, so a view nobody serves never pays for it.
         self._by_key: Optional[Dict[Row, Dict[Row, int]]] = None
         self._key_positions: Optional[Tuple[int, ...]] = None
+        #: ``(row, delta)`` pairs written since the last
+        #: :meth:`take_changes`; ``None`` until its first call, so a view
+        #: nobody records journals nothing.
+        self._journal: Optional[Changes] = None
 
     def _key_of(self, row: Row) -> Row:
         positions = self._key_positions
@@ -136,6 +143,18 @@ class MaterializedView:
     def is_empty(self) -> bool:
         return self._contents.is_empty()
 
+    def take_changes(self) -> Optional[Changes]:
+        """The ``(row, delta)`` pairs written since the last call, in order.
+
+        Adding them to the state the previous call described gives the
+        current contents.  The first call has no previous state: it opens
+        the journal and returns ``None``, meaning "record a full
+        :meth:`view_state`".
+        """
+        changes = self._journal
+        self._journal = []
+        return changes
+
     def drain_dirty(self) -> Set[Row]:
         """Rows touched by writes since the last drain (and reset the set).
 
@@ -157,14 +176,16 @@ class MaterializedView:
 
         The only code that changes the contents, and so the only code
         that copies a shared bag, drops the rendered text, bumps the
-        version, marks rows dirty and moves them in the index.  Callers
-        validate first: nothing here raises.
+        version, marks rows dirty, moves them in the index and journals
+        them.  Callers validate first: nothing here raises.
         """
         if not changes:
             return
         if self._shared:
             self._contents = self._contents.copy()
             self._shared = False
+        if self._journal is not None:
+            self._journal.extend(changes)
         self.encoded_contents = None
         self.version += 1
         contents = self._contents

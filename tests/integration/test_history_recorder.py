@@ -9,7 +9,9 @@ and the catalog keeps no history of its own.
 - a concurrent run and its replay on the synchronous kernel describe the
   same history, action log included;
 - the recorder snapshots each source once (``ss_0``) however long the
-  run: later source states are folded from the update log.
+  run: later source states are folded from the update log;
+- a view nobody records keeps no change journal, and a recorded one
+  holds at most the changes of the event in progress.
 """
 
 from __future__ import annotations
@@ -324,3 +326,26 @@ class TestSharedRecorder:
         assert kernel.trace.describe() == result.trace.describe()
         assert kernel.action_log == result.action_log
         assert any(e.kind == C_REF for e in kernel.trace.events)
+
+
+class TestJournalsStayBounded:
+    def test_an_untraced_run_opens_no_journal(self):
+        source, catalog = fanin()
+        workload = random_workload(
+            SCHEMAS, 1000, seed=7, initial=INITIAL, respect_keys=True
+        )
+        result = run_concurrent(source, catalog, workload, seed=1, record_trace=False)
+        assert len(result.action_log) >= 10_000
+        for name, member in catalog.algorithms.items():
+            assert member.mv.version > 0, name
+            assert member.mv._journal is None, name
+
+    def test_every_recorded_event_drains_the_journal(self):
+        source, catalog = fanin()
+        kernel = SyncKernel({"source": source}, catalog, list(WORKLOAD))
+        schedule = RandomSchedule(3)
+        while not kernel.is_done():
+            kernel.step(schedule.choose(kernel.available_actions()))
+            for name, member in catalog.algorithms.items():
+                assert member.mv._journal == [], name
+        assert all(member.mv.version > 0 for member in catalog.algorithms.values())

@@ -1,17 +1,20 @@
 """Property test: folded source states are the states the sources had.
 
 :class:`~repro.simulation.trace.HistoryRecorder` snapshots every source
-once and derives each later ``ss_i`` by applying the ``S_up`` event's
-update to ``ss_{i-1}``.  The reference below is what the recorder did
-before it folded: a fresh ``Source.snapshot()`` of every source after
-every update.  Hypothesis draws the topology (1-3 sources, in memory or
-on SQLite), keyless workloads (so duplicates and delete-one-occurrence
-are exercised) and the global interleaving.
+once, stores each ``S_up``'s update, and derives each later ``ss_i``
+by applying that update to ``ss_{i-1}`` when the states are first read.
+Two references: a fresh ``Source.snapshot()`` of every source after
+every update, and the eager recorder of ``reference_recorder.py``,
+which folded as it went — the states must equal both, and share
+relations exactly as the eager ones do.  Hypothesis draws the topology
+(1-3 sources, in memory or on SQLite), keyless workloads (so duplicates
+and delete-one-occurrence are exercised) and the global interleaving.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_recorder import EagerRecorder, relation_sharing
 from repro.relational.bag import SignedBag
 from repro.relational.schema import RelationSchema
 from repro.simulation.trace import HistoryRecorder
@@ -37,6 +40,16 @@ def build(kinds, workload_seed, k):
     return sources, workloads
 
 
+class NoWarehouse:
+    """An empty view that never changes: only source events are recorded."""
+
+    def view_state(self):
+        return SignedBag()
+
+    def view_changes(self):
+        return []
+
+
 def reference_states(sources):
     """The pre-fold recorder: every source re-snapshotted, every time."""
     combined = {}
@@ -57,7 +70,8 @@ def test_folded_states_equal_observed_snapshots(kinds, workload_seed, k, rng):
     order = [name for name, updates in workloads.items() for _ in updates]
     rng.shuffle(order)
 
-    recorder = HistoryRecorder(sources, SignedBag)
+    recorder = HistoryRecorder(sources, NoWarehouse())
+    eager = EagerRecorder(sources, SignedBag)
     seen_combined = [reference_states(sources)]
     seen_per_source = {name: [source.snapshot()] for name, source in sources.items()}
     cursors = dict.fromkeys(sources, 0)
@@ -66,11 +80,21 @@ def test_folded_states_equal_observed_snapshots(kinds, workload_seed, k, rng):
         cursors[name] += 1
         sources[name].apply_update(update)
         assert recorder.update(name, update) == serial
+        eager.update(name, update)
         seen_combined.append(reference_states(sources))
         seen_per_source[name].append(sources[name].snapshot())
 
     # Compared at the end: a fold that mutated a bag it shares with an
     # earlier state would have corrupted that earlier state by now.
-    assert recorder.trace.source_states == seen_combined
+    folded = recorder.trace.source_states
+    assert folded == seen_combined
     assert recorder.per_source_states == seen_per_source
     assert recorder.action_log == [f"update:{name}" for name in order]
+    assert relation_sharing(folded) == relation_sharing(eager.trace.source_states)
+    for name, states in recorder.per_source_states.items():
+        eager_states = eager.per_source_states[name]
+        assert relation_sharing(states) == relation_sharing(eager_states)
+        # The bag an update produced is the combined state's, not a copy.
+        for before, after in zip(states, states[1:]):
+            (touched,) = [rel for rel in after if after[rel] is not before[rel]]
+            assert any(after[touched] is combined[touched] for combined in folded)

@@ -90,3 +90,37 @@ class TestProfiles:
         trace = Simulation(source, warehouse, workload).run(WorstCaseSchedule())
         profile = staleness_profile(view_w, trace)
         assert profile.unmatched > 0  # the ([1],[4],[4]) state matches nothing
+
+
+class TestCrashedRuns:
+    def test_w_crash_records_no_view_state_so_it_advances_none(self, tmp_path):
+        """The recorder appends no ``ws_j`` for ``W_crash``; the profile
+        used to advance past it anyway and read one state ahead, which
+        the end of the list then hid (``..., 12, 0, 0``)."""
+        from repro.costmodel.parameters import PaperParameters
+        from repro.runtime import CrashPolicy, run_concurrent
+        from repro.simulation.trace import W_CRASH
+        from repro.workloads.example6 import build_example6
+
+        setup = build_example6(PaperParameters(cardinality=40), k=12, seed=1)
+        source = MemorySource(setup.schemas, setup.initial)
+        warehouse = ECA(setup.view, evaluate_view(setup.view, source.snapshot()))
+        result = run_concurrent(
+            source,
+            warehouse,
+            setup.workload,
+            seed=0,
+            max_burst=4,
+            wal_dir=str(tmp_path),
+            crash=CrashPolicy("mid-uqs", skip=3, max_crashes=1),
+        )
+        trace = result.trace
+        kinds = [event.kind for event in trace.events]
+        assert kinds.count(W_CRASH) == 1
+        assert sum(kind.startswith("W_") for kind in kinds) == 26
+        assert len(trace.view_states) == 26
+        profile = staleness_profile(setup.view, trace)
+        assert len(profile.lags) == 52 and profile.unmatched == 0
+        assert profile.in_sync_fraction == 1 / 52
+        assert round(profile.in_sync_fraction, 2) == 0.02
+        assert profile.lags[-3:] == [12, 12, 0]
