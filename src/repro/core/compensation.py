@@ -24,13 +24,20 @@ the warehouse and the others are shipped.  :func:`split` does it.
 query of one event is a pure function of the view definition, the
 update(s) and the pending queries, so structurally equal views that meet
 the same inputs build it once (``docs/MULTIVIEW.md`` §2).
+
+Most of ``-Q_j<U>``'s terms are ones the split would drop at their first
+check, an attribute equality between the update's tuple and a tuple the
+term already binds.  :func:`candidate_terms` does not build those: each
+pending query indexes its terms by that bound value, per updated
+relation (:func:`probe_key` says where to read it), and an update looks
+its own value up instead of substituting into every term.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.relational.bag import SignedBag
 from repro.relational.conditions import _COMPARATORS, Attr, Comparison, Condition, Const
@@ -152,18 +159,22 @@ def bound_checks(shape: TermShape, bound: Tuple[bool, ...]) -> Tuple[Check, ...]
     and returns the empty bag before any comparison that could raise
     meets a row the checks did not.
     """
-    # Product position -> (operand index, column in the operand's tuple).
-    located = [
-        (index, column)
-        for index, schema in enumerate(shape.schemas)
-        for column in range(schema.arity)
-    ]
+    located = _located(shape)
     plan = join_plan(shape, bound)
     return tuple(
         _compile(conjunct, shape, located)
         for step in plan.steps[: plan.bound]
         for conjunct in step.conjuncts
     )
+
+
+def _located(shape: TermShape) -> List[Tuple[int, int]]:
+    """Product position -> (operand index, column in the operand's tuple)."""
+    return [
+        (index, column)
+        for index, schema in enumerate(shape.schemas)
+        for column in range(schema.arity)
+    ]
 
 
 def _compile(
@@ -201,6 +212,122 @@ def _compile(
             )
         )
     )
+
+
+#: A pending query's terms as updates of one relation meet them: the
+#: indices of the terms every update must substitute, and per column of
+#: the update's tuple, bound value -> indices of the terms whose first
+#: check is that column equal to that value.  Terms in which the relation
+#: vanishes or does not occur are in neither.
+ProbeTable = Tuple[List[int], List[Tuple[int, Dict[object, List[int]]]]]
+
+
+def candidate_terms(
+    pending: Sequence[Query], relation: str, values: Tuple[Any, ...]
+) -> List[Term]:
+    """The terms of ``pending`` whose ``Q_j<U>`` for an update of
+    ``relation`` to ``values`` the split could keep, unsubstituted, in UQS
+    order then term order.
+
+    A term is left out only when its substituted form would fail its
+    first bound check, ``values[column] == bound value``: a dict probe
+    finds a key exactly when ``==`` holds (hash agrees with ``==`` on
+    every value a schema accepts, and none is unequal to itself), and
+    :func:`split` stops at a term's first false check.  So
+    ``Query(candidate_terms(...)).substitute(relation, tuple, -1)`` is
+    ``-sum_j Q_j<U>`` less exactly terms the split would drop first thing.
+    """
+    out: List[Term] = []
+    for query in pending:
+        try:
+            always, buckets = query.probes[relation]  # type: ignore[index]
+        except (KeyError, TypeError):  # no table yet, or no tables at all
+            always, buckets = _probe_table(query, relation)
+        if not buckets:
+            indices: Sequence[int] = always
+        else:
+            found = list(always)
+            for column, bucket in buckets:
+                try:
+                    found += bucket.get(values[column], ())
+                except TypeError:  # an unhashable value: every term is one
+                    found += chain.from_iterable(bucket.values())
+            indices = sorted(found)
+        if indices:
+            out += map(query.terms.__getitem__, indices)
+    return out
+
+
+def _probe_table(query: Query, relation: str) -> ProbeTable:
+    """Build ``query``'s table for ``relation`` and keep it there."""
+    always: List[int] = []
+    buckets: Dict[int, Dict[object, List[int]]] = {}
+    for at, term in enumerate(query.terms):
+        shape = term.shape
+        occurrences = shape.occurrences.get(relation)
+        if not occurrences:
+            continue
+        operands = term.operands
+        if len(occurrences) == 1:
+            index = occurrences[0]
+            if operands[index].is_bound:
+                continue  # Q<U> has no such term
+            key = probe_key(shape, tuple(map(_is_bound, operands)), index)
+            if key is not None:
+                column, other, position = key
+                value = operands[other].tuple.values[position]
+                try:
+                    buckets.setdefault(column, {}).setdefault(value, []).append(at)
+                    continue
+                except TypeError:  # an unhashable bound value
+                    pass
+        always.append(at)
+    if query.probes is None:
+        query.probes = {}
+    table: ProbeTable = (always, list(buckets.items()))
+    query.probes[relation] = table
+    return table
+
+
+def probe_key(
+    shape: TermShape, bound: Tuple[bool, ...], index: int
+) -> Optional[Tuple[int, int, int]]:
+    """Where an update binding operand ``index`` of a ``shape`` term with
+    mask ``bound`` meets its first bound check, kept in
+    ``shape.probe_keys``.
+
+    ``(column, other, position)`` when that check (the first of
+    :func:`bound_checks` under the mask with ``index`` bound) is an
+    attribute equality between column ``column`` of the update's tuple
+    and column ``position`` of bound operand ``other``; ``None`` for any
+    other first check, or none, which a probe cannot decide.
+    """
+    keys = shape.probe_keys
+    try:
+        return keys[bound, index]
+    except KeyError:
+        pass
+    plan = join_plan(shape, bound[:index] + (True,) + bound[index + 1 :])
+    first = next(
+        chain.from_iterable(step.conjuncts for step in plan.steps[: plan.bound]), None
+    )
+    key = None
+    if (
+        isinstance(first, Comparison)
+        and first.op == "="
+        and isinstance(first.left, Attr)
+        and isinstance(first.right, Attr)
+    ):
+        located = _located(shape)
+        resolve = shape.product.resolve
+        i, a = located[resolve(first.left.name)]
+        j, b = located[resolve(first.right.name)]
+        if j == index:
+            (i, a), (j, b) = (j, b), (i, a)
+        if i == index and j != index:
+            key = (a, j, b)
+    keys[bound, index] = key
+    return key
 
 
 def backdate(query: Query, updates: Sequence[Update]) -> Query:

@@ -26,6 +26,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.core.compensation import (
     CompensationMemo,
     batch_delta_query,
+    candidate_terms,
     staged_compensation,
 )
 from repro.core.protocol import WarehouseAlgorithm
@@ -210,12 +211,16 @@ class ECA(WarehouseAlgorithm):
 
 def _compensate_update(view: View, update: Update, pending: List[Query]) -> Query:
     """``V<U> - sum_j Q_j<U>``: V<U>'s terms, then each pending query's
-    compensation in UQS order."""
+    compensation in UQS order — less the terms whose first bound check
+    the update's tuple fails, which the pending queries' probe tables
+    leave unbuilt (:func:`~repro.core.compensation.candidate_terms`)."""
+    relation = update.relation
     signed = update.signed_tuple()
-    terms = list(view.substitute(update.relation, signed).terms)
-    for query in pending:
-        terms.extend(query.substitute(update.relation, signed, -1).terms)
-    return Query(terms)
+    query = view.substitute(relation, signed)
+    candidates = candidate_terms(pending, relation, update.values)
+    if not candidates:
+        return query
+    return Query(query.terms + Query(candidates).substitute(relation, signed, -1).terms)
 
 
 def _compensate_batch(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExpressionError
 from repro.relational.bag import SignedBag
@@ -116,7 +116,10 @@ class TermShape:
     at a time: ``plans``, owned by :mod:`repro.relational.engine`, to the
     join plan, and ``bound_checks``, owned by
     :mod:`repro.core.compensation`, to the conjuncts that read bound
-    operands only, compiled.
+    operands only, compiled.  Beside it ``probe_keys``, also owned by
+    :mod:`repro.core.compensation`, maps a mask and the operand an update
+    would bind to where the first of those checks reads, when it is an
+    equality a probe can decide.
     """
 
     __slots__ = (
@@ -133,6 +136,7 @@ class TermShape:
         "condition_signature",
         "encoded",
         "bound_checks",
+        "probe_keys",
     )
 
     def __init__(
@@ -177,6 +181,9 @@ class TermShape:
         self.condition_signature: Optional[Tuple[object, ...]] = None
         self.encoded: Optional[str] = None
         self.bound_checks: Dict[Tuple[bool, ...], Tuple[Callable[..., object], ...]] = {}
+        self.probe_keys: Dict[
+            Tuple[Tuple[bool, ...], int], Optional[Tuple[int, int, int]]
+        ] = {}
 
     def predicate(self) -> Callable[[Row], bool]:
         """The condition bound to the product, compiled on first use."""
@@ -439,13 +446,19 @@ class Query:
     Immutable once built, which is what lets ``encoded`` — a memo slot
     owned by :mod:`repro.durability.codec`, filled the first time the
     query is put on the wire or in a snapshot — stand for it ever after.
+    ``probes`` is another, owned by :mod:`repro.core.compensation`: per
+    updated relation, the query's terms indexed by the value an update
+    must equal for ``Q<U>``'s term to survive its first check, built the
+    first time the query is pending when such an update arrives.  Neither
+    is persisted; a decoded query fills both again on first use.
     """
 
-    __slots__ = ("terms", "encoded")
+    __slots__ = ("terms", "encoded", "probes")
 
     def __init__(self, terms: Iterable[Term] = ()) -> None:
         self.terms: Tuple[Term, ...] = tuple(terms)
         self.encoded: Optional[str] = None
+        self.probes: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ #
     # Algebra

@@ -112,13 +112,27 @@ class RelationSchema:
         return attribute in self._positions
 
     def validate_row(self, row: Sequence[Value]) -> Row:
-        """Check arity and return the row as a tuple (itself, if it is one)."""
+        """Check arity and return the row as a tuple (itself, if it is one).
+
+        A value not equal to itself (a NaN) is refused: a dict key and an
+        identity test match it to itself, ``==`` does not, so the engine's
+        hash joins and a compared condition would disagree on it — and a
+        decoded NaN is a fresh object, so a recovered run would join
+        differently from the live one.
+        """
         row_t = row if type(row) is tuple else tuple(row)
         if len(row_t) != self.arity:
             raise SchemaError(
                 f"row {row_t!r} has arity {len(row_t)}, "
                 f"but relation {self.name!r} has arity {self.arity}"
             )
+        for value in row_t:
+            if value != value:
+                attribute = self.attributes[row_t.index(value)]
+                raise SchemaError(
+                    f"row {row_t!r} of relation {self.name!r} holds {value!r} "
+                    f"in attribute {attribute!r}, which is not equal to itself"
+                )
         return row_t
 
     def key_positions(self) -> Tuple[int, ...]:

@@ -188,19 +188,20 @@ class TestRuntimeConformance:
 class TestOneConstructionPerClass:
     def test_a_class_builds_once_per_event_not_once_per_member(self, monkeypatch):
         """Sixteen structurally equal views are one class: over a seeded
-        run ``Q<U>`` is substituted as often as for one view, not sixteen
-        times as often.  (Round trips alone would not show it: the
-        planner collapses sixteen built queries to one just the same.)"""
-        from repro.relational.expressions import Query
+        run the memo calls ECA's builder as often as for one view — once
+        per event — not sixteen times as often.  (Round trips alone would
+        not show it: the planner collapses sixteen built queries to one
+        just the same.)"""
+        from repro.core import eca
 
         calls = []
-        substitute = Query.substitute
+        build = eca._compensate_update
 
-        def counting(self, relation, signed_tuple, coefficient=1):
-            calls.append(relation)
-            return substitute(self, relation, signed_tuple, coefficient)
+        def counting(view, update, pending):
+            calls.append(update)
+            return build(view, update, pending)
 
-        monkeypatch.setattr(Query, "substitute", counting)
+        monkeypatch.setattr(eca, "_compensate_update", counting)
         counts = {}
         for n_views in (1, 16):
             del calls[:]
@@ -217,9 +218,7 @@ class TestOneConstructionPerClass:
                 assert catalog.state_of(name) == evaluate_view(
                     algorithm.view, final
                 ), name
-        # One V<U> per event at least, and some compensation on top.
-        assert counts[1] > len(WORKLOAD)
-        assert counts[16] == counts[1]
+        assert counts[16] == counts[1] == len(WORKLOAD)
 
     def test_a_class_is_scoped_to_the_catalog_built_last(self):
         """``plan_shards`` builds its per-shard catalogs after the one it

@@ -6,7 +6,8 @@ Three things can go wrong, and each has a property here:
 
 (a) *unsound* — a dropped term is not empty after all.  Every term the
     split drops from ECA-shaped queries (``V<U> - sum_j Q_j<U>`` over a
-    drawn storm) evaluates to the empty bag, under the engine and under
+    drawn storm, built whole by ``reference_builder.compensate_by_scan``)
+    evaluates to the empty bag, under the engine and under
     the row-at-a-time reference, on drawn states with ``None`` values:
     views with constant conjuncts, ``Or`` / ``Not`` conjuncts, an
     aliased self-join (inclusion-exclusion terms) and a union.  Over
@@ -15,8 +16,9 @@ Three things can go wrong, and each has a property here:
     snapshot and through a live ``MemorySource``.
 (b) *visible* — dropping changes what the warehouse does.  A catalog of
     one ECA-family algorithm (sharing on) is driven over a drawn script
-    twice: as built, and with every memo splitting by plain
-    ``query.partition()``.  After every event the two agree on the
+    twice: as built, and with every memo building by scanning every
+    pending term and splitting by plain ``query.partition()``.  After
+    every event the two agree on the
     requests (ids, destinations, count), the answers, every member's
     COLLECT and view; each shipped and each pending query is the
     reference's less exactly its falsified terms, in order.  A
@@ -38,8 +40,9 @@ from itertools import chain
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.compensation import CompensationMemo, split
-from repro.core.eca import ECA, _compensate_update
+from reference_builder import ScanMemo, compensate_by_scan
+from repro.core.compensation import split
+from repro.core.eca import ECA
 from repro.core.registry import create_algorithm
 from repro.durability.codec import dumps_algorithm, loads_algorithm
 from repro.messaging.messages import QueryAnswer, UpdateBatch, UpdateNotification
@@ -174,7 +177,7 @@ def test_every_dropped_term_is_empty(view, storm, state):
     for update in storm:
         if not view.involves(update.relation):
             continue
-        query = _compensate_update(view, update, pending)
+        query = compensate_by_scan(view, update, pending)
         for term in dropped_by_split(query):
             assert falsified(term), term
             assert evaluate_query(Query([term]), bags).is_empty(), term
@@ -251,7 +254,7 @@ def test_a_dropped_term_evaluates_to_nothing_without_raising(view, storm, state)
         source.apply_update(update)
         if not view.involves(update.relation):
             continue
-        query = _compensate_update(view, update, pending)
+        query = compensate_by_scan(view, update, pending)
         for term in dropped_by_split(query):
             assert evaluate_query(Query([term]), source.snapshot()).is_empty(), term
             assert source.evaluate(Query([term])).is_empty(), term
@@ -277,8 +280,9 @@ def outcome(evaluate, query):
 # --------------------------------------------------------------------- #
 
 
-class PartitionMemo(CompensationMemo):
-    """The reference: split by ``query.partition()``, nothing dropped."""
+class PartitionMemo(ScanMemo):
+    """The reference: built by scanning every pending query's terms, and
+    split by ``query.partition()`` — nothing dropped."""
 
     __slots__ = ()
 

@@ -13,6 +13,7 @@ compensated forms ECA actually emits.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference_builder import probe_drops
 from repro.core.compensation import backdate
 from repro.core.eca import ECA
 from repro.messaging.messages import UpdateNotification
@@ -228,7 +229,9 @@ class _RecordingECA(ECA):
 @given(st.lists(storm_updates(), min_size=2, max_size=8))
 def test_eca_lists_v_of_u_then_each_pending_compensation_in_uqs_order(storm):
     """``Q_i`` is V<U_i>'s terms, then ``-Q_j<U_i>`` for each pending
-    ``Q_j`` in UQS order, each in term order — never regrouped."""
+    ``Q_j`` in UQS order, each in term order — never regrouped; less the
+    terms whose first check, an equality with the update's tuple, fails,
+    which are never built."""
     view = PENDING_VIEWS[1]
     algorithm = _RecordingECA(view)
     for serial, update in enumerate(storm, start=1):
@@ -240,7 +243,11 @@ def test_eca_lists_v_of_u_then_each_pending_compensation_in_uqs_order(storm):
             )
         )
         for earlier in pending:
-            expected.extend(compensation_by_terms(earlier, update))
+            expected.extend(
+                term
+                for term in compensation_by_terms(earlier, update)
+                if not probe_drops(term, update.relation)
+            )
         assert list(algorithm.built[-1].terms) == expected
 
 

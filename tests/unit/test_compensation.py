@@ -8,7 +8,7 @@ from repro.core.compensation import (
     batch_delta_query,
     staged_compensation,
 )
-from repro.core.eca import ECA
+from repro.core.eca import ECA, _compensate_update
 from repro.messaging.messages import QueryAnswer, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.relational.conditions import And, Attr, Comparison, Const
@@ -211,9 +211,9 @@ class TestCompensationMemo:
     def test_falsified_terms_are_built_but_neither_shipped_nor_evaluated(
         self, view_w, view_w3
     ):
-        """The first element stays ``build(...)``'s query; the split drops
-        a term whose bound tuples fail ``r1.X = r2.X`` on both sides of
-        Appendix D's line."""
+        """With ``build(...)`` the first element is its query whole; the
+        split drops a term whose bound tuples fail ``r1.X = r2.X`` on both
+        sides of Appendix D's line."""
         memo = CompensationMemo()
         first, second = insert("r1", (1, 2)), insert("r2", (5, 3))  # X: 2 vs 5
         pending = [view_w.substitute("r1", first.signed_tuple())]
@@ -225,18 +225,38 @@ class TestCompensationMemo:
         assert delta is None
         assert remote == view_w.substitute("r2", second.signed_tuple())
         # Remote: with r3 still free, the r1 x r2 term would be shipped.
-        eca = ECA(view_w3)
-        eca.handle_update(UpdateNotification(first, 1))
-        [request] = eca.handle_update(UpdateNotification(second, 2))
-        shipped_by_partition = eca.memo.compensated(
-            self.build, view_w3, second, eca.uqs_queries()[:1]
-        )[0].partition()[1]
-        assert shipped_by_partition.term_count() == 2
-        assert request.query.terms == shipped_by_partition.terms[:1]
-        assert all(
-            shipped_by_partition.terms[1] not in query.terms
-            for query in eca.uqs.values()
+        memo = CompensationMemo()
+        pending = [view_w3.substitute("r1", first.signed_tuple())]
+        built = memo.compensated(self.build, view_w3, second, pending)[0]
+        assert built.partition()[1].term_count() == 2
+        assert memo.compensated(self.build, view_w3, second, pending)[2] == Query(
+            built.terms[:1]
         )
+
+    def test_eca_builds_no_term_whose_first_check_fails(self, view_w3):
+        """ECA's builder probes the pending queries: a term whose first
+        check — an equality with the update's tuple — fails is never
+        built, and one that passes it and fails a later check is built
+        and dropped by the split.  The built query is the scan's less
+        exactly the first kind, in order."""
+        eca = ECA(view_w3)
+        eca.handle_update(UpdateNotification(insert("r1", (1, 2)), 1))
+        eca.handle_update(UpdateNotification(insert("r3", (3, 4)), 2))
+        pending = eca.uqs_queries()
+        update = insert("r2", (2, 9))  # X meets r1's 2, Y = 9 not r3's 3
+        [request] = eca.handle_update(UpdateNotification(update, 3))
+        query, delta, remote = eca.memo.compensated(
+            _compensate_update, view_w3, update, pending
+        )
+        scanned = self.build(view_w3, update, pending)
+        # V<U>; -r1=(1,2) x r2=(2,9) x r3; -r1 x r2=(2,9) x r3=(3,4), whose
+        # first check r2.Y = r3.Y fails; +r1=(1,2) x r2=(2,9) x r3=(3,4),
+        # which passes r1.X = r2.X and fails r2.Y = r3.Y.
+        assert scanned.term_count() == 4
+        assert query.terms == scanned.terms[:2] + scanned.terms[3:]
+        assert query.partition()[0].terms == scanned.terms[3:]
+        assert delta is None
+        assert remote == request.query == Query(scanned.terms[:2])
 
     def test_a_check_that_raises_keeps_the_term(self, three_rel_schemas):
         """``None > 1`` decides nothing: the term is split as

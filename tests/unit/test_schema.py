@@ -1,9 +1,21 @@
 """Unit tests for relation and product schemas."""
 
+import math
+
 import pytest
 
+from repro.core.eca import ECA
 from repro.errors import SchemaError
+from repro.relational.bag import SignedBag
+from repro.relational.expressions import BoundOperand
 from repro.relational.schema import ProductSchema, RelationSchema, require_distinct
+from repro.relational.tuples import SignedTuple
+from repro.relational.views import View
+from repro.simulation.driver import Simulation
+from repro.simulation.schedules import BestCaseSchedule
+from repro.source.memory import MemorySource
+from repro.source.sqlite import SQLiteSource
+from repro.source.updates import insert
 
 
 class TestRelationSchema:
@@ -173,3 +185,36 @@ def test_require_distinct():
     require_distinct([a, b])
     with pytest.raises(SchemaError):
         require_distinct([a, RelationSchema("a", ("Y",))])
+
+
+class TestValuesUnequalToThemselves:
+    """A NaN joined by identity in the engine's hash joins but not under
+    ``==`` (the view's own definition), and a decoded NaN is a fresh
+    object: it is refused wherever a row enters, naming the relation and
+    the attribute."""
+
+    def test_a_nan_join_value_is_refused_not_maintained(self):
+        r1 = RelationSchema("r1", ("W", "X"))
+        r2 = RelationSchema("r2", ("X", "Y"))
+        v = View.natural_join("V", [r1, r2], ["W", "Y"])
+        src = MemorySource([r1, r2])
+        alg = ECA(v, SignedBag())
+        sim = Simulation(
+            src, alg, [insert("r1", (1, math.nan)), insert("r2", (math.nan, 2))]
+        )
+        with pytest.raises(SchemaError, match="relation 'r1' .* attribute 'X'"):
+            sim.run(BestCaseSchedule())
+        # Before the fix ECA maintained +[1,2] here while the view's own
+        # definition over the source held nothing.
+        assert v.evaluate(src.snapshot()).is_empty()
+        assert alg.view_state().is_empty()
+
+    def test_initial_rows_and_bound_tuples_are_checked_too(self):
+        r2 = RelationSchema("r2", ("X", "Y"))
+        for source in (MemorySource, SQLiteSource):
+            with pytest.raises(SchemaError, match="relation 'r2' .* attribute 'Y'"):
+                source([r2], {"r2": [(1, 2), (3, float("nan"))]})
+        with pytest.raises(SchemaError, match="attribute 'X'"):
+            BoundOperand(r2, SignedTuple((float("nan"), 1)))
+        # Equal to itself: accepted, ``None`` included.
+        assert r2.validate_row((None, 1.5)) == (None, 1.5)
