@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.protocol import WarehouseAlgorithm
+from repro.core.protocol import WarehouseAlgorithm, require_width
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 
 
@@ -28,6 +28,7 @@ class BasicAlgorithm(WarehouseAlgorithm):
         return [self._make_request(query)]
 
     def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
+        require_width(answer, self.view.arity)
         self._retire(answer)
         # Clamp: anomalies can legitimately drive multiplicities
         # negative (e.g. a deletion answered twice); the paper's broken

@@ -29,7 +29,7 @@ from repro.core.compensation import (
     candidate_terms,
     staged_compensation,
 )
-from repro.core.protocol import WarehouseAlgorithm
+from repro.core.protocol import WarehouseAlgorithm, require_width
 from repro.messaging.messages import (
     QueryAnswer,
     QueryRequest,
@@ -156,6 +156,7 @@ class ECA(WarehouseAlgorithm):
     # ------------------------------------------------------------------ #
 
     def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
+        require_width(answer, self.view.arity)
         self._answered(answer)
         if len(self.uqs) == 1 and self._can_install():
             # The last pending answer: install COLLECT with it before the

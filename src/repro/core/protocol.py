@@ -47,7 +47,12 @@ def require_width(answer: QueryAnswer, width: int) -> None:
     Multi-source handlers cut answer rows into operand tuples by
     position; a row of another width would fail there with an untyped
     error, or slip into the view, after the query was retired.
+    Single-source handlers add answer rows to COLLECT or to the view,
+    where a row of another width would stay — and be written into every
+    later snapshot, so each of them calls this first.
     """
+    if set(map(len, answer.answer.rows())) <= {width}:
+        return
     for row, _ in answer.answer.items():
         if len(row) != width:
             raise ProtocolError(

@@ -30,11 +30,18 @@ over, so the form holds a table of the query's distinct *shapes*
 (operand schemas, projection, condition — each written once) and, per
 term, a row ``[shape index, coefficient, bindings]``.  A bare
 :class:`Term` outside a query keeps the self-contained ``term`` form.
+
+A WAL snapshot chain writes an algorithm whole once, then per snapshot
+only what changed: ``algo.delta`` / ``algo.catalog.delta`` forms
+(:func:`encode_algorithm` with :class:`Marks`, read back by
+:func:`fold_delta`).
 """
 
 from __future__ import annotations
 
 import json
+import re
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -42,6 +49,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Optional,
     Mapping,
     Sequence,
     Tuple,
@@ -50,7 +58,7 @@ from typing import (
     cast,
 )
 
-from repro.errors import CodecError
+from repro.errors import CodecError, ViewStateError
 from repro.messaging.messages import (
     Message,
     QueryAnswer,
@@ -97,8 +105,9 @@ if TYPE_CHECKING:
 #: ``query`` form names each distinct shape once, in a ``shapes`` table,
 #: and a term is a row of shape index, coefficient and bindings; WAL
 #: snapshots carry the version (``"v"``) so a directory from another
-#: version is refused before anything in it is decoded.
-CODEC_VERSION = 4
+#: version is refused before anything in it is decoded.  v5: delta
+#: snapshots, and the planner state holds its ``issued`` / ``saved``.
+CODEC_VERSION = 5
 
 _PRIMITIVES = (str, int, float, bool, type(None))
 #: The types JSON holds as they are, for the exact test ``type(v) in``:
@@ -110,6 +119,12 @@ _PLAIN = frozenset(_PRIMITIVES)
 _T = TypeVar("_T")
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+#: Row values whose JSON holds no quote and no bracket (:func:`_pairs_text`).
+_NUMERIC = frozenset((int, float, bool, type(None)))
+#: In bare ``[[v,...],n],[[v,...],n]`` text of such rows, a ``],`` before
+#: a count closes a row's values; a ``],[[`` opens the next row's.
+_ITEMS_END = re.compile(r"\],(?=-?[0-9])")
+_ROW_HEAD = '{"$":"tuple","items":['
 
 
 def canonical_json(payload: object) -> str:
@@ -391,11 +406,24 @@ def _bindings_text(term: Term) -> str:
     return canonical_json(_encode_bindings(term))
 
 
-def _pairs_text(pairs: Iterable[Tuple[object, int]]) -> str:
+def _pairs_text(pairs: Sequence[Tuple[object, int]]) -> str:
     """The ``[[row, multiplicity], ...]`` list of the ``mv`` and ``bag``
     forms.  A row that is a tuple of JSON's own scalars — every row of a
     relation — is tagged here, without a call per value; any other row
-    goes through :func:`encode_value`."""
+    goes through :func:`encode_value`.  Rows of numbers alone hold no
+    quote or bracket: they are encoded bare, in one call, and tagged by
+    rewriting the brackets between them."""
+    rows: List[Any] = [row for row, _ in pairs]
+    if (
+        pairs
+        and all(type(row) is tuple for row in rows)
+        and _NUMERIC.issuperset(map(type, chain.from_iterable(rows)))
+        and all(type(count) is int for _, count in pairs)
+    ):
+        # [[[v,...],n],[[v,...],n]] -> [[{"$":"tuple","items":[v,...]},n],...]
+        bare = canonical_json(pairs)
+        body = _ITEMS_END.sub("]},", bare[3:-1]).replace("],[[", "],[" + _ROW_HEAD)
+        return "[[" + _ROW_HEAD + body + "]"
     return canonical_json(
         [
             [
@@ -444,18 +472,26 @@ def decode_value(data: object) -> object:
         raise CodecError(f"malformed {tag!r} payload: {exc}") from exc
 
 
+def _decode_rows(pairs: List[Any]) -> List[Tuple[Any, Any]]:
+    """:func:`_pairs_text` read back: when every row is a ``tuple`` of
+    scalars, one pass per check; else each row via :func:`decode_value`."""
+    items: Optional[List[Any]]
+    try:
+        items = [row["items"] for row, _ in pairs if row["$"] == "tuple"]
+    except (TypeError, KeyError, ValueError):
+        items = None
+    if (
+        items is not None
+        and len(items) == len(pairs)
+        and all(type(row) is list for row in items)
+        and _PLAIN.issuperset(map(type, chain.from_iterable(items)))
+    ):
+        return list(zip(map(tuple, items), [count for _, count in pairs]))
+    return [(decode_value(row), count) for row, count in pairs]
+
+
 def _decode_pairs(pairs: List[Any]) -> SignedBag:
-    """:func:`_pairs_text` read back: a ``tuple`` of scalars as parsed
-    is the row; anything else goes through :func:`decode_value`."""
-    decoded: List[Tuple[Any, Any]] = []
-    for row, count in pairs:
-        if type(row) is dict and row.get("$") == "tuple":
-            items = row.get("items")
-            if type(items) is list and _PLAIN.issuperset(map(type, items)):
-                decoded.append((tuple(items), count))
-                continue
-        decoded.append((decode_value(row), count))
-    return SignedBag.from_pairs(decoded)
+    return SignedBag.from_pairs(_decode_rows(pairs))
 
 
 def _decode_as(data: object, kind: Type[_T]) -> _T:
@@ -537,6 +573,8 @@ _DECODERS: Dict[str, Callable[[Dict[str, Any]], object]] = {
     "tuple": lambda d: tuple(decode_value(v) for v in d["items"]),
     "dict": lambda d: {decode_value(k): decode_value(v) for k, v in d["items"]},
     "bag": lambda d: _decode_pairs(d["pairs"]),
+    "bag.chain": lambda d: _decode_bag_chain(d),
+    "json": lambda d: decode_value(json.loads(d["text"])),
     "stuple": lambda d: SignedTuple(
         [decode_value(v) for v in d["values"]], d["sign"]
     ),
@@ -633,7 +671,24 @@ def loads(text: str) -> object:
 # --------------------------------------------------------------------- #
 
 
-def encode_algorithm(algorithm: WarehouseAlgorithm) -> str:
+class Marks:
+    """What the last snapshot written through these marks held: per
+    algorithm (a catalog member by name, a lone one under ``None``) its
+    UQS, its pending bags' counts and its other pending fields' text;
+    its view's changes since are in the journal the marks read."""
+
+    def __init__(self, algorithm: WarehouseAlgorithm) -> None:
+        self.algorithm = algorithm
+        self.held: Dict[Optional[str], Tuple[Dict[int, Query], Dict[str, Any], str]] = {}
+        self.views: List[MaterializedView] = []
+
+    def release(self) -> None:
+        """Close the journals these marks opened."""
+        for mv in self.views:
+            mv.close_journal(self)
+
+
+def encode_algorithm(algorithm: WarehouseAlgorithm, marks: Optional[Marks] = None) -> str:
     """Canonical text of a live warehouse algorithm (any protocol
     family): the view definition(s), the materialized contents, the
     constructor options, and the full pending protocol state.
@@ -643,31 +698,166 @@ def encode_algorithm(algorithm: WarehouseAlgorithm) -> str:
     share the generic ``algo`` envelope, with owners and other
     constructor options carried by ``durable_config()``.  The payload
     :func:`decode_algorithm` takes is ``json.loads`` of this text.
+
+    Fresh ``marks`` get the full form and remember what it held; marks
+    that remember a snapshot get a *delta* over it, and then remember
+    this one: the view rows written since and each pending bag's changes
+    (``bag.delta``), the UQS entries added and the ids ``retired``, every
+    other pending field in full and, of a catalog, the members that moved.
     """
+    delta = marks is not None and bool(marks.held)
     if getattr(algorithm, "codec_tag", "algo") == "algo.catalog":
         catalog = cast("WarehouseCatalog", algorithm)
-        members = (
-            _array((canonical_json(name), encode_algorithm(member)))
-            for name, member in catalog.algorithms.items()
-        )
+        members = []
+        for name, member in catalog.algorithms.items():
+            text = _algo_text(member, marks, name)
+            if text is not None:
+                members.append(_array((canonical_json(name), text)))
+        pending = encode_text(catalog.pending_state())
+        if delta:
+            return _tagged("algo.catalog.delta", members=_array(members), pending=pending)
+        share = canonical_json(catalog.share_compensation)
+        return _tagged("algo.catalog", share=share, members=_array(members), pending=pending)
+    return cast(str, _algo_text(algorithm, marks, None))
+
+
+def _algo_text(
+    algorithm: WarehouseAlgorithm, marks: Optional[Marks], key: Optional[str]
+) -> Optional[str]:
+    """One algorithm's ``algo`` form, or its ``algo.delta`` over what
+    ``marks`` remember of it — ``None`` for a catalog member (``key`` not
+    ``None``) that did not move.
+
+    The UQS is told apart by query *object*: ids ascend and a pending
+    query is immutable, so an id holding the same object holds the
+    same query.
+    """
+    state = algorithm.pending_state()
+    held = marks.held.get(key) if marks is not None else None
+    uqs_then, bags_then, rest_then = held or ({}, {}, "")
+    uqs: Dict[int, Query] = state.get("uqs", {})
+    retired = [qid for qid, query in uqs_then.items() if uqs.get(qid) is not query]
+    moved = bool(retired)
+    items: List[str] = []
+    rest: List[str] = []
+    bags: Dict[str, Any] = {}
+    for field, value in state.items():
+        if marks is not None and isinstance(value, SignedBag):
+            bags[field] = dict(value.items())
+        if held is not None and field == "uqs":
+            added = [(qid, q) for qid, q in uqs.items() if uqs_then.get(qid) is not q]
+            moved = moved or bool(added)
+            text = _tagged("dict", items=_array(map(_entry_text, added)))
+        elif held is not None and field in bags and field in bags_then:
+            diff = _bag_changes(bags_then[field], bags[field])
+            moved = moved or bool(diff)
+            text = _tagged("bag.delta", pairs=_pairs_text(diff))
+        else:
+            text = encode_text(value)
+            if field != "uqs" and field not in bags:
+                rest.append(text)
+        items.append(_array((encode_text(field), text)))
+    pending = _tagged("dict", items=_array(items))
+    # A root's call opens the journal; a delta's empties it.
+    changes = None if marks is None else algorithm.mv.take_changes(marks)
+    if marks is not None:
+        marks.held[key] = (uqs, bags, _array(rest))
+    if held is None:
+        if marks is not None:
+            marks.views.append(algorithm.mv)
         return _tagged(
-            "algo.catalog",
-            share=canonical_json(catalog.share_compensation),
-            members=_array(members),
-            pending=encode_text(catalog.pending_state()),
+            "algo",
+            name=canonical_json(algorithm.name),
+            view=encode_text(algorithm.view),
+            mv=_tagged("bag", pairs=_contents_text(algorithm.mv)),
+            config=encode_text(algorithm.durable_config()),
+            pending=pending,
         )
+    if key is not None and not (changes or moved) and _array(rest) == rest_then:
+        return None
     return _tagged(
-        "algo",
-        name=canonical_json(algorithm.name),
-        view=encode_text(algorithm.view),
-        mv=_tagged("bag", pairs=_contents_text(algorithm.mv)),
-        config=encode_text(algorithm.durable_config()),
-        pending=encode_text(algorithm.pending_state()),
+        "algo.delta",
+        mv=_tagged("bag.delta", pairs=_pairs_text(changes or [])),
+        pending=pending,
+        retired=canonical_json(retired),
     )
 
 
+def _entry_text(entry: Tuple[int, Query]) -> str:
+    """A delta's UQS entry, its query quoted (``json``): most are retired
+    a few links on, and folding then scans past the text unparsed."""
+    qid, query = entry
+    return _array((canonical_json(qid), _tagged("json", text=canonical_json(_query_text(query)))))
+
+
+def _bag_changes(then: Dict[Any, int], now: Dict[Any, int]) -> List[Tuple[Any, int]]:
+    """``(row, signed count)`` pairs that turn ``then`` into ``now``."""
+    changes = [(row, n - then.get(row, 0)) for row, n in now.items() if then.get(row) != n]
+    return changes + [(row, -n) for row, n in then.items() if row not in now]
+
+
+#: The delta form that folds onto each base form.
+_DELTA_OF = {
+    "algo": "algo.delta",
+    "algo.catalog": "algo.catalog.delta",
+    "bag": "bag.delta",
+    "bag.chain": "bag.delta",
+}
+
+
+def fold_delta(base: Dict[str, Any], delta: Dict[str, Any]) -> Dict[str, Any]:
+    """A parsed delta read onto its base's parsed payload: the payload
+    :func:`decode_algorithm` takes for the snapshot the delta stands for.
+    Folding parsed JSON decodes no query a later link retires; a bag
+    becomes a ``bag.chain``, decoded once.  A delta that does not fit its
+    base raises :class:`CodecError`, or ``KeyError`` / ``TypeError`` /
+    ``ValueError`` / ``AttributeError`` where it is malformed."""
+    tag = base.get("$")
+    if _DELTA_OF.get(tag) != delta.get("$"):
+        raise CodecError(f"a {delta.get('$')!r} over a {tag!r}")
+    if tag == "algo.catalog":
+        members = dict(base["members"])
+        for name, change in delta["members"]:
+            if name not in members:
+                raise CodecError(f"the delta names member {name!r}, which its base lacks")
+            members[name] = fold_delta(members[name], change)
+        members_list = [[name, member] for name, member in members.items()]
+        return {**base, "members": members_list, "pending": delta["pending"]}
+    if tag != "algo":
+        chain = base if tag == "bag.chain" else {"$": "bag.chain", "base": base, "changes": []}
+        return {**chain, "changes": [*chain["changes"], delta["pairs"]]}
+    held = dict(base["pending"]["items"])
+    gone = set(delta["retired"])
+    items = []
+    for field, value in delta["pending"]["items"]:
+        if field == "uqs":
+            then = held["uqs"]["items"]
+            kept = [entry for entry in then if entry[0] not in gone]
+            if len(kept) + len(gone) != len(then):
+                raise CodecError(f"the delta retires {sorted(gone)}, not all in its base")
+            value = {"$": "dict", "items": kept + value["items"]}
+        elif type(value) is dict and value.get("$") == "bag.delta":
+            value = fold_delta(held[field], value)
+        items.append([field, value])
+    pending = {"$": "dict", "items": items}
+    return {**base, "mv": fold_delta(base["mv"], delta["mv"]), "pending": pending}
+
+
+def _decode_bag_chain(data: Dict[str, Any]) -> SignedBag:
+    """A :func:`fold_delta` bag: the base's pairs plus each link's."""
+    bag = _decode_pairs(data["base"]["pairs"])
+    for pairs in data["changes"]:
+        changes = _decode_rows(pairs)
+        if not all(type(count) is int for _, count in changes):
+            raise TypeError(f"a change's multiplicity is not an int: {pairs!r}")
+        for row, count in changes:
+            bag.add(row, count)
+    return bag
+
+
 def decode_algorithm(data: Dict[str, Any]) -> WarehouseAlgorithm:
-    """Rebuild a live algorithm from a parsed :func:`encode_algorithm` payload."""
+    """Rebuild a live algorithm from a parsed :func:`encode_algorithm`
+    payload, or from one :func:`fold_delta` made."""
     from repro.core.registry import create_algorithm
     from repro.warehouse.catalog import WarehouseCatalog
 
@@ -692,7 +882,7 @@ def decode_algorithm(data: Dict[str, Any]) -> WarehouseAlgorithm:
                 cast(SignedBag, decode_value(data["mv"])),
                 **config,
             )
-        except KeyError as exc:
+        except (KeyError, ViewStateError) as exc:
             raise CodecError(f"cannot rebuild algorithm: {exc}") from None
         algorithm.restore_pending_state(
             cast(Dict[str, Any], decode_value(data["pending"]))

@@ -4,8 +4,9 @@ Algorithms are deterministic state machines over their received messages
 (Section 3's atomic-event model), so recovery is state-machine
 replication:
 
-1. decode the newest valid snapshot (the pre-crash algorithm, frozen as
-   of some LSN);
+1. fold the newest snapshot's chain — its root, then each delta in
+   order — and decode the result once (the pre-crash algorithm, frozen
+   as of the newest snapshot's LSN);
 2. replay every ``"recv"`` record with a later LSN, in order, feeding
    each logged message back through the same ``on_update`` /
    ``on_answer`` / ``on_refresh`` entry points — and *discarding* the
@@ -36,7 +37,7 @@ from repro.durability.wal import (
     read_latest_snapshot,
     read_records,
 )
-from repro.errors import CodecError, ProtocolError, RecoveryError
+from repro.errors import CodecError, ProtocolError, RecoveryError, WalCorruption
 from repro.kernel.dispatch import dispatch_event, event_kind
 from repro.messaging.messages import Message, QueryRequest
 
@@ -117,6 +118,15 @@ def recover(
             f"CRC but does not decode: {exc}"
         ) from exc
     records, torn = read_records(directory)
+    later = [_lsn_of(record) for record in records if _lsn_of(record) > snapshot_lsn]
+    if later and later[0] != snapshot_lsn + 1:
+        # Records follow the snapshot they were appended after: a gap
+        # means that snapshot is gone, and its chain's tip is older.
+        raise WalCorruption(
+            f"the log resumes at LSN {later[0]} but the newest snapshot is "
+            f"{_snapshot_path(directory, snapshot_lsn)!r}: "
+            f"{_snapshot_path(directory, later[0] - 1)!r} is missing"
+        )
     replayed = 0
     last_lsn = snapshot_lsn
     for record in records:

@@ -11,14 +11,18 @@ Layout of a WAL directory:
   so the checksum vouches for the file, not for a re-encoding of what
   was parsed from it.  A line that parses but is not laid out this way
   (reformatted, reordered, padded) is as invalid as one whose CRC fails.
-- ``snapshot-<lsn>.json`` — a full algorithm snapshot taken after the
+- ``snapshot-<lsn>.json`` — an algorithm snapshot taken after the
   record with that LSN, same CRC scheme, written atomically (temp file +
   rename) so a crash mid-snapshot can never leave a half-written file
-  under the final name.  Exactly one is kept: a snapshot empties the log,
-  so an older one has no records left to replay onto it.  Its ``v`` is
-  the codec version that wrote it — and, a directory always holding a
-  snapshot older than its records, the version of every record behind
-  it; recovery refuses another version's before decoding anything.
+  under the final name.  The snapshots form one chain: a *root* holding
+  the algorithm whole, then *deltas*, each naming the one before as its
+  ``base`` and holding only what changed since.  A handle's first
+  snapshot is a root, and so is one whose delta would take the chain's
+  delta bytes past its root's, so recovery reads at most about twice one
+  full snapshot; installing a root removes every other snapshot.  Each
+  snapshot's ``v`` is the codec version that wrote it — and the version
+  of every record behind it; recovery refuses another version's before
+  decoding anything.
 - ``wal.lock`` — exclusive-ownership marker holding the writer's pid.
   Opening a directory another live process has open raises
   :class:`~repro.errors.WalLocked`; stale locks (owner dead) are stolen.
@@ -47,15 +51,17 @@ import json
 import os
 import re
 import zlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, cast
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, cast
 
 from repro.durability.codec import (
     CODEC_VERSION,
+    Marks,
     canonical_json,
     encode_algorithm,
+    fold_delta,
     splice,
 )
-from repro.errors import RecoveryError, WalCorruption, WalLocked
+from repro.errors import CodecError, RecoveryError, WalCorruption, WalLocked
 
 if TYPE_CHECKING:
     from repro.core.protocol import WarehouseAlgorithm
@@ -80,7 +86,8 @@ def _seal(fields: Dict[str, str]) -> str:
 
 #: Where ``crc`` sorts among a sealed payload's keys: first in a log
 #: record (``crc`` < ``data``), before the short tail of a snapshot
-#: (``algo`` < ``crc`` < ``lsn`` < ``v``; no ``v`` before codec v4).
+#: (``algo`` < ``base`` < ``crc`` < ``lsn`` < ``v``; no ``v`` before
+#: codec v4, no ``base`` in a root).
 _CRC_AT_HEAD = re.compile(r'\{"crc":([0-9]+),')
 _CRC_AT_TAIL = re.compile(r',"crc":([0-9]+)(,"lsn":[0-9]+(?:,"v":[0-9]+)?\})')
 
@@ -133,6 +140,14 @@ def _malformed(record: Dict[str, object]) -> Optional[str]:
     if type(record["lsn"]) is not int:
         return f"has a non-integer LSN {record['lsn']!r}"
     return None
+
+
+def _body(lsn: int, algo: str, base: Optional[int] = None) -> str:
+    """A snapshot file's text: a root without ``base``, a delta with."""
+    fields = {"lsn": canonical_json(lsn), "algo": algo, "v": canonical_json(CODEC_VERSION)}
+    if base is not None:
+        fields["base"] = canonical_json(base)
+    return _seal(fields) + "\n"
 
 
 def _pid_alive(pid: int) -> bool:
@@ -220,6 +235,12 @@ class WriteAheadLog:
         self._path = os.path.join(directory, WAL_FILENAME)
         self._lsn = 0
         self._since_snapshot = 0
+        #: The chain this handle writes: its marks, its newest link's LSN
+        #: and the bytes of its root and of its deltas.
+        self._marks: Optional[Marks] = None
+        self._tip = 0
+        self._root_bytes = 0
+        self._delta_bytes = 0
         self.appended = 0  # records written by this handle (for metrics)
         self.snapshots_taken = 0
         try:
@@ -326,23 +347,33 @@ class WriteAheadLog:
     def snapshot(self, algorithm: WarehouseAlgorithm) -> int:
         """Snapshot the algorithm as of the current LSN, then compact.
 
-        The snapshot captures everything (view contents + pending state)
-        as of the newest record, so once it is renamed into place the
-        previous snapshot and every WAL record are dead weight: the old
-        file is removed and the log truncated.
+        A delta over this handle's last snapshot when that was of the same
+        algorithm at an older LSN and the chain's delta bytes stay within
+        its root's; otherwise a root, and once that is renamed into place
+        every other snapshot is removed.  Either way the snapshot covers
+        every WAL record, so the log is truncated.
         """
         lsn = self._lsn
-        body = _seal(
-            {
-                "lsn": canonical_json(lsn),
-                "algo": encode_algorithm(algorithm),
-                "v": canonical_json(CODEC_VERSION),
-            }
-        )
-        self._install(_snapshot_path(self.directory, lsn), body + "\n")
-        for old in _snapshot_lsns(self.directory):
-            if old != lsn:
-                os.remove(_snapshot_path(self.directory, old))
+        marks = self._marks
+        body = None
+        if marks is not None and marks.algorithm is algorithm and lsn > self._tip:
+            delta = _body(lsn, encode_algorithm(algorithm, marks), self._tip)
+            if self._delta_bytes + len(delta) <= self._root_bytes:
+                body = delta
+        if body is not None:
+            self._install(_snapshot_path(self.directory, lsn), body)
+            self._delta_bytes += len(body)
+        else:
+            if marks is not None:
+                marks.release()
+            self._marks = Marks(algorithm)
+            body = _body(lsn, encode_algorithm(algorithm, self._marks))
+            self._install(_snapshot_path(self.directory, lsn), body)
+            for old in _snapshot_lsns(self.directory):
+                if old != lsn:
+                    os.remove(_snapshot_path(self.directory, old))
+            self._root_bytes, self._delta_bytes = len(body), 0
+        self._tip = lsn
         self._compact()
         self._since_snapshot = 0
         self.snapshots_taken += 1
@@ -393,6 +424,9 @@ class WriteAheadLog:
                 os.close(fd)
 
     def close(self) -> None:
+        if self._marks is not None:
+            self._marks.release()
+            self._marks = None
         if not self._file.closed:
             self._file.flush()
             self._file.close()
@@ -447,26 +481,16 @@ def read_records(directory: str) -> Tuple[List[Dict[str, object]], int]:
     return records, torn
 
 
-def read_latest_snapshot(directory: str) -> Tuple[int, Dict[str, object]]:
-    """The newest snapshot as ``(lsn, algorithm payload)``.
-
-    Raises :class:`RecoveryError` when none exists,
-    :class:`WalCorruption`, naming the file, when it fails validation,
-    and :class:`RecoveryError` again when it is intact but written by
-    another codec version (or by one that did not say).
-    There is no older snapshot to fall back to: the log records that
-    would bring one forward were truncated when the newest was taken.
-    """
-    lsns = _snapshot_lsns(directory)
-    if not lsns:
-        raise RecoveryError(f"no snapshot found in {directory!r}")
-    lsn = lsns[-1]
+def _read_snapshot(directory: str, lsn: int) -> Dict[str, object]:
+    """One snapshot file's fields, checked on their own: CRC, layout,
+    LSN and codec version."""
     path = _snapshot_path(directory, lsn)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            body = _unseal(handle.read().strip())
-    except OSError:
-        body = None
+            text = handle.read()
+    except (OSError, UnicodeDecodeError):
+        text = ""
+    body = _unseal(text[:-1] if text.endswith("\n") else text)
     if body is None or body.get("lsn") != lsn:
         raise WalCorruption(f"snapshot {path!r} failed validation")
     if "algo" not in body:
@@ -478,4 +502,50 @@ def read_latest_snapshot(directory: str) -> Tuple[int, Dict[str, object]]:
             f"snapshot {path!r} was written by codec {written}; this tree "
             f"reads only v{CODEC_VERSION} — regenerate the directory"
         )
-    return lsn, cast(Dict[str, object], body["algo"])
+    if "base" in body:
+        base = body["base"]
+        if type(base) is not int or not 0 <= base < lsn:
+            raise WalCorruption(
+                f"snapshot {path!r} names base {base!r}, which is not an LSN "
+                f"below its own ({lsn}): the chain would not end at a root"
+            )
+    return body
+
+
+def read_latest_snapshot(directory: str) -> Tuple[int, Dict[str, object]]:
+    """The newest snapshot as ``(lsn, algorithm payload)``: its chain,
+    root first, folded into the one payload
+    :func:`~repro.durability.codec.decode_algorithm` takes.
+
+    Raises :class:`RecoveryError` when no snapshot exists or a link is
+    intact but written by another codec version (or by one that did not
+    say), and :class:`WalCorruption` when a link fails validation, names
+    a base that is not an older snapshot present, or does not fold onto
+    it — each naming the offending file.  There is no older chain to fall
+    back to: the log records that would bring one forward are gone.
+    """
+    lsns = _snapshot_lsns(directory)
+    if not lsns:
+        raise RecoveryError(f"no snapshot found in {directory!r}")
+    present = set(lsns)
+    links = [(lsns[-1], _read_snapshot(directory, lsns[-1]))]
+    while "base" in links[-1][1]:
+        lsn, body = links[-1]
+        base = cast(int, body["base"])
+        if base not in present:
+            raise WalCorruption(
+                f"snapshot {_snapshot_path(directory, lsn)!r} names base "
+                f"{_snapshot_name(base)!r}, which does not exist"
+            )
+        links.append((base, _read_snapshot(directory, base)))
+    _, root = links.pop()
+    payload = cast(Dict[str, Any], root["algo"])
+    for lsn, body in reversed(links):
+        try:
+            payload = fold_delta(payload, cast(Dict[str, Any], body["algo"]))
+        except (CodecError, KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise WalCorruption(
+                f"snapshot {_snapshot_path(directory, lsn)!r} does not fold "
+                f"onto its base: {exc}"
+            ) from exc
+    return lsns[-1], payload

@@ -148,18 +148,24 @@ class CompensationPlanner:
     # ------------------------------------------------------------------ #
 
     def state(self) -> Dict[str, object]:
-        """Codec-encodable snapshot of the route table and id counter."""
+        """Codec-encodable snapshot of the route table, the id counter
+        and the ``issued`` / ``saved`` counts, so a recovered catalog
+        reports what its uncrashed twin would."""
         return {
             "next_query_id": self._next_query_id,
             "routes": {
                 global_id: tuple(subscribers)
                 for global_id, subscribers in self._routes.items()
             },
+            "issued": self.issued,
+            "saved": self.saved,
         }
 
     def restore(self, state: Dict[str, object]) -> None:
         """Inverse of :meth:`state` on a fresh planner."""
         self._next_query_id = state["next_query_id"]  # type: ignore[assignment]
+        self.issued = state["issued"]  # type: ignore[assignment]
+        self.saved = state["saved"]  # type: ignore[assignment]
         self._routes = {
             global_id: tuple(
                 (view_name, local_id) for view_name, local_id in subscribers

@@ -7,7 +7,7 @@ a non-negative :class:`~repro.relational.bag.SignedBag`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ViewStateError
 from repro.relational.bag import SignedBag
@@ -28,8 +28,8 @@ class MaterializedView:
     copied.  Every write goes through :meth:`_write`, the one place that
     knows the contents changed: it drops :attr:`encoded_contents`, bumps
     :attr:`version`, records the dirty rows, keeps the serving-key
-    index (:meth:`rows_for_key`) current and, once a history recorder
-    asked for them (:meth:`take_changes`), journals the pairs it applied.
+    index (:meth:`rows_for_key`) current and journals the pairs it
+    applied for every reader that asked for them (:meth:`take_changes`).
 
     Parameters
     ----------
@@ -73,10 +73,10 @@ class MaterializedView:
         #: after it, so a view nobody serves never pays for it.
         self._by_key: Optional[Dict[Row, Dict[Row, int]]] = None
         self._key_positions: Optional[Tuple[int, ...]] = None
-        #: ``(row, delta)`` pairs written since the last
-        #: :meth:`take_changes`; ``None`` until its first call, so a view
-        #: nobody records journals nothing.
-        self._journal: Optional[Changes] = None
+        #: Per reader, the ``(row, delta)`` pairs written since its last
+        #: :meth:`take_changes`.  A reader has no journal until its first
+        #: call, so a view nobody records or snapshots journals nothing.
+        self._journals: Dict[Optional[Hashable], Changes] = {}
 
     def _key_of(self, row: Row) -> Row:
         positions = self._key_positions
@@ -143,17 +143,29 @@ class MaterializedView:
     def is_empty(self) -> bool:
         return self._contents.is_empty()
 
-    def take_changes(self) -> Optional[Changes]:
-        """The ``(row, delta)`` pairs written since the last call, in order.
+    def take_changes(self, reader: Optional[Hashable] = None) -> Optional[Changes]:
+        """The ``(row, delta)`` pairs written since ``reader``'s last call,
+        in order.
 
         Adding them to the state the previous call described gives the
         current contents.  The first call has no previous state: it opens
-        the journal and returns ``None``, meaning "record a full
-        :meth:`view_state`".
+        the reader's journal and returns ``None``, meaning "record a full
+        :meth:`view_state`".  Each reader has a journal of its own — the
+        history recorder is the default reader, a WAL's snapshot chain
+        another — so neither takes what the other has not read.
         """
-        changes = self._journal
-        self._journal = []
+        changes = self._journals.get(reader)
+        self._journals[reader] = []
         return changes
+
+    @property
+    def _journal(self) -> Optional[Changes]:
+        """The history recorder's journal: the default reader's."""
+        return self._journals.get(None)
+
+    def close_journal(self, reader: Hashable) -> None:
+        """Stop journaling for ``reader`` (a no-op if it has no journal)."""
+        self._journals.pop(reader, None)
 
     def drain_dirty(self) -> Set[Row]:
         """Rows touched by writes since the last drain (and reset the set).
@@ -184,8 +196,8 @@ class MaterializedView:
         if self._shared:
             self._contents = self._contents.copy()
             self._shared = False
-        if self._journal is not None:
-            self._journal.extend(changes)
+        for journal in self._journals.values():
+            journal.extend(changes)
         self.encoded_contents = None
         self.version += 1
         contents = self._contents

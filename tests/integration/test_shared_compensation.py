@@ -19,9 +19,17 @@ import pytest
 
 from repro.consistency import check_trace
 from repro.core.registry import create_algorithm
-from repro.durability import dumps_algorithm, loads_algorithm
+from repro.durability import (
+    RECV,
+    WriteAheadLog,
+    dumps_algorithm,
+    encode_value,
+    loads_algorithm,
+    recover,
+)
 from repro.durability.codec import dumps
 from repro.kernel import replay_concurrent
+from repro.kernel.sync import SyncKernel
 from repro.messaging.messages import QueryAnswer, UpdateNotification
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
@@ -332,6 +340,33 @@ class TestDurability:
             clean_sources, clean, {"source": list(WORKLOAD)}, seed=4
         )
         assert result.final_view == clean_run.final_view
+
+
+    def test_a_recovered_catalog_counts_what_its_uncrashed_twin_counts(
+        self, tmp_path
+    ):
+        """Regression: the planner's ``issued`` / ``saved`` counts were
+        not persisted, so a recovered catalog restarted them at its
+        snapshot.  Recovered at any LSN, the catalog reports what the
+        live catalog — its uncrashed twin — reports at that LSN."""
+        sources, catalog = fanin_setup(3, share=True)
+        kernel = SyncKernel(sources, catalog, list(WORKLOAD))
+        schedule = RandomSchedule(4, weights={"update": 2.0})
+        wal = WriteAheadLog(str(tmp_path), snapshot_every=3)
+        wal.snapshot(catalog)
+        while not kernel.is_done():
+            action = schedule.choose(kernel.available_actions())
+            if action.startswith("warehouse:"):
+                name = action.split(":", 1)[1]
+                message = encode_value(kernel.inbound[name].peek())
+                origin = name if name in sources else None
+                wal.append(RECV, {"channel": name, "origin": origin, "message": message})
+            kernel.step(action)
+            wal.maybe_snapshot(catalog)
+            recovered = recover(str(tmp_path)).algorithm
+            assert recovered.shared_query_stats() == catalog.shared_query_stats()
+        wal.close()
+        assert catalog.shared_query_stats()[1] > 0, "the run must share a query"
 
 
 class TestSharded:

@@ -2,7 +2,7 @@
 
 The central claim (state-machine replication): for any seeded workload,
 any answer-delay interleaving, any snapshot cadence, and any crash point,
-decoding the newest snapshot and replaying the WAL's ``recv`` records
+decoding the newest snapshot's chain and replaying the WAL's ``recv`` records
 rebuilds an algorithm whose canonical encoding is *byte-identical* to the
 live one at the crash point — and whose re-issued requests are exactly
 the pending ones.  On top of that, the concurrent runtime with crash
@@ -14,7 +14,8 @@ contents are rendered once and spliced into every later snapshot.  A
 stale or misplaced memo fails no CRC and no round trip — it is simply
 the wrong bytes — so the last test holds every snapshot of every
 registry family against the tree-building encoder the text path
-replaced, kept here as the reference.
+replaced, kept here as the reference: a root byte for byte, a delta
+through the state its chain folds to.
 """
 
 import json
@@ -34,9 +35,11 @@ from repro.durability import (
     CODEC_VERSION,
     RECV,
     WriteAheadLog,
+    decode_algorithm,
     dumps_algorithm,
     encode_value,
     loads_algorithm,
+    read_latest_snapshot,
     recover,
 )
 from repro.durability.wal import _snapshot_name
@@ -269,7 +272,16 @@ def test_every_snapshot_is_byte_identical_to_the_tree_path(family, seed, tmp_pat
         lsn = wal.snapshot(kernel.algorithm)
         path = os.path.join(directory, _snapshot_name(lsn))
         with open(path, encoding="utf-8") as handle:
-            assert handle.read() == reference_snapshot(lsn, kernel.algorithm)
+            body = handle.read()
+        if "base" in json.loads(body):
+            # A delta: the chain it ends folds to the reference's state.
+            folded = decode_algorithm(read_latest_snapshot(directory)[1])
+            folded.bind_owners(kernel.owners)
+            assert reference_dumps_algorithm(folded) == reference_dumps_algorithm(
+                kernel.algorithm
+            )
+        else:
+            assert body == reference_snapshot(lsn, kernel.algorithm)
         text = dumps_algorithm(kernel.algorithm, validate=False)
         assert text == reference_dumps_algorithm(kernel.algorithm)
         assert dumps_algorithm(loads_algorithm(text), validate=False) == text

@@ -14,8 +14,10 @@ answers through :func:`dispatch_event`:
 - an answer whose rows are shorter than the query's output.
 
 Each goes first to a copy decoded from the warehouse's snapshot text.
-A copy that accepts it has become another run, so the live warehouse
-never sees that event.  A copy that rejects it must raise a
+The short answer must be rejected: a row of the wrong width in COLLECT
+or the view would be written into every later snapshot.  A copy that
+accepts any of the others has become another run, so the live
+warehouse never sees that event.  A copy that rejects it must raise a
 :class:`ReproError` (ECA-Key's ``ValueError`` for a negative answer
 tuple is its own) and keep its text byte-identical; the live warehouse
 then gets the same event and must do the same.  Finally the run ends
@@ -95,12 +97,13 @@ def build(family, seed):
 
 
 def malformed(kernel):
-    """``(origin, answer)`` for each malformed answer at this boundary."""
+    """``(origin, answer, must be rejected)`` for each malformed answer
+    at this boundary."""
     warehouse = kernel.algorithm
     names = sorted(kernel.sources)
     pending = warehouse.pending_requests()
     stale = max(warehouse.pending_query_ids(), default=0) + 1
-    events = [(names[0], QueryAnswer(stale, SignedBag()))]
+    events = [(names[0], QueryAnswer(stale, SignedBag()), False)]
     if not pending:
         return events
     destination, request = pending[0]
@@ -109,9 +112,9 @@ def malformed(kernel):
     width = len(request.query.terms[0].projection)
     query_id = request.query_id
     events += [
-        (wrong, QueryAnswer(query_id, SignedBag())),
-        (source, QueryAnswer(query_id, SignedBag({(ALIEN,) * width: -5}))),
-        (source, QueryAnswer(query_id, SignedBag({(ALIEN,) * (width - 1): 1}))),
+        (wrong, QueryAnswer(query_id, SignedBag()), False),
+        (source, QueryAnswer(query_id, SignedBag({(ALIEN,) * width: -5})), False),
+        (source, QueryAnswer(query_id, SignedBag({(ALIEN,) * (width - 1): 1})), True),
     ]
     return events
 
@@ -120,20 +123,21 @@ def text(warehouse):
     return dumps_algorithm(warehouse, validate=False)
 
 
-def offer(kernel, origin, answer):
+def offer(kernel, origin, answer, must_reject):
     """Send one malformed answer: to a copy, and to the live warehouse
     only if the copy rejected it."""
     live = kernel.algorithm
     before = text(live)
     copy = loads_algorithm(before)
     copy.bind_owners(kernel.owners)
+    event = f"{copy!r}: {answer!r} from {origin}"
     try:
         dispatch_event(copy, origin, answer)
     except Exception as error:  # its type is what is checked below
         rejected = error
     else:
+        assert not must_reject, f"{event} was accepted"
         return
-    event = f"{copy!r}: {answer!r} from {origin}"
     assert isinstance(rejected, ReproError) or (
         isinstance(rejected, ValueError) and copy.name == "eca-key"
     ), f"{event} raised an untyped {rejected!r}"
@@ -150,8 +154,8 @@ def run(family, seed, probe):
     boundary = True
     while True:
         if probe and boundary:
-            for origin, answer in malformed(kernel):
-                offer(kernel, origin, answer)
+            for origin, answer, must_reject in malformed(kernel):
+                offer(kernel, origin, answer, must_reject)
         if kernel.is_done():
             return text(kernel.algorithm), kernel.algorithm.view_state()
         action = schedule.choose(kernel.available_actions())

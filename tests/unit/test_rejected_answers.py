@@ -9,7 +9,11 @@ the smallest run that shows it:
   route still there;
 - SWEEP refusing a hop's answer from a source other than the hop's
   destination, and one whose rows are narrower than the hop's output,
-  before the hop stops being in flight.
+  before the hop stops being in flight;
+- every single-source family that installs answer rows (the ECA family,
+  LCA, recompute, the basic baseline) refusing rows narrower than its
+  query's output, which it used to add to COLLECT or the view — and so
+  to every later snapshot.
 """
 
 from __future__ import annotations
@@ -86,3 +90,33 @@ def test_sweep_refuses_rows_narrower_than_the_hop(sweep):
     with pytest.raises(ProtocolError, match="the query outputs 4"):
         dispatch_event(sweep, "s1", QueryAnswer(query_id, SignedBag({(3, 2, 2): 1})))
     assert dumps_algorithm(sweep) == before
+
+
+def refuses_a_narrow_answer(family):
+    """A pending query answered with a row one value short of the view's
+    two: a ``ProtocolError`` naming the width, and nothing changes."""
+    algorithm = warehouse(family)
+    dispatch_event(algorithm, "source", UpdateNotification(insert("r1", (3, 2)), 1))
+    dispatch_event(algorithm, None, RefreshRequest(1))  # flushes a buffered update
+    (query_id,) = algorithm.pending_query_ids()
+    before = dumps_algorithm(algorithm)
+    with pytest.raises(ProtocolError, match="the query outputs 2"):
+        dispatch_event(algorithm, "source", QueryAnswer(query_id, SignedBag({(3,): 1})))
+    assert dumps_algorithm(algorithm) == before
+
+
+@pytest.mark.parametrize("family", ["eca", "eca-local", "batch-eca", "deferred-eca"])
+def test_eca_family_refuses_rows_narrower_than_the_query(family):
+    refuses_a_narrow_answer(family)
+
+
+def test_lca_refuses_rows_narrower_than_the_query():
+    refuses_a_narrow_answer("lca")
+
+
+def test_recompute_refuses_rows_narrower_than_the_query():
+    refuses_a_narrow_answer("recompute")
+
+
+def test_basic_refuses_rows_narrower_than_the_query():
+    refuses_a_narrow_answer("basic")

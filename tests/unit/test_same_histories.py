@@ -22,6 +22,7 @@ from same_histories import (  # noqa: E402
     conflicts,
     history_components,
     normalize_metrics,
+    normalize_recovered,
     normalize_stdout,
     normalize_trace,
     pairwise,
@@ -105,6 +106,11 @@ class TestAllowances:
         assert normalize_metrics(str(paths[0]), wal) != normalize_metrics(str(paths[1]), wal)
         assert normalize_metrics(str(paths[0]), planner) == normalize_metrics(
             str(paths[1]), planner
+        )
+        recovered = [{"state": "s", "planner": [issued, 0]} for issued in (12, 9)]
+        assert normalize_recovered(recovered[0], wal) != normalize_recovered(recovered[1], wal)
+        assert normalize_recovered(recovered[0], planner) == normalize_recovered(
+            recovered[1], planner
         )
 
     def test_wal_layout_drops_snapshot_spans_and_renumbers_the_rest(self, tmp_path):

@@ -10,6 +10,7 @@ from repro.durability import (
     CODEC_VERSION,
     RECV,
     WriteAheadLog,
+    dumps_algorithm,
     read_latest_snapshot,
     read_records,
     recover,
@@ -24,6 +25,7 @@ from repro.durability.wal import (
 )
 from repro.errors import CodecError, RecoveryError, WalCorruption, WalLocked
 from repro.messaging.messages import UpdateNotification
+from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
@@ -267,24 +269,48 @@ class TestSnapshots:
         wal.close()
 
     def test_old_snapshots_pruned(self, tmp_path):
-        """Exactly one snapshot survives: a snapshot truncates the log, so
-        nothing could bring an older one forward."""
+        """The directory holds one chain: a root, then deltas, each naming
+        the link before it, whose bytes stay within the root's.  The
+        snapshot that would take them past it is a new root, and
+        installing it removes every other snapshot.  Every snapshot
+        empties the log, and the chain recovers the live algorithm."""
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
-        for _ in range(4):
+        roots = []
+        for n in range(40):
+            algorithm.mv.apply_delta(SignedBag({(100 + n, n): 1}))
             wal.append("event", {})
             lsn = wal.snapshot(algorithm)
-            names = [
-                n for n in os.listdir(str(tmp_path)) if n.startswith(SNAPSHOT_PREFIX)
+            lsns = sorted(
+                int(name[len(SNAPSHOT_PREFIX) : -len(".json")])
+                for name in os.listdir(str(tmp_path))
+                if name.startswith(SNAPSHOT_PREFIX)
+            )
+            bodies = [
+                json.loads(open(os.path.join(str(tmp_path), _snapshot_name(at))).read())
+                for at in lsns
             ]
-            assert names == [_snapshot_name(lsn)]
+            sizes = [
+                os.path.getsize(os.path.join(str(tmp_path), _snapshot_name(at)))
+                for at in lsns
+            ]
+            assert lsns[-1] == lsn and "base" not in bodies[0]
+            assert [body["base"] for body in bodies[1:]] == lsns[:-1]
+            assert sum(sizes[1:]) <= sizes[0]
+            if len(lsns) == 1:
+                roots.append(lsn)
             assert os.path.getsize(wal_path(tmp_path)) == 0
+            assert dumps_algorithm(recover(str(tmp_path)).algorithm) == dumps_algorithm(
+                algorithm
+            )
         wal.close()
+        assert len(roots) >= 3 and roots[0] == 1
 
     def test_a_snapshot_holding_no_query_differs_from_v3_only_by_the_stamp(
         self, tmp_path
     ):
-        """Codec v4 changed the ``query`` form and nothing else: ``algo``,
+        """Codec v4 changed the ``query`` form and v5 added the planner's
+        ``issued`` / ``saved`` counts, and nothing else: ``algo``,
         ``algo.catalog``, ``view``, ``bag``, the pending dicts are
         byte for byte what they were."""
         from repro.core.eca import ECA
@@ -303,9 +329,9 @@ class TestSnapshots:
             text = handle.read()
         assert text.endswith(f',"lsn":1,"v":{CODEC_VERSION}}}\n')
         crc = re.compile(',"crc":[0-9]+')  # covers the stamp, so it moved too
-        assert crc.sub("", text).replace(f',"v":{CODEC_VERSION}}}', "}") == crc.sub(
-            "", V3_CATALOG_SNAPSHOT
-        )
+        assert crc.sub("", text).replace(f',"v":{CODEC_VERSION}}}', "}").replace(
+            ',["issued",0],["saved",0]', ""
+        ) == crc.sub("", V3_CATALOG_SNAPSHOT)
 
     def test_no_snapshot_raises_recovery_error(self, tmp_path):
         with pytest.raises(RecoveryError):
@@ -408,14 +434,29 @@ class TestAtomicInstall:
         first = wal.snapshot(algorithm)
         wal.append("event", {})
         calls = self.trace_calls(monkeypatch)
-        second = wal.snapshot(algorithm)
+        second = wal.snapshot(algorithm)  # a delta: nothing to remove
         monkeypatch.undo()
-        wal.close()
         assert calls == [
             ("fsync", "file"),  # the snapshot's temp file
             ("replace", _snapshot_name(second)),
             ("fsync", "wal"),  # the directory: the rename is on disk ...
-            ("remove", _snapshot_name(first)),  # ... before the old one goes
+            ("fsync", "file"),  # ... before the log is emptied
+            ("replace", WAL_FILENAME),
+            ("fsync", "wal"),
+        ]
+        wal.close()
+        wal = WriteAheadLog(directory, fsync=True)
+        wal.append("event", {})
+        calls = self.trace_calls(monkeypatch)
+        third = wal.snapshot(algorithm)  # a handle's first: a root
+        monkeypatch.undo()
+        wal.close()
+        assert calls == [
+            ("fsync", "file"),  # the snapshot's temp file
+            ("replace", _snapshot_name(third)),
+            ("fsync", "wal"),  # the directory: the rename is on disk ...
+            ("remove", _snapshot_name(first)),  # ... before the old chain goes
+            ("remove", _snapshot_name(second)),
             ("fsync", "file"),  # the emptied log's temp file
             ("replace", WAL_FILENAME),
             ("fsync", "wal"),
@@ -432,9 +473,20 @@ class TestAtomicInstall:
         second = wal.snapshot(algorithm)
         monkeypatch.undo()
         wal.close()
+        wal = WriteAheadLog(directory)
+        wal.append("event", {})
+        more = self.trace_calls(monkeypatch)
+        third = wal.snapshot(algorithm)
+        monkeypatch.undo()
+        wal.close()
         assert calls == [
             ("replace", _snapshot_name(second)),
+            ("replace", WAL_FILENAME),
+        ]
+        assert more == [
+            ("replace", _snapshot_name(third)),
             ("remove", _snapshot_name(first)),
+            ("remove", _snapshot_name(second)),
             ("replace", WAL_FILENAME),
         ]
 
@@ -629,3 +681,150 @@ class TestRecoverFromWal:
             recover(str(tmp_path))
         assert isinstance(caught.value.__cause__, CodecError)
         assert "nope" in str(caught.value)
+
+
+class TestMalformedChain:
+    """A snapshot chain that does not lead from the newest snapshot back
+    to a root of this codec version, link by link, is refused with one
+    typed error naming the offending file — never an untyped exception,
+    never a silently older view."""
+
+    def eca(self, name="V", projection=("W", "Y")):
+        """ECA over a view of 60 rows, so a root outweighs a few deltas."""
+        from repro.core.eca import ECA
+
+        view = View.natural_join(name, SCHEMAS, list(projection))
+        initial = {"r1": [(w, w % 3) for w in range(60)], "r2": [(0, 5), (1, 6)]}
+        source = MemorySource(SCHEMAS, initial)
+        return ECA(view, evaluate_view(view, source.snapshot()))
+
+    def chain(self, tmp_path, algorithm=None, rows=((70, 2), (71, 1), (72, 0))):
+        """A root at LSN 0, deltas at LSNs 1 and 2, and one ``recv``
+        record behind the last: ``(directory, the three file names)``."""
+        from repro.durability import encode_value
+
+        directory = str(tmp_path)
+        algorithm = algorithm or self.eca()
+        wal = WriteAheadLog(directory)
+        wal.snapshot(algorithm)
+        for serial, row in enumerate(rows, start=1):
+            notification = UpdateNotification(insert("r1", row), serial)
+            data = {"origin": "source", "message": encode_value(notification)}
+            wal.append(RECV, {"channel": "source->wh", **data})
+            algorithm.on_update("source", notification)
+            if serial < len(rows):
+                wal.snapshot(algorithm)
+        wal.close()
+        names = sorted(n for n in os.listdir(directory) if n.startswith(SNAPSHOT_PREFIX))
+        assert names == [_snapshot_name(lsn) for lsn in range(3)]
+        return directory, names
+
+    def reseal(self, directory, name, change):
+        """Rewrite one snapshot with ``change`` applied to its fields,
+        sealed again so that its CRC holds."""
+        path = os.path.join(directory, name)
+        fields = json.loads(open(path, encoding="utf-8").read())
+        del fields["crc"]
+        change(fields)
+        sealed = _seal({key: canonical_json(value) for key, value in fields.items()})
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(sealed + "\n")
+
+    def refused(self, directory, name):
+        with pytest.raises((RecoveryError, WalCorruption)) as caught:
+            recover(directory)
+        assert name in str(caught.value)
+        return str(caught.value)
+
+    def test_the_chain_recovers_the_live_algorithm(self, tmp_path):
+        algorithm = self.eca()
+        directory, _ = self.chain(tmp_path, algorithm)
+        result = recover(directory)
+        assert (result.snapshot_lsn, result.replayed) == (2, 1)
+        assert dumps_algorithm(result.algorithm) == dumps_algorithm(algorithm)
+
+    def test_a_missing_base(self, tmp_path):
+        directory, names = self.chain(tmp_path)
+        os.remove(os.path.join(directory, names[1]))
+        assert "does not exist" in self.refused(directory, names[1])
+
+    def test_a_missing_newest_link_is_not_a_shorter_chain(self, tmp_path):
+        directory, names = self.chain(tmp_path)
+        os.remove(os.path.join(directory, names[2]))
+        assert "missing" in self.refused(directory, names[2])
+
+    @pytest.mark.parametrize("base", [2, 5, -1, "1", None])
+    def test_a_base_not_below_the_links_own_lsn(self, tmp_path, base):
+        directory, names = self.chain(tmp_path)
+        self.reseal(directory, names[2], lambda fields: fields.update(base=base))
+        self.refused(directory, names[2])
+
+    def test_a_base_that_names_no_file(self, tmp_path):
+        directory, names = self.chain(tmp_path)
+        os.rename(os.path.join(directory, names[0]), os.path.join(directory, "kept"))
+        self.reseal(directory, names[1], lambda fields: fields.update(base=0))
+        assert "does not exist" in self.refused(directory, names[1])
+
+    def test_a_cycle(self, tmp_path):
+        """The root names the newest link as its base: no walk from the
+        newest snapshot ends at a root."""
+        directory, names = self.chain(tmp_path)
+        self.reseal(directory, names[0], lambda fields: fields.update(base=2))
+        self.refused(directory, names[0])
+
+    @pytest.mark.parametrize("stamp", [4, 6])
+    def test_a_link_of_another_codec_version(self, tmp_path, stamp):
+        directory, names = self.chain(tmp_path)
+        self.reseal(directory, names[1], lambda fields: fields.update(v=stamp))
+        message = self.refused(directory, names[1])
+        assert f"v{stamp}" in message and f"v{CODEC_VERSION}" in message
+
+    def test_a_v4_directory_is_refused_by_version(self, tmp_path):
+        directory, names = self.chain(tmp_path)
+        for name in names[1:]:
+            os.remove(os.path.join(directory, name))
+        os.remove(wal_path(tmp_path))
+        self.reseal(directory, names[0], lambda fields: fields.update(v=4))
+        assert "v4" in self.refused(directory, names[0])
+
+    def test_a_catalog_delta_naming_a_member_its_base_lacks(self, tmp_path):
+        from repro.warehouse.catalog import WarehouseCatalog
+
+        members = {"V": self.eca(), "P": self.eca("P", ("W",))}
+        directory, names = self.chain(tmp_path, WarehouseCatalog(members))
+
+        def rename_member(fields):
+            (member,) = [m for m in fields["algo"]["members"] if m[0] == "P"]
+            member[0] = "Q"
+
+        self.reseal(directory, names[1], rename_member)
+        assert "'Q'" in self.refused(directory, names[1])
+
+    def test_damage_anywhere_in_any_link_is_refused(self, tmp_path):
+        """Each link deleted, every 97th byte flipped, cut at every 64th
+        byte.  The one cut that is no damage — the final newline alone —
+        must recover what the intact chain does."""
+        directory, names = self.chain(tmp_path)
+        intact = dumps_algorithm(recover(directory).algorithm)
+        for name in names:
+            path = os.path.join(directory, name)
+            data = open(path, "rb").read()
+            damaged = [None]
+            damaged += [
+                data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
+                for at in range(0, len(data), 97)
+            ]
+            damaged += [data[:at] for at in range(0, len(data), 64)]
+            for variant in damaged:
+                if variant is None:
+                    os.remove(path)
+                else:
+                    with open(path, "wb") as handle:
+                        handle.write(variant)
+                if variant == data[:-1]:
+                    assert dumps_algorithm(recover(directory).algorithm) == intact
+                else:
+                    self.refused(directory, name)
+            with open(path, "wb") as handle:
+                handle.write(data)
+        assert dumps_algorithm(recover(directory).algorithm) == intact

@@ -21,7 +21,9 @@ directories holding a checkout (``.`` is the working tree).  Two halves:
    --metrics-out --trace-out --require-consistent``.  Exit code, stderr,
    stdout, metrics, trace and the state ``recover`` rebuilds from every
    WAL directory are compared, and the change's ``recover`` must also
-   rebuild the parent's directories to what the parent's does.
+   rebuild the parent's directories to what the parent's does — or,
+   when the change bumps ``CODEC_VERSION``, refuse each of them by
+   version, naming the parent's.
 
 A change that is *meant* to move some bytes names them with ``--allow``
 (:data:`ALLOWANCES`) instead of editing this file.  Wall-clock figures
@@ -70,8 +72,10 @@ ALLOWANCES = {
     "wal-layout": "WAL record and snapshot counts, LSNs, replayed record "
     "counts, and wal.snapshot spans (span ids renumbered)",
     "planner-counts": "the shared-compensation planner's issued / saved "
-    "query counts, which are not persisted: a recovered catalog restarts "
-    "them at its snapshot, so they move with snapshot placement",
+    "query counts, which trees before codec v5 did not persist: there a "
+    "recovered catalog restarts them at its snapshot, so they move with "
+    "snapshot placement.  Since v5 they survive a crash, so only a "
+    "comparison against an older tree needs this",
 }
 
 #: Matrix axes: name -> (label, ``repro runtime`` arguments) per value.
@@ -303,10 +307,13 @@ def recovered_state(directory: str) -> Dict[str, object]:
     state = encode_algorithm(algorithm)
     if not isinstance(state, str):
         state = canonical_json(state)
+    stats = getattr(algorithm, "shared_query_stats", None)
     return {
         "view": text_hash(canonical_json(encode_value(algorithm.view_state()))),
-        # View contents, COLLECT, UQS queries, configuration: everything.
-        "state": text_hash(state),
+        # View contents, COLLECT, UQS queries, configuration: everything
+        # but the planner's counts (codec v5 holds them), which follow.
+        "state": text_hash(_PLANNER_COUNTS.sub("", state)),
+        "planner": list(stats()) if stats is not None else None,
         "uqs": list(algorithm.pending_query_ids()),
         "reissue": [
             [destination, request.query_id, text_hash(canonical_json(encode_value(request.query)))]
@@ -316,6 +323,10 @@ def recovered_state(directory: str) -> Dict[str, object]:
         "lsns": [result.snapshot_lsn, result.last_lsn],
         "torn": result.torn_records,
     }
+
+
+#: A catalog's planner counts inside its encoded pending state.
+_PLANNER_COUNTS = re.compile(r',\["issued",[0-9]+\],\["saved",[0-9]+\]')
 
 
 def print_recovered(directories: Sequence[str]) -> None:
@@ -492,9 +503,12 @@ def normalize_trace(path: str, allow: Allow) -> List[str]:
 
 
 def normalize_recovered(state: Dict[str, object], allow: Allow) -> Dict[str, object]:
-    if "wal-layout" in allow:
-        return {k: v for k, v in state.items() if k not in ("replayed", "lsns")}
-    return state
+    masked = {
+        "wal-layout": ("replayed", "lsns"),
+        "planner-counts": ("planner",),
+    }
+    hidden = {key for name in allow if name in masked for key in masked[name]}
+    return {k: v for k, v in state.items() if k not in hidden}
 
 
 # --------------------------------------------------------------------- #
@@ -772,6 +786,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }
         own = {role: recover_all(tree, directories[role], work) for role, tree in trees.items()}
         crossed = recover_all(trees["change"], directories["parent"], work)
+        versions = {
+            role: tree.python(["-c", _CODEC_VERSION], cwd=work).stdout.strip()
+            for role, tree in trees.items()
+        }
         parent_rows = os.path.join(work, "parent-rows")
         for path in directories["parent"]:
             relative = os.path.relpath(path, parent_rows)
@@ -786,9 +804,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "WAL directories", where, "recover",
                 normalize_recovered(a, allow), normalize_recovered(b, allow), a, b,
             )
-            report.compare(
-                "WAL directories", where, "recovered by the change", a, crossed[path]
+            if versions["parent"] == versions["change"]:
+                report.compare(
+                    "WAL directories", where, "recovered by the change", a, crossed[path]
+                )
+                continue
+            refusal = str(crossed[path].get("error"))
+            refused = refusal.startswith("RecoveryError") and (
+                f"codec v{versions['parent']};" in refusal
             )
+            report.compare("WAL directories", where, "refused by version", True, refused)
         extra = len(directories["change"]) - len(directories["parent"])
         if extra > 0:
             report.differences.append(("wal", "recover", f"{extra} directories only in change"))
@@ -799,6 +824,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not args.keep:
             shutil.rmtree(work, ignore_errors=True)
 
+
+_CODEC_VERSION = "from repro.durability import CODEC_VERSION; print(CODEC_VERSION)"
 
 #: Registry names, multi-source ones starred (they take no shards or sharing).
 _LIST_ALGORITHMS = (
