@@ -22,7 +22,7 @@ inside the algorithm; kernels treat query ids as opaque.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple, cast
+from typing import Any, Dict, List, Optional, Tuple, cast
 
 from repro.errors import ProtocolError
 from repro.messaging.messages import (
@@ -91,6 +91,11 @@ class WarehouseAlgorithm:
         #: relation name -> owning source name (for routing); bound by the
         #: kernel via :meth:`bind_owners`, or by multi-source constructors.
         self.owners: Dict[str, str] = {}
+        #: The one source owning every relation the view reads, once
+        #: :meth:`bind_owners` knows it: the only origin :meth:`on_answer`
+        #: accepts.  ``None`` (unbound, or a view over several sources)
+        #: checks nothing.
+        self.answer_source: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Routed event API (called by the execution kernels)
@@ -105,6 +110,12 @@ class WarehouseAlgorithm:
         """
         if not self.owners:
             self.owners = dict(owners)
+        found = {
+            self.owners[relation]
+            for relation in self.view.reactive_relations()
+            if relation in self.owners
+        }
+        self.answer_source = found.pop() if len(found) == 1 else None
 
     def on_update(self, source: Optional[str], notification: UpdateNotification) -> Routed:
         """Process ``W_up``: an update notification arrived from ``source``.
@@ -136,7 +147,16 @@ class WarehouseAlgorithm:
         """Process ``W_ans``: a query answer arrived from ``source``.
 
         Returns follow-up ``(destination, request)`` pairs (usually none).
+        A single-source family sends every query to :attr:`answer_source`,
+        so an answer from any other source is refused before the handler
+        sees it.
         """
+        expected = self.answer_source
+        if expected is not None and source != expected:
+            raise ProtocolError(
+                f"{self.name}: answer {answer.query_id} for view "
+                f"{self.view.name!r} came from {source}, not from {expected}"
+            )
         return self._route_all(self.handle_answer(answer))
 
     def on_refresh(self) -> Routed:
@@ -300,23 +320,6 @@ class WarehouseAlgorithm:
         meaning "record :meth:`view_state` whole".
         """
         return self.mv.take_changes()
-
-    def dirty_keys(self) -> Set[Tuple[str, Tuple[object, ...]]]:
-        """Serving-cache keys dirtied since the last call (and reset).
-
-        Each entry is ``(view_name, cache_key)`` where the cache key is the
-        view's serving key projected out of the dirty row — or the whole
-        row when :meth:`View.serving_key_positions` finds no usable key.
-        Over-invalidation is allowed; missing a changed key is not.
-        """
-        rows = self.mv.drain_dirty()
-        if not rows:
-            return set()
-        name = self.view.name
-        positions = self.view.serving_key_positions()
-        if positions is None:
-            return {(name, tuple(row)) for row in rows}
-        return {(name, tuple(row[i] for i in positions)) for row in rows}
 
     def is_quiescent(self) -> bool:
         """True when no queries are outstanding and no work is buffered."""

@@ -439,7 +439,7 @@ def _pairs_text(pairs: Sequence[Tuple[object, int]]) -> str:
 
 def _contents_text(mv: MaterializedView) -> str:
     """A view's contents as the ``mv`` form and an algorithm snapshot's
-    ``bag`` hold them, rendered once per version of the contents."""
+    ``bag`` hold them, rendered once between two writes of the view."""
     text = mv.encoded_contents
     if text is None:
         text = mv.encoded_contents = _pairs_text(mv.contents_pairs())

@@ -14,7 +14,7 @@ it reads.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.protocol import WarehouseAlgorithm
 from repro.errors import ProtocolError
@@ -30,15 +30,9 @@ from repro.relational.expressions import Query
 from repro.simulation.trace import W_ANS, W_REF, W_UP
 from repro.source.base import Source
 
-#: Serving-cache keys one event dirtied: ``(view_name, cache_key)`` pairs.
-DirtyKeys = FrozenSet[Tuple[str, Tuple[object, ...]]]
-
-#: What dispatch returns: the trace kind, the detail string, the routed
-#: ``(destination, request)`` pairs the algorithm emitted, and the serving
-#: cache keys the event dirtied.
-DispatchResult = Tuple[
-    str, str, List[Tuple[Optional[str], QueryRequest]], DirtyKeys
-]
+#: What dispatch returns: the trace kind, the detail string and the routed
+#: ``(destination, request)`` pairs the algorithm emitted.
+DispatchResult = Tuple[str, str, List[Tuple[Optional[str], QueryRequest]]]
 
 
 def event_kind(message: Message) -> str:
@@ -170,9 +164,7 @@ def dispatch_event(
         )
     else:  # pragma: no cover - event_kind already rejected it
         raise ProtocolError(f"warehouse received unknown message: {message!r}")
-    # Drain dirty rows even when no serving cache is attached, so the
-    # per-event dirty sets stay precise (never accumulate across events).
-    return kind, detail, routed, frozenset(algorithm.dirty_keys())
+    return kind, detail, routed
 
 
 def query_owner(query: Query, owners: Mapping[str, str]) -> str:

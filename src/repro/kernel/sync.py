@@ -40,13 +40,11 @@ from collections import deque
 from typing import (
     Deque,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
     Protocol,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -119,14 +117,14 @@ class Recorder(Protocol):
 class ServingCacheLike(Protocol):
     """Structural interface of the serving cache (``repro.serving``).
 
-    The kernel only *streams invalidations*; it never reads through the
+    The kernel only *drives invalidation*; it never reads through the
     cache itself (reads stay client-side), so this is the whole contract
     and keeps ``repro.kernel`` free of a serving-layer import.
     """
 
-    def invalidate(
-        self, keys: Iterable[Tuple[str, Tuple[object, ...]]]
-    ) -> None: ...
+    def watch(self, warehouse: object) -> None: ...
+
+    def invalidate_writes(self, warehouse: object) -> None: ...
 
 
 class SyncKernel:
@@ -148,10 +146,11 @@ class SyncKernel:
         ``record_evaluation``); when it can size messages it doubles as
         the channel sizer so the B metric shows up in ``sent_bytes``.
     cache:
-        Optional :class:`repro.serving.ServingCache`.  When set, every
-        warehouse event streams its dirtied view keys into the cache, so
-        reads served through the cache between steps see precise
-        maintenance-driven invalidation.
+        Optional :class:`repro.serving.ServingCache`.  When set, it
+        watches the algorithm's views from construction on and every
+        warehouse event invalidates the keys it wrote, so reads served
+        through the cache between steps see precise maintenance-driven
+        invalidation.
     batch_k:
         Maximum run of consecutive update notifications a
         ``warehouse:<name>`` step coalesces into one atomic
@@ -183,6 +182,8 @@ class SyncKernel:
         self._updates: Deque[WorkloadItem] = deque(workload)
         self.owners = relation_owners(self.sources)
         algorithm.bind_owners(self.owners)
+        if cache is not None:
+            cache.watch(algorithm)
         #: The sole source's name in single-source runs (owner routing
         #: shortcut + legacy refresh-on-the-source-channel behavior).
         self._sole = next(iter(self.sources)) if len(self.sources) == 1 else None
@@ -341,9 +342,9 @@ class SyncKernel:
                 f"{name!r} but the channel head is {message!r}"
             )
         origin = name if name in self.sources else None
-        kind, detail, routed, dirtied = dispatch_event(self.algorithm, origin, message)
-        if self.cache is not None and dirtied:
-            self.cache.invalidate(dirtied)
+        kind, detail, routed = dispatch_event(self.algorithm, origin, message)
+        if self.cache is not None:
+            self.cache.invalidate_writes(self.algorithm)
         for destination, request in routed:
             if self.recorder is not None:
                 self.recorder.record_request(request)

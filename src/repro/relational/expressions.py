@@ -131,7 +131,6 @@ class TermShape:
         "condition",
         "source_relation_names",
         "occurrences",
-        "_predicate",
         "plans",
         "condition_signature",
         "encoded",
@@ -152,9 +151,9 @@ class TermShape:
             raise ExpressionError("a term needs a non-empty projection")
         self.condition: Condition = condition if condition is not None else TrueCondition()
         # Resolve names eagerly so malformed terms fail at construction
-        # time; the condition's row predicate is bound lazily because most
-        # terms are evaluated (if at all) through the columnar engine,
-        # which compiles masks itself and never calls the predicate.
+        # time.  The condition's row predicate is not kept: the columnar
+        # engine compiles masks itself, and only the reference evaluator
+        # (:meth:`Term.evaluate`) binds it, once per call.
         self.positions: Tuple[int, ...] = tuple(
             self.product.resolve(name) for name in self.projection
         )
@@ -176,7 +175,6 @@ class TermShape:
         self.occurrences: Dict[str, Tuple[int, ...]] = {
             base: tuple(indices) for base, indices in occurrences.items()
         }
-        self._predicate: Optional[Callable[[Row], bool]] = None
         self.plans: Dict[Tuple[bool, ...], object] = {}
         self.condition_signature: Optional[Tuple[object, ...]] = None
         self.encoded: Optional[str] = None
@@ -184,13 +182,6 @@ class TermShape:
         self.probe_keys: Dict[
             Tuple[Tuple[bool, ...], int], Optional[Tuple[int, int, int]]
         ] = {}
-
-    def predicate(self) -> Callable[[Row], bool]:
-        """The condition bound to the product, compiled on first use."""
-        predicate = self._predicate
-        if predicate is None:
-            predicate = self._predicate = self.condition.bind(self.product)
-        return predicate
 
 
 def _single_column(position: int) -> Callable[[Row], Row]:
@@ -382,7 +373,7 @@ class Term:
         through, and the term's coefficient multiplies the result.
         """
         shape = self.shape
-        predicate = shape.predicate()
+        predicate = shape.condition.bind(shape.product)
         result = SignedBag()
         if self.is_fully_bound():
             # Appendix D's local evaluation: one candidate row, no source.

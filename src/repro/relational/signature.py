@@ -120,15 +120,16 @@ def term_signature(term: Term) -> Signature:
     from one view term; only the operands and the sign are per term.
     """
     shape = term.shape
-    if shape.condition_signature is None:
-        shape.condition_signature = condition_signature(
+    condition = shape.condition_signature
+    if condition is None:
+        condition = shape.condition_signature = condition_signature(
             shape.condition, shape.product
         )
     return (
         "term",
         tuple(_operand_signature(op) for op in term.operands),
         shape.positions,
-        shape.condition_signature,
+        condition,
         term.coefficient,
     )
 

@@ -230,8 +230,8 @@ class View:
                     f"attribute equated to it)"
                 )
             positions.append(twin)
-        self._key_positions[relation] = tuple(positions)
-        return self._key_positions[relation]
+        found = self._key_positions[relation] = tuple(positions)
+        return found
 
     def serving_key_positions(self) -> Optional[Tuple[int, ...]]:
         """Output positions the serving tier keys cache entries by.

@@ -326,7 +326,9 @@ class WarehouseActor:
 
     ``cache`` is the serving cache receiving this warehouse's precise
     invalidations (``repro.serving.ServingCache`` or None; in sharded
-    runs every shard actor shares the one client-side cache).
+    runs every shard actor shares the one client-side cache).  It
+    watches the incarnation's views from construction on, so a
+    recovery's replay, which ran before, invalidates nothing.
     ``batch_k`` is the maximum run of already-delivered consecutive
     update notifications to coalesce into one atomic UpdateBatch event
     (1 = never batch, the legacy per-update protocol).
@@ -349,6 +351,8 @@ class WarehouseActor:
         self.owners = dict(owners)
         self.recorder = recorder
         self.cache = cache
+        if cache is not None:
+            cache.watch(unit.algorithm)
         self.batch_k = max(1, batch_k)
         self.event_index = event_index
         self._reissue = list(reissue or [])
@@ -420,14 +424,14 @@ class WarehouseActor:
                 for qid in pending_before
                 if not (begin_kind == "W_ans" and qid == message.query_id)
             )
-        kind, detail, routed, dirtied = dispatch_event(algorithm, origin, message)
+        kind, detail, routed = dispatch_event(algorithm, origin, message)
         # Invalidations stream out before the crash decision below: a real
         # deployment's cache tier outlives the warehouse process, and the
         # pre-crash incarnation already applied this event to its state.
-        # (Recovery replay re-drains the same keys inside dispatch_event
-        # and discards them — each event invalidates exactly once.)
-        if self.cache is not None and dirtied:
-            self.cache.invalidate(dirtied)
+        # (Recovery replays it into views no cache watches yet — each
+        # event invalidates exactly once.)
+        if self.cache is not None:
+            self.cache.invalidate_writes(algorithm)
         self.event_index += 1
         fired = False
         if unit.crash_run is not None:

@@ -315,15 +315,15 @@ def run_concurrent(
         the full trace.
     cache:
         A :class:`repro.serving.ServingCache` fronting the warehouse for
-        read traffic.  The warehouse actor streams each event's dirtied
-        view keys into it (precise invalidation); a ``read_workload``
+        read traffic.  The warehouse actor streams the keys each event
+        wrote into it (precise invalidation); a ``read_workload``
         is served through it by a reader actor.  In a sharded run the
         one cache sits in front of all the shards, shared by every shard
         actor's invalidation stream and read through the merged facade —
         a shard crash-and-recover swaps incarnations under it without
         losing invalidations (the dead incarnation pushed them before
-        dying, and replayed events drain their dirty sets unsent,
-        exactly once each).
+        dying, and the recovered one is watched only after its replay,
+        so each event invalidates exactly once).
     read_workload:
         ``(view, key)`` addresses for a :class:`ReadClientActor` —
         usually :func:`repro.workloads.random_gen.zipf_read_workload`

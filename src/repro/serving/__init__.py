@@ -1,10 +1,10 @@
 """``repro.serving`` — the bounded-staleness read-serving tier.
 
 A cache-aside layer between read clients and the warehouse, invalidated
-*precisely* by the maintenance stream (each atomic warehouse event
-reports the serving keys it dirtied) and willing to serve entries up to
-a configured number of maintenance events stale, annotated with their
-lag.  See ``docs/SERVING.md`` for the full design.
+*precisely* by the maintenance stream (after each atomic warehouse event,
+the serving keys of the rows its views journaled) and willing to serve
+entries up to a configured number of maintenance events stale, annotated
+with their lag.  See ``docs/SERVING.md`` for the full design.
 
 The package is read-only by construction — it never mutates warehouse
 state and never sends on a channel; the bound-0 equivalence tests fail

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, List, Mapping, Tuple
 
 from repro.relational.bag import SignedBag
-from repro.serving.keys import Key, ViewKey, row_key
+from repro.serving.keys import Key, ViewKey, members, row_key
 
 
 class WarehouseReader:
@@ -43,10 +43,7 @@ class WarehouseReader:
     def _members(self) -> Tuple[Mapping[str, object], bool]:
         """``(view name -> member algorithm, rows are tagged)``, right now."""
         warehouse = getattr(self._frontend, "algorithm", self._frontend)
-        members = getattr(warehouse, "algorithms", None)
-        if members is None:
-            return {warehouse.view.name: warehouse}, False
-        return members, True
+        return members(warehouse), hasattr(warehouse, "algorithms")
 
     @property
     def view_names(self) -> List[str]:

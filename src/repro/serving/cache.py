@@ -4,10 +4,11 @@
 classic cache-aside design with two twists from the literature:
 
 - **Maintenance-driven invalidation.**  Instead of TTLs, the maintenance
-  stream itself invalidates: every atomic warehouse event reports the
-  serving keys its view writes dirtied (``dirty_keys()`` through
-  :func:`repro.kernel.dispatch.dispatch_event`), and those exact keys —
-  no more — are streamed into :meth:`invalidate`.
+  stream itself invalidates: the cache reads each member view's change
+  journal under its own name (:meth:`ServingCache.watch`), and after
+  every atomic warehouse event the serving keys of the rows it wrote —
+  no more — are streamed into :meth:`invalidate`
+  (:meth:`ServingCache.invalidate_writes`).
 - **Bounded staleness** (Stale View Cleaning, arXiv:1509.07454).  An
   invalidated entry is not discarded; it remembers *how many* maintenance
   events have touched its key since it was loaded (``updates_behind``).
@@ -26,7 +27,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.serving.keys import Key, ViewKey
+from repro.serving.keys import Key, ViewKey, written_keys
 
 
 class LRUPolicy:
@@ -73,7 +74,7 @@ class CacheEntry:
 
     def __init__(self, value: object) -> None:
         self.value = value
-        #: Maintenance events that dirtied this key since the value was
+        #: Maintenance events that wrote this key since the value was
         #: loaded — the entry's distance behind the warehouse, in events.
         self.updates_behind = 0
 
@@ -204,8 +205,25 @@ class ServingCache:
     # The maintenance-facing side
     # ------------------------------------------------------------------ #
 
+    def watch(self, warehouse: object) -> None:
+        """Open this cache's journal on every member view of ``warehouse``.
+
+        Called when an incarnation starts, before its first event: what a
+        view held before is what the cache starts empty of, and what a
+        recovery replays was invalidated by the incarnation that first
+        applied it.  A view no cache watches journals nothing for one.
+        """
+        written_keys(warehouse, self)
+
+    def invalidate_writes(self, warehouse: object) -> None:
+        """One maintenance event of ``warehouse`` ended: invalidate the
+        keys its views wrote since the last call (:func:`written_keys`)."""
+        keys = written_keys(warehouse, self)
+        if keys:
+            self.invalidate(keys)
+
     def invalidate(self, keys: Iterable[ViewKey]) -> None:
-        """One maintenance event dirtied ``keys``; age matching entries.
+        """One maintenance event wrote ``keys``; age matching entries.
 
         Every key counts as an invalidation whether or not it is resident
         (the stream's volume is a property of the write path, not of what

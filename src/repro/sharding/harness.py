@@ -62,27 +62,18 @@ class ShardedWarehouse:
     catalog over the same views would expose).
     """
 
-    __slots__ = ("units", "_parts", "_merged")
+    __slots__ = ("units",)
 
     def __init__(self, units: Sequence[WarehouseUnit]) -> None:
         #: Ascending by shard id (the order :func:`shard_units` builds).
         self.units = tuple(units)
-        #: The units' unions the merged view was last built from; a
-        #: shard's catalog hands out the same object until it changes.
-        self._parts: Tuple[SignedBag, ...] = ()
-        self._merged = SignedBag()
 
     def view_state(self) -> SignedBag:
-        """The merged view, read-only; the same object while no shard moved."""
-        parts = tuple(unit.view_state() for unit in self.units)
-        if not self._parts or any(
-            new is not old for new, old in zip(parts, self._parts)
-        ):
-            merged = SignedBag()
-            for part in parts:
-                merged.add_bag(part)
-            self._parts, self._merged = parts, merged
-        return self._merged
+        """The merged view: a fresh bag, built on each call."""
+        merged = SignedBag()
+        for unit in self.units:
+            merged.add_bag(unit.view_state())
+        return merged
 
     def view_changes(self) -> Optional[Changes]:
         """Every unit's changes, in shard order; ``None`` if any unit's is."""

@@ -38,13 +38,13 @@ query is still in flight), so the tagged union can mix ``V1[ss_2]`` with
 follow-up; Section 7's "ECA is simply applied to each view separately"
 buys per-view consistency only.  Use
 :func:`repro.simulation.trace.project_view` to check each view on its own
-timeline; the catalog itself keeps no history — only each member's
-current tagged rows and their union, bounded by its members.
+timeline; the catalog itself keeps no history, and no copy of its
+members' rows: :meth:`WarehouseCatalog.view_state` tags them on each call.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.messaging.messages import (
@@ -98,17 +98,6 @@ class WarehouseCatalog:
                 self._interested.setdefault(relation, []).append(
                     (position, view_name, algorithm)
                 )
-        #: Members an event was delivered to since the last
-        #: :meth:`dirty_keys` — the only ones whose views can have moved.
-        #: Everyone after a refresh and at first (so after a restore too:
-        #: recovery decodes the members, then builds the catalog).
-        self._touched: "Dict[str, WarehouseAlgorithm]" = dict(self.algorithms)
-        #: view name -> (the member's ``mv.version``, its rows tagged at
-        #: that version); :meth:`view_state` re-tags a member only when
-        #: its version moved.
-        self._tagged: Dict[str, Tuple[int, SignedBag]] = {}
-        #: The union of ``_tagged``, rebuilt only after a re-tag.
-        self._union: Optional[SignedBag] = None
 
     @property
     def share_compensation(self) -> bool:
@@ -129,11 +118,9 @@ class WarehouseCatalog:
         self, source: Optional[str], notification: UpdateNotification
     ) -> "Routed":
         members: List[MemberRequest] = []
-        touched = self._touched
         for _, view_name, algorithm in self._interested.get(
             notification.update.relation, ()
         ):
-            touched[view_name] = algorithm
             for destination, request in algorithm.on_update(source, notification):
                 members.append((view_name, destination, request))
         return self._planner.plan(members)
@@ -155,10 +142,8 @@ class WarehouseCatalog:
             )
         }
         members: List[MemberRequest] = []
-        touched = self._touched
         for position in sorted(interested):
             view_name, algorithm = interested[position]
-            touched[view_name] = algorithm
             for destination, request in algorithm.on_update_batch(source, batch):
                 members.append((view_name, destination, request))
         return self._planner.plan(members)
@@ -177,8 +162,7 @@ class WarehouseCatalog:
         subscribers = self._planner.subscribers(answer.query_id)
         members: List[MemberRequest] = []
         for view_name, local_id in subscribers:
-            algorithm = self._touched[view_name] = self.algorithms[view_name]
-            for destination, request in algorithm.on_answer(
+            for destination, request in self.algorithms[view_name].on_answer(
                 source, QueryAnswer(local_id, answer.answer)
             ):
                 members.append((view_name, destination, request))
@@ -186,7 +170,6 @@ class WarehouseCatalog:
         return self._planner.plan(members)
 
     def on_refresh(self) -> "Routed":
-        self._touched = dict(self.algorithms)
         members: List[MemberRequest] = []
         for view_name, algorithm in self.algorithms.items():
             for destination, request in algorithm.on_refresh():
@@ -198,27 +181,16 @@ class WarehouseCatalog:
     # ------------------------------------------------------------------ #
 
     def view_state(self) -> SignedBag:
-        """The tagged union of the members' contents, as a read-only snapshot.
+        """The tagged union of the members' contents, built on each call.
 
-        Only a member whose ``mv.version`` moved since the last call is
-        read and re-tagged, and the union is rebuilt only then: while no
-        member changes, every call returns the *same object*, which is
-        how consecutive ``ws_j`` of a trace come to share it.
+        A fresh bag the catalog keeps no reference to; the recorder reads
+        it only for ``ws_0`` and after a recovery, and every other
+        ``ws_j`` from :meth:`view_changes`.
         """
-        union = self._union
+        union = SignedBag()
         for view_name, algorithm in self.algorithms.items():
-            version = algorithm.mv.version
-            held = self._tagged.get(view_name)
-            if held is None or held[0] != version:
-                tagged = SignedBag()
-                for row, count in algorithm.view_state().items():
-                    tagged.add((view_name,) + row, count)
-                self._tagged[view_name] = (version, tagged)
-                union = None
-        if union is None:
-            union = self._union = SignedBag()
-            for _, tagged in self._tagged.values():
-                union.add_bag(tagged)
+            for row, count in algorithm.view_state().items():
+                union.add((view_name,) + row, count)
         return union
 
     def view_changes(self) -> Optional[Changes]:
@@ -249,22 +221,6 @@ class WarehouseCatalog:
 
     def state_of(self, view_name: str) -> SignedBag:
         return self.algorithms[view_name].view_state()
-
-    def dirty_keys(self) -> Set[Tuple[str, Tuple[object, ...]]]:
-        """Union of member dirty keys, re-tagged with the catalog key.
-
-        A member's own view name may differ from the name it is registered
-        under, so entries carry the registration key — the name clients
-        address reads with.  A shared answer dirties every subscriber
-        view within the one event, so the serving tier's invalidation
-        stream stays precise under sharing.
-        """
-        out: Set[Tuple[str, Tuple[object, ...]]] = set()
-        touched, self._touched = self._touched, {}
-        for view_name, algorithm in touched.items():
-            for _, key in algorithm.dirty_keys():
-                out.add((view_name, key))
-        return out
 
     @property
     def uqs(self) -> Dict[int, object]:

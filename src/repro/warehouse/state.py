@@ -26,10 +26,11 @@ class MaterializedView:
     next write copies it once before touching it — so a view nobody
     looked at is written in place, and a view nobody wrote is never
     copied.  Every write goes through :meth:`_write`, the one place that
-    knows the contents changed: it drops :attr:`encoded_contents`, bumps
-    :attr:`version`, records the dirty rows, keeps the serving-key
-    index (:meth:`rows_for_key`) current and journals the pairs it
-    applied for every reader that asked for them (:meth:`take_changes`).
+    knows the contents changed: it drops :attr:`encoded_contents`, keeps
+    the serving-key index (:meth:`rows_for_key`) current and journals the
+    pairs it applied for every reader that asked for them
+    (:meth:`take_changes`) — the history recorder, a WAL's snapshot
+    chain and a serving cache.
 
     Parameters
     ----------
@@ -50,14 +51,6 @@ class MaterializedView:
         #: Whether a :meth:`view_state` snapshot aliases ``_contents``;
         #: while it does, the next write copies before it mutates.
         self._shared = False
-        #: Bumped by every write that changes anything: two reads of the
-        #: same version saw the same contents, which is what lets the
-        #: catalog re-use an unchanged member's tagged rows.
-        self.version = 0
-        #: Rows whose multiplicity changed since the last ``drain_dirty``.
-        #: The serving tier turns these into precise cache invalidations;
-        #: the initial contents are not dirty (caches start empty).
-        self._dirty: Set[Row] = set()
         #: Rows an ``"allow"`` delta left with a minus sign (empty for
         #: every other policy), so a later ``"raise"`` / ``"clamp"`` finds
         #: them without scanning the bag.
@@ -75,7 +68,8 @@ class MaterializedView:
         self._key_positions: Optional[Tuple[int, ...]] = None
         #: Per reader, the ``(row, delta)`` pairs written since its last
         #: :meth:`take_changes`.  A reader has no journal until its first
-        #: call, so a view nobody records or snapshots journals nothing.
+        #: call, so a view nobody records, snapshots or serves journals
+        #: nothing.
         self._journals: Dict[Optional[Hashable], Changes] = {}
 
     def _key_of(self, row: Row) -> Row:
@@ -151,8 +145,8 @@ class MaterializedView:
         current contents.  The first call has no previous state: it opens
         the reader's journal and returns ``None``, meaning "record a full
         :meth:`view_state`".  Each reader has a journal of its own — the
-        history recorder is the default reader, a WAL's snapshot chain
-        another — so neither takes what the other has not read.
+        history recorder is the default reader, a WAL's snapshot chain and
+        a serving cache others — so none takes what another has not read.
         """
         changes = self._journals.get(reader)
         self._journals[reader] = []
@@ -167,18 +161,6 @@ class MaterializedView:
         """Stop journaling for ``reader`` (a no-op if it has no journal)."""
         self._journals.pop(reader, None)
 
-    def drain_dirty(self) -> Set[Row]:
-        """Rows touched by writes since the last drain (and reset the set).
-
-        Every write path (:meth:`apply_delta`, :meth:`replace`,
-        :meth:`key_delete`) records the rows whose multiplicity it changed;
-        over-reporting is allowed (a clamped delta row counts), dropping a
-        changed row is not — cache invalidation depends on completeness.
-        """
-        dirtied = self._dirty
-        self._dirty = set()
-        return dirtied
-
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
@@ -187,9 +169,9 @@ class MaterializedView:
         """Add ``(row, signed count)`` pairs to the contents.
 
         The only code that changes the contents, and so the only code
-        that copies a shared bag, drops the rendered text, bumps the
-        version, marks rows dirty, moves them in the index and journals
-        them.  Callers validate first: nothing here raises.
+        that copies a shared bag, drops the rendered text, moves rows in
+        the index and journals them.  Callers validate first: nothing
+        here raises.
         """
         if not changes:
             return
@@ -199,12 +181,10 @@ class MaterializedView:
         for journal in self._journals.values():
             journal.extend(changes)
         self.encoded_contents = None
-        self.version += 1
         contents = self._contents
         negative = self._negative
         index = self._by_key
         for row, delta in changes:
-            self._dirty.add(row)
             contents.add(row, delta)
             count = contents.multiplicity(row)
             if count < 0:

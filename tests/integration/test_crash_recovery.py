@@ -312,7 +312,7 @@ class TestTheLogHoldsWhatRecoveryReplays:
             record["message"] = encode_value(message)
             for wal in wals.values():
                 wal.append(RECV, record)
-            kind, detail, routed, _ = dispatch_event(live, "source", message)
+            kind, detail, routed = dispatch_event(live, "source", message)
             older = wals["older"]
             for destination, request in routed:
                 older.append(

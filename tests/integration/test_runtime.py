@@ -13,6 +13,7 @@ import pytest
 from repro.consistency import check_trace
 from repro.core.eca import ECA
 from repro.core.eca_key import ECAKey
+from repro.costmodel.parameters import PaperParameters
 from repro.multisource.strobe import StrobeStyle
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
@@ -21,6 +22,7 @@ from repro.runtime import FaultPlan, run_concurrent
 from repro.source.memory import MemorySource
 from repro.source.updates import delete, insert
 from repro.warehouse.catalog import WarehouseCatalog
+from repro.workloads.example6 import build_example6
 from repro.workloads.paper_examples import PAPER_EXAMPLES
 from repro.workloads.random_gen import random_workload
 
@@ -75,6 +77,26 @@ class TestFaultsOffStrongConsistency:
             assert len(observations) == 5
             for _, seen in observations:
                 assert seen in exposed
+
+
+class TestThreeRelationStorm:
+    """Example 6's view joins three relations, so a pending term can be
+    bound on any one or two of them; under a storm (updates outrun the
+    answers) every update is compensated against such terms."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eca_stays_strongly_consistent_on_example_6(self, seed):
+        setup = build_example6(
+            PaperParameters(cardinality=40), k=16, seed=seed, key_theta=1.0
+        )
+        source = MemorySource(setup.schemas, setup.initial)
+        warehouse = ECA(setup.view, evaluate_view(setup.view, source.snapshot()))
+        result = run_concurrent(source, warehouse, setup.workload, seed=seed, max_burst=8)
+        report = check_trace(setup.view, result.trace)
+        assert report.strongly_consistent, report.detail
+        assert result.final_view == evaluate_view(
+            setup.view, result.trace.final_source_state
+        )
 
 
 class TestDeterminism:

@@ -194,40 +194,6 @@ class TestRuntimeConformance:
 
 
 class TestOneConstructionPerClass:
-    def test_a_class_builds_once_per_event_not_once_per_member(self, monkeypatch):
-        """Sixteen structurally equal views are one class: over a seeded
-        run the memo calls ECA's builder as often as for one view — once
-        per event — not sixteen times as often.  (Round trips alone would
-        not show it: the planner collapses sixteen built queries to one
-        just the same.)"""
-        from repro.core import eca
-
-        calls = []
-        build = eca._compensate_update
-
-        def counting(view, update, pending):
-            calls.append(update)
-            return build(view, update, pending)
-
-        monkeypatch.setattr(eca, "_compensate_update", counting)
-        counts = {}
-        for n_views in (1, 16):
-            del calls[:]
-            sources, catalog = fanin_setup(n_views, share=True)
-            kernel = Simulation(sources["source"], catalog, list(WORKLOAD))
-            kernel.run(RandomSchedule(11))
-            counts[n_views] = len(calls)
-            assert catalog.shared_query_stats() == (
-                len(WORKLOAD),
-                (n_views - 1) * len(WORKLOAD),
-            )
-            final = sources["source"].snapshot()
-            for name, algorithm in catalog.algorithms.items():
-                assert catalog.state_of(name) == evaluate_view(
-                    algorithm.view, final
-                ), name
-        assert counts[16] == counts[1] == len(WORKLOAD)
-
     def test_a_class_is_scoped_to_the_catalog_built_last(self):
         """``plan_shards`` builds its per-shard catalogs after the one it
         splits: every class is re-scoped to its shard, none spans two."""

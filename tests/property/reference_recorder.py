@@ -8,15 +8,22 @@ view per event that wrote it), and after every ``S_up`` a copy of the
 relation the update touched.  :class:`EagerRecorder` is that recorder,
 over plain lists; :func:`recording_both` runs it beside the real one on
 any frontend, fed the very same calls.
+
+A catalog (and the sharded facade) used to hand out the same tagged
+union while no member's view was written, by remembering each member's
+write count.  They build a fresh union on each call now, so the eager
+recorder keeps that rule itself: it reads every member view's journal
+under its own name and repeats the last state when none was written.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 from unittest import mock
 
 from repro.relational.bag import SignedBag
+from repro.serving.keys import members
 from repro.simulation.trace import (
     C_REF,
     S_QU,
@@ -27,6 +34,9 @@ from repro.simulation.trace import (
 )
 
 State = Dict[str, SignedBag]
+
+#: The journal reader the eager recorder witnesses view writes with.
+WITNESS = "eager"
 
 
 class EagerTrace:
@@ -55,10 +65,10 @@ class EagerRecorder:
     def __init__(
         self,
         sources: Mapping[str, object],
-        view_state: Callable[[], SignedBag],
+        warehouse: object,
         record_trace: bool = True,
     ) -> None:
-        self._view_state = view_state
+        self._warehouse = warehouse
         self.record_trace = record_trace
         self.trace = EagerTrace()
         self.serial = 0
@@ -71,7 +81,25 @@ class EagerRecorder:
             for states in self.per_source_states.values():
                 combined.update(states[0])
             self.trace.source_states.append(combined)
-            self.trace.view_states.append(view_state())
+            self._wrote()
+            self.trace.view_states.append(warehouse.view_state())
+
+    def _wrote(self) -> bool:
+        """Whether some member view was written since the last call; a
+        member with no journal yet (the first call, a recovered one)
+        counts as written."""
+        changes = [
+            member.mv.take_changes(WITNESS)
+            for member in members(self._warehouse).values()
+        ]
+        return any(change != [] for change in changes)
+
+    def _view_state(self) -> SignedBag:
+        """The warehouse's ``view_state()``, or the last one while no view
+        was written."""
+        if self._wrote() or not self.trace.view_states:
+            return self._warehouse.view_state()
+        return self.trace.view_states[-1]
 
     def update(self, source_name: str, update) -> int:
         self.serial += 1
@@ -111,7 +139,7 @@ class BothRecorders(HistoryRecorder):
     """The real recorder, with an :class:`EagerRecorder` fed every call too."""
 
     def __init__(self, sources, warehouse, record_trace: bool = True) -> None:
-        self.eager = EagerRecorder(sources, warehouse.view_state, record_trace)
+        self.eager = EagerRecorder(sources, warehouse, record_trace)
         super().__init__(sources, warehouse, record_trace)
 
     def update(self, source_name, update) -> int:

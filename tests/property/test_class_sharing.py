@@ -13,8 +13,8 @@ things can go wrong, and each has a property here:
     drawn script of updates, batches, answers and refreshes: once as
     built, once with every member given a private memo (what a
     stand-alone algorithm has).  After every event the routed requests
-    (as wire bytes), every member's UQS, COLLECT, view contents and
-    version, and the event's dirty keys must be equal.
+    (as wire bytes), every member's UQS, COLLECT and view contents, and
+    the serving keys the event wrote must be equal.
 (b) *divergence breaks it* — with sharing off the members' answers
     arrive in different events, so their pending lists differ; a codec
     round trip leaves equal but distinct ``Query`` objects.  Results
@@ -42,6 +42,7 @@ from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.unions import UnionView
 from repro.relational.views import View
+from repro.serving.keys import written_keys
 from repro.source.memory import MemorySource
 from repro.source.updates import insert
 from repro.warehouse.catalog import WarehouseCatalog
@@ -98,6 +99,10 @@ def class_of(algorithm):
     return (type(algorithm), algorithm.view.definition())
 
 
+#: The journal reader ``observe`` takes each event's written keys with.
+WITNESS = "witness"
+
+
 def observe(catalog, routed):
     members = {}
     for name, algorithm in catalog.algorithms.items():
@@ -106,15 +111,10 @@ def observe(catalog, routed):
             list(algorithm.uqs.items()),
             None if collect is None else collect.copy(),
             algorithm.mv.as_bag(),
-            algorithm.mv.version,
         )
-    dirty = catalog.dirty_keys()
-    # The catalog drains only the members the event reached; no other
-    # member may be left holding a dirty row.
-    for name, algorithm in catalog.algorithms.items():
-        assert not algorithm.dirty_keys(), name
+    written = written_keys(catalog, WITNESS)
     wire = [(destination, FRAME.encode(request)) for destination, request in routed]
-    return wire, members, dirty
+    return wire, members, written
 
 
 def drive(catalog, workload, script, private):
@@ -128,6 +128,7 @@ def drive(catalog, workload, script, private):
     """
     if private:
         privatize(catalog)
+    written_keys(catalog, WITNESS)  # opens the journals observe reads
     source = MemorySource(SCHEMAS, INITIAL)
     in_flight = deque()
     pending_updates = deque(workload)
@@ -173,6 +174,7 @@ def drive(catalog, workload, script, private):
             catalog = loads_algorithm(dumps_algorithm(catalog))
             if private:
                 privatize(catalog)
+            written_keys(catalog, WITNESS)
             continue
         in_flight.extend(request for _, request in routed)
         observations.append(observe(catalog, routed))

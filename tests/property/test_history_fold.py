@@ -43,6 +43,9 @@ def build(kinds, workload_seed, k):
 class NoWarehouse:
     """An empty view that never changes: only source events are recorded."""
 
+    #: No member views (what the eager recorder witnesses writes on).
+    algorithms = {}
+
     def view_state(self):
         return SignedBag()
 
@@ -71,7 +74,7 @@ def test_folded_states_equal_observed_snapshots(kinds, workload_seed, k, rng):
     rng.shuffle(order)
 
     recorder = HistoryRecorder(sources, NoWarehouse())
-    eager = EagerRecorder(sources, SignedBag)
+    eager = EagerRecorder(sources, NoWarehouse())
     seen_combined = [reference_states(sources)]
     seen_per_source = {name: [source.snapshot()] for name, source in sources.items()}
     cursors = dict.fromkeys(sources, 0)

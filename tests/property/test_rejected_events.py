@@ -14,10 +14,12 @@ answers through :func:`dispatch_event`:
 - an answer whose rows are shorter than the query's output.
 
 Each goes first to a copy decoded from the warehouse's snapshot text.
-The short answer must be rejected: a row of the wrong width in COLLECT
-or the view would be written into every later snapshot.  A copy that
-accepts any of the others has become another run, so the live
-warehouse never sees that event.  A copy that rejects it must raise a
+The answer from the wrong source must be rejected: every family sends a
+query to one source and takes its answer from that source only.  So
+must the short answer: a row of the wrong width in COLLECT or the view
+would be written into every later snapshot.  A copy that accepts either
+of the others has become another run, so the live warehouse never sees
+that event.  A copy that rejects it must raise a
 :class:`ReproError` (ECA-Key's ``ValueError`` for a negative answer
 tuple is its own) and keep its text byte-identical; the live warehouse
 then gets the same event and must do the same.  Finally the run ends
@@ -112,7 +114,7 @@ def malformed(kernel):
     width = len(request.query.terms[0].projection)
     query_id = request.query_id
     events += [
-        (wrong, QueryAnswer(query_id, SignedBag()), False),
+        (wrong, QueryAnswer(query_id, SignedBag()), True),
         (source, QueryAnswer(query_id, SignedBag({(ALIEN,) * width: -5})), False),
         (source, QueryAnswer(query_id, SignedBag({(ALIEN,) * (width - 1): 1})), True),
     ]

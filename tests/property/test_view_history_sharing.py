@@ -13,8 +13,9 @@ change.  Three things can go wrong, and each has a property here:
     ``trace.view_states`` **at the end**, when a corrupted early state
     can no longer hide.
 (b) *the O(|delta|) ``apply_delta``* disagrees with the whole-bag one it
-    replaced (kept below as the reference), on contents, dirty rows or
-    on what a rejected delta leaves behind.
+    replaced (kept below as the reference), on contents, on the rows it
+    journals (what a serving cache invalidates) or on what a rejected
+    delta leaves behind.
 (c) *the serving-key index* drifts from the contents it indexes.
 (d) *the fold* — the recorder stores ``ws_0`` plus each event's
     journaled changes and folds them when read — differs from the eager
@@ -101,11 +102,19 @@ def deep_copy(warehouse):
     return tagged
 
 
-def versions(warehouse):
+#: The journal reader these properties witness writes with.
+WITNESS = "witness"
+
+
+def views(warehouse):
     members = getattr(warehouse, "algorithms", None)
-    if members is None:
-        return (warehouse.mv.version,)
-    return tuple(member.mv.version for member in members.values())
+    return [warehouse.mv] if members is None else [m.mv for m in members.values()]
+
+
+def wrote(warehouse):
+    """Whether any view was written since the last call (the first call
+    opens the witness journals)."""
+    return any([mv.take_changes(WITNESS) for mv in views(warehouse)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,7 +136,8 @@ def test_recorded_view_states_are_never_written_again(
     kernel = SyncKernel({"source": source}, warehouse, workload, batch_k=batch_k)
     trace = kernel.trace
     copies = [deep_copy(warehouse)]
-    stamps = [versions(warehouse)]
+    wrote(warehouse)
+    written = [False]
     schedule = RandomSchedule(schedule_seed)
     while True:
         available = kernel.available_actions()
@@ -136,14 +146,14 @@ def test_recorded_view_states_are_never_written_again(
         kernel.step(schedule.choose(available))
         if len(trace.view_states) > len(copies):
             copies.append(deep_copy(warehouse))
-            stamps.append(versions(warehouse))
+            written.append(wrote(warehouse))
 
     # Compared at the end: a write that edited the bag an earlier ws_j
     # aliases would have corrupted that state by now.
     assert trace.view_states == copies
-    for j in range(1, len(stamps)):
+    for j in range(1, len(written)):
         same = trace.view_states[j] is trace.view_states[j - 1]
-        assert same == (stamps[j] == stamps[j - 1]), j
+        assert same == (not written[j]), j
 
 
 # --------------------------------------------------------------------- #
@@ -208,13 +218,14 @@ def test_apply_delta_equals_the_whole_bag_reference(initial, steps):
     """Mixed policies on one view, so ``"allow"`` then ``"raise"`` (and
     ``"clamp"``) over contents left negative is drawn too."""
     mv = MaterializedView(KEYED, initial)
+    mv.take_changes(WITNESS)
     reference = WholeBagView(initial)
     keys = [(w,) for w in range(3)]
     for delta, policy in steps:
         negative_before = {
             row for row, count in reference.contents.items() if count < 0
         }
-        version, text, index = mv.version, "rendered", index_of(mv, keys)
+        before, text, index = mv.as_bag(), "rendered", index_of(mv, keys)
         mv.encoded_contents = text
         try:
             reference.apply_delta(delta, policy)
@@ -222,16 +233,16 @@ def test_apply_delta_equals_the_whole_bag_reference(initial, steps):
             with pytest.raises(ViewStateError):
                 mv.apply_delta(delta, on_negative=policy)
             # A rejected delta leaves everything exactly as it was.
-            assert mv.version == version
+            assert mv.as_bag() == before
             assert mv.encoded_contents == text
             assert index_of(mv, keys) == index
-            assert mv.drain_dirty() == set()
+            assert mv.take_changes(WITNESS) == []
         else:
             mv.apply_delta(delta, on_negative=policy)
             # The reference forgot rows an earlier "allow" left negative
             # and this "clamp" dropped without the delta naming them; a
             # changed row must be reported, so those (only) are extra.
-            dirty = mv.drain_dirty()
+            dirty = {row for row, _ in mv.take_changes(WITNESS)}
             assert reference.dirty <= dirty <= reference.dirty | negative_before
             reference.dirty = set()
         assert mv.as_bag() == reference.contents
@@ -258,13 +269,17 @@ writes = st.one_of(
 def test_index_lookup_equals_a_scan_after_any_writes(view, initial, steps):
     assert (view.serving_key_positions() is None) == (view is not KEYED)
     mv = MaterializedView(view, initial)
+    mv.take_changes(WITNESS)
     assert_index_matches_a_scan(mv)
     for kind, *args in steps:
         if kind == "key_delete" and view is not KEYED:
             continue  # needs a projected key; only the keyed view has one
-        version, before = mv.version, mv.as_bag()
+        expected = mv.as_bag()
         getattr(mv, kind)(*args)
-        assert (mv.version != version) or mv.as_bag() == before
+        # The journal is what changed: before plus it is after.
+        for row, delta in mv.take_changes(WITNESS):
+            expected.add(row, delta)
+        assert mv.as_bag() == expected
         assert_index_matches_a_scan(mv)
 
 

@@ -8,6 +8,7 @@ from repro.core.compensation import (
     batch_delta_query,
     staged_compensation,
 )
+from repro.core import eca as eca_module
 from repro.core.eca import ECA, _compensate_update
 from repro.messaging.messages import QueryAnswer, UpdateNotification
 from repro.relational.bag import SignedBag
@@ -15,8 +16,11 @@ from repro.relational.conditions import And, Attr, Comparison, Const
 from repro.relational.engine import evaluate_query, evaluate_view
 from repro.relational.expressions import Query
 from repro.relational.views import View
+from repro.simulation.driver import Simulation
+from repro.simulation.schedules import RandomSchedule
 from repro.source.memory import MemorySource
 from repro.source.updates import delete, insert
+from repro.warehouse.catalog import WarehouseCatalog
 
 
 @pytest.fixture
@@ -360,3 +364,50 @@ class TestCompensationMemo:
             [],
         )
         assert batch is not single
+
+    def test_a_class_builds_once_per_event_not_once_per_member(
+        self, monkeypatch, keyed_schemas
+    ):
+        """Sixteen structurally equal views are one class: over a seeded
+        run the memo calls ECA's builder as often as for one view — once
+        per event — not sixteen times as often.  (Round trips alone would
+        not show it: the planner collapses sixteen built queries to one
+        just the same.)"""
+        calls = []
+        build = eca_module._compensate_update
+
+        def counting(view, update, pending):
+            calls.append(update)
+            return build(view, update, pending)
+
+        monkeypatch.setattr(eca_module, "_compensate_update", counting)
+        initial = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
+        workload = [
+            insert("r1", (10, 2)),
+            insert("r2", (2, 20)),
+            insert("r1", (11, 3)),
+            insert("r1", (12, 2)),
+            insert("r2", (3, 21)),
+            insert("r1", (13, 9)),
+            insert("r2", (9, 22)),
+            insert("r1", (14, 2)),
+        ]
+        counts = {}
+        for n_views in (1, 16):
+            del calls[:]
+            source = MemorySource(keyed_schemas, initial)
+            algorithms = {}
+            for index in range(n_views):
+                view = View.natural_join(f"V{index}", keyed_schemas, ["W", "Y"])
+                algorithms[view.name] = ECA(view, evaluate_view(view, source.snapshot()))
+            catalog = WarehouseCatalog(algorithms, share_compensation=True)
+            Simulation(source, catalog, list(workload)).run(RandomSchedule(11))
+            counts[n_views] = len(calls)
+            assert catalog.shared_query_stats() == (
+                len(workload),
+                (n_views - 1) * len(workload),
+            )
+            final = source.snapshot()
+            for name, algorithm in catalog.algorithms.items():
+                assert catalog.state_of(name) == evaluate_view(algorithm.view, final), name
+        assert counts[16] == counts[1] == len(workload)

@@ -13,17 +13,21 @@ the smallest run that shows it:
 - every single-source family that installs answer rows (the ECA family,
   LCA, recompute, the basic baseline) refusing rows narrower than its
   query's output, which it used to add to COLLECT or the view — and so
-  to every later snapshot.
+  to every later snapshot;
+- every single-source family refusing an answer from a source that does
+  not own its view's relations, which it used to install as if its own
+  source had sent it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.registry import create_algorithm
+from repro.cli import _fanout_topology
+from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.durability import dumps_algorithm
 from repro.errors import ProtocolError, ViewStateError
-from repro.kernel.dispatch import dispatch_event
+from repro.kernel.dispatch import dispatch_event, relation_owners
 from repro.messaging.messages import QueryAnswer, RefreshRequest, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
@@ -120,3 +124,27 @@ def test_recompute_refuses_rows_narrower_than_the_query():
 
 def test_basic_refuses_rows_narrower_than_the_query():
     refuses_a_narrow_answer("basic")
+
+
+@pytest.mark.parametrize("frontend", ["algorithm", "catalog"])
+@pytest.mark.parametrize(
+    "family",
+    # Stored copies answer from the warehouse's own copies: nothing is sent.
+    sorted(
+        name
+        for name, cls in ALGORITHMS.items()
+        if not cls.multi_source and name != "stored-copies"
+    ),
+)
+def test_single_source_families_refuse_an_answer_from_another_source(family, frontend):
+    """Two sources, one view each; ``V0`` reads ``s0``'s relations and
+    its query is answered by ``s1``."""
+    sources, algorithms, _ = _fanout_topology(2, 3, 0, family)
+    warehouse = algorithms["V0"] if frontend == "algorithm" else WarehouseCatalog(algorithms)
+    warehouse.bind_owners(relation_owners(sources))
+    dispatch_event(warehouse, "s0", UpdateNotification(insert("s0r1", (7, 2)), 1))
+    dispatch_event(warehouse, None, RefreshRequest(1))  # flushes a buffered update
+    before = dumps_algorithm(warehouse)
+    with pytest.raises(ProtocolError, match="came from s1, not from s0"):
+        dispatch_event(warehouse, "s1", QueryAnswer(1, SignedBag({(7, 5): 1})))
+    assert dumps_algorithm(warehouse) == before

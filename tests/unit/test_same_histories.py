@@ -19,6 +19,7 @@ from same_histories import (  # noqa: E402
     AXES,
     ROW_OUTPUTS,
     SUITES,
+    Tree,
     conflicts,
     history_components,
     normalize_metrics,
@@ -196,3 +197,56 @@ class TestSuiteSessions:
     def test_a_suite_that_ran_no_test_is_refused(self, tmp_path):
         with pytest.raises(SystemExit, match=SUITES[0]):
             self.run(tmp_path, 0, SUITES[1:])
+
+
+class TestCold:
+    """``--cold`` runs every interpreter of the change's side with
+    ``tools/cold_caches.py`` installed, and leaves the other side warm."""
+
+    def test_pytest_loads_the_plugin_and_every_other_command_runs_through_it(
+        self, monkeypatch, tmp_path
+    ):
+        ran = []
+        monkeypatch.setattr(
+            subprocess, "run", lambda args, **kwargs: ran.append(args[1:])
+        )
+        cold = Tree(str(REPO_ROOT), str(tmp_path), "change", cold=True)
+        warm = Tree(str(REPO_ROOT), str(tmp_path), "parent")
+        for tree in (cold, warm):
+            tree.python(["-m", "pytest", "-q", "tests"], cwd=str(tmp_path))
+            tree.python(["-m", "repro", "runtime", "--seed", "1"], cwd=str(tmp_path))
+            tree.python(["-c", "print(1)", "a"], cwd=str(tmp_path))
+        assert ran == [
+            ["-m", "pytest", "-q", "tests", "-p", "cold_caches"],
+            ["-m", "cold_caches", "-m", "repro", "runtime", "--seed", "1"],
+            ["-m", "cold_caches", "-c", "print(1)", "a"],
+            ["-m", "pytest", "-q", "tests"],
+            ["-m", "repro", "runtime", "--seed", "1"],
+            ["-c", "print(1)", "a"],
+        ]
+        assert cold.label.endswith(" cold") and not warm.label.endswith(" cold")
+
+    def test_a_cold_interpreter_keeps_nothing(self, tmp_path):
+        cold = Tree(str(REPO_ROOT), str(tmp_path), "change", cold=True)
+        code = (
+            "import sys\n"
+            "from repro.relational import engine\n"
+            "from repro.relational.expressions import Query\n"
+            "query = Query()\n"
+            "query.encoded = 'text'\n"
+            "engine._SHARED['key'] = 'plan'\n"
+            "print(query.encoded, len(engine._SHARED), sys.argv[1:])"
+        )
+        done = cold.python(["-c", code, "x"], cwd=str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["None", "0", "['x']"]
+        (tmp_path / "test_probe.py").write_text(
+            "def test_the_shared_plan_table_keeps_nothing():\n"
+            "    from repro.relational import engine\n"
+            "    engine._SHARED['key'] = 'plan'\n"
+            "    assert len(engine._SHARED) == 0\n"
+        )
+        args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "test_probe.py"]
+        assert cold.python(args, cwd=str(tmp_path)).returncode == 0
+        warm = Tree(str(REPO_ROOT), str(tmp_path), "parent")
+        assert warm.python(args, cwd=str(tmp_path)).returncode == 1

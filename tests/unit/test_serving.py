@@ -1,8 +1,9 @@
 """Unit tests for ``repro.serving``: cache, policies, reader, keys.
 
-The invalidation-side contracts (dirty-row tracking in
-:class:`MaterializedView`, ``dirty_keys()`` on algorithms and catalogs)
-are tested here too — the serving tier's correctness rests on them.
+The invalidation-side contracts (the rows a :class:`MaterializedView`
+journals for a reader, and :func:`written_keys` projecting them to
+addresses on algorithms and catalogs) are tested here too — the serving
+tier's correctness rests on them.
 """
 
 import asyncio
@@ -26,6 +27,7 @@ from repro.serving import (
     reader_for,
     row_key,
 )
+from repro.serving.keys import written_keys
 from repro.source.memory import MemorySource
 from repro.warehouse.catalog import WarehouseCatalog
 from repro.warehouse.state import MaterializedView
@@ -79,43 +81,52 @@ class TestServingKeyPositions:
 
 
 class TestDirtyTracking:
+    """What a cache invalidates is what each view journaled for it."""
+
+    @staticmethod
+    def written(mv):
+        return {row for row, _ in mv.take_changes("cache")}
+
     def test_apply_delta_reports_changed_rows(self):
         _, _, view = make_view()
         mv = MaterializedView(view, SignedBag({(1, 5): 1}))
-        assert mv.drain_dirty() == set()
+        # Opening the journal reports nothing: caches start empty.
+        assert mv.take_changes("cache") is None
         delta = SignedBag({(2, 6): 1, (1, 5): -1})
         mv.apply_delta(delta)
-        assert mv.drain_dirty() == {(2, 6), (1, 5)}
-        # Draining resets.
-        assert mv.drain_dirty() == set()
+        assert self.written(mv) == {(2, 6), (1, 5)}
+        # Taking resets.
+        assert self.written(mv) == set()
 
     def test_replace_reports_only_differing_rows(self):
         _, _, view = make_view()
         mv = MaterializedView(view, SignedBag({(1, 5): 1, (2, 6): 1}))
-        mv.drain_dirty()
+        mv.take_changes("cache")
         mv.replace(SignedBag({(1, 5): 1, (3, 7): 1}))
-        assert mv.drain_dirty() == {(2, 6), (3, 7)}
+        assert self.written(mv) == {(2, 6), (3, 7)}
 
     def test_key_delete_reports_doomed_rows(self):
         _, _, view = make_view()
         mv = MaterializedView(view, SignedBag({(1, 5): 1, (2, 6): 1}))
-        mv.drain_dirty()
+        mv.take_changes("cache")
         removed = mv.key_delete("r1", (1, 2))
         assert removed == 1
-        assert mv.drain_dirty() == {(1, 5)}
+        assert self.written(mv) == {(1, 5)}
 
     def test_algorithm_dirty_keys_project_serving_keys(self):
         algorithm = make_eca()
+        assert written_keys(algorithm, "cache") == set()
         algorithm.mv.apply_delta(SignedBag({(4, 9): 1}))
-        assert algorithm.dirty_keys() == {("V0", (4,))}
-        assert algorithm.dirty_keys() == set()
+        assert written_keys(algorithm, "cache") == {("V0", (4,))}
+        assert written_keys(algorithm, "cache") == set()
 
     def test_catalog_dirty_keys_are_tagged_per_view(self):
         catalog = WarehouseCatalog(
             {"Va": make_eca("a"), "Vb": make_eca("b")}
         )
+        assert written_keys(catalog, "cache") == set()
         catalog.algorithms["Va"].mv.apply_delta(SignedBag({(7, 7): 1}))
-        assert catalog.dirty_keys() == {("Va", (7,))}
+        assert written_keys(catalog, "cache") == {("Va", (7,))}
 
 
 class TestServingCache:

@@ -3,7 +3,7 @@
 
 Usage::
 
-    python tools/same_histories.py PARENT CHANGE [--allow NAME ...] [--quick]
+    python tools/same_histories.py PARENT CHANGE [--allow NAME ...] [--quick] [--cold]
 
 ``PARENT`` and ``CHANGE`` are git revisions of this repository or
 directories holding a checkout (``.`` is the working tree).  Two halves:
@@ -30,6 +30,11 @@ A change that is *meant* to move some bytes names them with ``--allow``
 are never compared.  Exit status: 0 when nothing else differs, 1
 otherwise.  ``--quick`` keeps every suite and a quarter of the matrix
 (under a minute on two CPUs).
+
+``--cold`` runs everything on the change's side — the suites, every
+matrix row and every ``recover`` — with every cache cold
+(``tools/cold_caches.py``).  ``. . --cold`` then compares one tree warm
+against itself cold: any difference is a cache that changed an answer.
 """
 
 from __future__ import annotations
@@ -519,7 +524,9 @@ def normalize_recovered(state: Dict[str, object], allow: Allow) -> Dict[str, obj
 class Tree:
     """One side of the comparison: a checkout with ``src/repro``."""
 
-    def __init__(self, spec: str, work: str, role: str) -> None:
+    def __init__(self, spec: str, work: str, role: str, cold: bool = False) -> None:
+        #: Every interpreter this side starts runs with its caches cold.
+        self.cold = cold
         if os.path.isdir(os.path.join(spec, "src", "repro")):
             self.path = os.path.abspath(spec)
             self.label = f"{spec} (directory)"
@@ -534,6 +541,8 @@ class Tree:
                 extra = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
                 tar.extractall(self.path, **extra)
             self.label = f"{spec} ({commit[:10]})"
+        if cold:
+            self.label += " cold"
         self.src = os.path.join(self.path, "src")
 
     def env(self) -> Dict[str, str]:
@@ -543,6 +552,11 @@ class Tree:
         return env
 
     def python(self, args: Sequence[str], cwd: str, timeout: Optional[float] = None):
+        if self.cold:
+            if list(args[:2]) == ["-m", "pytest"]:
+                args = [*args, "-p", "cold_caches"]
+            else:
+                args = ["-m", "cold_caches", *args]
         return subprocess.run(
             [sys.executable, *args],
             cwd=cwd,
@@ -728,6 +742,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--quick", action="store_true", help="every suite, every fourth matrix row"
     )
+    parser.add_argument(
+        "--cold", action="store_true", help="run the change with every cache cold"
+    )
     parser.add_argument("--keep", metavar="DIR", help="work here and keep it")
     args = parser.parse_args(argv)
     allow = Allow(args.allow)
@@ -737,7 +754,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         trees = {
             "parent": Tree(args.parent, work, "parent"),
-            "change": Tree(args.change, work, "change"),
+            "change": Tree(args.change, work, "change", cold=args.cold),
         }
         report = Report()
 
