@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.analysis src tests benchmarks --format json
+    python -m repro.analysis src tests tools --format json
     python -m repro.analysis src/repro/runtime/actors.py
     python -m repro.analysis src --sarif lint.sarif
     python -m repro.analysis --list-rules

@@ -56,12 +56,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
     print(render_table("Table 1 — model parameters", parameter_table(_params(args))))
     print()
-    print(
-        render_table(
-            "Section 6.1 — messages",
-            messages_table(k_values=(1, 10, 100), periods=(1, 10)),
-        )
-    )
+    print(render_table("Section 6.1 — messages", messages_table()))
     return 0
 
 
@@ -70,13 +65,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_series
 
     params = _params(args)
-    wanted = args.figure
     for name, builder in ALL_FIGURES.items():
-        if wanted != "all" and not name.endswith(wanted):
+        if args.figure != "all" and not name.endswith(args.figure):
             continue
-        series = builder(params)
-        x_key = "C" if name == "figure-6.2" else "k"
-        print(render_series(name, series, x_key=x_key))
+        print(render_series(name, builder(params)))
         print()
     return 0
 
@@ -132,12 +124,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_table
     from repro.experiments.tables import audit_rows
 
-    print(
-        render_table(
-            f"Correctness audit ({args.workloads} workloads x 3 schedules)",
-            audit_rows(args.workloads, args.updates),
-        )
-    )
+    title = f"Correctness audit ({args.workloads} workloads x 3 schedules)"
+    print(render_table(title, audit_rows(args.workloads, args.updates)))
     return 0
 
 
@@ -155,53 +143,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_staleness(args: argparse.Namespace) -> int:
-    from repro.consistency import check_trace, staleness_profile
-    from repro.core.batch import BatchECA
-    from repro.core.eca import ECA
-    from repro.core.recompute import RecomputeView
-    from repro.costmodel.counters import CostRecorder
     from repro.experiments.report import render_table
-    from repro.relational.engine import evaluate_view
-    from repro.relational.schema import RelationSchema
-    from repro.relational.views import View
-    from repro.simulation.driver import Simulation
-    from repro.simulation.schedules import BestCaseSchedule
-    from repro.source.memory import MemorySource
-    from repro.workloads.random_gen import random_workload
+    from repro.experiments.tables import staleness_rows
 
-    schemas = [RelationSchema("r1", ("W", "X")), RelationSchema("r2", ("X", "Y"))]
-    initial = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
-    k = args.updates
-    policies = [("ECA (immediate)", lambda v, iv: ECA(v, iv))]
-    for s in args.periods:
-        policies.append(
-            (f"RV s={s}", lambda v, iv, s=s: RecomputeView(v, iv, period=s))
-        )
-    for b in args.batches:
-        policies.append(
-            (f"Batch b={b}", lambda v, iv, b=b: BatchECA(v, iv, batch_size=b))
-        )
-    rows = []
-    for label, factory in policies:
-        view = View.natural_join("V", schemas, ["W", "Y"])
-        source = MemorySource(schemas, initial)
-        warehouse = factory(view, evaluate_view(view, source.snapshot()))
-        recorder = CostRecorder()
-        workload = random_workload(schemas, k, seed=args.seed, initial=initial)
-        trace = Simulation(source, warehouse, workload, recorder).run(
-            BestCaseSchedule()
-        )
-        profile = staleness_profile(view, trace)
-        rows.append(
-            {
-                "policy": label,
-                "messages": recorder.messages,
-                "mean lag": round(profile.mean_lag, 2),
-                "max lag": profile.max_lag,
-                "level": check_trace(view, trace).level(),
-            }
-        )
-    print(render_table(f"Freshness vs messages (k={k})", rows))
+    rows = staleness_rows(args.updates, args.periods, args.batches, args.seed)
+    print(render_table(f"Freshness vs messages (k={args.updates})", rows))
     return 0
 
 
@@ -466,19 +412,11 @@ def cmd_runtime(args: argparse.Namespace) -> int:
     finally:
         if temp_wal is not None:
             temp_wal.cleanup()
-    if multi:
-        # A spanning view has no global source-state sequence; classify
-        # against monotone consistent cuts of the per-source histories.
-        report = cut_report(
-            spanning_view,
-            result.per_source_states,
-            result.trace.view_states,
-            result.final_view,
-        )
-    elif args.shards:
-        # Shards interleave independently, so the merged trace likewise
-        # has no single source-state sequence; the catalog stands in as
-        # the tagged oracle over consistent cuts.
+    if multi or args.shards:
+        # A spanning view has no global source-state sequence, and shards
+        # interleave independently, so neither does a merged trace: classify
+        # against monotone consistent cuts of the per-source histories (a
+        # sharded run's catalog stands in as the tagged oracle).
         report = cut_report(
             checkable,
             result.per_source_states,

@@ -1,13 +1,14 @@
-"""Experiment harness: regenerates every table and figure of Section 6.
+"""Experiment harness: the one place each experiment of DESIGN.md §4 runs.
 
-- :mod:`repro.experiments.figures` — analytic series for Figures 6.2-6.5;
-- :mod:`repro.experiments.tables` — Table 1 and the Section 6.1 message
-  analysis;
-- :mod:`repro.experiments.measured` — simulated (measured) counterparts of
-  the analytic curves, via the full source/warehouse simulation;
-- :mod:`repro.experiments.runner` — replay of the paper's worked examples;
-- :mod:`repro.experiments.report` — plain-text rendering of series, used
-  by the example scripts and EXPERIMENTS.md.
+The CLI, ``repro report`` and the claim tests all call the same function:
+E1 ``tables.messages_table``; E2-E5 ``figures.figure_6_2`` .. ``figure_6_5``
+and ``tables.crossover_rows``; E6 ``tables.parameter_table``; E7
+``measured.measure_bytes_series`` / ``measure_io_series`` over
+``measured.run_example6_once``; E8 ``runner.run_scenario``; E9
+``tables.audit_rows``; E10 ``tables.batching_rows``; E11
+``tables.staleness_rows``; E12 ``measured.hot_key_rows``; E13
+``tables.multisource_rows``.  :mod:`repro.experiments.report` renders
+them as text, :mod:`repro.experiments.full_report` as one record.
 """
 
 from repro.experiments.figures import (

@@ -11,7 +11,7 @@ each best/worst case, and read the costs off the wire:
 Absolute values will not coincide with the closed forms (the analytic
 model assumes every join expands by exactly J and every selection keeps
 exactly sigma of its input), but the curves' *shape* must match — that is
-what the measured benchmarks assert.
+what the E7 claim tests assert.
 """
 
 from __future__ import annotations
@@ -23,22 +23,13 @@ from repro.core.recompute import RecomputeView
 from repro.costmodel.counters import CostRecorder
 from repro.costmodel.io_scenarios import Scenario1Estimator, Scenario2Estimator
 from repro.costmodel.parameters import PaperParameters
+from repro.experiments.runner import make_source
 from repro.relational.engine import evaluate_view
 from repro.simulation.driver import Simulation
 from repro.simulation.schedules import BestCaseSchedule, Schedule, WorstCaseSchedule
-from repro.source.memory import MemorySource
-from repro.source.sqlite import SQLiteSource
 from repro.workloads.example6 import build_example6
 
 Series = Dict[str, List[float]]
-
-
-def _make_source(setup, source_kind: str):
-    if source_kind == "memory":
-        return MemorySource(setup.schemas, setup.initial)
-    if source_kind == "sqlite":
-        return SQLiteSource(setup.schemas, setup.initial)
-    raise ValueError(f"unknown source kind {source_kind!r}")
 
 
 def run_example6_once(
@@ -49,7 +40,6 @@ def run_example6_once(
     io_scenario: Optional[int] = None,
     seed: int = 0,
     source_kind: str = "memory",
-    hot_fraction: float = 0.0,
     key_theta: Optional[float] = None,
 ) -> CostRecorder:
     """One simulated Example 6 run; returns the populated recorder.
@@ -58,10 +48,8 @@ def run_example6_once(
     ``"rv-worst"`` (recompute every update, period=1).  ``key_theta``
     draws workload join keys Zipf-skewed (see :func:`build_example6`).
     """
-    setup = build_example6(
-        params, k, seed, hot_fraction=hot_fraction, key_theta=key_theta
-    )
-    source = _make_source(setup, source_kind)
+    setup = build_example6(params, k, seed, key_theta=key_theta)
+    source = make_source(setup.schemas, setup.initial, source_kind)
     initial_view = evaluate_view(setup.view, source.snapshot())
     if algorithm == "eca":
         warehouse = ECA(setup.view, initial_view)
@@ -95,26 +83,27 @@ _CASES = {
 }
 
 
+def _series(prefix: str, metric: str, params, k_values, **options) -> Series:
+    """One curve per ``_CASES`` entry: ``metric`` of a run at each k."""
+    series: Series = {"k": [float(k) for k in k_values]}
+    for label, (algorithm, schedule_cls) in _CASES.items():
+        runs = [
+            run_example6_once(params, k, algorithm, schedule_cls(), **options)
+            for k in k_values
+        ]
+        series[prefix + label] = [float(getattr(run, metric)) for run in runs]
+    return series
+
+
 def measure_bytes_series(
     params: Optional[PaperParameters] = None,
-    k_values: Sequence[int] = (3, 6, 12, 24, 48),
+    k_values: Sequence[int] = (3, 12, 24, 48),
     seed: int = 0,
     source_kind: str = "memory",
 ) -> Series:
     """Measured counterpart of Figure 6.3 (B versus k)."""
     params = params or PaperParameters()
-    series: Series = {"k": [float(k) for k in k_values]}
-    for label, (algorithm, schedule_cls) in _CASES.items():
-        series["B" + label] = [
-            float(
-                run_example6_once(
-                    params, k, algorithm, schedule_cls(), seed=seed,
-                    source_kind=source_kind,
-                ).bytes
-            )
-            for k in k_values
-        ]
-    return series
+    return _series("B", "bytes", params, k_values, seed=seed, source_kind=source_kind)
 
 
 def measure_io_series(
@@ -126,15 +115,34 @@ def measure_io_series(
 ) -> Series:
     """Measured counterpart of Figures 6.4/6.5 (IO versus k)."""
     params = params or PaperParameters()
-    series: Series = {"k": [float(k) for k in k_values]}
-    for label, (algorithm, schedule_cls) in _CASES.items():
-        series["IO" + label] = [
-            float(
+    return _series(
+        "IO", "ios", params, k_values,
+        io_scenario=scenario, seed=seed, source_kind=source_kind,
+    )
+
+
+def hot_key_rows(
+    params: Optional[PaperParameters] = None,
+    thetas: Sequence[float] = (0.0, 4.0, 16.0),
+    k_values: Sequence[int] = (12, 24),
+    seed: int = 3,
+) -> List[Dict[str, object]]:
+    """E12 — ECA's best- and worst-case B and Scenario 1 IO as the
+    inserted join keys grow Zipf-skewed (``theta=0`` is uniform)."""
+    params = params or PaperParameters()
+    rows: List[Dict[str, object]] = []
+    for theta in thetas:
+        for k in k_values:
+            best, worst = (
                 run_example6_once(
-                    params, k, algorithm, schedule_cls(),
-                    io_scenario=scenario, seed=seed, source_kind=source_kind,
-                ).ios
+                    params, k, "eca", schedule, io_scenario=1, seed=seed,
+                    key_theta=theta,
+                )
+                for schedule in (BestCaseSchedule(), WorstCaseSchedule())
             )
-            for k in k_values
-        ]
-    return series
+            rows.append(
+                {"theta": theta, "k": k, "B best": best.bytes,
+                 "B worst": worst.bytes, "gap": worst.bytes - best.bytes,
+                 "IO best": best.ios, "IO worst": worst.ios}
+            )
+    return rows

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 
 def render_series(
-    title: str, series: Mapping[str, Sequence[float]], x_key: str = "k"
+    title: str, series: Mapping[str, Sequence[float]], x_key: Optional[str] = None
 ) -> str:
     """Render a figure's series as an aligned text table.
 
-    The first column is the x axis; remaining columns follow insertion
-    order, matching the paper's legend order.
+    The first column is the x axis — ``x_key``, by default the series'
+    first key, as every experiment builds it; remaining columns follow
+    insertion order, matching the paper's legend order.
     """
+    x_key = x_key or next(iter(series))
     columns = [x_key] + [name for name in series if name != x_key]
     rows = len(series[x_key])
     widths = {

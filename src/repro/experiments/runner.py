@@ -20,6 +20,15 @@ from repro.source.sqlite import SQLiteSource
 from repro.workloads.paper_examples import Scenario
 
 
+def make_source(schemas, initial, kind: str):
+    """A ``"memory"`` or ``"sqlite"`` source holding ``initial``."""
+    if kind == "memory":
+        return MemorySource(schemas, initial)
+    if kind == "sqlite":
+        return SQLiteSource(schemas, initial)
+    raise ValueError(f"unknown source kind {kind!r}")
+
+
 def run_scenario(
     scenario: Scenario,
     algorithm: Optional[str] = None,
@@ -46,12 +55,7 @@ def run_scenario(
     name = algorithm or scenario.algorithm
     if schedule is None:
         schedule = ScriptedSchedule(scenario.actions)
-    if source_kind == "memory":
-        source = MemorySource(scenario.schemas, scenario.initial)
-    elif source_kind == "sqlite":
-        source = SQLiteSource(scenario.schemas, scenario.initial)
-    else:
-        raise ValueError(f"unknown source kind {source_kind!r}")
+    source = make_source(scenario.schemas, scenario.initial, source_kind)
     initial_view = evaluate_view(scenario.view, source.snapshot())
     warehouse = create_algorithm(
         name, scenario.view, initial_view, **scenario.algorithm_options

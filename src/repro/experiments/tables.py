@@ -1,23 +1,38 @@
 """Table 1, the Section 6.1 message-count analysis, the headline
-crossovers and the correctness audit — each table defined once, printed
-by the CLI and embedded by ``repro report``."""
+crossovers, the correctness audit (E9), batching (E10), the freshness
+frontier (E11) and the multi-source frontier (E13) — each table defined
+once, printed by the CLI, embedded by ``repro report`` and asserted by
+the claim tests."""
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.consistency import check_trace
+from repro.consistency import check_trace, staleness_profile
+from repro.core.batch import BatchECA
+from repro.core.eca import ECA
+from repro.core.recompute import RecomputeView
 from repro.core.registry import ALGORITHMS, create_algorithm
-from repro.core.stored_copies import StoredCopies
 from repro.costmodel import analytic
+from repro.costmodel.counters import CostRecorder
 from repro.costmodel.parameters import PaperParameters
+from repro.kernel import SyncKernel
+from repro.multisource import (
+    FragmentingIncremental,
+    MultiSourceStoredCopies,
+    StrobeStyle,
+    check_cut_consistency,
+    check_cut_convergence,
+)
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
 from repro.simulation.driver import Simulation
 from repro.simulation.schedules import (
     BestCaseSchedule,
+    EagerSourceSchedule,
     RandomSchedule,
     WorstCaseSchedule,
 )
@@ -44,8 +59,7 @@ def parameter_table(params: Optional[PaperParameters] = None) -> List[Dict[str, 
 
 
 def messages_table(
-    k_values: Sequence[int] = (1, 5, 10, 50, 100),
-    periods: Sequence[int] = (1, 5, 10),
+    k_values: Sequence[int] = (1, 10, 100), periods: Sequence[int] = (1, 10)
 ) -> List[Dict[str, object]]:
     """Section 6.1 — M_RV = 2*ceil(k/s) versus M_ECA = 2k.
 
@@ -97,14 +111,22 @@ def crossover_rows(params: PaperParameters) -> List[Dict[str, object]]:
     ]
 
 
-def audit_rows(workloads: int = 6, updates: int = 9) -> List[Dict[str, object]]:
-    """Correctness levels every single-source immediate algorithm in the
-    registry reaches over ``workloads`` random workloads x 3 schedules."""
+#: The base data of E9-E11's view ``pi_{W,Y}(r1 |x| r2)`` (E9 keys W and Y).
+SCHEMAS = [RelationSchema("r1", ("W", "X")), RelationSchema("r2", ("X", "Y"))]
+INITIAL = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
+
+
+def audit_rows(
+    workloads: int = 6, updates: int = 9, schedules: int = 3
+) -> List[Dict[str, object]]:
+    """E9 — correctness levels every single-source immediate algorithm in
+    the registry reaches over ``workloads`` random workloads x the first
+    ``schedules`` of best, worst, random, eager-source and a second
+    random interleaving."""
     schemas = [
         RelationSchema("r1", ("W", "X"), key=("W",)),
         RelationSchema("r2", ("X", "Y"), key=("Y",)),
     ]
-    initial = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
     view = View.natural_join("V", schemas, ["W", "Y"])
     names = [
         n
@@ -112,27 +134,124 @@ def audit_rows(workloads: int = 6, updates: int = 9) -> List[Dict[str, object]]:
         if n not in ("recompute", "deferred-eca")
         and not getattr(ALGORITHMS[n], "multi_source", False)
     ]
+    batch_size = max(1, updates // 3)
+    while updates % batch_size:
+        batch_size -= 1
     levels: Dict[str, Set[str]] = defaultdict(set)
     for seed in range(workloads):
         workload = random_workload(
-            schemas, updates, seed=seed, initial=initial, respect_keys=True
+            schemas, updates, seed=seed, initial=INITIAL, respect_keys=True
         )
-        for schedule in (BestCaseSchedule(), WorstCaseSchedule(), RandomSchedule(seed)):
+        interleavings = (BestCaseSchedule(), WorstCaseSchedule(), RandomSchedule(seed))
+        interleavings += (EagerSourceSchedule(), RandomSchedule(seed + 5000))
+        for schedule in interleavings[:schedules]:
             for name in names:
-                source = MemorySource(schemas, initial)
+                source = MemorySource(schemas, INITIAL)
                 initial_view = evaluate_view(view, source.snapshot())
+                options = {"batch_size": batch_size} if name == "batch-eca" else {}
                 if name == "stored-copies":
-                    algo = StoredCopies(view, initial_view, source.snapshot())
-                elif name == "batch-eca":
-                    size = max(1, updates // 3)
-                    while updates % size:
-                        size -= 1
-                    algo = create_algorithm(name, view, initial_view, batch_size=size)
-                else:
-                    algo = create_algorithm(name, view, initial_view)
+                    options = {"initial_copies": source.snapshot()}
+                algo = create_algorithm(name, view, initial_view, **options)
                 trace = Simulation(source, algo, list(workload)).run(schedule)
                 levels[name].add(check_trace(view, trace).level())
     return [
         {"algorithm": name, "observed levels": ", ".join(sorted(levels[name]))}
         for name in names
+    ]
+
+
+def _run_policy(factory, updates, seed, schedule):
+    view = View.natural_join("V", SCHEMAS, ["W", "Y"])
+    source = MemorySource(SCHEMAS, INITIAL)
+    warehouse = factory(view, evaluate_view(view, source.snapshot()))
+    recorder = CostRecorder()
+    workload = random_workload(SCHEMAS, updates, seed=seed, initial=INITIAL)
+    trace = Simulation(source, warehouse, workload, recorder).run(schedule)
+    return recorder, trace, check_trace(view, trace).level(), view
+
+
+def batching_rows(
+    updates: int = 24, batch_sizes: Sequence[int] = (1, 2, 4, 8, 24), seed: int = 3
+) -> List[Dict[str, object]]:
+    """E10 — BatchECA's messages, bytes and level per batch size under the
+    worst-case interleaving (batch size 1 is plain ECA)."""
+    rows: List[Dict[str, object]] = []
+    for b in batch_sizes:
+        factory = ECA if b == 1 else partial(BatchECA, batch_size=b)
+        recorder, _, level, _ = _run_policy(
+            factory, updates, seed, WorstCaseSchedule()
+        )
+        rows.append(
+            {"batch": b, "messages": recorder.messages, "bytes": recorder.bytes,
+             "level": level}
+        )
+    return rows
+
+
+def staleness_rows(
+    updates: int = 24,
+    periods: Sequence[int] = (1, 6, 24),
+    batches: Sequence[int] = (4, 12),
+    seed: int = 9,
+) -> List[Dict[str, object]]:
+    """E11 — messages against view lag for ECA, RV(s) and BatchECA(b)
+    under the quiet (best-case) schedule."""
+    policies = [("ECA (immediate)", ECA)]
+    policies += [(f"RV s={s}", partial(RecomputeView, period=s)) for s in periods]
+    policies += [(f"Batch b={b}", partial(BatchECA, batch_size=b)) for b in batches]
+    rows: List[Dict[str, object]] = []
+    for label, factory in policies:
+        recorder, trace, level, view = _run_policy(
+            factory, updates, seed, BestCaseSchedule()
+        )
+        profile = staleness_profile(view, trace)
+        rows.append(
+            {"policy": label, "messages": recorder.messages,
+             "mean lag": round(profile.mean_lag, 2), "max lag": profile.max_lag,
+             "level": level}
+        )
+    return rows
+
+
+def multisource_rows(runs: int = 15) -> List[Dict[str, object]]:
+    """E13 — how often the naive fragmenting transplant, multi-source
+    stored copies and the Strobe-style algorithm converge and stay cut
+    consistent over ``runs`` random interleavings of a view split across
+    two sources."""
+    r1 = RelationSchema("r1", ("W", "X"), key=("W",))
+    r2 = RelationSchema("r2", ("X", "Y"), key=("Y",))
+    r3 = RelationSchema("r3", ("Y", "Z"), key=("Z",))
+    owners = {"r1": "A", "r2": "B", "r3": "B"}
+    initial = {"r1": [(1, 2), (4, 2)], "r2": [(2, 5)], "r3": [(5, 3), (9, 8)]}
+    view_def = View.natural_join("V", [r1, r2, r3], ["W", "r2.Y", "Z"])
+    algorithms = {
+        "naive": lambda start, merged: FragmentingIncremental(view_def, owners, start),
+        "sc": partial(MultiSourceStoredCopies, view_def, owners),
+        "strobe": lambda start, merged: StrobeStyle(view_def, owners, start),
+    }
+    totals = {kind: {"converged": 0, "cut": 0} for kind in algorithms}
+    for seed in range(runs):
+        workload = random_workload(
+            [r1, r2, r3], 8, seed=seed, initial=initial, respect_keys=True
+        )
+        for kind, build in algorithms.items():
+            a = MemorySource([r1], {"r1": initial["r1"]})
+            b = MemorySource([r2, r3], {"r2": initial["r2"], "r3": initial["r3"]})
+            merged = {**a.snapshot(), **b.snapshot()}
+            algo = build(evaluate_view(view_def, merged), merged)
+            sim = SyncKernel({"A": a, "B": b}, algo, list(workload))
+            trace = sim.run(RandomSchedule(seed * 3 + 1))
+            totals[kind]["converged"] += check_cut_convergence(
+                view_def, sim.per_source_states, trace.final_view_state
+            )
+            totals[kind]["cut"] += check_cut_consistency(
+                view_def, sim.per_source_states, trace.view_states
+            )
+    return [
+        {
+            "algorithm": kind,
+            "converged": f"{data['converged']}/{runs}",
+            "cut-consistent": f"{data['cut']}/{runs}",
+        }
+        for kind, data in totals.items()
     ]

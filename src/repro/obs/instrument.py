@@ -5,8 +5,8 @@ metrics :class:`Registry` and exposes *named hooks* — ``source_update``,
 ``wh_event_begin``, ``wal_append``, ``crash`` … — so the instrumented
 code never manipulates spans or instruments directly.  Every hook site
 is guarded by ``if obs is not None`` in the caller, which is the entire
-cost of the feature when disabled (the overhead benchmark
-``benchmarks/test_bench_obs.py`` reports it).
+cost of the feature when disabled (``bench/run.py`` reports the enabled
+cost as ``obs.overhead_ratio``).
 
 Span vocabulary produced by the runtime instrumentation:
 

@@ -119,7 +119,6 @@ def build_example6(
     params: PaperParameters,
     k: int,
     seed: int = 0,
-    hot_fraction: float = 0.0,
     key_theta: Optional[float] = None,
 ) -> Example6Setup:
     """Generate data and a k-insert workload matching ``params``.
@@ -131,14 +130,10 @@ def build_example6(
     collide within a run); ``key_theta`` draws keys Zipf-distributed over
     the join domain via :class:`~repro.workloads.random_gen.ZipfSampler`
     (``key_theta=0.0`` is uniform and consumes the RNG stream exactly like
-    the default).  ``hot_fraction`` is the legacy coin-flip skew, kept for
-    the analytic worst-case comparisons; it is ignored when ``key_theta``
-    is given.
+    the default).
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise ValueError(f"hot_fraction must be in [0, 1], got {hot_fraction}")
     rng = random.Random(seed)
     C, J = params.C, params.J
     distinct = max(1, C // J)
@@ -150,7 +145,7 @@ def build_example6(
     def draw_key() -> int:
         if sampler is not None:
             return sampler.sample()
-        return _key(rng, distinct, hot_fraction)
+        return rng.randrange(distinct)
 
     def draw_w() -> int:
         return rng.randrange(VALUE_DOMAIN) + shift
@@ -183,15 +178,3 @@ def build_example6(
         example6_schemas(), example6_view(params), initial, workload, params
     )
 
-
-def _key(rng: random.Random, distinct: int, hot_fraction: float) -> int:
-    """A join-key value; with probability ``hot_fraction`` the hot key 0.
-
-    Hot-key skew is what makes ECA's *compensating* terms actually match
-    tuples: concurrent updates sharing join keys derive overlapping view
-    tuples, so the worst-case compensation traffic of Appendix D is
-    realized instead of vacuous (see EXPERIMENTS.md, E7/E12).
-    """
-    if hot_fraction > 0.0 and rng.random() < hot_fraction:
-        return 0
-    return rng.randrange(distinct)

@@ -1,7 +1,7 @@
 """Golden self-tests: each rule vs its deliberately broken fixture.
 
 The fixtures under ``tests/analysis/fixtures/`` are skipped by directory
-walks (so ``repro lint src tests benchmarks`` stays clean) but analyzed
+walks (so ``repro lint src tests tools`` stays clean) but analyzed
 in full when named explicitly — which is what these tests do.  Each test
 pins the exact ``(line, rule_id)`` set a fixture must produce: a rule
 that stops firing *or* starts over-firing fails the golden comparison.
@@ -94,7 +94,7 @@ class TestSeverityAndOrdering:
         assert all(f.severity == "error" for f in findings)
 
 
-@pytest.mark.parametrize("tree", ["src", "tests", "benchmarks", "tools"])
+@pytest.mark.parametrize("tree", ["src", "tests", "tools"])
 def test_repository_lints_clean(tree):
     """The acceptance bar: the final tree carries zero violations."""
     assert run_analysis([os.path.join(REPO_ROOT, tree)]) == []

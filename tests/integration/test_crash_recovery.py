@@ -223,6 +223,29 @@ class TestWiderTopologies:
         assert logged.wal_stats["records"] > 0
         assert plain.wal_stats is None
 
+    def test_a_flushed_or_fsynced_wal_changes_no_view(self, tmp_path):
+        """Durability costs wall time, never an answer: the same seeded
+        ECA run ends in the same view with no WAL, a flushed one and an
+        fsynced one."""
+        schemas = [RelationSchema("r1", ("W", "X")), RelationSchema("r2", ("X", "Y"))]
+        initial = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
+        finals = []
+        for wal_dir, fsync in ((None, False), ("flush", False), ("fsync", True)):
+            view = View.natural_join("V", schemas, ["W", "Y"])
+            source = MemorySource(schemas, initial)
+            result = run_concurrent(
+                source,
+                ECA(view, evaluate_view(view, source.snapshot())),
+                random_workload(schemas, 24, seed=13, initial=initial),
+                clients=2,
+                seed=1,
+                wal_dir=wal_dir and str(tmp_path / wal_dir),
+                wal_fsync=fsync,
+                snapshot_every=8,
+            )
+            finals.append(result.final_view)
+        assert finals[0] == finals[1] == finals[2]
+
     def test_crash_without_wal_dir_is_refused(self):
         scenario, source, warehouse = build_eca("example-2")
         with pytest.raises(SimulationError, match="wal_dir"):

@@ -200,6 +200,29 @@ class TestDurabilityObservability:
         ]
         assert bare.final_view == observed.final_view
 
+    def test_a_24_update_run_ends_alike_observed_or_not(self):
+        """On the k=24 random workload, with and without observability:
+        every update runs, the observed run records spans, and both end
+        in the same view."""
+        schemas = [RelationSchema("r1", ("W", "X")), RelationSchema("r2", ("X", "Y"))]
+        initial = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
+
+        def run(obs):
+            view = View.natural_join("V", schemas, ["W", "Y"])
+            source = MemorySource(schemas, initial)
+            warehouse = ECA(view, evaluate_view(view, source.snapshot()))
+            workload = random_workload(schemas, 24, seed=13, initial=initial)
+            return run_concurrent(
+                source, warehouse, workload, clients=2, seed=1, obs=obs
+            )
+
+        bare = run(None)
+        obs = Observability()
+        observed = run(obs)
+        assert bare.updates == observed.updates == 24
+        assert observed.final_view == bare.final_view
+        assert len(obs.tracer) > 0
+
 
 def sharded_run(obs, seed=5):
     """Two sources with one join view each, placed one view per shard."""

@@ -78,6 +78,31 @@ class TestFaultsOffStrongConsistency:
             for _, seen in observations:
                 assert seen in exposed
 
+    def test_concurrent_and_synchronous_drivers_settle_on_one_view(self):
+        """The k=24 random workload, once under ``run_concurrent`` and
+        once under the synchronous driver: both strongly consistent, both
+        ending in the same view."""
+        from repro.simulation.driver import Simulation
+        from repro.simulation.schedules import RandomSchedule
+
+        initial = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
+
+        def fresh():
+            view = View.natural_join("V", SCHEMAS, ["W", "Y"])
+            source = MemorySource(SCHEMAS, initial)
+            warehouse = ECA(view, evaluate_view(view, source.snapshot()))
+            workload = random_workload(SCHEMAS, 24, seed=13, initial=initial)
+            return view, source, warehouse, workload
+
+        view, source, warehouse, workload = fresh()
+        result = run_concurrent(source, warehouse, workload, clients=2, seed=1)
+        assert check_trace(view, result.trace).strongly_consistent
+        view, source, warehouse, workload = fresh()
+        trace = Simulation(source, warehouse, workload).run(RandomSchedule(seed=1))
+        assert trace.events
+        assert check_trace(view, trace).strongly_consistent
+        assert result.final_view == warehouse.view_state()
+
 
 class TestThreeRelationStorm:
     """Example 6's view joins three relations, so a pending term can be
@@ -145,6 +170,27 @@ class TestFaultyTransportRuns:
         report = check_trace(scenario.view, result.trace)
         assert report.strongly_consistent, report.detail
         assert result.quiesce_latency > 0.0
+
+    def test_drops_and_retries_push_quiescence_out(self):
+        """Quiesce latency (virtual) on k=12 random updates: the base
+        latency alone delays the last answer, and drops retried at rate
+        0.6 delay it further."""
+        initial = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
+        latencies = {}
+        for rate in (0.0, 0.2, 0.4, 0.6):
+            view = View.natural_join("V", SCHEMAS, ["W", "Y"])
+            source = MemorySource(SCHEMAS, initial)
+            warehouse = ECA(view, evaluate_view(view, source.snapshot()))
+            result = run_concurrent(
+                source,
+                warehouse,
+                random_workload(SCHEMAS, 12, seed=13, initial=initial),
+                faults=FaultPlan(latency=1.0, jitter=2.0, drop_rate=rate),
+                seed=5,
+            )
+            latencies[rate] = result.quiesce_latency
+        assert latencies[0.0] > 0.0
+        assert latencies[0.6] > latencies[0.0]
 
     def test_metrics_account_for_messages(self):
         scenario, source, warehouse = build_eca("example-2")

@@ -150,6 +150,57 @@ class TestServingOverRuntime:
         )
 
 
+class TestHitRateTradeoffs:
+    """One maintenance run (two views, 16 updates each) read by Zipf
+    mixes of 200 reads: the staleness bound swept, then the skew."""
+
+    BOUNDS = (0, 1, 2, 4, 8)
+
+    @staticmethod
+    def run(reads, cache=None):
+        sources, catalog, workloads = build(2, updates=16, seed=11)
+        return run_concurrent(
+            sources, catalog, workloads, clients=0, seed=11,
+            cache=cache, read_workload=reads,
+        )
+
+    def test_a_wider_bound_serves_more_and_cuts_backend_reads_5x(self):
+        _, catalog, _ = build(2, updates=16, seed=11)
+        reads = read_mix(catalog, count=200, theta=1.0, seed=11)
+        baseline = self.run(reads)
+        runs = [
+            self.run(reads, ServingCache(capacity=32, staleness_bound=bound))
+            for bound in self.BOUNDS
+        ]
+        assert baseline.serving["reads"] == 200
+        assert all(run.serving["reads"] == 200 for run in runs)
+        # Widening the bound never lowers the hit rate nor raises backend
+        # traffic.
+        hit_rates = [run.serving["hit_rate"] for run in runs]
+        backend = [run.serving["backend_reads"] for run in runs]
+        assert hit_rates == sorted(hit_rates)
+        assert backend == sorted(backend, reverse=True)
+        # Every direct read hits the warehouse; bound 2 cuts that 5x.
+        assert baseline.serving["backend_reads"] == 200
+        assert dict(zip(self.BOUNDS, backend))[2] * 5 <= 200
+        for bound, run in zip(self.BOUNDS, runs):
+            assert run.serving["max_served_lag"] <= bound
+            assert all(read.lag <= bound for read in run.read_results["reader-0"])
+
+    def test_skew_raises_the_hit_rate_of_a_one_entry_cache(self):
+        _, catalog, _ = build(2, updates=16, seed=11)
+        rates = [
+            self.run(
+                read_mix(catalog, count=200, theta=theta, seed=11),
+                ServingCache(capacity=1, staleness_bound=1),
+            ).serving["hit_rate"]
+            for theta in (0.0, 1.0, 8.0)
+        ]
+        assert rates == sorted(rates)
+        assert rates[-1] > rates[0]
+        assert rates[-1] > 0.9
+
+
 class LoggingCache(ServingCache):
     """Logs reads and invalidating events in the order the run made them."""
 

@@ -104,6 +104,59 @@ class TestShardedMatchesUnsharded:
         assert sorted(info["assignment"]) == [f"V{i}" for i in range(4)]
         assert unsharded.shard_info is None
 
+    def test_256_keyed_views_route_each_update_to_one_shard(self):
+        """Eight sources each own 32 keyed join views (256 members), and
+        each update is a keyed delete ECA-Key handles locally.  On 1, 2, 4
+        and 8 shards every count converges to the same merged view, and
+        relation-level routing hands each update to exactly one shard."""
+        from repro.core.registry import create_algorithm
+        from repro.source.memory import MemorySource
+        from repro.source.updates import delete
+
+        names = [f"V{s}_{j}" for s in range(8) for j in range(32)]
+
+        def catalog_of_256():
+            sources, algorithms, updates = {}, {}, []
+            for s in range(8):
+                schemas, initial = [], {}
+                for j in range(32):
+                    r1, r2 = f"s{s}a{j}", f"s{s}b{j}"
+                    schemas += [
+                        RelationSchema(r1, ("W", "X"), key=("W",)),
+                        RelationSchema(r2, ("X", "Y"), key=("Y",)),
+                    ]
+                    initial[r1] = [(i, i + 1) for i in range(24)]
+                    initial[r2] = [(i + 1, i + 100) for i in range(24)]
+                source = sources[f"s{s}"] = MemorySource(schemas, initial)
+                for j in range(32):
+                    view = View.natural_join(
+                        f"V{s}_{j}", schemas[2 * j : 2 * j + 2], ["W", "Y"]
+                    )
+                    algorithms[view.name] = create_algorithm(
+                        "eca-key", view, evaluate_view(view, source.snapshot())
+                    )
+                    updates.append(delete(f"s{s}a{j}", (0, 1)))
+            return sources, WarehouseCatalog(algorithms), updates
+
+        finals = []
+        for shards in (1, 2, 4, 8):
+            sources, catalog, updates = catalog_of_256()
+            placement = ExplicitPartitioner(
+                {(name,): i % shards for i, name in enumerate(names)},
+                shards=shards,
+            )
+            result = run_concurrent(
+                sources, catalog, updates, clients=0, seed=3,
+                shards=shards, partitioner=placement, record_trace=False,
+            )
+            received = [
+                result.metrics[f"shard{shard}"].received
+                for shard in result.shard_info["shard_ids"]
+            ]
+            assert sum(received) == result.updates == len(updates), received
+            finals.append(result.final_view)
+        assert all(final == finals[0] for final in finals[1:])
+
     @pytest.mark.parametrize("n_views", [3, 4])
     @pytest.mark.parametrize("seed", range(3))
     def test_one_shard_is_the_unsharded_run(self, seed, n_views):

@@ -130,6 +130,66 @@ class TestSyncKernelByteIdentity:
         assert sent[False] >= 2 * sent[True]
 
 
+FAN_INS = (1, 4, 16, 64)
+
+
+@pytest.fixture(scope="module")
+def fan_in():
+    """Round trips, absorbed queries, M, B and final member states of
+    every fan-in with sharing off and on, under the worst-case schedule
+    (every update before any answer: the deeply compensated regime)."""
+    from repro.costmodel.counters import CostRecorder
+
+    runs = {}
+    for n_views in FAN_INS:
+        for share in (False, True):
+            sources, catalog = fanin_setup(n_views, share=share)
+            recorder = CostRecorder()
+            Simulation(sources["source"], catalog, WORKLOAD[:6], recorder).run(
+                WorstCaseSchedule()
+            )
+            issued, saved = catalog.shared_query_stats()
+            runs[n_views, share] = {
+                "round trips": issued,
+                "saved": saved,
+                "M": recorder.messages,
+                "B": recorder.bytes,
+                "states": {name: catalog.state_of(name) for name in catalog.algorithms},
+            }
+    return runs
+
+
+class TestFanIn:
+    def test_sharing_halves_round_trips_at_16_views_and_moves_no_state(
+        self, fan_in
+    ):
+        for n_views in FAN_INS:
+            off, on = fan_in[n_views, False], fan_in[n_views, True]
+            assert off["states"] == on["states"], n_views
+            # Independent members pay one round trip each; sharing pays
+            # for the distinct expressions only.
+            assert off["round trips"] == n_views * fan_in[1, False]["round trips"]
+            if n_views == 1:
+                assert off["round trips"] == on["round trips"]
+            else:
+                assert on["saved"] > 0
+        off, on = fan_in[16, False], fan_in[16, True]
+        assert off["round trips"] >= 2 * on["round trips"]
+        # M and B fall the same way (B only where answers carry tuples).
+        assert off["M"] >= 2 * on["M"]
+        assert off["B"] >= on["B"]
+
+    def test_absorbed_queries_grow_with_fan_in_while_issued_stays_flat(
+        self, fan_in
+    ):
+        issued = {fan_in[n, True]["round trips"] for n in FAN_INS}
+        assert len(issued) == 1
+        for n_views in FAN_INS:
+            assert fan_in[n_views, True]["saved"] == (n_views - 1) * fan_in[
+                1, True
+            ]["round trips"]
+
+
 class TestRuntimeConformance:
     @pytest.mark.parametrize("seed", range(3))
     def test_async_runs_converge_to_the_independent_state(self, seed):

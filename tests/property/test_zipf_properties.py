@@ -1,6 +1,6 @@
 """Property tests for the Zipf hot-key generator (``repro.workloads``).
 
-The serving benchmarks and the hot-key compensation benchmark both lean
+The serving read mixes and the hot-key experiment (E12) both lean
 on :class:`ZipfSampler` being (a) a real probability distribution over
 ``[0, n)``, (b) monotone — lower ranks never less likely than higher
 ones — and (c) a pure function of ``(n, theta, seed)`` so RPR002-style

@@ -164,3 +164,24 @@ class TestRepr:
         text = repr(SignedBag({(1,): 2, (2,): -1}))
         assert "+[1]x2" in text
         assert "-[2]" in text
+
+
+class TestDuplicateRetention:
+    def test_counted_deltas_keep_what_a_tuple_list_keeps(self):
+        """The counted bag against the naive alternative — a list of
+        tuples, deletions by linear scan — over one delta stream."""
+        rows = [(i % 50, i % 7) for i in range(400)]
+        deltas = [SignedBag.from_rows(rows)]
+        deltas += [SignedBag({rows[i]: -1}) for i in range(0, 400, 2)]
+        deltas += [SignedBag({rows[i]: 1}) for i in range(0, 400, 4)]
+        counted = SignedBag()
+        listed = []
+        for delta in deltas:
+            counted.add_bag(delta)
+            for row, count in delta.items():
+                if count > 0:
+                    listed.extend([row] * count)
+                for _ in range(-count):
+                    listed.remove(row)
+        assert counted.is_nonnegative()
+        assert sorted(listed) == sorted(counted.expand_rows())

@@ -106,6 +106,63 @@ class TestECACompensation:
         algo.handle_answer(QueryAnswer(second.query_id, SignedBag.from_rows([(4,)])))
         assert algo.view_state() == SignedBag.from_rows([(1,), (4,)])
 
+    def test_buffering_costs_nothing_on_the_wire(self):
+        """COLLECT buys consistency for free in M and B: on Example 6
+        (k=9, worst case) both variants ship the same and converge to
+        the same view."""
+        from repro.costmodel.counters import CostRecorder
+        from repro.costmodel.parameters import PaperParameters
+        from repro.relational.engine import evaluate_view
+        from repro.simulation.driver import Simulation
+        from repro.simulation.schedules import WorstCaseSchedule
+        from repro.source.memory import MemorySource
+        from repro.workloads.example6 import build_example6
+
+        params = PaperParameters()
+        runs = []
+        for buffered in (True, False):
+            setup = build_example6(params, k=9, seed=2)
+            source = MemorySource(setup.schemas, setup.initial)
+            warehouse = ECA(
+                setup.view,
+                evaluate_view(setup.view, source.snapshot()),
+                buffer_answers=buffered,
+            )
+            recorder = CostRecorder(params)
+            Simulation(source, warehouse, setup.workload, recorder).run(
+                WorstCaseSchedule()
+            )
+            runs.append((recorder.summary(), warehouse.view_state()))
+        assert runs[0] == runs[1]
+
+    def test_fully_bound_terms_stay_at_the_warehouse(self):
+        """Appendix D: a term with every operand bound "does not have to
+        be sent to the source" — fewer terms ship than the compensation
+        produces."""
+        from repro.costmodel.parameters import PaperParameters
+        from repro.workloads.example6 import build_example6
+
+        view = build_example6(PaperParameters(), k=0, seed=7).view
+        algo = ECA(view)
+        updates = [
+            insert("r1", (1, 2)),
+            insert("r2", (2, 3)),
+            insert("r3", (3, 4)),
+            insert("r1", (5, 6)),
+            insert("r2", (6, 7)),
+            insert("r3", (7, 8)),
+        ]
+        produced = shipped = 0
+        for serial, update in enumerate(updates, start=1):
+            signed = update.signed_tuple()
+            full = view.substitute(update.relation, signed)
+            for pending in algo.uqs_queries():
+                full = full - pending.substitute(update.relation, signed)
+            produced += full.term_count()
+            for request in algo.handle_update(notify(update, serial)):
+                shipped += request.query.term_count()
+        assert shipped < produced
+
     def test_irrelevant_update_no_compensation_state(self, view_w):
         algo = ECA(view_w)
         assert algo.handle_update(notify(insert("zzz", (1,)))) == []

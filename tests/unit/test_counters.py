@@ -95,3 +95,28 @@ class TestEndToEndCounts:
             source, RecomputeView(view_w, period=s), workload, recorder
         ).run(BestCaseSchedule())
         assert recorder.messages == 2 * (k // s)
+
+    def test_the_message_laws_hold_on_the_wire_at_every_k_and_period(
+        self, view_w, two_rel_schemas
+    ):
+        """Section 6.1's two laws on the channel counters: ECA sends 2k
+        under the worst-case interleaving, RV(s) sends 2*ceil(k/s)."""
+        from repro.core.eca import ECA
+        from repro.core.recompute import RecomputeView
+        from repro.costmodel.analytic import messages_eca, messages_rv
+        from repro.simulation.driver import Simulation
+        from repro.simulation.schedules import BestCaseSchedule, WorstCaseSchedule
+        from repro.source.updates import insert
+
+        def messages(warehouse, k, schedule):
+            recorder = CostRecorder()
+            workload = [insert("r1", (i, i % 3)) for i in range(k)]
+            source = MemorySource(two_rel_schemas)
+            Simulation(source, warehouse, workload, recorder).run(schedule)
+            return recorder.messages
+
+        for k in (1, 4, 8, 16):
+            assert messages(ECA(view_w), k, WorstCaseSchedule()) == messages_eca(k)
+        for s in (1, 2, 4, 8):
+            rv = RecomputeView(view_w, period=s)
+            assert messages(rv, 8, BestCaseSchedule()) == messages_rv(8, s)

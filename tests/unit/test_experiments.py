@@ -1,5 +1,13 @@
-"""Unit tests for the experiment harness (figures, tables, reports)."""
+"""Unit tests for the experiment harness (figures, tables, reports), and
+the paper's claims about Table 1, the Section 6.1 message counts and
+Figures 6.2-6.5 (E1-E6 of DESIGN.md §4), asserted on the series."""
 
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.costmodel import analytic
 from repro.costmodel.parameters import PaperParameters
 from repro.experiments.figures import (
     ALL_FIGURES,
@@ -8,6 +16,7 @@ from repro.experiments.figures import (
     figure_6_4,
     figure_6_5,
 )
+from repro.experiments.full_report import generate_report
 from repro.experiments.report import render_series, render_table
 from repro.experiments.tables import messages_table, parameter_table
 
@@ -38,6 +47,23 @@ class TestFigure62:
             if c >= 5:
                 assert eca <= rv
 
+    def test_rv_worst_is_three_recomputes_and_tiny_relations_favor_rv(self):
+        series = figure_6_2()
+        for best, worst in zip(series["BRVBest"], series["BRVWorst"]):
+            assert worst == 3 * best
+        assert series["BECAWorst"][0] > series["BRVBest"][0]  # C = 1
+
+    def test_eca_wins_over_wide_ranges_of_the_join_factor(self):
+        """'This result continues to hold over wide ranges of J, except if
+        J is very small' — J = 1 is the exception the paper allows."""
+        for j in (2, 4, 8, 16):
+            series = figure_6_2(PaperParameters().replace(join_factor=j))
+            for c, rv, eca in zip(
+                series["C"], series["BRVBest"], series["BECAWorst"]
+            ):
+                if c >= 10:
+                    assert eca <= rv, f"J={j}, C={c}"
+
 
 class TestFigure63:
     def test_rv_best_constant(self):
@@ -56,6 +82,36 @@ class TestFigure63:
         }
         assert len(second_diffs) == 1 and 0 not in second_diffs  # quadratic
 
+    def test_every_curve_but_rv_best_grows_and_rv_worst_dominates(self):
+        series = figure_6_3()
+        for name in ("BRVWorst", "BECABest", "BECAWorst"):
+            values = series[name]
+            assert all(a < b for a, b in zip(values, values[1:])), name
+        for rv, eca in zip(series["BRVWorst"], series["BECAWorst"]):
+            assert rv > eca
+
+    def test_worst_minus_best_is_the_compensation_term(self):
+        """The gap is exactly ``k(k-1) S sigma J / 3``."""
+        params = PaperParameters()
+        series = figure_6_3(params)
+        for k, best, worst in zip(
+            series["k"], series["BECABest"], series["BECAWorst"]
+        ):
+            assert worst - best == pytest.approx(
+                k * (k - 1) * params.S * params.sigma * params.J / 3
+            )
+
+    def test_larger_cardinality_moves_the_crossover_out(self):
+        points = [
+            analytic.crossover_k(
+                analytic.bytes_eca_worst,
+                lambda p, k: analytic.bytes_rv_best(p),
+                PaperParameters(cardinality=c),
+            )
+            for c in (50, 100, 200, 400)
+        ]
+        assert points == sorted(points) and points[0] < points[-1]
+
     def test_crossovers_visible_in_series(self):
         series = figure_6_3()
         k = series["k"]
@@ -72,6 +128,40 @@ class TestIOFigures:
         k = series["k"]
         assert series["IOECABest"][k.index(2.0)] < series["IORVBest"][0]
         assert series["IOECABest"][k.index(3.0)] >= series["IORVBest"][0]
+
+    def test_figure_6_4_slopes_and_worst_case_order(self):
+        params = PaperParameters()
+        series = figure_6_4(params)
+        assert series["IORVBest"][0] == 3 * params.I  # 15
+        for i in range(len(series["k"]) - 1):
+            assert series["IOECABest"][i + 1] - series["IOECABest"][i] == params.J + 1
+            assert series["IORVWorst"][i + 1] - series["IORVWorst"][i] == 3 * params.I
+        for eca, rv in zip(series["IOECAWorst"], series["IORVWorst"]):
+            assert eca <= rv
+
+    def test_figure_6_4_eca_wins_arbitrarily_when_j_is_below_i(self):
+        """At C=2000 (I=100) one update costs ECA J+1 and RV 3I."""
+        series = figure_6_4(PaperParameters(cardinality=2000), k_values=[1])
+        assert series["IORVBest"][0] - series["IOECABest"][0] == 300 - 5
+
+    def test_figure_6_5_slopes_crossover_and_factor_i(self):
+        params = PaperParameters()
+        series = figure_6_5(params)
+        rv_best = series["IORVBest"][0]
+        crossed = [
+            k for k, eca in zip(series["k"], series["IOECABest"]) if eca >= rv_best
+        ]
+        # ceil(I^3 / (I * I')) = 9; the paper eyeballs "5 < k < 8".
+        assert crossed[0] == 9
+        for i in range(len(series["k"]) - 1):
+            assert series["IORVWorst"][i + 1] - series["IORVWorst"][i] == rv_best
+        for eca, rv in zip(series["IOECABest"], series["IORVWorst"]):
+            assert rv / eca >= params.I / params.I_prime
+
+    def test_scenario_2_costs_dwarf_scenario_1(self):
+        s1, s2 = figure_6_4(), figure_6_5()
+        for name in ("IORVBest", "IORVWorst", "IOECABest", "IOECAWorst"):
+            assert all(b > a for a, b in zip(s1[name], s2[name])), name
 
     def test_figure_6_5_rv_best_is_125(self):
         series = figure_6_5()
@@ -121,6 +211,12 @@ class TestTables:
         assert by_s[(10, 10)]["M_RV"] == 2
         assert all(row["M_ECA"] == 20 for row in rows)
 
+    def test_eca_always_sends_2k_and_rv_between_2_and_2k(self):
+        rows = messages_table(k_values=(1, 5, 10, 50, 100), periods=(1, 5, 10))
+        for row in rows:
+            assert row["M_ECA"] == 2 * row["k"]
+            assert 2 <= row["M_RV"] <= row["M_ECA"]
+
     def test_messages_table_skips_s_greater_than_k(self):
         rows = messages_table(k_values=(2,), periods=(5,))
         assert all(row["s"] <= row["k"] for row in rows)
@@ -140,3 +236,21 @@ class TestRendering:
 
     def test_render_table_empty(self):
         assert "empty" in render_table("T", [])
+
+
+DESIGN = Path(__file__).resolve().parents[2] / "DESIGN.md"
+
+
+def test_the_full_report_has_a_section_for_every_experiment():
+    """Every experiment DESIGN.md §4 indexes is a section of the report:
+    headed by its label (``E11 — ...``) or, for a figure, by its name."""
+    index = DESIGN.read_text().split("## 4.", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (E\d+): ([^|]*)\|", index, re.MULTILINE)
+    assert [label for label, _ in rows] == [f"E{n}" for n in range(1, 14)]
+    text = generate_report()
+    headings = re.findall(r"^={72}\n(.+)\n={72}$", text, re.MULTILINE)
+    for label, title in rows:
+        names = [label + " "] + [
+            "figure-" + number for number in re.findall(r"Figure (6\.\d)", title)
+        ]
+        assert any(h.startswith(tuple(names)) for h in headings), (label, headings)

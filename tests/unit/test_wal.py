@@ -593,6 +593,35 @@ class TestRecoverFromWal:
             req for _, req in algorithm.pending_requests()
         ]
 
+    @pytest.mark.parametrize("depth", [4, 16, 48])
+    def test_a_replayed_suffix_rebuilds_the_live_view(self, tmp_path, depth):
+        """Snapshot at genesis only, then ``depth`` updates and their
+        answers logged: recovery replays them all to the live view."""
+        from repro.durability import encode_value
+        from repro.messaging.messages import QueryAnswer
+        from repro.workloads.random_gen import random_workload
+
+        source, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path))
+        wal.snapshot(algorithm)
+
+        def log(message):
+            body = {"channel": "source->wh", "origin": "source"}
+            wal.append(RECV, dict(body, message=encode_value(message)))
+
+        for serial, update in enumerate(
+            random_workload(SCHEMAS, depth, seed=7, initial=INITIAL), start=1
+        ):
+            source.apply_update(update)
+            notification = UpdateNotification(update, serial)
+            log(notification)
+            for request in algorithm.handle_update(notification):
+                answer = QueryAnswer(request.query_id, source.evaluate(request.query))
+                log(answer)
+                algorithm.handle_answer(answer)
+        wal.close()
+        assert recover(str(tmp_path)).algorithm.view_state() == algorithm.view_state()
+
     def test_corrupt_newest_snapshot_is_an_error_not_a_stale_view(self, tmp_path):
         """Regression: a snapshot compacts the log away, so recovering from
         an *older* snapshot replays only the suffix after the newer one —
