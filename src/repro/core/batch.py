@@ -126,10 +126,8 @@ class BatchECA(ECA):
                 del self._sent[query_id]
         return self._ship_batch(batch, contaminated)
 
-    def _dispatch(
-        self, query: Query, local_delta: Optional[SignedBag], remote: Query
-    ) -> List[QueryRequest]:
-        requests = super()._dispatch(query, local_delta, remote)
+    def _dispatch(self, query: Query) -> List[QueryRequest]:
+        requests = super()._dispatch(query)
         for request in requests:
             self._sent[request.query_id] = request.query
         return requests

@@ -20,11 +20,6 @@ state, and substitution only binds more operands, so everything derived
 from them is empty too; of the rest, fully bound terms are evaluated at
 the warehouse and the others are shipped.  :func:`split` does it.
 
-:class:`CompensationMemo` is where ECA does that split: the compensated
-query of one event is a pure function of the view definition, the
-update(s) and the pending queries, so structurally equal views that meet
-the same inputs build it once (``docs/MULTIVIEW.md`` §2).
-
 Most of ``-Q_j<U>``'s terms are ones the split would drop at their first
 check, an attribute equality between the update's tuple and a tuple the
 term already binds.  :func:`candidate_terms` does not build those: each
@@ -39,75 +34,17 @@ from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.relational.bag import SignedBag
 from repro.relational.conditions import _COMPARATORS, Attr, Comparison, Condition, Const
-from repro.relational.engine import evaluate_query, join_plan
+from repro.relational.engine import join_plan
 from repro.relational.expressions import Query, Term, TermShape
 from repro.relational.views import View
 from repro.source.updates import Update
-
-#: One event's compensated query as ECA consumes it: the whole query, the
-#: value of its fully bound terms (``None`` when it has none) and the
-#: terms to ship.  All three are shared between the views of a class and
-#: never edited.
-Compensated = Tuple[Query, Optional[SignedBag], Query]
 
 #: A conjunct compiled against one bound mask: a term's operands -> its
 #: truth value on their bound tuples.
 Check = Callable[[Tuple[Any, ...]], object]
 
 _is_bound = attrgetter("is_bound")
-
-
-class CompensationMemo:
-    """The last compensated query built, keyed by what it was built from.
-
-    One entry: the views of a class meet an event one after another, so
-    the first builds and the rest find what it built.  The key is compared
-    by value — the update(s), then the pending queries in UQS order —
-    and Python's identity short-cut makes that a pointer walk when the
-    views hold the same ``Query`` objects, which they do from the first
-    hit on.  Views whose pending queries differ miss and build for
-    themselves; that is all the protocol a class needs.
-    """
-
-    __slots__ = ("_updates", "_pending", "_built")
-
-    def __init__(self) -> None:
-        # No update and no batch equals None, so the first lookup misses.
-        self._updates: object = None
-        self._pending: object = None
-        self._built: Compensated = (Query(), None, Query())
-
-    def compensated(
-        self,
-        build: Callable[[View, Any, Any], Query],
-        view: View,
-        updates: object,
-        pending: object,
-    ) -> Compensated:
-        """``build(view, updates, pending)`` split for dispatch — the held
-        one when ``updates`` and ``pending`` equal what it was built from.
-
-        ``view`` is not compared: the memo belongs to views of one
-        definition.  An update never equals a batch and a pending query
-        never equals a ``(query, seen)`` pair, so the two builders' keys
-        cannot meet.
-        """
-        if updates == self._updates and pending == self._pending:
-            return self._built
-        query = build(view, updates, pending)
-        local, remote = self.split(query)
-        delta = None if local.is_empty() else evaluate_query(local, {})
-        self._updates, self._pending = updates, pending
-        self._built = built = (query, delta, remote)
-        return built
-
-    @staticmethod
-    def split(query: Query) -> Tuple[Query, Query]:
-        """How a built query is split (:func:`split`); a method so that a
-        test can hold the memo against another split."""
-        return split(query)
 
 
 def split(query: Query) -> Tuple[Query, Query]:

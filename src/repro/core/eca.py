@@ -21,12 +21,12 @@ into ``COLLECT``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.compensation import (
-    CompensationMemo,
     batch_delta_query,
     candidate_terms,
+    split,
     staged_compensation,
 )
 from repro.core.protocol import WarehouseAlgorithm, require_width
@@ -37,6 +37,7 @@ from repro.messaging.messages import (
     UpdateNotification,
 )
 from repro.relational.bag import SignedBag
+from repro.relational.engine import evaluate_query
 from repro.relational.expressions import Query
 from repro.relational.views import View
 from repro.source.updates import Update
@@ -45,14 +46,11 @@ from repro.source.updates import Update
 class ECA(WarehouseAlgorithm):
     """The Eager Compensating Algorithm — strongly consistent.
 
-    The compensated query of an event is a pure function of (view
-    definition, update(s), pending queries in UQS order); it is built in
-    one place, through :attr:`memo`, which builds only when those inputs
-    differ from the ones it last built from.  Alone, that is every
-    event.  In a :class:`~repro.warehouse.catalog.WarehouseCatalog` the
-    ECAs of one type over equally defined views share a memo, so one of
-    them builds and the rest hold the same ``Query`` object in their own
-    UQS under their own ids.
+    The compensated query of an event is built and split
+    (:func:`~repro.core.compensation.split`) in one place,
+    :meth:`_dispatch`.  In a :class:`~repro.warehouse.catalog.WarehouseCatalog`
+    with sharing on, equally defined views in equal states are one ECA,
+    so a class builds once per event however many views it stands for.
 
     Parameters
     ----------
@@ -77,10 +75,6 @@ class ECA(WarehouseAlgorithm):
         super().__init__(view, initial)
         self.collect = SignedBag()
         self.buffer_answers = buffer_answers
-        #: Where the compensated query of an event is built.  A catalog
-        #: gives structurally equal views one between them
-        #: (:func:`share_memos`); what it hands out is never edited.
-        self.memo = CompensationMemo()
 
     # ------------------------------------------------------------------ #
     # W_up
@@ -90,12 +84,7 @@ class ECA(WarehouseAlgorithm):
         if not self.relevant(notification):
             return []
         return self._dispatch(
-            *self.memo.compensated(
-                _compensate_update,
-                self.view,
-                notification.update,
-                self.uqs_queries(),
-            )
+            _compensate_update(self.view, notification.update, self.uqs_queries())
         )
 
     def handle_update_batch(self, batch: UpdateBatch) -> List[QueryRequest]:
@@ -129,22 +118,18 @@ class ECA(WarehouseAlgorithm):
         query when a kernel coalesced the batch;
         :class:`~repro.core.batch.BatchECA` counts arrivals itself.
         """
-        return self._dispatch(
-            *self.memo.compensated(
-                _compensate_batch, self.view, batch, contaminated
-            )
-        )
+        terms = list(batch_delta_query(self.view, batch).terms)
+        for query, seen in contaminated:
+            terms.extend(staged_compensation(query, batch, seen).terms)
+        return self._dispatch(Query(terms))
 
-    def _dispatch(
-        self, query: Query, local_delta: Optional[SignedBag], remote: Query
-    ) -> List[QueryRequest]:
-        """Take one built query in: its fully bound terms' value (found
-        locally, Appendix D) into COLLECT; the rest goes to the source.
-
-        ``query`` is everything that was built, for subclasses that keep
-        or observe it; the two parts are all this class needs."""
-        if local_delta is not None:
-            self._absorb(local_delta)
+    def _dispatch(self, query: Query) -> List[QueryRequest]:
+        """Take one built query in, split: its fully bound terms' value
+        (found locally, Appendix D) into COLLECT; the rest goes to the
+        source.  The terms the split drops are in neither."""
+        local, remote = split(query)
+        if not local.is_empty():
+            self._absorb(evaluate_query(local, {}))
         if remote.is_empty():
             # Nothing to ask the source; a flush may be due right now.
             self._maybe_install()
@@ -231,30 +216,3 @@ def _compensate_update(view: View, update: Update, pending: List[Query]) -> Quer
     if not candidates:
         return query
     return Query(query.terms + Query(candidates).substitute(relation, signed, -1).terms)
-
-
-def _compensate_batch(
-    view: View, batch: List[Update], contaminated: List[Tuple[Query, int]]
-) -> Query:
-    """The batch's delta, then each contaminated query's staged correction."""
-    terms = list(batch_delta_query(view, batch).terms)
-    for query, seen in contaminated:
-        terms.extend(staged_compensation(query, batch, seen).terms)
-    return Query(terms)
-
-
-def share_memos(algorithms: Iterable[WarehouseAlgorithm]) -> None:
-    """Give the ECAs of each class among ``algorithms`` one memo.
-
-    A class is the algorithms of one ``type`` whose views have equal
-    definitions (``view.definition()`` — everything but the name).  Other
-    families are left alone; a later call re-scopes every class.
-    """
-    memos: Dict[object, CompensationMemo] = {}
-    for algorithm in algorithms:
-        if isinstance(algorithm, ECA):
-            key = (type(algorithm), algorithm.view.definition())
-            memo = memos.get(key)
-            if memo is None:
-                memo = memos[key] = CompensationMemo()
-            algorithm.memo = memo

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.protocol import WarehouseAlgorithm, require_width
-from repro.errors import SchemaError
+from repro.errors import ProtocolError, SchemaError
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.relational.views import View
@@ -116,7 +116,7 @@ class ECAKey(WarehouseAlgorithm):
                 # *before* retiring: the failure must leave the UQS and
                 # filter tables exactly as they were
                 # (tests/property/test_rejected_events.py).
-                raise ValueError(
+                raise ProtocolError(
                     f"ECA-Key received a negative answer tuple {row!r}"
                 )
         self._retire(answer)

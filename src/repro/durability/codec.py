@@ -673,7 +673,8 @@ def loads(text: str) -> object:
 
 class Marks:
     """What the last snapshot written through these marks held: per
-    algorithm (a catalog member by name, a lone one under ``None``) its
+    algorithm (a catalog class by its first member's name, a lone one
+    under ``None``) its
     UQS, its pending bags' counts and its other pending fields' text;
     its view's changes since are in the journal the marks read."""
 
@@ -704,28 +705,36 @@ def encode_algorithm(algorithm: WarehouseAlgorithm, marks: Optional[Marks] = Non
     this one: the view rows written since and each pending bag's changes
     (``bag.delta``), the UQS entries added and the ids ``retired``, every
     other pending field in full and, of a catalog, the members that moved.
+    A catalog class is encoded once and written under each member's name,
+    a root with the member's own view.
     """
     delta = marks is not None and bool(marks.held)
     if getattr(algorithm, "codec_tag", "algo") == "algo.catalog":
         catalog = cast("WarehouseCatalog", algorithm)
-        members = []
-        for name, member in catalog.algorithms.items():
-            text = _algo_text(member, marks, name)
-            if text is not None:
-                members.append(_array((canonical_json(name), text)))
+        texts: Dict[str, str] = {}
+        for member, names in catalog.classes():
+            views = [catalog.views[name] for name in names]
+            found = _algo_texts(member, views, marks, names[0])
+            if found is not None:
+                texts.update(zip(names, found))
+        members = [_array((canonical_json(n), texts[n])) for n in catalog.views if n in texts]
         pending = encode_text(catalog.pending_state())
         if delta:
             return _tagged("algo.catalog.delta", members=_array(members), pending=pending)
         share = canonical_json(catalog.share_compensation)
         return _tagged("algo.catalog", share=share, members=_array(members), pending=pending)
-    return cast(str, _algo_text(algorithm, marks, None))
+    return cast(List[str], _algo_texts(algorithm, [algorithm.view], marks, None))[0]
 
 
-def _algo_text(
-    algorithm: WarehouseAlgorithm, marks: Optional[Marks], key: Optional[str]
-) -> Optional[str]:
-    """One algorithm's ``algo`` form, or its ``algo.delta`` over what
-    ``marks`` remember of it — ``None`` for a catalog member (``key`` not
+def _algo_texts(
+    algorithm: WarehouseAlgorithm,
+    views: Sequence[View],
+    marks: Optional[Marks],
+    key: Optional[str],
+) -> Optional[List[str]]:
+    """One algorithm's ``algo`` form under each of ``views`` (a catalog
+    class's members), or its ``algo.delta`` over what ``marks`` remember
+    of it, once per view — ``None`` for a catalog class (``key`` not
     ``None``) that did not move.
 
     The UQS is told apart by query *object*: ids ascend and a pending
@@ -765,22 +774,22 @@ def _algo_text(
     if held is None:
         if marks is not None:
             marks.views.append(algorithm.mv)
-        return _tagged(
-            "algo",
-            name=canonical_json(algorithm.name),
-            view=encode_text(algorithm.view),
-            mv=_tagged("bag", pairs=_contents_text(algorithm.mv)),
-            config=encode_text(algorithm.durable_config()),
-            pending=pending,
-        )
+        fields = {
+            "name": canonical_json(algorithm.name),
+            "mv": _tagged("bag", pairs=_contents_text(algorithm.mv)),
+            "config": encode_text(algorithm.durable_config()),
+            "pending": pending,
+        }
+        return [_tagged("algo", view=encode_text(view), **fields) for view in views]
     if key is not None and not (changes or moved) and _array(rest) == rest_then:
         return None
-    return _tagged(
+    text = _tagged(
         "algo.delta",
         mv=_tagged("bag.delta", pairs=_pairs_text(changes or [])),
         pending=pending,
         retired=canonical_json(retired),
     )
+    return [text] * len(views)
 
 
 def _entry_text(entry: Tuple[int, Query]) -> str:

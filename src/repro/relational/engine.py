@@ -202,7 +202,7 @@ class JoinPlan:
 
 
 #: Plans by what they are built from, so that the equal shapes of equal
-#: views (the members of a catalog's classes, one ``Term`` each) build one
+#: views (a class copied onto shards, views a recovery decoded) build one
 #: between them.  A memo of a pure function — an entry is what building
 #: would return — held weakly: it lives while some shape holds its plan.
 _SHARED: "WeakValueDictionary[Tuple[object, ...], JoinPlan]" = WeakValueDictionary()

@@ -16,7 +16,7 @@ the serving cache's name: :func:`written_keys`.
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Set, Tuple
 
 #: The projected serving key of one or more view rows.
 Key = Tuple[object, ...]
@@ -55,14 +55,20 @@ def written_keys(warehouse: object, reader: Hashable) -> Set[ViewKey]:
     """The addresses whose rows ``warehouse``'s members wrote since
     ``reader``'s last call, each row projected to its view's serving key.
 
-    The first call on a member opens ``reader``'s journal there and
-    contributes nothing: a view's rows before that are what a cache
-    starts empty of.  Over-reporting is allowed (a row written and
-    written back counts); missing a changed row is not.
+    Members that are one algorithm (a catalog class) share its journal:
+    it is taken once and its rows reported under every member's name.
+    The first call on a journal opens ``reader``'s there and contributes
+    nothing: a view's rows before that are what a cache starts empty of.
+    Over-reporting is allowed (a row written and written back counts);
+    missing a changed row is not.
     """
     out: Set[ViewKey] = set()
+    taken: Dict[int, Sequence[Tuple[Key, int]]] = {}
     for name, member in members(warehouse).items():
-        changes = member.mv.take_changes(reader)  # type: ignore[attr-defined]
+        changes = taken.get(id(member))
+        if changes is None:
+            changes = member.mv.take_changes(reader) or []  # type: ignore[attr-defined]
+            taken[id(member)] = changes
         if changes:
             positions = member.view.serving_key_positions()  # type: ignore[attr-defined]
             out.update((name, row_key(row, positions)) for row, _ in changes)

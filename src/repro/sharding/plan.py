@@ -31,7 +31,7 @@ from repro.messaging.messages import (
     RefreshRequest,
     UpdateNotification,
 )
-from repro.sharding.partition import Partitioner, ViewKey, make_partitioner
+from repro.sharding.partition import make_partitioner
 from repro.warehouse.catalog import WarehouseCatalog
 
 
@@ -119,10 +119,11 @@ class ShardPlan:
         )
 
 
-def _member_views(algorithm: object) -> Dict[str, WarehouseAlgorithm]:
-    """The placeable members of ``algorithm`` (catalog members, or itself)."""
+def _as_catalog(algorithm: object) -> WarehouseCatalog:
+    """``algorithm`` as a catalog: itself, or a one-view catalog around a
+    single-view algorithm."""
     if isinstance(algorithm, WarehouseCatalog):
-        return dict(algorithm.algorithms)
+        return algorithm
     if isinstance(algorithm, WarehouseAlgorithm):
         if getattr(algorithm, "multi_source", False):
             raise SimulationError(
@@ -130,7 +131,7 @@ def _member_views(algorithm: object) -> Dict[str, WarehouseAlgorithm]:
                 f"several sources; sharding places whole views, so a "
                 f"spanning view cannot be partitioned — run it unsharded"
             )
-        return {algorithm.view.name: algorithm}
+        return WarehouseCatalog({algorithm.view.name: algorithm})
     raise SimulationError(
         f"cannot shard {algorithm!r}: expected a WarehouseCatalog or a "
         f"single-view WarehouseAlgorithm"
@@ -153,13 +154,12 @@ def plan_shards(
     """
     if shards < 1:
         raise SimulationError(f"a sharded run needs >= 1 shard, got {shards}")
-    members = _member_views(algorithm)
-    keys: List[ViewKey] = [(name,) for name in sorted(members)]
-    chosen = make_partitioner(partitioner, shards, keys)
+    catalog = _as_catalog(algorithm)
+    names = sorted(catalog.views)
+    chosen = make_partitioner(partitioner, shards, [(name,) for name in names])
 
     assignment: Dict[str, int] = {}
-    per_shard: Dict[int, Dict[str, WarehouseAlgorithm]] = {}
-    for name in sorted(members):
+    for name in names:
         shard = chosen.shard_of((name,))
         if not 0 <= shard < shards:
             raise SimulationError(
@@ -167,23 +167,19 @@ def plan_shards(
                 f"outside range({shards})"
             )
         assignment[name] = shard
-        per_shard.setdefault(shard, {})[name] = members[name]
 
-    # The planner is scoped per shard: each per-shard catalog inherits the
-    # source catalog's sharing mode and dedupes only among its own views
-    # (cross-shard sharing would need answer fan-out across actors).
-    share = getattr(algorithm, "share_compensation", False)
-    algorithms = {
-        shard: WarehouseCatalog(views, share_compensation=share)
-        for shard, views in per_shard.items()
-    }
+    # Each per-shard catalog inherits the source catalog's sharing mode
+    # and shares only among its own views: a class split across shards
+    # is one algorithm per shard (cross-shard sharing would need answer
+    # fan-out across actors).
+    algorithms = catalog.split(assignment)
     # Invert view -> relations rather than probing every (relation, view)
     # pair with ``involves``: one pass over the members covers the whole
     # map in O(views x relations-per-view), by the rule each shard's
     # catalog applies among its own members.
     reactive: Dict[str, set] = {}
-    for name, member in members.items():
-        for relation in member.view.reactive_relations():
+    for name, view in catalog.views.items():
+        for relation in view.reactive_relations():
             reactive.setdefault(relation, set()).add(assignment[name])
     interest: Dict[str, Tuple[int, ...]] = {
         relation: tuple(sorted(reactive.get(relation, ())))

@@ -7,20 +7,23 @@ it implements the same event protocol as a single algorithm, fans every
 notification out to the per-view algorithms whose views read the updated
 relation (each of which may be a different member of the family — ECA
 here, ECA-Key there, a deferred view in the corner), and routes answers
-back.  "Separately" describes the result, not the work: the ECA members
-of a *class* — one algorithm type, one view definition under different
-names — build each compensating query once between them
-(:func:`repro.core.eca.share_memos`; ``docs/MULTIVIEW.md`` §2).
+back.  "Separately" describes the result, not the work: with
+``share_compensation=True`` the members of a *class* — one algorithm
+type, equal view definitions, equal constructor options and equal state,
+under different names — are one algorithm, which the catalog drives once
+per event and reports under every member's name (``docs/MULTIVIEW.md``
+§2).  With sharing off every member is a class of one.
 
 Between the members and the wire sits a
 :class:`~repro.warehouse.planner.CompensationPlanner`: with
 ``share_compensation=False`` (the default) it is a byte-identical
 re-expression of the historical 1:1 query-id multiplexer, while with
-``share_compensation=True`` member queries with equal canonical
-signatures inside one atomic event collapse into a single
+``share_compensation=True`` a class's request is planned with every
+member as a subscriber, and requests of different classes with equal
+canonical signatures inside one atomic event collapse into a single
 :class:`~repro.messaging.messages.QueryRequest` whose one answer fans
-back through every subscribing view's own compensation — N overlapping
-views cost one source round trip instead of N (``docs/MULTIVIEW.md``).
+back through every subscribing class — N overlapping views cost one
+source round trip instead of N (``docs/MULTIVIEW.md``).
 
 For trace-based checking, the catalog is itself a "view" whose rows are
 tagged with their view name: ``catalog.view_state()`` returns
@@ -53,7 +56,8 @@ from repro.messaging.messages import (
     UpdateNotification,
 )
 from repro.relational.bag import SignedBag
-from repro.warehouse.planner import CompensationPlanner, MemberRequest
+from repro.relational.views import View
+from repro.warehouse.planner import CompensationPlanner
 from repro.warehouse.state import Changes
 
 if TYPE_CHECKING:  # avoid a package-level import cycle with repro.core
@@ -63,13 +67,14 @@ if TYPE_CHECKING:  # avoid a package-level import cycle with repro.core
 class WarehouseCatalog:
     """Several views maintained side by side behind one protocol.
 
-    Construction scopes every class of structurally equal ECA members
-    to this catalog (one :class:`~repro.core.compensation.CompensationMemo`
-    per class; a catalog built later over the same members re-scopes
-    them, which is how per-shard catalogs come to share nothing) and
-    inverts ``view.reactive_relations()`` into the ``relation ->
-    members`` map that :meth:`on_update` and :meth:`on_update_batch`
-    deliver by.  Only the view definitions are hashed here.
+    Construction groups the members into classes and inverts
+    ``view.reactive_relations()`` into the ``relation -> classes`` map
+    that :meth:`on_update` delivers by.  With sharing on, a member joins
+    the first earlier class whose algorithm is the same object, or has
+    its type, view definition, ``durable_config()`` and state (view
+    contents and ``pending_state()``, compared by equality), and its own
+    algorithm object goes unused.  ``algorithms`` maps every member name
+    to its class's algorithm, ``views`` to the member's own view.
     """
 
     name = "catalog"
@@ -83,26 +88,63 @@ class WarehouseCatalog:
     ) -> None:
         if not algorithms:
             raise ProtocolError("a warehouse catalog needs at least one view")
-        from repro.core.eca import share_memos
-
-        self.algorithms: "Dict[str, WarehouseAlgorithm]" = dict(algorithms)
         self.owners: Dict[str, str] = {}
         self._planner = CompensationPlanner(share=share_compensation)
-        share_memos(self.algorithms.values())
-        #: relation -> the members whose views react to it, each with its
-        #: catalog position, in catalog order: the only members an update
-        #: on the relation is delivered to.
-        self._interested: "Dict[str, List[Tuple[int, str, WarehouseAlgorithm]]]" = {}
-        for position, (view_name, algorithm) in enumerate(self.algorithms.items()):
+        self.views: Dict[str, View] = {
+            name: algorithm.view for name, algorithm in algorithms.items()
+        }
+        self.algorithms: "Dict[str, WarehouseAlgorithm]" = {}
+        #: Each class's algorithm -> its members, in catalog order.
+        self._members: "Dict[WarehouseAlgorithm, List[Tuple[int, str]]]" = {}
+        leaders: "Dict[Tuple[object, ...], List[WarehouseAlgorithm]]" = {}
+        for position, (view_name, algorithm) in enumerate(algorithms.items()):
+            if share_compensation:
+                same = leaders.setdefault((type(algorithm), algorithm.view.definition()), [])
+                algorithm = next((a for a in same if _same_class(a, algorithm)), algorithm)
+                if algorithm not in same:
+                    same.append(algorithm)
+            self._members.setdefault(algorithm, []).append((position, view_name))
+            self.algorithms[view_name] = algorithm
+        #: relation -> the classes whose views react to it, in class
+        #: order: the only ones an update on the relation is delivered to.
+        self._interested: "Dict[str, List[WarehouseAlgorithm]]" = {}
+        for algorithm in self._members:
             for relation in algorithm.view.reactive_relations():
-                self._interested.setdefault(relation, []).append(
-                    (position, view_name, algorithm)
-                )
+                self._interested.setdefault(relation, []).append(algorithm)
 
     @property
     def share_compensation(self) -> bool:
-        """Whether same-event duplicate compensating queries are shared."""
+        """Whether classes span members and same-event duplicates are shared."""
         return self._planner.share
+
+    def classes(self) -> "List[Tuple[WarehouseAlgorithm, Tuple[str, ...]]]":
+        """Each class's algorithm and its members' names, in catalog order."""
+        return [
+            (algorithm, tuple(name for _, name in members))
+            for algorithm, members in self._members.items()
+        ]
+
+    def split(self, assignment: Mapping[str, int]) -> "Dict[int, WarehouseCatalog]":
+        """One catalog per part over the members ``assignment`` places
+        there, in name order, with this catalog's sharing mode.
+
+        A class whose members land in several parts keeps its algorithm
+        in the first of them and is copied (a codec round trip) into each
+        other: no algorithm object is reachable from two parts.
+        """
+        parts: "Dict[int, Dict[str, WarehouseAlgorithm]]" = {}
+        placed: "Dict[Tuple[WarehouseAlgorithm, int], WarehouseAlgorithm]" = {}
+        for view_name in sorted(assignment):
+            part, algorithm = assignment[view_name], self.algorithms[view_name]
+            if (algorithm, part) not in placed:
+                taken = any(other is algorithm for other, _ in placed)
+                placed[algorithm, part] = _copy(algorithm) if taken else algorithm
+            parts.setdefault(part, {})[view_name] = placed[algorithm, part]
+        out: Dict[int, WarehouseCatalog] = {}
+        for part, algorithms in parts.items():
+            out[part] = WarehouseCatalog(algorithms, self.share_compensation)
+            out[part].views = {name: self.views[name] for name in algorithms}
+        return out
 
     # ------------------------------------------------------------------ #
     # Routed protocol events
@@ -111,22 +153,22 @@ class WarehouseCatalog:
     def bind_owners(self, owners: Dict[str, str]) -> None:
         if not self.owners:
             self.owners = dict(owners)
-        for algorithm in self.algorithms.values():
+        for algorithm in self._members:
             algorithm.bind_owners(owners)
 
     def on_update(
         self, source: Optional[str], notification: UpdateNotification
     ) -> "Routed":
-        members: List[MemberRequest] = []
-        for _, view_name, algorithm in self._interested.get(
-            notification.update.relation, ()
-        ):
-            for destination, request in algorithm.on_update(source, notification):
-                members.append((view_name, destination, request))
-        return self._planner.plan(members)
+        return self._planner.plan(
+            [
+                (destination, request, self._members[algorithm])
+                for algorithm in self._interested.get(notification.update.relation, ())
+                for destination, request in algorithm.on_update(source, notification)
+            ]
+        )
 
     def on_update_batch(self, source: Optional[str], batch: "UpdateBatch") -> "Routed":
-        """Fan a kernel-coalesced run out as one event, to every member
+        """Fan a kernel-coalesced run out as one event, to every class
         that reacts to some relation in it.
 
         Each of them sees the same atomic ``UpdateBatch``, so views whose
@@ -134,47 +176,61 @@ class WarehouseCatalog:
         keep that behavior inside the catalog; the catalog itself only
         plans the resulting query ids, exactly as :meth:`on_update`.
         """
-        interested = {
-            position: (view_name, algorithm)
-            for notification in batch.notifications
-            for position, view_name, algorithm in self._interested.get(
-                notification.update.relation, ()
-            )
-        }
-        members: List[MemberRequest] = []
-        for position in sorted(interested):
-            view_name, algorithm = interested[position]
-            for destination, request in algorithm.on_update_batch(source, batch):
-                members.append((view_name, destination, request))
-        return self._planner.plan(members)
+        relations = {n.update.relation for n in batch.notifications}
+        return self._planner.plan(
+            [
+                (destination, request, members)
+                for algorithm, members in self._members.items()
+                if not relations.isdisjoint(algorithm.view.reactive_relations())
+                for destination, request in algorithm.on_update_batch(source, batch)
+            ]
+        )
 
     def on_answer(self, source: Optional[str], answer: QueryAnswer) -> "Routed":
-        """Fan one (possibly shared) answer to every subscribing view.
+        """Fan one (possibly shared) answer to every subscribing class.
 
         All subscribers absorb the answer within this one atomic event —
         exactly the bag each would have received from its own private
         request, because sharing only ever merged signature-equal
-        queries.  Follow-up requests the subscribers emit are planned
-        together, so even recovery-time or refresh-time duplicates
-        collapse.  The route is retired once every subscriber took the
-        answer: one that rejects it leaves the route pending.
+        queries.  Follow-up requests are planned together, so even
+        recovery-time or refresh-time duplicates collapse.  When the
+        route reaches more than one class, every class but the first
+        takes the answer on a copy before any class absorbs it: one that
+        rejects it raises there, and the first rejects before changing
+        anything, so a rejected answer changes nothing and leaves the
+        route pending.
         """
-        subscribers = self._planner.subscribers(answer.query_id)
-        members: List[MemberRequest] = []
-        for view_name, local_id in subscribers:
-            for destination, request in self.algorithms[view_name].on_answer(
+        #: (class, local id) -> None, in route order.
+        targets: "Dict[Tuple[WarehouseAlgorithm, int], None]" = {}
+        for view_name, local_id in self._planner.subscribers(answer.query_id):
+            targets[self.algorithms[view_name], local_id] = None
+        if len(targets) > 1:
+            first, *rest = targets
+            if any(algorithm is first[0] for algorithm, _ in rest):
+                rest.insert(0, first)
+            copies: "Dict[WarehouseAlgorithm, WarehouseAlgorithm]" = {}
+            for algorithm, local_id in rest:
+                if algorithm not in copies:
+                    copies[algorithm] = _copy(algorithm)
+                copies[algorithm].on_answer(source, QueryAnswer(local_id, answer.answer))
+        requests = [
+            (destination, request, self._members[algorithm])
+            for algorithm, local_id in targets
+            for destination, request in algorithm.on_answer(
                 source, QueryAnswer(local_id, answer.answer)
-            ):
-                members.append((view_name, destination, request))
+            )
+        ]
         self._planner.retire(answer.query_id)
-        return self._planner.plan(members)
+        return self._planner.plan(requests)
 
     def on_refresh(self) -> "Routed":
-        members: List[MemberRequest] = []
-        for view_name, algorithm in self.algorithms.items():
-            for destination, request in algorithm.on_refresh():
-                members.append((view_name, destination, request))
-        return self._planner.plan(members)
+        return self._planner.plan(
+            [
+                (destination, request, members)
+                for algorithm, members in self._members.items()
+                for destination, request in algorithm.on_refresh()
+            ]
+        )
 
     # ------------------------------------------------------------------ #
     # State — the catalog poses as one big tagged view
@@ -187,37 +243,37 @@ class WarehouseCatalog:
         it only for ``ws_0`` and after a recovery, and every other
         ``ws_j`` from :meth:`view_changes`.
         """
-        union = SignedBag()
-        for view_name, algorithm in self.algorithms.items():
-            for row, count in algorithm.view_state().items():
-                union.add((view_name,) + row, count)
-        return union
+        return self._tagged({a: a.view_state() for a in self._members})
 
     def view_changes(self) -> Optional[Changes]:
-        """The members' changes since the last call, tagged as in :meth:`view_state`.
+        """The classes' changes since the last call, tagged with each
+        member's name as in :meth:`view_state`.
 
-        ``None`` when some member has no journal yet; every member is
+        ``None`` when some class has no journal yet; every class is
         drained (or has its journal opened) either way.
         """
-        tagged: Changes = []
-        whole = False
-        for view_name, algorithm in self.algorithms.items():
-            changes = algorithm.view_changes()
-            if changes is None:
-                whole = True
-            elif not whole:
-                tagged.extend(((view_name,) + row, delta) for row, delta in changes)
-        return None if whole else tagged
+        taken = {algorithm: algorithm.view_changes() for algorithm in self._members}
+        if None in taken.values():
+            return None
+        return [
+            ((view_name,) + row, delta)
+            for view_name, algorithm in self.algorithms.items()
+            for row, delta in taken[algorithm]  # type: ignore[union-attr]
+        ]
 
     def evaluate_oracle(self, state: Mapping[str, SignedBag]) -> SignedBag:
         """Tagged union of every view evaluated over a raw source state."""
         from repro.relational.engine import evaluate_view
 
-        combined = SignedBag()
+        return self._tagged({a: evaluate_view(a.view, state) for a in self._members})
+
+    def _tagged(self, bags: "Mapping[WarehouseAlgorithm, SignedBag]") -> SignedBag:
+        """Each class's bag, its rows tagged with every member's name."""
+        union = SignedBag()
         for view_name, algorithm in self.algorithms.items():
-            for row, count in evaluate_view(algorithm.view, state).items():
-                combined.add((view_name,) + row, count)
-        return combined
+            for row, count in bags[algorithm].items():
+                union.add((view_name,) + row, count)
+        return union
 
     def state_of(self, view_name: str) -> SignedBag:
         return self.algorithms[view_name].view_state()
@@ -229,7 +285,7 @@ class WarehouseCatalog:
 
     def is_quiescent(self) -> bool:
         return self._planner.is_quiescent() and all(
-            algorithm.is_quiescent() for algorithm in self.algorithms.values()
+            algorithm.is_quiescent() for algorithm in self._members
         )
 
     # ------------------------------------------------------------------ #
@@ -255,17 +311,14 @@ class WarehouseCatalog:
         """
         from repro.messaging.messages import QueryRequest
 
-        local_pending: Dict[Tuple[str, int], Tuple[Optional[str], QueryRequest]] = {}
-        for view_name, algorithm in self.algorithms.items():
+        local_pending: Dict[Tuple[object, int], Tuple[Optional[str], QueryRequest]] = {}
+        for algorithm in self._members:
             for destination, request in algorithm.pending_requests():
-                local_pending[(view_name, request.query_id)] = (
-                    destination,
-                    request,
-                )
+                local_pending[algorithm, request.query_id] = (destination, request)
         out: "Routed" = []
         for global_id in self._planner.pending_ids():
             view_name, local_id = self._planner.subscribers(global_id)[0]
-            destination, request = local_pending[(view_name, local_id)]
+            destination, request = local_pending[self.algorithms[view_name], local_id]
             out.append((destination, QueryRequest(global_id, request.query)))
         return out
 
@@ -294,3 +347,23 @@ class WarehouseCatalog:
         )
         mode = ", shared" if self.share_compensation else ""
         return f"WarehouseCatalog({parts}{mode})"
+
+
+def _copy(algorithm: "WarehouseAlgorithm") -> "WarehouseAlgorithm":
+    """An independent twin of ``algorithm``: its codec round trip."""
+    from repro.durability.codec import dumps_algorithm, loads_algorithm
+
+    twin = loads_algorithm(dumps_algorithm(algorithm, validate=False))
+    twin.bind_owners(algorithm.owners)
+    return twin
+
+
+def _same_class(leader: "WarehouseAlgorithm", algorithm: "WarehouseAlgorithm") -> bool:
+    """Whether ``algorithm``, of ``leader``'s type and view definition,
+    behaves as ``leader`` on every future event: the same object, or
+    equal options and equal state."""
+    return leader is algorithm or (
+        leader.durable_config() == algorithm.durable_config()
+        and leader.mv.view_state() == algorithm.mv.view_state()
+        and leader.pending_state() == algorithm.pending_state()
+    )

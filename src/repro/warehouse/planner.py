@@ -22,6 +22,11 @@ subscribers with the exact bag each would have received alone — that is
 what keeps every view's UQS semantics byte-for-byte intact (see
 ``docs/MULTIVIEW.md`` for the worked example and the caveats).
 
+A request comes from a *class* of the catalog's members, one algorithm
+for equal views, with every member as a subscriber.  A signature is
+computed only where a merge is possible: for the requests of one event
+that share a destination with another.
+
 The planner is **pure** bookkeeping: it never touches a channel, clock,
 or randomness, so recovery can rebuild it from its durable route table
 and re-plan deterministically.
@@ -29,28 +34,33 @@ and re-plan deterministically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
 from repro.messaging.messages import QueryRequest
 from repro.relational.signature import query_signature
 
-#: One member view's request: ``(view name, destination, request)``.
-MemberRequest = Tuple[str, Optional[str], QueryRequest]
+#: The members one request speaks for: ``(catalog position, view name)``
+#: pairs, in catalog order.
+Members = List[Tuple[int, str]]
+
+#: One class's request: ``(destination, request, members)``.
+ClassRequest = Tuple[Optional[str], QueryRequest, Members]
 
 #: ``(view name, that view's local query id)`` — one fan-out target.
 Subscriber = Tuple[str, int]
 
 
 class CompensationPlanner:
-    """Groups one event's member requests into distinct shared queries.
+    """Groups one event's requests into distinct shared queries.
 
     Parameters
     ----------
     share:
-        When False (the default), every member request gets its own
-        global id in encounter order — byte-identical to the historical
-        1:1 multiplexer.  When True, requests with equal ``(destination,
+        When False (the default), every request gets its own global id
+        in encounter order — byte-identical to the historical 1:1
+        multiplexer.  When True, requests with equal ``(destination,
         query signature)`` within one :meth:`plan` call share a single
         global id and wire query.
     """
@@ -73,45 +83,49 @@ class CompensationPlanner:
     # ------------------------------------------------------------------ #
 
     def plan(
-        self, members: List[MemberRequest]
+        self, requests: List[ClassRequest]
     ) -> List[Tuple[Optional[str], QueryRequest]]:
-        """Assign global ids to one event's member requests.
+        """Assign global ids to one event's requests.
 
         Grouping never crosses a :meth:`plan` call: requests from
         different events may be evaluated at different source states, so
         only same-event duplicates are safe to collapse.  The shipped
-        request carries the first subscriber's query object; signature
+        request carries the first request's query object; signature
         equality guarantees every subscriber's query evaluates to the
-        same bag on any source state.
-
-        The views of a class ship one ``Query`` object between them
-        (:class:`~repro.core.compensation.CompensationMemo`), so a
-        signature is computed once per distinct object of the call —
-        kept by identity for this call only, while ``members`` holds
-        every object alive.
+        same bag on any source state.  A merged group's route lists its
+        members in catalog order, each member's requests in the order
+        they came — the route a request per member would have built.
         """
+        # Only requests that share a destination with another can merge.
+        crowded: Set[Optional[str]] = set()
+        if self.share and len(requests) > 1:
+            seen: Set[Optional[str]] = set()
+            for destination, _, _ in requests:
+                (crowded if destination in seen else seen).add(destination)
         out: List[Tuple[Optional[str], QueryRequest]] = []
         groups: Dict[Tuple[object, ...], int] = {}
-        signatures: Dict[int, Tuple[object, ...]] = {}
-        for view_name, destination, request in members:
-            if self.share:
-                query = request.query
-                signature = signatures.get(id(query))
-                if signature is None:
-                    signature = signatures[id(query)] = query_signature(query)
-                key = (destination, signature)
+        #: the routes of groups that may merge, each entry with its position.
+        merged: Dict[int, List[Tuple[int, Subscriber]]] = {}
+        for destination, request, members in requests:
+            if destination in crowded:
+                key = (destination, query_signature(request.query))
                 shared_id = groups.get(key)
+                entries = [(position, (name, request.query_id)) for position, name in members]
                 if shared_id is not None:
-                    self._routes[shared_id] += ((view_name, request.query_id),)
-                    self.saved += 1
+                    merged[shared_id] += entries
+                    self.saved += len(members)
                     continue
+                groups[key] = self._next_query_id
+                merged[self._next_query_id] = entries
             global_id = self._next_query_id
             self._next_query_id += 1
-            self._routes[global_id] = ((view_name, request.query_id),)
-            if self.share:
-                groups[key] = global_id
+            self._routes[global_id] = tuple([(name, request.query_id) for _, name in members])
             self.issued += 1
+            self.saved += len(members) - 1
             out.append((destination, QueryRequest(global_id, request.query)))
+        for global_id, entries in merged.items():
+            entries.sort(key=itemgetter(0))  # stable: a member's requests keep their order
+            self._routes[global_id] = tuple(subscriber for _, subscriber in entries)
         return out
 
     def retire(self, global_id: int) -> Tuple[Subscriber, ...]:

@@ -115,7 +115,7 @@ WORKLOAD = random_workload(SCHEMAS, 24, seed=3, initial=INITIAL, respect_keys=Tr
 
 #: Everything the catalog holds, however many events ran: the member
 #: table and one interest entry per relation.
-BOUNDED = {"algorithms": 4, "_interested": 2}
+BOUNDED = {"algorithms": 4, "views": 4, "_members": 4, "_interested": 2}
 
 
 class TestCatalogKeepsNoHistory:

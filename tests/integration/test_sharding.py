@@ -16,6 +16,8 @@ The cross-shard consistency proofs for ``repro.sharding``:
   run's, also when the batching shard crashes.
 - **Recovery** — one shard crashes and replays its own WAL while the
   others keep serving; the merged final view is unchanged.
+- **Classes** — a class of equal views split across shards is one
+  algorithm per shard: no algorithm object is reachable from two.
 """
 
 from __future__ import annotations
@@ -637,3 +639,50 @@ class TestUnionMemberIsPlaceable:
             assert member.view_state() == evaluate_view(member.view, final), name
             report = check_trace(member.view, project_view(result.trace, name))
             assert report.strongly_consistent, (name, report.detail)
+
+
+class TestClassesSplitAcrossShards:
+    """Eight equal views over one source, sharing on: one class, whose
+    members the partitioner spreads over three shards."""
+
+    @staticmethod
+    def fanin():
+        from repro.source.memory import MemorySource
+
+        schemas = [
+            RelationSchema("r1", ("W", "X"), key=("W",)),
+            RelationSchema("r2", ("X", "Y"), key=("Y",)),
+        ]
+        initial = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
+        source = MemorySource(schemas, initial)
+        algorithms = {}
+        for index in range(8):
+            view = View.natural_join(f"V{index}", schemas, ["W", "Y"])
+            algorithms[view.name] = ECA(view, evaluate_view(view, source.snapshot()))
+        workload = random_workload(schemas, 8, seed=3, initial=initial, respect_keys=True)
+        catalog = WarehouseCatalog(algorithms, share_compensation=True)
+        return {"source": source}, catalog, {"source": workload}
+
+    @staticmethod
+    def reachable(catalog):
+        return {id(algorithm) for algorithm, _ in catalog.classes()}
+
+    def test_no_algorithm_is_reachable_from_two_shards(self):
+        sources, catalog, workloads = self.fanin()
+        assert len(catalog.classes()) == 1
+        plan = plan_shards(catalog, 3, "hash", relation_owners(sources))
+        assert len(plan.shard_ids) > 1
+        seen = set()
+        for shard in plan.shard_ids:
+            part = plan.algorithms[shard]
+            assert len(part.classes()) == 1
+            assert not self.reachable(part) & seen, shard
+            seen |= self.reachable(part)
+        twin_sources, twin, _ = self.fanin()
+        unsharded = run_concurrent(twin_sources, twin, workloads, seed=2)
+        result = run_concurrent(sources, catalog, workloads, seed=2, shards=3)
+        seen = set()
+        for part in result.shard_info["algorithms"].values():
+            assert not self.reachable(part) & seen
+            seen |= self.reachable(part)
+        assert result.final_view == unsharded.final_view

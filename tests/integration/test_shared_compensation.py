@@ -255,21 +255,22 @@ class TestRuntimeConformance:
 
 class TestOneConstructionPerClass:
     def test_a_class_is_scoped_to_the_catalog_built_last(self):
-        """``plan_shards`` builds its per-shard catalogs after the one it
-        splits: every class is re-scoped to its shard, none spans two."""
+        """A class is one algorithm, and ``plan_shards`` builds its
+        per-shard catalogs after the one it splits: a class split across
+        shards is one algorithm per shard, none reachable from two."""
         from repro.kernel.dispatch import relation_owners
         from repro.sharding import plan_shards
 
         sources, catalog = fanin_setup(6, share=True)
-        members = list(catalog.algorithms.values())
-        assert len({id(member.memo) for member in members}) == 1
+        (algorithm,) = {id(member) for member in catalog.algorithms.values()}
         plan = plan_shards(catalog, 2, "hash", relation_owners(sources))
         assert sorted(plan.algorithms) == [0, 1]
-        memo_of_shard = {}
-        for name, member in catalog.algorithms.items():
-            shard = plan.assignment[name]
-            assert memo_of_shard.setdefault(shard, member.memo) is member.memo
-        assert memo_of_shard[0] is not memo_of_shard[1]
+        of_shard = {}
+        for name, shard in plan.assignment.items():
+            member = plan.algorithms[shard].algorithms[name]
+            assert of_shard.setdefault(shard, member) is member
+        assert of_shard[0] is not of_shard[1]
+        assert algorithm in {id(member) for member in of_shard.values()}
 
 
 class TestDisjointViewsUnaffected:

@@ -8,16 +8,19 @@ to drop the terms whose bound tuples fail a check.
 instead and never builds the terms :func:`probe_drops` names — terms the
 split drops at their first check — so :func:`built_by_probe` is what it
 must build, and split, both give the same local and remote parts.
-:class:`ScanMemo` is a memo that builds with the scan wherever ECA asks
-for the probing builder.
+:func:`scanning` makes ECA build with the scan instead (and, when asked,
+split by plain ``query.partition()``).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 from repro.core import eca
-from repro.core.compensation import CompensationMemo
+from repro.core.compensation import split
 from repro.relational.conditions import Attr, Comparison
-from repro.relational.engine import join_plan
+from repro.relational.engine import evaluate_query, join_plan
 from repro.relational.expressions import Query
 
 
@@ -88,12 +91,20 @@ def built_by_probe(view, update, pending):
     )
 
 
-class ScanMemo(CompensationMemo):
-    """A memo that builds an update's compensated query by scanning."""
+def built_and_split(build, view, update, pending):
+    """``build(view, update, pending)`` and what ECA's dispatch makes of
+    it: ``(query, value of its local part or None, remote part)``."""
+    query = build(view, update, pending)
+    local, remote = split(query)
+    return query, None if local.is_empty() else evaluate_query(local, {}), remote
 
-    __slots__ = ()
 
-    def compensated(self, build, view, updates, pending):
-        if build is eca._compensate_update:
-            build = compensate_by_scan
-        return super().compensated(build, view, updates, pending)
+@contextmanager
+def scanning(split=split):
+    """While open, ECA builds an update's compensated query with
+    :func:`compensate_by_scan` and splits every built query with
+    ``split``."""
+    with mock.patch.object(eca, "_compensate_update", compensate_by_scan), mock.patch.object(
+        eca, "split", split
+    ):
+        yield

@@ -1,26 +1,24 @@
-"""Property tests: a class of views builds its compensating query once.
+"""Property tests: a class of views is one maintainer, and nothing shows.
 
-The compensated query of one event is a pure function of (view
-definition, update(s), pending queries in UQS order), so a
-:class:`~repro.warehouse.catalog.WarehouseCatalog` gives the structurally
-equal members of one algorithm type a single
-:class:`~repro.core.compensation.CompensationMemo`, and delivers an
-update only to the members whose views react to its relation.  Three
-things can go wrong, and each has a property here:
+With sharing on, a :class:`~repro.warehouse.catalog.WarehouseCatalog`
+drives one algorithm for the members of a class (one algorithm type,
+equal definitions, options and state) and delivers an update only to
+the classes whose views react to its relation.  The oracle is the
+per-member catalog it replaced (``reference_catalog.ReferenceCatalog``):
+every member its own private algorithm, every request signed, equal
+requests of one event merged by the planner.  Three things can go
+wrong, and each has a property here:
 
-(a) *sharing shows* — a member that took another's query behaves unlike
-    the stand-alone algorithm.  A drawn catalog is driven twice over one
-    drawn script of updates, batches, answers and refreshes: once as
-    built, once with every member given a private memo (what a
-    stand-alone algorithm has).  After every event the routed requests
-    (as wire bytes), every member's UQS, COLLECT and view contents, and
-    the serving keys the event wrote must be equal.
-(b) *divergence breaks it* — with sharing off the members' answers
-    arrive in different events, so their pending lists differ; a codec
-    round trip leaves equal but distinct ``Query`` objects.  Results
-    still equal the private-memo run, and where two neighbours of a
-    class met an event in equal states the second holds the *same*
-    object the first built.
+(a) *sharing shows* — a member of a class behaves unlike its private
+    algorithm.  A drawn catalog and the oracle are driven over one drawn
+    script of updates, batches, answers, refreshes and codec round
+    trips.  After every event the routed requests (as wire bytes), the
+    planner's routes and counts, every member's UQS, COLLECT and view
+    contents, and the serving keys the event wrote must be equal.
+(b) *divergence breaks it* — with sharing off every member is a class
+    of one, and the answers of equally defined views arrive in
+    different events, so their pending lists part ways.  Results still
+    equal the oracle's.
 (c) *the interest map drifts from ``involves``* — for drawn views
     (aliases, self-joins, unions) a member is delivered an update exactly
     when its view involves the relation.
@@ -31,7 +29,7 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compensation import CompensationMemo
+from reference_catalog import ReferenceCatalog
 from repro.core.eca import ECA
 from repro.core.registry import create_algorithm
 from repro.durability.codec import dumps_algorithm, loads_algorithm
@@ -68,9 +66,10 @@ VARIANTS = {
 }
 
 
-def build_catalog(equal, variants, share):
+def build_catalog(equal, variants, share, oracle=False):
     """``equal`` names the algorithm of each structurally equal view (in
-    catalog order, the variants and an LCA view between and after them)."""
+    catalog order, the variants and an LCA view over the same definition
+    between and after them); ``oracle`` builds the per-member catalog."""
     state = MemorySource(SCHEMAS, INITIAL).snapshot()
     views = [
         (name, View.natural_join(f"E{index}", SCHEMAS, ["W", "Y"]))
@@ -78,25 +77,12 @@ def build_catalog(equal, variants, share):
     ]
     views[1:1] = [(name, VARIANTS[key]()) for key, name in variants]
     views.append(("lca", View.natural_join("other", SCHEMAS, ["W", "Y"])))
-    return WarehouseCatalog(
-        {
-            view.name: create_algorithm(name, view, evaluate_view(view, state))
-            for name, view in views
-        },
-        share_compensation=share,
-    )
-
-
-def privatize(catalog):
-    """Every member as a stand-alone algorithm: a memo of its own."""
-    for algorithm in catalog.algorithms.values():
-        if isinstance(algorithm, ECA):
-            algorithm.memo = CompensationMemo()
-    return catalog
-
-
-def class_of(algorithm):
-    return (type(algorithm), algorithm.view.definition())
+    members = {
+        view.name: create_algorithm(name, view, evaluate_view(view, state))
+        for name, view in views
+    }
+    catalog = ReferenceCatalog if oracle else WarehouseCatalog
+    return catalog(members, share_compensation=share)
 
 
 #: The journal reader ``observe`` takes each event's written keys with.
@@ -114,26 +100,25 @@ def observe(catalog, routed):
         )
     written = written_keys(catalog, WITNESS)
     wire = [(destination, FRAME.encode(request)) for destination, request in routed]
-    return wire, members, written
+    return wire, catalog.pending_state(), members, written
 
 
-def drive(catalog, workload, script, private):
-    """Run ``script`` over ``catalog``; one observation per event.
+def drive(catalog, workload, script):
+    """Run ``script`` over ``catalog``; one observation per event, and
+    the catalog the run ends with.
 
     Queries are answered in the order they were sent, each against the
     source's state at the moment its answer is delivered — a legal FIFO
     schedule.  ``("recover",)`` swaps the catalog for its codec round
-    trip.  Whatever the script left over is flushed at the end, so the
-    final states can be held against the source oracle.
+    trip (the oracle, which has no codec form, goes on as it is).
+    Whatever the script left over is flushed at the end, so the final
+    states can be held against the source oracle.
     """
-    if private:
-        privatize(catalog)
     written_keys(catalog, WITNESS)  # opens the journals observe reads
     source = MemorySource(SCHEMAS, INITIAL)
     in_flight = deque()
     pending_updates = deque(workload)
     observations = []
-    same_object = []
     serial = 0
     tail = (
         [("update", 1)] * len(workload)
@@ -141,10 +126,6 @@ def drive(catalog, workload, script, private):
         + [("answer",)] * (4 * len(workload) * len(catalog.algorithms) + 4)
     )
     for step in list(script) + tail:
-        before = {
-            name: (class_of(algorithm), algorithm.pending_state())
-            for name, algorithm in catalog.algorithms.items()
-        }
         if step[0] == "update":
             notifications = []
             while pending_updates and len(notifications) < step[1]:
@@ -171,41 +152,17 @@ def drive(catalog, workload, script, private):
         elif step[0] == "refresh":
             routed = catalog.on_refresh()
         else:
-            catalog = loads_algorithm(dumps_algorithm(catalog))
-            if private:
-                privatize(catalog)
-            written_keys(catalog, WITNESS)
+            if isinstance(catalog, WarehouseCatalog):
+                catalog = loads_algorithm(dumps_algorithm(catalog))
+                written_keys(catalog, WITNESS)
             continue
         in_flight.extend(request for _, request in routed)
         observations.append(observe(catalog, routed))
-        same_object.append(neighbours_share(catalog, before))
     final = source.snapshot()
     for name, algorithm in catalog.algorithms.items():
         assert algorithm.is_quiescent(), name
         assert algorithm.view_state() == evaluate_view(algorithm.view, final), name
-    return observations, same_object
-
-
-def neighbours_share(catalog, before):
-    """For each two ECAs of one class, adjacent in catalog order within
-    it, that met this event in equal states and each sent a query:
-    whether they now hold the same ``Query`` object."""
-    out = []
-    last = {}
-    for name, algorithm in catalog.algorithms.items():
-        if not isinstance(algorithm, ECA):
-            continue
-        klass, state = before[name]
-        sent = [
-            query
-            for query_id, query in algorithm.uqs.items()
-            if query_id >= state["next_query_id"]
-        ]
-        previous = last.get(klass)
-        if previous is not None and previous[0] == state and sent and previous[1]:
-            out.append(sent[-1] is previous[1][-1])
-        last[klass] = (state, sent)
-    return out
+    return observations, catalog
 
 
 steps = st.one_of(
@@ -213,6 +170,7 @@ steps = st.one_of(
     st.tuples(st.just("answer")),
     st.tuples(st.just("answer")),
     st.tuples(st.just("refresh")),
+    st.tuples(st.just("recover")),
 )
 
 
@@ -233,18 +191,13 @@ def test_class_sharing_is_invisible(equal, variants, share, seed, k, script):
     workload = random_workload(
         SCHEMAS, k, seed=seed, initial=INITIAL, respect_keys=True
     )
-    shared, _ = drive(
-        build_catalog(equal, variants, share), workload, script, private=False
+    ours, _ = drive(build_catalog(equal, variants, share), workload, script)
+    theirs, _ = drive(
+        build_catalog(equal, variants, share, oracle=True), workload, script
     )
-    private, _ = drive(
-        build_catalog(equal, variants, share), workload, script, private=True
-    )
-    assert len(shared) == len(private)
-    for index, (ours, theirs) in enumerate(zip(shared, private)):
-        assert ours == theirs, index
-
-
-diverging_steps = st.one_of(steps, st.tuples(st.just("recover")))
+    assert len(ours) == len(theirs)
+    for index, (mine, reference) in enumerate(zip(ours, theirs)):
+        assert mine == reference, index
 
 
 @settings(max_examples=150, deadline=None)
@@ -253,30 +206,27 @@ diverging_steps = st.one_of(steps, st.tuples(st.just("recover")))
     st.integers(2, 4),
     st.integers(0, 10_000),
     st.integers(2, 10),
-    st.lists(diverging_steps, max_size=30),
+    st.lists(steps, max_size=30),
 )
 def test_divergence_is_safe(name, members, seed, k, script):
-    """Sharing off: each member's request has its own global id, so the
-    answers of one class land in different events."""
+    """Sharing off: every member is a class of one and each request has
+    its own global id, so the answers of equal views land in different
+    events — and every member still equals its private algorithm."""
     workload = random_workload(
         SCHEMAS, k, seed=seed, initial=INITIAL, respect_keys=True
     )
-    shared, same_object = drive(
-        build_catalog([name] * members, [], False), workload, script, private=False
+    ours, catalog = drive(build_catalog([name] * members, [], False), workload, script)
+    theirs, _ = drive(
+        build_catalog([name] * members, [], False, oracle=True), workload, script
     )
-    private, distinct = drive(
-        build_catalog([name] * members, [], False), workload, script, private=True
-    )
-    assert shared == private
-    # A hit hands out the identical object; a stand-alone algorithm
-    # builds its own equal one.
-    assert all(flag for event in same_object for flag in event)
-    assert not any(flag for event in distinct for flag in event)
-    assert [len(event) for event in same_object] == [len(event) for event in distinct]
+    assert ours == theirs
+    assert len(catalog.classes()) == members + 1
 
 
 def test_divergence_actually_occurs_and_hits_by_value_after_recovery():
-    """The scripted core of (b), so that it cannot pass vacuously."""
+    """The scripted core of (b), so that it cannot pass vacuously; and
+    the class found again by value once a round trip decoded its
+    members apart."""
     workload = [
         insert("r1", (10, 2)),
         insert("r2", (2, 20)),
@@ -284,25 +234,30 @@ def test_divergence_actually_occurs_and_hits_by_value_after_recovery():
         insert("r2", (3, 21)),
     ]
     script = (
-        [("update", 1)]        # E0 builds, E1 takes the same object
+        [("update", 1)]        # E0 and E1 each send a query
         + [("answer",)]        # E0's answer only: pending lists now differ
-        + [("update", 1)]      # E1 misses and builds for itself
+        + [("update", 1)]
         + [("answer",)] * 8    # everything answered: equal states again
-        + [("update", 1)]      # same object once more, left pending ...
-        + [("recover",)]       # ... equal but distinct after the round trip
-        + [("update", 1)]      # E1 hits by value
+        + [("update", 1)]      # left pending ...
+        + [("recover",)]       # ... through a round trip
+        + [("update", 1)]
     )
-    catalog = build_catalog(["eca", "eca"], [], False)
-    e0, e1 = list(catalog.algorithms.values())[:2]
-    assert e0.memo is e1.memo
-    _, same_object = drive(catalog, workload, script, private=False)
-    assert same_object[0] == [True]
-    assert same_object[2] == []
-    assert [flags for flags in same_object if flags] == [[True]] * 3
-    _, distinct = drive(
-        build_catalog(["eca", "eca"], [], False), workload, script, private=True
+    apart, _ = drive(build_catalog(["eca", "eca"], [], False), workload, script)
+    oracle, _ = drive(
+        build_catalog(["eca", "eca"], [], False, oracle=True), workload, script
     )
-    assert [flags for flags in distinct if flags] == [[False]] * 3
+    assert apart == oracle
+    members = apart[1][2]
+    assert members["E0"][0] != members["E1"][0]
+    catalog = build_catalog(["eca", "eca"], [], True)
+    classes = [names for _, names in catalog.classes()]
+    assert classes == [("E0", "E1"), ("other",)]
+    together, catalog = drive(catalog, workload, script)
+    assert [names for _, names in catalog.classes()] == classes
+    oracle, _ = drive(
+        build_catalog(["eca", "eca"], [], True, oracle=True), workload, script
+    )
+    assert together == oracle
 
 
 # --------------------------------------------------------------------- #

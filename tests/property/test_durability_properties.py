@@ -164,16 +164,17 @@ def reference_json(payload):
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
-def reference_encode_algorithm(algorithm):
+def reference_encode_algorithm(algorithm, view=None):
     """The dict-building algorithm encoder, as it stood before
     ``encode_algorithm`` rendered text: ``encode_value`` over everything,
-    the view contents copied out and re-sorted on every call."""
+    the view contents copied out and re-sorted on every call.  A catalog
+    member is its class's algorithm under the member's own view."""
     if getattr(algorithm, "codec_tag", "algo") == "algo.catalog":
         return {
             "$": "algo.catalog",
             "share": algorithm.share_compensation,
             "members": [
-                [name, reference_encode_algorithm(member)]
+                [name, reference_encode_algorithm(member, algorithm.views[name])]
                 for name, member in algorithm.algorithms.items()
             ],
             "pending": encode_value(algorithm.pending_state()),
@@ -181,7 +182,7 @@ def reference_encode_algorithm(algorithm):
     return {
         "$": "algo",
         "name": algorithm.name,
-        "view": encode_value(algorithm.view),
+        "view": encode_value(algorithm.view if view is None else view),
         "mv": encode_value(algorithm.mv.as_bag()),
         "config": encode_value(algorithm.durable_config()),
         "pending": encode_value(algorithm.pending_state()),

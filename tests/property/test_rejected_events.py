@@ -2,8 +2,10 @@
 
 Sections 4-5 and Appendix B treat every warehouse event (``W_up``,
 ``W_ans``) as atomic: it completes, or it changes nothing.  This runs
-every registry algorithm, and a catalog of ECA members with sharing off
-and on, through :class:`SyncKernel` under a seeded random schedule
+every registry algorithm, a catalog of ECA members with sharing off and
+on, and a shared catalog of ECA, ECA-Key and ECA-Local members over one
+definition (one answer reaching three classes), through
+:class:`SyncKernel` under a seeded random schedule
 (multi-source families over a two-source chain, as ``repro runtime``
 builds).  At every warehouse event boundary it sends four malformed
 answers through :func:`dispatch_event`:
@@ -20,8 +22,7 @@ must the short answer: a row of the wrong width in COLLECT or the view
 would be written into every later snapshot.  A copy that accepts either
 of the others has become another run, so the live warehouse never sees
 that event.  A copy that rejects it must raise a
-:class:`ReproError` (ECA-Key's ``ValueError`` for a negative answer
-tuple is its own) and keep its text byte-identical; the live warehouse
+:class:`ReproError` and keep its text byte-identical; the live warehouse
 then gets the same event and must do the same.  Finally the run ends
 in the state of a twin run that saw no malformed event, so a rejected
 event left nothing behind that the text does not show either.
@@ -55,7 +56,7 @@ INITIAL = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
 #: A value outside the workload's domain: no view row holds it.
 ALIEN = 9
 
-FAMILIES = sorted(ALGORITHMS) + ["catalog", "catalog-shared"]
+FAMILIES = sorted(ALGORITHMS) + ["catalog", "catalog-shared", "catalog-mixed"]
 
 
 def build(family, seed):
@@ -83,6 +84,15 @@ def build(family, seed):
         warehouse = create_algorithm(
             family, view, evaluate_view(view, state), **options
         )
+    elif family == "catalog-mixed":
+        # Three classes over one definition, whose equal queries merge.
+        members = {}
+        for index, name in enumerate(["eca", "eca-key", "eca-local", "eca"]):
+            view = View.natural_join(f"V{index}", SCHEMAS, ["W", "Y"])
+            members[view.name] = create_algorithm(
+                name, view, evaluate_view(view, state)
+            )
+        warehouse = WarehouseCatalog(members, share_compensation=True)
     else:
         # V0 and V1 are one class; V2 keeps X, so it is a class of its own.
         projections = [["W", "Y"], ["W", "Y"], ["W", "r1.X", "Y"]]
@@ -140,9 +150,7 @@ def offer(kernel, origin, answer, must_reject):
     else:
         assert not must_reject, f"{event} was accepted"
         return
-    assert isinstance(rejected, ReproError) or (
-        isinstance(rejected, ValueError) and copy.name == "eca-key"
-    ), f"{event} raised an untyped {rejected!r}"
+    assert isinstance(rejected, ReproError), f"{event} raised an untyped {rejected!r}"
     assert text(copy) == before, f"{event} raised {rejected!r} after a change"
     with pytest.raises(type(rejected)):
         dispatch_event(live, origin, answer)

@@ -16,8 +16,8 @@ Three things can go wrong, and each has a property here:
     snapshot and through a live ``MemorySource``.
 (b) *visible* — dropping changes what the warehouse does.  A catalog of
     one ECA-family algorithm (sharing on) is driven over a drawn script
-    twice: as built, and with every memo building by scanning every
-    pending term and splitting by plain ``query.partition()``.  After
+    twice: as built, and with ECA building by scanning every pending
+    term and splitting by plain ``query.partition()``.  After
     every event the two agree on the
     requests (ids, destinations, count), the answers, every member's
     COLLECT and view; each shipped and each pending query is the
@@ -40,9 +40,8 @@ from itertools import chain
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference_builder import ScanMemo, compensate_by_scan
+from reference_builder import compensate_by_scan, scanning
 from repro.core.compensation import split
-from repro.core.eca import ECA
 from repro.core.registry import create_algorithm
 from repro.durability.codec import dumps_algorithm, loads_algorithm
 from repro.messaging.messages import QueryAnswer, UpdateBatch, UpdateNotification
@@ -280,17 +279,6 @@ def outcome(evaluate, query):
 # --------------------------------------------------------------------- #
 
 
-class PartitionMemo(ScanMemo):
-    """The reference: built by scanning every pending query's terms, and
-    split by ``query.partition()`` — nothing dropped."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def split(query):
-        return query.partition()
-
-
 INITIAL = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)], "r3": [(5, 1), (6, 2)]}
 
 #: Conjuncts over two operands or more only (see the module docstring).
@@ -337,20 +325,14 @@ def build_catalog(algorithm, config, kinds):
     return WarehouseCatalog(members, share_compensation=True)
 
 
-def partition_memos(catalog):
-    """Every class's memo replaced by one reference memo, still shared."""
-    memos = {}
-    for algorithm in catalog.algorithms.values():
-        if isinstance(algorithm, ECA):
-            algorithm.memo = memos.setdefault(id(algorithm.memo), PartitionMemo())
-    return catalog
-
-
 def drive(catalog, workload, script, reference):
     """One observation per event: the requests sent, the answer taken,
-    every member's UQS, COLLECT and view."""
+    every member's UQS, COLLECT and view.  The reference builds by
+    scanning every pending query's terms and splits by
+    ``query.partition()`` — nothing dropped."""
     if reference:
-        partition_memos(catalog)
+        with scanning(split=lambda query: query.partition()):
+            return drive(catalog, workload, script, False)
     source = MemorySource(SCHEMAS, INITIAL)
     pending_updates = deque(workload)
     in_flight = deque()
@@ -388,8 +370,6 @@ def drive(catalog, workload, script, reference):
             routed = catalog.on_refresh()
         else:
             catalog = loads_algorithm(dumps_algorithm(catalog))
-            if reference:
-                partition_memos(catalog)
             continue
         in_flight.extend(request for _, request in routed)
         members = {

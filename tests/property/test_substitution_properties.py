@@ -220,9 +220,9 @@ class _RecordingECA(ECA):
         super().__init__(view)
         self.built = []
 
-    def _dispatch(self, query, local_delta, remote):
+    def _dispatch(self, query):
         self.built.append(query)
-        return super()._dispatch(query, local_delta, remote)
+        return super()._dispatch(query)
 
 
 @settings(max_examples=60, deadline=None)

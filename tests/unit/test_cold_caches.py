@@ -3,7 +3,7 @@ run is the warm run.
 
 - **Drift:** every name the plugin swaps still exists as the kind its
   entry expects (a ``__slots__`` member, an attribute ``__init__``
-  assigns, a module-level mapping, a method and the fields it reads), so
+  assigns, a module-level mapping, a writer and the fields it resets), so
   a renamed slot fails here instead of leaving a cache warm under
   ``same_histories.py --cold``.
 - **Warm equals cold:** one scenario runs in two subprocesses, the

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.compensation import (
-    CompensationMemo,
     backdate,
     batch_delta_query,
+    split,
     staged_compensation,
 )
 from repro.core import eca as eca_module
@@ -156,8 +156,17 @@ class TestStagedCompensation:
         assert staged_compensation(pending, [insert("r1", (1, 2))], 0).is_empty()
 
 
-class TestCompensationMemo:
-    """One entry, keyed by value on (update(s), pending queries)."""
+def built_and_split(build, view, update, pending):
+    """``build(view, update, pending)`` and what ECA's dispatch makes of
+    it: ``(query, value of its local part or None, remote part)``."""
+    query = build(view, update, pending)
+    local, remote = split(query)
+    return query, None if local.is_empty() else evaluate_query(local, {}), remote
+
+
+class TestSplit:
+    """What ECA makes of a built query: the terms the split keeps,
+    evaluated here or shipped."""
 
     @staticmethod
     def build(view, update, pending):
@@ -168,60 +177,25 @@ class TestCompensationMemo:
         return Query(terms)
 
     def test_a_build_is_split_for_dispatch(self, view_w):
-        memo = CompensationMemo()
         pending = [view_w.substitute("r2", insert("r2", (2, 3)).signed_tuple())]
         update = insert("r1", (1, 2))
-        query, delta, remote = memo.compensated(self.build, view_w, update, pending)
+        query, delta, remote = built_and_split(self.build, view_w, update, pending)
         assert query == self.build(view_w, update, pending)
         local, source = query.partition()
         assert remote == source and not remote.is_empty()
         assert delta == local.evaluate({}) == SignedBag.from_pairs([((1,), -1)])
         # Nothing fully bound: no local delta at all.
-        assert memo.compensated(self.build, view_w, update, [])[1] is None
-
-    def test_equal_inputs_hit_by_value_and_return_the_same_objects(self, view_w):
-        memo = CompensationMemo()
-        tuple_ = insert("r2", (2, 3)).signed_tuple()
-        built = memo.compensated(
-            self.build, view_w, insert("r1", (1, 2)), [view_w.substitute("r2", tuple_)]
-        )
-        # A distinct update and a distinct pending query, equal by value.
-        again = memo.compensated(
-            self.build, view_w, insert("r1", (1, 2)), [view_w.substitute("r2", tuple_)]
-        )
-        assert again is built and again[0] is built[0] and again[2] is built[2]
-
-    def test_any_difference_in_the_inputs_misses(self, view_w):
-        memo = CompensationMemo()
-        update = insert("r1", (1, 2))
-        one = view_w.substitute("r2", insert("r2", (2, 3)).signed_tuple())
-        two = view_w.substitute("r2", insert("r2", (2, 4)).signed_tuple())
-        built = memo.compensated(self.build, view_w, update, [one, two])
-        for other_update, pending in [
-            (insert("r1", (1, 3)), [one, two]),   # another update
-            (delete("r1", (1, 2)), [one, two]),   # its inverse
-            (update, [one]),                      # a shorter UQS
-            (update, [two, one]),                 # another order
-            (update, []),
-        ]:
-            missed = memo.compensated(self.build, view_w, other_update, pending)
-            assert missed is not built
-            assert missed[0] == self.build(view_w, other_update, pending)
-            # One entry: the original inputs now miss too.
-            rebuilt = memo.compensated(self.build, view_w, update, [one, two])
-            assert rebuilt is not built and rebuilt[0] == built[0]
-            built = rebuilt
+        assert built_and_split(self.build, view_w, update, [])[1] is None
 
     def test_falsified_terms_are_built_but_neither_shipped_nor_evaluated(
         self, view_w, view_w3
     ):
-        """With ``build(...)`` the first element is its query whole; the
-        split drops a term whose bound tuples fail ``r1.X = r2.X`` on both
+        """The first element is the built query whole; the split drops a
+        term whose bound tuples fail ``r1.X = r2.X`` on both
         sides of Appendix D's line."""
-        memo = CompensationMemo()
         first, second = insert("r1", (1, 2)), insert("r2", (5, 3))  # X: 2 vs 5
         pending = [view_w.substitute("r1", first.signed_tuple())]
-        query, delta, remote = memo.compensated(self.build, view_w, second, pending)
+        query, delta, remote = built_and_split(self.build, view_w, second, pending)
         assert query == self.build(view_w, second, pending)
         # Its one fully bound term is dropped, so nothing is evaluated
         # (an evaluated empty part would be an empty bag, not None).
@@ -229,13 +203,10 @@ class TestCompensationMemo:
         assert delta is None
         assert remote == view_w.substitute("r2", second.signed_tuple())
         # Remote: with r3 still free, the r1 x r2 term would be shipped.
-        memo = CompensationMemo()
         pending = [view_w3.substitute("r1", first.signed_tuple())]
-        built = memo.compensated(self.build, view_w3, second, pending)[0]
+        built, _, remote = built_and_split(self.build, view_w3, second, pending)
         assert built.partition()[1].term_count() == 2
-        assert memo.compensated(self.build, view_w3, second, pending)[2] == Query(
-            built.terms[:1]
-        )
+        assert remote == Query(built.terms[:1])
 
     def test_eca_builds_no_term_whose_first_check_fails(self, view_w3):
         """ECA's builder probes the pending queries: a term whose first
@@ -249,7 +220,7 @@ class TestCompensationMemo:
         pending = eca.uqs_queries()
         update = insert("r2", (2, 9))  # X meets r1's 2, Y = 9 not r3's 3
         [request] = eca.handle_update(UpdateNotification(update, 3))
-        query, delta, remote = eca.memo.compensated(
+        query, delta, remote = built_and_split(
             _compensate_update, view_w3, update, pending
         )
         scanned = self.build(view_w3, update, pending)
@@ -273,7 +244,7 @@ class TestCompensationMemo:
         none_w = insert("r1", (None, 2))
         pending = [view.substitute("r1", none_w.signed_tuple())]
         update = insert("r3", (3, 1))
-        query, delta, remote = CompensationMemo().compensated(
+        query, delta, remote = built_and_split(
             self.build, view, update, pending
         )
         assert delta is None
@@ -293,13 +264,13 @@ class TestCompensationMemo:
                 self.build(view, insert("r2", (2, 3)), pending).partition()[0], {}
             )
         with pytest.raises(TypeError):
-            CompensationMemo().compensated(
+            built_and_split(
                 self.build, view, insert("r2", (2, 3)), pending
             )
         # r1.X = r2.X fails first: dropped, and the engine never compared.
         built = self.build(view, insert("r2", (7, 3)), pending)
         assert evaluate_query(built.partition()[0], {}).is_empty()
-        query, delta, remote = CompensationMemo().compensated(
+        query, delta, remote = built_and_split(
             self.build, view, insert("r2", (7, 3)), pending
         )
         assert delta is None and remote == built.partition()[1]
@@ -321,7 +292,7 @@ class TestCompensationMemo:
             assert evaluate_query(built, state).is_empty()
             source = MemorySource(two_rel_schemas, {"r1": [(None, 0)]})
             assert source.evaluate(built).is_empty()
-            query, delta, remote = CompensationMemo().compensated(
+            query, delta, remote = built_and_split(
                 self.build, view, insert("r2", (5, 3)), []
             )
             assert query == built and delta is None and remote.is_empty()
@@ -353,24 +324,14 @@ class TestCompensationMemo:
         assert eca.view_state() == evaluate_view(view, source.snapshot())
         assert eca.view_state() == SignedBag.from_rows([(7,)])
 
-    def test_an_update_never_meets_a_one_update_batch(self, view_w):
-        memo = CompensationMemo()
-        update = insert("r1", (1, 2))
-        single = memo.compensated(self.build, view_w, update, [])
-        batch = memo.compensated(
-            lambda view, updates, contaminated: batch_delta_query(view, updates),
-            view_w,
-            [update],
-            [],
-        )
-        assert batch is not single
 
+class TestOneBuildPerClass:
     def test_a_class_builds_once_per_event_not_once_per_member(
         self, monkeypatch, keyed_schemas
     ):
-        """Sixteen structurally equal views are one class: over a seeded
-        run the memo calls ECA's builder as often as for one view — once
-        per event — not sixteen times as often.  (Round trips alone would
+        """Sixteen structurally equal views are one class, one ECA: over
+        a seeded run ECA's builder is called as often as for one view —
+        once per event — not sixteen times as often.  (Round trips alone would
         not show it: the planner collapses sixteen built queries to one
         just the same.)"""
         calls = []

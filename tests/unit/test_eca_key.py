@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.eca_key import ECAKey
-from repro.errors import SchemaError
+from repro.errors import ProtocolError, SchemaError
 from repro.messaging.messages import QueryAnswer, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.relational.views import View
@@ -72,7 +72,7 @@ class TestInserts:
     def test_negative_answer_tuple_rejected(self, keyed_view):
         algo = ECAKey(keyed_view)
         q1 = algo.handle_update(notify(insert("r2", (2, 4))))[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ProtocolError):
             algo.handle_answer(QueryAnswer(q1.query_id, SignedBag({(1, 4): -1})))
 
 

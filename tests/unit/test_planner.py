@@ -20,8 +20,11 @@ def join_query(aliases=None):
     return Query([Term([RelationOperand(s1), RelationOperand(s2)], ("W", "Y"))])
 
 
-def member(view, local_id, query, destination="src"):
-    return (view, destination, QueryRequest(local_id, query))
+def member(view, local_id, query, destination="src", also=()):
+    """A class's request: ``view`` (``V<position>``) and the views in
+    ``also`` are its members."""
+    members = tuple((int(name[1:]), name) for name in (view, *also))
+    return (destination, QueryRequest(local_id, query), members)
 
 
 class TestIndependentMode:
@@ -75,10 +78,10 @@ class TestSharedMode:
         assert [req.query_id for _, req in first + second] == [1, 2]
         assert planner.saved == 0
 
-    def test_one_signature_per_distinct_object_per_plan_call(self, monkeypatch):
-        """The views of a class ship one ``Query`` object: its signature
-        is computed once per ``plan`` call, never kept for the next, and
-        the grouping and the ids are what a signature per member gave."""
+    def test_a_request_is_signed_only_when_a_merge_is_possible(self, monkeypatch):
+        """Only requests that share a destination with another request of
+        the same call are signed; a lone request, and independent mode,
+        sign nothing."""
         from repro.warehouse import planner as planner_module
 
         signed = []
@@ -95,8 +98,7 @@ class TestSharedMode:
             Query([Term([RelationOperand(R1)], ("W",))]),
         )
         members = [
-            member("V0", 1, shared),
-            member("V1", 1, shared),
+            member("V0", 1, shared, also=("V1",)),
             member("V2", 1, equal),
             member("V3", 1, other),
             member("V4", 1, shared, destination="beta"),
@@ -104,7 +106,7 @@ class TestSharedMode:
         ]
         planner = CompensationPlanner(share=True)
         out = planner.plan(members)
-        assert [id(q) for q in signed] == [id(shared), id(equal), id(other)]
+        assert [id(q) for q in signed] == [id(shared), id(equal), id(other), id(other)]
         assert [(dest, req.query_id, req.query) for dest, req in out] == [
             ("src", 1, shared),
             ("src", 2, other),
@@ -115,14 +117,29 @@ class TestSharedMode:
         assert planner.subscribers(2) == (("V3", 1), ("V5", 1))
         assert planner.subscribers(3) == (("V4", 1),)
         assert (planner.issued, planner.saved) == (3, 3)
-        # The next call signs the same object again: nothing is kept.
+        # One request to a destination: nothing to merge, nothing signed.
         del signed[:]
-        planner.plan([member("V0", 2, shared), member("V1", 2, shared)])
-        assert [id(q) for q in signed] == [id(shared)]
+        planner.plan([member("V0", 2, shared, also=("V1",))])
+        planner.plan([member("V0", 3, shared), member("V1", 3, other, destination="beta")])
+        assert signed == []
         # Independent mode never signs.
-        del signed[:]
         CompensationPlanner(share=False).plan(members)
         assert signed == []
+
+    def test_a_merged_route_lists_members_in_catalog_order(self):
+        """A class of V0 and V2 and a class of V1 send equal queries: one
+        wire query, whose route lists V0, V1, V2 — the order a request
+        per member gives."""
+        planner = CompensationPlanner(share=True)
+        out = planner.plan(
+            [
+                member("V0", 5, join_query(), also=("V2",)),
+                member("V1", 8, join_query(aliases=("a", "b"))),
+            ]
+        )
+        assert len(out) == 1
+        assert planner.subscribers(1) == (("V0", 5), ("V1", 8), ("V2", 5))
+        assert (planner.issued, planner.saved) == (1, 2)
 
     def test_retire_pops_the_route(self):
         planner = CompensationPlanner(share=True)

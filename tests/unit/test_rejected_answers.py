@@ -16,7 +16,10 @@ the smallest run that shows it:
   to every later snapshot;
 - every single-source family refusing an answer from a source that does
   not own its view's relations, which it used to install as if its own
-  source had sent it.
+  source had sent it;
+- a catalog whose one shared answer reaches two classes, one of which
+  rejects it: the other used to absorb it first, so the route stayed
+  pending while its query was gone there.
 """
 
 from __future__ import annotations
@@ -148,3 +151,30 @@ def test_single_source_families_refuse_an_answer_from_another_source(family, fro
     with pytest.raises(ProtocolError, match="came from s1, not from s0"):
         dispatch_event(warehouse, "s1", QueryAnswer(1, SignedBag({(7, 5): 1})))
     assert dumps_algorithm(warehouse) == before
+
+
+def test_a_shared_answer_one_class_rejects_changes_no_class():
+    """ECA and ECA-Key over one definition, sharing on: their equal
+    queries share one global id.  An answer row with a minus sign is one
+    ECA installs (the view holds the row) and ECA-Key refuses; it must
+    change neither, and the correct answer must still be taken."""
+    schemas = [
+        RelationSchema("r1", ("W", "X"), key=("W",)),
+        RelationSchema("r2", ("X", "Y"), key=("Y",)),
+    ]
+    state = {"r1": SignedBag({(1, 2): 1}), "r2": SignedBag({(2, 5): 1})}
+    members = {}
+    for name, family in (("A", "eca"), ("B", "eca-key")):
+        view = View.natural_join(name, schemas, ["W", "Y"])
+        members[name] = create_algorithm(family, view, evaluate_view(view, state))
+    catalog = WarehouseCatalog(members, share_compensation=True)
+    dispatch_event(catalog, "source", UpdateNotification(insert("r1", (3, 2)), 1))
+    assert catalog.pending_query_ids() == [1]
+    before = dumps_algorithm(catalog)
+    with pytest.raises(ProtocolError, match="negative answer tuple"):
+        dispatch_event(catalog, "source", QueryAnswer(1, SignedBag({(1, 5): -1})))
+    assert dumps_algorithm(catalog) == before
+    dispatch_event(catalog, "source", QueryAnswer(1, SignedBag({(3, 5): 1})))
+    assert catalog.is_quiescent()
+    for name in members:
+        assert catalog.state_of(name) == SignedBag({(1, 5): 1, (3, 5): 1})

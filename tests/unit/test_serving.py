@@ -128,6 +128,28 @@ class TestDirtyTracking:
         catalog.algorithms["Va"].mv.apply_delta(SignedBag({(7, 7): 1}))
         assert written_keys(catalog, "cache") == {("Va", (7,))}
 
+    def test_a_shared_class_invalidates_every_members_key_after_one_write(self):
+        """Three equal views, sharing on, are one algorithm and one
+        journal: one write there invalidates the key under each name,
+        and a read under any name loads the new rows."""
+        catalog = WarehouseCatalog(
+            {name: make_eca() for name in ("Va", "Vb", "Vc")},
+            share_compensation=True,
+        )
+        ((algorithm, names),) = catalog.classes()
+        cache = ServingCache(capacity=8, staleness_bound=0)
+        reader = reader_for(catalog)
+        cache.watch(catalog)
+        for name in names:
+            assert cache.read(name, (1,), reader.loader(name, (1,))).status == "miss"
+        algorithm.mv.apply_delta(SignedBag({(1, 6): 1}))
+        cache.invalidate_writes(catalog)
+        for name in names:
+            served = cache.read(name, (1,), reader.loader(name, (1,)))
+            assert served.status == "miss"
+            assert served.value == SignedBag({(1, 5): 1, (1, 6): 1})
+        assert written_keys(catalog, "cache") == set()
+
 
 class TestServingCache:
     def test_rejects_bad_parameters(self):

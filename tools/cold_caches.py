@@ -49,8 +49,6 @@ class Cache(NamedTuple):
       instance dictionary);
     - ``"table"`` — a module-level memo mapping, replaced by one that
       keeps nothing;
-    - ``"method"`` — a memo object's lookup; the attributes in
-      :attr:`fields` (its key) are forgotten before every call;
     - ``"kept"`` — structures a writer maintains in place; the
       attributes in :attr:`fields` are reset to :attr:`empty` after every
       call of the writer :attr:`name`.
@@ -62,7 +60,7 @@ class Cache(NamedTuple):
     name: str
     #: What a reader sees instead (``dict`` builds a fresh empty one).
     empty: Optional[type]
-    #: The ``method`` / ``kept`` kinds' attributes.
+    #: The ``kept`` kind's attributes.
     fields: Tuple[str, ...]
     key: str
     writer: str
@@ -89,9 +87,6 @@ CACHES: Tuple[Cache, ...] = (
           "relation", "View.key_output_positions"),
     Cache("table", "repro.relational.engine", "_SHARED", None, (),
           "(schemas, projection, condition, bound-operand mask)", "engine.join_plan"),
-    Cache("method", "repro.core.compensation", "CompensationMemo.compensated", None,
-          ("_updates", "_pending"), "(update or batch, pending queries)",
-          "CompensationMemo.compensated"),
     Cache("kept", "repro.source.memory", "MemorySource.apply_update", dict,
           ("_batches", "_indexes", "_positions", "_dead"), "relation (and key positions)",
           "MemorySource.apply_update; engine.evaluate_query adds a missing one"),
@@ -160,7 +155,7 @@ def drift() -> List[str]:
         elif cache.kind == "table":
             if not hasattr(found, "get"):
                 problems.append(f"{where}: not a module-level mapping ({found!r})")
-        elif cache.kind in ("method", "kept"):
+        elif cache.kind == "kept":
             if not callable(found):
                 problems.append(f"{where}: not a method ({found!r})")
                 continue
@@ -175,15 +170,6 @@ def drift() -> List[str]:
         else:
             problems.append(f"{where}: unknown kind {cache.kind!r}")
     return problems
-
-
-def _forget_key(method: Callable[..., object], fields: Sequence[str]) -> Callable[..., object]:
-    def cold(self: object, *args: object, **kwargs: object) -> object:
-        for field in fields:
-            setattr(self, field, object())  # equal to no key: the lookup misses
-        return method(self, *args, **kwargs)
-
-    return cold
 
 
 def _drop_after(
@@ -213,8 +199,6 @@ def install() -> None:
             setattr(owner, name, KeepNothing(cache.empty))
         elif cache.kind == "table":
             setattr(owner, name, NothingKept())
-        elif cache.kind == "method":
-            setattr(owner, name, _forget_key(getattr(owner, name), cache.fields))
         else:
             setattr(owner, name, _drop_after(getattr(owner, name), cache.fields, cache.empty))
         _INSTALLED.append(cache)
