@@ -244,69 +244,74 @@ def cmd_runtime(args: argparse.Namespace) -> int:
     sources = {}
     workload = []
     spanning_view = None
-    if multi:
-        # Topology: one view spanning all N sources as a join chain —
-        # source s<i> owns relation s<i>r(C<i>, C<i+1>).  The projection
-        # keeps every key column, so the Strobe family's key-completeness
-        # requirement holds for any N.
-        schemas = []
-        for index in range(args.sources):
-            name = f"s{index}"
-            relation = f"{name}r"
-            key = ("C0",) if index == 0 else (f"C{index + 1}",)
-            schema = RelationSchema(
-                relation, (f"C{index}", f"C{index + 1}"), key=key
-            )
-            schemas.append(schema)
-            initial = {relation: [(1, 1), (2, 2)]}
-            sources[name] = MemorySource([schema], initial)
-            workload.extend(
-                random_workload(
-                    [schema],
-                    args.updates,
-                    seed=args.seed + index,
-                    initial=initial,
-                    respect_keys=True,
-                    domain=3,
+    # A negative --updates is refused by the workload generator.
+    try:
+        if multi:
+            # Topology: one view spanning all N sources as a join chain —
+            # source s<i> owns relation s<i>r(C<i>, C<i+1>).  The projection
+            # keeps every key column, so the Strobe family's key-completeness
+            # requirement holds for any N.
+            schemas = []
+            for index in range(args.sources):
+                name = f"s{index}"
+                relation = f"{name}r"
+                key = ("C0",) if index == 0 else (f"C{index + 1}",)
+                schema = RelationSchema(
+                    relation, (f"C{index}", f"C{index + 1}"), key=key
                 )
+                schemas.append(schema)
+                initial = {relation: [(1, 1), (2, 2)]}
+                sources[name] = MemorySource([schema], initial)
+                workload.extend(
+                    random_workload(
+                        [schema],
+                        args.updates,
+                        seed=args.seed + index,
+                        initial=initial,
+                        respect_keys=True,
+                        domain=3,
+                    )
+                )
+            # Key columns double as join columns from 3 sources up, so the
+            # projection must qualify them (bare "C2" is ambiguous between
+            # s1r and s2r).
+            projection = [f"{schemas[0].name}.C0"] + [
+                f"{schema.name}.{schema.key[0]}" for schema in schemas[1:]
+            ]
+            spanning_view = View.natural_join("V", schemas, projection)
+            owners = {f"s{index}r": f"s{index}" for index in range(args.sources)}
+            snapshot = {}
+            for source in sources.values():
+                snapshot.update(source.snapshot())
+            options = {"owners": owners}
+            if args.algorithm == "multi-stored-copies":
+                options["initial_copies"] = snapshot
+            warehouse = create_algorithm(
+                args.algorithm,
+                spanning_view,
+                evaluate_view(spanning_view, snapshot),
+                **options,
             )
-        # Key columns double as join columns from 3 sources up, so the
-        # projection must qualify them (bare "C2" is ambiguous between
-        # s1r and s2r).
-        projection = [f"{schemas[0].name}.C0"] + [
-            f"{schema.name}.{schema.key[0]}" for schema in schemas[1:]
-        ]
-        spanning_view = View.natural_join("V", schemas, projection)
-        owners = {f"s{index}r": f"s{index}" for index in range(args.sources)}
-        snapshot = {}
-        for source in sources.values():
-            snapshot.update(source.snapshot())
-        options = {"owners": owners}
-        if args.algorithm == "multi-stored-copies":
-            options["initial_copies"] = snapshot
-        warehouse = create_algorithm(
-            args.algorithm,
-            spanning_view,
-            evaluate_view(spanning_view, snapshot),
-            **options,
-        )
-        checkable = spanning_view
-    else:
-        # Topology: N autonomous sources, each owning a two-relation join
-        # view maintained by the chosen algorithm (Section 7: "ECA is
-        # simply applied to each view separately").
-        sources, algorithms, workload = _fanout_topology(
-            args.sources, args.updates, args.seed, args.algorithm
-        )
-        share = args.share_compensation == "on"
-        if len(algorithms) == 1 and not args.shards and not share:
-            warehouse = next(iter(algorithms.values()))
-            checkable = warehouse.view
+            checkable = spanning_view
         else:
-            # Sharded runs always go through a catalog: shards merge into
-            # one tagged global view, so the oracle must be tagged too.
-            warehouse = WarehouseCatalog(algorithms, share_compensation=share)
-            checkable = warehouse
+            # Topology: N autonomous sources, each owning a two-relation join
+            # view maintained by the chosen algorithm (Section 7: "ECA is
+            # simply applied to each view separately").
+            sources, algorithms, workload = _fanout_topology(
+                args.sources, args.updates, args.seed, args.algorithm
+            )
+            share = args.share_compensation == "on"
+            if len(algorithms) == 1 and not args.shards and not share:
+                warehouse = next(iter(algorithms.values()))
+                checkable = warehouse.view
+            else:
+                # Sharded runs always go through a catalog: shards merge into
+                # one tagged global view, so the oracle must be tagged too.
+                warehouse = WarehouseCatalog(algorithms, share_compensation=share)
+                checkable = warehouse
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     # Every configuration error — a constructor rejecting a flag value
     # (CrashPolicy, FaultPlan, ServingCache, WriteAheadLog) or the harness
@@ -541,14 +546,17 @@ def cmd_freshness(args: argparse.Namespace) -> int:
     if args.sources < 1:
         print(f"error: --sources must be >= 1, got {args.sources}", file=sys.stderr)
         return 2
-    sources, algorithms, workload = _fanout_topology(
-        args.sources, args.updates, args.seed
-    )
-    share = args.share_compensation == "on"
-    warehouse = WarehouseCatalog(algorithms, share_compensation=share)
-    # A flag value the cache, the read mix or the harness rejects is
-    # reported like a usage error, as in ``repro runtime``.
+    if args.reads < 0:
+        print(f"error: --reads must be >= 0, got {args.reads}", file=sys.stderr)
+        return 2
+    # A flag value the workload, the cache, the read mix or the harness
+    # rejects is reported like a usage error, as in ``repro runtime``.
     try:
+        sources, algorithms, workload = _fanout_topology(
+            args.sources, args.updates, args.seed
+        )
+        share = args.share_compensation == "on"
+        warehouse = WarehouseCatalog(algorithms, share_compensation=share)
         cache = ServingCache(
             capacity=args.cache_capacity, staleness_bound=args.staleness_bound
         )
@@ -610,12 +618,6 @@ def cmd_crossovers(args: argparse.Namespace) -> int:
     for row in crossover_rows(_params(args)):
         print(f"{row['comparison']}: k = {row['crossover k']}")
     return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.__main__ import run_lint
-
-    return run_lint(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -866,16 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="filter by span kind (repeatable: update, wh_event, query, ...)",
     )
     p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser(
-        "lint", help="AST-based invariant checker (see docs/ANALYSIS.md)"
-    )
-    # Shared with ``python -m repro.analysis`` so the two entry points
-    # accept the same flags and cannot drift apart.
-    from repro.analysis.__main__ import add_lint_arguments
-
-    add_lint_arguments(p)
-    p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("crossovers", help="headline crossover points")
     _add_param_arguments(p)

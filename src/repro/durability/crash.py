@@ -84,6 +84,8 @@ class CrashPolicy:
             raise ValueError(f"unknown crash mode {mode!r}; expected one of {MODES}")
         if mode == "event" and at is None:
             raise ValueError('mode="event" requires at=<event index>')
+        if at is not None and at < 1:
+            raise ValueError(f"at must be >= 1 (a 1-based event index), got {at}")
         if skip is not None and skip < 0:
             raise ValueError(f"skip must be >= 0, got {skip}")
         if max_crashes < 1:

@@ -15,7 +15,7 @@ is a handful of ``map``/``itertools.compress`` passes over flat lists —
 C-speed loops — instead of one Python-level predicate call and one tuple
 allocation per candidate row.  No per-tuple wrapper objects
 (:class:`~repro.relational.tuples.SignedTuple`) are ever created inside the
-batch operators; that invariant is machine-checked by lint rule RPR009.
+batch operators; ``tests/unit/test_invariants.py`` checks that invariant.
 
 The vectorized operators over batches live in
 :mod:`repro.relational.batch_ops`; this module is just the container and

@@ -27,7 +27,8 @@ Since the columnar refactor the working set is a
 :class:`~repro.relational.columns.ColumnBatch` — parallel column lists
 plus a signed count vector — and every join/filter/projection step runs
 through the vectorized operators in :mod:`repro.relational.batch_ops`
-(``map``/``compress`` passes, no per-tuple objects; lint rule RPR009).
+(``map``/``compress`` passes, no per-tuple objects; checked by
+``tests/unit/test_invariants.py``).
 :func:`evaluate_term_scalar` runs the all-free plan one row at a time as
 the divergence check used by the CI ``bench-smoke`` job.
 

@@ -367,6 +367,10 @@ def run_concurrent(
         plan = plan_shards(algorithm, shards, partitioner, owners)
 
     # Every axis composes or is rejected here, before anything is opened.
+    if clients < 0:
+        raise SimulationError(f"clients must be >= 0, got {clients}")
+    if client_reads < 0:
+        raise SimulationError(f"client_reads must be >= 0, got {client_reads}")
     if batch_k < 1:
         raise SimulationError(f"batch_k must be >= 1, got {batch_k}")
     if crash is not None and wal_dir is None:

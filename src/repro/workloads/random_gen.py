@@ -30,7 +30,7 @@ class ZipfSampler:
     web-like skew, and large values collapse onto rank 0 — the hot-key
     regime.  Sampling is inverse-CDF over a precomputed table, so a given
     ``(n, theta, seed)`` triple always yields the same rank sequence
-    (RPR002 determinism).
+    (the determinism invariant of ``tests/unit/test_invariants.py``).
     """
 
     def __init__(
@@ -141,6 +141,8 @@ def random_workload(
     Deletes pick a tuple currently present (accounting for earlier updates
     in the stream); when no tuple exists an insert is generated instead.
     """
+    if k < 0:
+        raise ValueError(f"update count must be >= 0, got {k}")
     if not 0.0 <= delete_ratio <= 1.0:
         raise ValueError(f"delete_ratio must be in [0, 1], got {delete_ratio}")
     rng = random.Random(seed)

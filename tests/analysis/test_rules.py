@@ -1,159 +1,117 @@
-"""Golden self-tests: each rule vs its deliberately broken fixture.
+"""Each invariant check, planted into the shipped source, fires exactly once.
 
-The fixtures under ``tests/analysis/fixtures/`` are skipped by directory
-walks (so ``repro lint src tests tools`` stays clean) but analyzed
-in full when named explicitly — which is what these tests do.  Each test
-pins the exact ``(line, rule_id)`` set a fixture must produce: a rule
-that stops firing *or* starts over-firing fails the golden comparison.
+``tests/unit/test_invariants.py`` holds the three checks, shows each on
+inline snippets and runs them over ``src/repro``.  These tests close the
+gap between the two: they insert one violation into a real module of
+the tree — the file a regression would land in — and require the check
+whose scope holds that file to report exactly the planted line, and the
+legal twin of each plant (a blocking sync helper, a construction at
+planning time) to report nothing.  A scope that stopped naming a file,
+or a walk that stopped reaching a statement, fails here even while the
+snippets still pass.
 """
 
 from __future__ import annotations
 
-import os
+import ast
+import sys
+from pathlib import Path
+from typing import Callable, List, Tuple
 
 import pytest
 
-from repro.analysis import run_analysis
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "unit"))
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "repro")
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+from test_invariants import (  # noqa: E402
+    HOT_PATH,
+    SRC,
+    check_file,
+    hot_path,
+    loop_bodies,
+    scan_tree,
+)
+
+ACTORS = "runtime/actors.py"
+ENGINE = "relational/engine.py"
 
 
-def findings_for(relpath):
-    return run_analysis([os.path.join(FIXTURES, relpath)])
+def planted(
+    relative: str, picks: Callable[[ast.AST], bool], statement: str
+) -> Tuple[str, int]:
+    """``src/repro/<relative>`` with ``statement`` inserted as the first
+    line of the body of the first node ``picks`` selects (``ast.walk``
+    order: outermost first), and the line it landed on."""
+    source = (SRC / relative).read_text(encoding="utf-8")
+    node = next(node for node in ast.walk(ast.parse(source)) if picks(node))
+    first = node.body[0]
+    lines = source.splitlines(keepends=True)
+    lines.insert(first.lineno - 1, " " * first.col_offset + statement + "\n")
+    return "".join(lines), first.lineno
 
 
-def golden(findings):
-    return sorted((f.line, f.rule_id) for f in findings)
+def findings_with(
+    relative: str, picks: Callable[[ast.AST], bool], statement: str
+) -> Tuple[List[str], int]:
+    source, line = planted(relative, picks, statement)
+    return check_file(relative, source), line
+
+
+def is_coroutine(node: ast.AST) -> bool:
+    return isinstance(node, ast.AsyncFunctionDef)
+
+
+def is_function(node: ast.AST) -> bool:
+    return isinstance(node, ast.FunctionDef)
+
+
+def is_for_loop(node: ast.AST) -> bool:
+    return isinstance(node, ast.For)
 
 
 class TestDeterminismRule:
     def test_fixture_produces_exactly_the_expected_findings(self):
-        findings = findings_for("runtime/rpr002_determinism.py")
-        assert golden(findings) == [
-            (10, "RPR002"),  # time.time()
-            (14, "RPR002"),  # datetime.now()
-            (18, "RPR002"),  # unseeded random.random()
-            (22, "RPR002"),  # os.urandom()
+        findings, line = findings_with(ACTORS, is_coroutine, "time.time()")
+        assert findings == [
+            f"src/repro/{ACTORS}:{line}: determinism: time.time()"
         ]
-
-    def test_seeded_rng_and_perf_counter_are_allowed(self):
-        findings = findings_for("runtime/rpr002_determinism.py")
-        flagged = {f.line for f in findings}
-        assert not flagged & {28, 29, 30}  # the legal_seeded body
-
-    def test_pragma_suppresses_the_final_violation(self):
-        findings = findings_for("runtime/rpr002_determinism.py")
-        assert 34 not in {f.line for f in findings}
 
 
 class TestAsyncSafetyRule:
     def test_fixture_produces_exactly_the_expected_findings(self):
-        findings = findings_for("runtime/rpr003_async.py")
-        assert golden(findings) == [
-            (9, "RPR003"),  # time.sleep in a coroutine
-            (10, "RPR003"),  # open().read() in a coroutine
-            (11, "RPR003"),  # subprocess.run in a coroutine
+        findings, line = findings_with(ACTORS, is_coroutine, "time.sleep(0)")
+        assert findings == [
+            f"src/repro/{ACTORS}:{line}: async_safety: time.sleep() in async run"
         ]
 
     def test_sync_helpers_may_block(self):
-        findings = findings_for("runtime/rpr003_async.py")
-        assert all(f.line <= 11 for f in findings)
+        findings, _line = findings_with(ACTORS, is_function, "time.sleep(0)")
+        assert findings == []
 
 
 class TestHotPathRule:
     def test_fixture_produces_exactly_the_expected_findings(self):
-        findings = findings_for("relational/engine.py")
-        assert golden(findings) == [
-            (28, "RPR009"),  # SignedTuple per row in a for body
-            (36, "RPR009"),  # BoundOperand per row in a while body
-            (42, "RPR009"),  # Term per row in a comprehension
+        findings, line = findings_with(ENGINE, is_for_loop, "SignedTuple((), 1)")
+        assert findings == [
+            f"src/repro/{ENGINE}:{line}: hot_path: SignedTuple() in a for body"
         ]
 
     def test_planning_time_construction_is_clean(self):
-        findings = findings_for("relational/engine.py")
-        assert 47 not in {f.line for f in findings}
+        findings, _line = findings_with(ENGINE, is_function, "SignedTuple((), 1)")
+        assert findings == []
 
     def test_shipped_hot_path_modules_are_clean(self):
-        paths = [
-            os.path.join(REPO_ROOT, "src", "repro", "relational", name)
-            for name in ("engine.py", "columns.py", "batch_ops.py")
-        ]
-        assert [f for f in run_analysis(paths) if f.rule_id == "RPR009"] == []
-
-    def test_rule_does_not_apply_outside_hot_path_modules(self):
-        # bag.py iterates signed tuples by design; the rule must not fire.
-        path = os.path.join(REPO_ROOT, "src", "repro", "relational", "bag.py")
-        assert [f for f in run_analysis([path]) if f.rule_id == "RPR009"] == []
+        for relative in sorted(HOT_PATH):
+            tree = ast.parse((SRC / relative).read_text(encoding="utf-8"))
+            # Non-vacuous: the check walked loop bodies in every module.
+            assert list(loop_bodies(tree)), relative
+            assert hot_path(tree) == [], relative
 
 
-class TestSeverityAndOrdering:
-    def test_findings_are_sorted_and_error_severity(self):
-        findings = findings_for("runtime/rpr002_determinism.py")
-        assert findings == sorted(findings)
-        assert all(f.severity == "error" for f in findings)
-
-
-@pytest.mark.parametrize("tree", ["src", "tests", "tools"])
+@pytest.mark.parametrize("tree", ["src"])
 def test_repository_lints_clean(tree):
-    """The acceptance bar: the final tree carries zero violations."""
-    assert run_analysis([os.path.join(REPO_ROOT, tree)]) == []
-
-
-class TestSinglePass:
-    """Every rule runs once per file: nothing to dedupe, and the
-    banned-name tables exist in exactly one module."""
-
-    def test_every_fixture_position_is_reported_exactly_once(self):
-        from collections import Counter
-
-        fixtures = sorted(
-            os.path.join(root, name)
-            for root, _dirs, names in os.walk(FIXTURES)
-            for name in names
-            if name.endswith(".py")
-        )
-        raw = run_analysis(fixtures)
-        keys = [(f.path, f.line, f.col, f.rule_id) for f in raw]
-        assert len(keys) == len(set(keys)) == 10
-        assert Counter(f.rule_id for f in raw) == {
-            "RPR002": 4,
-            "RPR003": 3,
-            "RPR009": 3,
-        }
-
-    def test_name_tables_are_defined_once_in_determinism(self):
-        import importlib
-        import pkgutil
-
-        import repro.analysis.rules as rules_package
-        import repro.analysis.rules.determinism as determinism
-
-        markers = (
-            {"now", "utcnow", "today"},  # the datetime attributes
-            {"time.time", "time.monotonic"},  # the clock names
-        )
-
-        def tables(module):
-            for name, value in vars(module).items():
-                if isinstance(value, (tuple, list, set, frozenset, dict)):
-                    try:
-                        yield name, set(value)
-                    except TypeError:
-                        continue
-
-        for info in pkgutil.iter_modules(rules_package.__path__):
-            module = importlib.import_module(
-                f"{rules_package.__name__}.{info.name}"
-            )
-            if module is determinism:
-                continue
-            for name, members in tables(module):
-                for marker in markers:
-                    assert not marker <= members, (
-                        f"{module.__name__}.{name} re-declares a name table "
-                        f"that belongs in repro.analysis.rules.determinism"
-                    )
-        owned = [members for _name, members in tables(determinism)]
-        for marker in markers:
-            assert sum(marker <= members for members in owned) == 1
+    """The acceptance bar: the scan of ``<tree>/repro`` (shared with
+    ``test_no_check_fires_on_the_tree``) finds nothing."""
+    walked, findings = scan_tree()
+    assert SRC.parent.name == tree
+    assert walked and all((SRC / relative).is_file() for relative in walked)
+    assert findings == ()

@@ -113,6 +113,12 @@ class TestAcceptance:
         assert [c["event_index"] for c in result.crashes] == [2]
         assert check_trace(scenario.view, result.trace).strongly_consistent
 
+    @pytest.mark.parametrize("at", [-1, 0])
+    def test_an_event_index_that_can_never_fire_is_refused(self, at):
+        # Event indices start at 1, so such a policy could never fire.
+        with pytest.raises(ValueError, match=f"at must be >= 1 .*got {at}"):
+            CrashPolicy(mode="event", at=at)
+
 
 class TestDeterminism:
     def test_same_seed_same_crash_point_and_trace(self, tmp_path):
@@ -256,6 +262,15 @@ class TestWiderTopologies:
                 seed=0,
                 crash=CrashPolicy(),
             )
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [("clients", "clients must be >= 0"), ("client_reads", "client_reads must be >= 0")],
+    )
+    def test_a_negative_client_count_is_refused(self, option, message):
+        scenario, source, warehouse = build_eca("example-2")
+        with pytest.raises(SimulationError, match=message):
+            run_concurrent(source, warehouse, scenario.updates, **{option: -1})
 
     def test_crash_shard_without_shards_is_refused(self, tmp_path):
         scenario, source, warehouse = build_eca("example-2")

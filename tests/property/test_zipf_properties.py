@@ -3,7 +3,7 @@
 The serving read mixes and the hot-key experiment (E12) both lean
 on :class:`ZipfSampler` being (a) a real probability distribution over
 ``[0, n)``, (b) monotone — lower ranks never less likely than higher
-ones — and (c) a pure function of ``(n, theta, seed)`` so RPR002-style
+ones — and (c) a pure function of ``(n, theta, seed)`` so seeded
 replays reproduce byte-identical workloads.
 """
 

@@ -271,9 +271,15 @@ class TestRuntimeConfigurationErrors:
             (["--cache", "--cache-capacity", "0"], "cache capacity must be >= 1"),
             (["--wal-dir", "WAL", "--snapshot-every", "0"], "snapshot_every must be >= 1"),
             (["--sources", "0"], "--sources must be >= 1"),
+            (["--crash", "--crash-mode", "event", "--crash-at", "-1"], "at must be >= 1"),
+            (["--updates", "-1"], "update count must be >= 0"),
+            (["--algorithm", "strobe", "--updates", "-1"], "update count must be >= 0"),
+            (["--clients", "-1"], "clients must be >= 0"),
+            (["--reads", "-1"], "client_reads must be >= 0"),
         ],
         ids=["crash-at", "max-crashes", "drop-rate", "cache-capacity",
-             "snapshot-every", "sources"],
+             "snapshot-every", "sources", "negative-crash-at", "updates",
+             "spanning-updates", "clients", "reads"],
     )
     def test_bad_value_is_a_one_line_error(self, flags, message, tmp_path, capsys):
         flags = [str(tmp_path / "wal") if flag == "WAL" else flag for flag in flags]
@@ -290,8 +296,11 @@ class TestRuntimeConfigurationErrors:
             (["--cache-capacity", "0"], "cache capacity must be >= 1"),
             (["--staleness-bound", "-1"], "staleness bound must be >= 0"),
             (["--theta", "-1"], "zipf theta must be >= 0"),
+            (["--updates", "-1"], "update count must be >= 0"),
+            (["--reads", "-1"], "--reads must be >= 0"),
         ],
-        ids=["sources", "cache-capacity", "staleness-bound", "theta"],
+        ids=["sources", "cache-capacity", "staleness-bound", "theta", "updates",
+             "reads"],
     )
     def test_bad_freshness_value_is_a_one_line_error(self, flags, message, capsys):
         assert main(["freshness", "--updates", "2", "--reads", "2", *flags]) == 2

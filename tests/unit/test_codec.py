@@ -357,6 +357,27 @@ class TestEncodeOnce:
         assert twin.terms[0].shape is not query.terms[0].shape
         assert encode_text(twin) == encode_text(query) == reference_text(query)
 
+    def test_a_query_derived_from_an_encoded_one_renders_its_own_terms(self):
+        # ``encoded`` stands for the query it was rendered from: a query
+        # built from that one (sum, difference, negation, substitution,
+        # either half of a partition) must start without it.
+        query = compensating_query()
+        encode_text(query)
+        local, remote = query.partition()
+        update = insert("r1", (2, 3)).signed_tuple()
+        derived = {
+            "+": query + remote,
+            "-": query - local,
+            "neg": -query,
+            "substitute": query.substitute("r1", update),
+            "fully bound": local,
+            "shipped": remote,
+        }
+        for how, value in derived.items():
+            assert value.terms and value.terms != query.terms, how
+            fresh = encode_text(Query(value.terms))
+            assert encode_text(value) == fresh == reference_text(value), how
+
     def test_pending_query_is_rendered_once_across_twenty_snapshots(
         self, tmp_path, monkeypatch
     ):

@@ -12,19 +12,14 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from check_doc_links import (  # noqa: E402
-    ANALYSIS_CLI,
-    ANALYSIS_DOC,
     RUNTIME_CLI,
     RUNTIME_FLAG_DOCS,
     SERVING_DOC,
     anchors_of,
     check_file,
-    check_lint_flags,
     check_runtime_flags,
     check_subcommands,
     check_tree,
-    lint_cli_flags,
-    lint_flag_references,
     runtime_cli_flags,
     runtime_cli_subcommands,
     runtime_flag_references,
@@ -84,52 +79,6 @@ class TestCheckFile:
         assert broken.reason == "escapes the repository"
 
 
-class TestLintFlags:
-    """docs/ANALYSIS.md's `repro lint` flag references must resolve."""
-
-    def _tree(self, tmp_path, doc_text):
-        (tmp_path / "docs").mkdir()
-        (tmp_path / "docs" / Path(ANALYSIS_DOC).name).write_text(doc_text)
-        cli = tmp_path / ANALYSIS_CLI
-        cli.parent.mkdir(parents=True)
-        cli.write_text((REPO_ROOT / ANALYSIS_CLI).read_text(encoding="utf-8"))
-        return tmp_path
-
-    def test_parser_flags_read_without_import(self):
-        assert lint_cli_flags(REPO_ROOT) == {
-            "--format",
-            "--list-rules",
-            "--sarif",
-        }
-
-    def test_references_extracted_from_spans_and_fences(self):
-        refs = list(
-            lint_flag_references(
-                "Run `python -m repro.analysis --list-rules` or pass\n"
-                "`--format json`.\n"
-                "```bash\n"
-                "python -m repro.analysis src --format text\n"
-                "ruff check --fix src  # unrelated tool: not scanned\n"
-                "```\n"
-            )
-        )
-        assert refs == [(1, "--list-rules"), (2, "--format"), (4, "--format")]
-
-    def test_dangling_flag_is_reported(self, tmp_path):
-        root = self._tree(
-            tmp_path, "Pass `--frobnicate` to `repro lint` for extra frob.\n"
-        )
-        (broken,) = check_lint_flags(root)
-        assert broken.target == "--frobnicate"
-        assert "no such repro lint flag" in broken.reason
-
-    def test_real_analysis_doc_references_are_live_and_nonempty(self):
-        doc = (REPO_ROOT / ANALYSIS_DOC).read_text(encoding="utf-8")
-        refs = list(lint_flag_references(doc))
-        assert refs, "ANALYSIS.md documents no CLI flags — scan is vacuous"
-        assert check_lint_flags(REPO_ROOT) == []
-
-
 class TestRuntimeFlags:
     """docs/SERVING.md's `repro runtime` flag references must resolve."""
 
@@ -163,7 +112,7 @@ class TestRuntimeFlags:
                 "`--staleness-bound 2`.\n"
                 "```bash\n"
                 "python -m repro runtime --cache --read-workload zipf:1.2\n"
-                "python -m repro.analysis src --format text  # lint, not scanned\n"
+                "python -m repro trace t.jsonl --limit 40  # not runtime, not scanned\n"
                 "```\n"
             )
         )
@@ -216,7 +165,7 @@ class TestSubcommands:
 
     def test_parser_registers_the_documented_subcommands(self):
         subs = runtime_cli_subcommands(REPO_ROOT)
-        assert {"runtime", "freshness", "trace", "lint", "scenario"} <= subs
+        assert {"runtime", "freshness", "trace", "scenario"} <= subs
 
     def test_references_come_from_code_positions_only(self):
         refs = list(

@@ -170,6 +170,11 @@ class TestRandomWorkload:
         with pytest.raises(ValueError):
             random_workload(schemas, 5, delete_ratio=1.5)
 
+    def test_negative_count_is_refused(self, schemas):
+        with pytest.raises(ValueError, match="update count must be >= 0, got -1"):
+            random_workload(schemas, -1)
+        assert random_workload(schemas, 0) == []
+
     def test_reproducible(self, schemas):
         assert random_workload(schemas, 10, seed=6) == random_workload(
             schemas, 10, seed=6
@@ -195,7 +200,7 @@ class TestZipfSampler:
 
     def test_theta_zero_matches_randrange_stream(self):
         # The uniform special case must consume the RNG exactly like the
-        # legacy randrange-based code paths it replaces (RPR002 replays).
+        # legacy randrange-based code paths it replaces (seeded replays).
         import random
 
         sampler = ZipfSampler(8, 0.0, seed=3)

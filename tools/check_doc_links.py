@@ -8,18 +8,14 @@ every markdown link, and verifies:
   to the file containing the link);
 - **anchors** (``#fragment``, alone or after a path) match a heading in
   the target document, using GitHub's heading-to-anchor slug rules;
-- **lint CLI flags**: every ``--flag`` that ``docs/ANALYSIS.md``
-  attributes to ``repro lint`` / ``python -m repro.analysis`` exists in
-  the linter's argument parser (``src/repro/analysis/__main__.py``,
-  read via ``ast`` — never imported), so the analysis docs cannot
-  drift from the CLI;
-- **runtime CLI flags**: likewise, every ``--flag`` that a
+- **runtime CLI flags**: every ``--flag`` that a
   runtime-documenting file (``docs/SERVING.md``, ``docs/RELATIONAL.md``,
   ``docs/PERFORMANCE.md``, ``docs/MULTIVIEW.md``) attributes to
   ``repro runtime`` exists in the main CLI's argument parser
-  (``src/repro/cli.py``), so those docs cannot drift from the runtime
-  flags they document (``--batch-k``, ``--wire-codec``,
-  ``--share-compensation``, the serving flags, ...);
+  (``src/repro/cli.py``, read via ``ast`` — never imported), so those
+  docs cannot drift from the runtime flags they document
+  (``--batch-k``, ``--wire-codec``, ``--share-compensation``, the
+  serving flags, ...);
 - **CLI subcommands**: every ``repro <sub>`` invocation any checked
   document shows (in a fenced block or an inline code span) names a
   subparser ``src/repro/cli.py`` actually registers, so a doc cannot
@@ -49,11 +45,6 @@ from typing import Iterator, List, NamedTuple, Optional, Set, Tuple
 #: Files checked, relative to the repo root (globs allowed).
 DOC_GLOBS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
 
-#: The document whose ``--flag`` references are validated, and the
-#: argparse module they must resolve against.
-ANALYSIS_DOC = "docs/ANALYSIS.md"
-ANALYSIS_CLI = "src/repro/analysis/__main__.py"
-
 #: The documents whose ``repro runtime --flag`` references are
 #: validated, and the argparse module they must resolve against.
 SERVING_DOC = "docs/SERVING.md"
@@ -67,7 +58,6 @@ RUNTIME_CLI = "src/repro/cli.py"
 
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _FLAG = re.compile(r"(--[A-Za-z0-9][\w-]*)")
-_LINT_INVOCATION = re.compile(r"repro\.analysis|repro lint")
 _RUNTIME_INVOCATION = re.compile(r"repro runtime|-m repro runtime")
 #: ``repro <sub>`` with a guard against ``from repro import ...`` lines
 #: in fenced python examples (``repro`` followed by a keyword there).
@@ -165,8 +155,8 @@ def check_file(path: Path, root: Path) -> List[Broken]:
     return broken
 
 
-def _parser_flags(root: Path, cli_module: str) -> Set[str]:
-    """The ``--flags`` an argparse module actually defines.
+def runtime_cli_flags(root: Path) -> Set[str]:
+    """The ``--flags`` the main ``repro`` CLI's argparse defines.
 
     Read from the source with ``ast`` rather than imported: the checker
     must work without ``src`` on ``sys.path`` and must not execute
@@ -174,7 +164,7 @@ def _parser_flags(root: Path, cli_module: str) -> Set[str]:
     """
 
     flags: Set[str] = set()
-    tree = ast.parse((root / cli_module).read_text(encoding="utf-8"))
+    tree = ast.parse((root / RUNTIME_CLI).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
@@ -188,33 +178,11 @@ def _parser_flags(root: Path, cli_module: str) -> Set[str]:
     return flags
 
 
-def lint_cli_flags(root: Path) -> Set[str]:
-    """The ``--flags`` the lint CLI's argparse actually defines."""
-
-    return _parser_flags(root, ANALYSIS_CLI)
-
-
-def runtime_cli_flags(root: Path) -> Set[str]:
-    """The ``--flags`` the main ``repro`` CLI's argparse defines.
-
-    The ``lint`` subcommand builds its flags by delegating to
-    ``repro.analysis.__main__.add_lint_arguments`` (a delegation pinned
-    by :func:`check_lint_delegation`), so the lint flags are part of the
-    main CLI's surface even though no ``add_argument`` call in
-    ``repro/cli.py`` names them.
-    """
-
-    flags = _parser_flags(root, RUNTIME_CLI)
-    if (root / ANALYSIS_CLI).exists() and not check_lint_delegation(root):
-        flags |= _parser_flags(root, ANALYSIS_CLI)
-    return flags
-
-
 def runtime_cli_subcommands(root: Path) -> Set[str]:
     """The subcommand names the main CLI's argparse registers.
 
     The first positional string argument of every ``add_parser(...)``
-    call, read via ``ast`` like :func:`_parser_flags`.
+    call, read via ``ast`` like :func:`runtime_cli_flags`.
     """
 
     subs: Set[str] = set()
@@ -232,16 +200,14 @@ def runtime_cli_subcommands(root: Path) -> Set[str]:
     return subs
 
 
-def _flag_references(
-    text: str, invocation: "re.Pattern[str]"
-) -> Iterator[Tuple[int, str]]:
-    """``(lineno, flag)`` for every CLI flag the document mentions.
+def runtime_flag_references(text: str) -> Iterator[Tuple[int, str]]:
+    """``(lineno, flag)`` for every runtime-CLI flag the doc mentions.
 
     Two reference shapes count:
 
-    - inside fenced code blocks, flags on lines matching ``invocation``;
+    - inside fenced code blocks, flags on lines invoking ``repro runtime``;
     - inline code spans that either contain such an invocation or *are*
-      a flag (``` `--format json` ```, ``` `--list-rules` ```) — by
+      a flag (``` `--batch-k 4` ```, ``` `--cache` ```) — by
       convention a span starting with ``--`` refers to the document's
       CLI.
     """
@@ -257,48 +223,15 @@ def _flag_references(
                 fence = None
             continue
         if fence is not None:
-            if invocation.search(line):
+            if _RUNTIME_INVOCATION.search(line):
                 for flag in _FLAG.findall(line):
                     yield lineno, flag
             continue
         for span in _CODE_SPAN.findall(line):
             content = span.strip("`")
-            if invocation.search(content) or content.startswith("--"):
+            if _RUNTIME_INVOCATION.search(content) or content.startswith("--"):
                 for flag in _FLAG.findall(content):
                     yield lineno, flag
-
-
-def lint_flag_references(text: str) -> Iterator[Tuple[int, str]]:
-    """``(lineno, flag)`` for every lint-CLI flag the document mentions."""
-
-    return _flag_references(text, _LINT_INVOCATION)
-
-
-def runtime_flag_references(text: str) -> Iterator[Tuple[int, str]]:
-    """``(lineno, flag)`` for every runtime-CLI flag the doc mentions."""
-
-    return _flag_references(text, _RUNTIME_INVOCATION)
-
-
-def check_lint_flags(root: Path) -> List[Broken]:
-    """Dangling ``repro lint`` flag references in ``docs/ANALYSIS.md``."""
-
-    doc = root / ANALYSIS_DOC
-    if not doc.exists() or not (root / ANALYSIS_CLI).exists():
-        return []
-    known = lint_cli_flags(root)
-    broken: List[Broken] = []
-    for lineno, flag in lint_flag_references(doc.read_text(encoding="utf-8")):
-        if flag not in known:
-            broken.append(
-                Broken(
-                    doc,
-                    lineno,
-                    flag,
-                    f"no such repro lint flag (parser defines: {sorted(known)})",
-                )
-            )
-    return broken
 
 
 def check_runtime_flags(root: Path) -> List[Broken]:
@@ -381,52 +314,13 @@ def check_subcommands(root: Path) -> List[Broken]:
     return broken
 
 
-def check_lint_delegation(root: Path) -> List[Broken]:
-    """The ``repro lint`` subparser must delegate to ``add_lint_arguments``.
-
-    :func:`check_lint_flags` validates ``docs/ANALYSIS.md`` against the
-    analysis module's parser — which is only sound while the main CLI
-    builds its ``lint`` subcommand from that same helper.  This check
-    pins the delegation, so a hand-rolled divergent flag set in
-    ``repro.cli`` fails the doc check instead of silently forking the
-    two front-ends.
-    """
-
-    cli = root / RUNTIME_CLI
-    if not cli.exists() or not (root / ANALYSIS_CLI).exists():
-        return []
-    tree = ast.parse(cli.read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name == "add_lint_arguments":
-                return []
-    return [
-        Broken(
-            cli,
-            1,
-            "add_lint_arguments",
-            "the lint subparser no longer delegates to "
-            "repro.analysis.__main__.add_lint_arguments, so the "
-            "documented lint flags are not validated against it",
-        )
-    ]
-
-
 def check_tree(root: Path) -> List[Broken]:
     broken: List[Broken] = []
     for pattern in DOC_GLOBS:
         for path in sorted(root.glob(pattern)):
             broken.extend(check_file(path, root))
-    broken.extend(check_lint_flags(root))
     broken.extend(check_runtime_flags(root))
     broken.extend(check_subcommands(root))
-    broken.extend(check_lint_delegation(root))
     return broken
 
 
