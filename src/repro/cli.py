@@ -203,7 +203,7 @@ def _fanout_topology(n_sources: int, updates: int, seed: int, algorithm: str = "
 def cmd_runtime(args: argparse.Namespace) -> int:
     from repro.consistency import check_trace
     from repro.core.registry import ALGORITHMS, create_algorithm
-    from repro.errors import ProtocolError, SimulationError
+    from repro.errors import ProtocolError
     from repro.experiments.report import render_table
     from repro.messaging.wire import create_codec
     from repro.multisource.consistency import cut_report
@@ -244,79 +244,73 @@ def cmd_runtime(args: argparse.Namespace) -> int:
     sources = {}
     workload = []
     spanning_view = None
-    # A negative --updates is refused by the workload generator.
-    try:
-        if multi:
-            # Topology: one view spanning all N sources as a join chain —
-            # source s<i> owns relation s<i>r(C<i>, C<i+1>).  The projection
-            # keeps every key column, so the Strobe family's key-completeness
-            # requirement holds for any N.
-            schemas = []
-            for index in range(args.sources):
-                name = f"s{index}"
-                relation = f"{name}r"
-                key = ("C0",) if index == 0 else (f"C{index + 1}",)
-                schema = RelationSchema(
-                    relation, (f"C{index}", f"C{index + 1}"), key=key
-                )
-                schemas.append(schema)
-                initial = {relation: [(1, 1), (2, 2)]}
-                sources[name] = MemorySource([schema], initial)
-                workload.extend(
-                    random_workload(
-                        [schema],
-                        args.updates,
-                        seed=args.seed + index,
-                        initial=initial,
-                        respect_keys=True,
-                        domain=3,
-                    )
-                )
-            # Key columns double as join columns from 3 sources up, so the
-            # projection must qualify them (bare "C2" is ambiguous between
-            # s1r and s2r).
-            projection = [f"{schemas[0].name}.C0"] + [
-                f"{schema.name}.{schema.key[0]}" for schema in schemas[1:]
-            ]
-            spanning_view = View.natural_join("V", schemas, projection)
-            owners = {f"s{index}r": f"s{index}" for index in range(args.sources)}
-            snapshot = {}
-            for source in sources.values():
-                snapshot.update(source.snapshot())
-            options = {"owners": owners}
-            if args.algorithm == "multi-stored-copies":
-                options["initial_copies"] = snapshot
-            warehouse = create_algorithm(
-                args.algorithm,
-                spanning_view,
-                evaluate_view(spanning_view, snapshot),
-                **options,
+    if multi:
+        # Topology: one view spanning all N sources as a join chain —
+        # source s<i> owns relation s<i>r(C<i>, C<i+1>).  The projection
+        # keeps every key column, so the Strobe family's key-completeness
+        # requirement holds for any N.
+        schemas = []
+        for index in range(args.sources):
+            name = f"s{index}"
+            relation = f"{name}r"
+            key = ("C0",) if index == 0 else (f"C{index + 1}",)
+            schema = RelationSchema(
+                relation, (f"C{index}", f"C{index + 1}"), key=key
             )
-            checkable = spanning_view
+            schemas.append(schema)
+            initial = {relation: [(1, 1), (2, 2)]}
+            sources[name] = MemorySource([schema], initial)
+            workload.extend(
+                random_workload(
+                    [schema],
+                    args.updates,
+                    seed=args.seed + index,
+                    initial=initial,
+                    respect_keys=True,
+                    domain=3,
+                )
+            )
+        # Key columns double as join columns from 3 sources up, so the
+        # projection must qualify them (bare "C2" is ambiguous between
+        # s1r and s2r).
+        projection = [f"{schemas[0].name}.C0"] + [
+            f"{schema.name}.{schema.key[0]}" for schema in schemas[1:]
+        ]
+        spanning_view = View.natural_join("V", schemas, projection)
+        owners = {f"s{index}r": f"s{index}" for index in range(args.sources)}
+        snapshot = {}
+        for source in sources.values():
+            snapshot.update(source.snapshot())
+        options = {"owners": owners}
+        if args.algorithm == "multi-stored-copies":
+            options["initial_copies"] = snapshot
+        warehouse = create_algorithm(
+            args.algorithm,
+            spanning_view,
+            evaluate_view(spanning_view, snapshot),
+            **options,
+        )
+        checkable = spanning_view
+    else:
+        # Topology: N autonomous sources, each owning a two-relation join
+        # view maintained by the chosen algorithm (Section 7: "ECA is
+        # simply applied to each view separately").
+        sources, algorithms, workload = _fanout_topology(
+            args.sources, args.updates, args.seed, args.algorithm
+        )
+        share = args.share_compensation == "on"
+        if len(algorithms) == 1 and not args.shards and not share:
+            warehouse = next(iter(algorithms.values()))
+            checkable = warehouse.view
         else:
-            # Topology: N autonomous sources, each owning a two-relation join
-            # view maintained by the chosen algorithm (Section 7: "ECA is
-            # simply applied to each view separately").
-            sources, algorithms, workload = _fanout_topology(
-                args.sources, args.updates, args.seed, args.algorithm
-            )
-            share = args.share_compensation == "on"
-            if len(algorithms) == 1 and not args.shards and not share:
-                warehouse = next(iter(algorithms.values()))
-                checkable = warehouse.view
-            else:
-                # Sharded runs always go through a catalog: shards merge into
-                # one tagged global view, so the oracle must be tagged too.
-                warehouse = WarehouseCatalog(algorithms, share_compensation=share)
-                checkable = warehouse
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+            # Sharded runs always go through a catalog: shards merge into
+            # one tagged global view, so the oracle must be tagged too.
+            warehouse = WarehouseCatalog(algorithms, share_compensation=share)
+            checkable = warehouse
 
-    # Every configuration error — a constructor rejecting a flag value
-    # (CrashPolicy, FaultPlan, ServingCache, WriteAheadLog) or the harness
-    # rejecting a combination (e.g. --crash-shard without --shards) — is
-    # reported like a usage error.
+    # A temporary WAL directory goes on every exit path; a configuration
+    # error raised here (a flag value a constructor or the harness
+    # rejects) reaches main() as one ``error:`` line.
     temp_wal = None
     try:
         faults = None
@@ -411,9 +405,6 @@ def cmd_runtime(args: argparse.Namespace) -> int:
             batch_k=args.batch_k,
             wire_codec=args.wire_codec,
         )
-    except (SimulationError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     finally:
         if temp_wal is not None:
             temp_wal.cleanup()
@@ -537,7 +528,6 @@ def cmd_freshness(args: argparse.Namespace) -> int:
     """Run a cached read-serving workload and report per-view freshness as JSON."""
     import json
 
-    from repro.errors import SimulationError
     from repro.runtime import run_concurrent
     from repro.serving import ServingCache, reader_for
     from repro.warehouse.catalog import WarehouseCatalog
@@ -549,36 +539,30 @@ def cmd_freshness(args: argparse.Namespace) -> int:
     if args.reads < 0:
         print(f"error: --reads must be >= 0, got {args.reads}", file=sys.stderr)
         return 2
-    # A flag value the workload, the cache, the read mix or the harness
-    # rejects is reported like a usage error, as in ``repro runtime``.
-    try:
-        sources, algorithms, workload = _fanout_topology(
-            args.sources, args.updates, args.seed
-        )
-        share = args.share_compensation == "on"
-        warehouse = WarehouseCatalog(algorithms, share_compensation=share)
-        cache = ServingCache(
-            capacity=args.cache_capacity, staleness_bound=args.staleness_bound
-        )
-        keys = reader_for(warehouse).current_keys()
-        reads = zipf_read_workload(
-            keys,
-            max(1, args.reads * args.sources),
-            theta=args.theta,
-            seed=args.seed,
-        )
-        result = run_concurrent(
-            sources,
-            warehouse,
-            workload,
-            clients=0,
-            seed=args.seed,
-            cache=cache,
-            read_workload=reads,
-        )
-    except (SimulationError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    sources, algorithms, workload = _fanout_topology(
+        args.sources, args.updates, args.seed
+    )
+    share = args.share_compensation == "on"
+    warehouse = WarehouseCatalog(algorithms, share_compensation=share)
+    cache = ServingCache(
+        capacity=args.cache_capacity, staleness_bound=args.staleness_bound
+    )
+    keys = reader_for(warehouse).current_keys()
+    reads = zipf_read_workload(
+        keys,
+        max(1, args.reads * args.sources),
+        theta=args.theta,
+        seed=args.seed,
+    )
+    result = run_concurrent(
+        sources,
+        warehouse,
+        workload,
+        clients=0,
+        seed=args.seed,
+        cache=cache,
+        read_workload=reads,
+    )
     serving = dict(result.serving or {})
     issued, saved = warehouse.shared_query_stats()
     report = {
@@ -597,6 +581,9 @@ def cmd_freshness(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import read_trace_jsonl, render_timeline
 
+    if args.limit is not None and args.limit < 0:
+        print(f"error: --limit must be >= 0, got {args.limit}", file=sys.stderr)
+        return 2
     try:
         spans = read_trace_jsonl(args.path)
     except (OSError, ValueError) as exc:
@@ -621,6 +608,8 @@ def cmd_crossovers(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.registry import ALGORITHMS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -649,7 +638,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="replay a worked example from the paper")
     p.add_argument("name", nargs="?", help="scenario name (see --list)")
     p.add_argument("--list", action="store_true", help="list scenarios")
-    p.add_argument("--algorithm", help="override the scenario's algorithm")
+    p.add_argument(
+        "--algorithm",
+        choices=sorted(ALGORITHMS),
+        help="override the scenario's algorithm",
+    )
     p.add_argument("--source", default="memory", choices=["memory", "sqlite"])
     p.set_defaults(func=cmd_scenario)
 
@@ -674,8 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "runtime", help="concurrent asyncio runtime: N sources x M clients"
     )
-    from repro.core.registry import ALGORITHMS
-
     p.add_argument("--sources", type=int, default=2, help="number of sources")
     p.add_argument("--clients", type=int, default=4, help="view-reading clients")
     p.add_argument("--updates", type=int, default=12, help="updates per source")
@@ -877,9 +868,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.errors import SimulationError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # A flag value a constructor or the harness rejects is reported like
+    # a usage error: one line and exit 2, never a traceback.
+    try:
+        return args.func(args)
+    except (SimulationError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -97,23 +97,6 @@ class CostRecorder:
             "terms_evaluated": self.terms_evaluated,
         }
 
-    def publish(self, registry, labels: Optional[Dict[str, str]] = None) -> None:
-        """Fold this recorder's totals into an obs metrics registry.
-
-        Creates/updates ``repro_cost_<metric>_total`` counters (one per
-        :meth:`summary` key) so the paper's M/B/IO accounting lives in
-        the same exported namespace as the runtime metrics.
-        """
-        from repro.obs.metrics import ingest_mapping
-
-        ingest_mapping(
-            registry,
-            "repro_cost",
-            self.summary(),
-            help_text="Section 6 cost-model accounting (CostRecorder)",
-            labels=labels,
-        )
-
     def __repr__(self) -> str:
         return (
             f"CostRecorder(M={self.messages}, B={self.bytes}, IO={self.ios})"

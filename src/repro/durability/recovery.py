@@ -105,9 +105,9 @@ def recover(
     """Rebuild the warehouse algorithm persisted in ``directory``.
 
     ``obs`` (an :class:`repro.obs.instrument.Observability`) records the
-    recovery as a ``wh.recovery`` span linked to the crash that caused it
-    plus the ``repro_warehouse_recoveries_total`` /
-    ``repro_recovery_replayed_total`` counters.
+    recovery as a ``wh.recovery`` span linked to the crash that caused it;
+    the recovery counters are read from the run's crash records by
+    :meth:`~repro.obs.instrument.Observability.finalize`.
     """
     snapshot_lsn, payload = read_latest_snapshot(directory)
     try:

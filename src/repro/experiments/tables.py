@@ -123,6 +123,8 @@ def audit_rows(
     the registry reaches over ``workloads`` random workloads x the first
     ``schedules`` of best, worst, random, eager-source and a second
     random interleaving."""
+    if workloads < 1:
+        raise ValueError(f"workloads must be >= 1, got {workloads}")
     schemas = [
         RelationSchema("r1", ("W", "X"), key=("W",)),
         RelationSchema("r2", ("X", "Y"), key=("Y",)),

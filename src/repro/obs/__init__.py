@@ -7,8 +7,9 @@ at runtime:
 - :mod:`repro.obs.trace` — spans with message-causality links (the
   update → query → answer → install chains), in a bounded ring buffer;
 - :mod:`repro.obs.metrics` — a labelled counter/gauge/histogram registry
-  unifying ``ActorMetrics``, channel fault counters, the cost model, and
-  WAL accounting, with Prometheus-text and JSON exporters;
+  exporting ``ActorMetrics``, channel fault counters, WAL accounting,
+  crash records and algorithm gauges, with Prometheus-text and JSON
+  exporters;
 - :mod:`repro.obs.instrument` — the :class:`Observability` hook bundle
   the runtime and durability layers call (pass ``obs=`` to
   :func:`repro.runtime.run_concurrent`);

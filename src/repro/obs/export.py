@@ -116,8 +116,11 @@ def render_timeline(
 
     One line per span in start order: virtual time, duration, the span
     name indented under its parent, salient attributes, and each causal
-    link spelled out (``<- causes source.update[serial=2]``).
+    link spelled out (``<- causes source.update[serial=2]``).  ``limit``
+    keeps the first N spans; a negative one raises :class:`ValueError`.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     by_id = {span["span_id"]: span for span in spans}
     ordered = sorted(spans, key=lambda s: (s["start"], s["span_id"]))
     if limit is not None:

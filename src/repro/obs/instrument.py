@@ -33,11 +33,14 @@ event links ``causes`` to the message span that triggered it; each
 ``compensates`` to every UQS entry it offsets (Section 5.2's
 ``Q_j<U_i>`` terms); ``wh.recovery`` links ``recovers`` to the crash.
 
-The registry side is hybrid: protocol-level series (events, queries,
-WAL activity, staleness lag, per-algorithm gauges) update live, and
-:meth:`Observability.finalize` folds the run's legacy accounting
-(``ActorMetrics``, ``ChannelStats``, ``wal_stats``) in afterwards so the
-exported JSON reconciles exactly with ``RuntimeResult.metrics_table()``.
+Each registry series is counted once.  Hooks count live only what no
+other store holds: warehouse events, compensating terms, COLLECT
+installs, answer sizes, WAL appends and snapshots, and the staleness
+lag (which the serving tier reads mid-run).  Everything the run already
+counts — ``ActorMetrics``, ``ChannelStats``, ``wal_stats``, the crash
+records, each unit's final algorithm — :meth:`Observability.finalize`
+reads once at the end, so the exported JSON reconciles exactly with
+``RuntimeResult.metrics_table()``.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import copy
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.consistency.staleness import LiveStaleness
-from repro.obs.metrics import Registry, ingest_mapping
+from repro.obs.metrics import Counter, Registry, ingest_mapping
 from repro.obs.trace import (
     CAUSES,
     COMPENSATES,
@@ -211,18 +214,12 @@ class Observability:
         """Use the transport's virtual clock for span timestamps."""
         self.tracer.set_clock(clock)
 
-    def _span(self, *args, **kwargs) -> Optional[Span]:
-        if not self.trace_enabled:
-            return None
-        return self.tracer.instant(*args, **kwargs)
-
     # ------------------------------------------------------------------ #
     # Source hooks
     # ------------------------------------------------------------------ #
 
     def source_update(self, source: str, relation: str, serial: int) -> None:
         """A source executed update ``serial`` against ``relation``."""
-        self._updates.inc(source=source)
         if not self.sharded:
             # Sharded runs track staleness per shard (see update_routed);
             # a single global basis would mix shards into one gauge.
@@ -236,7 +233,6 @@ class Observability:
 
     def source_answer(self, source: str, query_id: int, tuples: int) -> None:
         """A source evaluated query ``query_id`` (``tuples`` result rows)."""
-        self._answers.inc(source=source)
         self._answer_tuples.observe(tuples, source=source)
         if self.trace_enabled:
             span = self.tracer.instant(
@@ -328,7 +324,6 @@ class Observability:
         pending when the query was built — exactly the ``Q_j`` whose
         ``Q_j<U_i>`` terms the query subtracts under ECA.
         """
-        self._queries.inc(reissued="yes" if reissued else "no", **self._shard_labels)
         if compensates:
             self._compensations.inc(len(compensates), **self._shard_labels)
         if not self.trace_enabled:
@@ -363,18 +358,8 @@ class Observability:
         algorithm: object,
         pending_before: Sequence[int],
     ) -> None:
-        """The atomic event finished: close the span, refresh the gauges."""
+        """The atomic event finished: close the span, move the staleness lag."""
         pending_after = algorithm.pending_query_ids()
-        self._uqs_gauge.set(len(pending_after), **self._shard_labels)
-        gauges = getattr(algorithm, "gauges", None)
-        if gauges is not None:
-            for name, value in gauges().items():
-                self._algo_gauges.set(value, gauge=name, **self._shard_labels)
-        shared_stats = getattr(algorithm, "shared_query_stats", None)
-        if shared_stats is not None:
-            issued, saved = shared_stats()
-            self._shared_issued.set(issued, **self._shard_labels)
-            self._shared_saved.set(saved, **self._shard_labels)
         serial = getattr(message, "serial", None)
         if kind == "W_up" and serial is not None:
             self._staleness.processed(serial)
@@ -411,7 +396,6 @@ class Observability:
 
     def client_read(self, client: str, rows: int) -> None:
         """A client sampled the materialized view (``rows`` tuples seen)."""
-        self._reads.inc(client=client)
         if self.trace_enabled:
             self.tracer.instant("client.read", "client", client=client, rows=rows)
 
@@ -431,7 +415,6 @@ class Observability:
 
     def crash(self, event_index: int, mode: str, drop_sends: bool) -> None:
         """Crash injection killed the warehouse after ``event_index``."""
-        self._crashes.inc(mode=mode, **self._shard_labels)
         if self.trace_enabled:
             self._last_crash_span = self.tracer.instant(
                 "wh.crash",
@@ -446,8 +429,6 @@ class Observability:
         self, snapshot_lsn: int, replayed: int, reissued: int, torn: int = 0
     ) -> None:
         """Snapshot+replay rebuilt the warehouse (links back to the crash)."""
-        self._recoveries.inc(**self._shard_labels)
-        self._replayed.inc(replayed, **self._shard_labels)
         if self.trace_enabled:
             crash = self._last_crash_span
             self.tracer.instant(
@@ -465,13 +446,17 @@ class Observability:
     # End of run
     # ------------------------------------------------------------------ #
 
-    def finalize(self, result: object) -> Registry:
-        """Fold a :class:`RuntimeResult`'s accounting into the registry.
+    def finalize(self, result: object, units: Sequence[object]) -> Registry:
+        """Write what the run already counted into the registry, once.
 
-        After this, ``repro_actor_*_total{actor=...}`` and
+        ``result`` is the :class:`RuntimeResult`, ``units`` the run's
+        :class:`~repro.runtime.actors.WarehouseUnit` list.  After this,
+        ``repro_actor_*_total{actor=...}`` and
         ``repro_channel_*_total{channel=...}`` reproduce
         ``result.metrics_table()`` exactly (same message/byte counts) —
-        the reconciliation the integration tests assert.
+        the reconciliation the integration tests assert.  A counter read
+        here appears only when its count is non-zero; a unit's gauges
+        only when the unit ran an event.
         """
         for name, metrics in result.metrics.items():
             fields = metrics.as_dict()
@@ -488,6 +473,33 @@ class Observability:
                 help_text="per-actor accounting (ActorMetrics)",
                 labels={"actor": name, "role": role},
             )
+            if role == "source":
+                _count(self._updates, fields["updates_applied"], source=name)
+                _count(self._answers, fields["queries_answered"], source=name)
+            elif role == "client":
+                _count(self._reads, fields["reads"], client=name)
+        for unit in units:
+            labels = self._labels(unit.shard)
+            reissued = unit.metrics.events.get("reissued_queries", 0)
+            _count(self._queries, unit.metrics.sent - reissued, reissued="no", **labels)
+            _count(self._queries, reissued, reissued="yes", **labels)
+            if not unit.actor.event_index:
+                continue
+            algorithm = unit.algorithm
+            self._uqs_gauge.set(len(algorithm.pending_query_ids()), **labels)
+            for gauge, value in algorithm.gauges().items():
+                self._algo_gauges.set(value, gauge=gauge, **labels)
+            shared_stats = getattr(algorithm, "shared_query_stats", None)
+            if shared_stats is not None:
+                issued, saved = shared_stats()
+                self._shared_issued.set(issued, **labels)
+                self._shared_saved.set(saved, **labels)
+        for crash in result.crashes:
+            labels = self._labels(crash.get("shard"))
+            self._crashes.inc(mode=crash["mode"], **labels)
+            self._recoveries.inc(**labels)
+            # Present wherever a recovery ran, even one that replayed 0.
+            self._replayed.inc(crash["replayed"], **labels)
         for name, stats in result.channel_stats.items():
             ingest_mapping(
                 self.registry,
@@ -512,8 +524,19 @@ class Observability:
         run.set(result.wall_seconds, stat="wall_seconds")
         return self.registry
 
+    def _labels(self, shard: Optional[int]) -> Dict[str, str]:
+        """The ``shard`` label of a unit or crash record, when sharded."""
+        return {"shard": str(shard)} if self.sharded else {}
+
     def __repr__(self) -> str:
         return (
             f"Observability(trace={self.trace_enabled}, "
             f"spans={len(self.tracer)}, registry={self.registry!r})"
         )
+
+
+def _count(counter: Counter, count: int, **labels: object) -> None:
+    """Write a stored count as a counter series, which exists only when
+    non-zero (as one counted live would)."""
+    if count:
+        counter.inc(count, **labels)

@@ -1,11 +1,12 @@
 """A labelled metrics registry: counters, gauges, and histograms.
 
-Before this module the run's numbers were scattered: per-actor
-``ActorMetrics``, per-channel ``ChannelStats``, the cost model's
-``CostRecorder`` (the paper's M/B/IO from Section 6), and the WAL's
-``wal_stats`` — four shapes, four access paths.  The :class:`Registry`
-gives them one sink with one naming scheme and two export formats
-(Prometheus text and JSON; see :mod:`repro.obs.export`).
+A run keeps its numbers where they arise: per-actor ``ActorMetrics``,
+per-channel ``ChannelStats``, the WAL's ``wal_stats``, the crash records
+and each algorithm's ``gauges()``.  The :class:`Registry` is the one
+place they are exported from — one naming scheme, two export formats
+(Prometheus text and JSON; see :mod:`repro.obs.export`) — and holds each
+count once: :mod:`repro.obs.instrument` reads a stored count at the end
+of the run rather than counting it again.
 
 Model
 -----
@@ -20,13 +21,9 @@ names; every observation then names a concrete label-value combination
 >>> sent.value(actor="warehouse")
 3
 
-Counters only go up, gauges go anywhere, histograms accumulate bucketed
-observations plus sum and count (Prometheus conventions: cumulative
-buckets with an ``le`` label and a ``+Inf`` catch-all).
-
-``Registry.diff`` produces the per-run summary delta between two
-:meth:`Registry.snapshot` calls — how much each series moved during a
-phase, which is what benchmark tables want.
+Counters only go up, gauges are set to any value, histograms accumulate
+bucketed observations plus sum and count (Prometheus conventions:
+cumulative buckets with an ``le`` label and a ``+Inf`` catch-all).
 """
 
 from __future__ import annotations
@@ -95,13 +92,6 @@ class Gauge(Instrument):
 
     def set(self, value: float, **labels: object) -> None:
         self._series[self._key(labels)] = value
-
-    def inc(self, amount: float = 1, **labels: object) -> None:
-        key = self._key(labels)
-        self._series[key] = self._series.get(key, 0) + amount
-
-    def dec(self, amount: float = 1, **labels: object) -> None:
-        self.inc(-amount, **labels)
 
     def value(self, **labels: object) -> float:
         return self._series.get(self._key(labels), 0)
@@ -295,44 +285,6 @@ class Registry:
                     )
         return "\n".join(lines) + ("\n" if lines else "")
 
-    # ------------------------------------------------------------------ #
-    # Snapshots and per-run diffs
-    # ------------------------------------------------------------------ #
-
-    def snapshot(self) -> Dict[str, Dict[LabelValues, object]]:
-        """Flat copy of every scalar series (histograms appear as counts)."""
-        out: Dict[str, Dict[LabelValues, object]] = {}
-        for instrument in self._instruments.values():
-            series: Dict[LabelValues, object] = {}
-            for values, stored in instrument.series().items():
-                if isinstance(stored, _HistogramState):
-                    series[values] = stored.count
-                else:
-                    series[values] = stored
-            out[instrument.name] = series
-        return out
-
-    @staticmethod
-    def diff(
-        before: Dict[str, Dict[LabelValues, object]],
-        after: Dict[str, Dict[LabelValues, object]],
-    ) -> Dict[str, Dict[LabelValues, float]]:
-        """Per-series deltas ``after - before``, zero-change series elided."""
-        out: Dict[str, Dict[LabelValues, float]] = {}
-        for name, series in after.items():
-            previous = before.get(name, {})
-            deltas = {}
-            for values, value in series.items():
-                try:
-                    delta = value - previous.get(values, 0)
-                except TypeError:
-                    continue
-                if delta:
-                    deltas[values] = delta
-            if deltas:
-                out[name] = deltas
-        return out
-
     def __repr__(self) -> str:
         return f"Registry(instruments={len(self._instruments)})"
 
@@ -346,10 +298,10 @@ def ingest_mapping(
 ) -> None:
     """Publish a plain ``key -> number`` dict as one counter per key.
 
-    The bridge used to fold legacy accounting objects (``ActorMetrics``,
-    ``ChannelStats.as_dict``, ``CostRecorder.summary``, ``wal_stats``)
-    into the registry without rewriting them: each numeric entry becomes
-    ``{prefix}_{key}_total`` with the given constant labels.
+    The bridge that folds the run's accounting rows (``ActorMetrics``,
+    ``ChannelStats.as_dict``) into the registry without rewriting them:
+    each numeric entry becomes ``{prefix}_{key}_total`` with the given
+    constant labels.
     """
     labels = labels or {}
     names = tuple(sorted(labels))

@@ -285,8 +285,9 @@ def run_concurrent(
         An :class:`repro.obs.instrument.Observability` bundle; when set,
         every actor, the WAL, and recovery emit causal spans and registry
         metrics through it (timestamps use the transport's virtual
-        clock), and the run's final accounting is folded in via
-        ``obs.finalize``.  ``None`` (the default) costs one ``is None``
+        clock), and ``obs.finalize`` reads the run's own counts — actor
+        rows, crash records, each unit's final algorithm — once at the
+        end.  ``None`` (the default) costs one ``is None``
         check per hook site.
     shards:
         Partition the warehouse into this many shards.  Updates, answers
@@ -591,7 +592,7 @@ def run_concurrent(
         read_mismatches=[m for r in reader_actors for m in r.mismatches],
     )
     if obs is not None:
-        obs.finalize(result)
+        obs.finalize(result, units)
     return result
 
 

@@ -9,6 +9,7 @@ metrics must reconcile exactly with ``RuntimeResult.metrics_table()``.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
 from repro.runtime import FaultPlan, Observability, run_concurrent
+from repro.sharding import ExplicitPartitioner
 from repro.source.memory import MemorySource
 from repro.warehouse.catalog import WarehouseCatalog
 from repro.workloads.paper_examples import PAPER_EXAMPLES
@@ -224,8 +226,9 @@ class TestDurabilityObservability:
         assert len(obs.tracer) > 0
 
 
-def sharded_run(obs, seed=5):
-    """Two sources with one join view each, placed one view per shard."""
+def sharded_run(obs, seed=5, updates=(4, 4), partitioner="hash"):
+    """Two sources with one join view each, placed one view per shard;
+    source ``s<i>`` executes ``updates[i]`` updates."""
     sources, algorithms, workloads = {}, {}, {}
     for index in range(2):
         prefix = f"s{index}"
@@ -240,11 +243,12 @@ def sharded_run(obs, seed=5):
             view, evaluate_view(view, sources[prefix].snapshot())
         )
         workloads[prefix] = random_workload(
-            schemas, 4, seed=seed + index, initial=initial, respect_keys=True
+            schemas, updates[index], seed=seed + index, initial=initial,
+            respect_keys=True,
         )
     return run_concurrent(
         sources, WarehouseCatalog(algorithms), workloads,
-        clients=0, seed=seed, shards=2, obs=obs,
+        clients=0, seed=seed, shards=2, partitioner=partitioner, obs=obs,
     )
 
 
@@ -292,3 +296,82 @@ class TestObsMustMatchTheTopology:
             example2_run(Observability(sharded=True), wal_dir=str(tmp_path))
         assert os.listdir(tmp_path) == []
 
+
+
+#: Series some store already holds: ``finalize`` writes them, no hook does.
+READ_AT_THE_END = (
+    "repro_source_updates_total",
+    "repro_source_answers_total",
+    "repro_client_reads_total",
+    "repro_queries_sent_total",
+    "repro_warehouse_crashes_total",
+    "repro_warehouse_recoveries_total",
+    "repro_recovery_replayed_total",
+    "repro_uqs_size",
+    "repro_algorithm_gauge",
+    "repro_shared_queries_issued",
+    "repro_shared_queries_saved",
+)
+
+
+class TestSeriesReadAtTheEnd:
+    def test_no_hook_writes_a_series_read_at_the_end(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            Observability, "finalize", lambda self, result, units: self.registry
+        )
+        unsharded = Observability()
+        _, result = example2_run(
+            unsharded,
+            wal_dir=str(tmp_path / "wal"),
+            snapshot_every=2,
+            crash=CrashPolicy(mode="mid-uqs", seed=7),
+        )
+        assert result.crashes and result.metrics["client-0"].events["reads"]
+        sharded = Observability(sharded=True)
+        sharded_run(sharded)
+        for obs in (unsharded, sharded):
+            assert obs.registry.get("repro_warehouse_events_total").series()
+            for name in READ_AT_THE_END:
+                assert obs.registry.get(name).series() == {}, name
+
+    def test_each_unit_reads_its_gauges_once_whatever_the_event_count(
+        self, monkeypatch
+    ):
+        calls = Counter()
+        for method in ("gauges", "shared_query_stats"):
+            original = getattr(WarehouseCatalog, method)
+
+            def counted(self, original=original, method=method):
+                calls[method, id(self)] += 1
+                return original(self)
+
+            monkeypatch.setattr(WarehouseCatalog, method, counted)
+        obs = Observability(sharded=True)
+        result = sharded_run(obs)
+        catalogs = list(result.shard_info["algorithms"].values())
+        assert len(catalogs) == 2
+        events = obs.registry.get("repro_warehouse_events_total").series()
+        for shard in ("0", "1"):
+            ran = sum(n for labels, n in events.items() if labels[-1] == shard)
+            assert ran > 1
+        assert calls == Counter(
+            {(method, id(catalog)): 1
+             for method in ("gauges", "shared_query_stats")
+             for catalog in catalogs}
+        )
+
+    def test_a_shard_no_update_reaches_exports_no_gauge(self):
+        obs = Observability(sharded=True)
+        result = sharded_run(
+            obs,
+            updates=(4, 0),
+            partitioner=ExplicitPartitioner({("V0",): 0, ("V1",): 1}),
+        )
+        assert result.shard_info["assignment"] == {"V0": 0, "V1": 1}
+        for name in (
+            "repro_uqs_size",
+            "repro_algorithm_gauge",
+            "repro_staleness_lag_updates",
+        ):
+            series = obs.registry.get(name).series()
+            assert {labels[-1] for labels in series} == {"0"}, name

@@ -171,6 +171,14 @@ class TestObservabilityCli:
         assert "wh.query" in out
         assert "client.refresh" not in out
 
+    def test_trace_negative_limit_is_a_one_line_error(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.jsonl"
+        trace_path.write_text('{"span_id": 1, "name": "a", "start": 0}\n')
+        assert main(["trace", str(trace_path), "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --limit must be >= 0, got -1\n"
+        assert captured.out == ""
+
     def test_trace_missing_file_fails_cleanly(self, capsys):
         assert main(["trace", "/nonexistent/trace.jsonl"]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -318,6 +326,45 @@ class TestRuntimeConfigurationErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: wire codec 'zstd' needs")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+class TestCommandConfigurationErrors:
+    """Every other subcommand reports a rejected value the way ``runtime``
+    does: one ``error:`` line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tables", "--cardinality", "0"], "cardinality must be >= 1"),
+            (["figures", "--selectivity", "2"], "selectivity must be in [0, 1]"),
+            (["measure", "--join-factor", "0"], "join_factor must be >= 1"),
+            (["report", "--quick", "--block-factor", "0"], "block_factor must be >= 1"),
+            (["crossovers", "--cardinality", "0"], "cardinality must be >= 1"),
+            (["staleness", "--updates", "-1"], "update count must be >= 0"),
+            (["staleness", "--periods", "0"], "recompute period must be >= 1"),
+            (["staleness", "--batches", "0"], "batch_size must be >= 1"),
+            (["audit", "--updates", "-1"], "update count must be >= 0"),
+            (["audit", "--workloads", "-1"], "workloads must be >= 1"),
+            (["audit", "--workloads", "0"], "workloads must be >= 1"),
+        ],
+        ids=["tables", "figures", "measure", "report", "crossovers",
+             "staleness-updates", "staleness-periods", "staleness-batches",
+             "audit-updates", "audit-negative-workloads", "audit-no-workloads"],
+    )
+    def test_bad_value_is_a_one_line_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_scenario_rejects_an_unknown_algorithm_as_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenario", "example-2", "--algorithm", "nosuch"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "invalid choice: 'nosuch'" in captured.err
+        assert captured.out == ""
 
 
 class TestEveryAlgorithmRuns:

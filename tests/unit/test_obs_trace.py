@@ -108,6 +108,15 @@ class TestExport:
         text = render_timeline([s.as_dict() for s in tracer.spans()], limit=2)
         assert "2 more span(s)" in text
 
+    def test_timeline_rejects_a_negative_limit(self):
+        """Regression: ``ordered[:-1]`` printed all spans but one, then
+        claimed more spans than the trace holds."""
+        tracer = Tracer()
+        for index in range(4):
+            tracer.instant(f"s{index}", "k")
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            render_timeline([s.as_dict() for s in tracer.spans()], limit=-1)
+
     def test_timeline_unresolvable_link_prints_id(self):
         tracer = Tracer()
         tracer.instant("a", "k", links=((CAUSES, 999),))
