@@ -341,7 +341,7 @@ def cmd_runtime(args: argparse.Namespace) -> int:
                         theta = float(rest) if rest else 1.0
                     except ValueError:
                         theta = None
-                if theta is None or theta < 0:
+                if theta is None or not theta >= 0:  # NaN fails >= too
                     print(
                         f"unknown read workload {args.read_workload!r} "
                         "(expected zipf:THETA with THETA >= 0, e.g. zipf:1.2)",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.protocol import WarehouseAlgorithm, require_width
+from repro.core.protocol import WarehouseAlgorithm
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 
 
@@ -28,8 +28,7 @@ class BasicAlgorithm(WarehouseAlgorithm):
         return [self._make_request(query)]
 
     def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
-        require_width(answer, self.view.arity)
-        self._retire(answer)
+        del self.uqs[answer.query_id]
         # Clamp: anomalies can legitimately drive multiplicities
         # negative (e.g. a deletion answered twice); the paper's broken
         # baseline would do the same, and we want to observe the wrong

@@ -29,7 +29,7 @@ from repro.core.compensation import (
     split,
     staged_compensation,
 )
-from repro.core.protocol import WarehouseAlgorithm, require_width
+from repro.core.protocol import WarehouseAlgorithm
 from repro.messaging.messages import (
     QueryAnswer,
     QueryRequest,
@@ -141,8 +141,6 @@ class ECA(WarehouseAlgorithm):
     # ------------------------------------------------------------------ #
 
     def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
-        require_width(answer, self.view.arity)
-        self._answered(answer)
         if len(self.uqs) == 1 and self._can_install():
             # The last pending answer: install COLLECT with it before the
             # query is retired, so a delta the view rejects leaves the UQS

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.protocol import WarehouseAlgorithm, require_width
+from repro.core.protocol import WarehouseAlgorithm
 from repro.errors import ProtocolError, SchemaError
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 from repro.relational.bag import SignedBag
@@ -107,8 +107,6 @@ class ECAKey(WarehouseAlgorithm):
     # ------------------------------------------------------------------ #
 
     def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
-        # The key filters below index answer rows by view position.
-        require_width(answer, self.view.arity)
         for row, count in answer.answer.items():
             if count <= 0:
                 # Cannot happen for V<insert> answers; be defensive so a
@@ -119,7 +117,7 @@ class ECAKey(WarehouseAlgorithm):
                 raise ProtocolError(
                     f"ECA-Key received a negative answer tuple {row!r}"
                 )
-        self._retire(answer)
+        del self.uqs[answer.query_id]
         filters = self._filters.pop(answer.query_id, [])
         # Rule 4: merge, dropping duplicates.  Insert answers are all
         # positive (the bound tuple carries +, base tuples carry +).

@@ -41,7 +41,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.compensation import backdate
-from repro.core.protocol import WarehouseAlgorithm, require_width
+from repro.core.protocol import WarehouseAlgorithm
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_query
@@ -91,8 +91,6 @@ class LCA(WarehouseAlgorithm):
     # ------------------------------------------------------------------ #
 
     def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
-        require_width(answer, self.view.arity)
-        self._answered(answer)
         if len(self.uqs) > 1:
             del self.uqs[answer.query_id]
             self._delta.add_bag(answer.answer)

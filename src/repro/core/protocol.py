@@ -9,20 +9,24 @@ pairs for the kernel to ship over the per-source warehouse -> source
 channels.  A ``None`` destination means "route by relation owner" — the
 sole source in a single-source run.  Per Section 3, each call is atomic.
 
-Single-source algorithm families (ECA, ECA-Key, LCA, RV, SC, ...) do not
-care which channel a message arrived on: they implement the unrouted
-hooks :meth:`handle_update` / :meth:`handle_answer` / :meth:`handle_refresh`
-returning plain request lists, and the base class lifts those into the
-routed API.  Multi-source families (Strobe, SWEEP, FragmentingIncremental)
-override the routed methods directly and set ``multi_source = True``.
+Every family implements the unrouted hooks :meth:`handle_update` /
+:meth:`handle_answer` / :meth:`handle_refresh` returning plain request
+lists, and the base class lifts those into the routed API: a
+single-source family's requests go out with a ``None`` destination, a
+multi-source family's (Strobe, SWEEP, FragmentingIncremental, which set
+``multi_source = True``) to :func:`query_owner` of each query.
 
-Algorithms own their query-id sequence so that the UQS bookkeeping stays
-inside the algorithm; kernels treat query ids as opaque.
+Algorithms own their query-id sequence and the unanswered query set
+(UQS, Section 5.2) it feeds, one for every family; kernels treat query
+ids as opaque.  :meth:`WarehouseAlgorithm.on_answer` refuses what no
+family may accept — an id not in the UQS, an answer from another source
+than the query's, rows of another width than its output — before any
+family code runs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, cast
+from typing import Any, Dict, List, Mapping, Optional, Tuple, cast
 
 from repro.errors import ProtocolError
 from repro.messaging.messages import (
@@ -41,16 +45,15 @@ from repro.warehouse.state import Changes, MaterializedView
 Routed = List[Tuple[Optional[str], QueryRequest]]
 
 
-def require_width(answer: QueryAnswer, width: int) -> None:
-    """Refuse an answer whose rows are not ``width`` values wide.
+def require_width(answer: QueryAnswer, query: Query) -> None:
+    """Refuse an answer whose rows are not as wide as ``query``'s output.
 
-    Multi-source handlers cut answer rows into operand tuples by
-    position; a row of another width would fail there with an untyped
-    error, or slip into the view, after the query was retired.
-    Single-source handlers add answer rows to COLLECT or to the view,
-    where a row of another width would stay — and be written into every
-    later snapshot, so each of them calls this first.
+    Handlers add answer rows to COLLECT or to the view, or cut them into
+    operand tuples by position; a row of another width would stay there
+    — and be written into every later snapshot — or fail with an untyped
+    error after the query was retired.
     """
+    width = len(query.terms[0].projection)
     if set(map(len, answer.answer.rows())) <= {width}:
         return
     for row, _ in answer.answer.items():
@@ -61,21 +64,44 @@ def require_width(answer: QueryAnswer, width: int) -> None:
             )
 
 
-class WarehouseAlgorithm:
-    """Base class: query-id bookkeeping plus the routed event API.
+def query_owner(query: Query, owners: Mapping[str, str]) -> str:
+    """The single source owning every base relation the query reads."""
+    found = set()
+    for term in query.terms:
+        for operand in term.operands:
+            if operand.is_bound:
+                continue
+            relation = operand.source_relation
+            try:
+                found.add(owners[relation])
+            except KeyError:
+                raise ProtocolError(
+                    f"no source owns relation {relation!r}"
+                ) from None
+    if len(found) != 1:
+        raise ProtocolError(
+            f"query reads relations of sources {sorted(found)!r}; "
+            f"single-source algorithms need fragment routing — use a "
+            f"multi-source algorithm (e.g. StrobeStyle) for spanning views"
+        )
+    return found.pop()
 
-    Single-source subclasses implement :meth:`handle_update` and
-    :meth:`handle_answer`, calling :meth:`_make_request` to register
-    outgoing queries in the unanswered query set (UQS).  Multi-source
-    subclasses override :meth:`on_update` / :meth:`on_answer` directly.
+
+class WarehouseAlgorithm:
+    """Base class: the unanswered query set plus the routed event API.
+
+    Subclasses implement :meth:`handle_update` and :meth:`handle_answer`,
+    calling :meth:`_make_request` to register every outgoing query in
+    the unanswered query set (UQS) and deleting an answered query's
+    entry in their own order relative to installing its answer.
     """
 
     #: Human-readable algorithm name (overridden by subclasses).
     name = "abstract"
 
-    #: Whether the algorithm routes queries to specific sources itself.
-    #: Single-source families leave this False and are oblivious to
-    #: message origins.
+    #: Whether each query goes to the owner of the relations it reads.
+    #: Single-source families leave this False: their queries are
+    #: owner-routed and their answers come from :attr:`answer_source`.
     multi_source = False
 
     #: Durability codec tag (``repro.durability.codec``); the catalog
@@ -88,13 +114,14 @@ class WarehouseAlgorithm:
         self._next_query_id = 1
         #: The unanswered query set: query id -> full query expression.
         self.uqs: Dict[int, Query] = {}
-        #: relation name -> owning source name (for routing); bound by the
-        #: kernel via :meth:`bind_owners`, or by multi-source constructors.
+        #: relation name -> owning source name (for routing and the answer
+        #: gate); bound by the kernel via :meth:`bind_owners`, or by
+        #: multi-source constructors.
         self.owners: Dict[str, str] = {}
         #: The one source owning every relation the view reads, once
         #: :meth:`bind_owners` knows it: the only origin :meth:`on_answer`
-        #: accepts.  ``None`` (unbound, or a view over several sources)
-        #: checks nothing.
+        #: accepts for a single-source family.  ``None`` (unbound, or a
+        #: view over several sources) checks nothing.
         self.answer_source: Optional[str] = None
 
     # ------------------------------------------------------------------ #
@@ -136,27 +163,34 @@ class WarehouseAlgorithm:
         single-source families that can answer the whole run with a single
         compensating query override :meth:`handle_update_batch` instead.
         """
-        if self.multi_source:
-            routed: Routed = []
-            for notification in batch.notifications:
-                routed.extend(self.on_update(source, notification))
-            return routed
         return self._route_all(self.handle_update_batch(batch))
 
     def on_answer(self, source: Optional[str], answer: QueryAnswer) -> Routed:
         """Process ``W_ans``: a query answer arrived from ``source``.
 
         Returns follow-up ``(destination, request)`` pairs (usually none).
-        A single-source family sends every query to :attr:`answer_source`,
-        so an answer from any other source is refused before the handler
-        sees it.
+        Before :meth:`handle_answer` runs, the answer is refused if its id
+        is not in the UQS, if it came from another source than the one
+        its query went to (:attr:`answer_source` for a single-source
+        family, :func:`query_owner` of the query for a multi-source one),
+        or if its rows are not as wide as the query's output.
         """
-        expected = self.answer_source
+        try:
+            query = self.uqs[answer.query_id]
+        except KeyError:
+            raise ProtocolError(
+                f"{self.name}: answer for unknown query id {answer.query_id}"
+            ) from None
+        if self.multi_source:
+            expected: Optional[str] = query_owner(query, self.owners)
+        else:
+            expected = self.answer_source
         if expected is not None and source != expected:
             raise ProtocolError(
                 f"{self.name}: answer {answer.query_id} for view "
                 f"{self.view.name!r} came from {source}, not from {expected}"
             )
+        require_width(answer, query)
         return self._route_all(self.handle_answer(answer))
 
     def on_refresh(self) -> Routed:
@@ -168,11 +202,11 @@ class WarehouseAlgorithm:
     # ------------------------------------------------------------------ #
 
     def handle_update(self, notification: UpdateNotification) -> List[QueryRequest]:
-        """Single-source ``W_up`` hook; requests are routed by owner."""
+        """``W_up`` hook; :meth:`_route_all` routes the requests."""
         raise NotImplementedError
 
     def handle_update_batch(self, batch: UpdateBatch) -> List[QueryRequest]:
-        """Single-source batched ``W_up`` hook (one atomic event).
+        """Batched ``W_up`` hook (one atomic event).
 
         Default: the members one after another, concatenating the
         requests.  ECA overrides this with the paper's ``Q<U1,...,Uk>``
@@ -184,11 +218,14 @@ class WarehouseAlgorithm:
         return requests
 
     def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
-        """Single-source ``W_ans`` hook; requests are routed by owner."""
+        """``W_ans`` hook for an answer :meth:`on_answer` let through.
+
+        The answered query is still in the UQS; the hook deletes it.
+        """
         raise NotImplementedError
 
     def handle_refresh(self) -> List[QueryRequest]:
-        """Single-source refresh hook.
+        """Refresh hook.
 
         Immediate-update algorithms keep the view current at all times, so
         the default is a no-op; deferred algorithms override this to flush
@@ -201,7 +238,10 @@ class WarehouseAlgorithm:
     # ------------------------------------------------------------------ #
 
     def _route_all(self, requests: List[QueryRequest]) -> Routed:
-        """Lift unrouted requests into the routed API (owner routing)."""
+        """Lift unrouted requests into the routed API: owner routing for
+        a single-source family, each query's owner for a multi-source one."""
+        if self.multi_source:
+            return [(query_owner(r.query, self.owners), r) for r in requests]
         return [(None, request) for request in requests]
 
     def _make_request(self, query: Query) -> QueryRequest:
@@ -211,32 +251,12 @@ class WarehouseAlgorithm:
         self.uqs[query_id] = query
         return QueryRequest(query_id, query)
 
-    def _answered(self, answer: QueryAnswer) -> Query:
-        """The pending query ``answer`` answers, left in the UQS.
-
-        A handler whose install can still be rejected looks its query up
-        here, installs, and only then deletes the entry: a rejected answer
-        changes nothing.
-        """
-        try:
-            return self.uqs[answer.query_id]
-        except KeyError:
-            raise ProtocolError(
-                f"{self.name}: answer for unknown query id {answer.query_id}"
-            ) from None
-
-    def _retire(self, answer: QueryAnswer) -> Query:
-        """Remove the answered query from the UQS and return it."""
-        query = self._answered(answer)
-        del self.uqs[answer.query_id]
-        return query
-
     def uqs_queries(self) -> List[Query]:
         """Pending queries in send order.
 
         ``uqs`` is kept in that order: :meth:`_make_request` issues ids
-        ascending, ``dict`` keeps insertion order, :meth:`_retire` only
-        pops and :meth:`restore_pending_state` sorts once.
+        ascending, ``dict`` keeps insertion order, handlers only delete
+        and :meth:`restore_pending_state` sorts once.
         """
         return list(self.uqs.values())
 
@@ -276,13 +296,16 @@ class WarehouseAlgorithm:
     def pending_requests(self) -> List[Tuple[Optional[str], QueryRequest]]:
         """Requests for every in-flight query, for re-issue after a crash.
 
-        Each entry is ``(destination, request)``; a ``None`` destination
-        means "route by owner" (single-source protocol).  The recovered
-        warehouse re-sends these — sources answer against their current
-        state, which is exactly what a late first answer would have seen,
-        so re-asking preserves the algorithms' FIFO-based reasoning.
+        One ``(destination, request)`` per UQS entry, in send order,
+        routed as :meth:`_route_all` routed it the first time.  The
+        recovered warehouse re-sends these — sources answer against their
+        current state, which is exactly what a late first answer would
+        have seen, so re-asking preserves the algorithms' FIFO-based
+        reasoning.
         """
-        return [(None, QueryRequest(qid, query)) for qid, query in self.uqs.items()]
+        return self._route_all(
+            [QueryRequest(query_id, query) for query_id, query in self.uqs.items()]
+        )
 
     def pending_query_ids(self) -> List[int]:
         """Ids of queries awaiting answers, in send order (for

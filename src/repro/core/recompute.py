@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.core.protocol import WarehouseAlgorithm, require_width
+from repro.core.protocol import WarehouseAlgorithm
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.relational.views import View
@@ -60,8 +60,6 @@ class RecomputeView(WarehouseAlgorithm):
     def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
         # Replace first, retire after: contents the view rejects leave
         # the query pending.
-        require_width(answer, self.view.arity)
-        self._answered(answer)
         self.mv.replace(answer.answer)
         del self.uqs[answer.query_id]
         return []

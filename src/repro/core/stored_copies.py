@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.protocol import WarehouseAlgorithm
 from repro.errors import UpdateError
-from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
+from repro.messaging.messages import QueryRequest, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_query
 from repro.relational.views import View
@@ -72,11 +72,6 @@ class StoredCopies(WarehouseAlgorithm):
         # so the evaluation never consults the modified relation itself.
         delta_query = self.view.substitute(update.relation, update.signed_tuple())
         self.mv.apply_delta(evaluate_query(delta_query, self.copies))
-        return []
-
-    def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
-        # SC never sends queries, so an answer is a protocol violation.
-        self._retire(answer)
         return []
 
     def storage_cost(self) -> int:

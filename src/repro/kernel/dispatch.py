@@ -7,16 +7,17 @@ actor, and WAL replay during recovery — feeds incoming messages through
 the canonical trace detail string, so identical executions produce
 identical traces regardless of which kernel ran them.
 
-Routing helpers live here too: :func:`query_owner` maps an owner-routed
-(``destination=None``) request to the single source owning the relations
-it reads.
+Routing helpers live here too: :func:`resolve_destination` maps an
+owner-routed (``destination=None``) request to the single source owning
+the relations it reads (:func:`~repro.core.protocol.query_owner`, which
+the answer gate also checks against).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.protocol import WarehouseAlgorithm
+from repro.core.protocol import WarehouseAlgorithm, query_owner
 from repro.errors import ProtocolError
 from repro.messaging.messages import (
     Message,
@@ -26,7 +27,6 @@ from repro.messaging.messages import (
     UpdateBatch,
     UpdateNotification,
 )
-from repro.relational.expressions import Query
 from repro.simulation.trace import W_ANS, W_REF, W_UP
 from repro.source.base import Source
 
@@ -165,29 +165,6 @@ def dispatch_event(
     else:  # pragma: no cover - event_kind already rejected it
         raise ProtocolError(f"warehouse received unknown message: {message!r}")
     return kind, detail, routed
-
-
-def query_owner(query: Query, owners: Mapping[str, str]) -> str:
-    """The single source owning every base relation the query reads."""
-    found = set()
-    for term in query.terms:
-        for operand in term.operands:
-            if operand.is_bound:
-                continue
-            relation = operand.source_relation
-            try:
-                found.add(owners[relation])
-            except KeyError:
-                raise ProtocolError(
-                    f"no source owns relation {relation!r}"
-                ) from None
-    if len(found) != 1:
-        raise ProtocolError(
-            f"query reads relations of sources {sorted(found)!r}; "
-            f"single-source algorithms need fragment routing — use a "
-            f"multi-source algorithm (e.g. StrobeStyle) for spanning views"
-        )
-    return found.pop()
 
 
 def resolve_destination(

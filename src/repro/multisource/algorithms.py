@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.core.protocol import Routed, WarehouseAlgorithm, require_width
+from repro.core.protocol import WarehouseAlgorithm, query_owner
 from repro.core.stored_copies import StoredCopies
-from repro.errors import ProtocolError
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 from repro.multisource.fragment import FragmentPlan, fragment_query
 from repro.relational.bag import SignedBag
@@ -57,21 +56,15 @@ class FragmentingIncremental(WarehouseAlgorithm):
             self.owners = dict(owners)
         #: query id -> pending term state (shared across a plan's fragments).
         self._pending: Dict[int, _PendingTerm] = {}
-        #: query id -> destination source (for validation).
-        self._destination: Dict[int, str] = {}
         #: Count of queries whose fragments spanned several sources.
         self.spanning_queries = 0
 
-    # ------------------------------------------------------------------ #
-    # Routed events (called by the execution kernels)
-    # ------------------------------------------------------------------ #
-
-    def on_update(self, source: Optional[str], notification: UpdateNotification) -> Routed:
-        update = notification.update
-        if not self.view.involves(update.relation):
+    def handle_update(self, notification: UpdateNotification) -> List[QueryRequest]:
+        if not self.relevant(notification):
             return []
+        update = notification.update
         query = self.view.substitute(update.relation, update.signed_tuple())
-        routed: Routed = []
+        requests: List[QueryRequest] = []
         for plan in fragment_query(query, self.owners):
             if plan.is_local():
                 self.mv.apply_delta(plan.reassemble({}), on_negative="clamp")
@@ -79,33 +72,15 @@ class FragmentingIncremental(WarehouseAlgorithm):
             if plan.spans_sources():
                 self.spanning_queries += 1
             pending = _PendingTerm(plan)
-            for destination, fragment in plan.fragments.items():
-                query_id = self._next_query_id
-                self._next_query_id += 1
-                self._pending[query_id] = pending
-                self._destination[query_id] = destination
-                routed.append(
-                    (destination, QueryRequest(query_id, Query([fragment])))
-                )
-        return routed
+            for fragment in plan.fragments.values():
+                request = self._make_request(Query([fragment]))
+                self._pending[request.query_id] = pending
+                requests.append(request)
+        return requests
 
-    def on_answer(self, source: Optional[str], answer: QueryAnswer) -> Routed:
-        # Validate before mutating: a rejected answer must leave the
-        # pending tables exactly as they were, or compensation and
-        # recovery see a query that is neither pending nor answered
-        # (tests/property/test_rejected_events.py).
-        try:
-            pending = self._pending[answer.query_id]
-        except KeyError:
-            raise ProtocolError(f"answer for unknown query {answer.query_id}") from None
-        expected = self._destination[answer.query_id]
-        if expected != source:
-            raise ProtocolError(
-                f"fragment {answer.query_id} answered by {source}, sent to {expected}"
-            )
-        require_width(answer, len(pending.plan.fragments[expected].projection))
-        del self._pending[answer.query_id]
-        del self._destination[answer.query_id]
+    def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
+        pending = self._pending.pop(answer.query_id)
+        source = query_owner(self.uqs.pop(answer.query_id), self.owners)
         pending.answers[source] = answer.answer
         if pending.complete():
             # Naive: apply as soon as reassembled (clamping, like the
@@ -116,18 +91,10 @@ class FragmentingIncremental(WarehouseAlgorithm):
             )
         return []
 
-    # ------------------------------------------------------------------ #
-    # State
-    # ------------------------------------------------------------------ #
-
-    def is_quiescent(self) -> bool:
-        return not self._pending
-
     def gauges(self) -> Dict[str, int]:
-        return {
-            "uqs": len(self._pending),
-            "pending_terms": len({id(p) for p in self._pending.values()}),
-        }
+        out = super().gauges()
+        out["pending_terms"] = len({id(p) for p in self._pending.values()})
+        return out
 
     # ------------------------------------------------------------------ #
     # Durability hooks
@@ -155,7 +122,7 @@ class FragmentingIncremental(WarehouseAlgorithm):
             ],
             "routes": {
                 query_id: (index_of[id(self._pending[query_id])],
-                           self._destination[query_id])
+                           query_owner(self.uqs[query_id], self.owners))
                 for query_id in sorted(self._pending)
             },
             "spanning_queries": self.spanning_queries,
@@ -170,24 +137,12 @@ class FragmentingIncremental(WarehouseAlgorithm):
             record.answers = dict(entry["answers"])
             records.append(record)
         self._pending = {}
-        self._destination = {}
-        for query_id, (record_index, destination) in state["routes"].items():
-            self._pending[query_id] = records[record_index]
-            self._destination[query_id] = destination
-
-    def pending_requests(self) -> Routed:
-        out: Routed = []
-        for query_id in sorted(self._pending):
-            destination = self._destination[query_id]
-            plan = self._pending[query_id].plan
-            out.append(
-                (destination,
-                 QueryRequest(query_id, Query([plan.fragments[destination]])))
-            )
-        return out
-
-    def pending_query_ids(self) -> List[int]:
-        return sorted(self._pending)
+        self.uqs = {}
+        for query_id in sorted(state["routes"]):
+            record_index, destination = state["routes"][query_id]
+            record = records[record_index]
+            self._pending[query_id] = record
+            self.uqs[query_id] = Query([record.plan.fragments[destination]])
 
 
 class MultiSourceStoredCopies(StoredCopies):

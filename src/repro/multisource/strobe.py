@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.protocol import Routed, WarehouseAlgorithm, require_width
+from repro.core.protocol import WarehouseAlgorithm, query_owner
 from repro.errors import ProtocolError, SchemaError
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 from repro.multisource.fragment import FragmentPlan, fragment_query
@@ -84,19 +84,15 @@ class StrobeStyle(WarehouseAlgorithm):
         if owners:
             self.owners = dict(owners)
         #: query id -> (pending insert record, its plan index)
-        self._route: Dict[int, Tuple[_PendingInsert, int, str]] = {}
+        self._route: Dict[int, Tuple[_PendingInsert, int]] = {}
         self._pending: List[_PendingInsert] = []
         #: The action list: ("delete", relation, values) | ("insert", bag).
         self._actions: List[Tuple] = []
 
-    # ------------------------------------------------------------------ #
-    # Routed events (called by the execution kernels)
-    # ------------------------------------------------------------------ #
-
-    def on_update(self, source: Optional[str], notification: UpdateNotification) -> Routed:
-        update = notification.update
-        if not self.view.involves(update.relation):
+    def handle_update(self, notification: UpdateNotification) -> List[QueryRequest]:
+        if not self.relevant(notification):
             return []
+        update = notification.update
         if update.is_delete:
             self._actions.append((_DELETE, update.relation, update.values))
             schema = self.view.schema_for(update.relation)
@@ -109,54 +105,36 @@ class StrobeStyle(WarehouseAlgorithm):
         # Insert: fan fragments out to the owning sources.
         query = self.view.substitute(update.relation, update.signed_tuple())
         record = _PendingInsert()
-        routed: Routed = []
+        requests: List[QueryRequest] = []
         for plan in fragment_query(query, self.owners):
             answers: Dict[str, SignedBag] = {}
             plan_index = len(record.plans)
             record.plans.append((plan, answers))
             if plan.is_local():
                 continue  # fully bound; reassembles with no answers
-            for destination, fragment in plan.fragments.items():
-                query_id = self._next_query_id
-                self._next_query_id += 1
-                self._route[query_id] = (record, plan_index, destination)
+            for fragment in plan.fragments.values():
+                request = self._make_request(Query([fragment]))
+                self._route[request.query_id] = (record, plan_index)
                 record.outstanding += 1
-                routed.append(
-                    (destination, QueryRequest(query_id, Query([fragment])))
-                )
+                requests.append(request)
         if record.outstanding:
             self._pending.append(record)
         else:
             self._finish_insert(record)
             self._maybe_apply()
-        return routed
+        return requests
 
-    def on_answer(self, source: Optional[str], answer: QueryAnswer) -> Routed:
-        # Validate before mutating: the route entry is popped only once
-        # the answer is known to be legal, so a protocol error leaves the
-        # strobe's bookkeeping untouched
-        # (tests/property/test_rejected_events.py).
-        try:
-            record, plan_index, destination = self._route[answer.query_id]
-        except KeyError:
-            raise ProtocolError(
-                f"answer for unknown fragment {answer.query_id}"
-            ) from None
-        if destination != source:
-            raise ProtocolError(
-                f"fragment {answer.query_id} answered by {source}, "
-                f"sent to {destination}"
-            )
-        plan, answers = record.plans[plan_index]
-        require_width(answer, len(plan.fragments[destination].projection))
+    def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
         if not answer.answer.is_nonnegative():
             # An insert's fragment reads positive data through unsigned
-            # constants: a minus sign is a mis-wired source.
+            # constants: a minus sign is a mis-wired source.  Refused
+            # before the route is popped, so nothing changes.
             raise ProtocolError(
                 f"fragment {answer.query_id} answered with a negative tuple"
             )
-        del self._route[answer.query_id]
-        answers[source] = answer.answer
+        record, plan_index = self._route.pop(answer.query_id)
+        _, answers = record.plans[plan_index]
+        answers[query_owner(self.uqs.pop(answer.query_id), self.owners)] = answer.answer
         record.outstanding -= 1
         if record.outstanding == 0:
             self._pending.remove(record)
@@ -210,11 +188,10 @@ class StrobeStyle(WarehouseAlgorithm):
 
     def gauges(self) -> Dict[str, int]:
         """Strobe's in-flight state: open queries, pending inserts, AL size."""
-        return {
-            "uqs": len(self.pending_query_ids()),
-            "pending_inserts": len(self._pending),
-            "action_list": len(self._actions),
-        }
+        out = super().gauges()
+        out["pending_inserts"] = len(self._pending)
+        out["action_list"] = len(self._actions)
+        return out
 
     # ------------------------------------------------------------------ #
     # Durability hooks
@@ -235,8 +212,12 @@ class StrobeStyle(WarehouseAlgorithm):
             for record in self._pending
         ]
         route = {
-            query_id: (self._pending.index(record), plan_index, destination)
-            for query_id, (record, plan_index, destination) in self._route.items()
+            query_id: (
+                self._pending.index(record),
+                plan_index,
+                query_owner(self.uqs[query_id], self.owners),
+            )
+            for query_id, (record, plan_index) in self._route.items()
         }
         return {
             "next_query_id": self._next_query_id,
@@ -260,22 +241,11 @@ class StrobeStyle(WarehouseAlgorithm):
                 (tuple(positions), tuple(key)) for positions, key in entry["filters"]
             ]
             self._pending.append(record)
-        self._route = {
-            query_id: (self._pending[record_index], plan_index, destination)
-            for query_id, (record_index, plan_index, destination) in state[
-                "route"
-            ].items()
-        }
-
-    def pending_requests(self) -> Routed:
-        out: Routed = []
-        for query_id in sorted(self._route):
-            record, plan_index, destination = self._route[query_id]
+        self._route = {}
+        self.uqs = {}
+        for query_id in sorted(state["route"]):
+            record_index, plan_index, destination = state["route"][query_id]
+            record = self._pending[record_index]
+            self._route[query_id] = (record, plan_index)
             plan = record.plans[plan_index][0]
-            out.append(
-                (destination, QueryRequest(query_id, Query([plan.fragments[destination]])))
-            )
-        return out
-
-    def pending_query_ids(self) -> List[int]:
-        return sorted(self._route)
+            self.uqs[query_id] = Query([plan.fragments[destination]])

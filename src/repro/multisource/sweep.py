@@ -47,8 +47,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.core.protocol import Routed, WarehouseAlgorithm, require_width
-from repro.errors import ProtocolError, SchemaError
+from repro.core.protocol import WarehouseAlgorithm
+from repro.errors import SchemaError
 from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.relational.conditions import conjunction, flatten_conjuncts
@@ -82,8 +82,9 @@ class _Sweep:
             sign *= operand.tuple.sign
             values.extend(operand.tuple.values)
         self.bindings = SignedBag({tuple(values): sign})
-        #: The hop currently in flight: (query id, operand index).
-        self.in_flight: Optional[Tuple[int, int]] = None
+        #: The operand index of the hop in flight, whose query is the
+        #: algorithm's one UQS entry.
+        self.hop: Optional[int] = None
 
 
 class SweepStyle(WarehouseAlgorithm):
@@ -110,53 +111,37 @@ class SweepStyle(WarehouseAlgorithm):
         self._queue: Deque[Update] = deque()
         self._current: Optional[_Sweep] = None
 
-    # ------------------------------------------------------------------ #
-    # Routed events (called by the execution kernels)
-    # ------------------------------------------------------------------ #
-
-    def on_update(self, source: Optional[str], notification: UpdateNotification) -> Routed:
-        update = notification.update
-        if not self.view.involves(update.relation):
+    def handle_update(self, notification: UpdateNotification) -> List[QueryRequest]:
+        if not self.relevant(notification):
             return []
-        self._queue.append(update)
+        self._queue.append(notification.update)
         if self._current is None:
             return self._start_next()
         return []
 
-    def on_answer(self, source: Optional[str], answer: QueryAnswer) -> Routed:
+    def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
         sweep = self._current
-        if sweep is None or sweep.in_flight is None:
-            raise ProtocolError(f"unexpected answer {answer.query_id}")
-        query_id, operand_index = sweep.in_flight
-        if answer.query_id != query_id:
-            raise ProtocolError(
-                f"answer {answer.query_id} does not match hop {query_id}"
-            )
-        destination = self.owners[sweep.term.operands[operand_index].schema.base]
-        if source != destination:
-            raise ProtocolError(
-                f"hop {query_id} answered by {source}, sent to {destination}"
-            )
-        covered = sorted(sweep.covered + [operand_index])
-        require_width(
-            answer, sum(sweep.term.operands[i].schema.arity for i in covered)
-        )
-        bindings = answer.answer + self._hop_corrections(sweep, operand_index)
-        if not sweep.remaining:
-            # The last hop: install before the sweep moves, so a delta
+        assert sweep is not None and sweep.hop is not None
+        covered = sorted(sweep.covered + [sweep.hop])
+        bindings = answer.answer + self._hop_corrections(sweep, sweep.hop)
+        if sweep.remaining:
+            sweep.hop = None
+            sweep.bindings = bindings
+            sweep.covered = covered
+            requests = self._advance()
+        else:
+            # The last hop: install before the hop is retired, so a delta
             # the view rejects leaves the hop in flight.
-            return self._finish(sweep.term, covered, bindings)
-        sweep.in_flight = None
-        sweep.bindings = bindings
-        sweep.covered = covered
-        return self._advance()
+            requests = self._finish(sweep.term, covered, bindings)
+        del self.uqs[answer.query_id]
+        return requests
 
     # ------------------------------------------------------------------ #
     # Sweep machinery
     # ------------------------------------------------------------------ #
 
-    def _start_next(self) -> Routed:
-        routed: Routed = []
+    def _start_next(self) -> List[QueryRequest]:
+        requests: List[QueryRequest] = []
         while self._queue and self._current is None:
             update = self._queue.popleft()
             query = self.view.substitute(update.relation, update.signed_tuple())
@@ -166,25 +151,23 @@ class SweepStyle(WarehouseAlgorithm):
                 i for i, operand in enumerate(term.operands) if not operand.is_bound
             ]
             self._current = _Sweep(term, free)
-            routed.extend(self._advance())
-        return routed
+            requests.extend(self._advance())
+        return requests
 
-    def _advance(self) -> Routed:
+    def _advance(self) -> List[QueryRequest]:
         sweep = self._current
         assert sweep is not None
         if not sweep.remaining:
             return self._finish(sweep.term, sweep.covered, sweep.bindings)
         operand_index = sweep.remaining.pop(0)
-        hop_query, destination = self._build_hop(sweep, operand_index)
+        hop_query = self._build_hop(sweep, operand_index)
         if hop_query.is_empty():
             # No bindings survive: the delta is empty from here on out.
             sweep.bindings = SignedBag()
             sweep.covered = sorted(sweep.covered + [operand_index])
             return self._advance()
-        query_id = self._next_query_id
-        self._next_query_id += 1
-        sweep.in_flight = (query_id, operand_index)
-        return [(destination, QueryRequest(query_id, hop_query))]
+        sweep.hop = operand_index
+        return [self._make_request(hop_query)]
 
     def _hop_layout(self, sweep: _Sweep, operand_index: int) -> Tuple[List[int], Term]:
         """Shared layout for hop queries and their local corrections: the
@@ -230,11 +213,9 @@ class SweepStyle(WarehouseAlgorithm):
                 offset += schema.arity
         return operands
 
-    def _build_hop(self, sweep: _Sweep, operand_index: int) -> Tuple[Query, str]:
-        relation = sweep.term.operands[operand_index].schema
-        destination = self.owners[relation.base]
+    def _build_hop(self, sweep: _Sweep, operand_index: int) -> Query:
         included, template = self._hop_layout(sweep, operand_index)
-        hop_operand = RelationOperand(relation)
+        hop_operand = RelationOperand(sweep.term.operands[operand_index].schema)
         terms: List[Term] = []
         for row, count in sweep.bindings.items():
             sign = 1 if count > 0 else -1
@@ -243,7 +224,7 @@ class SweepStyle(WarehouseAlgorithm):
                 sign,
             )
             terms.extend([hop_term] * abs(count))
-        return Query(terms), destination
+        return Query(terms)
 
     def _hop_corrections(self, sweep: _Sweep, operand_index: int) -> SignedBag:
         """Subtract interference from received-but-unprocessed updates.
@@ -273,7 +254,9 @@ class SweepStyle(WarehouseAlgorithm):
                 terms.extend([bound_term] * abs(count))
         return evaluate_query(Query(terms), {})
 
-    def _finish(self, term: Term, covered: List[int], bindings: SignedBag) -> Routed:
+    def _finish(
+        self, term: Term, covered: List[int], bindings: SignedBag
+    ) -> List[QueryRequest]:
         """Apply the final projection/condition, install the delta and
         start the next update."""
         positions: List[int] = []
@@ -323,12 +306,16 @@ class SweepStyle(WarehouseAlgorithm):
         current = None
         if self._current is not None:
             sweep = self._current
+            in_flight = None
+            if sweep.hop is not None:
+                (query_id,) = self.uqs
+                in_flight = (query_id, sweep.hop)
             current = {
                 "term": sweep.term,
                 "remaining": list(sweep.remaining),
                 "covered": list(sweep.covered),
                 "bindings": sweep.bindings.to_pairs(),
-                "in_flight": sweep.in_flight,
+                "in_flight": in_flight,
             }
         return {
             "next_query_id": self._next_query_id,
@@ -339,38 +326,26 @@ class SweepStyle(WarehouseAlgorithm):
     def restore_pending_state(self, state: Dict[str, Any]) -> None:
         self._next_query_id = state["next_query_id"]
         self._queue = deque(state["queue"])
+        self._current = None
+        self.uqs = {}
         entry = state["current"]
         if entry is None:
-            self._current = None
             return
         sweep = _Sweep.__new__(_Sweep)
         sweep.term = entry["term"]
         sweep.remaining = list(entry["remaining"])
         sweep.covered = list(entry["covered"])
         sweep.bindings = SignedBag.from_pairs(entry["bindings"])
-        in_flight = entry["in_flight"]
-        sweep.in_flight = tuple(in_flight) if in_flight is not None else None
+        sweep.hop = None
+        if entry["in_flight"] is not None:
+            # The hop's query is rebuilt from the bindings it was built
+            # from, once: the sweep has not moved since it was sent.
+            query_id, sweep.hop = entry["in_flight"]
+            self.uqs[query_id] = self._build_hop(sweep, sweep.hop)
         self._current = sweep
-
-    def pending_requests(self) -> Routed:
-        sweep = self._current
-        if sweep is None or sweep.in_flight is None:
-            return []
-        query_id, operand_index = sweep.in_flight
-        # _build_hop does not mutate the sweep, so rebuilding the exact
-        # in-flight request is safe.
-        hop_query, destination = self._build_hop(sweep, operand_index)
-        return [(destination, QueryRequest(query_id, hop_query))]
-
-    def pending_query_ids(self) -> List[int]:
-        sweep = self._current
-        if sweep is None or sweep.in_flight is None:
-            return []
-        return [sweep.in_flight[0]]
 
     def gauges(self) -> Dict[str, int]:
         """Sweep's in-flight state: the open hop plus queued updates."""
-        return {
-            "uqs": len(self.pending_query_ids()),
-            "queued_updates": len(self._queue) + (1 if self._current else 0),
-        }
+        out = super().gauges()
+        out["queued_updates"] = len(self._queue) + (1 if self._current else 0)
+        return out

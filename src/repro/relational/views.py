@@ -72,10 +72,6 @@ class View:
             self.condition,
         )
         self.product: ProductSchema = self._term.product
-        # View structure is frozen after construction, so key-position
-        # analysis (a union-find over the condition) is memoized per
-        # relation; ECA-Key consults it on every keyed delete.
-        self._key_positions: Dict[str, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -199,9 +195,6 @@ class View:
         attribute is unavailable — exactly the cases where ECA-Key does
         not apply.
         """
-        cached = self._key_positions.get(relation)
-        if cached is not None:
-            return cached
         schema = self.schema_for(relation)
         if schema.key is None:
             raise SchemaError(f"relation {relation!r} declares no key")
@@ -230,8 +223,7 @@ class View:
                     f"attribute equated to it)"
                 )
             positions.append(twin)
-        found = self._key_positions[relation] = tuple(positions)
-        return found
+        return tuple(positions)
 
     def serving_key_positions(self) -> Optional[Tuple[int, ...]]:
         """Output positions the serving tier keys cache entries by.

@@ -374,6 +374,8 @@ def run_concurrent(
         raise SimulationError(f"client_reads must be >= 0, got {client_reads}")
     if batch_k < 1:
         raise SimulationError(f"batch_k must be >= 1, got {batch_k}")
+    if not (snapshot_every is None or snapshot_every >= 1):
+        raise SimulationError(f"snapshot_every must be >= 1, got {snapshot_every}")
     if crash is not None and wal_dir is None:
         raise SimulationError("crash injection requires wal_dir= (recovery source)")
     if plan is None:

@@ -42,7 +42,7 @@ class ZipfSampler:
     ) -> None:
         if n < 1:
             raise ValueError(f"need at least one rank, got n={n}")
-        if theta < 0:
+        if not theta >= 0:  # NaN fails >= too
             raise ValueError(f"zipf theta must be >= 0, got {theta}")
         self.n = n
         self.theta = theta

@@ -278,6 +278,7 @@ class TestRuntimeConfigurationErrors:
             (["--faults", "--drop-rate", "1.5"], "drop_rate must be in [0, 1)"),
             (["--cache", "--cache-capacity", "0"], "cache capacity must be >= 1"),
             (["--wal-dir", "WAL", "--snapshot-every", "0"], "snapshot_every must be >= 1"),
+            (["--snapshot-every", "-1"], "snapshot_every must be >= 1"),
             (["--sources", "0"], "--sources must be >= 1"),
             (["--crash", "--crash-mode", "event", "--crash-at", "-1"], "at must be >= 1"),
             (["--updates", "-1"], "update count must be >= 0"),
@@ -286,7 +287,7 @@ class TestRuntimeConfigurationErrors:
             (["--reads", "-1"], "client_reads must be >= 0"),
         ],
         ids=["crash-at", "max-crashes", "drop-rate", "cache-capacity",
-             "snapshot-every", "sources", "negative-crash-at", "updates",
+             "snapshot-every", "snapshot-every-without-wal", "sources", "negative-crash-at", "updates",
              "spanning-updates", "clients", "reads"],
     )
     def test_bad_value_is_a_one_line_error(self, flags, message, tmp_path, capsys):
@@ -304,11 +305,12 @@ class TestRuntimeConfigurationErrors:
             (["--cache-capacity", "0"], "cache capacity must be >= 1"),
             (["--staleness-bound", "-1"], "staleness bound must be >= 0"),
             (["--theta", "-1"], "zipf theta must be >= 0"),
+            (["--theta", "nan"], "zipf theta must be >= 0"),
             (["--updates", "-1"], "update count must be >= 0"),
             (["--reads", "-1"], "--reads must be >= 0"),
         ],
-        ids=["sources", "cache-capacity", "staleness-bound", "theta", "updates",
-             "reads"],
+        ids=["sources", "cache-capacity", "staleness-bound", "theta", "theta-nan",
+             "updates", "reads"],
     )
     def test_bad_freshness_value_is_a_one_line_error(self, flags, message, capsys):
         assert main(["freshness", "--updates", "2", "--reads", "2", *flags]) == 2
@@ -443,6 +445,13 @@ class TestServingCli:
         assert main([
             "runtime", "--sources", "1", "--updates", "2", "--clients", "0",
             "--read-workload", "zipf:-1",
+        ]) == 2
+        assert "zipf:THETA" in capsys.readouterr().err
+
+    def test_nan_theta_is_rejected(self, capsys):
+        assert main([
+            "runtime", "--sources", "1", "--updates", "2", "--clients", "0",
+            "--read-workload", "zipf:nan",
         ]) == 2
         assert "zipf:THETA" in capsys.readouterr().err
 

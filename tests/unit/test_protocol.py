@@ -19,7 +19,7 @@ class Probe(WarehouseAlgorithm):
         return [self._make_request(self.view.as_query())]
 
     def handle_answer(self, answer):
-        self._retire(answer)
+        del self.uqs[answer.query_id]
         return []
 
 
@@ -70,8 +70,8 @@ class TestProtocol:
 
     def test_answer_for_unknown_query_raises(self, view_w):
         probe = Probe(view_w)
-        with pytest.raises(ProtocolError):
-            probe.handle_answer(QueryAnswer(99, SignedBag()))
+        with pytest.raises(ProtocolError, match="unknown query id 99"):
+            probe.on_answer("source", QueryAnswer(99, SignedBag()))
 
     def test_relevant_checks_view_relations(self, view_w):
         probe = Probe(view_w)

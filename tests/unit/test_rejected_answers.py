@@ -86,7 +86,7 @@ def sweep():
 def test_sweep_refuses_a_hop_answered_by_another_source(sweep):
     (query_id,) = sweep.pending_query_ids()
     before = dumps_algorithm(sweep)
-    with pytest.raises(ProtocolError, match="answered by s0, sent to s1"):
+    with pytest.raises(ProtocolError, match="came from s0, not from s1"):
         dispatch_event(sweep, "s0", QueryAnswer(query_id, SignedBag({(3, 2, 2, 4): 1})))
     assert dumps_algorithm(sweep) == before
 

@@ -244,6 +244,11 @@ class TestZipfSampler:
         with pytest.raises(ValueError):
             ZipfSampler(4, -0.5)
 
+    def test_nan_theta_rejected(self):
+        # ``nan < 0`` is false: a NaN skew once filled the CDF with NaNs.
+        with pytest.raises(ValueError, match="zipf theta must be >= 0"):
+            ZipfSampler(3, float("nan"))
+
 
 class TestZipfReadWorkload:
     KEYS = [("V0", (w,)) for w in range(6)]

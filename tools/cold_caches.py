@@ -83,8 +83,6 @@ CACHES: Tuple[Cache, ...] = (
           "updated relation", "compensation._probe_table"),
     Cache("attribute", "repro.warehouse.state", "MaterializedView.encoded_contents",
           None, (), "the contents (dropped by every write)", "codec._contents_text"),
-    Cache("attribute", "repro.relational.views", "View._key_positions", dict, (),
-          "relation", "View.key_output_positions"),
     Cache("table", "repro.relational.engine", "_SHARED", None, (),
           "(schemas, projection, condition, bound-operand mask)", "engine.join_plan"),
     Cache("kept", "repro.source.memory", "MemorySource.apply_update", dict,
