@@ -4,7 +4,8 @@ One warehouse catalog, split across N shard actors that sources and
 clients reach directly:
 
 - :mod:`repro.sharding.partition` — deterministic placement of view keys
-  (hash / range / explicit), each a pure function of the key;
+  (hash / range / explicit), each a pure function of the key, and of a
+  class of views as one unit;
 - :mod:`repro.sharding.plan` — the frozen per-run placement: per-shard
   catalogs, the relation -> interested-shards map, and
   :meth:`ShardPlan.route`, the function sending an update to the

@@ -1,7 +1,12 @@
-"""Partitioners: deterministic placement of views onto shards.
+"""Partitioners: deterministic placement of view classes onto shards.
 
-A partitioner maps a *view key* — the tuple identifying one member view
-of the warehouse, ``(view_name,)`` today — to the shard that owns it.
+A partitioner maps a *view key* — a tuple of member view names,
+``(view_name,)`` today — to the shard that owns it.  The unit it places
+is a **class** (:meth:`~repro.warehouse.catalog.WarehouseCatalog.classes`:
+the members the catalog maintains as one algorithm; with sharing off,
+each member alone): :meth:`Partitioner.place` puts the whole class on
+the shard of its smallest member's key, so a class is never split and a
+class of one lands where its member's own key does.
 The planner consults the resulting assignment once, at plan time; after
 that every update and answer is routed by the plan, never by re-hashing,
 so a partitioner only has to be a **deterministic pure function of the
@@ -20,7 +25,9 @@ Three families:
   into contiguous ranges (shard ``i`` holds keys in
   ``[boundary[i-1], boundary[i])``), the classic ordered layout.
 - :class:`ExplicitPartitioner` — a literal ``key -> shard`` table, for
-  tests and benchmarks that need a precise placement.
+  tests and benchmarks that need a precise placement.  It names every
+  member, so it is the one family that can ask to split a class; it
+  refuses to.
 """
 
 from __future__ import annotations
@@ -58,6 +65,11 @@ class Partitioner:
     def shard_of(self, key: ViewKey) -> int:
         """The shard owning ``key`` — in ``range(self.shards)``, always."""
         raise NotImplementedError
+
+    def place(self, members: Sequence[str]) -> int:
+        """The one shard for a class with these member names: the shard
+        of its smallest member's key."""
+        return self.shard_of((min(members),))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shards={self.shards})"
@@ -138,6 +150,18 @@ class ExplicitPartitioner(Partitioner):
                 f"explicit partitioner has no assignment for key {tuple(key)!r}"
             ) from None
 
+    def place(self, members: Sequence[str]) -> int:
+        """The shard the table gives every member; a table that puts
+        the members of one class on different shards is refused."""
+        shards = sorted({self.shard_of((name,)) for name in members})
+        if len(shards) > 1:
+            raise SimulationError(
+                f"explicit partitioner splits the class {sorted(members)!r} "
+                f"over shards {shards}: a class is maintained by one "
+                f"algorithm, so its members must share one shard"
+            )
+        return shards[0]
+
     def __repr__(self) -> str:
         return (
             f"ExplicitPartitioner({len(self.assignment)} key(s), "
@@ -155,6 +179,8 @@ def make_partitioner(
     A range layout needs boundary keys; they are derived by splitting the
     sorted ``keys`` universe into ``shards`` near-equal runs, which is
     what a static range assignment over a known catalog means.
+    :func:`~repro.sharding.plan.plan_shards` passes one key per class,
+    so a range layout balances classes, not members.
     """
     if isinstance(spec, Partitioner):
         if spec.shards != shards:
@@ -170,8 +196,8 @@ def make_partitioner(
         ordered = sorted(tuple(key) for key in keys)
         if len(ordered) < shards:
             raise SimulationError(
-                f"range partitioning {len(ordered)} view(s) over {shards} "
-                f"shards needs at least one view per shard"
+                f"range partitioning {len(ordered)} class(es) over {shards} "
+                f"shards needs at least one class per shard"
             )
         step = len(ordered) / shards
         boundaries = [ordered[int(round(step * i))] for i in range(1, shards)]

@@ -1,9 +1,13 @@
 """Shard planning: from one warehouse algorithm to N per-shard catalogs.
 
-The unit of placement is the **member view**: a
-:class:`~repro.warehouse.catalog.WarehouseCatalog` is split so each shard
-runs its own smaller catalog over the views the partitioner assigned to
-it, and a bare single-view algorithm is wrapped in a one-view catalog
+The unit of placement is the **class**
+(:meth:`~repro.warehouse.catalog.WarehouseCatalog.classes`): every member
+of a class lands on the one shard the partitioner gives the class, so a
+class of equal views stays one algorithm, driven once per event on one
+shard; with sharing off each member is a class of one and is placed by
+its own name.  A :class:`~repro.warehouse.catalog.WarehouseCatalog` is
+split so each shard runs its own smaller catalog over the views assigned
+to it, and a bare single-view algorithm is wrapped in a one-view catalog
 first (so every shard presents the same tagged-union ``view_state``
 shape and the merged global view is always ``(view_name, *row)`` rows).
 
@@ -53,9 +57,11 @@ class ShardPlan:
     shards:
         Total shard count requested (empty shards get no actor).
     assignment:
-        ``view name -> shard id`` for every member view.
+        ``view name -> shard id`` for every member view, in name order;
+        the members of one class share a shard.
     algorithms:
-        ``shard id -> per-shard catalog``, populated shards only.
+        ``shard id -> per-shard catalog``, populated shards only; each
+        class's algorithm is reachable from its one shard.
     interest:
         ``relation -> ascending shard ids`` whose views involve it.
     """
@@ -147,31 +153,33 @@ def plan_shards(
     """Split ``algorithm`` into per-shard catalogs under ``partitioner``.
 
     ``partitioner`` is a :class:`~repro.sharding.partition.Partitioner`
-    or a spec name (``"hash"`` / ``"range"``) resolved against the view
-    keys.  ``owners`` (relation -> source) bounds the interest map: every
-    owned relation gets an entry, so "no shard cares" is an explicit
-    empty tuple rather than a missing key.
+    or a spec name (``"hash"`` / ``"range"``) resolved against one key
+    per class, its smallest member's name.  ``owners`` (relation ->
+    source) bounds the interest map: every owned relation gets an entry,
+    so "no shard cares" is an explicit empty tuple rather than a missing
+    key.
     """
     if shards < 1:
         raise SimulationError(f"a sharded run needs >= 1 shard, got {shards}")
     catalog = _as_catalog(algorithm)
-    names = sorted(catalog.views)
-    chosen = make_partitioner(partitioner, shards, [(name,) for name in names])
+    classes = sorted((members for _, members in catalog.classes()), key=min)
+    chosen = make_partitioner(
+        partitioner, shards, [(min(members),) for members in classes]
+    )
 
     assignment: Dict[str, int] = {}
-    for name in names:
-        shard = chosen.shard_of((name,))
+    for members in classes:
+        shard = chosen.place(members)
         if not 0 <= shard < shards:
             raise SimulationError(
-                f"partitioner placed view {name!r} on shard {shard}, "
-                f"outside range({shards})"
+                f"partitioner placed the class {sorted(members)!r} on shard "
+                f"{shard}, outside range({shards})"
             )
-        assignment[name] = shard
+        assignment.update(dict.fromkeys(members, shard))
+    assignment = dict(sorted(assignment.items()))
 
     # Each per-shard catalog inherits the source catalog's sharing mode
-    # and shares only among its own views: a class split across shards
-    # is one algorithm per shard (cross-shard sharing would need answer
-    # fan-out across actors).
+    # and holds its classes whole.
     algorithms = catalog.split(assignment)
     # Invert view -> relations rather than probing every (relation, view)
     # pair with ``involves``: one pass over the members covers the whole

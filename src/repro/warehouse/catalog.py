@@ -126,20 +126,15 @@ class WarehouseCatalog:
 
     def split(self, assignment: Mapping[str, int]) -> "Dict[int, WarehouseCatalog]":
         """One catalog per part over the members ``assignment`` places
-        there, in name order, with this catalog's sharing mode.
-
-        A class whose members land in several parts keeps its algorithm
-        in the first of them and is copied (a codec round trip) into each
-        other: no algorithm object is reachable from two parts.
-        """
+        there, in name order, with this catalog's sharing mode.  Every
+        class lies in one part, so no algorithm is reachable from two."""
         parts: "Dict[int, Dict[str, WarehouseAlgorithm]]" = {}
-        placed: "Dict[Tuple[WarehouseAlgorithm, int], WarehouseAlgorithm]" = {}
-        for view_name in sorted(assignment):
-            part, algorithm = assignment[view_name], self.algorithms[view_name]
-            if (algorithm, part) not in placed:
-                taken = any(other is algorithm for other, _ in placed)
-                placed[algorithm, part] = _copy(algorithm) if taken else algorithm
-            parts.setdefault(part, {})[view_name] = placed[algorithm, part]
+        for name in sorted(assignment):
+            parts.setdefault(assignment[name], {})[name] = self.algorithms[name]
+        assert all(
+            len({assignment[name] for name in members}) == 1
+            for _, members in self.classes()
+        ), "a class spans two parts"
         out: Dict[int, WarehouseCatalog] = {}
         for part, algorithms in parts.items():
             out[part] = WarehouseCatalog(algorithms, self.share_compensation)

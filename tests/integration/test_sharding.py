@@ -16,8 +16,8 @@ The cross-shard consistency proofs for ``repro.sharding``:
   run's, also when the batching shard crashes.
 - **Recovery** — one shard crashes and replays its own WAL while the
   others keep serving; the merged final view is unchanged.
-- **Classes** — a class of equal views split across shards is one
-  algorithm per shard: no algorithm object is reachable from two.
+- **Classes** — a class of equal views lives on one shard under every
+  partitioner, and an explicit table that would split it is refused.
 """
 
 from __future__ import annotations
@@ -642,11 +642,14 @@ class TestUnionMemberIsPlaceable:
 
 
 class TestClassesSplitAcrossShards:
-    """Eight equal views over one source, sharing on: one class, whose
-    members the partitioner spreads over three shards."""
+    """Eight equal views over one source, sharing on: one class, which
+    every partitioner places whole, and which an explicit table may not
+    split."""
 
     @staticmethod
-    def fanin():
+    def fanin(share=True, classes=1):
+        """Eight views over one source; with ``classes=2`` the odd ones
+        project ``(Y, W)``, so they form a second class."""
         from repro.source.memory import MemorySource
 
         schemas = [
@@ -657,32 +660,43 @@ class TestClassesSplitAcrossShards:
         source = MemorySource(schemas, initial)
         algorithms = {}
         for index in range(8):
-            view = View.natural_join(f"V{index}", schemas, ["W", "Y"])
+            projection = ["W", "Y"] if index % classes == 0 else ["Y", "W"]
+            view = View.natural_join(f"V{index}", schemas, projection)
             algorithms[view.name] = ECA(view, evaluate_view(view, source.snapshot()))
         workload = random_workload(schemas, 8, seed=3, initial=initial, respect_keys=True)
-        catalog = WarehouseCatalog(algorithms, share_compensation=True)
+        catalog = WarehouseCatalog(algorithms, share_compensation=share)
         return {"source": source}, catalog, {"source": workload}
 
-    @staticmethod
-    def reachable(catalog):
-        return {id(algorithm) for algorithm, _ in catalog.classes()}
+    #: V0..V3 on shard 0, V4..V7 on shard 2: the class split in two.
+    SPLIT = ExplicitPartitioner(
+        {(f"V{index}",): 0 if index < 4 else 2 for index in range(8)}, shards=3
+    )
 
     def test_no_algorithm_is_reachable_from_two_shards(self):
         sources, catalog, workloads = self.fanin()
-        assert len(catalog.classes()) == 1
-        plan = plan_shards(catalog, 3, "hash", relation_owners(sources))
-        assert len(plan.shard_ids) > 1
-        seen = set()
-        for shard in plan.shard_ids:
-            part = plan.algorithms[shard]
-            assert len(part.classes()) == 1
-            assert not self.reachable(part) & seen, shard
-            seen |= self.reachable(part)
+        ((leader, members),) = catalog.classes()
+        owners = relation_owners(sources)
+        plan = plan_shards(catalog, 3, "hash", owners)
+        (shard,) = plan.shard_ids
+        assert set(plan.assignment.values()) == {shard}
+        assert plan.algorithms[shard].classes() == [(leader, members)]
+        assert plan.interest == {"r1": (shard,), "r2": (shard,)}
+        # Range boundaries fall between classes: eight views, one class.
+        with pytest.raises(SimulationError, match=r"1 class\(es\) over 3 shards"):
+            plan_shards(catalog, 3, "range", owners)
+        _, two, _ = self.fanin(classes=2)
+        plan = plan_shards(two, 2, "range", owners)
+        for shard, (algorithm, members) in enumerate(two.classes()):
+            assert {plan.assignment[name] for name in members} == {shard}
+            assert plan.algorithms[shard].classes() == [(algorithm, members)]
+        with pytest.raises(SimulationError, match=r"splits the class .* shards \[0, 2\]"):
+            plan_shards(catalog, 3, self.SPLIT, owners)
+        _, independent, _ = self.fanin(share=False)
+        plan = plan_shards(independent, 3, self.SPLIT, owners)
+        assert plan.shard_ids == (0, 2)
         twin_sources, twin, _ = self.fanin()
         unsharded = run_concurrent(twin_sources, twin, workloads, seed=2)
         result = run_concurrent(sources, catalog, workloads, seed=2, shards=3)
-        seen = set()
-        for part in result.shard_info["algorithms"].values():
-            assert not self.reachable(part) & seen
-            seen |= self.reachable(part)
+        (part,) = result.shard_info["algorithms"].values()
+        assert [algorithm for algorithm, _ in part.classes()] == [leader]
         assert result.final_view == unsharded.final_view

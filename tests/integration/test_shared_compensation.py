@@ -255,22 +255,21 @@ class TestRuntimeConformance:
 
 class TestOneConstructionPerClass:
     def test_a_class_is_scoped_to_the_catalog_built_last(self):
-        """A class is one algorithm, and ``plan_shards`` builds its
-        per-shard catalogs after the one it splits: a class split across
-        shards is one algorithm per shard, none reachable from two."""
+        """A class is one algorithm, and ``plan_shards`` places it whole:
+        the per-shard catalog built after the one it splits holds that
+        same object, on one shard, for every member."""
         from repro.kernel.dispatch import relation_owners
         from repro.sharding import plan_shards
 
         sources, catalog = fanin_setup(6, share=True)
-        (algorithm,) = {id(member) for member in catalog.algorithms.values()}
+        ((algorithm, members),) = catalog.classes()
         plan = plan_shards(catalog, 2, "hash", relation_owners(sources))
-        assert sorted(plan.algorithms) == [0, 1]
-        of_shard = {}
-        for name, shard in plan.assignment.items():
-            member = plan.algorithms[shard].algorithms[name]
-            assert of_shard.setdefault(shard, member) is member
-        assert of_shard[0] is not of_shard[1]
-        assert algorithm in {id(member) for member in of_shard.values()}
+        (shard,) = plan.shard_ids
+        assert set(plan.assignment.values()) == {shard}
+        part = plan.algorithms[shard]
+        assert part is not catalog
+        assert part.classes() == [(algorithm, members)]
+        assert all(part.algorithms[name] is algorithm for name in members)
 
 
 class TestDisjointViewsUnaffected:
@@ -435,12 +434,13 @@ class TestSharded:
         """M on the sharded fan-in (Section 6.1's first cost axis): per
         interested shard the notification, one shared query straight to
         the source, and the answer.  No leg exists only to forward a
-        message or to renumber a query."""
+        message or to renumber a query.  The fan-in is one class, which
+        lives on one shard, so M is the paper's 3 per update."""
         sources, catalog = fanin_setup(4, share=True)
         result = run_concurrent(
             sources, catalog, {"source": list(WORKLOAD)}, seed=3, shards=2
         )
         interested = len(result.shard_info["shard_ids"])
-        assert interested == 2
+        assert interested == 1
         messages = sum(stats.sent for stats in result.channel_stats.values())
-        assert messages == len(WORKLOAD) * 3 * interested
+        assert messages == len(WORKLOAD) * 3 * interested == len(WORKLOAD) * 3

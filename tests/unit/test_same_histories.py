@@ -29,6 +29,7 @@ from same_histories import (  # noqa: E402
     pairwise,
     row_arguments,
     run_suites,
+    shares_a_class,
 )
 
 from repro.cli import build_parser  # noqa: E402
@@ -163,6 +164,63 @@ class TestHistoryHashes:
         )
         wal = frozenset({"wal-layout"})
         assert history_components(first, wal) == history_components(moved, wal)
+
+
+class TestClassPlacement:
+    """``class-placement`` masks only what moving a class between shards
+    moves, and only in runs where a class of two or more can move."""
+
+    @staticmethod
+    def run(share=True, shards=2, partitioner="hash"):
+        from repro.core.eca import ECA
+        from repro.relational.engine import evaluate_view
+        from repro.relational.schema import RelationSchema
+        from repro.relational.views import View
+        from repro.runtime import run_concurrent
+        from repro.source.memory import MemorySource
+        from repro.source.updates import insert
+        from repro.warehouse.catalog import WarehouseCatalog
+
+        schemas = [
+            RelationSchema("r1", ("W", "X"), key=("W",)),
+            RelationSchema("r2", ("X", "Y"), key=("Y",)),
+        ]
+        source = MemorySource(schemas, {"r1": [(1, 2)], "r2": [(2, 5)]})
+        algorithms = {}
+        for name in ("A", "B", "C"):
+            view = View.natural_join(name, schemas, ["W", "Y"])
+            algorithms[name] = ECA(view, evaluate_view(view, source.snapshot()))
+        catalog = WarehouseCatalog(algorithms, share_compensation=share)
+        workload = [insert("r1", (10, 2)), insert("r2", (2, 20)), insert("r1", (11, 2))]
+        return run_concurrent(
+            {"source": source}, catalog, {"source": workload},
+            seed=1, shards=shards, partitioner=partitioner,
+        )
+
+    def test_only_a_sharded_class_of_two_or_more_is_masked(self):
+        allow = frozenset({"class-placement"})
+        assert not shares_a_class(self.run(share=False))
+        assert not shares_a_class(self.run(shards=None))
+        result = self.run()
+        assert shares_a_class(result)
+        masked, raw = history_components(result, allow), history_components(result, frozenset())
+        assert {key for key in raw if masked[key] != raw[key]} == {
+            "events", "view_states", "action_log"
+        }
+
+    def test_the_class_on_another_shard_differs_only_as_allowed(self):
+        from repro.sharding import ExplicitPartitioner
+
+        runs = [
+            self.run(partitioner=ExplicitPartitioner(
+                {(name,): shard for name in "ABC"}, shards=2
+            ))
+            for shard in (0, 1)
+        ]
+        raw = [history_components(run, frozenset()) for run in runs]
+        assert raw[0] != raw[1]
+        allow = frozenset({"class-placement"})
+        assert history_components(runs[0], allow) == history_components(runs[1], allow)
 
 
 class TestSuiteSessions:

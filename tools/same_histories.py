@@ -81,7 +81,27 @@ ALLOWANCES = {
     "recovered catalog restarts them at its snapshot, so they move with "
     "snapshot placement.  Since v5 they survive a crash, so only a "
     "comparison against an older tree needs this",
+    "class-placement": "a class of equal views placed whole on one shard "
+    "rather than member by member: in sharded runs with sharing on and two "
+    "members of one class key, the events and the action log (an update "
+    "reaches fewer shards), with view states compared as each member's "
+    "own timeline of distinct states; and the outcome of the suite tests "
+    "that pinned the split (SPLIT_TESTS)",
 }
+
+#: The suite tests that pinned a class split over several shards; under
+#: ``class-placement`` their outcome, and with it how many runs they
+#: reached, may move.
+SPLIT_TESTS = frozenset(
+    (
+        "tests/integration/test_sharding.py::TestClassesSplitAcrossShards"
+        "::test_no_algorithm_is_reachable_from_two_shards",
+        "tests/integration/test_shared_compensation.py::TestOneConstructionPerClass"
+        "::test_a_class_is_scoped_to_the_catalog_built_last",
+        "tests/integration/test_shared_compensation.py::TestSharded"
+        "::test_a_relevant_update_costs_three_messages_per_interested_shard",
+    )
+)
 
 #: Matrix axes: name -> (label, ``repro runtime`` arguments) per value.
 AXES: Tuple[Tuple[str, Tuple[Tuple[str, Tuple[str, ...]], ...]], ...] = (
@@ -193,6 +213,33 @@ def mask_recovery(text: str, allow: Allow) -> str:
     return _RECOVERED_FROM.sub("snapshot lsn * + * replayed", text)
 
 
+def shares_a_class(result: object) -> bool:
+    """Whether a sharded run shares and two of its members have one class
+    key (algorithm type and view definition).  Read over every shard, so
+    it is the same whether a tree split the class or kept it whole."""
+    info = getattr(result, "shard_info", None) or {}
+    catalogs = list(info.get("algorithms", {}).values())
+    if not any(catalog.share_compensation for catalog in catalogs):
+        return False
+    keys = [
+        (type(algorithm), catalog.views[name].definition())
+        for catalog in catalogs
+        for name, algorithm in catalog.algorithms.items()
+    ]
+    return len(set(keys)) < len(keys)
+
+
+def own_timeline(trace: object, name: str) -> List[object]:
+    """Member ``name``'s distinct view states, in the order it took them."""
+    from repro.simulation.trace import project_view
+
+    states: List[object] = []
+    for state in project_view(trace, name).view_states:
+        if not states or state != states[-1]:
+            states.append(state)
+    return states
+
+
 def history_components(result: object, allow: Allow) -> Dict[str, str]:
     """Hashes of what one ``RuntimeResult`` or ``Trace`` recorded."""
     trace = getattr(result, "trace", result)
@@ -203,6 +250,15 @@ def history_components(result: object, allow: Allow) -> Dict[str, str]:
     }
     if trace is result:
         return parts
+    placed = "class-placement" in allow and shares_a_class(result)
+    if placed:
+        # A class on one shard takes one event per update where a split
+        # class took one per shard it spanned; what a member passes
+        # through must not move.
+        parts["events"] = digest(())
+        parts["view_states"] = digest(
+            own_timeline(trace, name) for name in sorted(result.shard_info["assignment"])
+        )
     crashes = [dict(crash) for crash in result.crashes]
     if "wal-layout" in allow:
         for crash in crashes:
@@ -210,7 +266,7 @@ def history_components(result: object, allow: Allow) -> Dict[str, str]:
             crash.pop("replayed", None)
     parts.update(
         per_source_states=digest([result.per_source_states]),
-        action_log=digest(result.action_log),
+        action_log=digest(() if placed else result.action_log),
         read_results=digest([result.read_results]),
         final_view=digest([result.final_view]),
         crashes=digest(crashes),
@@ -596,12 +652,15 @@ class Report:
 
 
 def describe(parent: object, change: object) -> str:
-    """The first place two compared values part."""
+    """Where two compared values part: every key of two dicts that
+    differs, or the first place two lists do."""
     if isinstance(parent, dict) and isinstance(change, dict):
         keys = sorted(set(parent) | set(change), key=str)
-        for key in keys:
-            if parent.get(key) != change.get(key):
-                return f"{key}: {parent.get(key)!r} -> {change.get(key)!r}"
+        return "; ".join(
+            f"{key}: {parent.get(key)!r} -> {change.get(key)!r}"
+            for key in keys
+            if parent.get(key) != change.get(key)
+        )
     if isinstance(parent, list) and isinstance(change, list):
         for index, (a, b) in enumerate(zip(parent, change)):
             if a != b:
@@ -640,14 +699,20 @@ def run_suites(tree: Tree, tests_from: Tree, allow: Allow, out: str) -> Dict[str
     return tests
 
 
-def compare_suites(parent: Dict, change: Dict, report: Report) -> None:
+def compare_suites(parent: Dict, change: Dict, report: Report, allow: Allow) -> None:
     for nodeid in sorted(set(parent) | set(change)):
         report.count("suite tests")
         a, b = parent.get(nodeid), change.get(nodeid)
         if a is None or b is None:
             report.differences.append((nodeid, "test", "only in one tree"))
             continue
-        report.compare("suite tests", nodeid, "outcome", a["outcome"], b["outcome"])
+        if "class-placement" in allow and nodeid in SPLIT_TESTS:
+            if (a["outcome"], len(a["runs"])) != (b["outcome"], len(b["runs"])):
+                report.allowed.setdefault("suite tests", set()).add(nodeid)
+            if len(a["runs"]) != len(b["runs"]):
+                continue
+        else:
+            report.compare("suite tests", nodeid, "outcome", a["outcome"], b["outcome"])
         if len(a["runs"]) != len(b["runs"]):
             report.differences.append(
                 (nodeid, "histories", f"{len(a['runs'])} -> {len(b['runs'])} runs")
@@ -762,7 +827,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             role: run_suites(tree, trees["parent"], allow, os.path.join(work, f"{role}-suites.json"))
             for role, tree in trees.items()
         }
-        compare_suites(suites["parent"], suites["change"], report)
+        compare_suites(suites["parent"], suites["change"], report, allow)
 
         names = [
             set(tree.python(["-c", _LIST_ALGORITHMS], cwd=work).stdout.split())
@@ -866,7 +931,7 @@ def print_report(trees: Dict[str, Tree], allow: Allow, report: Report) -> None:
     width = max(len(where) for where, _, _ in report.differences)
     print(f"{'where':<{width}}  {'what':<14}  detail")
     for where, what, detail in report.differences:
-        print(f"{where:<{width}}  {what:<14}  {detail[:200]}")
+        print(f"{where:<{width}}  {what:<14}  {detail[:400]}")
 
 
 if __name__ == "__main__":
