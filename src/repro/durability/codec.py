@@ -20,9 +20,17 @@ guessing at their layout.
 
 :func:`encode_value` *defines* the format; :func:`encode_text` is what
 writes it.  Both yield the same bytes, but the text path keeps the
-rendering of the two values that are large and outlive many writes — a
-pending :class:`Query` and a view's contents — with the value, so a
-snapshot taken while 65 queries wait re-renders none of them.
+rendering of the values that are large or written more than once — a
+pending :class:`Query`, a view's contents, a :class:`Message` — with the
+value, so a snapshot taken while 65 queries wait re-renders none of them
+and a message is rendered once for the wire and the WAL together.
+
+A bag whose rows are tuples of JSON scalars, all of one width, is one
+list per column plus a list of counts (``columns`` / ``counts``); any
+other bag is ``[row, count]`` pairs (``pairs``).  A :class:`Query` held
+as a dict's value — a UQS entry — is quoted: its canonical text inside a
+``json`` form, which a chain fold scans past unparsed and which the
+decoded query keeps as its rendering.
 
 A ``query`` is the one form that is not a tree of its parts: the terms
 of a compensating query differ in what they bind, not in what they range
@@ -40,7 +48,6 @@ only what changed: ``algo.delta`` / ``algo.catalog.delta`` forms
 from __future__ import annotations
 
 import json
-import re
 from itertools import chain
 from typing import (
     TYPE_CHECKING,
@@ -107,7 +114,10 @@ if TYPE_CHECKING:
 #: snapshots carry the version (``"v"``) so a directory from another
 #: version is refused before anything in it is decoded.  v5: delta
 #: snapshots, and the planner state holds its ``issued`` / ``saved``.
-CODEC_VERSION = 5
+#: v6: bags of equal-width scalar rows are columns plus counts (view
+#: contents, COLLECT, ``bag.delta``, answers), and a query held as a
+#: dict's value (a root's UQS entry, as a delta's already was) is quoted.
+CODEC_VERSION = 6
 
 _PRIMITIVES = (str, int, float, bool, type(None))
 #: The types JSON holds as they are, for the exact test ``type(v) in``:
@@ -119,12 +129,6 @@ _PLAIN = frozenset(_PRIMITIVES)
 _T = TypeVar("_T")
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
-#: Row values whose JSON holds no quote and no bracket (:func:`_pairs_text`).
-_NUMERIC = frozenset((int, float, bool, type(None)))
-#: In bare ``[[v,...],n],[[v,...],n]`` text of such rows, a ``],`` before
-#: a count closes a row's values; a ``],[[`` opens the next row's.
-_ITEMS_END = re.compile(r"\],(?=-?[0-9])")
-_ROW_HEAD = '{"$":"tuple","items":['
 
 
 def canonical_json(payload: object) -> str:
@@ -150,15 +154,10 @@ def encode_value(value: object) -> object:
     if isinstance(value, dict):
         return {
             "$": "dict",
-            "items": [[encode_value(k), encode_value(v)] for k, v in value.items()],
+            "items": [[encode_value(k), _held(v)] for k, v in value.items()],
         }
     if isinstance(value, SignedBag):
-        return {
-            "$": "bag",
-            "pairs": [
-                [encode_value(row), count] for row, count in value.to_pairs()
-            ],
-        }
+        return _bag_form("bag", value.to_pairs())
     if isinstance(value, SignedTuple):
         return {
             "$": "stuple",
@@ -214,13 +213,50 @@ def encode_value(value: object) -> object:
         return {
             "$": "mv",
             "view": encode_value(value.view),
-            "contents": [
-                [encode_value(row), count] for row, count in value.contents_pairs()
-            ],
+            "contents": _bag_form("bag", value.contents_pairs()),
         }
     if isinstance(value, Message):
         return _encode_message(value)
     raise CodecError(f"cannot encode value of type {type(value).__name__}: {value!r}")
+
+
+def _held(value: object) -> object:
+    """A dict's value: a :class:`Query` quoted, anything else as it is."""
+    if isinstance(value, Query):
+        return {"$": "json", "text": canonical_json(encode_value(value))}
+    return encode_value(value)
+
+
+def _columns(rows: Sequence[Any]) -> Optional[List[List[Any]]]:
+    """Rows as one list of encoded cells per column, or ``None`` unless
+    there is at least one row and every one is a ``tuple`` of the same
+    non-zero width whose cells encode to JSON scalars.  Cells of JSON's
+    own types are taken as they are; any other (an ``int`` subclass, a
+    nested tuple) goes through :func:`encode_value`, so a row that would
+    read back as scalars goes as columns whatever types it was built of."""
+    if (
+        not rows
+        or not all(type(row) is tuple for row in rows)
+        or len(set(map(len, rows))) != 1
+        or not rows[0]
+    ):
+        return None
+    columns = [list(column) for column in zip(*rows)]
+    if _PLAIN.issuperset(map(type, chain.from_iterable(columns))):
+        return columns
+    columns = [[encode_value(cell) for cell in column] for column in columns]
+    if any(isinstance(cell, (dict, list)) for cell in chain.from_iterable(columns)):
+        return None
+    return columns
+
+
+def _bag_form(tag: str, pairs: Sequence[Tuple[Any, int]]) -> Dict[str, object]:
+    """The ``bag`` / ``bag.delta`` form of ``(row, count)`` pairs: one list
+    per column plus the counts when :func:`_columns` allows, else pairs."""
+    columns = _columns([row for row, _ in pairs])
+    if columns is not None:
+        return {"$": tag, "columns": columns, "counts": [count for _, count in pairs]}
+    return {"$": tag, "pairs": [[encode_value(row), count] for row, count in pairs]}
 
 
 def _encode_shape(shape: TermShape) -> Dict[str, object]:
@@ -342,18 +378,20 @@ def _array(items: Iterable[str]) -> str:
 def encode_text(value: object) -> str:
     """``canonical_json(encode_value(value))``, byte for byte.
 
-    A :class:`Query` is immutable and a view's contents change only
-    through :class:`MaterializedView`'s three writers, so their text is
-    rendered once and kept with the object (``Query.encoded``,
-    ``MaterializedView.encoded_contents``).  The containers and messages
-    that can hold one are spliced around that text; every other value is
-    a leaf and goes through :func:`encode_value` and the C encoder as
-    before.
+    A :class:`Query` and a :class:`Message` are immutable, and a view's
+    contents change only through :class:`MaterializedView`'s three
+    writers, so their text is rendered once and kept with the object
+    (``Query.encoded``, ``Message.encoded``,
+    ``MaterializedView.encoded_contents``).  The containers that can hold
+    one are spliced around that text; every other value is a leaf and
+    goes through :func:`encode_value` and the C encoder.
     """
     if isinstance(value, Query):
         return _query_text(value)
+    if isinstance(value, Message):
+        return _message_text(value)
     if isinstance(value, dict):
-        items = (_array((encode_text(k), encode_text(v))) for k, v in value.items())
+        items = (_array((encode_text(k), _held_text(v))) for k, v in value.items())
         return _tagged("dict", items=_array(items))
     if isinstance(value, list):
         return _array(map(encode_text, value))
@@ -363,15 +401,35 @@ def encode_text(value: object) -> str:
         return _tagged(
             "mv", contents=_contents_text(value), view=encode_text(value.view)
         )
-    if isinstance(value, SignedBag):
-        return _tagged("bag", pairs=_pairs_text(value.to_pairs()))
-    if isinstance(value, QueryRequest):
-        return _tagged(
-            "msg.query",
-            id=canonical_json(value.query_id),
-            query=_query_text(value.query),
-        )
     return canonical_json(encode_value(value))
+
+
+def _held_text(value: object) -> str:
+    """:func:`_held`'s text: a query's own rendering, quoted."""
+    if isinstance(value, Query):
+        return _tagged("json", text=canonical_json(_query_text(value)))
+    return encode_text(value)
+
+
+def _message_text(message: Message) -> str:
+    """A message's text, rendered once: the wire frame that sizes it and
+    the WAL record that logs it splice the same string.  A request's
+    query and a batch's notifications keep renderings of their own."""
+    text = message.encoded
+    if text is None:
+        if isinstance(message, QueryRequest):
+            text = _tagged(
+                "msg.query",
+                id=canonical_json(message.query_id),
+                query=_query_text(message.query),
+            )
+        elif isinstance(message, UpdateBatch):
+            notifications = _array(map(_message_text, message.notifications))
+            text = _tagged("msg.batch", notifications=notifications)
+        else:
+            text = canonical_json(encode_value(message))
+        message.encoded = text
+    return text
 
 
 def _query_text(query: Query) -> str:
@@ -406,43 +464,14 @@ def _bindings_text(term: Term) -> str:
     return canonical_json(_encode_bindings(term))
 
 
-def _pairs_text(pairs: Sequence[Tuple[object, int]]) -> str:
-    """The ``[[row, multiplicity], ...]`` list of the ``mv`` and ``bag``
-    forms.  A row that is a tuple of JSON's own scalars — every row of a
-    relation — is tagged here, without a call per value; any other row
-    goes through :func:`encode_value`.  Rows of numbers alone hold no
-    quote or bracket: they are encoded bare, in one call, and tagged by
-    rewriting the brackets between them."""
-    rows: List[Any] = [row for row, _ in pairs]
-    if (
-        pairs
-        and all(type(row) is tuple for row in rows)
-        and _NUMERIC.issuperset(map(type, chain.from_iterable(rows)))
-        and all(type(count) is int for _, count in pairs)
-    ):
-        # [[[v,...],n],[[v,...],n]] -> [[{"$":"tuple","items":[v,...]},n],...]
-        bare = canonical_json(pairs)
-        body = _ITEMS_END.sub("]},", bare[3:-1]).replace("],[[", "],[" + _ROW_HEAD)
-        return "[[" + _ROW_HEAD + body + "]"
-    return canonical_json(
-        [
-            [
-                {"$": "tuple", "items": list(row)}
-                if type(row) is tuple and _PLAIN.issuperset(map(type, row))
-                else encode_value(row),
-                count,
-            ]
-            for row, count in pairs
-        ]
-    )
-
-
 def _contents_text(mv: MaterializedView) -> str:
-    """A view's contents as the ``mv`` form and an algorithm snapshot's
-    ``bag`` hold them, rendered once between two writes of the view."""
+    """A view's contents as the ``bag`` form the ``mv`` and ``algo`` forms
+    hold, rendered once between two writes of the view."""
     text = mv.encoded_contents
     if text is None:
-        text = mv.encoded_contents = _pairs_text(mv.contents_pairs())
+        text = mv.encoded_contents = canonical_json(
+            _bag_form("bag", mv.contents_pairs())
+        )
     return text
 
 
@@ -472,26 +501,37 @@ def decode_value(data: object) -> object:
         raise CodecError(f"malformed {tag!r} payload: {exc}") from exc
 
 
-def _decode_rows(pairs: List[Any]) -> List[Tuple[Any, Any]]:
-    """:func:`_pairs_text` read back: when every row is a ``tuple`` of
-    scalars, one pass per check; else each row via :func:`decode_value`."""
-    items: Optional[List[Any]]
-    try:
-        items = [row["items"] for row, _ in pairs if row["$"] == "tuple"]
-    except (TypeError, KeyError, ValueError):
-        items = None
-    if (
-        items is not None
-        and len(items) == len(pairs)
-        and all(type(row) is list for row in items)
-        and _PLAIN.issuperset(map(type, chain.from_iterable(items)))
-    ):
-        return list(zip(map(tuple, items), [count for _, count in pairs]))
-    return [(decode_value(row), count) for row, count in pairs]
+def _decode_bag(data: Dict[str, Any]) -> SignedBag:
+    """A ``bag`` or ``bag.delta`` form read back through
+    :meth:`SignedBag.from_pairs`, which refuses a count that is not a
+    non-zero ``int`` and a repeated row.  Columns must be what
+    :func:`_bag_form` writes: at least one, each a list of JSON scalars
+    with one cell per count, and at least one count."""
+    if "columns" not in data:
+        return SignedBag.from_pairs(
+            (decode_value(row), count) for row, count in data["pairs"]
+        )
+    columns, counts = data["columns"], data["counts"]
+    if type(columns) is not list or not columns:
+        raise CodecError(f"a column bag needs one or more columns, got {columns!r}")
+    if type(counts) is not list or not counts:
+        raise CodecError(f"a column bag needs one or more counts, got {counts!r}")
+    if any(type(column) is not list or len(column) != len(counts) for column in columns):
+        raise CodecError(f"ragged columns: each must hold one cell per count ({len(counts)})")
+    if not _PLAIN.issuperset(map(type, chain.from_iterable(columns))):
+        raise CodecError("a column holds a cell that is not a JSON scalar")
+    return SignedBag.from_pairs(zip(zip(*columns), counts))
 
 
-def _decode_pairs(pairs: List[Any]) -> SignedBag:
-    return SignedBag.from_pairs(_decode_rows(pairs))
+def _decode_quoted(data: Dict[str, Any]) -> object:
+    """A ``json`` form: the quoted value, decoded.  A query keeps the text
+    it was read from as its rendering — the writer quotes nothing but a
+    query's canonical text, and the CRC vouches for the bytes."""
+    text = data["text"]
+    value = decode_value(json.loads(text))
+    if isinstance(value, Query):
+        value.encoded = text
+    return value
 
 
 def _decode_as(data: object, kind: Type[_T]) -> _T:
@@ -572,9 +612,9 @@ def _decode_query(data: Dict[str, Any]) -> Query:
 _DECODERS: Dict[str, Callable[[Dict[str, Any]], object]] = {
     "tuple": lambda d: tuple(decode_value(v) for v in d["items"]),
     "dict": lambda d: {decode_value(k): decode_value(v) for k, v in d["items"]},
-    "bag": lambda d: _decode_pairs(d["pairs"]),
+    "bag": _decode_bag,
     "bag.chain": lambda d: _decode_bag_chain(d),
-    "json": lambda d: decode_value(json.loads(d["text"])),
+    "json": _decode_quoted,
     "stuple": lambda d: SignedTuple(
         [decode_value(v) for v in d["values"]], d["sign"]
     ),
@@ -611,7 +651,7 @@ _DECODERS: Dict[str, Callable[[Dict[str, Any]], object]] = {
         decode_value(d["condition"]),
     ),
     "mv": lambda d: MaterializedView(
-        decode_value(d["view"]), _decode_pairs(d["contents"])
+        decode_value(d["view"]), _decode_as(d["contents"], SignedBag)
     ),
     "msg.update": lambda d: UpdateNotification(
         decode_value(d["update"]), d["serial"]
@@ -754,13 +794,15 @@ def _algo_texts(
         if marks is not None and isinstance(value, SignedBag):
             bags[field] = dict(value.items())
         if held is not None and field == "uqs":
-            added = [(qid, q) for qid, q in uqs.items() if uqs_then.get(qid) is not q]
+            # Quoted, as a root's are: most are retired a few links on,
+            # and folding then scans past the text unparsed.
+            added = {qid: q for qid, q in uqs.items() if uqs_then.get(qid) is not q}
             moved = moved or bool(added)
-            text = _tagged("dict", items=_array(map(_entry_text, added)))
+            text = encode_text(added)
         elif held is not None and field in bags and field in bags_then:
             diff = _bag_changes(bags_then[field], bags[field])
             moved = moved or bool(diff)
-            text = _tagged("bag.delta", pairs=_pairs_text(diff))
+            text = canonical_json(_bag_form("bag.delta", diff))
         else:
             text = encode_text(value)
             if field != "uqs" and field not in bags:
@@ -776,7 +818,7 @@ def _algo_texts(
             marks.views.append(algorithm.mv)
         fields = {
             "name": canonical_json(algorithm.name),
-            "mv": _tagged("bag", pairs=_contents_text(algorithm.mv)),
+            "mv": _contents_text(algorithm.mv),
             "config": encode_text(algorithm.durable_config()),
             "pending": pending,
         }
@@ -785,18 +827,20 @@ def _algo_texts(
         return None
     text = _tagged(
         "algo.delta",
-        mv=_tagged("bag.delta", pairs=_pairs_text(changes or [])),
+        mv=canonical_json(_bag_form("bag.delta", _net(changes or []))),
         pending=pending,
         retired=canonical_json(retired),
     )
     return [text] * len(views)
 
 
-def _entry_text(entry: Tuple[int, Query]) -> str:
-    """A delta's UQS entry, its query quoted (``json``): most are retired
-    a few links on, and folding then scans past the text unparsed."""
-    qid, query = entry
-    return _array((canonical_json(qid), _tagged("json", text=canonical_json(_query_text(query)))))
+def _net(changes: Sequence[Tuple[Any, int]]) -> List[Tuple[Any, int]]:
+    """A journal's ``(row, delta)`` pairs summed per row, zeros dropped,
+    in first-write order: a row written twice is one pair."""
+    net: Dict[Any, int] = {}
+    for row, count in changes:
+        net[row] = net.get(row, 0) + count
+    return [(row, count) for row, count in net.items() if count]
 
 
 def _bag_changes(then: Dict[Any, int], now: Dict[Any, int]) -> List[Tuple[Any, int]]:
@@ -834,7 +878,7 @@ def fold_delta(base: Dict[str, Any], delta: Dict[str, Any]) -> Dict[str, Any]:
         return {**base, "members": members_list, "pending": delta["pending"]}
     if tag != "algo":
         chain = base if tag == "bag.chain" else {"$": "bag.chain", "base": base, "changes": []}
-        return {**chain, "changes": [*chain["changes"], delta["pairs"]]}
+        return {**chain, "changes": [*chain["changes"], delta]}
     held = dict(base["pending"]["items"])
     gone = set(delta["retired"])
     items = []
@@ -853,14 +897,10 @@ def fold_delta(base: Dict[str, Any], delta: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _decode_bag_chain(data: Dict[str, Any]) -> SignedBag:
-    """A :func:`fold_delta` bag: the base's pairs plus each link's."""
-    bag = _decode_pairs(data["base"]["pairs"])
-    for pairs in data["changes"]:
-        changes = _decode_rows(pairs)
-        if not all(type(count) is int for _, count in changes):
-            raise TypeError(f"a change's multiplicity is not an int: {pairs!r}")
-        for row, count in changes:
-            bag.add(row, count)
+    """A :func:`fold_delta` bag: the base's rows plus each link's."""
+    bag = _decode_bag(data["base"])
+    for change in data["changes"]:
+        bag.add_bag(_decode_bag(change))
     return bag
 
 

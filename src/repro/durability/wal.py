@@ -14,7 +14,9 @@ Layout of a WAL directory:
 - ``snapshot-<lsn>.json`` — an algorithm snapshot taken after the
   record with that LSN, same CRC scheme, written atomically (temp file +
   rename) so a crash mid-snapshot can never leave a half-written file
-  under the final name.  The snapshots form one chain: a *root* holding
+  under the final name.  Once it is in place the log is emptied in
+  place; a crash before that leaves records the snapshot covers, which
+  recovery skips by LSN.  The snapshots form one chain: a *root* holding
   the algorithm whole, then *deltas*, each naming the one before as its
   ``base`` and holding only what changed since.  A handle's first
   snapshot is a root, and so is one whose delta would take the chain's
@@ -58,10 +60,12 @@ from repro.durability.codec import (
     Marks,
     canonical_json,
     encode_algorithm,
+    encode_text,
     fold_delta,
     splice,
 )
 from repro.errors import CodecError, RecoveryError, WalCorruption, WalLocked
+from repro.messaging.messages import Message
 
 if TYPE_CHECKING:
     from repro.core.protocol import WarehouseAlgorithm
@@ -116,14 +120,19 @@ def _unseal(text: str) -> Optional[Dict[str, object]]:
     return record
 
 
-def _record_line(lsn: object, record_type: object, data: object) -> str:
+def _record_line(lsn: object, record_type: object, data: str) -> str:
+    """A sealed log line; ``data`` is already canonical text."""
     return _seal(
-        {
-            "lsn": canonical_json(lsn),
-            "type": canonical_json(record_type),
-            "data": canonical_json(data),
-        }
+        {"lsn": canonical_json(lsn), "type": canonical_json(record_type), "data": data}
     )
+
+
+def _value_text(value: object) -> str:
+    """A record field's text: a live message's own rendering, or the
+    canonical JSON of already-encoded data."""
+    if isinstance(value, Message):
+        return encode_text(value)
+    return canonical_json(value)
 
 
 def _lsn_of(record: Dict[str, object]) -> int:
@@ -323,9 +332,16 @@ class WriteAheadLog:
     # ------------------------------------------------------------------ #
 
     def append(self, record_type: str, data: object) -> int:
-        """Append one record (``data`` is already-encoded tagged JSON)."""
+        """Append one record.  ``data`` is tagged JSON data, except that a
+        live :class:`~repro.messaging.messages.Message` among the values
+        of a ``data`` dict is written as its rendering: a received message
+        is rendered once, for its wire frame and its ``recv`` record."""
+        if isinstance(data, dict):
+            text = splice({key: _value_text(value) for key, value in data.items()})
+        else:
+            text = canonical_json(data)
         self._lsn += 1
-        line = _record_line(self._lsn, record_type, data)
+        line = _record_line(self._lsn, record_type, text)
         self._file.write(line + "\n")
         self._file.flush()
         if self.fsync:
@@ -351,7 +367,7 @@ class WriteAheadLog:
         algorithm at an older LSN and the chain's delta bytes stay within
         its root's; otherwise a root, and once that is renamed into place
         every other snapshot is removed.  Either way the snapshot covers
-        every WAL record, so the log is truncated.
+        every WAL record, so the log is emptied (:meth:`_compact`).
         """
         lsn = self._lsn
         marks = self._marks
@@ -390,15 +406,19 @@ class WriteAheadLog:
         return self.snapshot(algorithm)
 
     def _compact(self) -> None:
-        """Truncate the log: the snapshot just taken covers every record."""
-        self._file.close()
-        self._rewrite([])
-        self._file = open(self._path, "a", encoding="utf-8")
+        """Empty the log in place: the snapshot just taken covers every
+        record.  A crash before the truncation reaches the disk leaves
+        records at or below the snapshot's LSN, which recovery skips."""
+        self._file.seek(0)  # flushes; appends still go to the end
+        self._file.truncate()
+        if self.fsync:
+            os.fsync(self._file.fileno())
 
     def _rewrite(self, records: List[Dict[str, object]]) -> None:
         """Atomically replace ``wal.jsonl`` with exactly these records."""
         lines = [
-            _record_line(record["lsn"], record["type"], record["data"]) + "\n"
+            _record_line(record["lsn"], record["type"], canonical_json(record["data"]))
+            + "\n"
             for record in records
         ]
         self._install(self._path, "".join(lines))

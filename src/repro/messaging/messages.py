@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.relational.bag import SignedBag
 from repro.relational.expressions import Query
@@ -16,9 +16,15 @@ class Message:
     are equal when they have the same type and the same field values.
     The write-ahead log's replay machinery and the tests rely on this to
     compare logged messages against live ones directly.
+
+    ``encoded`` is the durability codec's rendering of the message, a memo
+    slot filled by the first wire frame or WAL record that writes it.  It
+    is the base class's slot, not a field: :meth:`_fields` reads the
+    subclass's ``__slots__`` only, so equality and hashing ignore it.
     """
 
-    __slots__ = ()
+    __slots__ = ("encoded",)
+    encoded: Optional[str]
 
     def _fields(self) -> Tuple[object, ...]:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -45,6 +51,7 @@ class UpdateNotification(Message):
     def __init__(self, update: Update, serial: int) -> None:
         self.update = update
         self.serial = serial
+        self.encoded = None
 
     def __repr__(self) -> str:
         return f"UpdateNotification(#{self.serial}, {self.update!r})"
@@ -69,6 +76,7 @@ class UpdateBatch(Message):
         if not notifications:
             raise ValueError("an update batch needs at least one notification")
         self.notifications = tuple(notifications)
+        self.encoded = None
 
     @property
     def serial(self) -> int:
@@ -101,6 +109,7 @@ class QueryRequest(Message):
     def __init__(self, query_id: int, query: Query) -> None:
         self.query_id = query_id
         self.query = query
+        self.encoded = None
 
     def __repr__(self) -> str:
         return f"QueryRequest(Q{self.query_id}, {self.query!r})"
@@ -114,6 +123,7 @@ class QueryAnswer(Message):
     def __init__(self, query_id: int, answer: SignedBag) -> None:
         self.query_id = query_id
         self.answer = answer
+        self.encoded = None
 
     def __repr__(self) -> str:
         return f"QueryAnswer(Q{self.query_id}, {self.answer!r})"
@@ -133,6 +143,7 @@ class RefreshRequest(Message):
 
     def __init__(self, serial: int = 0) -> None:
         self.serial = serial
+        self.encoded = None
 
     def __repr__(self) -> str:
         return f"RefreshRequest(#{self.serial})"

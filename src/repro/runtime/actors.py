@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports errors)
     from repro.obs.instrument import Observability
 
-from repro.durability.codec import encode_value
 from repro.durability.crash import CrashRun
 from repro.durability.wal import RECV, WriteAheadLog
 from repro.errors import ChannelEmpty, TransportClosed, WarehouseCrashed
@@ -394,12 +393,7 @@ class WarehouseActor:
                     await asyncio.sleep(0)
                     continue
                 unit.wal.append(
-                    RECV,
-                    {
-                        "channel": channel,
-                        "origin": origin,
-                        "message": encode_value(message),
-                    },
+                    RECV, {"channel": channel, "origin": origin, "message": message}
                 )
             await self._dispatch(sender, origin, message)
             # One atomic event per scheduling slice: yield so sources and

@@ -9,6 +9,7 @@ must reproduce the identical crash point and trace.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -459,6 +460,8 @@ class TestOtherCodecVersions:
                 return [to_v3(item) for item in node]
             if not isinstance(node, dict):
                 return node
+            if node.get("$") == "json":  # v6 quotes a UQS entry; v3 did not
+                return to_v3(json.loads(node["text"]))
             if node.get("$") == "query":
                 terms = decode_value(node).terms
                 return {"$": "query", "terms": [encode_value(term) for term in terms]}

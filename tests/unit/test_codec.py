@@ -14,7 +14,9 @@ from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.core.stored_copies import StoredCopies
 from repro.durability import (
     CODEC_VERSION,
+    RECV,
     WriteAheadLog,
+    canonical_json,
     codec,
     decode_algorithm,
     decode_value,
@@ -26,12 +28,13 @@ from repro.durability import (
     loads_algorithm,
     read_latest_snapshot,
 )
-from repro.durability.wal import _snapshot_name
+from repro.durability.wal import WAL_FILENAME, _snapshot_name, read_records
 from repro.errors import CodecError
 from repro.messaging.messages import (
     QueryAnswer,
     QueryRequest,
     RefreshRequest,
+    UpdateBatch,
     UpdateNotification,
 )
 from repro.messaging.wire import create_codec
@@ -405,7 +408,8 @@ class TestEncodeOnce:
         wal.close()
         assert len(rendered) == len(request.query.terms)
         with open(os.path.join(str(tmp_path), _snapshot_name(lsn))) as handle:
-            assert request.query.encoded in handle.read()
+            # A UQS entry is the query's text, quoted (codec v6).
+            assert json.dumps(request.query.encoded) in handle.read()
 
     def test_shape_is_rendered_once_per_shape_not_once_per_query(self, monkeypatch):
         rendered = self.count_calls(monkeypatch, codec, "_encode_shape")
@@ -450,6 +454,122 @@ class TestEncodeOnce:
         assert loads_algorithm(after).view_state() == evaluate_view(
             view, source.snapshot()
         )
+
+
+#: One message of each kind the warehouse logs, built fresh per call.
+MESSAGES = {
+    "update": lambda: UpdateNotification(insert("r1", (7, 2)), 1),
+    "batch": lambda: UpdateBatch(
+        (
+            UpdateNotification(insert("r1", (7, 2)), 1),
+            UpdateNotification(delete("r2", (2, 5)), 2),
+        )
+    ),
+    "answer": lambda: QueryAnswer(3, SignedBag({(1, 5): 1, (2, 6): -2})),
+    "query": lambda: QueryRequest(4, compensating_query()),
+}
+
+
+class TestMessagesRenderedOnce:
+    """A message is rendered once (``Message.encoded``): its wire frame
+    and its WAL ``recv`` record splice that text, byte for byte what the
+    tree path makes of it."""
+
+    def recv_line(self, directory, message):
+        wal = WriteAheadLog(str(directory))
+        wal.append(RECV, {"channel": "source->wh", "origin": "source", "message": message})
+        wal.close()
+        with open(os.path.join(str(directory), WAL_FILENAME), encoding="utf-8") as handle:
+            return handle.read()
+
+    @pytest.mark.parametrize("kind", sorted(MESSAGES))
+    def test_the_frame_and_the_recv_record_are_the_tree_paths_bytes(self, kind, tmp_path):
+        message = MESSAGES[kind]()
+        tree = canonical_json(encode_value(message))
+        frame = create_codec("frame").encode(message)
+        assert frame[5:] == tree.encode("utf-8")  # past the 5-byte header
+        assert message.encoded == tree
+        line = self.recv_line(tmp_path / "framed", message)
+        assert f'"message":{tree},"origin":"source"' in line
+        (record,), torn = read_records(str(tmp_path / "framed"))
+        assert torn == 0 and decode_value(record["data"]["message"]) == message
+        # A message no frame rendered first logs the same line.
+        assert self.recv_line(tmp_path / "unframed", MESSAGES[kind]()) == line
+
+    def test_the_recv_record_reuses_the_frames_rendering(self, tmp_path, monkeypatch):
+        message = MESSAGES["answer"]()
+        create_codec("frame").encode(message)
+        rendered = TestEncodeOnce.count_calls(self, monkeypatch, codec, "encode_value")
+        self.recv_line(tmp_path, message)
+        assert rendered == []
+
+    def test_the_memo_is_no_field(self):
+        message, twin = MESSAGES["answer"](), MESSAGES["answer"]()
+        encode_text(message)
+        assert message.encoded is not None and twin.encoded is None
+        assert message == twin and hash(message) == hash(twin)
+
+
+class TestColumnBags:
+    """Codec v6: a bag whose rows are tuples of JSON scalars, all of one
+    width, is one list per column plus the counts; any other bag stays
+    ``[row, count]`` pairs.  A column payload is read back through
+    ``SignedBag.from_pairs``, and a malformed one is a ``CodecError``
+    wherever it is read — never a bare exception."""
+
+    GOOD = {"$": "bag", "columns": [[1, 2], ["a", None]], "counts": [1, -2]}
+
+    def test_scalar_rows_go_as_columns(self):
+        bag = SignedBag({(1, "a"): 1, (2, None): -2})
+        assert encode_value(bag) == self.GOOD
+        assert encode_text(bag) == canonical_json(self.GOOD)
+        assert decode_value(self.GOOD) == bag
+
+    @pytest.mark.parametrize(
+        "bag",
+        [
+            SignedBag(),  # no row
+            SignedBag({(): 2}),  # width 0
+            SignedBag({(1,): 1, (1, 2): 1}),  # two widths
+            SignedBag({((1, 2), 3): 1}),  # a nested tuple
+        ],
+        ids=["empty", "width-0", "two-widths", "nested"],
+    )
+    def test_other_bags_go_as_pairs(self, bag):
+        data = encode_value(bag)
+        assert set(data) == {"$", "pairs"}
+        assert decode_value(data) == bag
+
+    MALFORMED = {
+        "ragged-columns": ([[1, 2], ["a"]], [1, 1]),
+        "columns-longer-than-counts": ([[1, 2], ["a", "b"]], [1]),
+        "zero-count": ([[1, 2]], [1, 0]),
+        "float-count": ([[1, 2]], [1, 1.0]),
+        "bool-count": ([[1, 2]], [1, True]),
+        "repeated-row": ([[1, 1], ["a", "a"]], [1, 2]),
+        "list-cell": ([[1, [2]]], [1, 1]),
+        "tagged-cell": ([[1, {"$": "tuple", "items": [2]}]], [1, 1]),
+        "width-0": ([], [1]),
+        "no-row": ([[]], []),
+        "columns-not-a-list": ("12", [1, 1]),
+        "counts-not-a-list": ([[1, 2]], {"n": 2}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_a_malformed_column_payload_is_a_codec_error(self, case):
+        columns, counts = self.MALFORMED[case]
+        bad = {"$": "bag", "columns": columns, "counts": counts}
+        delta = {**bad, "$": "bag.delta"}
+        for data in (
+            bad,
+            {"$": "msg.answer", "id": 1, "answer": bad},
+            {"$": "mv", "view": encode_value(make_view()), "contents": bad},
+            {"$": "bag.chain", "base": self.GOOD, "changes": [delta]},
+        ):
+            with pytest.raises(CodecError):
+                decode_value(data)
+        with pytest.raises(CodecError):
+            loads(canonical_json({"data": bad, "v": CODEC_VERSION}))
 
 
 class TestBagPairs:

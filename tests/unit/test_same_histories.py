@@ -19,7 +19,10 @@ from same_histories import (  # noqa: E402
     AXES,
     ROW_OUTPUTS,
     SUITES,
+    V6_FIXTURE_TESTS,
+    Report,
     Tree,
+    compare_suites,
     conflicts,
     history_components,
     normalize_metrics,
@@ -27,6 +30,7 @@ from same_histories import (  # noqa: E402
     normalize_stdout,
     normalize_trace,
     pairwise,
+    portable,
     row_arguments,
     run_suites,
     shares_a_class,
@@ -90,6 +94,55 @@ class TestAllowances:
         wal = frozenset({"wal-layout"})
         assert normalize_stdout(moved, wal) == normalize_stdout(self.STDOUT, wal)
         assert normalize_stdout(moved, allowed) != normalize_stdout(self.STDOUT, allowed)
+
+    def test_answer_bytes_mask_only_what_a_source_sends(self, tmp_path):
+        table = (
+            "channel           sent  delivered  bytes  dropped\n"
+            "client-0=>shard0  4     4          140    0\n"
+            "s0=>shard1        9     9          {}    0\n"
+            "s1->wh            9     9          {}    0\n"
+            "wh->s0            4     4          {}   0\n"
+        )
+        before = table.format(787, 803, 1692)
+        narrower = table.format(765, 791, 1692)
+        answers = frozenset({"answer-bytes"})
+        assert normalize_stdout(narrower, frozenset()) != normalize_stdout(before, frozenset())
+        assert normalize_stdout(narrower, answers) == normalize_stdout(before, answers)
+        shipped = table.format(787, 803, 1600)
+        assert normalize_stdout(shipped, answers) != normalize_stdout(before, answers)
+        client = before.replace("140", "141")
+        assert normalize_stdout(client, answers) != normalize_stdout(before, answers)
+
+        def metrics(name, values):
+            series = [
+                {"labels": {"channel": channel}, "value": value}
+                for channel, value in values.items()
+            ]
+            path = tmp_path / name
+            path.write_text(json.dumps({"metrics": {"repro_channel_bytes_total": {"series": series}}}))
+            return normalize_metrics(str(path), answers)
+
+        base = {"s0=>shard1": 787, "s1->wh": 803, "wh->s0": 1692, "client-0=>shard0": 140}
+        assert metrics("a.json", base) == metrics("b.json", {**base, "s0=>shard1": 765})
+        assert metrics("a.json", base) != metrics("c.json", {**base, "wh->s0": 1600})
+        assert metrics("a.json", base) != metrics("d.json", {**base, "client-0=>shard0": 1})
+
+    def test_v6_fixtures_let_only_their_tests_change_outcome(self):
+        fixture, other = sorted(V6_FIXTURE_TESTS)[0], f"{SUITES[0]}::test_other"
+
+        def session(outcome):
+            return {name: {"outcome": outcome, "runs": []} for name in (fixture, other)}
+
+        for allow, expected in ((frozenset(), [fixture]), (frozenset({"v6-fixtures"}), [])):
+            report = Report()
+            parent = session("passed")
+            change = {**parent, fixture: {"outcome": "failed (call)", "runs": []}}
+            compare_suites(parent, change, report, allow)
+            assert [where for where, _, _ in report.differences] == expected
+            report = Report()
+            change = {**parent, other: {"outcome": "failed (call)", "runs": []}}
+            compare_suites(parent, change, report, frozenset({"v6-fixtures"}))
+            assert [where for where, _, _ in report.differences] == [other]
 
     def test_planner_counts_are_their_own_allowance(self, tmp_path):
         line = "shared compensation: {} distinct queries issued, 3 member queries absorbed\n"
@@ -164,6 +217,30 @@ class TestHistoryHashes:
         )
         wal = frozenset({"wal-layout"})
         assert history_components(first, wal) == history_components(moved, wal)
+
+
+def test_portable_reads_columns_and_quoted_queries_as_codec_v5_wrote_them():
+    """A recovered state is hashed in one layout on both trees, so a
+    format change compares equal states equal."""
+    from repro.durability.codec import encode_value
+    from repro.relational.bag import SignedBag
+    from repro.relational.expressions import Query
+
+    bag = SignedBag.from_rows([(3, "x"), (1, None)])
+    assert portable(encode_value(bag)) == {
+        "$": "bag",
+        "pairs": [
+            [{"$": "tuple", "items": [1, None]}, 1],
+            [{"$": "tuple", "items": [3, "x"]}, 1],
+        ],
+    }
+    query = Query()
+    state = encode_value({"uqs": {1: query}})
+    assert state["items"][0][1]["items"][0][1]["$"] == "json"
+    assert portable(state) == {
+        "$": "dict",
+        "items": [["uqs", {"$": "dict", "items": [[1, encode_value(query)]]}]],
+    }
 
 
 class TestClassPlacement:
@@ -255,6 +332,70 @@ class TestSuiteSessions:
     def test_a_suite_that_ran_no_test_is_refused(self, tmp_path):
         with pytest.raises(SystemExit, match=SUITES[0]):
             self.run(tmp_path, 0, SUITES[1:])
+
+
+class TestPluginErrors:
+    """An exception in the plugin's own hashing is kept apart from the
+    test it happened in, and refuses the session: raised into the test,
+    it failed that test alike on both trees, which compared as equal."""
+
+    PROBE = (
+        "import same_histories\n"
+        "from repro.core.eca import ECA\n"
+        "from repro.kernel.sync import SyncKernel\n"
+        "from repro.relational.engine import evaluate_view\n"
+        "from repro.simulation.schedules import RandomSchedule\n"
+        "from repro.source.memory import MemorySource\n"
+        "from repro.workloads.paper_examples import PAPER_EXAMPLES\n"
+        "\n"
+        "def planted(result, allow):\n"
+        "    raise RuntimeError('planted in the hash')\n"
+        "\n"
+        "def test_a_kernel_run(monkeypatch):\n"
+        "    monkeypatch.setattr(same_histories, 'history_components', planted)\n"
+        "    scenario = PAPER_EXAMPLES['example-2']\n"
+        "    source = MemorySource(scenario.schemas, scenario.initial)\n"
+        "    view = evaluate_view(scenario.view, source.snapshot())\n"
+        "    algorithm = ECA(scenario.view, view)\n"
+        "    kernel = SyncKernel({'source': source}, algorithm, list(scenario.updates))\n"
+        "    kernel.run(RandomSchedule(0))\n"
+    )
+
+    def test_a_raising_hash_refuses_the_session_and_names_the_test(self, tmp_path):
+        (tmp_path / "test_probe.py").write_text(self.PROBE)
+        out = tmp_path / "hashes.json"
+        tree = Tree(str(REPO_ROOT), str(tmp_path), "change")
+        args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "same_histories"]
+        done = tree.python(
+            args + ["--histories-out", str(out), "test_probe.py"], cwd=str(tmp_path)
+        )
+        assert done.returncode == pytest.ExitCode.INTERNAL_ERROR, done.stdout + done.stderr
+        assert "hashing failed in test_probe.py::test_a_kernel_run" in done.stdout
+        recorded = json.loads(out.read_text())
+        # The test itself passed: the failure is the plugin's, not its.
+        assert recorded["tests"]["test_probe.py::test_a_kernel_run"]["outcome"] == "passed"
+        (error,) = recorded["errors"]
+        assert error.startswith("test_probe.py::test_a_kernel_run: RuntimeError: planted")
+
+    def test_run_suites_refuses_a_session_the_plugin_failed_in(self, tmp_path):
+        failed = f"{SUITES[0]}::test: RuntimeError: planted"
+
+        class Tree(TestSuiteSessions.Tree):
+            def python(self, args, cwd, timeout=None):
+                done = super().python(args, cwd, timeout)
+                path = args[args.index("--histories-out") + 1]
+                with open(path) as handle:
+                    recorded = json.load(handle)
+                recorded["errors"] = [failed]
+                with open(path, "w") as handle:
+                    json.dump(recorded, handle)
+                return done
+
+        tree = Tree(tmp_path, 0, SUITES)
+        with pytest.raises(SystemExit) as refused:
+            run_suites(tree, tree, frozenset(), str(tmp_path / "hashes.json"))
+        assert "hashing plugin failed" in str(refused.value)
+        assert failed in str(refused.value)
 
 
 class TestCold:

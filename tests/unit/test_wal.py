@@ -309,10 +309,11 @@ class TestSnapshots:
     def test_a_snapshot_holding_no_query_differs_from_v3_only_by_the_stamp(
         self, tmp_path
     ):
-        """Codec v4 changed the ``query`` form and v5 added the planner's
-        ``issued`` / ``saved`` counts, and nothing else: ``algo``,
-        ``algo.catalog``, ``view``, ``bag``, the pending dicts are
-        byte for byte what they were."""
+        """Codec v4 changed the ``query`` form, v5 added the planner's
+        ``issued`` / ``saved`` counts and v6 wrote bags of scalar rows as
+        columns, and nothing else: ``algo``, ``algo.catalog``, ``view``,
+        the pending dicts are byte for byte what they were, and a bag
+        is the same rows and counts."""
         from repro.core.eca import ECA
         from repro.warehouse.catalog import WarehouseCatalog
 
@@ -328,10 +329,28 @@ class TestSnapshots:
         with open(os.path.join(str(tmp_path), _snapshot_name(lsn))) as handle:
             text = handle.read()
         assert text.endswith(f',"lsn":1,"v":{CODEC_VERSION}}}\n')
-        crc = re.compile(',"crc":[0-9]+')  # covers the stamp, so it moved too
-        assert crc.sub("", text).replace(f',"v":{CODEC_VERSION}}}', "}").replace(
+
+        def as_pairs(node):
+            """Column bags rewritten as the ``pairs`` form v3 wrote."""
+            if isinstance(node, list):
+                return [as_pairs(item) for item in node]
+            if not isinstance(node, dict):
+                return node
+            if "columns" in node:
+                rows = zip(*node["columns"])
+                pairs = [
+                    [{"$": "tuple", "items": list(row)}, count]
+                    for row, count in zip(rows, node["counts"])
+                ]
+                return {"$": node["$"], "pairs": pairs}
+            return {key: as_pairs(value) for key, value in node.items()}
+
+        body, v3 = json.loads(text), json.loads(V3_CATALOG_SNAPSHOT)
+        del body["crc"], v3["crc"]  # the CRC covers the stamp, so it moved too
+        assert body.pop("v") == CODEC_VERSION
+        assert canonical_json(as_pairs(body)).replace(
             ',["issued",0],["saved",0]', ""
-        ) == crc.sub("", V3_CATALOG_SNAPSHOT)
+        ) == canonical_json(v3)
 
     def test_no_snapshot_raises_recovery_error(self, tmp_path):
         with pytest.raises(RecoveryError):
@@ -440,9 +459,7 @@ class TestAtomicInstall:
             ("fsync", "file"),  # the snapshot's temp file
             ("replace", _snapshot_name(second)),
             ("fsync", "wal"),  # the directory: the rename is on disk ...
-            ("fsync", "file"),  # ... before the log is emptied
-            ("replace", WAL_FILENAME),
-            ("fsync", "wal"),
+            ("fsync", "file"),  # ... before the log is emptied in place
         ]
         wal.close()
         wal = WriteAheadLog(directory, fsync=True)
@@ -457,9 +474,7 @@ class TestAtomicInstall:
             ("fsync", "wal"),  # the directory: the rename is on disk ...
             ("remove", _snapshot_name(first)),  # ... before the old chain goes
             ("remove", _snapshot_name(second)),
-            ("fsync", "file"),  # the emptied log's temp file
-            ("replace", WAL_FILENAME),
-            ("fsync", "wal"),
+            ("fsync", "file"),  # the log, emptied in place
         ]
 
     def test_without_fsync_no_new_system_call(self, tmp_path, monkeypatch):
@@ -479,16 +494,66 @@ class TestAtomicInstall:
         third = wal.snapshot(algorithm)
         monkeypatch.undo()
         wal.close()
-        assert calls == [
-            ("replace", _snapshot_name(second)),
-            ("replace", WAL_FILENAME),
-        ]
+        assert calls == [("replace", _snapshot_name(second))]
         assert more == [
             ("replace", _snapshot_name(third)),
             ("remove", _snapshot_name(first)),
             ("remove", _snapshot_name(second)),
-            ("replace", WAL_FILENAME),
         ]
+
+
+class TestCompactionByTruncation:
+    """A snapshot empties ``wal.jsonl`` in place once the snapshot is
+    renamed into place.  A crash in between leaves records the snapshot
+    covers: recovery skips them by LSN, and a reopened log appends after
+    them."""
+
+    def log(self, wal, algorithm, source, serial, row):
+        update = insert("r1", row)
+        source.apply_update(update)
+        message = UpdateNotification(update, serial)
+        wal.append(RECV, {"channel": "source->wh", "origin": "source", "message": message})
+        algorithm.on_update("source", message)
+
+    @pytest.mark.parametrize("fsync", [False, True], ids=["flush", "fsync"])
+    def test_a_crash_between_the_rename_and_the_truncation_recovers(
+        self, tmp_path, monkeypatch, fsync
+    ):
+        directory = str(tmp_path)
+        source, algorithm = fresh_eca()
+        wal = WriteAheadLog(directory, fsync=fsync)
+        wal.snapshot(algorithm)
+        self.log(wal, algorithm, source, 1, (7, 2))
+        self.log(wal, algorithm, source, 2, (8, 3))
+        monkeypatch.setattr(WriteAheadLog, "_compact", lambda self: None)
+        lsn = wal.snapshot(algorithm)  # renamed into place, log not emptied
+        wal.close()
+        monkeypatch.undo()
+        records, torn = read_records(directory)
+        assert (lsn, [r["lsn"] for r in records], torn) == (2, [1, 2], 0)
+        result = recover(directory)
+        assert (result.snapshot_lsn, result.last_lsn, result.replayed) == (2, 2, 0)
+        assert dumps_algorithm(result.algorithm) == dumps_algorithm(algorithm)
+
+        recovered = result.algorithm
+        wal = WriteAheadLog(directory, fsync=fsync)
+        self.log(wal, recovered, source, 3, (9, 2))
+        wal.close()
+        result = recover(directory)
+        assert (result.snapshot_lsn, result.last_lsn, result.replayed) == (2, 3, 1)
+        assert dumps_algorithm(result.algorithm) == dumps_algorithm(recovered)
+
+    def test_the_log_is_emptied_in_place(self, tmp_path):
+        source, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path))
+        self.log(wal, algorithm, source, 1, (7, 2))
+        inode = os.stat(wal_path(tmp_path)).st_ino
+        wal.snapshot(algorithm)
+        assert os.path.getsize(wal_path(tmp_path)) == 0
+        self.log(wal, algorithm, source, 2, (8, 3))
+        wal.close()
+        assert os.stat(wal_path(tmp_path)).st_ino == inode
+        assert [r["lsn"] for r in read_records(str(tmp_path))[0]] == [2]
 
 
 class TestLocking:
@@ -719,11 +784,12 @@ class TestMalformedChain:
     never a silently older view."""
 
     def eca(self, name="V", projection=("W", "Y")):
-        """ECA over a view of 60 rows, so a root outweighs a few deltas."""
+        """ECA over a view of 200 rows, so a root outweighs a few deltas
+        (a row costs a root about 8 bytes as columns)."""
         from repro.core.eca import ECA
 
         view = View.natural_join(name, SCHEMAS, list(projection))
-        initial = {"r1": [(w, w % 3) for w in range(60)], "r2": [(0, 5), (1, 6)]}
+        initial = {"r1": [(w, w % 3) for w in range(300)], "r2": [(0, 5), (1, 6)]}
         source = MemorySource(SCHEMAS, initial)
         return ECA(view, evaluate_view(view, source.snapshot()))
 
@@ -801,7 +867,7 @@ class TestMalformedChain:
         self.reseal(directory, names[0], lambda fields: fields.update(base=2))
         self.refused(directory, names[0])
 
-    @pytest.mark.parametrize("stamp", [4, 6])
+    @pytest.mark.parametrize("stamp", [4, 5, 7])
     def test_a_link_of_another_codec_version(self, tmp_path, stamp):
         directory, names = self.chain(tmp_path)
         self.reseal(directory, names[1], lambda fields: fields.update(v=stamp))
@@ -815,6 +881,26 @@ class TestMalformedChain:
         os.remove(wal_path(tmp_path))
         self.reseal(directory, names[0], lambda fields: fields.update(v=4))
         assert "v4" in self.refused(directory, names[0])
+
+    def test_a_v5_directory_is_refused_by_version(self, tmp_path):
+        """Codec v6 writes bags as columns and quotes a root's UQS: a
+        directory of the v5 tree is refused by its stamp, before any of
+        it is decoded."""
+        directory, names = self.chain(tmp_path)
+        for name in names[1:]:
+            os.remove(os.path.join(directory, name))
+        os.remove(wal_path(tmp_path))
+        self.reseal(directory, names[0], lambda fields: fields.update(v=5))
+        with pytest.raises(RecoveryError) as caught:
+            recover(directory)
+        message = str(caught.value)
+        assert names[0] in message and "v5" in message and "v6" in message
+
+    def test_a_malformed_column_bag_in_a_link(self, tmp_path):
+        directory, names = self.chain(tmp_path)
+        ragged = {"$": "bag.delta", "columns": [[80, 81], [5]], "counts": [1, 1]}
+        self.reseal(directory, names[2], lambda fields: fields["algo"].update(mv=ragged))
+        assert "ragged columns" in self.refused(directory, names[2])
 
     def test_a_catalog_delta_naming_a_member_its_base_lacks(self, tmp_path):
         from repro.warehouse.catalog import WarehouseCatalog

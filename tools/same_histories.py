@@ -50,6 +50,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -81,6 +82,13 @@ ALLOWANCES = {
     "recovered catalog restarts them at its snapshot, so they move with "
     "snapshot placement.  Since v5 they survive a crash, so only a "
     "comparison against an older tree needs this",
+    "answer-bytes": "byte counters of the channels a source sends the "
+    "warehouse on (<source>->wh, <source>=>shard<i>) under a wire codec: "
+    "since codec v6 an answer's rows travel as columns",
+    "v6-fixtures": "the outcome of the suite tests that build an older "
+    "codec's directory by rewriting the query nodes of this codec's root "
+    "(V6_FIXTURE_TESTS): since codec v6 a root quotes its UQS entries, so "
+    "a tree's tests from before v6 find no query node to rewrite",
     "class-placement": "a class of equal views placed whole on one shard "
     "rather than member by member: in sharded runs with sharing on and two "
     "members of one class key, the events and the action log (an update "
@@ -102,6 +110,21 @@ SPLIT_TESTS = frozenset(
         "::test_a_relevant_update_costs_three_messages_per_interested_shard",
     )
 )
+
+#: The suite tests that rewrite a root's query nodes into the v3 form;
+#: under ``v6-fixtures`` their outcome may move.
+V6_FIXTURE_TESTS = frozenset(
+    "tests/integration/test_crash_recovery.py::TestOtherCodecVersions::" + name
+    for name in (
+        "test_another_versions_directory_is_refused_by_version[3-v3]",
+        "test_another_versions_directory_is_refused_by_version[None-before v4]",
+        "test_this_versions_stamp_is_what_lets_a_directory_in",
+    )
+)
+
+#: Per allowance, the suite tests whose outcome (and so how many runs
+#: they reached) it lets move.
+OUTCOME_TESTS = {"class-placement": SPLIT_TESTS, "v6-fixtures": V6_FIXTURE_TESTS}
 
 #: Matrix axes: name -> (label, ``repro runtime`` arguments) per value.
 AXES: Tuple[Tuple[str, Tuple[Tuple[str, Tuple[str, ...]], ...]], ...] = (
@@ -294,7 +317,14 @@ def pytest_configure(config) -> None:
 
 
 class HistoryHashes:
-    """Hashes every history the session's tests produce, per test id."""
+    """Hashes every history the session's tests produce, per test id.
+
+    An exception in the hashing itself is the plugin's, not the test's:
+    raised into the test, it would fail that test alike on both trees, and
+    two equal failures compare as no difference.  It is kept apart in
+    ``errors`` instead, and a session with any refuses to be compared
+    (pytest exits with ``INTERNAL_ERROR``; :func:`run_suites` names the
+    tests)."""
 
     def __init__(self, path: str, allow: Allow) -> None:
         from repro.kernel.sync import SyncKernel
@@ -302,6 +332,7 @@ class HistoryHashes:
 
         self.path = path
         self.tests: Dict[str, Dict[str, object]] = {}
+        self.errors: List[str] = []
         self.current = ""
         record = self.record
         original_init, original_run = RuntimeResult.__init__, SyncKernel.run
@@ -322,13 +353,17 @@ class HistoryHashes:
         return self.tests.setdefault(nodeid, {"outcome": "passed", "runs": []})
 
     def record(self, kind: str, result: object, allow: Allow) -> None:
-        self.entry(self.current)["runs"].append(
-            {
-                "kind": kind,
-                "hashes": history_components(result, allow),
-                "raw": history_components(result, Allow()),
-            }
-        )
+        try:
+            hashes = history_components(result, allow)
+            raw = history_components(result, Allow())
+        except Exception as error:  # the plugin's own failure: kept apart
+            where = traceback.extract_tb(error.__traceback__)[-1]
+            self.errors.append(
+                f"{self.current}: {type(error).__name__}: {error} "
+                f"(at {where.filename}:{where.lineno})"
+            )
+            return
+        self.entry(self.current)["runs"].append({"kind": kind, "hashes": hashes, "raw": raw})
 
     def pytest_runtest_setup(self, item) -> None:
         self.current = item.nodeid
@@ -340,11 +375,19 @@ class HistoryHashes:
         elif report.skipped:
             entry["outcome"] = "skipped"
 
-    def pytest_sessionfinish(self) -> None:
+    def pytest_sessionfinish(self, session) -> None:
+        import pytest
         import repro
 
         with open(self.path, "w", encoding="utf-8") as handle:
-            json.dump({"repro": repro.__file__, "tests": self.tests}, handle, indent=1)
+            document = {"repro": repro.__file__, "tests": self.tests, "errors": self.errors}
+            json.dump(document, handle, indent=1)
+        if self.errors:
+            session.exitstatus = pytest.ExitCode.INTERNAL_ERROR
+
+    def pytest_terminal_summary(self, terminalreporter) -> None:
+        for error in self.errors:
+            terminalreporter.write_line(f"same_histories: hashing failed in {error}")
 
 
 # --------------------------------------------------------------------- #
@@ -352,13 +395,35 @@ class HistoryHashes:
 # --------------------------------------------------------------------- #
 
 
+def portable(node: object) -> object:
+    """Parsed codec data in one layout whatever codec version wrote it:
+    a quoted ``json`` value parsed in place, and a bag's ``columns`` /
+    ``counts`` as the ``[row, count]`` pairs codec v5 wrote.  Two trees
+    either side of a format change then hash equal states equal."""
+    if isinstance(node, list):
+        return [portable(item) for item in node]
+    if not isinstance(node, dict):
+        return node
+    if node.get("$") == "json":
+        return portable(json.loads(node["text"]))
+    if "columns" in node:
+        rows = zip(*node["columns"])
+        pairs = [[{"$": "tuple", "items": list(row)}, n] for row, n in zip(rows, node["counts"])]
+        return {"$": node["$"], "pairs": pairs}
+    return {key: portable(value) for key, value in node.items()}
+
+
 def recovered_state(directory: str) -> Dict[str, object]:
-    """What ``recover`` rebuilds from one WAL directory, as hashes."""
+    """What ``recover`` rebuilds from one WAL directory, as hashes of
+    its :func:`portable` encoding."""
     from repro.durability import recover
     from repro.durability.codec import canonical_json, encode_algorithm, encode_value
 
     def text_hash(text: str) -> str:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+    def value_hash(data: object) -> str:
+        return text_hash(canonical_json(portable(data)))
 
     try:
         result = recover(directory)
@@ -368,16 +433,17 @@ def recovered_state(directory: str) -> Dict[str, object]:
     state = encode_algorithm(algorithm)
     if not isinstance(state, str):
         state = canonical_json(state)
+    state = canonical_json(portable(json.loads(state)))
     stats = getattr(algorithm, "shared_query_stats", None)
     return {
-        "view": text_hash(canonical_json(encode_value(algorithm.view_state()))),
+        "view": value_hash(encode_value(algorithm.view_state())),
         # View contents, COLLECT, UQS queries, configuration: everything
         # but the planner's counts (codec v5 holds them), which follow.
         "state": text_hash(_PLANNER_COUNTS.sub("", state)),
         "planner": list(stats()) if stats is not None else None,
         "uqs": list(algorithm.pending_query_ids()),
         "reissue": [
-            [destination, request.query_id, text_hash(canonical_json(encode_value(request.query)))]
+            [destination, request.query_id, value_hash(encode_value(request.query))]
             for destination, request in result.reissue
         ],
         "replayed": result.replayed,
@@ -479,6 +545,14 @@ def row_label(row: Row) -> str:
 # --------------------------------------------------------------------- #
 
 
+def from_a_source(channel: str) -> bool:
+    """Whether a channel carries what a source sends the warehouse: its
+    update notifications and its answers."""
+    return not channel.startswith("client-") and (
+        channel.endswith("->wh") or "=>shard" in channel
+    )
+
+
 def normalize_stdout(text: str, allow: Allow) -> List[str]:
     """Stdout lines as single-spaced tokens (a column that narrows must
     not move its neighbours), wall-clock lines and allowed cells masked."""
@@ -493,6 +567,8 @@ def normalize_stdout(text: str, allow: Allow) -> List[str]:
         elif tokens[:4] == ["channel", "sent", "delivered", "bytes"]:
             bytes_at = 3
         elif bytes_at is not None and "wh-bytes" in allow and tokens[0].startswith("wh->"):
+            tokens[bytes_at] = "*"
+        elif bytes_at is not None and "answer-bytes" in allow and from_a_source(tokens[0]):
             tokens[bytes_at] = "*"
         elif "wal-layout" in allow and tokens[0] == "WAL:":
             tokens = ["WAL:", "*"]
@@ -527,10 +603,12 @@ def normalize_metrics(path: str, allow: Allow) -> Dict[str, object]:
             labels = series["labels"]
             if name == "repro_run" and labels.get("stat") == "wall_seconds":
                 continue
-            if "wh-bytes" in allow and name == "repro_channel_bytes_total" and str(
-                labels.get("channel", "")
-            ).startswith("wh->"):
-                continue
+            if name == "repro_channel_bytes_total":
+                channel = str(labels.get("channel", ""))
+                if "wh-bytes" in allow and channel.startswith("wh->"):
+                    continue
+                if "answer-bytes" in allow and from_a_source(channel):
+                    continue
             if "wal-layout" in allow and (
                 name in _WAL_LAYOUT_SERIES
                 or (name == "repro_wal_append_total" and labels.get("type") != "recv")
@@ -673,21 +751,29 @@ def run_suites(tree: Tree, tests_from: Tree, allow: Allow, out: str) -> Dict[str
     """The parent's suites against ``tree``'s src; the plugin's hashes.
 
     Only a session that reached every suite counts: pytest exits 0 or 1
-    (a failed test is an outcome to compare) and each of :data:`SUITES`
-    ran tests.  A suite that fails to collect on both trees would
-    otherwise compare equal by being absent from both."""
+    (a failed test is an outcome to compare), each of :data:`SUITES`
+    ran tests and the plugin's hashing raised nothing.  A suite that
+    fails to collect on both trees would otherwise compare equal by being
+    absent from both, and so would a test the plugin broke on both."""
     args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "same_histories"]
     args += ["--histories-out", out]
     for name in sorted(allow):
         args += ["--histories-allow", name]
     done = tree.python(args + list(SUITES), cwd=tests_from.path)
     output = f"{done.stdout}{done.stderr}"
-    if done.returncode not in (0, 1) or not os.path.exists(out):
+    recorded = None
+    if os.path.exists(out):
+        with open(out, encoding="utf-8") as handle:
+            recorded = json.load(handle)
+        if recorded.get("errors"):
+            raise SystemExit(
+                f"the hashing plugin failed on {tree.label}, so its hashes are not "
+                f"the tests' histories:\n  " + "\n  ".join(recorded["errors"])
+            )
+    if done.returncode not in (0, 1) or recorded is None:
         raise SystemExit(
             f"suites did not run on {tree.label} (pytest exit {done.returncode}):\n{output}"
         )
-    with open(out, encoding="utf-8") as handle:
-        recorded = json.load(handle)
     if not os.path.abspath(recorded["repro"]).startswith(tree.src + os.sep):
         raise SystemExit(f"suites imported {recorded['repro']}, not {tree.label}'s src")
     tests = recorded["tests"]
@@ -706,7 +792,7 @@ def compare_suites(parent: Dict, change: Dict, report: Report, allow: Allow) -> 
         if a is None or b is None:
             report.differences.append((nodeid, "test", "only in one tree"))
             continue
-        if "class-placement" in allow and nodeid in SPLIT_TESTS:
+        if any(nodeid in OUTCOME_TESTS[name] for name in allow if name in OUTCOME_TESTS):
             if (a["outcome"], len(a["runs"])) != (b["outcome"], len(b["runs"])):
                 report.allowed.setdefault("suite tests", set()).add(nodeid)
             if len(a["runs"]) != len(b["runs"]):
