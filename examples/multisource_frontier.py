@@ -15,18 +15,23 @@ interleavings, and measures:
    key-complete views (action list + delete filters + quiescent apply,
    after the authors' own 1996 follow-up), correct on every run.
 
+Each run is classified once, by :func:`repro.check_cuts` over the cuts
+of the two sources' histories; the tables count the runs that converge,
+stay cut consistent and are complete (stored copies on every run).
+
 Run:  python examples/multisource_frontier.py
 """
 
-from repro import MemorySource, RandomSchedule, RelationSchema, View, check_trace
-from repro.kernel import SyncKernel
-from repro.multisource import (
-    FragmentingIncremental,
-    MultiSourceStoredCopies,
-    StrobeStyle,
-    check_cut_consistency,
-    check_cut_convergence,
+from repro import (
+    MemorySource,
+    RandomSchedule,
+    RelationSchema,
+    View,
+    check_cuts,
+    check_trace,
 )
+from repro.kernel import SyncKernel
+from repro.multisource import FragmentingIncremental, MultiSourceStoredCopies, StrobeStyle
 from repro.relational.engine import evaluate_view
 from repro.workloads import random_workload
 
@@ -57,9 +62,9 @@ def build(kind):
 
 def main() -> None:
     stats = {
-        "naive": {"converged": 0, "cut_consistent": 0, "spanning": 0},
-        "sc": {"converged": 0, "cut_consistent": 0, "global_consistent": 0},
-        "strobe": {"converged": 0, "cut_consistent": 0},
+        "naive": {"converged": 0, "cut_consistent": 0, "complete": 0, "spanning": 0},
+        "sc": {"converged": 0, "cut_consistent": 0, "complete": 0, "global_consistent": 0},
+        "strobe": {"converged": 0, "cut_consistent": 0, "complete": 0},
     }
     for seed in range(RUNS):
         workload = random_workload(
@@ -70,12 +75,10 @@ def main() -> None:
             sim = SyncKernel(sources, algorithm, list(workload))
             trace = sim.run(RandomSchedule(seed * 3 + 1))
             entry = stats[kind]
-            entry["converged"] += check_cut_convergence(
-                view, sim.per_source_states, trace.final_view_state
-            )
-            entry["cut_consistent"] += check_cut_consistency(
-                view, sim.per_source_states, trace.view_states
-            )
+            report = check_cuts(view, sim.per_source_states, trace.view_states)
+            entry["converged"] += report.convergent
+            entry["cut_consistent"] += report.consistent
+            entry["complete"] += report.complete
             if kind == "naive":
                 entry["spanning"] += algorithm.spanning_queries
             elif kind == "sc":
@@ -86,11 +89,13 @@ def main() -> None:
     print("naive fragmenting incremental (Algorithm 5.1 transplanted):")
     print(f"  converged:        {naive['converged']}/{RUNS}")
     print(f"  cut-consistent:   {naive['cut_consistent']}/{RUNS}")
+    print(f"  complete:         {naive['complete']}/{RUNS}")
     print(f"  cross-source (spanning) queries issued: {naive['spanning']}")
     print()
     print("stored copies (SC):")
     print(f"  converged:        {sc['converged']}/{RUNS}")
     print(f"  cut-consistent:   {sc['cut_consistent']}/{RUNS}")
+    print(f"  complete:         {sc['complete']}/{RUNS}")
     print(
         f"  consistent vs the actual global order: "
         f"{sc['global_consistent']}/{RUNS}  "
@@ -101,8 +106,9 @@ def main() -> None:
     print("strobe-style (action list + delete filters + quiescent apply):")
     print(f"  converged:        {strobe['converged']}/{RUNS}")
     print(f"  cut-consistent:   {strobe['cut_consistent']}/{RUNS}")
+    print(f"  complete:         {strobe['complete']}/{RUNS}")
 
-    assert sc["converged"] == RUNS and sc["cut_consistent"] == RUNS
+    assert sc["converged"] == sc["cut_consistent"] == sc["complete"] == RUNS
     assert strobe["converged"] == RUNS and strobe["cut_consistent"] == RUNS
     assert naive["converged"] < RUNS
     print(

@@ -29,6 +29,7 @@ Quickstart::
 from repro.consistency import (
     ConsistencyReport,
     StalenessReport,
+    check_cuts,
     check_trace,
     staleness_profile,
 )
@@ -181,6 +182,7 @@ __all__ = [
     "WarehouseCatalog",
     "WorstCaseSchedule",
     "attr",
+    "check_cuts",
     "check_trace",
     "create_algorithm",
     "delete",

@@ -201,12 +201,11 @@ def _fanout_topology(n_sources: int, updates: int, seed: int, algorithm: str = "
 
 
 def cmd_runtime(args: argparse.Namespace) -> int:
-    from repro.consistency import check_trace
+    from repro.consistency import check_cuts
     from repro.core.registry import ALGORITHMS, create_algorithm
     from repro.errors import ProtocolError
     from repro.experiments.report import render_table
     from repro.messaging.wire import create_codec
-    from repro.multisource.consistency import cut_report
     from repro.relational.engine import evaluate_view
     from repro.relational.schema import RelationSchema
     from repro.relational.views import View
@@ -408,19 +407,12 @@ def cmd_runtime(args: argparse.Namespace) -> int:
     finally:
         if temp_wal is not None:
             temp_wal.cleanup()
-    if multi or args.shards:
-        # A spanning view has no global source-state sequence, and shards
-        # interleave independently, so neither does a merged trace: classify
-        # against monotone consistent cuts of the per-source histories (a
-        # sharded run's catalog stands in as the tagged oracle).
-        report = cut_report(
-            checkable,
-            result.per_source_states,
-            result.trace.view_states,
-            result.final_view,
-        )
-    else:
-        report = check_trace(checkable, result.trace)
+    # Every run is judged over the cuts of its per-source histories: a
+    # single source is the one-coordinate case, and a sharded run's
+    # catalog stands in as the tagged oracle.
+    report = check_cuts(
+        checkable, result.per_source_states, result.trace.view_states
+    )
 
     print(render_table("Per-actor metrics", result.metrics_table()))
     print()

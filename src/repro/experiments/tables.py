@@ -10,7 +10,7 @@ from collections import defaultdict
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.consistency import check_trace, staleness_profile
+from repro.consistency import check_cuts, check_trace, staleness_profile
 from repro.core.batch import BatchECA
 from repro.core.eca import ECA
 from repro.core.recompute import RecomputeView
@@ -23,8 +23,6 @@ from repro.multisource import (
     FragmentingIncremental,
     MultiSourceStoredCopies,
     StrobeStyle,
-    check_cut_consistency,
-    check_cut_convergence,
 )
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
@@ -217,9 +215,9 @@ def staleness_rows(
 
 def multisource_rows(runs: int = 15) -> List[Dict[str, object]]:
     """E13 — how often the naive fragmenting transplant, multi-source
-    stored copies and the Strobe-style algorithm converge and stay cut
-    consistent over ``runs`` random interleavings of a view split across
-    two sources."""
+    stored copies and the Strobe-style algorithm converge, stay cut
+    consistent and are complete over ``runs`` random interleavings of a
+    view split across two sources."""
     r1 = RelationSchema("r1", ("W", "X"), key=("W",))
     r2 = RelationSchema("r2", ("X", "Y"), key=("Y",))
     r3 = RelationSchema("r3", ("Y", "Z"), key=("Z",))
@@ -231,7 +229,7 @@ def multisource_rows(runs: int = 15) -> List[Dict[str, object]]:
         "sc": partial(MultiSourceStoredCopies, view_def, owners),
         "strobe": lambda start, merged: StrobeStyle(view_def, owners, start),
     }
-    totals = {kind: {"converged": 0, "cut": 0} for kind in algorithms}
+    totals = {kind: {"converged": 0, "cut": 0, "complete": 0} for kind in algorithms}
     for seed in range(runs):
         workload = random_workload(
             [r1, r2, r3], 8, seed=seed, initial=initial, respect_keys=True
@@ -243,17 +241,16 @@ def multisource_rows(runs: int = 15) -> List[Dict[str, object]]:
             algo = build(evaluate_view(view_def, merged), merged)
             sim = SyncKernel({"A": a, "B": b}, algo, list(workload))
             trace = sim.run(RandomSchedule(seed * 3 + 1))
-            totals[kind]["converged"] += check_cut_convergence(
-                view_def, sim.per_source_states, trace.final_view_state
-            )
-            totals[kind]["cut"] += check_cut_consistency(
-                view_def, sim.per_source_states, trace.view_states
-            )
+            report = check_cuts(view_def, sim.per_source_states, trace.view_states)
+            totals[kind]["converged"] += report.convergent
+            totals[kind]["cut"] += report.consistent
+            totals[kind]["complete"] += report.complete
     return [
         {
             "algorithm": kind,
             "converged": f"{data['converged']}/{runs}",
             "cut-consistent": f"{data['cut']}/{runs}",
+            "complete": f"{data['complete']}/{runs}",
         }
         for kind, data in totals.items()
     ]

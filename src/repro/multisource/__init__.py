@@ -29,9 +29,14 @@ algorithms of their 1996 follow-up):
   filters, quiescent apply);
 - :mod:`repro.multisource.sweep` — :class:`SweepStyle`, a correct
   query-based algorithm with **no key requirement** (sequential
-  per-relation sweeps, locally computed interference corrections);
-- :mod:`repro.multisource.consistency` — *cut consistency*, the
-  attainable multi-source analogue of Section 3.1's hierarchy.
+  per-relation sweeps, locally computed interference corrections).
+
+There is no global order of source states across sources, so a run is
+judged over *cuts* — one prefix of each source's history — by the one
+checker, :func:`repro.consistency.check_cuts`, at every level of
+Section 3.1.  Asserted on the property workloads: SWEEP and stored
+copies are complete, Strobe strongly consistent (complete on most runs,
+not all), and the fragmenting transplant falls below consistent on some.
 
 The integration tests quantify the failure: fragments of one query are
 evaluated against *different* global states, an effect no per-source
@@ -39,11 +44,6 @@ compensation can see.
 """
 
 from repro.multisource.algorithms import FragmentingIncremental, MultiSourceStoredCopies
-from repro.multisource.consistency import (
-    check_cut_consistency,
-    check_cut_convergence,
-    cut_report,
-)
 from repro.multisource.fragment import FragmentPlan, fragment_query
 from repro.multisource.strobe import StrobeStyle
 from repro.multisource.sweep import SweepStyle
@@ -54,8 +54,5 @@ __all__ = [
     "MultiSourceStoredCopies",
     "StrobeStyle",
     "SweepStyle",
-    "check_cut_consistency",
-    "check_cut_convergence",
-    "cut_report",
     "fragment_query",
 ]

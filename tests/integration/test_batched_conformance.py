@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consistency import check_trace
+from repro.consistency import check_cuts, check_trace
 from repro.core.registry import create_algorithm
 from repro.core.stored_copies import StoredCopies
-from repro.multisource.consistency import cut_report
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
@@ -189,17 +188,9 @@ class TestMultiSourceBatchedConformance:
             result.action_log, twin_sources, twin_algo, MULTI_WORKLOADS
         )
         assert_conforms(result, kernel)
-        live = cut_report(
-            view,
-            result.per_source_states,
-            result.trace.view_states,
-            result.final_view,
-        )
-        replayed = cut_report(
-            twin_view,
-            kernel.per_source_states,
-            kernel.trace.view_states,
-            kernel.algorithm.view_state(),
+        live = check_cuts(view, result.per_source_states, result.trace.view_states)
+        replayed = check_cuts(
+            twin_view, kernel.per_source_states, kernel.trace.view_states
         )
         assert live.level() == replayed.level()
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consistency import check_trace
+from repro.consistency import check_cuts, check_trace
 from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.core.stored_copies import StoredCopies
 from repro.errors import ProtocolError, SimulationError
@@ -22,7 +22,6 @@ from repro.kernel import replay_concurrent
 from repro.kernel.dispatch import dispatch_event
 from repro.kernel.sync import SyncKernel
 from repro.messaging.messages import UpdateNotification
-from repro.multisource.consistency import cut_report
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
@@ -208,13 +207,9 @@ class TestMultiSourceConformance:
         )
         assert_conforms(result, kernel)
         # Identical executions classify identically under cut consistency.
-        live = cut_report(
-            view, result.per_source_states, result.trace.view_states,
-            result.final_view,
-        )
-        replayed = cut_report(
-            twin_view, kernel.per_source_states, kernel.trace.view_states,
-            kernel.algorithm.view_state(),
+        live = check_cuts(view, result.per_source_states, result.trace.view_states)
+        replayed = check_cuts(
+            twin_view, kernel.per_source_states, kernel.trace.view_states
         )
         assert live.level() == replayed.level()
         if name in ("strobe", "sweep", "multi-stored-copies"):

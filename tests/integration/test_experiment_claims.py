@@ -161,4 +161,5 @@ def test_e13_the_naive_transplant_fails_where_sc_and_strobe_never_do():
     rows = {row["algorithm"]: row for row in multisource_rows(runs=25)}
     for kind in ("sc", "strobe"):
         assert rows[kind]["converged"] == rows[kind]["cut-consistent"] == "25/25"
+    assert rows["sc"]["complete"] == "25/25"
     assert int(rows["naive"]["converged"].split("/")[0]) < 25

@@ -8,14 +8,12 @@ cut-consistent because they never query the sources.
 
 import pytest
 
-from repro.consistency import check_trace
+from repro.consistency import check_cuts, check_trace
 from repro.core.registry import create_algorithm
 from repro.kernel import REFRESH, SyncKernel
 from repro.multisource import (
     FragmentingIncremental,
     MultiSourceStoredCopies,
-    check_cut_consistency,
-    check_cut_convergence,
     fragment_query,
 )
 from repro.relational.bag import SignedBag
@@ -138,9 +136,9 @@ class TestNaiveTransplantIsAnomalous:
             view, sources, algorithm = build("naive")
             sim = SyncKernel(sources, algorithm, workload)
             sim.run(RandomSchedule(seed * 3 + 1))
-            if not check_cut_convergence(
-                view, sim.per_source_states, sim.trace.final_view_state
-            ):
+            if not check_cuts(
+                view, sim.per_source_states, sim.trace.view_states
+            ).convergent:
                 failures += 1
         assert failures > 0, (
             "the naive multi-source transplant should break on some "
@@ -161,10 +159,8 @@ class TestStoredCopiesAcrossSources:
         view, sources, algorithm = build("sc")
         sim = SyncKernel(sources, algorithm, workload)
         trace = sim.run(RandomSchedule(seed * 7 + 3))
-        assert check_cut_consistency(view, sim.per_source_states, trace.view_states)
-        assert check_cut_convergence(
-            view, sim.per_source_states, trace.final_view_state
-        )
+        report = check_cuts(view, sim.per_source_states, trace.view_states)
+        assert report.strongly_consistent, report.detail
 
     def test_refresh_markers_flow_through_the_client_channel(self):
         """REFRESH in a multi-source workload rides the implicit client
@@ -181,7 +177,7 @@ class TestStoredCopiesAcrossSources:
             "client refresh #2",
         ]
         assert sum(1 for event in trace.events if event.kind == W_REF) == 2
-        assert check_cut_consistency(view, sim.per_source_states, trace.view_states)
+        assert check_cuts(view, sim.per_source_states, trace.view_states).consistent
 
     def test_refresh_flushes_deferred_maintenance_across_sources(self):
         """Deferred maintenance in a multi-source topology: source A owns
@@ -238,9 +234,9 @@ class TestStoredCopiesAcrossSources:
             view, sources, algorithm = build("sc")
             sim = SyncKernel(sources, algorithm, workload)
             trace = sim.run(RandomSchedule(seed + 100))
-            assert check_cut_consistency(
+            assert check_cuts(
                 view, sim.per_source_states, trace.view_states
-            )
+            ).consistent
             if not check_trace(view, trace).consistent:
                 saw_global_violation = True
         assert saw_global_violation

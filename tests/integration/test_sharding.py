@@ -26,13 +26,13 @@ import os
 
 import pytest
 
+from repro.consistency import check_cuts
 from repro.core.eca import ECA
 from repro.durability.crash import CrashPolicy
 from repro.errors import ProtocolError, SimulationError, TransportClosed, WalLocked
 from repro.kernel import replay_concurrent
 from repro.kernel.dispatch import relation_owners
 from repro.messaging.messages import QueryAnswer
-from repro.multisource.consistency import check_cut_consistency, cut_report
 from repro.obs import Observability
 from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
@@ -269,11 +269,8 @@ class TestShardedBatching:
         ]
         assert any(row["batched_updates"] > 0 for row in shard_rows)
         assert any("@" in action for action in sharded.action_log)
-        report = cut_report(
-            catalog,
-            sharded.per_source_states,
-            sharded.trace.view_states,
-            sharded.final_view,
+        report = check_cuts(
+            catalog, sharded.per_source_states, sharded.trace.view_states
         )
         assert report.strongly_consistent, report.detail
 
@@ -343,11 +340,8 @@ class TestCrossShardCutConsistency:
             sources, catalog, workloads, clients=0, seed=13, shards=2,
             faults=plan,
         )
-        report = cut_report(
-            catalog,
-            result.per_source_states,
-            result.trace.view_states,
-            result.final_view,
+        report = check_cuts(
+            catalog, result.per_source_states, result.trace.view_states
         )
         assert report.consistent and report.convergent, report.detail
 
@@ -360,11 +354,11 @@ class TestCrossShardCutConsistency:
         for name, shard in result.shard_info["assignment"].items():
             member = shard_catalogs[shard].algorithms[name]
             prefix = name.replace("V", "s")
-            assert check_cut_consistency(
+            assert check_cuts(
                 member.view,
                 {prefix: result.per_source_states[prefix]},
                 project_view(result.trace, name).view_states,
-            ), f"{name} on shard {shard} left its source-state prefix path"
+            ).consistent, f"{name} on shard {shard} left its source-state prefix path"
 
 
 class TestShardCrashRecovery:

@@ -8,13 +8,10 @@ naive transplant fails about half the time.
 
 import pytest
 
+from repro.consistency import check_cuts
 from repro.errors import ProtocolError, SchemaError
 from repro.kernel import SyncKernel
-from repro.multisource import (
-    FragmentingIncremental,
-    check_cut_consistency,
-    check_cut_convergence,
-)
+from repro.multisource import FragmentingIncremental
 from repro.multisource.strobe import StrobeStyle
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
@@ -71,12 +68,8 @@ class TestCorrectness:
         view, sources, algorithm = build()
         sim = SyncKernel(sources, algorithm, workload)
         trace = sim.run(RandomSchedule(seed * 13 + 5))
-        assert check_cut_consistency(
-            view, sim.per_source_states, trace.view_states
-        )
-        assert check_cut_convergence(
-            view, sim.per_source_states, trace.final_view_state
-        )
+        report = check_cuts(view, sim.per_source_states, trace.view_states)
+        assert report.strongly_consistent, report.detail
         assert algorithm.is_quiescent()
 
     def test_beats_the_naive_transplant_on_the_same_runs(self):
@@ -88,9 +81,9 @@ class TestCorrectness:
             view, sources, strobe = build()
             sim = SyncKernel(sources, strobe, list(workload))
             sim.run(RandomSchedule(seed * 3 + 1))
-            if not check_cut_convergence(
-                view, sim.per_source_states, sim.trace.final_view_state
-            ):
+            if not check_cuts(
+                view, sim.per_source_states, sim.trace.view_states
+            ).convergent:
                 strobe_failures += 1
 
             view2 = keyed_view()
@@ -100,9 +93,9 @@ class TestCorrectness:
             naive = FragmentingIncremental(view2, OWNERS, evaluate_view(view2, merged))
             sim2 = SyncKernel({"A": a, "B": b}, naive, list(workload))
             sim2.run(RandomSchedule(seed * 3 + 1))
-            if not check_cut_convergence(
-                view2, sim2.per_source_states, sim2.trace.final_view_state
-            ):
+            if not check_cuts(
+                view2, sim2.per_source_states, sim2.trace.view_states
+            ).convergent:
                 naive_failures += 1
         assert strobe_failures == 0
         assert naive_failures > 0
@@ -126,9 +119,9 @@ class TestCorrectness:
             sim.step(action)
         while sim.available_actions():
             sim.step(sim.available_actions()[0])
-        assert check_cut_convergence(
-            view, sim.per_source_states, sim.trace.final_view_state
-        )
+        assert check_cuts(
+            view, sim.per_source_states, sim.trace.view_states
+        ).convergent
         # The deleted tuple's derivations must not survive.
         assert all(row[0] != 4 for row in algorithm.view_state().rows())
 
@@ -142,6 +135,6 @@ class TestCorrectness:
             view, sources, algorithm = build()
             sim = SyncKernel(sources, algorithm, workload)
             trace = sim.run(RandomSchedule(seed))
-            assert check_cut_consistency(
+            assert check_cuts(
                 view, sim.per_source_states, trace.view_states
-            )
+            ).consistent

@@ -7,10 +7,10 @@ convergent on every interleaving.
 
 import pytest
 
+from repro.consistency import check_cuts
 from repro.errors import ProtocolError, SchemaError
 from repro.kernel import SyncKernel
 from repro.messaging.messages import QueryAnswer
-from repro.multisource import check_cut_consistency, check_cut_convergence
 from repro.multisource.sweep import SweepStyle
 from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
@@ -65,10 +65,8 @@ class TestCorrectness:
         view, sources, algorithm = build()
         sim = SyncKernel(sources, algorithm, workload)
         trace = sim.run(RandomSchedule(seed * 17 + 3))
-        assert check_cut_consistency(view, sim.per_source_states, trace.view_states)
-        assert check_cut_convergence(
-            view, sim.per_source_states, trace.final_view_state
-        )
+        report = check_cuts(view, sim.per_source_states, trace.view_states)
+        assert report.strongly_consistent, report.detail
         assert algorithm.is_quiescent()
 
     def test_duplicates_maintained(self):
@@ -111,9 +109,9 @@ class TestCorrectness:
         for source in sources.values():
             merged.update(source.snapshot())
         assert algorithm.view_state() == evaluate_view(view, merged)
-        assert check_cut_consistency(
+        assert check_cuts(
             view, sim.per_source_states, sim.trace.view_states
-        )
+        ).consistent
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hop_corrections_equal_the_reference_evaluator(self, seed, monkeypatch):

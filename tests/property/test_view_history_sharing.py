@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 import pytest
 
 from reference_recorder import recording_both, relation_sharing, sharing
-from repro.consistency import check_trace, staleness_profile
+from repro.consistency import check_cuts, check_trace, staleness_profile
 from repro.core.eca import ECA
 from repro.core.eca_key import ECAKey
 from repro.core.lazy import LCA
@@ -43,7 +43,6 @@ from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.durability.crash import CrashPolicy
 from repro.errors import SimulationError, ViewStateError
 from repro.kernel.sync import SyncKernel
-from repro.multisource.consistency import check_cut_consistency
 from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
@@ -361,11 +360,9 @@ def assert_same_history(recorder, checkable):
         assert relation_sharing(per_source[name]) == relation_sharing(states)
     ours, theirs = check_trace(checkable, folded), check_trace(checkable, eager)
     assert (ours.level(), ours.detail) == (theirs.level(), theirs.detail)
-    assert check_cut_consistency(
-        checkable, per_source, folded.view_states
-    ) == check_cut_consistency(
-        checkable, recorder.eager.per_source_states, eager.view_states
-    )
+    ours = check_cuts(checkable, per_source, folded.view_states)
+    theirs = check_cuts(checkable, recorder.eager.per_source_states, eager.view_states)
+    assert (ours.level(), ours.witness) == (theirs.level(), theirs.witness)
     ours = staleness_profile(checkable, folded)
     theirs = staleness_profile(checkable, eager)
     assert (ours.lags, ours.unmatched) == (theirs.lags, theirs.unmatched)

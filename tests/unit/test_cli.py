@@ -227,13 +227,24 @@ class TestShardedRuntimeCli:
         assert "range partitioner" in out
 
     def test_require_consistent_fails_non_consistent_runs(self, capsys):
-        # The unsharded 2-view catalog trace is only convergent (mutual
-        # consistency fails across views), so the gate must trip.
+        # The fragmenting transplant reads one query's fragments at
+        # different cuts: this run's view holds rows no cut's view does,
+        # so the gate must trip.
+        assert main([
+            "runtime", "--algorithm", "fragmenting-incremental", "--sources", "2",
+            "--updates", "4", "--seed", "3", "--require-consistent",
+        ]) == 1
+        assert "--require-consistent" in capsys.readouterr().err
+
+    def test_an_unsharded_catalog_is_judged_over_cuts(self, capsys):
+        # Two views over two autonomous sources: the tagged union may show
+        # one source's update before the other's earlier one.  No global
+        # order binds two sources, so that is a consistent cut.
         assert main([
             "runtime", "--sources", "2", "--updates", "4", "--seed", "3",
             "--require-consistent",
-        ]) == 1
-        assert "--require-consistent" in capsys.readouterr().err
+        ]) == 0
+        assert "consistency:        strongly consistent" in capsys.readouterr().out
 
     def test_shards_reject_spanning_algorithms(self, capsys):
         assert main([

@@ -22,6 +22,7 @@ from same_histories import (  # noqa: E402
     V6_FIXTURE_TESTS,
     Report,
     Tree,
+    compare_row,
     compare_suites,
     conflicts,
     history_components,
@@ -193,6 +194,106 @@ class TestAllowances:
         assert normalize_trace(str(paths[0]), frozenset()) != normalize_trace(
             str(paths[1]), frozenset()
         )
+
+
+class TestOneChecker:
+    """``one-checker``: the one checker over cuts may call a run complete
+    that the parent called strongly consistent, and the parent's suites
+    read the cut functions it deleted."""
+
+    @staticmethod
+    def side(level, exit_code=0):
+        stdout = f"updates executed:   8\nconsistency:        {level}\nquiesce latency:    0.00\n"
+        stderr = "" if exit_code == 0 else (
+            f"FAIL: run is {level}, --require-consistent demands a consistent "
+            "and convergent execution\n"
+        )
+        return {"exit": exit_code, "stdout": stdout, "stderr": stderr}
+
+    #: The matrix's default row (no metrics or trace files: both sides read none).
+    ROW = {"algorithm": "eca", **{name: values[0][0] for name, values in AXES}}
+
+    def compared(self, parent, change, allow=frozenset({"one-checker"})):
+        report = Report()
+        results = {"parent": parent, "change": change}
+        compare_row(0, self.ROW, "/nonexistent", results, report, allow)
+        return report
+
+    def test_complete_where_the_parent_read_strong_differs_only_as_allowed(self):
+        report = self.compared(self.side("strongly consistent"), self.side("complete"))
+        assert report.differences == []
+        assert report.allowed == {"matrix rows": {"row 0 [eca]"}}
+
+    def test_a_verdict_that_rises_past_the_gate_takes_its_exit_and_fail_line_along(self):
+        report = self.compared(self.side("convergent", 1), self.side("strongly consistent"))
+        assert report.differences == []
+        assert report.allowed == {"matrix rows": {"row 0 [eca]"}}
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ("strongly consistent", "consistent"),
+            ("complete", "strongly consistent"),
+            ("consistent", "weakly consistent"),
+        ],
+    )
+    def test_a_verdict_that_drops_still_shows(self, before, after):
+        exit_code = 0 if after in ("consistent", "strongly consistent") else 1
+        report = self.compared(self.side(before), self.side(after, exit_code))
+        assert ("row 0 [eca]", "stdout") in {
+            (where, what) for where, what, _ in report.differences
+        }
+
+    def test_without_the_allowance_a_rise_is_a_difference(self):
+        report = self.compared(
+            self.side("strongly consistent"), self.side("complete"), frozenset()
+        )
+        assert [what for _, what, _ in report.differences] == ["stdout"]
+
+    PROBE = (
+        "from repro.consistency import check_cuts\n"
+        "from repro.multisource import check_cut_consistency as exported\n"
+        "from repro.multisource.consistency import (\n"
+        "    check_cut_consistency, check_cut_convergence, cut_report,\n"
+        ")\n"
+        "from test_strobe_properties import build, R1, R2, R3, INITIAL\n"
+        "from repro.kernel import SyncKernel\n"
+        "from repro.simulation.schedules import RandomSchedule\n"
+        "from repro.workloads.random_gen import random_workload\n"
+        "\n"
+        "def test_the_cut_functions_are_the_one_checkers():\n"
+        "    view, sources, algorithm = build()\n"
+        "    workload = random_workload([R1, R2, R3], 5, seed=3, initial=INITIAL,\n"
+        "                               respect_keys=True)\n"
+        "    kernel = SyncKernel(sources, algorithm, workload)\n"
+        "    trace = kernel.run(RandomSchedule(22))\n"
+        "    states, views = kernel.per_source_states, trace.view_states\n"
+        "    report = check_cuts(view, states, views)\n"
+        "    assert exported is check_cut_consistency\n"
+        "    assert check_cut_consistency(view, states, views) == report.consistent\n"
+        "    assert check_cut_convergence(view, states, views[-1]) == report.convergent\n"
+        "    assert cut_report(view, states, views, views[-1]).level() == report.level()\n"
+    )
+
+    def test_a_tree_without_the_cut_module_gets_them_from_the_one_checker(
+        self, tmp_path
+    ):
+        (tmp_path / "test_probe.py").write_text(self.PROBE)
+        tree = Tree(str(REPO_ROOT), str(tmp_path), "change")
+        args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "same_histories"]
+        args += ["--rootdir", str(tmp_path), "--histories-out", str(tmp_path / "h.json")]
+        env_path = str(REPO_ROOT / "tests" / "property")
+        done = tree.python(
+            args + ["--histories-allow", "one-checker", "-o", f"pythonpath={env_path}",
+                    "test_probe.py"],
+            cwd=str(tmp_path),
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        without = tree.python(
+            args + ["-o", f"pythonpath={env_path}", "test_probe.py"], cwd=str(tmp_path)
+        )
+        assert without.returncode == pytest.ExitCode.INTERRUPTED
+        assert "cannot import name 'check_cut_consistency'" in without.stdout
 
 
 class TestHistoryHashes:

@@ -89,6 +89,14 @@ ALLOWANCES = {
     "codec's directory by rewriting the query nodes of this codec's root "
     "(V6_FIXTURE_TESTS): since codec v6 a root quotes its UQS entries, so "
     "a tree's tests from before v6 find no query node to rewrite",
+    "one-checker": "a `consistency:` verdict that rises under the one "
+    "checker over cuts (LEVELS), with the exit status and `FAIL:` line "
+    "--require-consistent derives from it: a multi-source or --shards run "
+    "the cut checker before it never called complete, and a fan-out "
+    "catalog judged before along the global order of source states.  A "
+    "verdict that drops still shows.  The parent's suites import the "
+    "deleted repro.multisource.consistency; on a tree without it they read "
+    "its three names from the one checker (provide_cut_functions)",
     "class-placement": "a class of equal views placed whole on one shard "
     "rather than member by member: in sharded runs with sharing on and two "
     "members of one class key, the events and the action log (an update "
@@ -313,7 +321,38 @@ def pytest_configure(config) -> None:
     path = config.getoption("histories_out")
     if path:
         allow = Allow(config.getoption("histories_allow"))
+        if "one-checker" in allow:
+            provide_cut_functions()
         config.pluginmanager.register(HistoryHashes(path, allow), "history-hashes")
+
+
+def provide_cut_functions() -> None:
+    """``repro.multisource.consistency``'s three names, as the one checker
+    over cuts spells them, on a tree that deleted the module: a parent's
+    suites import them."""
+    import importlib.util
+    import types
+
+    if importlib.util.find_spec("repro.multisource.consistency") is not None:
+        return
+    import repro.multisource
+    from repro.consistency import check_cuts
+
+    def cut_report(view, per_source_states, view_states, final_view):
+        return check_cuts(view, per_source_states, view_states)
+
+    def check_cut_consistency(view, per_source_states, view_states):
+        return check_cuts(view, per_source_states, view_states).consistent
+
+    def check_cut_convergence(view, per_source_states, final_view):
+        final_cut = {name: states[-1:] for name, states in per_source_states.items()}
+        return check_cuts(view, final_cut, [final_view]).convergent
+
+    module = types.ModuleType("repro.multisource.consistency")
+    for function in (cut_report, check_cut_consistency, check_cut_convergence):
+        setattr(module, function.__name__, function)
+        setattr(repro.multisource, function.__name__, function)
+    sys.modules[module.__name__] = repro.multisource.consistency = module
 
 
 class HistoryHashes:
@@ -848,16 +887,56 @@ def recover_all(tree: Tree, directories: Sequence[str], cwd: str) -> Dict[str, D
     return json.loads(done.stdout)
 
 
+#: Section 3.1's levels as ``repro runtime`` prints them, weakest first.
+LEVELS = (
+    "incorrect",
+    "convergent",
+    "weakly consistent",
+    "consistent",
+    "strongly consistent",
+    "complete",
+)
+
+_VERDICT = re.compile(r"^consistency: +(.+)$", re.MULTILINE)
+_FAIL = "FAIL: run is "
+
+
+def settle_verdict(parent: Dict[str, object], change: Dict[str, object]) -> Dict[str, object]:
+    """``change`` with ``parent``'s verdict where the change's is no
+    lower: its ``consistency:`` line, and the exit status and ``FAIL:``
+    line that ``--require-consistent`` derives from it (``one-checker``)."""
+    before = _VERDICT.search(parent["stdout"])
+    after = _VERDICT.search(change["stdout"])
+    if not before or not after:
+        return change
+    if LEVELS.index(after.group(1)) < LEVELS.index(before.group(1)):
+        return change
+    settled = dict(change)
+    settled["stdout"] = _VERDICT.sub(before.group(0), change["stdout"])
+    failed = [line for line in parent["stderr"].splitlines() if line.startswith(_FAIL)]
+    if failed and (parent["exit"], change["exit"]) == (1, 0):
+        settled["exit"] = 1
+        settled["stderr"] = "".join(f"{line}\n" for line in change["stderr"].splitlines() + failed)
+    return settled
+
+
 def compare_row(
     index: int, row: Row, work: str, results: Dict[str, Dict], report: Report, allow: Allow
 ) -> None:
     where = f"row {index} [{row_label(row)}]"
     report.count("matrix rows")
     sides = {role: results[role] for role in ("parent", "change")}
-    report.compare("matrix rows", where, "exit", sides["parent"]["exit"], sides["change"]["exit"])
+    raw = sides["change"]
+    if "one-checker" in allow:
+        sides["change"] = settle_verdict(sides["parent"], raw)
+    report.compare(
+        "matrix rows", where, "exit", sides["parent"]["exit"], sides["change"]["exit"],
+        sides["parent"]["exit"], raw["exit"],
+    )
     report.compare(
         "matrix rows", where, "stderr", sides["parent"]["stderr"].splitlines(),
-        sides["change"]["stderr"].splitlines(),
+        sides["change"]["stderr"].splitlines(), sides["parent"]["stderr"].splitlines(),
+        raw["stderr"].splitlines(),
     )
     for what, normalize, source in (
         ("stdout", normalize_stdout, "stdout"),
@@ -868,9 +947,10 @@ def compare_row(
         for role in ("parent", "change"):
             if source == "stdout":
                 value = sides[role]["stdout"]
+                unmasked = results[role]["stdout"]
             else:
-                value = os.path.join(work, role + "-rows", str(index), source)
-            forms[role] = (normalize(value, allow), normalize(value, Allow()))
+                value = unmasked = os.path.join(work, role + "-rows", str(index), source)
+            forms[role] = (normalize(value, allow), normalize(unmasked, Allow()))
         report.compare(
             "matrix rows", where, what, forms["parent"][0], forms["change"][0],
             forms["parent"][1], forms["change"][1],
