@@ -21,9 +21,11 @@ guessing at their layout.
 :func:`encode_value` *defines* the format; :func:`encode_text` is what
 writes it.  Both yield the same bytes, but the text path keeps the
 rendering of the values that are large or written more than once — a
-pending :class:`Query`, a view's contents, a :class:`Message` — with the
-value, so a snapshot taken while 65 queries wait re-renders none of them
-and a message is rendered once for the wire and the WAL together.
+pending :class:`Query`, a view's contents, a :class:`Message`, a
+:class:`BoundOperand` — with the value, so a snapshot taken while 65
+queries wait re-renders none of them, a message is rendered once for the
+wire and the WAL together, and an update's tuple once for every term
+that binds it.
 
 A bag whose rows are tuples of JSON scalars, all of one width, is one
 list per column plus a list of counts (``columns`` / ``counts``); any
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -125,6 +128,9 @@ _PRIMITIVES = (str, int, float, bool, type(None))
 #: value.  Not ``isinstance`` — an ``int`` subclass is not known to
 #: render as an ``int`` and keeps the general path.
 _PLAIN = frozenset(_PRIMITIVES)
+#: The one type of a count, and of a column row, for the same exact test.
+_INT = frozenset((int,))
+_TUPLE = frozenset((tuple,))
 
 _T = TypeVar("_T")
 
@@ -132,7 +138,17 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 
 def canonical_json(payload: object) -> str:
-    """Serialize already-encoded JSON data to its canonical byte form."""
+    """Serialize already-encoded JSON data to its canonical byte form.
+
+    An exact ``int`` or ``str`` — a WAL line's LSN and record type, a
+    message id, a term's coefficient — is spelled as the encoder spells
+    it (``int.__repr__``, ``encode_basestring_ascii``) without entering
+    the encoder; any other value goes through it."""
+    kind = type(payload)
+    if kind is int:
+        return int.__repr__(payload)
+    if kind is str:
+        return encode_basestring_ascii(payload)
     return _ENCODER.encode(payload)
 
 
@@ -236,7 +252,7 @@ def _columns(rows: Sequence[Any]) -> Optional[List[List[Any]]]:
     read back as scalars goes as columns whatever types it was built of."""
     if (
         not rows
-        or not all(type(row) is tuple for row in rows)
+        or not _TUPLE.issuperset(map(type, rows))
         or len(set(map(len, rows))) != 1
         or not rows[0]
     ):
@@ -378,13 +394,14 @@ def _array(items: Iterable[str]) -> str:
 def encode_text(value: object) -> str:
     """``canonical_json(encode_value(value))``, byte for byte.
 
-    A :class:`Query` and a :class:`Message` are immutable, and a view's
-    contents change only through :class:`MaterializedView`'s three
-    writers, so their text is rendered once and kept with the object
-    (``Query.encoded``, ``Message.encoded``,
-    ``MaterializedView.encoded_contents``).  The containers that can hold
-    one are spliced around that text; every other value is a leaf and
-    goes through :func:`encode_value` and the C encoder.
+    A :class:`Query`, a :class:`Message` and a :class:`BoundOperand` are
+    immutable, and a view's contents change only through
+    :class:`MaterializedView`'s three writers, so their text is rendered
+    once and kept with the object (``Query.encoded``, ``Message.encoded``,
+    ``BoundOperand.encoded``, ``MaterializedView.encoded_contents``).
+    The containers that can hold one are spliced around that text; every
+    other value is a leaf and goes through :func:`encode_value` and
+    :func:`canonical_json`.
     """
     if isinstance(value, Query):
         return _query_text(value)
@@ -460,8 +477,19 @@ def _shape_text(shape: TermShape) -> str:
 
 
 def _bindings_text(term: Term) -> str:
-    """What is a term's own beside its coefficient: its bound tuples."""
-    return canonical_json(_encode_bindings(term))
+    """What is a term's own beside its coefficient: per operand, the
+    rendering of the tuple it is bound to, or null."""
+    return _array([_binding_text(op) if op.is_bound else "null" for op in term.operands])
+
+
+def _binding_text(operand: BoundOperand) -> str:
+    """A bound operand's entry in a term row, rendered once per operand
+    object: ``Q<U>`` binds one per updated schema, and every compensating
+    query built on it later keeps that object."""
+    text = operand.encoded
+    if text is None:
+        text = operand.encoded = canonical_json(encode_value(operand.tuple))
+    return text
 
 
 def _contents_text(mv: MaterializedView) -> str:
@@ -502,11 +530,13 @@ def decode_value(data: object) -> object:
 
 
 def _decode_bag(data: Dict[str, Any]) -> SignedBag:
-    """A ``bag`` or ``bag.delta`` form read back through
+    """A ``bag`` or ``bag.delta`` form read back.  Pairs go through
     :meth:`SignedBag.from_pairs`, which refuses a count that is not a
     non-zero ``int`` and a repeated row.  Columns must be what
-    :func:`_bag_form` writes: at least one, each a list of JSON scalars
-    with one cell per count, and at least one count."""
+    :func:`_bag_form` writes — at least one, each a list of JSON scalars
+    with one cell per count, at least one count, every count a non-zero
+    ``int`` and no row twice — and those checks are made a whole column
+    at a time, so a root's thousands of rows cost no call each."""
     if "columns" not in data:
         return SignedBag.from_pairs(
             (decode_value(row), count) for row, count in data["pairs"]
@@ -520,7 +550,22 @@ def _decode_bag(data: Dict[str, Any]) -> SignedBag:
         raise CodecError(f"ragged columns: each must hold one cell per count ({len(counts)})")
     if not _PLAIN.issuperset(map(type, chain.from_iterable(columns))):
         raise CodecError("a column holds a cell that is not a JSON scalar")
-    return SignedBag.from_pairs(zip(zip(*columns), counts))
+    if not _INT.issuperset(map(type, counts)):
+        bad = next(count for count in counts if type(count) is not int)
+        raise CodecError(f"a column bag's count is not an int: {bad!r}")
+    if 0 in counts:
+        raise CodecError(f"a column bag holds a zero count (row {counts.index(0)})")
+    contents = dict(zip(zip(*columns), counts))
+    if len(contents) != len(counts):
+        raise CodecError(
+            f"a column bag repeats a row: {len(counts)} counts, {len(contents)} rows"
+        )
+    # Every check from_pairs makes per pair is made above, a column at a
+    # time; the dict is the bag's store as it is (from_columns would walk
+    # the rows again in Python, merging repeats there are none of).
+    bag = SignedBag()
+    bag._counts = contents
+    return bag
 
 
 def _decode_quoted(data: Dict[str, Any]) -> object:

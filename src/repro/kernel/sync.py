@@ -301,12 +301,14 @@ class SyncKernel:
         if not isinstance(message, QueryRequest):
             raise SimulationError(f"source {name} received {message!r}")
         answer = self.sources[name].evaluate(message.query)
-        logger.debug(
-            "source %s answered Q%d with %d tuple(s)",
-            name,
-            message.query_id,
-            answer.total_count(),
-        )
+        if logger.isEnabledFor(logging.DEBUG):
+            # total_count() walks the whole answer: only when it is logged.
+            logger.debug(
+                "source %s answered Q%d with %d tuple(s)",
+                name,
+                message.query_id,
+                answer.total_count(),
+            )
         if self.recorder is not None:
             self.recorder.record_evaluation(message.query, self.sources[name])
         self._history.query(name, message.query_id, answer)

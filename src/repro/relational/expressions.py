@@ -59,14 +59,22 @@ class RelationOperand:
 
 
 class BoundOperand:
-    """A term operand fixed to one signed tuple of its relation."""
+    """A term operand fixed to one signed tuple of its relation.
 
-    __slots__ = ("schema", "tuple")
+    ``encoded`` is a memo slot owned by :mod:`repro.durability.codec`:
+    the operand's binding as an encoded query's term rows write it.
+    ``Q<U>`` binds one operand object per updated schema and every later
+    compensating query keeps it, so one rendering serves every term and
+    query that holds the operand.
+    """
+
+    __slots__ = ("schema", "tuple", "encoded")
 
     def __init__(self, schema: RelationSchema, signed_tuple: SignedTuple) -> None:
         schema.validate_row(signed_tuple.values)
         self.schema = schema
         self.tuple = signed_tuple
+        self.encoded: Optional[str] = None
 
     @property
     def name(self) -> str:

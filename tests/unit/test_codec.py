@@ -513,9 +513,9 @@ class TestMessagesRenderedOnce:
 class TestColumnBags:
     """Codec v6: a bag whose rows are tuples of JSON scalars, all of one
     width, is one list per column plus the counts; any other bag stays
-    ``[row, count]`` pairs.  A column payload is read back through
-    ``SignedBag.from_pairs``, and a malformed one is a ``CodecError``
-    wherever it is read — never a bare exception."""
+    ``[row, count]`` pairs.  A column payload is checked a column at a
+    time and read back as the bag its pairs make, and a malformed one is
+    a ``CodecError`` wherever it is read — never a bare exception."""
 
     GOOD = {"$": "bag", "columns": [[1, 2], ["a", None]], "counts": [1, -2]}
 
@@ -570,6 +570,37 @@ class TestColumnBags:
                 decode_value(data)
         with pytest.raises(CodecError):
             loads(canonical_json({"data": bad, "v": CODEC_VERSION}))
+
+    #: Columns are checked a whole column at a time; each refusal is the
+    #: codec's own error, naming what is wrong, not a wrapped one.
+    NAMED = {
+        "bool-count": ([[1, 2]], [1, True], r"count is not an int: True"),
+        "float-count": ([[1, 2]], [1, 1.0], r"count is not an int: 1\.0"),
+        "zero-count": ([[1, 2]], [1, 0], r"zero count \(row 1\)"),
+        "repeated-row": ([[1, 1], ["a", "a"]], [1, 2], r"repeats a row: 2 counts, 1 rows"),
+        "cancelled-row": ([[1, 1]], [1, -1], r"repeats a row"),
+        "ragged-columns": ([[1, 2], ["a"]], [1, 1], r"ragged columns"),
+        "no-column": ([], [1], r"one or more columns"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NAMED))
+    def test_a_malformed_column_payload_names_its_fault(self, case):
+        columns, counts, fault = self.NAMED[case]
+        bad = {"$": "bag", "columns": columns, "counts": counts}
+        delta = {**bad, "$": "bag.delta"}
+        for data in (bad, {"$": "bag.chain", "base": self.GOOD, "changes": [delta]}):
+            with pytest.raises(CodecError, match=fault) as refused:
+                decode_value(data)
+            assert not str(refused.value).startswith("malformed")
+            assert refused.value.__cause__ is None
+
+    def test_a_column_payload_decodes_to_the_bag_its_pairs_make(self):
+        columns, counts = [[3, 1, 2], ["c", "a", None]], [2, -1, 1]
+        bag = decode_value({"$": "bag", "columns": columns, "counts": counts})
+        assert bag == SignedBag.from_pairs(zip(zip(*columns), counts))
+        assert bag.to_pairs() == [((1, "a"), -1), ((2, None), 1), ((3, "c"), 2)]
+        bag.add((1, "a"), 1)  # a decoded bag is a bag like any other
+        assert bag == SignedBag({(3, "c"): 2, (2, None): 1})
 
 
 class TestBagPairs:

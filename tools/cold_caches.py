@@ -79,6 +79,8 @@ CACHES: Tuple[Cache, ...] = (
           "the shape", "codec._shape_text"),
     Cache("slot", "repro.relational.expressions", "Query.encoded", None, (),
           "the query", "codec._query_text"),
+    Cache("slot", "repro.relational.expressions", "BoundOperand.encoded", None, (),
+          "the operand", "codec._binding_text"),
     Cache("slot", "repro.messaging.messages", "Message.encoded", None, (),
           "the message", "codec._message_text"),
     Cache("slot", "repro.relational.expressions", "Query.probes", dict, (),
