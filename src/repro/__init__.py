@@ -56,7 +56,6 @@ from repro.costmodel import (
 )
 from repro.errors import (
     ChannelEmpty,
-    ConsistencyViolation,
     ExpressionError,
     ProtocolError,
     ReproError,
@@ -103,7 +102,6 @@ from repro.simulation import (
     Trace,
     WorstCaseSchedule,
     project_view,
-    run_simulation,
 )
 from repro.source import (
     MemorySource,
@@ -129,7 +127,6 @@ __all__ = [
     "Comparison",
     "Condition",
     "ConsistencyReport",
-    "ConsistencyViolation",
     "Const",
     "CostRecorder",
     "ECA",
@@ -189,6 +186,5 @@ __all__ = [
     "insert",
     "project_view",
     "run_concurrent",
-    "run_simulation",
     "staleness_profile",
 ]

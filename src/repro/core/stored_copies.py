@@ -74,10 +74,6 @@ class StoredCopies(WarehouseAlgorithm):
         self.mv.apply_delta(evaluate_query(delta_query, self.copies))
         return []
 
-    def storage_cost(self) -> int:
-        """Total tuples held in base-relation copies (SC's storage price)."""
-        return sum(bag.total_count() for bag in self.copies.values())
-
     # ------------------------------------------------------------------ #
     # Durability hooks
     # ------------------------------------------------------------------ #

@@ -87,10 +87,6 @@ class SimulationError(ReproError):
     """
 
 
-class ConsistencyViolation(ReproError):
-    """A trace failed a correctness property it was asserted to satisfy."""
-
-
 class DurabilityError(ReproError):
     """Base class for persistence (codec / WAL / recovery) failures."""
 

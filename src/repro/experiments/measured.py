@@ -50,28 +50,30 @@ def run_example6_once(
     """
     setup = build_example6(params, k, seed, key_theta=key_theta)
     source = make_source(setup.schemas, setup.initial, source_kind)
-    initial_view = evaluate_view(setup.view, source.snapshot())
-    if algorithm == "eca":
-        warehouse = ECA(setup.view, initial_view)
-    elif algorithm == "rv-best":
-        warehouse = RecomputeView(setup.view, initial_view, period=max(1, k))
-    elif algorithm == "rv-worst":
-        warehouse = RecomputeView(setup.view, initial_view, period=1)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if io_scenario is None:
-        estimator = None
-    elif io_scenario == 1:
-        estimator = Scenario1Estimator(params)
-    elif io_scenario == 2:
-        estimator = Scenario2Estimator(params)
-    else:
-        raise ValueError(f"io_scenario must be 1 or 2, got {io_scenario!r}")
-    recorder = CostRecorder(params, estimator)
-    simulation = Simulation(source, warehouse, setup.workload, recorder)
-    simulation.run(schedule)
-    if source_kind == "sqlite":
-        source.close()
+    try:
+        initial_view = evaluate_view(setup.view, source.snapshot())
+        if algorithm == "eca":
+            warehouse = ECA(setup.view, initial_view)
+        elif algorithm == "rv-best":
+            warehouse = RecomputeView(setup.view, initial_view, period=max(1, k))
+        elif algorithm == "rv-worst":
+            warehouse = RecomputeView(setup.view, initial_view, period=1)
+        else:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        if io_scenario is None:
+            estimator = None
+        elif io_scenario == 1:
+            estimator = Scenario1Estimator(params)
+        elif io_scenario == 2:
+            estimator = Scenario2Estimator(params)
+        else:
+            raise ValueError(f"io_scenario must be 1 or 2, got {io_scenario!r}")
+        recorder = CostRecorder(params, estimator)
+        simulation = Simulation(source, warehouse, setup.workload, recorder)
+        simulation.run(schedule)
+    finally:
+        if source_kind == "sqlite":
+            source.close()
     return recorder
 
 

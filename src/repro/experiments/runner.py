@@ -56,12 +56,14 @@ def run_scenario(
     if schedule is None:
         schedule = ScriptedSchedule(scenario.actions)
     source = make_source(scenario.schemas, scenario.initial, source_kind)
-    initial_view = evaluate_view(scenario.view, source.snapshot())
-    warehouse = create_algorithm(
-        name, scenario.view, initial_view, **scenario.algorithm_options
-    )
-    simulation = Simulation(source, warehouse, scenario.updates, recorder)
-    trace = simulation.run(schedule)
-    if source_kind == "sqlite":
-        source.close()
+    try:
+        initial_view = evaluate_view(scenario.view, source.snapshot())
+        warehouse = create_algorithm(
+            name, scenario.view, initial_view, **scenario.algorithm_options
+        )
+        simulation = Simulation(source, warehouse, scenario.updates, recorder)
+        trace = simulation.run(schedule)
+    finally:
+        if source_kind == "sqlite":
+            source.close()
     return trace, warehouse

@@ -20,14 +20,7 @@ against:
 """
 
 from repro.relational.bag import SignedBag
-from repro.relational.batch_ops import (
-    batch_join,
-    batch_negate,
-    batch_project,
-    batch_select,
-    batch_union,
-    compile_mask,
-)
+from repro.relational.batch_ops import batch_join, compile_mask
 from repro.relational.columns import ColumnBatch
 from repro.relational.conditions import (
     And,
@@ -76,10 +69,6 @@ __all__ = [
     "View",
     "attr",
     "batch_join",
-    "batch_negate",
-    "batch_project",
-    "batch_select",
-    "batch_union",
     "compile_mask",
     "condition_signature",
     "conjunction",

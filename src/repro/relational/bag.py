@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.relational.tuples import MINUS, PLUS, SignedTuple, check_sign
+from repro.relational.tuples import PLUS, check_sign
 
 Row = Tuple[object, ...]
 
@@ -52,14 +52,6 @@ class SignedBag:
         bag = cls()
         for row in rows:
             bag.add(tuple(row), 1)
-        return bag
-
-    @classmethod
-    def from_signed(cls, tuples: Iterable[SignedTuple]) -> "SignedBag":
-        """Bag built from explicit :class:`SignedTuple` occurrences."""
-        bag = cls()
-        for t in tuples:
-            bag.add(t.values, t.sign)
         return bag
 
     @classmethod
@@ -203,13 +195,6 @@ class SignedBag:
         """Iterate distinct rows (ignoring multiplicity and sign)."""
         return iter(self._counts.keys())
 
-    def signed_tuples(self) -> Iterator[SignedTuple]:
-        """Expand to individual :class:`SignedTuple` occurrences."""
-        for row, count in self._counts.items():
-            sign = PLUS if count > 0 else MINUS
-            for _ in range(abs(count)):
-                yield SignedTuple(row, sign)
-
     def expand_rows(self) -> List[Row]:
         """Rows with positive multiplicity, repeated per multiplicity.
 
@@ -270,10 +255,6 @@ class SignedBag:
     def total_count(self) -> int:
         """Sum of absolute multiplicities (number of signed occurrences)."""
         return sum(abs(c) for c in self._counts.values())
-
-    def net_count(self) -> int:
-        """Sum of signed multiplicities."""
-        return sum(self._counts.values())
 
     def is_empty(self) -> bool:
         return not self._counts

@@ -11,17 +11,17 @@ Python-level loop per tuple:
   Condition` into a columnar mask function (``columns, n -> bools``);
   the condition language is a closed set (TRUE, comparison, AND, OR,
   NOT), so there is no per-row fallback path;
-- :func:`batch_select` filters a batch by a condition;
-- :func:`batch_project` gathers columns (no consolidation — signed-bag
-  semantics are restored by ``ColumnBatch.to_bag``);
 - :func:`batch_join` hash-joins two batches on positional key pairs,
   multiplying signed counts, and falls back to the cartesian product
   when no keys are given; it is :func:`join_indices` (which rows meet)
   followed by :func:`join_rows` (gather them), and callers that carry a
   vector beside the batch use the two halves directly — those that keep
-  the right side's :func:`bucket_map` hand it to :func:`join_indices`;
-- :func:`batch_union` concatenates batches (bag ``+``);
-- :func:`batch_negate` flips every signed count (bag unary ``-``).
+  the right side's :func:`bucket_map` hand it to :func:`join_indices`.
+
+Selection and projection have no operator of their own: a compiled mask
+feeds :meth:`ColumnBatch.compress`, and :meth:`ColumnBatch.gather_columns`
+projects without consolidation (signed-bag semantics are restored by
+``ColumnBatch.to_bag``).
 
 ``resolve`` arguments map attribute names to product positions; pass
 ``ProductSchema.resolve`` (or any compatible callable).
@@ -120,21 +120,6 @@ def compile_mask(
             return lambda columns, n: [False] * n
         return lambda columns, n: list(map(not_, inner(columns, n)))
     raise ExpressionError(f"uncompilable condition node {condition!r}")
-
-
-def batch_select(
-    batch: ColumnBatch, condition: Condition, resolve: Callable[[str], int]
-) -> ColumnBatch:
-    """``sigma_cond(batch)`` — rows failing the condition are dropped."""
-    mask = compile_mask(condition, resolve)
-    if mask is None:
-        return batch
-    return batch.compress(mask(batch.columns, len(batch.counts)))
-
-
-def batch_project(batch: ColumnBatch, positions: Sequence[int]) -> ColumnBatch:
-    """``pi_positions(batch)`` without consolidation (duplicates retained)."""
-    return batch.gather_columns(positions)
 
 
 def bucket_map(batch: ColumnBatch, positions: Sequence[int]) -> Dict[object, List[int]]:
@@ -239,27 +224,3 @@ def batch_join(
     if not left.counts or not right.counts:
         return ColumnBatch.empty(left.width + right.width)
     return join_rows(left, right, *join_indices(left, right, keys))
-
-
-def batch_union(*batches: ColumnBatch) -> ColumnBatch:
-    """Signed bag union (the paper's ``+``): concatenate rows."""
-    if not batches:
-        raise ExpressionError("batch_union needs at least one batch")
-    width = batches[0].width
-    for batch in batches[1:]:
-        if batch.width != width:
-            raise ExpressionError(
-                f"union of incompatible widths {width} and {batch.width}"
-            )
-    columns: List[List[object]] = [[] for _ in range(width)]
-    counts: List[int] = []
-    for batch in batches:
-        for out, column in zip(columns, batch.columns):
-            out.extend(column)
-        counts.extend(batch.counts)
-    return ColumnBatch(columns, counts)
-
-
-def batch_negate(batch: ColumnBatch) -> ColumnBatch:
-    """Signed bag negation (the paper's unary ``-``)."""
-    return ColumnBatch(list(batch.columns), [-c for c in batch.counts])

@@ -25,11 +25,9 @@ its (cheap) invariants.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.relational.bag import SignedBag
-
-Row = Tuple[object, ...]
 
 
 class ColumnBatch:
@@ -72,20 +70,6 @@ class ColumnBatch:
         """Transpose a bag into columns (``width`` disambiguates empties)."""
         columns, counts = bag.to_columns(width)
         return cls(columns, counts)
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[Tuple[Row, int]], width: int
-    ) -> "ColumnBatch":
-        """Batch from ``(row, count)`` pairs (e.g. ``SignedBag.items()``)."""
-        rows: List[Row] = []
-        counts: List[int] = []
-        for row, count in pairs:
-            rows.append(row)
-            counts.append(count)
-        if not rows:
-            return cls.empty(width)
-        return cls([list(col) for col in zip(*rows)], counts)
 
     def to_bag(self, coefficient: int = 1) -> SignedBag:
         """Consolidate into a canonical :class:`SignedBag`."""
@@ -133,10 +117,6 @@ class ColumnBatch:
         return ColumnBatch(
             [self.columns[p] for p in positions], self.counts
         )
-
-    def rows(self) -> Iterable[Row]:
-        """Iterate rows as tuples (for tests and display, not hot paths)."""
-        return zip(*self.columns) if self.columns else iter(() for _ in self.counts)
 
     def __repr__(self) -> str:
         return f"ColumnBatch(width={self.width}, rows={len(self.counts)})"

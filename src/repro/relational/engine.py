@@ -37,6 +37,17 @@ query's terms by (shape, which operands are bound) and runs each class
 of like terms once, the bound tuples of the whole class as one batch per
 operand (``docs/RELATIONAL.md`` §1.5).
 
+A class of one, a class with no bound operand and a single-term query
+keep the per-term runner (:func:`_evaluate_term`).  Sending every term
+through :func:`_evaluate_class` instead (a single-term query still
+ungrouped, a class of one without an owner vector) was measured and
+lost: ``updates_per_s`` −4.9 % on ``eca_paced``, −3.4 % on
+``eca_storm``, −10.6 % on ``fanin_sharded`` and −5.1 % on
+``read_storm`` (median ratios over 6 alternating rounds of
+``bench/run.py --seconds 3 --seed 0`` on a 2-CPU container, ahead in at
+most 2 of 6 on any workload, ``msgs_per_update`` unchanged); grouping
+single-term queries too cost −9 % to −11 %.
+
 Equivalence with the reference evaluator is property-tested
 (``tests/property/test_engine_equivalence.py`` and
 ``tests/property/test_columnar_properties.py``).  The in-memory source,

@@ -280,25 +280,12 @@ class Term:
         """Stored relations read, in operand order (duplicates possible)."""
         return self.shape.source_relation_names
 
-    def free_relations(self) -> Tuple[str, ...]:
-        """Names of operands still bound to full base relations."""
-        return tuple(op.name for op in self.operands if not op.is_bound)
-
-    def bound_operands(self) -> Tuple[BoundOperand, ...]:
-        return tuple(op for op in self.operands if op.is_bound)
-
     def is_fully_bound(self) -> bool:
         """True when no base relation remains — evaluable without the source."""
         for op in self.operands:
             if not op.is_bound:
                 return False
         return True
-
-    def operand_for(self, relation: str) -> Operand:
-        for op in self.operands:
-            if op.name == relation:
-                return op
-        raise ExpressionError(f"term does not involve relation {relation!r}")
 
     def output_columns(self) -> Tuple[str, ...]:
         """Display names of the projected columns."""
@@ -536,10 +523,6 @@ class Query:
         for term in self.terms:
             (local if term.is_fully_bound() else remote).append(term)
         return Query(local), Query(remote)
-
-    def fully_bound_terms(self) -> "Query":
-        """Terms needing no source access (evaluable at the warehouse)."""
-        return self.partition()[0]
 
     def source_terms(self) -> "Query":
         """Terms that reference at least one base relation."""

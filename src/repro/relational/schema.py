@@ -108,9 +108,6 @@ class RelationSchema:
                 f"relation {self.name!r} has no attribute {attribute!r}"
             ) from None
 
-    def has_attribute(self, attribute: str) -> bool:
-        return attribute in self._positions
-
     def validate_row(self, row: Sequence[Value]) -> Row:
         """Check arity and return the row as a tuple (itself, if it is one).
 

@@ -60,9 +60,6 @@ class SignedTuple:
         """The same tuple with its sign flipped (the unary ``-``)."""
         return SignedTuple(self.values, -self.sign)
 
-    def with_sign(self, sign: int) -> "SignedTuple":
-        return SignedTuple(self.values, sign)
-
     @property
     def arity(self) -> int:
         return len(self.values)

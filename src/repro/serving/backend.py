@@ -45,10 +45,6 @@ class WarehouseReader:
         warehouse = getattr(self._frontend, "algorithm", self._frontend)
         return members(warehouse), hasattr(warehouse, "algorithms")
 
-    @property
-    def view_names(self) -> List[str]:
-        return sorted(self._members()[0])
-
     def read(self, view_name: str, key: Key) -> SignedBag:
         """All current rows of ``view_name`` whose serving key is ``key``."""
         member = self._members()[0].get(view_name)

@@ -17,7 +17,7 @@ updates precede all query evaluations), the scripted event orders of the
 paper's examples, and randomized interleavings for property tests.
 """
 
-from repro.simulation.driver import REFRESH, Simulation, run_simulation
+from repro.simulation.driver import REFRESH, Simulation
 from repro.simulation.schedules import (
     BestCaseSchedule,
     RandomSchedule,
@@ -39,5 +39,4 @@ __all__ = [
     "Trace",
     "WorstCaseSchedule",
     "project_view",
-    "run_simulation",
 ]

@@ -14,7 +14,7 @@ are delivered and processed in order.
 from __future__ import annotations
 
 import logging
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 logger = logging.getLogger("repro.simulation")
 
@@ -27,7 +27,7 @@ from repro.simulation.trace import Trace
 from repro.source.base import Source
 from repro.source.updates import Update
 
-__all__ = ["REFRESH", "Simulation", "run_simulation"]
+__all__ = ["REFRESH", "Simulation"]
 
 #: The kernel's name for the facade's sole source.
 _SOLE = "source"
@@ -96,17 +96,3 @@ class Simulation(SyncKernel):
     def run(self, schedule: Schedule, max_steps: int = 1_000_000) -> Trace:
         """Run to quiescence under ``schedule``; returns the trace."""
         return super().run(schedule, max_steps=max_steps)
-
-
-def run_simulation(
-    source: Source,
-    algorithm: WarehouseAlgorithm,
-    workload: Sequence[Update],
-    schedule: Schedule,
-    recorder: Optional[object] = None,
-) -> Tuple[Trace, Optional[object]]:
-    """Convenience wrapper: build a :class:`Simulation`, run it, return both
-    the trace and the recorder (if any)."""
-    simulation = Simulation(source, algorithm, workload, recorder)
-    trace = simulation.run(schedule)
-    return trace, recorder

@@ -8,8 +8,9 @@ sends.  Two interchangeable implementations are provided:
   :class:`~repro.relational.bag.SignedBag` objects, queries evaluated by
   the in-memory relational engine;
 - :class:`repro.source.sqlite.SQLiteSource` — base relations held in a
-  SQLite database, queries rendered to SQL (bound tuples become constant
-  sub-selects) and evaluated with bag semantics.
+  SQLite database, queries rendered to SQL (one statement per class of
+  like terms, its bound tuples a ``VALUES`` table) and evaluated with bag
+  semantics.
 
 Both satisfy :class:`repro.source.base.Source` and return identical
 answers for identical states (property-tested).

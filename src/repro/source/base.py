@@ -82,6 +82,3 @@ class Source(ABC):
 
         for row in rows:
             self.apply_update(insert(relation, row))
-
-    def total_cardinality(self) -> int:
-        return sum(self.cardinality(name) for name in self._schemas)

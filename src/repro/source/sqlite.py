@@ -1,13 +1,15 @@
 """SQLite-backed source.
 
 Base relations live in SQLite tables (duplicates allowed — SQLite's rowid
-provides bag semantics for free).  Term queries are rendered to SQL:
-unbound operands become table references, bound signed tuples become
-one-row constant sub-selects — or, for a class of like terms, one
-``VALUES`` table with a row per term — and the selection condition is
-rendered to a ``WHERE`` clause (``=`` as the null-safe ``IS``, so that
-``None`` joins ``None`` as it does in memory).  ``SELECT`` without
-``DISTINCT`` preserves duplicates, as the paper requires.
+provides bag semantics for free).  Term queries are rendered to SQL one
+class of like terms at a time: unbound operands become table references,
+the bound signed tuples of the whole class become one ``VALUES`` table
+with a row per term (a class of one is a one-row table, a class without
+a bound operand a table of its terms' weights alone), and the selection
+condition is rendered to a ``WHERE`` clause (``=`` as the null-safe
+``IS``, so that ``None`` joins ``None`` as it does in memory).
+``SELECT`` without ``DISTINCT`` preserves duplicates, as the paper
+requires.
 
 The source never sees view definitions — only the queries the warehouse
 ships — which is exactly the "legacy system" contract of Section 1.2.
@@ -125,17 +127,11 @@ class SQLiteSource(Source):
     # ------------------------------------------------------------------ #
 
     def evaluate(self, query: Query) -> SignedBag:
-        """One statement per class of like terms (the engine's grouping),
-        one per term for a class of one or without a bound operand."""
+        """One statement per class of like terms (the engine's grouping)
+        and chunk of :data:`_MAX_VARIABLES` parameters."""
         result = SignedBag()
         for (shape, bound), members in term_classes(query.terms).items():
-            if len(members) > 1 and True in bound:
-                self._evaluate_class(shape, bound, members, result)
-            else:
-                for term in members:
-                    sql, params, multiplier = self._render_term(term)
-                    for row in self._conn.execute(sql, params):
-                        result.add(tuple(row), multiplier)
+            self._evaluate_class(shape, bound, members, result)
         return result
 
     def _table(self, schema: RelationSchema, alias: str) -> Tuple[str, List[str]]:
@@ -146,36 +142,6 @@ class SQLiteSource(Source):
             f"{_quote(schema.base)} AS {alias}",
             [f"{alias}.{_quote(a)}" for a in schema.attributes],
         )
-
-    def _render_term(self, term: Term) -> Tuple[str, List[object], int]:
-        """Render one term to ``(sql, params, per-row multiplicity)``.
-
-        The per-row multiplicity folds together the term coefficient and
-        the signs of all bound tuples, since those are constant across the
-        result set.
-        """
-        from_parts: List[str] = []
-        from_params: List[object] = []
-        columns: List[str] = []
-        multiplier = term.coefficient
-        for index, operand in enumerate(term.operands):
-            alias = f"t{index}"
-            if operand.is_bound:
-                attributes = operand.schema.attributes
-                selects = ", ".join(f"? AS {_quote(a)}" for a in attributes)
-                from_parts.append(f"(SELECT {selects}) AS {alias}")
-                columns.extend(f"{alias}.{_quote(a)}" for a in attributes)
-                from_params.extend(operand.tuple.values)
-                multiplier *= operand.tuple.sign
-            else:
-                table, names = self._table(operand.schema, alias)
-                from_parts.append(table)
-                columns.extend(names)
-        select_list, where_sql, where_params = _select(term.shape, columns)
-        sql = (
-            f"SELECT {select_list} FROM {', '.join(from_parts)} WHERE {where_sql}"
-        )
-        return sql, from_params + where_params, multiplier
 
     def _evaluate_class(
         self,
@@ -190,8 +156,9 @@ class SQLiteSource(Source):
         ``(VALUES (...), (...)) AS b`` with a row per term — the operands'
         attributes side by side, then a weight column holding the term's
         coefficient times its tuples' signs — so k terms cost one
-        statement (per chunk of at most :data:`_MAX_VARIABLES` parameters),
-        not k statements with a constant sub-select each.
+        statement per chunk of at most :data:`_MAX_VARIABLES` parameters.
+        A class of one is a one-row table; a class without a bound operand
+        is a table of weights alone, each joined with the same product.
         """
         from_parts: List[str] = []
         columns: List[str] = []

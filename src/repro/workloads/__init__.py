@@ -10,7 +10,6 @@ from repro.workloads.example6 import (
 from repro.workloads.paper_examples import PAPER_EXAMPLES, Scenario
 from repro.workloads.random_gen import (
     ZipfSampler,
-    random_rows,
     random_workload,
     zipf_read_workload,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "build_example6",
     "example6_schemas",
     "example6_view",
-    "random_rows",
     "random_workload",
     "selectivity_shift",
     "zipf_read_workload",

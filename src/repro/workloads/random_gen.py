@@ -101,32 +101,6 @@ def zipf_read_workload(
     return [ranked[sampler.sample()] for _ in range(count)]
 
 
-def random_rows(
-    schema: RelationSchema,
-    count: int,
-    seed: int = 0,
-    domain: int = 6,
-    respect_keys: bool = False,
-) -> List[Row]:
-    """``count`` random rows with small attribute domains (join-friendly)."""
-    rng = random.Random(seed)
-    rows: List[Row] = []
-    used_keys: Set[Row] = set()
-    attempts = 0
-    while len(rows) < count:
-        row = tuple(rng.randrange(domain) for _ in schema.attributes)
-        if respect_keys and schema.key is not None:
-            key = schema.key_of(row)
-            if key in used_keys:
-                attempts += 1
-                if attempts > 100 * count + 100:
-                    break  # domain exhausted; return what we have
-                continue
-            used_keys.add(key)
-        rows.append(row)
-    return rows
-
-
 def random_workload(
     schemas: Sequence[RelationSchema],
     k: int,

@@ -2,10 +2,11 @@
 
 Two contracts the columnar refactor must honor on *all* inputs:
 
-1. Every batch operator (`batch_select`, `batch_project`, `batch_join`,
-   `batch_union`, `batch_negate`) is extensionally equal to the obvious
-   per-tuple reference computed over ``SignedBag`` items — consolidation
-   order and internal row layout may differ, but ``to_bag()`` may not.
+1. Every building block the engine runs over batches (a compiled mask
+   through `ColumnBatch.compress`, `ColumnBatch.gather_columns`,
+   `batch_join`) is extensionally equal to the obvious per-tuple
+   reference computed over ``SignedBag`` items — consolidation order and
+   internal row layout may differ, but ``to_bag()`` may not.
 2. The columnar round trip is lossless: ``SignedBag.to_columns`` /
    ``SignedBag.from_columns`` compose to the identity, for any signed
    bag, and the scalar engine oracle (`evaluate_term_scalar`) agrees
@@ -27,14 +28,7 @@ from repro.core.eca import ECA
 from repro.errors import UpdateError
 from repro.kernel.conformance import replay_concurrent
 from repro.relational.bag import SignedBag
-from repro.relational.batch_ops import (
-    batch_join,
-    batch_negate,
-    batch_project,
-    batch_select,
-    batch_union,
-    bucket_map,
-)
+from repro.relational.batch_ops import batch_join, bucket_map, compile_mask
 from repro.relational.columns import ColumnBatch
 from repro.relational.conditions import Attr, Comparison, Const
 from repro.relational.engine import evaluate_query, evaluate_query_scalar
@@ -96,11 +90,12 @@ def test_from_columns_applies_the_coefficient(pairs, coefficient):
 
 @settings(max_examples=60, deadline=None)
 @given(signed_relation, st.integers(0, 3))
-def test_batch_select_matches_per_tuple_filter(pairs, threshold):
+def test_compile_mask_compress_matches_per_tuple_filter(pairs, threshold):
     bag = to_bag(pairs)
     condition = Comparison(Attr("A"), ">", Const(threshold))
     batch = ColumnBatch.from_bag(bag, 2)
-    got = batch_select(batch, condition, resolve2).to_bag()
+    mask = compile_mask(condition, resolve2)
+    got = batch.compress(mask(batch.columns, len(batch))).to_bag()
     expected = SignedBag()
     for row, count in bag.items():
         if row[0] > threshold:
@@ -110,10 +105,10 @@ def test_batch_select_matches_per_tuple_filter(pairs, threshold):
 
 @settings(max_examples=60, deadline=None)
 @given(signed_relation, st.permutations([0, 1]))
-def test_batch_project_matches_per_tuple_projection(pairs, positions):
+def test_gather_columns_matches_per_tuple_projection(pairs, positions):
     bag = to_bag(pairs)
     batch = ColumnBatch.from_bag(bag, 2)
-    got = batch_project(batch, list(positions)).to_bag()
+    got = batch.gather_columns(list(positions)).to_bag()
     expected = SignedBag()
     for row, count in bag.items():
         expected.add(tuple(row[i] for i in positions), count)
@@ -147,24 +142,6 @@ def test_batch_join_without_keys_is_the_cartesian_product(left_pairs, right_pair
         for rrow, rcount in right.items():
             expected.add(lrow + rrow, lcount * rcount)
     assert got == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(signed_relation, signed_relation)
-def test_batch_union_matches_bag_addition(left_pairs, right_pairs):
-    left, right = to_bag(left_pairs), to_bag(right_pairs)
-    got = batch_union(
-        ColumnBatch.from_bag(left, 2), ColumnBatch.from_bag(right, 2)
-    ).to_bag()
-    assert got == left + right
-
-
-@settings(max_examples=60, deadline=None)
-@given(signed_relation)
-def test_batch_negate_matches_bag_negation(pairs):
-    bag = to_bag(pairs)
-    got = batch_negate(ColumnBatch.from_bag(bag, 2)).to_bag()
-    assert got == SignedBag() - bag
 
 
 # --------------------------------------------------------------------- #

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import UpdateError
 from repro.relational.bag import SignedBag
 from repro.relational.conditions import Attr, Comparison
-from repro.relational.engine import evaluate_query
+from repro.relational.engine import evaluate_query, term_classes
 from repro.relational.expressions import Query
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import MINUS, PLUS, SignedTuple
@@ -152,6 +152,97 @@ def test_compensating_queries_agree_across_evaluators(state, updates, with_condi
                 assert evaluate_query(part, bags) == reference
                 assert source.evaluate(part) == reference
             pending.append(remote)
+
+
+#: Terms in the class that must span two statements: binding r2 (two
+#: attributes) gives a ``VALUES`` row of three parameters, so 333 rows fit
+#: in one 999-parameter chunk.
+CHUNKED_CLASS = 400
+
+
+def bound_masks():
+    """Every subset of the view's three relations, the empty one included."""
+    names = [schema.name for schema in SCHEMAS]
+    return [
+        tuple(name for bit, name in enumerate(names) if mask >> bit & 1)
+        for mask in range(1 << len(names))
+    ]
+
+
+def signed_rows():
+    return {
+        name: st.builds(SignedTuple, rows, st.sampled_from([PLUS, MINUS]))
+        for name, rows in ROWS.items()
+    }
+
+
+def expected_selects(query):
+    """One ``SELECT`` per (shape, bound mask) class per chunk: a class's
+    ``VALUES`` row is its bound tuples' values plus one weight, and a
+    statement holds at most 999 parameters (the views here render no
+    constant into their ``WHERE`` clause)."""
+    count = 0
+    for _, members in term_classes(query.terms).items():
+        width = 1 + sum(
+            len(op.tuple.values) for op in members[0].operands if op.is_bound
+        )
+        per_chunk = 999 // width
+        count += -(-len(members) // per_chunk)
+    return count
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    null_states(),
+    st.fixed_dictionaries(signed_rows()),
+    st.lists(st.sampled_from([1, -1]), min_size=2, max_size=6),
+    st.lists(st.sampled_from([PLUS, MINUS]), min_size=1, max_size=7),
+    st.booleans(),
+)
+def test_sqlite_sends_every_class_as_one_statement(
+    state, bindings, coefficients, signs, with_condition
+):
+    """Every class — of one term under each bound mask, of several terms
+    without a bound operand whose coefficients add or cancel, and of more
+    terms than one 999-parameter chunk holds, with ``None`` among the
+    values — is one ``VALUES`` statement per chunk, and the answer is the
+    memory source's and the reference evaluator's."""
+    view = make_view(with_condition)
+    singles = []
+    for mask in bound_masks():
+        query = view.as_query()
+        for name in mask:
+            query = query.substitute(name, bindings[name])
+        singles.append(query)
+    free_view = make_view(not with_condition)
+    free_terms = []
+    for coefficient in coefficients:
+        whole = free_view.as_query()
+        free_terms.extend((whole if coefficient > 0 else -whole).terms)
+    free = Query(free_terms)
+    x, y = bindings["r2"].values
+    xs = (x, 0, 1, None)
+    chunked_terms = []
+    for n in range(CHUNKED_CLASS):
+        signed = SignedTuple((xs[n % len(xs)], y), signs[n % len(signs)])
+        chunked_terms.extend(view.substitute("r2", signed).terms)
+    chunked = Query(chunked_terms)
+    queries = singles + [free, chunked, Query([t for q in singles for t in q.terms])]
+    queries.append(Query(queries[-1].terms + free.terms + chunked.terms))
+
+    bags = to_bags(state)
+    memory = MemorySource(SCHEMAS, state)
+    statements = []
+    with SQLiteSource(SCHEMAS, state) as source:
+        source._conn.set_trace_callback(statements.append)
+        for query in queries:
+            del statements[:]
+            answer = source.evaluate(query)
+            selects = [sql for sql in statements if sql.lstrip().startswith("SELECT")]
+            assert len(selects) == expected_selects(query)
+            assert answer == memory.evaluate(query) == query.evaluate(bags)
+    assert len(term_classes(free.terms)) == 1
+    assert expected_selects(chunked) == 2
 
 
 @settings(max_examples=40, deadline=None)

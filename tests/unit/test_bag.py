@@ -3,7 +3,7 @@
 import pytest
 
 from repro.relational.bag import SignedBag
-from repro.relational.tuples import MINUS, SignedTuple
+from repro.relational.tuples import MINUS
 
 
 class TestConstruction:
@@ -18,13 +18,6 @@ class TestConstruction:
         assert bag.multiplicity((1,)) == 2
         assert bag.multiplicity((2,)) == 1
         assert bag.total_count() == 3
-
-    def test_from_signed(self):
-        bag = SignedBag.from_signed(
-            [SignedTuple((1,)), SignedTuple((2,), MINUS), SignedTuple((1,))]
-        )
-        assert bag.multiplicity((1,)) == 2
-        assert bag.multiplicity((2,)) == -1
 
     def test_singleton(self):
         assert SignedBag.singleton((1, 2)).multiplicity((1, 2)) == 1
@@ -89,7 +82,6 @@ class TestInspection:
     def test_counts(self):
         bag = SignedBag({(1,): 2, (2,): -1})
         assert bag.total_count() == 3
-        assert bag.net_count() == 1
         assert bag.distinct_count() == 2
 
     def test_is_nonnegative(self):
@@ -109,11 +101,6 @@ class TestInspection:
     def test_expand_rows_rejects_negative(self):
         with pytest.raises(ValueError):
             SignedBag({(1,): -1}).expand_rows()
-
-    def test_signed_tuples_expansion(self):
-        bag = SignedBag({(1,): 2, (2,): -1})
-        tuples = sorted(repr(t) for t in bag.signed_tuples())
-        assert tuples == ["+[1]", "+[1]", "-[2]"]
 
     def test_rows_iterates_distinct(self):
         bag = SignedBag({(1,): 5})

@@ -24,7 +24,7 @@ class TestBasicAlgorithm:
         requests = algo.handle_update(notify(insert("r2", (2, 3))))
         assert len(requests) == 1
         term = requests[0].query.terms[0]
-        assert term.free_relations() == ("r1",)
+        assert [op.name for op in term.operands if not op.is_bound] == ["r1"]
 
     def test_irrelevant_update_ignored(self, view_w):
         algo = BasicAlgorithm(view_w)

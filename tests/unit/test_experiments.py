@@ -9,6 +9,8 @@ import pytest
 
 from repro.costmodel import analytic
 from repro.costmodel.parameters import PaperParameters
+from repro.errors import SimulationError
+from repro.experiments import runner
 from repro.experiments.figures import (
     ALL_FIGURES,
     figure_6_2,
@@ -17,8 +19,12 @@ from repro.experiments.figures import (
     figure_6_5,
 )
 from repro.experiments.full_report import generate_report
+from repro.experiments.measured import run_example6_once
 from repro.experiments.report import render_series, render_table
 from repro.experiments.tables import messages_table, parameter_table
+from repro.simulation.schedules import BestCaseSchedule, ScriptedSchedule
+from repro.source.sqlite import SQLiteSource
+from repro.workloads.paper_examples import PAPER_EXAMPLES
 
 
 class TestFigure62:
@@ -254,3 +260,44 @@ def test_the_full_report_has_a_section_for_every_experiment():
             "figure-" + number for number in re.findall(r"Figure (6\.\d)", title)
         ]
         assert any(h.startswith(tuple(names)) for h in headings), (label, headings)
+
+
+class TestSQLiteConnections:
+    """A run over a ``"sqlite"`` source closes its connection whether the
+    run returns or raises."""
+
+    @pytest.fixture
+    def closed(self, monkeypatch):
+        closed = []
+
+        class RecordingSource(SQLiteSource):
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        monkeypatch.setattr(runner, "SQLiteSource", RecordingSource)
+        return closed
+
+    def test_an_unknown_algorithm_still_closes_the_connection(self, closed):
+        params = PaperParameters(cardinality=10)
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            run_example6_once(
+                params, 2, "bogus", BestCaseSchedule(), source_kind="sqlite"
+            )
+        assert len(closed) == 1
+
+    def test_a_schedule_that_does_not_fit_still_closes_the_connection(self, closed):
+        scenario = PAPER_EXAMPLES["example-1"]
+        with pytest.raises(SimulationError, match="not available"):
+            runner.run_scenario(
+                scenario, schedule=ScriptedSchedule(["answer"]), source_kind="sqlite"
+            )
+        assert len(closed) == 1
+
+    def test_a_run_that_returns_closes_the_connection_once(self, closed):
+        runner.run_scenario(PAPER_EXAMPLES["example-1"], source_kind="sqlite")
+        run_example6_once(
+            PaperParameters(cardinality=10), 2, "eca", BestCaseSchedule(),
+            source_kind="sqlite",
+        )
+        assert len(closed) == 2

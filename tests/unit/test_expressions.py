@@ -99,23 +99,18 @@ class TestTermConstruction:
     def test_structure_accessors(self, r1, r2):
         term = join_term(r1, r2)
         assert term.relation_names == ("r1", "r2")
-        assert term.free_relations() == ("r1", "r2")
+        assert not any(op.is_bound for op in term.operands)
         assert not term.is_fully_bound()
         assert term.output_columns() == ("W",)
-
-    def test_operand_for(self, r1, r2):
-        term = join_term(r1, r2)
-        assert term.operand_for("r1").name == "r1"
-        with pytest.raises(ExpressionError):
-            term.operand_for("r9")
 
 
 class TestSubstitution:
     def test_substitute_binds_relation(self, r1, r2):
         term = join_term(r1, r2)
         bound = bind(term, "r2", SignedTuple((2, 3)))
-        assert bound.free_relations() == ("r1",)
-        assert bound.bound_operands()[0].tuple == SignedTuple((2, 3))
+        free, operand = bound.operands
+        assert free.name == "r1" and not free.is_bound
+        assert operand.name == "r2" and operand.tuple == SignedTuple((2, 3))
 
     def test_substitute_already_bound_vanishes(self, r1, r2):
         term = bind(join_term(r1, r2), "r2", SignedTuple((2, 3)))
@@ -222,7 +217,6 @@ class TestQueryAlgebra:
         )
         q = Query([full, bound])
         assert q.source_terms().term_count() == 1
-        assert q.fully_bound_terms().term_count() == 1
         assert q.partition() == (Query([bound]), Query([full]))
 
     def test_query_minus_cancels_on_evaluation(self, r1, r2):

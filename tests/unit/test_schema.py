@@ -36,11 +36,6 @@ class TestRelationSchema:
         with pytest.raises(SchemaError):
             schema.position("B")
 
-    def test_has_attribute(self):
-        schema = RelationSchema("r", ("A", "B"))
-        assert schema.has_attribute("A")
-        assert not schema.has_attribute("Z")
-
     def test_duplicate_attributes_rejected(self):
         with pytest.raises(SchemaError):
             RelationSchema("r", ("A", "A"))

@@ -299,7 +299,6 @@ class TestWarehouseReader:
     def test_catalog_reader_filters_tagged_rows(self):
         catalog = WarehouseCatalog({"Va": make_eca("a"), "Vb": make_eca("b")})
         reader = reader_for(catalog)
-        assert reader.view_names == ["Va", "Vb"]
         bag = reader.read("Va", (2,))
         assert set(bag.rows()) == {(2, 6)}
 

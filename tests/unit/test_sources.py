@@ -68,11 +68,6 @@ class TestUpdates:
         source.load("r2", [(2, 3), (2, 4)])
         assert source.cardinality("r2") == 2
 
-    def test_total_cardinality(self, source):
-        source.load("r1", [(1, 2)])
-        source.load("r2", [(2, 3)])
-        assert source.total_cardinality() == 2
-
 
 class TestSnapshot:
     def test_snapshot_contents(self, source):
@@ -300,8 +295,8 @@ class TestSQLiteSpecific:
             assert src.cardinality("t") == 1
 
     def test_fully_bound_term_evaluates(self, schemas, view):
-        # The source can evaluate a fully bound term (constant subqueries
-        # only), even though the warehouse normally never ships one.
+        # The source can evaluate a fully bound term (a one-row VALUES
+        # table only), even though the warehouse normally never ships one.
         q = view.substitute("r1", SignedTuple((1, 2))).substitute(
             "r2", SignedTuple((2, 3))
         )

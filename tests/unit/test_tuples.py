@@ -52,10 +52,6 @@ class TestSignedTuple:
         assert (-t).values == (1, 2)
         assert t.negate() == -t
 
-    def test_with_sign(self):
-        t = SignedTuple((1,))
-        assert t.with_sign(MINUS).sign == MINUS
-
     def test_invalid_sign_rejected(self):
         with pytest.raises(SignError):
             SignedTuple((1,), 0)

@@ -85,7 +85,7 @@ class TestSubstitution:
         query = view_w.substitute("r2", SignedTuple((2, 3)))
         assert query.term_count() == 1
         term = query.terms[0]
-        assert term.free_relations() == ("r1",)
+        assert [op.name for op in term.operands if not op.is_bound] == ["r1"]
 
     def test_v_of_u_evaluates_like_paper_example_1(self, view_w):
         # Q1 = pi_W(r1 |x| [2,3]) over r1 = ([1,2]) gives A1 = ([1]).

@@ -15,7 +15,6 @@ from repro.workloads.example6 import (
 from repro.workloads.paper_examples import PAPER_EXAMPLES
 from repro.workloads.random_gen import (
     ZipfSampler,
-    random_rows,
     random_workload,
     zipf_read_workload,
 )
@@ -179,12 +178,6 @@ class TestRandomWorkload:
         assert random_workload(schemas, 10, seed=6) == random_workload(
             schemas, 10, seed=6
         )
-
-    def test_random_rows(self):
-        schema = RelationSchema("a", ("P", "Q"), key=("P",))
-        rows = random_rows(schema, 10, seed=0, domain=50, respect_keys=True)
-        assert len(rows) == 10
-        assert len({r[0] for r in rows}) == 10
 
 
 class TestZipfSampler:
