@@ -157,9 +157,7 @@ class LCA(WarehouseAlgorithm):
         state["queued"] = [(index, update) for index, update in self._pending]
         state["seen"] = list(self._seen)
         state["current"] = self._current
-        # The in-progress delta goes through the canonical pair form so
-        # the persisted payload is independent of dict insertion order.
-        state["delta"] = self._delta.to_pairs()
+        state["delta"] = self._delta
         return state
 
     def restore_pending_state(self, state: Dict[str, Any]) -> None:
@@ -169,4 +167,4 @@ class LCA(WarehouseAlgorithm):
         )
         self._seen = list(state["seen"])
         self._current = state["current"]
-        self._delta = SignedBag.from_pairs(state["delta"])
+        self._delta = state["delta"]

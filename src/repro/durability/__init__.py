@@ -16,12 +16,10 @@ from repro.durability.codec import (
     canonical_json,
     decode_algorithm,
     decode_value,
-    dumps,
     dumps_algorithm,
     encode_algorithm,
     encode_text,
     encode_value,
-    loads,
     loads_algorithm,
 )
 from repro.durability.crash import CrashPolicy, CrashRun
@@ -43,12 +41,10 @@ __all__ = [
     "canonical_json",
     "decode_algorithm",
     "decode_value",
-    "dumps",
     "dumps_algorithm",
     "encode_algorithm",
     "encode_text",
     "encode_value",
-    "loads",
     "loads_algorithm",
     "read_latest_snapshot",
     "read_records",

@@ -1,7 +1,7 @@
 """Canonical, versioned JSON codec for warehouse state.
 
 Everything the warehouse must survive a crash with — messages, queries,
-materialized views, each algorithm's pending protocol state — encodes to
+view contents, each algorithm's pending protocol state — encodes to
 a *tagged* JSON form: every non-primitive value is an object whose ``$``
 key names its type.  Plain JSON lists mean Python lists; tuples, dicts
 with non-string keys, bags, and every domain object get explicit tags, so
@@ -14,9 +14,10 @@ strips whitespace, and :meth:`SignedBag.to_pairs` orders bag contents, so
 recovery tests' byte-identity property, and snapshot comparison all lean
 on this.
 
-The envelope produced by :func:`dumps` carries :data:`CODEC_VERSION`;
-:func:`loads` refuses payloads from a different version rather than
-guessing at their layout.
+The envelope produced by :func:`dumps_algorithm` carries
+:data:`CODEC_VERSION`; :func:`loads_algorithm` refuses payloads from a
+different version rather than guessing at their layout (a WAL snapshot
+carries the version too).
 
 :func:`encode_value` *defines* the format; :func:`encode_text` is what
 writes it.  Both yield the same bytes, but the text path keeps the
@@ -38,8 +39,12 @@ A ``query`` is the one form that is not a tree of its parts: the terms
 of a compensating query differ in what they bind, not in what they range
 over, so the form holds a table of the query's distinct *shapes*
 (operand schemas, projection, condition — each written once) and, per
-term, a row ``[shape index, coefficient, bindings]``.  A bare
-:class:`Term` outside a query keeps the self-contained ``term`` form.
+term, a row ``[shape index, coefficient, bindings]``.  It is the one
+form a term is written in: an algorithm that keeps a lone term persists
+it as a one-term query.  Within one :func:`decode_algorithm` call, the
+terms that bind the same signed tuple of the same schema share one
+:class:`BoundOperand`, as the terms ``Q<U>`` builds in one substitution
+do.
 
 A WAL snapshot chain writes an algorithm whole once, then per snapshot
 only what changed: ``algo.delta`` / ``algo.catalog.delta`` forms
@@ -50,6 +55,7 @@ only what changed: ``algo.delta`` / ``algo.catalog.delta`` forms
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import (
@@ -59,8 +65,8 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Optional,
     Mapping,
+    Optional,
     Sequence,
     Tuple,
     Type,
@@ -120,7 +126,10 @@ if TYPE_CHECKING:
 #: v6: bags of equal-width scalar rows are columns plus counts (view
 #: contents, COLLECT, ``bag.delta``, answers), and a query held as a
 #: dict's value (a root's UQS entry, as a delta's already was) is quoted.
-CODEC_VERSION = 6
+#: v7: a term is written only inside a ``query`` (no ``term``, ``rel``,
+#: ``bound`` or ``mv`` form), an algorithm's pending bag is a ``bag``, and
+#: the log holds nothing but ``recv`` records.
+CODEC_VERSION = 7
 
 _PRIMITIVES = (str, int, float, bool, type(None))
 #: The types JSON holds as they are, for the exact test ``type(v) in``:
@@ -195,26 +204,10 @@ def encode_value(value: object) -> object:
             "key": list(value.key) if value.key is not None else None,
             "base": value.base,
         }
-    if isinstance(value, RelationOperand):
-        return {"$": "rel", "schema": encode_value(value.schema)}
-    if isinstance(value, BoundOperand):
-        return {
-            "$": "bound",
-            "schema": encode_value(value.schema),
-            "tuple": encode_value(value.tuple),
-        }
     if isinstance(value, Condition):
         return _encode_condition(value)
     if isinstance(value, (Attr, Const)):
         return _encode_operand(value)
-    if isinstance(value, Term):
-        return {
-            "$": "term",
-            "operands": [encode_value(op) for op in value.operands],
-            "projection": list(value.projection),
-            "condition": _encode_condition(value.condition),
-            "coefficient": value.coefficient,
-        }
     if isinstance(value, Query):
         return _encode_query(value)
     if isinstance(value, View):
@@ -224,12 +217,6 @@ def encode_value(value: object) -> object:
             "relations": [encode_value(s) for s in value.relations],
             "projection": list(value.projection),
             "condition": _encode_condition(value.condition),
-        }
-    if isinstance(value, MaterializedView):
-        return {
-            "$": "mv",
-            "view": encode_value(value.view),
-            "contents": _bag_form("bag", value.contents_pairs()),
         }
     if isinstance(value, Message):
         return _encode_message(value)
@@ -414,10 +401,6 @@ def encode_text(value: object) -> str:
         return _array(map(encode_text, value))
     if isinstance(value, tuple):
         return _tagged("tuple", items=_array(map(encode_text, value)))
-    if isinstance(value, MaterializedView):
-        return _tagged(
-            "mv", contents=_contents_text(value), view=encode_text(value.view)
-        )
     return canonical_json(encode_value(value))
 
 
@@ -493,8 +476,8 @@ def _binding_text(operand: BoundOperand) -> str:
 
 
 def _contents_text(mv: MaterializedView) -> str:
-    """A view's contents as the ``bag`` form the ``mv`` and ``algo`` forms
-    hold, rendered once between two writes of the view."""
+    """A view's contents as the ``bag`` an ``algo`` form holds under
+    ``mv``, rendered once between two writes of the view."""
     text = mv.encoded_contents
     if text is None:
         text = mv.encoded_contents = canonical_json(
@@ -586,19 +569,41 @@ def _decode_as(data: object, kind: Type[_T]) -> _T:
     return value
 
 
+#: Per :func:`decode_algorithm` call, the :class:`BoundOperand` made for
+#: each ``(schema, parsed binding's repr)``; ``None`` outside one, where
+#: each query keeps a table of its own.  A context variable, not an
+#: argument: queries are reached through :func:`decode_value`'s tag table.
+_OPERANDS: ContextVar[Optional[Dict[Tuple[RelationSchema, str], BoundOperand]]] = (
+    ContextVar("decoded_operands", default=None)
+)
+
+
 def _decode_operands(
-    schemas: Sequence[RelationSchema], bindings: List[Any]
+    schemas: Sequence[RelationSchema],
+    bindings: List[Any],
+    operands: Dict[Tuple[RelationSchema, str], BoundOperand],
 ) -> List[object]:
+    """A term row's operands.  A binding seen before under the same schema
+    is the operand made for it then, so every term of a decoded UQS that
+    binds one update's tuple holds one operand — decoded and validated
+    once, rendered once (``BoundOperand.encoded``)."""
     if len(bindings) != len(schemas):
         raise CodecError(
             f"{len(bindings)} binding(s) for a shape of {len(schemas)} operand(s)"
         )
-    return [
-        RelationOperand(schema)
-        if bound is None
-        else BoundOperand(schema, _decode_as(bound, SignedTuple))
-        for schema, bound in zip(schemas, bindings)
-    ]
+    decoded: List[object] = []
+    for schema, bound in zip(schemas, bindings):
+        if bound is None:
+            decoded.append(RelationOperand(schema))
+            continue
+        # Parsed JSON's repr tells 1, 1.0 and true apart, as the bytes do.
+        key = (schema, repr(bound))
+        operand = operands.get(key)
+        if operand is None:
+            operand = BoundOperand(schema, _decode_as(bound, SignedTuple))
+            operands[key] = operand
+        decoded.append(operand)
+    return decoded
 
 
 def _decode_query(data: Dict[str, Any]) -> Query:
@@ -615,6 +620,9 @@ def _decode_query(data: Dict[str, Any]) -> Query:
     that what decodes re-encodes to the bytes it was read from.
     """
     entries = data["shapes"]
+    operands = _OPERANDS.get()
+    if operands is None:
+        operands = {}
     if len(entries) > 1 and len(set(map(canonical_json, entries))) != len(entries):
         raise CodecError("a query's shapes table repeats an entry")
     firsts: List[Term] = []  # per entry reached so far, its first term
@@ -634,7 +642,7 @@ def _decode_query(data: Dict[str, Any]) -> Query:
             entry = entries[index]
             schemas = [_decode_as(s, RelationSchema) for s in entry["schemas"]]
             term = Term(
-                _decode_operands(schemas, bindings),
+                _decode_operands(schemas, bindings, operands),
                 entry["projection"],
                 _decode_as(entry["condition"], Condition),
                 coefficient,
@@ -643,7 +651,7 @@ def _decode_query(data: Dict[str, Any]) -> Query:
         else:
             first = firsts[index]
             term = first.with_operands(
-                _decode_operands(first.shape.schemas, bindings), coefficient
+                _decode_operands(first.shape.schemas, bindings, operands), coefficient
             )
         terms.append(term)
     if len(firsts) != len(entries):
@@ -669,10 +677,6 @@ _DECODERS: Dict[str, Callable[[Dict[str, Any]], object]] = {
     "schema": lambda d: RelationSchema(
         d["name"], d["attributes"], key=d["key"], base=d["base"]
     ),
-    "rel": lambda d: RelationOperand(decode_value(d["schema"])),
-    "bound": lambda d: BoundOperand(
-        decode_value(d["schema"]), decode_value(d["tuple"])
-    ),
     "true": lambda d: TrueCondition(),
     "cmp": lambda d: Comparison(
         decode_value(d["left"]), d["op"], decode_value(d["right"])
@@ -682,21 +686,12 @@ _DECODERS: Dict[str, Callable[[Dict[str, Any]], object]] = {
     "not": lambda d: Not(decode_value(d["part"])),
     "attr": lambda d: Attr(d["name"]),
     "const": lambda d: Const(decode_value(d["value"])),
-    "term": lambda d: Term(
-        [decode_value(op) for op in d["operands"]],
-        d["projection"],
-        decode_value(d["condition"]),
-        d["coefficient"],
-    ),
     "query": _decode_query,
     "view": lambda d: View(
         d["name"],
         [decode_value(s) for s in d["relations"]],
         d["projection"],
         decode_value(d["condition"]),
-    ),
-    "mv": lambda d: MaterializedView(
-        decode_value(d["view"]), _decode_as(d["contents"], SignedBag)
     ),
     "msg.update": lambda d: UpdateNotification(
         decode_value(d["update"]), d["serial"]
@@ -711,44 +706,6 @@ _DECODERS: Dict[str, Callable[[Dict[str, Any]], object]] = {
         )
     ),
 }
-
-
-# --------------------------------------------------------------------- #
-# Envelope + round-trip validation
-# --------------------------------------------------------------------- #
-
-
-def _envelope(data: str) -> str:
-    return splice({"v": canonical_json(CODEC_VERSION), "data": data})
-
-
-def dumps(value: object, validate: bool = False) -> str:
-    """Encode to a canonical, versioned JSON string.
-
-    ``validate=True`` decodes the result and re-encodes it, raising
-    :class:`CodecError` unless the bytes match — catching any value that
-    would not survive persistence *before* it is written.
-    """
-    text = _envelope(encode_text(value))
-    if validate and dumps(loads(text)) != text:
-        raise CodecError(f"round-trip validation failed for {value!r}")
-    return text
-
-
-def loads(text: str) -> object:
-    """Decode a string produced by :func:`dumps`."""
-    try:
-        envelope = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CodecError(f"invalid JSON: {exc}") from exc
-    if not isinstance(envelope, dict) or "v" not in envelope or "data" not in envelope:
-        raise CodecError("payload is not a codec envelope")
-    if envelope["v"] != CODEC_VERSION:
-        raise CodecError(
-            f"codec version mismatch: payload v{envelope['v']}, "
-            f"supported v{CODEC_VERSION}"
-        )
-    return decode_value(envelope["data"])
 
 
 # --------------------------------------------------------------------- #
@@ -951,7 +908,18 @@ def _decode_bag_chain(data: Dict[str, Any]) -> SignedBag:
 
 def decode_algorithm(data: Dict[str, Any]) -> WarehouseAlgorithm:
     """Rebuild a live algorithm from a parsed :func:`encode_algorithm`
-    payload, or from one :func:`fold_delta` made."""
+    payload, or from one :func:`fold_delta` made.  Its queries — a
+    catalog's members' too — share one operand per binding."""
+    if _OPERANDS.get() is not None:
+        return _decode_algorithm(data)
+    token = _OPERANDS.set({})
+    try:
+        return _decode_algorithm(data)
+    finally:
+        _OPERANDS.reset(token)
+
+
+def _decode_algorithm(data: Dict[str, Any]) -> WarehouseAlgorithm:
     from repro.core.registry import create_algorithm
     from repro.warehouse.catalog import WarehouseCatalog
 
@@ -992,7 +960,8 @@ def dumps_algorithm(algorithm: WarehouseAlgorithm, validate: bool = True) -> str
     re-encode to the same bytes, which covers view contents, pending
     queries, and every algorithm-specific buffer.
     """
-    text = _envelope(encode_algorithm(algorithm))
+    version = canonical_json(CODEC_VERSION)
+    text = splice({"v": version, "data": encode_algorithm(algorithm)})
     if validate:
         twin = loads_algorithm(text)
         if dumps_algorithm(twin, validate=False) != text:
@@ -1008,6 +977,11 @@ def loads_algorithm(text: str) -> WarehouseAlgorithm:
         envelope = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CodecError(f"invalid JSON: {exc}") from exc
-    if not isinstance(envelope, dict) or envelope.get("v") != CODEC_VERSION:
-        raise CodecError("payload is not a supported algorithm envelope")
+    if not isinstance(envelope, dict) or "data" not in envelope:
+        raise CodecError("payload is not an algorithm envelope")
+    if envelope.get("v") != CODEC_VERSION:
+        raise CodecError(
+            f"codec version mismatch: payload v{envelope.get('v')}, "
+            f"supported v{CODEC_VERSION}"
+        )
     return decode_algorithm(envelope["data"])

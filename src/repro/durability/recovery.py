@@ -12,8 +12,8 @@ replication:
    ``on_answer`` / ``on_refresh`` entry points — and *discarding* the
    requests those calls return, because the pre-crash warehouse already
    sent them (or crashed before sending, in which case step 3 covers it).
-   A record of another type is skipped: the warehouse writes none, but
-   older directories hold ``"send"`` / ``"event"`` records;
+   The warehouse writes no other record type, so a record of another
+   type is a :class:`WalCorruption` naming the log and its LSN;
 3. collect :meth:`pending_requests` — one request per query still in the
    UQS — for the harness to re-issue.  Sources answer re-asked queries
    against their *current* state; per-channel FIFO makes that exactly
@@ -27,11 +27,13 @@ answers whose id is no longer pending (see ``runtime/actors.py``).
 
 from __future__ import annotations
 
+import os
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, cast
 
 from repro.durability.codec import decode_algorithm, decode_value
 from repro.durability.wal import (
     RECV,
+    WAL_FILENAME,
     _lsn_of,
     _snapshot_path,
     read_latest_snapshot,
@@ -130,8 +132,14 @@ def recover(
     replayed = 0
     last_lsn = snapshot_lsn
     for record in records:
+        if record["type"] != RECV:
+            raise WalCorruption(
+                f"{os.path.join(directory, WAL_FILENAME)!r} holds a "
+                f"{record['type']!r} record at LSN {record['lsn']}: "
+                f"the warehouse appends only {RECV!r} records"
+            )
         last_lsn = max(last_lsn, _lsn_of(record))
-        if _lsn_of(record) <= snapshot_lsn or record["type"] != RECV:
+        if _lsn_of(record) <= snapshot_lsn:
             continue
         data = cast(Dict[str, Any], record["data"])
         try:

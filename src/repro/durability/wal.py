@@ -34,9 +34,8 @@ The warehouse writes one record type (see ``runtime/actors.py``):
 atomic event.  Algorithms are deterministic state machines, so replaying
 received messages in order reconstructs the exact pre-crash state
 (state-machine replication); the log holds exactly what that replay
-needs, and ``snapshot_every`` therefore bounds it.  Recovery skips a
-record of any other type, so a directory whose log also carries the
-``"send"`` / ``"event"`` records older writers appended still recovers.
+needs, and ``snapshot_every`` therefore bounds it.  Recovery refuses a
+record of any other type as :class:`WalCorruption`.
 
 Durability/recovery contract: a record is logged *before* the message is
 dispatched to the algorithm, and crash injection only fires at event

@@ -117,7 +117,7 @@ class FragmentingIncremental(WarehouseAlgorithm):
         return {
             "next_query_id": self._next_query_id,
             "terms": [
-                {"term": record.plan.term, "answers": dict(record.answers)}
+                {"term": Query([record.plan.term]), "answers": dict(record.answers)}
                 for record in records
             ],
             "routes": {
@@ -133,7 +133,7 @@ class FragmentingIncremental(WarehouseAlgorithm):
         self.spanning_queries = state["spanning_queries"]
         records: List[_PendingTerm] = []
         for entry in state["terms"]:
-            record = _PendingTerm(FragmentPlan(entry["term"], self.owners))
+            record = _PendingTerm(FragmentPlan(entry["term"].terms[0], self.owners))
             record.answers = dict(entry["answers"])
             records.append(record)
         self._pending = {}

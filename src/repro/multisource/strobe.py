@@ -202,10 +202,14 @@ class StrobeStyle(WarehouseAlgorithm):
 
     def pending_state(self) -> Dict[str, Any]:
         # A FragmentPlan is fully derived from (term, owners), so only the
-        # term persists; routes refer to pending records by list index.
+        # term persists, as a one-term query; routes refer to pending
+        # records by list index.
         pending = [
             {
-                "plans": [(plan.term, dict(answers)) for plan, answers in record.plans],
+                "plans": [
+                    (Query([plan.term]), dict(answers))
+                    for plan, answers in record.plans
+                ],
                 "outstanding": record.outstanding,
                 "filters": list(record.filters),
             }
@@ -233,8 +237,8 @@ class StrobeStyle(WarehouseAlgorithm):
         for entry in state["pending"]:
             record = _PendingInsert()
             record.plans = [
-                (FragmentPlan(term, self.owners), dict(answers))
-                for term, answers in entry["plans"]
+                (FragmentPlan(query.terms[0], self.owners), dict(answers))
+                for query, answers in entry["plans"]
             ]
             record.outstanding = entry["outstanding"]
             record.filters = [

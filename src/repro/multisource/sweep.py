@@ -311,10 +311,10 @@ class SweepStyle(WarehouseAlgorithm):
                 (query_id,) = self.uqs
                 in_flight = (query_id, sweep.hop)
             current = {
-                "term": sweep.term,
+                "term": Query([sweep.term]),
                 "remaining": list(sweep.remaining),
                 "covered": list(sweep.covered),
-                "bindings": sweep.bindings.to_pairs(),
+                "bindings": sweep.bindings,
                 "in_flight": in_flight,
             }
         return {
@@ -332,10 +332,10 @@ class SweepStyle(WarehouseAlgorithm):
         if entry is None:
             return
         sweep = _Sweep.__new__(_Sweep)
-        sweep.term = entry["term"]
+        (sweep.term,) = entry["term"].terms
         sweep.remaining = list(entry["remaining"])
         sweep.covered = list(entry["covered"])
-        sweep.bindings = SignedBag.from_pairs(entry["bindings"])
+        sweep.bindings = entry["bindings"]
         sweep.hop = None
         if entry["in_flight"] is not None:
             # The hop's query is rebuilt from the bindings it was built

@@ -22,16 +22,14 @@ from repro.durability import (
     WriteAheadLog,
     canonical_json,
     decode_value,
-    dumps_algorithm,
     encode_value,
     read_latest_snapshot,
     read_records,
     recover,
 )
 from repro.durability.wal import WAL_FILENAME, _seal, _snapshot_name
-from repro.errors import RecoveryError, SimulationError
-from repro.kernel.dispatch import dispatch_event
-from repro.messaging.messages import QueryAnswer, UpdateNotification
+from repro.errors import RecoveryError, SimulationError, WalCorruption
+from repro.messaging.messages import UpdateNotification
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
@@ -328,71 +326,29 @@ class TestWiderTopologies:
 
 class TestTheLogHoldsWhatRecoveryReplays:
     """The warehouse appends one ``recv`` record per atomic event and
-    nothing else, so a replay is shorter than ``snapshot_every``; a directory
-    whose log also holds the ``send`` / ``event`` records older writers
-    appended still recovers, with those records skipped."""
+    nothing else, so a replay is shorter than ``snapshot_every``; a log
+    that holds a record of another type — the ``send`` / ``event``
+    records writers before codec v5 appended — is refused."""
 
-    def test_a_directory_with_send_and_event_records_recovers_the_same(
-        self, tmp_path
+    @pytest.mark.parametrize("record_type", ["send", "event"])
+    def test_a_record_that_is_no_recv_is_corruption_naming_its_file_and_lsn(
+        self, tmp_path, record_type
     ):
-        scenario, source, live = build_eca("example-2")
-        directories = {
-            "older": str(tmp_path / "older"),
-            "recv-only": str(tmp_path / "recv-only"),
-        }
-        wals = {name: WriteAheadLog(path) for name, path in directories.items()}
-        for wal in wals.values():
-            wal.snapshot(live)
-
-        requests = []
-
-        def receive(message):
-            record = {"channel": "source->wh", "origin": "source"}
-            record["message"] = encode_value(message)
-            for wal in wals.values():
-                wal.append(RECV, record)
-            kind, detail, routed = dispatch_event(live, "source", message)
-            older = wals["older"]
-            for destination, request in routed:
-                older.append(
-                    "send",
-                    {
-                        "destination": destination or "source",
-                        "query_id": request.query_id,
-                        "reissued": False,
-                    },
-                )
-            older.append("event", {"index": len(requests), "kind": kind, "detail": detail})
-            requests.extend(request for _, request in routed)
-
-        # U1 and U2 ship Q1 and Q2; A1, evaluated after U2, lands in
-        # COLLECT while Q2 is still pending.
-        for serial, update in enumerate(scenario.updates, start=1):
-            source.apply_update(update)
-            receive(UpdateNotification(update, serial))
-        first = requests[0]
-        receive(QueryAnswer(first.query_id, source.evaluate(first.query)))
-        for wal in wals.values():
-            wal.close()
-        assert live.pending_query_ids() and live.pending_state()["collect"]
-        types = [r["type"] for r in read_records(directories["older"])[0]]
-        assert {"send", "event"} <= set(types)
-
-        for path in directories.values():
-            recovered = recover(path)
-            assert recovered.replayed == 3
-            algorithm = recovered.algorithm
-            assert algorithm.view_state() == live.view_state()
-            assert algorithm.pending_state()["collect"] == live.pending_state()["collect"]
-            assert algorithm.pending_query_ids() == live.pending_query_ids()
-            assert dumps_algorithm(algorithm) == dumps_algorithm(live)
-            assert [
-                (destination, request.query_id, request.query)
-                for destination, request in recovered.reissue
-            ] == [
-                (destination, request.query_id, request.query)
-                for destination, request in live.pending_requests()
-            ]
+        scenario, _, live = build_eca("example-2")
+        wal = WriteAheadLog(str(tmp_path))
+        wal.snapshot(live)
+        notification = UpdateNotification(scenario.updates[0], 1)
+        wal.append(RECV, {"channel": "source->wh", "origin": "source", "message": notification})
+        lsn = wal.append(record_type, {"destination": "source", "query_id": 1})
+        wal.append(RECV, {"channel": "source->wh", "origin": "source", "message": notification})
+        wal.close()
+        before = sorted(os.listdir(str(tmp_path)))
+        with pytest.raises(WalCorruption) as caught:
+            recover(str(tmp_path))
+        message = str(caught.value)
+        assert os.path.join(str(tmp_path), WAL_FILENAME) in message
+        assert f"{record_type!r} record at LSN {lsn}" in message
+        assert sorted(os.listdir(str(tmp_path))) == before
 
     @pytest.mark.parametrize("batch_k", [1, 4])
     @pytest.mark.parametrize(
@@ -439,10 +395,28 @@ class TestTheLogHoldsWhatRecoveryReplays:
         assert crashed > 0
 
 
+def v3_term(term):
+    """The self-contained ``term`` form codecs before v7 wrote."""
+    operands = [
+        {"$": "bound", "schema": encode_value(op.schema), "tuple": encode_value(op.tuple)}
+        if op.is_bound
+        else {"$": "rel", "schema": encode_value(op.schema)}
+        for op in term.operands
+    ]
+    return {
+        "$": "term",
+        "operands": operands,
+        "projection": list(term.projection),
+        "condition": encode_value(term.condition),
+        "coefficient": term.coefficient,
+    }
+
+
 class TestOtherCodecVersions:
-    """Regression: only ``dumps`` envelopes carried the codec version, so
-    a WAL directory written before codec v4 was not refused — it died
-    inside the query decoder (``malformed 'query' payload: 'shapes'``)."""
+    """Regression: only the value envelope (deleted in codec v7) carried
+    the codec version, so a WAL directory written before codec v4 was not
+    refused — it died inside the query decoder (``malformed 'query'
+    payload: 'shapes'``)."""
 
     def v3_directory(self, tmp_path, stamp):
         """A directory as the v3 tree left it mid-UQS: the pending query
@@ -464,7 +438,7 @@ class TestOtherCodecVersions:
                 return to_v3(json.loads(node["text"]))
             if node.get("$") == "query":
                 terms = decode_value(node).terms
-                return {"$": "query", "terms": [encode_value(term) for term in terms]}
+                return {"$": "query", "terms": [v3_term(term) for term in terms]}
             return {key: to_v3(value) for key, value in node.items()}
 
         downgraded = to_v3(payload)
@@ -483,7 +457,9 @@ class TestOtherCodecVersions:
             for name in sorted(os.listdir(str(tmp_path)))
         }
 
-    @pytest.mark.parametrize("stamp, written", [(3, "v3"), (None, "before v4")])
+    @pytest.mark.parametrize(
+        "stamp, written", [(3, "v3"), (None, "before v4"), (6, "v6")]
+    )
     def test_another_versions_directory_is_refused_by_version(
         self, tmp_path, stamp, written
     ):

@@ -27,7 +27,7 @@ from repro.durability import (
     loads_algorithm,
     recover,
 )
-from repro.durability.codec import dumps
+from repro.durability.codec import encode_text
 from repro.kernel import replay_concurrent
 from repro.kernel.sync import SyncKernel
 from repro.messaging.messages import QueryAnswer, UpdateNotification
@@ -116,8 +116,8 @@ class TestSyncKernelByteIdentity:
             assert independent == shared, name
             # Byte-equal, not merely bag-equal: the canonical codec
             # encodings of every state in the sequence match.
-            assert [dumps(s) for s in independent] == [
-                dumps(s) for s in shared
+            assert [encode_text(s) for s in independent] == [
+                encode_text(s) for s in shared
             ], name
 
     def test_sharing_cuts_kernel_round_trips(self):
@@ -344,7 +344,7 @@ class TestDurability:
         answer = routed[0][1].query.evaluate(sources["source"].snapshot())
         twin.on_answer("source", QueryAnswer(global_id, answer))
         states = {name: twin.state_of(name) for name in twin.algorithms}
-        assert len(set(map(dumps, states.values()))) == 1
+        assert len(set(map(encode_text, states.values()))) == 1
 
     @pytest.mark.parametrize("share", [False, True])
     def test_crash_recovery_converges_like_a_crash_free_run(

@@ -24,6 +24,7 @@ trip, after which every table is rebuilt, is one of the drawn steps.
 The last test is the counting gate on ``bench/``'s ``eca_storm`` shape.
 """
 
+import json
 from collections import deque
 
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from repro.core import eca
 from repro.core.compensation import split
 from repro.core.eca import ECA
 from repro.costmodel.parameters import PaperParameters
-from repro.durability.codec import dumps, dumps_algorithm, loads, loads_algorithm
+from repro.durability.codec import decode_value, dumps_algorithm, encode_text, loads_algorithm
 from repro.errors import UpdateError
 from repro.messaging.messages import QueryAnswer, UpdateNotification
 from repro.relational.conditions import And, Comparison, Const, Not, Or, attr
@@ -148,7 +149,7 @@ def test_the_probe_builds_what_the_scan_splits_to(view, script):
         if step == "answer":
             pending = pending[1:]
         elif step == "recover":
-            pending = [loads(dumps(query)) for query in pending]
+            pending = [decode_value(json.loads(encode_text(query))) for query in pending]
         elif view.involves(step.relation):
             ours = outcome(
                 lambda: built_and_split(eca._compensate_update, view, step, pending)

@@ -134,8 +134,8 @@ def assert_indistinguishable(term, reference, state):
     assert hash(term) == hash(reference)
     assert repr(term) == repr(reference)
     assert term_signature(term) == term_signature(reference)
-    assert canonical_json(encode_value(term)) == canonical_json(
-        encode_value(reference)
+    assert canonical_json(encode_value(Query([term]))) == canonical_json(
+        encode_value(Query([reference]))
     )
     expected = reference.evaluate(state)
     assert term.evaluate(state) == expected

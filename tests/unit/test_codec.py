@@ -20,12 +20,12 @@ from repro.durability import (
     codec,
     decode_algorithm,
     decode_value,
-    dumps,
     dumps_algorithm,
+    encode_algorithm,
     encode_text,
     encode_value,
-    loads,
     loads_algorithm,
+    recover,
     read_latest_snapshot,
 )
 from repro.durability.wal import WAL_FILENAME, _snapshot_name, read_records
@@ -59,7 +59,12 @@ def make_view():
 
 
 def roundtrip(value):
-    return loads(dumps(value, validate=True))
+    """``value`` through its canonical text and back; the decoded twin
+    must re-encode to the text it was read from."""
+    text = encode_text(value)
+    twin = decode_value(json.loads(text))
+    assert encode_text(twin) == text
+    return twin
 
 
 class TestValueRoundTrips:
@@ -96,7 +101,7 @@ class TestValueRoundTrips:
     def test_canonical_bytes_for_equal_bags(self):
         a = SignedBag.from_rows([(1,), (2,), (2,)])
         b = SignedBag.from_rows([(2,), (1,), (2,)])
-        assert dumps(a) == dumps(b)
+        assert encode_text(a) == encode_text(b)
 
     def test_view_and_query_roundtrip(self):
         view = make_view()
@@ -129,7 +134,7 @@ class TestValueRoundTrips:
         )
         mixed = query + other
         again = roundtrip(mixed)
-        assert again == mixed and dumps(again) == dumps(mixed)
+        assert again == mixed and encode_text(again) == encode_text(mixed)
         shapes = {id(term.shape) for term in again.terms}
         assert len(mixed.terms) > 2 and len(shapes) == 2
         assert again.terms[-1].shape is not again.terms[0].shape
@@ -216,27 +221,43 @@ class TestValueRoundTrips:
         # No form that repeats the shape per term could meet that.
         assert len(query.terms[0].shape.encoded) > 2 * 160
 
-    def test_bare_term_keeps_the_term_form(self):
+    def test_a_bare_term_or_view_state_is_no_persisted_form(self):
+        """Codec v7: a term is written only inside a ``query``, and view
+        contents only as an ``algo`` form's ``mv`` bag.  A bare term, an
+        operand or a ``MaterializedView`` is refused, naming its type,
+        and their old tags read as unknown."""
         term = compensating_query().terms[1]
-        data = json.loads(encode_text(term))
-        assert data["$"] == "term" and [op["$"] for op in data["operands"]] == [
-            "bound",
-            "rel",
-        ]
-        assert decode_value(data) == term
+        mv = MaterializedView(make_view(), SignedBag.from_rows([(1, 5)]))
+        for value, kind in (
+            (term, "Term"),
+            (term.operands[0], "BoundOperand"),
+            (term.operands[1], "RelationOperand"),
+            (mv, "MaterializedView"),
+            ([mv], "MaterializedView"),
+            ({"k": term}, "Term"),
+        ):
+            for encode in (encode_value, encode_text):
+                with pytest.raises(CodecError, match=f"cannot encode value of type {kind}"):
+                    encode(value)
+        for tag in ("term", "mv", "rel", "bound"):
+            with pytest.raises(CodecError, match=f"unknown codec tag '{tag}'"):
+                decode_value({"$": tag})
+        assert json.loads(encode_text(Query([term])))["$"] == "query"
 
     def test_unencodable_value_raises(self):
         with pytest.raises(CodecError):
-            dumps(object())
+            encode_text(object())
 
     def test_unknown_tag_raises(self):
         with pytest.raises(CodecError):
             decode_value({"$": "no-such-tag"})
 
     def test_version_mismatch_refused(self):
-        text = dumps((1, 2)).replace(f'"v":{CODEC_VERSION}', '"v":999')
-        with pytest.raises(CodecError, match="version"):
-            loads(text)
+        text = dumps_algorithm(algorithm_mid_protocol("eca"))
+        for stamp in (CODEC_VERSION - 1, 999):
+            older = text.replace(f'"v":{CODEC_VERSION}', f'"v":{stamp}')
+            with pytest.raises(CodecError, match=f"version.*v{stamp}"):
+                loads_algorithm(older)
 
     def test_malformed_payload_raises_codec_error(self):
         with pytest.raises(CodecError):
@@ -301,6 +322,37 @@ class TestAlgorithmRoundTrips:
                 )
             )
 
+    def test_a_recovered_uqs_shares_one_operand_per_binding(self, tmp_path):
+        """Decoded, every UQS term that binds one update's tuple holds one
+        operand object, validated once and rendered once."""
+        schemas = SCHEMAS + [RelationSchema("r3", ("Y", "Z"), key=("Z",))]
+        view = View.natural_join("V", schemas, ["W", "Z"])
+        algorithm = create_algorithm("eca", view, SignedBag())
+        updates = [insert("r1", (7, 2)), insert("r2", (2, 5)), insert("r1", (8, 2))]
+        for serial, update in enumerate(updates, start=1):
+            algorithm.on_update("source", UpdateNotification(update, serial))
+        wal = WriteAheadLog(str(tmp_path))
+        wal.snapshot(algorithm)
+        wal.close()
+        recovered = recover(str(tmp_path)).algorithm
+
+        def operands(warehouse):
+            found = {}
+            for query in warehouse.uqs.values():
+                for term in query.terms:
+                    for operand in term.operands:
+                        if operand.is_bound:
+                            found.setdefault((operand.schema, operand.tuple), set()).add(
+                                id(operand)
+                            )
+            return found
+
+        live, twin = operands(algorithm), operands(recovered)
+        assert len(algorithm.uqs) == 3 and len(live) == 3
+        assert twin.keys() == live.keys()
+        assert sorted(map(len, twin.values())) == [1, 1, 1]
+        assert encode_algorithm(recovered) == encode_algorithm(algorithm)
+
 
 def reference_text(value):
     """The definition: the tagged form through the stock JSON encoder."""
@@ -334,12 +386,11 @@ class TestEncodeOnce:
     def test_text_path_equals_the_definition(self):
         query = compensating_query()
         _, request = algorithm_mid_protocol("eca").pending_requests()[0]
-        mv = MaterializedView(make_view(), SignedBag.from_rows([(1, 5), (1, 5), (2, 6)]))
         values = [
             None, True, 1, -1, 2.5, "t\u00e9xt\"", (), [], {},
             (1, [2, (3,)], {"k": (4,)}),
             {1: query, "nested": [query, (query, {2: query})], (1, 2): None},
-            query, compensating_query().terms[1], make_view(), mv, [mv, {"mv": mv}],
+            query, make_view(), Query([compensating_query().terms[1]]),
             SignedBag.from_rows([(1, 2)]), insert("r1", (9, 9)).signed_tuple(),
             UpdateNotification(insert("r1", (9, 9)), 4),
             request, QueryRequest(7, query),
@@ -356,7 +407,7 @@ class TestEncodeOnce:
     def test_equal_queries_built_apart_render_alike(self):
         # The twin shares no shape and no memo with the original.
         query = compensating_query()
-        twin = loads(dumps(query))
+        twin = decode_value(json.loads(encode_text(query)))
         assert twin.terms[0].shape is not query.terms[0].shape
         assert encode_text(twin) == encode_text(query) == reference_text(query)
 
@@ -563,13 +614,11 @@ class TestColumnBags:
         for data in (
             bad,
             {"$": "msg.answer", "id": 1, "answer": bad},
-            {"$": "mv", "view": encode_value(make_view()), "contents": bad},
+            {"$": "dict", "items": [["delta", bad]]},  # an algorithm's pending bag
             {"$": "bag.chain", "base": self.GOOD, "changes": [delta]},
         ):
             with pytest.raises(CodecError):
                 decode_value(data)
-        with pytest.raises(CodecError):
-            loads(canonical_json({"data": bad, "v": CODEC_VERSION}))
 
     #: Columns are checked a whole column at a time; each refusal is the
     #: codec's own error, naming what is wrong, not a wrapped one.

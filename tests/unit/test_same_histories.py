@@ -20,6 +20,7 @@ from same_histories import (  # noqa: E402
     ROW_OUTPUTS,
     SUITES,
     V6_FIXTURE_TESTS,
+    V7_FORM_TESTS,
     Report,
     Tree,
     compare_row,
@@ -144,6 +145,47 @@ class TestAllowances:
             change = {**parent, other: {"outcome": "failed (call)", "runs": []}}
             compare_suites(parent, change, report, frozenset({"v6-fixtures"}))
             assert [where for where, _, _ in report.differences] == [other]
+
+    def test_v7_forms_let_only_their_tests_change_outcome(self):
+        """The parent's v3 fixtures and its send/event log: codec v7
+        writes no bare term and refuses a record that is no ``recv``."""
+        assert V6_FIXTURE_TESTS < V7_FORM_TESTS
+        (log,) = V7_FORM_TESTS - V6_FIXTURE_TESTS
+        assert log.endswith("::test_a_directory_with_send_and_event_records_recovers_the_same")
+        other = f"{SUITES[0]}::test_other"
+        for fixture in sorted(V7_FORM_TESTS):
+            parent = {name: {"outcome": "passed", "runs": []} for name in (fixture, other)}
+            failed = {"outcome": "failed (call)", "runs": []}
+            for allow, expected in ((frozenset(), [fixture]), (frozenset({"v7-forms"}), [])):
+                report = Report()
+                compare_suites(parent, {**parent, fixture: failed}, report, allow)
+                assert [where for where, _, _ in report.differences] == expected
+            report = Report()
+            compare_suites(parent, {**parent, other: failed}, report, frozenset({"v7-forms"}))
+            assert [where for where, _, _ in report.differences] == [other]
+
+    #: A parent's suite test that calls the value envelope codec v7 deleted.
+    ENVELOPE_PROBE = (
+        "from repro.durability.codec import dumps, loads\n"
+        "from repro.relational.bag import SignedBag\n"
+        "\n"
+        "def test_the_envelope_round_trips():\n"
+        "    bag = SignedBag.from_rows([(1, 2), (1, 2)])\n"
+        "    assert loads(dumps(bag)) == bag and dumps(bag) == dumps(loads(dumps(bag)))\n"
+    )
+
+    def test_a_tree_without_the_value_envelope_gets_it_from_the_plugin(self, tmp_path):
+        (tmp_path / "test_probe.py").write_text(self.ENVELOPE_PROBE)
+        tree = Tree(str(REPO_ROOT), str(tmp_path), "change")
+        args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "same_histories"]
+        args += ["--rootdir", str(tmp_path), "--histories-out", str(tmp_path / "h.json")]
+        done = tree.python(
+            args + ["--histories-allow", "v7-forms", "test_probe.py"], cwd=str(tmp_path)
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        without = tree.python(args + ["test_probe.py"], cwd=str(tmp_path))
+        assert without.returncode == pytest.ExitCode.INTERRUPTED
+        assert "cannot import name 'dumps'" in without.stdout
 
     def test_planner_counts_are_their_own_allowance(self, tmp_path):
         line = "shared compensation: {} distinct queries issued, 3 member queries absorbed\n"
@@ -320,21 +362,32 @@ class TestHistoryHashes:
         assert history_components(first, wal) == history_components(moved, wal)
 
 
-def test_portable_reads_columns_and_quoted_queries_as_codec_v5_wrote_them():
+def test_portable_reads_every_bag_as_a_pairs_list_and_a_one_term_query_as_its_term():
     """A recovered state is hashed in one layout on both trees, so a
-    format change compares equal states equal."""
+    format change compares equal states equal: codec v6 wrote view
+    contents as a ``bag``, an algorithm's pending bag as a list of
+    ``(row, count)`` tuples and a lone term as a ``term``; v7 writes
+    every bag as a ``bag`` and a lone term as a one-term ``query``."""
     from repro.durability.codec import encode_value
     from repro.relational.bag import SignedBag
     from repro.relational.expressions import Query
+    from repro.relational.schema import RelationSchema
+    from repro.relational.views import View
+    from repro.source.updates import insert
 
+    as_v6_pending = [
+        {"$": "tuple", "items": [{"$": "tuple", "items": [1, None]}, 1]},
+        {"$": "tuple", "items": [{"$": "tuple", "items": [3, "x"]}, 1]},
+    ]
     bag = SignedBag.from_rows([(3, "x"), (1, None)])
-    assert portable(encode_value(bag)) == {
-        "$": "bag",
-        "pairs": [
-            [{"$": "tuple", "items": [1, None]}, 1],
-            [{"$": "tuple", "items": [3, "x"]}, 1],
-        ],
-    }
+    assert "columns" in encode_value(bag)
+    assert portable(encode_value(bag)) == as_v6_pending
+    assert portable(encode_value(bag.to_pairs())) == as_v6_pending
+    nested = SignedBag({((1, 2), 3): -1})
+    assert "pairs" in encode_value(nested)
+    assert portable(encode_value(nested)) == portable(encode_value(nested.to_pairs()))
+    assert portable(encode_value(SignedBag())) == portable(encode_value([])) == []
+
     query = Query()
     state = encode_value({"uqs": {1: query}})
     assert state["items"][0][1]["items"][0][1]["$"] == "json"
@@ -342,6 +395,25 @@ def test_portable_reads_columns_and_quoted_queries_as_codec_v5_wrote_them():
         "$": "dict",
         "items": [["uqs", {"$": "dict", "items": [[1, encode_value(query)]]}]],
     }
+
+    schemas = [RelationSchema("r1", ("W", "X")), RelationSchema("r2", ("X", "Y"))]
+    view = View.natural_join("V", schemas, ["W", "Y"])
+    (term,) = view.substitute("r1", insert("r1", (7, 2)).signed_tuple()).terms
+    first, second = (encode_value(schema) for schema in schemas)
+    as_v6_term = {
+        "$": "term",
+        "operands": [
+            {"$": "bound", "schema": first, "tuple": encode_value(term.operands[0].tuple)},
+            {"$": "rel", "schema": second},
+        ],
+        "projection": list(term.projection),
+        "condition": encode_value(term.condition),
+        "coefficient": 1,
+    }
+    assert portable(encode_value(Query([term]))) == as_v6_term
+    assert portable(as_v6_term) == as_v6_term
+    two = encode_value(Query([term, term]))
+    assert portable(two) == two  # a query of two terms stays a query
 
 
 class TestClassPlacement:

@@ -310,10 +310,11 @@ class TestSnapshots:
         self, tmp_path
     ):
         """Codec v4 changed the ``query`` form, v5 added the planner's
-        ``issued`` / ``saved`` counts and v6 wrote bags of scalar rows as
-        columns, and nothing else: ``algo``, ``algo.catalog``, ``view``,
-        the pending dicts are byte for byte what they were, and a bag
-        is the same rows and counts."""
+        ``issued`` / ``saved`` counts, v6 wrote bags of scalar rows as
+        columns and v7 deleted forms an ECA catalog never wrote, and
+        nothing else: ``algo``, ``algo.catalog``, ``view``, the pending
+        dicts are byte for byte what they were, and a bag is the same
+        rows and counts."""
         from repro.core.eca import ECA
         from repro.warehouse.catalog import WarehouseCatalog
 
@@ -385,7 +386,8 @@ class TestAtomicInstall:
         wal = WriteAheadLog(str(tmp_path))
         wal.append("event", {"n": 1})
         lsn = wal.snapshot(algorithm)
-        wal.append("event", {"n": 2})
+        update = UpdateNotification(insert("r1", (9, 9)), 1)
+        wal.append(RECV, {"channel": "source->wh", "origin": "source", "message": update})
         wal.close()
         # A crash mid-snapshot and one mid-rewrite: half a body each.
         orphans = [_snapshot_name(lsn + 1) + ".tmp", WAL_FILENAME + ".tmp"]
@@ -867,7 +869,7 @@ class TestMalformedChain:
         self.reseal(directory, names[0], lambda fields: fields.update(base=2))
         self.refused(directory, names[0])
 
-    @pytest.mark.parametrize("stamp", [4, 5, 7])
+    @pytest.mark.parametrize("stamp", [4, 5, 6, 8])
     def test_a_link_of_another_codec_version(self, tmp_path, stamp):
         directory, names = self.chain(tmp_path)
         self.reseal(directory, names[1], lambda fields: fields.update(v=stamp))
@@ -894,7 +896,20 @@ class TestMalformedChain:
         with pytest.raises(RecoveryError) as caught:
             recover(directory)
         message = str(caught.value)
-        assert names[0] in message and "v5" in message and "v6" in message
+        assert names[0] in message and "v5" in message
+        assert f"v{CODEC_VERSION}" in message
+
+    def test_a_v6_directory_is_refused_by_version(self, tmp_path):
+        """Codec v7 writes a lone term as a one-term query and an
+        algorithm's pending bag as a bag: a chain the v6 tree wrote is
+        refused by its stamps, before any of it is decoded."""
+        directory, names = self.chain(tmp_path)
+        for name in names:
+            self.reseal(directory, name, lambda fields: fields.update(v=6))
+        with pytest.raises(RecoveryError) as caught:
+            recover(directory)
+        message = str(caught.value)
+        assert names[-1] in message and "v6" in message and "v7" in message
 
     def test_a_malformed_column_bag_in_a_link(self, tmp_path):
         directory, names = self.chain(tmp_path)

@@ -85,6 +85,12 @@ ALLOWANCES = {
     "answer-bytes": "byte counters of the channels a source sends the "
     "warehouse on (<source>->wh, <source>=>shard<i>) under a wire codec: "
     "since codec v6 an answer's rows travel as columns",
+    "v7-forms": "the outcome of the suite tests that write a form codec "
+    "v7 deleted and expect it read (V7_FORM_TESTS): a v3 fixture built "
+    "from bare `term` forms, and a log holding `send` / `event` records, "
+    "which v7 refuses.  The parent's suites call the value envelope "
+    "`dumps` / `loads` v7 deleted; on a tree without it they read both "
+    "from provide_value_envelope",
     "v6-fixtures": "the outcome of the suite tests that build an older "
     "codec's directory by rewriting the query nodes of this codec's root "
     "(V6_FIXTURE_TESTS): since codec v6 a root quotes its UQS entries, so "
@@ -130,9 +136,20 @@ V6_FIXTURE_TESTS = frozenset(
     )
 )
 
+#: The suite tests that write a form codec v7 deleted and expect it read:
+#: under ``v7-forms`` their outcome may move.
+V7_FORM_TESTS = V6_FIXTURE_TESTS | {
+    "tests/integration/test_crash_recovery.py::TestTheLogHoldsWhatRecoveryReplays::"
+    "test_a_directory_with_send_and_event_records_recovers_the_same"
+}
+
 #: Per allowance, the suite tests whose outcome (and so how many runs
 #: they reached) it lets move.
-OUTCOME_TESTS = {"class-placement": SPLIT_TESTS, "v6-fixtures": V6_FIXTURE_TESTS}
+OUTCOME_TESTS = {
+    "class-placement": SPLIT_TESTS,
+    "v6-fixtures": V6_FIXTURE_TESTS,
+    "v7-forms": V7_FORM_TESTS,
+}
 
 #: Matrix axes: name -> (label, ``repro runtime`` arguments) per value.
 AXES: Tuple[Tuple[str, Tuple[Tuple[str, Tuple[str, ...]], ...]], ...] = (
@@ -323,6 +340,8 @@ def pytest_configure(config) -> None:
         allow = Allow(config.getoption("histories_allow"))
         if "one-checker" in allow:
             provide_cut_functions()
+        if "v7-forms" in allow:
+            provide_value_envelope()
         config.pluginmanager.register(HistoryHashes(path, allow), "history-hashes")
 
 
@@ -353,6 +372,24 @@ def provide_cut_functions() -> None:
         setattr(module, function.__name__, function)
         setattr(repro.multisource, function.__name__, function)
     sys.modules[module.__name__] = repro.multisource.consistency = module
+
+
+def provide_value_envelope() -> None:
+    """The value-level ``dumps`` / ``loads`` of codecs before v7, on a
+    tree that deleted them: a parent's suites import them."""
+    from repro.durability import codec
+
+    if hasattr(codec, "dumps"):
+        return
+
+    def dumps(value: object) -> str:
+        version = codec.canonical_json(codec.CODEC_VERSION)
+        return codec.splice({"v": version, "data": codec.encode_text(value)})
+
+    def loads(text: str) -> object:
+        return codec.decode_value(json.loads(text)["data"])
+
+    codec.dumps, codec.loads = dumps, loads  # type: ignore[attr-defined]
 
 
 class HistoryHashes:
@@ -436,19 +473,43 @@ class HistoryHashes:
 
 def portable(node: object) -> object:
     """Parsed codec data in one layout whatever codec version wrote it:
-    a quoted ``json`` value parsed in place, and a bag's ``columns`` /
-    ``counts`` as the ``[row, count]`` pairs codec v5 wrote.  Two trees
-    either side of a format change then hash equal states equal."""
+    a quoted ``json`` value parsed in place; a ``bag`` — ``columns`` /
+    ``counts`` or ``pairs`` — as the list of ``(row, count)`` tuples an
+    algorithm's pending bag was written as before codec v7; and a
+    one-term ``query`` as the ``term`` form a lone term was written in
+    before v7.  Two trees either side of a format change then hash equal
+    states equal."""
     if isinstance(node, list):
         return [portable(item) for item in node]
     if not isinstance(node, dict):
         return node
-    if node.get("$") == "json":
+    tag = node.get("$")
+    if tag == "json":
         return portable(json.loads(node["text"]))
-    if "columns" in node:
-        rows = zip(*node["columns"])
-        pairs = [[{"$": "tuple", "items": list(row)}, n] for row, n in zip(rows, node["counts"])]
-        return {"$": node["$"], "pairs": pairs}
+    if tag == "bag":
+        if "columns" in node:
+            rows = [{"$": "tuple", "items": list(row)} for row in zip(*node["columns"])]
+            pairs = list(zip(rows, node["counts"]))
+        else:
+            pairs = node["pairs"]
+        return [{"$": "tuple", "items": [portable(row), count]} for row, count in pairs]
+    if tag == "query" and "shapes" in node and len(node["terms"]) == 1:
+        ((index, coefficient, bindings),) = node["terms"]
+        shape = node["shapes"][index]
+        operands = [
+            {"$": "rel", "schema": schema}
+            if bound is None
+            else {"$": "bound", "schema": schema, "tuple": bound}
+            for schema, bound in zip(shape["schemas"], bindings)
+        ]
+        term = {
+            "$": "term",
+            "operands": operands,
+            "projection": shape["projection"],
+            "condition": shape["condition"],
+            "coefficient": coefficient,
+        }
+        return portable(term)
     return {key: portable(value) for key, value in node.items()}
 
 
