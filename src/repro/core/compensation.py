@@ -22,10 +22,11 @@ the warehouse and the others are shipped.  :func:`split` does it.
 
 Most of ``-Q_j<U>``'s terms are ones the split would drop at their first
 check, an attribute equality between the update's tuple and a tuple the
-term already binds.  :func:`candidate_terms` does not build those: each
-pending query indexes its terms by that bound value, per updated
-relation (:func:`probe_key` says where to read it), and an update looks
-its own value up instead of substituting into every term.
+term already binds.  A :class:`ProbeIndex` does not build those: it
+indexes the whole UQS's terms by that bound value, per updated relation
+(:func:`probe_key` says where to read it), and an update looks its own
+value up instead of substituting into every term, or visiting every
+pending query.
 """
 
 from __future__ import annotations
@@ -151,79 +152,167 @@ def _compile(
     )
 
 
-#: A pending query's terms as updates of one relation meet them: the
-#: indices of the terms every update must substitute, and per column of
-#: the update's tuple, bound value -> indices of the terms whose first
-#: check is that column equal to that value.  Terms in which the relation
-#: vanishes or does not occur are in neither.
-ProbeTable = Tuple[List[int], List[Tuple[int, Dict[object, List[int]]]]]
+class ProbeIndex:
+    """An algorithm's whole UQS, indexed by what an update must equal for
+    each pending term's ``Q_j<U>`` to survive its first check.
 
-
-def candidate_terms(
-    pending: Sequence[Query], relation: str, values: Tuple[Any, ...]
-) -> List[Term]:
-    """The terms of ``pending`` whose ``Q_j<U>`` for an update of
-    ``relation`` to ``values`` the split could keep, unsubstituted, in UQS
-    order then term order.
-
-    A term is left out only when its substituted form would fail its
-    first bound check, ``values[column] == bound value``: a dict probe
-    finds a key exactly when ``==`` holds (hash agrees with ``==`` on
-    every value a schema accepts, and none is unequal to itself), and
-    :func:`split` stops at a term's first false check.  So
-    ``Query(candidate_terms(...)).substitute(relation, tuple, -1)`` is
-    ``-sum_j Q_j<U>`` less exactly terms the split would drop first thing.
+    ``uqs`` is the algorithm's own id -> query map, held, not copied: ids
+    ascend in it (:meth:`~repro.core.protocol.WarehouseAlgorithm.uqs_queries`).
+    Per updated relation, a :class:`_Table` files each pending query's
+    terms under the :func:`probe_key` rule.  Filing is lazy: an update
+    files the queries issued since the last update of its relation
+    (:meth:`hits` walks the UQS back to the newest id filed), so an empty
+    UQS builds nothing.  Retiring is eager: :meth:`retire` removes an
+    answered query's entries and every bucket they leave empty.  A
+    recovered algorithm starts a new index.
     """
-    out: List[Term] = []
-    for query in pending:
-        try:
-            always, buckets = query.probes[relation]  # type: ignore[index]
-        except (KeyError, TypeError):  # no table yet, or no tables at all
-            always, buckets = _probe_table(query, relation)
-        if not buckets:
-            indices: Sequence[int] = always
-        else:
-            found = list(always)
-            for column, bucket in buckets:
-                try:
-                    found += bucket.get(values[column], ())
-                except TypeError:  # an unhashable value: every term is one
-                    found += chain.from_iterable(bucket.values())
-            indices = sorted(found)
-        if indices:
-            out += map(query.terms.__getitem__, indices)
-    return out
+
+    def __init__(self, uqs: Dict[int, Query]) -> None:
+        self.uqs = uqs
+        self.tables: Dict[str, _Table] = {}
+
+    def hits(
+        self, relation: str, values: Tuple[Any, ...]
+    ) -> List[Tuple[int, List[int]]]:
+        """``(query id, term indices)`` of every pending query that has a
+        candidate for an update of ``relation`` to ``values``, ids and
+        indices ascending — the UQS order, then term order.
+
+        A term is left out only when its substituted form would fail its
+        first bound check, ``values[column] == bound value``: a dict probe
+        finds a key exactly when ``==`` holds (hash agrees with ``==`` on
+        every value a schema accepts, and none is unequal to itself), and
+        :func:`split` stops at a term's first false check.  A pending query
+        with no candidate is never visited.
+        """
+        uqs = self.uqs
+        if not uqs:
+            return []
+        table = self.tables.get(relation)
+        if table is None:
+            table = self.tables[relation] = _Table()
+        newest = next(reversed(uqs))
+        if newest > table.filed:
+            fresh: List[int] = []
+            for query_id in reversed(uqs):
+                if query_id <= table.filed:
+                    break
+                fresh.append(query_id)
+            for query_id in reversed(fresh):
+                table.file(query_id, uqs[query_id].terms, relation)
+            table.filed = newest
+        found: List[Dict[int, List[int]]] = []
+        if table.always:
+            found.append(table.always)
+        for column, by_value in table.columns.items():
+            try:
+                bucket = by_value.get(values[column])
+            except TypeError:  # an unhashable value: every term is one
+                found += by_value.values()
+                continue
+            if bucket is not None:
+                found.append(bucket)
+        if len(found) < 2:
+            # Ids enter each map ascending (filed oldest first, each one
+            # newer than every id filed before), and removals keep order.
+            return list(found[0].items()) if found else []
+        merged: Dict[int, List[int]] = {}
+        for bucket in found:
+            for query_id, indices in bucket.items():
+                have = merged.get(query_id)
+                merged[query_id] = indices if have is None else sorted(have + indices)
+        return sorted(merged.items())
+
+    def candidates(self, relation: str, values: Tuple[Any, ...]) -> List[Term]:
+        """The terms :meth:`hits` names, unsubstituted, in its order:
+        ``Query(candidates(...)).substitute(relation, tuple, -1)`` is
+        ``-sum_j Q_j<U>`` less exactly terms the split would drop first
+        thing."""
+        uqs = self.uqs
+        out: List[Term] = []
+        for query_id, indices in self.hits(relation, values):
+            out += map(uqs[query_id].terms.__getitem__, indices)
+        return out
+
+    def retire(self, query_id: int) -> None:
+        """Forget an answered query: its entries, and the buckets and
+        columns they leave empty."""
+        for table in self.tables.values():
+            if query_id > table.filed:
+                continue
+            table.always.pop(query_id, None)
+            columns = table.columns
+            for column, value in table.placed.pop(query_id, ()):
+                by_value = columns[column]
+                bucket = by_value[value]
+                del bucket[query_id]
+                if not bucket:
+                    del by_value[value]
+                    if not by_value:
+                        del columns[column]
 
 
-def _probe_table(query: Query, relation: str) -> ProbeTable:
-    """Build ``query``'s table for ``relation`` and keep it there."""
-    always: List[int] = []
-    buckets: Dict[int, Dict[object, List[int]]] = {}
-    for at, term in enumerate(query.terms):
-        shape = term.shape
-        occurrences = shape.occurrences.get(relation)
-        if not occurrences:
-            continue
-        operands = term.operands
-        if len(occurrences) == 1:
-            index = occurrences[0]
-            if operands[index].is_bound:
-                continue  # Q<U> has no such term
-            key = probe_key(shape, tuple(map(_is_bound, operands)), index)
-            if key is not None:
-                column, other, position = key
-                value = operands[other].tuple.values[position]
-                try:
-                    buckets.setdefault(column, {}).setdefault(value, []).append(at)
-                    continue
-                except TypeError:  # an unhashable bound value
-                    pass
-        always.append(at)
-    if query.probes is None:
-        query.probes = {}
-    table: ProbeTable = (always, list(buckets.items()))
-    query.probes[relation] = table
-    return table
+class _Table:
+    """The UQS's terms as updates of one relation meet them.
+
+    ``always``: query id -> indices of the terms every update must
+    substitute.  ``columns``: per column of the update's tuple, bound
+    value -> (query id -> indices of the terms whose first check is that
+    column equal to that value).  ``placed``: query id -> the (column,
+    value) buckets it is in.  ``filed``: the newest query id filed.
+    Terms in which the relation vanishes or does not occur are nowhere.
+    """
+
+    __slots__ = ("filed", "always", "columns", "placed")
+
+    def __init__(self) -> None:
+        self.filed = 0
+        self.always: Dict[int, List[int]] = {}
+        self.columns: Dict[int, Dict[object, Dict[int, List[int]]]] = {}
+        self.placed: Dict[int, List[Tuple[int, object]]] = {}
+
+    def file(self, query_id: int, terms: Sequence[Term], relation: str) -> None:
+        """File a pending query's ``terms`` for updates of ``relation``."""
+        always: List[int] = []
+        placed: List[Tuple[int, object]] = []
+        columns = self.columns
+        for at, term in enumerate(terms):
+            shape = term.shape
+            occurrences = shape.occurrences.get(relation)
+            if not occurrences:
+                continue
+            operands = term.operands
+            if len(occurrences) == 1:
+                index = occurrences[0]
+                if operands[index].is_bound:
+                    continue  # Q<U> has no such term
+                key = probe_key(shape, tuple(map(_is_bound, operands)), index)
+                if key is not None:
+                    column, other, position = key
+                    value = operands[other].tuple.values[position]
+                    by_value = columns.get(column)
+                    if by_value is None:
+                        by_value = columns[column] = {}
+                    try:
+                        bucket = by_value.get(value)
+                    except TypeError:  # an unhashable bound value
+                        if not by_value:
+                            del columns[column]
+                    else:
+                        if bucket is None:
+                            bucket = by_value[value] = {}
+                        indices = bucket.get(query_id)
+                        if indices is None:
+                            bucket[query_id] = [at]
+                            placed.append((column, value))
+                        else:
+                            indices.append(at)
+                        continue
+            always.append(at)
+        if always:
+            self.always[query_id] = always
+        if placed:
+            self.placed[query_id] = placed
 
 
 def probe_key(

@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.compensation import (
+    ProbeIndex,
     batch_delta_query,
-    candidate_terms,
     split,
     staged_compensation,
 )
@@ -38,7 +38,8 @@ from repro.messaging.messages import (
 )
 from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_query
-from repro.relational.expressions import Query
+from repro.relational.expressions import BoundOperand, Query
+from repro.relational.schema import RelationSchema
 from repro.relational.views import View
 from repro.source.updates import Update
 
@@ -75,6 +76,8 @@ class ECA(WarehouseAlgorithm):
         super().__init__(view, initial)
         self.collect = SignedBag()
         self.buffer_answers = buffer_answers
+        #: The UQS indexed for the builder's probe (never persisted).
+        self.probe_index = ProbeIndex(self.uqs)
 
     # ------------------------------------------------------------------ #
     # W_up
@@ -84,7 +87,7 @@ class ECA(WarehouseAlgorithm):
         if not self.relevant(notification):
             return []
         return self._dispatch(
-            _compensate_update(self.view, notification.update, self.uqs_queries())
+            _compensate_update(self.view, notification.update, self.probe_index)
         )
 
     def handle_update_batch(self, batch: UpdateBatch) -> List[QueryRequest]:
@@ -152,6 +155,7 @@ class ECA(WarehouseAlgorithm):
         else:
             self._absorb(answer.answer)
         del self.uqs[answer.query_id]
+        self.probe_index.retire(answer.query_id)
         return []
 
     # ------------------------------------------------------------------ #
@@ -197,20 +201,25 @@ class ECA(WarehouseAlgorithm):
     def restore_pending_state(self, state: Dict[str, Any]) -> None:
         super().restore_pending_state(state)
         self.collect = state["collect"].copy()
+        self.probe_index = ProbeIndex(self.uqs)
 
     def durable_config(self) -> Dict[str, Any]:
         return {"buffer_answers": self.buffer_answers}
 
 
-def _compensate_update(view: View, update: Update, pending: List[Query]) -> Query:
+def _compensate_update(view: View, update: Update, pending: ProbeIndex) -> Query:
     """``V<U> - sum_j Q_j<U>``: V<U>'s terms, then each pending query's
     compensation in UQS order — less the terms whose first bound check
-    the update's tuple fails, which the pending queries' probe tables
-    leave unbuilt (:func:`~repro.core.compensation.candidate_terms`)."""
+    the update's tuple fails, which the UQS's probe index leaves unbuilt
+    (:meth:`~repro.core.compensation.ProbeIndex.candidates`).  Both sums
+    bind the update's tuple in one operand per schema."""
     relation = update.relation
     signed = update.signed_tuple()
-    query = view.substitute(relation, signed)
-    candidates = candidate_terms(pending, relation, update.values)
+    bound: Dict[RelationSchema, BoundOperand] = {}
+    query = view.substitute(relation, signed, bound)
+    candidates = pending.candidates(relation, update.values)
     if not candidates:
         return query
-    return Query(query.terms + Query(candidates).substitute(relation, signed, -1).terms)
+    return Query(
+        query.terms + Query(candidates).substitute(relation, signed, -1, bound).terms
+    )

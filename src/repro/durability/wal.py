@@ -217,7 +217,7 @@ class WriteAheadLog:
         bounds the replay a recovery performs.
     obs:
         Optional :class:`repro.obs.instrument.Observability`; appends
-        bump ``repro_wal_append_total{type=...}`` and snapshots emit a
+        bump ``repro_wal_append_total{type="recv"}`` and snapshots emit a
         ``wal.snapshot`` span.
     """
 
@@ -330,17 +330,18 @@ class WriteAheadLog:
     # Appending
     # ------------------------------------------------------------------ #
 
-    def append(self, record_type: str, data: object) -> int:
-        """Append one record.  ``data`` is tagged JSON data, except that a
-        live :class:`~repro.messaging.messages.Message` among the values
-        of a ``data`` dict is written as its rendering: a received message
-        is rendered once, for its wire frame and its ``recv`` record."""
+    def append(self, data: object) -> int:
+        """Append one ``recv`` record, the only type recovery replays.
+        ``data`` is tagged JSON data, except that a live
+        :class:`~repro.messaging.messages.Message` among the values of a
+        ``data`` dict is written as its rendering: a received message is
+        rendered once, for its wire frame and its record."""
         if isinstance(data, dict):
             text = splice({key: _value_text(value) for key, value in data.items()})
         else:
             text = canonical_json(data)
         self._lsn += 1
-        line = _record_line(self._lsn, record_type, text)
+        line = _record_line(self._lsn, RECV, text)
         self._file.write(line + "\n")
         self._file.flush()
         if self.fsync:
@@ -348,7 +349,7 @@ class WriteAheadLog:
         self.appended += 1
         self._since_snapshot += 1
         if self.obs is not None:
-            self.obs.wal_append(record_type)
+            self.obs.wal_append()
         return self._lsn
 
     @property

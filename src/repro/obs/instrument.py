@@ -403,9 +403,10 @@ class Observability:
     # Durability hooks
     # ------------------------------------------------------------------ #
 
-    def wal_append(self, record_type: str) -> None:
-        """One WAL record hit the log (metrics only; appends are hot)."""
-        self._wal_appends.inc(type=record_type, **self._shard_labels)
+    def wal_append(self) -> None:
+        """One WAL record hit the log (metrics only; appends are hot).
+        Every record is a ``recv``, the type recovery replays."""
+        self._wal_appends.inc(type="recv", **self._shard_labels)
 
     def wal_snapshot(self, lsn: int) -> None:
         """The WAL took a compacting snapshot as of ``lsn``."""

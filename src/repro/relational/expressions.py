@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExpressionError
 from repro.relational.bag import SignedBag
@@ -432,19 +432,14 @@ class Query:
     Immutable once built, which is what lets ``encoded`` — a memo slot
     owned by :mod:`repro.durability.codec`, filled the first time the
     query is put on the wire or in a snapshot — stand for it ever after.
-    ``probes`` is another, owned by :mod:`repro.core.compensation`: per
-    updated relation, the query's terms indexed by the value an update
-    must equal for ``Q<U>``'s term to survive its first check, built the
-    first time the query is pending when such an update arrives.  Neither
-    is persisted; a decoded query fills both again on first use.
+    It is not persisted; a decoded query fills it again on first use.
     """
 
-    __slots__ = ("terms", "encoded", "probes")
+    __slots__ = ("terms", "encoded")
 
     def __init__(self, terms: Iterable[Term] = ()) -> None:
         self.terms: Tuple[Term, ...] = tuple(terms)
         self.encoded: Optional[str] = None
-        self.probes: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ #
     # Algebra
@@ -460,7 +455,11 @@ class Query:
         return Query(tuple(t.negate() for t in self.terms))
 
     def substitute(
-        self, relation: str, signed_tuple: SignedTuple, coefficient: int = 1
+        self,
+        relation: str,
+        signed_tuple: SignedTuple,
+        coefficient: int = 1,
+        bound: Optional[Dict[RelationSchema, BoundOperand]] = None,
     ) -> "Query":
         """``coefficient * Q<U>`` with ``Q<U> = sum_i T_i<U>``, dropping
         vanished terms.
@@ -477,10 +476,16 @@ class Query:
         relations — is skipped before any call when that occurrence is
         already bound, and otherwise made by splicing the update's operand
         into the operand tuple.
+
+        The update's operand is made once per schema and kept in
+        ``bound``; a caller that passes one table to several
+        substitutions of the same update binds its tuple in one operand
+        per schema across all of them.
         """
         _check_coefficient(coefficient)
         substituted: List[Term] = []
-        bound: Dict[RelationSchema, BoundOperand] = {}
+        if bound is None:
+            bound = {}
         for term in self.terms:
             occurrences = term.shape.occurrences.get(relation)
             if not occurrences:

@@ -131,12 +131,12 @@ class UnionView:
             total = total + (query if sign > 0 else -query)
         return total
 
-    def substitute(self, relation: str, signed_tuple) -> Query:
+    def substitute(self, relation: str, signed_tuple, bound=None) -> Query:
         if not self.involves(relation):
             raise ExpressionError(
                 f"view {self.name!r} is not defined over relation {relation!r}"
             )
-        return self.as_query().substitute(relation, signed_tuple)
+        return self.as_query().substitute(relation, signed_tuple, 1, bound)
 
     # ------------------------------------------------------------------ #
     # Oracle

@@ -24,7 +24,7 @@ from repro.relational.conditions import (
     TrueCondition,
     conjunction,
 )
-from repro.relational.expressions import Query, RelationOperand, Term
+from repro.relational.expressions import BoundOperand, Query, RelationOperand, Term
 from repro.relational.schema import ProductSchema, RelationSchema, require_distinct
 from repro.relational.tuples import SignedTuple
 
@@ -261,13 +261,19 @@ class View:
         """The view definition as a one-term query (used by RV)."""
         return Query([self._term])
 
-    def substitute(self, relation: str, signed_tuple: SignedTuple) -> Query:
-        """``V<U>`` — the incremental query for an update on ``relation``."""
+    def substitute(
+        self,
+        relation: str,
+        signed_tuple: SignedTuple,
+        bound: Optional[Dict[RelationSchema, BoundOperand]] = None,
+    ) -> Query:
+        """``V<U>`` — the incremental query for an update on ``relation``
+        (``bound`` as for :meth:`Query.substitute`)."""
         if not self.involves(relation):
             raise ExpressionError(
                 f"view {self.name!r} is not defined over relation {relation!r}"
             )
-        return self.as_query().substitute(relation, signed_tuple)
+        return self.as_query().substitute(relation, signed_tuple, 1, bound)
 
     # ------------------------------------------------------------------ #
     # Oracle evaluation

@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports errors)
     from repro.obs.instrument import Observability
 
 from repro.durability.crash import CrashRun
-from repro.durability.wal import RECV, WriteAheadLog
+from repro.durability.wal import WriteAheadLog
 from repro.errors import ChannelEmpty, TransportClosed, WarehouseCrashed
 from repro.kernel.dispatch import (
     coalesce_updates,
@@ -393,7 +393,7 @@ class WarehouseActor:
                     await asyncio.sleep(0)
                     continue
                 unit.wal.append(
-                    RECV, {"channel": channel, "origin": origin, "message": message}
+                    {"channel": channel, "origin": origin, "message": message}
                 )
             await self._dispatch(sender, origin, message)
             # One atomic event per scheduling slice: yield so sources and

@@ -27,7 +27,7 @@ from repro.durability import (
     read_records,
     recover,
 )
-from repro.durability.wal import WAL_FILENAME, _seal, _snapshot_name
+from repro.durability.wal import WAL_FILENAME, _record_line, _seal, _snapshot_name
 from repro.errors import RecoveryError, SimulationError, WalCorruption
 from repro.messaging.messages import UpdateNotification
 from repro.relational.engine import evaluate_view
@@ -328,7 +328,8 @@ class TestTheLogHoldsWhatRecoveryReplays:
     """The warehouse appends one ``recv`` record per atomic event and
     nothing else, so a replay is shorter than ``snapshot_every``; a log
     that holds a record of another type — the ``send`` / ``event``
-    records writers before codec v5 appended — is refused."""
+    records writers before codec v5 appended, sealed into the log here
+    since no writer appends one now — is refused."""
 
     @pytest.mark.parametrize("record_type", ["send", "event"])
     def test_a_record_that_is_no_recv_is_corruption_naming_its_file_and_lsn(
@@ -338,9 +339,14 @@ class TestTheLogHoldsWhatRecoveryReplays:
         wal = WriteAheadLog(str(tmp_path))
         wal.snapshot(live)
         notification = UpdateNotification(scenario.updates[0], 1)
-        wal.append(RECV, {"channel": "source->wh", "origin": "source", "message": notification})
-        lsn = wal.append(record_type, {"destination": "source", "query_id": 1})
-        wal.append(RECV, {"channel": "source->wh", "origin": "source", "message": notification})
+        received = {"channel": "source->wh", "origin": "source", "message": notification}
+        lsn = wal.append(received) + 1
+        wal.close()
+        sent = canonical_json({"destination": "source", "query_id": 1})
+        with open(os.path.join(str(tmp_path), WAL_FILENAME), "a", encoding="utf-8") as log:
+            log.write(_record_line(lsn, record_type, sent) + "\n")
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append(received)
         wal.close()
         before = sorted(os.listdir(str(tmp_path)))
         with pytest.raises(WalCorruption) as caught:

@@ -20,7 +20,6 @@ import pytest
 from repro.consistency import check_trace
 from repro.core.registry import create_algorithm
 from repro.durability import (
-    RECV,
     WriteAheadLog,
     dumps_algorithm,
     encode_value,
@@ -386,7 +385,7 @@ class TestDurability:
                 name = action.split(":", 1)[1]
                 message = encode_value(kernel.inbound[name].peek())
                 origin = name if name in sources else None
-                wal.append(RECV, {"channel": name, "origin": origin, "message": message})
+                wal.append({"channel": name, "origin": origin, "message": message})
             kernel.step(action)
             wal.maybe_snapshot(catalog)
             recovered = recover(str(tmp_path)).algorithm

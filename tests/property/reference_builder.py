@@ -4,10 +4,13 @@
 term of every pending query, leaving :func:`~repro.core.compensation.split`
 to drop the terms whose bound tuples fail a check.
 :func:`compensate_by_scan` is that builder.  The one ECA runs
-(``repro.core.eca._compensate_update``) probes each pending query
-instead and never builds the terms :func:`probe_drops` names — terms the
-split drops at their first check — so :func:`built_by_probe` is what it
-must build, and split, both give the same local and remote parts.
+(``repro.core.eca._compensate_update``) probes its UQS's
+:class:`~repro.core.compensation.ProbeIndex` instead and never builds
+the terms :func:`probe_drops` names — terms the split drops at their
+first check — so :func:`built_by_probe` is what it must build, and
+split, both give the same local and remote parts.  Both builders take
+``pending``, a probe index; the scan reads only its ``uqs``.
+:func:`indexed` makes one over a list of queries.
 :func:`scanning` makes ECA build with the scan instead (and, when asked,
 split by plain ``query.partition()``).
 """
@@ -18,17 +21,22 @@ from contextlib import contextmanager
 from unittest import mock
 
 from repro.core import eca
-from repro.core.compensation import split
+from repro.core.compensation import ProbeIndex, split
 from repro.relational.conditions import Attr, Comparison
 from repro.relational.engine import evaluate_query, join_plan
 from repro.relational.expressions import Query
+
+
+def indexed(queries):
+    """A probe index over ``queries``, pending in list order."""
+    return ProbeIndex(dict(enumerate(queries, start=1)))
 
 
 def compensate_by_scan(view, update, pending):
     """``V<U>``'s terms, then every pending query's ``-Q_j<U>`` whole."""
     signed = update.signed_tuple()
     terms = list(view.substitute(update.relation, signed).terms)
-    for query in pending:
+    for query in pending.uqs.values():
         terms.extend(query.substitute(update.relation, signed, -1).terms)
     return Query(terms)
 

@@ -33,7 +33,6 @@ from repro.core.eca import ECA
 from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.durability import (
     CODEC_VERSION,
-    RECV,
     WriteAheadLog,
     decode_algorithm,
     dumps_algorithm,
@@ -95,7 +94,6 @@ def drive_with_wal(directory, name, workload_seed, pace_seed, cadence, max_event
             serial += 1
             message = UpdateNotification(update, serial)
         wal.append(
-            RECV,
             {"channel": "source->wh", "origin": "source", "message": encode_value(message)},
         )
         if isinstance(message, UpdateNotification):
@@ -266,7 +264,7 @@ def test_every_snapshot_is_byte_identical_to_the_tree_path(family, seed, tmp_pat
         name = action.split(":", 1)[1]
         origin = name if name in sources else None
         message = encode_value(kernel.inbound[name].peek())
-        wal.append(RECV, {"channel": name, "origin": origin, "message": message})
+        wal.append({"channel": name, "origin": origin, "message": message})
         kernel.step(action)  # one dispatch_event
         events += 1
 

@@ -1,7 +1,7 @@
 """Property tests: ECA's probing builder is the scan-all builder, split.
 
-``V<U> - sum_j Q_j<U>`` is built from each pending query's probe table
-(:func:`repro.core.compensation.candidate_terms`): a term whose first
+``V<U> - sum_j Q_j<U>`` is built from the UQS's probe index
+(:class:`repro.core.compensation.ProbeIndex`): a term whose first
 bound check is an equality with the update's tuple is substituted only
 when the update's value hits its bucket.  Against the scan-all builder
 (``reference_builder.compensate_by_scan``), after every update of a
@@ -16,10 +16,12 @@ The views put a different first check in front: Example 6's chain with
 ``W > Z`` (which raises on mixed types), an aliased self-join over three
 operands (two occurrences of one relation, never probed), a ``Const``
 comparison that raises before an equality, and an ``Or`` / ``Not``
-conjunct; a catalog class with sharing on puts the tables on queries
-one algorithm holds for two members.  Values are ``None`` / ``'a'`` / ``1`` / ``1.0`` /
-``True``, so ``1 == 1.0 == True`` share a bucket.  A mid-UQS codec round
-trip, after which every table is rebuilt, is one of the drawn steps.
+conjunct; a catalog class with sharing on keeps one index for the
+queries one algorithm holds for two members.  Values are ``None`` / ``'a'`` / ``1`` / ``1.0`` /
+``True``, so ``1 == 1.0 == True`` share a bucket.  One index lives
+through a whole script: answers retire the oldest query, and a mid-UQS
+codec round trip, after which the index is built anew, is one of the
+drawn steps.
 
 The last test is the counting gate on ``bench/``'s ``eca_storm`` shape.
 """
@@ -37,7 +39,7 @@ from reference_builder import (
     probed_equality,
 )
 from repro.core import eca
-from repro.core.compensation import split
+from repro.core.compensation import ProbeIndex, split
 from repro.core.eca import ECA
 from repro.costmodel.parameters import PaperParameters
 from repro.durability.codec import decode_value, dumps_algorithm, encode_text, loads_algorithm
@@ -144,29 +146,38 @@ def assert_probe_is_scan_split(ours, view, update, pending):
 @settings(max_examples=250, deadline=None)
 @given(st.sampled_from(VIEWS), st.lists(steps, min_size=1, max_size=14))
 def test_the_probe_builds_what_the_scan_splits_to(view, script):
-    pending = []
+    uqs = {}
+    pending = ProbeIndex(uqs)
     for step in script:
         if step == "answer":
-            pending = pending[1:]
+            if uqs:
+                oldest = next(iter(uqs))
+                del uqs[oldest]
+                pending.retire(oldest)
         elif step == "recover":
-            pending = [decode_value(json.loads(encode_text(query))) for query in pending]
+            uqs = {
+                query_id: decode_value(json.loads(encode_text(query)))
+                for query_id, query in uqs.items()
+            }
+            pending = ProbeIndex(uqs)
         elif view.involves(step.relation):
             ours = outcome(
                 lambda: built_and_split(eca._compensate_update, view, step, pending)
             )
             assert_probe_is_scan_split(ours, view, step, pending)
             if ours is not TypeError and not ours[2].is_empty():
-                pending = pending + [ours[2]]
+                uqs[max(uqs, default=0) + 1] = ours[2]
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(steps, min_size=1, max_size=14))
 def test_a_shared_class_builds_what_the_scan_splits_to(script):
-    """Two equally defined views, sharing on, are one ECA: the tables sit
-    on the queries that one algorithm holds for both, are probed again at
-    every later update, and what the catalog ships is the probe's remote
-    part.  Updates run at a source first (a delete of an absent row is
-    skipped), and each answer is the source's, in FIFO order."""
+    """Two equally defined views, sharing on, are one ECA: one probe
+    index covers the queries that algorithm holds for both and is probed
+    again at every later update, and what the catalog ships is the remote
+    part of a build over a fresh index of the same UQS.  Updates run at a
+    source first (a delete of an absent row is skipped), and each answer
+    is the source's, in FIFO order."""
     catalog = WarehouseCatalog(
         {name: ECA(chain(name)) for name in ("V0", "V1")}, share_compensation=True
     )
@@ -187,7 +198,7 @@ def test_a_shared_class_builds_what_the_scan_splits_to(script):
                 continue
             ((member, names),) = catalog.classes()
             assert names == ("V0", "V1")
-            before = member.uqs_queries()
+            before = ProbeIndex(dict(member.uqs))
             routed = catalog.on_update("source", UpdateNotification(step, serial))
             in_flight.extend(request for _, request in routed)
             ours = built_and_split(eca._compensate_update, member.view, step, before)
@@ -202,7 +213,7 @@ def test_the_storm_builds_few_terms_and_ships_what_the_scan_ships(monkeypatch):
     C = 100, k = 96, ``max_burst`` 8, seed 1).  The scan-all builder
     derives 8 188 terms there, of which 653 are kept.  The probing one
     ships and evaluates the very same terms, and derives no more than
-    those plus the terms its tables cannot index (first check not an
+    those plus the terms its index cannot file (first check not an
     equality with the update's tuple) — it cannot have turned back into
     a scan that still passes every equality test."""
     built = {}

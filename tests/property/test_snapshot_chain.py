@@ -99,14 +99,14 @@ def test_a_chain_recovers_what_a_root_at_its_lsn_recovers(family, seed, tmp_path
         if not action.startswith("warehouse:"):
             continue
         events += 1
-        wal.append("event", {})
+        wal.append({})
         if events % 2:
             continue  # two events' changes in the next delta
         lsn = wal.snapshot(warehouse)
         # A handle's first snapshot is a root: one at the same LSN.
         twin = WriteAheadLog(root_dir)
         while twin.last_lsn < lsn:
-            twin.append("event", {})
+            twin.append({})
         twin.snapshot(warehouse)
         twin.close()
         assert links(root_dir) == 1
@@ -132,7 +132,7 @@ def test_the_recorder_and_the_wal_each_read_every_change(wal_first, tmp_path):
     wal.snapshot(warehouse)
 
     def read_wal():
-        wal.append("event", {})
+        wal.append({})
         wal.snapshot(warehouse)
         assert text(recover(str(tmp_path)).algorithm) == text(warehouse)
 

@@ -40,7 +40,7 @@ from itertools import chain
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference_builder import compensate_by_scan, scanning
+from reference_builder import compensate_by_scan, indexed, scanning
 from repro.core.compensation import split
 from repro.core.registry import create_algorithm
 from repro.durability.codec import dumps_algorithm, loads_algorithm
@@ -176,7 +176,7 @@ def test_every_dropped_term_is_empty(view, storm, state):
     for update in storm:
         if not view.involves(update.relation):
             continue
-        query = compensate_by_scan(view, update, pending)
+        query = compensate_by_scan(view, update, indexed(pending))
         for term in dropped_by_split(query):
             assert falsified(term), term
             assert evaluate_query(Query([term]), bags).is_empty(), term
@@ -253,7 +253,7 @@ def test_a_dropped_term_evaluates_to_nothing_without_raising(view, storm, state)
         source.apply_update(update)
         if not view.involves(update.relation):
             continue
-        query = compensate_by_scan(view, update, pending)
+        query = compensate_by_scan(view, update, indexed(pending))
         for term in dropped_by_split(query):
             assert evaluate_query(Query([term]), source.snapshot()).is_empty(), term
             assert source.evaluate(Query([term])).is_empty(), term

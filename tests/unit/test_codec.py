@@ -14,7 +14,6 @@ from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.core.stored_copies import StoredCopies
 from repro.durability import (
     CODEC_VERSION,
-    RECV,
     WriteAheadLog,
     canonical_json,
     codec,
@@ -322,36 +321,52 @@ class TestAlgorithmRoundTrips:
                 )
             )
 
-    def test_a_recovered_uqs_shares_one_operand_per_binding(self, tmp_path):
-        """Decoded, every UQS term that binds one update's tuple holds one
-        operand object, validated once and rendered once."""
+    @staticmethod
+    def three_update_uqs():
+        """An ECA over a three-relation view with three updates pending."""
         schemas = SCHEMAS + [RelationSchema("r3", ("Y", "Z"), key=("Z",))]
         view = View.natural_join("V", schemas, ["W", "Z"])
         algorithm = create_algorithm("eca", view, SignedBag())
         updates = [insert("r1", (7, 2)), insert("r2", (2, 5)), insert("r1", (8, 2))]
         for serial, update in enumerate(updates, start=1):
             algorithm.on_update("source", UpdateNotification(update, serial))
+        return algorithm
+
+    @staticmethod
+    def bound_operands(warehouse):
+        """(schema, tuple) -> ids of the UQS's operand objects binding it."""
+        found = {}
+        for query in warehouse.uqs.values():
+            for term in query.terms:
+                for operand in term.operands:
+                    if operand.is_bound:
+                        found.setdefault((operand.schema, operand.tuple), set()).add(
+                            id(operand)
+                        )
+        return found
+
+    def test_a_recovered_uqs_shares_one_operand_per_binding(self, tmp_path):
+        """Decoded, every UQS term that binds one update's tuple holds one
+        operand object, validated once and rendered once."""
+        algorithm = self.three_update_uqs()
         wal = WriteAheadLog(str(tmp_path))
         wal.snapshot(algorithm)
         wal.close()
         recovered = recover(str(tmp_path)).algorithm
-
-        def operands(warehouse):
-            found = {}
-            for query in warehouse.uqs.values():
-                for term in query.terms:
-                    for operand in term.operands:
-                        if operand.is_bound:
-                            found.setdefault((operand.schema, operand.tuple), set()).add(
-                                id(operand)
-                            )
-            return found
-
-        live, twin = operands(algorithm), operands(recovered)
+        live, twin = self.bound_operands(algorithm), self.bound_operands(recovered)
         assert len(algorithm.uqs) == 3 and len(live) == 3
         assert twin.keys() == live.keys()
         assert sorted(map(len, twin.values())) == [1, 1, 1]
         assert encode_algorithm(recovered) == encode_algorithm(algorithm)
+
+    def test_the_live_uqs_shares_one_operand_per_binding(self):
+        """Live, too: an update's ``V<U>`` and ``-sum_j Q_j<U>`` bind its
+        tuple in one operand object, so the three bindings are held by
+        three objects, not one per substitution."""
+        algorithm = self.three_update_uqs()
+        live = self.bound_operands(algorithm)
+        assert len(algorithm.uqs) == 3
+        assert sorted(map(len, live.values())) == [1, 1, 1]
 
 
 def reference_text(value):
@@ -440,7 +455,7 @@ class TestEncodeOnce:
         rendered = self.count_calls(monkeypatch, codec, "_bindings_text")
         wal = WriteAheadLog(str(tmp_path))
         for n in range(20):
-            wal.append("event", {"n": n})
+            wal.append({"n": n})
             wal.snapshot(algorithm)
         wal.close()
         assert [term for (term,) in rendered] == list(query.terms)
@@ -528,7 +543,7 @@ class TestMessagesRenderedOnce:
 
     def recv_line(self, directory, message):
         wal = WriteAheadLog(str(directory))
-        wal.append(RECV, {"channel": "source->wh", "origin": "source", "message": message})
+        wal.append({"channel": "source->wh", "origin": "source", "message": message})
         wal.close()
         with open(os.path.join(str(directory), WAL_FILENAME), encoding="utf-8") as handle:
             return handle.read()

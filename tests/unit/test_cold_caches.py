@@ -33,6 +33,7 @@ sys.path.insert(0, str(TOOLS))
 
 import cold_caches  # noqa: E402
 
+from repro.core.compensation import ProbeIndex  # noqa: E402
 from repro.core.eca import ECA  # noqa: E402
 from repro.costmodel.parameters import PaperParameters  # noqa: E402
 from repro.durability import dumps_algorithm, recover  # noqa: E402
@@ -71,6 +72,7 @@ INSTANCES = {
     "MaterializedView": lambda: MaterializedView(View.natural_join("V", SCHEMAS, ["W"])),
     "View": lambda: View.natural_join("V", SCHEMAS, ["W"]),
     "MemorySource": lambda: MemorySource(SCHEMAS),
+    "ProbeIndex": lambda: ProbeIndex({}),
 }
 
 

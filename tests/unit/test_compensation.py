@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.compensation import (
+    ProbeIndex,
     backdate,
     batch_delta_query,
     split,
@@ -217,13 +218,13 @@ class TestSplit:
         eca = ECA(view_w3)
         eca.handle_update(UpdateNotification(insert("r1", (1, 2)), 1))
         eca.handle_update(UpdateNotification(insert("r3", (3, 4)), 2))
-        pending = eca.uqs_queries()
+        pending = dict(eca.uqs)
         update = insert("r2", (2, 9))  # X meets r1's 2, Y = 9 not r3's 3
         [request] = eca.handle_update(UpdateNotification(update, 3))
         query, delta, remote = built_and_split(
-            _compensate_update, view_w3, update, pending
+            _compensate_update, view_w3, update, ProbeIndex(pending)
         )
-        scanned = self.build(view_w3, update, pending)
+        scanned = self.build(view_w3, update, list(pending.values()))
         # V<U>; -r1=(1,2) x r2=(2,9) x r3; -r1 x r2=(2,9) x r3=(3,4), whose
         # first check r2.Y = r3.Y fails; +r1=(1,2) x r2=(2,9) x r3=(3,4),
         # which passes r1.X = r2.X and fails r2.Y = r3.Y.

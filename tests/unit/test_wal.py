@@ -76,20 +76,20 @@ V3_CATALOG_SNAPSHOT = (
 class TestAppendAndRead:
     def test_lsns_advance_and_records_read_back(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        assert wal.append(RECV, {"n": 1}) == 1
-        assert wal.append("event", {"n": 2}) == 2
+        assert wal.append({"n": 1}) == 1
+        assert wal.append({"n": 2}) == 2
         wal.close()
         records, torn = read_records(str(tmp_path))
         assert torn == 0
-        assert [(r["lsn"], r["type"]) for r in records] == [(1, RECV), (2, "event")]
-        assert records[0]["data"] == {"n": 1}
+        assert [(r["lsn"], r["type"]) for r in records] == [(1, RECV), (2, RECV)]
+        assert [r["data"] for r in records] == [{"n": 1}, {"n": 2}]
 
     def test_reopen_resumes_lsn_sequence(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        wal.append(RECV, {})
+        wal.append({})
         wal.close()
         wal = WriteAheadLog(str(tmp_path))
-        assert wal.append(RECV, {}) == 2
+        assert wal.append({}) == 2
         wal.close()
 
     def test_missing_file_reads_empty(self, tmp_path):
@@ -99,8 +99,8 @@ class TestAppendAndRead:
 class TestCorruption:
     def write_two(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        wal.append(RECV, {"n": 1})
-        wal.append(RECV, {"n": 2})
+        wal.append({"n": 1})
+        wal.append({"n": 2})
         wal.close()
 
     def test_torn_tail_is_dropped_silently(self, tmp_path):
@@ -159,7 +159,7 @@ class TestCorruption:
     def test_reformatted_snapshot_is_rejected(self, tmp_path):
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
-        wal.append("event", {})
+        wal.append({})
         lsn = wal.snapshot(algorithm)
         wal.close()
         path = os.path.join(str(tmp_path), _snapshot_name(lsn))
@@ -185,7 +185,7 @@ class TestCorruption:
         with open(wal_path(tmp_path), "a", encoding="utf-8") as handle:
             handle.write('{"half')
         wal = WriteAheadLog(str(tmp_path))
-        wal.append(RECV, {"n": 3})  # must not weld onto the partial line
+        wal.append({"n": 3})  # must not weld onto the partial line
         wal.close()
         records, torn = read_records(str(tmp_path))
         assert torn == 0
@@ -204,7 +204,7 @@ class TestMalformedFields:
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
         wal.snapshot(algorithm)
-        wal.append("event", {})
+        wal.append({})
         wal.close()
         sealed = _seal({key: canonical_json(value) for key, value in fields.items()})
         with open(wal_path(tmp_path), "a", encoding="utf-8") as handle:
@@ -248,7 +248,7 @@ class TestSnapshots:
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
         for n in range(5):
-            wal.append("event", {"n": n})
+            wal.append({"n": n})
         lsn = wal.snapshot(algorithm)
         assert lsn == 5
         # Compaction removed records covered by the snapshot.
@@ -261,9 +261,9 @@ class TestSnapshots:
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path), snapshot_every=3)
         for _ in range(2):
-            wal.append("event", {})
+            wal.append({})
             assert wal.maybe_snapshot(algorithm) is None
-        wal.append("event", {})
+        wal.append({})
         assert wal.maybe_snapshot(algorithm) == 3
         assert wal.snapshots_taken == 1
         wal.close()
@@ -279,7 +279,7 @@ class TestSnapshots:
         roots = []
         for n in range(40):
             algorithm.mv.apply_delta(SignedBag({(100 + n, n): 1}))
-            wal.append("event", {})
+            wal.append({})
             lsn = wal.snapshot(algorithm)
             lsns = sorted(
                 int(name[len(SNAPSHOT_PREFIX) : -len(".json")])
@@ -324,7 +324,7 @@ class TestSnapshots:
             view = View.natural_join(name, SCHEMAS, projection)
             members[name] = ECA(view, evaluate_view(view, source.snapshot()))
         wal = WriteAheadLog(str(tmp_path))
-        wal.append("event", {})
+        wal.append({})
         lsn = wal.snapshot(WarehouseCatalog(members, share_compensation=True))
         wal.close()
         with open(os.path.join(str(tmp_path), _snapshot_name(lsn))) as handle:
@@ -360,7 +360,7 @@ class TestSnapshots:
     def test_all_snapshots_invalid_raises_corruption(self, tmp_path):
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
-        wal.append("event", {})
+        wal.append({})
         lsn = wal.snapshot(algorithm)
         wal.close()
         with open(
@@ -384,10 +384,10 @@ class TestAtomicInstall:
     def test_orphaned_temp_files_are_removed_on_open(self, tmp_path):
         source, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
-        wal.append("event", {"n": 1})
+        wal.append({"n": 1})
         lsn = wal.snapshot(algorithm)
         update = UpdateNotification(insert("r1", (9, 9)), 1)
-        wal.append(RECV, {"channel": "source->wh", "origin": "source", "message": update})
+        wal.append({"channel": "source->wh", "origin": "source", "message": update})
         wal.close()
         # A crash mid-snapshot and one mid-rewrite: half a body each.
         orphans = [_snapshot_name(lsn + 1) + ".tmp", WAL_FILENAME + ".tmp"]
@@ -451,9 +451,9 @@ class TestAtomicInstall:
         _, algorithm = fresh_eca()
         directory = os.path.join(str(tmp_path), "wal")
         wal = WriteAheadLog(directory, fsync=True)
-        wal.append("event", {})
+        wal.append({})
         first = wal.snapshot(algorithm)
-        wal.append("event", {})
+        wal.append({})
         calls = self.trace_calls(monkeypatch)
         second = wal.snapshot(algorithm)  # a delta: nothing to remove
         monkeypatch.undo()
@@ -465,7 +465,7 @@ class TestAtomicInstall:
         ]
         wal.close()
         wal = WriteAheadLog(directory, fsync=True)
-        wal.append("event", {})
+        wal.append({})
         calls = self.trace_calls(monkeypatch)
         third = wal.snapshot(algorithm)  # a handle's first: a root
         monkeypatch.undo()
@@ -483,15 +483,15 @@ class TestAtomicInstall:
         _, algorithm = fresh_eca()
         directory = os.path.join(str(tmp_path), "wal")
         wal = WriteAheadLog(directory)
-        wal.append("event", {})
+        wal.append({})
         first = wal.snapshot(algorithm)
-        wal.append("event", {})
+        wal.append({})
         calls = self.trace_calls(monkeypatch)
         second = wal.snapshot(algorithm)
         monkeypatch.undo()
         wal.close()
         wal = WriteAheadLog(directory)
-        wal.append("event", {})
+        wal.append({})
         more = self.trace_calls(monkeypatch)
         third = wal.snapshot(algorithm)
         monkeypatch.undo()
@@ -514,7 +514,7 @@ class TestCompactionByTruncation:
         update = insert("r1", row)
         source.apply_update(update)
         message = UpdateNotification(update, serial)
-        wal.append(RECV, {"channel": "source->wh", "origin": "source", "message": message})
+        wal.append({"channel": "source->wh", "origin": "source", "message": message})
         algorithm.on_update("source", message)
 
     @pytest.mark.parametrize("fsync", [False, True], ids=["flush", "fsync"])
@@ -578,11 +578,11 @@ class TestLocking:
 
     def test_close_releases_the_lock(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        wal.append(RECV, {"n": 1})
+        wal.append({"n": 1})
         wal.close()
         assert not os.path.exists(self.lock_path(tmp_path))
         second = WriteAheadLog(str(tmp_path))
-        assert second.append(RECV, {"n": 2}) == 2
+        assert second.append({"n": 2}) == 2
         second.close()
 
     def test_stale_lock_from_dead_process_is_stolen(self, tmp_path):
@@ -599,7 +599,7 @@ class TestLocking:
         with open(self.lock_path(tmp_path), "w", encoding="utf-8") as handle:
             handle.write("not-a-pid")
         wal = WriteAheadLog(str(tmp_path))
-        wal.append(RECV, {})
+        wal.append({})
         wal.close()
 
     def test_corrupt_log_does_not_leave_the_lock_behind(self, tmp_path):
@@ -607,7 +607,7 @@ class TestLocking:
         the second open reports the corruption again, not WalLocked."""
         wal = WriteAheadLog(str(tmp_path))
         for n in range(3):
-            wal.append(RECV, {"n": n})
+            wal.append({"n": n})
         wal.close()
         path = os.path.join(str(tmp_path), WAL_FILENAME)
         data = bytearray(open(path, "rb").read())
@@ -627,7 +627,7 @@ class TestLocking:
     def test_missing_parent_directories_are_created(self, tmp_path):
         nested = os.path.join(str(tmp_path), "a", "b", "shard-0")
         wal = WriteAheadLog(nested)
-        wal.append(RECV, {"n": 1})
+        wal.append({"n": 1})
         wal.close()
         records, torn = read_records(nested)
         assert torn == 0 and [r["lsn"] for r in records] == [1]
@@ -644,8 +644,7 @@ class TestRecoverFromWal:
         source.apply_update(update)
         notification = UpdateNotification(update, 1)
         wal.append(
-            RECV,
-            {"channel": "source->wh", "origin": "source", "message": encode_value(notification)},
+            {"channel": "source->wh", "origin": "source", "message": encode_value(notification)}
         )
         algorithm.handle_update(notification)
         wal.close()
@@ -674,7 +673,7 @@ class TestRecoverFromWal:
 
         def log(message):
             body = {"channel": "source->wh", "origin": "source"}
-            wal.append(RECV, dict(body, message=encode_value(message)))
+            wal.append(dict(body, message=encode_value(message)))
 
         for serial, update in enumerate(
             random_workload(SCHEMAS, depth, seed=7, initial=INITIAL), start=1
@@ -708,12 +707,11 @@ class TestRecoverFromWal:
             source.apply_update(update)
             notification = UpdateNotification(update, serial)
             wal.append(
-                RECV,
                 {
                     "channel": "source->wh",
                     "origin": "source",
                     "message": encode_value(notification),
-                },
+                }
             )
             algorithm.handle_update(notification)
 
@@ -742,7 +740,7 @@ class TestRecoverFromWal:
         bad = {"$": "msg.update", "update": {"$": "nope"}, "serial": 2}
         for message in (good, bad):  # sealed by the log itself: the CRCs hold
             wal.append(
-                RECV, {"channel": "source->wh", "origin": "source", "message": message}
+                {"channel": "source->wh", "origin": "source", "message": message}
             )
         wal.close()
         with pytest.raises(RecoveryError, match="recv record at LSN 2") as caught:
@@ -756,7 +754,7 @@ class TestRecoverFromWal:
 
         _, algorithm = fresh_eca()
         wal = WriteAheadLog(str(tmp_path))
-        wal.append("event", {})
+        wal.append({})
         lsn = wal.snapshot(algorithm)
         wal.close()
         path = os.path.join(str(tmp_path), _snapshot_name(lsn))
@@ -807,7 +805,7 @@ class TestMalformedChain:
         for serial, row in enumerate(rows, start=1):
             notification = UpdateNotification(insert("r1", row), serial)
             data = {"origin": "source", "message": encode_value(notification)}
-            wal.append(RECV, {"channel": "source->wh", **data})
+            wal.append({"channel": "source->wh", **data})
             algorithm.on_update("source", notification)
             if serial < len(rows):
                 wal.snapshot(algorithm)

@@ -83,8 +83,6 @@ CACHES: Tuple[Cache, ...] = (
           "the operand", "codec._binding_text"),
     Cache("slot", "repro.messaging.messages", "Message.encoded", None, (),
           "the message", "codec._message_text"),
-    Cache("slot", "repro.relational.expressions", "Query.probes", dict, (),
-          "updated relation", "compensation._probe_table"),
     Cache("attribute", "repro.warehouse.state", "MaterializedView.encoded_contents",
           None, (), "the contents (dropped by every write)", "codec._contents_text"),
     Cache("table", "repro.relational.engine", "_SHARED", None, (),
@@ -94,6 +92,9 @@ CACHES: Tuple[Cache, ...] = (
           "MemorySource.apply_update; engine.evaluate_query adds a missing one"),
     Cache("kept", "repro.warehouse.state", "MaterializedView._write", None,
           ("_by_key",), "serving key", "MaterializedView._write; _index builds it"),
+    Cache("kept", "repro.core.compensation", "ProbeIndex.hits", dict, ("tables",),
+          "updated relation, then update column and bound value",
+          "ProbeIndex.hits files; ProbeIndex.retire removes"),
 )
 
 

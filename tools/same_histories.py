@@ -342,6 +342,7 @@ def pytest_configure(config) -> None:
             provide_cut_functions()
         if "v7-forms" in allow:
             provide_value_envelope()
+        provide_typed_append()
         config.pluginmanager.register(HistoryHashes(path, allow), "history-hashes")
 
 
@@ -390,6 +391,33 @@ def provide_value_envelope() -> None:
         return codec.decode_value(json.loads(text)["data"])
 
     codec.dumps, codec.loads = dumps, loads  # type: ignore[attr-defined]
+
+
+def provide_typed_append() -> None:
+    """``WriteAheadLog.append(record_type, data)``, the writer's form
+    before it appended ``recv`` records only, on a tree whose ``append``
+    takes ``data`` alone: a parent's suites call it, some with a type
+    recovery refuses.  The record is written as that tree writes it,
+    under the type the caller names."""
+    import inspect
+
+    from repro.durability import wal
+
+    append = wal.WriteAheadLog.append
+    if len(inspect.signature(append).parameters) != 2:  # self, data
+        return
+
+    def typed_append(self, *args):  # type: ignore[no-untyped-def]
+        if len(args) == 1:
+            return append(self, *args)
+        record_type, data = args
+        kept, wal.RECV = wal.RECV, record_type
+        try:
+            return append(self, data)
+        finally:
+            wal.RECV = kept
+
+    wal.WriteAheadLog.append = typed_append  # type: ignore[method-assign]
 
 
 class HistoryHashes:
