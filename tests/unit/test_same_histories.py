@@ -1,45 +1,58 @@
-"""``tools/same_histories.py``: the generated matrix and what an allowance masks.
+"""``tools/same_histories.py``: the generated matrix, the state text and
+what an allow file lets move.
 
 The tool's end-to-end run needs two trees and a minute; these pin the
 parts that decide what it compares.
 """
 
 import json
+import re
 import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
+sys.path.insert(0, str(REPO_ROOT / "tests" / "property"))
 
 from same_histories import (  # noqa: E402
+    ALLOW_FILE,
     AXES,
     ROW_OUTPUTS,
     SUITES,
-    V6_FIXTURE_TESTS,
-    V7_FORM_TESTS,
+    Allowances,
     Report,
     Tree,
-    compare_row,
     compare_suites,
     conflicts,
     history_components,
     normalize_metrics,
-    normalize_recovered,
     normalize_stdout,
     normalize_trace,
     pairwise,
-    portable,
+    parse_allowances,
+    read_allowances,
     row_arguments,
     run_suites,
-    shares_a_class,
+    state_text,
 )
+from test_rejected_events import FAMILIES, SCHEMAS, build  # noqa: E402
 
 from repro.cli import build_parser  # noqa: E402
-from repro.core.registry import ALGORITHMS  # noqa: E402
+from repro.core.registry import ALGORITHMS, create_algorithm  # noqa: E402
+from repro.durability.codec import decode_algorithm, encode_algorithm  # noqa: E402
+from repro.kernel.sync import SyncKernel  # noqa: E402
+from repro.messaging.messages import UpdateNotification  # noqa: E402
+from repro.relational.bag import SignedBag  # noqa: E402
+from repro.relational.expressions import BoundOperand, Query  # noqa: E402
+from repro.relational.tuples import SignedTuple  # noqa: E402
+from repro.relational.views import View  # noqa: E402
+from repro.simulation.schedules import RandomSchedule  # noqa: E402
+from repro.source.updates import insert  # noqa: E402
 
 MULTI = {name for name, cls in ALGORITHMS.items() if cls.multi_source}
 AXIS_VALUES = [("algorithm", sorted(ALGORITHMS))] + [
@@ -129,88 +142,6 @@ class TestAllowances:
         assert metrics("a.json", base) != metrics("c.json", {**base, "wh->s0": 1600})
         assert metrics("a.json", base) != metrics("d.json", {**base, "client-0=>shard0": 1})
 
-    def test_v6_fixtures_let_only_their_tests_change_outcome(self):
-        fixture, other = sorted(V6_FIXTURE_TESTS)[0], f"{SUITES[0]}::test_other"
-
-        def session(outcome):
-            return {name: {"outcome": outcome, "runs": []} for name in (fixture, other)}
-
-        for allow, expected in ((frozenset(), [fixture]), (frozenset({"v6-fixtures"}), [])):
-            report = Report()
-            parent = session("passed")
-            change = {**parent, fixture: {"outcome": "failed (call)", "runs": []}}
-            compare_suites(parent, change, report, allow)
-            assert [where for where, _, _ in report.differences] == expected
-            report = Report()
-            change = {**parent, other: {"outcome": "failed (call)", "runs": []}}
-            compare_suites(parent, change, report, frozenset({"v6-fixtures"}))
-            assert [where for where, _, _ in report.differences] == [other]
-
-    def test_v7_forms_let_only_their_tests_change_outcome(self):
-        """The parent's v3 fixtures and its send/event log: codec v7
-        writes no bare term and refuses a record that is no ``recv``."""
-        assert V6_FIXTURE_TESTS < V7_FORM_TESTS
-        (log,) = V7_FORM_TESTS - V6_FIXTURE_TESTS
-        assert log.endswith("::test_a_directory_with_send_and_event_records_recovers_the_same")
-        other = f"{SUITES[0]}::test_other"
-        for fixture in sorted(V7_FORM_TESTS):
-            parent = {name: {"outcome": "passed", "runs": []} for name in (fixture, other)}
-            failed = {"outcome": "failed (call)", "runs": []}
-            for allow, expected in ((frozenset(), [fixture]), (frozenset({"v7-forms"}), [])):
-                report = Report()
-                compare_suites(parent, {**parent, fixture: failed}, report, allow)
-                assert [where for where, _, _ in report.differences] == expected
-            report = Report()
-            compare_suites(parent, {**parent, other: failed}, report, frozenset({"v7-forms"}))
-            assert [where for where, _, _ in report.differences] == [other]
-
-    #: A parent's suite test that calls the value envelope codec v7 deleted.
-    ENVELOPE_PROBE = (
-        "from repro.durability.codec import dumps, loads\n"
-        "from repro.relational.bag import SignedBag\n"
-        "\n"
-        "def test_the_envelope_round_trips():\n"
-        "    bag = SignedBag.from_rows([(1, 2), (1, 2)])\n"
-        "    assert loads(dumps(bag)) == bag and dumps(bag) == dumps(loads(dumps(bag)))\n"
-    )
-
-    def test_a_tree_without_the_value_envelope_gets_it_from_the_plugin(self, tmp_path):
-        (tmp_path / "test_probe.py").write_text(self.ENVELOPE_PROBE)
-        tree = Tree(str(REPO_ROOT), str(tmp_path), "change")
-        args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "same_histories"]
-        args += ["--rootdir", str(tmp_path), "--histories-out", str(tmp_path / "h.json")]
-        done = tree.python(
-            args + ["--histories-allow", "v7-forms", "test_probe.py"], cwd=str(tmp_path)
-        )
-        assert done.returncode == 0, done.stdout + done.stderr
-        without = tree.python(args + ["test_probe.py"], cwd=str(tmp_path))
-        assert without.returncode == pytest.ExitCode.INTERRUPTED
-        assert "cannot import name 'dumps'" in without.stdout
-
-    def test_planner_counts_are_their_own_allowance(self, tmp_path):
-        line = "shared compensation: {} distinct queries issued, 3 member queries absorbed\n"
-        before, after = line.format(12), line.format(9)
-        wal, planner = frozenset({"wal-layout"}), frozenset({"planner-counts"})
-        assert normalize_stdout(before, wal) != normalize_stdout(after, wal)
-        assert normalize_stdout(before, planner) == normalize_stdout(after, planner)
-
-        paths = []
-        for issued in (12, 9):
-            series = {"series": [{"labels": {}, "value": issued}]}
-            paths.append(tmp_path / f"{issued}.json")
-            paths[-1].write_text(
-                json.dumps({"metrics": {"repro_shared_queries_issued": series}})
-            )
-        assert normalize_metrics(str(paths[0]), wal) != normalize_metrics(str(paths[1]), wal)
-        assert normalize_metrics(str(paths[0]), planner) == normalize_metrics(
-            str(paths[1]), planner
-        )
-        recovered = [{"state": "s", "planner": [issued, 0]} for issued in (12, 9)]
-        assert normalize_recovered(recovered[0], wal) != normalize_recovered(recovered[1], wal)
-        assert normalize_recovered(recovered[0], planner) == normalize_recovered(
-            recovered[1], planner
-        )
-
     def test_wal_layout_drops_snapshot_spans_and_renumbers_the_rest(self, tmp_path):
         def span(span_id, name, links=(), **attrs):
             return {"span_id": span_id, "name": name, "parent": None,
@@ -238,106 +169,6 @@ class TestAllowances:
         )
 
 
-class TestOneChecker:
-    """``one-checker``: the one checker over cuts may call a run complete
-    that the parent called strongly consistent, and the parent's suites
-    read the cut functions it deleted."""
-
-    @staticmethod
-    def side(level, exit_code=0):
-        stdout = f"updates executed:   8\nconsistency:        {level}\nquiesce latency:    0.00\n"
-        stderr = "" if exit_code == 0 else (
-            f"FAIL: run is {level}, --require-consistent demands a consistent "
-            "and convergent execution\n"
-        )
-        return {"exit": exit_code, "stdout": stdout, "stderr": stderr}
-
-    #: The matrix's default row (no metrics or trace files: both sides read none).
-    ROW = {"algorithm": "eca", **{name: values[0][0] for name, values in AXES}}
-
-    def compared(self, parent, change, allow=frozenset({"one-checker"})):
-        report = Report()
-        results = {"parent": parent, "change": change}
-        compare_row(0, self.ROW, "/nonexistent", results, report, allow)
-        return report
-
-    def test_complete_where_the_parent_read_strong_differs_only_as_allowed(self):
-        report = self.compared(self.side("strongly consistent"), self.side("complete"))
-        assert report.differences == []
-        assert report.allowed == {"matrix rows": {"row 0 [eca]"}}
-
-    def test_a_verdict_that_rises_past_the_gate_takes_its_exit_and_fail_line_along(self):
-        report = self.compared(self.side("convergent", 1), self.side("strongly consistent"))
-        assert report.differences == []
-        assert report.allowed == {"matrix rows": {"row 0 [eca]"}}
-
-    @pytest.mark.parametrize(
-        "before, after",
-        [
-            ("strongly consistent", "consistent"),
-            ("complete", "strongly consistent"),
-            ("consistent", "weakly consistent"),
-        ],
-    )
-    def test_a_verdict_that_drops_still_shows(self, before, after):
-        exit_code = 0 if after in ("consistent", "strongly consistent") else 1
-        report = self.compared(self.side(before), self.side(after, exit_code))
-        assert ("row 0 [eca]", "stdout") in {
-            (where, what) for where, what, _ in report.differences
-        }
-
-    def test_without_the_allowance_a_rise_is_a_difference(self):
-        report = self.compared(
-            self.side("strongly consistent"), self.side("complete"), frozenset()
-        )
-        assert [what for _, what, _ in report.differences] == ["stdout"]
-
-    PROBE = (
-        "from repro.consistency import check_cuts\n"
-        "from repro.multisource import check_cut_consistency as exported\n"
-        "from repro.multisource.consistency import (\n"
-        "    check_cut_consistency, check_cut_convergence, cut_report,\n"
-        ")\n"
-        "from test_strobe_properties import build, R1, R2, R3, INITIAL\n"
-        "from repro.kernel import SyncKernel\n"
-        "from repro.simulation.schedules import RandomSchedule\n"
-        "from repro.workloads.random_gen import random_workload\n"
-        "\n"
-        "def test_the_cut_functions_are_the_one_checkers():\n"
-        "    view, sources, algorithm = build()\n"
-        "    workload = random_workload([R1, R2, R3], 5, seed=3, initial=INITIAL,\n"
-        "                               respect_keys=True)\n"
-        "    kernel = SyncKernel(sources, algorithm, workload)\n"
-        "    trace = kernel.run(RandomSchedule(22))\n"
-        "    states, views = kernel.per_source_states, trace.view_states\n"
-        "    report = check_cuts(view, states, views)\n"
-        "    assert exported is check_cut_consistency\n"
-        "    assert check_cut_consistency(view, states, views) == report.consistent\n"
-        "    assert check_cut_convergence(view, states, views[-1]) == report.convergent\n"
-        "    assert cut_report(view, states, views, views[-1]).level() == report.level()\n"
-    )
-
-    def test_a_tree_without_the_cut_module_gets_them_from_the_one_checker(
-        self, tmp_path
-    ):
-        (tmp_path / "test_probe.py").write_text(self.PROBE)
-        tree = Tree(str(REPO_ROOT), str(tmp_path), "change")
-        args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "same_histories"]
-        args += ["--rootdir", str(tmp_path), "--histories-out", str(tmp_path / "h.json")]
-        env_path = str(REPO_ROOT / "tests" / "property")
-        done = tree.python(
-            args + ["--histories-allow", "one-checker", "-o", f"pythonpath={env_path}",
-                    "test_probe.py"],
-            cwd=str(tmp_path),
-        )
-        assert done.returncode == 0, done.stdout + done.stderr
-        without = tree.python(
-            args + ["-o", f"pythonpath={env_path}", "test_probe.py"], cwd=str(tmp_path)
-        )
-        assert without.returncode == pytest.ExitCode.INTERRUPTED
-        assert "cannot import name 'check_cut_consistency'" in without.stdout
-
-
 class TestHistoryHashes:
     def test_equal_runs_hash_equal_and_a_moved_recovery_hashes_equal_only_when_allowed(
         self,
@@ -362,115 +193,120 @@ class TestHistoryHashes:
         assert history_components(first, wal) == history_components(moved, wal)
 
 
-def test_portable_reads_every_bag_as_a_pairs_list_and_a_one_term_query_as_its_term():
-    """A recovered state is hashed in one layout on both trees, so a
-    format change compares equal states equal: codec v6 wrote view
-    contents as a ``bag``, an algorithm's pending bag as a list of
-    ``(row, count)`` tuples and a lone term as a ``term``; v7 writes
-    every bag as a ``bag`` and a lone term as a one-term ``query``."""
-    from repro.durability.codec import encode_value
-    from repro.relational.bag import SignedBag
-    from repro.relational.expressions import Query
-    from repro.relational.schema import RelationSchema
-    from repro.relational.views import View
-    from repro.source.updates import insert
+class TestAllowFile:
+    """``tools/same_histories.allow``: masks and outcome prefixes as data,
+    applied only where the change's file differs from the parent's."""
 
-    as_v6_pending = [
-        {"$": "tuple", "items": [{"$": "tuple", "items": [1, None]}, 1]},
-        {"$": "tuple", "items": [{"$": "tuple", "items": [3, "x"]}, 1]},
-    ]
-    bag = SignedBag.from_rows([(3, "x"), (1, None)])
-    assert "columns" in encode_value(bag)
-    assert portable(encode_value(bag)) == as_v6_pending
-    assert portable(encode_value(bag.to_pairs())) == as_v6_pending
-    nested = SignedBag({((1, 2), 3): -1})
-    assert "pairs" in encode_value(nested)
-    assert portable(encode_value(nested)) == portable(encode_value(nested.to_pairs()))
-    assert portable(encode_value(SignedBag())) == portable(encode_value([])) == []
-
-    query = Query()
-    state = encode_value({"uqs": {1: query}})
-    assert state["items"][0][1]["items"][0][1]["$"] == "json"
-    assert portable(state) == {
-        "$": "dict",
-        "items": [["uqs", {"$": "dict", "items": [[1, encode_value(query)]]}]],
-    }
-
-    schemas = [RelationSchema("r1", ("W", "X")), RelationSchema("r2", ("X", "Y"))]
-    view = View.natural_join("V", schemas, ["W", "Y"])
-    (term,) = view.substitute("r1", insert("r1", (7, 2)).signed_tuple()).terms
-    first, second = (encode_value(schema) for schema in schemas)
-    as_v6_term = {
-        "$": "term",
-        "operands": [
-            {"$": "bound", "schema": first, "tuple": encode_value(term.operands[0].tuple)},
-            {"$": "rel", "schema": second},
+    @pytest.mark.parametrize(
+        "line, refusal",
+        [
+            ("provide repro.durability.codec:dumps  imported", "unknown kind 'provide'"),
+            ("mask planner-counts  trees before codec v5", "unknown mask 'planner-counts'"),
+            ("outcome tests/integration", "want a kind, an argument and a reason"),
         ],
-        "projection": list(term.projection),
-        "condition": encode_value(term.condition),
-        "coefficient": 1,
-    }
-    assert portable(encode_value(Query([term]))) == as_v6_term
-    assert portable(as_v6_term) == as_v6_term
-    two = encode_value(Query([term, term]))
-    assert portable(two) == two  # a query of two terms stays a query
+    )
+    def test_a_line_the_tool_cannot_apply_is_refused_with_its_number(self, line, refusal):
+        with pytest.raises(SystemExit, match=re.escape(f"line 3: {refusal}")):
+            parse_allowances(f"# what moves\n\n{line}\n")
 
-
-class TestClassPlacement:
-    """``class-placement`` masks only what moving a class between shards
-    moves, and only in runs where a class of two or more can move."""
-
-    @staticmethod
-    def run(share=True, shards=2, partitioner="hash"):
-        from repro.core.eca import ECA
-        from repro.relational.engine import evaluate_view
-        from repro.relational.schema import RelationSchema
-        from repro.relational.views import View
-        from repro.runtime import run_concurrent
-        from repro.source.memory import MemorySource
-        from repro.source.updates import insert
-        from repro.warehouse.catalog import WarehouseCatalog
-
-        schemas = [
-            RelationSchema("r1", ("W", "X"), key=("W",)),
-            RelationSchema("r2", ("X", "Y"), key=("Y",)),
-        ]
-        source = MemorySource(schemas, {"r1": [(1, 2)], "r2": [(2, 5)]})
-        algorithms = {}
-        for name in ("A", "B", "C"):
-            view = View.natural_join(name, schemas, ["W", "Y"])
-            algorithms[name] = ECA(view, evaluate_view(view, source.snapshot()))
-        catalog = WarehouseCatalog(algorithms, share_compensation=share)
-        workload = [insert("r1", (10, 2)), insert("r2", (2, 20)), insert("r1", (11, 2))]
-        return run_concurrent(
-            {"source": source}, catalog, {"source": workload},
-            seed=1, shards=shards, partitioner=partitioner,
+    def test_each_kind_reads_its_argument(self):
+        text = "mask answer-bytes  columns\noutcome tests/a.py::T  its fixture\n"
+        assert parse_allowances(text) == Allowances(
+            frozenset({"answer-bytes"}), ("tests/a.py::T",)
         )
+        parse_allowances((REPO_ROOT / ALLOW_FILE).read_text())  # the committed file reads
 
-    def test_only_a_sharded_class_of_two_or_more_is_masked(self):
-        allow = frozenset({"class-placement"})
-        assert not shares_a_class(self.run(share=False))
-        assert not shares_a_class(self.run(shards=None))
-        result = self.run()
-        assert shares_a_class(result)
-        masked, raw = history_components(result, allow), history_components(result, frozenset())
-        assert {key for key in raw if masked[key] != raw[key]} == {
-            "events", "view_states", "action_log"
-        }
+    def test_an_unchanged_file_applies_nothing(self, tmp_path):
+        declared = "mask wal-layout  the log moved\n"
+        trees = {}
+        for role, text in (("parent", declared), ("same", declared), ("edited", "")):
+            trees[role] = SimpleNamespace(path=str(tmp_path / role))
+            (tmp_path / role / "tools").mkdir(parents=True)
+            (tmp_path / role / ALLOW_FILE).write_text(text)
+        assert read_allowances(trees["parent"], trees["same"]) == Allowances()
+        assert read_allowances(trees["edited"], trees["parent"]).masks == {"wal-layout"}
+        assert read_allowances(trees["parent"], trees["edited"]) == Allowances()
+        (tmp_path / "edited" / ALLOW_FILE).unlink()  # a tree from before the file
+        assert read_allowances(trees["edited"], trees["parent"]).masks == {"wal-layout"}
 
-    def test_the_class_on_another_shard_differs_only_as_allowed(self):
-        from repro.sharding import ExplicitPartitioner
+    def test_an_outcome_prefix_lets_exactly_its_tests_move(self):
+        fixture, other = f"{SUITES[6]}::TestFixtures::test_a", f"{SUITES[0]}::test_other"
+        parent = {name: {"outcome": "passed", "runs": []} for name in (fixture, other)}
+        failed = {"outcome": "failed (call)", "runs": []}
+        for outcomes, expected in (((), [fixture]), ((f"{SUITES[6]}::TestFixtures",), [])):
+            report = Report()
+            compare_suites(parent, {**parent, fixture: failed}, report, outcomes)
+            assert [where for where, _, _ in report.differences] == expected
+        report = Report()
+        compare_suites(parent, {**parent, other: failed}, report, (f"{SUITES[6]}::",))
+        assert [where for where, _, _ in report.differences] == [other]
 
-        runs = [
-            self.run(partitioner=ExplicitPartitioner(
-                {(name,): shard for name in "ABC"}, shards=2
-            ))
-            for shard in (0, 1)
-        ]
-        raw = [history_components(run, frozenset()) for run in runs]
-        assert raw[0] != raw[1]
-        allow = frozenset({"class-placement"})
-        assert history_components(runs[0], allow) == history_components(runs[1], allow)
+
+def recovered(algorithm):
+    """What ``recover`` rebuilds from a snapshot of ``algorithm``: its
+    decoded twin, every memo slot empty."""
+    return decode_algorithm(json.loads(encode_algorithm(algorithm)))
+
+
+class TestStateText:
+    """A recovered state is compared as the objects it decodes to."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_decoded_twin_and_filled_memos_give_the_same_text(self, family):
+        sources, warehouse, workload = build(family, seed=1)
+        kernel = SyncKernel(sources, warehouse, workload)
+        schedule = RandomSchedule(1, weights={"update": 3.0})
+        pending = 0
+        while not kernel.is_done():
+            kernel.step(schedule.choose(kernel.available_actions()))
+            twin = recovered(kernel.algorithm)
+            text = state_text(twin)
+            assert text == state_text(kernel.algorithm)
+            encode_algorithm(twin)  # fills every memo slot the codec owns
+            assert state_text(twin) == text
+            pending += bool(twin.pending_query_ids())
+        assert pending or "stored-copies" in family  # stored copies never ask
+
+    def test_every_piece_of_an_eca_state_moves_the_text(self):
+        """COLLECT, one UQS binding, one term's coefficient, the id
+        counter and the configuration: a text that dropped any of them
+        would let a crash lose it unseen."""
+        view = View.natural_join("V", SCHEMAS, ["W", "Y"])
+        algorithm = create_algorithm("eca", view, SignedBag())
+        for index, update in enumerate([insert("r1", (7, 2)), insert("r2", (2, 8))], 1):
+            algorithm.on_update("source", UpdateNotification(update, index))
+        text = state_text(recovered(algorithm))
+
+        def collect(twin):
+            twin.collect.add((99, 99), 1)
+
+        def binding(twin):
+            query_id, query = list(twin.uqs.items())[-1]
+            term = query.terms[0]
+            operands = [
+                BoundOperand(op.schema, SignedTuple((99,) * len(op.tuple.values)))
+                if op.is_bound else op
+                for op in term.operands
+            ]
+            moved = term.with_operands(operands, term.coefficient)
+            twin.uqs[query_id] = Query((moved,) + query.terms[1:])
+
+        def coefficient(twin):
+            query_id, query = list(twin.uqs.items())[-1]
+            twin.uqs[query_id] = Query((query.terms[0].negate(),) + query.terms[1:])
+
+        def next_query_id(twin):
+            twin._next_query_id += 1
+
+        def config(twin):
+            twin.buffer_answers = not twin.buffer_answers
+
+        texts = {text}
+        for mutate in (collect, binding, coefficient, next_query_id, config):
+            twin = recovered(algorithm)
+            mutate(twin)
+            texts.add(state_text(twin))
+        assert len(texts) == 6
 
 
 class TestSuiteSessions:
@@ -491,9 +327,10 @@ class TestSuiteSessions:
                 json.dump({"repro": f"{self.src}/repro/__init__.py", "tests": tests}, handle)
             return subprocess.CompletedProcess(args, self.exit_code, "", "")
 
-    def run(self, tmp_path, exit_code, suites):
+    def run(self, tmp_path, exit_code, suites, outcomes=()):
         tree = self.Tree(tmp_path, exit_code, suites)
-        return run_suites(tree, tree, frozenset(), str(tmp_path / "hashes.json"))
+        allow = Allowances(outcomes=outcomes)
+        return run_suites(tree, tree, allow, str(tmp_path / "hashes.json"))
 
     def test_a_session_with_failed_tests_is_compared(self, tmp_path):
         assert len(self.run(tmp_path, 1, SUITES)) == len(SUITES)
@@ -505,6 +342,17 @@ class TestSuiteSessions:
     def test_a_suite_that_ran_no_test_is_refused(self, tmp_path):
         with pytest.raises(SystemExit, match=SUITES[0]):
             self.run(tmp_path, 0, SUITES[1:])
+
+    def test_a_suite_under_an_outcome_prefix_may_fail_to_collect(self, tmp_path):
+        """Its tests then count as moving, and nothing else does."""
+        parent = self.run(tmp_path, 0, SUITES)
+        with pytest.raises(SystemExit, match=SUITES[0]):
+            self.run(tmp_path, 1, SUITES[1:], outcomes=(SUITES[1],))
+        change = self.run(tmp_path, 1, SUITES[1:], outcomes=(SUITES[0],))
+        report = Report()
+        compare_suites(parent, change, report, (SUITES[0],))
+        assert report.differences == []
+        assert report.allowed == {"suite tests": {f"{SUITES[0]}::test"}}
 
 
 class TestPluginErrors:
@@ -566,7 +414,7 @@ class TestPluginErrors:
 
         tree = Tree(tmp_path, 0, SUITES)
         with pytest.raises(SystemExit) as refused:
-            run_suites(tree, tree, frozenset(), str(tmp_path / "hashes.json"))
+            run_suites(tree, tree, Allowances(), str(tmp_path / "hashes.json"))
         assert "hashing plugin failed" in str(refused.value)
         assert failed in str(refused.value)
 

@@ -3,7 +3,7 @@
 
 Usage::
 
-    python tools/same_histories.py PARENT CHANGE [--allow NAME ...] [--quick] [--cold]
+    python tools/same_histories.py PARENT CHANGE [--quick] [--cold] [--keep DIR]
 
 ``PARENT`` and ``CHANGE`` are git revisions of this repository or
 directories holding a checkout (``.`` is the working tree).  Two halves:
@@ -25,11 +25,15 @@ directories holding a checkout (``.`` is the working tree).  Two halves:
    when the change bumps ``CODEC_VERSION``, refuse each of them by
    version, naming the parent's.
 
-A change that is *meant* to move some bytes names them with ``--allow``
-(:data:`ALLOWANCES`) instead of editing this file.  Wall-clock figures
-are never compared.  Exit status: 0 when nothing else differs, 1
-otherwise.  ``--quick`` keeps every suite and a quarter of the matrix
-(under a minute on two CPUs).
+A recovered state is compared as what it *is*, never as the bytes a
+codec wrote for it (:func:`state_text`): a format change moves no hash.
+
+A change that is *meant* to move something declares it in its tree's
+``tools/same_histories.allow`` (:func:`parse_allowances`), which counts
+only when it differs from the parent's, so a declaration never outlives
+the change that made it.  Wall-clock figures are never compared.  Exit
+status: 0 when nothing else differs, 1 otherwise.  ``--quick`` keeps
+every suite and a quarter of the matrix (under a minute on two CPUs).
 
 ``--cold`` runs everything on the change's side — the suites, every
 matrix row and every ``recover`` — with every cache cold
@@ -52,7 +56,7 @@ import tarfile
 import tempfile
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(TOOLS)
@@ -72,84 +76,17 @@ SUITES = tuple(
     )
 )
 
-#: The differences a change may declare, by name.
-ALLOWANCES = {
+#: What an allow file's ``mask`` line may hide, by name.
+MASKS = {
     "wh-bytes": "byte counters of the wh-> channels (what the warehouse ships)",
     "wal-layout": "WAL record and snapshot counts, LSNs, replayed record "
     "counts, and wal.snapshot spans (span ids renumbered)",
-    "planner-counts": "the shared-compensation planner's issued / saved "
-    "query counts, which trees before codec v5 did not persist: there a "
-    "recovered catalog restarts them at its snapshot, so they move with "
-    "snapshot placement.  Since v5 they survive a crash, so only a "
-    "comparison against an older tree needs this",
     "answer-bytes": "byte counters of the channels a source sends the "
-    "warehouse on (<source>->wh, <source>=>shard<i>) under a wire codec: "
-    "since codec v6 an answer's rows travel as columns",
-    "v7-forms": "the outcome of the suite tests that write a form codec "
-    "v7 deleted and expect it read (V7_FORM_TESTS): a v3 fixture built "
-    "from bare `term` forms, and a log holding `send` / `event` records, "
-    "which v7 refuses.  The parent's suites call the value envelope "
-    "`dumps` / `loads` v7 deleted; on a tree without it they read both "
-    "from provide_value_envelope",
-    "v6-fixtures": "the outcome of the suite tests that build an older "
-    "codec's directory by rewriting the query nodes of this codec's root "
-    "(V6_FIXTURE_TESTS): since codec v6 a root quotes its UQS entries, so "
-    "a tree's tests from before v6 find no query node to rewrite",
-    "one-checker": "a `consistency:` verdict that rises under the one "
-    "checker over cuts (LEVELS), with the exit status and `FAIL:` line "
-    "--require-consistent derives from it: a multi-source or --shards run "
-    "the cut checker before it never called complete, and a fan-out "
-    "catalog judged before along the global order of source states.  A "
-    "verdict that drops still shows.  The parent's suites import the "
-    "deleted repro.multisource.consistency; on a tree without it they read "
-    "its three names from the one checker (provide_cut_functions)",
-    "class-placement": "a class of equal views placed whole on one shard "
-    "rather than member by member: in sharded runs with sharing on and two "
-    "members of one class key, the events and the action log (an update "
-    "reaches fewer shards), with view states compared as each member's "
-    "own timeline of distinct states; and the outcome of the suite tests "
-    "that pinned the split (SPLIT_TESTS)",
+    "warehouse on (<source>->wh, <source>=>shard<i>) under a wire codec",
 }
 
-#: The suite tests that pinned a class split over several shards; under
-#: ``class-placement`` their outcome, and with it how many runs they
-#: reached, may move.
-SPLIT_TESTS = frozenset(
-    (
-        "tests/integration/test_sharding.py::TestClassesSplitAcrossShards"
-        "::test_no_algorithm_is_reachable_from_two_shards",
-        "tests/integration/test_shared_compensation.py::TestOneConstructionPerClass"
-        "::test_a_class_is_scoped_to_the_catalog_built_last",
-        "tests/integration/test_shared_compensation.py::TestSharded"
-        "::test_a_relevant_update_costs_three_messages_per_interested_shard",
-    )
-)
-
-#: The suite tests that rewrite a root's query nodes into the v3 form;
-#: under ``v6-fixtures`` their outcome may move.
-V6_FIXTURE_TESTS = frozenset(
-    "tests/integration/test_crash_recovery.py::TestOtherCodecVersions::" + name
-    for name in (
-        "test_another_versions_directory_is_refused_by_version[3-v3]",
-        "test_another_versions_directory_is_refused_by_version[None-before v4]",
-        "test_this_versions_stamp_is_what_lets_a_directory_in",
-    )
-)
-
-#: The suite tests that write a form codec v7 deleted and expect it read:
-#: under ``v7-forms`` their outcome may move.
-V7_FORM_TESTS = V6_FIXTURE_TESTS | {
-    "tests/integration/test_crash_recovery.py::TestTheLogHoldsWhatRecoveryReplays::"
-    "test_a_directory_with_send_and_event_records_recovers_the_same"
-}
-
-#: Per allowance, the suite tests whose outcome (and so how many runs
-#: they reached) it lets move.
-OUTCOME_TESTS = {
-    "class-placement": SPLIT_TESTS,
-    "v6-fixtures": V6_FIXTURE_TESTS,
-    "v7-forms": V7_FORM_TESTS,
-}
+#: Where each tree declares what it is meant to move against its parent.
+ALLOW_FILE = os.path.join("tools", "same_histories.allow")
 
 #: Matrix axes: name -> (label, ``repro runtime`` arguments) per value.
 AXES: Tuple[Tuple[str, Tuple[Tuple[str, Tuple[str, ...]], ...]], ...] = (
@@ -212,7 +149,46 @@ ROW_TIMEOUT_S = 120
 ROW_WORKERS = min(4, os.cpu_count() or 1)
 
 Row = Dict[str, str]
-Allow = frozenset
+Masks = frozenset
+
+
+class Allowances(NamedTuple):
+    """What a change declares it moves: the masks it applies, and the
+    test-id prefixes under which a suite test's outcome and run count
+    may move."""
+
+    masks: Masks = Masks()
+    outcomes: Tuple[str, ...] = ()
+
+    def __str__(self) -> str:
+        lines = [f"mask {name}" for name in sorted(self.masks)]
+        return "; ".join(lines + [f"outcome {prefix}" for prefix in self.outcomes]) or "nothing"
+
+
+def parse_allowances(text: str) -> Allowances:
+    """An allow file: one allowance a line — kind, argument, reason —
+    blank lines and ``#`` comments aside.  ``mask NAME`` applies one of
+    :data:`MASKS`; ``outcome PREFIX`` lets the tests whose id starts with
+    ``PREFIX`` change outcome and run count, and a suite file under it
+    fail to collect.  Anything else is refused, naming its line."""
+    masks, outcomes = set(), []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split(None, 2)
+        where = f"{ALLOW_FILE} line {number}"
+        if len(fields) < 3:
+            raise SystemExit(f"{where}: want a kind, an argument and a reason")
+        kind, argument, _reason = fields
+        if kind == "outcome":
+            outcomes.append(argument)
+        elif kind != "mask":
+            raise SystemExit(f"{where}: unknown kind {kind!r} (mask, outcome)")
+        elif argument not in MASKS:
+            raise SystemExit(f"{where}: unknown mask {argument!r} ({', '.join(MASKS)})")
+        else:
+            masks.add(argument)
+    return Allowances(Masks(masks), tuple(outcomes))
 
 
 # --------------------------------------------------------------------- #
@@ -254,71 +230,35 @@ def digest(values: Iterable[object]) -> str:
 _RECOVERED_FROM = re.compile(r"snapshot lsn \d+ \+ \d+ replayed")
 
 
-def mask_recovery(text: str, allow: Allow) -> str:
+def mask_recovery(text: str, masks: Masks) -> str:
     """``recovered from snapshot lsn N + M replayed`` with N, M hidden."""
-    if "wal-layout" not in allow:
+    if "wal-layout" not in masks:
         return text
     return _RECOVERED_FROM.sub("snapshot lsn * + * replayed", text)
 
 
-def shares_a_class(result: object) -> bool:
-    """Whether a sharded run shares and two of its members have one class
-    key (algorithm type and view definition).  Read over every shard, so
-    it is the same whether a tree split the class or kept it whole."""
-    info = getattr(result, "shard_info", None) or {}
-    catalogs = list(info.get("algorithms", {}).values())
-    if not any(catalog.share_compensation for catalog in catalogs):
-        return False
-    keys = [
-        (type(algorithm), catalog.views[name].definition())
-        for catalog in catalogs
-        for name, algorithm in catalog.algorithms.items()
-    ]
-    return len(set(keys)) < len(keys)
-
-
-def own_timeline(trace: object, name: str) -> List[object]:
-    """Member ``name``'s distinct view states, in the order it took them."""
-    from repro.simulation.trace import project_view
-
-    states: List[object] = []
-    for state in project_view(trace, name).view_states:
-        if not states or state != states[-1]:
-            states.append(state)
-    return states
-
-
-def history_components(result: object, allow: Allow) -> Dict[str, str]:
+def history_components(result: object, masks: Masks) -> Dict[str, str]:
     """Hashes of what one ``RuntimeResult`` or ``Trace`` recorded."""
     trace = getattr(result, "trace", result)
     parts: Dict[str, str] = {
-        "events": digest(mask_recovery(repr(e), allow) for e in trace.events),
+        "events": digest(mask_recovery(repr(e), masks) for e in trace.events),
         "source_states": digest(trace.source_states),
         "view_states": digest(trace.view_states),
     }
     if trace is result:
         return parts
-    placed = "class-placement" in allow and shares_a_class(result)
-    if placed:
-        # A class on one shard takes one event per update where a split
-        # class took one per shard it spanned; what a member passes
-        # through must not move.
-        parts["events"] = digest(())
-        parts["view_states"] = digest(
-            own_timeline(trace, name) for name in sorted(result.shard_info["assignment"])
-        )
     crashes = [dict(crash) for crash in result.crashes]
-    if "wal-layout" in allow:
+    if "wal-layout" in masks:
         for crash in crashes:
             crash.pop("snapshot_lsn", None)
             crash.pop("replayed", None)
     parts.update(
         per_source_states=digest([result.per_source_states]),
-        action_log=digest(() if placed else result.action_log),
+        action_log=digest(result.action_log),
         read_results=digest([result.read_results]),
         final_view=digest([result.final_view]),
         crashes=digest(crashes),
-        wal=digest([None if "wal-layout" in allow else result.wal_stats]),
+        wal=digest([None if "wal-layout" in masks else result.wal_stats]),
     )
     return parts
 
@@ -331,93 +271,14 @@ def history_components(result: object, allow: Allow) -> Dict[str, str]:
 def pytest_addoption(parser) -> None:
     group = parser.getgroup("same-histories")
     group.addoption("--histories-out", help="write per-test history hashes here")
-    group.addoption("--histories-allow", action="append", default=[])
+    group.addoption("--histories-mask", action="append", default=[])
 
 
 def pytest_configure(config) -> None:
     path = config.getoption("histories_out")
     if path:
-        allow = Allow(config.getoption("histories_allow"))
-        if "one-checker" in allow:
-            provide_cut_functions()
-        if "v7-forms" in allow:
-            provide_value_envelope()
-        provide_typed_append()
-        config.pluginmanager.register(HistoryHashes(path, allow), "history-hashes")
-
-
-def provide_cut_functions() -> None:
-    """``repro.multisource.consistency``'s three names, as the one checker
-    over cuts spells them, on a tree that deleted the module: a parent's
-    suites import them."""
-    import importlib.util
-    import types
-
-    if importlib.util.find_spec("repro.multisource.consistency") is not None:
-        return
-    import repro.multisource
-    from repro.consistency import check_cuts
-
-    def cut_report(view, per_source_states, view_states, final_view):
-        return check_cuts(view, per_source_states, view_states)
-
-    def check_cut_consistency(view, per_source_states, view_states):
-        return check_cuts(view, per_source_states, view_states).consistent
-
-    def check_cut_convergence(view, per_source_states, final_view):
-        final_cut = {name: states[-1:] for name, states in per_source_states.items()}
-        return check_cuts(view, final_cut, [final_view]).convergent
-
-    module = types.ModuleType("repro.multisource.consistency")
-    for function in (cut_report, check_cut_consistency, check_cut_convergence):
-        setattr(module, function.__name__, function)
-        setattr(repro.multisource, function.__name__, function)
-    sys.modules[module.__name__] = repro.multisource.consistency = module
-
-
-def provide_value_envelope() -> None:
-    """The value-level ``dumps`` / ``loads`` of codecs before v7, on a
-    tree that deleted them: a parent's suites import them."""
-    from repro.durability import codec
-
-    if hasattr(codec, "dumps"):
-        return
-
-    def dumps(value: object) -> str:
-        version = codec.canonical_json(codec.CODEC_VERSION)
-        return codec.splice({"v": version, "data": codec.encode_text(value)})
-
-    def loads(text: str) -> object:
-        return codec.decode_value(json.loads(text)["data"])
-
-    codec.dumps, codec.loads = dumps, loads  # type: ignore[attr-defined]
-
-
-def provide_typed_append() -> None:
-    """``WriteAheadLog.append(record_type, data)``, the writer's form
-    before it appended ``recv`` records only, on a tree whose ``append``
-    takes ``data`` alone: a parent's suites call it, some with a type
-    recovery refuses.  The record is written as that tree writes it,
-    under the type the caller names."""
-    import inspect
-
-    from repro.durability import wal
-
-    append = wal.WriteAheadLog.append
-    if len(inspect.signature(append).parameters) != 2:  # self, data
-        return
-
-    def typed_append(self, *args):  # type: ignore[no-untyped-def]
-        if len(args) == 1:
-            return append(self, *args)
-        record_type, data = args
-        kept, wal.RECV = wal.RECV, record_type
-        try:
-            return append(self, data)
-        finally:
-            wal.RECV = kept
-
-    wal.WriteAheadLog.append = typed_append  # type: ignore[method-assign]
+        masks = Masks(config.getoption("histories_mask"))
+        config.pluginmanager.register(HistoryHashes(path, masks), "history-hashes")
 
 
 class HistoryHashes:
@@ -430,7 +291,7 @@ class HistoryHashes:
     (pytest exits with ``INTERNAL_ERROR``; :func:`run_suites` names the
     tests)."""
 
-    def __init__(self, path: str, allow: Allow) -> None:
+    def __init__(self, path: str, masks: Masks) -> None:
         from repro.kernel.sync import SyncKernel
         from repro.runtime.harness import RuntimeResult
 
@@ -443,11 +304,11 @@ class HistoryHashes:
 
         def init(result, *args, **kwargs):
             original_init(result, *args, **kwargs)
-            record("run_concurrent", result, allow)
+            record("run_concurrent", result, masks)
 
         def run(kernel, *args, **kwargs):
             trace = original_run(kernel, *args, **kwargs)
-            record("SyncKernel.run", trace, allow)
+            record("SyncKernel.run", trace, masks)
             return trace
 
         RuntimeResult.__init__ = init
@@ -456,10 +317,10 @@ class HistoryHashes:
     def entry(self, nodeid: str) -> Dict[str, object]:
         return self.tests.setdefault(nodeid, {"outcome": "passed", "runs": []})
 
-    def record(self, kind: str, result: object, allow: Allow) -> None:
+    def record(self, kind: str, result: object, masks: Masks) -> None:
         try:
-            hashes = history_components(result, allow)
-            raw = history_components(result, Allow())
+            hashes = history_components(result, masks)
+            raw = history_components(result, Masks())
         except Exception as error:  # the plugin's own failure: kept apart
             where = traceback.extract_tb(error.__traceback__)[-1]
             self.errors.append(
@@ -478,6 +339,10 @@ class HistoryHashes:
             entry["outcome"] = f"failed ({report.when})"
         elif report.skipped:
             entry["outcome"] = "skipped"
+
+    def pytest_collectreport(self, report) -> None:
+        if report.failed:
+            self.entry(report.nodeid)["outcome"] = "failed (collect)"
 
     def pytest_sessionfinish(self, session) -> None:
         import pytest
@@ -499,89 +364,102 @@ class HistoryHashes:
 # --------------------------------------------------------------------- #
 
 
-def portable(node: object) -> object:
-    """Parsed codec data in one layout whatever codec version wrote it:
-    a quoted ``json`` value parsed in place; a ``bag`` — ``columns`` /
-    ``counts`` or ``pairs`` — as the list of ``(row, count)`` tuples an
-    algorithm's pending bag was written as before codec v7; and a
-    one-term ``query`` as the ``term`` form a lone term was written in
-    before v7.  Two trees either side of a format change then hash equal
-    states equal."""
-    if isinstance(node, list):
-        return [portable(item) for item in node]
-    if not isinstance(node, dict):
-        return node
-    tag = node.get("$")
-    if tag == "json":
-        return portable(json.loads(node["text"]))
-    if tag == "bag":
-        if "columns" in node:
-            rows = [{"$": "tuple", "items": list(row)} for row in zip(*node["columns"])]
-            pairs = list(zip(rows, node["counts"]))
-        else:
-            pairs = node["pairs"]
-        return [{"$": "tuple", "items": [portable(row), count]} for row, count in pairs]
-    if tag == "query" and "shapes" in node and len(node["terms"]) == 1:
-        ((index, coefficient, bindings),) = node["terms"]
-        shape = node["shapes"][index]
-        operands = [
-            {"$": "rel", "schema": schema}
-            if bound is None
-            else {"$": "bound", "schema": schema, "tuple": bound}
-            for schema, bound in zip(shape["schemas"], bindings)
+def structure(value: object) -> object:
+    """A recovered value as plain data spelled by what it means, for
+    :func:`canon`: a bag as its sorted ``(row, count)`` pairs, a query as
+    its terms (a lone term as the one-term query it is), a term as its
+    coefficient, operand schemas, bound rows, projection and condition,
+    and a view as its name and definition.  No memo slot is read
+    (``Query.encoded``, ``BoundOperand.encoded``, a ``TermShape`` memo),
+    so two trees that hold one state but write it in different layouts,
+    or fill different memos, give it one text."""
+    from repro.relational.expressions import Query, Term
+    from repro.relational.schema import RelationSchema
+    from repro.relational.views import View
+
+    if hasattr(value, "to_pairs"):
+        return value.to_pairs()
+    if isinstance(value, Term):
+        value = Query([value])
+    if isinstance(value, Query):
+        return [
+            "query",
+            *(
+                [
+                    term.coefficient,
+                    [structure(operand.schema) for operand in term.operands],
+                    [getattr(operand, "tuple", None) for operand in term.operands],
+                    term.projection,
+                    term.condition,
+                ]
+                for term in value.terms
+            ),
         ]
-        term = {
-            "$": "term",
-            "operands": operands,
-            "projection": shape["projection"],
-            "condition": shape["condition"],
-            "coefficient": coefficient,
+    if isinstance(value, RelationSchema):
+        return ["schema", value.name, value.attributes, value.key, value.base]
+    if isinstance(value, View):
+        return ["view", value.name, structure(value.definition())]
+    if isinstance(value, dict):
+        return {key: structure(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [structure(item) for item in value]
+    return value
+
+
+def state_text(algorithm: object) -> str:
+    """Everything a recovered warehouse holds, as one text: per member
+    (a lone algorithm is its own), its registry name, view definition,
+    contents, ``durable_config()`` and ``pending_state()`` — Section
+    5.2's UQS and COLLECT among the rest; of a catalog, also the
+    planner's state and whether it shares compensation."""
+    from repro.warehouse.catalog import WarehouseCatalog
+
+    def member(algorithm, view) -> Dict[str, object]:
+        return {
+            "name": algorithm.name,
+            "view": view,
+            "contents": algorithm.view_state(),
+            "config": algorithm.durable_config(),
+            "pending": algorithm.pending_state(),
         }
-        return portable(term)
-    return {key: portable(value) for key, value in node.items()}
+
+    if not isinstance(algorithm, WarehouseCatalog):
+        return canon(structure(member(algorithm, algorithm.view)))
+    members = {
+        name: member(each, algorithm.views[name])
+        for name, each in algorithm.algorithms.items()
+    }
+    state = {
+        "members": members,
+        "planner": algorithm.pending_state(),
+        "share": algorithm.share_compensation,
+    }
+    return canon(structure(state))
 
 
 def recovered_state(directory: str) -> Dict[str, object]:
-    """What ``recover`` rebuilds from one WAL directory, as hashes of
-    its :func:`portable` encoding."""
+    """What ``recover`` rebuilds from one WAL directory: hashes of its
+    :func:`state_text`, its view and each query it re-issues, and its
+    pending ids and replay figures as they are."""
     from repro.durability import recover
-    from repro.durability.codec import canonical_json, encode_algorithm, encode_value
-
-    def text_hash(text: str) -> str:
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-    def value_hash(data: object) -> str:
-        return text_hash(canonical_json(portable(data)))
 
     try:
         result = recover(directory)
     except Exception as error:  # a refusal is an outcome to compare too
         return {"error": f"{type(error).__name__}: {error}".replace(directory, "<dir>")}
     algorithm = result.algorithm
-    state = encode_algorithm(algorithm)
-    if not isinstance(state, str):
-        state = canonical_json(state)
-    state = canonical_json(portable(json.loads(state)))
-    stats = getattr(algorithm, "shared_query_stats", None)
     return {
-        "view": value_hash(encode_value(algorithm.view_state())),
-        # View contents, COLLECT, UQS queries, configuration: everything
-        # but the planner's counts (codec v5 holds them), which follow.
-        "state": text_hash(_PLANNER_COUNTS.sub("", state)),
-        "planner": list(stats()) if stats is not None else None,
+        "view": digest([structure(algorithm.view_state())]),
+        "state": digest([state_text(algorithm)]),
         "uqs": list(algorithm.pending_query_ids()),
         "reissue": [
-            [destination, request.query_id, value_hash(encode_value(request.query))]
+            [destination, request.query_id, digest([structure(request.query)])]
             for destination, request in result.reissue
         ],
         "replayed": result.replayed,
         "lsns": [result.snapshot_lsn, result.last_lsn],
         "torn": result.torn_records,
     }
-
-
-#: A catalog's planner counts inside its encoded pending state.
-_PLANNER_COUNTS = re.compile(r',\["issued",[0-9]+\],\["saved",[0-9]+\]')
 
 
 def print_recovered(directories: Sequence[str]) -> None:
@@ -681,7 +559,7 @@ def from_a_source(channel: str) -> bool:
     )
 
 
-def normalize_stdout(text: str, allow: Allow) -> List[str]:
+def normalize_stdout(text: str, masks: Masks) -> List[str]:
     """Stdout lines as single-spaced tokens (a column that narrows must
     not move its neighbours), wall-clock lines and allowed cells masked."""
     lines: List[str] = []
@@ -694,17 +572,15 @@ def normalize_stdout(text: str, allow: Allow) -> List[str]:
             tokens = tokens[:-2] + ["*"]
         elif tokens[:4] == ["channel", "sent", "delivered", "bytes"]:
             bytes_at = 3
-        elif bytes_at is not None and "wh-bytes" in allow and tokens[0].startswith("wh->"):
+        elif bytes_at is not None and "wh-bytes" in masks and tokens[0].startswith("wh->"):
             tokens[bytes_at] = "*"
-        elif bytes_at is not None and "answer-bytes" in allow and from_a_source(tokens[0]):
+        elif bytes_at is not None and "answer-bytes" in masks and from_a_source(tokens[0]):
             tokens[bytes_at] = "*"
-        elif "wal-layout" in allow and tokens[0] == "WAL:":
+        elif "wal-layout" in masks and tokens[0] == "WAL:":
             tokens = ["WAL:", "*"]
-        elif "planner-counts" in allow and tokens[:2] == ["shared", "compensation:"]:
-            tokens = tokens[:2] + ["*"]
-        elif "wal-layout" in allow and tokens[0] == "trace:":
+        elif "wal-layout" in masks and tokens[0] == "trace:":
             tokens[1] = "*"
-        lines.append(mask_recovery(" ".join(tokens), allow))
+        lines.append(mask_recovery(" ".join(tokens), masks))
     return lines
 
 
@@ -716,10 +592,9 @@ _WAL_LAYOUT_SERIES = (
     "repro_wal_last_lsn",
     "repro_recovery_replayed_total",
 )
-_PLANNER_SERIES = ("repro_shared_queries_issued", "repro_shared_queries_saved")
 
 
-def normalize_metrics(path: str, allow: Allow) -> Dict[str, object]:
+def normalize_metrics(path: str, masks: Masks) -> Dict[str, object]:
     """``name{labels}`` -> value, without wall time or allowed series."""
     if not os.path.exists(path):
         return {}
@@ -733,29 +608,24 @@ def normalize_metrics(path: str, allow: Allow) -> Dict[str, object]:
                 continue
             if name == "repro_channel_bytes_total":
                 channel = str(labels.get("channel", ""))
-                if "wh-bytes" in allow and channel.startswith("wh->"):
+                if "wh-bytes" in masks and channel.startswith("wh->"):
                     continue
-                if "answer-bytes" in allow and from_a_source(channel):
+                if "answer-bytes" in masks and from_a_source(channel):
                     continue
-            if "wal-layout" in allow and (
-                name in _WAL_LAYOUT_SERIES
-                or (name == "repro_wal_append_total" and labels.get("type") != "recv")
-            ):
-                continue
-            if "planner-counts" in allow and name in _PLANNER_SERIES:
+            if "wal-layout" in masks and name in _WAL_LAYOUT_SERIES:
                 continue
             flat[f"{name}{json.dumps(labels, sort_keys=True)}"] = series["value"]
     return flat
 
 
-def normalize_trace(path: str, allow: Allow) -> List[str]:
+def normalize_trace(path: str, masks: Masks) -> List[str]:
     """Spans in order; under ``wal-layout`` without ``wal.snapshot``
     spans, ids renumbered in order, recovery counts hidden."""
     if not os.path.exists(path):
         return []
     with open(path, encoding="utf-8") as handle:
         spans = [json.loads(line) for line in handle if line.strip()]
-    if "wal-layout" in allow:
+    if "wal-layout" in masks:
         spans = [span for span in spans if span["name"] != "wal.snapshot"]
         renumber = {span["span_id"]: index for index, span in enumerate(spans, 1)}
         for span in spans:
@@ -769,12 +639,8 @@ def normalize_trace(path: str, allow: Allow) -> List[str]:
     return [json.dumps(span, sort_keys=True) for span in spans]
 
 
-def normalize_recovered(state: Dict[str, object], allow: Allow) -> Dict[str, object]:
-    masked = {
-        "wal-layout": ("replayed", "lsns"),
-        "planner-counts": ("planner",),
-    }
-    hidden = {key for name in allow if name in masked for key in masked[name]}
+def normalize_recovered(state: Dict[str, object], masks: Masks) -> Dict[str, object]:
+    hidden = ("replayed", "lsns") if "wal-layout" in masks else ()
     return {k: v for k, v in state.items() if k not in hidden}
 
 
@@ -829,6 +695,20 @@ class Tree:
         )
 
 
+def read_allowances(parent: Tree, change: Tree) -> Allowances:
+    """The change's allow file, applied only when it differs from the
+    parent's (a missing file reads as empty)."""
+    texts = []
+    for tree in (parent, change):
+        path = os.path.join(tree.path, ALLOW_FILE)
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as handle:
+                texts.append(handle.read())
+        else:
+            texts.append("")
+    return Allowances() if texts[0] == texts[1] else parse_allowances(texts[1])
+
+
 def git(*args: str) -> str:
     return subprocess.run(
         ["git", "-C", REPO, *args], check=True, capture_output=True, text=True
@@ -875,18 +755,21 @@ def describe(parent: object, change: object) -> str:
     return f"{parent!r} -> {change!r}"
 
 
-def run_suites(tree: Tree, tests_from: Tree, allow: Allow, out: str) -> Dict[str, object]:
+def run_suites(
+    tree: Tree, tests_from: Tree, allow: Allowances, out: str
+) -> Dict[str, object]:
     """The parent's suites against ``tree``'s src; the plugin's hashes.
 
     Only a session that reached every suite counts: pytest exits 0 or 1
     (a failed test is an outcome to compare), each of :data:`SUITES`
-    ran tests and the plugin's hashing raised nothing.  A suite that
-    fails to collect on both trees would otherwise compare equal by being
+    ran tests — but one under an ``outcome`` prefix, whose tests may
+    move — and the plugin's hashing raised nothing.  A suite that fails
+    to collect on both trees would otherwise compare equal by being
     absent from both, and so would a test the plugin broke on both."""
     args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "same_histories"]
-    args += ["--histories-out", out]
-    for name in sorted(allow):
-        args += ["--histories-allow", name]
+    args += ["--continue-on-collection-errors", "--histories-out", out]
+    for name in sorted(allow.masks):
+        args += ["--histories-mask", name]
     done = tree.python(args + list(SUITES), cwd=tests_from.path)
     output = f"{done.stdout}{done.stderr}"
     recorded = None
@@ -906,25 +789,31 @@ def run_suites(tree: Tree, tests_from: Tree, allow: Allow, out: str) -> Dict[str
         raise SystemExit(f"suites imported {recorded['repro']}, not {tree.label}'s src")
     tests = recorded["tests"]
     silent = [
-        suite for suite in SUITES if not any(nodeid.startswith(suite + "::") for nodeid in tests)
+        suite
+        for suite in SUITES
+        if not suite.startswith(allow.outcomes)
+        and not any(nodeid.startswith(suite + "::") for nodeid in tests)
     ]
     if silent:
         raise SystemExit(f"no test of {', '.join(silent)} ran on {tree.label}:\n{output}")
     return tests
 
 
-def compare_suites(parent: Dict, change: Dict, report: Report, allow: Allow) -> None:
+def compare_suites(parent: Dict, change: Dict, report: Report, outcomes: Tuple[str, ...]) -> None:
+    """Outcome and history hashes, test by test; a test under one of
+    ``outcomes`` may change outcome and run count, or be absent from a
+    tree where its suite failed to collect."""
     for nodeid in sorted(set(parent) | set(change)):
         report.count("suite tests")
         a, b = parent.get(nodeid), change.get(nodeid)
-        if a is None or b is None:
+        shapes = [None if x is None else (x["outcome"], len(x["runs"])) for x in (a, b)]
+        if nodeid.startswith(outcomes) and shapes[0] != shapes[1]:
+            report.allowed.setdefault("suite tests", set()).add(nodeid)
+            if a is None or b is None or len(a["runs"]) != len(b["runs"]):
+                continue
+        elif a is None or b is None:
             report.differences.append((nodeid, "test", "only in one tree"))
             continue
-        if any(nodeid in OUTCOME_TESTS[name] for name in allow if name in OUTCOME_TESTS):
-            if (a["outcome"], len(a["runs"])) != (b["outcome"], len(b["runs"])):
-                report.allowed.setdefault("suite tests", set()).add(nodeid)
-            if len(a["runs"]) != len(b["runs"]):
-                continue
         else:
             report.compare("suite tests", nodeid, "outcome", a["outcome"], b["outcome"])
         if len(a["runs"]) != len(b["runs"]):
@@ -976,56 +865,16 @@ def recover_all(tree: Tree, directories: Sequence[str], cwd: str) -> Dict[str, D
     return json.loads(done.stdout)
 
 
-#: Section 3.1's levels as ``repro runtime`` prints them, weakest first.
-LEVELS = (
-    "incorrect",
-    "convergent",
-    "weakly consistent",
-    "consistent",
-    "strongly consistent",
-    "complete",
-)
-
-_VERDICT = re.compile(r"^consistency: +(.+)$", re.MULTILINE)
-_FAIL = "FAIL: run is "
-
-
-def settle_verdict(parent: Dict[str, object], change: Dict[str, object]) -> Dict[str, object]:
-    """``change`` with ``parent``'s verdict where the change's is no
-    lower: its ``consistency:`` line, and the exit status and ``FAIL:``
-    line that ``--require-consistent`` derives from it (``one-checker``)."""
-    before = _VERDICT.search(parent["stdout"])
-    after = _VERDICT.search(change["stdout"])
-    if not before or not after:
-        return change
-    if LEVELS.index(after.group(1)) < LEVELS.index(before.group(1)):
-        return change
-    settled = dict(change)
-    settled["stdout"] = _VERDICT.sub(before.group(0), change["stdout"])
-    failed = [line for line in parent["stderr"].splitlines() if line.startswith(_FAIL)]
-    if failed and (parent["exit"], change["exit"]) == (1, 0):
-        settled["exit"] = 1
-        settled["stderr"] = "".join(f"{line}\n" for line in change["stderr"].splitlines() + failed)
-    return settled
-
-
 def compare_row(
-    index: int, row: Row, work: str, results: Dict[str, Dict], report: Report, allow: Allow
+    index: int, row: Row, work: str, results: Dict[str, Dict], report: Report, masks: Masks
 ) -> None:
     where = f"row {index} [{row_label(row)}]"
     report.count("matrix rows")
-    sides = {role: results[role] for role in ("parent", "change")}
-    raw = sides["change"]
-    if "one-checker" in allow:
-        sides["change"] = settle_verdict(sides["parent"], raw)
+    parent, change = results["parent"], results["change"]
+    report.compare("matrix rows", where, "exit", parent["exit"], change["exit"])
     report.compare(
-        "matrix rows", where, "exit", sides["parent"]["exit"], sides["change"]["exit"],
-        sides["parent"]["exit"], raw["exit"],
-    )
-    report.compare(
-        "matrix rows", where, "stderr", sides["parent"]["stderr"].splitlines(),
-        sides["change"]["stderr"].splitlines(), sides["parent"]["stderr"].splitlines(),
-        raw["stderr"].splitlines(),
+        "matrix rows", where, "stderr",
+        parent["stderr"].splitlines(), change["stderr"].splitlines(),
     )
     for what, normalize, source in (
         ("stdout", normalize_stdout, "stdout"),
@@ -1035,11 +884,10 @@ def compare_row(
         forms = {}
         for role in ("parent", "change"):
             if source == "stdout":
-                value = sides[role]["stdout"]
-                unmasked = results[role]["stdout"]
+                value = results[role]["stdout"]
             else:
-                value = unmasked = os.path.join(work, role + "-rows", str(index), source)
-            forms[role] = (normalize(value, allow), normalize(unmasked, Allow()))
+                value = os.path.join(work, role + "-rows", str(index), source)
+            forms[role] = (normalize(value, masks), normalize(value, Masks()))
         report.compare(
             "matrix rows", where, what, forms["parent"][0], forms["change"][0],
             forms["parent"][1], forms["change"][1],
@@ -1051,15 +899,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("parent", help="git revision or checkout directory")
     parser.add_argument("change", help="git revision or checkout directory")
     parser.add_argument(
-        "--allow",
-        action="append",
-        default=[],
-        choices=sorted(ALLOWANCES),
-        metavar="NAME",
-        help="a difference the change is meant to make: "
-        + "; ".join(f"{name} = {text}" for name, text in ALLOWANCES.items()),
-    )
-    parser.add_argument(
         "--quick", action="store_true", help="every suite, every fourth matrix row"
     )
     parser.add_argument(
@@ -1067,7 +906,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--keep", metavar="DIR", help="work here and keep it")
     args = parser.parse_args(argv)
-    allow = Allow(args.allow)
 
     work = args.keep or tempfile.mkdtemp(prefix="same-histories-")
     os.makedirs(work, exist_ok=True)
@@ -1076,13 +914,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "parent": Tree(args.parent, work, "parent"),
             "change": Tree(args.change, work, "change", cold=args.cold),
         }
+        allow = read_allowances(trees["parent"], trees["change"])
         report = Report()
 
         suites = {
             role: run_suites(tree, trees["parent"], allow, os.path.join(work, f"{role}-suites.json"))
             for role, tree in trees.items()
         }
-        compare_suites(suites["parent"], suites["change"], report, allow)
+        compare_suites(suites["parent"], suites["change"], report, allow.outcomes)
 
         names = [
             set(tree.python(["-c", _LIST_ALGORITHMS], cwd=work).stdout.split())
@@ -1109,7 +948,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with ThreadPoolExecutor(max_workers=ROW_WORKERS) as pool:
             list(pool.map(execute, jobs))
         for index, row in enumerate(rows):
-            compare_row(index, row, work, results[index], report, allow)
+            compare_row(index, row, work, results[index], report, allow.masks)
 
         # Recovery: each tree over its own directories, and the change
         # over the parent's (a directory the parent wrote must recover).
@@ -1139,7 +978,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             a, b = own["parent"][path], own["change"][twin]
             report.compare(
                 "WAL directories", where, "recover",
-                normalize_recovered(a, allow), normalize_recovered(b, allow), a, b,
+                normalize_recovered(a, allow.masks), normalize_recovered(b, allow.masks), a, b,
             )
             if versions["parent"] == versions["change"]:
                 report.compare(
@@ -1171,10 +1010,9 @@ _LIST_ALGORITHMS = (
 )
 
 
-def print_report(trees: Dict[str, Tree], allow: Allow, report: Report) -> None:
-    allowed = ", ".join(sorted(allow)) or "nothing"
+def print_report(trees: Dict[str, Tree], allow: Allowances, report: Report) -> None:
     print(f"same histories: {trees['parent'].label} -> {trees['change'].label}")
-    print(f"allowed: {allowed}")
+    print(f"allowed: {allow}")
     for section, count in report.compared.items():
         covered = len(report.allowed.get(section, ()))
         note = f", {covered} differ only as allowed" if covered else ""
