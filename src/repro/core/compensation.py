@@ -157,7 +157,9 @@ class ProbeIndex:
     each pending term's ``Q_j<U>`` to survive its first check.
 
     ``uqs`` is the algorithm's own id -> query map, held, not copied: ids
-    ascend in it (:meth:`~repro.core.protocol.WarehouseAlgorithm.uqs_queries`).
+    ascend in it (:meth:`~repro.core.protocol.WarehouseAlgorithm.uqs_queries`)
+    and none is issued twice, not even after the UQS empties — an id at or
+    below a table's ``filed`` is taken as filed already.
     Per updated relation, a :class:`_Table` files each pending query's
     terms under the :func:`probe_key` rule.  Filing is lazy: an update
     files the queries issued since the last update of its relation

@@ -21,7 +21,8 @@ queries one algorithm holds for two members.  Values are ``None`` / ``'a'`` / ``
 ``True``, so ``1 == 1.0 == True`` share a bucket.  One index lives
 through a whole script: answers retire the oldest query, and a mid-UQS
 codec round trip, after which the index is built anew, is one of the
-drawn steps.
+drawn steps.  Query ids come from one counter, as an algorithm's do: an
+id is never issued twice, even after the UQS empties.
 
 The last test is the counting gate on ``bench/``'s ``eca_storm`` shape.
 """
@@ -148,6 +149,7 @@ def assert_probe_is_scan_split(ours, view, update, pending):
 def test_the_probe_builds_what_the_scan_splits_to(view, script):
     uqs = {}
     pending = ProbeIndex(uqs)
+    issued = 0
     for step in script:
         if step == "answer":
             if uqs:
@@ -166,7 +168,8 @@ def test_the_probe_builds_what_the_scan_splits_to(view, script):
             )
             assert_probe_is_scan_split(ours, view, step, pending)
             if ours is not TypeError and not ours[2].is_empty():
-                uqs[max(uqs, default=0) + 1] = ours[2]
+                issued += 1
+                uqs[issued] = ours[2]
 
 
 @settings(max_examples=120, deadline=None)
