@@ -28,8 +28,8 @@ paper's atomic-event assumption.
 
 from __future__ import annotations
 
-import asyncio
 import random
+import types
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -64,6 +64,17 @@ from repro.simulation.trace import HistoryRecorder
 from repro.source.base import Source
 from repro.source.updates import Update
 from repro.warehouse.state import Changes
+
+
+@types.coroutine
+def next_turn():
+    """Yield to the event loop once: the bare yield ``asyncio.sleep(0)`` awaits.
+
+    The actors and the harness's quiescence poll yield through this one
+    helper; a send never suspends, so apart from a receive that finds its
+    channels empty nothing else hands control to another actor.
+    """
+    yield
 
 
 def source_inbox(name: str) -> str:
@@ -180,7 +191,7 @@ class SourceActor:
             for _ in range(1 + self._rng.randrange(self._max_burst)):
                 if not self._workload:
                     break
-                await self._apply_next()
+                self._apply_next()
             # Service whatever queries have arrived before the next burst,
             # so answers interleave with later updates (the anomaly soup).
             while True:
@@ -188,10 +199,10 @@ class SourceActor:
                     request = self.transport.receive_nowait(self.inbox)
                 except ChannelEmpty:
                     break
-                await self._answer(request)
+                self._answer(request)
             # Sends never block, so yield explicitly: this is the point
             # where the warehouse and the other actors actually run.
-            await asyncio.sleep(0)
+            await next_turn()
         self.workload_done = True
         # Keep answering until the harness closes the transport.
         while True:
@@ -199,9 +210,9 @@ class SourceActor:
                 request = await self.transport.recv(self.inbox)
             except TransportClosed:
                 return
-            await self._answer(request)
+            self._answer(request)
 
-    async def _apply_next(self) -> None:
+    def _apply_next(self) -> None:
         update = self._workload.popleft()
         self.source.apply_update(update)
         serial = self.recorder.update(self.name, update)
@@ -210,9 +221,9 @@ class SourceActor:
         self.metrics.sent += 1
         if self._obs is not None:
             self._obs.source_update(self.name, update.relation, serial)
-        await self.transport.send(self.outbox, UpdateNotification(update, serial))
+        self.transport.send(self.outbox, UpdateNotification(update, serial))
 
-    async def _answer(self, message: Message) -> None:
+    def _answer(self, message: Message) -> None:
         request = receive_query_request(self.name, message)
         self.metrics.received += 1
         answer = self.source.evaluate(request.query)
@@ -221,7 +232,7 @@ class SourceActor:
         self.metrics.sent += 1
         if self._obs is not None:
             self._obs.source_answer(self.name, request.query_id, answer.total_count())
-        await self.transport.send(self.outbox, QueryAnswer(request.query_id, answer))
+        self.transport.send(self.outbox, QueryAnswer(request.query_id, answer))
 
 
 @dataclass
@@ -365,7 +376,7 @@ class WarehouseActor:
         unit = self.unit
         inboxes = tuple(unit.inboxes)
         for destination, request in self._reissue:
-            await self._send_request(destination, request, reissued=True)
+            self._send_request(destination, request, reissued=True)
         self._reissue = []
         while True:
             try:
@@ -390,17 +401,17 @@ class WarehouseActor:
             if unit.wal is not None:
                 if is_duplicate_answer(unit.algorithm, message):
                     unit.metrics.bump("duplicate_answers_dropped")
-                    await asyncio.sleep(0)
+                    await next_turn()
                     continue
                 unit.wal.append(
                     {"channel": channel, "origin": origin, "message": message}
                 )
-            await self._dispatch(sender, origin, message)
+            self._dispatch(sender, origin, message)
             # One atomic event per scheduling slice: yield so sources and
             # clients interleave between warehouse events, as in the paper.
-            await asyncio.sleep(0)
+            await next_turn()
 
-    async def _dispatch(
+    def _dispatch(
         self, sender: str, origin: Optional[str], message: Message
     ) -> None:
         unit = self.unit
@@ -436,7 +447,7 @@ class WarehouseActor:
             unit.wal.maybe_snapshot(algorithm)
         if not drop_sends:
             for destination, request in routed:
-                await self._send_request(destination, request)
+                self._send_request(destination, request)
         self.recorder.event(kind, detail, warehouse_action(sender, message))
         if obs is not None:
             obs.wh_event_end(self._obs_span, kind, message, algorithm, pending_before)
@@ -445,7 +456,7 @@ class WarehouseActor:
         if fired:
             raise WarehouseCrashed(self.event_index, unit.crash_run.policy.mode, drop_sends)
 
-    async def _send_request(
+    def _send_request(
         self, destination: Optional[str], request: QueryRequest, reissued: bool = False
     ) -> None:
         """Route one outgoing query (``destination=None`` → owner lookup)."""
@@ -463,7 +474,7 @@ class WarehouseActor:
                 self._obs_compensates,
                 reissued,
             )
-        await self.transport.send(
+        self.transport.send(
             source_inbox(destination),
             QueryRequest(unit.wire_id(request.query_id), request.query),
         )
@@ -505,7 +516,7 @@ class ClientActor:
     async def run(self) -> None:
         for serial in range(1, self.reads + 1):
             try:
-                await self.transport.send(self.outbox, RefreshRequest(serial))
+                self.transport.send(self.outbox, RefreshRequest(serial))
             except TransportClosed:
                 return
             self.metrics.sent += 1
@@ -514,7 +525,7 @@ class ClientActor:
                 self._obs.client_refresh(self.name, serial)
             # Think, then read whatever the warehouse currently exposes.
             for _ in range(self._rng.randrange(self._max_think) + 1):
-                await asyncio.sleep(0)
+                await next_turn()
             view = self.warehouse.view_state()
             self.observations.append((self.transport.now(), view))
             self.metrics.bump("reads")

@@ -56,6 +56,7 @@ from repro.runtime.actors import (
     SourceActor,
     WarehouseActor,
     WarehouseUnit,
+    next_turn,
     warehouse_inbox,
 )
 from repro.runtime.transport import ChannelStats, FaultPlan, InMemoryTransport
@@ -643,7 +644,7 @@ async def _drive(
         # channel empty, every unit holding no deferred work.  Every poll
         # iteration yields, letting all ready actors take a step.
         for _ in range(_MAX_POLLS):
-            await asyncio.sleep(0)
+            await next_turn()
             if any(task.done() for task in tasks):
                 break  # an actor died early; surface its exception below
             if (

@@ -162,12 +162,14 @@ Route = Callable[[Message], Sequence[Tuple[str, Message]]]
 class InMemoryTransport:
     """Named unidirectional channels with awaitable receives (Section 2's message model).
 
-    Channels are created on first use.  Each channel is expected to have a
-    single consumer (the runtime wires one inbox per actor); multiple
-    producers are fine.  Delivery is per-channel FIFO — the assumption
-    every Section 5 correctness proof leans on — and :meth:`now` is
-    virtual time, so runs replay deterministically: waiters are woken in
-    FIFO order and ties between channels break on the global send
+    Channels are created on first use.  Each channel has a single
+    consumer (the runtime wires one inbox per actor): a :meth:`recv` or
+    :meth:`recv_any` on a channel another receive already awaits raises
+    :class:`ProtocolError`.  Multiple producers are fine, and a send wakes
+    its channel's one waiting receiver, if any, in O(1).  Delivery is
+    per-channel FIFO — the assumption every Section 5 correctness proof
+    leans on — and :meth:`now` is virtual time, so runs replay
+    deterministically: ties between channels break on the global send
     sequence number.
 
     ``plan=None`` is the paper's network: reliable and instantaneous.
@@ -192,7 +194,9 @@ class InMemoryTransport:
         self._queues: Dict[str, Deque[_Entry]] = {}
         self._stats: Dict[str, ChannelStats] = {}
         self._aliases: Dict[str, Route] = {}
-        self._waiters: Deque[Tuple[Tuple[str, ...], "asyncio.Future[None]"]] = deque()
+        #: Channel -> the future its one waiting receiver awaits; a
+        #: ``recv_any`` files its future under each channel it waits on.
+        self._waiting: Dict[str, "asyncio.Future[None]"] = {}
         self._sizer = sizer
         self._codec = codec
         self.plan = plan
@@ -216,8 +220,11 @@ class InMemoryTransport:
         """
         self._aliases[channel] = route
 
-    async def send(self, channel: str, message: Message) -> None:
-        """Queue ``message`` for delivery on ``channel``."""
+    def send(self, channel: str, message: Message) -> None:
+        """Queue ``message`` for delivery on ``channel``.
+
+        Synchronous: a send never waits, so it is never a scheduling point.
+        """
         if self._closed:
             raise TransportClosed(f"send on closed transport (channel {channel!r})")
         route = self._aliases.get(channel)
@@ -228,11 +235,18 @@ class InMemoryTransport:
                 self._enqueue(target, routed)
 
     def _enqueue(self, channel: str, message: Message) -> None:
-        queue = self._queues.setdefault(channel, deque())
-        stats = self._stats.setdefault(channel, ChannelStats(channel))
-        deliver_at = self._clock
+        queue = self._queues.get(channel)
+        if queue is None:
+            queue = self._queues[channel] = deque()
+            stats = self._stats[channel] = ChannelStats(channel)
+        else:
+            stats = self._stats[channel]
         plan = self.plan
-        if plan is not None:
+        if plan is None:
+            # Nothing delays a message, so the clock never advances and
+            # every entry is (0.0, seq): appending keeps the queue sorted.
+            queue.append((self._clock, next(self._seq), message))
+        else:
             delay = plan.latency
             if plan.jitter:
                 delay += self._rng.uniform(0.0, plan.jitter)
@@ -247,30 +261,28 @@ class InMemoryTransport:
                 drops += 1
             stats.dropped += drops
             stats.retries += drops
-            deliver_at += delay
+            deliver_at = self._clock + delay
             if plan.fifo_per_channel:
                 deliver_at = max(deliver_at, self._last_delivery.get(channel, 0.0))
             self._last_delivery[channel] = deliver_at
-        entry = (deliver_at, next(self._seq), message)
-        # Keep each queue sorted by (deliver_at, seq).  Reliable and
-        # FIFO-clamped sends arrive with non-decreasing times, so this is
-        # an O(1) append; only a non-FIFO fault plan ever inserts earlier.
-        position = len(queue)
-        while position > 0 and queue[position - 1][:2] > entry[:2]:
-            position -= 1
-        if position < len(queue):
-            stats.reordered += 1
-        queue.insert(position, entry)
+            entry = (deliver_at, next(self._seq), message)
+            # Keep each queue sorted by (deliver_at, seq).  FIFO-clamped
+            # sends arrive with non-decreasing times, so this is an O(1)
+            # append; only a non-FIFO fault plan ever inserts earlier.
+            position = len(queue)
+            while position > 0 and queue[position - 1][:2] > entry[:2]:
+                position -= 1
+            if position < len(queue):
+                stats.reordered += 1
+            queue.insert(position, entry)
         stats.sent += 1
         stats.sent_bytes += charged_bytes(message, self._sizer, self._codec)
-        stats.max_pending = max(stats.max_pending, len(queue))
-        self._wake(channel)
-
-    def _wake(self, channel: str) -> None:
-        for channels, future in self._waiters:
-            if not future.done() and channel in channels:
-                future.set_result(None)
-                return
+        if len(queue) > stats.max_pending:
+            stats.max_pending = len(queue)
+        # One consumer per channel, so at most one receiver to wake.
+        waiter = self._waiting.get(channel)
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     # ------------------------------------------------------------------ #
     # Receiving
@@ -300,7 +312,8 @@ class InMemoryTransport:
 
     def _pop(self, channel: str) -> Message:
         deliver_at, _, message = self._queues[channel].popleft()
-        self._clock = max(self._clock, deliver_at)
+        if deliver_at > self._clock:
+            self._clock = deliver_at
         self._stats[channel].delivered += 1
         return message
 
@@ -310,21 +323,29 @@ class InMemoryTransport:
         "Earliest" means smallest (delivery time, send sequence), so a
         receiver with several inboxes sees exactly the interleaving the
         transport's latencies induce.  Raises :class:`TransportClosed`
-        once the transport is closed and the channels are drained.
+        once the transport is closed and the channels are drained, and
+        :class:`ProtocolError` if another receive already awaits one of
+        ``channels`` (each channel has one consumer).
         """
         wanted = tuple(channels)
         if not wanted:
             raise ProtocolError("recv_any needs at least one channel")
+        queues = self._queues
+        waiting = self._waiting
         while True:
             best: Optional[str] = None
-            best_key: Optional[Tuple[float, int]] = None
+            best_head: Optional[_Entry] = None
             for channel in wanted:
-                head = self._head(channel)
-                if head is None:
-                    continue
-                key = (head[0], head[1])
-                if best_key is None or key < best_key:
-                    best, best_key = channel, key
+                if channel in waiting:
+                    raise ProtocolError(
+                        f"channel {channel!r} already has a waiting receiver; "
+                        f"a channel has one consumer"
+                    )
+                queue = queues.get(channel)
+                # Heads compare as (deliver_at, seq, message); seq is
+                # unique, so the message itself is never compared.
+                if queue and (best_head is None or queue[0] < best_head):
+                    best, best_head = channel, queue[0]
             if best is not None:
                 return best, self._pop(best)
             if self._closed:
@@ -334,11 +355,13 @@ class InMemoryTransport:
             future: "asyncio.Future[None]" = (
                 asyncio.get_running_loop().create_future()
             )
-            self._waiters.append((wanted, future))
+            for channel in wanted:
+                waiting[channel] = future
             try:
                 await future
             finally:
-                self._waiters.remove((wanted, future))
+                for channel in wanted:
+                    waiting.pop(channel, None)
 
     async def recv(self, channel: str) -> Message:
         """Wait for the next message on one channel."""
@@ -364,7 +387,8 @@ class InMemoryTransport:
     def close(self) -> None:
         """Shut down: pending and future receives raise TransportClosed."""
         self._closed = True
-        for _, future in self._waiters:
+        # Dict order is registration order, so waiters fail oldest first.
+        for future in self._waiting.values():
             if not future.done():
                 future.set_exception(
                     TransportClosed("transport closed while waiting")

@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.errors import ChannelEmpty, TransportClosed
+from repro.errors import ChannelEmpty, ProtocolError, TransportClosed
 from repro.messaging.messages import QueryAnswer, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.runtime.transport import FaultPlan, InMemoryTransport
@@ -19,12 +19,17 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def bounded(awaitable):
+    """``awaitable`` with a wall-clock bound, so a lost wake-up fails, not hangs."""
+    return asyncio.wait_for(awaitable, 5.0)
+
+
 class TestInMemoryTransport:
     def test_fifo_per_channel(self):
         async def scenario():
             t = InMemoryTransport()
             for i in range(1, 4):
-                await t.send("a", note(i))
+                t.send("a", note(i))
             return [(await t.recv("a")).serial for _ in range(3)]
 
         assert run(scenario()) == [1, 2, 3]
@@ -32,9 +37,9 @@ class TestInMemoryTransport:
     def test_recv_any_merges_in_send_order(self):
         async def scenario():
             t = InMemoryTransport()
-            await t.send("a", note(1))
-            await t.send("b", note(2))
-            await t.send("a", note(3))
+            t.send("a", note(1))
+            t.send("b", note(2))
+            t.send("a", note(3))
             out = []
             for _ in range(3):
                 channel, message = await t.recv_any(("a", "b"))
@@ -49,7 +54,7 @@ class TestInMemoryTransport:
 
             async def producer():
                 await asyncio.sleep(0)
-                await t.send("a", note(7))
+                t.send("a", note(7))
 
             task = asyncio.ensure_future(producer())
             message = await t.recv("a")
@@ -81,7 +86,7 @@ class TestInMemoryTransport:
     def test_close_drains_before_raising(self):
         async def scenario():
             t = InMemoryTransport()
-            await t.send("a", note(1))
+            t.send("a", note(1))
             t.close()
             message = await t.recv("a")  # still deliverable
             with pytest.raises(TransportClosed):
@@ -95,7 +100,7 @@ class TestInMemoryTransport:
             t = InMemoryTransport()
             t.close()
             with pytest.raises(TransportClosed):
-                await t.send("a", note(1))
+                t.send("a", note(1))
 
         run(scenario())
 
@@ -106,8 +111,8 @@ class TestInMemoryTransport:
                 if isinstance(m, QueryAnswer)
                 else 0
             )
-            await t.send("a", note(1))
-            await t.send("a", QueryAnswer(1, SignedBag.from_rows([(1,), (2,)])))
+            t.send("a", note(1))
+            t.send("a", QueryAnswer(1, SignedBag.from_rows([(1,), (2,)])))
             await t.recv("a")
             return t.stats()["a"]
 
@@ -118,12 +123,95 @@ class TestInMemoryTransport:
         assert stats.max_pending == 2
 
 
+class TestOneConsumerPerChannel:
+    """Each channel has one receiver, and a send wakes only that one."""
+
+    def test_a_second_receiver_on_a_waited_channel_is_refused(self):
+        async def scenario():
+            t = InMemoryTransport()
+            first = asyncio.ensure_future(t.recv_any(("a", "b")))
+            await asyncio.sleep(0)  # first now waits on a and b
+            with pytest.raises(ProtocolError, match="'b'"):
+                await bounded(t.recv("b"))
+            with pytest.raises(ProtocolError, match="'a'"):
+                await bounded(t.recv_any(("c", "a")))
+            t.send("a", note(1))
+            channel, message = await bounded(first)
+            # Once the first receive has returned, b takes a new receiver.
+            t.send("b", note(2))
+            return channel, message.serial, (await bounded(t.recv("b"))).serial
+
+        assert run(scenario()) == ("a", 1, 2)
+
+    def test_a_send_wakes_only_its_own_channels_receiver(self):
+        async def scenario():
+            t = InMemoryTransport()
+            on_a = asyncio.ensure_future(t.recv("a"))
+            on_b = asyncio.ensure_future(t.recv("b"))
+            await asyncio.sleep(0)
+            t.send("b", note(1))
+            await asyncio.sleep(0)
+            woke = (on_a.done(), on_b.done())
+            t.close()
+            with pytest.raises(TransportClosed):
+                await bounded(on_a)
+            return woke, on_b.result().serial
+
+        assert run(scenario()) == ((False, True), 1)
+
+    def test_a_send_no_one_waits_for_wakes_nothing(self):
+        async def scenario():
+            t = InMemoryTransport()
+            t.send("c", note(1))  # no receiver at all
+            on_a = asyncio.ensure_future(t.recv("a"))
+            await asyncio.sleep(0)
+            t.send("c", note(2))
+            for _ in range(3):
+                await asyncio.sleep(0)
+            waiting = not on_a.done()
+            t.send("a", note(3))
+            return waiting, (await bounded(on_a)).serial, t.receive_nowait("c").serial
+
+        assert run(scenario()) == (True, 3, 1)
+
+
+class TestDeliveryOrder:
+    """Without delay every message is deliverable at once, in send order."""
+
+    SENDS = [("c", 1), ("a", 2), ("b", 3), ("a", 4), ("c", 5), ("b", 6), ("a", 7)]
+
+    def received(self, plan):
+        async def scenario():
+            t = InMemoryTransport(plan=plan)
+            out = []
+            for channel, serial in self.SENDS[:4]:
+                t.send(channel, note(serial))
+            # Interleave receives with later sends.
+            for channel, serial in self.SENDS[4:]:
+                got, message = await t.recv_any(("a", "b", "c"))
+                out.append((got, message.serial, t.now()))
+                t.send(channel, note(serial))
+            while t.total_pending():
+                got, message = await t.recv_any(("a", "b", "c"))
+                out.append((got, message.serial, t.now()))
+            return out
+
+        return run(scenario())
+
+    def test_without_a_plan_the_clock_stays_zero_and_order_is_send_order(self):
+        assert self.received(None) == [(c, s, 0.0) for c, s in self.SENDS]
+
+    def test_a_zero_delay_plan_delivers_the_same_order(self):
+        zero = FaultPlan(latency=0.0, jitter=0.0, drop_rate=0.0)
+        assert self.received(zero) == self.received(None)
+
+
 class TestFaultyTransport:
     def test_jitter_reorders_across_channels_not_within(self):
         async def scenario():
             t = InMemoryTransport(plan=FaultPlan(latency=1.0, jitter=10.0), seed=3)
             for i in range(1, 5):
-                await t.send("a" if i % 2 else "b", note(i))
+                t.send("a" if i % 2 else "b", note(i))
             out = []
             for _ in range(4):
                 channel, message = await t.recv_any(("a", "b"))
@@ -144,7 +232,7 @@ class TestFaultyTransport:
             plan = FaultPlan(latency=1.0, jitter=50.0, fifo_per_channel=False)
             t = InMemoryTransport(plan=plan, seed=seed)
             for i in range(1, 9):
-                await t.send("a", note(i))
+                t.send("a", note(i))
             return [(await t.recv("a")).serial for _ in range(8)]
 
         reordered = [run(scenario(seed)) for seed in range(8)]
@@ -155,7 +243,7 @@ class TestFaultyTransport:
             plan = FaultPlan(latency=1.0, drop_rate=0.7, retry_timeout=5.0)
             t = InMemoryTransport(plan=plan, seed=1)
             for i in range(1, 21):
-                await t.send("a", note(i))
+                t.send("a", note(i))
             for _ in range(20):
                 await t.recv("a")
             return t.stats()["a"], t.now()
@@ -171,7 +259,7 @@ class TestFaultyTransport:
             plan = FaultPlan(latency=1.0, jitter=4.0, drop_rate=0.4)
             t = InMemoryTransport(plan=plan, seed=9)
             for i in range(1, 13):
-                await t.send("a" if i % 3 else "b", note(i))
+                t.send("a" if i % 3 else "b", note(i))
             out = []
             for _ in range(12):
                 channel, message = await t.recv_any(("a", "b"))
@@ -194,7 +282,7 @@ class TestFaultyTransport:
             t = InMemoryTransport(plan=FaultPlan(latency=2.0, jitter=7.0), seed=5)
             times = []
             for i in range(1, 10):
-                await t.send("a" if i % 2 else "b", note(i))
+                t.send("a" if i % 2 else "b", note(i))
             for _ in range(9):
                 await t.recv_any(("a", "b"))
                 times.append(t.now())
@@ -232,7 +320,7 @@ class TestAliasedChannels:
             )
             t.alias("in", self.fan_out)
             for serial in range(1, 13):
-                await t.send("in", note(serial))
+                t.send("in", note(serial))
             out = {"x": [], "y": []}
             for _ in range(18):
                 channel, message = await t.recv_any(("x", "y"))
@@ -255,7 +343,7 @@ class TestAliasedChannels:
         async def scenario():
             t = InMemoryTransport()
             t.alias("in", self.fan_out)
-            await t.send("in", note(0))
+            t.send("in", note(0))
             return t
 
         t = run(scenario())
@@ -265,7 +353,7 @@ class TestAliasedChannels:
         async def scenario():
             t = InMemoryTransport()
             t.alias("in", self.fan_out)
-            await t.send("other", note(1))
+            t.send("other", note(1))
             return (await t.recv("other")).serial, set(t.stats())
 
         assert run(scenario()) == (1, {"other"})
