@@ -164,9 +164,10 @@ class ProbeIndex:
     terms under the :func:`probe_key` rule.  Filing is lazy: an update
     files the queries issued since the last update of its relation
     (:meth:`hits` walks the UQS back to the newest id filed), so an empty
-    UQS builds nothing.  Retiring is eager: :meth:`retire` removes an
-    answered query's entries and every bucket they leave empty.  A
-    recovered algorithm starts a new index.
+    UQS builds nothing, and a query with nothing to file for a relation
+    can be marked filed there unwalked (:meth:`skip`).  Retiring is
+    eager: :meth:`retire` removes an answered query's entries and every
+    bucket they leave empty.  A recovered algorithm starts a new index.
     """
 
     def __init__(self, uqs: Dict[int, Query]) -> None:
@@ -235,6 +236,26 @@ class ProbeIndex:
         for query_id, indices in self.hits(relation, values):
             out += map(uqs[query_id].terms.__getitem__, indices)
         return out
+
+    def skip(self, relation: str, query_id: int) -> None:
+        """Take ``query_id``, the newest pending query, as filed for updates
+        of ``relation`` without walking it: its caller knows that every
+        occurrence of ``relation`` in it is bound (an update of
+        ``relation`` built it, over a view that holds ``relation`` once per
+        term), so filing it would file nothing.  Done only when every older
+        pending query is filed already."""
+        ids = reversed(self.uqs)
+        if next(ids, None) != query_id:
+            return
+        older = next(ids, 0)
+        table = self.tables.get(relation)
+        if table is None:
+            if older:
+                return
+            table = self.tables[relation] = _Table()
+        elif older > table.filed:
+            return
+        table.filed = query_id
 
     def retire(self, query_id: int) -> None:
         """Forget an answered query: its entries, and the buckets and

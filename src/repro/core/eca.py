@@ -78,6 +78,14 @@ class ECA(WarehouseAlgorithm):
         self.buffer_answers = buffer_answers
         #: The UQS indexed for the builder's probe (never persisted).
         self.probe_index = ProbeIndex(self.uqs)
+        #: Relations some view term holds twice (a self-join): a query an
+        #: update of any other relation builds binds it in every term.
+        self._repeated = frozenset(
+            relation
+            for term in view.as_query().terms
+            for relation, indices in term.shape.occurrences.items()
+            if len(indices) > 1
+        )
 
     # ------------------------------------------------------------------ #
     # W_up
@@ -86,9 +94,12 @@ class ECA(WarehouseAlgorithm):
     def handle_update(self, notification: UpdateNotification) -> List[QueryRequest]:
         if not self.relevant(notification):
             return []
-        return self._dispatch(
-            _compensate_update(self.view, notification.update, self.probe_index)
-        )
+        update = notification.update
+        requests = self._dispatch(_compensate_update(self.view, update, self.probe_index))
+        if requests and update.relation not in self._repeated:
+            # The next update of the relation would file nothing of it.
+            self.probe_index.skip(update.relation, requests[0].query_id)
+        return requests
 
     def handle_update_batch(self, batch: UpdateBatch) -> List[QueryRequest]:
         """The k-update generalization: one ``Q<U1,...,Uk>`` per batch.

@@ -14,9 +14,9 @@ Python-level loop per tuple:
 - :func:`batch_join` hash-joins two batches on positional key pairs,
   multiplying signed counts, and falls back to the cartesian product
   when no keys are given; it is :func:`join_indices` (which rows meet)
-  followed by :func:`join_rows` (gather them), and callers that carry a
-  vector beside the batch use the two halves directly — those that keep
-  the right side's :func:`bucket_map` hand it to :func:`join_indices`.
+  followed by a gather of every column.  The engine calls
+  :func:`join_indices` itself — handing it the right side's kept
+  :func:`bucket_map` — and gathers only the columns its plan carries.
 
 Selection and projection have no operator of their own: a compiled mask
 feeds :meth:`ColumnBatch.compress`, and :meth:`ColumnBatch.gather_columns`
@@ -157,7 +157,8 @@ def join_indices(
     that keeps ``right``'s :func:`bucket_map` on the keys' right positions
     passes it as ``buckets``, and the join only probes.  This is the only
     hash-join body; :func:`batch_join` assembles its pairs, and the
-    engine's grouped pass also runs its row-id vector through them.
+    engine's runners gather their carried columns (and the grouped
+    runner its owner vector) by them.
     """
     if keys:
         if len(keys) == 1:
@@ -185,30 +186,6 @@ def join_indices(
     )
 
 
-def join_rows(
-    left: ColumnBatch,
-    right: ColumnBatch,
-    left_indices: Sequence[int],
-    right_indices: Sequence[int],
-) -> ColumnBatch:
-    """The joined batch of parallel row-index pairs: left columns then
-    right columns, counts multiplied (Section 4.1 sign propagation)."""
-    columns = [
-        list(map(column.__getitem__, left_indices)) for column in left.columns
-    ]
-    columns += [
-        list(map(column.__getitem__, right_indices)) for column in right.columns
-    ]
-    counts = list(
-        map(
-            mul,
-            map(left.counts.__getitem__, left_indices),
-            map(right.counts.__getitem__, right_indices),
-        )
-    )
-    return ColumnBatch(columns, counts)
-
-
 def batch_join(
     left: ColumnBatch,
     right: ColumnBatch,
@@ -223,4 +200,18 @@ def batch_join(
     """
     if not left.counts or not right.counts:
         return ColumnBatch.empty(left.width + right.width)
-    return join_rows(left, right, *join_indices(left, right, keys))
+    left_indices, right_indices = join_indices(left, right, keys)
+    columns = [
+        list(map(column.__getitem__, left_indices)) for column in left.columns
+    ]
+    columns += [
+        list(map(column.__getitem__, right_indices)) for column in right.columns
+    ]
+    counts = list(
+        map(
+            mul,
+            map(left.counts.__getitem__, left_indices),
+            map(right.counts.__getitem__, right_indices),
+        )
+    )
+    return ColumnBatch(columns, counts)

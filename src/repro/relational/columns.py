@@ -95,13 +95,6 @@ class ColumnBatch:
     # Row/column selection (the building blocks of the operators)
     # ------------------------------------------------------------------ #
 
-    def take(self, indices: Sequence[int]) -> "ColumnBatch":
-        """Row gather: the batch restricted to ``indices``, in order."""
-        return ColumnBatch(
-            [list(map(column.__getitem__, indices)) for column in self.columns],
-            list(map(self.counts.__getitem__, indices)),
-        )
-
     def compress(self, mask: Sequence[object]) -> "ColumnBatch":
         """Row filter by a parallel boolean mask."""
         return ColumnBatch(

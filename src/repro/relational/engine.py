@@ -17,20 +17,26 @@ size.  This module provides an equivalent evaluator that:
    Scenario 1: a term is expanded from its bound tuple by index probes);
 3. applies every other conjunct as a filter at the earliest step where all
    of its attributes are available;
-4. projects and accumulates signed multiplicities.
+4. carries, from each step to the next, only the columns that a later
+   step's keys or filters, or the projection, read — so the last step's
+   batch is the projection — and accumulates signed multiplicities.
 
-That order and placement is :class:`JoinPlan`, built once per (shape,
-bound mask) by :func:`join_plan` — the one planner; product order is
-simply the plan of the all-free mask.
+That order, placement and carried layout is :class:`JoinPlan`, built
+once per (shape, bound mask) by :func:`join_plan` — the one planner;
+product order is simply the plan of the all-free mask.
 
-Since the columnar refactor the working set is a
-:class:`~repro.relational.columns.ColumnBatch` — parallel column lists
-plus a signed count vector — and every join/filter/projection step runs
-through the vectorized operators in :mod:`repro.relational.batch_ops`
+The working set is a :class:`~repro.relational.columns.ColumnBatch` —
+parallel column lists plus a signed count vector — and each step makes
+exactly one: it probes through
+:func:`~repro.relational.batch_ops.join_indices` (the one hash-join
+body), gathers the live columns of both sides by the row pairs, filters
+those plain lists by its compiled masks and keeps the step's layout
 (``map``/``compress`` passes, no per-tuple objects; checked by
-``tests/unit/test_invariants.py``).
-:func:`evaluate_term_scalar` runs the all-free plan one row at a time as
-the divergence check used by the CI ``bench-smoke`` job.
+``tests/unit/test_invariants.py``).  For one bound operand of Example 6
+a term gathers 2 + 2 columns, where joining whole products gathered
+4 + 6.  :func:`evaluate_term_scalar` runs the all-free plan one row at a
+time over product positions, as the divergence check used by the CI
+``bench-smoke`` job.
 
 :func:`evaluate_query` does not run a plan once per term: it groups a
 query's terms by (shape, which operands are bound) and runs each class
@@ -58,21 +64,24 @@ affected (I/O costs are modeled separately, following Appendix D).
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import attrgetter, eq, mul
-from typing import Callable, Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple
+from itertools import compress, repeat
+from operator import attrgetter, eq, itemgetter, mul
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    MutableMapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 from weakref import WeakValueDictionary
 
 from repro.errors import ExpressionError
 from repro.relational.bag import SignedBag
-from repro.relational.batch_ops import (
-    MaskFn,
-    batch_join,
-    bucket_map,
-    compile_mask,
-    join_indices,
-    join_rows,
-)
+from repro.relational.batch_ops import MaskFn, bucket_map, compile_mask, join_indices
 from repro.relational.columns import ColumnBatch
 from repro.relational.conditions import (
     Attr,
@@ -114,12 +123,36 @@ class JoinStep:
     ``conjuncts`` are those decided once operand ``operand`` is joined, in
     condition order.  They are split into ``keys`` — ``(prefix position,
     local position)`` attribute equalities bridging the joined prefix and
-    this operand, which the join matches on — and ``filters``, compiled to
-    ``masks``.  ``probe`` is the keys' local positions: the bucket map of
-    :data:`Indexes` a stored operand is probed through.
+    this operand, which the join matches on — and ``filters``.  ``probe``
+    is the keys' local positions: the bucket map of :data:`Indexes` a
+    stored operand is probed through.  Keys and filters name product
+    positions; the rest places the step in the working batch.
+
+    ``layout`` is the product positions the step's batch holds, in order:
+    those that a later step's keys or filters, or the projection, read —
+    the last step's is the projection itself.  The step gathers ``left``
+    (columns of the batch so far, by index) and then ``right`` (the
+    operand's local positions): ``layout`` and what its filters read.
+    ``masks`` are the filters compiled against that gathered list, and
+    ``carry`` picks ``layout`` out of it (``None``: all of it, in order).
+    ``on`` is ``keys`` with the prefix side as a column index of the batch
+    so far.
     """
 
-    __slots__ = ("operand", "schema", "conjuncts", "filters", "keys", "masks", "probe")
+    __slots__ = (
+        "operand",
+        "schema",
+        "conjuncts",
+        "filters",
+        "keys",
+        "masks",
+        "probe",
+        "layout",
+        "left",
+        "right",
+        "on",
+        "carry",
+    )
 
     def __init__(self, operand: int, schema) -> None:
         self.operand = operand
@@ -129,6 +162,11 @@ class JoinStep:
         self.keys: List[Tuple[int, int]] = []
         self.masks: List[MaskFn] = []
         self.probe: Tuple[int, ...] = ()
+        self.layout: Tuple[int, ...] = ()
+        self.left: List[int] = []
+        self.right: List[int] = []
+        self.on: List[Tuple[int, int]] = []
+        self.carry: Optional[List[int]] = None
 
 
 class JoinPlan:
@@ -144,9 +182,11 @@ class JoinPlan:
     and the order is product order.  Each conjunct lands at the earliest
     step where every operand it reads is joined.
 
-    ``product`` is the product in join order — its ``resolve`` gives
-    working-batch positions, against which keys and masks are placed —
-    and ``positions`` is the projection in it.
+    ``product`` is the product in join order — its ``resolve`` gives the
+    positions keys and filters read — and ``positions`` is the projection
+    in it.  The working batch never holds the whole product: after each
+    step it holds that step's ``layout``, worked out here back from the
+    projection, so the last step's batch is the projection.
     """
 
     __slots__ = ("steps", "bound", "product", "positions", "__weakref__")
@@ -206,11 +246,39 @@ class JoinPlan:
                 )
                 step.keys.append((low, high - starts[at]))
                 step.probe += (high - starts[at],)
-                continue
-            step.filters.append(conjunct)
-            mask = compile_mask(conjunct, product.resolve)
-            if mask is not None:
-                step.masks.append(mask)
+            else:
+                step.filters.append(conjunct)
+
+        # Back from the projection: what each step's batch holds, and what
+        # the step gathers — that and whatever its own filters read.
+        gathered: List[List[int]] = []
+        layout: List[int] = list(self.positions)
+        for at in reversed(range(len(steps))):
+            step = steps[at]
+            step.layout = tuple(layout)
+            read = set(layout)
+            for conjunct in step.filters:
+                read.update(map(product.resolve, conjunct.attributes()))
+            gathered.append(sorted(read))
+            layout = sorted(
+                {p for p in read if p < starts[at]}.union(p for p, _ in step.keys)
+            )
+        gathered.reverse()
+        held: Sequence[int] = ()
+        for step, start, mine in zip(steps, starts, gathered):
+            step.left = [held.index(p) for p in mine if p < start]
+            step.right = [p - start for p in mine if p >= start]
+            step.on = [(held.index(prefix), local) for prefix, local in step.keys]
+            at_column = mine.index
+            for conjunct in step.filters:
+                mask = compile_mask(
+                    conjunct, lambda name: at_column(product.resolve(name))
+                )
+                if mask is not None:
+                    step.masks.append(mask)
+            carry = list(map(at_column, step.layout))
+            step.carry = None if carry == list(range(len(mine))) else carry
+            held = step.layout
 
 
 #: Plans by what they are built from, so that the equal shapes of equal
@@ -264,18 +332,25 @@ class _Extents:
             batch = self.batches[name] = ColumnBatch.from_bag(bag, schema.arity)
         return batch
 
-    def scan(self, schema) -> ColumnBatch:
-        """A stored relation read whole, without its deleted rows, so that
-        no filter compares a row the relation no longer holds."""
-        batch = self.batch(schema)
+    def scan(self, step: JoinStep) -> Tuple[List[List[object]], List[int]]:
+        """A first step's stored relation read whole: the columns the step
+        gathers and the counts, without deleted rows, so that no filter
+        compares a row the relation no longer holds."""
+        batch = self.batch(step.schema)
         counts = batch.counts
-        return batch.compress(counts) if self.kept and 0 in counts else batch
+        columns = list(map(batch.columns.__getitem__, step.right))
+        if self.kept and 0 in counts:
+            columns = [list(compress(column, counts)) for column in columns]
+            counts = list(compress(counts, counts))
+        return columns, counts
 
-    def join(self, joined: ColumnBatch, step: JoinStep) -> Tuple[ColumnBatch, List[int]]:
+    def join(
+        self, joined: ColumnBatch, step: JoinStep
+    ) -> Tuple[List[List[object]], List[int], List[int]]:
         """Join a step's stored relation into the working batch: probe its
         bucket map on the step's keys (a product when it has none).
-        Returns the joined batch and, per row, the working-batch row it
-        extends; deleted rows are left out."""
+        Returns the columns the step gathers, the counts and, per row, the
+        working-batch row it extends; deleted rows are left out."""
         extent = self.batch(step.schema)
         buckets = None
         if step.probe:
@@ -286,44 +361,100 @@ class _Extents:
             buckets = kept.get(step.probe)
             if buckets is None:
                 buckets = kept[step.probe] = bucket_map(extent, step.probe)
-        left, right = join_indices(joined, extent, step.keys, buckets)
-        joined = join_rows(joined, extent, left, right)
-        counts = joined.counts
+        left, right = join_indices(joined, extent, step.on, buckets)
+        counts = list(
+            map(
+                mul,
+                map(joined.counts.__getitem__, left),
+                map(extent.counts.__getitem__, right),
+            )
+        )
         if self.kept and 0 in counts:
-            return joined.compress(counts), list(compress(left, counts))
-        return joined, left
+            left = list(compress(left, counts))
+            right = list(compress(right, counts))
+            counts = list(compress(counts, counts))
+        columns = [
+            list(map(joined.columns[index].__getitem__, left)) for index in step.left
+        ]
+        columns += [
+            list(map(extent.columns[local].__getitem__, right)) for local in step.right
+        ]
+        return columns, counts, left
 
 
-def _bound_row(operand) -> ColumnBatch:
-    """A bound operand as a one-row batch carrying the tuple's sign."""
-    return ColumnBatch([[value] for value in operand.tuple.values], [operand.tuple.sign])
+def _matching(
+    joined: ColumnBatch, on: Sequence[Tuple[int, int]], values: Iterable[Row]
+) -> List[bool]:
+    """Per working-batch row, whether it equals the row's bound tuple
+    (``values``, parallel) on every key of ``on``."""
+    columns = joined.columns
+    if len(on) == 1:
+        index, local = on[0]
+        return list(map(eq, columns[index], map(itemgetter(local), values)))
+    return list(
+        map(
+            eq,
+            zip(*(columns[index] for index, _ in on)),
+            map(itemgetter(*(local for _, local in on)), values),
+        )
+    )
+
+
+def _step_batch(
+    step: JoinStep,
+    columns: List[List[object]],
+    counts: List[int],
+    owner: Optional[List[int]] = None,
+) -> Tuple[ColumnBatch, Optional[List[int]]]:
+    """A step's one batch: the gathered columns filtered by its masks (and
+    ``owner`` with them), holding the step's ``layout``."""
+    for mask in step.masks:
+        keep = mask(columns, len(counts))
+        columns = [list(compress(column, keep)) for column in columns]
+        counts = list(compress(counts, keep))
+        if owner is not None:
+            owner = list(compress(owner, keep))
+    if step.carry is not None:
+        columns = list(map(columns.__getitem__, step.carry))
+    return ColumnBatch(columns, counts), owner
 
 
 def _evaluate_term(term: Term, plan: JoinPlan, extents: _Extents) -> SignedBag:
+    """One term through ``plan``: a batch per step, holding the step's
+    layout; bound operands after the first are key checks against their
+    tuple, free ones probes."""
     operands = term.operands
     steps = plan.steps
-    first = operands[steps[0].operand]
-    if first.is_bound:
-        joined = _bound_row(first)
+    first = steps[0]
+    if plan.bound:
+        signed = operands[first.operand].tuple
+        values = signed.values
+        columns = [[values[local]] for local in first.right]
+        counts = [signed.sign]
     else:
-        joined = extents.scan(steps[0].schema)
-    for mask in steps[0].masks:
-        joined = joined.compress(mask(joined.columns, len(joined.counts)))
-
-    for step in steps[1:]:
+        columns, counts = extents.scan(first)
+    joined = _step_batch(first, columns, counts)[0]
+    for number, step in enumerate(steps[1:], 1):
         if joined.is_empty():
-            # The batch is narrower than the full product here, so the
-            # projection below could not resolve — but it is empty anyway.
             return SignedBag()
-        operand = operands[step.operand]
-        if operand.is_bound:
-            joined = batch_join(joined, _bound_row(operand), step.keys)
+        if number < plan.bound:
+            signed = operands[step.operand].tuple
+            values = signed.values
+            columns, counts = joined.columns, joined.counts
+            if step.on:
+                keep = _matching(joined, step.on, repeat(values))
+                columns = [list(compress(columns[index], keep)) for index in step.left]
+                counts = list(compress(counts, keep))
+            else:
+                columns = list(map(columns.__getitem__, step.left))
+            rows = len(counts)
+            columns += [[values[local]] * rows for local in step.right]
+            if signed.sign != 1:
+                counts = [signed.sign * count for count in counts]
         else:
-            joined = extents.join(joined, step)[0]
-        for mask in step.masks:
-            joined = joined.compress(mask(joined.columns, len(joined.counts)))
-
-    return joined.gather_columns(plan.positions).to_bag(term.coefficient)
+            columns, counts, _ = extents.join(joined, step)
+        joined = _step_batch(step, columns, counts)[0]
+    return joined.to_bag(term.coefficient)
 
 
 def evaluate_term(
@@ -340,71 +471,52 @@ def evaluate_term(
     return _evaluate_term(term, plan, _Extents(state, batches, indexes))
 
 
-def _bound_batch(terms: Sequence[Term], index: int, weighted: bool) -> ColumnBatch:
-    """Operand ``index`` of every term of a class: row ``n`` is term
-    ``n``'s bound tuple and its count the tuple's sign — times the term's
-    coefficient when ``weighted`` (asked of one operand per class)."""
-    tuples = [term.operands[index].tuple for term in terms]
-    counts = list(map(attrgetter("sign"), tuples))
-    if weighted:
-        counts = list(map(mul, counts, map(attrgetter("coefficient"), terms)))
-    return ColumnBatch(
-        [list(column) for column in zip(*map(attrgetter("values"), tuples))],
-        counts,
-    )
-
-
-def _keep(
-    batch: ColumnBatch, owner: List[int], mask: Sequence[object]
-) -> Tuple[ColumnBatch, List[int]]:
-    """Filter a working batch and its owner vector by one mask."""
-    return batch.compress(mask), list(compress(owner, mask))
-
-
 def _evaluate_class(plan: JoinPlan, terms: Sequence[Term], extents: _Extents) -> SignedBag:
     """Sum of the terms of one (shape, bound mask) class in one plan run.
 
-    The terms differ only in their bound tuples and coefficients, so each
-    bound operand becomes one batch with a row per term.  The plan joins
-    the bound operands first: the first one starts the working batch and
-    carries the coefficients, and ``owner`` holds the term index of every
-    row, going through each join and mask with the rows so that tuples of
-    different terms never meet.  A later bound operand pairs each row with
-    its owner's tuple and checks the plan's keys by equality, never a
-    cross product; a free operand is probed from the rows, and the owner
-    vector is gathered by the rows they extend.
+    The terms differ only in their bound tuples and coefficients, so the
+    first bound operand starts the working batch with a row per term,
+    its count the tuple's sign times the term's coefficient, and
+    ``owner`` holds the term index of every row, going through each join
+    and mask with the rows so that tuples of different terms never meet.
+    A later bound operand checks the plan's keys against each row's
+    owner's tuple and gathers from that tuple — never a cross product; a
+    free operand is probed from the rows, and the owner vector is
+    gathered by the rows they extend.  Each step holds its layout, as in
+    :func:`_evaluate_term`.
     """
     steps = plan.steps
-    joined = _bound_batch(terms, steps[0].operand, weighted=True)
-    owner = list(range(len(terms)))
-    for mask in steps[0].masks:
-        joined, owner = _keep(joined, owner, mask(joined.columns, len(joined.counts)))
+    first = steps[0]
+    tuples = [term.operands[first.operand].tuple for term in terms]
+    rows = list(map(attrgetter("values"), tuples))
+    columns = [list(map(itemgetter(local), rows)) for local in first.right]
+    counts = list(
+        map(mul, map(attrgetter("sign"), tuples), map(attrgetter("coefficient"), terms))
+    )
+    joined, owner = _step_batch(first, columns, counts, list(range(len(terms))))
     for number, step in enumerate(steps[1:], 1):
         if joined.is_empty():
             return SignedBag()
         if number < plan.bound:
-            mine = _bound_batch(terms, step.operand, weighted=False).take(owner)
-            width = joined.width
-            joined = ColumnBatch(
-                joined.columns + mine.columns,
-                list(map(mul, joined.counts, mine.counts)),
-            )
-            if step.keys:
-                columns = joined.columns
-                equal = map(
-                    eq,
-                    zip(*(columns[prefix] for prefix, _ in step.keys)),
-                    zip(*(columns[width + local] for _, local in step.keys)),
-                )
-                joined, owner = _keep(joined, owner, list(equal))
+            tuples = [term.operands[step.operand].tuple for term in terms]
+            mine = list(map(tuples.__getitem__, owner))
+            columns, counts = joined.columns, joined.counts
+            if step.on:
+                keep = _matching(joined, step.on, map(attrgetter("values"), mine))
+                columns = [list(compress(columns[index], keep)) for index in step.left]
+                counts = list(compress(counts, keep))
+                owner = list(compress(owner, keep))
+                mine = list(compress(mine, keep))
+            else:
+                columns = list(map(columns.__getitem__, step.left))
+            rows = list(map(attrgetter("values"), mine))
+            columns += [list(map(itemgetter(local), rows)) for local in step.right]
+            counts = list(map(mul, counts, map(attrgetter("sign"), mine)))
         else:
-            joined, left = extents.join(joined, step)
+            columns, counts, left = extents.join(joined, step)
             owner = list(map(owner.__getitem__, left))
-        for mask in step.masks:
-            joined, owner = _keep(
-                joined, owner, mask(joined.columns, len(joined.counts))
-            )
-    return joined.gather_columns(plan.positions).to_bag()
+        joined, owner = _step_batch(step, columns, counts, owner)
+    return joined.to_bag()
 
 
 def evaluate_term_scalar(term: Term, state: State) -> SignedBag:

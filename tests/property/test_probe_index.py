@@ -112,11 +112,13 @@ def with_a_candidate(pending, update):
 
 class Counted:
     """Records what each :meth:`ProbeIndex.hits` returned and every
-    ``(table, query id)`` that ``_Table.file`` filed, while :meth:`open`."""
+    ``(table, query id)`` that ``_Table.file`` filed — in ``empty`` too
+    when that filed no term — while :meth:`open`."""
 
     def __init__(self):
         self.lookups = []
         self.filings = []
+        self.empty = []
 
     @contextmanager
     def open(self):
@@ -130,7 +132,9 @@ class Counted:
 
         def counting_file(table, query_id, terms, relation):
             self.filings.append((table, query_id))
-            return file(table, query_id, terms, relation)
+            file(table, query_id, terms, relation)
+            if query_id not in table.always and query_id not in table.placed:
+                self.empty.append((table, query_id))
 
         with mock.patch.object(ProbeIndex, "hits", counting_hits), mock.patch.object(
             compensation._Table, "file", counting_file
@@ -235,7 +239,9 @@ def test_a_long_run_visits_few_and_leaves_nothing_behind():
     """A scripted storm over the chain view with up to eight queries in
     flight, then drained: the lookups visit 303 pending queries, each one
     with a candidate, where a scan visits 765 (counts the script fixes),
-    and every table empties."""
+    and every table empties.  No filing files nothing: the chain holds
+    each relation once, so a query an update of ``r`` built binds ``r``
+    in every term, and ``r``'s table takes it as filed unwalked."""
     algorithm = ECA(VIEWS[0])
     source = MemorySource(SCHEMAS)
     in_flight = deque()
@@ -264,6 +270,7 @@ def test_a_long_run_visits_few_and_leaves_nothing_behind():
         for pending, relation, values, _ in counted.lookups
     )
     assert (visited, scanned) == (303, 765)
+    assert counted.filings and not counted.empty
     while in_flight:
         answer()
     assert algorithm.is_quiescent()

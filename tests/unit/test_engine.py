@@ -295,6 +295,85 @@ class TestJoinPlan:
         assert [step.operand for step in plan.steps] == [1, 0]
         assert not plan.steps[1].keys
 
+    @pytest.mark.parametrize(
+        "bound, widths",
+        [
+            ((False, False, False), [2, 2, 2]),
+            ((True, False, False), [2, 2, 2]),
+            ((False, True, False), [2, 2, 2]),
+            ((False, False, True), [2, 2, 2]),
+            ((True, False, True), [2, 4, 2]),
+            ((False, True, True), [2, 2, 2]),
+            ((True, True, False), [2, 2, 2]),
+            ((True, True, True), [2, 2, 2]),
+        ],
+    )
+    def test_each_step_carries_what_later_steps_read(self, schemas, bound, widths):
+        # Example 6: a step's batch holds W (projected) and the key the
+        # next step probes on, never the whole product (2, 4, 6 wide).
+        # With r1 and r3 bound, r3's Y and Z ride along until r2 is probed
+        # on X and Y.
+        plan = join_plan(chain_view(schemas).as_query().terms[0].shape, bound)
+        assert [len(step.layout) for step in plan.steps] == widths
+        assert plan.steps[-1].layout == plan.positions
+        if sum(bound) == 1:
+            # One bound operand: each probe gathers 1 + 1 columns.
+            assert [len(step.left) + len(step.right) for step in plan.steps[1:]] == [2, 2]
+
+    def test_a_column_only_a_later_filter_reads_is_carried(self, schemas):
+        r1, r2, _ = schemas
+        e1, e2 = r2.aliased("e1"), r2.aliased("e2")
+        # W is neither a key nor projected: only the last step's filter
+        # reads it, so the first two steps carry it and the last drops it.
+        condition = (
+            Comparison(Attr("r1.X"), "=", Attr("e1.X"))
+            & Comparison(Attr("e1.Y"), "=", Attr("e2.X"))
+            & Comparison(Attr("W"), ">", Attr("e2.Y"))
+        )
+        view = View("V", [r1, e1, e2], ["e2.Y"], condition)
+        shape = view.as_query().terms[0].shape
+        plan = join_plan(shape, (False, False, False))
+        w = plan.product.resolve("W")
+        assert [w in step.layout for step in plan.steps] == [True, True, False]
+        assert [len(step.layout) for step in plan.steps] == [2, 2, 1]
+        state = {
+            "r1": SignedBag.from_rows([(1, 0), (3, 0), (2, 1)]),
+            "r2": SignedBag.from_rows([(0, 1), (1, 2), (1, 0), (0, 0)]),
+        }
+        queries = [
+            view.as_query(),
+            view.substitute("r1", SignedTuple((3, 0))),
+            view.substitute("r2", SignedTuple((1, 0), MINUS)),
+            Query(
+                [
+                    term
+                    for w in (1, 2, 3)
+                    for term in view.substitute("r1", SignedTuple((w, 0))).terms
+                ]
+            ),
+        ]
+        for query in queries:
+            assert evaluate_query(query, state) == query.evaluate(state)
+        assert evaluate_query(view.as_query(), state) == SignedBag({(0,): 5, (1,): 2, (2,): 1})
+
+    def test_a_projection_that_repeats_and_reorders_columns(self, schemas, state):
+        view = chain_view(schemas, ("Z", "W", "Z"))
+        shape = view.as_query().terms[0].shape
+        for bound in ((False,) * 3, (True, False, False), (False, False, True)):
+            plan = join_plan(shape, bound)
+            assert plan.steps[-1].layout == plan.positions
+            assert len(set(plan.positions)) == 2 and len(plan.steps[-2].layout) == 2
+        queries = [view.as_query()] + [
+            view.substitute(name, SignedTuple(row))
+            for name, row in (("r1", (4, 2)), ("r3", (5, 0)))
+        ]
+        queries.append(Query([term for q in queries[1:] for term in q.terms] * 2))
+        for query in queries:
+            assert evaluate_query(query, state) == query.evaluate(state)
+        assert evaluate_view(view, state) == SignedBag.from_rows(
+            [(0, 1, 0), (8, 1, 8), (0, 4, 0), (8, 4, 8), (0, 7, 0)]
+        )
+
     def test_one_plan_per_shape_and_mask(self, schemas):
         shape = chain_view(schemas).as_query().terms[0].shape
         plan = join_plan(shape, (False, True, False))

@@ -94,7 +94,7 @@ CACHES: Tuple[Cache, ...] = (
           ("_by_key",), "serving key", "MaterializedView._write; _index builds it"),
     Cache("kept", "repro.core.compensation", "ProbeIndex.hits", dict, ("tables",),
           "updated relation, then update column and bound value",
-          "ProbeIndex.hits files; ProbeIndex.retire removes"),
+          "ProbeIndex.hits files; ProbeIndex.skip marks filed; ProbeIndex.retire removes"),
 )
 
 
