@@ -27,37 +27,30 @@ from repro import (
     RandomSchedule,
     RelationSchema,
     View,
+    build_algorithm,
     check_cuts,
     check_trace,
 )
 from repro.kernel import SyncKernel
-from repro.multisource import FragmentingIncremental, MultiSourceStoredCopies, StrobeStyle
-from repro.relational.engine import evaluate_view
 from repro.workloads import random_workload
 
 R1 = RelationSchema("r1", ("W", "X"), key=("W",))
 R2 = RelationSchema("r2", ("X", "Y"), key=("Y",))
 R3 = RelationSchema("r3", ("Y", "Z"), key=("Z",))
-OWNERS = {"r1": "A", "r2": "B", "r3": "B"}
 INITIAL = {"r1": [(1, 2), (4, 2)], "r2": [(2, 5)], "r3": [(5, 3), (9, 8)]}
 RUNS = 40
+FAMILIES = {"naive": "fragmenting-incremental", "sc": "multi-stored-copies", "strobe": "strobe"}
 
 
 def build(kind):
     # The keyed projection makes the view usable by the Strobe-style
     # algorithm; the naive and SC runs use it identically.
     view = View.natural_join("V", [R1, R2, R3], ["W", "r2.Y", "Z"])
-    a = MemorySource([R1], {"r1": INITIAL["r1"]})
-    b = MemorySource([R2, R3], {"r2": INITIAL["r2"], "r3": INITIAL["r3"]})
-    merged = {**a.snapshot(), **b.snapshot()}
-    initial_view = evaluate_view(view, merged)
-    if kind == "naive":
-        algorithm = FragmentingIncremental(view, OWNERS, initial_view)
-    elif kind == "strobe":
-        algorithm = StrobeStyle(view, OWNERS, initial_view)
-    else:
-        algorithm = MultiSourceStoredCopies(view, OWNERS, initial_view, merged)
-    return view, {"A": a, "B": b}, algorithm
+    sources = {
+        "A": MemorySource([R1], {"r1": INITIAL["r1"]}),
+        "B": MemorySource([R2, R3], {"r2": INITIAL["r2"], "r3": INITIAL["r3"]}),
+    }
+    return view, sources, build_algorithm(FAMILIES[kind], view, sources)
 
 
 def main() -> None:
@@ -70,7 +63,7 @@ def main() -> None:
         workload = random_workload(
             [R1, R2, R3], 8, seed=seed, initial=INITIAL, respect_keys=True
         )
-        for kind in ("naive", "sc", "strobe"):
+        for kind in FAMILIES:
             view, sources, algorithm = build(kind)
             sim = SyncKernel(sources, algorithm, list(workload))
             trace = sim.run(RandomSchedule(seed * 3 + 1))

@@ -45,6 +45,7 @@ from repro.core import (
     RecomputeView,
     StoredCopies,
     WarehouseAlgorithm,
+    build_algorithm,
     create_algorithm,
 )
 from repro.costmodel import (
@@ -179,6 +180,7 @@ __all__ = [
     "WarehouseCatalog",
     "WorstCaseSchedule",
     "attr",
+    "build_algorithm",
     "check_cuts",
     "check_trace",
     "create_algorithm",

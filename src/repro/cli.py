@@ -159,8 +159,7 @@ def _fanout_topology(n_sources: int, updates: int, seed: int, algorithm: str = "
     view separately.  Shared by ``repro runtime`` and ``repro freshness``
     so both commands measure the same topology.
     """
-    from repro.core.registry import create_algorithm
-    from repro.relational.engine import evaluate_view
+    from repro.core.registry import build_algorithm
     from repro.relational.schema import RelationSchema
     from repro.relational.views import View
     from repro.source.memory import MemorySource
@@ -182,12 +181,7 @@ def _fanout_topology(n_sources: int, updates: int, seed: int, algorithm: str = "
         source = MemorySource(schemas, initial)
         sources[prefix] = source
         view = View.natural_join(f"V{index}", schemas, ["W", "Y"])
-        state = source.snapshot()
-        # Stored copies start from the source's data, like the view does.
-        options = {"initial_copies": state} if algorithm == "stored-copies" else {}
-        algorithms[f"V{index}"] = create_algorithm(
-            algorithm, view, evaluate_view(view, state), **options
-        )
+        algorithms[f"V{index}"] = build_algorithm(algorithm, view, {prefix: source})
         workload.extend(
             random_workload(
                 schemas,
@@ -202,11 +196,10 @@ def _fanout_topology(n_sources: int, updates: int, seed: int, algorithm: str = "
 
 def cmd_runtime(args: argparse.Namespace) -> int:
     from repro.consistency import check_cuts
-    from repro.core.registry import ALGORITHMS, create_algorithm
+    from repro.core.registry import ALGORITHMS, build_algorithm
     from repro.errors import ProtocolError
     from repro.experiments.report import render_table
     from repro.messaging.wire import create_codec
-    from repro.relational.engine import evaluate_view
     from repro.relational.schema import RelationSchema
     from repro.relational.views import View
     from repro.runtime import FaultPlan, run_concurrent
@@ -276,19 +269,7 @@ def cmd_runtime(args: argparse.Namespace) -> int:
             f"{schema.name}.{schema.key[0]}" for schema in schemas[1:]
         ]
         spanning_view = View.natural_join("V", schemas, projection)
-        owners = {f"s{index}r": f"s{index}" for index in range(args.sources)}
-        snapshot = {}
-        for source in sources.values():
-            snapshot.update(source.snapshot())
-        options = {"owners": owners}
-        if args.algorithm == "multi-stored-copies":
-            options["initial_copies"] = snapshot
-        warehouse = create_algorithm(
-            args.algorithm,
-            spanning_view,
-            evaluate_view(spanning_view, snapshot),
-            **options,
-        )
+        warehouse = build_algorithm(args.algorithm, spanning_view, sources)
         checkable = spanning_view
     else:
         # Topology: N autonomous sources, each owning a two-relation join

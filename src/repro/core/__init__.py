@@ -36,7 +36,7 @@ from repro.core.eca_local import ECALocal
 from repro.core.lazy import LCA
 from repro.core.protocol import WarehouseAlgorithm
 from repro.core.recompute import RecomputeView
-from repro.core.registry import ALGORITHMS, create_algorithm
+from repro.core.registry import ALGORITHMS, build_algorithm, create_algorithm
 from repro.core.stored_copies import StoredCopies
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "WarehouseAlgorithm",
     "backdate",
     "batch_delta_query",
+    "build_algorithm",
     "create_algorithm",
     "staged_compensation",
 ]

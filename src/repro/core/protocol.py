@@ -115,8 +115,8 @@ class WarehouseAlgorithm:
         #: The unanswered query set: query id -> full query expression.
         self.uqs: Dict[int, Query] = {}
         #: relation name -> owning source name (for routing and the answer
-        #: gate); bound by the kernel via :meth:`bind_owners`, or by
-        #: multi-source constructors.
+        #: gate); bound via :meth:`bind_owners`, or by multi-source
+        #: constructors.
         self.owners: Dict[str, str] = {}
         #: The one source owning every relation the view reads, once
         #: :meth:`bind_owners` knows it: the only origin :meth:`on_answer`
@@ -131,12 +131,22 @@ class WarehouseAlgorithm:
     def bind_owners(self, owners: Dict[str, str]) -> None:
         """Tell the algorithm which source owns each relation.
 
-        Kernels call this once before the run starts.  Multi-source
-        algorithms take owners at construction time; an explicit mapping
-        always wins, so this is a no-op when owners are already set.
+        :func:`~repro.core.registry.build_algorithm` and every kernel call
+        this before the first event.  The first map bound (or one a
+        multi-source constructor took) is kept; a later map must name the
+        same owner for every relation the view reads, or a
+        :class:`ProtocolError` names the relation and both owners.
+        Rebinding the same map, as a recovered incarnation does, passes.
         """
-        if not self.owners:
-            self.owners = dict(owners)
+        held = self.owners or owners
+        for relation in sorted(self.view.reactive_relations()):
+            if held.get(relation) != owners.get(relation):
+                raise ProtocolError(
+                    f"{self.name}: relation {relation!r} is owned by "
+                    f"{held.get(relation)!r} in the map it holds and by "
+                    f"{owners.get(relation)!r} in the run's"
+                )
+        self.owners = dict(held)
         found = {
             self.owners[relation]
             for relation in self.view.reactive_relations()
@@ -289,9 +299,10 @@ class WarehouseAlgorithm:
         """Constructor options needed to rebuild this instance by name.
 
         Forwarded to :func:`repro.core.registry.create_algorithm` during
-        recovery, so keys must match constructor parameter names.
+        recovery, so keys must match constructor parameter names.  A
+        multi-source family is rebuilt with its ``owners``.
         """
-        return {}
+        return {"owners": dict(self.owners)} if self.multi_source else {}
 
     def pending_requests(self) -> List[Tuple[Optional[str], QueryRequest]]:
         """Requests for every in-flight query, for re-issue after a crash.

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.eca import ECA
-from repro.core.recompute import RecomputeView
+from repro.core.registry import build_algorithm
 from repro.costmodel.counters import CostRecorder
 from repro.costmodel.io_scenarios import Scenario1Estimator, Scenario2Estimator
 from repro.costmodel.parameters import PaperParameters
 from repro.experiments.runner import make_source
-from repro.relational.engine import evaluate_view
 from repro.simulation.driver import Simulation
 from repro.simulation.schedules import BestCaseSchedule, Schedule, WorstCaseSchedule
 from repro.workloads.example6 import build_example6
@@ -51,13 +49,12 @@ def run_example6_once(
     setup = build_example6(params, k, seed, key_theta=key_theta)
     source = make_source(setup.schemas, setup.initial, source_kind)
     try:
-        initial_view = evaluate_view(setup.view, source.snapshot())
         if algorithm == "eca":
-            warehouse = ECA(setup.view, initial_view)
+            warehouse = build_algorithm("eca", setup.view, source)
         elif algorithm == "rv-best":
-            warehouse = RecomputeView(setup.view, initial_view, period=max(1, k))
+            warehouse = build_algorithm("recompute", setup.view, source, period=max(1, k))
         elif algorithm == "rv-worst":
-            warehouse = RecomputeView(setup.view, initial_view, period=1)
+            warehouse = build_algorithm("recompute", setup.view, source, period=1)
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         if io_scenario is None:

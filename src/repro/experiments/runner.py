@@ -10,8 +10,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.protocol import WarehouseAlgorithm
-from repro.core.registry import create_algorithm
-from repro.relational.engine import evaluate_view
+from repro.core.registry import build_algorithm
 from repro.simulation.driver import Simulation
 from repro.simulation.schedules import Schedule, ScriptedSchedule
 from repro.simulation.trace import Trace
@@ -57,9 +56,8 @@ def run_scenario(
         schedule = ScriptedSchedule(scenario.actions)
     source = make_source(scenario.schemas, scenario.initial, source_kind)
     try:
-        initial_view = evaluate_view(scenario.view, source.snapshot())
-        warehouse = create_algorithm(
-            name, scenario.view, initial_view, **scenario.algorithm_options
+        warehouse = build_algorithm(
+            name, scenario.view, source, **scenario.algorithm_options
         )
         simulation = Simulation(source, warehouse, scenario.updates, recorder)
         trace = simulation.run(schedule)

@@ -7,24 +7,14 @@ the claim tests."""
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.consistency import check_cuts, check_trace, staleness_profile
-from repro.core.batch import BatchECA
-from repro.core.eca import ECA
-from repro.core.recompute import RecomputeView
-from repro.core.registry import ALGORITHMS, create_algorithm
+from repro.core.registry import ALGORITHMS, build_algorithm
 from repro.costmodel import analytic
 from repro.costmodel.counters import CostRecorder
 from repro.costmodel.parameters import PaperParameters
 from repro.kernel import SyncKernel
-from repro.multisource import (
-    FragmentingIncremental,
-    MultiSourceStoredCopies,
-    StrobeStyle,
-)
-from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
 from repro.simulation.driver import Simulation
@@ -147,11 +137,8 @@ def audit_rows(
         for schedule in interleavings[:schedules]:
             for name in names:
                 source = MemorySource(schemas, INITIAL)
-                initial_view = evaluate_view(view, source.snapshot())
                 options = {"batch_size": batch_size} if name == "batch-eca" else {}
-                if name == "stored-copies":
-                    options = {"initial_copies": source.snapshot()}
-                algo = create_algorithm(name, view, initial_view, **options)
+                algo = build_algorithm(name, view, source, **options)
                 trace = Simulation(source, algo, list(workload)).run(schedule)
                 levels[name].add(check_trace(view, trace).level())
     return [
@@ -160,10 +147,10 @@ def audit_rows(
     ]
 
 
-def _run_policy(factory, updates, seed, schedule):
+def _run_policy(name, options, updates, seed, schedule):
     view = View.natural_join("V", SCHEMAS, ["W", "Y"])
     source = MemorySource(SCHEMAS, INITIAL)
-    warehouse = factory(view, evaluate_view(view, source.snapshot()))
+    warehouse = build_algorithm(name, view, source, **options)
     recorder = CostRecorder()
     workload = random_workload(SCHEMAS, updates, seed=seed, initial=INITIAL)
     trace = Simulation(source, warehouse, workload, recorder).run(schedule)
@@ -177,9 +164,9 @@ def batching_rows(
     worst-case interleaving (batch size 1 is plain ECA)."""
     rows: List[Dict[str, object]] = []
     for b in batch_sizes:
-        factory = ECA if b == 1 else partial(BatchECA, batch_size=b)
+        name, options = ("eca", {}) if b == 1 else ("batch-eca", {"batch_size": b})
         recorder, _, level, _ = _run_policy(
-            factory, updates, seed, WorstCaseSchedule()
+            name, options, updates, seed, WorstCaseSchedule()
         )
         rows.append(
             {"batch": b, "messages": recorder.messages, "bytes": recorder.bytes,
@@ -196,13 +183,13 @@ def staleness_rows(
 ) -> List[Dict[str, object]]:
     """E11 — messages against view lag for ECA, RV(s) and BatchECA(b)
     under the quiet (best-case) schedule."""
-    policies = [("ECA (immediate)", ECA)]
-    policies += [(f"RV s={s}", partial(RecomputeView, period=s)) for s in periods]
-    policies += [(f"Batch b={b}", partial(BatchECA, batch_size=b)) for b in batches]
+    policies = [("ECA (immediate)", "eca", {})]
+    policies += [(f"RV s={s}", "recompute", {"period": s}) for s in periods]
+    policies += [(f"Batch b={b}", "batch-eca", {"batch_size": b}) for b in batches]
     rows: List[Dict[str, object]] = []
-    for label, factory in policies:
+    for label, name, options in policies:
         recorder, trace, level, view = _run_policy(
-            factory, updates, seed, BestCaseSchedule()
+            name, options, updates, seed, BestCaseSchedule()
         )
         profile = staleness_profile(view, trace)
         rows.append(
@@ -221,25 +208,25 @@ def multisource_rows(runs: int = 15) -> List[Dict[str, object]]:
     r1 = RelationSchema("r1", ("W", "X"), key=("W",))
     r2 = RelationSchema("r2", ("X", "Y"), key=("Y",))
     r3 = RelationSchema("r3", ("Y", "Z"), key=("Z",))
-    owners = {"r1": "A", "r2": "B", "r3": "B"}
     initial = {"r1": [(1, 2), (4, 2)], "r2": [(2, 5)], "r3": [(5, 3), (9, 8)]}
     view_def = View.natural_join("V", [r1, r2, r3], ["W", "r2.Y", "Z"])
     algorithms = {
-        "naive": lambda start, merged: FragmentingIncremental(view_def, owners, start),
-        "sc": partial(MultiSourceStoredCopies, view_def, owners),
-        "strobe": lambda start, merged: StrobeStyle(view_def, owners, start),
+        "naive": "fragmenting-incremental",
+        "sc": "multi-stored-copies",
+        "strobe": "strobe",
     }
     totals = {kind: {"converged": 0, "cut": 0, "complete": 0} for kind in algorithms}
     for seed in range(runs):
         workload = random_workload(
             [r1, r2, r3], 8, seed=seed, initial=initial, respect_keys=True
         )
-        for kind, build in algorithms.items():
-            a = MemorySource([r1], {"r1": initial["r1"]})
-            b = MemorySource([r2, r3], {"r2": initial["r2"], "r3": initial["r3"]})
-            merged = {**a.snapshot(), **b.snapshot()}
-            algo = build(evaluate_view(view_def, merged), merged)
-            sim = SyncKernel({"A": a, "B": b}, algo, list(workload))
+        for kind, name in algorithms.items():
+            sources = {
+                "A": MemorySource([r1], {"r1": initial["r1"]}),
+                "B": MemorySource([r2, r3], {"r2": initial["r2"], "r3": initial["r3"]}),
+            }
+            algo = build_algorithm(name, view_def, sources)
+            sim = SyncKernel(sources, algo, list(workload))
             trace = sim.run(RandomSchedule(seed * 3 + 1))
             report = check_cuts(view_def, sim.per_source_states, trace.view_states)
             totals[kind]["converged"] += report.convergent

@@ -100,9 +100,6 @@ class FragmentingIncremental(WarehouseAlgorithm):
     # Durability hooks
     # ------------------------------------------------------------------ #
 
-    def durable_config(self) -> Dict[str, Any]:
-        return {"owners": dict(self.owners)}
-
     def pending_state(self) -> Dict[str, Any]:
         # A _PendingTerm may be shared by several query ids (one per
         # fragment); persist each unique record once, in first-seen order,
@@ -171,6 +168,3 @@ class MultiSourceStoredCopies(StoredCopies):
         out = super().gauges()
         out["copied_tuples"] = sum(len(bag) for bag in self.copies.values())
         return out
-
-    def durable_config(self) -> Dict[str, Any]:
-        return {"owners": dict(self.owners)}

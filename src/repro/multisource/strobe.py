@@ -197,9 +197,6 @@ class StrobeStyle(WarehouseAlgorithm):
     # Durability hooks
     # ------------------------------------------------------------------ #
 
-    def durable_config(self) -> Dict[str, Any]:
-        return {"owners": dict(self.owners)}
-
     def pending_state(self) -> Dict[str, Any]:
         # A FragmentPlan is fully derived from (term, owners), so only the
         # term persists, as a one-term query; routes refer to pending

@@ -299,9 +299,6 @@ class SweepStyle(WarehouseAlgorithm):
     # Durability hooks
     # ------------------------------------------------------------------ #
 
-    def durable_config(self) -> Dict[str, Any]:
-        return {"owners": dict(self.owners)}
-
     def pending_state(self) -> Dict[str, Any]:
         current = None
         if self._current is not None:

@@ -88,7 +88,6 @@ class WarehouseCatalog:
     ) -> None:
         if not algorithms:
             raise ProtocolError("a warehouse catalog needs at least one view")
-        self.owners: Dict[str, str] = {}
         self._planner = CompensationPlanner(share=share_compensation)
         self.views: Dict[str, View] = {
             name: algorithm.view for name, algorithm in algorithms.items()
@@ -146,8 +145,7 @@ class WarehouseCatalog:
     # ------------------------------------------------------------------ #
 
     def bind_owners(self, owners: Dict[str, str]) -> None:
-        if not self.owners:
-            self.owners = dict(owners)
+        """Bind every class's algorithm; each refuses a disagreeing map."""
         for algorithm in self._members:
             algorithm.bind_owners(owners)
 

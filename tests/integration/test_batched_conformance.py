@@ -21,23 +21,11 @@ from __future__ import annotations
 
 import pytest
 
+from families import build
 from repro.consistency import check_cuts, check_trace
-from repro.core.registry import create_algorithm
-from repro.core.stored_copies import StoredCopies
-from repro.relational.engine import evaluate_view
-from repro.relational.schema import RelationSchema
-from repro.relational.views import View
 from repro.runtime import run_concurrent
 from repro.kernel import replay_concurrent
-from repro.source.memory import MemorySource
 from repro.source.updates import insert
-from repro.warehouse.catalog import WarehouseCatalog
-
-SCHEMAS = [
-    RelationSchema("r1", ("W", "X"), key=("W",)),
-    RelationSchema("r2", ("X", "Y"), key=("Y",)),
-]
-INITIAL = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
 
 SINGLE_SOURCE = ["basic", "eca", "eca-local", "lca", "stored-copies"]
 MULTI_SOURCE = ["strobe", "sweep", "fragmenting-incremental", "multi-stored-copies"]
@@ -58,17 +46,6 @@ def single_workload():
     ]
 
 
-def single_setup(name):
-    source = MemorySource(SCHEMAS, INITIAL)
-    view = View.natural_join("V", SCHEMAS, ["W", "Y"])
-    initial_view = evaluate_view(view, source.snapshot())
-    if name == "stored-copies":
-        algo = StoredCopies(view, initial_view, source.snapshot())
-    else:
-        algo = create_algorithm(name, view, initial_view)
-    return source, view, algo
-
-
 def assert_conforms(result, kernel):
     assert [(e.kind, e.detail) for e in result.trace.events] == [
         (e.kind, e.detail) for e in kernel.trace.events
@@ -87,35 +64,32 @@ class TestSingleSourceBatchedConformance:
     @pytest.mark.parametrize("seed", range(2))
     def test_every_family_replays_identically_at_every_k(self, name, k, seed):
         workload = single_workload()
-        source, view, algo = single_setup(name)
+        made, algo, _ = build(name)
         result = run_concurrent(
-            source, algo, workload, seed=seed, max_burst=4, batch_k=k
+            made, algo, workload, seed=seed, max_burst=4, batch_k=k
         )
-        twin_source, twin_view, twin_algo = single_setup(name)
+        twin_sources, twin_algo, _ = build(name)
         kernel = replay_concurrent(
-            result.action_log,
-            {"source": twin_source},
-            twin_algo,
-            {"source": workload},
+            result.action_log, twin_sources, twin_algo, {"source": workload}
         )
         assert_conforms(result, kernel)
-        assert check_trace(view, result.trace).level() == check_trace(
-            twin_view, kernel.trace
+        assert check_trace(algo.view, result.trace).level() == check_trace(
+            twin_algo.view, kernel.trace
         ).level()
 
     def test_coalescing_actually_happens_and_is_logged(self):
-        source, _view, algo = single_setup("eca")
+        made, algo, _ = build("eca")
         result = run_concurrent(
-            source, algo, single_workload(), seed=1, max_burst=8, batch_k=8
+            made, algo, single_workload(), seed=1, max_burst=8, batch_k=8
         )
         assert any("@" in action for action in result.action_log)
         assert any("(k=" in e.detail for e in result.trace.events)
 
     def test_batching_reduces_compensating_queries(self):
         def queries_sent(k):
-            source, _view, algo = single_setup("eca")
+            made, algo, _ = build("eca")
             result = run_concurrent(
-                source, algo, single_workload(), seed=1, max_burst=8, batch_k=k
+                made, algo, single_workload(), seed=1, max_burst=8, batch_k=k
             )
             return result.metrics["warehouse"].sent, result.final_view
 
@@ -127,9 +101,9 @@ class TestSingleSourceBatchedConformance:
     @pytest.mark.parametrize("codec", ["frame", "zlib"])
     def test_wire_codec_changes_bytes_not_behavior(self, codec):
         def run(wire_codec):
-            source, _view, algo = single_setup("eca")
+            made, algo, _ = build("eca")
             return run_concurrent(
-                source,
+                made,
                 algo,
                 single_workload(),
                 seed=2,
@@ -150,27 +124,10 @@ class TestSingleSourceBatchedConformance:
         assert any(s.sent_bytes > 0 for s in framed.channel_stats.values())
 
 
-def multi_setup(name):
-    sources = {
-        "A": MemorySource([SCHEMAS[0]], {"r1": INITIAL["r1"]}),
-        "B": MemorySource([SCHEMAS[1]], {"r2": INITIAL["r2"]}),
-    }
-    view = View.natural_join("V", SCHEMAS, ["W", "Y"])
-    snapshot = {}
-    for source in sources.values():
-        snapshot.update(source.snapshot())
-    options = {"owners": {"r1": "A", "r2": "B"}}
-    if name == "multi-stored-copies":
-        options["initial_copies"] = snapshot
-    algo = create_algorithm(
-        name, view, evaluate_view(view, snapshot), **options
-    )
-    return sources, view, algo
-
-
+#: Source s0 owns r1, s1 owns r2; V spans both (keys projected).
 MULTI_WORKLOADS = {
-    "A": [insert("r1", (10, 2)), insert("r1", (11, 3)), insert("r1", (12, 2))],
-    "B": [insert("r2", (2, 20)), insert("r2", (3, 21)), insert("r2", (9, 22))],
+    "s0": [insert("r1", (10, 2)), insert("r1", (11, 3)), insert("r1", (12, 2))],
+    "s1": [insert("r2", (2, 20)), insert("r2", (3, 21)), insert("r2", (9, 22))],
 }
 
 
@@ -179,46 +136,25 @@ class TestMultiSourceBatchedConformance:
     @pytest.mark.parametrize("name", MULTI_SOURCE)
     @pytest.mark.parametrize("seed", range(2))
     def test_spanning_view_replays_identically_at_every_k(self, name, k, seed):
-        sources, view, algo = multi_setup(name)
+        made, algo, _ = build(name)
         result = run_concurrent(
-            sources, algo, MULTI_WORKLOADS, seed=seed, max_burst=4, batch_k=k
+            made, algo, MULTI_WORKLOADS, seed=seed, max_burst=4, batch_k=k
         )
-        twin_sources, twin_view, twin_algo = multi_setup(name)
+        twin_sources, twin_algo, _ = build(name)
         kernel = replay_concurrent(
             result.action_log, twin_sources, twin_algo, MULTI_WORKLOADS
         )
         assert_conforms(result, kernel)
-        live = check_cuts(view, result.per_source_states, result.trace.view_states)
+        live = check_cuts(algo.view, result.per_source_states, result.trace.view_states)
         replayed = check_cuts(
-            twin_view, kernel.per_source_states, kernel.trace.view_states
+            twin_algo.view, kernel.per_source_states, kernel.trace.view_states
         )
         assert live.level() == replayed.level()
 
 
-def catalog_setup(share=False):
-    """The CLI's multi-source topology: one independent two-relation
-    join view per source, all behind one :class:`WarehouseCatalog`."""
-    sources = {}
-    algorithms = {}
-    for index in range(2):
-        prefix = f"s{index}"
-        schemas = [
-            RelationSchema(f"{prefix}r1", ("W", "X"), key=("W",)),
-            RelationSchema(f"{prefix}r2", ("X", "Y"), key=("Y",)),
-        ]
-        initial = {
-            f"{prefix}r1": [(1, 2), (2, 3)],
-            f"{prefix}r2": [(2, 5), (3, 6)],
-        }
-        source = MemorySource(schemas, initial)
-        sources[prefix] = source
-        view = View.natural_join(f"V{index}", schemas, ["W", "Y"])
-        algorithms[f"V{index}"] = create_algorithm(
-            "eca", view, evaluate_view(view, source.snapshot())
-        )
-    return sources, WarehouseCatalog(algorithms, share_compensation=share)
-
-
+#: The CLI's topology for a single-source family (``families``'
+#: ``"fanout"``): one independent two-relation join view per source, all
+#: behind one catalog.
 CATALOG_WORKLOADS = {
     "s0": [insert("s0r1", (10, 2)), insert("s0r1", (11, 3)), insert("s0r2", (3, 20))],
     "s1": [insert("s1r2", (2, 21)), insert("s1r1", (12, 2)), insert("s1r1", (13, 3))],
@@ -238,17 +174,17 @@ class TestCatalogBatched:
     @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("seed", range(2))
     def test_batched_catalog_runs_converge_and_replay(self, k, seed, share):
-        sources, catalog = catalog_setup(share)
+        sources, catalog, _ = build("eca", topology="fanout", share=share)
         result = run_concurrent(
             sources, catalog, CATALOG_WORKLOADS, seed=seed, max_burst=4, batch_k=k
         )
-        baseline_sources, baseline = catalog_setup(share)
+        baseline_sources, baseline, _ = build("eca", topology="fanout", share=share)
         plain = run_concurrent(
             baseline_sources, baseline, CATALOG_WORKLOADS, seed=seed,
             max_burst=4, batch_k=1,
         )
         assert result.final_view == plain.final_view
-        twin_sources, twin = catalog_setup(share)
+        twin_sources, twin, _ = build("eca", topology="fanout", share=share)
         kernel = replay_concurrent(
             result.action_log, twin_sources, twin, CATALOG_WORKLOADS
         )
@@ -263,7 +199,7 @@ class TestCatalogBatched:
         view walking the identical state sequence."""
         runs = {}
         for share in (False, True):
-            sources, catalog = catalog_setup(share)
+            sources, catalog, _ = build("eca", topology="fanout", share=share)
             runs[share] = run_concurrent(
                 sources, catalog, CATALOG_WORKLOADS, seed=seed,
                 max_burst=4, batch_k=k,
@@ -275,7 +211,7 @@ class TestCatalogBatched:
 
     @pytest.mark.parametrize("share", [False, True])
     def test_catalog_batch_coalescing_is_logged(self, share):
-        sources, catalog = catalog_setup(share)
+        sources, catalog, _ = build("eca", topology="fanout", share=share)
         result = run_concurrent(
             sources, catalog, CATALOG_WORKLOADS, seed=1, max_burst=8, batch_k=8
         )

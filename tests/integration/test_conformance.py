@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import pytest
 
+from families import INITIAL, R1, R2, build
 from repro.consistency import check_cuts, check_trace
-from repro.core.registry import ALGORITHMS, create_algorithm
-from repro.core.stored_copies import StoredCopies
+from repro.core.registry import ALGORITHMS, build_algorithm
 from repro.errors import ProtocolError, SimulationError
 from repro.kernel import replay_concurrent
 from repro.kernel.dispatch import dispatch_event
 from repro.kernel.sync import SyncKernel
 from repro.messaging.messages import UpdateNotification
 from repro.relational.engine import evaluate_view
-from repro.relational.schema import RelationSchema
-from repro.relational.views import View
 from repro.runtime import run_concurrent
 from repro.source.memory import MemorySource
 from repro.source.updates import delete, insert
@@ -37,12 +35,6 @@ SINGLE_SOURCE = ["basic", "eca", "eca-local", "lca", "stored-copies"]
 
 #: Multi-source families exercised on the two-source spanning view.
 MULTI_SOURCE = ["strobe", "sweep", "fragmenting-incremental", "multi-stored-copies"]
-
-KEYED_SCHEMAS = [
-    RelationSchema("r1", ("W", "X"), key=("W",)),
-    RelationSchema("r2", ("X", "Y"), key=("Y",)),
-]
-KEYED_INITIAL = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
 
 
 def assert_conforms(result, kernel):
@@ -58,14 +50,6 @@ def assert_conforms(result, kernel):
     assert result.action_log == kernel.action_log
 
 
-def build_single(name, view, snapshot, initial_view, updates):
-    if name == "stored-copies":
-        return StoredCopies(view, initial_view, snapshot)
-    if name == "batch-eca":
-        return create_algorithm(name, view, initial_view, batch_size=len(updates))
-    return create_algorithm(name, view, initial_view)
-
-
 class TestSingleSourceConformance:
     @pytest.mark.parametrize("scenario_name", ["example-2", "example-3"])
     @pytest.mark.parametrize("name", SINGLE_SOURCE + ["batch-eca", "recompute"])
@@ -73,22 +57,14 @@ class TestSingleSourceConformance:
     def test_paper_examples_replay_identically(self, scenario_name, name, seed):
         scenario = PAPER_EXAMPLES[scenario_name]
 
+        options = {
+            "recompute": {"period": 1},
+            "batch-eca": {"batch_size": len(scenario.updates)},
+        }.get(name, {})
+
         def setup():
             source = MemorySource(scenario.schemas, scenario.initial)
-            initial_view = evaluate_view(scenario.view, source.snapshot())
-            if name == "recompute":
-                algo = create_algorithm(
-                    name, scenario.view, initial_view, period=1
-                )
-            else:
-                algo = build_single(
-                    name,
-                    scenario.view,
-                    source.snapshot(),
-                    initial_view,
-                    scenario.updates,
-                )
-            return source, algo
+            return source, build_algorithm(name, scenario.view, source, **options)
 
         source, algo = setup()
         result = run_concurrent(
@@ -115,11 +91,7 @@ class TestSingleSourceConformance:
 
         def setup():
             source = MemorySource(scenario.schemas, scenario.initial)
-            return source, create_algorithm(
-                "deferred-eca",
-                scenario.view,
-                evaluate_view(scenario.view, source.snapshot()),
-            )
+            return source, build_algorithm("deferred-eca", scenario.view, source)
 
         source, algo = setup()
         result = run_concurrent(
@@ -136,80 +108,41 @@ class TestSingleSourceConformance:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_eca_key_on_keyed_workload(self, seed):
-        view = View.natural_join("V", KEYED_SCHEMAS, ["W", "Y"])
-        workload = random_workload(
-            KEYED_SCHEMAS, 8, seed=seed, initial=KEYED_INITIAL, respect_keys=True
-        )
-
-        def setup():
-            source = MemorySource(KEYED_SCHEMAS, KEYED_INITIAL)
-            return source, create_algorithm(
-                "eca-key", view, evaluate_view(view, source.snapshot())
-            )
-
-        source, algo = setup()
-        result = run_concurrent(source, algo, workload, clients=2, seed=seed)
-        twin_source, twin_algo = setup()
+        made, algo, workload = build("eca-key", seed, updates=8)
+        result = run_concurrent(made, algo, workload, clients=2, seed=seed)
+        twin_sources, twin_algo, _ = build("eca-key", seed, updates=8)
         kernel = replay_concurrent(
-            result.action_log, {"source": twin_source}, twin_algo,
-            {"source": workload},
+            result.action_log, twin_sources, twin_algo, {"source": workload}
         )
         assert_conforms(result, kernel)
-        assert check_trace(view, result.trace).strongly_consistent
-
-
-def two_source_setup():
-    """Source A owns r1, source B owns r2; V spans both (keys projected)."""
-    a_schema = [KEYED_SCHEMAS[0]]
-    b_schema = [KEYED_SCHEMAS[1]]
-    sources = {
-        "A": MemorySource(a_schema, {"r1": KEYED_INITIAL["r1"]}),
-        "B": MemorySource(b_schema, {"r2": KEYED_INITIAL["r2"]}),
-    }
-    view = View.natural_join("V", KEYED_SCHEMAS, ["W", "Y"])
-    return sources, view
-
-
-def build_multi(name, view, sources):
-    snapshot = {}
-    for source in sources.values():
-        snapshot.update(source.snapshot())
-    owners = {"r1": "A", "r2": "B"}
-    options = {"owners": owners}
-    if name == "multi-stored-copies":
-        options["initial_copies"] = snapshot
-    return create_algorithm(
-        name, view, evaluate_view(view, snapshot), **options
-    )
+        assert check_trace(algo.view, result.trace).strongly_consistent
 
 
 class TestMultiSourceConformance:
     @pytest.mark.parametrize("name", MULTI_SOURCE)
     @pytest.mark.parametrize("seed", range(4))
     def test_spanning_view_replays_identically(self, name, seed):
+        """Source s0 owns r1, source s1 owns r2; V spans both (keys projected)."""
         workloads = {
-            "A": random_workload(
-                [KEYED_SCHEMAS[0]], 5, seed=seed,
-                initial={"r1": KEYED_INITIAL["r1"]}, respect_keys=True,
+            "s0": random_workload(
+                [R1], 5, seed=seed, initial={"r1": INITIAL["r1"]}, respect_keys=True
             ),
-            "B": random_workload(
-                [KEYED_SCHEMAS[1]], 5, seed=seed + 50,
-                initial={"r2": KEYED_INITIAL["r2"]}, respect_keys=True,
+            "s1": random_workload(
+                [R2], 5, seed=seed + 50, initial={"r2": INITIAL["r2"]}, respect_keys=True
             ),
         }
-        sources, view = two_source_setup()
-        algo = build_multi(name, view, sources)
-        result = run_concurrent(sources, algo, workloads, clients=2, seed=seed)
-        twin_sources, twin_view = two_source_setup()
-        twin_algo = build_multi(name, twin_view, twin_sources)
+        made, algo, _ = build(name)
+        result = run_concurrent(made, algo, workloads, clients=2, seed=seed)
+        twin_sources, twin_algo, _ = build(name)
         kernel = replay_concurrent(
             result.action_log, twin_sources, twin_algo, workloads
         )
         assert_conforms(result, kernel)
         # Identical executions classify identically under cut consistency.
+        view = algo.view
         live = check_cuts(view, result.per_source_states, result.trace.view_states)
         replayed = check_cuts(
-            twin_view, kernel.per_source_states, kernel.trace.view_states
+            twin_algo.view, kernel.per_source_states, kernel.trace.view_states
         )
         assert live.level() == replayed.level()
         if name in ("strobe", "sweep", "multi-stored-copies"):
@@ -267,11 +200,9 @@ class TestEqualSpellings:
 
     @pytest.mark.parametrize("name", ["basic", "eca", "lca", "recompute"])
     def test_a_revived_row_is_answered_in_its_new_spelling(self, name):
-        source = MemorySource(KEYED_SCHEMAS, KEYED_INITIAL)
-        view = View.natural_join("V", KEYED_SCHEMAS, ["W", "Y"])
-        algorithm = create_algorithm(name, view, evaluate_view(view, source.snapshot()))
-        trace = SyncKernel({"source": source}, algorithm, list(self.WORKLOAD)).run(Drain())
-        expected = evaluate_view(view, source.snapshot())
+        made, algorithm, _ = build(name)
+        trace = SyncKernel(made, algorithm, list(self.WORKLOAD)).run(Drain())
+        expected = evaluate_view(algorithm.view, made["source"].snapshot())
         assert repr(trace.final_view_state.to_pairs()) == repr(expected.to_pairs())
         assert "(3, 5.0)" in repr(expected.to_pairs())
 
@@ -317,15 +248,13 @@ class TestProtocolRejection:
 
 class TestReplayRefusals:
     def test_crash_markers_are_refused(self):
-        sources, view = two_source_setup()
-        algo = build_multi("strobe", view, sources)
+        made, algo, _ = build("strobe")
         with pytest.raises(SimulationError, match="crash"):
-            replay_concurrent(["update:A", "crash"], sources, algo, {"A": []})
+            replay_concurrent(["update:s0", "crash"], made, algo, {"s0": []})
 
     def test_overrunning_workload_is_refused(self):
-        sources, view = two_source_setup()
-        algo = build_multi("strobe", view, sources)
+        made, algo, _ = build("strobe")
         with pytest.raises(SimulationError, match="beyond its workload"):
             replay_concurrent(
-                ["update:A"], sources, algo, {"A": [], "B": []}
+                ["update:s0"], made, algo, {"s0": [], "s1": []}
             )

@@ -8,12 +8,8 @@ adversarial interleavings).
 
 import pytest
 
+from families import INITIAL, SCHEMAS, build
 from repro.consistency import check_trace
-from repro.core.registry import create_algorithm
-from repro.core.stored_copies import StoredCopies
-from repro.relational.engine import evaluate_view
-from repro.relational.schema import RelationSchema
-from repro.relational.views import View
 from repro.simulation.driver import Simulation
 from repro.simulation.schedules import (
     BestCaseSchedule,
@@ -21,30 +17,14 @@ from repro.simulation.schedules import (
     RandomSchedule,
     WorstCaseSchedule,
 )
-from repro.source.memory import MemorySource
 from repro.workloads.random_gen import random_workload
 
-SCHEMAS = [
-    RelationSchema("r1", ("W", "X"), key=("W",)),
-    RelationSchema("r2", ("X", "Y"), key=("Y",)),
-]
-INITIAL = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
 
-
-def build_view():
-    return View.natural_join("V", SCHEMAS, ["W", "Y"])
-
-
-def run_one(algorithm, workload, schedule):
-    view = build_view()
-    source = MemorySource(SCHEMAS, INITIAL)
-    initial_view = evaluate_view(view, source.snapshot())
-    if algorithm == "stored-copies":
-        warehouse = StoredCopies(view, initial_view, initial_copies=source.snapshot())
-    else:
-        warehouse = create_algorithm(algorithm, view, initial_view)
-    trace = Simulation(source, warehouse, workload).run(schedule)
-    return check_trace(view, trace)
+def run_one(algorithm, workload, schedule, recorder=None, **options):
+    """The verdict on one run of ``families``' one-source pair."""
+    sources, warehouse, _ = build(algorithm, **options)
+    trace = Simulation(sources["source"], warehouse, workload, recorder).run(schedule)
+    return check_trace(warehouse.view, trace)
 
 
 def workloads(count=8, k=10):
@@ -114,12 +94,9 @@ def test_eca_sends_no_compensation_in_best_case():
     every ECA query has a single term (no compensation)."""
     from repro.costmodel.counters import CostRecorder
 
-    view = build_view()
-    source = MemorySource(SCHEMAS, INITIAL)
-    warehouse = create_algorithm("eca", view, evaluate_view(view, source.snapshot()))
     workload = random_workload(SCHEMAS, 10, seed=3, initial=INITIAL, respect_keys=True)
     recorder = CostRecorder()
-    Simulation(source, warehouse, workload, recorder).run(BestCaseSchedule())
+    run_one("eca", workload, BestCaseSchedule(), recorder)
     assert recorder.terms_evaluated == recorder.answer_messages
 
 
@@ -128,38 +105,20 @@ def test_recompute_with_dividing_period_is_strongly_consistent():
         workload = random_workload(
             SCHEMAS, 10, seed=11, initial=INITIAL, respect_keys=True
         )
-        report = run_one_recompute(workload, period)
+        report = run_one("recompute", workload, BestCaseSchedule(), period=period)
         assert report.strongly_consistent, f"period={period}: {report.detail}"
-
-
-def run_one_recompute(workload, period):
-    view = build_view()
-    source = MemorySource(SCHEMAS, INITIAL)
-    warehouse = create_algorithm(
-        "recompute", view, evaluate_view(view, source.snapshot()), period=period
-    )
-    trace = Simulation(source, warehouse, workload).run(BestCaseSchedule())
-    return check_trace(view, trace)
 
 
 def test_unbuffered_eca_is_convergent_but_can_be_inconsistent():
     """Section 5.2's warning: applying answers as they arrive (instead of
     buffering in COLLECT) stays convergent but loses consistency."""
-    from repro.core.eca import ECA
-
-    view = build_view()
     saw_inconsistent = False
     for seed in range(30):
         workload = random_workload(
             SCHEMAS, 10, seed=seed, initial=INITIAL, respect_keys=True
         )
         for schedule in (WorstCaseSchedule(), RandomSchedule(seed)):
-            source = MemorySource(SCHEMAS, INITIAL)
-            warehouse = ECA(
-                view, evaluate_view(view, source.snapshot()), buffer_answers=False
-            )
-            trace = Simulation(source, warehouse, workload).run(schedule)
-            report = check_trace(view, trace)
+            report = run_one("eca", workload, schedule, buffer_answers=False)
             assert report.convergent, report.detail
             if not report.consistent:
                 saw_inconsistent = True

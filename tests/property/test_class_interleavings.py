@@ -29,24 +29,18 @@ from __future__ import annotations
 
 import pytest
 
+from families import SCHEMAS, sources
 from reference_catalog import ReferenceCatalog
 from repro.consistency import check_trace
-from repro.core.registry import create_algorithm
+from repro.core.registry import build_algorithm
 from repro.kernel.sync import REFRESH, SyncKernel
 from repro.messaging.wire import create_codec
-from repro.relational.engine import evaluate_view
-from repro.relational.schema import RelationSchema
+from repro.relational.bag import SignedBag
 from repro.relational.views import View
 from repro.simulation.trace import project_view
-from repro.source.memory import MemorySource
 from repro.source.updates import delete, insert
 from repro.warehouse.catalog import WarehouseCatalog
 
-SCHEMAS = [
-    RelationSchema("r1", ("W", "X"), key=("W",)),
-    RelationSchema("r2", ("X", "Y"), key=("Y",)),
-]
-INITIAL = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
 WORKLOAD = [insert("r1", (4, 2)), insert("r2", (2, 7)), delete("r1", (2, 3))]
 FRAME = create_codec("frame")
 
@@ -78,9 +72,6 @@ CLASS = ("V0", "V1")
 VIEWS = {
     name: View.natural_join(name, SCHEMAS, ["W", "Y"]) for name in ("V0", "V2", "V1")
 }
-STATE = MemorySource(SCHEMAS, INITIAL).snapshot()
-CONTENTS = {name: evaluate_view(view, STATE) for name, view in VIEWS.items()}
-CONTENTS["V2"].add((9, 9), 1)
 
 
 class Wire:
@@ -100,19 +91,16 @@ class Wire:
 
 
 def kernel(family, batch_k, oracle):
-    options = {"initial_copies": STATE} if family == "stored-copies" else {}
-    members = {
-        name: create_algorithm(family, view, CONTENTS[name].copy(), **options)
-        for name, view in VIEWS.items()
-    }
+    made = sources(family)
+    members = {name: build_algorithm(family, view, made) for name, view in VIEWS.items()}
+    members["V2"].mv.apply_delta(SignedBag({(9, 9): 1}))  # V2 holds one row more
     catalog = (ReferenceCatalog if oracle else WarehouseCatalog)(
         members, share_compensation=True
     )
     workload = list(WORKLOAD)
     if family in ("batch-eca", "deferred-eca"):
         workload.append(REFRESH)
-    source = MemorySource(SCHEMAS, INITIAL)
-    return SyncKernel({"source": source}, catalog, workload, Wire(), batch_k=batch_k)
+    return SyncKernel(made, catalog, workload, Wire(), batch_k=batch_k)
 
 
 def observe(run):

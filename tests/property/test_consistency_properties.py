@@ -14,42 +14,21 @@ hand-worked examples.  The asserted levels are exactly the paper's claims:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from families import build
 from repro.consistency import check_trace
-from repro.core.registry import create_algorithm
-from repro.core.stored_copies import StoredCopies
-from repro.relational.engine import evaluate_view
-from repro.relational.schema import RelationSchema
-from repro.relational.views import View
 from repro.simulation.driver import Simulation
 from repro.simulation.schedules import BestCaseSchedule, RandomSchedule
-from repro.source.memory import MemorySource
-from repro.workloads.random_gen import random_workload
 
-SCHEMAS = [
-    RelationSchema("r1", ("W", "X"), key=("W",)),
-    RelationSchema("r2", ("X", "Y"), key=("Y",)),
-]
 INITIAL = {"r1": [(0, 1), (1, 2)], "r2": [(1, 0), (2, 1)]}
 
 
-def build(algorithm):
-    view = View.natural_join("V", SCHEMAS, ["W", "Y"])
-    source = MemorySource(SCHEMAS, INITIAL)
-    initial_view = evaluate_view(view, source.snapshot())
-    if algorithm == "stored-copies":
-        warehouse = StoredCopies(view, initial_view, initial_copies=source.snapshot())
-    else:
-        warehouse = create_algorithm(algorithm, view, initial_view)
-    return view, source, warehouse
-
-
-def run(algorithm, workload_seed, schedule_seed, k=8):
-    view, source, warehouse = build(algorithm)
-    workload = random_workload(
-        SCHEMAS, k, seed=workload_seed, initial=INITIAL, respect_keys=True
+def run(algorithm, workload_seed, schedule, k=8):
+    """``(warehouse, report)`` of one run on the Simulation front door."""
+    sources, warehouse, workload = build(
+        algorithm, workload_seed, updates=k, initial=INITIAL
     )
-    trace = Simulation(source, warehouse, workload).run(RandomSchedule(schedule_seed))
-    return check_trace(view, trace)
+    trace = Simulation(sources["source"], warehouse, workload).run(schedule)
+    return warehouse, check_trace(warehouse.view, trace)
 
 
 seeds = st.integers(0, 10_000)
@@ -58,56 +37,48 @@ seeds = st.integers(0, 10_000)
 @settings(max_examples=25, deadline=None)
 @given(seeds, seeds)
 def test_eca_strongly_consistent(workload_seed, schedule_seed):
-    report = run("eca", workload_seed, schedule_seed)
+    _, report = run("eca", workload_seed, RandomSchedule(schedule_seed))
     assert report.strongly_consistent, report.detail
 
 
 @settings(max_examples=25, deadline=None)
 @given(seeds, seeds)
 def test_eca_key_strongly_consistent(workload_seed, schedule_seed):
-    report = run("eca-key", workload_seed, schedule_seed)
+    _, report = run("eca-key", workload_seed, RandomSchedule(schedule_seed))
     assert report.strongly_consistent, report.detail
 
 
 @settings(max_examples=25, deadline=None)
 @given(seeds, seeds)
 def test_eca_local_strongly_consistent(workload_seed, schedule_seed):
-    report = run("eca-local", workload_seed, schedule_seed)
+    _, report = run("eca-local", workload_seed, RandomSchedule(schedule_seed))
     assert report.strongly_consistent, report.detail
 
 
 @settings(max_examples=25, deadline=None)
 @given(seeds, seeds)
 def test_lca_complete(workload_seed, schedule_seed):
-    report = run("lca", workload_seed, schedule_seed)
+    _, report = run("lca", workload_seed, RandomSchedule(schedule_seed))
     assert report.complete, report.detail
 
 
 @settings(max_examples=15, deadline=None)
 @given(seeds, seeds)
 def test_stored_copies_complete(workload_seed, schedule_seed):
-    report = run("stored-copies", workload_seed, schedule_seed)
+    _, report = run("stored-copies", workload_seed, RandomSchedule(schedule_seed))
     assert report.complete, report.detail
 
 
 @settings(max_examples=15, deadline=None)
 @given(seeds)
 def test_basic_correct_when_updates_spaced(workload_seed):
-    view, source, warehouse = build("basic")
-    workload = random_workload(
-        SCHEMAS, 8, seed=workload_seed, initial=INITIAL, respect_keys=True
-    )
-    trace = Simulation(source, warehouse, workload).run(BestCaseSchedule())
-    assert check_trace(view, trace).strongly_consistent
+    _, report = run("basic", workload_seed, BestCaseSchedule())
+    assert report.strongly_consistent
 
 
 @settings(max_examples=15, deadline=None)
 @given(seeds, seeds)
 def test_every_algorithm_quiesces(workload_seed, schedule_seed):
     for algorithm in ("eca", "eca-key", "eca-local", "lca", "stored-copies"):
-        _, source, warehouse = build(algorithm)
-        workload = random_workload(
-            SCHEMAS, 6, seed=workload_seed, initial=INITIAL, respect_keys=True
-        )
-        Simulation(source, warehouse, workload).run(RandomSchedule(schedule_seed))
+        warehouse, _ = run(algorithm, workload_seed, RandomSchedule(schedule_seed), k=6)
         assert warehouse.is_quiescent(), algorithm

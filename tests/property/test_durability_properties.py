@@ -28,9 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from families import FAMILIES, build
 from repro.consistency import check_trace
-from repro.core.eca import ECA
-from repro.core.registry import ALGORITHMS, create_algorithm
+from repro.core.registry import build_algorithm
 from repro.durability import (
     CODEC_VERSION,
     WriteAheadLog,
@@ -42,22 +42,14 @@ from repro.durability import (
     recover,
 )
 from repro.durability.wal import _snapshot_name
-from repro.kernel.sync import REFRESH, SyncKernel
+from repro.kernel.sync import SyncKernel
 from repro.messaging.messages import QueryAnswer, UpdateNotification
 from repro.relational.engine import evaluate_view
-from repro.relational.schema import RelationSchema
-from repro.relational.views import View
 from repro.runtime import CrashPolicy, run_concurrent
 from repro.simulation.schedules import RandomSchedule
 from repro.source.memory import MemorySource
-from repro.warehouse.catalog import WarehouseCatalog
 from repro.workloads.paper_examples import PAPER_EXAMPLES
-from repro.workloads.random_gen import random_workload
 
-SCHEMAS = [
-    RelationSchema("r1", ("W", "X"), key=("W",)),
-    RelationSchema("r2", ("X", "Y"), key=("Y",)),
-]
 INITIAL = {"r1": [(0, 1), (1, 2)], "r2": [(1, 0), (2, 1)]}
 
 seeds = st.integers(0, 10_000)
@@ -67,16 +59,8 @@ algorithm_names = st.sampled_from(["eca", "eca-key", "lca"])
 def drive_with_wal(directory, name, workload_seed, pace_seed, cadence, max_events):
     """Feed a WAL-logged message stream to a live algorithm, stopping at
     an arbitrary event boundary (the simulated crash point)."""
-    view = View.natural_join("V", SCHEMAS, ["W", "Y"])
-    source = MemorySource(SCHEMAS, INITIAL)
-    algorithm = create_algorithm(
-        name, view, evaluate_view(view, source.snapshot())
-    )
-    workload = list(
-        random_workload(
-            SCHEMAS, 8, seed=workload_seed, initial=INITIAL, respect_keys=True
-        )
-    )
+    sources, algorithm, workload = build(name, workload_seed, updates=8, initial=INITIAL)
+    source = sources["source"]
     wal = WriteAheadLog(str(directory), snapshot_every=cadence)
     wal.snapshot(algorithm)  # genesis
     rng = random.Random(pace_seed)
@@ -132,9 +116,7 @@ def test_crashed_runtime_stays_strongly_consistent(
 ):
     scenario = PAPER_EXAMPLES[scenario_name]
     source = MemorySource(scenario.schemas, scenario.initial)
-    warehouse = ECA(
-        scenario.view, evaluate_view(scenario.view, source.snapshot())
-    )
+    warehouse = build_algorithm("eca", scenario.view, source)
     with tempfile.TemporaryDirectory(prefix="repro-wal-") as directory:
         result = run_concurrent(
             source,
@@ -205,52 +187,14 @@ def reference_snapshot(lsn, algorithm):
     return reference_json({**payload, "crc": crc}) + "\n"
 
 
-def build_family(family, seed):
-    """``(sources, algorithm, workload)`` for one registry name, or for a
-    catalog of mixed members with the planner sharing or not."""
-    view = View.natural_join("V", SCHEMAS, ["W", "Y"])
-    workload = list(
-        random_workload(SCHEMAS, 10, seed=seed, initial=INITIAL, respect_keys=True)
-    )
-    rng = random.Random(seed)
-    for _ in range(2):  # what a deferred algorithm flushes on
-        workload.insert(rng.randrange(len(workload) + 1), REFRESH)
-    if family in ALGORITHMS and getattr(ALGORITHMS[family], "multi_source", False):
-        sources = {
-            "A": MemorySource([SCHEMAS[0]], {"r1": INITIAL["r1"]}),
-            "B": MemorySource([SCHEMAS[1]], {"r2": INITIAL["r2"]}),
-        }
-        options = {"owners": {"r1": "A", "r2": "B"}}
-    else:
-        sources = {"source": MemorySource(SCHEMAS, INITIAL)}
-        options = {}
-    state = {}
-    for source in sources.values():
-        state.update(source.snapshot())
-    if family in ("stored-copies", "multi-stored-copies"):
-        options["initial_copies"] = state
-    if family in ALGORITHMS:
-        algorithm = create_algorithm(
-            family, view, evaluate_view(view, state), **options
-        )
-    else:
-        members = {}
-        for index, name in enumerate(["eca", "eca", "eca-key", "lca"]):
-            member_view = View.natural_join(f"V{index}", SCHEMAS, ["W", "Y"])
-            members[f"V{index}"] = create_algorithm(
-                name, member_view, evaluate_view(member_view, state)
-            )
-        algorithm = WarehouseCatalog(
-            members, share_compensation=family == "catalog-shared"
-        )
-    return sources, algorithm, workload
-
-
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("family", sorted(ALGORITHMS) + ["catalog", "catalog-shared"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_every_snapshot_is_byte_identical_to_the_tree_path(family, seed, tmp_path):
     directory = str(tmp_path)
-    sources, algorithm, workload = build_family(family, seed)
+    # Two REFRESHes among the updates: what a deferred family flushes on.
+    sources, algorithm, workload = build(
+        family, seed, updates=10, refresh=2, initial=INITIAL
+    )
     kernel = SyncKernel(sources, algorithm, workload)
     # Updates outrun answers, so queries stay pending across snapshots.
     schedule = RandomSchedule(seed, weights={"update": 3.0})

@@ -21,31 +21,19 @@ from hypothesis import strategies as st
 import pytest
 
 import reference_checker as reference
+from families import MULTI_SOURCE, SINGLE_SOURCE, build, view
 from repro.consistency import check_cuts, check_trace
-from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.errors import SimulationError
 from repro.experiments.runner import run_scenario
 from repro.kernel import SyncKernel
 from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
-from repro.relational.schema import RelationSchema
-from repro.relational.views import View
 from repro.runtime import run_concurrent
 from repro.simulation.schedules import BestCaseSchedule, RandomSchedule, WorstCaseSchedule
 from repro.simulation.trace import Trace
-from repro.source.memory import MemorySource
 from repro.workloads.paper_examples import PAPER_EXAMPLES
-from repro.workloads.random_gen import random_workload
 
-SCHEMAS = [
-    RelationSchema("r1", ("W", "X"), key=("W",)),
-    RelationSchema("r2", ("X", "Y"), key=("Y",)),
-]
-INITIAL = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
-KEYED = View.natural_join("V", SCHEMAS, ["W", "Y"])
-
-SINGLE_SOURCE = sorted(name for name, cls in ALGORITHMS.items() if not cls.multi_source)
-MULTI_SOURCE = sorted(name for name, cls in ALGORITHMS.items() if cls.multi_source)
+KEYED = view()
 
 FLAGS = ("convergent", "weakly_consistent", "consistent", "strongly_consistent", "complete")
 
@@ -55,14 +43,8 @@ def flags(report):
 
 
 def single_source_run(name, k, workload_seed, schedule):
-    source = MemorySource(SCHEMAS, INITIAL)
-    state = source.snapshot()
-    options = {"initial_copies": state} if name == "stored-copies" else {}
-    algorithm = create_algorithm(name, KEYED, evaluate_view(KEYED, state), **options)
-    workload = random_workload(
-        SCHEMAS, k, seed=workload_seed, initial=INITIAL, respect_keys=True, domain=4
-    )
-    kernel = SyncKernel({"source": source}, algorithm, workload)
+    sources, algorithm, workload = build(name, workload_seed, updates=k, domain=4)
+    kernel = SyncKernel(sources, algorithm, workload)
     try:
         kernel.run(schedule)
     except SimulationError:
@@ -146,27 +128,14 @@ def test_examples_2_and_3_witness_their_anomaly(name, level):
     assert ("equals V at no cut" in report.detail) == (level == "incorrect")
 
 
-R1 = RelationSchema("r1", ("W", "X"), key=("W",))
-R2 = RelationSchema("r2", ("X", "Y"), key=("Y",))
-R3 = RelationSchema("r3", ("Y", "Z"), key=("Z",))
-MULTI_INITIAL = {"r1": [(1, 2), (4, 3)], "r2": [(2, 5)], "r3": [(5, 3), (6, 9)]}
-
-
 def multi_source_run(name, k, workload_seed, schedule_seed):
-    view = View.natural_join("V", [R1, R2, R3], ["W", "r2.Y", "Z"])
-    a = MemorySource([R1], {"r1": MULTI_INITIAL["r1"]})
-    b = MemorySource([R2, R3], {"r2": MULTI_INITIAL["r2"], "r3": MULTI_INITIAL["r3"]})
-    merged = {**a.snapshot(), **b.snapshot()}
-    options = {"owners": {"r1": "A", "r2": "B", "r3": "B"}}
-    if name == "multi-stored-copies":
-        options["initial_copies"] = merged
-    algorithm = create_algorithm(name, view, evaluate_view(view, merged), **options)
-    workload = random_workload(
-        [R1, R2, R3], k, seed=workload_seed, initial=MULTI_INITIAL, respect_keys=True
+    """r1 at source A, r2 and r3 at B."""
+    sources, algorithm, workload = build(
+        name, workload_seed, topology="split", updates=k
     )
-    kernel = SyncKernel({"A": a, "B": b}, algorithm, workload)
+    kernel = SyncKernel(sources, algorithm, workload)
     kernel.run(RandomSchedule(schedule_seed))
-    return view, kernel
+    return algorithm.view, kernel
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,10 +163,8 @@ class TestUntracedRunIsRefused:
 
     @pytest.fixture
     def untraced(self):
-        source = MemorySource(SCHEMAS, INITIAL)
-        algorithm = create_algorithm("eca", KEYED, evaluate_view(KEYED, source.snapshot()))
-        workload = random_workload(SCHEMAS, 8, seed=1, initial=INITIAL, respect_keys=True)
-        return run_concurrent(source, algorithm, workload, seed=1, record_trace=False)
+        sources, algorithm, workload = build("eca", 1, updates=8)
+        return run_concurrent(sources, algorithm, workload, seed=1, record_trace=False)
 
     def test_check_trace(self, untraced):
         with pytest.raises(SimulationError, match="no view states"):

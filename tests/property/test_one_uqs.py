@@ -2,8 +2,8 @@
 
 Section 5.2's unanswered query set is the structure every correctness
 argument reads, and :meth:`WarehouseAlgorithm.on_answer` refuses an
-answer against it.  This runs the families and catalogs of
-``test_rejected_events.py`` under the same seeded random schedules and,
+answer against it.  This runs every name of ``families.FAMILIES`` under
+the seeded random schedules of ``test_rejected_events.py`` and,
 at every warehouse event boundary, requires of each algorithm (of each
 class's algorithm, for a catalog):
 
@@ -20,8 +20,8 @@ re-issued request is the original's, text for text.
 from __future__ import annotations
 
 import pytest
-from test_rejected_events import FAMILIES, build
 
+from families import FAMILIES, build
 from repro.core.registry import create_algorithm
 from repro.durability import dumps_algorithm, encode_text, loads_algorithm
 from repro.kernel.dispatch import dispatch_event, query_owner, resolve_destination
@@ -59,7 +59,7 @@ def check_one_uqs(kernel):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_pending_requests_are_the_uqs(family, seed):
-    sources, warehouse, workload = build(family, seed)
+    sources, warehouse, workload = build(family, seed, refresh="end")
     kernel = SyncKernel(sources, warehouse, workload)
     schedule = RandomSchedule(seed, weights={"update": 2.0})
     while not kernel.is_done():

@@ -2,12 +2,11 @@
 
 Sections 4-5 and Appendix B treat every warehouse event (``W_up``,
 ``W_ans``) as atomic: it completes, or it changes nothing.  This runs
-every registry algorithm, a catalog of ECA members with sharing off and
-on, and a shared catalog of ECA, ECA-Key and ECA-Local members over one
-definition (one answer reaching three classes), through
-:class:`SyncKernel` under a seeded random schedule
-(multi-source families over a two-source chain, as ``repro runtime``
-builds).  At every warehouse event boundary it sends four malformed
+every name of ``families.FAMILIES`` — each registry algorithm (the
+multi-source ones over two sources) and each catalog composition, with
+sharing off and on, one of them three classes over one definition whose
+equal queries merge — through :class:`SyncKernel` under a seeded random
+schedule.  At every warehouse event boundary it sends four malformed
 answers through :func:`dispatch_event`:
 
 - an answer for an id that is not pending;
@@ -32,80 +31,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.registry import ALGORITHMS, create_algorithm
+from families import FAMILIES, build
 from repro.durability import dumps_algorithm, loads_algorithm
 from repro.errors import ReproError
 from repro.kernel.dispatch import dispatch_event, resolve_destination
-from repro.kernel.sync import REFRESH, SyncKernel
+from repro.kernel.sync import SyncKernel
 from repro.messaging.messages import QueryAnswer
 from repro.relational.bag import SignedBag
-from repro.relational.engine import evaluate_view
-from repro.relational.schema import RelationSchema
-from repro.relational.views import View
 from repro.simulation.schedules import RandomSchedule
-from repro.source.memory import MemorySource
-from repro.warehouse.catalog import WarehouseCatalog
-from repro.workloads.random_gen import random_workload
-
-SCHEMAS = [
-    RelationSchema("r1", ("W", "X"), key=("W",)),
-    RelationSchema("r2", ("X", "Y"), key=("Y",)),
-]
-INITIAL = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
 
 #: A value outside the workload's domain: no view row holds it.
 ALIEN = 9
-
-FAMILIES = sorted(ALGORITHMS) + ["catalog", "catalog-shared", "catalog-mixed"]
-
-
-def build(family, seed):
-    """``(sources, warehouse, workload)`` for one registry name or catalog."""
-    workload = list(
-        random_workload(SCHEMAS, 6, seed=seed, initial=INITIAL, respect_keys=True)
-    )
-    workload.append(REFRESH)  # what a deferred family flushes on
-    if getattr(ALGORITHMS.get(family), "multi_source", False):
-        sources = {
-            "s0": MemorySource([SCHEMAS[0]], {"r1": INITIAL["r1"]}),
-            "s1": MemorySource([SCHEMAS[1]], {"r2": INITIAL["r2"]}),
-        }
-        options = {"owners": {"r1": "s0", "r2": "s1"}}
-    else:
-        sources = {"source": MemorySource(SCHEMAS, INITIAL)}
-        options = {}
-    state = {}
-    for source in sources.values():
-        state.update(source.snapshot())
-    if family in ("stored-copies", "multi-stored-copies"):
-        options["initial_copies"] = state
-    if family in ALGORITHMS:
-        view = View.natural_join("V", SCHEMAS, ["W", "Y"])
-        warehouse = create_algorithm(
-            family, view, evaluate_view(view, state), **options
-        )
-    elif family == "catalog-mixed":
-        # Three classes over one definition, whose equal queries merge.
-        members = {}
-        for index, name in enumerate(["eca", "eca-key", "eca-local", "eca"]):
-            view = View.natural_join(f"V{index}", SCHEMAS, ["W", "Y"])
-            members[view.name] = create_algorithm(
-                name, view, evaluate_view(view, state)
-            )
-        warehouse = WarehouseCatalog(members, share_compensation=True)
-    else:
-        # V0 and V1 are one class; V2 keeps X, so it is a class of its own.
-        projections = [["W", "Y"], ["W", "Y"], ["W", "r1.X", "Y"]]
-        members = {}
-        for index, projection in enumerate(projections):
-            view = View.natural_join(f"V{index}", SCHEMAS, projection)
-            members[view.name] = create_algorithm(
-                "eca", view, evaluate_view(view, state)
-            )
-        warehouse = WarehouseCatalog(
-            members, share_compensation=family == "catalog-shared"
-        )
-    return sources, warehouse, workload
 
 
 def malformed(kernel):
@@ -158,7 +94,8 @@ def offer(kernel, origin, answer, must_reject):
 
 
 def run(family, seed, probe):
-    sources, warehouse, workload = build(family, seed)
+    # A REFRESH last: what a deferred family flushes on.
+    sources, warehouse, workload = build(family, seed, refresh="end")
     kernel = SyncKernel(sources, warehouse, workload)
     schedule = RandomSchedule(seed, weights={"update": 2.0})
     boundary = True

@@ -1,11 +1,11 @@
 """Property: a snapshot chain recovers exactly what a full snapshot does.
 
 A WAL snapshot is a root, holding the algorithm whole, or a delta over
-the snapshot before it (``docs/DURABILITY.md``).  This runs every
-registry algorithm (multi-source families over a two-source chain, as
-``repro runtime`` builds) and an ECA catalog with sharing off and on
-through :class:`SyncKernel` under a seeded random schedule, snapshotting
-after every other warehouse event.  At each snapshot the chain — root, then
+the snapshot before it (``docs/DURABILITY.md``).  This runs every name
+of ``families.FAMILIES`` — each registry algorithm (the multi-source
+ones over two sources) and each catalog composition — through
+:class:`SyncKernel` under a seeded random schedule, snapshotting after
+every other warehouse event.  At each snapshot the chain — root, then
 every delta — must recover to the byte-identical ``dumps_algorithm`` a
 root written at the same LSN recovers to, and the live algorithm has.
 
@@ -19,60 +19,12 @@ import os
 
 import pytest
 
-from repro.core.registry import ALGORITHMS, create_algorithm
+from families import FAMILIES, build
 from repro.durability import WriteAheadLog, dumps_algorithm, recover
 from repro.durability.wal import SNAPSHOT_PREFIX
-from repro.kernel.sync import REFRESH, SyncKernel
-from repro.relational.engine import evaluate_view
-from repro.relational.schema import RelationSchema
-from repro.relational.views import View
+from repro.kernel.sync import SyncKernel
 from repro.simulation.schedules import RandomSchedule
-from repro.source.memory import MemorySource
 from repro.source.updates import delete, insert
-from repro.warehouse.catalog import WarehouseCatalog
-from repro.workloads.random_gen import random_workload
-
-SCHEMAS = [
-    RelationSchema("r1", ("W", "X"), key=("W",)),
-    RelationSchema("r2", ("X", "Y"), key=("Y",)),
-]
-INITIAL = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
-
-FAMILIES = sorted(ALGORITHMS) + ["catalog", "catalog-shared"]
-
-
-def build(family, seed):
-    """``(sources, warehouse, workload)`` for one registry name or catalog."""
-    workload = list(
-        random_workload(SCHEMAS, 8, seed=seed, initial=INITIAL, respect_keys=True)
-    )
-    workload.append(REFRESH)  # what a deferred family flushes on
-    if getattr(ALGORITHMS.get(family), "multi_source", False):
-        sources = {
-            "s0": MemorySource([SCHEMAS[0]], {"r1": INITIAL["r1"]}),
-            "s1": MemorySource([SCHEMAS[1]], {"r2": INITIAL["r2"]}),
-        }
-        options = {"owners": {"r1": "s0", "r2": "s1"}}
-    else:
-        sources = {"source": MemorySource(SCHEMAS, INITIAL)}
-        options = {}
-    state = {}
-    for source in sources.values():
-        state.update(source.snapshot())
-    if family in ("stored-copies", "multi-stored-copies"):
-        options["initial_copies"] = state
-    if family in ALGORITHMS:
-        view = View.natural_join("V", SCHEMAS, ["W", "Y"])
-        return sources, create_algorithm(
-            family, view, evaluate_view(view, state), **options
-        ), workload
-    # V0 and V1 are one class; V2 keeps X, so it is a class of its own.
-    members = {}
-    for index, projection in enumerate([["W", "Y"], ["W", "Y"], ["W", "r1.X", "Y"]]):
-        view = View.natural_join(f"V{index}", SCHEMAS, projection)
-        members[view.name] = create_algorithm("eca", view, evaluate_view(view, state))
-    catalog = WarehouseCatalog(members, share_compensation=family == "catalog-shared")
-    return sources, catalog, workload
 
 
 def text(algorithm):
@@ -87,7 +39,8 @@ def links(directory):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_chain_recovers_what_a_root_at_its_lsn_recovers(family, seed, tmp_path):
     chain_dir, root_dir = str(tmp_path / "chain"), str(tmp_path / "root")
-    sources, warehouse, workload = build(family, seed)
+    # A REFRESH last: what a deferred family flushes on.
+    sources, warehouse, workload = build(family, seed, updates=8, refresh="end")
     kernel = SyncKernel(sources, warehouse, workload)
     schedule = RandomSchedule(seed, weights={"update": 2.0})
     wal = WriteAheadLog(chain_dir)

@@ -8,10 +8,10 @@ change.  Three things can go wrong, and each has a property here:
 (a) *aliasing* — a write that skipped the copy edits a state the trace
     already holds.  A :class:`~repro.kernel.sync.SyncKernel` is stepped
     over every single-source registry algorithm, an unbuffered ECA, a
-    three-family catalog and ``batch_k=2``; a deep copy of the view is
-    taken after each warehouse event and compared with
-    ``trace.view_states`` **at the end**, when a corrupted early state
-    can no longer hide.
+    three-family catalog (``families.CATALOGS["catalog-views"]``) and
+    ``batch_k=2``; a deep copy of the view is taken after each warehouse
+    event and compared with ``trace.view_states`` **at the end**, when a
+    corrupted early state can no longer hide.
 (b) *the O(|delta|) ``apply_delta``* disagrees with the whole-bag one it
     replaced (kept below as the reference), on contents, on the rows it
     journals (what a serving cache invalidates) or on what a rejected
@@ -21,9 +21,9 @@ change.  Three things can go wrong, and each has a property here:
     journaled changes and folds them when read — differs from the eager
     recorder it replaced (``reference_recorder.py``), run beside it on
     the same calls: every registry algorithm (two sources for the
-    multi-source families) and a catalog with sharing on and off, on the
-    kernel or the runtime with ``batch_k=2``, faults, a mid-UQS crash
-    and ``shards=2``.  States, ``is``-sharing and the checkers' verdicts
+    multi-source families) and a catalog of views over each of two
+    sources with sharing on and off, on the kernel or the runtime with
+    ``batch_k=2``, faults, a mid-UQS crash and ``shards=2``.  States, ``is``-sharing and the checkers' verdicts
     must all be the same.
 """
 
@@ -34,59 +34,23 @@ from hypothesis import strategies as st
 
 import pytest
 
+from families import MULTI_SOURCE, SCHEMAS, SINGLE_SOURCE, build, view
 from reference_recorder import recording_both, relation_sharing, sharing
 from repro.consistency import check_cuts, check_trace, staleness_profile
-from repro.core.eca import ECA
-from repro.core.eca_key import ECAKey
-from repro.core.lazy import LCA
-from repro.core.registry import ALGORITHMS, create_algorithm
+from repro.core.registry import ALGORITHMS
 from repro.durability.crash import CrashPolicy
 from repro.errors import SimulationError, ViewStateError
 from repro.kernel.sync import SyncKernel
 from repro.relational.bag import SignedBag
-from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.unions import UnionView
 from repro.relational.views import View
 from repro.runtime import FaultPlan, run_concurrent
 from repro.serving import row_key
 from repro.simulation.schedules import RandomSchedule
-from repro.source.memory import MemorySource
-from repro.warehouse.catalog import WarehouseCatalog
 from repro.warehouse.state import MaterializedView
-from repro.workloads.random_gen import random_workload
 
-SCHEMAS = [
-    RelationSchema("r1", ("W", "X"), key=("W",)),
-    RelationSchema("r2", ("X", "Y"), key=("Y",)),
-]
-INITIAL = {"r1": [(1, 2), (2, 3)], "r2": [(2, 5), (3, 6)]}
-KEYED = View.natural_join("V", SCHEMAS, ["W", "Y"])
-
-SINGLE_SOURCE = sorted(
-    name for name, cls in ALGORITHMS.items() if not cls.multi_source
-)
-
-
-def build(name, source):
-    """The named warehouse over ``source``: an algorithm, or a catalog."""
-    state = source.snapshot()
-    initial = evaluate_view(KEYED, state)
-    if name == "catalog":
-        other = View.natural_join("other", SCHEMAS, ["Y", "W"])
-        solo = View.natural_join("solo", SCHEMAS[:1], ["W"])
-        return WarehouseCatalog(
-            {
-                "keyed": ECAKey(KEYED, initial),
-                "other": ECA(other, evaluate_view(other, state)),
-                "solo": LCA(solo, evaluate_view(solo, state)),
-            }
-        )
-    if name == "eca-unbuffered":
-        return ECA(KEYED, initial, buffer_answers=False)
-    if name == "stored-copies":
-        return create_algorithm(name, KEYED, initial, initial_copies=state)
-    return create_algorithm(name, KEYED, initial)
+KEYED = view()
 
 
 def deep_copy(warehouse):
@@ -116,23 +80,25 @@ def wrote(warehouse):
     return any([mv.take_changes(WITNESS) for mv in views(warehouse)])
 
 
+#: ``(family, constructor options)``: an unbuffered ECA beside the rest.
+WAREHOUSES = [(name, {}) for name in SINGLE_SOURCE + ["catalog-views"]]
+WAREHOUSES.append(("eca", {"buffer_answers": False}))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(SINGLE_SOURCE + ["eca-unbuffered", "catalog"]),
+    st.sampled_from(WAREHOUSES),
     st.integers(0, 10_000),
     st.integers(1, 8),
     st.integers(0, 10_000),
     st.sampled_from([1, 2]),
 )
 def test_recorded_view_states_are_never_written_again(
-    name, workload_seed, k, schedule_seed, batch_k
+    warehouse_spec, workload_seed, k, schedule_seed, batch_k
 ):
-    source = MemorySource(SCHEMAS, INITIAL)
-    warehouse = build(name, source)
-    workload = random_workload(
-        SCHEMAS, k, seed=workload_seed, initial=INITIAL, respect_keys=True
-    )
-    kernel = SyncKernel({"source": source}, warehouse, workload, batch_k=batch_k)
+    name, options = warehouse_spec
+    sources, warehouse, workload = build(name, workload_seed, updates=k, **options)
+    kernel = SyncKernel(sources, warehouse, workload, batch_k=batch_k)
     trace = kernel.trace
     copies = [deep_copy(warehouse)]
     wrote(warehouse)
@@ -287,61 +253,15 @@ def test_index_lookup_equals_a_scan_after_any_writes(view, initial, steps):
 # --------------------------------------------------------------------- #
 
 
-def spanning(name, k, seed):
-    """Two sources, one join-chain view across them (``repro runtime``'s
-    multi-source topology)."""
-    schemas = [
-        RelationSchema("s0r", ("C0", "C1"), key=("C0",)),
-        RelationSchema("s1r", ("C1", "C2"), key=("C2",)),
-    ]
-    sources, workload, state = {}, [], {}
-    for index, schema in enumerate(schemas):
-        initial = {schema.name: [(1, 1), (2, 2)]}
-        sources[f"s{index}"] = MemorySource([schema], initial)
-        state.update(sources[f"s{index}"].snapshot())
-        workload += random_workload(
-            [schema], k, seed=seed + index, initial=initial, respect_keys=True, domain=3
-        )
-    view = View.natural_join("V", schemas, ["s0r.C0", "s1r.C2"])
-    options = {"owners": {"s0r": "s0", "s1r": "s1"}}
-    if name == "multi-stored-copies":
-        options["initial_copies"] = state
-    algorithm = create_algorithm(name, view, evaluate_view(view, state), **options)
-    return sources, algorithm, workload
-
-
-def fanout_catalog(k, seed, share):
-    """Two sources, three views each: an ECA class of two and an ECA-Key."""
-    sources, algorithms, workload = {}, {}, []
-    for index in range(2):
-        prefix = f"s{index}"
-        schemas = [
-            RelationSchema(f"{prefix}r1", ("W", "X"), key=("W",)),
-            RelationSchema(f"{prefix}r2", ("X", "Y"), key=("Y",)),
-        ]
-        initial = {f"{prefix}r1": INITIAL["r1"], f"{prefix}r2": INITIAL["r2"]}
-        sources[prefix] = MemorySource(schemas, initial)
-        state = sources[prefix].snapshot()
-        for name, family in (("a", ECA), ("b", ECA), ("k", ECAKey)):
-            view = View.natural_join(f"V{index}{name}", schemas, ["W", "Y"])
-            algorithms[view.name] = family(view, evaluate_view(view, state))
-        workload += random_workload(
-            schemas, k, seed=seed + index, initial=initial, respect_keys=True
-        )
-    return sources, WarehouseCatalog(algorithms, share_compensation=share), workload
-
-
 def warehouse_for(name, k, seed):
-    """``(sources, warehouse, workload)`` for a registry name or a catalog."""
+    """``(sources, warehouse, workload)`` for a registry name or a catalog:
+    a catalog's views over each of two sources, a multi-source family's
+    view spanning them (``repro runtime``'s topologies), ``2k`` updates."""
     if name.startswith("catalog"):
-        return fanout_catalog(k, seed, share=name == "catalog-shared")
-    if ALGORITHMS[name].multi_source:
-        return spanning(name, k, seed)
-    source = MemorySource(SCHEMAS, INITIAL)
-    workload = random_workload(
-        SCHEMAS, k, seed=seed, initial=INITIAL, respect_keys=True
-    )
-    return {"source": source}, build(name, source), workload
+        return build(name, seed, topology="fanout", updates=2 * k)
+    if name in MULTI_SOURCE:
+        return build(name, seed, topology="chain", updates=2 * k)
+    return build(name, seed, updates=k)
 
 
 def assert_same_history(recorder, checkable):

@@ -40,7 +40,7 @@ from same_histories import (  # noqa: E402
     run_suites,
     state_text,
 )
-from test_rejected_events import FAMILIES, SCHEMAS, build  # noqa: E402
+from families import FAMILIES, SCHEMAS, build  # noqa: E402
 
 from repro.cli import build_parser  # noqa: E402
 from repro.core.registry import ALGORITHMS, create_algorithm  # noqa: E402
@@ -253,7 +253,7 @@ class TestStateText:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_a_decoded_twin_and_filled_memos_give_the_same_text(self, family):
-        sources, warehouse, workload = build(family, seed=1)
+        sources, warehouse, workload = build(family, seed=1, refresh="end")
         kernel = SyncKernel(sources, warehouse, workload)
         schedule = RandomSchedule(1, weights={"update": 3.0})
         pending = 0
