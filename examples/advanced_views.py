@@ -18,19 +18,17 @@ Run:  python examples/advanced_views.py
 import random
 
 from repro import (
-    ECA,
-    LCA,
     MemorySource,
     RandomSchedule,
     RelationSchema,
     Simulation,
     UnionView,
     View,
+    build_algorithm,
     check_trace,
     insert,
 )
 from repro.relational.conditions import Attr, Comparison
-from repro.relational.engine import evaluate_view
 
 
 def self_join_demo() -> None:
@@ -48,7 +46,7 @@ def self_join_demo() -> None:
     )
     initial = {"emp": [(1, 10), (2, 10), (3, 20)]}
     source = MemorySource([emp], initial)
-    warehouse = ECA(view, evaluate_view(view, source.snapshot()))
+    warehouse = build_algorithm("eca", view, source)
 
     update = insert("emp", (4, 10))
     query = view.substitute("emp", update.signed_tuple())
@@ -90,9 +88,9 @@ def union_demo() -> None:
             unmatched.append(row)
             workload.append(insert("orders", row))
 
-    for view, algorithm_cls in ((movements, ECA), (net, LCA)):
+    for view, algorithm in ((movements, "eca"), (net, "lca")):
         source = MemorySource([orders, rets])
-        warehouse = algorithm_cls(view, evaluate_view(view, source.snapshot()))
+        warehouse = build_algorithm(algorithm, view, source)
         trace = Simulation(source, warehouse, list(workload)).run(RandomSchedule(3))
         report = check_trace(view, trace)
         print(

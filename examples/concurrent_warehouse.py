@@ -16,7 +16,7 @@ Everything is driven by one seed: run it twice and the trace is
 identical.  Run:  python examples/concurrent_warehouse.py
 """
 
-from repro import ECA, MemorySource, RelationSchema, View, check_trace
+from repro import MemorySource, RelationSchema, View, build_algorithm, check_trace
 from repro.relational.engine import evaluate_view
 from repro.runtime import FaultPlan, run_concurrent
 from repro.warehouse.catalog import WarehouseCatalog
@@ -45,7 +45,7 @@ def main() -> None:
         schemas, source, initial = build_source(name)
         sources[name] = source
         view = View.natural_join(f"V_{name}", schemas, ["W", "Y"])
-        algorithms[view.name] = ECA(view, evaluate_view(view, source.snapshot()))
+        algorithms[view.name] = build_algorithm("eca", view, {name: source})
         workload.extend(
             random_workload(schemas, 10, seed=SEED + index, initial=initial)
         )

@@ -17,20 +17,17 @@ Run:  python examples/multiview_warehouse.py
 """
 
 from repro import (
-    ECA,
-    ECAKey,
-    LCA,
     RandomSchedule,
     RelationSchema,
     Simulation,
     SQLiteSource,
     View,
     WarehouseCatalog,
+    build_algorithm,
     check_trace,
     project_view,
 )
 from repro.relational.conditions import Attr, Comparison, Const
-from repro.relational.engine import evaluate_view
 from repro.workloads.random_gen import random_workload
 
 ACCOUNTS = RelationSchema("accounts", ("acct", "owner"), key=("acct",))
@@ -63,15 +60,15 @@ def main() -> None:
         [ACCOUNTS, MOVES], 30, seed=11, initial=INITIAL, domain=12, respect_keys=True
     )
     plans = [
-        (ledger, lambda v, iv: ECAKey(v, iv), "ECA-Key"),
-        (big_moves, lambda v, iv: ECA(v, iv), "ECA"),
-        (audit, lambda v, iv: LCA(v, iv), "LCA"),
+        (ledger, "eca-key", "ECA-Key"),
+        (big_moves, "eca", "ECA"),
+        (audit, "lca", "LCA"),
     ]
 
     final_states = []
-    for view, factory, label in plans:
+    for view, algorithm, label in plans:
         source = SQLiteSource([ACCOUNTS, MOVES], INITIAL)
-        warehouse = factory(view, evaluate_view(view, source.snapshot()))
+        warehouse = build_algorithm(algorithm, view, source)
         trace = Simulation(source, warehouse, list(workload)).run(RandomSchedule(7))
         report = check_trace(view, trace)
         final_states.append(trace.final_source_state)
@@ -93,12 +90,10 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     print("\n--- one simulation, three views (WarehouseCatalog) ---")
     source = SQLiteSource([ACCOUNTS, MOVES], INITIAL)
-    state = source.snapshot()
     catalog = WarehouseCatalog(
         {
-            "ledger": ECAKey(ledger, evaluate_view(ledger, state)),
-            "big_moves": ECA(big_moves, evaluate_view(big_moves, state)),
-            "audit": LCA(audit, evaluate_view(audit, state)),
+            view.name: build_algorithm(algorithm, view, source)
+            for view, algorithm, _ in plans
         }
     )
     trace = Simulation(source, catalog, list(workload)).run(RandomSchedule(11))

@@ -12,18 +12,17 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    ECA,
     BestCaseSchedule,
     MemorySource,
     RelationSchema,
     Simulation,
     View,
     WorstCaseSchedule,
+    build_algorithm,
     check_trace,
     delete,
     insert,
 )
-from repro.relational.engine import evaluate_view
 
 
 def main() -> None:
@@ -37,8 +36,9 @@ def main() -> None:
     #    queries, knowing nothing about our view.
     source = MemorySource([r1, r2], {"r1": [(1, 2)], "r2": [(2, 4)]})
 
-    # 3. The warehouse algorithm, primed with the view's current contents.
-    warehouse = ECA(view, evaluate_view(view, source.snapshot()))
+    # 3. The warehouse algorithm, started from the source as it stands:
+    #    the view primed with its current contents.
+    warehouse = build_algorithm("eca", view, source)
     print(f"initial view rows: {warehouse.mv.rows()}")
 
     # 4. Stream updates.  The schedule controls the race between source
@@ -65,7 +65,7 @@ def main() -> None:
     # The same stream under a quiet schedule needs no compensation at all
     # (Section 5.6, property 3) and lands on the same answer.
     source2 = MemorySource([r1, r2], {"r1": [(1, 2)], "r2": [(2, 4)]})
-    warehouse2 = ECA(view, evaluate_view(view, source2.snapshot()))
+    warehouse2 = build_algorithm("eca", view, source2)
     Simulation(source2, warehouse2, workload).run(BestCaseSchedule())
     assert warehouse2.view_state() == warehouse.view_state()
     print("best-case run converges to the identical view — OK")

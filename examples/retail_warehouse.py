@@ -16,18 +16,17 @@ Run:  python examples/retail_warehouse.py
 import random
 
 from repro import (
-    ECAKey,
     RandomSchedule,
     RelationSchema,
     Simulation,
     SQLiteSource,
     View,
+    build_algorithm,
     check_trace,
     delete,
     insert,
 )
 from repro.costmodel.counters import CostRecorder
-from repro.relational.engine import evaluate_view
 
 CUSTOMERS = RelationSchema("customers", ("cust_id", "region"), key=("cust_id",))
 ORDERS = RelationSchema("orders", ("order_id", "cust_id", "amount"), key=("order_id",))
@@ -91,7 +90,7 @@ def main() -> None:
             [CUSTOMERS, ORDERS],
             {"customers": INITIAL_CUSTOMERS, "orders": INITIAL_ORDERS},
         )
-        warehouse = ECAKey(view, evaluate_view(view, source.snapshot()))
+        warehouse = build_algorithm("eca-key", view, source)
         recorder = CostRecorder()
         workload = busy_day_workload(seed)
         trace = Simulation(source, warehouse, workload, recorder).run(

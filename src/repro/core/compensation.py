@@ -159,20 +159,22 @@ class ProbeIndex:
     ``uqs`` is the algorithm's own id -> query map, held, not copied: ids
     ascend in it (:meth:`~repro.core.protocol.WarehouseAlgorithm.uqs_queries`)
     and none is issued twice, not even after the UQS empties — an id at or
-    below a table's ``filed`` is taken as filed already.
-    Per updated relation, a :class:`_Table` files each pending query's
-    terms under the :func:`probe_key` rule.  Filing is lazy: an update
-    files the queries issued since the last update of its relation
-    (:meth:`hits` walks the UQS back to the newest id filed), so an empty
-    UQS builds nothing, and a query with nothing to file for a relation
-    can be marked filed there unwalked (:meth:`skip`).  Retiring is
-    eager: :meth:`retire` removes an answered query's entries and every
-    bucket they leave empty.  A recovered algorithm starts a new index.
+    below ``filed`` is taken as filed already.
+    Per updated relation, a :class:`_Table` holds the pending terms under
+    the :func:`probe_key` rule.  Filing is lazy: :meth:`hits` walks the
+    queries issued since ``filed``, the newest query id filed, once
+    each, and files every term in the table of every relation it holds,
+    so an empty UQS builds nothing and a query is walked once per index,
+    however many relations its terms hold.  Retiring is eager:
+    :meth:`retire` removes an answered query's entries and every bucket
+    they leave empty.  A recovered algorithm starts a new index, which
+    files the recovered UQS at its first update.
     """
 
     def __init__(self, uqs: Dict[int, Query]) -> None:
         self.uqs = uqs
         self.tables: Dict[str, _Table] = {}
+        self.filed = 0
 
     def hits(
         self, relation: str, values: Tuple[Any, ...]
@@ -191,19 +193,19 @@ class ProbeIndex:
         uqs = self.uqs
         if not uqs:
             return []
-        table = self.tables.get(relation)
-        if table is None:
-            table = self.tables[relation] = _Table()
-        newest = next(reversed(uqs))
-        if newest > table.filed:
+        newest, filed = next(reversed(uqs)), self.filed
+        if newest > filed:
             fresh: List[int] = []
             for query_id in reversed(uqs):
-                if query_id <= table.filed:
+                if query_id <= filed:
                     break
                 fresh.append(query_id)
             for query_id in reversed(fresh):
-                table.file(query_id, uqs[query_id].terms, relation)
-            table.filed = newest
+                self._file(query_id, uqs[query_id].terms)
+            self.filed = newest
+        table = self.tables.get(relation)
+        if table is None:
+            return []
         found: List[Dict[int, List[int]]] = []
         if table.always:
             found.append(table.always)
@@ -226,6 +228,56 @@ class ProbeIndex:
                 merged[query_id] = indices if have is None else sorted(have + indices)
         return sorted(merged.items())
 
+    def _file(self, query_id: int, terms: Sequence[Term]) -> None:
+        """File a pending query's ``terms``: each one, for every relation
+        it holds, in that relation's table — a lone unbound occurrence
+        with a :func:`probe_key` in its bucket, anything else in
+        ``always``.  A bound lone occurrence files nothing: ``Q<U>`` has
+        no such term."""
+        tables = self.tables
+        for at, term in enumerate(terms):
+            shape = term.shape
+            operands = term.operands
+            bound = tuple(map(_is_bound, operands))
+            for relation, occurrences in shape.occurrences.items():
+                key = None
+                if len(occurrences) == 1:
+                    index = occurrences[0]
+                    if bound[index]:
+                        continue
+                    key = probe_key(shape, bound, index)
+                table = tables.get(relation)
+                if table is None:
+                    table = tables[relation] = _Table()
+                if key is not None:
+                    column, other, position = key
+                    value = operands[other].tuple.values[position]
+                    columns = table.columns
+                    by_value = columns.get(column)
+                    if by_value is None:
+                        by_value = columns[column] = {}
+                    try:
+                        bucket = by_value.get(value)
+                    except TypeError:  # an unhashable bound value
+                        if not by_value:
+                            del columns[column]
+                    else:
+                        if bucket is None:
+                            bucket = by_value[value] = {}
+                        indices = bucket.get(query_id)
+                        if indices is None:
+                            bucket[query_id] = [at]
+                            placed = table.placed.setdefault(query_id, [])
+                            placed.append((column, value))
+                        else:
+                            indices.append(at)
+                        continue
+                indices = table.always.get(query_id)
+                if indices is None:
+                    table.always[query_id] = [at]
+                else:
+                    indices.append(at)
+
     def candidates(self, relation: str, values: Tuple[Any, ...]) -> List[Term]:
         """The terms :meth:`hits` names, unsubstituted, in its order:
         ``Query(candidates(...)).substitute(relation, tuple, -1)`` is
@@ -237,32 +289,12 @@ class ProbeIndex:
             out += map(uqs[query_id].terms.__getitem__, indices)
         return out
 
-    def skip(self, relation: str, query_id: int) -> None:
-        """Take ``query_id``, the newest pending query, as filed for updates
-        of ``relation`` without walking it: its caller knows that every
-        occurrence of ``relation`` in it is bound (an update of
-        ``relation`` built it, over a view that holds ``relation`` once per
-        term), so filing it would file nothing.  Done only when every older
-        pending query is filed already."""
-        ids = reversed(self.uqs)
-        if next(ids, None) != query_id:
-            return
-        older = next(ids, 0)
-        table = self.tables.get(relation)
-        if table is None:
-            if older:
-                return
-            table = self.tables[relation] = _Table()
-        elif older > table.filed:
-            return
-        table.filed = query_id
-
     def retire(self, query_id: int) -> None:
         """Forget an answered query: its entries, and the buckets and
         columns they leave empty."""
+        if query_id > self.filed:
+            return
         for table in self.tables.values():
-            if query_id > table.filed:
-                continue
             table.always.pop(query_id, None)
             columns = table.columns
             for column, value in table.placed.pop(query_id, ()):
@@ -282,60 +314,16 @@ class _Table:
     substitute.  ``columns``: per column of the update's tuple, bound
     value -> (query id -> indices of the terms whose first check is that
     column equal to that value).  ``placed``: query id -> the (column,
-    value) buckets it is in.  ``filed``: the newest query id filed.
-    Terms in which the relation vanishes or does not occur are nowhere.
+    value) buckets it is in.  Terms in which the relation's one
+    occurrence is bound, or the relation does not occur, are nowhere.
     """
 
-    __slots__ = ("filed", "always", "columns", "placed")
+    __slots__ = ("always", "columns", "placed")
 
     def __init__(self) -> None:
-        self.filed = 0
         self.always: Dict[int, List[int]] = {}
         self.columns: Dict[int, Dict[object, Dict[int, List[int]]]] = {}
         self.placed: Dict[int, List[Tuple[int, object]]] = {}
-
-    def file(self, query_id: int, terms: Sequence[Term], relation: str) -> None:
-        """File a pending query's ``terms`` for updates of ``relation``."""
-        always: List[int] = []
-        placed: List[Tuple[int, object]] = []
-        columns = self.columns
-        for at, term in enumerate(terms):
-            shape = term.shape
-            occurrences = shape.occurrences.get(relation)
-            if not occurrences:
-                continue
-            operands = term.operands
-            if len(occurrences) == 1:
-                index = occurrences[0]
-                if operands[index].is_bound:
-                    continue  # Q<U> has no such term
-                key = probe_key(shape, tuple(map(_is_bound, operands)), index)
-                if key is not None:
-                    column, other, position = key
-                    value = operands[other].tuple.values[position]
-                    by_value = columns.get(column)
-                    if by_value is None:
-                        by_value = columns[column] = {}
-                    try:
-                        bucket = by_value.get(value)
-                    except TypeError:  # an unhashable bound value
-                        if not by_value:
-                            del columns[column]
-                    else:
-                        if bucket is None:
-                            bucket = by_value[value] = {}
-                        indices = bucket.get(query_id)
-                        if indices is None:
-                            bucket[query_id] = [at]
-                            placed.append((column, value))
-                        else:
-                            indices.append(at)
-                        continue
-            always.append(at)
-        if always:
-            self.always[query_id] = always
-        if placed:
-            self.placed[query_id] = placed
 
 
 def probe_key(

@@ -49,7 +49,12 @@ class ECA(WarehouseAlgorithm):
 
     The compensated query of an event is built and split
     (:func:`~repro.core.compensation.split`) in one place,
-    :meth:`_dispatch`.  In a :class:`~repro.warehouse.catalog.WarehouseCatalog`
+    :meth:`_dispatch`.  An update finds the pending terms it compensates
+    in :attr:`probe_index`, one :class:`~repro.core.compensation.ProbeIndex`
+    over the whole UQS: the first update after a query is issued files it
+    once, for every relation, and its answer retires it.  A recovered
+    ECA starts a new index, which files the recovered UQS the same way.
+    In a :class:`~repro.warehouse.catalog.WarehouseCatalog`
     with sharing on, equally defined views in equal states are one ECA,
     so a class builds once per event however many views it stands for.
 
@@ -78,14 +83,6 @@ class ECA(WarehouseAlgorithm):
         self.buffer_answers = buffer_answers
         #: The UQS indexed for the builder's probe (never persisted).
         self.probe_index = ProbeIndex(self.uqs)
-        #: Relations some view term holds twice (a self-join): a query an
-        #: update of any other relation builds binds it in every term.
-        self._repeated = frozenset(
-            relation
-            for term in view.as_query().terms
-            for relation, indices in term.shape.occurrences.items()
-            if len(indices) > 1
-        )
 
     # ------------------------------------------------------------------ #
     # W_up
@@ -94,12 +91,9 @@ class ECA(WarehouseAlgorithm):
     def handle_update(self, notification: UpdateNotification) -> List[QueryRequest]:
         if not self.relevant(notification):
             return []
-        update = notification.update
-        requests = self._dispatch(_compensate_update(self.view, update, self.probe_index))
-        if requests and update.relation not in self._repeated:
-            # The next update of the relation would file nothing of it.
-            self.probe_index.skip(update.relation, requests[0].query_id)
-        return requests
+        return self._dispatch(
+            _compensate_update(self.view, notification.update, self.probe_index)
+        )
 
     def handle_update_batch(self, batch: UpdateBatch) -> List[QueryRequest]:
         """The k-update generalization: one ``Q<U1,...,Uk>`` per batch.

@@ -137,21 +137,25 @@ class WarehouseAlgorithm:
         same owner for every relation the view reads, or a
         :class:`ProtocolError` names the relation and both owners.
         Rebinding the same map, as a recovered incarnation does, passes.
+        A map that lacks a relation the view reads is refused too, naming
+        the relation: no source of the run could answer for it.
         """
+        terms = self.view.as_query().terms
+        read = sorted({name for term in terms for name in term.source_relation_names})
         held = self.owners or owners
-        for relation in sorted(self.view.reactive_relations()):
-            if held.get(relation) != owners.get(relation):
+        for relation in read:
+            if relation not in owners:
+                raise ProtocolError(
+                    f"{self.name}: no source of the run owns relation {relation!r}"
+                )
+            if held.get(relation) != owners[relation]:
                 raise ProtocolError(
                     f"{self.name}: relation {relation!r} is owned by "
                     f"{held.get(relation)!r} in the map it holds and by "
-                    f"{owners.get(relation)!r} in the run's"
+                    f"{owners[relation]!r} in the run's"
                 )
         self.owners = dict(held)
-        found = {
-            self.owners[relation]
-            for relation in self.view.reactive_relations()
-            if relation in self.owners
-        }
+        found = {owners[relation] for relation in read}
         self.answer_source = found.pop() if len(found) == 1 else None
 
     def on_update(self, source: Optional[str], notification: UpdateNotification) -> Routed:

@@ -1,11 +1,11 @@
 """Assembly of a run's serving/freshness report — one source of truth.
 
-Both harnesses (the single-warehouse asyncio runtime and the sharded
-runtime) end a run by packing the serving tier's counters and the
-per-view :meth:`~repro.serving.cache.ServingCache.freshness` staleness
-into the ``RuntimeResult.serving`` dict.  The block lives here so the
-freshness API surfaced by the CLI (``repro freshness``) and the two
-harnesses can never drift apart.
+The asyncio runtime (``repro.runtime.harness``, sharded or not) ends a
+run by packing the serving tier's counters and the per-view
+:meth:`~repro.serving.cache.ServingCache.freshness` staleness into the
+``RuntimeResult.serving`` dict.  The block lives here so the freshness
+API surfaced by the CLI (``repro freshness``) and the runtime can never
+drift apart.
 """
 
 from __future__ import annotations

@@ -347,7 +347,8 @@ def _copy(algorithm: "WarehouseAlgorithm") -> "WarehouseAlgorithm":
     from repro.durability.codec import dumps_algorithm, loads_algorithm
 
     twin = loads_algorithm(dumps_algorithm(algorithm, validate=False))
-    twin.bind_owners(algorithm.owners)
+    if algorithm.owners:  # an unbound algorithm's twin stays unbound
+        twin.bind_owners(algorithm.owners)
     return twin
 
 

@@ -22,16 +22,16 @@ from __future__ import annotations
 import pytest
 
 from families import FAMILIES, build
-from repro.core.registry import create_algorithm
+from repro.core.registry import build_algorithm
 from repro.durability import dumps_algorithm, encode_text, loads_algorithm
 from repro.kernel.dispatch import dispatch_event, query_owner, resolve_destination
 from repro.kernel.sync import SyncKernel
 from repro.messaging.messages import QueryAnswer, UpdateNotification
 from repro.relational.bag import SignedBag
-from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
 from repro.simulation.schedules import RandomSchedule
+from repro.source.memory import MemorySource
 from repro.source.updates import insert
 from repro.warehouse.catalog import WarehouseCatalog
 
@@ -77,13 +77,12 @@ def test_sweep_rebuilds_its_hop_at_restore_as_it_was_sent():
         RelationSchema("r3", ("Y", "Z")),
     ]
     view = View.natural_join("V", schemas, ["W", "Z"])
-    state = {
-        "r1": SignedBag({(1, 2): 1}),
-        "r2": SignedBag({(2, 4): 1, (3, 4): 1}),
-        "r3": SignedBag({(4, 6): 1}),
+    rows = {"r1": [(1, 2)], "r2": [(2, 4), (3, 4)], "r3": [(4, 6)]}
+    sources = {
+        f"s{index}": MemorySource([schema], {schema.name: rows[schema.name]})
+        for index, schema in enumerate(schemas)
     }
-    owners = {"r1": "s0", "r2": "s1", "r3": "s2"}
-    sweep = create_algorithm("sweep", view, evaluate_view(view, state), owners=owners)
+    sweep = build_algorithm("sweep", view, sources)
     ((destination, request),) = dispatch_event(
         sweep, "s0", UpdateNotification(insert("r1", (5, 3)), 1)
     )[2]

@@ -1,12 +1,13 @@
-"""Property tests: the UQS's probe index keeps only what is pending, and
-an update visits only the pending queries it compensates.
+"""Property tests: the UQS's probe index keeps only what is pending, walks
+each pending query once, and an update visits only the pending queries it
+compensates.
 
 ECA keeps one :class:`repro.core.compensation.ProbeIndex` over its whole
-UQS: an update files the queries issued since the last update of its
-relation, then looks its tuple's values up; an answer retires its query
-at once; a codec round trip starts a new index.  Over drawn scripts of
-updates, answers and recoveries — one ECA, and a two-member class of a
-catalog with sharing on — after every event:
+UQS: an update walks the queries issued since the index's watermark,
+filing each for every relation it holds, then looks its tuple's values
+up; an answer retires its query at once; a codec round trip starts a new
+index.  Over drawn scripts of updates, answers and recoveries — one ECA,
+and a two-member class of a catalog with sharing on — after every event:
 
 - **no leak**: the index holds entries only for live UQS ids, no empty
   bucket or column, and every entry is where its query's record says;
@@ -15,20 +16,24 @@ catalog with sharing on — after every event:
   exactly those the scan-all builder finds a candidate term in (the scan
   less :func:`reference_builder.probe_drops`), each with at least one
   term, in id order; and the lookup equals a fresh index's;
-- **filing, counted**: an update files exactly the pending queries its
-  relation's table has not seen, and no query is filed twice into one
-  table over the whole run.
+- **walks, counted**: an update walks exactly the pending queries issued
+  since its index's watermark (all of them on a new index), and no query
+  is walked twice by one index over the whole run.
+
+A copy — a codec round trip, or the catalog's class ``_copy`` — walks
+each surviving query once at its first update, and hits as the live
+index does.
 """
 
 from collections import deque
 from contextlib import contextmanager
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_builder import probe_drops
-from repro.core import compensation
 from repro.core.compensation import ProbeIndex
 from repro.core.eca import ECA
 from repro.durability.codec import dumps_algorithm, loads_algorithm
@@ -39,7 +44,7 @@ from repro.relational.schema import RelationSchema
 from repro.relational.views import View
 from repro.source.memory import MemorySource
 from repro.source.updates import delete, insert
-from repro.warehouse.catalog import WarehouseCatalog
+from repro.warehouse.catalog import WarehouseCatalog, _copy
 
 R1 = RelationSchema("r1", ("W", "X"))
 R2 = RelationSchema("r2", ("X", "Y"))
@@ -112,17 +117,17 @@ def with_a_candidate(pending, update):
 
 class Counted:
     """Records what each :meth:`ProbeIndex.hits` returned and every
-    ``(table, query id)`` that ``_Table.file`` filed — in ``empty`` too
-    when that filed no term — while :meth:`open`."""
+    ``(index, query id)`` that ``ProbeIndex._file`` walked — in ``empty``
+    too when that filed no term — while :meth:`open`."""
 
     def __init__(self):
         self.lookups = []
-        self.filings = []
+        self.walks = []
         self.empty = []
 
     @contextmanager
     def open(self):
-        hits, file = ProbeIndex.hits, compensation._Table.file
+        hits, walk = ProbeIndex.hits, ProbeIndex._file
 
         def counting_hits(index, relation, values):
             pending = dict(index.uqs)
@@ -130,23 +135,25 @@ class Counted:
             self.lookups.append((pending, relation, values, found))
             return found
 
-        def counting_file(table, query_id, terms, relation):
-            self.filings.append((table, query_id))
-            file(table, query_id, terms, relation)
-            if query_id not in table.always and query_id not in table.placed:
-                self.empty.append((table, query_id))
+        def counting_walk(index, query_id, terms):
+            self.walks.append((index, query_id))
+            walk(index, query_id, terms)
+            if not any(
+                query_id in table.always or query_id in table.placed
+                for table in index.tables.values()
+            ):
+                self.empty.append((index, query_id))
 
         with mock.patch.object(ProbeIndex, "hits", counting_hits), mock.patch.object(
-            compensation._Table, "file", counting_file
+            ProbeIndex, "_file", counting_walk
         ):
             yield self
 
 
-def check_update(counted, algorithm, update, tables, filed, filings):
-    """One update's lookup and filings (``counted.filings[filings:]``),
-    against the scan, a fresh index, and ``tables`` — the index's tables
-    before the update, whose table for the update's relation had filed up
-    to ``filed``."""
+def check_update(counted, algorithm, update, index, filed, walks):
+    """One update's lookup and walks (``counted.walks[walks:]``), against
+    the scan, a fresh index, and ``index`` — the algorithm's index before
+    the update, whose watermark was ``filed``."""
     lookups, counted.lookups = counted.lookups, []
     [(pending, relation, values, found)] = lookups
     assert relation == update.relation and values == update.values
@@ -154,9 +161,9 @@ def check_update(counted, algorithm, update, tables, filed, filings):
     assert all(indices for _, indices in found)
     assert found == ProbeIndex(dict(pending)).hits(relation, values)
     counted.lookups.clear()  # the fresh index's own lookup
-    table = algorithm.probe_index.tables.get(relation)
-    newly = [q for filed_in, q in counted.filings[filings:] if filed_in is table]
-    if tables is algorithm.probe_index.tables:
+    live = algorithm.probe_index
+    newly = [q for walked_by, q in counted.walks[walks:] if walked_by is live]
+    if index is live:
         assert newly == [query_id for query_id in pending if query_id > filed]
     else:
         assert newly == list(pending)
@@ -185,27 +192,26 @@ def run(counted, warehouse, member_of, script):
                 answer()
         elif step == "recover":
             warehouse = loads_algorithm(dumps_algorithm(warehouse))
-            assert not member_of(warehouse).probe_index.tables
+            index = member_of(warehouse).probe_index
+            assert not index.tables and index.filed == 0
         else:
             try:
                 source.apply_update(step)
             except UpdateError:
                 continue
             algorithm = member_of(warehouse)
-            tables = algorithm.probe_index.tables
-            table = tables.get(step.relation)
-            filed = 0 if table is None else table.filed
-            filings = len(counted.filings)
+            index = algorithm.probe_index
+            filed, walks = index.filed, len(counted.walks)
             routed = warehouse.on_update("source", UpdateNotification(step, serial))
             in_flight.extend(request for _, request in routed)
             if algorithm.view.involves(step.relation):
-                check_update(counted, algorithm, step, tables, filed, filings)
+                check_update(counted, algorithm, step, index, filed, walks)
             else:
-                assert not counted.lookups and len(counted.filings) == filings
+                assert not counted.lookups and len(counted.walks) == walks
         assert_no_leak(member_of(warehouse))
-    # Each (table, id) once; the tables are still referenced here, so no
+    # Each (index, id) once; the indexes are still referenced here, so no
     # two of them share an id().
-    assert len({(id(table), q) for table, q in counted.filings}) == len(counted.filings)
+    assert len({(id(index), q) for index, q in counted.walks}) == len(counted.walks)
     while in_flight:
         answer()
     assert not member_of(warehouse).uqs
@@ -235,34 +241,49 @@ def test_a_shared_class_keeps_one_index_for_both_members(script):
     drive(catalog, member, script)
 
 
-def test_a_long_run_visits_few_and_leaves_nothing_behind():
-    """A scripted storm over the chain view with up to eight queries in
-    flight, then drained: the lookups visit 303 pending queries, each one
-    with a candidate, where a scan visits 765 (counts the script fixes),
-    and every table empties.  No filing files nothing: the chain holds
-    each relation once, so a query an update of ``r`` built binds ``r``
-    in every term, and ``r``'s table takes it as filed unwalked."""
-    algorithm = ECA(VIEWS[0])
-    source = MemorySource(SCHEMAS)
-    in_flight = deque()
+class Storm:
+    """The long run's script over the chain view: per round one insert
+    into each of ``r1``, ``r2`` and ``r3``, then answers in FIFO order
+    until at most eight queries are in flight."""
 
-    def answer():
-        request = in_flight.popleft()
-        reply = QueryAnswer(request.query_id, source.evaluate(request.query))
-        algorithm.on_answer("source", reply)
+    def __init__(self):
+        self.algorithm = ECA(VIEWS[0])
+        self.source = MemorySource(SCHEMAS)
+        self.in_flight = deque()
+        self.issued = []
+        self.serial = 0
 
-    serial = 0
-    with Counted().open() as counted:
-        for round_ in range(30):
+    def run(self, rounds):
+        for _ in range(rounds):
             for relation in ("r1", "r2", "r3"):
-                serial += 1
-                update = insert(relation, (serial % 7, serial % 5))
-                source.apply_update(update)
-                routed = algorithm.on_update("source", UpdateNotification(update, serial))
-                in_flight.extend(request for _, request in routed)
-            while len(in_flight) > 8:
-                answer()
-            assert_no_leak(algorithm)
+                self.serial += 1
+                update = insert(relation, (self.serial % 7, self.serial % 5))
+                self.source.apply_update(update)
+                routed = self.algorithm.on_update(
+                    "source", UpdateNotification(update, self.serial)
+                )
+                self.issued += [request.query_id for _, request in routed]
+                self.in_flight.extend(request for _, request in routed)
+            while len(self.in_flight) > 8:
+                self.answer()
+            assert_no_leak(self.algorithm)
+
+    def answer(self):
+        request = self.in_flight.popleft()
+        reply = QueryAnswer(request.query_id, self.source.evaluate(request.query))
+        self.algorithm.on_answer("source", reply)
+
+
+def test_a_long_run_visits_few_and_leaves_nothing_behind():
+    """A scripted storm with up to eight queries in flight, then drained:
+    the lookups visit 303 pending queries, each one with a candidate,
+    where a scan visits 765 (counts the script fixes), and every table
+    empties.  Every query but the last one issued is walked once, in id
+    order, and no walk files nothing: a shipped query has an unbound
+    operand in some term."""
+    storm = Storm()
+    with Counted().open() as counted:
+        storm.run(30)
     scanned = sum(len(pending) for pending, _, _, _ in counted.lookups)
     visited = sum(len(found) for _, _, _, found in counted.lookups)
     assert visited == sum(
@@ -270,8 +291,47 @@ def test_a_long_run_visits_few_and_leaves_nothing_behind():
         for pending, relation, values, _ in counted.lookups
     )
     assert (visited, scanned) == (303, 765)
-    assert counted.filings and not counted.empty
-    while in_flight:
-        answer()
-    assert algorithm.is_quiescent()
-    assert_no_leak(algorithm)
+    assert [q for _, q in counted.walks] == storm.issued[:-1]
+    assert not counted.empty
+    while storm.in_flight:
+        storm.answer()
+    assert storm.algorithm.is_quiescent()
+    assert_no_leak(storm.algorithm)
+
+
+#: Ways to get an independent twin of a live ECA.
+COPIES = {
+    "codec round trip": lambda algorithm: loads_algorithm(dumps_algorithm(algorithm)),
+    "class copy": _copy,
+}
+
+
+@pytest.mark.parametrize("make", COPIES.values(), ids=list(COPIES))
+def test_a_copy_walks_its_uqs_once_and_hits_as_the_live_index(make):
+    """A copy of a storm's ECA starts a new index: its first update walks
+    each surviving query once, in id order, and finds what the live
+    index finds; its next update walks only the query the first built."""
+    storm = Storm()
+    storm.run(6)
+    live = storm.algorithm
+    pending = list(live.uqs)
+    assert len(pending) >= 6
+    hit = 0
+    for relation in ("r1", "r2", "r3"):
+        for values in [(1, 2), (3, 4), (0, 0)]:
+            copy = make(live)
+            update = insert(relation, values)
+            expected = live.probe_index.hits(relation, values)
+            hit += len(expected)
+            with Counted().open() as counted:
+                copy.on_update("source", UpdateNotification(update, storm.serial + 1))
+                [(_, _, _, found)] = counted.lookups
+                assert found == expected
+                assert counted.walks == [(copy.probe_index, q) for q in pending]
+                built = [q for q in copy.uqs if q not in live.uqs]
+                again = insert(relation, (5, 5))
+                copy.on_update("source", UpdateNotification(again, storm.serial + 2))
+                walked = counted.walks[len(pending):]
+                assert walked == [(copy.probe_index, q) for q in built]
+            assert_no_leak(copy)
+    assert hit

@@ -93,19 +93,29 @@ def test_lemma_b2_for_bound_queries(state, update, bound_row, sign):
     )
 
 
+def updates_on(bags):
+    """An insert of any row, or a delete of a row ``bags`` holds — drawn
+    from what is there, so no draw is thrown away."""
+    inserts = st.builds(insert, st.sampled_from(["r1", "r2"]), rows2)
+    present = [
+        delete(name, row)
+        for name, bag in sorted(bags.items())
+        for row in sorted(bag.rows())
+    ]
+    return st.one_of(inserts, st.sampled_from(present)) if present else inserts
+
+
 @settings(max_examples=60, deadline=None)
-@given(states, updates(), updates())
-def test_lemma_b2_composes_over_two_updates(state, u1, u2):
+@given(states, st.data())
+def test_lemma_b2_composes_over_two_updates(state, data):
     """Q[ss_0] = Q[ss_2] - Q<U2>[ss_2] - Q<U1>[ss_2] + Q<U1,U2>[ss_2] —
     the expansion LCA's backdating and ECA's chained compensation rely
     on."""
     view = make_view()
     s0 = to_bags(state)
-    if u1.is_delete:
-        assume(s0[u1.relation].multiplicity(u1.values) > 0)
+    u1 = data.draw(updates_on(s0), label="u1")
     s1 = apply_update(s0, u1)
-    if u2.is_delete:
-        assume(s1[u2.relation].multiplicity(u2.values) > 0)
+    u2 = data.draw(updates_on(s1), label="u2")
     s2 = apply_update(s1, u2)
     q = view.as_query()
     q1 = q.substitute(u1.relation, u1.signed_tuple())

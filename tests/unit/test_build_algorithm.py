@@ -8,6 +8,9 @@
 (b) An owners map that disagrees with the run's is refused by every
     kernel before the first event, with a ``ProtocolError`` naming the
     relation and both owners; the same map again passes.
+(c) A run whose sources own no relation the view reads is refused by
+    every kernel before the first event, with one ``ProtocolError``
+    naming the relation.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import partial
 
 import pytest
 
-from families import MULTI_SOURCE, build, sources, view
+from families import INITIAL, MULTI_SOURCE, R1, build, sources, view
 from repro.core.registry import ALGORITHMS, build_algorithm, create_algorithm
 from repro.durability import dumps_algorithm
 from repro.errors import ProtocolError
@@ -28,6 +31,7 @@ from repro.simulation.schedules import RandomSchedule
 from repro.source.memory import MemorySource
 from repro.warehouse.catalog import WarehouseCatalog
 from repro.workloads.paper_examples import PAPER_EXAMPLES
+from repro.workloads.random_gen import random_workload
 
 #: The owners map each two-source run-start site wrote out by hand.
 OWNERS = {
@@ -160,3 +164,33 @@ class TestOwnersThatDisagree:
         with pytest.raises(ProtocolError, match="relation 'r1' is owned by 'source'"):
             algorithm.bind_owners({"r1": "s0", "r2": "s0"})
 
+
+
+class TestUnownedRelation:
+    """Sources holding ``r1`` alone under the ``r1 ⋈ r2`` view: every
+    kernel refuses the run with one ``ProtocolError`` before any event.
+    It used to fail mid-run, with an ``ExpressionError``, a
+    ``ProtocolError`` or a ``SchemaError`` by family and kernel."""
+
+    MESSAGE = "no source of the run owns relation 'r2'"
+
+    @pytest.mark.parametrize(
+        "start",
+        [SyncKernel, partial(run_concurrent, seed=1)],
+        ids=["sync", "runtime"],
+    )
+    @pytest.mark.parametrize("name", ["eca", "strobe", "sweep"])
+    def test_every_kernel_refuses_it_before_any_event(self, name, start, monkeypatch):
+        held = {"r1": INITIAL["r1"]}
+        made = {"source": MemorySource([R1], held)}
+        algorithm = create_algorithm(name, view())
+        events = []
+        for hook in ("on_update", "on_update_batch", "on_answer", "on_refresh"):
+            monkeypatch.setattr(
+                algorithm, hook, lambda *args, hook=hook: events.append(hook)
+            )
+        workload = random_workload([R1], 4, seed=1, initial=held, respect_keys=True)
+        with pytest.raises(ProtocolError, match=self.MESSAGE):
+            start(made, algorithm, workload)
+        assert events == []
+        assert algorithm.owners == {}

@@ -10,8 +10,7 @@ import os
 
 import pytest
 
-from repro.core.registry import ALGORITHMS, create_algorithm
-from repro.core.stored_copies import StoredCopies
+from repro.core.registry import ALGORITHMS, build_algorithm, create_algorithm
 from repro.durability import (
     CODEC_VERSION,
     WriteAheadLog,
@@ -266,16 +265,7 @@ class TestValueRoundTrips:
 def algorithm_mid_protocol(name):
     """An algorithm of the given registry name with a query in flight."""
     source = MemorySource(SCHEMAS, INITIAL)
-    view = make_view()
-    initial_view = evaluate_view(view, source.snapshot())
-    if name == "stored-copies":
-        algorithm = StoredCopies(view, initial_view, source.snapshot())
-    elif getattr(ALGORITHMS[name], "multi_source", False):
-        algorithm = create_algorithm(
-            name, view, initial_view, owners={"r1": "source", "r2": "source"}
-        )
-    else:
-        algorithm = create_algorithm(name, view, initial_view)
+    algorithm = build_algorithm(name, make_view(), source)
     update = insert("r1", (7, 2))
     source.apply_update(update)
     algorithm.on_update("source", UpdateNotification(update, 1))

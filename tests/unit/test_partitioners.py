@@ -187,7 +187,7 @@ class TestPlanShards:
             plan_shards(catalog, 2, Escapee(2), owners)
 
     def test_spanning_algorithm_cannot_be_sharded(self):
-        from repro.core.registry import create_algorithm
+        from repro.core.registry import build_algorithm
 
         schemas = [
             RelationSchema("ar", ("A", "B"), key=("A",)),
@@ -198,16 +198,7 @@ class TestPlanShards:
             "b": MemorySource([schemas[1]], {"br": [(2, 3)]}),
         }
         view = View.natural_join("S", schemas, ["A", "C"])
-        snapshot = {}
-        for source in sources.values():
-            snapshot.update(source.snapshot())
-        spanning = create_algorithm(
-            "multi-stored-copies",
-            view,
-            evaluate_view(view, snapshot),
-            owners={"ar": "a", "br": "b"},
-            initial_copies=snapshot,
-        )
+        spanning = build_algorithm("multi-stored-copies", view, sources)
         with pytest.raises(SimulationError):
             plan_shards(spanning, 2, "hash", {"ar": "a", "br": "b"})
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import _fanout_topology
-from repro.core.registry import ALGORITHMS, create_algorithm
+from repro.core.registry import ALGORITHMS, build_algorithm, create_algorithm
 from repro.durability import dumps_algorithm
 from repro.errors import ProtocolError, ViewStateError
 from repro.kernel.dispatch import dispatch_event, relation_owners
@@ -36,6 +36,7 @@ from repro.relational.bag import SignedBag
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
+from repro.source.memory import MemorySource
 from repro.source.updates import insert
 from repro.warehouse.catalog import WarehouseCatalog
 
@@ -73,9 +74,11 @@ def test_an_answer_the_view_rejects_leaves_the_query_pending(family):
 def sweep():
     """A SWEEP over ``r1`` at ``s0`` and ``r2`` at ``s1``, with its hop
     into ``r2`` in flight for ``insert(r1, (3, 2))``."""
-    algorithm = create_algorithm(
-        "sweep", VIEW, evaluate_view(VIEW, STATE), owners={"r1": "s0", "r2": "s1"}
-    )
+    sources = {
+        "s0": MemorySource([SCHEMAS[0]], {"r1": [(1, 2)]}),
+        "s1": MemorySource([SCHEMAS[1]], {"r2": [(2, 4)]}),
+    }
+    algorithm = build_algorithm("sweep", VIEW, sources)
     ((destination, _request),) = dispatch_event(
         algorithm, "s0", UpdateNotification(insert("r1", (3, 2)), 1)
     )[2]

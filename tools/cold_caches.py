@@ -94,7 +94,11 @@ CACHES: Tuple[Cache, ...] = (
           ("_by_key",), "serving key", "MaterializedView._write; _index builds it"),
     Cache("kept", "repro.core.compensation", "ProbeIndex.hits", dict, ("tables",),
           "updated relation, then update column and bound value",
-          "ProbeIndex.hits files; ProbeIndex.skip marks filed; ProbeIndex.retire removes"),
+          "ProbeIndex.hits files; ProbeIndex.retire removes"),
+    # The tables' watermark goes with them: tables emptied under a
+    # watermark that says "filed" would hit nothing.
+    Cache("kept", "repro.core.compensation", "ProbeIndex.hits", int, ("filed",),
+          "newest query id filed", "ProbeIndex.hits"),
 )
 
 
